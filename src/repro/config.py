@@ -56,7 +56,6 @@ BATCH_PAGES_PER_DPU = 64           #: request-batching buffer, pages per DPU
 # Backend defaults (Section 4.2)
 # ---------------------------------------------------------------------------
 
-BACKEND_WORKER_THREADS = 8         #: DPU-operation worker threads per backend
 TRANSLATION_THREADS = 8            #: GPA->HVA translation threads
 MANAGER_POOL_THREADS = 8           #: manager request thread pool
 

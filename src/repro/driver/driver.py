@@ -88,7 +88,6 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
                               into=into)
 
     # WRAM host-variable transfer: small per-DPU CI-side copies.
-    duration = 0.0
     buffers: List[np.ndarray] = []
     for entry in matrix.entries:
         dpu = rank.dpu(entry.dpu_index)
@@ -97,7 +96,7 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
         else:
             raw = dpu.read_symbol(matrix.symbol, matrix.offset, entry.size)
             buffers.append(np.frombuffer(raw, dtype=np.uint8).copy())
-        duration += rank.cost.dpu_copy_fixed + entry.size / rank.cost.rank_xfer_bandwidth
+    duration = rank.cost.symbol_copy_time(e.size for e in matrix.entries)
     rank.ci.counters.record(CiCommand.CONFIG, len(matrix.entries))
     if matrix.kind is XferKind.TO_DPU:
         return None, duration
@@ -111,7 +110,7 @@ def load_program_on_rank(rank: Rank, program: DpuProgram,
     for idx in indices:
         rank.dpu(idx).load_program(program, program.binary_size, program.symbols)
     ci_time = rank.ci.execute(CiCommand.LOAD, len(indices))
-    copy_time = rank.cost.rank_transfer_time(program.binary_size * len(indices))
+    copy_time = rank.cost.program_load_time(program.binary_size, len(indices))
     return ci_time + copy_time
 
 

@@ -188,8 +188,7 @@ def failover_device(device, manager,
     # Every transfer-cache digest describes the *dead* rank's contents;
     # the replacement starts blank (or at the checkpoint), so both sides
     # must forget before the next suppressible write.
-    device.backend.resident.invalidate_all()
-    device.frontend._invalidate_digests("failover")
+    device.frontend.invalidate("failover")
     checkpoint = store.get(device.device_id) if store is not None else None
     if checkpoint is None:
         return replacement, "relink"

@@ -97,8 +97,7 @@ class ControlInterface:
             raise ControlInterfaceError(f"negative CI op count {count}")
         self._rank._guard("ci")
         self.record(command, count)
-        duration = (count * self._rank.cost.ci_op_native
-                    * self._rank.degradation)
+        duration = self._rank.cost.ci_time(count) * self._rank.degradation
         self._rank.spans.event("rank.ci", "rank", duration,
                                rank=self._rank.index,
                                command=command.value, count=count)
@@ -233,23 +232,23 @@ class Rank:
 
     # -- transfers ---------------------------------------------------------
 
-    def _transfer_duration(self, total: int, nr_targets: int,
-                           rust_interleave: bool) -> float:
-        """Duration of one rank operation moving ``total`` bytes.
-
-        A transfer covering a single DPU only drives one of the rank's
-        8 chip lanes (byte interleaving spreads each word over the
-        chips, but one DPU's MRAM sits behind one chip), so serial
-        per-DPU copies — the SEL/UNI/SpMV/BFS retrieval pattern — run at
-        roughly 1/8 of the rank bandwidth plus an extra per-copy setup.
-        """
-        bw = self.cost.rank_xfer_bandwidth
-        extra = 0.0
-        if nr_targets == 1:
-            bw /= DPUS_PER_CHIP
-            extra = self.cost.dpu_copy_fixed
-        return (self.cost.rank_op_fixed + extra + total / bw
-                + self.cost.interleave_time(total, rust=rust_interleave))
+    def _account(self, op: str, total: int, nr_targets: int,
+                 rust_interleave: bool) -> float:
+        """The accounting tail every rank transfer shares: counters,
+        modeled duration, live metric and span of one ``op``
+        (``write``/``read``) that moved ``total`` bytes."""
+        if op == "write":
+            self.write_ops += 1
+            self.bytes_written += total
+        else:
+            self.read_ops += 1
+            self.bytes_read += total
+        duration = (self.cost.rank_op_time(total, nr_targets, rust_interleave)
+                    * self.degradation)
+        self.obs.xfer(op, total, duration)
+        self.spans.event(f"rank.{op}", "rank", duration,
+                         rank=self.index, bytes=total, targets=nr_targets)
+        return duration
 
     def write_mram(self, specs: Sequence[WriteSpec],
                    rust_interleave: bool = False) -> float:
@@ -275,14 +274,7 @@ class Rank:
             raise TransferError(
                 f"rank operation of {total} bytes exceeds the 4 GB limit"
             )
-        self.write_ops += 1
-        self.bytes_written += total
-        duration = (self._transfer_duration(total, len(specs), rust_interleave)
-                    * self.degradation)
-        self.obs.xfer("write", total, duration)
-        self.spans.event("rank.write", "rank", duration,
-                         rank=self.index, bytes=total, targets=len(specs))
-        return duration
+        return self._account("write", total, len(specs), rust_interleave)
 
     def pin_mram_write(self, specs: Sequence[WriteSpec]) -> PinnedMramWrite:
         """Resolve ``specs`` into a replayable :class:`PinnedMramWrite`.
@@ -329,17 +321,8 @@ class Rank:
         self._guard("write")
         for dst, src in pinned.copies:
             dst[...] = src
-        total = pinned.total
-        self.write_ops += 1
-        self.bytes_written += total
-        duration = (self._transfer_duration(total, pinned.nr_targets,
-                                            rust_interleave)
-                    * self.degradation)
-        self.obs.xfer("write", total, duration)
-        self.spans.event("rank.write", "rank", duration,
-                         rank=self.index, bytes=total,
-                         targets=pinned.nr_targets)
-        return duration
+        return self._account("write", pinned.total, pinned.nr_targets,
+                             rust_interleave)
 
     def read_mram(self, specs: Sequence[ReadSpec],
                   rust_interleave: bool = False,
@@ -378,14 +361,7 @@ class Rank:
             total += spec.length
         if into is not None:
             out = list(into)
-        self.read_ops += 1
-        self.bytes_read += total
-        duration = (self._transfer_duration(total, len(specs), rust_interleave)
-                    * self.degradation)
-        self.obs.xfer("read", total, duration)
-        self.spans.event("rank.read", "rank", duration,
-                         rank=self.index, bytes=total, targets=len(specs))
-        return out, duration
+        return out, self._account("read", total, len(specs), rust_interleave)
 
     # -- execution -----------------------------------------------------------
 
@@ -414,9 +390,8 @@ class Rank:
                 self.obs.dpu_fault()
                 raise
             dpu.finish_run(stats)
-            duration = (self.cost.pipeline_time(stats.tasklet_instructions)
-                        + self.cost.dma_time(stats.dma_ops, stats.dma_bytes))
-            slowest = max(slowest, duration)
+            slowest = max(slowest, self.cost.dpu_run_time(
+                stats.tasklet_instructions, stats.dma_ops, stats.dma_bytes))
         slowest *= self.degradation
         self.obs.launch(len(indices), slowest)
         self.spans.event("rank.launch", "rank", slowest,

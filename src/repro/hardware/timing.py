@@ -28,9 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.config import DPU_FREQUENCY_HZ, PAGE_SIZE, PIPELINE_DEPTH
+from repro.config import (
+    DPU_FREQUENCY_HZ,
+    DPUS_PER_CHIP,
+    PAGE_SIZE,
+    PIPELINE_DEPTH,
+    TRANSLATION_THREADS,
+)
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,162 @@ class CostModel:
 
     def pages_of(self, nr_bytes: int) -> int:
         return (nr_bytes + PAGE_SIZE - 1) // PAGE_SIZE
+
+    # -- the data path (docs/architecture.md "Cost model") ---------------------
+    #
+    # Every modeled duration of a request is computed here, from the
+    # request's *shape* alone (pages, bytes, targets, flags); the byte
+    # movers call a helper and move bytes.  Composite operations return
+    # their steps as an ordered dict — the order is the order the stack
+    # has always summed in, and :meth:`total` folds it left to right, so
+    # the sha256 digest over modeled times cannot move.  A ``0.0``
+    # placeholder is a step only the running operation can measure (the
+    # mapping's duration, the QoS wait); the caller fills it in place.
+
+    @staticmethod
+    def total(steps: Dict[str, float]) -> float:
+        """Left-to-right sum of ``steps`` (never ``sum()``: Python 3.12+
+        compensates float sums, which would change the last bit)."""
+        acc = 0.0
+        for seconds in steps.values():
+            acc += seconds
+        return acc
+
+    def roundtrip_steps(self, pages: int, vhost_vsock: bool = False,
+                        qos: float = 0.0, backend: float = 0.0,
+                        ) -> Dict[str, float]:
+        """One transferq request as the guest sees it (Fig. 13's Page,
+        Ser and Int around the backend's share).
+
+        ``Int`` is the kick: the trap into KVM plus Firecracker's event
+        dispatch, which the vhost-style path (Section 7) skips.
+        """
+        kick = self.vmexit_cost
+        if not vhost_vsock:
+            kick += self.event_dispatch_cost
+        return {
+            "Page": pages * self.page_mgmt_per_page,
+            "Ser": pages * self.serialize_per_page,
+            "Int": kick,
+            "QoS": qos,
+            "Backend": backend,
+            "Irq": self.irq_inject_cost,
+        }
+
+    def translation_lanes(self, threads: int) -> int:
+        """Translation threads that actually help: the paper "empirically
+        validate[d] that using more than 8 threads does not provide
+        additional benefits" (Section 4.2), matching the 8-DPUs-per-chip
+        memory parallelism."""
+        return max(1, min(threads, DPUS_PER_CHIP))
+
+    def backend_steps(self, kind: str, entry_pages: Sequence[int] = (),
+                      skips: int = 0, threads: int = TRANSLATION_THREADS,
+                      broadcast: bool = False, op: float = 0.0,
+                      ) -> Dict[str, float]:
+        """The backend's share of one request of ``kind`` (a lower-case
+        :class:`~repro.virt.serialization.RequestKind` name).
+
+        ``op`` is what the rank mapping reports for the operation itself:
+        the ``op`` step of load/launch/ci_op, the ``T-data`` step of a
+        transfer.  Transfers deserialize and translate ``entry_pages``
+        (one count per wire entry) — once, not per entry, when the
+        entries ``broadcast`` one payload — and validate ``skips`` SKIP
+        extents against the resident index.
+        """
+        if kind == "get_config":
+            return {"config": self.config_request_cost}
+        if kind == "release":
+            return {"fixed": self.backend_request_fixed}
+        if kind in ("load", "launch", "ci_op"):
+            return {"fixed": self.backend_request_fixed, "op": op}
+        if kind not in ("write_rank", "read_rank"):
+            raise ValueError(f"no backend cost for request kind {kind!r}")
+        pages = entry_pages[0] if broadcast else sum(entry_pages)
+        return {
+            "deserialize": (self.backend_request_fixed
+                            + pages * self.deserialize_per_page
+                            + skips * self.cache_skip_lookup_cost),
+            "translate": (self.translate_fixed
+                          + pages * self.translate_per_page
+                          / self.translation_lanes(threads)),
+            "dispatch": self.backend_dispatch,
+            "T-data": op,
+        }
+
+    def rank_op_time(self, total_bytes: int, nr_targets: int,
+                     rust: bool = False) -> float:
+        """One rank operation moving ``total_bytes`` to/from ``nr_targets``
+        DPUs: fixed op cost + copy bandwidth + interleaving CPU work.
+
+        A transfer covering a single DPU only drives one of the rank's
+        8 chip lanes (byte interleaving spreads each word over the
+        chips, but one DPU's MRAM sits behind one chip), so serial
+        per-DPU copies — the SEL/UNI/SpMV/BFS retrieval pattern — run at
+        roughly 1/8 of the rank bandwidth plus an extra per-copy setup.
+        """
+        bw = self.rank_xfer_bandwidth
+        extra = 0.0
+        if nr_targets == 1:
+            bw /= DPUS_PER_CHIP
+            extra = self.dpu_copy_fixed
+        return (self.rank_op_fixed + extra + total_bytes / bw
+                + self.interleave_time(total_bytes, rust=rust))
+
+    def symbol_copy_time(self, entry_sizes: Iterable[int]) -> float:
+        """WRAM host-variable transfer: one small CI-side copy per DPU."""
+        duration = 0.0
+        for size in entry_sizes:
+            duration += self.dpu_copy_fixed + size / self.rank_xfer_bandwidth
+        return duration
+
+    def program_load_time(self, binary_size: int, nr_dpus: int) -> float:
+        """Copying one program image to each of ``nr_dpus`` DPUs (the
+        LOAD commands themselves are CI operations, see :meth:`ci_time`)."""
+        return self.rank_transfer_time(binary_size * nr_dpus)
+
+    def ci_time(self, count: int) -> float:
+        """``count`` native control-interface operations."""
+        return count * self.ci_op_native
+
+    def dpu_run_time(self, tasklet_instructions, dma_ops: int,
+                     dma_bytes: int) -> float:
+        """One DPU's launch: pipeline time plus its MRAM<->WRAM DMA."""
+        return (self.pipeline_time(tasklet_instructions)
+                + self.dma_time(dma_ops, dma_bytes))
+
+    def guest_ci_time(self, count: int, vhost_vsock: bool = False,
+                          ) -> float:
+        """``count`` synchronous CI operations issued from inside a VM:
+        each pays the native op plus a guest->VMM->guest round trip,
+        which the in-kernel vhost path halves."""
+        per_op = self.ci_virt_roundtrip + self.ci_op_native
+        if vhost_vsock:
+            per_op = self.ci_virt_roundtrip / 2 + self.ci_op_native
+        return count * per_op
+
+    def launch_poll_time(self, polls: int) -> float:
+        """Userspace status polls during a launch inside a VM: each is
+        one extra guest->VMM->guest transition (Fig. 10)."""
+        return polls * self.ci_virt_roundtrip
+
+    def guest_copy_time(self, nr_bytes: int, entries: int) -> float:
+        """In-guest memcpy of ``entries`` buffers (batch-buffer
+        accumulation, prefetch-cache serve): DRAM bandwidth plus 0.3 us
+        of per-buffer bookkeeping."""
+        return nr_bytes / self.guest_copy_bandwidth + 0.3e-6 * entries
+
+    def digest_probe_time(self, entry_sizes: Sequence[int]) -> float:
+        """Transfer-cache probe of one write matrix: digest every page,
+        look every entry up in the extent index."""
+        pages = sum(self.pages_of(size) for size in entry_sizes)
+        return (pages * self.digest_per_page
+                + len(entry_sizes) * self.cache_lookup_cost)
+
+    def retry_backoff_time(self, attempt: int) -> float:
+        """Frontend wait before re-sending after transient transport
+        fault number ``attempt`` (1-based): exponential backoff."""
+        return self.transport_retry_backoff * 2 ** (attempt - 1)
 
     def with_overrides(self, **kwargs) -> "CostModel":
         """Return a copy with selected constants replaced (for ablations)."""

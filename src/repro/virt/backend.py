@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import BACKEND_WORKER_THREADS, TRANSLATION_THREADS
+from repro.config import TRANSLATION_THREADS
 from repro.errors import DeviceNotLinkedError, SerializationError
 from repro.driver.driver import PerfModeMapping, UpmemDriver
 from repro.hardware.bufpool import BufferPool
@@ -34,7 +34,7 @@ from repro.observability.instruments import BackendInstruments
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
-from repro.virt.guest_memory import HVA_BASE, GuestMemory
+from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
@@ -84,10 +84,10 @@ class TranslationCache:
     back request after request (§4.2's translation threads re-resolve
     them every time).  A run is keyed by ``(first GPA, last GPA, page
     count)`` — the identity of an arithmetic page sequence produced by
-    the frontend serializer — and a hit skips the vectorized bounds
-    validation that a miss performs via
-    :meth:`GuestMemory.translate_pages`.  LRU-bounded; purely a
-    wall-clock optimization, the GPA+offset arithmetic is unchanged.
+    the frontend serializer — and the hit/miss counters model the TLB's
+    behaviour over those runs.  Every page is bounds-checked on hits
+    too: the key says nothing about the middle of a run the guest built.
+    LRU-bounded; the GPA+offset arithmetic is unchanged.
     """
 
     def __init__(self, memory: GuestMemory, capacity: int = 512) -> None:
@@ -104,21 +104,21 @@ class TranslationCache:
         self.generation = 0
 
     def translate(self, page_gpas: np.ndarray) -> np.ndarray:
-        """GPA→HVA for one entry's page buffer; validates on miss only."""
+        """Bounds-checked GPA→HVA for one entry's page buffer."""
         arr = np.asarray(page_gpas, dtype=np.uint64)
+        hvas = self.memory.translate_pages(arr)
         if arr.size == 0:
-            return arr + np.uint64(HVA_BASE)
+            return hvas
         key = (int(arr[0]), int(arr[-1]), arr.size)
         runs = self._runs
         if key in runs:
             runs.move_to_end(key)
             self.hits += 1
-            return arr + np.uint64(HVA_BASE)
-        self.misses += 1
-        hvas = self.memory.translate_pages(arr)  # bounds-checked
-        runs[key] = True
-        if len(runs) > self.capacity:
-            runs.popitem(last=False)
+        else:
+            self.misses += 1
+            runs[key] = True
+            if len(runs) > self.capacity:
+                runs.popitem(last=False)
         return hvas
 
     def invalidate(self) -> None:
@@ -134,7 +134,6 @@ class VUpmemBackend:
                  guest_memory: GuestMemory, cost: CostModel,
                  rust_data_path: bool = False,
                  translation_threads: int = TRANSLATION_THREADS,
-                 worker_threads: int = BACKEND_WORKER_THREADS,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanRecorder] = None,
                  cache_enabled: bool = False,
@@ -145,7 +144,6 @@ class VUpmemBackend:
         self.cost = cost
         self.rust_data_path = rust_data_path
         self.translation_threads = translation_threads
-        self.worker_threads = worker_threads
         #: Content-aware transfer cache (``Optimization(cache=True)``):
         #: resident-extent digests validating SKIPs, broadcast dedup,
         #: launch-time dirty collection.
@@ -157,7 +155,6 @@ class VUpmemBackend:
         self.qos = qos
         self.resident = ExtentDigestIndex()
         self.mapping: Optional[PerfModeMapping] = None
-        self.requests_processed = 0
         #: Fault-injection seam (armed by :mod:`repro.faults`): when set,
         #: called as ``hook(backend)`` before any request work — a hung
         #: worker raises :class:`~repro.errors.BackendHungError` here,
@@ -203,7 +200,7 @@ class VUpmemBackend:
             # holding this generation stop short-circuiting the XLB.
             self.xlb.invalidate()
 
-    def _require_mapping(self) -> PerfModeMapping:
+    def require_mapping(self) -> PerfModeMapping:
         if self.mapping is None:
             raise DeviceNotLinkedError(
                 f"device {self.device_id} has no backing rank; requests "
@@ -232,7 +229,6 @@ class VUpmemBackend:
             except Exception:
                 self.spans.mark_fault("backend_fault")
                 raise
-        self.requests_processed += 1
         if plan is not None:
             header, entries, skips = plan.header, plan.entries, plan.skips
         else:
@@ -259,18 +255,16 @@ class VUpmemBackend:
                 batch_records: Optional[List[BatchRecord]],
                 plan=None) -> BackendResult:
         kind = header.kind
+        name = kind.name.lower()
 
         if kind is RequestKind.GET_CONFIG:
-            return BackendResult(
-                duration=self.cost.config_request_cost,
-                payload=self.driver.config,
-            )
+            return self._control(name, payload=self.driver.config)
         if kind is RequestKind.RELEASE:
             self.unlink()
             self.resident.invalidate_all()
-            return BackendResult(duration=self.cost.backend_request_fixed)
+            return self._control(name)
 
-        mapping = self._require_mapping()
+        mapping = self.require_mapping()
 
         if kind is RequestKind.LOAD:
             if program is None:
@@ -278,23 +272,25 @@ class VUpmemBackend:
             # load_program rebuilds every symbol buffer; nothing resident
             # from the previous program can be trusted afterwards.
             self.resident.invalidate_all()
-            duration = (self.cost.backend_request_fixed
-                        + mapping.load(program))
-            return BackendResult(duration=duration)
-
+            return self._control(name, mapping.load(program))
         if kind is RequestKind.LAUNCH:
             if self.cache_enabled:
                 return self._launch_collecting_dirty(mapping)
-            duration = (self.cost.backend_request_fixed
-                        + mapping.launch())
-            return BackendResult(duration=duration)
-
+            return self._control(name, mapping.launch())
         if kind is RequestKind.CI_OP:
-            duration = (self.cost.backend_request_fixed
-                        + mapping.ci_ops(header.count))
-            return BackendResult(duration=duration)
+            return self._control(name, mapping.ci_ops(header.count))
+        if kind in (RequestKind.WRITE_RANK, RequestKind.READ_RANK):
+            return self._transfer(header, entries, skips, batch_records,
+                                  plan, mapping)
+        raise SerializationError(f"backend cannot handle request kind {kind}")
 
-        # Data transfers: deserialization + translation + zero-copy access.
+    def _transfer(self, header: RequestHeader,
+                  entries: List[SerializedEntry],
+                  skips: List[SkipExtent],
+                  batch_records: Optional[List[BatchRecord]],
+                  plan, mapping: PerfModeMapping) -> BackendResult:
+        """WRITE_RANK / READ_RANK: deserialization + translation +
+        zero-copy access, one tail per direction."""
         if skips and not self.cache_enabled:
             raise SerializationError(
                 "request carries SKIP extents but the transfer cache is off")
@@ -311,155 +307,121 @@ class VUpmemBackend:
 
         pool = self.pool
         reuse0 = pool.reuse_count
+        writing = header.kind is RequestKind.WRITE_RANK
 
-        # Non-batched writes rebuild the matrix up front so the payload
-        # bytes are available for broadcast detection.  A plan already
-        # holds a matrix whose payloads alias the (just-refreshed) guest
-        # views, so the gather disappears entirely.
+        # Resolve the matrix and the buffers the rank operation touches —
+        # the only place a planned and a wire request differ.  A plan holds
+        # a matrix whose payloads alias the (just-refreshed) pinned guest
+        # views, which double as read destinations; the wire path gathers
+        # write payloads into, and reads through, pooled scratch buffers.
+        # A batch flush has no matrix: its records are replayed instead.
         matrix = None
-        loaned: List[np.ndarray] = []
-        broadcast = False
-        if kind is RequestKind.WRITE_RANK and batch_records is None:
+        scratch: List[np.ndarray] = []
+        try:
             if plan is not None:
                 matrix = plan.matrix
-            else:
-                matrix, loaned = self._rebuild_matrix(
-                    header, entries, XferKind.TO_DPU)
-            broadcast = self.cache_enabled and _is_broadcast(matrix)
-
-        try:
-            total_pages = sum(e.page_gpas.size for e in entries)
+            elif batch_records is None:
+                scratch.extend(pool.acquire(e.size) for e in entries)
+                matrix = self._wire_matrix(header, entries, writing, scratch)
             # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
             # pattern) are deserialized and translated once, then fanned
             # out — only the modeled time changes, every page is still
             # validated and written.
-            modeled_pages = (entries[0].page_gpas.size if broadcast
-                             else total_pages)
-            deser_time = (self.cost.backend_request_fixed
-                          + modeled_pages * self.cost.deserialize_per_page
-                          + len(skips) * self.cost.cache_skip_lookup_cost)
-            # Threaded GPA->HVA translation saturates at 8 threads — the
-            # paper "empirically validate[d] that using more than 8 threads
-            # does not provide additional benefits" (Section 4.2), which
-            # matches the 8-DPUs-per-chip memory parallelism.
-            effective_threads = max(1, min(self.translation_threads, 8))
-            translate_time = (self.cost.translate_fixed
-                              + modeled_pages * self.cost.translate_per_page
-                              / effective_threads)
-            xlb = self.xlb
-            if plan is not None and plan.xlb_generation == xlb.generation:
-                # Replay: the plan's page runs were resolved (and bounds-
-                # validated) at this XLB generation, and its GPAs are
-                # frozen reservations — count the hits without walking.
-                xlb.hits += len(entries)
-                self.obs.xlb(len(entries), 0)
-            else:
-                hits0, misses0 = xlb.hits, xlb.misses
-                for entry in entries:
-                    xlb.translate(entry.page_gpas)  # bounds-checked on miss
-                self.obs.xlb(xlb.hits - hits0, xlb.misses - misses0)
-                if plan is not None:
-                    plan.xlb_generation = xlb.generation
-            self.obs.translation(total_pages, translate_time)
-            self.spans.event("backend.deserialize", "backend", deser_time,
-                             pages=total_pages, broadcast=broadcast)
-            self.spans.event("backend.translate", "backend", translate_time,
-                             pages=total_pages, threads=effective_threads)
+            broadcast = (writing and matrix is not None
+                         and self.cache_enabled and _is_broadcast(matrix))
+            entry_pages = [e.page_gpas.size for e in entries]
+            steps = self.cost.backend_steps(
+                header.kind.name.lower(), entry_pages, len(skips),
+                self.translation_threads, broadcast)
+            self._translate(entries, plan, steps, sum(entry_pages), broadcast)
 
-            dispatch_time = self.cost.backend_dispatch
-            self.spans.event("backend.dispatch", "backend", dispatch_time)
-
-            if kind is RequestKind.WRITE_RANK:
-                if batch_records is not None:
-                    tdata = self._replay_batch(mapping, header, batch_records)
-                else:
-                    pinned = (self._pinned_write_for(plan, mapping)
-                              if plan is not None else None)
-                    if pinned is not None:
-                        tdata = mapping.write_pinned(
-                            pinned, rust_interleave=self.rust_data_path)
-                    else:
-                        tdata = mapping.write(
-                            matrix, rust_interleave=self.rust_data_path)
-                    if self.cache_enabled:
-                        for entry in entries:
-                            if entry.digest:
-                                self.resident.insert(
-                                    entry.dpu_index, header.symbol,
-                                    header.offset, entry.size, entry.digest)
-                self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                self.obs.interleave(tdata)
-                tdata += self._bus_share(tdata)
-                steps = {"Deser": deser_time + translate_time,
-                         "T-data": tdata}
-                duration = deser_time + translate_time + dispatch_time + tdata
-                return BackendResult(duration=duration, steps=steps)
-
-            if kind is RequestKind.READ_RANK:
-                if plan is not None:
-                    # MRAM reads deposit straight into the pinned guest
-                    # destinations; WRAM symbol reads return fresh
-                    # buffers that one slice copy lands in place.
-                    if plan.direct_read:
-                        buffers, tdata = mapping.read(
-                            plan.matrix, rust_interleave=self.rust_data_path,
-                            into=plan.read_views)
-                    else:
-                        buffers, tdata = mapping.read(
-                            plan.matrix, rust_interleave=self.rust_data_path)
-                        for view, buf in zip(plan.read_views, buffers):
-                            view[...] = buf
-                    self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                    self.obs.interleave(tdata)
-                    tdata += self._bus_share(tdata)
-                    steps = {"Deser": deser_time + translate_time,
-                             "T-data": tdata}
-                    duration = (deser_time + translate_time + dispatch_time
-                                + tdata)
-                    return BackendResult(duration=duration, steps=steps,
-                                         payload=len(buffers))
-                matrix, _ = self._rebuild_matrix(header, entries,
-                                                 XferKind.FROM_DPU)
-                loaned_reads = [pool.acquire(e.size) for e in entries]
-                try:
-                    buffers, tdata = mapping.read(
-                        matrix, rust_interleave=self.rust_data_path,
-                        into=loaned_reads)
-                    for entry, buf in zip(entries, buffers):
+            payload = None
+            if not writing:
+                # MRAM reads land straight in ``into``; WRAM symbol reads
+                # ignore it and return fresh buffers.
+                into = plan.read_views if plan is not None else scratch
+                buffers, tdata = mapping.read(
+                    matrix, rust_interleave=self.rust_data_path, into=into)
+                for entry, dst, buf in zip(entries, into, buffers):
+                    if plan is None:
                         scatter_entry_data(entry, buf, self.memory)
-                finally:
-                    for buf in loaned_reads:
-                        pool.release(buf)
-                self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                self.obs.interleave(tdata)
-                tdata += self._bus_share(tdata)
-                steps = {"Deser": deser_time + translate_time,
-                         "T-data": tdata}
-                duration = deser_time + translate_time + dispatch_time + tdata
-                return BackendResult(duration=duration, steps=steps,
-                                     payload=len(buffers))
-
-            raise SerializationError(
-                f"backend cannot handle request kind {kind}")
+                    elif buf is not dst:
+                        dst[...] = buf
+                payload = len(buffers)
+            elif batch_records is not None:
+                tdata = self._replay_batch(mapping, header, batch_records)
+            else:
+                pinned = (self._pinned_write_for(plan, mapping)
+                          if plan is not None else None)
+                if pinned is not None:
+                    tdata = mapping.write_pinned(
+                        pinned, rust_interleave=self.rust_data_path)
+                else:
+                    tdata = mapping.write(
+                        matrix, rust_interleave=self.rust_data_path)
+                if self.cache_enabled:
+                    for entry in entries:
+                        if entry.digest:
+                            self.resident.insert(
+                                entry.dpu_index, header.symbol,
+                                header.offset, entry.size, entry.digest)
         finally:
             # Runs on injected transport faults too: pooled buffers must
             # never leak out of an aborted request.
-            for buf in loaned:
+            for buf in scratch:
                 pool.release(buf)
+
+        self.obs.bufpool_reuse(pool.reuse_count - reuse0)
+        self.obs.interleave(tdata)
+        if self.qos is not None:
+            # Co-resident demand stretches the bus occupancy; folded into
+            # T-data so per-step breakdowns show contention as data-path
+            # elongation (the shape of Fig. 16), not a synthetic phase.
+            # Also reports this device's own usage to the arbiter.
+            tdata += self.qos.on_bus(tdata, self.driver.machine.clock.now)
+        steps["T-data"] = tdata
+        return BackendResult(
+            duration=self.cost.total(steps),
+            steps={"Deser": steps["deserialize"] + steps["translate"],
+                   "T-data": tdata},
+            payload=payload)
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _bus_share(self, bus_seconds: float) -> float:
-        """Modeled stretch of a bus occupancy from co-resident demand.
+    def _control(self, kind: str, op: float = 0.0,
+                 payload: Optional[object] = None) -> BackendResult:
+        """Result of a non-transfer request whose rank work took ``op``."""
+        return BackendResult(
+            duration=self.cost.total(self.cost.backend_steps(kind, op=op)),
+            payload=payload)
 
-        Folded into the T-data step so per-step breakdowns show the
-        contention as data-path elongation (the shape of Fig. 16), not
-        a synthetic extra phase.  Also reports this device's own usage
-        to the arbiter's demand window.
-        """
-        if self.qos is None:
-            return 0.0
-        return self.qos.on_bus(bus_seconds, self.driver.machine.clock.now)
+    def _translate(self, entries: List[SerializedEntry], plan,
+                   steps: Dict[str, float], pages: int,
+                   broadcast: bool) -> None:
+        """Walk the XLB for every entry's page run and emit the request's
+        pre-transfer steps (spans, translation histogram)."""
+        xlb = self.xlb
+        if plan is not None and plan.xlb_generation == xlb.generation:
+            # Replay: the plan's page runs were resolved (and bounds-
+            # validated) at this XLB generation, and its GPAs are
+            # frozen reservations — count the hits without walking.
+            xlb.hits += len(entries)
+            self.obs.xlb(len(entries), 0)
+        else:
+            hits0, misses0 = xlb.hits, xlb.misses
+            for entry in entries:
+                xlb.translate(entry.page_gpas)  # bounds-checked
+            self.obs.xlb(xlb.hits - hits0, xlb.misses - misses0)
+            if plan is not None:
+                plan.xlb_generation = xlb.generation
+        self.obs.translation(pages, steps["translate"])
+        self.spans.event("backend.deserialize", "backend",
+                         steps["deserialize"], pages=pages,
+                         broadcast=broadcast)
+        self.spans.event(
+            "backend.translate", "backend", steps["translate"], pages=pages,
+            threads=self.cost.translation_lanes(self.translation_threads))
+        self.spans.event("backend.dispatch", "backend", steps["dispatch"])
 
     def _pinned_write_for(self, plan, mapping: PerfModeMapping):
         """The plan's resolved MRAM destination pairing, or ``None``.
@@ -490,37 +452,20 @@ class VUpmemBackend:
             return None
         return plan.pinned_write
 
-    def _rebuild_matrix(self, header: RequestHeader,
-                        entries: List[SerializedEntry],
-                        kind: XferKind,
-                        ) -> Tuple[TransferMatrix, List[np.ndarray]]:
-        """Rebuild the transfer matrix, gathering write payloads into
-        pooled scratch buffers.
-
-        Returns ``(matrix, loaned)`` — the caller must release every
-        buffer in ``loaned`` (in a ``finally``) once the rank operation
-        has consumed the payloads.
-        """
-        dpu_entries = []
-        loaned: List[np.ndarray] = []
-        pool = self.pool
-        try:
-            for entry in entries:
-                data = None
-                if kind is XferKind.TO_DPU:
-                    buf = pool.acquire(entry.size)
-                    loaned.append(buf)
-                    data = gather_entry_data(entry, self.memory, out=buf)
-                dpu_entries.append(DpuEntry(dpu_index=entry.dpu_index,
-                                            size=entry.size, data=data))
-            matrix = TransferMatrix(kind, header.symbol, header.offset,
-                                    dpu_entries)
-            matrix.validate()
-        except BaseException:
-            for buf in loaned:
-                pool.release(buf)
-            raise
-        return matrix, loaned
+    def _wire_matrix(self, header: RequestHeader,
+                     entries: List[SerializedEntry], writing: bool,
+                     scratch: List[np.ndarray]) -> TransferMatrix:
+        """Rebuild the transfer matrix of a wire request, gathering each
+        write payload into its ``scratch`` buffer."""
+        matrix = TransferMatrix(
+            XferKind.TO_DPU if writing else XferKind.FROM_DPU,
+            header.symbol, header.offset,
+            [DpuEntry(dpu_index=entry.dpu_index, size=entry.size,
+                      data=(gather_entry_data(entry, self.memory, out=buf)
+                            if writing else None))
+             for entry, buf in zip(entries, scratch)])
+        matrix.validate()
+        return matrix
 
     def _launch_collecting_dirty(self, mapping: PerfModeMapping,
                                  ) -> BackendResult:
@@ -535,8 +480,7 @@ class VUpmemBackend:
             dpu.dirty_log = []
         dirty: List[Tuple[int, str, int, int]] = []
         try:
-            duration = (self.cost.backend_request_fixed
-                        + mapping.launch())
+            run_time = mapping.launch()
         finally:
             # Disarm and prune even when the launch faults: the kernel
             # may have stored before raising.
@@ -545,7 +489,7 @@ class VUpmemBackend:
                 for space, offset, nbytes in log or ():
                     self.resident.prune(dpu.dpu_index, space, offset, nbytes)
                     dirty.append((dpu.dpu_index, space, offset, nbytes))
-        return BackendResult(duration=duration, payload=dirty)
+        return self._control("launch", run_time, payload=dirty)
 
     def _replay_batch(self, mapping: PerfModeMapping, header: RequestHeader,
                       records: List[BatchRecord]) -> float:

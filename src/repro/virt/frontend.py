@@ -63,6 +63,11 @@ SMALL_WRITE_BYTES = PAGE_SIZE
 #: Modeled size of a Linux ``struct page`` (frontend memory accounting).
 PAGE_STRUCT_BYTES = 64
 
+#: Adaptive digest bypass threshold (``docs/transfer_cache.md``): below
+#: this suppression rate over revisit probes, digesting costs more than
+#: it saves (the BFS 0.96x of the committed ablation).
+CACHE_BYPASS_HIT_RATE = 0.02
+
 
 class PrefetchCache:
     """Per-DPU read cache of one contiguous MRAM segment each (§4.1's
@@ -175,11 +180,11 @@ class VUpmemFrontend:
         #: repetition.  Wall-clock only — bit-identical modeled time —
         #: so it defaults on; ``Optimization(plans=False)`` ablates it.
         self.plans: Optional[PlanCache] = (
-            PlanCache(memory, opts.plan_capacity) if opts.plans else None)
+            PlanCache(memory) if opts.plans else None)
         #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
         #: observed suppression rate over at least
         #: ``opts.cache_bypass_min_probes`` probes stays below
-        #: ``opts.cache_bypass_hit_rate``, digesting stops — workloads
+        #: :data:`CACHE_BYPASS_HIT_RATE`, digesting stops — workloads
         #: that never rewrite identical content stop paying digest cost.
         self._digest_probes = 0
         self._digest_hits = 0
@@ -216,16 +221,11 @@ class VUpmemFrontend:
 
     # -- core message path --------------------------------------------------
 
-    def _roundtrip(self, header: RequestHeader,
-                   matrix: Optional[TransferMatrix] = None,
-                   program: Optional[DpuProgram] = None,
-                   batch_records: Optional[List[BatchRecord]] = None,
-                   extra_pages: int = 0,
-                   op: Optional[str] = None,
-                   digests: Optional[Dict[int, int]] = None,
-                   skips: Optional[List[SkipExtent]] = None,
+    def _roundtrip(self, header: RequestHeader, op: Optional[str] = None,
+                   **request,
                    ) -> Tuple[BackendResult, float, Optional[SerializedRequest]]:
-        """Send one request, retrying on transient transport faults.
+        """Send one request (``request``: :meth:`_roundtrip_once`'s
+        keywords), retrying on transient transport faults.
 
         Bounded retry with exponential backoff: each retry re-sends the
         identical request, which is safe because a transient fault fires
@@ -253,9 +253,7 @@ class VUpmemFrontend:
                     if self.fault_hook is not None:
                         penalty += self.fault_hook(self)
                     result, duration, sreq = self._roundtrip_once(
-                        header, matrix=matrix, program=program,
-                        batch_records=batch_records, extra_pages=extra_pages,
-                        digests=digests, skips=skips)
+                        header, **request)
                 except TransientFaultError as exc:
                     attempts += 1
                     penalty += exc.penalty_s
@@ -265,15 +263,10 @@ class VUpmemFrontend:
                         "transient_fault", "frontend", kind=exc.kind,
                         attempt=attempts, device=self.device_id)
                     if attempts > self.max_transport_retries:
-                        self.cache.invalidate()
-                        # The aborted exchange may have partially landed;
-                        # a digest index claiming otherwise would suppress
-                        # the repair write after recovery.
-                        self._invalidate_digests("retry_exhausted")
+                        self.invalidate("retry_exhausted")
                         raise
                     self.fault_obs.retry("frontend")
-                    penalty += (self.cost.transport_retry_backoff
-                                * 2 ** (attempts - 1))
+                    penalty += self.cost.retry_backoff_time(attempts)
                     continue
                 if attempts:
                     self.fault_obs.recovered("transient", "retry")
@@ -297,25 +290,22 @@ class VUpmemFrontend:
                                    Optional[SerializedRequest]]:
         """Send one request through the transferq; returns the backend
         result, the total frontend+VMM duration, and the serialized form."""
-        page_time = ser_time = 0.0
         sreq: Optional[SerializedRequest] = None
         plan = None
+        pages = extra_pages
         if matrix is not None:
             sreq, plan = self._plan_or_serialize(
                 header, matrix, digests, skips, batch_records is not None)
-            pages = sreq.total_pages + extra_pages
-            page_time = pages * self.cost.page_mgmt_per_page
-            ser_time = pages * self.cost.serialize_per_page
+            pages += sreq.total_pages
             chain = sreq.chain
         else:
-            pages = extra_pages
-            page_time = pages * self.cost.page_mgmt_per_page
-            ser_time = pages * self.cost.serialize_per_page
             chain = [write_buffer(self.memory, header.pack())]
+        kind = header.kind.name.lower()
+        steps = self.cost.roundtrip_steps(pages, self.opts.vhost_vsock)
 
-        self.spans.event("frontend.page_mgmt", "frontend", page_time,
+        self.spans.event("frontend.page_mgmt", "frontend", steps["Page"],
                          pages=pages)
-        self.spans.event("frontend.serialize", "frontend", ser_time,
+        self.spans.event("frontend.serialize", "frontend", steps["Ser"],
                          pages=pages)
         request_id = self.queues.transferq.add_chain(
             chain, flow=self.qos.flow_id if self.qos is not None else None)
@@ -323,22 +313,15 @@ class VUpmemFrontend:
         self.queues.transferq.kick()
         self.obs.kick("transferq")
         self.mmio.write(Reg.QUEUE_NOTIFY, 0)   # trapped MMIO write
-        if self.opts.vhost_vsock:
-            # vhost-style path (Section 7 extension): the request is
-            # handled in the host kernel without waking the Firecracker
-            # event loop, saving the dispatch hop on every message.
-            int_time = self.kvm.trap()
-        else:
-            int_time = self.kvm.trap() + self.cost.event_dispatch_cost
-        self.spans.event("virtio.kick", "virtio", int_time,
+        self.kvm.trap()
+        self.spans.event("virtio.kick", "virtio", steps["Int"],
                          queue="transferq")
-        qos_time = 0.0
         if self.qos is not None:
             # Cross-VM scheduling: token-bucket throttles plus the event
             # loop's modeled queueing delay before this kick is served.
             payload = matrix.total_bytes if matrix is not None else 0
-            qos_time = self.qos.on_kick(header.kind.name.lower(), payload,
-                                        self.profiler.clock.now)
+            steps["QoS"] = self.qos.on_kick(kind, payload,
+                                            self.profiler.clock.now)
 
         pager = getattr(self.backend.driver, "pager", None)
         if pager is not None and self.backend.mapping is not None:
@@ -348,7 +331,7 @@ class VUpmemFrontend:
                 # already queued, so the pager can overlap the swap with
                 # the dispatch window (interrupt + QoS queueing delay)
                 # instead of stalling the backend on a demand fault.
-                pager.prefault(vrank, overlap=int_time + qos_time)
+                pager.prefault(vrank, overlap=steps["Int"] + steps["QoS"])
 
         # The device takes the chain before processing; on failure it still
         # completes the request (with an error status) so the queue never
@@ -365,28 +348,28 @@ class VUpmemFrontend:
             self.queues.transferq.pop_used()
             self.kvm.inject_irq()
             raise
+        steps["Backend"] = result.duration
 
-        irq_time = self.kvm.inject_irq()
+        self.kvm.inject_irq()
         self.mmio.raise_interrupt()
         self.queues.transferq.push_used(UsedElement(request_id=request_id))
         self.queues.transferq.pop_used()
         self.mmio.write(Reg.INTERRUPT_ACK, 1)
-        self.spans.event("virtio.irq", "virtio", irq_time,
+        self.spans.event("virtio.irq", "virtio", steps["Irq"],
                          queue="transferq")
 
         self.obs.queue_depth("transferq", self.queues.transferq.pending)
         self.profiler.messages.count_request()
-        duration = (page_time + ser_time + int_time + qos_time
-                    + result.duration + irq_time)
-        self.obs.request(header.kind.name.lower(), duration)
+        duration = self.cost.total(steps)
+        self.obs.request(kind, duration)
 
         if header.kind is RequestKind.WRITE_RANK:
-            self.profiler.record_wrank_step("Page", page_time)
-            self.profiler.record_wrank_step("Ser", ser_time)
-            self.profiler.record_wrank_step("Int", int_time + irq_time)
-            if qos_time > 0.0:
-                self.profiler.record_wrank_step("QoS", qos_time)
-            for step, value in result.steps.items():
+            wrank = {"Page": steps["Page"], "Ser": steps["Ser"],
+                     "Int": steps["Int"] + steps["Irq"]}
+            if steps["QoS"] > 0.0:
+                wrank["QoS"] = steps["QoS"]
+            wrank.update(result.steps)
+            for step, value in wrank.items():
                 self.profiler.record_wrank_step(step, value)
         return result, duration, sreq
 
@@ -406,47 +389,75 @@ class VUpmemFrontend:
         exactly as before.
         """
         plans = self.plans
-        if plans is None:
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
-        key = plan_key(header, matrix, digests, skips, batched)
-        if key is None or key in plans.unplannable:
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
-        plan = plans.get(key)
-        if plan is not None and not plan.valid(self.memory):
-            plans.drop(key)
-            self.obs.plan_invalidation("stale", 1)
-            plan = None
-        if plan is not None:
-            plans.hits += 1
-            self.obs.plan_hit()
-            return plan.replay(matrix, digests, skips), plan
-        plans.misses += 1
-        self.obs.plan_miss()
-        try:
-            plan = compile_plan(key, header, matrix, self.memory,
-                                digests, skips, batched)
-        except PlanUnsupported:
-            plans.unplannable.add(key)
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
-        evicted = plans.insert(key, plan)
-        if evicted:
-            self.obs.plan_eviction(evicted)
-        self.spans.event("plan.compile", "frontend", 0.0,
-                         kind=header.kind.name.lower(),
-                         entries=len(matrix.entries),
-                         pages=plan.sreq.total_pages)
-        return plan.sreq, plan
+        key = (plan_key(header, matrix, digests, skips, batched)
+               if plans is not None else None)
+        if key is not None and key not in plans.unplannable:
+            plan = plans.get(key)
+            if plan is not None and not plan.valid(self.memory):
+                plans.drop(key)
+                self.obs.plan_invalidation("stale", 1)
+                plan = None
+            if plan is not None:
+                plans.hits += 1
+                self.obs.plan_hit()
+                return plan.replay(matrix, digests, skips), plan
+            plans.misses += 1
+            self.obs.plan_miss()
+            try:
+                plan = compile_plan(key, header, matrix, self.memory,
+                                    digests, skips, batched)
+            except PlanUnsupported:
+                plans.unplannable.add(key)
+            else:
+                evicted = plans.insert(key, plan)
+                if evicted:
+                    self.obs.plan_eviction(evicted)
+                self.spans.event("plan.compile", "frontend", 0.0,
+                                 kind=header.kind.name.lower(),
+                                 entries=len(matrix.entries),
+                                 pages=plan.sreq.total_pages)
+                return plan.sreq, plan
+        return serialize_matrix(header, matrix, self.memory,
+                                digests=digests, skips=skips), None
 
-    def _invalidate_plans(self, reason: str) -> None:
-        """Drop every compiled plan, counting the drops by ``reason``."""
-        if self.plans is None:
-            return
-        dropped = self.plans.invalidate_all()
-        if dropped:
-            self.obs.plan_invalidation(reason, dropped)
+    # -- invalidation (docs/architecture.md "What invalidates what") ----------
+
+    #: ``event -> (prefetch, digests, plans)``: which caches each event
+    #: drops.  Prefetched lines go stale on anything that can change
+    #: device memory.  Digests (this index and the backend's resident
+    #: mirror) go when device contents are rebuilt or in doubt.  Plans
+    #: survive ``load``/``release`` — neither disturbs the reserved guest
+    #: memory a plan's wire layout lives in, and what does go stale
+    #: revalidates itself on replay (translations through the XLB
+    #: generation, pinned MRAM writes through the rank identity check),
+    #: which is what lets a repeated workload replay plans across
+    #: sessions — but not events that lose or re-home device state.
+    INVALIDATION: Dict[str, Tuple[bool, bool, bool]] = {
+        "write":           (True,  False, False),
+        "load":            (True,  True,  False),
+        "launch":          (True,  False, False),
+        "ci":              (True,  False, False),
+        "release":         (True,  True,  False),
+        "retry_exhausted": (True,  True,  True),
+        "flush_error":     (True,  True,  True),
+        "adaptive_bypass": (False, True,  True),
+        "failover":        (False, True,  True),
+        "migration":       (False, False, True),
+    }
+
+    def invalidate(self, event: str) -> None:
+        """Drop the caches ``event`` makes stale, counting digest and plan
+        drops under ``reason=event``."""
+        prefetch, digests, plans = self.INVALIDATION[event]
+        if prefetch:
+            self.cache.invalidate()
+        if digests:
+            self.backend.resident.invalidate_all()
+            if self.digests is not None:
+                self.obs.cache_invalidation(event,
+                                            self.digests.invalidate_all())
+        if plans and self.plans is not None:
+            self.obs.plan_invalidation(event, self.plans.invalidate_all())
 
     # -- device initialization (Section 3.2) ------------------------------------
 
@@ -511,10 +522,9 @@ class VUpmemFrontend:
                                              batch_records=records,
                                              op=OP_WRITE)
         except Exception:
-            self.cache.invalidate()
             # Batched digests were indexed at add time; a failed flush
             # means that content never landed on the device.
-            self._invalidate_digests("flush_error")
+            self.invalidate("flush_error")
             self.spans.end(span, error=True)
             raise
         self.batch.drain()
@@ -524,28 +534,6 @@ class VUpmemFrontend:
         return duration
 
     # -- content-aware transfer cache (``Optimization(cache=True)``) ---------
-
-    #: Digest-invalidation reasons that leave compiled plans replayable.
-    #: Rank release and program load do not disturb the reserved guest
-    #: memory a plan's wire layout lives in, and the parts that DO go
-    #: stale revalidate themselves on replay: translations through the
-    #: XLB generation counter, pinned MRAM writes through the rank
-    #: identity check.  Everything else (failover, transport-retry
-    #: exhaustion, flush errors, adaptive bypass) drops plans too.
-    _PLAN_SAFE_REASONS = frozenset({"load", "release"})
-
-    def _invalidate_digests(self, reason: str) -> None:
-        """Drop every digest record, counting the drops by ``reason``.
-
-        Compiled plans usually ride along — except for the benign
-        reasons in :data:`_PLAN_SAFE_REASONS`, which is what lets a
-        repeated workload replay its plans across sessions ("compile
-        once, replay per repetition")."""
-        if self.digests is not None:
-            self.obs.cache_invalidation(reason,
-                                        self.digests.invalidate_all())
-        if reason not in self._PLAN_SAFE_REASONS:
-            self._invalidate_plans(reason)
 
     @property
     def _digesting(self) -> bool:
@@ -570,20 +558,18 @@ class VUpmemFrontend:
                 or self._digest_probes < min_probes):
             return
         rate = self._digest_hits / self._digest_probes
-        if rate < self.opts.cache_bypass_hit_rate:
+        if rate < CACHE_BYPASS_HIT_RATE:
             self._digest_bypassed = True
-            self._invalidate_digests("adaptive_bypass")
+            self.invalidate("adaptive_bypass")
 
     def _probe_digests(self, matrix: TransferMatrix,
                        ) -> Tuple[List[DpuEntry], List[SkipExtent],
-                                  Dict[int, int], int, float]:
+                                  Dict[int, int], float]:
         """Digest a write matrix and split it into kept vs suppressed.
 
-        Returns ``(kept, skips, digests, suppressed_bytes, cache_time)``:
-        entries whose extent digest matches the index become ``SKIP``
-        extents; the rest are kept with their fresh digests.  The modeled
-        cost charges the calibrated per-page digest rate plus a per-entry
-        index probe.
+        Returns ``(kept, skips, digests, cache_time)``: entries whose
+        extent digest matches the index become ``SKIP`` extents; the
+        rest are kept with their fresh digests.
         """
         index = self.digests
         assert index is not None
@@ -591,11 +577,9 @@ class VUpmemFrontend:
         skips: List[SkipExtent] = []
         digests: Dict[int, int] = {}
         suppressed = 0
-        pages = 0
         revisits = 0
         for entry in matrix.entries:
             digest = content_digest(entry.data)
-            pages += self.cost.pages_of(entry.size)
             if index.has_record(entry.dpu_index, matrix.symbol,
                                 matrix.offset):
                 revisits += 1
@@ -607,8 +591,8 @@ class VUpmemFrontend:
             else:
                 kept.append(entry)
                 digests[entry.dpu_index] = digest
-        cache_time = (pages * self.cost.digest_per_page
-                      + len(matrix.entries) * self.cost.cache_lookup_cost)
+        cache_time = self.cost.digest_probe_time(
+            [e.size for e in matrix.entries])
         self._digest_probes += revisits
         self._digest_hits += len(skips)
         self._maybe_bypass()
@@ -622,39 +606,47 @@ class VUpmemFrontend:
             self.spans.event("cache.suppress", "frontend", 0.0, op=OP_WRITE,
                              extents=len(skips), bytes=suppressed)
         self.profiler.record_wrank_step("Cache", cache_time)
-        return kept, skips, digests, suppressed, cache_time
+        return kept, skips, digests, cache_time
+
+    def _index_digests(self, matrix: TransferMatrix,
+                       digests: Optional[Dict[int, int]]) -> None:
+        """Record the digests of ``matrix``'s (kept) entries, if probed."""
+        if digests:
+            for entry in matrix.entries:
+                self.digests.insert(entry.dpu_index, matrix.symbol,
+                                    matrix.offset, entry.size,
+                                    digests[entry.dpu_index])
 
     # -- SDK-visible operations ----------------------------------------------------
 
     def write(self, matrix: TransferMatrix) -> float:
-        """write-to-rank, possibly absorbed by the batch buffer."""
-        self.cache.invalidate()
-        small = (matrix.target is Target.MRAM
-                 and matrix.max_entry_bytes <= SMALL_WRITE_BYTES)
-        if self.opts.request_batching and small:
-            cache_time = 0.0
-            if self._digesting:
-                kept, _, digests, _, cache_time = self._probe_digests(matrix)
-                if not kept:
-                    # Every entry suppressed: nothing enters the batch.
-                    self.profiler.record_op(OP_WRITE, cache_time)
-                    return cache_time
-                if len(kept) < len(matrix.entries):
-                    matrix = TransferMatrix(matrix.kind, matrix.symbol,
-                                            matrix.offset, kept)
-                # Indexed at add time, before the flush lands: safe
-                # because a failed flush (and retry exhaustion) drops
-                # the whole index.
-                for entry in kept:
-                    self.digests.insert(entry.dpu_index, matrix.symbol,
-                                        matrix.offset, entry.size,
-                                        digests[entry.dpu_index])
-            flush_time = 0.0
+        """write-to-rank: suppressed by the transfer cache, absorbed by
+        the batch buffer, or sent as one request."""
+        self.invalidate("write")
+        batched = (self.opts.request_batching
+                   and matrix.target is Target.MRAM
+                   and matrix.max_entry_bytes <= SMALL_WRITE_BYTES)
+        flushed = 0.0 if batched else self._flush_batch(reason="large_write")
+        cache_time = 0.0
+        digests = skips = None
+        if self._digesting:
+            kept, skips, digests, cache_time = self._probe_digests(matrix)
+            if not kept:
+                # Every entry suppressed: no message, nothing batched.
+                self.profiler.record_op(OP_WRITE, cache_time)
+                return flushed + cache_time
+            if skips:
+                matrix = TransferMatrix(matrix.kind, matrix.symbol,
+                                        matrix.offset, kept)
+
+        if batched:
+            # Indexed at add time, before the flush lands: safe because
+            # a failed flush (and retry exhaustion) drops the whole index.
+            self._index_digests(matrix, digests)
             if not self.batch.fits(matrix):
-                flush_time = self._flush_batch(reason="capacity")
+                flushed = self._flush_batch(reason="capacity")
             copied = self.batch.add(matrix)
-            copy_time = (copied / self.cost.guest_copy_bandwidth
-                         + 0.3e-6 * len(matrix.entries))
+            copy_time = self.cost.guest_copy_time(copied, len(matrix.entries))
             self.profiler.messages.count_batched_writes(len(matrix.entries))
             self.obs.batched_writes(len(matrix.entries))
             event = self.spans.event("frontend.batch_copy", "frontend",
@@ -666,41 +658,17 @@ class VUpmemFrontend:
             self.profiler.record_op(
                 OP_WRITE, copy_time + cache_time,
                 start=event.start if event is not None else None)
-            return flush_time + copy_time + cache_time
+            return flushed + copy_time + cache_time
 
-        duration = self._flush_batch(reason="large_write")
-        if self._digesting:
-            return duration + self._cached_write(matrix)
         header = RequestHeader(kind=RequestKind.WRITE_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
-        _, rt, _ = self._roundtrip(header, matrix=matrix, op=OP_WRITE)
-        self.profiler.record_op(OP_WRITE, rt, start=self._last_request_start)
-        return duration + rt
-
-    def _cached_write(self, matrix: TransferMatrix) -> float:
-        """Full-roundtrip write with digest suppression (cache on)."""
-        assert self.digests is not None
-        kept, skips, digests, _, cache_time = self._probe_digests(matrix)
-        if not kept:
-            # The whole matrix is unchanged: no message at all.
-            self.profiler.record_op(OP_WRITE, cache_time)
-            return cache_time
-        wire = matrix
-        if skips:
-            wire = TransferMatrix(matrix.kind, matrix.symbol, matrix.offset,
-                                  kept)
-        header = RequestHeader(kind=RequestKind.WRITE_RANK,
-                               offset=matrix.offset, symbol=matrix.symbol)
-        _, rt, _ = self._roundtrip(header, matrix=wire, op=OP_WRITE,
+        _, rt, _ = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
                                    digests=digests, skips=skips)
         # Indexed only after the exchange succeeded.
-        for entry in kept:
-            self.digests.insert(entry.dpu_index, matrix.symbol,
-                                matrix.offset, entry.size,
-                                digests[entry.dpu_index])
+        self._index_digests(matrix, digests)
         self.profiler.record_op(OP_WRITE, rt + cache_time,
                                 start=self._last_request_start)
-        return rt + cache_time
+        return flushed + (rt + cache_time)
 
     def read(self, matrix: TransferMatrix) -> Tuple[List[np.ndarray], float]:
         """read-from-rank, possibly served by the prefetch cache."""
@@ -710,13 +678,13 @@ class VUpmemFrontend:
                      and matrix.target is Target.MRAM
                      and all(e.size <= self.cache.capacity
                              for e in matrix.entries))
+        wire = matrix
         if cacheable:
             hits = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
                     for e in matrix.entries]
             if all(h is not None for h in hits):
-                copy_bytes = sum(e.size for e in matrix.entries)
-                serve = (copy_bytes / self.cost.guest_copy_bandwidth
-                         + 0.3e-6 * len(matrix.entries))
+                serve = self.cost.guest_copy_time(
+                    sum(e.size for e in matrix.entries), len(matrix.entries))
                 self.profiler.messages.count_cache_hits(len(matrix.entries))
                 self.obs.prefetch_hit(len(matrix.entries))
                 event = self.spans.event("frontend.cache_serve", "frontend",
@@ -730,44 +698,34 @@ class VUpmemFrontend:
 
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
-            refill_entries = [DpuEntry(dpu_index=e.dpu_index, size=seg_len)
-                              for e in matrix.entries]
-            refill = TransferMatrix(XferKind.FROM_DPU, matrix.symbol,
-                                    matrix.offset, refill_entries)
-            header = RequestHeader(kind=RequestKind.READ_RANK,
-                                   offset=matrix.offset, symbol=matrix.symbol)
-            _, rt, sreq = self._roundtrip(header, matrix=refill, op=OP_READ)
-            assert sreq is not None
-            for (dpu_index, size, gpa) in sreq.data_descriptors:
-                data = self.memory.read(gpa, size)
-                self.cache.fill(dpu_index, matrix.offset, data)
-            self.profiler.messages.count_cache_refills(len(matrix.entries))
-            self.obs.prefetch_refill(len(matrix.entries))
-            buffers = []
-            for entry in matrix.entries:
-                hit = self.cache.lookup(entry.dpu_index, matrix.offset,
-                                        entry.size)
-                assert hit is not None
-                buffers.append(hit)
-            self.profiler.record_op(OP_READ, rt,
-                                    start=self._last_request_start)
-            return buffers, duration + rt
+            wire = TransferMatrix(
+                XferKind.FROM_DPU, matrix.symbol, matrix.offset,
+                [DpuEntry(dpu_index=e.dpu_index, size=seg_len)
+                 for e in matrix.entries])
 
         header = RequestHeader(kind=RequestKind.READ_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
-        _, rt, sreq = self._roundtrip(header, matrix=matrix, op=OP_READ)
+        _, rt, sreq = self._roundtrip(header, matrix=wire, op=OP_READ)
         assert sreq is not None
         buffers = [self.memory.read(gpa, size)
                    for (_dpu, size, gpa) in sreq.data_descriptors]
+        if cacheable:
+            for (dpu_index, _, _), segment in zip(sreq.data_descriptors,
+                                                  buffers):
+                self.cache.fill(dpu_index, matrix.offset, segment)
+            self.profiler.messages.count_cache_refills(len(matrix.entries))
+            self.obs.prefetch_refill(len(matrix.entries))
+            buffers = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
+                       for e in matrix.entries]
+            assert all(buf is not None for buf in buffers)
         self.profiler.record_op(OP_READ, rt, start=self._last_request_start)
         return buffers, duration + rt
 
     def load(self, program: DpuProgram) -> float:
         duration = self._flush_batch(reason="load")
-        self.cache.invalidate()
         # Loading rebuilds every symbol buffer on the device; digests of
         # the previous program's extents are meaningless afterwards.
-        self._invalidate_digests("load")
+        self.invalidate("load")
         # A new program is a new workload: forget the old suppression
         # statistics and probe again from scratch.
         self._digest_probes = 0
@@ -782,18 +740,15 @@ class VUpmemFrontend:
 
     def launch(self) -> float:
         duration = self._flush_batch(reason="launch")
-        self.cache.invalidate()
+        self.invalidate("launch")
         header = RequestHeader(kind=RequestKind.LAUNCH)
         result, rt, _ = self._roundtrip(header)
         if self.digests is not None and result.payload:
             # The backend collected the kernel's dirty stores; drop the
             # digests they overlap instead of the whole index, so digests
             # of extents the run never touched keep suppressing.
-            pruned = 0
-            for dpu_index, space, offset, nbytes in result.payload:
-                pruned += self.digests.prune(dpu_index, space, offset,
-                                             nbytes)
-            self.obs.cache_invalidation("launch_dirty", pruned)
+            self.obs.cache_invalidation("launch_dirty", sum(
+                self.digests.prune(*store) for store in result.payload))
         return duration + rt
 
     def ci_ops(self, count: int) -> float:
@@ -805,11 +760,8 @@ class VUpmemFrontend:
         CI-heavy workloads like the checksum microbenchmark.
         """
         duration = self._flush_batch(reason="ci")
-        self.cache.invalidate()
-        per_op = self.cost.ci_virt_roundtrip + self.cost.ci_op_native
-        if self.opts.vhost_vsock:
-            # The in-kernel path halves the synchronous CI round trip.
-            per_op = self.cost.ci_virt_roundtrip / 2 + self.cost.ci_op_native
+        self.invalidate("ci")
+        ci_time = self.cost.guest_ci_time(count, self.opts.vhost_vsock)
         span = self.spans.begin("frontend.ci_ops", "frontend",
                                 op=OP_CI, count=count)
         # Run a small number of real round trips through the queue
@@ -821,7 +773,7 @@ class VUpmemFrontend:
                 header = RequestHeader(kind=RequestKind.CI_OP, count=1)
                 self._roundtrip(header)
             if count > real:
-                self.backend._require_mapping().ci_ops(count - real)
+                self.backend.require_mapping().ci_ops(count - real)
                 self.kvm.stats.vmexits += count - real
                 self.kvm.stats.irq_injections += count - real
                 self.profiler.messages.count_request(count - real)
@@ -829,11 +781,10 @@ class VUpmemFrontend:
         except BaseException:
             self.spans.end(span, error=True)
             raise
-        self.spans.end(span, duration=count * per_op)
-        total = duration + count * per_op
-        self.profiler.record_op(OP_CI, count * per_op, count=count,
+        self.spans.end(span, duration=ci_time)
+        self.profiler.record_op(OP_CI, ci_time, count=count,
                                 start=span.start)
-        return total
+        return duration + ci_time
 
     def _notify_manager(self, linked: bool) -> None:
         """Post a manager-sync boolean on the controlq (Appendix A.1)."""
@@ -859,8 +810,7 @@ class VUpmemFrontend:
         except (HardwareError, DeviceNotLinkedError, TransientFaultError):
             self.batch.drain()
             duration = 0.0
-        self.cache.invalidate()
-        self._invalidate_digests("release")
+        self.invalidate("release")
         header = RequestHeader(kind=RequestKind.RELEASE)
         try:
             _, rt, _ = self._roundtrip(header)

@@ -156,7 +156,7 @@ def migrate_device(device: VUpmemDevice, manager: Manager,
     device.backend.link_rank(target_rank)
     # Compiled transfer plans hold rank-specific pinned state; the
     # relinked backend must not replay them against the new rank.
-    device.frontend._invalidate_plans("migration")
+    device.frontend.invalidate("migration")
     return target_rank
 
 

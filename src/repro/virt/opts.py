@@ -54,13 +54,6 @@ class OptimizationConfig:
     #: outputs are bit-identical — so the default is on.
     plans: bool = True
 
-    #: Bound on distinct shapes the plan cache holds (LRU beyond it).
-    #: Sized above the largest per-run shape count in the PrIM suite
-    #: (321 for bench-size SpMV): an LRU scanned cyclically by a
-    #: repeated workload degrades to zero hits the moment the working
-    #: set exceeds the capacity.
-    plan_capacity: int = 512
-
     prefetch_pages_per_dpu: int = PREFETCH_PAGES_PER_DPU
     batch_pages_per_dpu: int = BATCH_PAGES_PER_DPU
 
@@ -68,12 +61,10 @@ class OptimizationConfig:
     #: the frontend has probed at least ``cache_bypass_min_probes``
     #: *revisited* extents (ones that already held a digest — first
     #: touches can never hit and carry no signal) with a hit rate below
-    #: ``cache_bypass_hit_rate``, it stops digesting entirely (a
-    #: workload that never rewrites identical content only pays for
-    #: digests, the BFS 0.96x regression of the committed ablation).
-    #: A threshold of 0 disables the bypass.
+    #: 2%, it stops digesting entirely (a workload that never rewrites
+    #: identical content only pays for digests, the BFS 0.96x
+    #: regression of the committed ablation).  0 disables the bypass.
     cache_bypass_min_probes: int = 64
-    cache_bypass_hit_rate: float = 0.02
 
     @property
     def label(self) -> str:

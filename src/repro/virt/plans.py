@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.config import PAGE_SIZE
 from repro.errors import MemoryAccessError, TransferError, TranslationError
-from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
+from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
     RequestHeader,
@@ -46,16 +46,20 @@ from repro.virt.serialization import (
     SerializedEntry,
     SerializedRequest,
     SkipExtent,
-    _entry_pages,
-    entry_meta_words,
-    matrix_meta_words,
+    build_chain,
 )
 from repro.virt.virtio import Descriptor
 
 __all__ = [
-    "PlanCache", "PlanUnsupported", "TransferPlan", "compile_plan",
-    "plan_key",
+    "PLAN_CAPACITY", "PlanCache", "PlanUnsupported", "TransferPlan",
+    "compile_plan", "plan_key",
 ]
+
+#: Distinct shapes a plan cache holds (LRU beyond it).  Sized above the
+#: largest per-run shape count in the PrIM suite (321 for bench-size
+#: SpMV): an LRU scanned cyclically by a repeated workload degrades to
+#: zero hits the moment the working set exceeds the capacity.
+PLAN_CAPACITY = 512
 
 #: Word index of the digest inside a cache-format entry-meta buffer.
 _ENTRY_DIGEST_WORD = 3
@@ -115,10 +119,6 @@ class TransferPlan:
     reservations: List[Tuple[int, int]]
     guest_generation: int
     cache_format: bool
-    batched: bool
-    #: MRAM reads deposit straight into ``payload_views`` via ``into=``;
-    #: WRAM reads return fresh buffers that replay copies over.
-    direct_read: bool
     #: XLB generation at which this plan's page runs were last resolved.
     xlb_generation: int = -1
     #: Backend-resolved destination pairing for MRAM writes.
@@ -169,22 +169,6 @@ class TransferPlan:
         self.reservations = []
 
 
-def _pin_wire_buffer(memory: GuestMemory, data: np.ndarray,
-                     reservations: List[Tuple[int, int]],
-                     device_writable: bool = False,
-                     ) -> Tuple[np.ndarray, Descriptor]:
-    """Reserve + pin + fill one wire buffer; mirrors
-    :func:`repro.virt.virtio.write_buffer` byte-for-byte."""
-    u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    nr_pages = max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE)
-    gpa = memory.reserve_pages(nr_pages)
-    reservations.append((gpa, nr_pages))
-    view = memory.pin_span(gpa, u8.size)
-    view[...] = u8
-    return view, Descriptor(gpa=gpa, length=u8.size,
-                            device_writable=device_writable)
-
-
 def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
                  memory: GuestMemory,
                  digests: Optional[Dict[int, int]],
@@ -199,82 +183,72 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
     cannot be pinned; all partial reservations are released first.
     """
     cache_format = digests is not None or skips is not None
+    writing = matrix.kind is XferKind.TO_DPU
     reservations: List[Tuple[int, int]] = []
+    wire_views: List[np.ndarray] = []   # every wire buffer, chain order
+    payload_views: List[np.ndarray] = []
+
+    def pin(nr_pages: int, nbytes: int) -> Tuple[int, np.ndarray]:
+        gpa = memory.reserve_pages(nr_pages)
+        reservations.append((gpa, nr_pages))
+        return gpa, memory.pin_span(gpa, nbytes)
+
+    def put(data: np.ndarray, device_writable: bool = False) -> Descriptor:
+        # Mirrors :func:`repro.virt.virtio.write_buffer` byte-for-byte.
+        u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        gpa, view = pin(max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE),
+                        u8.size)
+        view[...] = u8
+        wire_views.append(view)
+        return Descriptor(gpa=gpa, length=u8.size,
+                          device_writable=device_writable)
+
+    def place(entry: DpuEntry, nr_pages: int) -> int:
+        gpa, view = pin(nr_pages, entry.size)
+        if writing:
+            view[...] = entry.data
+        payload_views.append(view)
+        return gpa
+
     try:
         matrix.validate()
-        chain: List[Descriptor] = []
-        _, desc = _pin_wire_buffer(memory, header.pack(), reservations)
-        chain.append(desc)
-        meta_u8, desc = _pin_wire_buffer(
-            memory, matrix_meta_words(matrix, skips, cache_format),
-            reservations)
-        chain.append(desc)
-        matrix_meta_view = meta_u8.view(np.uint64) if cache_format else None
-
-        total_pages = 0
-        data_descriptors: List[Tuple[int, int, int]] = []
-        entries: List[SerializedEntry] = []
-        payload_views: List[np.ndarray] = []
-        entry_meta_views: List[np.ndarray] = []
-        cached_entries: List[DpuEntry] = []
-        writable = matrix.kind is XferKind.FROM_DPU
-        for entry in matrix.entries:
-            nr_pages = _entry_pages(entry.size)
-            total_pages += nr_pages
-            digest = (digests or {}).get(entry.dpu_index, 0)
-            emeta_u8, desc = _pin_wire_buffer(
-                memory,
-                entry_meta_words(entry.dpu_index, entry.size, nr_pages,
-                                 digest, cache_format),
-                reservations)
-            chain.append(desc)
-            if cache_format:
-                entry_meta_views.append(emeta_u8.view(np.uint64))
-            gpa = memory.reserve_pages(nr_pages)
-            reservations.append((gpa, nr_pages))
-            view = memory.pin_span(gpa, entry.size)
-            if matrix.kind is XferKind.TO_DPU:
-                view[...] = entry.data
-            payload_views.append(view)
-            page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
-                         + np.uint64(gpa))
-            _, desc = _pin_wire_buffer(memory, page_gpas, reservations,
-                                       device_writable=writable)
-            chain.append(desc)
-            data_descriptors.append((entry.dpu_index, entry.size, gpa))
-            entries.append(SerializedEntry(
-                dpu_index=entry.dpu_index, size=entry.size,
-                page_gpas=page_gpas, digest=digest))
-            cached_entries.append(DpuEntry(
-                dpu_index=entry.dpu_index, size=entry.size,
-                data=view if matrix.kind is XferKind.TO_DPU else None))
+        sreq = build_chain(header, matrix, digests, skips, put, place)
     except (TranslationError, MemoryAccessError, TransferError) as exc:
         for gpa, nr_pages in reservations:
             memory.release_reservation(gpa, nr_pages)
         raise PlanUnsupported(str(exc)) from exc
 
+    # Chain layout: [header][matrix meta]([entry meta][entry pages])*.
+    entries = [SerializedEntry(dpu_index=e.dpu_index, size=e.size,
+                               page_gpas=pages.view(np.uint64).copy(),
+                               digest=(digests or {}).get(e.dpu_index, 0))
+               for e, pages in zip(matrix.entries, wire_views[3::2])]
     cached_matrix = None
     if not batched:
-        cached_matrix = TransferMatrix(matrix.kind, matrix.symbol,
-                                       matrix.offset, cached_entries)
-    sreq = SerializedRequest(header=header, chain=chain,
-                             total_pages=total_pages,
-                             data_descriptors=data_descriptors)
+        cached_matrix = TransferMatrix(
+            matrix.kind, matrix.symbol, matrix.offset,
+            [DpuEntry(dpu_index=e.dpu_index, size=e.size,
+                      data=view if writing else None)
+             for e, view in zip(matrix.entries, payload_views)])
     return TransferPlan(
         key=key, header=header, sreq=sreq, entries=entries,
         skips=list(skips or ()), matrix=cached_matrix,
-        payload_views=payload_views, entry_meta_views=entry_meta_views,
-        matrix_meta_view=matrix_meta_view, reservations=reservations,
+        payload_views=payload_views,
+        entry_meta_views=([v.view(np.uint64) for v in wire_views[2::2]]
+                          if cache_format else []),
+        matrix_meta_view=(wire_views[1].view(np.uint64)
+                          if cache_format else None),
+        reservations=reservations,
         guest_generation=memory.region.generation,
-        cache_format=cache_format, batched=batched,
-        direct_read=matrix.target is Target.MRAM,
+        cache_format=cache_format,
     )
 
 
 class PlanCache:
     """Bounded LRU of compiled :class:`TransferPlan` per frontend."""
 
-    def __init__(self, memory: GuestMemory, capacity: int = 128) -> None:
+    def __init__(self, memory: GuestMemory,
+                 capacity: int = PLAN_CAPACITY) -> None:
         self.memory = memory
         self.capacity = max(1, capacity)
         self._plans: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()

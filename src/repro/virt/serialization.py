@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import PAGE_SIZE
 from repro.errors import SerializationError
-from repro.sdk.transfer import TransferMatrix, XferKind
+from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.virtio import Descriptor, write_buffer
 
@@ -166,6 +167,41 @@ def entry_meta_words(dpu_index: int, size: int, nr_pages: int, digest: int,
     return np.array(words, dtype=np.uint64)
 
 
+def build_chain(header: RequestHeader, matrix: TransferMatrix,
+                digests: Optional[Dict[int, int]],
+                skips: Optional[List[SkipExtent]],
+                put: Callable[..., Descriptor],
+                place: Callable[[DpuEntry, int], int]) -> SerializedRequest:
+    """Assemble the Fig. 7 descriptor chain of one data request.
+
+    ``put(words, device_writable=False)`` stores one wire buffer and
+    returns its descriptor; ``place(entry, nr_pages)`` returns the GPA
+    of the entry's payload pages (already filled, for writes).  The
+    serializer and the plan compiler differ only in those two — rolling
+    arena buffers vs reserved, pinned ones — so both emit this layout.
+    """
+    cache_format = digests is not None or skips is not None
+    chain = [put(header.pack()),
+             put(matrix_meta_words(matrix, skips, cache_format))]
+    total_pages = 0
+    data_descriptors: List[Tuple[int, int, int]] = []
+    writable = matrix.kind is XferKind.FROM_DPU
+    for entry in matrix.entries:
+        nr_pages = _entry_pages(entry.size)
+        total_pages += nr_pages
+        chain.append(put(entry_meta_words(
+            entry.dpu_index, entry.size, nr_pages,
+            (digests or {}).get(entry.dpu_index, 0), cache_format)))
+        gpa = place(entry, nr_pages)
+        page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
+                     + np.uint64(gpa))
+        chain.append(put(page_gpas, device_writable=writable))
+        data_descriptors.append((entry.dpu_index, entry.size, gpa))
+    return SerializedRequest(header=header, chain=chain,
+                             total_pages=total_pages,
+                             data_descriptors=data_descriptors)
+
+
 def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
                      memory: GuestMemory,
                      digests: Optional[Dict[int, int]] = None,
@@ -182,35 +218,14 @@ def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
     format; leaving both ``None`` — the cache-off default — emits the
     original format byte-for-byte.
     """
-    cache_format = digests is not None or skips is not None
-    chain: List[Descriptor] = [write_buffer(memory, header.pack())]
-    matrix_meta = matrix_meta_words(matrix, skips, cache_format)
-    chain.append(write_buffer(memory, matrix_meta))
-
-    total_pages = 0
-    data_descriptors: List[Tuple[int, int, int]] = []
-    for entry in matrix.entries:
-        nr_pages = _entry_pages(entry.size)
-        total_pages += nr_pages
-        entry_meta = entry_meta_words(
-            entry.dpu_index, entry.size, nr_pages,
-            (digests or {}).get(entry.dpu_index, 0), cache_format)
-        chain.append(write_buffer(memory, entry_meta))
+    def place(entry: DpuEntry, nr_pages: int) -> int:
+        gpa = memory.alloc_pages(nr_pages)
         if matrix.kind is XferKind.TO_DPU:
-            gpa = memory.alloc_pages(nr_pages)
             memory.write(gpa, entry.data)
-            writable = False
-        else:
-            gpa = memory.alloc_pages(nr_pages)
-            writable = True
-        page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
-                     + np.uint64(gpa))
-        chain.append(write_buffer(memory, page_gpas, device_writable=writable))
-        data_descriptors.append((entry.dpu_index, entry.size, gpa))
+        return gpa
 
-    return SerializedRequest(header=header, chain=chain,
-                             total_pages=total_pages,
-                             data_descriptors=data_descriptors)
+    return build_chain(header, matrix, digests, skips,
+                       partial(write_buffer, memory), place)
 
 
 def deserialize_request(chain: List[Descriptor], memory: GuestMemory,

@@ -61,12 +61,6 @@ class ExtentDigestIndex:
                  ) -> None:
         self.max_records_per_region = max_records_per_region
         self._regions: Dict[Tuple[int, str], Dict[int, Tuple[int, int]]] = {}
-        #: Bumped whenever records are dropped (wholesale or pruned).
-        #: Compiled transfer plans never bake digest *values* (SKIP
-        #: digests are re-patched from the live probe on every replay),
-        #: but dependents can watch this counter to observe suppression
-        #: -state churn without walking the index.
-        self.generation = 0
 
     # -- probing ------------------------------------------------------------
 
@@ -119,16 +113,12 @@ class ExtentDigestIndex:
         region = self._regions.get((dpu_index, space))
         if not region:
             return 0
-        dropped = self._drop_overlaps(region, offset, size)
-        if dropped:
-            self.generation += 1
-        return dropped
+        return self._drop_overlaps(region, offset, size)
 
     def invalidate_all(self) -> int:
         """Drop every record; returns how many were held."""
         count = self.nr_records
         self._regions.clear()
-        self.generation += 1
         return count
 
     @staticmethod

@@ -41,14 +41,6 @@ class VirtRankChannel(RankChannel):
                          else vm.machine.config.ranks[0].functional_dpus)
         self._rank_index = mapping.rank_index
 
-    def _rank(self):
-        mapping = self.device.backend.mapping
-        if mapping is None:
-            raise DeviceNotLinkedError(
-                f"device {self.device.device_id} lost its rank"
-            )
-        return mapping.rank
-
     @property
     def nr_dpus(self) -> int:
         return self._nr_dpus
@@ -102,7 +94,7 @@ class VirtTransport(Transport):
         if cadence <= 0:
             raise ValueError(f"poll cadence must be positive, got {cadence}")
         polls = int(run_duration / cadence)
-        penalty = polls * self.cost.ci_virt_roundtrip
+        penalty = self.cost.launch_poll_time(polls)
         if polls:
             self.vm.kvm.stats.vmexits += polls
             self.vm.kvm.stats.irq_injections += polls

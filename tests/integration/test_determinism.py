@@ -98,3 +98,19 @@ def test_vhost_and_oversubscription_compose():
     assert rep.verified
     assert vpim.manager.stats.emulated_allocations == 1
     hold.free()
+
+
+def test_quick_suite_modeled_digest_is_the_committed_one():
+    """The sha256 over every modeled output of the quick PrIM suite is the
+    one ``BENCH_WALLCLOCK.quick.json`` commits: a slipped summation order
+    anywhere on the data path fails here, locally, instead of only in the
+    CI perf-smoke job (~2 s on the reference box)."""
+    import json
+    import runpy
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    bench = runpy.run_path(str(root / "benchmarks" / "bench_wallclock.py"))
+    committed = json.loads((root / "BENCH_WALLCLOCK.quick.json").read_text())
+    suite = bench["run_suite"](quick=True, repeats=1)
+    assert bench["modeled_digest"](suite) == committed["modeled_digest"]

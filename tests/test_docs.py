@@ -217,6 +217,55 @@ class TestPerformanceDocMetricTable:
                 f"catalog declares {spec.labels}")
 
 
+class TestArchitectureCostModelTable:
+    """docs/architecture.md's "Cost model" table is the set of
+    ``CostModel`` helpers the byte movers call, file by file."""
+
+    BYTE_MOVERS = ("virt/frontend.py", "virt/backend.py", "hardware/rank.py",
+                   "driver/driver.py", "virt/transport.py")
+
+    @pytest.fixture(scope="class")
+    def documented(self) -> set:
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        rows = re.findall(r"^\| [^|]+ \| `(\w+)` \| [^|]+ \| ([^|]+) \|$",
+                          text, re.MULTILINE)
+        assert rows, "cost model table not found in docs/architecture.md"
+        return {(helper, path) for helper, cell in rows
+                for path in re.findall(r"\[`([^`]+)`\]", cell)}
+
+    def test_every_row_names_a_helper(self, documented):
+        from repro.hardware.timing import CostModel
+        for helper, _ in documented:
+            assert callable(getattr(CostModel, helper, None)), helper
+
+    def test_rows_match_the_calls_in_the_byte_movers(self, documented):
+        called = set()
+        for path in self.BYTE_MOVERS:
+            source = (REPO_ROOT / "src" / "repro" / path).read_text()
+            called |= {(helper, path)
+                       for helper in re.findall(r"cost\.(\w+)\(", source)}
+        assert documented == called
+
+    def test_byte_movers_read_no_cost_constant(self):
+        """The issue's acceptance grep: durations come from helpers."""
+        raw = re.compile(
+            r"cost\.[a-z_]*_(per_page|fixed|cost|bandwidth|roundtrip)\b")
+        for path in self.BYTE_MOVERS:
+            source = (REPO_ROOT / "src" / "repro" / path).read_text()
+            assert not raw.search(source), path
+
+
+def test_architecture_invalidation_table_matches_frontend():
+    from repro.virt.frontend import VUpmemFrontend
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    rows = re.findall(
+        r"^\| `(\w+)` \| (drop|keep) \| (drop|keep) \| (drop|keep) \|$",
+        text, re.MULTILINE)
+    documented = {event: tuple(cell == "drop" for cell in cells)
+                  for event, *cells in rows}
+    assert documented == VUpmemFrontend.INVALIDATION
+
+
 def test_readme_mentions_metrics_cli():
     text = (REPO_ROOT / "README.md").read_text()
     assert "metrics" in text

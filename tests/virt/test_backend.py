@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.config import MRAM_HEAP_SYMBOL, small_machine
+from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.driver.driver import UpmemDriver
-from repro.errors import DeviceNotLinkedError, SerializationError
+from repro.errors import (
+    DeviceNotLinkedError,
+    SerializationError,
+    TranslationError,
+)
 from repro.hardware.machine import Machine
 from repro.hardware.timing import DEFAULT_COST_MODEL
 from repro.sdk.transfer import uniform_read, uniform_write
@@ -148,6 +152,21 @@ def test_release_request_unlinks(env):
 
 def test_worker_thread_default_matches_paper(env):
     *_, backend = env
-    # Section 4.2: 8 threads, aligned with 8 DPUs per chip.
-    assert backend.worker_threads == 8
+    # Section 4.2: 8 translation threads, aligned with 8 DPUs per chip.
     assert backend.translation_threads == 8
+
+
+def test_xlb_hit_still_bounds_checks_the_whole_run(env):
+    """A cached ``(first, last, count)`` key must not vouch for a page
+    list that only shares its ends with the validated run."""
+    _, _, memory, backend = env
+    first = memory.alloc_pages(3)
+    good = first + np.arange(3, dtype=np.uint64) * np.uint64(PAGE_SIZE)
+    backend.xlb.translate(good)
+    backend.xlb.translate(good)
+    assert (backend.xlb.hits, backend.xlb.misses) == (1, 1)
+
+    forged = good.copy()
+    forged[1] = 0xFFFF_FFFF_F000
+    with pytest.raises(TranslationError):
+        backend.xlb.translate(forged)

@@ -311,13 +311,13 @@ class TestPlanInvalidation:
         assert frontend.plans.nr_plans > 0
 
         kept = frontend.plans.nr_plans
-        frontend._invalidate_digests("release")
+        frontend.invalidate("release")
         assert frontend.plans.nr_plans == kept, \
             "release must not drop compiled plans"
-        frontend._invalidate_digests("load")
+        frontend.invalidate("load")
         assert frontend.plans.nr_plans == kept
 
-        frontend._invalidate_digests("failover")
+        frontend.invalidate("failover")
         assert frontend.plans.nr_plans == 0, "failover must drop plans"
         assert frontend.plans.invalidations >= kept
         dpus.__exit__(None, None, None)
@@ -328,7 +328,7 @@ class TestPlanInvalidation:
         _, session = _session(plans=True)
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend
-        frontend._invalidate_digests("failover")
+        frontend.invalidate("failover")
 
         dpus.push_to_mram(0, [np.full(512, 3, np.uint8)] * 4)
         got = dpus.push_from_mram(0, 512)
