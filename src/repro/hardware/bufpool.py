@@ -29,12 +29,12 @@ class BufferPool:
 
     Buffers are handed out dirty (no zero fill): callers are expected to
     overwrite every byte, which all data-plane users do by construction.
+    The pool is bounded by bytes alone: a full-rank wire request returns
+    64 same-size buffers at once and must find all 64 again.
     """
 
-    def __init__(self, max_buffers_per_size: int = 8,
-                 max_pooled_bytes: int = 256 << 20) -> None:
+    def __init__(self, max_pooled_bytes: int = 256 << 20) -> None:
         self._free: Dict[int, List[np.ndarray]] = {}
-        self._max_per_size = max_buffers_per_size
         self._max_pooled_bytes = max_pooled_bytes
         self._pooled_bytes = 0
         #: Buffers currently on loan (acquired, not yet released).
@@ -66,10 +66,8 @@ class BufferPool:
             return
         self.outstanding -= 1
         size = buf.size
-        stack = self._free.setdefault(size, [])
-        if (len(stack) < self._max_per_size
-                and self._pooled_bytes + size <= self._max_pooled_bytes):
-            stack.append(buf)
+        if self._pooled_bytes + size <= self._max_pooled_bytes:
+            self._free.setdefault(size, []).append(buf)
             self._pooled_bytes += size
 
     @contextmanager

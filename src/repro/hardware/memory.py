@@ -16,7 +16,7 @@ may hold recycled garbage.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -85,6 +85,26 @@ def _as_u8(data: BytesLike) -> np.ndarray:
         return np.ascontiguousarray(data).view(np.uint8).reshape(-1)
     return np.frombuffer(bytes(data) if isinstance(data, memoryview) else data,
                          dtype=np.uint8)
+
+
+def result_block(sizes: Sequence[int]) -> List[np.ndarray]:
+    """One freshly allocated block cut into a row per read result.
+
+    A multi-DPU read hands its caller ``len(sizes)`` arrays.  Allocated
+    one by one, megabyte results come from (and return to) the kernel on
+    every read, one minor fault per 4 KB; one block per request is a
+    single mapping large enough for huge pages.  Rows start on 64-byte
+    boundaries, are disjoint, and belong to the caller — they share a
+    base but alias nothing the simulator keeps.
+    """
+    strides = [-(-size // 64) * 64 for size in sizes]
+    block = np.empty(sum(strides) + 64, dtype=np.uint8)
+    pos = -block.__array_interface__["data"][0] % 64
+    rows = []
+    for size, stride in zip(sizes, strides):
+        rows.append(block[pos:pos + size])
+        pos += stride
+    return rows
 
 
 class MemoryRegion:

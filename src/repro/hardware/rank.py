@@ -33,6 +33,7 @@ from repro.errors import (
 from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
 from repro.hardware.dpu import Dpu, DpuRunStats, DpuState
+from repro.hardware.memory import result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
 from repro.observability.instruments import RankInstruments
@@ -330,37 +331,41 @@ class Rank:
                   ) -> Tuple[List[np.ndarray], float]:
         """Read-from-rank: returns per-spec buffers and the duration.
 
-        ``into`` (optional) supplies one pre-sized uint8 buffer per spec;
-        the reads then go through :meth:`MemoryRegion.read_into` with no
-        allocation, which is how the backend runs pooled (zero-copy)
-        reads.  The returned list is ``into`` itself in that case.
+        ``into`` (optional) supplies one pre-sized uint8 buffer per spec,
+        which is how the backend reads straight into pooled scratch or a
+        plan's pinned guest views; the returned list then holds those
+        buffers.  Without it the results of a multi-spec read are rows of
+        one fresh :func:`~repro.hardware.memory.result_block` (what the
+        virtualized frontend hands back too), and a single spec keeps the
+        :meth:`MemoryRegion.read` fast path.
         """
         self._guard("read")
-        if into is not None and len(into) != len(specs):
-            raise TransferError(
-                f"into has {len(into)} buffers for {len(specs)} read specs"
-            )
-        out: List[np.ndarray] = []
-        total = 0
-        for i, spec in enumerate(specs):
+        for spec in specs:
             if spec.length > MAX_XFER_BYTES:
                 raise TransferError(
                     f"transfer of {spec.length} bytes exceeds the 4 GB rank limit"
                 )
-            mram = self.dpu(spec.dpu_index).mram
-            if into is None:
-                out.append(mram.read(spec.offset, spec.length))
-            else:
-                buf = into[i]
+        if into is None and len(specs) != 1:
+            into = result_block([spec.length for spec in specs])
+        if into is None:
+            (spec,) = specs
+            out = [self.dpu(spec.dpu_index).mram.read(spec.offset,
+                                                      spec.length)]
+        else:
+            if len(into) != len(specs):
+                raise TransferError(
+                    f"into has {len(into)} buffers for {len(specs)} read "
+                    "specs"
+                )
+            for i, (spec, buf) in enumerate(zip(specs, into)):
                 if buf.size != spec.length:
                     raise TransferError(
                         f"into[{i}] holds {buf.size} bytes, spec reads "
                         f"{spec.length}"
                     )
-                mram.read_into(spec.offset, buf)
-            total += spec.length
-        if into is not None:
+                self.dpu(spec.dpu_index).mram.read_into(spec.offset, buf)
             out = list(into)
+        total = sum(spec.length for spec in specs)
         return out, self._account("read", total, len(specs), rust_interleave)
 
     # -- execution -----------------------------------------------------------

@@ -139,7 +139,7 @@ _SPECS: Tuple[MetricSpec, ...] = (
         ("vm", "device"), paper="§4.1/§4.2 (docs/performance.md)"),
     MetricSpec(
         "repro_plan_cache_misses_total", "counter",
-        "Plannable transfers that compiled a new plan first",
+        "Data requests that replayed no plan: compiled one, or went naive",
         ("vm", "device"), paper="§4.1/§4.2 (docs/performance.md)"),
     MetricSpec(
         "repro_plan_cache_evictions_total", "counter",

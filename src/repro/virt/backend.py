@@ -99,8 +99,8 @@ class TranslationCache:
         #: Bumped on every :meth:`invalidate` (unlink/relink).  Compiled
         #: transfer plans snapshot this after resolving their page runs;
         #: a matching generation lets a replay skip per-entry translation
-        #: (the runs were bounds-validated when first resolved and the
-        #: GPAs are frozen in the plan's reservations).
+        #: (the runs were bounds-validated when first resolved and a
+        #: plan's GPAs never change).
         self.generation = 0
 
     def translate(self, page_gpas: np.ndarray) -> np.ndarray:
@@ -403,8 +403,8 @@ class VUpmemBackend:
         xlb = self.xlb
         if plan is not None and plan.xlb_generation == xlb.generation:
             # Replay: the plan's page runs were resolved (and bounds-
-            # validated) at this XLB generation, and its GPAs are
-            # frozen reservations — count the hits without walking.
+            # validated) at this XLB generation, and its GPAs never
+            # change — count the hits without walking.
             xlb.hits += len(entries)
             self.obs.xlb(len(entries), 0)
         else:

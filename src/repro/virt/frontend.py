@@ -29,6 +29,7 @@ from repro.errors import (
     TransferError,
     TransientFaultError,
 )
+from repro.hardware.memory import result_block
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
 from repro.observability.instruments import FaultInstruments, FrontendInstruments
@@ -386,23 +387,25 @@ class VUpmemFrontend:
         Returns ``(sreq, plan)`` — ``plan`` is ``None`` whenever the
         naive serializer ran (plans off, unplannable shape, compile
         refusal), in which case the backend deserializes from the wire
-        exactly as before.
+        exactly as before.  With plans on, every request the naive
+        serializer serves counts as a miss.
         """
         plans = self.plans
         key = (plan_key(header, matrix, digests, skips, batched)
                if plans is not None else None)
-        if key is not None and key not in plans.unplannable:
-            plan = plans.get(key)
-            if plan is not None and not plan.valid(self.memory):
-                plans.drop(key)
-                self.obs.plan_invalidation("stale", 1)
-                plan = None
-            if plan is not None:
-                plans.hits += 1
-                self.obs.plan_hit()
-                return plan.replay(matrix, digests, skips), plan
+        plan = plans.get(key) if key is not None else None
+        if plan is not None and not plan.valid(self.memory):
+            plans.drop(key)
+            self.obs.plan_invalidation("stale", 1)
+            plan = None
+        if plan is not None:
+            plans.hits += 1
+            self.obs.plan_hit()
+            return plan.replay(matrix, digests, skips), plan
+        if plans is not None:
             plans.misses += 1
             self.obs.plan_miss()
+        if key is not None and key not in plans.unplannable:
             try:
                 plan = compile_plan(key, header, matrix, self.memory,
                                     digests, skips, batched)
@@ -707,8 +710,17 @@ class VUpmemFrontend:
                                offset=matrix.offset, symbol=matrix.symbol)
         _, rt, sreq = self._roundtrip(header, matrix=wire, op=OP_READ)
         assert sreq is not None
-        buffers = [self.memory.read(gpa, size)
-                   for (_dpu, size, gpa) in sreq.data_descriptors]
+        descriptors = sreq.data_descriptors
+        if len(descriptors) == 1:
+            (_dpu, size, gpa), = descriptors
+            buffers = [self.memory.read(gpa, size)]
+        else:
+            # The destination pages may be the staging window every plan
+            # shares, so results are copied out before the next request:
+            # rows of one fresh block, as ``Rank.read_mram`` returns them.
+            buffers = result_block([size for _dpu, size, _gpa in descriptors])
+            for buf, (_dpu, _size, gpa) in zip(buffers, descriptors):
+                self.memory.read_into(gpa, buf)
         if cacheable:
             for (dpu_index, _, _), segment in zip(sreq.data_descriptors,
                                                   buffers):

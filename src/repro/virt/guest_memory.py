@@ -9,7 +9,8 @@ copying (Section 4.2 "Zero-copy Request Handling").
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -22,12 +23,27 @@ HVA_BASE = 0x7F00_0000_0000
 
 
 class GuestMemory:
-    """The VM's physical address space plus a bump page allocator (the GPA
-    space that §4.2's zero-copy translation resolves to HVAs).
+    """The VM's physical address space plus its DMA-arena page allocators
+    (the GPA space that §4.2's zero-copy translation resolves to HVAs).
 
-    The allocator hands out contiguous page runs from a rolling arena;
-    requests are synchronous, so pages can be recycled once the arena
-    wraps (the guest driver reuses its DMA area the same way).
+    One arena serves three kinds of page run::
+
+        arena start                                  reserve floor  arena top
+        | rolling bump arena ............................ | plan metadata |
+                   | staging window (half the arena) |  (at most a quarter)
+
+    - :meth:`alloc_pages` hands out contiguous runs from the rolling
+      part; requests are synchronous, so pages can be recycled once the
+      arena wraps (the guest driver reuses its DMA area the same way).
+    - :meth:`reserve_pages` claims the small private runs of a compiled
+      plan's wire metadata, growing downward from the arena top.
+    - The **staging window** — the top of what the metadata can never
+      reach — holds the payload pages of *every* compiled plan
+      (:meth:`stage_pages`).  The transferq completes one chain before
+      the next is added, so a payload page needs a stable address for
+      its plan's life but stable content only for its own request: all
+      plans, and the rolling allocator when it rolls that far, overlay
+      the same pages.
     """
 
     def __init__(self, size: int, arena_bytes: int = 512 << 20) -> None:
@@ -36,9 +52,13 @@ class GuestMemory:
         self._arena_start = 1 << 20  # leave the first MiB alone (BIOS area)
         self._arena_bytes = min(arena_bytes, size - self._arena_start)
         self._arena_cursor = 0
-        # Long-lived plan reservations grow *downward* from the arena top;
-        # the rolling bump allocator keeps the shrinking bottom part.
+        # Long-lived plan-metadata reservations grow *downward* from the
+        # arena top, at most a quarter of the arena deep; the rolling
+        # bump allocator keeps the shrinking bottom part.
+        quarter = self._arena_bytes // 4 // PAGE_SIZE * PAGE_SIZE
         self._reserve_floor = self._arena_start + self._arena_bytes
+        self._window_end = self._reserve_floor - quarter
+        self._window_base = self._window_end - 2 * quarter
         self._free_reservations: Dict[int, List[int]] = {}
 
     # -- page allocation ------------------------------------------------------
@@ -62,16 +82,52 @@ class GuestMemory:
         self._arena_cursor += need
         return gpa
 
+    def _straddles_extent(self, gpa: int, need: int) -> bool:
+        ext = self.region.extent_bytes
+        return gpa // ext != (gpa + need - 1) // ext
+
+    @property
+    def window_base(self) -> int:
+        """GPA at which every plan's first payload page is staged."""
+        return self._window_base
+
+    def stage_pages(self, cursor: int, nr_pages: int) -> int:
+        """Place ``nr_pages`` of plan payload in the staging window.
+
+        ``cursor`` is where the plan's previous payload ended
+        (:attr:`window_base` for its first); the run starts there, or at
+        the next extent boundary when it would otherwise straddle one, so
+        every payload stays pinnable as one view.  Nothing is pinned
+        here: the compiler pins each placed run, and window pages no plan
+        has reached cost nothing.  Raises :class:`TranslationError` when
+        the run is larger than one extent or ends past the window — the
+        largest plannable request is the one that fits the window whole.
+        """
+        need = nr_pages * PAGE_SIZE
+        ext = self.region.extent_bytes
+        if need > ext:
+            raise TranslationError(
+                f"payload of {nr_pages} pages exceeds the {ext}-byte "
+                "backing extent and cannot be pinned as one view")
+        gpa = cursor
+        if self._straddles_extent(gpa, need):
+            gpa = (gpa // ext + 1) * ext
+        if gpa + need > self._window_end:
+            raise TranslationError(
+                f"plan payload outgrows the "
+                f"{self._window_end - self._window_base}-byte staging window")
+        return gpa
+
     def reserve_pages(self, nr_pages: int) -> int:
-        """Claim a *stable* run of ``nr_pages`` pages for a compiled plan.
+        """Claim a *stable, private* run of ``nr_pages`` pages for a
+        compiled plan's wire metadata.
 
         Unlike :meth:`alloc_pages`, reserved runs are never recycled by
         the rolling arena — they stay valid for the plan's lifetime and
         return to a free list via :meth:`release_reservation`.  Runs that
-        fit inside one backing extent are aligned so they never straddle
-        an extent boundary (keeping the payload pinnable as one view).
-        At most half of the arena may be reserved; beyond that the plan
-        cache falls back to the naive path.
+        fit inside one backing extent never straddle an extent boundary
+        (keeping each buffer pinnable as one view).  Reservations stop
+        at the staging window's end: a quarter of the arena at most.
         """
         need = nr_pages * PAGE_SIZE
         free = self._free_reservations.get(need)
@@ -79,14 +135,12 @@ class GuestMemory:
             return free.pop()
         gpa = ((self._reserve_floor - need) // PAGE_SIZE) * PAGE_SIZE
         ext = self.region.extent_bytes
-        if need <= ext:
-            boundary = (gpa // ext) * ext
-            if gpa + need > boundary + ext:
-                gpa = boundary + ext - need
-        if gpa < self._arena_start + self._arena_bytes // 2:
+        if need <= ext and self._straddles_extent(gpa, need):
+            gpa = (gpa // ext + 1) * ext - need
+        if gpa < self._window_end:
             raise TranslationError(
-                f"reservation of {nr_pages} pages would shrink the DMA "
-                "arena below half capacity"
+                f"reservation of {nr_pages} pages would take plan "
+                "metadata past a quarter of the DMA arena"
             )
         self._reserve_floor = gpa
         return gpa
@@ -94,6 +148,21 @@ class GuestMemory:
     def release_reservation(self, gpa: int, nr_pages: int) -> None:
         """Return a reserved run to the free list for same-size reuse."""
         self._free_reservations.setdefault(nr_pages * PAGE_SIZE, []).append(gpa)
+
+    @contextmanager
+    def reserving(self) -> Iterator[None]:
+        """All-or-nothing reservations: when the body raises, the reserve
+        floor and the free lists are put back exactly as they were, so a
+        refused compile cannot shrink the rolling arena."""
+        floor = self._reserve_floor
+        free = {need: list(runs)
+                for need, runs in self._free_reservations.items()}
+        try:
+            yield
+        except BaseException:
+            self._reserve_floor = floor
+            self._free_reservations = free
+            raise
 
     def pin_span(self, gpa: int, length: int) -> np.ndarray:
         """Writable view of guest bytes (see :meth:`MemoryRegion.pin_span`)."""

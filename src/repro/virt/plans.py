@@ -7,12 +7,17 @@ on every request.  A :class:`TransferPlan` captures everything
 shape-derived and content-independent the first time a
 ``(direction, symbol, offset, entry shapes)`` tuple is seen:
 
-- the serialized descriptor chain (header, matrix-meta, per-entry meta
-  and page buffers), placed in *reserved* guest pages
-  (:meth:`GuestMemory.reserve_pages`) that the rolling DMA arena never
-  recycles, with writable views pinned over every buffer;
+- the serialized descriptor chain: the small metadata buffers (header,
+  matrix-meta, per-entry meta and page lists) in *reserved* guest pages
+  (:meth:`GuestMemory.reserve_pages`) private to the plan, the payload
+  pages at fixed offsets of the one **staging window** every plan
+  shares (:meth:`GuestMemory.stage_pages`), writable views pinned over
+  every buffer.  The transferq is synchronous — one chain is added,
+  kicked, popped and completed before the next — so a payload page
+  needs a stable *address* for the plan's life but stable *content*
+  only for its own request;
 - a cached :class:`~repro.sdk.transfer.TransferMatrix` whose write
-  payloads alias the pinned guest views — a replay refreshes content
+  payloads alias the pinned window views — a replay refreshes content
   with one slice copy per entry and the backend consumes it with no
   gather;
 - for reads, the pinned destination views the backend deposits into
@@ -24,8 +29,9 @@ shape-derived and content-independent the first time a
 Plans change **wall-clock time only**: every modeled duration, metric
 that feeds the wall-clock digest, guest-visible byte, and DPU-visible
 byte is bit-identical to the naive path.  Shapes the compiler cannot
-pin (entries larger than one backing extent, arena exhaustion) are
-marked unplannable and permanently served by the naive path.
+pin (an entry larger than one backing extent, a request larger than the
+staging window) are marked unplannable and permanently served by the
+naive path.
 """
 
 from __future__ import annotations
@@ -109,13 +115,16 @@ class TransferPlan:
     #: Cached matrix whose TO_DPU payloads alias ``payload_views``
     #: (``None`` for batched flushes — the backend replays the records).
     matrix: Optional[TransferMatrix]
-    #: Pinned guest views over each entry's payload pages.
+    #: Pinned views over each entry's payload pages in the shared
+    #: staging window: this plan's content only between its own replay
+    #: and the completion of that request.
     payload_views: List[np.ndarray]
     #: u64 views over each entry-meta buffer (digest patched per replay).
     entry_meta_views: List[np.ndarray]
     #: u64 view over the matrix-meta buffer (skip digests patched).
     matrix_meta_view: Optional[np.ndarray]
-    #: ``(gpa, nr_pages)`` reservations to release when the plan dies.
+    #: ``(gpa, nr_pages)`` private metadata reservations to release when
+    #: the plan dies (payload pages belong to the window, not the plan).
     reservations: List[Tuple[int, int]]
     guest_generation: int
     cache_format: bool
@@ -178,44 +187,45 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
 
     Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
     would (same buffer contents, lengths, and writable flags — only the
-    GPAs differ, drawn from the reservation arena instead of the rolling
-    bump allocator).  Raises :class:`PlanUnsupported` when the shape
-    cannot be pinned; all partial reservations are released first.
+    GPAs differ: private reservations for the metadata, the shared
+    staging window for the payload, instead of the rolling bump
+    allocator).  Raises :class:`PlanUnsupported` when the shape cannot
+    be pinned, leaving ``memory`` as it found it.
     """
     cache_format = digests is not None or skips is not None
     writing = matrix.kind is XferKind.TO_DPU
     reservations: List[Tuple[int, int]] = []
     wire_views: List[np.ndarray] = []   # every wire buffer, chain order
     payload_views: List[np.ndarray] = []
-
-    def pin(nr_pages: int, nbytes: int) -> Tuple[int, np.ndarray]:
-        gpa = memory.reserve_pages(nr_pages)
-        reservations.append((gpa, nr_pages))
-        return gpa, memory.pin_span(gpa, nbytes)
+    staged = memory.window_base         # end of the payload placed so far
 
     def put(data: np.ndarray, device_writable: bool = False) -> Descriptor:
         # Mirrors :func:`repro.virt.virtio.write_buffer` byte-for-byte.
         u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        gpa, view = pin(max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE),
-                        u8.size)
+        nr_pages = max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE)
+        gpa = memory.reserve_pages(nr_pages)
+        reservations.append((gpa, nr_pages))
+        view = memory.pin_span(gpa, u8.size)
         view[...] = u8
         wire_views.append(view)
         return Descriptor(gpa=gpa, length=u8.size,
                           device_writable=device_writable)
 
     def place(entry: DpuEntry, nr_pages: int) -> int:
-        gpa, view = pin(nr_pages, entry.size)
+        nonlocal staged
+        gpa = memory.stage_pages(staged, nr_pages)
+        staged = gpa + nr_pages * PAGE_SIZE
+        view = memory.pin_span(gpa, entry.size)
         if writing:
             view[...] = entry.data
         payload_views.append(view)
         return gpa
 
     try:
-        matrix.validate()
-        sreq = build_chain(header, matrix, digests, skips, put, place)
+        with memory.reserving():
+            matrix.validate()
+            sreq = build_chain(header, matrix, digests, skips, put, place)
     except (TranslationError, MemoryAccessError, TransferError) as exc:
-        for gpa, nr_pages in reservations:
-            memory.release_reservation(gpa, nr_pages)
         raise PlanUnsupported(str(exc)) from exc
 
     # Chain layout: [header][matrix meta]([entry meta][entry pages])*.

@@ -43,6 +43,25 @@ def test_write_then_read_mram(rank):
     assert rd > 0
 
 
+def test_multi_spec_read_lands_in_one_aligned_block(rank):
+    """Results of one read are disjoint 64-byte-aligned rows of one fresh
+    allocation — mixed lengths, untouched MRAM and empty reads included."""
+    data = np.arange(200, dtype=np.uint8)
+    rank.write_mram([WriteSpec(1, 8, data)])
+    specs = [ReadSpec(1, 8, 200), ReadSpec(2, 0, 70), ReadSpec(3, 0, 0),
+             ReadSpec(1, 9, 1)]
+    bufs, _ = rank.read_mram(specs)
+    assert [b.size for b in bufs] == [200, 70, 0, 1]
+    assert np.array_equal(bufs[0], data)
+    assert not bufs[1].any() and bufs[3][0] == 1
+    assert all(b.ctypes.data % 64 == 0 for b in bufs if b.size)
+    assert len({id(b.base) for b in bufs}) == 1
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(bufs) for b in bufs[i + 1:])
+    again, _ = rank.read_mram(specs)
+    assert again[0].base is not bufs[0].base
+
+
 def test_multi_dpu_write_is_one_operation(rank):
     specs = [WriteSpec(i, 0, np.full(10, i, dtype=np.uint8))
              for i in range(4)]

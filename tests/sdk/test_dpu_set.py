@@ -158,6 +158,33 @@ def test_multi_rank_parallel_advance_uses_max(transport):
         assert elapsed < sum(completions) * 0.75
 
 
+@pytest.mark.parametrize("kind", ["native", "vm"])
+@pytest.mark.parametrize("size", [512, 8 << 10, 96 << 10])
+def test_read_results_alias_nothing(kind, size, request):
+    """The results of one multi-DPU read share a block, not bytes: writing
+    into one changes neither its siblings nor anything a later read sees
+    (guest pages, the staging window, a prefetch line).  The sizes cover
+    a prefetched read, a multi-page one, and one past the cache line."""
+    transport = (request.getfixturevalue("native") if kind == "native"
+                 else request.getfixturevalue("vm_session").transport)
+    rng = np.random.default_rng(size)
+    data = [rng.integers(0, 256, size, dtype=np.uint8) for _ in range(12)]
+    with DpuSet(transport, 12) as dpus:
+        dpus.push_to_mram(64, data)
+        for _ in range(3):      # a refill, then hits (or replays)
+            got = dpus.push_from_mram(64, size)
+            for i, victim in enumerate(got):
+                victim[:] ^= 0xFF
+                assert all(np.array_equal(buf, want)
+                           for j, (buf, want) in enumerate(zip(got, data))
+                           if j > i)
+        assert all(np.array_equal(buf, want) for buf, want
+                   in zip(dpus.push_from_mram(64, size), data))
+        one = dpus.copy_from_mram(3, 64, size)
+        one[:] = 0
+        assert np.array_equal(dpus.copy_from_mram(3, 64, size), data[3])
+
+
 def test_ci_ops_recorded(transport):
     with DpuSet(transport, 2) as dpus:
         dpus.ci_ops(50)

@@ -3,10 +3,12 @@
 The contract of ``repro.virt.plans`` (``docs/performance.md``) is that a
 compiled plan is *indistinguishable on the wire* from the naive
 serializer: same buffer lengths, same writable flags, same metadata and
-payload bytes — only the GPAs differ (reservation arena vs the rolling
-bump allocator).  These tests drive random shapes through both paths and
-compare the chains buffer-for-buffer, then exercise the invalidation
-rules (eviction, migration, failover) end to end.
+payload bytes — only the GPAs differ (private metadata reservations and
+the shared staging window vs the rolling bump allocator).  These tests
+drive random shapes through both paths and compare the chains
+buffer-for-buffer, interleave plans of two devices through the one
+window, and exercise the budget and invalidation rules (window size,
+refused compiles, eviction, migration, failover) end to end.
 """
 
 import numpy as np
@@ -15,12 +17,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.core import VPim
+from repro.errors import BackendHungError
+from repro.hardware.memory import EXTENT_BYTES
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.transfer import XferKind, uniform_read, uniform_write
+from repro.sdk.transfer import DpuEntry, XferKind, uniform_read, uniform_write
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.migration import migrate_device
 from repro.virt.opts import OptimizationConfig
-from repro.virt.plans import PlanCache, compile_plan, plan_key
+from repro.virt.plans import (
+    PlanCache,
+    PlanUnsupported,
+    compile_plan,
+    plan_key,
+)
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
@@ -222,6 +231,204 @@ class TestPlanCacheEviction:
         assert cache.nr_plans <= 2
         cache.invalidate_all()
         assert cache.nr_plans == 0
+
+
+# -- the shared staging window -----------------------------------------------
+
+def _allocator_state(memory):
+    return (memory._reserve_floor, memory._arena_cursor,
+            {need: list(runs)
+             for need, runs in memory._free_reservations.items() if runs})
+
+
+class TestStagingWindow:
+    def test_plans_hold_private_metadata_only(self):
+        """Payload pages are window offsets every plan shares; only the
+        metadata buffers are reservations the plan owns."""
+        memory = GuestMemory(64 << 20)
+        header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
+        plans = [_compile(memory, header,
+                          uniform_read(MRAM_HEAP_SYMBOL, 0, size, nr_dpus=3),
+                          None)
+                 for size in (PAGE_SIZE, 5 * PAGE_SIZE)]
+        for plan in plans:
+            payload = {gpa for _dpu, _size, gpa in plan.sreq.data_descriptors}
+            reserved = {gpa for gpa, _nr in plan.reservations}
+            assert not payload & reserved
+            assert len(plan.reservations) == len(plan.sreq.chain)
+            assert min(payload) == memory.window_base
+            assert all(gpa + nr * PAGE_SIZE > memory._window_end
+                       for gpa, nr in plan.reservations)
+        first = [p.sreq.data_descriptors[0][2] for p in plans]
+        assert first[0] == first[1], "plans overlay the same window pages"
+
+    def test_entries_never_straddle_an_extent(self):
+        memory = GuestMemory(256 << 20)
+        size = 3 << 20
+        matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, size, nr_dpus=12)
+        header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
+        plan = _compile(memory, header, matrix, None)
+        for _dpu, _size, gpa in plan.sreq.data_descriptors:
+            assert gpa // EXTENT_BYTES == (gpa + size - 1) // EXTENT_BYTES
+
+    def test_refused_compile_leaves_guest_memory_untouched(self):
+        """Regression: a compile refused part-way used to hand its partial
+        reservations to the free list and leave the floor where it had
+        moved, so every refused bulk shape shrank the rolling arena."""
+        memory = GuestMemory(256 << 20)
+        header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
+        keep = _compile(memory, header,
+                        uniform_read(MRAM_HEAP_SYMBOL, 0, 64, nr_dpus=2), None)
+        evicted = _compile(memory, header,
+                           uniform_read(MRAM_HEAP_SYMBOL, 0, 128, nr_dpus=2),
+                           None)
+        evicted.release(memory)     # a non-empty free list to disturb
+        memory.alloc_pages(3)
+        before = _allocator_state(memory)
+
+        # One entry too large to pin, behind entries that compile fine.
+        sizes = [PAGE_SIZE, PAGE_SIZE, EXTENT_BYTES + PAGE_SIZE]
+        matrix = uniform_write(MRAM_HEAP_SYMBOL, 0,
+                               [np.zeros(n, np.uint8) for n in sizes])
+        wheader = RequestHeader(RequestKind.WRITE_RANK,
+                                symbol=MRAM_HEAP_SYMBOL)
+        for _ in range(3):
+            with pytest.raises(PlanUnsupported):
+                _compile(memory, wheader, matrix, None)
+            assert _allocator_state(memory) == before
+        keep.release(memory)
+
+    def test_budget_is_the_largest_plan_not_the_sum(self):
+        """On a 32 MB arena (16 MB window) ten 4 MB shapes — 40 MB of
+        payload, over half the arena — all compile and replay; one 20 MB
+        shape is refused cleanly and served by the naive path."""
+        vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=4))
+        session = vpim.vm_session(nr_vupmem=1, mem_bytes=33 << 20)
+        memory = session.vm.devices[0].frontend.memory
+        assert memory._window_end - memory.window_base == 16 << 20
+        plans = session.vm.devices[0].frontend.plans
+        size = 1 << 20
+        rng = np.random.default_rng(7)
+        with DpuSet(session.transport, 4) as dpus:
+            for rep in range(3):
+                for shape in range(5):
+                    data = [rng.integers(0, 256, size, dtype=np.uint8)
+                            for _ in range(4)]
+                    dpus.push_to_mram(shape * size, data)
+                    got = dpus.push_from_mram(shape * size, size)
+                    assert all(np.array_equal(g, d)
+                               for g, d in zip(got, data))
+            assert plans.unplannable == set()
+            assert (plans.misses, plans.hits) == (10, 20)
+
+            state = _allocator_state(memory)
+            big = [rng.integers(0, 256, 5 << 20, dtype=np.uint8)
+                   for _ in range(4)]
+            dpus.push_to_mram(8 << 20, big)
+            assert len(plans.unplannable) == 1
+            assert state[0] == memory._reserve_floor
+            assert state[2] == _allocator_state(memory)[2]
+            got = dpus.push_from_mram(8 << 20, 5 << 20)
+            assert all(np.array_equal(g, d) for g, d in zip(got, big))
+            # Every request the naive serializer serves is a miss: the
+            # refused write, the refused read, the write again.
+            dpus.push_to_mram(8 << 20, big)
+            assert len(plans.unplannable) == 2
+            assert (plans.misses, plans.hits) == (10 + 3, 20)
+
+
+# -- two devices, one window: plans on == plans off ---------------------------
+
+#: One request shape: (device, writing, offset, per-DPU sizes).  Sizes
+#: straddle ``SMALL_WRITE_BYTES`` so batched flushes, prefetched reads
+#: and bulk requests all take part; distinct offsets keep every shape's
+#: MRAM footprint apart so the final banks show each write.
+request_shapes = st.tuples(
+    st.integers(0, 1), st.booleans(),
+    st.sampled_from([0, 1 << 20, 2 << 20, 3 << 20]),
+    st.lists(st.sampled_from([8, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1,
+                              5 * PAGE_SIZE, 17 * PAGE_SIZE + 3,
+                              40 * PAGE_SIZE]),
+             min_size=1, max_size=4))
+
+
+def _drive(plans_on, shapes, order, seed, fault_at, capacity):
+    """Run ``order`` (indices into ``shapes``) on a two-device VM; returns
+    every read result, both ranks' final MRAM, and the modeled time."""
+    vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
+    session = vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30,
+                              opts=OptimizationConfig(plans=plans_on))
+    devices = session.vm.devices
+    assert devices[0].frontend.memory is devices[1].frontend.memory
+    requests = [0]
+
+    def hang_once(_backend):
+        requests[0] += 1
+        if requests[0] == fault_at:
+            raise BackendHungError("injected hang", penalty_s=1e-3)
+
+    reads = []
+    with DpuSet(session.transport, 8) as dpus:
+        for device in devices:
+            device.backend.fault_hook = hang_once
+            if plans_on:
+                device.frontend.plans.capacity = capacity
+        t0 = vpim.machine.clock.now
+        for step, index in enumerate(order):
+            device, writing, offset, sizes = shapes[index]
+            if writing:
+                data = _payloads(sizes, seed + step)
+                dpus.push([DpuEntry(4 * device + i, n, buf)
+                           for i, (n, buf) in enumerate(zip(sizes, data))],
+                          XferKind.TO_DPU, MRAM_HEAP_SYMBOL, offset)
+            else:
+                got = dpus.push([DpuEntry(4 * device + i, n)
+                                 for i, n in enumerate(sizes)],
+                                XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, offset)
+                reads.append([buf.tobytes() for buf in got])
+        modeled = float(vpim.machine.clock.now - t0).hex()
+        banks = [dpu.mram.read(0, 4 << 20).tobytes()
+                 for device in devices
+                 for dpu in device.backend.mapping.rank.dpus]
+        stats = [(d.frontend.plans.hits, d.frontend.plans.evictions)
+                 if plans_on else None for d in devices]
+    return (reads, banks, modeled), stats
+
+
+class TestSharedWindowInterleaving:
+    @given(shapes=st.lists(request_shapes, min_size=2, max_size=6),
+           data=st.data(), seed=seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_interleaved_replays_match_plans_off(self, shapes, data, seed):
+        """Plans of both directions on two devices replay through the one
+        window in a random interleaving — with a tiny LRU evicting
+        mid-sequence and one request retried after an injected backend
+        hang — and nothing observable differs from plans off."""
+        order = data.draw(st.lists(st.integers(0, len(shapes) - 1),
+                                   min_size=4, max_size=24))
+        fault_at = data.draw(st.integers(1, len(order)))
+        capacity = data.draw(st.sampled_from([1, 2, 512]))
+        on, _stats = _drive(True, shapes, order, seed, fault_at, capacity)
+        off, _ = _drive(False, shapes, order, seed, fault_at, capacity)
+        assert on[2] == off[2], "modeled time must be float.hex()-equal"
+        assert on[0] == off[0], "read results differ, buffer for buffer"
+        assert on[1] == off[1], "MRAM differs"
+
+    def test_the_drill_replays_evicts_and_retries(self):
+        """The property above is not vacuous: a fixed schedule hits,
+        evicts and retries on both devices."""
+        shapes = [(0, True, 0, [5 * PAGE_SIZE] * 4),
+                  (1, True, 0, [40 * PAGE_SIZE] * 4),
+                  (0, False, 0, [5 * PAGE_SIZE] * 4),
+                  (1, False, 0, [40 * PAGE_SIZE] * 4)]
+        order = [0, 1, 2, 3] * 4
+        on, stats = _drive(True, shapes, order, 3, fault_at=7, capacity=1)
+        off, _ = _drive(False, shapes, order, 3, fault_at=7, capacity=1)
+        assert on == off
+        assert all(evictions > 0 for _hits, evictions in stats)
+        on, stats = _drive(True, shapes, order, 3, fault_at=7, capacity=512)
+        assert on == off
+        assert all(hits >= 6 for hits, _evictions in stats)
 
 
 # -- end-to-end: planned VM == unplanned VM ----------------------------------
