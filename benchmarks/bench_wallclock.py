@@ -48,7 +48,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +78,8 @@ from repro.virt.serialization import (  # noqa: E402
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_WALLCLOCK.json"
 SCHEMA = "repro.bench_wallclock/1"
+#: Frames under this directory are the observer (``observer_share``).
+OBSERVER_DIR = "src/repro/observability/"
 
 #: Suite apps ordered as in Table 1.
 SUITE_APPS = [info.short_name for info in PRIM_APPS]
@@ -306,8 +308,15 @@ def modeled_digest(suite: Dict[str, dict]) -> str:
 
 # -- report assembly ----------------------------------------------------------
 
-def profile_suite(quick: bool, limit: int = 20) -> List[dict]:
-    """One whole-suite pass under cProfile; top ``limit`` by cumulative.
+def profile_suite(quick: bool, limit: int = 20) -> Tuple[List[dict], float]:
+    """One whole-suite pass under cProfile: the top ``limit`` functions
+    by cumulative time, and the observer's share of the pass.
+
+    The share is the summed ``tottime`` of every frame under
+    ``src/repro/observability/`` over the total: what recording spans
+    and metrics costs, as a number the report stores.  cProfile charges
+    each call a fixed toll, so many short calls read high; compare the
+    share between commits, not against the untraced wall.
 
     A separate single-repetition pass so the profiler's overhead never
     contaminates the timed measurements or the regression gates.
@@ -320,6 +329,9 @@ def profile_suite(quick: bool, limit: int = 20) -> List[dict]:
     run_suite(quick, repeats=1)
     prof.disable()
     stats = pstats.Stats(prof)
+    total = sum(row[2] for row in stats.stats.values())
+    observer = sum(row[2] for (path, _, _), row in stats.stats.items()
+                   if OBSERVER_DIR in Path(path).as_posix())
     rows = sorted(stats.stats.items(), key=lambda kv: kv[1][3],
                   reverse=True)[:limit]
     top = []
@@ -327,7 +339,7 @@ def profile_suite(quick: bool, limit: int = 20) -> List[dict]:
         where = func if path == "~" else f"{Path(path).name}:{line}:{func}"
         top.append({"function": where, "ncalls": ncalls,
                     "tottime_s": tottime, "cumtime_s": cumtime})
-    return top
+    return top, observer / total
 
 
 def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
@@ -376,7 +388,8 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
                 for name in suite},
         }
     if profile:
-        report["profile_top20"] = profile_suite(quick)
+        report["profile_top20"], report["observer_share"] = (
+            profile_suite(quick))
     return report
 
 
@@ -405,6 +418,9 @@ def print_report(report: dict, baseline: dict | None = None) -> None:
     for row in report.get("profile_top20", ()):
         print(f"  {row['cumtime_s'] * 1e3:9.1f} ms cum"
               f"  {row['ncalls']:>9} calls  {row['function']}")
+    if "observer_share" in report:
+        print(f"observer share:   {report['observer_share']:.1%} of profiled "
+              f"self time under {OBSERVER_DIR}")
     if baseline:
         speed = baseline["suite_wall_s"] / report["suite_wall_s"]
         print(f"baseline suite:   {baseline['suite_wall_s'] * 1e3:.1f} ms"

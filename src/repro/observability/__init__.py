@@ -14,7 +14,7 @@ instrumented layer sits in the stack.
 - :mod:`~repro.observability.export` — Prometheus-text and JSON
   exporters (``repro metrics`` prints these);
 - :mod:`~repro.observability.spans` — request-scoped distributed
-  tracing (``Span``/``SpanContext``/``SpanRecorder``) over simulated
+  tracing (``Span``/``SpanRecorder``/``Trace``) over simulated
   time, with Perfetto export and head-based sampling;
 - :mod:`~repro.observability.critical_path` — per-layer self-time and
   critical-path attribution over finished traces;
@@ -57,7 +57,6 @@ from repro.observability.logs import TraceLogger  # noqa: E402
 from repro.observability.spans import (  # noqa: E402
     LAYERS,
     Span,
-    SpanContext,
     SpanRecorder,
     Trace,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "Span",
-    "SpanContext",
     "SpanRecorder",
     "TimeSeriesStore",
     "Trace",

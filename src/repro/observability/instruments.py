@@ -9,8 +9,6 @@ catalog, so a binding cannot emit an undocumented metric.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.observability.catalog import instrument
 from repro.observability.metrics import MetricsRegistry
 
@@ -31,46 +29,60 @@ def _exemplar_of(spans):
     return spans.exemplar() if spans is not None else None
 
 
+class _Bound(dict):
+    """Children of one family, bound once per value of its varying label(s).
+
+    ``bound[value]`` (``bound[a, b]`` with several varying labels) is a
+    plain dict hit on every call but the first, so a method on a request
+    path resolves no labels.  The first call goes through
+    :meth:`MetricFamily.labels` — schema check, cardinality cap — which
+    is also what creates the series: on first touch, never at
+    construction, so untouched label values export nothing.
+    """
+
+    def __init__(self, registry: MetricsRegistry, name: str, *varying: str,
+                 **fixed: object) -> None:
+        super().__init__()
+        self._family = instrument(registry, name)
+        self._varying = varying
+        self._fixed = fixed
+
+    def __missing__(self, key):
+        values = key if len(self._varying) > 1 else (key,)
+        child = self[key] = self._family.labels(
+            **dict(zip(self._varying, values)), **self._fixed)
+        return child
+
+
 class RankInstruments:
     """Telemetry of one physical (or emulated) rank."""
 
     def __init__(self, registry: MetricsRegistry, rank_index: int) -> None:
         self.registry = registry
         rank = str(rank_index)
-        self._xfer_ops = instrument(registry, "repro_rank_xfer_ops_total")
-        self._xfer_bytes = instrument(registry, "repro_rank_xfer_bytes_total")
-        self._xfer_seconds = instrument(registry, "repro_rank_xfer_seconds")
+        self._xfer_ops = _Bound(registry, "repro_rank_xfer_ops_total",
+                                "direction", rank=rank)
+        self._xfer_bytes = _Bound(registry, "repro_rank_xfer_bytes_total",
+                                  "direction", rank=rank)
+        self._xfer_seconds = _Bound(registry, "repro_rank_xfer_seconds",
+                                    "direction", rank=rank)
         self._launches = instrument(
             registry, "repro_rank_launches_total").labels(rank=rank)
         self._dpu_boots = instrument(
             registry, "repro_rank_dpu_boots_total").labels(rank=rank)
         self._launch_seconds = instrument(
             registry, "repro_rank_launch_seconds").labels(rank=rank)
-        self._ci_ops = instrument(registry, "repro_rank_ci_ops_total")
+        self._ci_ops = _Bound(registry, "repro_rank_ci_ops_total",
+                              "command", rank=rank)
         self._resets = instrument(
             registry, "repro_rank_resets_total").labels(rank=rank)
         self._dpu_faults = instrument(
             registry, "repro_dpu_faults_total").labels(rank=rank)
-        self._rank = rank
-        # Cache of per-direction bound children, filled on first use so
-        # untouched ranks export no zero-valued series; keeps label
-        # resolution off the per-transfer hot path.
-        self._xfer_bound = {}
 
     def xfer(self, direction: str, nbytes: int, duration: float) -> None:
-        bound = self._xfer_bound.get(direction)
-        if bound is None:
-            bound = (
-                self._xfer_ops.labels(rank=self._rank, direction=direction),
-                self._xfer_bytes.labels(rank=self._rank, direction=direction),
-                self._xfer_seconds.labels(rank=self._rank,
-                                          direction=direction),
-            )
-            self._xfer_bound[direction] = bound
-        ops, nbytes_c, seconds = bound
-        ops.inc()
-        nbytes_c.inc(nbytes)
-        seconds.observe(duration)
+        self._xfer_ops[direction].inc()
+        self._xfer_bytes[direction].inc(nbytes)
+        self._xfer_seconds[direction].observe(duration)
 
     def launch(self, nr_dpus: int, duration: float) -> None:
         self._launches.inc()
@@ -81,7 +93,7 @@ class RankInstruments:
         self._dpu_faults.inc()
 
     def ci(self, command: str, count: int = 1) -> None:
-        self._ci_ops.labels(rank=self._rank, command=command).inc(count)
+        self._ci_ops[command].inc(count)
 
     def reset(self) -> None:
         self._resets.inc()
@@ -103,30 +115,32 @@ class FrontendInstruments:
             registry, "repro_frontend_prefetch_refills_total").labels(**ids)
         self._batched = instrument(
             registry, "repro_frontend_batched_writes_total").labels(**ids)
-        self._flushes = instrument(registry,
-                                   "repro_frontend_batch_flushes_total")
-        self._requests = instrument(registry, "repro_frontend_requests_total")
-        self._request_seconds = instrument(registry,
-                                           "repro_frontend_request_seconds")
-        self._queue_depth = instrument(registry, "repro_virtio_queue_depth")
-        self._kicks = instrument(registry, "repro_virtio_kicks_total")
+        self._flushes = _Bound(registry, "repro_frontend_batch_flushes_total",
+                               "reason", **ids)
+        self._requests = _Bound(registry, "repro_frontend_requests_total",
+                                "kind", **ids)
+        self._request_seconds = _Bound(
+            registry, "repro_frontend_request_seconds", "kind", **ids)
+        self._queue_depth = _Bound(registry, "repro_virtio_queue_depth",
+                                   "queue", **ids)
+        self._kicks = _Bound(registry, "repro_virtio_kicks_total",
+                             "queue", **ids)
         self._cache_hits = instrument(
             registry, "repro_xfer_cache_hits_total").labels(**ids)
         self._cache_misses = instrument(
             registry, "repro_xfer_cache_misses_total").labels(**ids)
         self._cache_suppressed = instrument(
             registry, "repro_xfer_cache_suppressed_bytes_total").labels(**ids)
-        self._cache_invalidations = instrument(
-            registry, "repro_xfer_cache_invalidations_total")
+        self._cache_invalidations = _Bound(
+            registry, "repro_xfer_cache_invalidations_total", "reason", **ids)
         self._plan_hits = instrument(
             registry, "repro_plan_cache_hits_total").labels(**ids)
         self._plan_misses = instrument(
             registry, "repro_plan_cache_misses_total").labels(**ids)
         self._plan_evictions = instrument(
             registry, "repro_plan_cache_evictions_total").labels(**ids)
-        self._plan_invalidations = instrument(
-            registry, "repro_plan_cache_invalidations_total")
-        self._ids = ids
+        self._plan_invalidations = _Bound(
+            registry, "repro_plan_cache_invalidations_total", "reason", **ids)
 
     def prefetch_hit(self, count: int = 1) -> None:
         self._hits.inc(count)
@@ -141,22 +155,22 @@ class FrontendInstruments:
         self._batched.inc(count)
 
     def batch_flush(self, reason: str) -> None:
-        self._flushes.labels(reason=reason, **self._ids).inc()
+        self._flushes[reason].inc()
 
     def request(self, kind: str, duration: float) -> None:
-        self._requests.labels(kind=kind, **self._ids).inc()
-        self._request_seconds.labels(kind=kind, **self._ids).observe(
+        self._requests[kind].inc()
+        self._request_seconds[kind].observe(
             duration, exemplar=_exemplar_of(self._spans))
 
     def request_count(self, kind: str, count: int) -> None:
         """Requests accounted arithmetically (no modeled round trip)."""
-        self._requests.labels(kind=kind, **self._ids).inc(count)
+        self._requests[kind].inc(count)
 
     def queue_depth(self, queue: str, depth: int) -> None:
-        self._queue_depth.labels(queue=queue, **self._ids).set(depth)
+        self._queue_depth[queue].set(depth)
 
     def kick(self, queue: str) -> None:
-        self._kicks.labels(queue=queue, **self._ids).inc()
+        self._kicks[queue].inc()
 
     def cache_hit(self, count: int = 1) -> None:
         if count:
@@ -172,8 +186,7 @@ class FrontendInstruments:
 
     def cache_invalidation(self, reason: str, count: int = 1) -> None:
         if count:
-            self._cache_invalidations.labels(reason=reason,
-                                             **self._ids).inc(count)
+            self._cache_invalidations[reason].inc(count)
 
     def plan_hit(self, count: int = 1) -> None:
         if count:
@@ -189,8 +202,7 @@ class FrontendInstruments:
 
     def plan_invalidation(self, reason: str, count: int = 1) -> None:
         if count:
-            self._plan_invalidations.labels(reason=reason,
-                                            **self._ids).inc(count)
+            self._plan_invalidations[reason].inc(count)
 
 
 class BackendInstruments:
@@ -201,9 +213,10 @@ class BackendInstruments:
         self.registry = registry
         self._spans = spans
         ids = dict(vm=_vm_of(device_id), device=device_id)
-        self._requests = instrument(registry, "repro_backend_requests_total")
-        self._request_seconds = instrument(registry,
-                                           "repro_backend_request_seconds")
+        self._requests = _Bound(registry, "repro_backend_requests_total",
+                                "kind", "rank", **ids)
+        self._request_seconds = _Bound(
+            registry, "repro_backend_request_seconds", "kind", **ids)
         self._translation = instrument(
             registry, "repro_backend_translation_seconds").labels(**ids)
         self._pages = instrument(
@@ -218,11 +231,10 @@ class BackendInstruments:
             registry, "repro_xlb_misses_total").labels(**ids)
         self._bufpool_reuse = instrument(
             registry, "repro_bufpool_reuse_total").labels(**ids)
-        self._ids = ids
 
     def request(self, kind: str, rank: str, duration: float) -> None:
-        self._requests.labels(kind=kind, rank=rank, **self._ids).inc()
-        self._request_seconds.labels(kind=kind, **self._ids).observe(
+        self._requests[kind, rank].inc()
+        self._request_seconds[kind].observe(
             duration, exemplar=_exemplar_of(self._spans))
 
     def translation(self, pages: int, duration: float) -> None:
@@ -393,27 +405,26 @@ class QosInstruments:
         self.registry = registry
         self._spans = spans
         ids = dict(vm=flow_id)
-        self._arbitrations = instrument(registry,
-                                        "repro_qos_arbitrations_total")
-        self._arbitration_wait = instrument(
-            registry, "repro_qos_arbitration_wait_seconds")
-        self._throttled = instrument(registry, "repro_qos_throttled_total")
-        self._throttle_wait = instrument(
-            registry, "repro_qos_throttle_wait_seconds")
+        self._arbitrations = _Bound(registry, "repro_qos_arbitrations_total",
+                                    "mode", **ids)
+        self._arbitration_wait = _Bound(
+            registry, "repro_qos_arbitration_wait_seconds", "cause", **ids)
+        self._throttled = _Bound(registry, "repro_qos_throttled_total",
+                                 "resource", **ids)
+        self._throttle_wait = _Bound(
+            registry, "repro_qos_throttle_wait_seconds", "resource", **ids)
         self._weight = instrument(
             registry, "repro_qos_flow_weight").labels(**ids)
-        self._ids = ids
 
     def arbitration(self, mode: str, wait_seconds: float,
                     cause: str) -> None:
-        self._arbitrations.labels(mode=mode, **self._ids).inc()
-        self._arbitration_wait.labels(cause=cause, **self._ids).observe(
+        self._arbitrations[mode].inc()
+        self._arbitration_wait[cause].observe(
             wait_seconds, exemplar=_exemplar_of(self._spans))
 
     def throttled(self, resource: str, wait_seconds: float) -> None:
-        self._throttled.labels(resource=resource, **self._ids).inc()
-        self._throttle_wait.labels(resource=resource,
-                                   **self._ids).observe(wait_seconds)
+        self._throttled[resource].inc()
+        self._throttle_wait[resource].observe(wait_seconds)
 
     def weight(self, value: float) -> None:
         self._weight.set(value)
@@ -566,35 +577,28 @@ class SpanInstruments:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._started = instrument(registry, "repro_span_started_total")
-        self._dropped = instrument(registry, "repro_span_dropped_total")
-        self._traces = instrument(registry, "repro_span_traces_total")
-        self._started_by_layer: Dict[str, object] = {}
+        #: Per-layer started counters.  The recorder bumps these itself
+        #: (``started[layer].inc()``): it runs once per span started.
+        self.started = _Bound(registry, "repro_span_started_total", "layer")
+        self._dropped = _Bound(registry, "repro_span_dropped_total", "reason")
+        self._traces = _Bound(registry, "repro_span_traces_total", "retained")
         # Registered on first use, not at construction: the retention
         # family only exists when tail sampling is on, so default-run
         # snapshots keep their pre-telemetry family set byte-for-byte.
         self._retention = None
 
-    def started(self, layer: str, count: int = 1) -> None:
-        # Bound per layer on first use: this runs once per span started.
-        child = self._started_by_layer.get(layer)
-        if child is None:
-            child = self._started.labels(layer=layer)
-            self._started_by_layer[layer] = child
-        child.inc(count)
-
     def dropped(self, reason: str, count: int = 1) -> None:
-        self._dropped.labels(reason=reason).inc(count)
+        self._dropped[reason].inc(count)
 
     def trace(self, retained: bool) -> None:
-        self._traces.labels(retained=str(bool(retained)).lower()).inc()
+        self._traces["true" if retained else "false"].inc()
 
     def retention(self, tier: str) -> None:
         """One finished trace classified into ``tier`` by the tail sampler."""
         if self._retention is None:
-            self._retention = instrument(self.registry,
-                                         "repro_span_retention_total")
-        self._retention.labels(tier=tier).inc()
+            self._retention = _Bound(
+                self.registry, "repro_span_retention_total", "tier")
+        self._retention[tier].inc()
 
 
 class TsdbInstruments:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -156,15 +157,13 @@ class HistogramChild(_Child):
                 exemplar: Optional[Tuple[str, float]] = None) -> None:
         """Record ``value``; ``exemplar`` is an optional ``(trace_id,
         sim_ts)`` pair linking the bucket to the trace that produced it."""
-        if math.isnan(value):
+        if value != value:
             raise ObservabilityError("cannot observe NaN")
         self.count += 1
         self.sum += value
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # First bound >= value: the bounds are strictly increasing, so
+        # this is the bucket a linear ``value <= bound`` scan stops at.
+        index = bisect_left(self.buckets, value)
         self.bucket_counts[index] += 1
         if exemplar is not None:
             if self.exemplars is None:

@@ -4,11 +4,11 @@ The paper's analysis lives in per-request breakdowns — Fig. 13 splits a
 single write-to-rank into Page/Ser/Int/Deser/T-data steps and Fig. 16
 shows per-rank completion timing — but aggregate metrics cannot answer
 "which layer ate the latency of *this* request?".  This module adds the
-span model that can: a :class:`Span` carries a :class:`SpanContext`
-(trace_id, span_id, parent_id) plus a stack layer, and a
-:class:`SpanRecorder` threads that context through every seam of the
-stack (session → SDK → frontend → virtio → backend → rank, plus the
-cluster control plane and fault recovery).
+span model that can: a :class:`Span` carries its identity (trace_id,
+span_id, parent_id) plus a stack layer, and a :class:`SpanRecorder`
+threads that identity through every seam of the stack (session → SDK →
+frontend → virtio → backend → rank, plus the cluster control plane and
+fault recovery).
 
 Two properties are non-negotiable and shape the design:
 
@@ -49,58 +49,49 @@ LAYERS = ("session", "sdk", "frontend", "virtio", "backend", "rank",
 RANK_TID_BASE = 100
 
 
-@dataclass(frozen=True, slots=True)
-class SpanContext:
-    """Identity of one span: which trace it belongs to and its parent.
-
-    This is what *propagates* across layer seams: a backend span's
-    ``parent_id`` is the frontend request span that caused it, and a
-    recovery rerun reuses the failed attempt's ``trace_id``.
-    """
-
-    trace_id: str
-    span_id: int
-    parent_id: Optional[int] = None
-
-
-@dataclass(slots=True)
 class Span:
     """One timed unit of work on the simulated timeline.
 
+    A plain record, one allocation per span: the recorder builds one for
+    every ``begin``/``event`` of every request.  ``trace_id`` /
+    ``span_id`` / ``parent_id`` are what *propagates* across layer
+    seams: a backend span's ``parent_id`` is the frontend request span
+    that caused it, and a recovery rerun reuses the failed attempt's
+    ``trace_id``.  Spans compare by identity.
+
     ``duration`` stores the *modeled* duration exactly as the layer
     reported it (not ``end - start``, which floats may round), so
-    span-derived sums match the profiler's bit-for-bit.
+    span-derived sums match the profiler's bit-for-bit.  ``cursor`` is
+    where the next child starts (advanced as children complete).
     """
 
-    context: SpanContext
-    name: str
-    layer: str
-    start: float
-    end: Optional[float] = None
-    duration: Optional[float] = None
-    attributes: Dict[str, object] = field(default_factory=dict)
-    links: List[Dict[str, object]] = field(default_factory=list)
-    depth: int = 0
-    #: Where the next child starts (advanced as children complete).
-    cursor: float = 0.0
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "layer",
+                 "start", "end", "duration", "attributes", "links", "depth",
+                 "cursor")
 
-    @property
-    def trace_id(self) -> str:
-        return self.context.trace_id
-
-    @property
-    def span_id(self) -> int:
-        return self.context.span_id
-
-    @property
-    def parent_id(self) -> Optional[int]:
-        return self.context.parent_id
+    def __init__(self, trace_id: str, span_id: int, parent_id: Optional[int],
+                 name: str, layer: str, start: float,
+                 end: Optional[float], duration: Optional[float],
+                 attributes: Dict[str, object], depth: int,
+                 cursor: float) -> None:
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.layer = layer
+        self.start = start
+        self.end = end
+        self.duration = duration
+        self.attributes = attributes
+        self.links: Tuple[Dict[str, object], ...] = ()
+        self.depth = depth
+        self.cursor = cursor
 
     def link(self, kind: str, span_id: int) -> None:
         """Attach a causal link that is not a parent edge (e.g. a flush
         span linking the batched writes it absorbed, or a recovery rerun
         linking the attempt it retries)."""
-        self.links.append({"kind": kind, "span_id": span_id})
+        self.links += ({"kind": kind, "span_id": span_id},)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name}, {self.layer}, id={self.span_id}, "
@@ -192,6 +183,7 @@ class SpanRecorder:
         self.last_root: Optional[Span] = None
         #: Trace-correlated structured logging (JSONL).
         self.log = TraceLogger(self)
+        #: Spans started so far; also the id of the newest one.
         self.spans_started = 0
         self.spans_dropped: Dict[str, int] = {}
         self.traces_finished = 0
@@ -200,16 +192,11 @@ class SpanRecorder:
         self._trace: Optional[Trace] = None
         self._last_finished: Optional[Trace] = None
         self._last_kept = False
-        self._span_ids = 0
         self._trace_seq = 0
         self._trace_ids = 0
         self._pin: Optional[Dict[str, object]] = None
 
     # -- identity ------------------------------------------------------------
-
-    def _next_span_id(self) -> int:
-        self._span_ids += 1
-        return self._span_ids
 
     def _next_trace_id(self) -> str:
         self._trace_ids += 1
@@ -245,17 +232,16 @@ class SpanRecorder:
     # -- recording -----------------------------------------------------------
 
     def _buffer(self, span: Span) -> None:
-        self.spans_started += 1
+        """Count ``span`` and buffer it in the active trace (there is
+        one whenever a span starts: ``begin`` opens it with the root)."""
         if self.obs is not None:
-            self.obs.started(span.layer)
+            self.obs.started[span.layer].inc()
         trace = self._trace
-        if trace is None:
-            return
-        if len(trace.spans) >= self.max_spans_per_trace:
+        if len(trace.spans) < self.max_spans_per_trace:
+            trace.spans.append(span)
+        else:
             trace.dropped_spans += 1
             self._drop("span_cap")
-            return
-        trace.spans.append(span)
 
     def _drop(self, reason: str, count: int = 1) -> None:
         self.spans_dropped[reason] = self.spans_dropped.get(reason, 0) + count
@@ -267,37 +253,29 @@ class SpanRecorder:
         """Open a span.  With an open parent, ``start`` defaults to the
         parent's cursor (duration-returning layers); with an empty stack
         a new trace begins and ``start`` defaults to ``clock.now``."""
-        if self._stack:
-            parent = self._stack[-1]
-            context = SpanContext(trace_id=parent.trace_id,
-                                  span_id=self._next_span_id(),
-                                  parent_id=parent.span_id)
+        stack = self._stack
+        self.spans_started = span_id = self.spans_started + 1
+        if stack:
+            parent = stack[-1]
             if start is None:
                 start = parent.cursor
+            span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
+                        start, None, None, attributes, len(stack), start)
         else:
-            pin = self._pin
+            pin = self._pin or {}
             self._pin = None
-            trace_id = (pin or {}).get("trace_id") or self._next_trace_id()
-            context = SpanContext(trace_id=trace_id,
-                                  span_id=self._next_span_id())
+            trace_id = pin.get("trace_id") or self._next_trace_id()
             if start is None:
                 start = self.clock.now
-            self._trace = Trace(trace_id=trace_id,
-                                sampled=self._sample_next(),
-                                faulted=bool((pin or {}).get("faulted")))
-            span = Span(context=context, name=name, layer=layer, start=start,
-                        attributes=attributes, depth=0, cursor=start)
-            if pin and pin.get("retry_of") is not None:
+            span = Span(trace_id, span_id, None, name, layer,
+                        start, None, None, attributes, 0, start)
+            if pin.get("retry_of") is not None:
                 span.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
-            self._trace.root = span
-            self._buffer(span)
-            self._stack.append(span)
-            return span
-        span = Span(context=context, name=name, layer=layer, start=start,
-                    attributes=attributes, depth=len(self._stack),
-                    cursor=start)
+            self._trace = Trace(trace_id=trace_id, root=span,
+                                sampled=self._sample_next(),
+                                faulted=bool(pin.get("faulted")))
         self._buffer(span)
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def event(self, name: str, layer: str, duration: float,
@@ -308,19 +286,18 @@ class SpanRecorder:
 
         No-op outside a trace (e.g. bare hardware unit tests), so layers
         can call this unconditionally on their hot path."""
-        if not self._stack:
+        stack = self._stack
+        if not stack:
             return None
-        parent = self._stack[-1]
+        parent = stack[-1]
         if start is None:
             start = parent.cursor
-        span = Span(context=SpanContext(trace_id=parent.trace_id,
-                                        span_id=self._next_span_id(),
-                                        parent_id=parent.span_id),
-                    name=name, layer=layer, start=start,
-                    end=start + duration, duration=duration,
-                    attributes=attributes, depth=len(self._stack),
-                    cursor=start + duration)
-        parent.cursor = max(parent.cursor, span.end)
+        end = start + duration
+        self.spans_started = span_id = self.spans_started + 1
+        span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
+                    start, end, duration, attributes, len(stack), end)
+        if end > parent.cursor:
+            parent.cursor = end
         self._buffer(span)
         return span
 
@@ -332,17 +309,19 @@ class SpanRecorder:
         Still-open descendants (an exception unwound past them) are
         closed at their cursors and flagged ``abandoned`` so one failed
         request cannot corrupt the stack for the rest of the run."""
-        if span is None:
+        stack = self._stack
+        # By identity, innermost first: only a span this recorder opened
+        # and has not yet closed may unwind the stack.
+        if not stack or (stack[-1] is not span and not any(
+                open_span is span for open_span in stack)):
             return
-        if span not in self._stack:
-            return
-        while self._stack and self._stack[-1] is not span:
-            inner = self._stack.pop()
+        while stack[-1] is not span:
+            inner = stack.pop()
             if inner.end is None:
                 inner.end = inner.cursor
                 inner.duration = inner.end - inner.start
                 inner.attributes["abandoned"] = True
-        self._stack.pop()
+        stack.pop()
         if duration is not None:
             span.duration = duration
             span.end = span.start + duration
@@ -352,10 +331,12 @@ class SpanRecorder:
         else:
             span.end = span.cursor
             span.duration = span.end - span.start
-        span.attributes.update(attributes)
-        if self._stack:
-            parent = self._stack[-1]
-            parent.cursor = max(parent.cursor, span.end)
+        if attributes:
+            span.attributes.update(attributes)
+        if stack:
+            parent = stack[-1]
+            if span.end > parent.cursor:
+                parent.cursor = span.end
         else:
             self._finish_trace()
 
@@ -488,11 +469,9 @@ class SpanRecorder:
         instant the observed operation completed at.  Returns ``None``
         unless ``capture_exemplars`` is on (the monitor pipeline enables
         it; default runs keep exemplar-free snapshots)."""
-        if not self.capture_exemplars:
+        if not self.capture_exemplars or not self._stack:
             return None
-        span = self.current
-        if span is None:
-            return None
+        span = self._stack[-1]
         return (span.trace_id, span.cursor)
 
     def latest(self) -> Optional[Trace]:

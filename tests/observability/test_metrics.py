@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import (
@@ -153,6 +154,25 @@ class TestHistogram:
         fam.observe(1.0)
         cumulative = fam.labels().cumulative_buckets()
         assert cumulative[0] == (1.0, 1)
+
+    @given(bounds=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=24, unique=True).map(sorted),
+           values=st.lists(st.floats(allow_nan=False), max_size=40),
+           data=st.data())
+    def test_observe_picks_the_linear_scan_bucket(self, bounds, values, data):
+        """Every finite float, every exact bound and +-inf lands in the
+        first bucket whose bound is >= the value (``le`` semantics), the
+        bucket a left-to-right ``value <= bound`` scan stops at."""
+        exact = data.draw(st.lists(st.sampled_from(bounds), max_size=8))
+        child = MetricsRegistry().histogram(
+            "repro_h_seconds", "h", buckets=bounds).labels()
+        expected = [0] * (len(bounds) + 1)
+        for value in [*values, *exact, math.inf, -math.inf]:
+            child.observe(value)
+            expected[next((i for i, bound in enumerate(bounds)
+                           if value <= bound), len(bounds))] += 1
+        assert child.bucket_counts == expected
+        assert child.count == len(values) + len(exact) + 2
 
     def test_nan_rejected(self, registry):
         fam = registry.histogram("repro_h_seconds", "h")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -305,3 +306,30 @@ class TestRecorderMechanics:
         assert abandoned.name == "frontend.request"
         assert abandoned.attributes.get("abandoned") is True
         recorder.end(root)
+
+    def test_end_matches_by_identity(self):
+        recorder = SpanRecorder(SimClock())
+        root = recorder.begin("session.run", "session", start=0.0)
+        op = recorder.begin("sdk.push", "sdk")
+        request = recorder.begin("frontend.request", "frontend")
+        recorder.end(request, duration=0.25)
+        open_spans = list(recorder._stack)
+        assert open_spans == [root, op]
+
+        # Closing a span a second time must not unwind anything.
+        recorder.end(request, duration=0.25)
+        assert recorder._stack == open_spans
+
+        # Neither must a span this recorder never began, even when every
+        # field equals an open one's.
+        twin = copy.copy(op)
+        assert all(getattr(twin, f) == getattr(op, f) for f in op.__slots__)
+        recorder.end(twin, duration=1.0)
+        assert all(a is b for a, b in zip(recorder._stack, open_spans))
+        assert len(recorder._stack) == 2
+        assert op.end is None and "abandoned" not in op.attributes
+
+        recorder.end(op, duration=0.25)
+        recorder.end(root)
+        assert recorder.current is None
+        assert recorder.latest().root is root
