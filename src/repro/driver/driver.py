@@ -159,14 +159,17 @@ class PerfModeMapping:
         _, duration = apply_matrix_to_rank(self.rank, matrix, rust_interleave)
         return duration
 
-    def write_pinned(self, pinned, rust_interleave: bool = False) -> float:
-        """Replay a pre-resolved MRAM write (plan-cache fast path).
+    def write_pinned(self, pinned, sources: List[np.ndarray],
+                     rust_interleave: bool = False) -> float:
+        """Replay a pre-resolved MRAM write (plan-cache fast path) with
+        ``sources`` — one request's entry buffers — as its payload.
 
-        Same accounting and duration as :meth:`write` for the matrix the
-        :class:`~repro.hardware.rank.PinnedMramWrite` was compiled from.
+        Same accounting and duration as :meth:`write` for a matrix of the
+        shape the :class:`~repro.hardware.rank.PinnedMramWrite` was
+        compiled from carrying ``sources``.
         """
         self._check()
-        return self.rank.write_mram_pinned(pinned,
+        return self.rank.write_mram_pinned(pinned, sources,
                                            rust_interleave=rust_interleave)
 
     def read(self, matrix: TransferMatrix, rust_interleave: bool = False,

@@ -132,23 +132,24 @@ class ReadSpec:
 
 @dataclass
 class PinnedMramWrite:
-    """A pre-resolved write-to-rank: destination MRAM views paired with
-    source views, ready to replay as plain slice copies.
+    """A pre-resolved write-to-rank: the destination MRAM views of each
+    spec, ready to take that spec's source as plain slice copies.
 
     Compiled once per transfer shape by the plan cache
     (:mod:`repro.virt.plans`); :meth:`Rank.write_mram_pinned` replays it
-    with accounting identical to :meth:`Rank.write_mram`.  ``valid()``
+    against the sources of one request with accounting identical to
+    :meth:`Rank.write_mram`.  It holds destinations only — never a
+    source, which belongs to the caller of one request.  ``valid()``
     guards against MRAM backing-store turnover (``fill(0)`` on reset or
     restore recycles extents, invalidating every pinned view).
     """
 
     rank: "Rank"
-    #: ``(dst_mram_view, src_view)`` pairs, one per extent-bounded chunk.
-    copies: List[Tuple[np.ndarray, np.ndarray]]
+    #: Per spec: ``(size, destination views, one per extent-bounded chunk)``.
+    targets: List[Tuple[int, List[np.ndarray]]]
     #: ``(region, generation)`` snapshots for every MRAM touched.
     generations: List[Tuple[object, int]]
     total: int
-    nr_targets: int
 
     def valid(self) -> bool:
         return all(region.generation == gen
@@ -281,48 +282,60 @@ class Rank:
         """Resolve ``specs`` into a replayable :class:`PinnedMramWrite`.
 
         Materializes (and zeroes) the destination segments exactly as
-        :meth:`write_mram` would, then returns paired destination/source
-        views.  Raises :class:`MemoryAccessError`/:class:`TransferError`
-        on anything unpinnable; callers fall back to the naive path.
+        :meth:`write_mram` would and returns their views; of each
+        spec's ``data`` only the size is kept.  Raises
+        :class:`MemoryAccessError`/:class:`TransferError` on anything
+        unpinnable; callers fall back to the naive path.
         """
         total = 0
-        copies: List[Tuple[np.ndarray, np.ndarray]] = []
+        targets: List[Tuple[int, List[np.ndarray]]] = []
         regions: Dict[int, object] = {}
         for spec in specs:
-            src = spec.data
-            if not (isinstance(src, np.ndarray) and src.dtype == np.uint8
-                    and src.ndim == 1 and src.flags.c_contiguous):
-                src = np.ascontiguousarray(src).view(np.uint8).reshape(-1)
-            if src.size > MAX_XFER_BYTES:
+            size = spec.data.nbytes
+            if size > MAX_XFER_BYTES:
                 raise TransferError(
-                    f"transfer of {src.size} bytes exceeds the 4 GB rank limit"
+                    f"transfer of {size} bytes exceeds the 4 GB rank limit"
                 )
             mram = self.dpu(spec.dpu_index).mram
             regions.setdefault(id(mram), mram)
-            pos = 0
-            for dst in mram.pin_chunks(spec.offset, src.size):
-                copies.append((dst, src[pos:pos + dst.size]))
-                pos += dst.size
-            total += src.size
+            targets.append((size, mram.pin_chunks(spec.offset, size)))
+            total += size
         if total > MAX_XFER_BYTES:
             raise TransferError(
                 f"rank operation of {total} bytes exceeds the 4 GB limit"
             )
         generations = [(mram, mram.generation)
                        for mram in regions.values()]
-        return PinnedMramWrite(rank=self, copies=copies,
-                               generations=generations, total=total,
-                               nr_targets=len(specs))
+        return PinnedMramWrite(rank=self, targets=targets,
+                               generations=generations, total=total)
 
     def write_mram_pinned(self, pinned: PinnedMramWrite,
+                          sources: Sequence[np.ndarray],
                           rust_interleave: bool = False) -> float:
-        """Replay a :class:`PinnedMramWrite`: :meth:`write_mram` minus the
-        per-spec resolution — identical accounting, duration, and
-        observable side effects."""
+        """Replay a :class:`PinnedMramWrite` with ``sources[i]`` as spec
+        ``i``'s payload: :meth:`write_mram` minus the per-spec resolution
+        — identical accounting, duration, and observable side effects.
+
+        A source that is not the 1-D ``uint8`` array of the size its
+        destinations were pinned for is refused before any byte moves.
+        """
         self._guard("write")
-        for dst, src in pinned.copies:
-            dst[...] = src
-        return self._account("write", pinned.total, pinned.nr_targets,
+        targets = pinned.targets
+        if len(sources) != len(targets):
+            raise TransferError(
+                f"{len(sources)} sources for a pinned write of "
+                f"{len(targets)} specs")
+        for i, (src, (size, _)) in enumerate(zip(sources, targets)):
+            if src.dtype != np.uint8 or src.ndim != 1 or src.size != size:
+                raise TransferError(
+                    f"source {i} is {src.dtype}{list(src.shape)}, pinned "
+                    f"for {size} uint8 bytes")
+        for src, (_, chunks) in zip(sources, targets):
+            pos = 0
+            for dst in chunks:
+                dst[...] = src[pos:pos + dst.size]
+                pos += dst.size
+        return self._account("write", pinned.total, len(targets),
                              rust_interleave)
 
     def read_mram(self, specs: Sequence[ReadSpec],
@@ -332,12 +345,12 @@ class Rank:
         """Read-from-rank: returns per-spec buffers and the duration.
 
         ``into`` (optional) supplies one pre-sized uint8 buffer per spec,
-        which is how the backend reads straight into pooled scratch or a
-        plan's pinned guest views; the returned list then holds those
-        buffers.  Without it the results of a multi-spec read are rows of
-        one fresh :func:`~repro.hardware.memory.result_block` (what the
-        virtualized frontend hands back too), and a single spec keeps the
-        :meth:`MemoryRegion.read` fast path.
+        which is how the backend reads straight into pooled scratch or
+        the result rows a planned request brings; the returned list then
+        holds those buffers.  Without it the results of a multi-spec read
+        are rows of one fresh :func:`~repro.hardware.memory.result_block`
+        (what the virtualized frontend hands back too), and a single spec
+        keeps the :meth:`MemoryRegion.read` fast path.
         """
         self._guard("read")
         for spec in specs:

@@ -213,15 +213,18 @@ class VUpmemBackend:
     def process(self, chain: List[Descriptor],
                 program: Optional[DpuProgram] = None,
                 batch_records: Optional[List[BatchRecord]] = None,
-                plan=None) -> BackendResult:
+                plan=None,
+                matrix: Optional[TransferMatrix] = None) -> BackendResult:
         """Handle one transferq request; returns timing and any payload.
 
         ``plan`` (a :class:`~repro.virt.plans.TransferPlan`, frontend
         side-channel for the shape it just replayed) skips the chain
         deserialization: the plan's entries/skips are the wire content
-        by construction, and its payload views alias the guest pages the
-        chain references.  Purely wall-clock — the modeled deserialize
-        time is still charged in full.
+        by construction, and ``matrix`` — the request's own, of the
+        plan's shape — carries the buffers the frontend bound at the
+        payload GPAs the chain references, which is where GPA→HVA
+        translation of those pages leads.  Purely wall-clock — the
+        modeled deserialize time is still charged in full.
         """
         if self.fault_hook is not None:
             try:
@@ -240,7 +243,7 @@ class VUpmemBackend:
                                 rank=rank, device=self.device_id)
         try:
             result = self._handle(header, entries, skips, program,
-                                  batch_records, plan)
+                                  batch_records, plan, matrix)
         except BaseException:
             self.spans.end(span, error=True)
             raise
@@ -253,7 +256,8 @@ class VUpmemBackend:
                 skips: List[SkipExtent],
                 program: Optional[DpuProgram],
                 batch_records: Optional[List[BatchRecord]],
-                plan=None) -> BackendResult:
+                plan=None,
+                matrix: Optional[TransferMatrix] = None) -> BackendResult:
         kind = header.kind
         name = kind.name.lower()
 
@@ -281,14 +285,15 @@ class VUpmemBackend:
             return self._control(name, mapping.ci_ops(header.count))
         if kind in (RequestKind.WRITE_RANK, RequestKind.READ_RANK):
             return self._transfer(header, entries, skips, batch_records,
-                                  plan, mapping)
+                                  plan, matrix, mapping)
         raise SerializationError(f"backend cannot handle request kind {kind}")
 
     def _transfer(self, header: RequestHeader,
                   entries: List[SerializedEntry],
                   skips: List[SkipExtent],
                   batch_records: Optional[List[BatchRecord]],
-                  plan, mapping: PerfModeMapping) -> BackendResult:
+                  plan, matrix: Optional[TransferMatrix],
+                  mapping: PerfModeMapping) -> BackendResult:
         """WRITE_RANK / READ_RANK: deserialization + translation +
         zero-copy access, one tail per direction."""
         if skips and not self.cache_enabled:
@@ -310,17 +315,17 @@ class VUpmemBackend:
         writing = header.kind is RequestKind.WRITE_RANK
 
         # Resolve the matrix and the buffers the rank operation touches —
-        # the only place a planned and a wire request differ.  A plan holds
-        # a matrix whose payloads alias the (just-refreshed) pinned guest
-        # views, which double as read destinations; the wire path gathers
-        # write payloads into, and reads through, pooled scratch buffers.
-        # A batch flush has no matrix: its records are replayed instead.
-        matrix = None
+        # the only place a planned and a wire request differ.  A planned
+        # request brings its matrix, whose entry buffers are the caller's
+        # own (write sources, read result rows) bound at the payload
+        # GPAs; the wire path gathers write payloads into, and reads
+        # through, pooled scratch buffers.  A batch flush has no matrix:
+        # its records are replayed instead.
         scratch: List[np.ndarray] = []
         try:
-            if plan is not None:
-                matrix = plan.matrix
-            elif batch_records is None:
+            if batch_records is not None:
+                matrix = None
+            elif plan is None:
                 scratch.extend(pool.acquire(e.size) for e in entries)
                 matrix = self._wire_matrix(header, entries, writing, scratch)
             # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
@@ -339,7 +344,8 @@ class VUpmemBackend:
             if not writing:
                 # MRAM reads land straight in ``into``; WRAM symbol reads
                 # ignore it and return fresh buffers.
-                into = plan.read_views if plan is not None else scratch
+                into = ([e.data for e in matrix.entries]
+                        if plan is not None else scratch)
                 buffers, tdata = mapping.read(
                     matrix, rust_interleave=self.rust_data_path, into=into)
                 for entry, dst, buf in zip(entries, into, buffers):
@@ -351,11 +357,12 @@ class VUpmemBackend:
             elif batch_records is not None:
                 tdata = self._replay_batch(mapping, header, batch_records)
             else:
-                pinned = (self._pinned_write_for(plan, mapping)
+                pinned = (self._pinned_write_for(plan, matrix, mapping)
                           if plan is not None else None)
                 if pinned is not None:
                     tdata = mapping.write_pinned(
-                        pinned, rust_interleave=self.rust_data_path)
+                        pinned, [e.data for e in matrix.entries],
+                        rust_interleave=self.rust_data_path)
                 else:
                     tdata = mapping.write(
                         matrix, rust_interleave=self.rust_data_path)
@@ -423,18 +430,19 @@ class VUpmemBackend:
             threads=self.cost.translation_lanes(self.translation_threads))
         self.spans.event("backend.dispatch", "backend", steps["dispatch"])
 
-    def _pinned_write_for(self, plan, mapping: PerfModeMapping):
-        """The plan's resolved MRAM destination pairing, or ``None``.
+    def _pinned_write_for(self, plan, matrix: TransferMatrix,
+                          mapping: PerfModeMapping):
+        """The plan's resolved MRAM destinations, or ``None``.
 
         Pinning needs a stable rank binding, so only a plain
         :class:`~repro.driver.driver.PerfModeMapping` qualifies (paged
         mappings re-resolve their frame per operation).  The cached
-        pairing is revalidated against the mapping's rank and every
-        touched MRAM's backing-store generation (a reset or restore
-        recycles extents); anything stale is re-resolved in place.
+        destinations are revalidated against the mapping's rank and
+        every touched MRAM's backing-store generation (a reset or
+        restore recycles extents); anything stale is re-resolved in
+        place from ``matrix``, the shape every request of the plan has.
         """
-        matrix = plan.matrix
-        if (matrix is None or matrix.target is not Target.MRAM
+        if (matrix.target is not Target.MRAM
                 or type(mapping) is not PerfModeMapping):
             return None
         pinned = plan.pinned_write

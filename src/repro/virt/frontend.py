@@ -223,8 +223,7 @@ class VUpmemFrontend:
     # -- core message path --------------------------------------------------
 
     def _roundtrip(self, header: RequestHeader, op: Optional[str] = None,
-                   **request,
-                   ) -> Tuple[BackendResult, float, Optional[SerializedRequest]]:
+                   **request) -> Tuple[BackendResult, float]:
         """Send one request (``request``: :meth:`_roundtrip_once`'s
         keywords), retrying on transient transport faults.
 
@@ -253,7 +252,7 @@ class VUpmemFrontend:
                 try:
                     if self.fault_hook is not None:
                         penalty += self.fault_hook(self)
-                    result, duration, sreq = self._roundtrip_once(
+                    result, duration = self._roundtrip_once(
                         header, **request)
                 except TransientFaultError as exc:
                     attempts += 1
@@ -273,7 +272,7 @@ class VUpmemFrontend:
                     self.fault_obs.recovered("transient", "retry")
                 total = duration + penalty
                 self.spans.end(span, duration=total, retries=attempts)
-                return result, total, sreq
+                return result, total
         except BaseException:
             # Close the request span on the error path too, so one failed
             # exchange cannot leave a dangling parent for later requests.
@@ -287,18 +286,22 @@ class VUpmemFrontend:
                         extra_pages: int = 0,
                         digests: Optional[Dict[int, int]] = None,
                         skips: Optional[List[SkipExtent]] = None,
-                        ) -> Tuple[BackendResult, float,
-                                   Optional[SerializedRequest]]:
+                        ) -> Tuple[BackendResult, float]:
         """Send one request through the transferq; returns the backend
-        result, the total frontend+VMM duration, and the serialized form."""
-        sreq: Optional[SerializedRequest] = None
+        result and the total frontend+VMM duration."""
         plan = None
         pages = extra_pages
+        bound: List[int] = []
         if matrix is not None:
             sreq, plan = self._plan_or_serialize(
                 header, matrix, digests, skips, batch_records is not None)
             pages += sreq.total_pages
             chain = sreq.chain
+            if plan is not None or matrix.kind is XferKind.FROM_DPU:
+                # Everything but a naive write, which the serializer
+                # staged in guest RAM: while the device holds the chain
+                # its payload GPAs are the caller's own buffers.
+                bound = [gpa for _dpu, _size, gpa in sreq.data_descriptors]
         else:
             chain = [write_buffer(self.memory, header.pack())]
         kind = header.kind.name.lower()
@@ -339,16 +342,22 @@ class VUpmemFrontend:
         # wedges.
         popped = self.queues.transferq.pop_avail()
         assert popped is not None and popped[0] == request_id
+        if bound:
+            self.memory.bind(bound, [e.data for e in matrix.entries])
         try:
             result = self.backend.process(chain, program=program,
                                           batch_records=batch_records,
-                                          plan=plan)
+                                          plan=plan, matrix=matrix)
         except Exception:
             self.queues.transferq.push_used(
                 UsedElement(request_id=request_id, status=1))
             self.queues.transferq.pop_used()
             self.kvm.inject_irq()
             raise
+        finally:
+            # Completion and every abort alike: a binding left behind
+            # would keep the caller's buffers alive and shadow the window.
+            self.memory.unbind(bound)
         steps["Backend"] = result.duration
 
         self.kvm.inject_irq()
@@ -372,7 +381,7 @@ class VUpmemFrontend:
             wrank.update(result.steps)
             for step, value in wrank.items():
                 self.profiler.record_wrank_step(step, value)
-        return result, duration, sreq
+        return result, duration
 
     # -- shape-specialized plans (``docs/performance.md``) -------------------
 
@@ -408,7 +417,7 @@ class VUpmemFrontend:
         if key is not None and key not in plans.unplannable:
             try:
                 plan = compile_plan(key, header, matrix, self.memory,
-                                    digests, skips, batched)
+                                    digests, skips)
             except PlanUnsupported:
                 plans.unplannable.add(key)
             else:
@@ -472,7 +481,7 @@ class VUpmemFrontend:
         DRIVER_OK) must complete before the first request is sent.
         """
         driver_init_sequence(self.mmio)
-        result, duration, _ = self._roundtrip(
+        result, duration = self._roundtrip(
             RequestHeader(kind=RequestKind.GET_CONFIG))
         config = result.payload
         self._notify_manager(linked=True)
@@ -521,9 +530,9 @@ class VUpmemFrontend:
         for span_id in self._batch_span_ids:
             span.link("absorbed", span_id)
         try:
-            _, duration, _ = self._roundtrip(header, matrix=matrix,
-                                             batch_records=records,
-                                             op=OP_WRITE)
+            _, duration = self._roundtrip(header, matrix=matrix,
+                                          batch_records=records,
+                                          op=OP_WRITE)
         except Exception:
             # Batched digests were indexed at add time; a failed flush
             # means that content never landed on the device.
@@ -665,8 +674,8 @@ class VUpmemFrontend:
 
         header = RequestHeader(kind=RequestKind.WRITE_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
-        _, rt, _ = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
-                                   digests=digests, skips=skips)
+        _, rt = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
+                                digests=digests, skips=skips)
         # Indexed only after the exchange succeeded.
         self._index_digests(matrix, digests)
         self.profiler.record_op(OP_WRITE, rt + cache_time,
@@ -681,7 +690,7 @@ class VUpmemFrontend:
                      and matrix.target is Target.MRAM
                      and all(e.size <= self.cache.capacity
                              for e in matrix.entries))
-        wire = matrix
+        sizes = [e.size for e in matrix.entries]
         if cacheable:
             hits = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
                     for e in matrix.entries]
@@ -701,30 +710,24 @@ class VUpmemFrontend:
 
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
-            wire = TransferMatrix(
-                XferKind.FROM_DPU, matrix.symbol, matrix.offset,
-                [DpuEntry(dpu_index=e.dpu_index, size=seg_len)
-                 for e in matrix.entries])
+            sizes = [seg_len] * len(sizes)
 
+        # The request carries its own destinations: rows of one fresh
+        # block, as ``Rank.read_mram`` returns them, bound at its payload
+        # GPAs for the roundtrip (and filled again by a retried one).
+        # Nothing else ever writes them, so they are the caller's — or
+        # the prefetch cache's — to keep.
+        buffers = result_block(sizes)
+        wire = TransferMatrix(
+            XferKind.FROM_DPU, matrix.symbol, matrix.offset,
+            [DpuEntry(dpu_index=e.dpu_index, size=row.size, data=row)
+             for e, row in zip(matrix.entries, buffers)])
         header = RequestHeader(kind=RequestKind.READ_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
-        _, rt, sreq = self._roundtrip(header, matrix=wire, op=OP_READ)
-        assert sreq is not None
-        descriptors = sreq.data_descriptors
-        if len(descriptors) == 1:
-            (_dpu, size, gpa), = descriptors
-            buffers = [self.memory.read(gpa, size)]
-        else:
-            # The destination pages may be the staging window every plan
-            # shares, so results are copied out before the next request:
-            # rows of one fresh block, as ``Rank.read_mram`` returns them.
-            buffers = result_block([size for _dpu, size, _gpa in descriptors])
-            for buf, (_dpu, _size, gpa) in zip(buffers, descriptors):
-                self.memory.read_into(gpa, buf)
+        _, rt = self._roundtrip(header, matrix=wire, op=OP_READ)
         if cacheable:
-            for (dpu_index, _, _), segment in zip(sreq.data_descriptors,
-                                                  buffers):
-                self.cache.fill(dpu_index, matrix.offset, segment)
+            for entry, segment in zip(wire.entries, buffers):
+                self.cache.fill(entry.dpu_index, matrix.offset, segment)
             self.profiler.messages.count_cache_refills(len(matrix.entries))
             self.obs.prefetch_refill(len(matrix.entries))
             buffers = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
@@ -746,15 +749,15 @@ class VUpmemFrontend:
         binary_pages = (program.binary_size + PAGE_SIZE - 1) // PAGE_SIZE
         header = RequestHeader(kind=RequestKind.LOAD,
                                program_name=program.name)
-        _, rt, _ = self._roundtrip(header, program=program,
-                                   extra_pages=binary_pages)
+        _, rt = self._roundtrip(header, program=program,
+                                extra_pages=binary_pages)
         return duration + rt
 
     def launch(self) -> float:
         duration = self._flush_batch(reason="launch")
         self.invalidate("launch")
         header = RequestHeader(kind=RequestKind.LAUNCH)
-        result, rt, _ = self._roundtrip(header)
+        result, rt = self._roundtrip(header)
         if self.digests is not None and result.payload:
             # The backend collected the kernel's dirty stores; drop the
             # digests they overlap instead of the whole index, so digests
@@ -825,7 +828,7 @@ class VUpmemFrontend:
         self.invalidate("release")
         header = RequestHeader(kind=RequestKind.RELEASE)
         try:
-            _, rt, _ = self._roundtrip(header)
+            _, rt = self._roundtrip(header)
         except (HardwareError, DeviceNotLinkedError, TransientFaultError):
             self.backend.unlink()
             rt = 0.0

@@ -10,7 +10,7 @@ copying (Section 4.2 "Zero-copy Request Handling").
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class GuestMemory:
         arena start                                  reserve floor  arena top
         | rolling bump arena ............................ | plan metadata |
                    | staging window (half the arena) |  (at most a quarter)
+                   |  payload addresses, no bytes:   |
+                   |  bound to the caller's buffers  |
+                   |  while a request is in flight   |
 
     - :meth:`alloc_pages` hands out contiguous runs from the rolling
       part; requests are synchronous, so pages can be recycled once the
@@ -38,12 +41,21 @@ class GuestMemory:
     - :meth:`reserve_pages` claims the small private runs of a compiled
       plan's wire metadata, growing downward from the arena top.
     - The **staging window** — the top of what the metadata can never
-      reach — holds the payload pages of *every* compiled plan
-      (:meth:`stage_pages`).  The transferq completes one chain before
-      the next is added, so a payload page needs a stable address for
-      its plan's life but stable content only for its own request: all
-      plans, and the rolling allocator when it rolls that far, overlay
-      the same pages.
+      reach — stages the payload *addresses* of every compiled plan
+      (:meth:`stage_pages`), never payload bytes.  The transferq
+      completes one chain before the next is added, so a payload page
+      needs a stable address for its plan's life but content only while
+      its own request is in flight: all plans, and the rolling allocator
+      when it rolls that far, overlay the same addresses.
+
+    A payload address gets its content by **binding** (:meth:`bind`):
+    for the life of one request the frontend maps the caller's own
+    buffers — a write's sources, a read's result rows — at the request's
+    payload GPAs, which is §4.2's "the frontend sends the GPAs of the
+    user's pages".  Every accessor below resolves a bound address to the
+    bound buffer, so a reader of guest RAM sees the bytes a staging copy
+    would have put there, and the device's writes land in the caller's
+    rows.
     """
 
     def __init__(self, size: int, arena_bytes: int = 512 << 20) -> None:
@@ -60,6 +72,8 @@ class GuestMemory:
         self._window_end = self._reserve_floor - quarter
         self._window_base = self._window_end - 2 * quarter
         self._free_reservations: Dict[int, List[int]] = {}
+        #: Live bindings, ``first GPA -> the caller's buffer mapped there``.
+        self._bound: Dict[int, np.ndarray] = {}
 
     # -- page allocation ------------------------------------------------------
 
@@ -96,12 +110,12 @@ class GuestMemory:
 
         ``cursor`` is where the plan's previous payload ended
         (:attr:`window_base` for its first); the run starts there, or at
-        the next extent boundary when it would otherwise straddle one, so
-        every payload stays pinnable as one view.  Nothing is pinned
-        here: the compiler pins each placed run, and window pages no plan
-        has reached cost nothing.  Raises :class:`TranslationError` when
-        the run is larger than one extent or ends past the window — the
-        largest plannable request is the one that fits the window whole.
+        the next extent boundary when it would otherwise straddle one.
+        Only the address is handed out: no window page is pinned, filled
+        or materialized, here or by the compiler.  Raises
+        :class:`TranslationError` when the run is larger than one extent
+        or ends past the window — the largest plannable request is the
+        one that fits the window whole.
         """
         need = nr_pages * PAGE_SIZE
         ext = self.region.extent_bytes
@@ -164,21 +178,71 @@ class GuestMemory:
             self._free_reservations = free
             raise
 
+    # -- request-scoped bindings ---------------------------------------------
+
+    def bind(self, gpas: Iterable[int],
+             buffers: Iterable[np.ndarray]) -> None:
+        """Map ``buffers[i]`` (1-D ``uint8``) at ``gpas[i]`` until
+        :meth:`unbind`: the bytes at ``[gpa, gpa + size)`` *are* the
+        buffer's.  No byte moves.  The binder owns the pairing — one
+        request's payload runs, disjoint by construction — and must drop
+        it on every path out of that request, because a live binding
+        keeps the caller's buffer alive."""
+        self._bound.update(zip(gpas, buffers))
+
+    def unbind(self, gpas: Iterable[int]) -> None:
+        for gpa in gpas:
+            self._bound.pop(gpa, None)
+
+    @property
+    def nr_bound(self) -> int:
+        """Live bindings; zero whenever no request is in flight."""
+        return len(self._bound)
+
+    def _bound_pieces(self, gpa: int, length: int,
+                      ) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(position in the span, slice of the bound buffer)`` for every
+        binding ``[gpa, gpa + length)`` overlaps."""
+        end = gpa + length
+        for start, buf in self._bound.items():
+            lo, hi = max(gpa, start), min(end, start + buf.size)
+            if lo < hi:
+                yield lo - gpa, buf[lo - start:hi - start]
+
+    def _overlay(self, gpa: int, out: np.ndarray) -> np.ndarray:
+        """Lay the bound bytes over ``out``, read from guest RAM at ``gpa``."""
+        for pos, piece in self._bound_pieces(gpa, out.size):
+            out[pos:pos + piece.size] = piece
+        return out
+
     def pin_span(self, gpa: int, length: int) -> np.ndarray:
-        """Writable view of guest bytes (see :meth:`MemoryRegion.pin_span`)."""
-        return self.region.pin_span(gpa, length)
+        """Writable view of guest bytes (see :meth:`MemoryRegion.pin_span`);
+        of the bound buffer itself where the span lies inside a binding
+        (read-only when the caller's buffer is)."""
+        hit = next(self._bound_pieces(gpa, length), None)
+        if hit is None:
+            return self.region.pin_span(gpa, length)
+        if hit[1].size != length:
+            raise TranslationError(
+                f"span [{gpa:#x}, {gpa + length:#x}) crosses the edge of a "
+                "bound buffer and cannot be one view")
+        return hit[1]
 
     # -- data access ------------------------------------------------------------
 
     def write(self, gpa: int, data: np.ndarray) -> None:
         self.region.write(gpa, data)
+        if self._bound:
+            buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+            for pos, piece in self._bound_pieces(gpa, buf.size):
+                piece[...] = buf[pos:pos + piece.size]
 
     def read(self, gpa: int, length: int) -> np.ndarray:
-        return self.region.read(gpa, length)
+        return self._overlay(gpa, self.region.read(gpa, length))
 
     def read_into(self, gpa: int, out: np.ndarray) -> np.ndarray:
         """Allocation-free read into a caller-provided uint8 buffer."""
-        return self.region.read_into(gpa, out)
+        return self._overlay(gpa, self.region.read_into(gpa, out))
 
     def gather_pages(self, gpas: np.ndarray, nbytes: int,
                      out: np.ndarray) -> np.ndarray:
@@ -195,7 +259,7 @@ class GuestMemory:
             if pos >= nbytes:
                 break
             span = min(nr_pages * PAGE_SIZE, nbytes - pos)
-            self.region.read_into(start_gpa, out[pos:pos + span])
+            self.read_into(start_gpa, out[pos:pos + span])
             pos += span
         return out
 
@@ -207,7 +271,7 @@ class GuestMemory:
             if pos >= nbytes:
                 break
             span = min(nr_pages * PAGE_SIZE, nbytes - pos)
-            self.region.write(start_gpa, data[pos:pos + span])
+            self.write(start_gpa, data[pos:pos + span])
             pos += span
 
     # -- translation ---------------------------------------------------------------

@@ -9,29 +9,30 @@ shape-derived and content-independent the first time a
 
 - the serialized descriptor chain: the small metadata buffers (header,
   matrix-meta, per-entry meta and page lists) in *reserved* guest pages
-  (:meth:`GuestMemory.reserve_pages`) private to the plan, the payload
-  pages at fixed offsets of the one **staging window** every plan
-  shares (:meth:`GuestMemory.stage_pages`), writable views pinned over
-  every buffer.  The transferq is synchronous — one chain is added,
-  kicked, popped and completed before the next — so a payload page
-  needs a stable *address* for the plan's life but stable *content*
-  only for its own request;
-- a cached :class:`~repro.sdk.transfer.TransferMatrix` whose write
-  payloads alias the pinned window views — a replay refreshes content
-  with one slice copy per entry and the backend consumes it with no
-  gather;
-- for reads, the pinned destination views the backend deposits into
-  directly (no scatter);
-- a slot for the backend's resolved MRAM destination pairing
+  (:meth:`GuestMemory.reserve_pages`) private to the plan with writable
+  views pinned over them, and the payload pages as fixed *addresses* in
+  the one **staging window** every plan shares
+  (:meth:`GuestMemory.stage_pages`).  The window stages addresses only:
+  the transferq is synchronous — one chain is added, kicked, popped and
+  completed before the next — so a payload page needs a stable address
+  for the plan's life and content only while its own request is in
+  flight, when the frontend binds the caller's buffers (a write's
+  sources, a read's result rows) at those addresses
+  (:meth:`GuestMemory.bind`) and hands the same buffers to the backend
+  beside the plan.  One copy per direction: caller → MRAM, MRAM → row;
+- a slot for the backend's resolved MRAM destinations
   (:class:`~repro.hardware.rank.PinnedMramWrite`) and the XLB
   translation generation, so replays skip per-entry re-translation.
+
+A plan is shape only: it never holds a caller's buffer, so an LRU of
+plans keeps no payload alive.
 
 Plans change **wall-clock time only**: every modeled duration, metric
 that feeds the wall-clock digest, guest-visible byte, and DPU-visible
 byte is bit-identical to the naive path.  Shapes the compiler cannot
-pin (an entry larger than one backing extent, a request larger than the
-staging window) are marked unplannable and permanently served by the
-naive path.
+place (an entry larger than one backing extent, a request larger than
+the staging window) are marked unplannable and permanently served by
+the naive path.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.config import PAGE_SIZE
 from repro.errors import MemoryAccessError, TransferError, TranslationError
-from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
+from repro.sdk.transfer import DpuEntry, TransferMatrix
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
     RequestHeader,
@@ -105,20 +106,15 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
 
 @dataclass
 class TransferPlan:
-    """One compiled shape: stable chain + pinned views + replay patches."""
+    """One compiled shape: stable chain + pinned metadata views + replay
+    patches.  The payload runs of ``sreq.data_descriptors`` are window
+    addresses without content of their own."""
 
     key: Tuple
     header: RequestHeader
     sreq: SerializedRequest
     entries: List[SerializedEntry]
     skips: List[SkipExtent]
-    #: Cached matrix whose TO_DPU payloads alias ``payload_views``
-    #: (``None`` for batched flushes — the backend replays the records).
-    matrix: Optional[TransferMatrix]
-    #: Pinned views over each entry's payload pages in the shared
-    #: staging window: this plan's content only between its own replay
-    #: and the completion of that request.
-    payload_views: List[np.ndarray]
     #: u64 views over each entry-meta buffer (digest patched per replay).
     entry_meta_views: List[np.ndarray]
     #: u64 view over the matrix-meta buffer (skip digests patched).
@@ -130,7 +126,7 @@ class TransferPlan:
     cache_format: bool
     #: XLB generation at which this plan's page runs were last resolved.
     xlb_generation: int = -1
-    #: Backend-resolved destination pairing for MRAM writes.
+    #: Backend-resolved destinations for MRAM writes.
     pinned_write: object = None
     replays: int = field(default=0)
 
@@ -138,27 +134,17 @@ class TransferPlan:
         """Pinned views survive only as long as the guest backing store."""
         return self.guest_generation == memory.region.generation
 
-    @property
-    def read_views(self) -> List[np.ndarray]:
-        return self.payload_views
-
     def replay(self, matrix: TransferMatrix,
                digests: Optional[Dict[int, int]],
                skips: Optional[List[SkipExtent]]) -> SerializedRequest:
-        """Refresh content-dependent state; returns the stable chain.
+        """Refresh content-dependent metadata; returns the stable chain.
 
-        For writes, each live payload is copied into its pinned view
-        (one slice copy per entry — the only byte work of a replayed
-        serialization).  Cache-format replays also re-patch the digest
-        words in the wire metadata and swap in the fresh SKIP extents.
+        No payload byte moves here — the frontend binds ``matrix``'s
+        buffers at the chain's payload addresses.  Cache-format replays
+        re-patch the digest words in the wire metadata and swap in the
+        fresh SKIP extents.
         """
         self.replays += 1
-        if self.matrix is not None and matrix.kind is XferKind.TO_DPU:
-            # The cached matrix's entries alias these views, so one slice
-            # copy per entry refreshes both the wire and the matrix.
-            for view, live in zip(self.payload_views, matrix.entries):
-                if live.data is not view:
-                    view[...] = live.data
         if self.cache_format:
             for view, entry, live in zip(self.entry_meta_views,
                                          self.entries, matrix.entries):
@@ -181,22 +167,21 @@ class TransferPlan:
 def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
                  memory: GuestMemory,
                  digests: Optional[Dict[int, int]],
-                 skips: Optional[List[SkipExtent]],
-                 batched: bool) -> TransferPlan:
+                 skips: Optional[List[SkipExtent]]) -> TransferPlan:
     """Compile ``matrix`` into a :class:`TransferPlan`.
 
     Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
     would (same buffer contents, lengths, and writable flags — only the
     GPAs differ: private reservations for the metadata, the shared
     staging window for the payload, instead of the rolling bump
-    allocator).  Raises :class:`PlanUnsupported` when the shape cannot
-    be pinned, leaving ``memory`` as it found it.
+    allocator) once ``matrix``'s buffers are bound at the payload
+    addresses; the payload pages themselves are neither pinned nor
+    filled.  Raises :class:`PlanUnsupported` when the shape cannot be
+    placed, leaving ``memory`` as it found it.
     """
     cache_format = digests is not None or skips is not None
-    writing = matrix.kind is XferKind.TO_DPU
     reservations: List[Tuple[int, int]] = []
-    wire_views: List[np.ndarray] = []   # every wire buffer, chain order
-    payload_views: List[np.ndarray] = []
+    wire_views: List[np.ndarray] = []   # every metadata buffer, chain order
     staged = memory.window_base         # end of the payload placed so far
 
     def put(data: np.ndarray, device_writable: bool = False) -> Descriptor:
@@ -215,10 +200,6 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
         nonlocal staged
         gpa = memory.stage_pages(staged, nr_pages)
         staged = gpa + nr_pages * PAGE_SIZE
-        view = memory.pin_span(gpa, entry.size)
-        if writing:
-            view[...] = entry.data
-        payload_views.append(view)
         return gpa
 
     try:
@@ -233,17 +214,9 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
                                page_gpas=pages.view(np.uint64).copy(),
                                digest=(digests or {}).get(e.dpu_index, 0))
                for e, pages in zip(matrix.entries, wire_views[3::2])]
-    cached_matrix = None
-    if not batched:
-        cached_matrix = TransferMatrix(
-            matrix.kind, matrix.symbol, matrix.offset,
-            [DpuEntry(dpu_index=e.dpu_index, size=e.size,
-                      data=view if writing else None)
-             for e, view in zip(matrix.entries, payload_views)])
     return TransferPlan(
         key=key, header=header, sreq=sreq, entries=entries,
-        skips=list(skips or ()), matrix=cached_matrix,
-        payload_views=payload_views,
+        skips=list(skips or ()),
         entry_meta_views=([v.view(np.uint64) for v in wire_views[2::2]]
                           if cache_format else []),
         matrix_meta_view=(wire_views[1].view(np.uint64)

@@ -6,6 +6,11 @@ corruption, DPU kernel faults, a rank dying mid-session — must return
 the loans: ``pool.outstanding == 0`` between operations is the
 invariant, and a pool that keeps reusing buffers afterwards proves no
 buffer was leaked *or* double-released.
+
+Planned requests loan nothing from the pool; what they hold for one
+roundtrip is the binding of the caller's buffers at their payload GPAs
+(``GuestMemory.bind``), and the same drills check it the same way:
+``nr_bound == 0`` between operations.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ def backend_pools(session):
 def assert_quiescent(session):
     for pool in backend_pools(session):
         assert pool.outstanding == 0
+    for dev in session.vm.devices:
+        assert dev.frontend.memory.nr_bound == 0
 
 
 class TestPoolQuiescence:

@@ -1,12 +1,17 @@
 """Recovery paths: session reruns, quarantine/repair, failover, retries."""
 
+import numpy as np
 import pytest
 
 from repro.apps.prim.va import VectorAdd
+from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE
 from repro.errors import (
+    BackendHungError,
     DpuFaultError,
     ManagerError,
     RankOfflineError,
+    TransferError,
+    TransientFaultError,
     TransportCorruptionError,
 )
 from repro.faults import (
@@ -18,6 +23,8 @@ from repro.faults import (
     run_with_recovery,
 )
 from repro.hardware.rank import RankHealth
+from repro.sdk.dpu_set import DpuSet
+from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.manager import RankState
 
 from tests.faults.conftest import schedule
@@ -206,3 +213,170 @@ class TestCheckpointFailover:
         store = CheckpointStore(chaos_vpim.clock)
         with pytest.raises(ManagerError, match="not linked"):
             store.save(session.vm.devices[0])
+
+
+class TestBoundRequestAborts:
+    """A planned request binds the caller's buffers at its payload GPAs
+    for one roundtrip.  Every way out of that roundtrip — completion,
+    retry, exhausted budget, a backend or rank error — must leave
+    ``GuestMemory.nr_bound == 0``, the way loans leave
+    ``pool.outstanding == 0``; a retry must still move the caller's
+    bytes, into and out of the very same buffers."""
+
+    SIZE = 17 * PAGE_SIZE       # past the batch buffer and the prefetch line
+
+    def _warm(self, chaos_vpim):
+        """A session whose write and read plans are compiled and hot."""
+        session = chaos_vpim.vm_session(nr_vupmem=1)
+        dpus = DpuSet(session.transport, 8)
+        dpus.__enter__()
+        dpus.push_to_mram(0, self._data(0))
+        dpus.push_from_mram(0, self.SIZE)
+        device = session.vm.devices[0]
+        assert device.frontend.plans.nr_plans == 2
+        return dpus, device
+
+    def _data(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, 256, self.SIZE, dtype=np.uint8)
+                for _ in range(8)]
+
+    @staticmethod
+    def _failing(k, error, seen=None):
+        """A fault hook raising ``error`` on attempts 1..k; ``seen``
+        collects what guest memory had bound at each attempt."""
+        calls = [0]
+
+        def hook(layer):
+            if seen is not None:
+                seen.append(list(layer.memory._bound.values()))
+            calls[0] += 1
+            if calls[0] <= k:
+                raise error("injected", penalty_s=1e-4)
+            return 0.0
+        return hook
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seam", ["frontend", "backend"])
+    def test_retried_requests_move_the_callers_bytes(self, chaos_vpim,
+                                                     seam, k):
+        dpus, device = self._warm(chaos_vpim)
+        memory = device.frontend.memory
+        error = TransientFaultError if seam == "frontend" else BackendHungError
+        fresh = self._data(k)
+
+        setattr(getattr(device, seam), "fault_hook", self._failing(k, error))
+        dpus.push_to_mram(0, fresh)
+        assert memory.nr_bound == 0
+        for dpu, want in zip(device.backend.mapping.rank.dpus, fresh):
+            assert np.array_equal(dpu.mram.read(0, self.SIZE), want)
+
+        seen = []
+        setattr(getattr(device, seam), "fault_hook",
+                self._failing(k, error, seen))
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert memory.nr_bound == 0
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        assert len(seen) == k + 1
+        if seam == "backend":
+            # The hook ran with the binding live: every attempt had the
+            # rows the caller got back bound, and no others.
+            for bound in seen:
+                assert len(bound) == len(rows)
+                assert all(b is r for b, r in zip(bound, rows))
+        else:
+            assert seen == [[]] * (k + 1), "nothing is bound before a send"
+        assert device.frontend.plans.nr_plans == 2, "retries keep the plans"
+        dpus.__exit__(None, None, None)
+
+    def test_exhausted_retries_leave_nothing_bound(self, chaos_vpim):
+        dpus, device = self._warm(chaos_vpim)
+        frontend = device.frontend
+        k = frontend.max_transport_retries + 1
+        device.backend.fault_hook = self._failing(k, BackendHungError)
+        with pytest.raises(BackendHungError):
+            dpus.push_to_mram(0, self._data(1))
+        assert frontend.memory.nr_bound == 0
+        assert frontend.plans.nr_plans == 0     # ``retry_exhausted``
+        device.backend.fault_hook = self._failing(k, BackendHungError)
+        with pytest.raises(BackendHungError):
+            dpus.push_from_mram(0, self.SIZE)
+        assert frontend.memory.nr_bound == 0
+        # The budget is per request: the next ones go through.
+        device.backend.fault_hook = None
+        fresh = self._data(2)
+        dpus.push_to_mram(0, fresh)
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        dpus.__exit__(None, None, None)
+
+    def test_backend_and_rank_errors_leave_nothing_bound(self, chaos_vpim):
+        dpus, device = self._warm(chaos_vpim)
+        memory = device.frontend.memory
+        rank = device.backend.mapping.rank
+        rank.health = RankHealth.OFFLINE
+        with pytest.raises(RankOfflineError):
+            dpus.push_to_mram(0, self._data(1))
+        assert memory.nr_bound == 0
+        with pytest.raises(RankOfflineError):
+            dpus.push_from_mram(0, self.SIZE)
+        assert memory.nr_bound == 0
+        rank.health = RankHealth.OK
+
+        def crash(_backend):
+            raise RuntimeError("backend bug")
+        device.backend.fault_hook = crash
+        with pytest.raises(RuntimeError):
+            dpus.push_from_mram(0, self.SIZE)
+        assert memory.nr_bound == 0
+        device.backend.fault_hook = None
+        dpus.__exit__(None, None, None)
+
+    def test_pinned_write_refuses_a_source_that_changed_shape(self,
+                                                              chaos_vpim):
+        """The plan key vouches for ``entry.size``; the pinned write
+        checks the buffer actually handed over, before any byte moves.
+        (The SDK rebuilds its entries, so only a caller of the frontend
+        itself can get this far.)"""
+        dpus, device = self._warm(chaos_vpim)
+        before = self._data(0)
+        for bad in (np.zeros(self.SIZE - 8, np.uint8),
+                    np.zeros(self.SIZE // 4, np.uint32)):
+            matrix = TransferMatrix(
+                XferKind.TO_DPU, MRAM_HEAP_SYMBOL, 0,
+                [DpuEntry(i, self.SIZE, buf)
+                 for i, buf in enumerate(self._data(3))])
+            matrix.entries[5].data = bad    # after DpuEntry normalised it
+            with pytest.raises(TransferError, match="source 5"):
+                device.frontend.write(matrix)
+            assert device.frontend.memory.nr_bound == 0
+            for dpu, want in zip(device.backend.mapping.rank.dpus, before):
+                assert np.array_equal(dpu.mram.read(0, self.SIZE), want)
+        dpus.push_to_mram(0, self._data(4))     # the plan still serves
+        dpus.__exit__(None, None, None)
+
+    def test_stale_generations_re_resolve(self, chaos_vpim):
+        """``fill(0)`` on guest RAM drops the plans' pinned metadata
+        views, on an MRAM the pinned write's destinations: both are
+        noticed by generation and resolved again, and the data lands."""
+        dpus, device = self._warm(chaos_vpim)
+        frontend = device.frontend
+        rank = device.backend.mapping.rank
+
+        stale = frontend.plans.get(next(iter(frontend.plans._plans)))
+        rank.dpus[3].mram.fill(0)
+        fresh = self._data(5)
+        dpus.push_to_mram(0, fresh)
+        assert stale.pinned_write.valid()
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+
+        misses = frontend.plans.misses
+        frontend.memory.region.fill(0)
+        fresh = self._data(6)
+        dpus.push_to_mram(0, fresh)
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        assert frontend.plans.misses == misses + 2, "both shapes recompiled"
+        assert frontend.memory.nr_bound == 0
+        dpus.__exit__(None, None, None)

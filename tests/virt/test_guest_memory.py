@@ -83,3 +83,72 @@ def test_contiguous_runs_split():
 
 def test_contiguous_runs_empty():
     assert GuestMemory.contiguous_runs(np.empty(0, dtype=np.uint64)) == []
+
+
+# -- request-scoped bindings ---------------------------------------------------
+
+def _bound_window(mem):
+    """Guest RAM holding 0x11 everywhere around two bound buffers: 5000
+    bytes of 0xAA at ``base`` and 100 bytes of 0xBB one page later plus 8
+    (a gap of RAM between them), plus an empty buffer."""
+    base = mem.window_base
+    mem.write(base - PAGE_SIZE, np.full(5 * PAGE_SIZE, 0x11, np.uint8))
+    a = np.full(5000, 0xAA, np.uint8)
+    b = np.full(100, 0xBB, np.uint8)
+    gpas = [base, base + 2 * PAGE_SIZE + 8, base + 3 * PAGE_SIZE]
+    mem.bind(gpas, [a, b, np.empty(0, np.uint8)])
+    return base, gpas, a, b
+
+
+def test_bound_gpas_read_as_the_bound_buffers(mem):
+    base, gpas, a, b = _bound_window(mem)
+    assert mem.nr_bound == 3
+    span = mem.read(base - 16, 3 * PAGE_SIZE)    # RAM | a | RAM | b | RAM
+    want = np.full(3 * PAGE_SIZE, 0x11, np.uint8)
+    want[16:16 + 5000] = 0xAA
+    want[16 + 2 * PAGE_SIZE + 8:16 + 2 * PAGE_SIZE + 108] = 0xBB
+    assert np.array_equal(span, want)
+    out = np.empty(span.size, np.uint8)
+    assert np.array_equal(mem.read_into(base - 16, out), want)
+    # Page-granular gather, partial tail: what the wire path would see.
+    pages = np.uint64(base) + np.arange(3, dtype=np.uint64) * PAGE_SIZE
+    got = mem.gather_pages(pages, 2 * PAGE_SIZE + 108,
+                           np.empty(2 * PAGE_SIZE + 108, np.uint8))
+    assert np.array_equal(got, want[16:16 + 2 * PAGE_SIZE + 108])
+    # The caller's buffer is live, not a snapshot.
+    a[7] = 0x77
+    assert mem.read(base + 7, 1)[0] == 0x77
+
+    mem.unbind(gpas)
+    assert mem.nr_bound == 0
+    assert (mem.read(base - 16, 3 * PAGE_SIZE) == 0x11).all()
+
+
+def test_pin_span_inside_a_binding_is_the_buffer_itself(mem):
+    base, gpas, a, b = _bound_window(mem)
+    view = mem.pin_span(base + 10, 100)
+    assert np.shares_memory(view, a)
+    view[...] = 5
+    assert (a[10:110] == 5).all()
+    with pytest.raises(TranslationError, match="edge of a bound buffer"):
+        mem.pin_span(base + 4990, 20)
+    # Outside every binding it is guest RAM, as before.
+    assert (mem.pin_span(base + 6000, 16) == 0x11).all()
+    ro = np.zeros(64, np.uint8)
+    ro.flags.writeable = False
+    mem.bind([base + 4 * PAGE_SIZE], [ro])
+    assert not mem.pin_span(base + 4 * PAGE_SIZE, 64).flags.writeable
+    mem.unbind(gpas + [base + 4 * PAGE_SIZE])
+
+
+def test_device_writes_to_bound_gpas_land_in_the_buffer(mem):
+    base, gpas, a, b = _bound_window(mem)
+    mem.write(base + 4990, np.full(20, 0xCC, np.uint8))   # a's tail + RAM
+    assert (a[4990:] == 0xCC).all() and (a[:4990] == 0xAA).all()
+    pages = np.array([base + 2 * PAGE_SIZE], dtype=np.uint64)
+    mem.scatter_pages(pages, np.full(64, 0xDD, np.uint8))  # RAM + b's head
+    assert (b[:56] == 0xDD).all() and (b[56:] == 0xBB).all()
+    mem.unbind(gpas)
+    # What fell outside the buffers went to RAM and is still there.
+    assert (mem.read(base + 5000, 10) == 0xCC).all()
+    assert (mem.read(base + 2 * PAGE_SIZE, 8) == 0xDD).all()

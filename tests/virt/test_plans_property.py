@@ -9,7 +9,18 @@ drive random shapes through both paths and compare the chains
 buffer-for-buffer, interleave plans of two devices through the one
 window, and exercise the budget and invalidation rules (window size,
 refused compiles, eviction, migration, failover) end to end.
+
+The window stages addresses, not bytes: a planned request's payload
+GPAs resolve to the caller's own buffers while it is in flight
+(``GuestMemory.bind``), so the wire is read through ``GuestMemory``
+under that binding, and the end-to-end classes check what the single
+copy per direction must still deliver — the bytes at call time, in
+rows nobody else owns, with nothing of the caller's kept afterwards.
 """
+
+import gc
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -67,11 +78,30 @@ def _digests_for(sizes, seed, cache_format):
     return {i: int(rng.integers(1, 2**63)) for i in range(len(sizes))}
 
 
+@contextmanager
+def _bound(memory, sreq, matrix):
+    """The frontend's part of a planned roundtrip: ``matrix``'s entry
+    buffers live at ``sreq``'s payload GPAs while the device holds it."""
+    gpas = [gpa for _dpu, _size, gpa in sreq.data_descriptors]
+    memory.bind(gpas, [e.data for e in matrix.entries])
+    try:
+        yield
+    finally:
+        memory.unbind(gpas)
+    assert memory.nr_bound == 0
+
+
+def _planned_wire(memory, sreq, matrix):
+    with _bound(memory, sreq, matrix):
+        return _wire(memory, sreq, matrix.kind)
+
+
 def _wire(memory, sreq, kind):
     """Everything observable about a chain except the GPA values: buffer
     (length, writable, bytes) for header/metas, (length, writable) for
     the page-GPA buffers, and the gathered payload each entry's pages
-    hold (writes only — read pages are destinations)."""
+    hold (writes only — read pages are destinations), read through
+    ``GuestMemory`` as a reader of guest RAM would."""
     chain = sreq.chain
     metas = [(d.length, d.device_writable, memory.read(d.gpa, d.length).tobytes())
              for d in [chain[0], chain[1]] + chain[2::2]]
@@ -87,8 +117,7 @@ def _wire(memory, sreq, kind):
 def _compile(memory, header, matrix, digests, skips=None):
     key = plan_key(header, matrix, digests, skips, batched=False)
     assert key is not None, "data request must be plannable"
-    return compile_plan(key, header, matrix, memory, digests, skips,
-                        batched=False)
+    return compile_plan(key, header, matrix, memory, digests, skips)
 
 
 # -- wire-level equivalence --------------------------------------------------
@@ -109,7 +138,7 @@ class TestWireEquivalence:
 
         naive = serialize_matrix(header, matrix, memory, digests, None)
         plan = _compile(memory, header, matrix, digests)
-        assert (_wire(memory, plan.sreq, XferKind.TO_DPU)
+        assert (_planned_wire(memory, plan.sreq, matrix)
                 == _wire(memory, naive, XferKind.TO_DPU))
         plan.release(memory)
 
@@ -118,8 +147,9 @@ class TestWireEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_replay_matches_naive_with_fresh_data(self, sizes, offset, seed,
                                                   cache_format):
-        """Replays refresh payloads + digests; the wire stays identical
-        to what a from-scratch serialization of the new data emits."""
+        """Replays carry fresh payloads + digests; the wire stays
+        identical to what a from-scratch serialization of the new data
+        emits."""
         memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.WRITE_RANK, offset=offset,
                                symbol=MRAM_HEAP_SYMBOL)
@@ -134,7 +164,7 @@ class TestWireEquivalence:
             digests = _digests_for(sizes, seed + rep, cache_format)
             naive = serialize_matrix(header, fresh, memory, digests, None)
             replayed = plan.replay(fresh, digests, None)
-            assert (_wire(memory, replayed, XferKind.TO_DPU)
+            assert (_planned_wire(memory, replayed, fresh)
                     == _wire(memory, naive, XferKind.TO_DPU))
         assert plan.replays == 3
         plan.release(memory)
@@ -153,8 +183,8 @@ class TestWireEquivalence:
         plan = _compile(memory, header, matrix, None)
         assert (_wire(memory, plan.sreq, XferKind.FROM_DPU)
                 == _wire(memory, naive, XferKind.FROM_DPU))
-        assert len(plan.read_views) == len(matrix.entries)
-        assert all(v.size == size for v in plan.read_views)
+        assert ([(dpu, n) for dpu, n, _gpa in plan.sreq.data_descriptors]
+                == [(e.dpu_index, size) for e in matrix.entries])
         plan.release(memory)
 
     @given(sizes=shapes, offset=offsets, seed=seeds)
@@ -187,7 +217,7 @@ class TestWireEquivalence:
             naive = serialize_matrix(header, fresh, memory, digests,
                                      skips_at(rep))
             replayed = plan.replay(fresh, digests, skips_at(rep))
-            assert (_wire(memory, replayed, XferKind.TO_DPU)
+            assert (_planned_wire(memory, replayed, fresh)
                     == _wire(memory, naive, XferKind.TO_DPU))
         plan.release(memory)
 
@@ -216,13 +246,13 @@ class TestPlanCacheEviction:
                 plan = cache.get(key)
                 if plan is None:
                     plan = compile_plan(key, header, matrix, memory,
-                                        None, None, batched=False)
+                                        None, None)
                     cache.insert(key, plan)
                     sreq = plan.sreq
                 else:
                     sreq = plan.replay(matrix, None, None)
                 naive = serialize_matrix(header, matrix, memory, None, None)
-                assert (_wire(memory, sreq, XferKind.TO_DPU)
+                assert (_planned_wire(memory, sreq, matrix)
                         == _wire(memory, naive, XferKind.TO_DPU))
 
         # 3 shapes through a 2-slot LRU in cyclic order: every visit
@@ -470,6 +500,143 @@ class TestEndToEndEquivalence:
             else:
                 assert frontend.plans is None
         assert outcomes[True] == outcomes[False]
+
+
+# -- one copy per direction: what binding must still deliver ------------------
+
+#: Per-DPU sizes with the zero-size entry, a page and its neighbours, a
+#: word multiple above a page (the ``u32`` and strided sources need
+#: multiples of 8) and one that misses the batch buffer and the
+#: prefetch line (64 KB) so a plain bulk request is always among them.
+bound_sizes = st.lists(
+    st.sampled_from([0, 8, PAGE_SIZE - 8, PAGE_SIZE, PAGE_SIZE + 8,
+                     3 * PAGE_SIZE + 64, 17 * PAGE_SIZE]),
+    min_size=4, max_size=4)
+source_kinds = st.sampled_from(["plain", "readonly", "shared", "strided",
+                                "u32"])
+bound_opts = st.sampled_from([
+    dict(), dict(prefetch_cache=False, request_batching=False),
+    dict(cache=True)])
+
+
+def _sources(kind, sizes, seed):
+    """``(what the caller passes, the bytes it holds at call time)``."""
+    rng = np.random.default_rng(seed)
+    if kind == "shared":        # one buffer passed for every DPU
+        buf = rng.integers(0, 256, max(sizes), dtype=np.uint8)
+        return [buf] * len(sizes), [buf.tobytes()] * len(sizes)
+    given = []
+    for n in sizes:
+        if kind == "strided":   # non-contiguous: every other byte
+            buf = rng.integers(0, 256, 2 * n, dtype=np.uint8)[::2]
+        elif kind == "u32":     # non-uint8: DpuEntry views the bytes
+            buf = rng.integers(0, 2**32, n // 4, dtype=np.uint32)
+        else:
+            buf = rng.integers(0, 256, n, dtype=np.uint8)
+            buf.flags.writeable = kind != "readonly"
+        given.append(buf)
+    return given, [buf.tobytes() for buf in given]
+
+
+def _guest_extents(memory):
+    return list(memory.region._extents.values())
+
+
+class TestBoundTransfers:
+    @given(sizes=bound_sizes, kind=source_kinds, offset=offsets, seed=seeds,
+           opts=bound_opts)
+    @settings(max_examples=40, deadline=None)
+    def test_planned_transfers_move_the_bytes_at_call_time(
+            self, sizes, kind, offset, seed, opts):
+        """Planned write == reference bytes in MRAM, planned read == MRAM
+        bytes, on every repetition of one shape (compile, then replays),
+        whatever the caller hands in and whatever it does to its buffers
+        once the call has returned."""
+        vpim, session = _session(**opts)
+        memory = session.vm.devices[0].frontend.memory
+        with DpuSet(session.transport, 4) as dpus:
+            mrams = [dpu.mram
+                     for dpu in session.vm.devices[0].backend.mapping.rank.dpus]
+            for rep in range(3):
+                given, expect = _sources(kind, sizes, seed + rep)
+                dpus.push_to_mram(offset, given)
+                for buf in given:           # the caller's again: scribble
+                    if buf.flags.writeable:
+                        buf[...] = 0
+                rows = dpus.push([DpuEntry(i, len(want))
+                                  for i, want in enumerate(expect)],
+                                 XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, offset)
+                for mram, row, want in zip(mrams, rows, expect):
+                    assert mram.read(offset, len(want)).tobytes() == want
+                    assert row.tobytes() == want
+                    assert not any(np.shares_memory(row, ext)
+                                   for ext in _guest_extents(memory))
+                assert memory.nr_bound == 0
+            plans = session.vm.devices[0].frontend.plans
+            assert plans.hits > 0 and plans.unplannable == set()
+
+    @given(size=st.sampled_from([8, PAGE_SIZE, 17 * PAGE_SIZE]), seed=seeds,
+           prefetch=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_back_to_back_reads_return_independent_rows(self, size, seed,
+                                                        prefetch):
+        """Two reads through one plan: the second does not overwrite the
+        first's rows — what the copy out of the window used to give."""
+        _, session = _session(prefetch_cache=prefetch)
+        with DpuSet(session.transport, 4) as dpus:
+            first_data = _payloads([size] * 4, seed)
+            second_data = _payloads([size] * 4, seed + 1)
+            dpus.push_to_mram(0, first_data)
+            dpus.push_from_mram(0, size)            # compiles the read plan
+            first = dpus.push_from_mram(0, size)
+            dpus.push_to_mram(0, second_data)
+            second = dpus.push_from_mram(0, size)
+            for a, b, want_a, want_b in zip(first, second, first_data,
+                                            second_data):
+                assert not np.shares_memory(a, b)
+                assert np.array_equal(a, want_a)
+                assert np.array_equal(b, want_b)
+            a = dpus.copy_from_mram(2, 0, size)     # single-entry reads too
+            b = dpus.copy_from_mram(2, 0, size)
+            assert not np.shares_memory(a, b) and np.array_equal(a, b)
+            b[...] = 0
+            assert np.array_equal(a, second_data[2])
+
+    def test_the_plan_cache_keeps_no_caller_buffer_alive(self):
+        """Regression guard for the leak binding invites: after a request
+        completes, neither the LRU of plans, the pinned MRAM write nor
+        guest memory references a source buffer or a result block — a
+        256 MB push must not live on inside 512 cached shapes."""
+        _, session = _session()
+        size = 17 * PAGE_SIZE       # past the batch buffer and prefetch line
+        with DpuSet(session.transport, 4) as dpus:
+            for rep in range(2):    # compile, then replay
+                sources = _payloads([size] * 4, rep)
+                dpus.push_to_mram(0, sources)
+                rows = dpus.push_from_mram(0, size)
+                assert all(np.array_equal(r, s)
+                           for r, s in zip(rows, sources))
+                refs = [weakref.ref(buf) for buf in sources]
+                refs.append(weakref.ref(rows[0].base))
+                del sources, rows
+                gc.collect()
+                assert [ref() for ref in refs] == [None] * 5
+            frontend = session.vm.devices[0].frontend
+            assert frontend.plans.nr_plans == 2 and frontend.plans.hits == 2
+
+    def test_the_window_stages_addresses_only(self):
+        """Bulk payload never touches guest RAM: the pages a plan's
+        payload GPAs name stay unmaterialized (they read as zeros once
+        the request is over), so the window costs no resident memory."""
+        _, session = _session()
+        frontend = session.vm.devices[0].frontend
+        memory = frontend.memory
+        size = 64 * PAGE_SIZE
+        with DpuSet(session.transport, 4) as dpus:
+            for rep in range(2):
+                dpus.push_to_mram(0, [np.full(size, rep + 1, np.uint8)] * 4)
+                dpus.push_from_mram(0, size)
+        assert not memory.read(memory.window_base, 4 * size).any()
 
 
 # -- invalidation: migration and failover ------------------------------------
