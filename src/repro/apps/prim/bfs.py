@@ -22,6 +22,19 @@ from repro.workloads.generators import random_graph_csr
 INSTR_PER_EDGE = 6
 
 
+def gather_runs(values: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                ) -> np.ndarray:
+    """``values[s:s + n]`` for each ``(s, n)`` run, concatenated in order.
+
+    One fancy-index gather: ``flat[k]`` walks each run in turn, so no
+    per-run slice is ever taken.
+    """
+    ends = np.cumsum(sizes)
+    flat = (np.arange(int(sizes.sum()))
+            + np.repeat(starts - (ends - sizes), sizes))
+    return values[flat]
+
+
 def cpu_bfs(row_ptr: np.ndarray, col_idx: np.ndarray, source: int,
             ) -> np.ndarray:
     """CPU reference: level of each vertex, -1 if unreachable."""
@@ -34,12 +47,9 @@ def cpu_bfs(row_ptr: np.ndarray, col_idx: np.ndarray, source: int,
         level += 1
         starts = row_ptr[frontier].astype(np.int64)
         sizes = (row_ptr[frontier + 1] - row_ptr[frontier]).astype(np.int64)
-        total = int(sizes.sum())
-        if total == 0:
+        if not sizes.any():
             break
-        csum = np.cumsum(sizes)
-        flat = np.arange(total) + np.repeat(starts - (csum - sizes), sizes)
-        neighbours = col_idx[flat]
+        neighbours = gather_runs(col_idx, starts, sizes)
         # Level-synchronous expansion: every unvisited neighbour of the
         # frontier gets this level, duplicates included (same level).
         # Dense-bitmap dedup: same sorted-unique result as np.unique but
@@ -52,6 +62,26 @@ def cpu_bfs(row_ptr: np.ndarray, col_idx: np.ndarray, source: int,
         levels[fresh] = level
         frontier = fresh
     return levels
+
+
+def active_runs(packed: np.ndarray, row_ptr: np.ndarray, first: int,
+                n_owned: int, nr_tasklets: int):
+    """The DPU's share of one frontier: ``(starts, sizes, edges)``.
+
+    ``starts``/``sizes`` are the neighbour runs of the owned vertices
+    whose frontier bit is set, tested directly on the packed bitmap
+    (MSB-first, as np.unpackbits lays bits out); ``edges[t]`` is the
+    number of edges in tasklet ``t``'s block of the owned vertices (the
+    ``tasklet_range`` partition), which is what it scans and charges.
+    """
+    idx = first + np.arange(n_owned)
+    active = np.flatnonzero((packed[idx >> 3] >> (7 - (idx & 7))) & 1)
+    starts = row_ptr[active]
+    sizes = row_ptr[active + 1] - starts
+    chunk = -(-n_owned // nr_tasklets)
+    edges = np.bincount(active // chunk, weights=sizes,
+                        minlength=nr_tasklets).astype(np.int64)
+    return starts, sizes, edges
 
 
 class BfsProgram(DpuProgram):
@@ -68,54 +98,34 @@ class BfsProgram(DpuProgram):
         if ctx.me() == 0:
             ctx.mem_reset()
         yield ctx.barrier()
-        nv = ctx.host_u32("args", 0)
-        first = ctx.host_u32("args", 1)
-        n_owned = ctx.host_u32("args", 2)
-        col_off = ctx.host_u32("args", 3)
-        f_off = ctx.host_u32("args", 4)
-        owned = tasklet_range(ctx, n_owned)
-        if len(owned):
+        nv, first, n_owned, col_off, f_off, n_off = ctx.once(
+            "args", lambda: [ctx.host_u32("args", i) for i in range(6)])
+        if len(tasklet_range(ctx, n_owned)):
             ctx.mem_alloc(3 * 1024)
-            nbytes = (nv + 7) // 8
             # All tasklets stream the same frontier bitmap and CSR index
             # arrays; readonly reads share one buffer per run (DMA is
-            # still charged per tasklet, like the real per-tasklet loop).
-            packed = ctx.mram_read_blocks(f_off, nbytes, readonly=True)
+            # still charged per tasklet, like the real per-tasklet loop),
+            # and the expansion over them is one set of array ops for
+            # the DPU, of which each tasklet charges its own block.
+            packed = ctx.mram_read_blocks(f_off, (nv + 7) // 8, readonly=True)
             row_ptr = ctx.mram_read_blocks(
                 0, (n_owned + 1) * 4, readonly=True).view(np.int32)
-            # Active vertices of this tasklet's share, tested directly on
-            # the packed bitmap (MSB-first, as np.unpackbits lays bits
-            # out) instead of unpacking all nv bits per tasklet.
-            share = np.arange(owned.start, owned.stop)
-            idx = first + share
-            bits = (packed[idx >> 3] >> (7 - (idx & 7))) & 1
-            active = share[bits == 1]
-            edges = 0
-            if active.size:
-                starts = row_ptr[active]
-                ends = row_ptr[active + 1]
-                sizes = ends - starts
-                total = int(sizes.sum())
-                if total:
-                    cols = ctx.mram_read_blocks(
-                        col_off, int(row_ptr[n_owned]) * 4,
-                        readonly=True).view(np.int32)
-                    # One fancy-index gather over all neighbour lists:
-                    # flat[k] walks each [s, e) run in order, exactly the
-                    # concatenation of the per-vertex slices.
-                    csum = np.cumsum(sizes)
-                    flat = (np.arange(total)
-                            + np.repeat(starts - (csum - sizes), sizes))
-                    ctx.shared.setdefault("merge", []).append(cols[flat])
-                    edges = total
-            ctx.charge_loop(max(1, edges), INSTR_PER_EDGE)
+            starts, sizes, edges = ctx.once("frontier", lambda: active_runs(
+                packed, row_ptr, first, n_owned, ctx.nr_tasklets))
+            mine = int(edges[ctx.me()])
+            if mine:
+                cols = ctx.mram_read_blocks(
+                    col_off, int(row_ptr[n_owned]) * 4,
+                    readonly=True).view(np.int32)
+                ctx.once("neighbours",
+                         lambda: gather_runs(cols, starts, sizes))
+            ctx.charge_loop(max(1, mine), INSTR_PER_EDGE)
         yield ctx.barrier()
         if ctx.me() == 0:
             nxt = np.zeros(nv, dtype=np.uint8)
-            for gathered in ctx.shared.get("merge", []):
-                nxt[gathered] = 1
-            ctx.mram_write_blocks(ctx.host_u32("args", 5),
-                                  np.packbits(nxt))
+            if "neighbours" in ctx.shared:
+                nxt[ctx.shared["neighbours"]] = 1
+            ctx.mram_write_blocks(n_off, np.packbits(nxt))
             ctx.charge(nv // 8)
 
 
@@ -181,11 +191,11 @@ class BreadthFirstSearch(HostApplication):
                 with profiler.segment("DPU"):
                     dpus.launch()
                 with profiler.segment("Inter-DPU"):
-                    nxt = np.zeros(nbytes * 8, dtype=np.uint8)
-                    for buf in dpus.push_from_mram(n_off, nbytes):
-                        nxt[:nv] |= np.unpackbits(buf)[:nv]
+                    # OR the packed bitmaps, then unpack the one result.
+                    nxt = np.unpackbits(np.bitwise_or.reduce(
+                        dpus.push_from_mram(n_off, nbytes)))[:nv]
                 level += 1
-                newly = (nxt[:nv] == 1) & (levels < 0)
+                newly = (nxt == 1) & (levels < 0)
                 levels[newly] = level
                 frontier = np.zeros(nv, dtype=np.uint8)
                 frontier[newly] = 1

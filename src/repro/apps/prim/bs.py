@@ -42,7 +42,9 @@ class BsProgram(DpuProgram):
         if len(qrange) == 0 or n == 0:
             return
         ctx.mem_alloc(2 * 1024)
-        data = ctx.mram_read_blocks(0, n * 8).view(np.int64)
+        # Every tasklet searches the whole slice: one shared buffer per
+        # run (the result writes land past it and leave it cached).
+        data = ctx.mram_read_blocks(0, n * 8, readonly=True).view(np.int64)
         queries = ctx.mram_read_blocks(q_off + qrange.start * 8,
                                        len(qrange) * 8).view(np.int64)
         # Vectorized equivalent of the per-query binary-search loop.

@@ -38,7 +38,8 @@ class GemvProgram(DpuProgram):
         if len(rows) == 0:
             return
         ctx.mem_alloc(2 * 1024)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4).view(np.int32)
+        x = ctx.mram_read_blocks(x_off, n_cols * 4,
+                                 readonly=True).view(np.int32)
         m = ctx.mram_read_blocks(rows.start * n_cols * 4,
                                  len(rows) * n_cols * 4).view(np.int32)
         y = (m.reshape(len(rows), n_cols).astype(np.int64)

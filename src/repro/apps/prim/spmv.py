@@ -35,19 +35,19 @@ class SpmvProgram(DpuProgram):
         if ctx.me() == 0:
             ctx.mem_reset()
         yield ctx.barrier()
-        n_rows = ctx.host_u32("args", 0)
-        nnz = ctx.host_u32("args", 1)
-        n_cols = ctx.host_u32("args", 2)
-        col_off = ctx.host_u32("args", 3)
-        val_off = ctx.host_u32("args", 4)
-        x_off = ctx.host_u32("args", 5)
-        y_off = ctx.host_u32("args", 6)
+        # args[1] (nnz) is kept for layout parity with the PrIM kernel.
+        n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = ctx.once(
+            "args", lambda: [ctx.host_u32("args", i) for i in range(7)])
         rows = tasklet_range(ctx, n_rows)
         if len(rows) == 0:
             return
         ctx.mem_alloc(4 * 768)
-        row_ptr = ctx.mram_read_blocks(0, (n_rows + 1) * 4).view(np.int32)
-        s, e = int(row_ptr[rows.start]), int(row_ptr[rows.stop])
+        # Every tasklet streams the row pointers and the dense vector:
+        # one shared buffer each per run, DMA charged per tasklet.
+        row_ptr = ctx.mram_read_blocks(0, (n_rows + 1) * 4,
+                                       readonly=True).view(np.int32)
+        ptr = row_ptr[rows.start:rows.stop + 1]
+        s, e = int(ptr[0]), int(ptr[-1])
         if e > s:
             cols = ctx.mram_read_blocks(col_off + s * 4,
                                         (e - s) * 4).view(np.int32)
@@ -56,16 +56,18 @@ class SpmvProgram(DpuProgram):
         else:
             cols = np.empty(0, dtype=np.int32)
             vals = np.empty(0, dtype=np.int32)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4).view(np.int32)
+        x = ctx.mram_read_blocks(x_off, n_cols * 4,
+                                 readonly=True).view(np.int32)
+        # One segmented sum over the tasklet's non-zeros.  reduceat reads
+        # a segment as "up to the next start", so it is given the
+        # non-empty rows only; the empty ones keep their 0.
+        filled = ptr[1:] > ptr[:-1]
         y = np.zeros(len(rows), dtype=np.int64)
-        for j, r in enumerate(rows):
-            rs, re = int(row_ptr[r]) - s, int(row_ptr[r + 1]) - s
-            if re > rs:
-                y[j] = (vals[rs:re].astype(np.int64)
-                        * x[cols[rs:re]].astype(np.int64)).sum()
+        y[filled] = np.add.reduceat(
+            vals.astype(np.int64) * x[cols].astype(np.int64),
+            ptr[:-1][filled] - s)
         ctx.mram_write_blocks(y_off + rows.start * 8, y)
         ctx.charge_loop(max(0, e - s), INSTR_PER_NNZ)
-        del nnz  # symbol kept for layout parity with the PrIM kernel
 
 
 class SpMV(HostApplication):

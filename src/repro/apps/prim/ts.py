@@ -69,7 +69,8 @@ class TsProgram(DpuProgram):
         rng = tasklet_range(ctx, n_windows)
         if len(rng):
             ctx.mem_alloc(3 * 1024)
-            query = ctx.mram_read_blocks(q_off, m * 4).view(np.int32)
+            query = ctx.mram_read_blocks(q_off, m * 4,
+                                         readonly=True).view(np.int32)
             span = ctx.mram_read_blocks(rng.start * 4,
                                         (len(rng) + m - 1) * 4).view(np.int32)
             dists = _ssd_profile(span, query)
@@ -107,8 +108,11 @@ class TimeSeries(HostApplication):
 
     def verify(self, output) -> bool:
         # Several windows can tie on distance; compare distances, not indices.
-        dists = _ssd_profile(self.series, self.query)
-        return int(dists[output]) == int(dists.min())
+        return self._distance(output) == self._distance(self.reference())
+
+    def _distance(self, index: int) -> int:
+        window = self.series[index:index + self.query.size]
+        return int(_ssd_profile(window, self.query)[0])
 
     def run(self, transport: Transport) -> int:
         profiler = transport.profiler

@@ -20,7 +20,7 @@ Host-visible variables (``__host`` in real DPU C) are declared in
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, Optional
+from typing import Callable, Dict, Generator, Optional
 
 import numpy as np
 
@@ -76,9 +76,19 @@ class DpuSharedState:
         #: SPMD kernels stream identical spans (query vectors, CSR index
         #: arrays, frontier bitmaps) once per tasklet; serving repeats
         #: from this per-run cache removes the redundant copies while the
-        #: DMA engine still gets charged per call.  Any MRAM write during
-        #: the run invalidates it.
+        #: DMA engine still gets charged per call.  A kernel write evicts
+        #: the spans it overlaps (:meth:`evict_reads`) and no others; the
+        #: cache dies with the run.
         self.read_cache: Dict[tuple, np.ndarray] = {}
+
+    def evict_reads(self, offset: int, nbytes: int) -> None:
+        """Drop every cached span a write to ``[offset, offset + nbytes)``
+        overlaps."""
+        end = offset + nbytes
+        stale = [key for key in self.read_cache
+                 if key[0] < end and offset < key[0] + key[1]]
+        for key in stale:
+            del self.read_cache[key]
 
     def mem_alloc(self, size: int) -> int:
         """Bump-allocate ``size`` bytes of WRAM heap; returns the offset."""
@@ -168,7 +178,7 @@ class TaskletContext:
         """DMA a WRAM buffer out to MRAM at ``offset``."""
         buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         self._shared.dpu.mram.write(offset, buf)
-        self._shared.read_cache.clear()
+        self._shared.evict_reads(offset, buf.size)
         self._shared.dma_ops += 1
         self._shared.dma_bytes += buf.size
         self._mark_dirty(MRAM_HEAP_SYMBOL, offset, buf.size)
@@ -212,7 +222,7 @@ class TaskletContext:
             raise DpuFaultError(f"block_bytes must be positive, got {block_bytes}")
         buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
         self._shared.dpu.mram.write(offset, buf)
-        self._shared.read_cache.clear()
+        self._shared.evict_reads(offset, buf.size)
         self._shared.dma_ops += max(1, -(-buf.size // block_bytes))
         self._shared.dma_bytes += buf.size
         self._mark_dirty(MRAM_HEAP_SYMBOL, offset, buf.size)
@@ -261,6 +271,20 @@ class TaskletContext:
     def shared(self) -> Dict[str, object]:
         """Per-DPU dict shared across tasklets (shared-WRAM stand-in)."""
         return self._shared.scratch
+
+    def once(self, key: str, compute: Callable[[], object]) -> object:
+        """``compute()`` of the first tasklet to ask, for every tasklet.
+
+        For work whose inputs are the same for all tasklets of a run
+        (decoding the arguments, a phase computed DPU-wide as array
+        ops): the first tasklet to reach it computes, the others pick
+        the result up and charge their own share.  DMA is not shared
+        this way — every tasklet still issues its own reads.
+        """
+        scratch = self._shared.scratch
+        if key not in scratch:
+            scratch[key] = compute()
+        return scratch[key]
 
     # -- synchronization ---------------------------------------------------------
 

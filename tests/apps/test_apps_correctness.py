@@ -5,6 +5,7 @@ seamlessly in the vPIM system, where the DPU computed results match
 accurately with those computed on CPUs."
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.figures import SIZE_PROFILES
@@ -77,3 +78,63 @@ def test_vpim_slower_than_native_overall():
         vpim2 = VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
         vr = vpim2.vm_session(nr_vupmem=2).run(build_app(short_name, 8))
         assert vr.overhead_vs(nat) > 1.0
+
+
+# -- the CPU reference: once per instance, taken before the transport runs -------
+
+def count_expected_calls(monkeypatch, app) -> list:
+    calls = []
+    expected = type(app).expected
+    monkeypatch.setattr(type(app), "expected",
+                        lambda self: calls.append(1) or expected(self))
+    return calls
+
+
+@pytest.mark.parametrize("short_name", APP_NAMES)
+def test_reference_is_computed_once_per_instance(short_name, monkeypatch):
+    app = build_app(short_name, 8)
+    calls = count_expected_calls(monkeypatch, app)
+    session = VPim(small_machine(nr_ranks=2, dpus_per_rank=8)).native_session()
+    assert session.run(app).verified
+    assert len(calls) == 1
+    assert session.run(app).verified and session.run(app).verified
+    assert len(calls) == 1, "a later run recomputed the reference"
+
+
+def test_rebinding_an_input_recomputes_the_reference(monkeypatch):
+    app = build_app("RED", 8)
+    calls = count_expected_calls(monkeypatch, app)
+    session = VPim(small_machine(nr_ranks=2, dpus_per_rank=8)).native_session()
+    assert session.run(app).verified
+    app.data = np.ones(1024, dtype=np.int32)
+    assert session.run(app).verified and app.reference() == 1024
+    assert len(calls) == 2
+
+
+def test_rebinding_verify_keeps_the_reference(monkeypatch):
+    """A harness that wraps ``verify`` on the instance for one run (the
+    perf workloads capture the output there) is not changing an input."""
+    app = build_app("RED", 8)
+    calls = count_expected_calls(monkeypatch, app)
+    session = VPim(small_machine(nr_ranks=2, dpus_per_rank=8)).native_session()
+    verify = app.verify
+    app.verify = lambda output: verify(output)
+    assert session.run(app).verified
+    del app.verify
+    assert session.run(app).verified
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["native", "vm"])
+def test_input_corrupted_in_place_fails_the_next_run(mode):
+    """R3, the strong form: the reference dates from before the
+    transport touched the caller's buffers, so a transport (or anyone)
+    scribbling on an input between runs is reported, not absorbed into a
+    recomputed reference."""
+    app = build_app("VA", 8)
+    vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
+    session = (vpim.native_session() if mode == "native"
+               else vpim.vm_session(nr_vupmem=2))
+    assert session.run(app).verified
+    app.a[7] += 1
+    assert not session.run(app).verified
