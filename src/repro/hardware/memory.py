@@ -12,10 +12,19 @@ segments is one slice copy per extent instead of one Python-level copy per
 64 KB.  A per-extent presence mask records which segments have been
 written; unwritten segments read as zero even though their extent bytes
 may hold recycled garbage.
+
+What the host keeps resident follows the masks.  An extent is a private
+anonymous mapping, so a *fresh* one costs address space only; a *live*
+one holds the pages of the segments its region wrote; a *pooled* one
+holds the segments its last owner wrote and nothing else — the rest is
+given back to the kernel when the region lets go of it.  Resident memory
+is therefore bounded by the footprints of each extent's current and
+previous owner, not by everything the process ever touched.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
@@ -31,18 +40,56 @@ SEGMENT_SIZE = 64 * 1024
 EXTENT_SEGMENTS = 256
 EXTENT_BYTES = EXTENT_SEGMENTS * SEGMENT_SIZE
 
+#: ``madvise`` hints, ``None`` where the platform's ``mmap`` has no such
+#: constant: the hint is then skipped and the store behaves the same,
+#: it only keeps more resident.
+_MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+#: Private, so dropped pages come back zero-filled and cost nothing until
+#: touched (POSIX maps shared by default; elsewhere there are no flags
+#: and an anonymous map is private already).
+_MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+              if hasattr(mmap, "MAP_PRIVATE") else {})
+
+
+def _mapping(ext: np.ndarray) -> mmap.mmap:
+    """The map behind an extent (``frombuffer`` keeps it as the array's
+    base, wrapped in a memoryview by newer numpy)."""
+    base = ext.base
+    return base.obj if isinstance(base, memoryview) else base
+
+
+def _drop_absent(ext: np.ndarray, mask: np.ndarray) -> None:
+    """Give the pages of every maximal run of absent segments back to
+    the kernel (a no-op where none was touched)."""
+    if _MADV_DONTNEED is None or mask.all():
+        return
+    present = np.concatenate(([True], mask, [True]))
+    edges = np.flatnonzero(present[1:] != present[:-1])
+    mapping = _mapping(ext)
+    for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        mapping.madvise(_MADV_DONTNEED, start * SEGMENT_SIZE,
+                        (stop - start) * SEGMENT_SIZE)
+
 
 class _ExtentPool:
     """Process-wide recycler for extent backing arrays.
 
-    A freshly allocated numpy array pays a minor page fault per 4 KB on
-    first touch, and the C allocator does not reliably keep large chunks
-    warm between runs — bulk transfers into new regions then run several
-    times slower than memcpy.  Recycling keeps extent pages resident.
+    First touch is the expensive part of a bulk transfer into a new
+    region (one minor fault per 4 KB, several times slower than memcpy),
+    so extents are recycled warm: a workload that writes the same spans
+    again finds its pages resident.  Only those, though.  An extent is a
+    zero-fill mapping without huge pages — touching 16 KB costs 16 KB,
+    not 2 MB — and :meth:`release_all` gives back every segment its owner
+    did not write, so a pooled extent holds its last owner's footprint
+    rather than the union of every footprint it has seen.
+
     Recycled extents are handed out *dirty*: the presence mask guarantees
     stale bytes are never visible (a segment only reads from its extent
     after it has been written, and partial writes zero the uncovered
-    remainder of a newly present segment).
+    remainder of a newly present segment).  That holds whether or not the
+    kernel dropped a page; the hints only decide what stays resident.
     """
 
     def __init__(self, max_bytes: int = 6 << 30) -> None:
@@ -55,24 +102,34 @@ class _ExtentPool:
         if lst:
             self._held -= nbytes
             return lst.pop()
-        return np.empty(nbytes, dtype=np.uint8)
+        mapping = mmap.mmap(-1, nbytes, **_MAP_FLAGS)
+        if _MADV_NOHUGEPAGE is not None:
+            mapping.madvise(_MADV_NOHUGEPAGE)
+        # The array is the only reference: the map lives as long as it
+        # does and is never closed.
+        return np.frombuffer(mapping, dtype=np.uint8)
 
-    def release_all(self, extents: Dict[int, np.ndarray]) -> None:
+    def release_all(self, extents: Dict[int, np.ndarray],
+                    masks: Dict[int, np.ndarray]) -> None:
         """Take every extent of ``extents`` into the free list (up to the
-        byte cap) and clear the dict.  Only called on backing arrays the
-        region owns — nothing else ever holds a reference to them."""
-        for ext in extents.values():
+        byte cap), trimmed to the segments ``masks`` marks present, and
+        clear both dicts.  Only called on backing arrays the region owns
+        — nothing else ever holds a reference to them."""
+        for ext_idx, ext in extents.items():
             if self._held + ext.size <= self.max_bytes:
+                _drop_absent(ext, masks[ext_idx])
                 self._free.setdefault(ext.size, []).append(ext)
                 self._held += ext.size
         extents.clear()
+        masks.clear()
 
 
 #: Shared across all regions of the process (the simulator is
-#: single-threaded); bounded at ``max_bytes`` of resident backing store.
-#: The cap is sized to hold the working set of a full 64-DPU rank session
-#: (~4 GB of concurrently live MRAM + guest memory) so back-to-back
-#: sessions never re-fault their transfer arenas.
+#: single-threaded); bounded at ``max_bytes`` of pooled extents, counted
+#: whole whatever part of them is resident.  The cap is sized to hold the
+#: working set of a full 64-DPU rank session (~4 GB of concurrently live
+#: MRAM + guest memory) so back-to-back sessions never re-fault their
+#: transfer arenas.
 EXTENT_POOL = _ExtentPool()
 
 
@@ -255,8 +312,7 @@ class MemoryRegion:
         implemented cheaply.
         """
         if value == 0:
-            EXTENT_POOL.release_all(self._extents)
-            self._masks.clear()
+            EXTENT_POOL.release_all(self._extents, self._masks)
             self._nr_present = 0
             self.generation += 1
         else:
@@ -334,9 +390,12 @@ class MemoryRegion:
             ext = self._extents[ext_idx]
             mask = self._masks[ext_idx]
             base = ext_idx * self._extent_segs
+            # The region may end inside its last segment.
+            limit = self.size - ext_idx * self._extent_bytes
             for seg in np.nonzero(mask)[0]:
                 start = int(seg) * SEGMENT_SIZE
-                out[base + int(seg)] = ext[start:start + SEGMENT_SIZE].copy()
+                stop = min(start + SEGMENT_SIZE, limit)
+                out[base + int(seg)] = ext[start:stop].copy()
         return out
 
     def load_segments(self, segments: Dict[int, np.ndarray]) -> None:
@@ -346,10 +405,16 @@ class MemoryRegion:
                 raise MemoryAccessError(
                     f"{self.name}: snapshot segment {idx} outside region"
                 )
-            if _as_u8(src).size > SEGMENT_SIZE:
+            size = _as_u8(src).size
+            if size > SEGMENT_SIZE:
                 raise MemoryAccessError(
                     f"{self.name}: snapshot segment {idx} larger than "
                     f"{SEGMENT_SIZE} bytes"
+                )
+            if idx * SEGMENT_SIZE + size > self.size:
+                raise MemoryAccessError(
+                    f"{self.name}: snapshot segment {idx} runs past the "
+                    f"region's {self.size} bytes"
                 )
         # All inputs validated; the writes below cannot fail, so the
         # replacement is effectively atomic.
@@ -362,7 +427,7 @@ class MemoryRegion:
         # VPim per run would otherwise re-fault every page).  Guarded:
         # module globals may be gone at interpreter shutdown.
         try:
-            EXTENT_POOL.release_all(self._extents)
+            EXTENT_POOL.release_all(self._extents, self._masks)
         except Exception:  # pragma: no cover - shutdown races
             pass
 

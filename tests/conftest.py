@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.config import small_machine
@@ -35,3 +37,19 @@ def vm_session(vpim):
 @pytest.fixture
 def cost():
     return DEFAULT_COST_MODEL
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    """One line with the session's own envelope (ROADMAP item 2 watches
+    tier-1 sys seconds and peak RSS).  Reported, never asserted: the
+    numbers depend on the box."""
+    try:
+        import resource
+    except ImportError:     # not a POSIX host
+        return
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    terminalreporter.write_line(
+        f"envelope: peak RSS {usage.ru_maxrss / per_mb:.0f} MB, "
+        f"user {usage.ru_utime:.1f} s, sys {usage.ru_stime:.1f} s, "
+        f"{usage.ru_minflt} minor faults")

@@ -107,3 +107,32 @@ def test_non_u8_array_viewed_as_bytes():
     mem = MemoryRegion(1024)
     mem.write(0, np.array([1], dtype=np.uint32))
     assert np.array_equal(mem.read(0, 4).view(np.uint32), [1])
+
+
+@pytest.mark.parametrize("size", [24 << 10, 100 << 10, SEGMENT_SIZE,
+                                  (1 << 20) + 3])
+def test_snapshot_round_trip_whatever_the_size(size):
+    # A region that ends inside its last segment (24 KB IRAM) used to
+    # snapshot a full 64 KB slice there, which its own loader refused.
+    data = np.random.default_rng(size).integers(1, 256, size, dtype=np.uint8)
+    mem = MemoryRegion(size)
+    mem.write(0, data)
+    snapshot = mem.snapshot_segments()
+    assert sum(seg.size for seg in snapshot.values()) == size
+    for target in (mem, MemoryRegion(size)):
+        target.load_segments(snapshot)
+        assert np.array_equal(target.read(0, size), data)
+
+
+def test_rejected_snapshot_leaves_region_as_it_was():
+    mem = MemoryRegion(100 << 10)
+    mem.write(5, b"abc")
+    generation = mem.generation
+    too_long = {1: np.ones(SEGMENT_SIZE, dtype=np.uint8)}   # ends at 128 KB
+    for bad in (too_long, {2: b"x"}, {-1: b"x"},
+                {0: np.ones(SEGMENT_SIZE + 1, dtype=np.uint8)}):
+        with pytest.raises(MemoryAccessError):
+            mem.load_segments(bad)
+        assert mem.generation == generation
+        assert bytes(mem.read(5, 3)) == b"abc"
+        assert mem.materialized_bytes == SEGMENT_SIZE
