@@ -106,6 +106,9 @@ class BinarySearch(HostApplication):
                 dpus.launch()
             with profiler.segment("DPU-CPU"):
                 per_dpu = dpus.push_from_mram(r_off, nq * 8)
-        # Each query hits in exactly one DPU's slice: combine by max.
-        stacked = np.stack([buf.view(np.int64) for buf in per_dpu])
-        return stacked.max(axis=0)
+        # Each query hits in exactly one DPU's slice: combine by max, row
+        # by row (stacking the rows would copy the whole read once more).
+        best = per_dpu[0].view(np.int64).copy()
+        for buf in per_dpu[1:]:
+            np.maximum(best, buf.view(np.int64), out=best)
+        return best

@@ -22,6 +22,7 @@ from repro.errors import IoctlError, MmapError
 from repro.driver.ioctl import IoctlCode, IoctlRequest
 from repro.driver.sysfs import SysFs
 from repro.hardware.machine import Machine
+from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import CiCommand, Rank, ReadSpec, WriteSpec
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.runtime import run_program
@@ -69,12 +70,15 @@ def launch_poll_count(run_duration: float, base_period: float = 50e-6,
 def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
                          rust_interleave: bool = False,
                          into: Optional[List[np.ndarray]] = None,
+                         blocks: Optional[BlockRecycler] = None,
                          ) -> Tuple[Optional[List[np.ndarray]], float]:
     """Execute ``matrix`` against ``rank``; entry indices are rank-local.
 
     Returns ``(buffers, duration)`` — buffers is None for writes.
     ``into`` optionally supplies per-entry destination buffers for MRAM
-    reads (pooled zero-copy path); ignored for writes and WRAM symbols.
+    reads (pooled zero-copy path), ``blocks`` the recycler the result
+    block of one without ``into`` comes from; both are ignored for
+    writes and WRAM symbols.
     """
     if matrix.target is Target.MRAM:
         if matrix.kind is XferKind.TO_DPU:
@@ -85,7 +89,7 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
         specs = [ReadSpec(e.dpu_index, matrix.offset, e.size)
                  for e in matrix.entries]
         return rank.read_mram(specs, rust_interleave=rust_interleave,
-                              into=into)
+                              into=into, blocks=blocks)
 
     # WRAM host-variable transfer: small per-DPU CI-side copies.
     buffers: List[np.ndarray] = []
@@ -136,6 +140,8 @@ class PerfModeMapping:
         self.rank = rank
         self.owner = owner
         self.mapped = True
+        #: Where native reads land; emptied by :meth:`unmap`.
+        self.blocks = BlockRecycler()
 
     @property
     def rank_index(self) -> int:
@@ -152,7 +158,7 @@ class PerfModeMapping:
 
     def _check(self) -> None:
         if not self.mapped:
-            raise MmapError(f"rank {self.rank.index} mapping was unmapped")
+            raise MmapError(f"rank {self.rank_index} mapping was unmapped")
 
     def write(self, matrix: TransferMatrix, rust_interleave: bool = False) -> float:
         self._check()
@@ -176,8 +182,8 @@ class PerfModeMapping:
              into: Optional[List[np.ndarray]] = None,
              ) -> Tuple[List[np.ndarray], float]:
         self._check()
-        buffers, duration = apply_matrix_to_rank(self.rank, matrix,
-                                                 rust_interleave, into=into)
+        buffers, duration = apply_matrix_to_rank(
+            self.rank, matrix, rust_interleave, into=into, blocks=self.blocks)
         assert buffers is not None
         return buffers, duration
 
@@ -196,7 +202,8 @@ class PerfModeMapping:
     def unmap(self) -> None:
         if self.mapped:
             self.mapped = False
-            self._driver.release_rank(self.rank.index, self.owner)
+            self.blocks.release()
+            self._driver.release_rank(self.rank_index, self.owner)
 
 
 class UpmemDriver:

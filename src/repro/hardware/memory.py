@@ -25,7 +25,9 @@ previous owner, not by everything the process ever touched.
 from __future__ import annotations
 
 import mmap
-from typing import Dict, List, Sequence, Union
+import weakref
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,19 +146,102 @@ def _as_u8(data: BytesLike) -> np.ndarray:
                          dtype=np.uint8)
 
 
-def result_block(sizes: Sequence[int]) -> List[np.ndarray]:
-    """One freshly allocated block cut into a row per read result.
+def _aligned_empty(nbytes: int) -> np.ndarray:
+    """``np.empty`` bytes starting on a 64-byte boundary."""
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    pos = -raw.__array_interface__["data"][0] % 64
+    return raw[pos:pos + nbytes]
+
+
+class BlockRecycler:
+    """One rank allocation's read result blocks, handed out again once
+    nothing of them is alive.
+
+    On hardware a read lands in the application's own long-lived buffer,
+    whose pages were faulted once; a block from the allocator is zeroed
+    by the kernel on every read (glibc returns anything large straight
+    to it), which cost a bulk read more than its copy.  So each owner of
+    a rank allocation — the guest frontend, the native mapping — keeps
+    one of these, and a block is in one of four states:
+
+    - *fresh*: no idle block of the size asked for, so ``np.empty`` — the
+      first read of a shape costs what it always did, huge pages or heap
+      as numpy and the allocator see fit;
+    - *on loan*: some row, view of a row or ``memoryview`` of one is
+      alive.  The block is the caller's, exactly as a fresh one is;
+    - *idle*: the last of those died and the bytes came back, pages
+      resident, for the next read of that size.  Only blocks of the most
+      recent size are kept — a read of another size drops them — so the
+      recycler holds a working set, not a high-water mark;
+    - *dropped*: :meth:`release` (the allocation's end) forgets the idle
+      blocks and stops watching the ones on loan, which then die with
+      their last row.  A block never leaves the allocation that read it.
+    """
+
+    def __init__(self) -> None:
+        self._idle: List[np.ndarray] = []
+        #: Size of every array in ``_idle``: the last size asked for.
+        self._nbytes = 0
+        #: ``id(store)`` → the weak reference watching the block handed
+        #: out over it; the reference must live for its callback to run.
+        self._loans: Dict[int, weakref.ref] = {}
+
+    @property
+    def on_loan(self) -> int:
+        """Blocks something still keeps alive."""
+        return len(self._loans)
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """``nbytes`` of unspecified content on a 64-byte boundary."""
+        if nbytes != self._nbytes:
+            self._idle.clear()
+            self._nbytes = nbytes
+        store = self._idle.pop() if self._idle else _aligned_empty(nbytes)
+        # A second array over the store's bytes, and through a
+        # memoryview so that numpy takes them for a foreign buffer: it
+        # then bases every view cut from ``block``, however long the
+        # chain, on ``block`` itself, which is therefore alive exactly as
+        # long as anything of this loan.  (Views of a plain slice are
+        # based on the array the slice came from, not on the slice:
+        # watching one hands the bytes on while its siblings are in use.)
+        block = np.frombuffer(memoryview(store), dtype=np.uint8)
+        self._loans[id(store)] = weakref.ref(
+            block, partial(self._came_back, store))
+        return block
+
+    def _came_back(self, store: np.ndarray, _ref: weakref.ref) -> None:
+        del self._loans[id(store)]
+        if store.size == self._nbytes:
+            self._idle.append(store)
+
+    def release(self) -> None:
+        """The allocation is over: keep nothing, take nothing back."""
+        self._idle.clear()
+        self._loans.clear()
+
+
+def result_block(sizes: Sequence[int],
+                 recycler: Optional[BlockRecycler] = None,
+                 ) -> List[np.ndarray]:
+    """One block cut into a row per read result.
 
     A multi-DPU read hands its caller ``len(sizes)`` arrays.  Allocated
     one by one, megabyte results come from (and return to) the kernel on
     every read, one minor fault per 4 KB; one block per request is a
     single mapping large enough for huge pages.  Rows start on 64-byte
     boundaries, are disjoint, and belong to the caller — they share a
-    base but alias nothing the simulator keeps.
+    base but alias nothing the simulator keeps.  Their content is
+    unspecified: whoever asks fills every byte before handing them on.
+
+    The block is freshly allocated, or — with ``recycler``, the calling
+    allocation's :class:`BlockRecycler` — one whose previous rows have
+    all died, which only changes whether its pages are already resident.
     """
     strides = [-(-size // 64) * 64 for size in sizes]
-    block = np.empty(sum(strides) + 64, dtype=np.uint8)
-    pos = -block.__array_interface__["data"][0] % 64
+    nbytes = sum(strides)
+    block = (_aligned_empty(nbytes) if recycler is None
+             else recycler.take(nbytes))
+    pos = 0
     rows = []
     for size, stride in zip(sizes, strides):
         rows.append(block[pos:pos + size])

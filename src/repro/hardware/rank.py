@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
 from repro.hardware.dpu import Dpu, DpuRunStats, DpuState
-from repro.hardware.memory import result_block
+from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
 from repro.observability.instruments import RankInstruments
@@ -341,6 +341,7 @@ class Rank:
     def read_mram(self, specs: Sequence[ReadSpec],
                   rust_interleave: bool = False,
                   into: Optional[List[np.ndarray]] = None,
+                  blocks: Optional[BlockRecycler] = None,
                   ) -> Tuple[List[np.ndarray], float]:
         """Read-from-rank: returns per-spec buffers and the duration.
 
@@ -348,9 +349,11 @@ class Rank:
         which is how the backend reads straight into pooled scratch or
         the result rows a planned request brings; the returned list then
         holds those buffers.  Without it the results of a multi-spec read
-        are rows of one fresh :func:`~repro.hardware.memory.result_block`
-        (what the virtualized frontend hands back too), and a single spec
-        keeps the :meth:`MemoryRegion.read` fast path.
+        are rows of one :func:`~repro.hardware.memory.result_block`
+        (what the virtualized frontend hands back too) — the caller's to
+        keep, taken from ``blocks``, the recycler of the allocation that
+        is reading, when there is one — and a single spec keeps the
+        :meth:`MemoryRegion.read` fast path.
         """
         self._guard("read")
         for spec in specs:
@@ -359,7 +362,7 @@ class Rank:
                     f"transfer of {spec.length} bytes exceeds the 4 GB rank limit"
                 )
         if into is None and len(specs) != 1:
-            into = result_block([spec.length for spec in specs])
+            into = result_block([spec.length for spec in specs], blocks)
         if into is None:
             (spec,) = specs
             out = [self.dpu(spec.dpu_index).mram.read(spec.offset,

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.driver.driver import PerfModeMapping, UpmemDriver
 from repro.errors import ManagerError
 from repro.hardware.dpu import DpuState
+from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import Rank
 from repro.observability.instruments import PagingInstruments
 from repro.paging.config import PagingConfig
@@ -374,6 +375,7 @@ class PagedRankMapping(PerfModeMapping):
         self.vrank = vrank
         self.owner = owner
         self.mapped = True
+        self.blocks = BlockRecycler()
 
     @property
     def rank(self) -> Rank:  # type: ignore[override]
@@ -385,13 +387,3 @@ class PagedRankMapping(PerfModeMapping):
 
     def peek_rank(self) -> Optional[Rank]:
         return self._pager.resident_rank(self.vrank)
-
-    def _check(self) -> None:
-        if not self.mapped:
-            from repro.errors import MmapError
-            raise MmapError(f"rank {self.vrank} mapping was unmapped")
-
-    def unmap(self) -> None:
-        if self.mapped:
-            self.mapped = False
-            self._driver.release_rank(self.vrank, self.owner)

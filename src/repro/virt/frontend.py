@@ -29,7 +29,7 @@ from repro.errors import (
     TransferError,
     TransientFaultError,
 )
-from repro.hardware.memory import result_block
+from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
 from repro.observability.instruments import FaultInstruments, FrontendInstruments
@@ -170,6 +170,9 @@ class VUpmemFrontend:
         self.profiler = profiler
         self.cache = PrefetchCache(opts.prefetch_pages_per_dpu)
         self.batch = BatchBuffer(opts.batch_pages_per_dpu)
+        #: Where reads land — the guest application's destination
+        #: buffers, faulted once and reused; emptied by :meth:`release`.
+        self.blocks = BlockRecycler()
         #: Content-aware transfer cache (``Optimization(cache=True)``):
         #: per-extent digests of what the device already holds, used to
         #: suppress unchanged writes.  ``None`` keeps the default path
@@ -712,12 +715,12 @@ class VUpmemFrontend:
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
             sizes = [seg_len] * len(sizes)
 
-        # The request carries its own destinations: rows of one fresh
-        # block, as ``Rank.read_mram`` returns them, bound at its payload
-        # GPAs for the roundtrip (and filled again by a retried one).
-        # Nothing else ever writes them, so they are the caller's — or
-        # the prefetch cache's — to keep.
-        buffers = result_block(sizes)
+        # The request carries its own destinations: rows of one block,
+        # as ``Rank.read_mram`` returns them, bound at its payload GPAs
+        # for the roundtrip (and filled again by a retried one).  Nothing
+        # else writes them while any is alive, so they are the caller's
+        # — or the prefetch cache's — to keep.
+        buffers = result_block(sizes, self.blocks)
         wire = TransferMatrix(
             XferKind.FROM_DPU, matrix.symbol, matrix.offset,
             [DpuEntry(dpu_index=e.dpu_index, size=row.size, data=row)
@@ -826,6 +829,7 @@ class VUpmemFrontend:
             self.batch.drain()
             duration = 0.0
         self.invalidate("release")
+        self.blocks.release()
         header = RequestHeader(kind=RequestKind.RELEASE)
         try:
             _, rt = self._roundtrip(header)

@@ -10,7 +10,9 @@ buffer was leaked *or* double-released.
 Planned requests loan nothing from the pool; what they hold for one
 roundtrip is the binding of the caller's buffers at their payload GPAs
 (``GuestMemory.bind``), and the same drills check it the same way:
-``nr_bound == 0`` between operations.
+``nr_bound == 0`` between operations.  A read's result block is on loan
+from the frontend's recycler until its rows die, and the recycler is
+empty once the session released its ranks, however the run ended.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ def assert_quiescent(session):
         assert pool.outstanding == 0
     for dev in session.vm.devices:
         assert dev.frontend.memory.nr_bound == 0
+        blocks = dev.frontend.blocks
+        assert blocks.on_loan == 0 and not blocks._idle
 
 
 class TestPoolQuiescence:

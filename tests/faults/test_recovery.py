@@ -1,5 +1,8 @@
 """Recovery paths: session reruns, quarantine/repair, failover, retries."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.hardware.rank import RankHealth
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.manager import RankState
+from repro.virt.migration import migrate_device
 
 from tests.faults.conftest import schedule
 
@@ -221,7 +225,11 @@ class TestBoundRequestAborts:
     retry, exhausted budget, a backend or rank error — must leave
     ``GuestMemory.nr_bound == 0``, the way loans leave
     ``pool.outstanding == 0``; a retry must still move the caller's
-    bytes, into and out of the very same buffers."""
+    bytes, into and out of the very same buffers.
+
+    A read's destination is a block of the frontend's recycler, on loan
+    for as long as the caller holds a row of it and not a moment longer:
+    an aborted read's block is back as soon as the exception is."""
 
     SIZE = 17 * PAGE_SIZE       # past the batch buffer and the prefetch line
 
@@ -240,6 +248,11 @@ class TestBoundRequestAborts:
         rng = np.random.default_rng(seed)
         return [rng.integers(0, 256, self.SIZE, dtype=np.uint8)
                 for _ in range(8)]
+
+    @staticmethod
+    def _assert_no_loan(frontend):
+        gc.collect()            # an exception's frames hold the rows
+        assert frontend.blocks.on_loan == 0
 
     @staticmethod
     def _failing(k, error, seen=None):
@@ -287,6 +300,18 @@ class TestBoundRequestAborts:
         else:
             assert seen == [[]] * (k + 1), "nothing is bound before a send"
         assert device.frontend.plans.nr_plans == 2, "retries keep the plans"
+
+        # k retries took one block, the caller's while it holds the rows;
+        # let go of, it is where the next read lands.
+        blocks = device.frontend.blocks
+        assert blocks.on_loan == 1
+        address = rows[0].ctypes.data
+        seen.clear()
+        rows = bound = None
+        assert blocks.on_loan == 0
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert rows[0].ctypes.data == address
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
         dpus.__exit__(None, None, None)
 
     def test_exhausted_retries_leave_nothing_bound(self, chaos_vpim):
@@ -302,6 +327,7 @@ class TestBoundRequestAborts:
         with pytest.raises(BackendHungError):
             dpus.push_from_mram(0, self.SIZE)
         assert frontend.memory.nr_bound == 0
+        self._assert_no_loan(frontend)
         # The budget is per request: the next ones go through.
         device.backend.fault_hook = None
         fresh = self._data(2)
@@ -321,6 +347,7 @@ class TestBoundRequestAborts:
         with pytest.raises(RankOfflineError):
             dpus.push_from_mram(0, self.SIZE)
         assert memory.nr_bound == 0
+        self._assert_no_loan(device.frontend)
         rank.health = RankHealth.OK
 
         def crash(_backend):
@@ -329,8 +356,44 @@ class TestBoundRequestAborts:
         with pytest.raises(RuntimeError):
             dpus.push_from_mram(0, self.SIZE)
         assert memory.nr_bound == 0
+        self._assert_no_loan(device.frontend)
         device.backend.fault_hook = None
         dpus.__exit__(None, None, None)
+
+    def test_the_recycler_outlives_the_rank_not_the_allocation(self,
+                                                               chaos_vpim):
+        """Failover and migration change the rank behind the device, not
+        the guest's buffers: reads keep landing in the same block.
+        Release ends the allocation, and the recycler keeps nothing of it
+        — rows still held stay the holder's and die with it."""
+        dpus, device = self._warm(chaos_vpim)
+        manager = chaos_vpim.manager
+        blocks = device.frontend.blocks
+        (block,) = blocks._idle             # the warm-up's, dropped
+
+        failover_device(device, manager)    # onto a blank rank
+        fresh = self._data(1)
+        dpus.push_to_mram(0, fresh)
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        assert blocks.on_loan == 1 and not blocks._idle
+        rows = None
+        assert len(blocks._idle) == 1 and blocks._idle[0] is block
+
+        manager.repair(0)
+        assert migrate_device(device, manager) == 0
+        rows = dpus.push_from_mram(0, self.SIZE)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        assert blocks.on_loan == 1 and not blocks._idle
+
+        gone = weakref.ref(block)
+        del block
+        dpus.__exit__(None, None, None)
+        assert blocks.on_loan == 0 and not blocks._idle
+        assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
+        del rows
+        gc.collect()
+        assert not blocks._idle and gone() is None
 
     def test_pinned_write_refuses_a_source_that_changed_shape(self,
                                                               chaos_vpim):
