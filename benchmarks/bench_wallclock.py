@@ -9,12 +9,8 @@ story (Section 5.4.1, the AVX-512 "C code enhancement") is exactly this
 distinction applied to the real backend, so the repo tracks it as a
 first-class artifact: ``BENCH_WALLCLOCK.json`` at the repository root.
 
-Three measurement groups:
+Two measurement groups:
 
-- **micro** — the hot data-plane paths in isolation: the byte
-  interleaving codec, wire-format serialize/deserialize/gather, the
-  backend small-request dispatch storm, and raw ``MemoryRegion`` block
-  traffic (the substrate every layer copies through);
 - **suite** — the 16 PrIM applications end-to-end through a vPIM VM
   session (allocate, load, transfer, launch, verify, release);
 - **modeled** — a digest over every *simulated* output the suite
@@ -22,9 +18,9 @@ Three measurement groups:
   work must change wall-clock only: a digest mismatch means an
   "optimization" silently changed the model and must be rejected.
 
-Wall-clock numbers are machine-dependent, so the JSON embeds a memcpy
-calibration (GB/s of a large ``numpy`` copy) and ``--check`` compares
-calibration-normalized costs against the committed artifact.
+Wall-clock numbers are printed and stored, never gated: they depend on
+the machine and on what else it is running.  Wall-clock claims go
+through ``BENCHMARK.json``'s paired runs (``benchmarks/perf/``).
 
 Usage::
 
@@ -33,8 +29,8 @@ Usage::
     python benchmarks/bench_wallclock.py --quick --check    # CI gate
 
 ``--check`` fails (exit 1) when the modeled digest differs from the
-committed one, or when any group regresses by more than ``--threshold``
-(default 20%) after calibration normalization.
+committed one; with ``--ablate-plans`` also when plans off and plans on
+disagree on any modeled output, or a repeated app replayed no plan.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,24 +53,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
 from repro.apps.registry import PRIM_APPS, app_by_short_name  # noqa: E402
-from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE  # noqa: E402
 from repro.core import VPim  # noqa: E402
-from repro.hardware.bufpool import BufferPool  # noqa: E402
-from repro.hardware.interleave import (  # noqa: E402
-    deinterleave_into,
-    interleave_into,
-)
-from repro.hardware.memory import MemoryRegion  # noqa: E402
-from repro.sdk.transfer import uniform_write  # noqa: E402
-from repro.virt.guest_memory import GuestMemory  # noqa: E402
 from repro.virt.opts import OptimizationConfig  # noqa: E402
-from repro.virt.serialization import (  # noqa: E402
-    RequestHeader,
-    RequestKind,
-    deserialize_request,
-    gather_entry_data,
-    serialize_matrix,
-)
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_WALLCLOCK.json"
 SCHEMA = "repro.bench_wallclock/1"
@@ -83,121 +63,6 @@ OBSERVER_DIR = "src/repro/observability/"
 
 #: Suite apps ordered as in Table 1.
 SUITE_APPS = [info.short_name for info in PRIM_APPS]
-
-
-# -- timing helpers -----------------------------------------------------------
-
-def _best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-N wall time of ``fn`` (min is the standard noise filter)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def calibrate_memcpy() -> float:
-    """GB/s of a bulk numpy copy — the machine-speed normalizer."""
-    src = np.ones(64 << 20, dtype=np.uint8)
-    dst = np.empty_like(src)
-
-    def copy():
-        dst[:] = src
-
-    secs = _best_of(copy, 5)
-    return (src.size / secs) / 1e9
-
-
-# -- micro paths --------------------------------------------------------------
-
-def micro_interleave(quick: bool) -> Dict[str, float]:
-    nbytes = (4 << 20) if quick else (16 << 20)
-    data = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
-    repeats = 5
-    pool = BufferPool()
-
-    def roundtrip():
-        with pool.lease(nbytes) as fwd, pool.lease(nbytes) as back:
-            interleave_into(data, fwd)
-            deinterleave_into(fwd, back)
-
-    secs = _best_of(roundtrip, repeats)
-    assert pool.outstanding == 0, "interleave scratch leaked out of lease"
-    return {"seconds": secs, "bytes": 2 * nbytes,
-            "ns_per_byte": secs / (2 * nbytes) * 1e9}
-
-
-def micro_serialize(quick: bool) -> Dict[str, float]:
-    per_dpu = (16 << 10) if quick else (64 << 10)
-    nr_dpus = 64
-    rng = np.random.default_rng(7)
-    bufs = [rng.integers(0, 255, per_dpu, dtype=np.uint8).astype(np.uint8)
-            for _ in range(nr_dpus)]
-    matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, bufs)
-    header = RequestHeader(kind=RequestKind.WRITE_RANK,
-                           symbol=MRAM_HEAP_SYMBOL)
-    memory = GuestMemory(512 << 20)
-
-    def roundtrip():
-        sreq = serialize_matrix(header, matrix, memory)
-        _, entries, _ = deserialize_request(sreq.chain, memory)
-        for entry in entries:
-            gather_entry_data(entry, memory)
-
-    secs = _best_of(roundtrip, 5)
-    total = per_dpu * nr_dpus
-    return {"seconds": secs, "bytes": total,
-            "ns_per_byte": secs / total * 1e9}
-
-
-def micro_backend_dispatch(quick: bool) -> Dict[str, float]:
-    """Small-request storm: per-message metadata cost through the whole
-    frontend -> virtio -> backend -> rank path (the Fig. 13 fixed steps)."""
-    nr_requests = 64 if quick else 256
-    vpim = VPim(machine_for_dpus(16))
-    session = vpim.vm_session(nr_vupmem=1)
-    from repro.sdk.dpu_set import DpuSet
-
-    payload = (np.arange(2 * PAGE_SIZE, dtype=np.int64) % 253).astype(np.uint8)
-    dpus = DpuSet(session.transport, 16)
-    try:
-        t0 = time.perf_counter()
-        for i in range(nr_requests):
-            # > SMALL_WRITE_BYTES so each write is one full round trip.
-            dpus.copy_to_mram(i % 16, 0, payload)
-        secs = time.perf_counter() - t0
-    finally:
-        dpus.free()
-    return {"seconds": secs, "requests": nr_requests,
-            "us_per_request": secs / nr_requests * 1e6}
-
-
-def micro_memory_region(quick: bool) -> Dict[str, float]:
-    """Blocked MRAM-style traffic: 2 KB DMA blocks, the kernel-runtime
-    access pattern that dominates functional execution."""
-    nr_blocks = 2048 if quick else 8192
-    block = (np.arange(2048, dtype=np.int64) % 255).astype(np.uint8)
-    region = MemoryRegion(64 << 20, name="bench")
-
-    def traffic():
-        for i in range(nr_blocks):
-            off = (i * 2048) % (32 << 20)
-            region.write(off, block)
-            region.read(off, 2048)
-
-    secs = _best_of(traffic, 3)
-    total = nr_blocks * 2048 * 2
-    return {"seconds": secs, "bytes": total,
-            "ns_per_byte": secs / total * 1e9}
-
-
-MICROS: Dict[str, Callable[[bool], Dict[str, float]]] = {
-    "interleave_roundtrip": micro_interleave,
-    "serialize_roundtrip": micro_serialize,
-    "backend_dispatch": micro_backend_dispatch,
-    "memory_region_blocked": micro_memory_region,
-}
 
 
 # -- the PrIM suite -----------------------------------------------------------
@@ -319,7 +184,7 @@ def profile_suite(quick: bool, limit: int = 20) -> Tuple[List[dict], float]:
     share between commits, not against the untraced wall.
 
     A separate single-repetition pass so the profiler's overhead never
-    contaminates the timed measurements or the regression gates.
+    contaminates the timed measurements.
     """
     import cProfile
     import pstats
@@ -344,8 +209,6 @@ def profile_suite(quick: bool, limit: int = 20) -> Tuple[List[dict], float]:
 
 def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
             profile: bool = False) -> dict:
-    calibration = calibrate_memcpy()
-    micro = {name: fn(quick) for name, fn in MICROS.items()}
     suite = run_suite(quick, repeats=repeats)
     suite_wall = sum(row["wall_s"] for row in suite.values())
     report = {
@@ -357,16 +220,11 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
         },
-        "calibration_memcpy_gbps": calibration,
-        "micro": micro,
         "suite": suite,
         "suite_wall_s": suite_wall,
         "modeled_digest": modeled_digest(suite),
     }
     if ablate_plans:
-        # Same machine, back-to-back arms: the memcpy calibration factor
-        # cancels, so the plain wall ratio IS the calibration-normalized
-        # speedup.
         off = run_suite(quick, repeats=repeats,
                         opts=OptimizationConfig(plans=False))
         off_wall = sum(row["wall_s"] for row in off.values())
@@ -393,16 +251,8 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
     return report
 
 
-def print_report(report: dict, baseline: dict | None = None) -> None:
-    print(f"calibration: memcpy {report['calibration_memcpy_gbps']:.2f} GB/s"
-          f"  (mode={report['mode']})")
-    print("\nmicro paths:")
-    for name, row in report["micro"].items():
-        unit = ("us_per_request" if "us_per_request" in row
-                else "ns_per_byte")
-        print(f"  {name:28s} {row['seconds'] * 1e3:9.2f} ms"
-              f"  {row[unit]:9.3f} {unit}")
-    print("\nPrIM suite (end-to-end vPIM sessions):")
+def print_report(report: dict) -> None:
+    print(f"PrIM suite (end-to-end vPIM sessions, mode={report['mode']}):")
     for app, row in report["suite"].items():
         mark = "ok" if row["verified"] else "MISMATCH"
         print(f"  {app:10s} {row['wall_s'] * 1e3:9.1f} ms wall"
@@ -421,21 +271,14 @@ def print_report(report: dict, baseline: dict | None = None) -> None:
     if "observer_share" in report:
         print(f"observer share:   {report['observer_share']:.1%} of profiled "
               f"self time under {OBSERVER_DIR}")
-    if baseline:
-        speed = baseline["suite_wall_s"] / report["suite_wall_s"]
-        print(f"baseline suite:   {baseline['suite_wall_s'] * 1e3:.1f} ms"
-              f"  -> speedup {speed:.2f}x")
 
 
-def check_regression(report: dict, committed: dict, threshold: float,
-                     ablation_floor: float = 1.0) -> int:
-    """CI gate: digest must match exactly; wall costs may not regress by
-    more than ``threshold`` after memcpy-speed normalization.
+def check_regression(report: dict, committed: dict) -> int:
+    """CI gate: the modeled digest must equal the committed one.
 
-    When the run carried a plans ablation, it must also prove the plan
-    cache is working: both arms bit-identical, suite speedup at least
-    ``ablation_floor``, and every multi-repetition app must have replayed
-    at least one plan.
+    When the run carried a plans ablation, both arms must also be
+    bit-identical (digest and per-repetition totals), and every
+    multi-repetition app must have replayed at least one plan.
     """
     failures = []
     ablation = report.get("plans_ablation")
@@ -445,10 +288,6 @@ def check_regression(report: dict, committed: dict, threshold: float,
                 "plans ablation digest mismatch: plans-on and plans-off "
                 f"modeled outputs differ ({ablation['off_digest'][:16]}… "
                 f"off vs {report['modeled_digest'][:16]}… on)")
-        if ablation["speedup"] < ablation_floor:
-            failures.append(
-                f"plans ablation speedup {ablation['speedup']:.3f}x is "
-                f"below the floor {ablation_floor:.2f}x")
         for app, row in report["suite"].items():
             stats = row.get("plan_cache")
             if (stats is not None and row.get("nr_reps", 1) > 1
@@ -458,43 +297,20 @@ def check_regression(report: dict, committed: dict, threshold: float,
                     "no plan (plan_cache hits == 0)")
     if committed.get("mode") != report["mode"]:
         print(f"note: committed artifact is mode={committed.get('mode')!r}, "
-              f"this run is mode={report['mode']!r}; comparing anyway")
-    if committed["modeled_digest"] != report["modeled_digest"]:
-        if committed.get("mode") == report["mode"]:
-            failures.append(
-                "modeled-time digest mismatch: the data plane changed "
-                f"simulated outputs ({report['modeled_digest'][:16]}… vs "
-                f"committed {committed['modeled_digest'][:16]}…)")
-        else:
-            print("note: digest not comparable across modes, skipping")
-
-    # Normalize: a machine with half the memcpy speed is allowed to be
-    # half as fast on every wall metric.
-    scale = (report["calibration_memcpy_gbps"]
-             / committed["calibration_memcpy_gbps"])
-
-    def gate(label: str, now: float, then: float) -> None:
-        normalized = now * scale
-        if normalized > then * (1.0 + threshold):
-            failures.append(
-                f"{label}: {now * 1e3:.1f} ms (normalized "
-                f"{normalized * 1e3:.1f} ms) vs committed "
-                f"{then * 1e3:.1f} ms — >{threshold:.0%} regression")
-
-    if committed.get("mode") == report["mode"]:
-        gate("suite_wall", report["suite_wall_s"], committed["suite_wall_s"])
-    for name, row in report["micro"].items():
-        then = committed.get("micro", {}).get(name)
-        if then:
-            gate(f"micro.{name}", row["seconds"], then["seconds"])
+              f"this run is mode={report['mode']!r}; digest not comparable "
+              "across modes, skipping")
+    elif committed["modeled_digest"] != report["modeled_digest"]:
+        failures.append(
+            "modeled-time digest mismatch: the data plane changed "
+            f"simulated outputs ({report['modeled_digest'][:16]}… vs "
+            f"committed {committed['modeled_digest'][:16]}…)")
 
     if failures:
         print("\nPERF CHECK FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("\nperf check ok: digest identical, no wall-clock regression "
-          f"beyond {threshold:.0%}")
+    print("\nperf check ok: modeled digest identical")
     return 0
 
 
@@ -503,24 +319,18 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized workloads (test profile)")
     parser.add_argument("--check", action="store_true",
-                        help="fail on regression vs the committed artifact")
+                        help="fail when the modeled digest differs from "
+                             "the committed artifact's")
     parser.add_argument("--update", action="store_true",
                         help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--threshold", type=float, default=0.20,
-                        help="allowed fractional wall regression (default 0.20)")
     parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
                         help="artifact path for --check/--update")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="pre-optimization JSON to embed and compare")
     parser.add_argument("--repeats", type=int, default=2,
                         help="wall-time repetitions per app, best kept "
                              "(default 2)")
     parser.add_argument("--ablate-plans", action="store_true",
                         help="also run the suite with the plan cache off "
-                             "and record the speedup + digest comparison")
-    parser.add_argument("--ablation-floor", type=float, default=1.0,
-                        help="minimum plans-off/plans-on suite speedup "
-                             "--check accepts (default 1.0)")
+                             "and record the digest comparison + wall ratio")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile one suite pass; record the top-20 "
                              "cumulative hot functions")
@@ -528,22 +338,7 @@ def main(argv: List[str] | None = None) -> int:
 
     report = measure(quick=args.quick, repeats=args.repeats,
                      ablate_plans=args.ablate_plans, profile=args.profile)
-
-    baseline = None
-    if args.baseline and args.baseline.exists():
-        baseline = json.loads(args.baseline.read_text())
-        report["baseline"] = {
-            "suite_wall_s": baseline["suite_wall_s"],
-            "micro": {k: {"seconds": v["seconds"]}
-                      for k, v in baseline["micro"].items()},
-            "calibration_memcpy_gbps": baseline["calibration_memcpy_gbps"],
-            "modeled_digest": baseline["modeled_digest"],
-            "mode": baseline.get("mode"),
-        }
-        report["speedup_vs_baseline"] = (
-            baseline["suite_wall_s"] / report["suite_wall_s"])
-
-    print_report(report, baseline)
+    print_report(report)
 
     rc = 0
     if args.check:
@@ -552,8 +347,7 @@ def main(argv: List[str] | None = None) -> int:
             rc = 1
         else:
             committed = json.loads(args.artifact.read_text())
-            rc = check_regression(report, committed, args.threshold,
-                                  ablation_floor=args.ablation_floor)
+            rc = check_regression(report, committed)
 
     if args.update and rc == 0:
         args.artifact.write_text(json.dumps(report, indent=2,

@@ -95,8 +95,3 @@ class BufferPool:
         """Drop all pooled buffers (loaned buffers stay with borrowers)."""
         self._free.clear()
         self._pooled_bytes = 0
-
-
-#: Process-wide pool shared by the data plane.  Single-threaded simulator,
-#: so no locking; tests may swap in a fresh pool for isolation.
-GLOBAL_POOL = BufferPool()

@@ -167,7 +167,7 @@ class VUpmemBackend:
         #: labeled by the currently bound rank).
         self.obs = BackendInstruments(metrics or MetricsRegistry(),
                                       device_id, spans=self.spans)
-        #: TLB-style GPA→HVA run cache (hits skip bounds re-validation).
+        #: TLB-style GPA→HVA run cache (every page bounds-checked, hits too).
         self.xlb = TranslationCache(guest_memory)
         #: Scratch-buffer pool backing gathers and pooled rank reads;
         #: per-backend so chaos drills can assert loan stability.

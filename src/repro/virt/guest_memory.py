@@ -23,30 +23,27 @@ HVA_BASE = 0x7F00_0000_0000
 
 
 class GuestMemory:
-    """The VM's physical address space plus its DMA-arena page allocators
-    (the GPA space that §4.2's zero-copy translation resolves to HVAs).
+    """The VM's physical address space (the GPA space that §4.2's
+    zero-copy translation resolves to HVAs): three disjoint regions with
+    one rule each::
 
-    One arena serves three kinds of page run::
+        1 MB            arena end                    window end   top of RAM
+        | rolling arena | payload window .............. | <- plan metadata |
+          alloc_pages     stage_pages                     reserve_pages
 
-        arena start                                  reserve floor  arena top
-        | rolling bump arena ............................ | plan metadata |
-                   | staging window (half the arena) |  (at most a quarter)
-                   |  payload addresses, no bytes:   |
-                   |  bound to the caller's buffers  |
-                   |  while a request is in flight   |
-
-    - :meth:`alloc_pages` hands out contiguous runs from the rolling
-      part; requests are synchronous, so pages can be recycled once the
+    - The **rolling arena** holds the bytes that really move through
+      guest RAM — control messages and wire chains — and is at most half
+      of it.  Requests are synchronous, so pages are recycled once the
       arena wraps (the guest driver reuses its DMA area the same way).
-    - :meth:`reserve_pages` claims the small private runs of a compiled
-      plan's wire metadata, growing downward from the arena top.
-    - The **staging window** — the top of what the metadata can never
-      reach — stages the payload *addresses* of every compiled plan
-      (:meth:`stage_pages`), never payload bytes.  The transferq
-      completes one chain before the next is added, so a payload page
-      needs a stable address for its plan's life but content only while
-      its own request is in flight: all plans, and the rolling allocator
-      when it rolls that far, overlay the same addresses.
+    - **Plan metadata**, the small private runs of a compiled plan's wire
+      buffers, grows down from the top, a quarter of the arena at most.
+    - The **payload window** is everything in between and holds the
+      payload *addresses* of every compiled plan, never payload bytes:
+      its one refusal is a run that ends past it, and no window page is
+      ever materialized.  The transferq completes one chain before the
+      next is added, so a payload page needs a stable address for its
+      plan's life but content only while its own request is in flight,
+      and all plans overlay the same addresses.
 
     A payload address gets its content by **binding** (:meth:`bind`):
     for the life of one request the frontend maps the caller's own
@@ -62,75 +59,49 @@ class GuestMemory:
         self.size = size
         self.region = MemoryRegion(size, name="guest-ram")
         self._arena_start = 1 << 20  # leave the first MiB alone (BIOS area)
-        self._arena_bytes = min(arena_bytes, size - self._arena_start)
+        self._arena_bytes = (min(arena_bytes, (size - self._arena_start) // 2)
+                             // PAGE_SIZE * PAGE_SIZE)
         self._arena_cursor = 0
-        # Long-lived plan-metadata reservations grow *downward* from the
-        # arena top, at most a quarter of the arena deep; the rolling
-        # bump allocator keeps the shrinking bottom part.
-        quarter = self._arena_bytes // 4 // PAGE_SIZE * PAGE_SIZE
-        self._reserve_floor = self._arena_start + self._arena_bytes
-        self._window_end = self._reserve_floor - quarter
-        self._window_base = self._window_end - 2 * quarter
+        #: GPA at which every plan's first payload page is placed.
+        self.window_base = self._arena_start + self._arena_bytes
+        self._reserve_floor = size // PAGE_SIZE * PAGE_SIZE
+        self._window_end = (self._reserve_floor
+                            - self._arena_bytes // 4 // PAGE_SIZE * PAGE_SIZE)
+        #: Size of the payload window: the largest plannable request.
+        self.window_bytes = self._window_end - self.window_base
         self._free_reservations: Dict[int, List[int]] = {}
         #: Live bindings, ``first GPA -> the caller's buffer mapped there``.
         self._bound: Dict[int, np.ndarray] = {}
 
     # -- page allocation ------------------------------------------------------
 
-    @property
-    def _bump_limit(self) -> int:
-        return self._reserve_floor - self._arena_start
-
     def alloc_pages(self, nr_pages: int) -> int:
         """Return the GPA of a fresh run of ``nr_pages`` contiguous pages."""
         need = nr_pages * PAGE_SIZE
-        limit = self._bump_limit
-        if need > limit:
+        if need > self._arena_bytes:
             raise TranslationError(
                 f"request for {nr_pages} pages exceeds the "
-                f"{limit}-byte DMA arena"
-            )
-        if self._arena_cursor + need > limit:
+                f"{self._arena_bytes}-byte DMA arena (a planned payload "
+                f"gets the {self.window_bytes}-byte window beyond it)")
+        if self._arena_cursor + need > self._arena_bytes:
             self._arena_cursor = 0  # wrap: previous requests have completed
         gpa = self._arena_start + self._arena_cursor
         self._arena_cursor += need
         return gpa
 
-    def _straddles_extent(self, gpa: int, need: int) -> bool:
-        ext = self.region.extent_bytes
-        return gpa // ext != (gpa + need - 1) // ext
-
-    @property
-    def window_base(self) -> int:
-        """GPA at which every plan's first payload page is staged."""
-        return self._window_base
-
     def stage_pages(self, cursor: int, nr_pages: int) -> int:
-        """Place ``nr_pages`` of plan payload in the staging window.
+        """Place ``nr_pages`` of plan payload at ``cursor``, where the
+        plan's previous payload ended (:attr:`window_base` for its first).
 
-        ``cursor`` is where the plan's previous payload ended
-        (:attr:`window_base` for its first); the run starts there, or at
-        the next extent boundary when it would otherwise straddle one.
         Only the address is handed out: no window page is pinned, filled
         or materialized, here or by the compiler.  Raises
-        :class:`TranslationError` when the run is larger than one extent
-        or ends past the window — the largest plannable request is the
-        one that fits the window whole.
+        :class:`TranslationError` when the run ends past the window.
         """
-        need = nr_pages * PAGE_SIZE
-        ext = self.region.extent_bytes
-        if need > ext:
+        if cursor + nr_pages * PAGE_SIZE > self._window_end:
             raise TranslationError(
-                f"payload of {nr_pages} pages exceeds the {ext}-byte "
-                "backing extent and cannot be pinned as one view")
-        gpa = cursor
-        if self._straddles_extent(gpa, need):
-            gpa = (gpa // ext + 1) * ext
-        if gpa + need > self._window_end:
-            raise TranslationError(
-                f"plan payload outgrows the "
-                f"{self._window_end - self._window_base}-byte staging window")
-        return gpa
+                f"payload of {nr_pages} pages runs past the "
+                f"{self.window_bytes}-byte payload window")
+        return cursor
 
     def reserve_pages(self, nr_pages: int) -> int:
         """Claim a *stable, private* run of ``nr_pages`` pages for a
@@ -141,7 +112,7 @@ class GuestMemory:
         return to a free list via :meth:`release_reservation`.  Runs that
         fit inside one backing extent never straddle an extent boundary
         (keeping each buffer pinnable as one view).  Reservations stop
-        at the staging window's end: a quarter of the arena at most.
+        at the payload window's end: a quarter of the arena at most.
         """
         need = nr_pages * PAGE_SIZE
         free = self._free_reservations.get(need)
@@ -149,7 +120,7 @@ class GuestMemory:
             return free.pop()
         gpa = ((self._reserve_floor - need) // PAGE_SIZE) * PAGE_SIZE
         ext = self.region.extent_bytes
-        if need <= ext and self._straddles_extent(gpa, need):
+        if need <= ext and gpa // ext != (gpa + need - 1) // ext:
             gpa = (gpa // ext + 1) * ext - need
         if gpa < self._window_end:
             raise TranslationError(
@@ -167,7 +138,7 @@ class GuestMemory:
     def reserving(self) -> Iterator[None]:
         """All-or-nothing reservations: when the body raises, the reserve
         floor and the free lists are put back exactly as they were, so a
-        refused compile cannot shrink the rolling arena."""
+        refused compile costs no metadata room."""
         floor = self._reserve_floor
         free = {need: list(runs)
                 for need, runs in self._free_reservations.items()}

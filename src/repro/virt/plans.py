@@ -11,8 +11,8 @@ shape-derived and content-independent the first time a
   matrix-meta, per-entry meta and page lists) in *reserved* guest pages
   (:meth:`GuestMemory.reserve_pages`) private to the plan with writable
   views pinned over them, and the payload pages as fixed *addresses* in
-  the one **staging window** every plan shares
-  (:meth:`GuestMemory.stage_pages`).  The window stages addresses only:
+  the one **payload window** every plan shares
+  (:meth:`GuestMemory.stage_pages`).  The window holds addresses only:
   the transferq is synchronous — one chain is added, kicked, popped and
   completed before the next — so a payload page needs a stable address
   for the plan's life and content only while its own request is in
@@ -29,10 +29,11 @@ plans keeps no payload alive.
 
 Plans change **wall-clock time only**: every modeled duration, metric
 that feeds the wall-clock digest, guest-visible byte, and DPU-visible
-byte is bit-identical to the naive path.  Shapes the compiler cannot
-place (an entry larger than one backing extent, a request larger than
-the staging window) are marked unplannable and permanently served by
-the naive path.
+byte is bit-identical to the naive path.  A payload run may lie anywhere
+in the window and be of any size, so the compiler refuses two shapes
+only — a request whose payload ends past the window, and one whose
+metadata would overflow the reservation quarter — which are marked
+unplannable and permanently served by the naive path.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
     Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
     would (same buffer contents, lengths, and writable flags — only the
     GPAs differ: private reservations for the metadata, the shared
-    staging window for the payload, instead of the rolling bump
+    payload window for the payload, instead of the rolling bump
     allocator) once ``matrix``'s buffers are bound at the payload
     addresses; the payload pages themselves are neither pinned nor
     filled.  Raises :class:`PlanUnsupported` when the shape cannot be

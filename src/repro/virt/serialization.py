@@ -140,8 +140,9 @@ class SerializedRequest:
     #: ``data_descriptors[i]`` = (dpu_index, size, first page GPA) for reads.
 
 
-def _entry_pages(size: int) -> int:
-    return max(1, (size + PAGE_SIZE - 1) // PAGE_SIZE)
+def _pages(nbytes: int) -> int:
+    """Guest pages one wire buffer or one entry's payload occupies."""
+    return max(1, (nbytes + PAGE_SIZE - 1) // PAGE_SIZE)
 
 
 def matrix_meta_words(matrix: TransferMatrix,
@@ -187,7 +188,7 @@ def build_chain(header: RequestHeader, matrix: TransferMatrix,
     data_descriptors: List[Tuple[int, int, int]] = []
     writable = matrix.kind is XferKind.FROM_DPU
     for entry in matrix.entries:
-        nr_pages = _entry_pages(entry.size)
+        nr_pages = _pages(entry.size)
         total_pages += nr_pages
         chain.append(put(entry_meta_words(
             entry.dpu_index, entry.size, nr_pages,
@@ -213,19 +214,41 @@ def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
     GPA (zero-copy hand-off).  For reads, destination pages are allocated
     so the backend can deposit results directly into guest memory.
 
+    The chain is sized first and taken from the rolling arena as *one*
+    run, so the arena wraps before the chain's first buffer or not at
+    all — a later buffer can never land on an earlier one — and a chain
+    the arena cannot hold whole raises :class:`TranslationError` with
+    nothing placed.
+
     ``digests`` (per-DPU content digests of the kept entries) and
     ``skips`` (suppressed extents) switch the chain to the cache wire
     format; leaving both ``None`` — the cache-off default — emits the
     original format byte-for-byte.
     """
+    cache_format = digests is not None or skips is not None
+    # [header][matrix meta]([entry meta][payload pages][page list])*
+    matrix_meta = matrix_meta_words(matrix, skips, cache_format)
+    chain_pages = (_pages(header.pack().size) + _pages(matrix_meta.nbytes)
+                   + sum(1 + n + _pages(8 * n)
+                         for n in (_pages(e.size) for e in matrix.entries)))
+    cursor = memory.alloc_pages(chain_pages)
+    end = cursor + chain_pages * PAGE_SIZE
+
+    def take(nr_pages: int) -> int:
+        nonlocal cursor
+        gpa, cursor = cursor, cursor + nr_pages * PAGE_SIZE
+        return gpa
+
     def place(entry: DpuEntry, nr_pages: int) -> int:
-        gpa = memory.alloc_pages(nr_pages)
+        gpa = take(nr_pages)
         if matrix.kind is XferKind.TO_DPU:
             memory.write(gpa, entry.data)
         return gpa
 
-    return build_chain(header, matrix, digests, skips,
-                       partial(write_buffer, memory), place)
+    sreq = build_chain(header, matrix, digests, skips,
+                       partial(write_buffer, memory, alloc=take), place)
+    assert cursor == end, "chain sizing disagrees with build_chain"
+    return sreq
 
 
 def deserialize_request(chain: List[Descriptor], memory: GuestMemory,

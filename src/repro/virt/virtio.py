@@ -152,10 +152,11 @@ class VirtioPimQueues:
 
 
 def write_buffer(memory: GuestMemory, data: np.ndarray,
-                 device_writable: bool = False) -> Descriptor:
-    """Place ``data`` into fresh guest pages and return its descriptor."""
+                 device_writable: bool = False, alloc=None) -> Descriptor:
+    """Place ``data`` into guest pages — fresh ones from the rolling
+    arena, or ``alloc(nr_pages)``'s — and return its descriptor."""
     u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
     nr_pages = max(1, (u8.size + 4095) // 4096)
-    gpa = memory.alloc_pages(nr_pages)
+    gpa = (alloc or memory.alloc_pages)(nr_pages)
     memory.write(gpa, u8)
     return Descriptor(gpa=gpa, length=u8.size, device_writable=device_writable)

@@ -163,7 +163,7 @@ def test_multi_rank_parallel_advance_uses_max(transport):
 def test_read_results_alias_nothing(kind, size, request):
     """The results of one multi-DPU read share a block, not bytes: writing
     into one changes neither its siblings nor anything a later read sees
-    (guest pages, the staging window, a prefetch line).  The sizes cover
+    (guest pages, the payload window, a prefetch line).  The sizes cover
     a prefetched read, a multi-page one, and one past the cache line."""
     transport = (request.getfixturevalue("native") if kind == "native"
                  else request.getfixturevalue("vm_session").transport)

@@ -1,5 +1,7 @@
 """Guest memory: allocation, translation, contiguous runs."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,57 @@ def test_contiguous_runs_split():
 
 def test_contiguous_runs_empty():
     assert GuestMemory.contiguous_runs(np.empty(0, dtype=np.uint64)) == []
+
+
+# -- the three regions -------------------------------------------------------
+
+@pytest.mark.parametrize("arena_bytes", [8 << 20, 512 << 20])
+@pytest.mark.parametrize("size", [
+    1 << 20, (1 << 20) + PAGE_SIZE, 2 << 20, (33 << 20) + 100, 48 << 20,
+    64 << 20, 128 << 20, 256 << 20, 1 << 30, 4 << 30])
+def test_arena_window_and_reservations_are_disjoint(size, arena_bytes):
+    """Every guest the suite builds, 1 MB to the default 4 GB: the arena
+    is at most half of guest RAM, reservations take at most a quarter of
+    the arena from the top, the window is all that lies between, and
+    each allocator stays inside its own region."""
+    mem = GuestMemory(size, arena_bytes=arena_bytes)
+    arena_end = mem._arena_start + mem._arena_bytes
+    window_end = mem.window_base + mem.window_bytes
+    assert mem._arena_bytes <= min(arena_bytes, size // 2)
+    assert mem._arena_start <= arena_end == mem.window_base <= window_end
+    assert window_end <= size and size - window_end <= (
+        mem._arena_bytes // 4 + PAGE_SIZE)
+    if size >= 2 << 20:
+        assert mem.window_bytes > mem._arena_bytes // 4 > 0
+
+    # The rolling arena: every run inside it, across several wraps.
+    chunk = mem._arena_bytes // PAGE_SIZE // 3
+    for nr_pages in [chunk, 1, chunk, chunk, 2, chunk] if chunk else []:
+        gpa = mem.alloc_pages(nr_pages)
+        assert mem._arena_start <= gpa
+        assert gpa + nr_pages * PAGE_SIZE <= arena_end
+    with pytest.raises(TranslationError, match="DMA arena"):
+        mem.alloc_pages(mem._arena_bytes // PAGE_SIZE + 1)
+
+    # The payload window: address arithmetic with one refusal.
+    pages = mem.window_bytes // PAGE_SIZE
+    assert mem.stage_pages(mem.window_base, pages) == mem.window_base
+    assert mem.stage_pages(window_end, 0) == window_end
+    with pytest.raises(TranslationError, match=f"{mem.window_bytes}-byte"):
+        mem.stage_pages(mem.window_base, pages + 1)
+    with pytest.raises(TranslationError, match="payload window"):
+        mem.stage_pages(window_end - PAGE_SIZE, 2)
+
+    # Reservations, until the quarter is full: disjoint runs above it.
+    runs = []
+    with pytest.raises(TranslationError, match="quarter"):
+        for nr_pages in itertools.cycle([1, 33, 256]):
+            runs.append((mem.reserve_pages(nr_pages), nr_pages))
+    runs.sort()
+    assert all(gpa >= window_end for gpa, _nr in runs)
+    assert all(gpa + nr * PAGE_SIZE <= nxt for (gpa, nr), (nxt, _)
+               in zip(runs, runs[1:] + [(size, 0)]))
+    assert mem.region.materialized_bytes == 0
 
 
 # -- request-scoped bindings ---------------------------------------------------

@@ -4,7 +4,7 @@ The contract of ``repro.virt.plans`` (``docs/performance.md``) is that a
 compiled plan is *indistinguishable on the wire* from the naive
 serializer: same buffer lengths, same writable flags, same metadata and
 payload bytes — only the GPAs differ (private metadata reservations and
-the shared staging window vs the rolling bump allocator).  These tests
+the shared payload window vs the rolling bump allocator).  These tests
 drive random shapes through both paths and compare the chains
 buffer-for-buffer, interleave plans of two devices through the one
 window, and exercise the budget and invalidation rules (window size,
@@ -28,10 +28,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.core import VPim
-from repro.errors import BackendHungError
+from repro.errors import BackendHungError, TranslationError
 from repro.hardware.memory import EXTENT_BYTES
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.transfer import DpuEntry, XferKind, uniform_read, uniform_write
+from repro.sdk.transfer import (
+    DpuEntry,
+    TransferMatrix,
+    XferKind,
+    uniform_read,
+    uniform_write,
+)
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.migration import migrate_device
 from repro.virt.opts import OptimizationConfig
@@ -263,7 +269,7 @@ class TestPlanCacheEviction:
         assert cache.nr_plans == 0
 
 
-# -- the shared staging window -----------------------------------------------
+# -- the shared payload window ------------------------------------------------
 
 def _allocator_state(memory):
     return (memory._reserve_floor, memory._arena_cursor,
@@ -287,25 +293,42 @@ class TestStagingWindow:
             assert not payload & reserved
             assert len(plan.reservations) == len(plan.sreq.chain)
             assert min(payload) == memory.window_base
-            assert all(gpa + nr * PAGE_SIZE > memory._window_end
-                       for gpa, nr in plan.reservations)
+            assert all(gpa >= memory._window_end
+                       for gpa, _nr in plan.reservations)
         first = [p.sreq.data_descriptors[0][2] for p in plans]
         assert first[0] == first[1], "plans overlay the same window pages"
 
     def test_entries_never_straddle_an_extent(self):
+        """(Named for the rule this replaced: a payload run used to be
+        realigned so it never straddled a backing extent, and one larger
+        than an extent was refused.)  Payload placement is address
+        arithmetic: the runs of one plan are page-aligned and laid end to
+        end in entry order from the window's base, inside the window and
+        clear of the arena and of every reservation — for entries below,
+        at and above ``EXTENT_BYTES`` alike."""
         memory = GuestMemory(256 << 20)
-        size = 3 << 20
-        matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, size, nr_dpus=12)
+        sizes = [EXTENT_BYTES - PAGE_SIZE, 3 << 20, EXTENT_BYTES, 100,
+                 EXTENT_BYTES + PAGE_SIZE + 1, 2 * EXTENT_BYTES]
+        assert sum(sizes) < memory.window_bytes
+        matrix = TransferMatrix(XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, 0,
+                                [DpuEntry(i, n) for i, n in enumerate(sizes)])
         header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
         plan = _compile(memory, header, matrix, None)
-        for _dpu, _size, gpa in plan.sreq.data_descriptors:
-            assert gpa // EXTENT_BYTES == (gpa + size - 1) // EXTENT_BYTES
+
+        expected = memory.window_base
+        assert expected == memory._arena_start + memory._arena_bytes
+        for (_dpu, size, gpa), want in zip(plan.sreq.data_descriptors, sizes):
+            assert size == want and gpa == expected and gpa % PAGE_SIZE == 0
+            expected += -(-size // PAGE_SIZE) * PAGE_SIZE
+        assert expected <= memory._window_end
+        assert all(gpa >= memory._window_end for gpa, _nr in plan.reservations)
+        plan.release(memory)
 
     def test_refused_compile_leaves_guest_memory_untouched(self):
         """Regression: a compile refused part-way used to hand its partial
         reservations to the free list and leave the floor where it had
-        moved, so every refused bulk shape shrank the rolling arena."""
-        memory = GuestMemory(256 << 20)
+        moved, so every refused bulk shape cost metadata room."""
+        memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
         keep = _compile(memory, header,
                         uniform_read(MRAM_HEAP_SYMBOL, 0, 64, nr_dpus=2), None)
@@ -316,28 +339,36 @@ class TestStagingWindow:
         memory.alloc_pages(3)
         before = _allocator_state(memory)
 
-        # One entry too large to pin, behind entries that compile fine.
-        sizes = [PAGE_SIZE, PAGE_SIZE, EXTENT_BYTES + PAGE_SIZE]
-        matrix = uniform_write(MRAM_HEAP_SYMBOL, 0,
-                               [np.zeros(n, np.uint8) for n in sizes])
-        wheader = RequestHeader(RequestKind.WRITE_RANK,
-                                symbol=MRAM_HEAP_SYMBOL)
+        # One page more than the window holds, behind entries that fit:
+        # the refusal comes after their metadata has been reserved.
+        sizes = [PAGE_SIZE, PAGE_SIZE, memory.window_bytes - PAGE_SIZE]
+        matrix = TransferMatrix(XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, 0,
+                                [DpuEntry(i, n) for i, n in enumerate(sizes)])
         for _ in range(3):
-            with pytest.raises(PlanUnsupported):
-                _compile(memory, wheader, matrix, None)
+            with pytest.raises(PlanUnsupported, match="payload window"):
+                _compile(memory, header, matrix, None)
             assert _allocator_state(memory) == before
+        # One page less and the same shape compiles.
+        matrix.entries[-1] = DpuEntry(2, sizes[-1] - PAGE_SIZE)
+        _compile(memory, header, matrix, None).release(memory)
         keep.release(memory)
 
-    def test_budget_is_the_largest_plan_not_the_sum(self):
-        """On a 32 MB arena (16 MB window) ten 4 MB shapes — 40 MB of
-        payload, over half the arena — all compile and replay; one 20 MB
-        shape is refused cleanly and served by the naive path."""
+    def test_budget_is_the_largest_plan_not_the_sum(self, monkeypatch):
+        """Every plan overlays the one window, so what it must hold is
+        the largest request, not their sum — and it is the guest's RAM
+        between the arena and the metadata quarter, whatever the arena's
+        size: 3 MB entries (12 MB a push, over the 8 MB arena) compile
+        and replay; a push one page larger than the window is refused,
+        which neither path can then serve."""
+        monkeypatch.setattr("repro.virt.firecracker.GuestMemory",
+                            lambda size: GuestMemory(size, 8 << 20))
         vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=4))
         session = vpim.vm_session(nr_vupmem=1, mem_bytes=33 << 20)
         memory = session.vm.devices[0].frontend.memory
-        assert memory._window_end - memory.window_base == 16 << 20
+        assert memory._arena_bytes == 8 << 20
+        assert memory.window_bytes == (33 - 1 - 8 - 2) << 20
         plans = session.vm.devices[0].frontend.plans
-        size = 1 << 20
+        size = 3 << 20
         rng = np.random.default_rng(7)
         with DpuSet(session.transport, 4) as dpus:
             for rep in range(3):
@@ -352,19 +383,24 @@ class TestStagingWindow:
             assert (plans.misses, plans.hits) == (10, 20)
 
             state = _allocator_state(memory)
-            big = [rng.integers(0, 256, 5 << 20, dtype=np.uint8)
-                   for _ in range(4)]
-            dpus.push_to_mram(8 << 20, big)
+            quarter = memory.window_bytes // 4
+            big = [np.zeros(n, np.uint8)
+                   for n in [quarter] * 3 + [quarter + PAGE_SIZE]]
+            for attempt in (1, 2):
+                with pytest.raises(TranslationError,
+                                   match=str(memory.window_bytes)):
+                    dpus.push_to_mram(0, big)
+                assert len(plans.unplannable) == 1
+                assert _allocator_state(memory) == state
+                assert memory.nr_bound == 0
+                assert (plans.misses, plans.hits) == (10 + attempt, 20)
+            # The refusal poisoned nothing: the shape one page smaller
+            # compiles, and the plans made before it still replay.
+            big[3] = big[3][PAGE_SIZE:]
+            dpus.push_to_mram(0, big)
+            dpus.push_to_mram(0, big)
             assert len(plans.unplannable) == 1
-            assert state[0] == memory._reserve_floor
-            assert state[2] == _allocator_state(memory)[2]
-            got = dpus.push_from_mram(8 << 20, 5 << 20)
-            assert all(np.array_equal(g, d) for g, d in zip(got, big))
-            # Every request the naive serializer serves is a miss: the
-            # refused write, the refused read, the write again.
-            dpus.push_to_mram(8 << 20, big)
-            assert len(plans.unplannable) == 2
-            assert (plans.misses, plans.hits) == (10 + 3, 20)
+            assert (plans.misses, plans.hits) == (10 + 3, 20 + 1)
 
 
 # -- two devices, one window: plans on == plans off ---------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TranslationError
 from repro.sdk.transfer import uniform_read, uniform_write
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
@@ -194,6 +194,61 @@ def test_default_format_is_unchanged_by_the_cache_code(mem):
     assert emeta.size == 3
     _, entries, skips = deserialize_request(sreq.chain, mem)
     assert skips == [] and entries[0].digest == 0
+
+
+@pytest.mark.parametrize("nr_entries", [2, 3])
+@pytest.mark.parametrize("shape", ["write-zeros", "write-random", "read"])
+def test_chain_never_wraps_over_itself(shape, nr_entries):
+    """Regression (R3): every buffer of a chain used to be its own arena
+    allocation, so a chain whose buffers each fit but whose sum did not
+    wrapped *inside* itself and its last payload overwrote the request
+    header — a zero-filled push decoded as ``GET_CONFIG``, a random one
+    as ``SerializationError: unknown request kind``.  A chain is one run:
+    it wraps before its first buffer (2 x 3 MB behind a cursor at 6 MB of
+    8) or is refused with nothing placed (3 x 3 MB)."""
+    mem = GuestMemory(64 << 20, arena_bytes=8 << 20)
+    mem.alloc_pages((6 << 20) // PAGE_SIZE)
+    size = 3 << 20
+    rng = np.random.default_rng(nr_entries)
+    if shape == "read":
+        matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, size, nr_dpus=nr_entries)
+        header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
+    else:
+        bufs = [np.zeros(size, np.uint8) if shape == "write-zeros"
+                else rng.integers(0, 256, size, dtype=np.uint8)
+                for _ in range(nr_entries)]
+        matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, bufs)
+        header = RequestHeader(RequestKind.WRITE_RANK, symbol=MRAM_HEAP_SYMBOL)
+    before = (mem._arena_cursor, mem.region.materialized_bytes)
+
+    if nr_entries == 3:
+        with pytest.raises(TranslationError, match=str(8 << 20)):
+            serialize_matrix(header, matrix, mem)
+        assert (mem._arena_cursor, mem.region.materialized_bytes) == before
+        return
+
+    sreq = serialize_matrix(header, matrix, mem)
+    starts = [d.gpa for d in sreq.chain]
+    assert starts[0] == mem._arena_start and starts == sorted(starts)
+    if shape == "read":
+        # The device's side of a read: results land in the bound rows,
+        # and the metadata still decodes while they do.
+        rows = [np.zeros(size, np.uint8) for _ in range(nr_entries)]
+        gpas = [gpa for _dpu, _size, gpa in sreq.data_descriptors]
+        mem.bind(gpas, rows)
+    got_header, entries, _ = deserialize_request(sreq.chain, mem)
+    assert got_header == header
+    assert [(e.dpu_index, e.size) for e in entries] == [
+        (e.dpu_index, size) for e in matrix.entries]
+    if shape == "read":
+        results = [rng.integers(0, 256, size, dtype=np.uint8) for _ in rows]
+        for entry, result in zip(entries, results):
+            scatter_entry_data(entry, result, mem)
+        mem.unbind(gpas)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, results))
+    else:
+        for entry, buf in zip(entries, bufs):
+            assert np.array_equal(gather_entry_data(entry, mem), buf)
 
 
 def test_malformed_cache_meta_rejected(mem):
