@@ -34,7 +34,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -43,8 +42,9 @@ from pathlib import Path
 from typing import List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
+from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.monitor import (  # noqa: E402
     EXEMPLAR_FAMILIES,
     MonitorConfig,
@@ -170,30 +170,14 @@ def check(report: dict, artifact: Path) -> int:
 
 
 def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="accepted for CI symmetry (the suite is "
-                             "already quick-sized)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on any acceptance violation or "
-                             "digest drift")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
-                        help="artifact path for --check/--update")
-    args = parser.parse_args(argv)
-
-    report = measure()
-    print_report(report)
-
-    rc = 0
-    if args.check:
-        rc = check(report, args.artifact)
-    if args.update and rc == 0:
-        args.artifact.write_text(json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"\nwrote {args.artifact}")
-    return rc
+    return artifact_main(
+        argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
+        measure=lambda args: measure(),
+        check=lambda report, args: check(report, args.artifact),
+        print_report=print_report,
+        quick_help="accepted for CI symmetry (the suite is already "
+                   "quick-sized)",
+        check_help="fail on any acceptance violation or digest drift")
 
 
 if __name__ == "__main__":

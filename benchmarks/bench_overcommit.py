@@ -30,8 +30,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import platform
 import sys
@@ -41,8 +39,9 @@ from typing import List
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
+from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.overcommit import (  # noqa: E402
     ARMS,
     overcommit_table,
@@ -141,33 +140,20 @@ def check(report: dict, min_paging_vs_emulation: float) -> int:
 
 
 def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized schedule (fewer, smaller rounds)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail below the overcommit floors")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
-                        help="artifact path for --update")
-    parser.add_argument("--min-paging-vs-emulation", type=float,
-                        default=1.05,
-                        help="required paging/emulation goodput ratio "
-                             "(default 1.05)")
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick)
-    print_report(report)
-    report.pop("_result")
-
-    rc = 0
-    if args.check:
-        rc = check(report, args.min_paging_vs_emulation)
-    if args.update and rc == 0:
-        args.artifact.write_text(json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"\nwrote {args.artifact}")
-    return rc
+    return artifact_main(
+        argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
+        measure=lambda args: measure(quick=args.quick),
+        check=lambda report, args: check(
+            report, args.min_paging_vs_emulation),
+        print_report=print_report,
+        quick_help="CI-sized schedule (fewer, smaller rounds)",
+        check_help="fail below the overcommit floors",
+        arguments=[
+            ("--min-paging-vs-emulation", dict(
+                type=float, default=1.05,
+                help="required paging/emulation goodput ratio "
+                     "(default 1.05)")),
+        ])
 
 
 if __name__ == "__main__":

@@ -27,8 +27,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import platform
 import sys
@@ -38,8 +36,9 @@ from typing import List
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
+from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.qos import isolation_table, run_isolation  # noqa: E402
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_QOS.json"
@@ -112,36 +111,23 @@ def check(report: dict, min_p99_improvement: float,
 
 
 def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized schedule (fewer session pairs)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail below the isolation floors")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
-                        help="artifact path for --update")
-    parser.add_argument("--min-p99-improvement", type=float, default=2.0,
-                        help="required victim p99 shrink factor "
-                             "(default 2.0)")
-    parser.add_argument("--min-throughput-ratio", type=float, default=0.9,
-                        help="required on/off aggregate throughput ratio "
-                             "(default 0.9)")
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick)
-    print_report(report)
-    report.pop("_result")
-
-    rc = 0
-    if args.check:
-        rc = check(report, args.min_p99_improvement,
-                   args.min_throughput_ratio)
-    if args.update and rc == 0:
-        args.artifact.write_text(json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"\nwrote {args.artifact}")
-    return rc
+    return artifact_main(
+        argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
+        measure=lambda args: measure(quick=args.quick),
+        check=lambda report, args: check(
+            report, args.min_p99_improvement, args.min_throughput_ratio),
+        print_report=print_report,
+        quick_help="CI-sized schedule (fewer session pairs)",
+        check_help="fail below the isolation floors",
+        arguments=[
+            ("--min-p99-improvement", dict(
+                type=float, default=2.0,
+                help="required victim p99 shrink factor (default 2.0)")),
+            ("--min-throughput-ratio", dict(
+                type=float, default=0.9,
+                help="required on/off aggregate throughput ratio "
+                     "(default 0.9)")),
+        ])
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import platform
 import sys
@@ -37,8 +35,9 @@ from typing import List
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
+from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.transfer_cache import run_cache_ablation  # noqa: E402
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_TRANSFER_CACHE.json"
@@ -106,31 +105,19 @@ def check(report: dict, min_reduction: float) -> int:
 
 
 def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads (test profile)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on divergence or insufficient reduction")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
-                        help="artifact path for --update")
-    parser.add_argument("--min-reduction", type=float, default=1.3,
-                        help="required T-data reduction on "
-                             f"{'/'.join(GATED_APPS)} (default 1.3)")
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick)
-    print_report(report)
-
-    rc = 0
-    if args.check:
-        rc = check(report, args.min_reduction)
-    if args.update and rc == 0:
-        args.artifact.write_text(json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"\nwrote {args.artifact}")
-    return rc
+    return artifact_main(
+        argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
+        measure=lambda args: measure(quick=args.quick),
+        check=lambda report, args: check(report, args.min_reduction),
+        print_report=print_report,
+        quick_help="CI-sized workloads (test profile)",
+        check_help="fail on divergence or insufficient reduction",
+        arguments=[
+            ("--min-reduction", dict(
+                type=float, default=1.3,
+                help="required T-data reduction on "
+                     f"{'/'.join(GATED_APPS)} (default 1.3)")),
+        ])
 
 
 if __name__ == "__main__":

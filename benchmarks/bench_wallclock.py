@@ -35,7 +35,6 @@ disagree on any modeled output, or a repeated app replayed no plan.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -49,8 +48,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
 
+from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
 from repro.apps.registry import PRIM_APPS, app_by_short_name  # noqa: E402
 from repro.core import VPim  # noqa: E402
@@ -314,46 +314,37 @@ def check_regression(report: dict, committed: dict) -> int:
     return 0
 
 
+def check(report: dict, artifact: Path) -> int:
+    if not artifact.exists():
+        print(f"no committed artifact at {artifact}; cannot check")
+        return 1
+    return check_regression(report, json.loads(artifact.read_text()))
+
+
 def main(argv: List[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads (test profile)")
-    parser.add_argument("--check", action="store_true",
-                        help="fail when the modeled digest differs from "
-                             "the committed artifact's")
-    parser.add_argument("--update", action="store_true",
-                        help=f"rewrite {DEFAULT_ARTIFACT.name}")
-    parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT,
-                        help="artifact path for --check/--update")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="wall-time repetitions per app, best kept "
-                             "(default 2)")
-    parser.add_argument("--ablate-plans", action="store_true",
-                        help="also run the suite with the plan cache off "
-                             "and record the digest comparison + wall ratio")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile one suite pass; record the top-20 "
-                             "cumulative hot functions")
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick, repeats=args.repeats,
-                     ablate_plans=args.ablate_plans, profile=args.profile)
-    print_report(report)
-
-    rc = 0
-    if args.check:
-        if not args.artifact.exists():
-            print(f"no committed artifact at {args.artifact}; cannot check")
-            rc = 1
-        else:
-            committed = json.loads(args.artifact.read_text())
-            rc = check_regression(report, committed)
-
-    if args.update and rc == 0:
-        args.artifact.write_text(json.dumps(report, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"\nwrote {args.artifact}")
-    return rc
+    return artifact_main(
+        argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
+        measure=lambda args: measure(
+            quick=args.quick, repeats=args.repeats,
+            ablate_plans=args.ablate_plans, profile=args.profile),
+        check=lambda report, args: check(report, args.artifact),
+        print_report=print_report,
+        quick_help="CI-sized workloads (test profile)",
+        check_help="fail when the modeled digest differs from the "
+                   "committed artifact's",
+        arguments=[
+            ("--repeats", dict(
+                type=int, default=2,
+                help="wall-time repetitions per app, best kept (default 2)")),
+            ("--ablate-plans", dict(
+                action="store_true",
+                help="also run the suite with the plan cache off and "
+                     "record the digest comparison + wall ratio")),
+            ("--profile", dict(
+                action="store_true",
+                help="cProfile one suite pass; record the top-20 "
+                     "cumulative hot functions")),
+        ])
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ObservabilityError
 from repro.observability.alerts import AlertRule, AlertRuleEngine
 from repro.observability.critical_path import layer_self_times
-from repro.observability.instruments import FaultInstruments
+from repro.observability.instruments import FAULT, bind
 from repro.observability.timeseries import TimeSeriesStore
 
 #: The latency histograms the tentpole instruments with exemplars; the
@@ -531,13 +531,13 @@ def run_fault_drill(config: MonitorConfig) -> Tuple[dict,
         tail_factor=config.tail_factor)
     session = vpim.vm_session(nr_vupmem=1)
     session.run(VectorAdd(nr_dpus=8, seed=config.seed, n_elements=1 << 12))
-    fault_obs = FaultInstruments(vpim.machine.metrics)
+    fault_obs = bind(vpim.machine.metrics, FAULT)
     # Clean warmup so the rule demonstrably starts inactive...
     pipeline.cooldown(ticks=30)
     # ...then a burst spread over several scrape intervals (the hold-down
     # is what turns the first breach into pending rather than firing)...
     for _ in range(8):
-        fault_obs.injected("drill")
+        fault_obs.injected["drill"].inc()
         vpim.clock.advance(pipeline.store.interval)
     # ...then silence long enough for the delta window to clear.
     pipeline.cooldown(ticks=120)

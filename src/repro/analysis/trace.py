@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import TraceInstruments
+from repro.observability.instruments import TRACE, bind
 
 
 @dataclass
@@ -75,20 +75,20 @@ class Tracer:
         self.max_events = max_events
         self.dropped = 0
         #: Optional metrics bridge; ``None`` keeps the tracer standalone.
-        self.obs = TraceInstruments(registry) if registry is not None else None
+        self.obs = bind(registry, TRACE) if registry is not None else None
 
     def record(self, name: str, category: str, start: float,
                duration: float, **args: object) -> None:
         if len(self.events) >= self.max_events:
             self.dropped += 1
             if self.obs is not None:
-                self.obs.dropped()
+                self.obs.dropped.inc()
             return
         self.events.append(TraceEvent(name=name, category=category,
                                       start=start, duration=duration,
                                       args=dict(args)))
         if self.obs is not None:
-            self.obs.event(category)
+            self.obs.events[category].inc()
 
     # -- queries ------------------------------------------------------------
 

@@ -80,7 +80,7 @@ class Consolidator:
         it fits elsewhere — partial drains fragment the fleet further,
         which is the opposite of the goal.
         """
-        self.obs.consolidation_run()
+        self.obs.consolidations.inc()
         donor = self._pick_donor()
         if donor is None:
             return 0
@@ -93,7 +93,7 @@ class Consolidator:
             moved += self._move(placement, donor, receiver)
         if donor.allocated_ranks() == 0:
             self.hosts_drained += 1
-            self.obs.host_drained()
+            self.obs.drained.inc()
         self.scheduler.refresh_host_gauges(donor)
         return moved
 
@@ -182,7 +182,8 @@ class Consolidator:
                                device=device.device_id, bytes=nr_bytes)
             self.migrations += 1
             moved += 1
-            self.obs.migration(donor.host_id, receiver.host_id, nr_bytes)
+            self.obs.migrations[donor.host_id, receiver.host_id].inc()
+            self.obs.migrated_bytes.inc(nr_bytes)
         if moved and all(
                 device.backend.driver is receiver.driver
                 for device in placement.linked_devices()):

@@ -21,7 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.host import ClusterHost
 from repro.errors import AdmissionError, HostCrashedError
 from repro.cluster.policies import PlacementPolicy, make_policy
-from repro.observability.instruments import ClusterInstruments
+from repro.observability.instruments import CLUSTER, bind
 from repro.qos.config import FleetQosPolicy
 from repro.virt.firecracker import VmConfig
 from repro.virt.opts import OptimizationConfig
@@ -124,7 +124,7 @@ class Scheduler:
         self.active: List[Placement] = []
         #: Ranks committed per tenant (queued + placed), for quotas.
         self._tenant_ranks = {}
-        self.obs = ClusterInstruments(cluster.metrics, self.policy.name)
+        self.obs = bind(cluster.metrics, CLUSTER, policy=self.policy.name)
         self._refresh_all_host_gauges()
 
     # -- admission ----------------------------------------------------------
@@ -138,12 +138,12 @@ class Scheduler:
         """
         request.arrival_time = self.cluster.clock.now
         outcome = self._admission_outcome(request)
-        self.obs.request(outcome)
+        self.obs.requests[outcome].inc()
         if outcome == "queued":
             self._tenant_ranks[request.tenant] = (
                 self._tenant_ranks.get(request.tenant, 0) + request.nr_ranks)
             self._enqueue(request)
-            self.obs.queue_depth(len(self.queue))
+            self.obs.queue_depth.set(len(self.queue))
         return outcome
 
     def submit_or_raise(self, request: TenantRequest) -> None:
@@ -212,8 +212,9 @@ class Scheduler:
                               placed_at=self.cluster.clock.now)
         self.active.append(placement)
         wait = placement.placed_at - request.arrival_time
-        self.obs.placement(host.host_id, wait)
-        self.obs.queue_depth(len(self.queue))
+        self.obs.placements[host.host_id].inc()
+        self.obs.queue_wait.observe(wait)
+        self.obs.queue_depth.set(len(self.queue))
         return placement
 
     def _opts_for(self, request: TenantRequest) -> OptimizationConfig:
@@ -239,7 +240,7 @@ class Scheduler:
             self._tenant_ranks[tenant] = remaining
         else:
             self._tenant_ranks.pop(tenant, None)
-        self.obs.session_completed(placement.host.host_id)
+        self.obs.completed[placement.host.host_id].inc()
         self.refresh_host_gauges(placement.host)
 
     def evict_host(self, host: ClusterHost) -> int:
@@ -258,10 +259,10 @@ class Scheduler:
             # Unlinking a dead host's devices is sysfs-only bookkeeping;
             # the manager ignores the "free" writes for FAIL ranks.
             placement.vm.shutdown()
-            self.obs.request("requeued_crash")
+            self.obs.requests["requeued_crash"].inc()
         for placement in reversed(evicted):
             self.queue.insert(0, placement.request)
-        self.obs.queue_depth(len(self.queue))
+        self.obs.queue_depth.set(len(self.queue))
         self.refresh_host_gauges(host)
         return len(evicted)
 
@@ -271,8 +272,8 @@ class Scheduler:
         return [p for p in self.active if p.host is host]
 
     def refresh_host_gauges(self, host: ClusterHost) -> None:
-        self.obs.host_load(host.host_id, host.allocated_ranks(),
-                           len(self.active_on(host)))
+        self.obs.ranks_allocated[host.host_id].set(host.allocated_ranks())
+        self.obs.active_vms[host.host_id].set(len(self.active_on(host)))
 
     def _refresh_all_host_gauges(self) -> None:
         for host in self.cluster.hosts:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.results import ExecutionReport
-from repro.observability.instruments import SessionInstruments
+from repro.observability.instruments import SESSION, bind
 from repro.sdk.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -21,7 +21,7 @@ class ExecutionSession:
         self.transport = transport
         self.mode = mode
         self.vm = vm
-        self.obs = SessionInstruments(transport.metrics)
+        self.obs = bind(transport.metrics, SESSION)
 
     def run(self, app: "HostApplication",
             verify: bool = True) -> ExecutionReport:
@@ -53,7 +53,9 @@ class ExecutionSession:
         total = self.transport.clock.now - start
         verified = app.verify(output) if verify else True
         vmexits = (self.vm.kvm.stats.vmexits - vmexits_before) if self.vm else 0
-        self.obs.run(app.short_name, self.mode, verified, total)
+        self.obs.runs[app.short_name, self.mode,
+                      str(bool(verified)).lower()].inc()
+        self.obs.run_seconds[app.short_name, self.mode].observe(total)
         return ExecutionReport(
             app_name=app.short_name,
             mode=self.mode,

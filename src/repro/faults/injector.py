@@ -36,7 +36,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.hardware.timing import DEFAULT_COST_MODEL, CostModel
-from repro.observability.instruments import FaultInstruments
+from repro.observability.instruments import FAULT, bind
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class FaultInjector:
         self.plan = plan
         self.clock = clock
         self.cost = cost or DEFAULT_COST_MODEL
-        self.obs = FaultInstruments(registry) if registry is not None else None
+        self.obs = bind(registry, FAULT) if registry is not None else None
         #: Events not yet fired, in schedule order.
         self.pending: List[FaultEvent] = list(plan.events)
         #: Events fired so far, in firing order, fully resolved.
@@ -160,11 +160,11 @@ class FaultInjector:
             kind=event.kind, target=target,
             params=tuple(sorted(params.items()))))
         if self.obs is not None:
-            self.obs.injected(event.kind.value)
+            self.obs.injected[event.kind.value].inc()
 
     def _detected(self, kind: FaultKind, layer: str) -> None:
         if self.obs is not None:
-            self.obs.detected(kind.value, layer)
+            self.obs.detected[kind.value, layer].inc()
 
     # -- rank seam ---------------------------------------------------------
 
@@ -206,7 +206,7 @@ class FaultInjector:
             dpu_idx = int(event.param(
                 "dpu", self._rng.integers(0, len(rank.dpus))))
             rank.dpus[dpu_idx].fault()
-            rank.obs.dpu_fault()
+            rank.obs.dpu_faults.inc()
             self._record(event, target, dpu=dpu_idx)
             self._detected(event.kind, "hardware")
             raise DpuFaultError(
@@ -298,7 +298,7 @@ class FaultInjector:
             if self.scheduler is not None:
                 requeued = self.scheduler.evict_host(host)
                 if self.obs is not None and requeued:
-                    self.obs.recovered(event.kind.value, "requeue")
+                    self.obs.recovered[event.kind.value, "requeue"].inc()
         return crashed
 
     def _resolve_host(self, event: FaultEvent):

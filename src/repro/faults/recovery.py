@@ -31,7 +31,7 @@ from repro.errors import (
     RankOfflineError,
     TransientFaultError,
 )
-from repro.observability.instruments import FaultInstruments
+from repro.observability.instruments import FAULT, bind
 from repro.virt.migration import RankCheckpoint, checkpoint_rank, restore_rank
 
 #: Exceptions a session rerun can plausibly clear: hardware failures
@@ -92,7 +92,7 @@ def run_with_recovery(session, app, max_attempts: int = 3,
     attempt budget runs out.
     """
     clock = session.transport.clock
-    obs = FaultInstruments(session.transport.metrics)
+    obs = bind(session.transport.metrics, FAULT)
     spans = getattr(session.transport, "spans", None)
     faults: List[str] = []
     first_failure_at: Optional[float] = None
@@ -102,35 +102,36 @@ def run_with_recovery(session, app, max_attempts: int = 3,
         except RECOVERABLE as exc:
             kind = fault_kind_of(exc)
             faults.append(kind)
-            obs.detected(kind, "session")
+            obs.detected[kind, "session"].inc()
             if spans is not None:
                 spans.mark_last_faulted(kind)
             if first_failure_at is None:
                 first_failure_at = clock.now
             if attempt >= max_attempts:
-                obs.session_lost()
+                obs.sessions_lost.inc()
                 raise
-            obs.retry("session")
+            obs.retries["session"].inc()
             _pin_retry_trace(spans)
             continue
         if not report.verified and retry_on_corruption:
             kind = "dpu_mram_bitflip"
             faults.append(kind)
-            obs.detected(kind, "session")
+            obs.detected[kind, "session"].inc()
             if spans is not None:
                 spans.mark_last_faulted(kind)
             if first_failure_at is None:
                 first_failure_at = clock.now
             if attempt >= max_attempts:
-                obs.session_lost()
+                obs.sessions_lost.inc()
                 return RecoveryReport(report=report, attempts=attempt,
                                       faults=faults, recovered=False)
-            obs.retry("session")
+            obs.retries["session"].inc()
             _pin_retry_trace(spans)
             continue
         if faults:
-            obs.recovered(faults[-1], "rerun")
-            obs.recovery_time(faults[-1], clock.now - first_failure_at)
+            obs.recovered[faults[-1], "rerun"].inc()
+            obs.recovery_seconds[faults[-1]].observe(
+                clock.now - first_failure_at)
         return RecoveryReport(report=report, attempts=attempt,
                               faults=faults, recovered=bool(faults))
     raise AssertionError("unreachable")  # pragma: no cover

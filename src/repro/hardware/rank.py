@@ -36,7 +36,7 @@ from repro.hardware.dpu import Dpu, DpuRunStats, DpuState
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import RankInstruments
+from repro.observability.instruments import RANK, bind
 from repro.observability.spans import SpanRecorder
 
 
@@ -90,7 +90,7 @@ class ControlInterface:
     def record(self, command: CiCommand, count: int = 1) -> None:
         """Account ``count`` CI operations in stats and live metrics."""
         self.counters.record(command, count)
-        self._rank.obs.ci(command.value, count)
+        self._rank.obs.ci_ops[command.value].inc(count)
 
     def execute(self, command: CiCommand, count: int = 1) -> float:
         """Perform ``count`` CI operations; returns their native duration."""
@@ -169,7 +169,7 @@ class Rank:
         self.index = config.index
         #: Live telemetry; shares the machine registry when the rank
         #: belongs to a :class:`~repro.hardware.machine.Machine`.
-        self.obs = RankInstruments(metrics or MetricsRegistry(), config.index)
+        self.obs = bind(metrics or MetricsRegistry(), RANK, rank=config.index)
         #: Trace context; shares the machine recorder inside a
         #: :class:`~repro.hardware.machine.Machine`.  Span events no-op
         #: outside an active trace, so bare rank use stays untraced.
@@ -247,7 +247,9 @@ class Rank:
             self.bytes_read += total
         duration = (self.cost.rank_op_time(total, nr_targets, rust_interleave)
                     * self.degradation)
-        self.obs.xfer(op, total, duration)
+        self.obs.xfer_ops[op].inc()
+        self.obs.xfer_bytes[op].inc(total)
+        self.obs.xfer_seconds[op].observe(duration)
         self.spans.event(f"rank.{op}", "rank", duration,
                          rank=self.index, bytes=total, targets=nr_targets)
         return duration
@@ -408,13 +410,15 @@ class Rank:
                 # A crashed kernel leaves the DPU in the FAULT state the
                 # CI reports; it must not stay RUNNING forever.
                 dpu.fault()
-                self.obs.dpu_fault()
+                self.obs.dpu_faults.inc()
                 raise
             dpu.finish_run(stats)
             slowest = max(slowest, self.cost.dpu_run_time(
                 stats.tasklet_instructions, stats.dma_ops, stats.dma_bytes))
         slowest *= self.degradation
-        self.obs.launch(len(indices), slowest)
+        self.obs.launches.inc()
+        self.obs.dpu_boots.inc(len(indices))
+        self.obs.launch_seconds.observe(slowest)
         self.spans.event("rank.launch", "rank", slowest,
                          rank=self.index, dpus=len(indices))
         return slowest
@@ -430,7 +434,7 @@ class Rank:
         for dpu in self.dpus:
             dpu.reset()
         self.ci.record(CiCommand.RESET)
-        self.obs.reset()
+        self.obs.resets.inc()
         return self.cost.manager_reset
 
     def is_clean(self) -> bool:

@@ -10,7 +10,9 @@ instrumented layer sits in the stack.
   ``Histogram`` families in a :class:`MetricsRegistry`;
 - :mod:`~repro.observability.catalog` — the declared metric set shared by
   code, docs, and tests;
-- :mod:`~repro.observability.instruments` — per-component bindings;
+- :mod:`~repro.observability.instruments` — one declarative table per
+  component and the :func:`~repro.observability.instruments.bind` that
+  turns it into the namespace of children the component touches;
 - :mod:`~repro.observability.export` — Prometheus-text and JSON
   exporters (``repro metrics`` prints these);
 - :mod:`~repro.observability.spans` — request-scoped distributed

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.observability.catalog import CATALOG
-from repro.observability.instruments import AlertInstruments
+from repro.observability.instruments import ALERT, bind
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TimeSeriesStore
 
@@ -131,15 +131,21 @@ class AlertRuleEngine:
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
             raise ObservabilityError(f"duplicate alert rule names in {names}")
-        self.obs = (AlertInstruments(registry)
-                    if registry is not None else None)
+        self.obs = bind(registry, ALERT) if registry is not None else None
         self.states: Dict[str, _RuleState] = {
             rule.name: _RuleState() for rule in self.rules
         }
-        if self.obs is not None:
-            for rule in self.rules:
-                self.obs.state(rule.name, "inactive")
+        for rule in self.rules:
+            self._publish_state(rule.name, "inactive")
         self.evaluations = 0
+
+    def _publish_state(self, rule: str, state: str) -> None:
+        """One gauge per lifecycle state of ``rule``: 1 on ``state``, 0 on
+        the others."""
+        if self.obs is not None:
+            for candidate in STATES:
+                self.obs.state[rule, candidate].set(
+                    1.0 if candidate == state else 0.0)
 
     # -- condition evaluation ------------------------------------------------
 
@@ -184,8 +190,8 @@ class AlertRuleEngine:
             to_state=to_state, value=value))
         state.state = to_state
         if self.obs is not None:
-            self.obs.transition(rule.name, to_state)
-            self.obs.state(rule.name, to_state)
+            self.obs.transitions[rule.name, to_state].inc()
+        self._publish_state(rule.name, to_state)
 
     def evaluate(self, now: float) -> None:
         """One evaluation pass at simulated time ``now``."""
@@ -196,7 +202,7 @@ class AlertRuleEngine:
             state.last_value = value
             breached = self._breached(rule, value)
             if self.obs is not None:
-                self.obs.evaluation(rule.name)
+                self.obs.evaluations[rule.name].inc()
             if state.state == "resolved":
                 # Transient: one evaluation wide, then back to rest.
                 self._move(rule, state, "inactive", now, value)

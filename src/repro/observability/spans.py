@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.observability.instruments import SpanInstruments
+from repro.observability.instruments import SPAN, SPAN_RETENTION, bind
 from repro.observability.logs import TraceLogger
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.stats import DecayedMean
@@ -44,6 +44,11 @@ from repro.observability.stats import DecayedMean
 #: layer_self_times` reports per-layer self-time against this list.
 LAYERS = ("session", "sdk", "frontend", "virtio", "backend", "rank",
           "paging", "cluster", "faults")
+
+#: Tail retention warms up over this many roots per layer before it may
+#: call one an outlier, and weighs each new root this much in the mean.
+TAIL_MIN_SAMPLES = 8
+TAIL_DECAY = 0.3
 
 #: Per-rank Perfetto tracks start at this tid (`rank N` → RANK_TID_BASE+N).
 RANK_TID_BASE = 100
@@ -155,8 +160,6 @@ class SpanRecorder:
                  registry: Optional[MetricsRegistry] = None,
                  tail_sampling: bool = False,
                  tail_factor: float = 2.0,
-                 tail_min_samples: int = 8,
-                 tail_decay: float = 0.3,
                  capture_exemplars: bool = False) -> None:
         self.clock = clock
         self.sample_rate = sample_rate
@@ -168,14 +171,15 @@ class SpanRecorder:
         #: recent durations is kept even if head sampling discarded it.
         self.tail_sampling = tail_sampling
         self.tail_factor = tail_factor
-        self.tail_min_samples = tail_min_samples
-        self.tail_decay = tail_decay
         self._tail_baseline: Dict[str, DecayedMean] = {}
         #: Hand out histogram exemplars?  Off by default: exemplar
         #: suffixes change the exported snapshot text, and default runs
         #: must stay bit-identical to pre-telemetry builds.
         self.capture_exemplars = capture_exemplars
-        self.obs = SpanInstruments(registry) if registry is not None else None
+        self._registry = registry
+        self.obs = bind(registry, SPAN) if registry is not None else None
+        #: The ``SPAN_RETENTION`` memo, bound by the first classified trace.
+        self._retention = None
         #: Finished traces that survived sampling/caps, oldest first.
         self.traces: List[Trace] = []
         #: Root span of the most recently finished trace (retained or
@@ -246,7 +250,7 @@ class SpanRecorder:
     def _drop(self, reason: str, count: int = 1) -> None:
         self.spans_dropped[reason] = self.spans_dropped.get(reason, 0) + count
         if self.obs is not None:
-            self.obs.dropped(reason, count)
+            self.obs.dropped[reason].inc(count)
 
     def begin(self, name: str, layer: str, start: Optional[float] = None,
               **attributes: object) -> Span:
@@ -375,7 +379,7 @@ class SpanRecorder:
 
         ``fault`` always wins; ``tail`` claims traces whose root duration
         stands out against the decayed per-layer baseline (only after the
-        baseline has seen ``tail_min_samples`` roots, so a cold start
+        baseline has seen ``TAIL_MIN_SAMPLES`` roots, so a cold start
         cannot mark everything an outlier); ``head`` is the fallback tier
         the start-time sampling decision feeds.  The baseline is scored
         *before* it absorbs this root — a trace is compared against its
@@ -391,9 +395,9 @@ class SpanRecorder:
                 and root is not None):
             baseline = self._tail_baseline.get(root.layer)
             if baseline is None:
-                baseline = DecayedMean(self.tail_decay)
+                baseline = DecayedMean(TAIL_DECAY)
                 self._tail_baseline[root.layer] = baseline
-            if (baseline.n >= self.tail_min_samples
+            if (baseline.n >= TAIL_MIN_SAMPLES
                     and duration > self.tail_factor * baseline.mean):
                 tier = "tail"
         if (not trace.faulted and self.tail_sampling
@@ -424,9 +428,12 @@ class SpanRecorder:
         self._last_finished = trace
         self._last_kept = keep
         if self.obs is not None:
-            self.obs.trace(retained=keep)
+            self.obs.traces["true" if keep else "false"].inc()
             if self.tail_sampling:
-                self.obs.retention(tier or "none")
+                if self._retention is None:
+                    self._retention = bind(self._registry,
+                                           SPAN_RETENTION).retention
+                self._retention[tier or "none"].inc()
 
     def mark_last_faulted(self, kind: str) -> None:
         """Retroactively flag the most recently finished trace as faulted.

@@ -32,7 +32,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.instruments import TsdbInstruments
+from repro.observability.instruments import TSDB, bind
 from repro.observability.metrics import (
     HistogramChild,
     MetricsRegistry,
@@ -109,7 +109,7 @@ class TimeSeriesStore:
         self.registry = registry
         self.registries: List[MetricsRegistry] = [registry]
         self.registries.extend(extra_registries)
-        self.obs = TsdbInstruments(registry)
+        self.obs = bind(registry, TSDB)
         self.series: Dict[SeriesKey, Series] = {}
         self.scrapes = 0
         self.samples_total = 0
@@ -181,11 +181,13 @@ class TimeSeriesStore:
         self.last_ts = ts
         # Self-accounting happens after the sweep so a scrape never
         # mutates the families it is iterating.
-        self.obs.scrape(appended)
+        self.obs.scrapes.inc()
+        if appended:
+            self.obs.samples.inc(appended)
         for name, count in drops.items():
             self.dropped_total += count
-            self.obs.dropped(name, count)
-        self.obs.series_count(len(self.series))
+            self.obs.dropped[name].inc(count)
+        self.obs.series.set(len(self.series))
         return appended
 
     # -- lookup --------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.errors import ManagerError
 from repro.hardware.dpu import DpuState
 from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import Rank
-from repro.observability.instruments import PagingInstruments
+from repro.observability.instruments import PAGING, bind
 from repro.paging.config import PagingConfig
 from repro.paging.eviction import make_policy
 from repro.paging.store import SwapStore
@@ -96,9 +96,7 @@ class RankPager:
         self.policy = make_policy(config.policy,
                                   half_life_s=config.wss_half_life_s)
         self.stats = PagerStats()
-        self.obs = PagingInstruments(self.machine.metrics,
-                                     policy=config.policy,
-                                     spans=self.machine.spans)
+        self.obs = bind(self.machine.metrics, PAGING, policy=config.policy)
         self._vranks: Dict[int, _VRankEntry] = {}
         self._free_frames: List[int] = []
         self._dirty_frames: set = set()
@@ -238,7 +236,7 @@ class RankPager:
         self.stats.faults += 1
         if not entry.has_state:
             kind = "first_touch"
-        self.obs.fault(kind)
+        self.obs.faults[kind].inc()
         if kind == "demand":
             self.stats.demand_faults += 1
         elif kind == "predictive":
@@ -273,11 +271,14 @@ class RankPager:
             hidden = duration - charged
             if hidden > 0:
                 self.stats.prefault_overlap_s += hidden
-                self.obs.prefault_overlap(hidden)
+                self.obs.prefault_overlap.inc(hidden)
             self.clock.advance(charged)
             self.stats.swap_seconds += charged
             if entry.has_state:
-                self.obs.swap("in", nr_bytes, duration)
+                self.obs.swaps_in.inc()
+                self.obs.swap_bytes_in.inc(nr_bytes)
+                self.obs.swap_seconds_in.observe(
+                    duration, exemplar=spans.exemplar())
         self._dirty_frames.discard(frame)
         entry.frame = frame
         entry.has_state = False
@@ -299,9 +300,13 @@ class RankPager:
             self.stats.swap_seconds += duration
             self.stats.swap_out_bytes += checkpoint.nr_bytes
             self.stats.evictions += 1
-            self.obs.swap("out", checkpoint.nr_bytes, duration)
-            self.obs.eviction()
-            self.obs.dedup_hit(hits)
+            self.obs.swaps_out.inc()
+            self.obs.swap_bytes_out.inc(checkpoint.nr_bytes)
+            self.obs.swap_seconds_out.observe(
+                duration, exemplar=spans.exemplar())
+            self.obs.evictions.inc()
+            if hits:
+                self.obs.dedup_hits.inc(hits)
         entry.frame = None
         entry.has_state = True
         self._free_frames.append(frame)
@@ -349,9 +354,10 @@ class RankPager:
         return entry
 
     def _refresh_gauges(self) -> None:
-        self.obs.residency(self.nr_resident, self.nr_swapped)
-        self.obs.store_footprint(self.store.raw_bytes,
-                                 self.store.stored_bytes)
+        self.obs.ranks["resident"].set(self.nr_resident)
+        self.obs.ranks["swapped"].set(self.nr_swapped)
+        self.obs.store_bytes["raw"].set(self.store.raw_bytes)
+        self.obs.store_bytes["stored"].set(self.store.stored_bytes)
 
 
 class PagedRankMapping(PerfModeMapping):

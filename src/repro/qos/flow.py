@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.hardware.timing import BandwidthArbiter
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import QosInstruments
+from repro.observability.instruments import QOS, bind
 from repro.observability.spans import SpanRecorder
 from repro.qos.config import QosConfig
 from repro.qos.tokens import TokenBucket
@@ -44,11 +44,11 @@ class QosFlow:
             if config.bytes_per_s is not None else None)
         self._byte_rate_floor = (
             config.bytes_per_s if config.bytes_per_s is not None else 0.0)
-        self.obs = (QosInstruments(metrics, flow_id, spans=spans)
+        self.obs = (bind(metrics, QOS, spans=spans, vm=flow_id)
                     if metrics is not None else None)
         self.spans = spans
         if self.obs is not None:
-            self.obs.weight(config.weight)
+            self.obs.weight.set(config.weight)
         self.closed = False
 
     # -- knobs (SLO actuation) ----------------------------------------------
@@ -60,7 +60,7 @@ class QosFlow:
     def set_weight(self, weight: float) -> None:
         self.arbiter.set_weight(self.flow_id, weight)
         if self.obs is not None:
-            self.obs.weight(weight)
+            self.obs.weight.set(weight)
 
     def scale_byte_rate(self, factor: float,
                         min_scale: float = 0.25) -> Optional[float]:
@@ -79,11 +79,18 @@ class QosFlow:
         wait = bucket.consume(amount, now)
         if wait > 0:
             if self.obs is not None:
-                self.obs.throttled(resource, wait)
+                self.obs.throttled[resource].inc()
+                self.obs.throttle_wait[resource].observe(wait)
             if self.spans is not None:
                 self.spans.event("qos.throttle", "qos", wait,
                                  vm=self.flow_id, resource=resource)
         return wait
+
+    def _count_arbitration(self, mode: str, wait: float, cause: str) -> None:
+        if self.obs is not None:
+            self.obs.arbitrations[mode].inc()
+            self.obs.arbitration_wait[cause].observe(
+                wait, exemplar=self.obs.exemplar())
 
     def on_kick(self, kind: str, payload_bytes: int, now: float) -> float:
         """Frontend hook, once per transferq roundtrip.
@@ -98,8 +105,7 @@ class QosFlow:
                                    "bytes", now + wait)
         queue_s, mode = self.loop.dispatch(self.flow_id, now + wait,
                                            fair=self.config.enforce)
-        if self.obs is not None:
-            self.obs.arbitration(mode, queue_s, cause="queue")
+        self._count_arbitration(mode, queue_s, "queue")
         if queue_s > 0 and self.spans is not None:
             self.spans.event("qos.arbitrate", "qos", queue_s,
                              vm=self.flow_id, kind=kind, mode=mode,
@@ -118,8 +124,7 @@ class QosFlow:
         self.arbiter.record(self.flow_id, bus_seconds + share, now)
         if share > 0:
             mode = "wfq" if self.config.enforce else "fifo"
-            if self.obs is not None:
-                self.obs.arbitration(mode, share, cause="share")
+            self._count_arbitration(mode, share, "share")
             if self.spans is not None:
                 self.spans.event("qos.arbitrate", "qos", share,
                                  vm=self.flow_id, mode=mode, cause="share")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import SloInstruments
+from repro.observability.instruments import SLO, bind
 from repro.observability.stats import percentile_linear
 
 
@@ -62,7 +62,7 @@ class SloTracker:
         self.max_window = max_window
         #: tenant -> (completion_time, latency_s) samples, newest last.
         self._sessions: Dict[str, Deque[Tuple[float, float]]] = {}
-        self.obs = SloInstruments(metrics) if metrics is not None else None
+        self.obs = bind(metrics, SLO) if metrics is not None else None
 
     def observe_session(self, tenant: str, latency_s: float,
                         now: float) -> None:
@@ -104,16 +104,16 @@ class SloTracker:
             observed = self.latency_p99(objective.tenant, objective.window)
             burn = max(burn, observed / objective.latency_p99_s)
             if self.obs is not None:
-                self.obs.burn(objective.tenant, "latency",
-                              observed / objective.latency_p99_s)
+                self.obs.burn[objective.tenant, "latency"].set(
+                    observed / objective.latency_p99_s)
         if objective.min_sessions_per_s is not None:
             rate = self.session_rate(objective.tenant, objective.window, now)
             ratio = (objective.min_sessions_per_s / rate
                      if rate > 0 else float("inf"))
             burn = max(burn, ratio)
             if self.obs is not None:
-                self.obs.burn(objective.tenant, "throughput",
-                              min(ratio, 1e6))
+                self.obs.burn[objective.tenant, "throughput"].set(
+                    min(ratio, 1e6))
         return burn
 
 
@@ -149,7 +149,7 @@ class SloEnforcer:
         self.max_weight = max_weight
         self.throttle_step = throttle_step
         self.min_rate_scale = min_rate_scale
-        self.obs = SloInstruments(metrics) if metrics is not None else None
+        self.obs = bind(metrics, SLO) if metrics is not None else None
         #: tenant -> [(flow, host_id)] currently serving that tenant.
         self._bound: Dict[str, List[Tuple[object, Optional[str]]]] = {}
         self._streak: Dict[str, int] = {}
@@ -195,7 +195,7 @@ class SloEnforcer:
             if self.obs is not None:
                 kind = ("latency" if objective.latency_p99_s is not None
                         else "throughput")
-                self.obs.violation(tenant, kind)
+                self.obs.violations[tenant, kind].inc()
             streak = self._streak.get(tenant, 0) + 1
             self._streak[tenant] = streak
             if streak == 1:
@@ -216,7 +216,7 @@ class SloEnforcer:
                 out.append(SloAction(tenant, "boost_weight",
                                      f"weight={new:g}"))
                 if self.obs is not None:
-                    self.obs.actuation(tenant, "boost_weight")
+                    self.obs.actuations[tenant, "boost_weight"].inc()
         return out
 
     def _throttle_offenders(self, tenant: str) -> List[SloAction]:
@@ -228,7 +228,7 @@ class SloEnforcer:
                 out.append(SloAction(offender, "throttle",
                                      f"bytes_per_s={new_rate:g}"))
                 if self.obs is not None:
-                    self.obs.actuation(offender, "throttle")
+                    self.obs.actuations[offender, "throttle"].inc()
         return out
 
     def _hint_migration(self, tenant: str) -> List[SloAction]:
@@ -236,7 +236,7 @@ class SloEnforcer:
             return []
         self._hints.append(tenant)
         if self.obs is not None:
-            self.obs.actuation(tenant, "migrate_hint")
+            self.obs.actuations[tenant, "migrate_hint"].inc()
         return [SloAction(tenant, "migrate_hint")]
 
     def take_migration_hints(self) -> List[str]:

@@ -53,9 +53,10 @@ class OpStats:
 class MessageStats:
     """Frontend<->backend message accounting (drives Fig. 14's claims).
 
-    Mutate through the ``count_*`` methods (mirroring
-    :class:`~repro.observability.instruments.FrontendInstruments`) so
-    profiler totals and live metrics cannot drift apart.
+    Mutate through the ``count_*`` methods; the frontend calls each next
+    to the matching live counter of its
+    :data:`~repro.observability.instruments.FRONTEND` table, so profiler
+    totals and live metrics cannot drift apart.
     """
 
     requests: int = 0          #: virtio requests actually sent

@@ -37,6 +37,14 @@ class ApiResponse:
         return 200 <= self.status < 300
 
 
+def _int_field(body: Dict[str, object], name: str) -> int:
+    try:
+        return int(body[name])
+    except (TypeError, ValueError):
+        raise VmConfigError(
+            f"{name} must be an integer, got {body[name]!r}") from None
+
+
 class ApiServer:
     """One listening socket per Firecracker process (§3.2's API thread
     receiving the §3.3 vUPMEM booking)."""
@@ -77,9 +85,9 @@ class ApiServer:
         if self.vm is not None:
             return ApiResponse(409, {"fault_message": "VM already started"})
         if "vcpu_count" in body:
-            self._draft.vcpus = int(body["vcpu_count"])
+            self._draft.vcpus = _int_field(body, "vcpu_count")
         if "mem_size_mib" in body:
-            self._draft.mem_bytes = int(body["mem_size_mib"]) << 20
+            self._draft.mem_bytes = _int_field(body, "mem_size_mib") << 20
         return ApiResponse(204)
 
     def _boot_source(self, body: Dict[str, object]) -> ApiResponse:
@@ -97,7 +105,7 @@ class ApiServer:
         """Request vUPMEM devices, optionally with an optimization preset."""
         if self.vm is not None:
             return ApiResponse(409, {"fault_message": "VM already started"})
-        count = int(body.get("count", 1))
+        count = _int_field(body, "count") if "count" in body else 1
         if count < 0:
             return ApiResponse(400, {"fault_message": "count must be >= 0"})
         self._draft.nr_vupmem = count

@@ -30,7 +30,7 @@ from repro.hardware.rank import WriteSpec
 from repro.hardware.clock import SimClock
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import BackendInstruments
+from repro.observability.instruments import BACKEND, bind, vm_of
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
@@ -160,22 +160,20 @@ class VUpmemBackend:
         #: worker raises :class:`~repro.errors.BackendHungError` here,
         #: before side effects, so the frontend's retry is idempotent.
         self.fault_hook = None
-        #: Trace context; shared with the frontend (assigned below) so
-        #: request-latency exemplars point at the live trace.
+        #: Trace context; shares the machine recorder when built by
+        #: :class:`~repro.virt.firecracker.Firecracker`, making each
+        #: backend span a child of the frontend request that caused it
+        #: and pointing request-latency exemplars at the live trace.
         self.spans = spans or SpanRecorder(SimClock())
         #: Live telemetry (translation/interleave timings, request counts
         #: labeled by the currently bound rank).
-        self.obs = BackendInstruments(metrics or MetricsRegistry(),
-                                      device_id, spans=self.spans)
+        self.obs = bind(metrics or MetricsRegistry(), BACKEND,
+                        vm=vm_of(device_id), device=device_id)
         #: TLB-style GPA→HVA run cache (every page bounds-checked, hits too).
         self.xlb = TranslationCache(guest_memory)
         #: Scratch-buffer pool backing gathers and pooled rank reads;
         #: per-backend so chaos drills can assert loan stability.
         self.pool = BufferPool()
-        #: (``self.spans`` is assigned before ``self.obs`` above: shares
-        #: the machine recorder when built by
-        #: :class:`~repro.virt.firecracker.Firecracker`, making each
-        #: backend span a child of the frontend request that caused it.)
 
     # -- rank linking -------------------------------------------------------
 
@@ -238,8 +236,8 @@ class VUpmemBackend:
             header, entries, skips = deserialize_request(chain, self.memory)
         # Rank bound at arrival time (RELEASE unlinks while handling).
         rank = str(self.mapping.rank_index) if self.mapping else "none"
-        span = self.spans.begin("backend.request", "backend",
-                                kind=header.kind.name.lower(),
+        kind = header.kind.name.lower()
+        span = self.spans.begin("backend.request", "backend", kind=kind,
                                 rank=rank, device=self.device_id)
         try:
             result = self._handle(header, entries, skips, program,
@@ -248,7 +246,9 @@ class VUpmemBackend:
             self.spans.end(span, error=True)
             raise
         self.spans.end(span, duration=result.duration)
-        self.obs.request(header.kind.name.lower(), rank, result.duration)
+        self.obs.requests[kind, rank].inc()
+        self.obs.request_seconds[kind].observe(
+            result.duration, exemplar=self.spans.exemplar())
         return result
 
     def _handle(self, header: RequestHeader,
@@ -378,8 +378,8 @@ class VUpmemBackend:
             for buf in scratch:
                 pool.release(buf)
 
-        self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-        self.obs.interleave(tdata)
+        self.obs.bufpool_reuse.inc(pool.reuse_count - reuse0)
+        self.obs.interleave_seconds.observe(tdata)
         if self.qos is not None:
             # Co-resident demand stretches the bus occupancy; folded into
             # T-data so per-step breakdowns show contention as data-path
@@ -413,15 +413,17 @@ class VUpmemBackend:
             # validated) at this XLB generation, and its GPAs never
             # change — count the hits without walking.
             xlb.hits += len(entries)
-            self.obs.xlb(len(entries), 0)
+            self.obs.xlb_hits.inc(len(entries))
         else:
             hits0, misses0 = xlb.hits, xlb.misses
             for entry in entries:
                 xlb.translate(entry.page_gpas)  # bounds-checked
-            self.obs.xlb(xlb.hits - hits0, xlb.misses - misses0)
+            self.obs.xlb_hits.inc(xlb.hits - hits0)
+            self.obs.xlb_misses.inc(xlb.misses - misses0)
             if plan is not None:
                 plan.xlb_generation = xlb.generation
-        self.obs.translation(pages, steps["translate"])
+        self.obs.translated_pages.inc(pages)
+        self.obs.translation_seconds.observe(steps["translate"])
         self.spans.event("backend.deserialize", "backend",
                          steps["deserialize"], pages=pages,
                          broadcast=broadcast)
@@ -536,5 +538,5 @@ class VUpmemBackend:
             )
             total += mapping.write(matrix, rust_interleave=self.rust_data_path)
             i += len(run)
-        self.obs.batch_replay(len(records))
+        self.obs.batch_replays.inc(len(records))
         return total

@@ -25,12 +25,12 @@ from repro.errors import VmConfigError
 from repro.driver.driver import UpmemDriver
 from repro.hardware.machine import Machine
 from repro.hardware.timing import BandwidthArbiter, CostModel
-from repro.observability.instruments import VmInstruments
+from repro.observability.instruments import VM, bind
 from repro.qos.flow import QosFlow
 from repro.sdk.profile import Profiler
 from repro.virt.backend import VUpmemBackend
 from repro.virt.frontend import VUpmemFrontend
-from repro.virt.guest_memory import GuestMemory
+from repro.virt.guest_memory import MIN_GUEST_SIZE, GuestMemory
 from repro.virt.kvm import Kvm
 from repro.virt.manager import Manager
 from repro.virt.mmio import MmioWindow
@@ -65,8 +65,10 @@ rank_capacity` passes the pager's virtual capacity here when demand
         """
         if self.vcpus <= 0:
             raise VmConfigError(f"vcpus must be positive, got {self.vcpus}")
-        if self.mem_bytes <= 0:
-            raise VmConfigError(f"mem_bytes must be positive, got {self.mem_bytes}")
+        if self.mem_bytes < MIN_GUEST_SIZE:
+            raise VmConfigError(
+                f"mem_bytes must be at least {MIN_GUEST_SIZE} (the 1 MB "
+                f"BIOS area plus the smallest DMA arena), got {self.mem_bytes}")
         if self.nr_vupmem < 0:
             raise VmConfigError(f"nr_vupmem must be >= 0, got {self.nr_vupmem}")
         limit = capacity if capacity is not None else machine.nr_ranks
@@ -133,7 +135,7 @@ class Firecracker:
         #: (the fault-timeline replay contract hashes these names).
         self._vm_ids = itertools.count()
         #: Live telemetry (shares the machine registry): boots + devices.
-        self.obs = VmInstruments(machine.metrics)
+        self.obs = bind(machine.metrics, VM)
         #: The host-wide request scheduler across co-resident VMs' queues
         #: (``repro.qos``); inert until a VM registers a flow.
         self.event_loop = VirtioEventLoop(machine.bus_arbiter)
@@ -196,5 +198,7 @@ class Firecracker:
 
         self.machine.clock.advance(boot_time)
         vm.boot_time = boot_time
-        self.obs.boot(vm_id, config.nr_vupmem, boot_time)
+        self.obs.boots.inc()
+        self.obs.boot_seconds.observe(boot_time)
+        self.obs.devices[vm_id].set(config.nr_vupmem)
         return vm

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import FaultInstruments, FrontendInstruments
+from repro.observability.instruments import FAULT, FRONTEND, bind, vm_of
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.profile import OP_CI, OP_READ, OP_WRITE, Profiler
@@ -148,6 +148,13 @@ class BatchBuffer:
         return sum(self._used.values())
 
 
+def _count_drops(invalidations, reason: str, count: int) -> None:
+    """Count ``count`` dropped records under ``reason``; nothing dropped
+    counts nothing, because a zero ``inc`` would create the series."""
+    if count:
+        invalidations[reason].inc(count)
+
+
 class VUpmemFrontend:
     """The guest-side driver of one vUPMEM device (the §4.1 frontend
     kernel module)."""
@@ -207,8 +214,9 @@ class VUpmemFrontend:
         #: :class:`~repro.virt.firecracker.Firecracker`, so frontend
         #: request spans parent the backend spans they trigger.
         self.spans = spans or SpanRecorder(profiler.clock)
-        self.obs = FrontendInstruments(registry, device_id, spans=self.spans)
-        self.fault_obs = FaultInstruments(registry)
+        self.obs = bind(registry, FRONTEND, vm=vm_of(device_id),
+                        device=device_id)
+        self.fault_obs = bind(registry, FAULT)
         #: Span ids of batched-write copies awaiting a flush; the flush
         #: span links them so the absorbed writes stay attributable.
         self._batch_span_ids: List[int] = []
@@ -260,7 +268,7 @@ class VUpmemFrontend:
                 except TransientFaultError as exc:
                     attempts += 1
                     penalty += exc.penalty_s
-                    self.fault_obs.detected(exc.kind, "frontend")
+                    self.fault_obs.detected[exc.kind, "frontend"].inc()
                     self.spans.mark_fault(exc.kind)
                     self.spans.log.emit(
                         "transient_fault", "frontend", kind=exc.kind,
@@ -268,11 +276,11 @@ class VUpmemFrontend:
                     if attempts > self.max_transport_retries:
                         self.invalidate("retry_exhausted")
                         raise
-                    self.fault_obs.retry("frontend")
+                    self.fault_obs.retries["frontend"].inc()
                     penalty += self.cost.retry_backoff_time(attempts)
                     continue
                 if attempts:
-                    self.fault_obs.recovered("transient", "retry")
+                    self.fault_obs.recovered["transient", "retry"].inc()
                 total = duration + penalty
                 self.spans.end(span, duration=total, retries=attempts)
                 return result, total
@@ -316,9 +324,9 @@ class VUpmemFrontend:
                          pages=pages)
         request_id = self.queues.transferq.add_chain(
             chain, flow=self.qos.flow_id if self.qos is not None else None)
-        self.obs.queue_depth("transferq", self.queues.transferq.pending)
+        self.obs.queue_depth["transferq"].set(self.queues.transferq.pending)
         self.queues.transferq.kick()
-        self.obs.kick("transferq")
+        self.obs.kicks["transferq"].inc()
         self.mmio.write(Reg.QUEUE_NOTIFY, 0)   # trapped MMIO write
         self.kvm.trap()
         self.spans.event("virtio.kick", "virtio", steps["Int"],
@@ -371,10 +379,12 @@ class VUpmemFrontend:
         self.spans.event("virtio.irq", "virtio", steps["Irq"],
                          queue="transferq")
 
-        self.obs.queue_depth("transferq", self.queues.transferq.pending)
+        self.obs.queue_depth["transferq"].set(self.queues.transferq.pending)
         self.profiler.messages.count_request()
         duration = self.cost.total(steps)
-        self.obs.request(kind, duration)
+        self.obs.requests[kind].inc()
+        self.obs.request_seconds[kind].observe(
+            duration, exemplar=self.spans.exemplar())
 
         if header.kind is RequestKind.WRITE_RANK:
             wrank = {"Page": steps["Page"], "Ser": steps["Ser"],
@@ -408,15 +418,15 @@ class VUpmemFrontend:
         plan = plans.get(key) if key is not None else None
         if plan is not None and not plan.valid(self.memory):
             plans.drop(key)
-            self.obs.plan_invalidation("stale", 1)
+            self.obs.plan_invalidations["stale"].inc()
             plan = None
         if plan is not None:
             plans.hits += 1
-            self.obs.plan_hit()
+            self.obs.plan_hits.inc()
             return plan.replay(matrix, digests, skips), plan
         if plans is not None:
             plans.misses += 1
-            self.obs.plan_miss()
+            self.obs.plan_misses.inc()
         if key is not None and key not in plans.unplannable:
             try:
                 plan = compile_plan(key, header, matrix, self.memory,
@@ -425,8 +435,7 @@ class VUpmemFrontend:
                 plans.unplannable.add(key)
             else:
                 evicted = plans.insert(key, plan)
-                if evicted:
-                    self.obs.plan_eviction(evicted)
+                self.obs.plan_evictions.inc(evicted)
                 self.spans.event("plan.compile", "frontend", 0.0,
                                  kind=header.kind.name.lower(),
                                  entries=len(matrix.entries),
@@ -469,10 +478,11 @@ class VUpmemFrontend:
         if digests:
             self.backend.resident.invalidate_all()
             if self.digests is not None:
-                self.obs.cache_invalidation(event,
-                                            self.digests.invalidate_all())
+                _count_drops(self.obs.cache_invalidations, event,
+                             self.digests.invalidate_all())
         if plans and self.plans is not None:
-            self.obs.plan_invalidation(event, self.plans.invalidate_all())
+            _count_drops(self.obs.plan_invalidations, event,
+                         self.plans.invalidate_all())
 
     # -- device initialization (Section 3.2) ------------------------------------
 
@@ -510,7 +520,7 @@ class VUpmemFrontend:
         """
         if self.batch.empty:
             return 0.0
-        self.obs.batch_flush(reason)
+        self.obs.batch_flushes[reason].inc()
         # Peek, send, then clear: if the flush fails mid-flight the
         # records stay buffered for an idempotent replay after recovery,
         # and any prefetched lines (possibly stale vs the partially
@@ -611,9 +621,9 @@ class VUpmemFrontend:
         self._digest_probes += revisits
         self._digest_hits += len(skips)
         self._maybe_bypass()
-        self.obs.cache_hit(len(skips))
-        self.obs.cache_miss(len(kept))
-        self.obs.cache_suppressed(suppressed)
+        self.obs.cache_hits.inc(len(skips))
+        self.obs.cache_misses.inc(len(kept))
+        self.obs.cache_suppressed.inc(suppressed)
         self.spans.event("cache.lookup", "frontend", cache_time,
                          op=OP_WRITE, entries=len(matrix.entries),
                          hits=len(skips))
@@ -663,7 +673,7 @@ class VUpmemFrontend:
             copied = self.batch.add(matrix)
             copy_time = self.cost.guest_copy_time(copied, len(matrix.entries))
             self.profiler.messages.count_batched_writes(len(matrix.entries))
-            self.obs.batched_writes(len(matrix.entries))
+            self.obs.batched_writes.inc(len(matrix.entries))
             event = self.spans.event("frontend.batch_copy", "frontend",
                                      copy_time, op=OP_WRITE,
                                      entries=len(matrix.entries),
@@ -701,7 +711,7 @@ class VUpmemFrontend:
                 serve = self.cost.guest_copy_time(
                     sum(e.size for e in matrix.entries), len(matrix.entries))
                 self.profiler.messages.count_cache_hits(len(matrix.entries))
-                self.obs.prefetch_hit(len(matrix.entries))
+                self.obs.prefetch_hits.inc(len(matrix.entries))
                 event = self.spans.event("frontend.cache_serve", "frontend",
                                          serve, op=OP_READ,
                                          entries=len(matrix.entries))
@@ -709,7 +719,7 @@ class VUpmemFrontend:
                     OP_READ, serve,
                     start=event.start if event is not None else None)
                 return [h for h in hits if h is not None], duration + serve
-            self.obs.prefetch_miss(len(matrix.entries))
+            self.obs.prefetch_misses.inc(len(matrix.entries))
 
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
@@ -732,7 +742,7 @@ class VUpmemFrontend:
             for entry, segment in zip(wire.entries, buffers):
                 self.cache.fill(entry.dpu_index, matrix.offset, segment)
             self.profiler.messages.count_cache_refills(len(matrix.entries))
-            self.obs.prefetch_refill(len(matrix.entries))
+            self.obs.prefetch_refills.inc(len(matrix.entries))
             buffers = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
                        for e in matrix.entries]
             assert all(buf is not None for buf in buffers)
@@ -765,7 +775,7 @@ class VUpmemFrontend:
             # The backend collected the kernel's dirty stores; drop the
             # digests they overlap instead of the whole index, so digests
             # of extents the run never touched keep suppressing.
-            self.obs.cache_invalidation("launch_dirty", sum(
+            _count_drops(self.obs.cache_invalidations, "launch_dirty", sum(
                 self.digests.prune(*store) for store in result.payload))
         return duration + rt
 
@@ -795,7 +805,7 @@ class VUpmemFrontend:
                 self.kvm.stats.vmexits += count - real
                 self.kvm.stats.irq_injections += count - real
                 self.profiler.messages.count_request(count - real)
-                self.obs.request_count("ci_op", count - real)
+                self.obs.requests["ci_op"].inc(count - real)
         except BaseException:
             self.spans.end(span, error=True)
             raise
@@ -809,9 +819,9 @@ class VUpmemFrontend:
         flag = np.array([1 if linked else 0], dtype=np.uint8)
         self.queues.controlq.add_chain([write_buffer(self.memory, flag)])
         self.queues.controlq.kick()
-        self.obs.kick("controlq")
+        self.obs.kicks["controlq"].inc()
         self.queues.controlq.pop_avail()
-        self.obs.queue_depth("controlq", self.queues.controlq.pending)
+        self.obs.queue_depth["controlq"].set(self.queues.controlq.pending)
 
     def release(self) -> float:
         """Tear the device's rank binding down.

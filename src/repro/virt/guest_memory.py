@@ -21,6 +21,14 @@ from repro.hardware.memory import MemoryRegion
 #: Host virtual address at which guest physical page 0 is mapped.
 HVA_BASE = 0x7F00_0000_0000
 
+#: The first MiB is left alone (BIOS area); the rolling arena starts here.
+ARENA_START = 1 << 20
+
+#: The smallest guest :class:`GuestMemory`'s layout works for.  The arena
+#: is half of what lies above the BIOS area and plan metadata a quarter
+#: of the arena, so one page of metadata takes eight pages up there.
+MIN_GUEST_SIZE = ARENA_START + 8 * PAGE_SIZE
+
 
 class GuestMemory:
     """The VM's physical address space (the GPA space that §4.2's
@@ -58,7 +66,7 @@ class GuestMemory:
     def __init__(self, size: int, arena_bytes: int = 512 << 20) -> None:
         self.size = size
         self.region = MemoryRegion(size, name="guest-ram")
-        self._arena_start = 1 << 20  # leave the first MiB alone (BIOS area)
+        self._arena_start = ARENA_START
         self._arena_bytes = (min(arena_bytes, (size - self._arena_start) // 2)
                              // PAGE_SIZE * PAGE_SIZE)
         self._arena_cursor = 0

@@ -49,7 +49,7 @@ from repro.hardware.clock import SimClock
 from repro.hardware.machine import Machine
 from repro.hardware.rank import RankHealth
 from repro.hardware.timing import CostModel
-from repro.observability.instruments import ManagerInstruments
+from repro.observability.instruments import MANAGER, bind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.paging.config import PagingConfig
@@ -140,7 +140,7 @@ class Manager:
         self.stats = ManagerStats()
         #: Live telemetry (shares the machine registry): state transitions,
         #: allocation outcomes/waits per policy and the rank-table gauge.
-        self.obs = ManagerInstruments(machine.metrics, policy=policy)
+        self.obs = bind(machine.metrics, MANAGER, policy=policy)
         self._rr_cursor = 0
         self._freed_at: Dict[int, float] = {}
         #: Section 7 extension: hand out software-emulated ranks when the
@@ -173,7 +173,8 @@ class Manager:
 
     def _transition(self, record: RankRecord, to_state: RankState) -> None:
         """Move ``record`` to ``to_state``, accounting the edge."""
-        self.obs.transition(record.state.value.lower(), to_state.value.lower())
+        self.obs.transitions[record.state.value.lower(),
+                             to_state.value.lower()].inc()
         record.state = to_state
         self._refresh_rank_gauge()
 
@@ -181,7 +182,8 @@ class Manager:
         counts = {state.value.lower(): 0 for state in RankState}
         for record in self.rank_table.values():
             counts[record.state.value.lower()] += 1
-        self.obs.set_rank_states(counts)
+        for state, count in counts.items():
+            self.obs.ranks[state].set(count)
 
     # -- observer thread --------------------------------------------------------
 
@@ -211,7 +213,7 @@ class Manager:
             # frame leaving the pager's pool re-enters NAAV only through
             # the normal isolation reset (see RankPager.release).
             self.pager.release(record.rank_index)
-            self.obs.transition(record.state.value.lower(), "destroyed")
+            self.obs.transitions[record.state.value.lower(), "destroyed"].inc()
             del self.rank_table[record.rank_index]
             self._refresh_rank_gauge()
             return
@@ -220,7 +222,7 @@ class Manager:
             # Emulated ranks are destroyed, not reset: the host memory is
             # simply freed, and nothing remains to leak.
             self.emulated_pool.destroy(record.rank_index)
-            self.obs.transition(record.state.value.lower(), "destroyed")
+            self.obs.transitions[record.state.value.lower(), "destroyed"].inc()
             del self.rank_table[record.rank_index]
             self._refresh_rank_gauge()
             return
@@ -232,7 +234,7 @@ class Manager:
                                 + self.cost.manager_observe_period
                                 + self.cost.manager_reset)
         self.stats.resets += 1
-        self.obs.reset_scheduled()
+        self.obs.resets.inc()
 
     def _settle(self, record: RankRecord) -> None:
         """Complete a finished reset: NANA -> NAAV with zeroed memory."""
@@ -243,6 +245,11 @@ class Manager:
             self._freed_at[record.rank_index] = record.reset_done_at
 
     # -- allocation ---------------------------------------------------------------
+
+    def _count_allocation(self, outcome: str, arrived_at: float) -> None:
+        """One allocation decided as ``outcome``, and how long it waited."""
+        self.obs.allocations[outcome].inc()
+        self.obs.alloc_wait.observe(self.clock.now - arrived_at)
 
     def allocate(self, requester: str) -> int:
         """Allocate a rank to ``requester`` (a vUPMEM device id).
@@ -268,7 +275,7 @@ class Manager:
                 assigned_device=requester,
                 last_owner=requester,
             )
-            self.obs.allocation("paged", self.clock.now - arrived_at)
+            self._count_allocation("paged", arrived_at)
             self._refresh_rank_gauge()
             self.clock.advance(self.cost.manager_alloc)
             self.stats.allocations += 1
@@ -285,8 +292,7 @@ class Manager:
                         and record.last_owner == requester):
                     self._transition(record, RankState.ALLO)
                     record.assigned_device = requester
-                    self.obs.allocation("nana_reuse",
-                                        self.clock.now - arrived_at)
+                    self._count_allocation("nana_reuse", arrived_at)
                     self.clock.advance(self.cost.manager_alloc)
                     self.stats.allocations += 1
                     self.stats.nana_reuses += 1
@@ -299,7 +305,7 @@ class Manager:
                 self._transition(record, RankState.ALLO)
                 record.assigned_device = requester
                 record.last_owner = requester
-                self.obs.allocation("naav", self.clock.now - arrived_at)
+                self._count_allocation("naav", arrived_at)
                 self.clock.advance(self.cost.manager_alloc)
                 self.stats.allocations += 1
                 return record.rank_index
@@ -326,7 +332,7 @@ class Manager:
                 )
                 # No sysfs write yet: the backend's claim will mark it
                 # busy; a "free" write would look like an instant release.
-                self.obs.allocation("emulated", self.clock.now - arrived_at)
+                self._count_allocation("emulated", arrived_at)
                 self._refresh_rank_gauge()
                 self.clock.advance(self.cost.manager_alloc)
                 self.stats.allocations += 1
@@ -346,8 +352,8 @@ class Manager:
 
         self.stats.abandoned += 1
         self.stats.retries_exhausted += 1
-        self.obs.allocation("abandoned", self.clock.now - arrived_at)
-        self.obs.retries_exhausted()
+        self._count_allocation("abandoned", arrived_at)
+        self.obs.exhausted.inc()
         raise ManagerError(
             f"no rank available for {requester!r} after "
             f"{self.max_attempts} attempts"
@@ -476,7 +482,7 @@ class Manager:
         record.reset_done_at = self.clock.now + self.cost.manager_reset
         self.stats.repairs += 1
         self.stats.resets += 1
-        self.obs.reset_scheduled()
+        self.obs.resets.inc()
         return self.cost.manager_reset
 
     def failed_ranks(self) -> List[int]:

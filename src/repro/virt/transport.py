@@ -125,19 +125,24 @@ class VirtTransport(Transport):
     def alloc_channels(self, nr_dpus: int) -> List[RankChannel]:
         channels: List[RankChannel] = []
         covered = 0
-        for device in self.vm.free_devices():
-            if covered >= nr_dpus:
-                break
-            self.vm.acquire_rank(device)
-            channel = VirtRankChannel(self.vm, device)
-            channels.append(channel)
-            covered += channel.nr_dpus
-        if covered < nr_dpus:
+        try:
+            for device in self.vm.free_devices():
+                if covered >= nr_dpus:
+                    break
+                self.vm.acquire_rank(device)
+                channel = VirtRankChannel(self.vm, device)
+                channels.append(channel)
+                covered += channel.nr_dpus
+            if covered < nr_dpus:
+                raise AllocationError(
+                    f"VM {self.vm.vm_id} cannot cover {nr_dpus} DPUs with "
+                    f"its vUPMEM devices ({covered} DPUs reachable); request "
+                    "more devices in the VM configuration (Section 3.3)"
+                )
+        except BaseException:
+            # Short coverage or a later device the manager refused: no
+            # caller will ever hold these channels, so the ranks go back.
             for channel in channels:
                 self.clock.advance(channel.release())
-            raise AllocationError(
-                f"VM {self.vm.vm_id} cannot cover {nr_dpus} DPUs with its "
-                f"vUPMEM devices ({covered} DPUs reachable); request more "
-                "devices in the VM configuration (Section 3.3)"
-            )
+            raise
         return channels

@@ -132,7 +132,7 @@ class TestStateMachine:
         counter.inc()
         store.scrape(ts=0.001)
         engine.evaluate(0.001)
-        family = engine.obs.registry.get("repro_alert_state")
+        family = store.registry.get("repro_alert_state")
         occupied = {labels["state"]: child.value
                     for labels, child in family.samples()
                     if labels["rule"] == "fault_burst"}

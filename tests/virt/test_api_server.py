@@ -86,3 +86,26 @@ def test_request_log(server):
     boot(server)
     methods = [entry[0] for entry in server.request_log]
     assert methods.count("PUT") == 5
+
+
+@pytest.mark.parametrize("path, body", [
+    ("/machine-config", {"mem_size_mib": "abc"}),
+    ("/machine-config", {"vcpu_count": None}),
+    ("/vupmem", {"count": "two"}),
+])
+def test_non_integer_field_answers_400(server, path, body):
+    response = server.handle("PUT", path, body)
+    assert response.status == 400
+    assert "must be an integer" in str(response.body["fault_message"])
+
+
+def test_guest_too_small_for_its_dma_arena_is_refused_at_start(server):
+    from repro.virt.guest_memory import MIN_GUEST_SIZE
+    assert server.handle("PUT", "/machine-config", {"mem_size_mib": 1}).ok
+    assert server.handle("PUT", "/vupmem", {"count": 1}).ok
+    response = server.handle("PUT", "/actions",
+                             {"action_type": "InstanceStart"})
+    assert response.status == 400
+    assert str(MIN_GUEST_SIZE) in str(response.body["fault_message"])
+    assert server.vm is None
+

@@ -6,6 +6,7 @@ from repro.config import small_machine
 from repro.errors import VmConfigError
 from repro.hardware.machine import Machine
 from repro.virt.firecracker import BASE_BOOT_TIME, Firecracker, VmConfig
+from repro.virt.guest_memory import MIN_GUEST_SIZE
 
 
 @pytest.fixture
@@ -23,6 +24,14 @@ def test_vm_config_validation(fc):
         VmConfig(nr_vupmem=-1).validate(machine)
     with pytest.raises(VmConfigError):
         VmConfig(kernel_path="").validate(machine)
+
+
+def test_smallest_guest_is_the_smallest_that_works(fc):
+    with pytest.raises(VmConfigError, match=str(MIN_GUEST_SIZE)):
+        VmConfig(mem_bytes=MIN_GUEST_SIZE - 1).validate(fc.machine)
+    vm = fc.launch_vm(VmConfig(mem_bytes=MIN_GUEST_SIZE, nr_vupmem=1))
+    vm.acquire_rank(vm.devices[0])       # initialize(): a config roundtrip
+    assert vm.devices[0].initialized
 
 
 def test_cannot_request_more_devices_than_ranks(fc):

@@ -97,3 +97,23 @@ def test_dynamic_rank_relinking(session):
     # Rank 0 is NANA after release; the manager either reuses it for the
     # same device (previous user) or hands out rank 1.
     assert second in (0, 1)
+
+
+def test_failed_multi_rank_alloc_releases_what_it_took():
+    """The manager refusing a *later* device must not strand the ranks
+    the earlier ones linked: nobody holds a channel to release them."""
+    from repro.errors import ManagerError
+    from repro.virt.manager import RankState
+    vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
+    native = DpuSet(vpim.native_session().transport, 4)   # holds rank 0
+    session = vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30)
+    vm = session.vm
+    with pytest.raises(ManagerError):
+        DpuSet(session.transport, 8)     # device 0 links rank 1, device 1: none
+    assert not any(device.linked for device in vm.devices)
+    assert not [record for record in vpim.manager.rank_table.values()
+                if record.state is RankState.ALLO
+                and (record.assigned_device or "").startswith(vm.vm_id)]
+    with DpuSet(session.transport, 4) as dpus:
+        assert dpus.nr_dpus == 4
+    native.free()
