@@ -52,8 +52,7 @@ class IndexSearchProgram(DpuProgram):
         if len(qrange) == 0:
             return
         ctx.mem_alloc(3 * 1024)
-        offsets = ctx.mram_read_blocks(0, (n_words + 1) * 4,
-                                       readonly=True).view(np.int32)
+        offsets = ctx.mram_read_blocks(0, (n_words + 1) * 4).view(np.int32)
         queries = ctx.mram_read_blocks(q_off + qrange.start * 4,
                                        len(qrange) * 4).view(np.int32)
         results = np.zeros(len(qrange), dtype=np.int32)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_graph_csr
 
@@ -72,7 +72,7 @@ def active_runs(packed: np.ndarray, row_ptr: np.ndarray, first: int,
     whose frontier bit is set, tested directly on the packed bitmap
     (MSB-first, as np.unpackbits lays bits out); ``edges[t]`` is the
     number of edges in tasklet ``t``'s block of the owned vertices (the
-    ``tasklet_range`` partition), which is what it scans and charges.
+    ``DpuContext.split`` partition), which is what it scans and charges.
     """
     idx = first + np.arange(n_owned)
     active = np.flatnonzero((packed[idx >> 3] >> (7 - (idx & 7))) & 1)
@@ -94,39 +94,39 @@ class BfsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        nv, first, n_owned, col_off, f_off, n_off = ctx.once(
-            "args", lambda: [ctx.host_u32("args", i) for i in range(6)])
-        if len(tasklet_range(ctx, n_owned)):
-            ctx.mem_alloc(3 * 1024)
-            # All tasklets stream the same frontier bitmap and CSR index
-            # arrays; readonly reads share one buffer per run (DMA is
-            # still charged per tasklet, like the real per-tasklet loop),
-            # and the expansion over them is one set of array ops for
-            # the DPU, of which each tasklet charges its own block.
-            packed = ctx.mram_read_blocks(f_off, (nv + 7) // 8, readonly=True)
-            row_ptr = ctx.mram_read_blocks(
-                0, (n_owned + 1) * 4, readonly=True).view(np.int32)
-            starts, sizes, edges = ctx.once("frontier", lambda: active_runs(
-                packed, row_ptr, first, n_owned, ctx.nr_tasklets))
-            mine = int(edges[ctx.me()])
-            if mine:
-                cols = ctx.mram_read_blocks(
-                    col_off, int(row_ptr[n_owned]) * 4,
-                    readonly=True).view(np.int32)
-                ctx.once("neighbours",
-                         lambda: gather_runs(cols, starts, sizes))
-            ctx.charge_loop(max(1, mine), INSTR_PER_EDGE)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            nxt = np.zeros(nv, dtype=np.uint8)
-            if "neighbours" in ctx.shared:
-                nxt[ctx.shared["neighbours"]] = 1
-            ctx.mram_write_blocks(n_off, np.packbits(nxt))
-            ctx.charge(nv // 8)
+    def run(self, dpu: DpuContext) -> None:
+        nv, first, n_owned, col_off, f_off, n_off = (
+            dpu.host_u32("args", i) for i in range(6))
+        _starts, lens = dpu.split(n_owned)
+        working = lens > 0
+        k = np.count_nonzero(working)
+        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
+        nxt = np.zeros(nv, dtype=np.uint8)
+        if k:
+            dpu.mem_alloc(3 * 1024, tasklets=k)
+            # Every working tasklet streams the frontier bitmap and the
+            # row pointers, and the column indices if a frontier vertex
+            # in its block has edges; it charges the edges of its block.
+            front_bytes = (nv + 7) // 8
+            dpu.dma(np.full(k, front_bytes))
+            dpu.dma(np.full(k, (n_owned + 1) * 4))
+            packed = dpu.mram_read(f_off, front_bytes)
+            row_ptr = dpu.mram_read(0, (n_owned + 1) * 4).view(np.int32)
+            starts, sizes, edges = active_runs(packed, row_ptr, first,
+                                               n_owned, dpu.nr_tasklets)
+            scanning = np.count_nonzero(edges)
+            if scanning:
+                col_bytes = int(row_ptr[n_owned]) * 4
+                dpu.dma(np.full(scanning, col_bytes))
+                cols = dpu.mram_read(col_off, col_bytes).view(np.int32)
+                nxt[gather_runs(cols, starts, sizes)] = 1
+            instructions[working] = (np.maximum(1, edges[working])
+                                     * INSTR_PER_EDGE)
+        dpu.charge(instructions)
+        # Tasklet 0 writes the next frontier out.
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write_blocks(n_off, np.packbits(nxt))
+        tasklet0.charge(nv // 8)
 
 
 class BreadthFirstSearch(HostApplication):

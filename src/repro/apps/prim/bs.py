@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import sorted_array
 
@@ -29,31 +29,35 @@ class BsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        nq = ctx.host_u32("n_queries")
-        q_off = ctx.host_u32("q_offset")
-        r_off = ctx.host_u32("r_offset")
-        base = ctx.host_u32("base_index")
-        qrange = tasklet_range(ctx, nq)
-        if len(qrange) == 0 or n == 0:
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        nq = dpu.host_u32("n_queries")
+        q_off = dpu.host_u32("q_offset")
+        r_off = dpu.host_u32("r_offset")
+        base = dpu.host_u32("base_index")
+        _starts, lens = dpu.split(nq)
+        shares = lens[lens > 0] * 8     # query bytes of each tasklet with any
+        if shares.size == 0 or n == 0:
             return
-        ctx.mem_alloc(2 * 1024)
-        # Every tasklet searches the whole slice: one shared buffer per
-        # run (the result writes land past it and leave it cached).
-        data = ctx.mram_read_blocks(0, n * 8, readonly=True).view(np.int64)
-        queries = ctx.mram_read_blocks(q_off + qrange.start * 8,
-                                       len(qrange) * 8).view(np.int64)
-        # Vectorized equivalent of the per-query binary-search loop.
-        pos = np.searchsorted(data, queries)
-        found = (pos < n) & (data[np.minimum(pos, n - 1)] == queries)
-        results = np.where(found, pos + base, -1).astype(np.int64)
-        ctx.mram_write_blocks(r_off + qrange.start * 8, results)
+        dpu.mem_alloc(2 * 1024, tasklets=shares.size)
+        # Each of them streams the whole slice and its share of the
+        # queries, and writes as many results.
+        dpu.dma(np.full(shares.size, n * 8))
+        dpu.dma(np.tile(shares, 2))
+        data = dpu.mram_read(0, n * 8).view(np.int64)
+        queries = dpu.mram_read(q_off, nq * 8).view(np.int64)
+        # Vectorized equivalent of the per-query binary-search loop.  A
+        # query outside [data[0], data[-1]] cannot hit, and the query set
+        # is the whole array's: most of it is outside any one slice.
+        inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
+        probed = queries[inside]
+        pos = np.searchsorted(data, probed)     # < n: probed <= data[-1]
+        results = np.full(nq, -1, dtype=np.int64)
+        results[inside] = np.where(data[pos] == probed, pos + base, -1)
+        dpu.mram_write(r_off, results)
+        # The DPU probes for every query all the same.
         probes = int(np.ceil(np.log2(max(2, n))))
-        ctx.charge_loop(len(qrange), INSTR_PER_PROBE * probes)
+        dpu.charge(lens * (INSTR_PER_PROBE * probes))
 
 
 class BinarySearch(HostApplication):

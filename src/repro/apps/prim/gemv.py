@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array, random_matrix
 
@@ -26,26 +26,27 @@ class GemvProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n_rows = ctx.host_u32("n_rows")
-        n_cols = ctx.host_u32("n_cols")
-        x_off = ctx.host_u32("x_offset")
-        y_off = ctx.host_u32("y_offset")
-        rows = tasklet_range(ctx, n_rows)
-        if len(rows) == 0:
+    def run(self, dpu: DpuContext) -> None:
+        n_rows = dpu.host_u32("n_rows")
+        n_cols = dpu.host_u32("n_cols")
+        x_off = dpu.host_u32("x_offset")
+        y_off = dpu.host_u32("y_offset")
+        _starts, lens = dpu.split(n_rows)
+        rows = lens[lens > 0]           # rows of each tasklet that has any
+        if rows.size == 0:
             return
-        ctx.mem_alloc(2 * 1024)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4,
-                                 readonly=True).view(np.int32)
-        m = ctx.mram_read_blocks(rows.start * n_cols * 4,
-                                 len(rows) * n_cols * 4).view(np.int32)
-        y = (m.reshape(len(rows), n_cols).astype(np.int64)
+        dpu.mem_alloc(2 * 1024, tasklets=rows.size)
+        # Each of them streams the whole of x and its rows of M, and
+        # writes its share of y.
+        dpu.dma(np.full(rows.size, n_cols * 4))
+        dpu.dma(rows * (n_cols * 4))
+        dpu.dma(rows * 4)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        m = dpu.mram_read(0, n_rows * n_cols * 4).view(np.int32)
+        y = (m.reshape(n_rows, n_cols).astype(np.int64)
              @ x.astype(np.int64)).astype(np.int32)
-        ctx.mram_write_blocks(y_off + rows.start * 4, y)
-        ctx.charge_loop(len(rows) * n_cols, INSTR_PER_MADD)
+        dpu.mram_write(y_off, y)
+        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
 
 
 class Gemv(HostApplication):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import HostApplication
+from repro.config import WRAM_SIZE
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_image
 
@@ -30,39 +31,30 @@ class HstLProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["private"] = [None] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_pixels")
-        n_bins = ctx.host_u32("n_bins")
-        rng = tasklet_range(ctx, n)
-        if len(rng):
-            # Private bins must fit this tasklet's WRAM share; larger
-            # histograms are built in several passes over the pixels, as
-            # the PrIM HST-L kernel does.
-            from repro.config import WRAM_SIZE
-            budget = max(1024, WRAM_SIZE // ctx.nr_tasklets - 2048)
-            bins_per_pass = max(256, budget // 4)
-            passes = -(-n_bins // bins_per_pass)
-            ctx.mem_alloc(1024 + min(n_bins, bins_per_pass) * 4)
-            pixels = ctx.mram_read_blocks(rng.start * 2,
-                                          len(rng) * 2).view(np.uint16)
-            ctx.shared["private"][ctx.me()] = np.bincount(
-                np.minimum(pixels, n_bins - 1), minlength=n_bins)
-            ctx.charge_loop(len(rng) * passes, INSTR_PER_PIXEL)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            total = np.zeros(n_bins, dtype=np.int64)
-            merged = 0
-            for private in ctx.shared["private"]:
-                if private is not None:
-                    total += private
-                    merged += 1
-            ctx.charge_loop(n_bins * max(1, merged), INSTR_PER_MERGE_BIN)
-            ctx.mram_write_blocks(ctx.host_u32("hist_offset"),
-                                  total.astype(np.uint32))
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_pixels")
+        n_bins = dpu.host_u32("n_bins")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 2     # bytes of each tasklet that has any
+        # Private bins must fit a tasklet's WRAM share; larger histograms
+        # are built in several passes over the pixels, as the PrIM HST-L
+        # kernel does.
+        budget = max(1024, WRAM_SIZE // dpu.nr_tasklets - 2048)
+        bins_per_pass = max(256, budget // 4)
+        passes = -(-n_bins // bins_per_pass)
+        dpu.mem_alloc(1024 + min(n_bins, bins_per_pass) * 4,
+                      tasklets=pieces.size)
+        dpu.dma(pieces)
+        total = np.zeros(n_bins, dtype=np.uint32)
+        if n:
+            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
+            total = np.bincount(np.minimum(pixels, n_bins - 1),
+                                minlength=n_bins).astype(np.uint32)
+        dpu.charge(lens * (passes * INSTR_PER_PIXEL))
+        # Tasklet 0 merges the private histograms and writes the result.
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.charge(n_bins * max(1, pieces.size) * INSTR_PER_MERGE_BIN)
+        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), total)
 
 
 class HistogramLong(HostApplication):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_image
 
@@ -29,27 +29,23 @@ class HstSProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 6 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["hist"] = np.zeros(ctx.host_u32("n_bins"),
-                                          dtype=np.int64)
-        yield ctx.barrier()
-        n = ctx.host_u32("n_pixels")
-        n_bins = ctx.host_u32("n_bins")
-        rng = tasklet_range(ctx, n)
-        if len(rng):
-            ctx.mem_alloc(2048)
-            pixels = ctx.mram_read_blocks(rng.start * 2,
-                                          len(rng) * 2).view(np.uint16)
-            ctx.shared["hist"] += np.bincount(
-                np.minimum(pixels, n_bins - 1), minlength=n_bins)
-            ctx.charge_loop(len(rng), INSTR_PER_PIXEL)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            hist = ctx.shared["hist"].astype(np.uint32)
-            ctx.mram_write_blocks(ctx.host_u32("hist_offset"), hist)
-            ctx.charge(hist.size * 2)
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_pixels")
+        n_bins = dpu.host_u32("n_bins")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 2     # bytes of each tasklet that has any
+        dpu.mem_alloc(2048, tasklets=pieces.size)
+        dpu.dma(pieces)
+        hist = np.zeros(n_bins, dtype=np.uint32)
+        if n:
+            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
+            hist = np.bincount(np.minimum(pixels, n_bins - 1),
+                               minlength=n_bins).astype(np.uint32)
+        dpu.charge(lens * INSTR_PER_PIXEL)
+        # Tasklet 0 writes the shared histogram out.
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), hist)
+        tasklet0.charge(hist.size * 2)
 
 
 class HistogramShort(HostApplication):

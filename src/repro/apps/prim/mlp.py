@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array, random_matrix
 
@@ -35,43 +35,32 @@ class MlpProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n_rows = ctx.host_u32("n_rows")
-        n_cols = ctx.host_u32("n_cols")
-        w_off = ctx.host_u32("w_offset")
-        x_off = ctx.host_u32("x_offset")
-        y_off = ctx.host_u32("y_offset")
-        rows = tasklet_range(ctx, n_rows)
-        if len(rows) == 0:
+    def run(self, dpu: DpuContext) -> None:
+        n_rows = dpu.host_u32("n_rows")
+        n_cols = dpu.host_u32("n_cols")
+        w_off = dpu.host_u32("w_offset")
+        x_off = dpu.host_u32("x_offset")
+        y_off = dpu.host_u32("y_offset")
+        _starts, lens = dpu.split(n_rows)
+        rows = lens[lens > 0]           # rows of each tasklet that has any
+        if rows.size == 0:
             return
-        ctx.mem_alloc(3 * 1024)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4, readonly=True)
-        w = ctx.mram_read_blocks(w_off + rows.start * n_cols * 4,
-                                 len(rows) * n_cols * 4).view(np.int32)
-        # All tasklets stream the same input vector; convert it once per
-        # DPU.  float64 keeps the arithmetic exact (|w| <= 4, |x| < 2^31,
-        # row sums stay far below 2^53) while the matmul runs on BLAS.
-        xf = ctx.shared.get("xf")
-        if xf is None:
-            xf = x.view(np.int32).astype(np.float64)
-            ctx.shared["xf"] = xf
-        # One conversion scratch per DPU, reused by every tasklet: the
-        # compute below runs without yielding, so tasklets never overlap
-        # inside it.  Avoids a fresh multi-100KB allocation per tasklet.
-        wf = ctx.shared.get("wf")
-        if wf is None or wf.size < len(rows) * n_cols:
-            wf = np.empty(len(rows) * n_cols, dtype=np.float64)
-            ctx.shared["wf"] = wf
-        wm = wf[:len(rows) * n_cols].reshape(len(rows), n_cols)
-        wm[...] = w.reshape(len(rows), n_cols)
-        y = relu(wm @ xf)
+        dpu.mem_alloc(3 * 1024, tasklets=rows.size)
+        # Each of them streams the whole input vector and its rows of W,
+        # and writes its share of y.
+        dpu.dma(np.full(rows.size, n_cols * 4))
+        dpu.dma(rows * (n_cols * 4))
+        dpu.dma(rows * 4)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        w = dpu.mram_read(w_off, n_rows * n_cols * 4).view(np.int32)
+        # float64 keeps the arithmetic exact (|w| <= 4, |x| < 2^31, row
+        # sums stay far below 2^53) while the matmul runs on BLAS.
+        y = relu(w.reshape(n_rows, n_cols).astype(np.float64)
+                 @ x.astype(np.float64))
         # Saturate into int32 range as the fixed-point kernel would.
         y = np.minimum(y, np.iinfo(np.int32).max).astype(np.int32)
-        ctx.mram_write_blocks(y_off + rows.start * 4, y)
-        ctx.charge_loop(len(rows) * n_cols, INSTR_PER_MADD)
+        dpu.mram_write(y_off, y)
+        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
 
 
 class MultilayerPerceptron(HostApplication):

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -76,12 +76,9 @@ class NwProgram(DpuProgram):
     nr_tasklets = 8
     binary_size = 10 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        if ctx.me() != 0:
-            return
+    def run(self, dpu: DpuContext) -> None:
+        # One block per launch: tasklet 0 computes it, the others idle.
+        ctx = TaskletContext(dpu, 0)
         header = ctx.mram_read(ctx.host_u32("hdr_offset"), 12).view(np.int32)
         active, bi, bj = int(header[0]), int(header[1]), int(header[2])
         if not active:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -30,25 +30,19 @@ class RedProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 5 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["partials"] = [0] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        rng = tasklet_range(ctx, n)
-        if len(rng):
-            ctx.mem_alloc(2048)
-            data = ctx.mram_read_blocks(rng.start * 4,
-                                        len(rng) * 4).view(np.int32)
-            ctx.shared["partials"][ctx.me()] = int(data.astype(np.int64).sum())
-            ctx.charge_loop(len(rng), INSTR_PER_ELEM)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            total = sum(ctx.shared["partials"])
-            ctx.mram_write(ctx.host_u32("result_offset"),
-                           np.array([total], dtype=np.int64))
-            ctx.charge(ctx.nr_tasklets * 2)
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
+        dpu.mem_alloc(2048, tasklets=pieces.size)
+        dpu.dma(pieces)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        dpu.charge(lens * INSTR_PER_ELEM)
+        # Tasklet 0 adds up the per-tasklet partials and stores the sum.
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write(dpu.host_u32("result_offset"),
+                            np.array([data.sum(dtype=np.int64)]))
+        tasklet0.charge(dpu.nr_tasklets * 2)
 
 
 class Reduction(HostApplication):

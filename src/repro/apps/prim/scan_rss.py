@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -34,45 +34,30 @@ class ScanRssProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["tsums"] = [0] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        out_off = ctx.host_u32("out_offset")
-        phase = ctx.host_u32("phase")
-        rng = tasklet_range(ctx, n)
-        ctx.mem_alloc(2 * 1024)
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        out_off = dpu.host_u32("out_offset")
+        phase = dpu.host_u32("phase")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0]         # elements of each tasklet with any
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        dpu.dma(pieces * 4)
 
         if phase == 0:
-            if len(rng):
-                data = ctx.mram_read_blocks(rng.start * 4,
-                                            len(rng) * 4).view(np.int32)
-                ctx.shared["tsums"][ctx.me()] = int(
-                    data.astype(np.int64).sum())
-                ctx.charge_loop(len(rng), INSTR_PER_REDUCE)
-            yield ctx.barrier()
-            if ctx.me() == 0:
-                total = sum(ctx.shared["tsums"])
-                ctx.mram_write(ctx.host_u32("sum_offset"),
-                               np.array([total], dtype=np.int64))
+            dpu.charge(lens * INSTR_PER_REDUCE)
+            # Tasklet 0 adds up the per-tasklet partials and stores the sum.
+            TaskletContext(dpu, 0).mram_write(
+                dpu.host_u32("sum_offset"),
+                np.array([data.sum(dtype=np.int64)]))
         else:
-            if len(rng):
-                data = ctx.mram_read_blocks(rng.start * 4,
-                                            len(rng) * 4).view(np.int32)
-                local = np.cumsum(data.astype(np.int64))
-                ctx.shared["tsums"][ctx.me()] = int(local[-1])
-                ctx.shared[f"scan{ctx.me()}"] = local
-                ctx.charge_loop(len(rng), INSTR_PER_SCAN_ADD)
-            yield ctx.barrier()
-            if len(rng):
-                base = ctx.host_i64("base")
-                prior = sum(ctx.shared["tsums"][:ctx.me()])
-                scanned = ctx.shared[f"scan{ctx.me()}"] + prior + base
-                ctx.mram_write_blocks(out_off + rng.start * 8,
-                                      scanned.astype(np.int64))
-                ctx.charge_loop(len(rng), 1)
+            # Each tasklet scans its piece; after the barrier it adds the
+            # totals of the tasklets before it and the DPU's base offset.
+            scanned = np.cumsum(data, dtype=np.int64)
+            scanned += dpu.host_i64("base")
+            dpu.mram_write(out_off, scanned)
+            dpu.dma(pieces * 8)
+            dpu.charge(lens * (INSTR_PER_SCAN_ADD + 1))
 
 
 class ScanRss(HostApplication):

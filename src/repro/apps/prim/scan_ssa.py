@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -32,44 +32,32 @@ class ScanSsaProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["tsums"] = [0] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        out_off = ctx.host_u32("out_offset")
-        phase = ctx.host_u32("phase")
-        rng = tasklet_range(ctx, n)
-        ctx.mem_alloc(2 * 1024)
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        out_off = dpu.host_u32("out_offset")
+        phase = dpu.host_u32("phase")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0]         # elements of each tasklet with any
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
 
         if phase == 0:
-            if len(rng):
-                data = ctx.mram_read_blocks(rng.start * 4,
-                                            len(rng) * 4).view(np.int32)
-                local = np.cumsum(data.astype(np.int64))
-                ctx.shared["tsums"][ctx.me()] = int(local[-1])
-                ctx.shared[f"scan{ctx.me()}"] = local
-                ctx.charge_loop(len(rng), INSTR_PER_SCAN)
-            yield ctx.barrier()
-            # Tasklet-level offsets, then write the scanned slice.
-            if len(rng):
-                prior = sum(ctx.shared["tsums"][:ctx.me()])
-                scanned = (ctx.shared[f"scan{ctx.me()}"] + prior)
-                ctx.mram_write_blocks(out_off + rng.start * 8,
-                                      scanned.astype(np.int64))
-                ctx.charge_loop(len(rng), 1)
-            if ctx.me() == 0:
-                total = sum(ctx.shared["tsums"])
-                ctx.mram_write(ctx.host_u32("sum_offset"),
-                               np.array([total], dtype=np.int64))
+            # Each tasklet scans its piece; after the barrier it adds the
+            # totals of the tasklets before it and writes the piece out.
+            data = dpu.mram_read(0, n * 4).view(np.int32)
+            dpu.dma(pieces * 4)
+            scanned = np.cumsum(data, dtype=np.int64)
+            dpu.mram_write(out_off, scanned)
+            dpu.dma(pieces * 8)
+            dpu.charge(lens * (INSTR_PER_SCAN + 1))
+            # Tasklet 0 stores the slice total.
+            TaskletContext(dpu, 0).mram_write(
+                dpu.host_u32("sum_offset"),
+                scanned[-1:] if n else np.zeros(1, np.int64))
         else:
-            if len(rng):
-                base = ctx.host_i64("base")
-                scanned = ctx.mram_read_blocks(
-                    out_off + rng.start * 8, len(rng) * 8).view(np.int64)
-                ctx.mram_write_blocks(out_off + rng.start * 8, scanned + base)
-                ctx.charge_loop(len(rng), INSTR_PER_ADD)
+            scanned = dpu.mram_read(out_off, n * 8).view(np.int64)
+            dpu.mram_write(out_off, scanned + dpu.host_i64("base"))
+            dpu.dma(np.tile(pieces * 8, 2))
+            dpu.charge(lens * INSTR_PER_ADD)
 
 
 class ScanSsa(HostApplication):

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -35,30 +35,21 @@ class SelProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["kept"] = [None] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        rng = tasklet_range(ctx, n)
-        ctx.mem_alloc(2 * 1024)
-        if len(rng):
-            data = ctx.mram_read_blocks(rng.start * 4,
-                                        len(rng) * 4).view(np.int32)
-            ctx.shared["kept"][ctx.me()] = data[predicate(data)]
-            ctx.charge_loop(len(rng), INSTR_PER_ELEM)
-        yield ctx.barrier()
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        dpu.dma(lens[lens > 0] * 4)
+        dpu.charge(lens * INSTR_PER_ELEM)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
         # Tasklet 0 concatenates the per-tasklet results (the PrIM kernel
         # does this with a prefix sum of per-tasklet counts).
-        if ctx.me() == 0:
-            parts = [p for p in ctx.shared["kept"] if p is not None and p.size]
-            out = (np.concatenate(parts) if parts
-                   else np.empty(0, dtype=np.int32))
-            ctx.set_host_u32("n_selected", out.size)
-            if out.size:
-                ctx.mram_write_blocks(ctx.host_u32("out_offset"), out)
-            ctx.charge(ctx.nr_tasklets * 4)
+        out = data[predicate(data)]
+        tasklet0 = TaskletContext(dpu, 0)
+        dpu.set_host_u32("n_selected", out.size)
+        if out.size:
+            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
+        tasklet0.charge(dpu.nr_tasklets * 4)
 
 
 class Select(HostApplication):

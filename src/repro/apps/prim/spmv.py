@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import CsrMatrix, random_csr, random_array
 
@@ -31,43 +31,46 @@ class SpmvProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
+    def run(self, dpu: DpuContext) -> None:
         # args[1] (nnz) is kept for layout parity with the PrIM kernel.
-        n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = ctx.once(
-            "args", lambda: [ctx.host_u32("args", i) for i in range(7)])
-        rows = tasklet_range(ctx, n_rows)
-        if len(rows) == 0:
+        n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = (
+            dpu.host_u32("args", i) for i in range(7))
+        starts, lens = dpu.split(n_rows)
+        working = lens > 0
+        k = np.count_nonzero(working)
+        if k == 0:
             return
-        ctx.mem_alloc(4 * 768)
-        # Every tasklet streams the row pointers and the dense vector:
-        # one shared buffer each per run, DMA charged per tasklet.
-        row_ptr = ctx.mram_read_blocks(0, (n_rows + 1) * 4,
-                                       readonly=True).view(np.int32)
-        ptr = row_ptr[rows.start:rows.stop + 1]
-        s, e = int(ptr[0]), int(ptr[-1])
+        dpu.mem_alloc(4 * 768, tasklets=k)
+        # Every working tasklet streams the row pointers and the dense
+        # vector, the column indices and values of its own non-zeros (if
+        # it has any), and writes its rows of y.
+        row_ptr = dpu.mram_read(0, (n_rows + 1) * 4).view(np.int32)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        nnz = np.maximum(0, row_ptr[(starts + lens)[working]].astype(np.int64)
+                         - row_ptr[starts[working]])
+        dpu.dma(np.full(k, (n_rows + 1) * 4))
+        dpu.dma(np.full(k, n_cols * 4))
+        dpu.dma(np.repeat(nnz[nnz > 0] * 4, 2))
+        dpu.dma(lens[working] * 8)
+        s, e = int(row_ptr[0]), int(row_ptr[n_rows])
         if e > s:
-            cols = ctx.mram_read_blocks(col_off + s * 4,
-                                        (e - s) * 4).view(np.int32)
-            vals = ctx.mram_read_blocks(val_off + s * 4,
-                                        (e - s) * 4).view(np.int32)
+            cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
+            vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
         else:
             cols = np.empty(0, dtype=np.int32)
             vals = np.empty(0, dtype=np.int32)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4,
-                                 readonly=True).view(np.int32)
-        # One segmented sum over the tasklet's non-zeros.  reduceat reads
-        # a segment as "up to the next start", so it is given the
-        # non-empty rows only; the empty ones keep their 0.
-        filled = ptr[1:] > ptr[:-1]
-        y = np.zeros(len(rows), dtype=np.int64)
+        # One segmented sum over the DPU's non-zeros.  reduceat reads a
+        # segment as "up to the next start", so it is given the non-empty
+        # rows only; the empty ones keep their 0.
+        filled = row_ptr[1:] > row_ptr[:-1]
+        y = np.zeros(n_rows, dtype=np.int64)
         y[filled] = np.add.reduceat(
             vals.astype(np.int64) * x[cols].astype(np.int64),
-            ptr[:-1][filled] - s)
-        ctx.mram_write_blocks(y_off + rows.start * 8, y)
-        ctx.charge_loop(max(0, e - s), INSTR_PER_NNZ)
+            row_ptr[:-1][filled] - s)
+        dpu.mram_write(y_off, y)
+        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
+        instructions[working] = nnz * INSTR_PER_NNZ
+        dpu.charge(instructions)
 
 
 class SpMV(HostApplication):

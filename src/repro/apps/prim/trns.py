@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_matrix
 
@@ -29,23 +29,21 @@ class TrnsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 6 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        t = ctx.host_u32("tile_dim")
-        n_tiles = ctx.host_u32("n_tiles")
-        out_off = ctx.host_u32("out_offset")
+    def run(self, dpu: DpuContext) -> None:
+        t = dpu.host_u32("tile_dim")
+        n_tiles = dpu.host_u32("n_tiles")
+        out_off = dpu.host_u32("out_offset")
         tile_bytes = t * t * 4
-        my_tiles = tasklet_range(ctx, n_tiles)
-        if len(my_tiles) == 0:
+        _starts, lens = dpu.split(n_tiles)
+        k = np.count_nonzero(lens)
+        if k == 0:
             return
-        ctx.mem_alloc(2 * tile_bytes)
-        for k in my_tiles:
-            tile = ctx.mram_read(k * tile_bytes, tile_bytes).view(np.int32)
-            out = np.ascontiguousarray(tile.reshape(t, t).T)
-            ctx.mram_write(out_off + k * tile_bytes, out)
-            ctx.charge_loop(t * t, INSTR_PER_ELEM)
+        dpu.mem_alloc(2 * tile_bytes, tasklets=k)
+        # A tile is one plain transfer in and one out.
+        dpu.dma(np.full(2 * n_tiles, tile_bytes), block_bytes=None)
+        tiles = dpu.mram_read(0, n_tiles * tile_bytes).view(np.int32)
+        dpu.mram_write(out_off, tiles.reshape(n_tiles, t, t).transpose(0, 2, 1))
+        dpu.charge(lens * (t * t * INSTR_PER_ELEM))
 
 
 class Transpose(HostApplication):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -57,33 +57,31 @@ class TsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["best"] = [(np.iinfo(np.int64).max, -1)] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_points")
-        m = ctx.host_u32("m")
-        q_off = ctx.host_u32("q_offset")
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_points")
+        m = dpu.host_u32("m")
+        q_off = dpu.host_u32("q_offset")
         n_windows = max(0, n - m + 1)
-        rng = tasklet_range(ctx, n_windows)
-        if len(rng):
-            ctx.mem_alloc(3 * 1024)
-            query = ctx.mram_read_blocks(q_off, m * 4,
-                                         readonly=True).view(np.int32)
-            span = ctx.mram_read_blocks(rng.start * 4,
-                                        (len(rng) + m - 1) * 4).view(np.int32)
-            dists = _ssd_profile(span, query)
-            best_local = int(dists.argmin())
-            ctx.shared["best"][ctx.me()] = (int(dists[best_local]),
-                                            rng.start + best_local)
-            ctx.charge_loop(len(rng) * m, INSTR_PER_POINT)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            dist, index = min(ctx.shared["best"])
-            ctx.set_host_i64("best_dist", dist)
-            ctx.set_host_i64("best_index", index)
-            ctx.charge(ctx.nr_tasklets * 3)
+        _starts, lens = dpu.split(n_windows)
+        shares = lens[lens > 0]         # windows of each tasklet with any
+        best = (np.iinfo(np.int64).max, -1)
+        if shares.size:
+            dpu.mem_alloc(3 * 1024, tasklets=shares.size)
+            # Each of them streams the query and the points its windows
+            # cover; the first minimum of the whole profile is the least
+            # (distance, index) pair of the per-tasklet first minima.
+            dpu.dma(np.full(shares.size, m * 4))
+            dpu.dma((shares + m - 1) * 4)
+            query = dpu.mram_read(q_off, m * 4).view(np.int32)
+            points = dpu.mram_read(0, (n_windows + m - 1) * 4).view(np.int32)
+            dists = _ssd_profile(points, query)
+            index = int(dists.argmin())
+            best = (int(dists[index]), index)
+        dpu.charge(lens * (m * INSTR_PER_POINT))
+        # Tasklet 0 reduces the per-tasklet minima.
+        dpu.set_host_i64("best_dist", best[0])
+        dpu.set_host_i64("best_index", best[1])
+        TaskletContext(dpu, 0).charge(dpu.nr_tasklets * 3)
 
 
 class TimeSeries(HostApplication):

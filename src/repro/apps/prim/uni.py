@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -39,32 +39,21 @@ class UniProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["parts"] = [None] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        rng = tasklet_range(ctx, n)
-        ctx.mem_alloc(2 * 1024)
-        if len(rng):
-            data = ctx.mram_read_blocks(rng.start * 4,
-                                        len(rng) * 4).view(np.int32)
-            ctx.shared["parts"][ctx.me()] = (rng.start, data)
-            ctx.charge_loop(len(rng), INSTR_PER_ELEM)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            # Tasklet 0 merges: dedup within and across tasklet boundaries
-            # (the real kernel uses handshakes between adjacent tasklets).
-            chunks = [p[1] for p in ctx.shared["parts"] if p is not None]
-            if chunks:
-                out = unique_consecutive(np.concatenate(chunks))
-            else:
-                out = np.empty(0, dtype=np.int32)
-            ctx.set_host_u32("n_unique", out.size)
-            if out.size:
-                ctx.mram_write_blocks(ctx.host_u32("out_offset"), out)
-            ctx.charge(ctx.nr_tasklets * 4)
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        dpu.dma(lens[lens > 0] * 4)
+        dpu.charge(lens * INSTR_PER_ELEM)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        # Tasklet 0 merges: dedup within and across tasklet boundaries
+        # (the real kernel uses handshakes between adjacent tasklets).
+        out = unique_consecutive(data)
+        tasklet0 = TaskletContext(dpu, 0)
+        dpu.set_host_u32("n_unique", out.size)
+        if out.size:
+            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
+        tasklet0.charge(dpu.nr_tasklets * 4)
 
 
 class Unique(HostApplication):

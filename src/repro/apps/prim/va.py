@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -27,22 +27,20 @@ class VaProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 6 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n = ctx.host_u32("n_elems")
-        b_off = ctx.host_u32("b_offset")
-        c_off = ctx.host_u32("c_offset")
-        rng = tasklet_range(ctx, n)
-        if len(rng) == 0:
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        b_off = dpu.host_u32("b_offset")
+        c_off = dpu.host_u32("c_offset")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
+        if pieces.size == 0:
             return
-        ctx.mem_alloc(3 * 1024)  # A/B/C block buffers
-        a = ctx.mram_read_blocks(rng.start * 4, len(rng) * 4).view(np.int32)
-        b = ctx.mram_read_blocks(b_off + rng.start * 4,
-                                 len(rng) * 4).view(np.int32)
-        ctx.mram_write_blocks(c_off + rng.start * 4, a + b)
-        ctx.charge_loop(len(rng), INSTR_PER_ELEM)
+        dpu.mem_alloc(3 * 1024, tasklets=pieces.size)  # A/B/C block buffers
+        dpu.dma(np.tile(pieces, 3))
+        c = dpu.mram_read(0, n * 4).view(np.int32)
+        c += dpu.mram_read(b_off, n * 4).view(np.int32)
+        dpu.mram_write(c_off, c)
+        dpu.charge(lens * INSTR_PER_ELEM)
 
 
 class VectorAdd(HostApplication):

@@ -1,8 +1,13 @@
-"""The DPU-side programming model: programs, tasklets, and their context.
+"""The DPU-side programming model: programs, the DPU context, tasklets.
 
 Real UPMEM DPU programs are C binaries compiled for the DPU ISA.  Here a
-program is a :class:`DpuProgram` subclass whose :meth:`DpuProgram.kernel`
-is a *generator function* executed once per tasklet (SPMD):
+program is a :class:`DpuProgram` subclass, and the unit the host executes
+is the **DPU**: a launch calls :meth:`DpuProgram.run` once per DPU with a
+:class:`DpuContext`.  A program has exactly one body, in one of two forms.
+
+**Tasklet form** — the default :meth:`DpuProgram.run`, the Fig. 2b
+reference model.  :meth:`DpuProgram.kernel` is a *generator function*
+executed once per tasklet (SPMD) on a :class:`TaskletContext`:
 
 - ``ctx.me()`` is the tasklet id, ``ctx.nr_tasklets`` the launch width;
 - ``ctx.mram_read`` / ``ctx.mram_write`` move data between the MRAM bank
@@ -13,14 +18,29 @@ is a *generator function* executed once per tasklet (SPMD):
 - ``ctx.charge(n)`` accounts ``n`` pipeline instructions, which the
   11-cycle-rule timing model converts to cycles.
 
+**Array form** — the PrIM programs override :meth:`DpuProgram.run` with
+one body for the whole DPU in which tasklets are a vector axis:
+``dpu.split(total)`` is the ``tasklet_range`` partition for all tasklets
+at once, ``dpu.charge(vector)`` accounts one instruction count per
+tasklet, ``dpu.dma(lengths)`` charges one blocked transfer per tasklet
+piece, ``dpu.mem_alloc(size, tasklets=k)`` takes ``k`` tasklets' WRAM
+buffers, and ``dpu.mram_read`` / ``dpu.mram_write`` move the union of the
+pieces in one operation; a step only one tasklet takes (tasklet 0
+storing the merged result) is written on ``TaskletContext(dpu, 0)``, the
+same facade the tasklet form uses.  What the timing model sees — per-tasklet
+instructions, DMA operations and bytes — is what the tasklet form of the
+same program is charged, field by field
+(``tests/apps/test_kernel_equivalence.py``).
+
 Host-visible variables (``__host`` in real DPU C) are declared in
 ``DpuProgram.symbols`` and accessed with the typed helpers.
 """
 
 from __future__ import annotations
 
+import inspect
 import struct
-from typing import Callable, Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -31,13 +51,17 @@ from repro.hardware.dpu import Dpu
 #: Sentinel yielded by kernels at barrier points.
 BARRIER = object()
 
+#: Safety valve against kernels that never terminate.
+MAX_PHASES = 1_000_000
+
 
 class DpuProgram:
     """Base class for DPU programs.
 
     Subclasses override :attr:`name`, :attr:`symbols`, :attr:`nr_tasklets`
-    and :meth:`kernel`.  ``binary_size`` models the IRAM footprint of the
-    compiled binary and is checked against the 24 KB IRAM at load time.
+    and either :meth:`kernel` (tasklet form) or :meth:`run` (array form).
+    ``binary_size`` models the IRAM footprint of the compiled binary and
+    is checked against the 24 KB IRAM at load time.
     """
 
     #: Program name (doubles as the DPU_BINARY path in examples).
@@ -50,19 +74,71 @@ class DpuProgram:
     binary_size: int = 8 * 1024
 
     def kernel(self, ctx: "TaskletContext") -> Generator:
-        """The per-tasklet generator body.  Must be overridden."""
+        """The per-tasklet generator body of a tasklet-form program."""
         raise NotImplementedError
+
+    def run(self, dpu: "DpuContext") -> None:
+        """Execute the program on one DPU.
+
+        The default is the tasklet scheduler over :meth:`kernel`.
+        Execution proceeds in *phases* separated by barriers: within a
+        phase each live tasklet runs until it either yields (reaching a
+        barrier) or returns.  All tasklets that yielded are resumed
+        together in the next phase, which gives exactly the semantics of
+        a full-width ``barrier_wait`` — the only synchronization
+        primitive the PrIM kernels use.  Tasklet order is 0..N-1 inside
+        a phase, which keeps results reproducible; SPMD kernels partition
+        data disjointly so ordering cannot change results, and
+        cross-tasklet reductions happen at barriers.
+        """
+        generators = []
+        for t in range(dpu.nr_tasklets):
+            gen = self.kernel(TaskletContext(dpu, t))
+            if not inspect.isgenerator(gen):
+                raise DpuFaultError(
+                    f"kernel of {self.name!r} must be a generator function "
+                    "(use 'yield ctx.barrier()' or end with 'return; yield')"
+                )
+            generators.append(gen)
+
+        live = list(enumerate(generators))
+        phases = 0
+        while live:
+            phases += 1
+            if phases > MAX_PHASES:
+                raise DpuFaultError(
+                    f"program {self.name!r} exceeded {MAX_PHASES} barrier phases"
+                )
+            still_live = []
+            for t, gen in live:
+                try:
+                    token = next(gen)
+                except StopIteration:
+                    continue
+                if token is not BARRIER:
+                    raise DpuFaultError(
+                        f"tasklet {t} of {self.name!r} yielded a non-barrier "
+                        f"value {token!r}"
+                    )
+                still_live.append((t, gen))
+            live = still_live
 
     def instruction_estimate(self) -> Optional[int]:  # pragma: no cover - doc hook
         """Optional static estimate used by documentation tooling."""
         return None
 
 
-class DpuSharedState:
-    """Per-DPU state shared by all tasklets of one run.
+class DpuContext:
+    """One DPU for the duration of one run: what a program body executes on.
 
-    Holds the WRAM heap pointer and a scratch dict kernels use for
-    cross-tasklet communication (what real programs place in shared WRAM).
+    Holds what all tasklets of the run share — the MRAM bank, the WRAM
+    heap pointer, the host symbols, the DMA engine's counters, a scratch
+    dict for cross-tasklet communication (what real programs place in
+    shared WRAM) — and the per-tasklet instruction counts as one vector.
+    Moving bytes (:meth:`mram_read`, :meth:`mram_write`) and charging the
+    DMA engine (:meth:`dma`) are separate here, because one move of an
+    array-form body stands for the transfers of many tasklets;
+    :class:`TaskletContext` pairs them again for the tasklet form.
     """
 
     def __init__(self, dpu: Dpu, nr_tasklets: int) -> None:
@@ -72,78 +148,81 @@ class DpuSharedState:
         self.scratch: Dict[str, object] = {}
         self.dma_ops = 0
         self.dma_bytes = 0
-        #: (offset, length) -> immutable buffer for ``readonly`` reads.
-        #: SPMD kernels stream identical spans (query vectors, CSR index
-        #: arrays, frontier bitmaps) once per tasklet; serving repeats
-        #: from this per-run cache removes the redundant copies while the
-        #: DMA engine still gets charged per call.  A kernel write evicts
-        #: the spans it overlaps (:meth:`evict_reads`) and no others; the
-        #: cache dies with the run.
-        self.read_cache: Dict[tuple, np.ndarray] = {}
+        #: Pipeline instructions issued so far, one count per tasklet.
+        self.instructions = np.zeros(nr_tasklets, dtype=np.int64)
 
-    def evict_reads(self, offset: int, nbytes: int) -> None:
-        """Drop every cached span a write to ``[offset, offset + nbytes)``
-        overlaps."""
-        end = offset + nbytes
-        stale = [key for key in self.read_cache
-                 if key[0] < end and offset < key[0] + key[1]]
-        for key in stale:
-            del self.read_cache[key]
+    @property
+    def dpu_index(self) -> int:
+        return self.dpu.dpu_index
 
-    def mem_alloc(self, size: int) -> int:
-        """Bump-allocate ``size`` bytes of WRAM heap; returns the offset."""
-        aligned = (size + 7) & ~7
-        if self.wram_used + aligned > WRAM_SIZE:
+    # -- the tasklet axis ----------------------------------------------------
+
+    def split(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Split ``total`` items across the tasklets: ``(starts, lens)``.
+
+        Tasklet ``t`` gets the contiguous block ``[starts[t], starts[t] +
+        lens[t])`` — :func:`tasklet_range` for every tasklet at once.
+        """
+        chunk = -(-total // self.nr_tasklets)
+        starts = np.minimum(np.arange(self.nr_tasklets) * chunk, total)
+        return starts, np.minimum(starts + chunk, total) - starts
+
+    def charge(self, instructions: np.ndarray) -> None:
+        """Account ``instructions[t]`` pipeline slots to each tasklet ``t``."""
+        counts = np.asarray(instructions, dtype=np.int64)
+        if counts.shape != self.instructions.shape:
             raise DpuFaultError(
-                f"WRAM heap overflow: {self.wram_used} + {aligned} "
+                f"instruction charge of shape {counts.shape} for "
+                f"{self.nr_tasklets} tasklets"
+            )
+        if (counts < 0).any():
+            raise DpuFaultError(f"negative instruction charge {counts.min()}")
+        self.instructions += counts
+
+    def dma(self, lengths, block_bytes: Optional[int] = 2048) -> None:
+        """Charge the DMA engine for one transfer per entry of ``lengths``.
+
+        ``lengths`` is a byte count or an integer array of them, one per
+        tasklet piece.  Real kernels stream MRAM through small WRAM
+        buffers (Fig. 2b uses one block per tasklet): a piece costs one
+        setup per ``block_bytes`` chunk and at least one, which preserves
+        the timing of the block loop although the bytes move in one
+        simulator operation.  ``block_bytes=None`` is a plain transfer,
+        one setup whatever its length.
+        """
+        lengths = np.asarray(lengths)
+        if block_bytes is None:
+            self.dma_ops += lengths.size
+        elif block_bytes <= 0:
+            raise DpuFaultError(f"block_bytes must be positive, got {block_bytes}")
+        else:
+            self.dma_ops += int(
+                np.maximum(1, -(-lengths // block_bytes)).sum())
+        self.dma_bytes += int(lengths.sum())
+
+    # -- WRAM heap -------------------------------------------------------------
+
+    def mem_alloc(self, size: int, tasklets: int = 1) -> int:
+        """Bump-allocate ``size`` bytes of WRAM heap for each of ``tasklets``
+        tasklets; returns the offset of the first."""
+        if size < 0 or tasklets < 0:
+            raise DpuFaultError(
+                f"WRAM allocation of {size} bytes for {tasklets} tasklets")
+        total = ((size + 7) & ~7) * tasklets
+        if self.wram_used + total > WRAM_SIZE:
+            raise DpuFaultError(
+                f"WRAM heap overflow: {self.wram_used} + {total} "
                 f"> {WRAM_SIZE} bytes"
             )
         offset = self.wram_used
-        self.wram_used += aligned
+        self.wram_used += total
         return offset
 
     def mem_reset(self) -> None:
         """Reset the WRAM heap (``mem_reset()`` in Fig. 2b line 7)."""
         self.wram_used = 0
 
-
-class TaskletContext:
-    """Execution context handed to each tasklet's kernel generator."""
-
-    def __init__(self, shared: DpuSharedState, tasklet_id: int) -> None:
-        if not 0 <= tasklet_id < MAX_TASKLETS:
-            raise DpuFaultError(
-                f"tasklet id {tasklet_id} outside hardware range 0..{MAX_TASKLETS - 1}"
-            )
-        self._shared = shared
-        self._id = tasklet_id
-        self.instructions = 0
-
-    # -- identity ----------------------------------------------------------
-
-    def me(self) -> int:
-        """Tasklet id, as ``me()`` in the UPMEM runtime."""
-        return self._id
-
-    @property
-    def nr_tasklets(self) -> int:
-        return self._shared.nr_tasklets
-
-    @property
-    def dpu_index(self) -> int:
-        return self._shared.dpu.dpu_index
-
-    # -- instruction accounting ---------------------------------------------
-
-    def charge(self, instructions: int) -> None:
-        """Account ``instructions`` pipeline slots to this tasklet."""
-        if instructions < 0:
-            raise DpuFaultError(f"negative instruction charge {instructions}")
-        self.instructions += int(instructions)
-
-    def charge_loop(self, iterations: int, instructions_per_iteration: float) -> None:
-        """Convenience for ``for`` loops: charge n x cost instructions."""
-        self.charge(int(iterations * instructions_per_iteration))
+    # -- MRAM ------------------------------------------------------------------
 
     def _mark_dirty(self, space: str, offset: int, nbytes: int) -> None:
         """Record a kernel store in the DPU's dirty log, when armed.
@@ -153,138 +232,146 @@ class TaskletContext:
         that claim, so the backend arms this log around a launch and
         prunes overlapping digests afterwards.
         """
-        log = self._shared.dpu.dirty_log
+        log = self.dpu.dirty_log
         if log is not None and nbytes:
             log.append((space, offset, nbytes))
 
-    # -- WRAM heap ------------------------------------------------------------
-
-    def mem_alloc(self, size: int) -> int:
-        return self._shared.mem_alloc(size)
-
-    def mem_reset(self) -> None:
-        self._shared.mem_reset()
-
-    # -- MRAM <-> WRAM DMA -----------------------------------------------------
-
     def mram_read(self, offset: int, length: int) -> np.ndarray:
-        """DMA ``length`` bytes of MRAM at ``offset`` into a WRAM buffer."""
-        data = self._shared.dpu.mram.read(offset, length)
-        self._shared.dma_ops += 1
-        self._shared.dma_bytes += length
-        return data
+        """``length`` bytes of MRAM at ``offset`` (bounds-checked by the
+        bank), as a private uint8 buffer."""
+        return self.dpu.mram.read(offset, length)
 
     def mram_write(self, offset: int, data: np.ndarray) -> None:
-        """DMA a WRAM buffer out to MRAM at ``offset``."""
+        """Store ``data`` in MRAM at ``offset`` (bounds-checked by the
+        bank) and log the store."""
         buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self._shared.dpu.mram.write(offset, buf)
-        self._shared.evict_reads(offset, buf.size)
-        self._shared.dma_ops += 1
-        self._shared.dma_bytes += buf.size
-        self._mark_dirty(MRAM_HEAP_SYMBOL, offset, buf.size)
-
-    def mram_read_blocks(self, offset: int, length: int,
-                         block_bytes: int = 2048,
-                         readonly: bool = False) -> np.ndarray:
-        """Read ``length`` MRAM bytes as the hardware would: in WRAM-sized
-        DMA blocks.
-
-        Real kernels stream MRAM through small WRAM buffers (Fig. 2b uses
-        one block per tasklet).  The data is fetched in one simulator
-        operation for speed, but the DMA engine is charged one setup per
-        ``block_bytes`` chunk, preserving the timing of the block loop.
-
-        ``readonly=True`` promises the caller never mutates the returned
-        buffer; repeated reads of the same span within one run (every
-        tasklet streaming the same query/index array) are then served
-        from a shared write-protected buffer instead of re-copied.  DMA
-        charges are identical either way.
-        """
-        if block_bytes <= 0:
-            raise DpuFaultError(f"block_bytes must be positive, got {block_bytes}")
-        shared = self._shared
-        shared.dma_ops += max(1, -(-length // block_bytes))
-        shared.dma_bytes += length
-        if readonly:
-            key = (offset, length)
-            data = shared.read_cache.get(key)
-            if data is None:
-                data = shared.dpu.mram.read(offset, length)
-                data.flags.writeable = False
-                shared.read_cache[key] = data
-            return data
-        return shared.dpu.mram.read(offset, length)
-
-    def mram_write_blocks(self, offset: int, data: np.ndarray,
-                          block_bytes: int = 2048) -> None:
-        """Blocked counterpart of :meth:`mram_read_blocks` for writes."""
-        if block_bytes <= 0:
-            raise DpuFaultError(f"block_bytes must be positive, got {block_bytes}")
-        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self._shared.dpu.mram.write(offset, buf)
-        self._shared.evict_reads(offset, buf.size)
-        self._shared.dma_ops += max(1, -(-buf.size // block_bytes))
-        self._shared.dma_bytes += buf.size
+        self.dpu.mram.write(offset, buf)
         self._mark_dirty(MRAM_HEAP_SYMBOL, offset, buf.size)
 
     # -- host-visible symbols ----------------------------------------------------
 
-    def _symbol(self, name: str) -> bytearray:
+    def _slot(self, name: str, index: int, width: int) -> Tuple[bytearray, int]:
+        """The symbol's storage and the byte offset of its ``index``-th
+        ``width``-byte element."""
         try:
-            return self._shared.dpu.symbols[name]
+            buf = self.dpu.symbols[name]
         except KeyError:
             raise DpuFaultError(f"kernel referenced unknown symbol {name!r}") from None
+        if not 0 <= index * width <= len(buf) - width:
+            raise DpuFaultError(
+                f"symbol {name!r}: index {index} of a {width}-byte element "
+                f"outside its {len(buf)} bytes"
+            )
+        return buf, index * width
+
+    def _load(self, fmt: str, name: str, index: int) -> int:
+        buf, at = self._slot(name, index, struct.calcsize(fmt))
+        return struct.unpack_from(fmt, buf, at)[0]
+
+    def _store(self, fmt: str, name: str, index: int, value: int) -> None:
+        width = struct.calcsize(fmt)
+        buf, at = self._slot(name, index, width)
+        struct.pack_into(fmt, buf, at, value)
+        self._mark_dirty(name, at, width)
 
     def host_u32(self, name: str, index: int = 0) -> int:
-        buf = self._symbol(name)
-        return struct.unpack_from("<I", buf, index * 4)[0]
+        return self._load("<I", name, index)
 
     def set_host_u32(self, name: str, value: int, index: int = 0) -> None:
-        struct.pack_into("<I", self._symbol(name), index * 4, value & 0xFFFFFFFF)
-        self._mark_dirty(name, index * 4, 4)
+        self._store("<I", name, index, value & 0xFFFFFFFF)
 
     def add_host_u32(self, name: str, value: int, index: int = 0) -> None:
         """Atomic add to a host variable (mutex-protected in real programs)."""
         self.set_host_u32(name, self.host_u32(name, index) + value, index)
 
     def host_u64(self, name: str, index: int = 0) -> int:
-        return struct.unpack_from("<Q", self._symbol(name), index * 8)[0]
+        return self._load("<Q", name, index)
 
     def set_host_u64(self, name: str, value: int, index: int = 0) -> None:
-        struct.pack_into("<Q", self._symbol(name), index * 8,
-                         value & 0xFFFFFFFFFFFFFFFF)
-        self._mark_dirty(name, index * 8, 8)
+        self._store("<Q", name, index, value & 0xFFFFFFFFFFFFFFFF)
 
     def add_host_u64(self, name: str, value: int, index: int = 0) -> None:
         self.set_host_u64(name, self.host_u64(name, index) + value, index)
 
     def host_i64(self, name: str, index: int = 0) -> int:
-        return struct.unpack_from("<q", self._symbol(name), index * 8)[0]
+        return self._load("<q", name, index)
 
     def set_host_i64(self, name: str, value: int, index: int = 0) -> None:
-        struct.pack_into("<q", self._symbol(name), index * 8, value)
-        self._mark_dirty(name, index * 8, 8)
+        self._store("<q", name, index, value)
+
+
+class TaskletContext:
+    """One tasklet's view of a :class:`DpuContext`, handed to each
+    generator of a tasklet-form program.
+
+    Its own are the tasklet id, the instruction count it charges and DMA
+    transfers that pay as they move; the WRAM heap (``mem_alloc``,
+    ``mem_reset``), the host-symbol accessors (``host_u32`` ...),
+    ``nr_tasklets`` and ``dpu_index`` are the DPU's and resolve there.
+    """
+
+    def __init__(self, dpu: DpuContext, tasklet_id: int) -> None:
+        if not 0 <= tasklet_id < MAX_TASKLETS:
+            raise DpuFaultError(
+                f"tasklet id {tasklet_id} outside hardware range 0..{MAX_TASKLETS - 1}"
+            )
+        self._dpu = dpu
+        self._id = tasklet_id
+
+    def __getattr__(self, name: str):
+        return getattr(self._dpu, name)
+
+    # -- identity ----------------------------------------------------------
+
+    def me(self) -> int:
+        """Tasklet id, as ``me()`` in the UPMEM runtime."""
+        return self._id
+
+    # -- instruction accounting ---------------------------------------------
+
+    @property
+    def instructions(self) -> int:
+        return int(self._dpu.instructions[self._id])
+
+    def charge(self, instructions: int) -> None:
+        """Account ``instructions`` pipeline slots to this tasklet."""
+        if instructions < 0:
+            raise DpuFaultError(f"negative instruction charge {instructions}")
+        self._dpu.instructions[self._id] += int(instructions)
+
+    def charge_loop(self, iterations: int, instructions_per_iteration: float) -> None:
+        """Convenience for ``for`` loops: charge n x cost instructions."""
+        self.charge(int(iterations * instructions_per_iteration))
+
+    # -- MRAM <-> WRAM DMA -----------------------------------------------------
+
+    def mram_read(self, offset: int, length: int) -> np.ndarray:
+        """DMA ``length`` bytes of MRAM at ``offset`` into a WRAM buffer."""
+        return self.mram_read_blocks(offset, length, block_bytes=None)
+
+    def mram_write(self, offset: int, data: np.ndarray) -> None:
+        """DMA a WRAM buffer out to MRAM at ``offset``."""
+        self.mram_write_blocks(offset, data, block_bytes=None)
+
+    def mram_read_blocks(self, offset: int, length: int,
+                         block_bytes: Optional[int] = 2048) -> np.ndarray:
+        """Read ``length`` MRAM bytes as the hardware would: in WRAM-sized
+        DMA blocks (:meth:`DpuContext.dma` charges one setup per block)."""
+        self._dpu.dma(length, block_bytes)
+        return self._dpu.mram_read(offset, length)
+
+    def mram_write_blocks(self, offset: int, data: np.ndarray,
+                          block_bytes: Optional[int] = 2048) -> None:
+        """Blocked counterpart of :meth:`mram_read_blocks` for writes."""
+        self._dpu.dma(np.asarray(data).nbytes, block_bytes)
+        self._dpu.mram_write(offset, data)
 
     # -- shared scratch ------------------------------------------------------------
 
     @property
     def shared(self) -> Dict[str, object]:
         """Per-DPU dict shared across tasklets (shared-WRAM stand-in)."""
-        return self._shared.scratch
-
-    def once(self, key: str, compute: Callable[[], object]) -> object:
-        """``compute()`` of the first tasklet to ask, for every tasklet.
-
-        For work whose inputs are the same for all tasklets of a run
-        (decoding the arguments, a phase computed DPU-wide as array
-        ops): the first tasklet to reach it computes, the others pick
-        the result up and charge their own share.  DMA is not shared
-        this way — every tasklet still issues its own reads.
-        """
-        scratch = self._shared.scratch
-        if key not in scratch:
-            scratch[key] = compute()
-        return scratch[key]
+        return self._dpu.scratch
 
     # -- synchronization ---------------------------------------------------------
 

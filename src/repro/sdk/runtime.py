@@ -1,29 +1,18 @@
-"""The tasklet scheduler: runs a DPU program's generators to completion.
+"""Running a DPU program: one :meth:`DpuProgram.run` call per DPU.
 
-Execution proceeds in *phases* separated by barriers: within a phase each
-live tasklet runs until it either yields (reaching a barrier) or returns.
-All tasklets that yielded are resumed together in the next phase, which
-gives exactly the semantics of a full-width ``barrier_wait`` — the only
-synchronization primitive the PrIM kernels use.
-
-The scheduler is deterministic (tasklet order 0..N-1 inside a phase),
-which keeps results reproducible; SPMD kernels partition data disjointly
-so ordering cannot change results, and cross-tasklet reductions happen
-at barriers.
+The DPU is the unit the host executes.  :func:`run_program` builds the
+run's :class:`DpuContext`, hands it to the program's one body — the
+tasklet scheduler of ``DpuProgram.run`` by default, an array-form
+override for the PrIM programs — and returns what the timing model
+needs: per-tasklet instruction counts and the DMA engine's counters.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import List, Optional
-
 from repro.config import MAX_TASKLETS
 from repro.errors import DpuFaultError
 from repro.hardware.dpu import Dpu, DpuRunStats
-from repro.sdk.kernel import BARRIER, DpuProgram, DpuSharedState, TaskletContext
-
-#: Safety valve against kernels that never terminate.
-MAX_PHASES = 1_000_000
+from repro.sdk.kernel import DpuContext, DpuProgram
 
 
 def run_program(program: DpuProgram, dpu: Dpu) -> DpuRunStats:
@@ -34,47 +23,12 @@ def run_program(program: DpuProgram, dpu: Dpu) -> DpuRunStats:
             f"program {program.name!r} requests {nr_tasklets} tasklets, "
             f"hardware supports 1..{MAX_TASKLETS}"
         )
-
-    shared = DpuSharedState(dpu, nr_tasklets)
-    contexts = [TaskletContext(shared, t) for t in range(nr_tasklets)]
-    generators: List[Optional[object]] = []
-    for ctx in contexts:
-        gen = program.kernel(ctx)
-        if not inspect.isgenerator(gen):
-            raise DpuFaultError(
-                f"kernel of {program.name!r} must be a generator function "
-                "(use 'yield ctx.barrier()' or end with 'return; yield')"
-            )
-        generators.append(gen)
-
-    live = list(range(nr_tasklets))
-    phases = 0
-    while live:
-        phases += 1
-        if phases > MAX_PHASES:
-            raise DpuFaultError(
-                f"program {program.name!r} exceeded {MAX_PHASES} barrier phases"
-            )
-        still_live = []
-        for t in live:
-            gen = generators[t]
-            try:
-                token = next(gen)
-            except StopIteration:
-                generators[t] = None
-                continue
-            if token is not BARRIER:
-                raise DpuFaultError(
-                    f"tasklet {t} of {program.name!r} yielded a non-barrier "
-                    f"value {token!r}"
-                )
-            still_live.append(t)
-        live = still_live
-
+    ctx = DpuContext(dpu, nr_tasklets)
+    program.run(ctx)
     return DpuRunStats(
-        tasklet_instructions=[ctx.instructions for ctx in contexts],
-        dma_ops=shared.dma_ops,
-        dma_bytes=shared.dma_bytes,
+        tasklet_instructions=ctx.instructions.tolist(),
+        dma_ops=ctx.dma_ops,
+        dma_bytes=ctx.dma_bytes,
     )
 
 

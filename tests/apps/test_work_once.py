@@ -1,12 +1,14 @@
-"""Count guard: the kernel path does each piece of work once.
+"""Count guard: a launch runs one body per DPU.
 
-Three rules (``docs/performance.md``, "The kernel path: every piece of
-work once"): a span every tasklet reads is copied out of MRAM once per
-run, a phase whose inputs are DPU-wide is computed once per DPU, and a
-kernel's numpy calls do not grow with its share of the rows.  Counted at
-test size on the native transport, not timed, so a reintroduced repeat
-fails here and in CI's ``perf-smoke`` job, where wall-clock is owned.
-The fourth count — ``expected()`` once per app instance — is
+The rule (``docs/performance.md``, "The kernel path: one body per DPU"):
+the host executes the DPU, not the tasklet, so what a launch costs the
+host does not depend on the program's width — the same number of
+``DpuProgram.run`` calls and of MRAM region reads and writes with 1
+tasklet as with 16 — and a body's numpy calls grow with neither the
+width nor its share of the rows.  Counted at test size on the native
+transport, not timed, so a reintroduced per-tasklet repeat fails here
+and in CI's ``perf-smoke`` job, where wall-clock is owned.  The other
+count — ``expected()`` once per app instance — is
 ``test_apps_correctness.py::test_reference_is_computed_once_per_instance``.
 """
 
@@ -16,10 +18,13 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from repro.analysis.figures import SIZE_PROFILES
 from repro.apps.prim import bfs
-from repro.apps.prim.bfs import BreadthFirstSearch
-from repro.apps.prim.bs import BinarySearch
+from repro.apps.prim.bfs import BfsProgram, BreadthFirstSearch
+from repro.apps.prim.bs import BinarySearch, BsProgram
+from repro.apps.prim.scan_ssa import ScanSsa, ScanSsaProgram
 from repro.apps.prim.spmv import SpMV, SpmvProgram
 from repro.config import small_machine
 from repro.core import VPim
@@ -33,30 +38,79 @@ def run_native(app):
     return app.run(vpim.native_session().transport)
 
 
+def counted(monkeypatch, owner, name: str, counts: Counter, key=None):
+    """Count the calls of ``owner.name`` under ``key(*args)``."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[key(*args) if key else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize("app_cls, program, short_name", [
+    (BinarySearch, BsProgram, "BS"),
+    (ScanSsa, ScanSsaProgram, "SCAN-SSA"),
+    (BreadthFirstSearch, BfsProgram, "BFS"),
+])
+def test_launch_cost_does_not_depend_on_the_width(monkeypatch, app_cls,
+                                                  program, short_name):
+    """Region reads and writes and ``run`` calls over one app run, host
+    transfers included (they do not depend on the width either)."""
+    def calls_with(nr_tasklets: int) -> Counter:
+        counts: Counter = Counter()
+        with monkeypatch.context() as patch:
+            patch.setattr(program, "nr_tasklets", nr_tasklets)
+            counted(patch, program, "run", counts)
+            counted(patch, MemoryRegion, "read", counts)
+            counted(patch, MemoryRegion, "write", counts)
+            app = app_cls(NR_DPUS, **SIZE_PROFILES["test"][short_name])
+            assert app.verify(run_native(app))
+        return counts
+
+    one, sixteen = calls_with(1), calls_with(16)
+    assert one == sixteen
+    assert one["run"] % NR_DPUS == 0 and one["run"] >= NR_DPUS
+    assert one["read"] and one["write"]
+
+
 def test_bs_copies_the_slice_out_of_mram_once_per_dpu(monkeypatch):
     app = BinarySearch(NR_DPUS, n_elements=1 << 15, n_queries=1 << 10)
     slice_bytes = app.data.size // NR_DPUS * 8
     reads: Counter = Counter()
-    read = MemoryRegion.read
-
-    def counting(region, offset, length):
-        reads[region.name.split("[")[0], offset, length] += 1
-        return read(region, offset, length)
-
-    monkeypatch.setattr(MemoryRegion, "read", counting)
+    counted(monkeypatch, MemoryRegion, "read", reads,
+            key=lambda region, offset, length:
+            (region.name.split("[")[0], offset, length))
     run_native(app)
-    # All 16 tasklets of a DPU search the whole slice; the result writes
-    # between their reads must not cost a fresh 32 KB copy each.
+    # All 16 tasklets of a DPU search the whole slice: one 32 KB copy.
     assert reads["mram", 0, slice_bytes] == NR_DPUS
+
+
+def test_bs_probes_only_the_queries_its_slice_can_hold(monkeypatch):
+    """The query set is the whole array's; a DPU calls ``searchsorted``
+    once, on the queries inside ``[data[0], data[-1]]`` of its slice."""
+    app = BinarySearch(NR_DPUS, n_elements=1 << 15, n_queries=1 << 10)
+    probed = []
+    searchsorted = np.searchsorted
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            np, "searchsorted",
+            lambda data, queries: probed.append((data, queries))
+            or searchsorted(data, queries))
+        found = run_native(app)
+    assert app.verify(found)
+    assert len(probed) == NR_DPUS
+    for data, queries in probed:
+        assert ((data[0] <= queries) & (queries <= data[-1])).all()
+    # Each query is in range of one slice, or of none (between two).
+    assert sum(queries.size for _, queries in probed) <= app.queries.size
 
 
 def test_bfs_gathers_neighbours_once_per_dpu_per_level(monkeypatch):
     app = BreadthFirstSearch(NR_DPUS, n_vertices=1 << 10)
-    gathers = []
-    gather_runs = bfs.gather_runs
-    monkeypatch.setattr(
-        bfs, "gather_runs",
-        lambda *args: gathers.append(1) or gather_runs(*args))
+    gathers: Counter = Counter()
+    counted(monkeypatch, bfs, "gather_runs", gathers)
     levels = run_native(app)
     # A DPU gathers at a level iff a frontier vertex it owns has edges.
     owner = np.repeat(np.arange(NR_DPUS),
@@ -64,13 +118,13 @@ def test_bfs_gathers_neighbours_once_per_dpu_per_level(monkeypatch):
     has_edges = np.diff(app.row_ptr) > 0
     expected = sum(np.unique(owner[(levels == level) & has_edges]).size
                    for level in range(levels.max() + 1))
-    assert len(gathers) == expected > levels.max()
+    assert gathers["gather_runs"] == expected > levels.max()
 
 
 def test_spmv_kernel_calls_do_not_grow_with_the_rows(monkeypatch):
-    """Calls made by the kernel body (numpy and ``ctx`` alike), per
+    """Calls made by the program body (numpy and ``dpu`` alike), per
     launch, for 4 and for 16 rows per tasklet."""
-    kernel = SpmvProgram.kernel.__code__
+    body = SpmvProgram.run.__code__
 
     def calls_of(n_rows: int) -> int:
         count = 0
@@ -78,9 +132,9 @@ def test_spmv_kernel_calls_do_not_grow_with_the_rows(monkeypatch):
         def profile(frame, event, _arg):
             nonlocal count
             if event == "c_call":
-                count += frame.f_code is kernel
+                count += frame.f_code is body
             elif event == "call":
-                count += frame.f_back.f_code is kernel
+                count += frame.f_back.f_code is body
 
         app = SpMV(NR_DPUS, n_rows=n_rows, n_cols=256)
         sys.setprofile(profile)

@@ -9,14 +9,14 @@ small random instances.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram
+from repro.apps.prim.bfs import BfsProgram
 from repro.apps.prim.nw import GAP, MATCH, MISMATCH, _dp_rows, nw_score
-from repro.apps.prim.spmv import INSTR_PER_NNZ, SpmvProgram
+from repro.apps.prim.spmv import SpmvProgram
 from repro.apps.prim.ts import _ssd_profile
 from repro.hardware.dpu import Dpu
 from repro.hardware.timing import DEFAULT_COST_MODEL
-from repro.sdk.kernel import tasklet_range
 from repro.sdk.runtime import run_program
+from tests.apps.reference_kernels import PerRowSpmv, PerTaskletBfs
 
 
 def classic_nw(a: np.ndarray, b: np.ndarray) -> int:
@@ -116,96 +116,16 @@ def test_bs_expected_matches_linear_scan(n, queries):
             assert expected[qi] == -1
 
 
-# -- DPU-wide kernels vs their per-tasklet references --------------------------
+# -- array-form kernels vs their tasklet-form references -----------------------
 #
 # BFS computes one frontier expansion per DPU and SpMV one segmented sum
-# per tasklet.  The kernels below are the bodies they replaced (one
-# small expansion per tasklet, a Python loop over rows), kept as
+# per DPU.  ``tests/apps/reference_kernels.py`` keeps the bodies they
+# replaced (one small expansion per tasklet, a Python loop over rows) as
 # reference programs: same MRAM in, so same MRAM out, the same
 # instruction count for every tasklet, the same DMA charges, and
 # therefore bit-for-bit the same modeled launch time.
-class PerTaskletBfs(BfsProgram):
-    def kernel(self, ctx):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        nv = ctx.host_u32("args", 0)
-        first = ctx.host_u32("args", 1)
-        n_owned = ctx.host_u32("args", 2)
-        col_off = ctx.host_u32("args", 3)
-        f_off = ctx.host_u32("args", 4)
-        owned = tasklet_range(ctx, n_owned)
-        if len(owned):
-            ctx.mem_alloc(3 * 1024)
-            nbytes = (nv + 7) // 8
-            packed = ctx.mram_read_blocks(f_off, nbytes, readonly=True)
-            row_ptr = ctx.mram_read_blocks(
-                0, (n_owned + 1) * 4, readonly=True).view(np.int32)
-            share = np.arange(owned.start, owned.stop)
-            idx = first + share
-            bits = (packed[idx >> 3] >> (7 - (idx & 7))) & 1
-            active = share[bits == 1]
-            edges = 0
-            if active.size:
-                starts = row_ptr[active]
-                ends = row_ptr[active + 1]
-                sizes = ends - starts
-                total = int(sizes.sum())
-                if total:
-                    cols = ctx.mram_read_blocks(
-                        col_off, int(row_ptr[n_owned]) * 4,
-                        readonly=True).view(np.int32)
-                    csum = np.cumsum(sizes)
-                    flat = (np.arange(total)
-                            + np.repeat(starts - (csum - sizes), sizes))
-                    ctx.shared.setdefault("merge", []).append(cols[flat])
-                    edges = total
-            ctx.charge_loop(max(1, edges), INSTR_PER_EDGE)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            nxt = np.zeros(nv, dtype=np.uint8)
-            for gathered in ctx.shared.get("merge", []):
-                nxt[gathered] = 1
-            ctx.mram_write_blocks(ctx.host_u32("args", 5), np.packbits(nxt))
-            ctx.charge(nv // 8)
-
-
-class PerRowSpmv(SpmvProgram):
-    def kernel(self, ctx):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n_rows = ctx.host_u32("args", 0)
-        n_cols = ctx.host_u32("args", 2)
-        col_off = ctx.host_u32("args", 3)
-        val_off = ctx.host_u32("args", 4)
-        x_off = ctx.host_u32("args", 5)
-        y_off = ctx.host_u32("args", 6)
-        rows = tasklet_range(ctx, n_rows)
-        if len(rows) == 0:
-            return
-        ctx.mem_alloc(4 * 768)
-        row_ptr = ctx.mram_read_blocks(0, (n_rows + 1) * 4).view(np.int32)
-        s, e = int(row_ptr[rows.start]), int(row_ptr[rows.stop])
-        if e > s:
-            cols = ctx.mram_read_blocks(col_off + s * 4,
-                                        (e - s) * 4).view(np.int32)
-            vals = ctx.mram_read_blocks(val_off + s * 4,
-                                        (e - s) * 4).view(np.int32)
-        else:
-            cols = np.empty(0, dtype=np.int32)
-            vals = np.empty(0, dtype=np.int32)
-        x = ctx.mram_read_blocks(x_off, n_cols * 4).view(np.int32)
-        y = np.zeros(len(rows), dtype=np.int64)
-        for j, r in enumerate(rows):
-            rs, re = int(row_ptr[r]) - s, int(row_ptr[r + 1]) - s
-            if re > rs:
-                y[j] = (vals[rs:re].astype(np.int64)
-                        * x[cols[rs:re]].astype(np.int64)).sum()
-        ctx.mram_write_blocks(y_off + rows.start * 8, y)
-        ctx.charge_loop(max(0, e - s), INSTR_PER_NNZ)
-
-
+# ``tests/apps/test_kernel_equivalence.py`` draws from the same shapes
+# for its wider comparison (symbols, dirty log) of all 16 programs.
 def launch(program, args, mram, span):
     """Run ``program`` on a fresh DPU holding ``mram`` (offset -> array);
     returns what a launch leaves behind and what it is charged."""
@@ -233,19 +153,19 @@ def csr_slices(draw, max_rows, max_row_len):
         np.int32)
 
 
-@given(data=st.data(), row_ptr=csr_slices(max_rows=70, max_row_len=5),
-       first=st.integers(0, 70))
-@settings(max_examples=100, deadline=None)
-def test_bfs_dpu_wide_expansion_matches_per_tasklet_kernel(data, row_ptr,
-                                                           first):
+@st.composite
+def bfs_cases(draw):
+    """One DPU's share of a BFS level: ``(args, mram, span)``."""
+    row_ptr = draw(csr_slices(max_rows=70, max_row_len=5))
+    first = draw(st.integers(0, 70))
     n_owned = row_ptr.size - 1
-    nv = first + n_owned + data.draw(st.integers(1, 70))
-    col_idx = np.array(data.draw(st.lists(
+    nv = first + n_owned + draw(st.integers(1, 70))
+    col_idx = np.array(draw(st.lists(
         st.integers(0, nv - 1),
         min_size=int(row_ptr[-1]), max_size=int(row_ptr[-1]))), np.int32)
     # Any mix of bits (all clear and all set included), or one vertex
     # only: at most one tasklet has work.
-    frontier = np.array(data.draw(st.one_of(
+    frontier = np.array(draw(st.one_of(
         st.lists(st.integers(0, 1), min_size=nv, max_size=nv),
         st.integers(0, nv - 1).map(lambda v: np.arange(nv) == v),
     )), dtype=np.uint8)
@@ -256,24 +176,29 @@ def test_bfs_dpu_wide_expansion_matches_per_tasklet_kernel(data, row_ptr,
     mram = {0: row_ptr, f_off: np.packbits(frontier)}
     if col_idx.size:
         mram[col_off] = col_idx
-    span = n_off + (nv + 7) // 8
-    assert (launch(BfsProgram(), args, mram, span)
-            == launch(PerTaskletBfs(), args, mram, span))
+    return args, mram, n_off + (nv + 7) // 8
 
 
-@given(data=st.data(), row_ptr=csr_slices(max_rows=70, max_row_len=6),
-       n_cols=st.integers(1, 40))
-@settings(max_examples=80, deadline=None)
-def test_spmv_segmented_sum_matches_per_row_kernel(data, row_ptr, n_cols):
+@given(case=bfs_cases())
+@settings(max_examples=100, deadline=None)
+def test_bfs_dpu_wide_expansion_matches_per_tasklet_kernel(case):
+    assert launch(BfsProgram(), *case) == launch(PerTaskletBfs(), *case)
+
+
+@st.composite
+def spmv_cases(draw):
+    """One DPU's rows of a sparse matrix: ``(args, mram, span)``."""
+    row_ptr = draw(csr_slices(max_rows=70, max_row_len=6))
+    n_cols = draw(st.integers(1, 40))
     n_rows, nnz = row_ptr.size - 1, int(row_ptr[-1])
     int32s = st.integers(-(1 << 31), (1 << 31) - 1)
-    col_idx = np.array(data.draw(st.lists(
+    col_idx = np.array(draw(st.lists(
         st.integers(0, n_cols - 1), min_size=nnz, max_size=nnz)), np.int32)
     # Full-range values: six 2**62 products wrap int64, identically.
-    values = np.array(data.draw(st.lists(int32s, min_size=nnz, max_size=nnz)),
+    values = np.array(draw(st.lists(int32s, min_size=nnz, max_size=nnz)),
                       np.int32)
-    x = np.array(data.draw(st.lists(int32s, min_size=n_cols,
-                                    max_size=n_cols)), np.int32)
+    x = np.array(draw(st.lists(int32s, min_size=n_cols, max_size=n_cols)),
+                 np.int32)
     col_off = (n_rows + 1) * 4
     val_off = col_off + nnz * 4
     x_off = val_off + nnz * 4
@@ -282,6 +207,10 @@ def test_spmv_segmented_sum_matches_per_row_kernel(data, row_ptr, n_cols):
     mram = {0: row_ptr, x_off: x}
     if nnz:
         mram.update({col_off: col_idx, val_off: values})
-    span = y_off + n_rows * 8
-    assert (launch(SpmvProgram(), args, mram, span)
-            == launch(PerRowSpmv(), args, mram, span))
+    return args, mram, y_off + n_rows * 8
+
+
+@given(case=spmv_cases())
+@settings(max_examples=80, deadline=None)
+def test_spmv_segmented_sum_matches_per_row_kernel(case):
+    assert launch(SpmvProgram(), *case) == launch(PerRowSpmv(), *case)

@@ -10,18 +10,17 @@ from repro.hardware.dpu import Dpu
 from repro.sdk.kernel import (
     BARRIER,
     DpuProgram,
-    DpuSharedState,
+    DpuContext,
     TaskletContext,
     tasklet_range,
 )
-from repro.sdk.runtime import run_program
 
 
 @pytest.fixture
-def shared() -> DpuSharedState:
+def shared() -> DpuContext:
     dpu = Dpu(0, 0)
     dpu.load_program("p", 64, {"v32": 4, "v64": 8, "arr": 16})
-    return DpuSharedState(dpu, nr_tasklets=4)
+    return DpuContext(dpu, nr_tasklets=4)
 
 
 def test_me_and_width(shared):
@@ -65,6 +64,34 @@ def test_mem_alloc_overflow(shared):
         ctx.mem_alloc(64)
 
 
+def test_mem_alloc_negative_size_rejected(shared):
+    """A negative size used to *lower* the heap pointer
+    (``mem_alloc(1024); mem_alloc(-4096)`` left ``wram_used == -3072``),
+    which defeats the 64 KB overflow check."""
+    ctx = TaskletContext(shared, 0)
+    ctx.mem_alloc(1024)
+    with pytest.raises(DpuFaultError):
+        ctx.mem_alloc(-4096)
+    with pytest.raises(DpuFaultError):
+        shared.mem_alloc(-8, tasklets=4)
+    with pytest.raises(DpuFaultError):
+        shared.mem_alloc(8, tasklets=-4)
+    assert shared.wram_used == 1024
+
+
+def test_mem_alloc_for_several_tasklets(shared):
+    """``tasklets=k`` is ``k`` allocations of the aligned size: same
+    heap pointer afterwards, same overflow point."""
+    assert shared.mem_alloc(100, tasklets=3) == 0
+    assert shared.wram_used == 3 * 104
+    assert shared.mem_alloc(8, tasklets=0) == 3 * 104
+    shared.mem_reset()
+    shared.mem_alloc(WRAM_SIZE // 4, tasklets=4)
+    shared.mem_reset()
+    with pytest.raises(DpuFaultError):
+        shared.mem_alloc(WRAM_SIZE // 4 + 8, tasklets=4)
+
+
 def test_mram_read_write_roundtrip(shared):
     ctx = TaskletContext(shared, 0)
     data = np.arange(32, dtype=np.uint8)
@@ -82,16 +109,13 @@ def test_mram_blocked_accounting(shared):
     assert shared.dma_bytes == 10_000
 
 
-# -- the per-run cache behind ``readonly`` reads ---------------------------------
-
 SPAN = 24       #: small enough that random reads and writes collide
 
 _extents = st.tuples(st.integers(0, SPAN - 1), st.integers(1, 8)).map(
     lambda e: (e[0], min(e[1], SPAN - e[0])))
 _ops = st.tuples(
     st.integers(0, 3),                                  # tasklet
-    st.sampled_from(["read_blocks", "read_shared", "read",
-                     "write", "write_blocks"]),
+    st.sampled_from(["read_blocks", "read", "write", "write_blocks"]),
     _extents,
     st.integers(1, 255),                                # byte written
 )
@@ -100,10 +124,11 @@ _ops = st.tuples(
 @given(ops=st.lists(_ops, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_reads_see_mram_through_any_interleaving_of_writes(ops):
-    """Cached or not, a read returns what MRAM holds at that moment."""
+    """A read returns what MRAM holds at that moment, in a buffer that is
+    the tasklet's own."""
     dpu = Dpu(0, 0)
     dpu.mram.write(0, np.arange(SPAN, dtype=np.uint8))
-    shared = DpuSharedState(dpu, nr_tasklets=4)
+    shared = DpuContext(dpu, nr_tasklets=4)
     tasklets = [TaskletContext(shared, t) for t in range(4)]
     for t, kind, (offset, length), byte in ops:
         ctx = tasklets[t]
@@ -111,60 +136,38 @@ def test_reads_see_mram_through_any_interleaving_of_writes(ops):
             data = np.full(length, byte, dtype=np.uint8)
             getattr(ctx, f"mram_{kind}")(offset, data)
         else:
-            if kind == "read":
-                got = ctx.mram_read(offset, length)
-            else:
-                got = ctx.mram_read_blocks(offset, length,
-                                           readonly=kind == "read_shared")
+            got = getattr(ctx, f"mram_{kind}")(offset, length)
             assert np.array_equal(got, dpu.mram.read(offset, length))
-            # A shared buffer cannot be scribbled on by the tasklet that
-            # happens to hold it; a private one is the tasklet's own.
-            assert got.flags.writeable == (kind != "read_shared")
-        for (at, size), cached in shared.read_cache.items():
-            assert np.array_equal(cached, dpu.mram.read(at, size))
-
-
-@pytest.mark.parametrize("write", ["mram_write", "mram_write_blocks"])
-def test_write_evicts_only_the_spans_it_overlaps(shared, write):
-    ctx = TaskletContext(shared, 0)
-    low = ctx.mram_read_blocks(0, 64, readonly=True)
-    high = ctx.mram_read_blocks(64, 64, readonly=True)
-    # Starts where ``low`` ends: touches it, overlaps only ``high``.
-    getattr(ctx, write)(64, np.full(8, 7, dtype=np.uint8))
-    assert set(shared.read_cache) == {(0, 64)}
-    assert ctx.mram_read_blocks(0, 64, readonly=True) is low
-    fresh = ctx.mram_read_blocks(64, 64, readonly=True)
-    assert fresh is not high and fresh[0] == 7 and high[0] == 0
-    # One byte into ``low`` is enough.
-    getattr(ctx, write)(63, np.full(1, 9, dtype=np.uint8))
-    assert set(shared.read_cache) == {(64, 64)}
-    assert ctx.mram_read_blocks(0, 64, readonly=True)[63] == 9
-
-
-def test_read_cache_dies_with_the_run():
-    class Peek(DpuProgram):
-        symbols = {"seen": 4}
-        nr_tasklets = 2
-
-        def kernel(self, ctx):
-            first = ctx.mram_read_blocks(0, 8, readonly=True)
-            ctx.set_host_u32("seen", int(first[0]))
-            return
-            yield
-
-    program = Peek()
-    dpu = Dpu(0, 0)
-    dpu.load_program(program, program.binary_size, program.symbols)
-    for value in (3, 4):        # the host writes between the launches
-        dpu.mram.write(0, np.full(8, value, dtype=np.uint8))
-        run_program(program, dpu)
-        assert dpu.read_symbol("seen", 0, 4)[0] == value
+            assert got.flags.writeable
 
 
 def test_mram_blocked_invalid_block(shared):
     ctx = TaskletContext(shared, 0)
     with pytest.raises(DpuFaultError):
         ctx.mram_read_blocks(0, 100, block_bytes=0)
+
+
+def test_dma_charges_one_blocked_transfer_per_piece(shared):
+    """``max(1, ceil(len / block))`` setups per piece, summed; a plain
+    transfer (``block_bytes=None``) is one setup whatever its length."""
+    shared.dma(np.array([10_000, 2048, 1, 0]), block_bytes=2048)
+    assert (shared.dma_ops, shared.dma_bytes) == (5 + 1 + 1 + 1, 12_049)
+    shared.dma(np.array([10_000, 0]), block_bytes=None)
+    assert (shared.dma_ops, shared.dma_bytes) == (8 + 2, 22_049)
+    shared.dma(np.array([], dtype=np.int64))
+    shared.dma(4096)
+    assert (shared.dma_ops, shared.dma_bytes) == (12, 26_145)
+
+
+def test_charge_takes_one_count_per_tasklet(shared):
+    shared.charge(np.array([1, 2, 3, 4]))
+    TaskletContext(shared, 2).charge(10)
+    assert shared.instructions.tolist() == [1, 2, 13, 4]
+    with pytest.raises(DpuFaultError):
+        shared.charge(np.array([1, 2, 3]))      # not one per tasklet
+    with pytest.raises(DpuFaultError):
+        shared.charge(np.array([1, -2, 3, 4]))
+    assert shared.instructions.tolist() == [1, 2, 13, 4]
 
 
 def test_host_u32_roundtrip(shared):
@@ -186,6 +189,31 @@ def test_host_indexed_access(shared):
     ctx.set_host_u32("arr", 7, index=2)
     assert ctx.host_u32("arr", index=2) == 7
     assert ctx.host_u32("arr", index=0) == 0
+
+
+@pytest.mark.parametrize("access", [
+    lambda ctx, i: ctx.host_u32("arr", i),
+    lambda ctx, i: ctx.set_host_u32("arr", 1, i),
+    lambda ctx, i: ctx.add_host_u32("arr", 1, i),
+    lambda ctx, i: ctx.host_u64("arr", i // 2),
+    lambda ctx, i: ctx.set_host_u64("arr", 1, i // 2),
+    lambda ctx, i: ctx.add_host_u64("arr", 1, i // 2),
+    lambda ctx, i: ctx.host_i64("arr", i // 2),
+    lambda ctx, i: ctx.set_host_i64("arr", 1, i // 2),
+], ids=["host_u32", "set_host_u32", "add_host_u32", "host_u64",
+        "set_host_u64", "add_host_u64", "host_i64", "set_host_i64"])
+@pytest.mark.parametrize("index", [-2, 4], ids=["before", "past_end"])
+def test_host_index_outside_the_symbol_faults(shared, access, index):
+    """``struct`` reads a negative offset from the *end* of the buffer and
+    reports one past the end as ``struct.error``; both are a DPU fault
+    that names the symbol, the index and the symbol's size, through the
+    tasklet facade and on the DPU context alike."""
+    before = bytes(shared.dpu.symbols["arr"])
+    for ctx in (TaskletContext(shared, 0), shared):
+        with pytest.raises(DpuFaultError, match=r"'arr'.*index -?\d.*16 bytes"):
+            access(ctx, index)
+    assert bytes(shared.dpu.symbols["arr"]) == before
+    access(shared, 3)       # the last element is inside
 
 
 def test_add_host_u32(shared):
@@ -215,11 +243,22 @@ def test_barrier_returns_sentinel(shared):
 
 @pytest.mark.parametrize("total,parts", [(100, 4), (7, 4), (3, 8), (0, 4)])
 def test_tasklet_range_partition(shared, total, parts):
-    shared2 = DpuSharedState(shared.dpu, parts)
+    shared2 = DpuContext(shared.dpu, parts)
     ranges = [tasklet_range(TaskletContext(shared2, t), total)
               for t in range(parts)]
     covered = [i for rng in ranges for i in rng]
     assert covered == list(range(total))
+
+
+@pytest.mark.parametrize("total", [0, 1, 3, 7, 16, 17, 100, 1 << 20])
+@pytest.mark.parametrize("parts", [1, 4, 16, 24])
+def test_split_is_tasklet_range_for_every_tasklet(shared, total, parts):
+    dpu = DpuContext(shared.dpu, parts)
+    starts, lens = dpu.split(total)
+    ranges = [tasklet_range(TaskletContext(dpu, t), total)
+              for t in range(parts)]
+    assert starts.tolist() == [r.start for r in ranges]
+    assert lens.tolist() == [len(r) for r in ranges]
 
 
 def test_program_requires_kernel_override():
