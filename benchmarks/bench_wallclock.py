@@ -29,8 +29,9 @@ Usage::
     python benchmarks/bench_wallclock.py --quick --check    # CI gate
 
 ``--check`` fails (exit 1) when the modeled digest differs from the
-committed one; with ``--ablate-plans`` also when plans off and plans on
-disagree on any modeled output, or a repeated app replayed no plan.
+committed one, or a repeated app replayed no plan.  That the planned
+path and the wire path agree on every modeled output is a test
+(``tests/integration/test_determinism.py``), not a second run here.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from artifact_cli import artifact_main  # noqa: E402
 from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
 from repro.apps.registry import PRIM_APPS, app_by_short_name  # noqa: E402
 from repro.core import VPim  # noqa: E402
-from repro.virt.opts import OptimizationConfig  # noqa: E402
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_WALLCLOCK.json"
 SCHEMA = "repro.bench_wallclock/1"
@@ -67,8 +67,8 @@ SUITE_APPS = [info.short_name for info in PRIM_APPS]
 
 # -- the PrIM suite -----------------------------------------------------------
 
-def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
-              opts: Optional[OptimizationConfig] = None) -> Dict[str, dict]:
+def run_suite(quick: bool, nr_dpus: int = 64,
+              repeats: int = 2) -> Dict[str, dict]:
     """Run the 16 PrIM apps end-to-end through a vPIM VM session.
 
     ``quick`` selects the CI-sized "test" workload profile; the full run
@@ -96,7 +96,7 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
     nr_reps = max(1, repeats)
     for name in SUITE_APPS:
         vpim = VPim(machine_for_dpus(nr_dpus))
-        session = vpim.vm_session(nr_vupmem=1, opts=opts)
+        session = vpim.vm_session(nr_vupmem=1)
         device = session.vm.devices[0]
         first = None
         best_wall = float("inf")
@@ -126,8 +126,8 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
                 # Reruns in one session accumulate the profiler clock
                 # from a different base, so segment sums carry ~1e-13 of
                 # float dust; anything beyond that is a real model
-                # change.  (Exact plans-on/off equality is enforced
-                # per-repetition by the ablation comparison.)
+                # change.  (Exact planned == wire equality per repetition
+                # is ``tests/integration/test_determinism.py``'s.)
                 if row["verified"] != first["verified"]:
                     raise RuntimeError(
                         f"{name}: repetition {rep} changed verification")
@@ -144,11 +144,9 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
         plans = device.frontend.plans
         results[name] = dict(
             first, wall_s=best_wall, nr_reps=nr_reps, rep_totals=rep_totals,
-            plan_cache=(
-                None if plans is None else
-                {"hits": plans.hits, "misses": plans.misses,
-                 "evictions": plans.evictions,
-                 "invalidations": plans.invalidations}))
+            plan_cache={"hits": plans.hits, "misses": plans.misses,
+                        "evictions": plans.evictions,
+                        "invalidations": plans.invalidations})
     return {name: results[name] for name in SUITE_APPS}
 
 
@@ -207,8 +205,7 @@ def profile_suite(quick: bool, limit: int = 20) -> Tuple[List[dict], float]:
     return top, observer / total
 
 
-def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
-            profile: bool = False) -> dict:
+def measure(quick: bool, repeats: int = 2, profile: bool = False) -> dict:
     suite = run_suite(quick, repeats=repeats)
     suite_wall = sum(row["wall_s"] for row in suite.values())
     report = {
@@ -224,27 +221,6 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
         "suite_wall_s": suite_wall,
         "modeled_digest": modeled_digest(suite),
     }
-    if ablate_plans:
-        off = run_suite(quick, repeats=repeats,
-                        opts=OptimizationConfig(plans=False))
-        off_wall = sum(row["wall_s"] for row in off.values())
-        off_digest = modeled_digest(off)
-        # Bit-identity must hold repetition-by-repetition, not just on
-        # the digested first repetition: a replayed plan may not shift
-        # any repetition's modeled total relative to the naive path.
-        reps_match = all(off[name]["rep_totals"] == suite[name]["rep_totals"]
-                         for name in suite)
-        report["plans_ablation"] = {
-            "off_wall_s": off_wall,
-            "on_wall_s": suite_wall,
-            "speedup": off_wall / suite_wall,
-            "digests_match": (off_digest == report["modeled_digest"]
-                              and reps_match),
-            "off_digest": off_digest,
-            "per_app_speedup": {
-                name: off[name]["wall_s"] / suite[name]["wall_s"]
-                for name in suite},
-        }
     if profile:
         report["profile_top20"], report["observer_share"] = (
             profile_suite(quick))
@@ -259,12 +235,6 @@ def print_report(report: dict) -> None:
               f"   {row['modeled_total_s'] * 1e3:9.2f} ms modeled  {mark}")
     print(f"\nsuite wall total: {report['suite_wall_s'] * 1e3:.1f} ms")
     print(f"modeled digest:   {report['modeled_digest'][:32]}…")
-    ablation = report.get("plans_ablation")
-    if ablation:
-        match = "match" if ablation["digests_match"] else "MISMATCH"
-        print(f"plans ablation:   off {ablation['off_wall_s'] * 1e3:.1f} ms"
-              f" -> on {ablation['on_wall_s'] * 1e3:.1f} ms"
-              f"  ({ablation['speedup']:.2f}x, digests {match})")
     for row in report.get("profile_top20", ()):
         print(f"  {row['cumtime_s'] * 1e3:9.1f} ms cum"
               f"  {row['ncalls']:>9} calls  {row['function']}")
@@ -274,27 +244,14 @@ def print_report(report: dict) -> None:
 
 
 def check_regression(report: dict, committed: dict) -> int:
-    """CI gate: the modeled digest must equal the committed one.
-
-    When the run carried a plans ablation, both arms must also be
-    bit-identical (digest and per-repetition totals), and every
-    multi-repetition app must have replayed at least one plan.
-    """
+    """CI gate: the modeled digest must equal the committed one, and
+    every multi-repetition app must have replayed at least one plan."""
     failures = []
-    ablation = report.get("plans_ablation")
-    if ablation:
-        if not ablation["digests_match"]:
+    for app, row in report["suite"].items():
+        if row["nr_reps"] > 1 and row["plan_cache"]["hits"] == 0:
             failures.append(
-                "plans ablation digest mismatch: plans-on and plans-off "
-                f"modeled outputs differ ({ablation['off_digest'][:16]}… "
-                f"off vs {report['modeled_digest'][:16]}… on)")
-        for app, row in report["suite"].items():
-            stats = row.get("plan_cache")
-            if (stats is not None and row.get("nr_reps", 1) > 1
-                    and stats["hits"] == 0):
-                failures.append(
-                    f"{app}: ran {row['nr_reps']} repetitions but replayed "
-                    "no plan (plan_cache hits == 0)")
+                f"{app}: ran {row['nr_reps']} repetitions but replayed "
+                "no plan (plan_cache hits == 0)")
     if committed.get("mode") != report["mode"]:
         print(f"note: committed artifact is mode={committed.get('mode')!r}, "
               f"this run is mode={report['mode']!r}; digest not comparable "
@@ -325,8 +282,7 @@ def main(argv: List[str] | None = None) -> int:
     return artifact_main(
         argv, doc=__doc__, artifact=DEFAULT_ARTIFACT,
         measure=lambda args: measure(
-            quick=args.quick, repeats=args.repeats,
-            ablate_plans=args.ablate_plans, profile=args.profile),
+            quick=args.quick, repeats=args.repeats, profile=args.profile),
         check=lambda report, args: check(report, args.artifact),
         print_report=print_report,
         quick_help="CI-sized workloads (test profile)",
@@ -336,10 +292,6 @@ def main(argv: List[str] | None = None) -> int:
             ("--repeats", dict(
                 type=int, default=2,
                 help="wall-time repetitions per app, best kept (default 2)")),
-            ("--ablate-plans", dict(
-                action="store_true",
-                help="also run the suite with the plan cache off and "
-                     "record the digest comparison + wall ratio")),
             ("--profile", dict(
                 action="store_true",
                 help="cProfile one suite pass; record the top-20 "

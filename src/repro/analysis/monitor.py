@@ -357,7 +357,7 @@ def _run_prim(config: MonitorConfig) -> List[ScenarioTelemetry]:
     return out
 
 
-def _noisy_arm(config: MonitorConfig, sample_rate: float, tail: bool,
+def _noisy_arm(config: MonitorConfig, sample_rate: float,
                telemetry: bool) -> Tuple[object, object, Optional[
                    TelemetryPipeline]]:
     """One pass of the fixed noisy-neighbor schedule.
@@ -365,6 +365,8 @@ def _noisy_arm(config: MonitorConfig, sample_rate: float, tail: bool,
     Returns ``(vpim, recorder, pipeline)``; the schedule is identical
     across arms (same seeds, same aggressor window), so trace ids line
     up one-to-one and retention outcomes are directly comparable.
+    ``telemetry`` attaches the pipeline, which is what turns tail
+    sampling on: the tail arm is the telemetry arm.
     """
     from repro.analysis.figures import machine_config
     from repro.analysis.qos import (
@@ -386,9 +388,6 @@ def _noisy_arm(config: MonitorConfig, sample_rate: float, tail: bool,
             interval=_interval(config, "noisy"),
             rules=default_rules("noisy"),
             tail_factor=config.tail_factor)
-    elif tail:
-        recorder.tail_sampling = True
-        recorder.tail_factor = config.tail_factor
     # The unmanaged regime (enforce=False): contention is modeled but
     # nothing caps it, so the aggressor's head-of-line blocking makes the
     # contended session a genuine outlier (~2.3x) rather than the single
@@ -424,7 +423,7 @@ def run_tail_demo(config: MonitorConfig) -> Tuple[dict,
     retained by the tail arm and provably dropped by the head arm.
     """
     ref_vpim, ref_recorder, _ = _noisy_arm(config, sample_rate=1.0,
-                                           tail=False, telemetry=False)
+                                           telemetry=False)
     durations = sorted(
         ((t.root.duration, t.trace_id) for t in ref_recorder.traces
          if t.root is not None and t.root.duration is not None),
@@ -435,9 +434,9 @@ def run_tail_demo(config: MonitorConfig) -> Tuple[dict,
     slowest = [trace_id for _, trace_id in durations[:decile]]
 
     _, head_recorder, _ = _noisy_arm(config, config.noisy_sample_rate,
-                                     tail=False, telemetry=False)
+                                     telemetry=False)
     tail_vpim, tail_recorder, pipeline = _noisy_arm(
-        config, config.noisy_sample_rate, tail=True, telemetry=True)
+        config, config.noisy_sample_rate, telemetry=True)
     head_ids = {t.trace_id for t in head_recorder.traces}
     tail_ids = {t.trace_id for t in tail_recorder.traces}
     demo = {

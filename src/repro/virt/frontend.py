@@ -186,12 +186,12 @@ class VUpmemFrontend:
         #: bit-identical to the committed wall-clock digest.
         self.digests: Optional[ExtentDigestIndex] = (
             ExtentDigestIndex() if opts.cache else None)
-        #: Shape-specialized plan cache (``docs/performance.md``): wire
-        #: layouts compiled once per transfer shape and replayed on each
-        #: repetition.  Wall-clock only — bit-identical modeled time —
-        #: so it defaults on; ``Optimization(plans=False)`` ablates it.
-        self.plans: Optional[PlanCache] = (
-            PlanCache(memory) if opts.plans else None)
+        #: The serializer of data requests (``docs/performance.md``):
+        #: wire layouts compiled once per transfer shape and replayed on
+        #: each repetition.  Wall-clock only — modeled time is
+        #: bit-identical to the wire path's, which serves a request only
+        #: when :func:`compile_plan` refuses it.
+        self.plans = PlanCache(memory)
         #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
         #: observed suppression rate over at least
         #: ``opts.cache_bypass_min_probes`` probes stays below
@@ -404,18 +404,17 @@ class VUpmemFrontend:
                            skips: Optional[List[SkipExtent]],
                            batched: bool,
                            ) -> Tuple[SerializedRequest, Optional[object]]:
-        """Serialize via the plan cache when possible.
+        """Look the shape up, then replay, compile, or fall back to the
+        wire.
 
-        Returns ``(sreq, plan)`` — ``plan`` is ``None`` whenever the
-        naive serializer ran (plans off, unplannable shape, compile
-        refusal), in which case the backend deserializes from the wire
-        exactly as before.  With plans on, every request the naive
-        serializer serves counts as a miss.
+        Returns ``(sreq, plan)`` — ``plan`` is ``None`` when the compiler
+        refused the shape and the wire serializer ran, in which case the
+        backend deserializes from the wire.  Everything but a replay
+        counts as a miss; a refusal is not remembered.
         """
         plans = self.plans
-        key = (plan_key(header, matrix, digests, skips, batched)
-               if plans is not None else None)
-        plan = plans.get(key) if key is not None else None
+        key = plan_key(header, matrix, digests, skips, batched)
+        plan = plans.get(key)
         if plan is not None and not plan.valid(self.memory):
             plans.drop(key)
             self.obs.plan_invalidations["stale"].inc()
@@ -424,25 +423,21 @@ class VUpmemFrontend:
             plans.hits += 1
             self.obs.plan_hits.inc()
             return plan.replay(matrix, digests, skips), plan
-        if plans is not None:
-            plans.misses += 1
-            self.obs.plan_misses.inc()
-        if key is not None and key not in plans.unplannable:
-            try:
-                plan = compile_plan(key, header, matrix, self.memory,
-                                    digests, skips)
-            except PlanUnsupported:
-                plans.unplannable.add(key)
-            else:
-                evicted = plans.insert(key, plan)
-                self.obs.plan_evictions.inc(evicted)
-                self.spans.event("plan.compile", "frontend", 0.0,
-                                 kind=header.kind.name.lower(),
-                                 entries=len(matrix.entries),
-                                 pages=plan.sreq.total_pages)
-                return plan.sreq, plan
-        return serialize_matrix(header, matrix, self.memory,
-                                digests=digests, skips=skips), None
+        plans.misses += 1
+        self.obs.plan_misses.inc()
+        try:
+            plan = compile_plan(key, header, matrix, self.memory,
+                                digests, skips)
+        except PlanUnsupported:
+            return serialize_matrix(header, matrix, self.memory,
+                                    digests=digests, skips=skips), None
+        evicted = plans.insert(key, plan)
+        self.obs.plan_evictions.inc(evicted)
+        self.spans.event("plan.compile", "frontend", 0.0,
+                         kind=header.kind.name.lower(),
+                         entries=len(matrix.entries),
+                         pages=plan.sreq.total_pages)
+        return plan.sreq, plan
 
     # -- invalidation (docs/architecture.md "What invalidates what") ----------
 
@@ -480,7 +475,7 @@ class VUpmemFrontend:
             if self.digests is not None:
                 _count_drops(self.obs.cache_invalidations, event,
                              self.digests.invalidate_all())
-        if plans and self.plans is not None:
+        if plans:
             _count_drops(self.obs.plan_invalidations, event,
                          self.plans.invalidate_all())
 

@@ -9,7 +9,6 @@ copying (Section 4.2 "Zero-copy Request Handling").
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -37,18 +36,22 @@ class GuestMemory:
 
         1 MB            arena end                    window end   top of RAM
         | rolling arena | payload window .............. | <- plan metadata |
-          alloc_pages     stage_pages                     reserve_pages
+          alloc_pages     window_base + offset            reserve_pages
 
     - The **rolling arena** holds the bytes that really move through
       guest RAM — control messages and wire chains — and is at most half
       of it.  Requests are synchronous, so pages are recycled once the
       arena wraps (the guest driver reuses its DMA area the same way).
-    - **Plan metadata**, the small private runs of a compiled plan's wire
-      buffers, grows down from the top, a quarter of the arena at most.
+    - **Plan metadata**, one private run per compiled plan holding all
+      of its wire buffers, grows down from the top, a quarter of the
+      arena at most; a released run is room for the next request of any
+      size that fits it.
     - The **payload window** is everything in between and holds the
       payload *addresses* of every compiled plan, never payload bytes:
-      its one refusal is a run that ends past it, and no window page is
-      ever materialized.  The transferq completes one chain before the
+      a plan lays its payload end to end from :attr:`window_base`, the
+      compiler refuses one that would end past :attr:`window_bytes`, and
+      no window page is ever materialized — there is nothing to
+      allocate.  The transferq completes one chain before the
       next is added, so a payload page needs a stable address for its
       plan's life but content only while its own request is in flight,
       and all plans overlay the same addresses.
@@ -77,7 +80,9 @@ class GuestMemory:
                             - self._arena_bytes // 4 // PAGE_SIZE * PAGE_SIZE)
         #: Size of the payload window: the largest plannable request.
         self.window_bytes = self._window_end - self.window_base
-        self._free_reservations: Dict[int, List[int]] = {}
+        #: Released reservations, ``first GPA -> bytes``: disjoint, never
+        #: adjacent to each other or to the floor (those are merged).
+        self._released: Dict[int, int] = {}
         #: Live bindings, ``first GPA -> the caller's buffer mapped there``.
         self._bound: Dict[int, np.ndarray] = {}
 
@@ -97,65 +102,62 @@ class GuestMemory:
         self._arena_cursor += need
         return gpa
 
-    def stage_pages(self, cursor: int, nr_pages: int) -> int:
-        """Place ``nr_pages`` of plan payload at ``cursor``, where the
-        plan's previous payload ended (:attr:`window_base` for its first).
-
-        Only the address is handed out: no window page is pinned, filled
-        or materialized, here or by the compiler.  Raises
-        :class:`TranslationError` when the run ends past the window.
-        """
-        if cursor + nr_pages * PAGE_SIZE > self._window_end:
-            raise TranslationError(
-                f"payload of {nr_pages} pages runs past the "
-                f"{self.window_bytes}-byte payload window")
-        return cursor
-
     def reserve_pages(self, nr_pages: int) -> int:
         """Claim a *stable, private* run of ``nr_pages`` pages for a
         compiled plan's wire metadata.
 
         Unlike :meth:`alloc_pages`, reserved runs are never recycled by
         the rolling arena — they stay valid for the plan's lifetime and
-        return to a free list via :meth:`release_reservation`.  Runs that
-        fit inside one backing extent never straddle an extent boundary
-        (keeping each buffer pinnable as one view).  Reservations stop
-        at the payload window's end: a quarter of the arena at most.
+        come back through :meth:`release_reservation`.  The first
+        released run that holds the request serves it (what is left of
+        the run stays released); otherwise the floor moves down.  A run
+        lies inside one backing extent, so it can be pinned as one view,
+        and above the payload window's end: reservations take a quarter
+        of the arena at most.  Raises :class:`TranslationError`, with
+        nothing changed, for a run that cannot be had on those terms.
         """
         need = nr_pages * PAGE_SIZE
-        free = self._free_reservations.get(need)
-        if free:
-            return free.pop()
-        gpa = ((self._reserve_floor - need) // PAGE_SIZE) * PAGE_SIZE
         ext = self.region.extent_bytes
-        if need <= ext and gpa // ext != (gpa + need - 1) // ext:
+        if need > ext:
+            raise TranslationError(
+                f"reservation of {nr_pages} pages cannot be pinned as one "
+                f"view of a {ext}-byte backing extent")
+
+        def one_view(gpa: int) -> bool:
+            return gpa // ext == (gpa + need - 1) // ext
+
+        for gpa, room in self._released.items():
+            if room >= need and one_view(gpa):
+                del self._released[gpa]
+                if room > need:
+                    self._released[gpa + need] = room - need
+                return gpa
+        gpa = self._reserve_floor - need
+        if not one_view(gpa):
             gpa = (gpa // ext + 1) * ext - need
         if gpa < self._window_end:
             raise TranslationError(
                 f"reservation of {nr_pages} pages would take plan "
-                "metadata past a quarter of the DMA arena"
-            )
+                "metadata past a quarter of the DMA arena")
+        if gpa + need < self._reserve_floor:
+            # Stepped down to end on the extent boundary: what was
+            # stepped over is room like any released run.
+            self._released[gpa + need] = self._reserve_floor - gpa - need
         self._reserve_floor = gpa
         return gpa
 
     def release_reservation(self, gpa: int, nr_pages: int) -> None:
-        """Return a reserved run to the free list for same-size reuse."""
-        self._free_reservations.setdefault(nr_pages * PAGE_SIZE, []).append(gpa)
-
-    @contextmanager
-    def reserving(self) -> Iterator[None]:
-        """All-or-nothing reservations: when the body raises, the reserve
-        floor and the free lists are put back exactly as they were, so a
-        refused compile costs no metadata room."""
-        floor = self._reserve_floor
-        free = {need: list(runs)
-                for need, runs in self._free_reservations.items()}
-        try:
-            yield
-        except BaseException:
-            self._reserve_floor = floor
-            self._free_reservations = free
-            raise
+        """Give a reserved run back: merged with the released runs it
+        touches, and with the unreserved room below the floor when it is
+        the lowest, so the room serves a later request of any size."""
+        end = gpa + nr_pages * PAGE_SIZE
+        end += self._released.pop(end, 0)
+        below = next((start for start, room in self._released.items()
+                      if start + room == gpa), gpa)
+        if below == self._reserve_floor:
+            self._reserve_floor = end
+        else:
+            self._released[below] = end - below
 
     # -- request-scoped bindings ---------------------------------------------
 

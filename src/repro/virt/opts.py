@@ -45,15 +45,6 @@ class OptimizationConfig:
     #: wall-clock digest.
     qos: Optional[QosConfig] = None
 
-    #: Shape-specialized plan cache (``docs/performance.md``): the
-    #: frontend compiles the wire layout, page reservations, and pinned
-    #: payload views of each (shape, direction, symbol) tuple once and
-    #: replays them on every repetition; the backend skips
-    #: deserialization and re-translation for planned requests.  Plans
-    #: change *wall-clock only* — modeled durations and all simulated
-    #: outputs are bit-identical — so the default is on.
-    plans: bool = True
-
     prefetch_pages_per_dpu: int = PREFETCH_PAGES_PER_DPU
     batch_pages_per_dpu: int = BATCH_PAGES_PER_DPU
 
@@ -81,8 +72,6 @@ class OptimizationConfig:
         label = f"vPIM[{flags}]"
         if self.cache:
             label += "+cache"
-        if not self.plans:
-            label += "-plans"
         if self.qos is not None:
             label += "+qos"
         return label

@@ -8,11 +8,12 @@ shape-derived and content-independent the first time a
 ``(direction, symbol, offset, entry shapes)`` tuple is seen:
 
 - the serialized descriptor chain: the small metadata buffers (header,
-  matrix-meta, per-entry meta and page lists) in *reserved* guest pages
-  (:meth:`GuestMemory.reserve_pages`) private to the plan with writable
-  views pinned over them, and the payload pages as fixed *addresses* in
-  the one **payload window** every plan shares
-  (:meth:`GuestMemory.stage_pages`).  The window holds addresses only:
+  matrix-meta, per-entry meta and page lists) carved at 8-byte
+  boundaries from *one* reserved run of guest pages
+  (:meth:`GuestMemory.reserve_pages`) private to the plan with one
+  writable view pinned over it, and the payload pages as fixed
+  *addresses* laid end to end from the base of the one **payload
+  window** every plan shares.  The window holds addresses only:
   the transferq is synchronous — one chain is added, kicked, popped and
   completed before the next — so a payload page needs a stable address
   for the plan's life and content only while its own request is in
@@ -27,25 +28,28 @@ shape-derived and content-independent the first time a
 A plan is shape only: it never holds a caller's buffer, so an LRU of
 plans keeps no payload alive.
 
-Plans change **wall-clock time only**: every modeled duration, metric
-that feeds the wall-clock digest, guest-visible byte, and DPU-visible
-byte is bit-identical to the naive path.  A payload run may lie anywhere
-in the window and be of any size, so the compiler refuses two shapes
-only — a request whose payload ends past the window, and one whose
-metadata would overflow the reservation quarter — which are marked
-unplannable and permanently served by the naive path.
+The plan cache is the frontend's serializer; the wire path
+(:func:`~repro.virt.serialization.serialize_matrix`) is the reference
+the tests compare it against and what serves a request the compiler
+refuses.  Every modeled duration, metric that feeds the wall-clock
+digest, guest-visible byte, and DPU-visible byte is bit-identical
+between the two.  A payload run may lie anywhere in the window and be of
+any size, so the compiler refuses for two reasons only — the payload
+ends past the window, or the reservation quarter has no room for the
+metadata run — both found by arithmetic before anything is placed.  A
+refusal is not remembered: asking again costs what looking it up would.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import PAGE_SIZE
-from repro.errors import MemoryAccessError, TransferError, TranslationError
+from repro.errors import TransferError, TranslationError
 from repro.sdk.transfer import DpuEntry, TransferMatrix
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
@@ -54,7 +58,10 @@ from repro.virt.serialization import (
     SerializedEntry,
     SerializedRequest,
     SkipExtent,
+    _pages,
     build_chain,
+    entry_meta_words,
+    matrix_meta_words,
 )
 from repro.virt.virtio import Descriptor
 
@@ -78,15 +85,15 @@ _SKIP_WORDS = 3
 
 
 class PlanUnsupported(Exception):
-    """The shape cannot be compiled; the caller falls back to the naive
-    serializer (and remembers the key so it never tries again)."""
+    """The shape cannot be compiled; the caller falls back to the wire
+    serializer for this request."""
 
 
 def plan_key(header: RequestHeader, matrix: TransferMatrix,
              digests: Optional[Dict[int, int]],
              skips: Optional[List[SkipExtent]],
              batched: bool) -> Optional[Tuple]:
-    """The cache key of a data request, or ``None`` if unplannable.
+    """The cache key of a data request, or ``None`` if it has none.
 
     Everything that shapes the wire layout is part of the key: request
     kind, addressing, wire format, batching, the (dpu, size) tuple of
@@ -107,9 +114,9 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
 
 @dataclass
 class TransferPlan:
-    """One compiled shape: stable chain + pinned metadata views + replay
-    patches.  The payload runs of ``sreq.data_descriptors`` are window
-    addresses without content of their own."""
+    """One compiled shape: stable chain + views into its pinned metadata
+    run + replay patches.  The payload runs of ``sreq.data_descriptors``
+    are window addresses without content of their own."""
 
     key: Tuple
     header: RequestHeader
@@ -120,9 +127,10 @@ class TransferPlan:
     entry_meta_views: List[np.ndarray]
     #: u64 view over the matrix-meta buffer (skip digests patched).
     matrix_meta_view: Optional[np.ndarray]
-    #: ``(gpa, nr_pages)`` private metadata reservations to release when
-    #: the plan dies (payload pages belong to the window, not the plan).
-    reservations: List[Tuple[int, int]]
+    #: ``(gpa, nr_pages)`` of the private run that holds every wire
+    #: buffer, released when the plan dies (payload pages belong to the
+    #: window, not the plan); ``None`` once released.
+    reservation: Optional[Tuple[int, int]]
     guest_generation: int
     cache_format: bool
     #: XLB generation at which this plan's page runs were last resolved.
@@ -160,55 +168,84 @@ class TransferPlan:
         return self.sreq
 
     def release(self, memory: GuestMemory) -> None:
-        for gpa, nr_pages in self.reservations:
-            memory.release_reservation(gpa, nr_pages)
-        self.reservations = []
+        if self.reservation is not None:
+            memory.release_reservation(*self.reservation)
+            self.reservation = None
 
 
-def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
-                 memory: GuestMemory,
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to the u64 boundary every wire buffer of a
+    plan starts on."""
+    return -(-nbytes // 8) * 8
+
+
+def compile_plan(key: Optional[Tuple], header: RequestHeader,
+                 matrix: TransferMatrix, memory: GuestMemory,
                  digests: Optional[Dict[int, int]],
                  skips: Optional[List[SkipExtent]]) -> TransferPlan:
     """Compile ``matrix`` into a :class:`TransferPlan`.
 
     Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
     would (same buffer contents, lengths, and writable flags — only the
-    GPAs differ: private reservations for the metadata, the shared
+    GPAs differ: one private reservation for the metadata, the shared
     payload window for the payload, instead of the rolling bump
     allocator) once ``matrix``'s buffers are bound at the payload
     addresses; the payload pages themselves are neither pinned nor
-    filled.  Raises :class:`PlanUnsupported` when the shape cannot be
-    placed, leaving ``memory`` as it found it.
+    filled.  Like the serializer it sizes first and places once: every
+    reason to refuse is checked by arithmetic, so :class:`PlanUnsupported`
+    is raised with ``memory`` not yet touched.
     """
     cache_format = digests is not None or skips is not None
-    reservations: List[Tuple[int, int]] = []
+    if key is None:
+        raise PlanUnsupported(
+            "no plan key: not a data request, or header and matrix "
+            "disagree on symbol or offset")
+    try:
+        matrix.validate()
+    except TransferError as exc:
+        raise PlanUnsupported(str(exc)) from exc
+    entry_pages = [_pages(entry.size) for entry in matrix.entries]
+    payload = sum(entry_pages) * PAGE_SIZE
+    if payload > memory.window_bytes:
+        raise PlanUnsupported(
+            f"payload of {payload // PAGE_SIZE} pages runs past the "
+            f"{memory.window_bytes}-byte payload window")
+    # [header][matrix meta]([entry meta][page list])*
+    entry_meta = entry_meta_words(0, 0, 0, 0, cache_format).nbytes
+    meta_bytes = (_aligned(header.pack().size)
+                  + matrix_meta_words(matrix, skips, cache_format).nbytes
+                  + sum(entry_meta + 8 * n for n in entry_pages))
+    meta_pages = _pages(meta_bytes)
+    try:
+        # One run, inside one backing extent or refused: one pinned view.
+        run = memory.reserve_pages(meta_pages)
+    except TranslationError as exc:
+        raise PlanUnsupported(str(exc)) from exc
+    pinned = memory.pin_span(run, meta_bytes)
     wire_views: List[np.ndarray] = []   # every metadata buffer, chain order
+    used = 0                            # bytes of the run carved so far
     staged = memory.window_base         # end of the payload placed so far
 
     def put(data: np.ndarray, device_writable: bool = False) -> Descriptor:
-        # Mirrors :func:`repro.virt.virtio.write_buffer` byte-for-byte.
+        # The bytes :func:`repro.virt.virtio.write_buffer` would store.
+        nonlocal used
         u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        nr_pages = max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE)
-        gpa = memory.reserve_pages(nr_pages)
-        reservations.append((gpa, nr_pages))
-        view = memory.pin_span(gpa, u8.size)
+        view = pinned[used:used + u8.size]
         view[...] = u8
         wire_views.append(view)
-        return Descriptor(gpa=gpa, length=u8.size,
+        desc = Descriptor(gpa=run + used, length=u8.size,
                           device_writable=device_writable)
+        used += _aligned(u8.size)
+        return desc
 
     def place(entry: DpuEntry, nr_pages: int) -> int:
         nonlocal staged
-        gpa = memory.stage_pages(staged, nr_pages)
-        staged = gpa + nr_pages * PAGE_SIZE
+        gpa, staged = staged, staged + nr_pages * PAGE_SIZE
         return gpa
 
-    try:
-        with memory.reserving():
-            matrix.validate()
-            sreq = build_chain(header, matrix, digests, skips, put, place)
-    except (TranslationError, MemoryAccessError, TransferError) as exc:
-        raise PlanUnsupported(str(exc)) from exc
+    sreq = build_chain(header, matrix, digests, skips, put, place)
+    assert (used, staged) == (meta_bytes, memory.window_base + payload), \
+        "plan sizing disagrees with build_chain"
 
     # Chain layout: [header][matrix meta]([entry meta][entry pages])*.
     entries = [SerializedEntry(dpu_index=e.dpu_index, size=e.size,
@@ -222,7 +259,7 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
                           if cache_format else []),
         matrix_meta_view=(wire_views[1].view(np.uint64)
                           if cache_format else None),
-        reservations=reservations,
+        reservation=(run, meta_pages),
         guest_generation=memory.region.generation,
         cache_format=cache_format,
     )
@@ -236,14 +273,12 @@ class PlanCache:
         self.memory = memory
         self.capacity = max(1, capacity)
         self._plans: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()
-        #: Shapes the compiler refused — permanent naive fallback.
-        self.unplannable: Set[Tuple] = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
 
-    def get(self, key: Tuple) -> Optional[TransferPlan]:
+    def get(self, key: Optional[Tuple]) -> Optional[TransferPlan]:
         plan = self._plans.get(key)
         if plan is not None:
             self._plans.move_to_end(key)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core import VPim
 from repro.driver.native import NativeTransport
 from repro.hardware.machine import Machine
 from repro.hardware.timing import DEFAULT_COST_MODEL
+from repro.virt.plans import PlanUnsupported
 
 
 @pytest.fixture
@@ -37,6 +39,34 @@ def vm_session(vpim):
 @pytest.fixture
 def cost():
     return DEFAULT_COST_MODEL
+
+
+def _refuse_every_plan(*_args, **_kwargs):
+    raise PlanUnsupported("refused by the test tree's wire reference")
+
+
+@contextmanager
+def wire_path():
+    """While open, every frontend's ``compile_plan`` refuses, so each
+    data request goes down the wire path — ``serialize_matrix``, the
+    backend's deserializer and its pooled gather/scatter — which is the
+    reference the planned path is compared against (``planned == wire``:
+    bytes, ``float.hex()`` durations, W-rank steps, exports).  Nothing
+    remembers a refusal, so every request asks and is refused again.
+
+    A context manager because a hypothesis test runs both arms inside
+    one example; plain tests take the :func:`wire_reference` fixture.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.virt.frontend.compile_plan", _refuse_every_plan)
+        yield
+
+
+@pytest.fixture
+def wire_reference():
+    """The whole test runs on the wire path (see :func:`wire_path`)."""
+    with wire_path():
+        yield
 
 
 def pytest_terminal_summary(terminalreporter) -> None:

@@ -28,25 +28,20 @@ def chaos_vpim() -> VPim:
     return VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
 
 
-def arm_stack(chaos_vpim, opts=None):
-    """Arm an empty-plan injector on machine + manager + one fresh VM."""
-    plan = FaultPlan(seed=0)
-    injector = FaultInjector(plan, chaos_vpim.clock,
-                             registry=chaos_vpim.machine.metrics)
-    injector.arm_machine(chaos_vpim.machine, chaos_vpim.manager)
-    session = chaos_vpim.vm_session(nr_vupmem=1, opts=opts)
-    injector.arm_vm(session.vm)
-    return chaos_vpim, injector, session
-
-
 @pytest.fixture
 def armed(chaos_vpim):
-    """An empty-plan injector armed on machine + manager + one VM.
+    """An empty-plan injector armed on machine + manager + one fresh VM.
 
     Tests schedule events through ``injector.plan.add`` *before* running
     operations; an empty plan never fires.
     """
-    return arm_stack(chaos_vpim)
+    plan = FaultPlan(seed=0)
+    injector = FaultInjector(plan, chaos_vpim.clock,
+                             registry=chaos_vpim.machine.metrics)
+    injector.arm_machine(chaos_vpim.machine, chaos_vpim.manager)
+    session = chaos_vpim.vm_session(nr_vupmem=1)
+    injector.arm_vm(session.vm)
+    return chaos_vpim, injector, session
 
 
 def schedule(injector, at, kind, target, **params):

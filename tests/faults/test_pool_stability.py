@@ -23,7 +23,7 @@ from repro.apps.prim.va import VectorAdd
 from repro.errors import DpuFaultError, TransportCorruptionError
 from repro.faults import FaultKind, run_with_recovery
 
-from tests.faults.conftest import arm_stack, schedule
+from tests.faults.conftest import schedule
 
 APP = dict(nr_dpus=8, n_elements=1 << 12)
 
@@ -76,16 +76,15 @@ class TestPoolQuiescence:
         assert recovery.verified and recovery.recovered
         assert_quiescent(session)
 
-    def test_pool_still_serves_after_repeated_drills(self, chaos_vpim):
+    def test_pool_still_serves_after_repeated_drills(self, armed,
+                                                     wire_reference):
         """No slow leak and no poisoned free list: after a storm of
         faulted sessions the pool still reuses buffers and every later
         clean run verifies.
 
-        Plans are pinned off: a compiled plan replays without pooled
-        gathers at all, and this drill targets the pooled plumbing."""
-        from repro.virt.opts import OptimizationConfig
-        vpim, injector, session = arm_stack(
-            chaos_vpim, OptimizationConfig(plans=False))
+        On the wire reference: a planned request loans nothing from the
+        pool, and this drill targets the pooled plumbing."""
+        vpim, injector, session = armed
         for _ in range(3):
             schedule(injector, 0.0, FaultKind.DPU_KERNEL_FAULT, "rank:*")
             with pytest.raises(DpuFaultError):

@@ -9,6 +9,9 @@ sends the same requests through an unloaded VM and compares with
 ``BENCH_WALLCLOCK.json`` digest.
 """
 
+import functools
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +101,8 @@ from repro.sdk.transfer import (  # noqa: E402
 )
 from repro.virt.opts import OptimizationConfig  # noqa: E402
 
+from tests.conftest import wire_path  # noqa: E402
+
 NR_DPUS = 4
 
 
@@ -149,8 +154,20 @@ sizes_st = st.lists(
     min_size=1, max_size=NR_DPUS)
 flags_st = st.fixed_dictionaries({
     "c_enhancement": st.booleans(), "vhost_vsock": st.booleans(),
-    "plans": st.booleans()})
+    "wire": st.booleans()})
 threads_st = st.sampled_from([1, 3, 8, 16])
+
+
+def on_either_path(test):
+    """Run ``test`` on the wire path (``tests.conftest.wire_path``) when
+    its ``flags`` draw says ``wire``, on the planned path otherwise; the
+    test sees the remaining flags, which are ``OptimizationConfig``'s."""
+    @functools.wraps(test)
+    def run(self, *, flags, **drawn):
+        flags = dict(flags)
+        with wire_path() if flags.pop("wire") else nullcontext():
+            return test(self, flags=flags, **drawn)
+    return run
 
 
 def payloads(sizes, seed, same=False):
@@ -163,12 +180,14 @@ class TestTransfersMatchTheStack:
     @given(sizes=sizes_st, flags=flags_st, threads=threads_st,
            seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
+    @on_either_path
     def test_mram_write_and_read(self, sizes, flags, threads, seed):
         vm = Vm(threads, request_batching=False, prefetch_cache=False,
                 **flags)
         rust, vhost = not flags["c_enhancement"], flags["vhost_vsock"]
         tdata = COST.rank_op_time(sum(sizes), len(sizes), rust)
-        # Twice: with plans on the second request replays the first's plan.
+        # Twice: on the planned path the second request replays the
+        # first's plan.
         for rep in range(2):
             for kind, send in (
                     ("write_rank", lambda: vm.frontend.write(uniform_write(
@@ -187,6 +206,7 @@ class TestTransfersMatchTheStack:
                             max_size=NR_DPUS),
            same=st.booleans())
     @settings(max_examples=30, deadline=None)
+    @on_either_path
     def test_cached_write_with_skips_and_broadcast(self, sizes, flags, seed,
                                                    changed, same):
         vm = Vm(cache=True, request_batching=False, cache_bypass_min_probes=0,
@@ -218,6 +238,7 @@ class TestTransfersMatchTheStack:
     @given(flags=flags_st, size=st.sampled_from([4, 8, 64]),
            nr=st.integers(1, NR_DPUS))
     @settings(max_examples=10, deadline=None)
+    @on_either_path
     def test_wram_symbol_transfers(self, flags, size, nr):
         vm = Vm(**flags)
         vm.dpus.load(Spin())

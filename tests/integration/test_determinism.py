@@ -1,6 +1,7 @@
 """Simulation determinism and miscellaneous end-to-end coverage."""
 
 import numpy as np
+import pytest
 
 from repro.apps.prim.nw import NeedlemanWunsch
 from repro.apps.prim.red import Reduction
@@ -100,11 +101,9 @@ def test_vhost_and_oversubscription_compose():
     hold.free()
 
 
-def test_quick_suite_modeled_digest_is_the_committed_one():
-    """The sha256 over every modeled output of the quick PrIM suite is the
-    one ``BENCH_WALLCLOCK.quick.json`` commits: a slipped summation order
-    anywhere on the data path fails here, locally, instead of only in the
-    CI perf-smoke job (~2 s on the reference box)."""
+@pytest.fixture(scope="module")
+def bench_wallclock():
+    """``(bench_wallclock.py's globals, the committed quick digest)``."""
     import json
     import runpy
     from pathlib import Path
@@ -112,5 +111,40 @@ def test_quick_suite_modeled_digest_is_the_committed_one():
     root = Path(__file__).resolve().parents[2]
     bench = runpy.run_path(str(root / "benchmarks" / "bench_wallclock.py"))
     committed = json.loads((root / "BENCH_WALLCLOCK.quick.json").read_text())
-    suite = bench["run_suite"](quick=True, repeats=1)
-    assert bench["modeled_digest"](suite) == committed["modeled_digest"]
+    return bench, committed["modeled_digest"]
+
+
+@pytest.fixture(scope="module")
+def planned_quick_suite(bench_wallclock):
+    """The quick PrIM suite, two repetitions per session: the first
+    compiles every plan (and is what the digest covers), the second
+    replays them."""
+    bench, _digest = bench_wallclock
+    return bench["run_suite"](quick=True, repeats=2)
+
+
+def test_quick_suite_modeled_digest_is_the_committed_one(
+        bench_wallclock, planned_quick_suite):
+    """The sha256 over every modeled output of the quick PrIM suite is the
+    one ``BENCH_WALLCLOCK.quick.json`` commits: a slipped summation order
+    anywhere on the data path fails here, locally, instead of only in the
+    CI perf-smoke job (~2 s on the reference box)."""
+    bench, digest = bench_wallclock
+    assert bench["modeled_digest"](planned_quick_suite) == digest
+
+
+def test_quick_suite_on_the_wire_reference_matches_the_planned_one(
+        bench_wallclock, planned_quick_suite, wire_reference):
+    """``planned == wire reference`` for the whole quick suite: with
+    every compile refused the wire path serves each request, and the
+    digest (repetition 1: compiles on the planned side) and every
+    repetition's ``float.hex()`` total (repetition 2: replays) are the
+    planned run's.  This is what ``bench_wallclock.py --ablate-plans``
+    compared when the planned path was an option."""
+    bench, digest = bench_wallclock
+    wire = bench["run_suite"](quick=True, repeats=2)
+    assert bench["modeled_digest"](wire) == digest
+    for app, row in planned_quick_suite.items():
+        assert wire[app]["rep_totals"] == row["rep_totals"], app
+        assert row["plan_cache"]["hits"] > 0, f"{app} replayed no plan"
+        assert wire[app]["plan_cache"]["hits"] == 0, "the wire reference"

@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.config import PAGE_SIZE
+from repro.config import MRAM_HEAP_SYMBOL, MRAM_SIZE, PAGE_SIZE
 from repro.errors import TranslationError
+from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory, HVA_BASE
+from repro.virt.plans import PlanCache, PlanUnsupported, compile_plan, plan_key
+from repro.virt.serialization import RequestHeader, RequestKind
 
 
 @pytest.fixture
@@ -89,6 +92,22 @@ def test_contiguous_runs_empty():
 
 # -- the three regions -------------------------------------------------------
 
+def _read_plan(mem, nr_pages, offset=0, nr_dpus=None):
+    """Compile a read of ``nr_pages`` of payload: bank-sized entries, or
+    ``nr_dpus`` equal ones."""
+    if nr_dpus is None:
+        full, rest = divmod(nr_pages * PAGE_SIZE, MRAM_SIZE)
+        sizes = [MRAM_SIZE] * full + [rest] * bool(rest)
+    else:
+        sizes = [nr_pages * PAGE_SIZE // nr_dpus] * nr_dpus
+    matrix = TransferMatrix(XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, offset,
+                            [DpuEntry(i, n) for i, n in enumerate(sizes)])
+    header = RequestHeader(RequestKind.READ_RANK, offset=offset,
+                           symbol=MRAM_HEAP_SYMBOL)
+    key = plan_key(header, matrix, None, None, batched=False)
+    return compile_plan(key, header, matrix, mem, None, None)
+
+
 @pytest.mark.parametrize("arena_bytes", [8 << 20, 512 << 20])
 @pytest.mark.parametrize("size", [
     1 << 20, (1 << 20) + PAGE_SIZE, 2 << 20, (33 << 20) + 100, 48 << 20,
@@ -97,7 +116,8 @@ def test_arena_window_and_reservations_are_disjoint(size, arena_bytes):
     """Every guest the suite builds, 1 MB to the default 4 GB: the arena
     is at most half of guest RAM, reservations take at most a quarter of
     the arena from the top, the window is all that lies between, and
-    each allocator stays inside its own region."""
+    each allocator stays inside its own region — the window's being the
+    plan compiler, which lays payload from its base by arithmetic."""
     mem = GuestMemory(size, arena_bytes=arena_bytes)
     arena_end = mem._arena_start + mem._arena_bytes
     window_end = mem.window_base + mem.window_bytes
@@ -117,14 +137,14 @@ def test_arena_window_and_reservations_are_disjoint(size, arena_bytes):
     with pytest.raises(TranslationError, match="DMA arena"):
         mem.alloc_pages(mem._arena_bytes // PAGE_SIZE + 1)
 
-    # The payload window: address arithmetic with one refusal.
+    # The payload window: one refusal, a payload that ends past it —
+    # found before anything is reserved.
     pages = mem.window_bytes // PAGE_SIZE
-    assert mem.stage_pages(mem.window_base, pages) == mem.window_base
-    assert mem.stage_pages(window_end, 0) == window_end
-    with pytest.raises(TranslationError, match=f"{mem.window_bytes}-byte"):
-        mem.stage_pages(mem.window_base, pages + 1)
-    with pytest.raises(TranslationError, match="payload window"):
-        mem.stage_pages(window_end - PAGE_SIZE, 2)
+    top = mem._reserve_floor
+    with pytest.raises(PlanUnsupported,
+                       match=f"{mem.window_bytes}-byte payload window"):
+        _read_plan(mem, pages + 1)
+    assert mem._reserve_floor == top and not mem._released
 
     # Reservations, until the quarter is full: disjoint runs above it.
     runs = []
@@ -136,6 +156,78 @@ def test_arena_window_and_reservations_are_disjoint(size, arena_bytes):
     assert all(gpa + nr * PAGE_SIZE <= nxt for (gpa, nr), (nxt, _)
                in zip(runs, runs[1:] + [(size, 0)]))
     assert mem.region.materialized_bytes == 0
+    # Released in any order, all of the room is back.
+    for gpa, nr_pages in runs[1::2] + runs[::2]:
+        mem.release_reservation(gpa, nr_pages)
+    assert mem._reserve_floor == top and not mem._released
+
+    # A payload that fills the window to its last page is placed, its
+    # metadata above the window — unless a small arena's quarter cannot
+    # hold the page lists, which is the other refusal.
+    try:
+        plan = _read_plan(mem, pages)
+    except PlanUnsupported as refusal:
+        assert "quarter" in str(refusal)
+        assert mem._reserve_floor == top and not mem._released
+    else:
+        placed = [(gpa, n) for _dpu, n, gpa in plan.sreq.data_descriptors]
+        assert not placed or (placed[0][0] == mem.window_base
+                              and sum(placed[-1]) == window_end)
+        assert window_end <= plan.reservation[0] == mem._reserve_floor
+
+
+def test_a_reservation_over_one_extent_is_refused_untouched():
+    """A reserved run is what a plan pins as one view, and a view cannot
+    span two backing extents."""
+    mem = GuestMemory(4 << 30)
+    top = mem._reserve_floor
+    pages = mem.region.extent_bytes // PAGE_SIZE
+    with pytest.raises(TranslationError, match="one view"):
+        mem.reserve_pages(pages + 1)
+    assert mem._reserve_floor == top and not mem._released
+    assert mem.reserve_pages(pages) == top - mem.region.extent_bytes
+
+
+def _reserved(mem):
+    return mem.size - mem._reserve_floor
+
+
+def test_released_reservation_room_comes_back():
+    """Regression: a released run was parked by its exact size and the
+    floor only moved down, so rounds of *changing* shapes, each dropped
+    whole (``invalidate("failover")``), walked the floor a little
+    further every round.  Released room merges back: after every round
+    the reservation quarter is as it was before the first."""
+    mem = GuestMemory(64 << 20)
+    cache = PlanCache(mem)
+    for round_ in range(200):
+        runs = 0
+        for shape in range(6):
+            # Page lists of 1 to 9 pages, a different mix every round.
+            nr_pages = 600 * (1 + (3 * round_ + shape) % 7)
+            plan = _read_plan(mem, nr_pages, offset=8 * shape, nr_dpus=2)
+            cache.insert(plan.key, plan)
+            runs += plan.reservation[1] * PAGE_SIZE
+        assert _reserved(mem) == runs and not mem._released
+        assert cache.invalidate_all() == 6
+        assert _reserved(mem) == 0 and not mem._released
+
+
+def test_an_evicted_plans_room_serves_the_next_compile():
+    """The LRU's steady state: every compile evicts the oldest plan, whose
+    run lies *above* the live ones, so only reuse of released room — by a
+    run of another size — keeps the floor from walking to the window's
+    edge (after which every new shape would be refused for good)."""
+    mem = GuestMemory(64 << 20)
+    cache = PlanCache(mem, capacity=4)
+    largest = 0
+    for step in range(200):
+        nr_pages = 600 * (1 + (5 * step) % 7)
+        plan = _read_plan(mem, nr_pages, offset=8 * step, nr_dpus=2)
+        cache.insert(plan.key, plan)
+        largest = max(largest, plan.reservation[1] * PAGE_SIZE)
+        assert _reserved(mem) <= 2 * (cache.capacity + 1) * largest
+    assert cache.evictions == 196
 
 
 # -- request-scoped bindings ---------------------------------------------------

@@ -9,10 +9,10 @@ once, replay afterwards, move no byte through guest RAM and change
 nothing an application or the cost model can see (paper R3).
 
 The guests are small (32 MB with a 4 MB arena: a 26 MB window) so the
-edges are cheap to reach; the plans-off reference runs in a guest whose
-arena holds every chain drawn here.  ``firecracker.GuestMemory`` is
-patched for the arena size because ``VmConfig`` deliberately has no
-option for it.
+edges are cheap to reach; the wire reference (``tests.conftest.wire_path``:
+every compile refused) runs in a guest whose arena holds every chain
+drawn here.  ``firecracker.GuestMemory`` is patched for the arena size
+because ``VmConfig`` deliberately has no option for it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from repro.hardware.memory import EXTENT_BYTES
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import DpuEntry, XferKind
 from repro.virt.guest_memory import GuestMemory
-from repro.virt.opts import OptimizationConfig
 
+from tests.conftest import wire_path
 from tests.faults.test_pool_stability import assert_quiescent
 from tests.virt.test_plans_property import _allocator_state
 
@@ -64,14 +64,13 @@ def _pages(nbytes):
     return -(-nbytes // PAGE_SIZE)
 
 
-def _vm(mem_bytes=GUEST, arena_bytes=ARENA, **opts):
+def _vm(mem_bytes=GUEST, arena_bytes=ARENA):
     """``(vpim, session)`` of a one-rank VM with the given guest layout."""
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=NR_DPUS))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("repro.virt.firecracker.GuestMemory",
                       lambda size: GuestMemory(size, arena_bytes))
-        session = vpim.vm_session(nr_vupmem=1, mem_bytes=mem_bytes,
-                                  opts=OptimizationConfig(**opts))
+        session = vpim.vm_session(nr_vupmem=1, mem_bytes=mem_bytes)
     return vpim, session
 
 
@@ -118,23 +117,21 @@ def _exercise(vpim, session, sizes, reps=3):
             del got
             if frontend is not None:
                 assert frontend.memory.nr_bound == 0
-                plans = frontend.plans
                 states.append((frontend.memory.region.materialized_bytes,
-                               plans and plans.hits, plans and plans.misses))
+                               frontend.plans.hits, frontend.plans.misses))
     steps = {step: float(value).hex() for step, value in
              session.transport.profiler.wrank_steps.items()}
     return (durations, steps), states
 
 
 def _planned(sizes):
-    vpim, session = _vm(plans=True)
+    vpim, session = _vm()
     frontend = session.vm.devices[0].frontend
     assert frontend.memory.window_bytes == WINDOW
     with pytest.MonkeyPatch.context() as patch:
         wire_calls = _count_wire_path(patch)
         modeled, states = _exercise(vpim, session, sizes)
     assert not wire_calls, f"planned requests took the wire path: {wire_calls}"
-    assert frontend.plans.unplannable == set()
     # Repetition 1 compiles the write and the read plan; 2 and 3 replay.
     assert [state[1:] for state in states] == [(0, 2), (2, 2), (4, 2)]
     # The window holds no bytes: guest RAM materialized the plans'
@@ -147,11 +144,12 @@ def _planned(sizes):
 
 
 def _unplanned(sizes):
-    vpim, session = _vm(REFERENCE_GUEST, 512 * MB, plans=False)
-    with pytest.MonkeyPatch.context() as patch:
+    vpim, session = _vm(REFERENCE_GUEST, 512 * MB)
+    with wire_path(), pytest.MonkeyPatch.context() as patch:
         wire_calls = _count_wire_path(patch)
-        modeled, _states = _exercise(vpim, session, sizes)
+        modeled, states = _exercise(vpim, session, sizes)
     assert wire_calls["serialize_matrix"] == 6, "the reference is the wire"
+    assert [state[1:] for state in states] == [(0, 2), (0, 4), (0, 6)]
     return modeled
 
 
@@ -220,7 +218,7 @@ def test_one_page_past_the_window_is_refused_whole(writing):
     the chain either: the error names the window, and nothing is left
     behind — no binding, no pool loan, no result block on loan, not a
     reserved page, not a moved cursor."""
-    vpim, session = _vm(plans=True)
+    vpim, session = _vm()
     frontend = session.vm.devices[0].frontend
     memory, plans = frontend.memory, frontend.plans
     sizes = [WINDOW // 4] * 3 + [WINDOW // 4 + PAGE_SIZE]
@@ -230,30 +228,31 @@ def test_one_page_past_the_window_is_refused_whole(writing):
     with DpuSet(session.transport, NR_DPUS) as dpus:
         dpus.copy_to_mram(0, 0, _BASE[:2 * PAGE_SIZE])     # a plan to keep
         state = _allocator_state(memory)
-        for _attempt in (1, 2):     # compile refused, then not retried
+        misses = plans.misses
+        for attempt in (1, 2):      # refused, asked again, refused again
             with pytest.raises(TranslationError, match=f"{WINDOW}-byte"):
                 dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
             assert memory.nr_bound == 0
             assert _allocator_state(memory) == state
-            assert len(plans.unplannable) == 1 and plans.nr_plans == 1
+            assert (plans.nr_plans, plans.misses) == (1, misses + attempt)
         # One page less is inside the window: compiled, then replayed.
         entries[-1] = DpuEntry(3, WINDOW // 4, entries[0].data)
         dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
         hits = plans.hits
         dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
-        assert plans.hits == hits + 1 and len(plans.unplannable) == 1
+        assert plans.hits == hits + 1 and plans.nr_plans == 2
     assert_quiescent(session)
 
 
 @pytest.mark.parametrize("writing", [True, False])
 def test_unplanned_chain_over_the_arena_is_refused_not_wrapped(writing):
-    """Regression (R3), end to end: with ``plans=False`` a 3 x 3 MB
+    """Regression (R3), end to end: on the wire path a 3 x 3 MB
     request on an 8 MB arena used to wrap inside its own chain and reach
     the backend with its header overwritten (``SerializationError:
     unknown request kind``, or ``GET_CONFIG`` for a zero-filled push).
     It is refused before anything is placed, and the device serves the
     next request."""
-    vpim, session = _vm(arena_bytes=8 * MB, plans=False)
+    vpim, session = _vm(arena_bytes=8 * MB)
     memory = session.vm.devices[0].frontend.memory
     kind = XferKind.TO_DPU if writing else XferKind.FROM_DPU
 
@@ -261,7 +260,7 @@ def test_unplanned_chain_over_the_arena_is_refused_not_wrapped(writing):
         return [DpuEntry(i, 3 * MB, np.zeros(3 * MB, np.uint8)
                          if writing else None) for i in range(nr)]
 
-    with DpuSet(session.transport, NR_DPUS) as dpus:
+    with wire_path(), DpuSet(session.transport, NR_DPUS) as dpus:
         dpus.push_to_mram(0, _payload([3 * MB] * 2, 0))
         state = _allocator_state(memory)
         with pytest.raises(TranslationError, match=f"{8 * MB}-byte DMA arena"):

@@ -3,12 +3,14 @@
 The contract of ``repro.virt.plans`` (``docs/performance.md``) is that a
 compiled plan is *indistinguishable on the wire* from the naive
 serializer: same buffer lengths, same writable flags, same metadata and
-payload bytes — only the GPAs differ (private metadata reservations and
+payload bytes — only the GPAs differ (one private metadata run and
 the shared payload window vs the rolling bump allocator).  These tests
 drive random shapes through both paths and compare the chains
 buffer-for-buffer, interleave plans of two devices through the one
 window, and exercise the budget and invalidation rules (window size,
-refused compiles, eviction, migration, failover) end to end.
+refused compiles, eviction, migration, failover) end to end.  The
+reference arm of every ``planned == wire`` comparison runs under
+``tests.conftest.wire_path``, which makes ``compile_plan`` refuse.
 
 The window stages addresses, not bytes: a planned request's payload
 GPAs resolve to the caller's own buffers while it is in flight
@@ -20,7 +22,7 @@ rows nobody else owns, with nothing of the caller's kept afterwards.
 
 import gc
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from repro.virt.guest_memory import GuestMemory
 from repro.virt.migration import migrate_device
 from repro.virt.opts import OptimizationConfig
 from repro.virt.plans import (
+    PLAN_CAPACITY,
     PlanCache,
     PlanUnsupported,
     compile_plan,
@@ -53,6 +56,8 @@ from repro.virt.serialization import (
     SkipExtent,
     serialize_matrix,
 )
+
+from tests.conftest import wire_path
 
 
 # -- strategies --------------------------------------------------------------
@@ -273,28 +278,35 @@ class TestPlanCacheEviction:
 
 def _allocator_state(memory):
     return (memory._reserve_floor, memory._arena_cursor,
-            {need: list(runs)
-             for need, runs in memory._free_reservations.items() if runs})
+            dict(memory._released), memory.region.materialized_bytes)
 
 
 class TestStagingWindow:
     def test_plans_hold_private_metadata_only(self):
         """Payload pages are window offsets every plan shares; only the
-        metadata buffers are reservations the plan owns."""
+        metadata is the plan's own — one reserved run above the window
+        that holds every wire buffer, each at an 8-byte boundary."""
         memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
         plans = [_compile(memory, header,
                           uniform_read(MRAM_HEAP_SYMBOL, 0, size, nr_dpus=3),
                           None)
                  for size in (PAGE_SIZE, 5 * PAGE_SIZE)]
+        runs = []
         for plan in plans:
-            payload = {gpa for _dpu, _size, gpa in plan.sreq.data_descriptors}
-            reserved = {gpa for gpa, _nr in plan.reservations}
-            assert not payload & reserved
-            assert len(plan.reservations) == len(plan.sreq.chain)
+            payload = [gpa for _dpu, _size, gpa in plan.sreq.data_descriptors]
+            run, nr_pages = plan.reservation
+            run_end = run + nr_pages * PAGE_SIZE
             assert min(payload) == memory.window_base
-            assert all(gpa >= memory._window_end
-                       for gpa, _nr in plan.reservations)
+            assert max(payload) < memory._window_end <= run
+            assert run_end <= memory.size
+            cursor = run
+            for desc in plan.sreq.chain:    # carved in chain order
+                assert desc.gpa % 8 == 0 and cursor <= desc.gpa
+                cursor = desc.gpa + desc.length
+            assert cursor <= run_end
+            runs.append((run, run_end))
+        assert runs[0][0] >= runs[1][1], "each plan has a run of its own"
         first = [p.sreq.data_descriptors[0][2] for p in plans]
         assert first[0] == first[1], "plans overlay the same window pages"
 
@@ -321,13 +333,15 @@ class TestStagingWindow:
             assert size == want and gpa == expected and gpa % PAGE_SIZE == 0
             expected += -(-size // PAGE_SIZE) * PAGE_SIZE
         assert expected <= memory._window_end
-        assert all(gpa >= memory._window_end for gpa, _nr in plan.reservations)
+        assert plan.reservation[0] >= memory._window_end
         plan.release(memory)
 
     def test_refused_compile_leaves_guest_memory_untouched(self):
         """Regression: a compile refused part-way used to hand its partial
         reservations to the free list and leave the floor where it had
-        moved, so every refused bulk shape cost metadata room."""
+        moved, so every refused bulk shape cost metadata room.  The
+        compiler now sizes before it places: a refusal reserves, pins
+        and materializes nothing."""
         memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL)
         keep = _compile(memory, header,
@@ -335,12 +349,11 @@ class TestStagingWindow:
         evicted = _compile(memory, header,
                            uniform_read(MRAM_HEAP_SYMBOL, 0, 128, nr_dpus=2),
                            None)
-        evicted.release(memory)     # a non-empty free list to disturb
+        evicted.release(memory)     # released room to disturb
         memory.alloc_pages(3)
         before = _allocator_state(memory)
 
-        # One page more than the window holds, behind entries that fit:
-        # the refusal comes after their metadata has been reserved.
+        # One page more than the window holds, behind entries that fit.
         sizes = [PAGE_SIZE, PAGE_SIZE, memory.window_bytes - PAGE_SIZE]
         matrix = TransferMatrix(XferKind.FROM_DPU, MRAM_HEAP_SYMBOL, 0,
                                 [DpuEntry(i, n) for i, n in enumerate(sizes)])
@@ -359,7 +372,7 @@ class TestStagingWindow:
         between the arena and the metadata quarter, whatever the arena's
         size: 3 MB entries (12 MB a push, over the 8 MB arena) compile
         and replay; a push one page larger than the window is refused,
-        which neither path can then serve."""
+        which the wire path cannot serve either."""
         monkeypatch.setattr("repro.virt.firecracker.GuestMemory",
                             lambda size: GuestMemory(size, 8 << 20))
         vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=4))
@@ -379,7 +392,6 @@ class TestStagingWindow:
                     got = dpus.push_from_mram(shape * size, size)
                     assert all(np.array_equal(g, d)
                                for g, d in zip(got, data))
-            assert plans.unplannable == set()
             assert (plans.misses, plans.hits) == (10, 20)
 
             state = _allocator_state(memory)
@@ -390,7 +402,7 @@ class TestStagingWindow:
                 with pytest.raises(TranslationError,
                                    match=str(memory.window_bytes)):
                     dpus.push_to_mram(0, big)
-                assert len(plans.unplannable) == 1
+                assert plans.nr_plans == 10
                 assert _allocator_state(memory) == state
                 assert memory.nr_bound == 0
                 assert (plans.misses, plans.hits) == (10 + attempt, 20)
@@ -399,11 +411,68 @@ class TestStagingWindow:
             big[3] = big[3][PAGE_SIZE:]
             dpus.push_to_mram(0, big)
             dpus.push_to_mram(0, big)
-            assert len(plans.unplannable) == 1
             assert (plans.misses, plans.hits) == (10 + 3, 20 + 1)
 
 
-# -- two devices, one window: plans on == plans off ---------------------------
+# -- capacity: one rule, the LRU's ----------------------------------------------
+
+class TestPlanCapacity:
+    NR_SHAPES = 400
+    NR_DPUS = 64
+    SIZE = 2 * PAGE_SIZE        # past the batch buffer: one request a push
+
+    def _push_all(self, dpus, base):
+        """Every shape once: a full-rank write at its own offset (the
+        offset is part of the key), fresh bytes per shape."""
+        for shape in range(self.NR_SHAPES):
+            dpus.push_to_mram(8 * shape, [
+                base[64 * (shape + dpu):][:self.SIZE]
+                for dpu in range(self.NR_DPUS)])
+
+    @pytest.mark.parametrize("mem_bytes", [4 << 30, 64 << 20])
+    def test_every_shape_below_the_lru_capacity_keeps_its_plan(
+            self, monkeypatch, mem_bytes):
+        """Regression: with a page reserved per wire buffer a full-rank
+        plan took 130 pages, so the reservation quarter held 252 of them
+        in the default guest (15 in a 64 MB one) and the other shapes
+        were refused for good without one eviction.  A plan's metadata
+        is one run — a page here — and ``PLAN_CAPACITY`` is the only
+        capacity rule left."""
+        assert self.NR_SHAPES < PLAN_CAPACITY
+
+        def no_wire(*_args, **_kwargs):
+            raise AssertionError("a plannable shape took the wire path")
+
+        monkeypatch.setattr("repro.virt.frontend.serialize_matrix", no_wire)
+        base = np.random.default_rng(23).integers(
+            0, 256, self.SIZE + 64 * (self.NR_SHAPES + self.NR_DPUS),
+            dtype=np.uint8)
+        config = small_machine(nr_ranks=1, dpus_per_rank=self.NR_DPUS)
+        session = VPim(config).vm_session(nr_vupmem=1, mem_bytes=mem_bytes)
+        plans = session.vm.devices[0].frontend.plans
+        with DpuSet(session.transport, self.NR_DPUS) as dpus:
+            self._push_all(dpus, base)
+            assert (plans.nr_plans, plans.misses, plans.hits) == (
+                self.NR_SHAPES, self.NR_SHAPES, 0)
+            self._push_all(dpus, base)
+            assert (plans.nr_plans, plans.misses, plans.hits) == (
+                self.NR_SHAPES, self.NR_SHAPES, self.NR_SHAPES)
+            assert plans.evictions == 0
+            span = 8 * self.NR_SHAPES + self.SIZE
+            virtualized = [
+                dpu.mram.read(0, span).tobytes() for dpu in
+                session.vm.devices[0].backend.mapping.rank.dpus]
+
+        native = VPim(config).native_session().transport
+        with DpuSet(native, self.NR_DPUS) as dpus:
+            self._push_all(dpus, base)
+            self._push_all(dpus, base)
+            assert virtualized == [
+                dpu.mram.read(0, span).tobytes()
+                for dpu in native.machine.ranks[0].dpus]
+
+
+# -- two devices, one window: planned == wire reference -----------------------
 
 #: One request shape: (device, writing, offset, per-DPU sizes).  Sizes
 #: straddle ``SMALL_WRITE_BYTES`` so batched flushes, prefetched reads
@@ -418,12 +487,17 @@ request_shapes = st.tuples(
              min_size=1, max_size=4))
 
 
-def _drive(plans_on, shapes, order, seed, fault_at, capacity):
-    """Run ``order`` (indices into ``shapes``) on a two-device VM; returns
-    every read result, both ranks' final MRAM, and the modeled time."""
+def _drive(planned, shapes, order, seed, fault_at, capacity):
+    """Run ``order`` (indices into ``shapes``) on a two-device VM — on the
+    wire path unless ``planned``; returns every read result, both ranks'
+    final MRAM, and the modeled time."""
+    with nullcontext() if planned else wire_path():
+        return _drive_requests(shapes, order, seed, fault_at, capacity)
+
+
+def _drive_requests(shapes, order, seed, fault_at, capacity):
     vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
-    session = vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30,
-                              opts=OptimizationConfig(plans=plans_on))
+    session = vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30)
     devices = session.vm.devices
     assert devices[0].frontend.memory is devices[1].frontend.memory
     requests = [0]
@@ -437,8 +511,7 @@ def _drive(plans_on, shapes, order, seed, fault_at, capacity):
     with DpuSet(session.transport, 8) as dpus:
         for device in devices:
             device.backend.fault_hook = hang_once
-            if plans_on:
-                device.frontend.plans.capacity = capacity
+            device.frontend.plans.capacity = capacity
         t0 = vpim.machine.clock.now
         for step, index in enumerate(order):
             device, writing, offset, sizes = shapes[index]
@@ -457,7 +530,7 @@ def _drive(plans_on, shapes, order, seed, fault_at, capacity):
                  for device in devices
                  for dpu in device.backend.mapping.rank.dpus]
         stats = [(d.frontend.plans.hits, d.frontend.plans.evictions)
-                 if plans_on else None for d in devices]
+                 for d in devices]
     return (reads, banks, modeled), stats
 
 
@@ -469,13 +542,15 @@ class TestSharedWindowInterleaving:
         """Plans of both directions on two devices replay through the one
         window in a random interleaving — with a tiny LRU evicting
         mid-sequence and one request retried after an injected backend
-        hang — and nothing observable differs from plans off."""
+        hang — and nothing observable differs from the wire reference."""
         order = data.draw(st.lists(st.integers(0, len(shapes) - 1),
                                    min_size=4, max_size=24))
         fault_at = data.draw(st.integers(1, len(order)))
         capacity = data.draw(st.sampled_from([1, 2, 512]))
         on, _stats = _drive(True, shapes, order, seed, fault_at, capacity)
-        off, _ = _drive(False, shapes, order, seed, fault_at, capacity)
+        off, wire_stats = _drive(False, shapes, order, seed, fault_at,
+                                 capacity)
+        assert wire_stats == [(0, 0), (0, 0)], "the reference is the wire"
         assert on[2] == off[2], "modeled time must be float.hex()-equal"
         assert on[0] == off[0], "read results differ, buffer for buffer"
         assert on[1] == off[1], "MRAM differs"
@@ -497,7 +572,7 @@ class TestSharedWindowInterleaving:
         assert all(hits >= 6 for hits, _evictions in stats)
 
 
-# -- end-to-end: planned VM == unplanned VM ----------------------------------
+# -- end-to-end: planned VM == wire-reference VM ------------------------------
 
 def _session(nr_ranks=1, **opt_kwargs):
     vpim = VPim(small_machine(nr_ranks=nr_ranks, dpus_per_rank=4))
@@ -510,12 +585,13 @@ class TestEndToEndEquivalence:
     @given(sizes=st.lists(entry_sizes, min_size=4, max_size=4), seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_plans_do_not_change_data_or_modeled_time(self, sizes, seed):
-        """Same workload through plans-on and plans-off VMs: identical
-        read-backs and identical modeled clock advance."""
+        """Same workload through a planned VM and one on the wire path:
+        identical read-backs and identical modeled clock advance."""
         outcomes = {}
-        for plans in (True, False):
-            vpim, session = _session(plans=plans)
-            with DpuSet(session.transport, 4) as dpus:
+        for planned in (True, False):
+            vpim, session = _session()
+            with (nullcontext() if planned else wire_path()), \
+                    DpuSet(session.transport, 4) as dpus:
                 t0 = vpim.machine.clock.now
                 reads = []
                 for rep in range(3):
@@ -528,13 +604,13 @@ class TestEndToEndEquivalence:
                     for dpu, buf in enumerate(bufs):
                         assert reads[-1][dpu] == buf.tobytes()
                 frontend = session.vm.devices[0].frontend
-                outcomes[plans] = (reads, float(vpim.machine.clock.now - t0).hex())
-            if plans:
-                assert frontend.plans is not None
+                outcomes[planned] = (
+                    reads, float(vpim.machine.clock.now - t0).hex())
+            if planned:
                 assert frontend.plans.hits > 0, \
                     "repeated shapes must replay a compiled plan"
             else:
-                assert frontend.plans is None
+                assert (frontend.plans.hits, frontend.plans.nr_plans) == (0, 0)
         assert outcomes[True] == outcomes[False]
 
 
@@ -609,7 +685,7 @@ class TestBoundTransfers:
                                    for ext in _guest_extents(memory))
                 assert memory.nr_bound == 0
             plans = session.vm.devices[0].frontend.plans
-            assert plans.hits > 0 and plans.unplannable == set()
+            assert plans.hits > 0
 
     @given(size=st.sampled_from([8, PAGE_SIZE, 17 * PAGE_SIZE]), seed=seeds,
            prefetch=st.booleans())
@@ -690,7 +766,7 @@ class TestPlanInvalidation:
         return dpus
 
     def test_migration_drops_plans_and_recompiles(self):
-        vpim, session = _session(nr_ranks=2, plans=True)
+        vpim, session = _session(nr_ranks=2)
         dpus = self._warm(session)
         device = session.vm.devices[0]
         plans = device.frontend.plans
@@ -715,7 +791,7 @@ class TestPlanInvalidation:
         plans; ``release``/``load`` (plan-safe reasons) must not — plan
         validity is re-checked against guest generation and the XLB on
         every hit, which is what makes cross-run replay possible."""
-        _, session = _session(plans=True)
+        _, session = _session()
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend
         assert frontend.plans.nr_plans > 0
@@ -735,7 +811,7 @@ class TestPlanInvalidation:
     def test_failover_recovery_path_replays_correctly(self):
         """After a failover-style invalidation the next transfer
         recompiles and the data plane stays correct."""
-        _, session = _session(plans=True)
+        _, session = _session()
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend
         frontend.invalidate("failover")
