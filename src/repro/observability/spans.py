@@ -24,6 +24,13 @@ Two properties are non-negotiable and shape the design:
   (``sample_rate``; faulted traces are always kept), and the retained
   list itself is capped.  Every drop increments a ``repro_span_*``
   counter, so counters stay exact even at ``sample_rate=0``.
+- **A trace nothing can keep is counted, not built.**  Whether the
+  retained list has room is known when the *root* opens; once it is
+  full every tier ends in the ``trace_cap`` drop, so such a trace keeps
+  a count where a built one keeps a list.  Ids, cursors, counters, the
+  retention classification and the drop counts are those of building
+  the trace and dropping it (``docs/observability.md``, "What the
+  observer costs").
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ class Span:
     """One timed unit of work on the simulated timeline.
 
     A plain record, one allocation per span: the recorder builds one for
-    every ``begin``/``event`` of every request.  ``trace_id`` /
+    every ``begin`` (its handle) and for every ``event`` of a trace it
+    can still retain.  ``trace_id`` /
     ``span_id`` / ``parent_id`` are what *propagates* across layer
     seams: a backend span's ``parent_id`` is the frontend request span
     that caused it, and a recovery rerun reuses the failed attempt's
@@ -117,6 +125,10 @@ class Trace:
     retention: str = ""
     #: Spans not buffered because the per-trace cap was hit.
     dropped_spans: int = 0
+    #: ``None`` for a built trace.  A trace opened with the retained list
+    #: already full is *counted*: ``spans`` stays empty, and when the
+    #: root closes this is how many it would have held.
+    counted_spans: Optional[int] = None
 
     def by_layer(self, layer: str) -> List[Span]:
         return [s for s in self.spans if s.layer == layer]
@@ -152,6 +164,18 @@ class SpanRecorder:
         spans.event("frontend.serialize", "frontend", ser_time)
         spans.end(req, duration=total)                      # exact
         spans.end(root, end=clock.now)
+
+    Retention is decided when the root opens.  With room in
+    :attr:`traces` the trace is *built*: every span is a :class:`Span`
+    buffered in its :class:`Trace`.  With :attr:`traces` full (the
+    steady state of a long run) no tier can retain it, so it is
+    *counted*: ``begin`` still returns a live handle — callers read its
+    ``start``/``cursor``/``span_id`` and the stack needs it — but
+    nothing is buffered, and ``event`` allocates nothing.  Either way
+    span ids, cursors, ``spans_started``, the per-layer started
+    counter, ``exemplar()``, the classification at finish and the
+    ``trace_cap``/``span_cap`` drop counts are the same (a counted
+    trace's ``span_cap`` share is added when its root closes).
     """
 
     def __init__(self, clock, sample_rate: float = 1.0,
@@ -178,6 +202,8 @@ class SpanRecorder:
         self.capture_exemplars = capture_exemplars
         self._registry = registry
         self.obs = bind(registry, SPAN) if registry is not None else None
+        #: ``obs.started`` (children by layer), read once per span.
+        self._started = self.obs.started if self.obs is not None else None
         #: The ``SPAN_RETENTION`` memo, bound by the first classified trace.
         self._retention = None
         #: Finished traces that survived sampling/caps, oldest first.
@@ -194,22 +220,29 @@ class SpanRecorder:
         self.traces_retained = 0
         self._stack: List[Span] = []
         self._trace: Optional[Trace] = None
+        #: The active trace is built, not counted (set by its root).
+        self._building = True
         self._last_finished: Optional[Trace] = None
-        self._last_kept = False
+        #: No tier claimed ``_last_finished``: a post-hoc fault still
+        #: retains it or counts it as dropped, once.
+        self._last_pending = False
         self._trace_seq = 0
         self._trace_ids = 0
         self._pin: Optional[Dict[str, object]] = None
 
     # -- identity ------------------------------------------------------------
 
-    def _next_trace_id(self) -> str:
-        self._trace_ids += 1
-        return f"trace-{self._trace_ids:06d}"
-
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span, or ``None`` outside any trace."""
         return self._stack[-1] if self._stack else None
+
+    @property
+    def cursor(self) -> Optional[float]:
+        """Where the next child starts — the innermost open span's
+        cursor — or ``None`` outside any trace.  Read before ``event``
+        it is that event's start, built or counted."""
+        return self._stack[-1].cursor if self._stack else None
 
     # -- sampling ------------------------------------------------------------
 
@@ -235,11 +268,39 @@ class SpanRecorder:
 
     # -- recording -----------------------------------------------------------
 
+    def _open_trace(self, span_id: int, name: str, layer: str,
+                    start: Optional[float],
+                    attributes: Dict[str, object]) -> Span:
+        """The root span of a new trace, which becomes the active one.
+
+        This is where retention is decided: a trace opened with the
+        retained list full is counted, not built."""
+        pin, self._pin = self._pin, None
+        trace_id = pin["trace_id"] if pin is not None else None
+        if not trace_id:
+            self._trace_ids += 1
+            trace_id = f"trace-{self._trace_ids:06d}"
+        if start is None:
+            start = self.clock.now
+        root = Span(trace_id, span_id, None, name, layer,
+                    start, None, None, attributes, 0, start)
+        faulted = False
+        if pin is not None:
+            faulted = bool(pin["faulted"])
+            if pin["retry_of"] is not None:
+                root.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
+        if self.sample_rate >= 1.0:     # every trace: nothing to work out
+            self._trace_seq += 1
+            sampled = True
+        else:
+            sampled = self._sample_next()
+        self._trace = Trace(trace_id=trace_id, root=root, sampled=sampled,
+                            faulted=faulted)
+        self._building = len(self.traces) < self.max_traces
+        return root
+
     def _buffer(self, span: Span) -> None:
-        """Count ``span`` and buffer it in the active trace (there is
-        one whenever a span starts: ``begin`` opens it with the root)."""
-        if self.obs is not None:
-            self.obs.started[span.layer].inc()
+        """Buffer ``span`` in the active trace, which is being built."""
         trace = self._trace
         if len(trace.spans) < self.max_spans_per_trace:
             trace.spans.append(span)
@@ -254,9 +315,11 @@ class SpanRecorder:
 
     def begin(self, name: str, layer: str, start: Optional[float] = None,
               **attributes: object) -> Span:
-        """Open a span.  With an open parent, ``start`` defaults to the
-        parent's cursor (duration-returning layers); with an empty stack
-        a new trace begins and ``start`` defaults to ``clock.now``."""
+        """Open a span and return its handle (always a live
+        :class:`Span`, buffered only in a built trace).  With an open
+        parent, ``start`` defaults to the parent's cursor
+        (duration-returning layers); with an empty stack a new trace
+        begins and ``start`` defaults to ``clock.now``."""
         stack = self._stack
         self.spans_started = span_id = self.spans_started + 1
         if stack:
@@ -264,21 +327,15 @@ class SpanRecorder:
             if start is None:
                 start = parent.cursor
             span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
-                        start, None, None, attributes, len(stack), start)
+                        start, None, None, attributes, parent.depth + 1,
+                        start)
         else:
-            pin = self._pin or {}
-            self._pin = None
-            trace_id = pin.get("trace_id") or self._next_trace_id()
-            if start is None:
-                start = self.clock.now
-            span = Span(trace_id, span_id, None, name, layer,
-                        start, None, None, attributes, 0, start)
-            if pin.get("retry_of") is not None:
-                span.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
-            self._trace = Trace(trace_id=trace_id, root=span,
-                                sampled=self._sample_next(),
-                                faulted=bool(pin.get("faulted")))
-        self._buffer(span)
+            span = self._open_trace(span_id, name, layer, start, attributes)
+        started = self._started
+        if started is not None:
+            started[layer].inc()
+        if self._building:
+            self._buffer(span)
         stack.append(span)
         return span
 
@@ -287,6 +344,12 @@ class SpanRecorder:
               **attributes: object) -> Optional[Span]:
         """Record a completed child span of exactly ``duration`` under
         the innermost open span, advancing its cursor.
+
+        Returns the :class:`Span` in a built trace and ``None`` when
+        there is none: outside a trace, or in a counted one.  A caller
+        that needs the event's start or id reads :attr:`cursor` before
+        the call and :attr:`spans_started` after it, which hold either
+        way.
 
         No-op outside a trace (e.g. bare hardware unit tests), so layers
         can call this unconditionally on their hot path."""
@@ -298,10 +361,15 @@ class SpanRecorder:
             start = parent.cursor
         end = start + duration
         self.spans_started = span_id = self.spans_started + 1
-        span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
-                    start, end, duration, attributes, len(stack), end)
         if end > parent.cursor:
             parent.cursor = end
+        started = self._started
+        if started is not None:
+            started[layer].inc()
+        if not self._building:
+            return None
+        span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
+                    start, end, duration, attributes, parent.depth + 1, end)
         self._buffer(span)
         return span
 
@@ -386,26 +454,21 @@ class SpanRecorder:
         history, not against itself — and faulted roots never feed it
         (recovery reruns would drag the mean up and mask real outliers).
         """
-        tier = ""
-        root = trace.root
-        duration = root.duration if root is not None else None
         if trace.faulted:
-            tier = "fault"
-        elif (self.tail_sampling and duration is not None
-                and root is not None):
+            return "fault"
+        root = trace.root
+        if self.tail_sampling and root.duration is not None:
+            duration = root.duration
             baseline = self._tail_baseline.get(root.layer)
             if baseline is None:
                 baseline = DecayedMean(TAIL_DECAY)
                 self._tail_baseline[root.layer] = baseline
-            if (baseline.n >= TAIL_MIN_SAMPLES
-                    and duration > self.tail_factor * baseline.mean):
-                tier = "tail"
-        if (not trace.faulted and self.tail_sampling
-                and duration is not None and root is not None):
-            self._tail_baseline[root.layer].update(duration)
-        if not tier and trace.sampled:
-            tier = "head"
-        return tier
+            outlier = (baseline.n >= TAIL_MIN_SAMPLES
+                       and duration > self.tail_factor * baseline.mean)
+            baseline.update(duration)
+            if outlier:
+                return "tail"
+        return "head" if trace.sampled else ""
 
     def _finish_trace(self) -> None:
         trace = self._trace
@@ -413,20 +476,32 @@ class SpanRecorder:
         if trace is None:  # pragma: no cover - defensive
             return
         self.traces_finished += 1
-        self.last_root = trace.root
+        root = self.last_root = trace.root
+        held = len(trace.spans)
+        if not self._building:
+            # Ids are dense and one trace is active at a time, so every
+            # span since the root is this trace's.  The per-trace cap,
+            # which a built trace applies span by span, applies here.
+            nr_spans = self.spans_started - root.span_id + 1
+            held = trace.counted_spans = min(nr_spans,
+                                             self.max_spans_per_trace)
+            trace.dropped_spans = nr_spans - held
+            if trace.dropped_spans:
+                self._drop("span_cap", trace.dropped_spans)
         tier = self._classify(trace)
         trace.retention = tier
         keep = bool(tier)
-        if keep and len(self.traces) >= self.max_traces:
-            self._drop("trace_cap", len(trace.spans))
+        if keep and (not self._building
+                     or len(self.traces) >= self.max_traces):
+            self._drop("trace_cap", held)
             keep = False
         if keep:
-            if self.tail_sampling and trace.root is not None:
-                trace.root.attributes["retention"] = tier
+            if self.tail_sampling:
+                root.attributes["retention"] = tier
             self.traces.append(trace)
             self.traces_retained += 1
         self._last_finished = trace
-        self._last_kept = keep
+        self._last_pending = not tier
         if self.obs is not None:
             self.obs.traces["true" if keep else "false"].inc()
             if self.tail_sampling:
@@ -442,8 +517,11 @@ class SpanRecorder:
         closed (an exception unwinding past it, a failed ``verify``), so
         the faulted-always-retained guarantee needs this post-hoc path:
         the trace is flagged and, if head sampling had discarded it,
-        retained after the fact.  The ``repro_span_traces_total`` counter
-        keeps its finish-time label — only the internal retention changes.
+        retained after the fact — or, with the retained list full (now,
+        or when its root opened), counted as dropped there.  Either
+        happens once: a trace already retained or already dropped is
+        only flagged.  The ``repro_span_traces_total`` counter keeps its
+        finish-time label — only the internal retention changes.
         """
         trace = self._last_finished
         if trace is None:
@@ -456,13 +534,16 @@ class SpanRecorder:
                 faults.append(kind)
             if self.tail_sampling:
                 trace.root.attributes["retention"] = "fault"
-        if not self._last_kept:
-            if len(self.traces) >= self.max_traces:
+        if self._last_pending:
+            self._last_pending = False
+            counted = trace.counted_spans
+            if counted is not None:
+                self._drop("trace_cap", counted)
+            elif len(self.traces) >= self.max_traces:
                 self._drop("trace_cap", len(trace.spans))
             else:
                 self.traces.append(trace)
                 self.traces_retained += 1
-                self._last_kept = True
 
     # -- queries -------------------------------------------------------------
 
@@ -490,8 +571,13 @@ class SpanRecorder:
         return [t for t in self.traces if t.trace_id == trace_id]
 
     def clear(self) -> None:
-        """Drop retained traces (between independent experiment runs)."""
+        """Drop retained traces (between independent experiment runs).
+
+        The most recently finished trace is forgotten with them, so a
+        later :meth:`mark_last_faulted` cannot reach back across the
+        boundary: it is a no-op until the next trace finishes."""
         self.traces.clear()
+        self._last_finished = None
 
     # -- Perfetto export -----------------------------------------------------
 

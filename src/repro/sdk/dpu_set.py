@@ -15,7 +15,7 @@ import numpy as np
 from repro.config import MRAM_HEAP_SYMBOL
 from repro.errors import AllocationError, LaunchError, TransferError
 from repro.sdk.kernel import DpuProgram
-from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
+from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind, as_u8
 from repro.sdk.transport import RankChannel, Transport
 
 
@@ -63,13 +63,18 @@ class DpuSet:
             raise AllocationError("operation on a freed DPU set")
 
     def _split_entries(self, entries: Sequence[DpuEntry]) -> List[List[DpuEntry]]:
-        """Regroup set-indexed entries into per-channel, locally-indexed lists."""
-        per_channel: List[List[DpuEntry]] = [[] for _ in self.channels]
+        """Regroup set-indexed entries into per-channel, locally-indexed
+        lists.  On one rank the set index is the local index, so the
+        entries pass through as they are."""
         for entry in entries:
             if not 0 <= entry.dpu_index < self.nr_dpus:
                 raise TransferError(
                     f"entry targets DPU {entry.dpu_index}, set has {self.nr_dpus}"
                 )
+        if len(self.channels) == 1:
+            return [list(entries)]
+        per_channel: List[List[DpuEntry]] = [[] for _ in self.channels]
+        for entry in entries:
             ci, local = self._map[entry.dpu_index]
             per_channel[ci].append(
                 DpuEntry(dpu_index=local, size=entry.size, data=entry.data)
@@ -147,7 +152,8 @@ class DpuSet:
             involved.append(ci)
             matrix = TransferMatrix(kind, symbol, offset, entries)
             matrix.validate()
-            self._sibling(span)
+            if durations:   # the first rank starts where the op span does
+                self._sibling(span)
             if kind is XferKind.TO_DPU:
                 durations.append(self.channels[ci].write(matrix))
                 results_by_channel.append([])
@@ -163,6 +169,9 @@ class DpuSet:
             for j, ci in enumerate(involved)
         ]
         if kind is XferKind.FROM_DPU:
+            if len(involved) == 1:
+                # One rank's rows are in entry order already.
+                return results_by_channel[0]
             # Restitch per-channel buffers into set order.
             out: List[Optional[np.ndarray]] = [None] * len(matrix_entries)
             cursor = {ci: 0 for ci in involved}
@@ -183,13 +192,13 @@ class DpuSet:
             )
         entries = []
         for i, buf in enumerate(buffers):
-            u8 = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
+            u8 = as_u8(buf)
             entries.append(DpuEntry(dpu_index=i, size=u8.size, data=u8))
         self.push(entries, XferKind.TO_DPU, symbol, offset)
 
     def broadcast_to(self, symbol: str, offset: int, buffer: np.ndarray) -> None:
         """Send the same buffer to every DPU (``dpu_broadcast_to``)."""
-        u8 = np.ascontiguousarray(buffer).view(np.uint8).reshape(-1)
+        u8 = as_u8(buffer)
         entries = [DpuEntry(dpu_index=i, size=u8.size, data=u8)
                    for i in range(self.nr_dpus)]
         self.push(entries, XferKind.TO_DPU, symbol, offset)
@@ -209,7 +218,7 @@ class DpuSet:
         SEL/UNI/SpMV/BFS scale poorly and NW/TRNS storm the device
         (Section 5.2) — and which the frontend's request batching absorbs.
         """
-        u8 = np.ascontiguousarray(buffer).view(np.uint8).reshape(-1)
+        u8 = as_u8(buffer)
         entries = [DpuEntry(dpu_index=dpu_index, size=u8.size, data=u8)]
         self.push(entries, XferKind.TO_DPU, symbol, offset)
 

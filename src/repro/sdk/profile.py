@@ -158,9 +158,15 @@ class Profiler:
                                count=count, **extra)
 
     def record_wrank_step(self, step: str, duration: float) -> None:
-        if step not in WRANK_STEPS:
-            raise ValueError(f"unknown write-to-rank step {step!r}")
-        self.wrank_steps[step] = self.wrank_steps.get(step, 0.0) + duration
+        self.record_wrank_steps({step: duration})
+
+    def record_wrank_steps(self, steps: Dict[str, float]) -> None:
+        """Account the Fig. 13 steps of one write-to-rank request."""
+        totals = self.wrank_steps
+        for step, duration in steps.items():
+            if step not in WRANK_STEPS:
+                raise ValueError(f"unknown write-to-rank step {step!r}")
+            totals[step] = totals.get(step, 0.0) + duration
 
     def op_stats(self, kind: str) -> OpStats:
         return self.driver.get(kind, OpStats())

@@ -32,6 +32,16 @@ class Target(enum.Enum):
     WRAM_SYMBOL = "wram" #: a host-visible WRAM variable
 
 
+def as_u8(buf) -> np.ndarray:
+    """``buf`` as the flat byte array the stack moves: itself when it
+    already is a 1-D C-contiguous ``uint8`` array, a flat byte view of
+    a contiguous copy otherwise."""
+    if (isinstance(buf, np.ndarray) and buf.dtype == np.uint8
+            and buf.ndim == 1 and buf.flags.c_contiguous):
+        return buf
+    return np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
+
+
 @dataclass
 class DpuEntry:
     """One DPU's slice of a transfer matrix (one row of Fig. 6)."""
@@ -67,8 +77,12 @@ class TransferMatrix:
     symbol: str
     offset: int
     entries: List[DpuEntry] = field(default_factory=list)
+    #: What ``symbol`` addresses; every layer below asks.
+    target: Target = field(init=False)
 
     def __post_init__(self) -> None:
+        self.target = (Target.MRAM if self.symbol == MRAM_HEAP_SYMBOL
+                       else Target.WRAM_SYMBOL)
         if self.offset < 0:
             raise TransferError(f"negative symbol offset {self.offset}")
         seen = set()
@@ -87,10 +101,6 @@ class TransferMatrix:
                     )
 
     @property
-    def target(self) -> Target:
-        return Target.MRAM if self.symbol == MRAM_HEAP_SYMBOL else Target.WRAM_SYMBOL
-
-    @property
     def total_bytes(self) -> int:
         return sum(entry.size for entry in self.entries)
 
@@ -103,13 +113,18 @@ class TransferMatrix:
         return max((entry.size for entry in self.entries), default=0)
 
     def validate(self) -> None:
-        if self.total_bytes > MAX_XFER_BYTES:
+        total = largest = 0
+        for entry in self.entries:
+            total += entry.size
+            if entry.size > largest:
+                largest = entry.size
+        if total > MAX_XFER_BYTES:
             raise TransferError(
-                f"matrix moves {self.total_bytes} bytes, over the 4 GB "
+                f"matrix moves {total} bytes, over the 4 GB "
                 "per-operation hardware limit (Section 3.1)"
             )
         if self.target is Target.MRAM:
-            end = self.offset + self.max_entry_bytes
+            end = self.offset + largest
             if end > MRAM_SIZE:
                 raise TransferError(
                     f"MRAM transfer reaches byte {end}, past the "
@@ -121,11 +136,7 @@ def uniform_write(symbol: str, offset: int, buffers: List[np.ndarray]) -> Transf
     """Build a TO_DPU matrix assigning ``buffers[i]`` to set-DPU ``i``."""
     entries = []
     for i, buf in enumerate(buffers):
-        if (isinstance(buf, np.ndarray) and buf.dtype == np.uint8
-                and buf.ndim == 1 and buf.flags.c_contiguous):
-            u8 = buf
-        else:
-            u8 = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
+        u8 = as_u8(buf)
         entries.append(DpuEntry(dpu_index=i, size=u8.size, data=u8))
     matrix = TransferMatrix(XferKind.TO_DPU, symbol, offset, entries)
     matrix.validate()

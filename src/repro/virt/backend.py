@@ -36,6 +36,7 @@ from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
+    KIND_LABEL,
     RequestHeader,
     RequestKind,
     SerializedEntry,
@@ -155,6 +156,9 @@ class VUpmemBackend:
         self.qos = qos
         self.resident = ExtentDigestIndex()
         self.mapping: Optional[PerfModeMapping] = None
+        #: ``rank=`` label of requests: the bound rank's index, fixed
+        #: when the mapping is linked.
+        self._rank_label = "none"
         #: Fault-injection seam (armed by :mod:`repro.faults`): when set,
         #: called as ``hook(backend)`` before any request work — a hung
         #: worker raises :class:`~repro.errors.BackendHungError` here,
@@ -188,11 +192,13 @@ class VUpmemBackend:
                 f"{self.mapping.rank_index}"
             )
         self.mapping = self.driver.mmap_rank(rank_index, self.device_id)
+        self._rank_label = str(self.mapping.rank_index)
 
     def unlink(self) -> None:
         if self.mapping is not None:
             self.mapping.unmap()
             self.mapping = None
+            self._rank_label = "none"
             # The rank binding changed (release/migration/failover):
             # cached translation state must be re-resolved, and plans
             # holding this generation stop short-circuiting the XLB.
@@ -235,8 +241,8 @@ class VUpmemBackend:
         else:
             header, entries, skips = deserialize_request(chain, self.memory)
         # Rank bound at arrival time (RELEASE unlinks while handling).
-        rank = str(self.mapping.rank_index) if self.mapping else "none"
-        kind = header.kind.name.lower()
+        rank = self._rank_label
+        kind = KIND_LABEL[header.kind]
         span = self.spans.begin("backend.request", "backend", kind=kind,
                                 rank=rank, device=self.device_id)
         try:
@@ -248,7 +254,9 @@ class VUpmemBackend:
         self.spans.end(span, duration=result.duration)
         self.obs.requests[kind, rank].inc()
         self.obs.request_seconds[kind].observe(
-            result.duration, exemplar=self.spans.exemplar())
+            result.duration, exemplar=(self.spans.exemplar()
+                                       if self.spans.capture_exemplars
+                                       else None))
         return result
 
     def _handle(self, header: RequestHeader,
@@ -259,7 +267,7 @@ class VUpmemBackend:
                 plan=None,
                 matrix: Optional[TransferMatrix] = None) -> BackendResult:
         kind = header.kind
-        name = kind.name.lower()
+        name = KIND_LABEL[kind]
 
         if kind is RequestKind.GET_CONFIG:
             return self._control(name, payload=self.driver.config)
@@ -334,11 +342,15 @@ class VUpmemBackend:
             # validated and written.
             broadcast = (writing and matrix is not None
                          and self.cache_enabled and _is_broadcast(matrix))
-            entry_pages = [e.page_gpas.size for e in entries]
+            if plan is not None:
+                entry_pages, pages = plan.entry_pages, plan.sreq.total_pages
+            else:
+                entry_pages = [e.page_gpas.size for e in entries]
+                pages = sum(entry_pages)
             steps = self.cost.backend_steps(
-                header.kind.name.lower(), entry_pages, len(skips),
+                KIND_LABEL[header.kind], entry_pages, len(skips),
                 self.translation_threads, broadcast)
-            self._translate(entries, plan, steps, sum(entry_pages), broadcast)
+            self._translate(entries, plan, steps, pages, broadcast)
 
             payload = None
             if not writing:
@@ -412,8 +424,9 @@ class VUpmemBackend:
             # Replay: the plan's page runs were resolved (and bounds-
             # validated) at this XLB generation, and its GPAs never
             # change — count the hits without walking.
-            xlb.hits += len(entries)
-            self.obs.xlb_hits.inc(len(entries))
+            nr_entries = len(entries)
+            xlb.hits += nr_entries
+            self.obs.xlb_hits.inc(nr_entries)
         else:
             hits0, misses0 = xlb.hits, xlb.misses
             for entry in entries:

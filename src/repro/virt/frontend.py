@@ -49,6 +49,7 @@ from repro.virt.plans import (
     plan_key,
 )
 from repro.virt.serialization import (
+    KIND_LABEL,
     RequestHeader,
     RequestKind,
     SerializedRequest,
@@ -251,7 +252,7 @@ class VUpmemFrontend:
         kind it accounts for (``W-rank``/``R-rank``), so span-derived
         breakdowns match :meth:`Profiler.op_stats` exactly.
         """
-        attrs = {"kind": header.kind.name.lower(), "device": self.device_id}
+        attrs = {"kind": KIND_LABEL[header.kind], "device": self.device_id}
         if op is not None:
             attrs["op"] = op
         span = self.spans.begin("frontend.request", "frontend", **attrs)
@@ -308,29 +309,31 @@ class VUpmemFrontend:
                 header, matrix, digests, skips, batch_records is not None)
             pages += sreq.total_pages
             chain = sreq.chain
-            if plan is not None or matrix.kind is XferKind.FROM_DPU:
-                # Everything but a naive write, which the serializer
-                # staged in guest RAM: while the device holds the chain
-                # its payload GPAs are the caller's own buffers.
+            # Everything but a naive write, which the serializer staged
+            # in guest RAM: while the device holds the chain its payload
+            # GPAs are the caller's own buffers.
+            if plan is not None:
+                bound = plan.payload_gpas
+            elif matrix.kind is XferKind.FROM_DPU:
                 bound = [gpa for _dpu, _size, gpa in sreq.data_descriptors]
         else:
             chain = [write_buffer(self.memory, header.pack())]
-        kind = header.kind.name.lower()
+        kind = KIND_LABEL[header.kind]
         steps = self.cost.roundtrip_steps(pages, self.opts.vhost_vsock)
+        spans, obs, transferq = self.spans, self.obs, self.queues.transferq
 
-        self.spans.event("frontend.page_mgmt", "frontend", steps["Page"],
-                         pages=pages)
-        self.spans.event("frontend.serialize", "frontend", steps["Ser"],
-                         pages=pages)
-        request_id = self.queues.transferq.add_chain(
+        spans.event("frontend.page_mgmt", "frontend", steps["Page"],
+                    pages=pages)
+        spans.event("frontend.serialize", "frontend", steps["Ser"],
+                    pages=pages)
+        request_id = transferq.add_chain(
             chain, flow=self.qos.flow_id if self.qos is not None else None)
-        self.obs.queue_depth["transferq"].set(self.queues.transferq.pending)
-        self.queues.transferq.kick()
-        self.obs.kicks["transferq"].inc()
+        obs.queue_depth["transferq"].set(transferq.pending)
+        transferq.kick()
+        obs.kicks["transferq"].inc()
         self.mmio.write(Reg.QUEUE_NOTIFY, 0)   # trapped MMIO write
         self.kvm.trap()
-        self.spans.event("virtio.kick", "virtio", steps["Int"],
-                         queue="transferq")
+        spans.event("virtio.kick", "virtio", steps["Int"], queue="transferq")
         if self.qos is not None:
             # Cross-VM scheduling: token-bucket throttles plus the event
             # loop's modeled queueing delay before this kick is served.
@@ -351,7 +354,7 @@ class VUpmemFrontend:
         # The device takes the chain before processing; on failure it still
         # completes the request (with an error status) so the queue never
         # wedges.
-        popped = self.queues.transferq.pop_avail()
+        popped = transferq.pop_avail()
         assert popped is not None and popped[0] == request_id
         if bound:
             self.memory.bind(bound, [e.data for e in matrix.entries])
@@ -360,9 +363,8 @@ class VUpmemFrontend:
                                           batch_records=batch_records,
                                           plan=plan, matrix=matrix)
         except Exception:
-            self.queues.transferq.push_used(
-                UsedElement(request_id=request_id, status=1))
-            self.queues.transferq.pop_used()
+            transferq.push_used(UsedElement(request_id=request_id, status=1))
+            transferq.pop_used()
             self.kvm.inject_irq()
             raise
         finally:
@@ -373,18 +375,18 @@ class VUpmemFrontend:
 
         self.kvm.inject_irq()
         self.mmio.raise_interrupt()
-        self.queues.transferq.push_used(UsedElement(request_id=request_id))
-        self.queues.transferq.pop_used()
+        transferq.push_used(UsedElement(request_id=request_id))
+        transferq.pop_used()
         self.mmio.write(Reg.INTERRUPT_ACK, 1)
-        self.spans.event("virtio.irq", "virtio", steps["Irq"],
-                         queue="transferq")
+        spans.event("virtio.irq", "virtio", steps["Irq"], queue="transferq")
 
-        self.obs.queue_depth["transferq"].set(self.queues.transferq.pending)
+        obs.queue_depth["transferq"].set(transferq.pending)
         self.profiler.messages.count_request()
         duration = self.cost.total(steps)
-        self.obs.requests[kind].inc()
-        self.obs.request_seconds[kind].observe(
-            duration, exemplar=self.spans.exemplar())
+        obs.requests[kind].inc()
+        obs.request_seconds[kind].observe(
+            duration,
+            exemplar=spans.exemplar() if spans.capture_exemplars else None)
 
         if header.kind is RequestKind.WRITE_RANK:
             wrank = {"Page": steps["Page"], "Ser": steps["Ser"],
@@ -392,8 +394,7 @@ class VUpmemFrontend:
             if steps["QoS"] > 0.0:
                 wrank["QoS"] = steps["QoS"]
             wrank.update(result.steps)
-            for step, value in wrank.items():
-                self.profiler.record_wrank_step(step, value)
+            self.profiler.record_wrank_steps(wrank)
         return result, duration
 
     # -- shape-specialized plans (``docs/performance.md``) -------------------
@@ -434,7 +435,7 @@ class VUpmemFrontend:
         evicted = plans.insert(key, plan)
         self.obs.plan_evictions.inc(evicted)
         self.spans.event("plan.compile", "frontend", 0.0,
-                         kind=header.kind.name.lower(),
+                         kind=KIND_LABEL[header.kind],
                          entries=len(matrix.entries),
                          pages=plan.sreq.total_pages)
         return plan.sreq, plan
@@ -629,13 +630,12 @@ class VUpmemFrontend:
         return kept, skips, digests, cache_time
 
     def _index_digests(self, matrix: TransferMatrix,
-                       digests: Optional[Dict[int, int]]) -> None:
-        """Record the digests of ``matrix``'s (kept) entries, if probed."""
-        if digests:
-            for entry in matrix.entries:
-                self.digests.insert(entry.dpu_index, matrix.symbol,
-                                    matrix.offset, entry.size,
-                                    digests[entry.dpu_index])
+                       digests: Dict[int, int]) -> None:
+        """Record the probed digests of ``matrix``'s (kept) entries."""
+        for entry in matrix.entries:
+            self.digests.insert(entry.dpu_index, matrix.symbol,
+                                matrix.offset, entry.size,
+                                digests[entry.dpu_index])
 
     # -- SDK-visible operations ----------------------------------------------------
 
@@ -662,22 +662,25 @@ class VUpmemFrontend:
         if batched:
             # Indexed at add time, before the flush lands: safe because
             # a failed flush (and retry exhaustion) drops the whole index.
-            self._index_digests(matrix, digests)
+            if digests:
+                self._index_digests(matrix, digests)
             if not self.batch.fits(matrix):
                 flushed = self._flush_batch(reason="capacity")
             copied = self.batch.add(matrix)
-            copy_time = self.cost.guest_copy_time(copied, len(matrix.entries))
-            self.profiler.messages.count_batched_writes(len(matrix.entries))
-            self.obs.batched_writes.inc(len(matrix.entries))
-            event = self.spans.event("frontend.batch_copy", "frontend",
-                                     copy_time, op=OP_WRITE,
-                                     entries=len(matrix.entries),
-                                     bytes=copied)
-            if event is not None:
-                self._batch_span_ids.append(event.span_id)
-            self.profiler.record_op(
-                OP_WRITE, copy_time + cache_time,
-                start=event.start if event is not None else None)
+            nr_entries = len(matrix.entries)
+            copy_time = self.cost.guest_copy_time(copied, nr_entries)
+            self.profiler.messages.count_batched_writes(nr_entries)
+            self.obs.batched_writes.inc(nr_entries)
+            # The event starts at the open span's cursor and takes the
+            # next span id, whether or not the recorder builds it.
+            start = self.spans.cursor
+            self.spans.event("frontend.batch_copy", "frontend",
+                             copy_time, op=OP_WRITE,
+                             entries=nr_entries, bytes=copied)
+            if start is not None:
+                self._batch_span_ids.append(self.spans.spans_started)
+            self.profiler.record_op(OP_WRITE, copy_time + cache_time,
+                                    start=start)
             return flushed + copy_time + cache_time
 
         header = RequestHeader(kind=RequestKind.WRITE_RANK,
@@ -685,7 +688,8 @@ class VUpmemFrontend:
         _, rt = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
                                 digests=digests, skips=skips)
         # Indexed only after the exchange succeeded.
-        self._index_digests(matrix, digests)
+        if digests:
+            self._index_digests(matrix, digests)
         self.profiler.record_op(OP_WRITE, rt + cache_time,
                                 start=self._last_request_start)
         return flushed + (rt + cache_time)
@@ -694,31 +698,28 @@ class VUpmemFrontend:
         """read-from-rank, possibly served by the prefetch cache."""
         duration = self._flush_batch(reason="read")
 
+        sizes = [e.size for e in matrix.entries]
+        nr_entries = len(sizes)
         cacheable = (self.opts.prefetch_cache
                      and matrix.target is Target.MRAM
-                     and all(e.size <= self.cache.capacity
-                             for e in matrix.entries))
-        sizes = [e.size for e in matrix.entries]
+                     and max(sizes, default=0) <= self.cache.capacity)
         if cacheable:
             hits = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
                     for e in matrix.entries]
             if all(h is not None for h in hits):
-                serve = self.cost.guest_copy_time(
-                    sum(e.size for e in matrix.entries), len(matrix.entries))
-                self.profiler.messages.count_cache_hits(len(matrix.entries))
-                self.obs.prefetch_hits.inc(len(matrix.entries))
-                event = self.spans.event("frontend.cache_serve", "frontend",
-                                         serve, op=OP_READ,
-                                         entries=len(matrix.entries))
-                self.profiler.record_op(
-                    OP_READ, serve,
-                    start=event.start if event is not None else None)
-                return [h for h in hits if h is not None], duration + serve
-            self.obs.prefetch_misses.inc(len(matrix.entries))
+                serve = self.cost.guest_copy_time(sum(sizes), nr_entries)
+                self.profiler.messages.count_cache_hits(nr_entries)
+                self.obs.prefetch_hits.inc(nr_entries)
+                start = self.spans.cursor
+                self.spans.event("frontend.cache_serve", "frontend", serve,
+                                 op=OP_READ, entries=nr_entries)
+                self.profiler.record_op(OP_READ, serve, start=start)
+                return hits, duration + serve
+            self.obs.prefetch_misses.inc(nr_entries)
 
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
-            sizes = [seg_len] * len(sizes)
+            sizes = [seg_len] * nr_entries
 
         # The request carries its own destinations: rows of one block,
         # as ``Rank.read_mram`` returns them, bound at its payload GPAs
@@ -736,8 +737,8 @@ class VUpmemFrontend:
         if cacheable:
             for entry, segment in zip(wire.entries, buffers):
                 self.cache.fill(entry.dpu_index, matrix.offset, segment)
-            self.profiler.messages.count_cache_refills(len(matrix.entries))
-            self.obs.prefetch_refills.inc(len(matrix.entries))
+            self.profiler.messages.count_cache_refills(nr_entries)
+            self.obs.prefetch_refills.inc(nr_entries)
             buffers = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
                        for e in matrix.entries]
             assert all(buf is not None for buf in buffers)

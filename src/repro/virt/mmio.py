@@ -64,6 +64,11 @@ class DeviceStatus(enum.IntFlag):
     FAILED = 128
 
 
+#: ``DeviceStatus.DRIVER_OK`` as a plain int: the liveness test of every
+#: queue notify, without an ``IntFlag`` operation.
+_DRIVER_OK = int(DeviceStatus.DRIVER_OK)
+
+
 @dataclass
 class MmioWindow:
     """One device's MMIO register window plus its assigned IRQ line (§3.2:
@@ -122,7 +127,7 @@ class MmioWindow:
         elif offset == Reg.QUEUE_READY:
             self.queue_ready[self.queue_sel] = bool(value)
         elif offset == Reg.QUEUE_NOTIFY:
-            if not self.is_live:
+            if not self.status & _DRIVER_OK:    # ``is_live``, every kick
                 raise VirtError(
                     "queue notify before DRIVER_OK: the driver must wait "
                     "for device initialization (Appendix A.1)"
@@ -158,7 +163,7 @@ class MmioWindow:
 
     @property
     def is_live(self) -> bool:
-        return bool(self.status & DeviceStatus.DRIVER_OK)
+        return self.status & _DRIVER_OK != 0
 
     def command_line_entry(self) -> str:
         """The kernel command-line fragment describing this device

@@ -138,6 +138,19 @@ class TransferPlan:
     #: Backend-resolved destinations for MRAM writes.
     pinned_write: object = None
     replays: int = field(default=0)
+    # What every replay reads and the shape alone determines, worked out
+    # once here (replays share the lists: read-only):
+    #: the payload GPA of each entry, in entry order — where the frontend
+    #: binds the request's buffers;
+    payload_gpas: List[int] = field(init=False)
+    #: pages per entry, which the backend costs and translates; their
+    #: sum is ``sreq.total_pages``.
+    entry_pages: List[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.payload_gpas = [gpa for _dpu, _size, gpa
+                             in self.sreq.data_descriptors]
+        self.entry_pages = [entry.page_gpas.size for entry in self.entries]
 
     def valid(self, memory: GuestMemory) -> bool:
         """Pinned views survive only as long as the guest backing store."""

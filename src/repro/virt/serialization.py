@@ -53,6 +53,11 @@ class RequestKind(enum.IntEnum):
     RELEASE = 6
 
 
+#: The lower-case name every layer labels a request kind with: span
+#: attributes, metric label values, ``CostModel.backend_steps`` kinds.
+KIND_LABEL: Dict[RequestKind, str] = {
+    member: member.name.lower() for member in RequestKind}
+
 _KIND_TO_XFER = {
     RequestKind.WRITE_RANK: XferKind.TO_DPU,
     RequestKind.READ_RANK: XferKind.FROM_DPU,

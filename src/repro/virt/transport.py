@@ -98,12 +98,12 @@ class VirtTransport(Transport):
         if polls:
             self.vm.kvm.stats.vmexits += polls
             self.vm.kvm.stats.irq_injections += polls
-            event = (self.spans.event("sdk.launch_poll", "sdk", penalty,
-                                      op="CI", polls=polls)
-                     if self.spans is not None else None)
-            self.profiler.record_op(
-                "CI", penalty, count=polls,
-                start=event.start if event is not None else None)
+            start = None
+            if self.spans is not None:
+                start = self.spans.cursor
+                self.spans.event("sdk.launch_poll", "sdk", penalty,
+                                 op="CI", polls=polls)
+            self.profiler.record_op("CI", penalty, count=polls, start=start)
         return penalty
 
     def contention(self) -> float:

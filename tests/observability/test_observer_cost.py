@@ -3,10 +3,12 @@
 Two rules, both deterministic (``docs/observability.md``, "What the
 observer costs"):
 
-1. **One record per span.**  In steady state a transfer allocates one
-   :class:`Span` per ``repro_span_started_total`` increment and one
-   :class:`Trace` per finished trace — no other object of any class
-   defined under ``repro.observability``.
+1. **One record per handle.**  In steady state — the retained list
+   is full, so every trace is counted, not built — a transfer allocates
+   one :class:`Span` per ``begin`` (the handle its caller reads),
+   **none per** ``event``, and one :class:`Trace` per finished trace —
+   no other object of any class defined under ``repro.observability``.
+   ``repro_span_started_total`` still advances once per span.
 2. **No label resolution after first use.**  Once every label value a
    transfer path uses has been seen, it never calls
    :meth:`MetricFamily.labels` again; a *fresh* label value still
@@ -28,12 +30,15 @@ import repro.observability
 from repro.config import small_machine
 from repro.core import VPim
 from repro.observability.metrics import MetricFamily
-from repro.observability.spans import Span, Trace
+from repro.observability.spans import Span, SpanRecorder, Trace
 from repro.sdk.dpu_set import DpuSet
 
 NR_DPUS = 16
 SIZES = (64, 512, 4096, 8192)
 CALLS = 200
+#: Spans the 200-call pass starts, by mode: what building every trace
+#: allocated as records (PR 23), and what counting must still count.
+SPANS_STARTED = {"vm": 3960, "native": 500}
 
 
 def _observability_classes():
@@ -48,11 +53,13 @@ def _observability_classes():
 
 
 class Tally:
-    """Counts ``MetricFamily.labels`` calls and observability-class
-    instantiations while installed."""
+    """Counts ``MetricFamily.labels`` calls, ``SpanRecorder.begin`` /
+    ``event`` calls and observability-class instantiations while
+    installed."""
 
     def __init__(self, monkeypatch) -> None:
         self.labels_calls = 0
+        self.calls: Counter = Counter()
         self.instances: Counter = Counter()
         labels = MetricFamily.labels
 
@@ -61,9 +68,18 @@ class Tally:
             return labels(family, **label_values)
 
         monkeypatch.setattr(MetricFamily, "labels", counting_labels)
+        for name in ("begin", "event"):
+            monkeypatch.setattr(SpanRecorder, name, self._counting_call(
+                name, getattr(SpanRecorder, name)))
         for cls in _observability_classes():
             monkeypatch.setattr(cls, "__init__",
                                 self._counting_init(cls, cls.__init__))
+
+    def _counting_call(self, name, method):
+        def counting_call(recorder, *args, **kwargs):
+            self.calls[name] += 1
+            return method(recorder, *args, **kwargs)
+        return counting_call
 
     def _counting_init(self, cls, init):
         def counting_init(obj, *args, **kwargs):
@@ -98,8 +114,8 @@ def _series(registry):
 def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
     # Three ranks: the DPU set fills two, the third is the fresh label.
     vpim = VPim(small_machine(nr_ranks=3, dpus_per_rank=8))
-    # Low enough that the warm-up pass reaches the cap: the steady state
-    # of a long run builds every trace and drops it at ``trace_cap``.
+    # Low enough that the warm-up pass reaches the cap: in the steady
+    # state of a long run every trace opens with the list full.
     vpim.spans.max_traces = 64
     session = (vpim.vm_session(nr_vupmem=3) if mode == "vm"
                else vpim.native_session())
@@ -117,9 +133,12 @@ def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
 
         new_spans = int(started.total() - spans_before)
         new_traces = spans.traces_finished - traces_before
-        assert new_traces == CALLS and new_spans > CALLS
+        assert new_traces == CALLS and new_spans == SPANS_STARTED[mode]
+        assert tally.calls["begin"] + tally.calls["event"] == new_spans
         assert tally.labels_calls == 0
-        assert dict(tally.instances) == {Span: new_spans, Trace: new_traces}
+        assert dict(tally.instances) == {Span: tally.calls["begin"],
+                                         Trace: new_traces}
+        assert len(spans.traces) == spans.max_traces
         assert _series(registry) == series_before
 
         # A fresh label value still gets its series, on first use: a

@@ -221,6 +221,54 @@ class TestFaultedTraces:
         assert trace.root.attributes["faults"] == ["dpu_mram_bitflip"]
 
 
+    def test_a_dropped_trace_is_counted_once(self):
+        registry = MetricsRegistry()
+        recorder = SpanRecorder(SimClock(), max_traces=1, registry=registry)
+        for _ in range(2):
+            root = recorder.begin("session.run", "session")
+            recorder.event("sdk.push", "sdk", 1.0)
+            recorder.end(root)
+        assert recorder.spans_dropped["trace_cap"] == 2
+        # The second trace is gone already: flagging it (twice, even)
+        # must not count its spans a second time.
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        assert recorder.spans_dropped == {"trace_cap": 2}
+        assert registry.value("repro_span_dropped_total",
+                              reason="trace_cap") == 2
+        retained = sum(len(trace) for trace in recorder.traces)
+        assert recorder.spans_started == 4 == retained + 2
+        assert recorder.last_root.attributes["faults"] == \
+            ["dpu_mram_bitflip"] * 2
+
+    def test_a_discarded_trace_is_dropped_once_when_there_is_no_room(self):
+        recorder = SpanRecorder(SimClock(), sample_rate=0.0, max_traces=0)
+        root = recorder.begin("session.run", "session")
+        recorder.event("sdk.push", "sdk", 1.0)
+        recorder.end(root)
+        assert recorder.spans_dropped == {}      # discarded, not dropped
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        assert recorder.spans_dropped == {"trace_cap": 2}
+        assert recorder.traces == []
+
+    def test_clear_forgets_the_last_finished_trace(self):
+        recorder = SpanRecorder(SimClock())
+        root = recorder.begin("session.run", "session")
+        recorder.end(root, duration=1.0)
+        kept = recorder.latest()
+        recorder.clear()
+        # Nothing to flag across the boundary: not flagged-and-lost.
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        assert recorder.traces == []
+        assert not kept.faulted and "faults" not in root.attributes
+        # The next finished trace is reachable again.
+        root = recorder.begin("session.run", "session")
+        recorder.end(root, duration=1.0)
+        recorder.mark_last_faulted("dpu_mram_bitflip")
+        assert recorder.latest().faulted
+
+
 class TestTraceLogs:
     def test_transient_fault_log_is_trace_correlated(self):
         vpim, injector, session = _armed_stack()
