@@ -119,13 +119,18 @@ class ComparisonRun:
         return self.vpim.segment_overhead_vs(self.native, segment)
 
 
-def run_app(short_name: str, nr_dpus: int, mode: str = "native",
-            profile: str = "test", preset: Optional[str] = None,
-            config: Optional[MachineConfig] = None,
-            **extra_params) -> ExecutionReport:
-    """Run one application on a fresh machine; returns its report."""
+def _build(short_name: str, nr_dpus: int, mode: str, profile: str,
+           preset: Optional[str], config: Optional[MachineConfig],
+           extra_params: dict, on_vpim=None):
+    """A fresh machine, the app and its session: ``(vpim, app, session)``.
+
+    ``on_vpim(vpim)`` runs before the session exists, so whatever it
+    sets (a sampling rate, a scrape store) sees the whole run.
+    """
     cfg = config or machine_for_dpus(nr_dpus)
     vpim = VPim(cfg)
+    if on_vpim is not None:
+        on_vpim(vpim)
     params = dict(SIZE_PROFILES[profile].get(short_name, {}))
     params.update(extra_params)
     app = app_by_short_name(short_name).cls(nr_dpus=nr_dpus, **params)
@@ -134,6 +139,16 @@ def run_app(short_name: str, nr_dpus: int, mode: str = "native",
     else:
         session = vpim.vm_session(nr_vupmem=cfg.nr_ranks,
                                   preset_name=preset)
+    return vpim, app, session
+
+
+def run_app(short_name: str, nr_dpus: int, mode: str = "native",
+            profile: str = "test", preset: Optional[str] = None,
+            config: Optional[MachineConfig] = None,
+            **extra_params) -> ExecutionReport:
+    """Run one application on a fresh machine; returns its report."""
+    _, app, session = _build(short_name, nr_dpus, mode, profile, preset,
+                             config, extra_params)
     return session.run(app)
 
 
@@ -150,21 +165,11 @@ def run_app_instrumented(
     whose events were mirrored into the ``repro_trace_*`` metrics — the
     ``repro metrics`` CLI subcommand is a thin wrapper over this.
     """
-    cfg = config or machine_for_dpus(nr_dpus)
-    vpim = VPim(cfg)
-    registry = vpim.machine.metrics
-    params = dict(SIZE_PROFILES[profile].get(short_name, {}))
-    params.update(extra_params)
-    app = app_by_short_name(short_name).cls(nr_dpus=nr_dpus, **params)
-    if mode == "native":
-        session = vpim.native_session()
-    else:
-        session = vpim.vm_session(nr_vupmem=cfg.nr_ranks,
-                                  preset_name=preset)
-    tracer = Tracer(registry=registry)
+    vpim, app, session = _build(short_name, nr_dpus, mode, profile, preset,
+                                config, extra_params)
+    tracer = Tracer(registry=vpim.machine.metrics)
     session.transport.profiler.tracer = tracer
-    report = session.run(app)
-    return report, registry, tracer
+    return session.run(app), vpim.machine.metrics, tracer
 
 
 def run_app_traced(
@@ -182,28 +187,19 @@ def run_app_traced(
     :class:`~repro.observability.spans.SpanRecorder`, whose retained
     traces feed :func:`repro.observability.critical_path` and the
     Perfetto export — the ``repro trace`` CLI subcommand is a thin
-    wrapper over this.
+    wrapper over this.  ``on_vpim(vpim)`` is the telemetry attachment
+    seam (``repro monitor``).
     """
-    cfg = config or machine_for_dpus(nr_dpus)
-    vpim = VPim(cfg)
-    recorder = vpim.spans
-    # The machine builds its recorder always-on; the head-sampling rate
-    # only matters from the next root span, so setting it here is safe.
-    recorder.sample_rate = sample_rate
-    if on_vpim is not None:
-        # Telemetry attachment seam (``repro monitor``): runs before the
-        # session exists, so a scrape store sees the whole run.
-        on_vpim(vpim)
-    params = dict(SIZE_PROFILES[profile].get(short_name, {}))
-    params.update(extra_params)
-    app = app_by_short_name(short_name).cls(nr_dpus=nr_dpus, **params)
-    if mode == "native":
-        session = vpim.native_session()
-    else:
-        session = vpim.vm_session(nr_vupmem=cfg.nr_ranks,
-                                  preset_name=preset)
-    report = session.run(app)
-    return report, vpim.machine.metrics, recorder
+    def prepare(vpim) -> None:
+        # The machine builds its recorder always-on; the head-sampling
+        # rate only matters from the next root span.
+        vpim.spans.sample_rate = sample_rate
+        if on_vpim is not None:
+            on_vpim(vpim)
+
+    vpim, app, session = _build(short_name, nr_dpus, mode, profile, preset,
+                                config, extra_params, on_vpim=prepare)
+    return session.run(app), vpim.machine.metrics, vpim.spans
 
 
 def compare_app(short_name: str, nr_dpus: int, profile: str = "test",

@@ -238,14 +238,19 @@ def _arm_vpim(label: str, tenants: int, physical_ranks: int,
     raise ValueError(f"unknown arm {label!r}")
 
 
-def _run_arm(label: str, tenants: int, physical_ranks: int,
-             dpus_per_rank: int, rounds: int, n_elements: int,
-             overcommit_ratio: float, on_vpim=None) -> ArmResult:
-    """One arm: boot N VMs, open all DPU sets, interleave rounds."""
+def run_arm(label: str, tenants: int, physical_ranks: int,
+            dpus_per_rank: int, rounds: int, n_elements: int,
+            overcommit_ratio: float, on_vpim=None) -> ArmResult:
+    """One arm: boot N VMs, open all DPU sets, interleave rounds.
+
+    ``on_vpim(vpim)``, when given, runs right after the arm's machine is
+    built — the telemetry pipeline's attachment seam (``repro monitor
+    --scenario paging`` observes the paging arm alone).
+    """
     vpim = _arm_vpim(label, tenants, physical_ranks, dpus_per_rank,
                      overcommit_ratio)
     if on_vpim is not None:
-        on_vpim(label, vpim)
+        on_vpim(vpim)
     crew = [
         _Tenant(f"tenant-{i}",
                 vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30),
@@ -285,13 +290,8 @@ def _run_arm(label: str, tenants: int, physical_ranks: int,
 def run_overcommit(tenants: int = 4, physical_ranks: int = 2,
                    dpus_per_rank: int = 8, rounds: int = 12,
                    n_elements: int = 1 << 16,
-                   overcommit_ratio: float = 2.0,
-                   on_vpim=None) -> OvercommitResult:
-    """The full experiment: the same schedule under all four arms.
-
-    ``on_vpim(label, vpim)``, when given, runs right after each arm's
-    machine is built — the telemetry pipeline's attachment seam.
-    """
+                   overcommit_ratio: float = 2.0) -> OvercommitResult:
+    """The full experiment: the same schedule under all four arms."""
     if tenants > int(physical_ranks * overcommit_ratio):
         raise ValueError(
             f"{tenants} tenants exceed the paging arm's virtual capacity "
@@ -299,9 +299,9 @@ def run_overcommit(tenants: int = 4, physical_ranks: int = 2,
     result = OvercommitResult(tenants=tenants, physical_ranks=physical_ranks,
                               overcommit_ratio=overcommit_ratio)
     for label in ARMS:
-        result.arms[label] = _run_arm(
+        result.arms[label] = run_arm(
             label, tenants, physical_ranks, dpus_per_rank, rounds,
-            n_elements, overcommit_ratio, on_vpim=on_vpim)
+            n_elements, overcommit_ratio)
     return result
 
 

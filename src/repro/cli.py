@@ -21,6 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import figures
+from repro.analysis.monitor import SCENARIOS
 from repro.analysis.report import format_table
 from repro.apps.registry import ALL_APPS
 from repro.virt.opts import PRESETS
@@ -494,6 +495,15 @@ def cmd_spec(args) -> int:
     return 0
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type: a finite duration above zero (exit 2 otherwise)."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="vPIM reproduction toolkit")
@@ -664,14 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
         "monitor",
         help="run a scenario under the telemetry pipeline "
              "(docs/monitoring.md)")
-    mon.add_argument("--scenario", default="quick",
-                     choices=["quick", "prim", "noisy", "paging", "drill",
-                              "cluster", "chaos"])
+    mon.add_argument("--scenario", default="quick", choices=SCENARIOS)
     mon.add_argument("--quick", action="store_true",
                      help="force the quick composite suite (the CI smoke)")
     mon.add_argument("--seed", type=int, default=0,
                      help="same seed, same telemetry digest")
-    mon.add_argument("--interval", type=float, default=None,
+    mon.add_argument("--interval", type=_positive_seconds, default=None,
                      help="override the scrape cadence (simulated seconds)")
     mon.add_argument("--out", default=None, metavar="FILE",
                      help="write the self-contained HTML dashboard here")

@@ -9,13 +9,13 @@ silently unified; the unit tests pin each convention's exact outputs.
 
 :class:`DecayedMean` is the exponentially-decayed baseline the QoS
 arbiter's activity tracking and the tail sampler's per-layer duration
-reservoirs both need: a deterministic, allocation-free EMA with bias
+baselines both need: a deterministic, allocation-free EMA with bias
 correction so early samples are not dragged toward zero.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 
 def percentile_linear(samples: Sequence[float], q: float) -> float:
@@ -114,38 +114,3 @@ class DecayedMean:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecayedMean(mean={self.mean:.6g}, n={self.n})"
 
-
-class DecayedReservoir:
-    """A bounded sample reservoir with decay-weighted summary queries.
-
-    Keeps the most recent ``size`` samples (oldest evicted first) and
-    answers percentile queries over them via the linear-interp
-    convention.  The decayed mean rides along so callers can score
-    "unusually slow vs recent history" without a second structure —
-    this is the tail sampler's per-layer baseline.
-    """
-
-    __slots__ = ("size", "samples", "_mean")
-
-    def __init__(self, size: int = 64, alpha: float = 0.3) -> None:
-        self.size = size
-        self.samples: List[float] = []
-        self._mean = DecayedMean(alpha)
-
-    def update(self, value: float) -> None:
-        self.samples.append(value)
-        if len(self.samples) > self.size:
-            self.samples.pop(0)
-        self._mean.update(value)
-
-    @property
-    def n(self) -> int:
-        return self._mean.n
-
-    @property
-    def mean(self) -> float:
-        return self._mean.mean
-
-    def percentile(self, q: float) -> float:
-        """Linear-interp percentile of the retained window, ``q`` in [0, 1]."""
-        return percentile_linear(self.samples, q)

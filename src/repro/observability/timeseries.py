@@ -10,9 +10,11 @@ same seed produce byte-identical trajectories.
 
 Design constraints, in order:
 
-- **No clock writes.**  The store *listens* to the shared
-  :class:`~repro.hardware.clock.SimClock` (``attach``) and scrapes when
-  time crosses a grid boundary; it never advances time itself.
+- **No clock writes.**  The store is told the time
+  (:meth:`TimeSeriesStore.maybe_scrape`) and scrapes when it crosses a
+  grid boundary; it never advances time itself.  The clock's one
+  listener is :class:`~repro.analysis.monitor.TelemetryPipeline`, which
+  scrapes and then evaluates the alert rules.
 - **Deterministic stamps.**  Samples are stamped at the grid time
   ``floor(now / interval) * interval``, not at ``now``: the wall of
   drivers advancing the clock by irregular modeled durations would
@@ -33,11 +35,8 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.observability.instruments import TSDB, bind
-from repro.observability.metrics import (
-    HistogramChild,
-    MetricsRegistry,
-)
-from repro.observability.stats import histogram_quantile, percentile_linear
+from repro.observability.metrics import HistogramChild, MetricsRegistry
+from repro.observability.stats import histogram_quantile
 
 #: Series key: metric name + sorted label items.
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -89,10 +88,9 @@ class Series:
 class TimeSeriesStore:
     """Scrapes registries on a simulated cadence and answers windowed queries.
 
-    Usage::
+    Usage (``TelemetryPipeline`` does the scraping as the clock moves)::
 
-        store = TimeSeriesStore(machine.metrics, interval=0.001)
-        store.attach(machine.clock)     # scrape as simulated time moves
+        store = TelemetryPipeline(machine.metrics, machine.clock).store
         ... run any scenario ...
         store.rate("repro_frontend_requests_total", window=0.01)
         store.window_percentile("repro_frontend_request_seconds", 0.99)
@@ -107,8 +105,7 @@ class TimeSeriesStore:
         self.interval = interval
         self.max_points = max_points
         self.registry = registry
-        self.registries: List[MetricsRegistry] = [registry]
-        self.registries.extend(extra_registries)
+        self.registries = [registry, *extra_registries]
         self.obs = bind(registry, TSDB)
         self.series: Dict[SeriesKey, Series] = {}
         self.scrapes = 0
@@ -117,28 +114,8 @@ class TimeSeriesStore:
         #: Grid timestamp of the most recent scrape (None before any).
         self.last_ts: Optional[float] = None
         self._last_grid = -1
-        self._clocks: List = []
 
     # -- scraping ------------------------------------------------------------
-
-    def attach(self, clock) -> None:
-        """Scrape whenever ``clock`` moves past a grid boundary."""
-        clock.add_listener(self._on_tick)
-        self._clocks.append(clock)
-
-    def detach(self) -> None:
-        """Stop listening to every attached clock."""
-        for clock in self._clocks:
-            clock.remove_listener(self._on_tick)
-        self._clocks.clear()
-
-    def add_registry(self, registry: MetricsRegistry) -> None:
-        """Scrape ``registry`` too (cluster scenarios: per-host + fleet)."""
-        if registry not in self.registries:
-            self.registries.append(registry)
-
-    def _on_tick(self, now: float) -> None:
-        self.maybe_scrape(now)
 
     def maybe_scrape(self, now: float) -> bool:
         """Scrape iff ``now`` crossed a grid boundary since the last scrape."""
@@ -192,10 +169,6 @@ class TimeSeriesStore:
 
     # -- lookup --------------------------------------------------------------
 
-    def names(self) -> List[str]:
-        """Distinct metric names seen so far, sorted."""
-        return sorted({s.name for s in self.series.values()})
-
     def select(self, name: str,
                labels: Optional[Dict[str, str]] = None) -> List[Series]:
         """Series for ``name`` whose labels are a superset of ``labels``."""
@@ -246,15 +219,6 @@ class TimeSeriesStore:
                     total += (points[-1][1] - points[0][1]) / elapsed
         return total
 
-    def gauge_percentile(self, name: str, q: float,
-                         labels: Optional[Dict[str, str]] = None,
-                         window: Optional[float] = None) -> float:
-        """Linear-interp percentile of a gauge's in-window values."""
-        values: List[float] = []
-        for series in self.select(name, labels):
-            values.extend(p[1] for p in series.window(window))
-        return percentile_linear(values, q)
-
     def window_percentile(self, name: str, q: float,
                           labels: Optional[Dict[str, str]] = None,
                           window: Optional[float] = None) -> float:
@@ -302,32 +266,3 @@ class TimeSeriesStore:
             for point in series.points:
                 merged[point[0]] = merged.get(point[0], 0.0) + point[1]
         return sorted(merged.items())
-
-    def snapshot(self) -> dict:
-        """The store as plain data (the dashboard/JSON artifact payload)."""
-        series = []
-        for key in sorted(self.series, key=lambda k: (k[0], k[1])):
-            s = self.series[key]
-            entry: dict = {
-                "name": s.name,
-                "labels": dict(s.labels),
-                "kind": s.kind,
-                "dropped": s.dropped,
-            }
-            if s.kind == "histogram":
-                entry["bounds"] = list(s.bounds or ())
-                entry["points"] = [
-                    {"ts": p[0], "count": p[1], "sum": p[2],
-                     "buckets": list(p[3])}
-                    for p in s.points
-                ]
-            else:
-                entry["points"] = [[p[0], p[1]] for p in s.points]
-            series.append(entry)
-        return {
-            "interval": self.interval,
-            "scrapes": self.scrapes,
-            "samples": self.samples_total,
-            "dropped": self.dropped_total,
-            "series": series,
-        }

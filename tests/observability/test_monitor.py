@@ -1,12 +1,16 @@
 """The monitor orchestration: pipeline wiring, the drill, snapshot
-diffs, and the dashboard renderer."""
+diffs, the dashboard renderer, and a digest pin per scenario shape."""
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro import cli
 from repro.errors import ObservabilityError
 from repro.hardware.clock import SimClock
 from repro.observability.catalog import instrument
@@ -20,6 +24,7 @@ from repro.observability.snapshots import (
 )
 from repro.observability.export import snapshot_dict
 from repro.analysis.monitor import (
+    SCENARIOS,
     MonitorConfig,
     TelemetryPipeline,
     default_rules,
@@ -36,13 +41,34 @@ class TestMonitorConfig:
         with pytest.raises(ObservabilityError, match="unknown monitor scenario"):
             MonitorConfig(scenario="prod").validate()
 
+    def test_three_settable_fields(self):
+        assert [f.name for f in fields(MonitorConfig)] == [
+            "scenario", "seed", "interval"]
+
+
+class TestCli:
+    def test_scenario_choices_are_the_monitor_list(self):
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        (scenario,) = [a for a in commands.choices["monitor"]._actions
+                       if a.dest == "scenario"]
+        assert tuple(scenario.choices) == SCENARIOS
+
+    @pytest.mark.parametrize("interval", ["0", "-0.001", "nan", "inf"])
+    def test_interval_must_be_positive(self, interval):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["monitor", "--interval", interval])
+        assert exit_info.value.code == 2
+
 
 class TestDefaultRules:
     @pytest.mark.parametrize(
         "scenario",
         ["quick", "prim", "noisy", "paging", "drill", "cluster", "chaos"])
     def test_rules_are_catalog_valid_for_every_scenario(self, scenario):
-        rules = default_rules(scenario)
+        """One rule set serves every scenario."""
+        MonitorConfig(scenario=scenario).validate()
+        rules = default_rules()
         assert rules  # construction validated each against the catalog
         names = [r.name for r in rules]
         assert len(set(names)) == len(names)
@@ -55,7 +81,7 @@ class TestTelemetryPipeline:
             kind="x").inc()
         clock = SimClock()
         pipeline = TelemetryPipeline(registry, clock, interval=0.001,
-                                     rules=default_rules("drill"))
+                                     rules=default_rules())
         for _ in range(10):
             clock.advance(0.001)
         assert pipeline.store.scrapes >= 10
@@ -88,6 +114,17 @@ class TestFaultDrill:
         order = [t["to"] for t in drill["transitions"]]
         assert order.index("pending") < order.index("firing")
         assert order.index("firing") < order.index("resolved")
+        assert telemetry.dropped == 0
+
+    @pytest.mark.parametrize("interval", [1e-4, 1e-2])
+    def test_drill_schedule_is_cadence_independent(self, interval):
+        """Warm-up, burst and cool-down are simulated seconds, so a finer
+        or coarser cadence still outlasts the rule's 20 ms hold-down and
+        50 ms window."""
+        drill, telemetry = run_fault_drill(
+            MonitorConfig(scenario="drill", interval=interval))
+        assert [t["to"] for t in drill["transitions"]][:3] == [
+            "pending", "firing", "resolved"]
         assert telemetry.dropped == 0
 
     def test_drill_scenario_is_deterministic(self):
@@ -155,3 +192,34 @@ class TestDashboard:
         assert "firing" in html
         # Self-contained: no external fetches.
         assert "http://" not in html and "https://" not in html
+
+
+class TestScenarioPins:
+    """Every scenario shape, pinned byte for byte.
+
+    The values were computed once on commit c94b719, before the scenario
+    runners became one table, from its ``MonitorResult.to_dict()`` with
+    the noisy card ``repro_qos_arbitration_wait_p99`` renamed to
+    ``repro_qos_arbitrations_total`` (the metric it plots), then pasted
+    here.  ``quick`` covers prim, noisy, paging and drill.
+    """
+
+    DIGESTS = {
+        "quick": "94874d60ace47cc3c58af86c7fd44306"
+                 "f1b007840beb175d99250f6d0737acec",
+        "cluster": "139744995f193602d336ab4a63d85bdd"
+                   "9ab90359013744cab054848326581bc6",
+        "chaos": "671724db717bea0325a1fc87ee4fe985"
+                 "ba35071c7313212863ee431354e4d5da",
+    }
+    QUICK_DASHBOARD = ("d2a72591809016192be694f93e16db0f"
+                       "c58e31159bcf9f6d6e14b42a84d0d79a")
+
+    @pytest.mark.parametrize("scenario", sorted(DIGESTS))
+    def test_scenario_digest_is_pinned(self, scenario):
+        result = run_monitor(MonitorConfig(scenario=scenario))
+        assert result.digest() == self.DIGESTS[scenario]
+        if scenario == "quick":
+            html = render_dashboard(result.to_dict())
+            assert (hashlib.sha256(html.encode()).hexdigest()
+                    == self.QUICK_DASHBOARD)

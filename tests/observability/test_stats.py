@@ -11,13 +11,10 @@ file pins both so the dedup cannot silently change either:
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.observability.stats import (
     DecayedMean,
-    DecayedReservoir,
     histogram_quantile,
     percentile_linear,
     percentile_nearest_rank,
@@ -123,20 +120,3 @@ class TestDecayedMean:
             mean.update(3.5)
         assert mean.mean == pytest.approx(3.5)
 
-
-class TestDecayedReservoir:
-    def test_bounded_window(self):
-        reservoir = DecayedReservoir(size=8)
-        for i in range(100):
-            reservoir.update(float(i))
-        assert len(reservoir.samples) == 8
-        assert reservoir.samples[0] == 92.0  # oldest evicted first
-        assert reservoir.n == 100
-
-    def test_percentile_of_window(self):
-        reservoir = DecayedReservoir(size=64)
-        for i in range(32):
-            reservoir.update(float(i))
-        assert math.isfinite(reservoir.mean)
-        assert reservoir.percentile(1.0) == 31.0
-        assert reservoir.percentile(0.0) == 0.0

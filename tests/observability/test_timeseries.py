@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.clock import SimClock
 from repro.observability.catalog import instrument
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TimeSeriesStore
@@ -49,19 +48,6 @@ class TestScraping:
         assert store.scrapes == 1
         series = store.select("repro_frontend_requests_total")[0]
         assert series.points[-1][0] == pytest.approx(0.10)
-
-    def test_clock_listener_drives_scrapes(self):
-        registry = MetricsRegistry()
-        counter = _counter(registry)
-        clock = SimClock()
-        store = TimeSeriesStore(registry, interval=0.001)
-        store.attach(clock)
-        for _ in range(5):
-            counter.inc()
-            clock.advance(0.001)
-        store.detach()
-        clock.advance(0.010)  # after detach: no more scrapes
-        assert store.scrapes == 5
 
     def test_positive_interval_required(self):
         with pytest.raises(ValueError):
@@ -173,16 +159,16 @@ class TestQueries:
         assert trajectory == [(0.0, 3.0), (0.001, 3.0)]
 
     def test_snapshot_round_trips_histogram_state(self):
+        """Each histogram point is the full cumulative state."""
         store = self._store_with_traffic()
-        snap = store.snapshot()
-        hist = [s for s in snap["series"]
-                if s["name"] == "repro_frontend_request_seconds"][0]
-        assert hist["kind"] == "histogram"
-        assert hist["bounds"]
-        last = hist["points"][-1]
-        assert last["count"] == 10
-        assert last["sum"] == pytest.approx(sum(
+        (hist,) = store.select("repro_frontend_request_seconds")
+        assert hist.kind == "histogram"
+        assert hist.bounds
+        _ts, count, total, buckets = hist.points[-1]
+        assert count == 10
+        assert total == pytest.approx(sum(
             0.002 * (i + 1) for i in range(10)))
+        assert sum(buckets) == count
 
 
 class TestMultiRegistry:
