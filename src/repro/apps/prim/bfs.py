@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_graph_csr
 
@@ -64,24 +64,41 @@ def cpu_bfs(row_ptr: np.ndarray, col_idx: np.ndarray, source: int,
     return levels
 
 
-def active_runs(packed: np.ndarray, row_ptr: np.ndarray, first: int,
-                n_owned: int, nr_tasklets: int):
-    """The DPU's share of one frontier: ``(starts, sizes, edges)``.
+def active_runs(packed: np.ndarray, packed_at: np.ndarray,
+                row_ptr: np.ndarray, ptr_at: np.ndarray, first: np.ndarray,
+                n_owned: np.ndarray, nr_tasklets: int):
+    """Every DPU's share of one frontier: ``(dpu_of, starts, sizes,
+    edges)``.
 
-    ``starts``/``sizes`` are the neighbour runs of the owned vertices
-    whose frontier bit is set, tested directly on the packed bitmap
-    (MSB-first, as np.unpackbits lays bits out); ``edges[t]`` is the
-    number of edges in tasklet ``t``'s block of the owned vertices (the
-    ``DpuContext.split`` partition), which is what it scans and charges.
+    DPU ``d`` owns the ``n_owned[d]`` vertices from ``first[d]``; its
+    frontier bitmap starts at ``packed[packed_at[d]]`` and its row
+    pointers at ``row_ptr[ptr_at[d]]``.  ``starts``/``sizes`` are the
+    neighbour runs of the owned vertices whose frontier bit is set, and
+    ``dpu_of`` their DPUs; ``edges[d, t]`` is the number of edges in
+    tasklet ``t``'s block of DPU ``d``'s vertices (the
+    ``RankContext.split`` partition), which is what it scans and charges.
+
+    Only the bytes holding owned bits are unpacked (MSB-first, as
+    np.packbits lays bits out), and only set bits are worked on after
+    that: a level costs its frontier, not every owned vertex.
     """
-    idx = first + np.arange(n_owned)
-    active = np.flatnonzero((packed[idx >> 3] >> (7 - (idx & 7))) & 1)
-    starts = row_ptr[active]
-    sizes = row_ptr[active + 1] - starts
+    lo = first >> 3
+    nbytes = np.where(n_owned > 0, ((first + n_owned + 7) >> 3) - lo, 0)
+    row = (np.cumsum(nbytes) - nbytes) * 8      # each DPU's first bit
+    set_bits = np.flatnonzero(np.unpackbits(
+        gather_runs(packed, packed_at + lo, nbytes)))
+    dpu_of = np.searchsorted(row, set_bits, side="right") - 1
+    vertex = set_bits - row[dpu_of] - (first[dpu_of] & 7)
+    owned = (vertex >= 0) & (vertex < n_owned[dpu_of])
+    dpu_of, vertex = dpu_of[owned], vertex[owned]
+    at = ptr_at[dpu_of] + vertex
+    starts = row_ptr[at]
+    sizes = row_ptr[at + 1] - starts
     chunk = -(-n_owned // nr_tasklets)
-    edges = np.bincount(active // chunk, weights=sizes,
-                        minlength=nr_tasklets).astype(np.int64)
-    return starts, sizes, edges
+    edges = np.bincount(dpu_of * nr_tasklets + vertex // chunk[dpu_of],
+                        weights=sizes, minlength=n_owned.size * nr_tasklets)
+    return (dpu_of, starts, sizes,
+            edges.astype(np.int64).reshape(n_owned.size, nr_tasklets))
 
 
 class BfsProgram(DpuProgram):
@@ -94,39 +111,50 @@ class BfsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
+    def run_rank(self, rank: RankContext) -> None:
         nv, first, n_owned, col_off, f_off, n_off = (
-            dpu.host_u32("args", i) for i in range(6))
-        _starts, lens = dpu.split(n_owned)
-        working = lens > 0
-        k = np.count_nonzero(working)
-        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
-        nxt = np.zeros(nv, dtype=np.uint8)
-        if k:
-            dpu.mem_alloc(3 * 1024, tasklets=k)
-            # Every working tasklet streams the frontier bitmap and the
-            # row pointers, and the column indices if a frontier vertex
-            # in its block has edges; it charges the edges of its block.
-            front_bytes = (nv + 7) // 8
-            dpu.dma(np.full(k, front_bytes))
-            dpu.dma(np.full(k, (n_owned + 1) * 4))
-            packed = dpu.mram_read(f_off, front_bytes)
-            row_ptr = dpu.mram_read(0, (n_owned + 1) * 4).view(np.int32)
-            starts, sizes, edges = active_runs(packed, row_ptr, first,
-                                               n_owned, dpu.nr_tasklets)
-            scanning = np.count_nonzero(edges)
-            if scanning:
-                col_bytes = int(row_ptr[n_owned]) * 4
-                dpu.dma(np.full(scanning, col_bytes))
-                cols = dpu.mram_read(col_off, col_bytes).view(np.int32)
-                nxt[gather_runs(cols, starts, sizes)] = 1
-            instructions[working] = (np.maximum(1, edges[working])
-                                     * INSTR_PER_EDGE)
-        dpu.charge(instructions)
+            rank.host_u32("args", i) for i in range(6))
+        _starts, lens = rank.split(n_owned)
+        working = lens > 0              # tasklets that own vertices
+        owning = working.any(axis=1)    # DPUs that own vertices
+        rank.mem_alloc(3 * 1024, tasklets=working.sum(axis=1))
+        # Every working tasklet streams the frontier bitmap and the row
+        # pointers, and the column indices if a frontier vertex in its
+        # block has edges; it charges the edges of its block.
+        front_bytes = (nv + 7) // 8
+        ptr_bytes = (n_owned + 1) * 4
+        rank.dma(front_bytes[:, None], where=working)
+        rank.dma(ptr_bytes[:, None], where=working)
+        packed, packed_at = rank.read_ragged(f_off, front_bytes * owning)
+        raw, ptr_at = rank.read_ragged(np.zeros_like(n_off),
+                                       ptr_bytes * owning)
+        row_ptr = raw.view(np.int32)
+        ptr_at //= 4
+        dpu_of, starts, sizes, edges = active_runs(
+            packed, packed_at, row_ptr, ptr_at, first, n_owned,
+            rank.nr_tasklets)
+        scanning = edges > 0
+        col_bytes = np.zeros_like(n_owned)
+        has_edges = scanning.any(axis=1)
+        col_bytes[has_edges] = row_ptr[(ptr_at + n_owned)[has_edges]] * 4
+        rank.dma(col_bytes[:, None], where=scanning)
+        raw, col_at = rank.read_ragged(col_off, col_bytes)
+        # Every DPU's next frontier, packed as it is stored: one row per
+        # DPU, a bit set per neighbour reached (np.packbits' layout).
+        nxt = np.zeros((rank.nr_dpus, int(front_bytes.max())), dtype=np.uint8)
+        if has_edges.any():
+            reached = gather_runs(raw.view(np.int32),
+                                  col_at[dpu_of] // 4 + starts, sizes)
+            np.bitwise_or.at(nxt, (np.repeat(dpu_of, sizes), reached >> 3),
+                             (0x80 >> (reached & 7)).astype(np.uint8))
+        instructions = np.where(working, np.maximum(1, edges) * INSTR_PER_EDGE,
+                                0)
         # Tasklet 0 writes the next frontier out.
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.mram_write_blocks(n_off, np.packbits(nxt))
-        tasklet0.charge(nv // 8)
+        instructions[:, 0] += nv // 8
+        rank.charge(instructions)
+        rank.dma(front_bytes)
+        rank.write_rows(n_off, [row[:nbytes] for row, nbytes
+                                in zip(nxt, front_bytes.tolist())])
 
 
 class BreadthFirstSearch(HostApplication):

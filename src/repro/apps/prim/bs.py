@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import sorted_array
 
@@ -29,35 +29,43 @@ class BsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        nq = dpu.host_u32("n_queries")
-        q_off = dpu.host_u32("q_offset")
-        r_off = dpu.host_u32("r_offset")
-        base = dpu.host_u32("base_index")
-        _starts, lens = dpu.split(nq)
-        shares = lens[lens > 0] * 8     # query bytes of each tasklet with any
-        if shares.size == 0 or n == 0:
-            return
-        dpu.mem_alloc(2 * 1024, tasklets=shares.size)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        nq = rank.host_u32("n_queries")
+        q_off = rank.host_u32("q_offset")
+        r_off = rank.host_u32("r_offset")
+        base = rank.host_u32("base_index")
+        _starts, lens = rank.split(nq)
+        # Tasklets with queries, on DPUs that hold a slice to search.
+        working = (lens > 0) & (n > 0)[:, None]
+        searching = working.any(axis=1)
+        rank.mem_alloc(2 * 1024, tasklets=working.sum(axis=1))
         # Each of them streams the whole slice and its share of the
         # queries, and writes as many results.
-        dpu.dma(np.full(shares.size, n * 8))
-        dpu.dma(np.tile(shares, 2))
-        data = dpu.mram_read(0, n * 8).view(np.int64)
-        queries = dpu.mram_read(q_off, nq * 8).view(np.int64)
-        # Vectorized equivalent of the per-query binary-search loop.  A
-        # query outside [data[0], data[-1]] cannot hit, and the query set
-        # is the whole array's: most of it is outside any one slice.
-        inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
-        probed = queries[inside]
-        pos = np.searchsorted(data, probed)     # < n: probed <= data[-1]
-        results = np.full(nq, -1, dtype=np.int64)
-        results[inside] = np.where(data[pos] == probed, pos + base, -1)
-        dpu.mram_write(r_off, results)
+        rank.dma((n * 8)[:, None], where=working)
+        rank.dma(lens * 8, where=working)
+        rank.dma(lens * 8, where=working)
         # The DPU probes for every query all the same.
-        probes = int(np.ceil(np.log2(max(2, n))))
-        dpu.charge(lens * (INSTR_PER_PROBE * probes))
+        probes = np.ceil(np.log2(np.maximum(2, n))).astype(np.int64)
+        rank.charge(np.where(working, lens * (INSTR_PER_PROBE * probes)[:, None],
+                             0))
+        # A slice is half a megabyte at bench size: one DPU at a time.
+        for i in np.flatnonzero(searching).tolist():
+            dpu = rank.dpu(i)
+            count, n_queries = int(n[i]), int(nq[i])
+            data = dpu.mram_read(0, count * 8).view(np.int64)
+            queries = dpu.mram_read(int(q_off[i]), n_queries * 8).view(np.int64)
+            # Vectorized equivalent of the per-query binary-search loop.
+            # A query outside [data[0], data[-1]] cannot hit, and the
+            # query set is the whole array's: most of it is outside any
+            # one slice.
+            inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
+            probed = queries[inside]
+            pos = np.searchsorted(data, probed)     # < n: probed <= data[-1]
+            results = np.full(n_queries, -1, dtype=np.int64)
+            results[inside] = np.where(data[pos] == probed,
+                                       pos + int(base[i]), -1)
+            dpu.mram_write(int(r_off[i]), results)
 
 
 class BinarySearch(HostApplication):

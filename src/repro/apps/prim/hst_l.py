@@ -11,9 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import HostApplication
+from repro.apps.prim.hst_s import histogram
 from repro.config import WRAM_SIZE
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_image
 
@@ -31,30 +32,30 @@ class HstLProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_pixels")
-        n_bins = dpu.host_u32("n_bins")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 2     # bytes of each tasklet that has any
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_pixels")
+        n_bins = rank.host_u32("n_bins")
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have pixels
+        k = working.sum(axis=1)
         # Private bins must fit a tasklet's WRAM share; larger histograms
         # are built in several passes over the pixels, as the PrIM HST-L
         # kernel does.
-        budget = max(1024, WRAM_SIZE // dpu.nr_tasklets - 2048)
+        budget = max(1024, WRAM_SIZE // rank.nr_tasklets - 2048)
         bins_per_pass = max(256, budget // 4)
         passes = -(-n_bins // bins_per_pass)
-        dpu.mem_alloc(1024 + min(n_bins, bins_per_pass) * 4,
-                      tasklets=pieces.size)
-        dpu.dma(pieces)
-        total = np.zeros(n_bins, dtype=np.uint32)
-        if n:
-            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
-            total = np.bincount(np.minimum(pixels, n_bins - 1),
-                                minlength=n_bins).astype(np.uint32)
-        dpu.charge(lens * (passes * INSTR_PER_PIXEL))
+        rank.mem_alloc(1024 + np.minimum(n_bins, bins_per_pass) * 4,
+                       tasklets=k)
+        rank.dma(lens * 2, where=working)
         # Tasklet 0 merges the private histograms and writes the result.
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.charge(n_bins * max(1, pieces.size) * INSTR_PER_MERGE_BIN)
-        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), total)
+        instructions = lens * (passes * INSTR_PER_PIXEL)[:, None]
+        instructions[:, 0] += n_bins * np.maximum(1, k) * INSTR_PER_MERGE_BIN
+        rank.charge(instructions)
+        rank.dma(n_bins * 4)
+        hists = [histogram(rank.dpu(i), count, bins)
+                 for i, (count, bins) in enumerate(zip(n.tolist(),
+                                                       n_bins.tolist()))]
+        rank.write_rows(rank.host_u32("hist_offset"), hists)
 
 
 class HistogramLong(HostApplication):

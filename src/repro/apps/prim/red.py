@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -30,19 +30,22 @@ class RedProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 5 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
-        dpu.mem_alloc(2048, tasklets=pieces.size)
-        dpu.dma(pieces)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        dpu.charge(lens * INSTR_PER_ELEM)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have elements
+        rank.mem_alloc(2048, tasklets=working.sum(axis=1))
+        rank.dma(lens * 4, where=working)
         # Tasklet 0 adds up the per-tasklet partials and stores the sum.
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.mram_write(dpu.host_u32("result_offset"),
-                            np.array([data.sum(dtype=np.int64)]))
-        tasklet0.charge(dpu.nr_tasklets * 2)
+        instructions = lens * INSTR_PER_ELEM
+        instructions[:, 0] += rank.nr_tasklets * 2
+        rank.charge(instructions)
+        rank.dma(np.full(rank.nr_dpus, 8), block_bytes=None)
+        # A slice is a megabyte at bench size: summed one DPU at a time.
+        sums = np.array([[rank.dpu(i).mram_read(0, count * 4).view(np.int32)
+                          .sum(dtype=np.int64)]
+                         for i, count in enumerate(n.tolist())])
+        rank.write_rows(rank.host_u32("result_offset"), sums)
 
 
 class Reduction(HostApplication):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -32,32 +32,39 @@ class ScanSsaProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        out_off = dpu.host_u32("out_offset")
-        phase = dpu.host_u32("phase")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0]         # elements of each tasklet with any
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-
-        if phase == 0:
-            # Each tasklet scans its piece; after the barrier it adds the
-            # totals of the tasklets before it and writes the piece out.
-            data = dpu.mram_read(0, n * 4).view(np.int32)
-            dpu.dma(pieces * 4)
-            scanned = np.cumsum(data, dtype=np.int64)
-            dpu.mram_write(out_off, scanned)
-            dpu.dma(pieces * 8)
-            dpu.charge(lens * (INSTR_PER_SCAN + 1))
-            # Tasklet 0 stores the slice total.
-            TaskletContext(dpu, 0).mram_write(
-                dpu.host_u32("sum_offset"),
-                scanned[-1:] if n else np.zeros(1, np.int64))
-        else:
-            scanned = dpu.mram_read(out_off, n * 8).view(np.int64)
-            dpu.mram_write(out_off, scanned + dpu.host_i64("base"))
-            dpu.dma(np.tile(pieces * 8, 2))
-            dpu.charge(lens * INSTR_PER_ADD)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        out_off = rank.host_u32("out_offset")
+        sum_off = rank.host_u32("sum_offset")
+        base = rank.host_i64("base")
+        scan = rank.host_u32("phase") == 0      # else: add the base
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have elements
+        rank.mem_alloc(2 * 1024, tasklets=rank.nr_tasklets)
+        # Scan: each tasklet reads and scans its piece; after the barrier
+        # it adds the totals of the tasklets before it and writes the
+        # piece out, and tasklet 0 stores the slice total.  Add: each
+        # tasklet reads its piece of the scan and writes it back.
+        rank.dma(lens * 4, where=working & scan[:, None])
+        rank.dma(lens * 8, where=working)
+        rank.dma(lens * 8, where=working & ~scan[:, None])
+        rank.dma(np.full(rank.nr_dpus, 8), where=scan, block_bytes=None)
+        rank.charge(lens * np.where(scan, INSTR_PER_SCAN + 1,
+                                    INSTR_PER_ADD)[:, None])
+        # A slice is a quarter megabyte at bench size: one DPU at a time.
+        for i, (count, out_at, sum_at, add, scanning) in enumerate(zip(
+                n.tolist(), out_off.tolist(), sum_off.tolist(),
+                base.tolist(), scan.tolist())):
+            dpu = rank.dpu(i)
+            if scanning:
+                scanned = np.cumsum(dpu.mram_read(0, count * 4).view(np.int32),
+                                    dtype=np.int64)
+                dpu.mram_write(out_at, scanned)
+                dpu.mram_write(sum_at, scanned[-1:] if count
+                               else np.zeros(1, np.int64))
+            else:
+                scanned = dpu.mram_read(out_at, count * 8).view(np.int64)
+                dpu.mram_write(out_at, scanned + add)
 
 
 class ScanSsa(HostApplication):

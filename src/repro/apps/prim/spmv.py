@@ -13,12 +13,35 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import CsrMatrix, random_csr, random_array
 
 #: Instructions per non-zero (load idx, load val, load x, mul, add).
 INSTR_PER_NNZ = 5
+
+
+def spmv_rows(dpu: DpuContext, row_ptr: np.ndarray, n_cols: int,
+              col_off: int, val_off: int, x_off: int, y_off: int) -> None:
+    """``y = A_slice @ x`` on one DPU, ``row_ptr`` its slice's row
+    pointers: one segmented sum over the slice's non-zeros, stored at
+    ``y_off``."""
+    x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+    s, e = int(row_ptr[0]), int(row_ptr[-1])
+    if e > s:
+        cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
+        vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
+    else:
+        cols = np.empty(0, dtype=np.int32)
+        vals = np.empty(0, dtype=np.int32)
+    # reduceat reads a segment as "up to the next start", so it is given
+    # the non-empty rows only; the empty ones keep their 0.
+    filled = row_ptr[1:] > row_ptr[:-1]
+    y = np.zeros(row_ptr.size - 1, dtype=np.int64)
+    y[filled] = np.add.reduceat(
+        vals.astype(np.int64) * x[cols].astype(np.int64),
+        row_ptr[:-1][filled] - s)
+    dpu.mram_write(y_off, y)
 
 
 class SpmvProgram(DpuProgram):
@@ -31,46 +54,39 @@ class SpmvProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
+    def run_rank(self, rank: RankContext) -> None:
         # args[1] (nnz) is kept for layout parity with the PrIM kernel.
         n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = (
-            dpu.host_u32("args", i) for i in range(7))
-        starts, lens = dpu.split(n_rows)
-        working = lens > 0
-        k = np.count_nonzero(working)
-        if k == 0:
+            rank.host_u32("args", i) for i in range(7))
+        starts, lens = rank.split(n_rows)
+        working = lens > 0              # tasklets that have rows
+        k = working.sum(axis=1)
+        rank.mem_alloc(4 * 768, tasklets=k)
+        active = np.flatnonzero(k)      # DPUs that have rows
+        if not active.size:
             return
-        dpu.mem_alloc(4 * 768, tasklets=k)
         # Every working tasklet streams the row pointers and the dense
         # vector, the column indices and values of its own non-zeros (if
         # it has any), and writes its rows of y.
-        row_ptr = dpu.mram_read(0, (n_rows + 1) * 4).view(np.int32)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        nnz = np.maximum(0, row_ptr[(starts + lens)[working]].astype(np.int64)
-                         - row_ptr[starts[working]])
-        dpu.dma(np.full(k, (n_rows + 1) * 4))
-        dpu.dma(np.full(k, n_cols * 4))
-        dpu.dma(np.repeat(nnz[nnz > 0] * 4, 2))
-        dpu.dma(lens[working] * 8)
-        s, e = int(row_ptr[0]), int(row_ptr[n_rows])
-        if e > s:
-            cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
-            vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
-        else:
-            cols = np.empty(0, dtype=np.int32)
-            vals = np.empty(0, dtype=np.int32)
-        # One segmented sum over the DPU's non-zeros.  reduceat reads a
-        # segment as "up to the next start", so it is given the non-empty
-        # rows only; the empty ones keep their 0.
-        filled = row_ptr[1:] > row_ptr[:-1]
-        y = np.zeros(n_rows, dtype=np.int64)
-        y[filled] = np.add.reduceat(
-            vals.astype(np.int64) * x[cols].astype(np.int64),
-            row_ptr[:-1][filled] - s)
-        dpu.mram_write(y_off, y)
-        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
-        instructions[working] = nnz * INSTR_PER_NNZ
-        dpu.charge(instructions)
+        ptr_bytes = np.where(k > 0, (n_rows + 1) * 4, 0)
+        raw, ptr_at = rank.read_ragged(np.zeros_like(n_rows), ptr_bytes)
+        row_ptr = raw.view(np.int32)
+        ptr_at //= 4
+        first = np.where(working, ptr_at[:, None] + starts, 0)
+        nnz = np.maximum(0, row_ptr[first + lens].astype(np.int64)
+                         - row_ptr[first])
+        rank.dma(ptr_bytes[:, None], where=working)
+        rank.dma((n_cols * 4)[:, None], where=working)
+        rank.dma(nnz * 4, where=nnz > 0)
+        rank.dma(nnz * 4, where=nnz > 0)
+        rank.dma(lens * 8, where=working)
+        rank.charge(nnz * INSTR_PER_NNZ)
+        # One segmented sum over each DPU's non-zeros.
+        for i in active.tolist():
+            at = int(ptr_at[i])
+            spmv_rows(rank.dpu(i), row_ptr[at:at + int(n_rows[i]) + 1],
+                      int(n_cols[i]), int(col_off[i]), int(val_off[i]),
+                      int(x_off[i]), int(y_off[i]))
 
 
 class SpMV(HostApplication):

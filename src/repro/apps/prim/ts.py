@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -57,31 +57,36 @@ class TsProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_points")
-        m = dpu.host_u32("m")
-        q_off = dpu.host_u32("q_offset")
-        n_windows = max(0, n - m + 1)
-        _starts, lens = dpu.split(n_windows)
-        shares = lens[lens > 0]         # windows of each tasklet with any
-        best = (np.iinfo(np.int64).max, -1)
-        if shares.size:
-            dpu.mem_alloc(3 * 1024, tasklets=shares.size)
-            # Each of them streams the query and the points its windows
-            # cover; the first minimum of the whole profile is the least
-            # (distance, index) pair of the per-tasklet first minima.
-            dpu.dma(np.full(shares.size, m * 4))
-            dpu.dma((shares + m - 1) * 4)
-            query = dpu.mram_read(q_off, m * 4).view(np.int32)
-            points = dpu.mram_read(0, (n_windows + m - 1) * 4).view(np.int32)
-            dists = _ssd_profile(points, query)
-            index = int(dists.argmin())
-            best = (int(dists[index]), index)
-        dpu.charge(lens * (m * INSTR_PER_POINT))
-        # Tasklet 0 reduces the per-tasklet minima.
-        dpu.set_host_i64("best_dist", best[0])
-        dpu.set_host_i64("best_index", best[1])
-        TaskletContext(dpu, 0).charge(dpu.nr_tasklets * 3)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_points")
+        m = rank.host_u32("m")
+        q_off = rank.host_u32("q_offset")
+        n_windows = np.maximum(0, n - m + 1)
+        _starts, lens = rank.split(n_windows)
+        working = lens > 0              # tasklets that have windows
+        rank.mem_alloc(3 * 1024, tasklets=working.sum(axis=1))
+        # Each of them streams the query and the points its windows
+        # cover; the first minimum of the whole profile is the least
+        # (distance, index) pair of the per-tasklet first minima, which
+        # tasklet 0 reduces.
+        rank.dma((m * 4)[:, None], where=working)
+        rank.dma((lens + m[:, None] - 1) * 4, where=working)
+        instructions = lens * (m * INSTR_PER_POINT)[:, None]
+        instructions[:, 0] += rank.nr_tasklets * 3
+        rank.charge(instructions)
+        for i, (windows, width, at) in enumerate(zip(
+                n_windows.tolist(), m.tolist(), q_off.tolist())):
+            dpu = rank.dpu(i)
+            best = (np.iinfo(np.int64).max, -1)
+            if windows:
+                query = dpu.mram_read(at, width * 4).view(np.int32)
+                points = dpu.mram_read(0, (windows + width - 1) * 4
+                                       ).view(np.int32)
+                dists = _ssd_profile(points, query)
+                index = int(dists.argmin())
+                best = (int(dists[index]), index)
+            dpu.set_host_i64("best_dist", best[0])
+            dpu.set_host_i64("best_index", best[1])
 
 
 class TimeSeries(HostApplication):

@@ -21,6 +21,7 @@ from repro.config import (
 from repro.errors import IoctlError, MmapError
 from repro.driver.ioctl import IoctlCode, IoctlRequest
 from repro.driver.sysfs import SysFs
+from repro.hardware.dpu import Dpu, DpuRunStats, LaunchStats
 from repro.hardware.machine import Machine
 from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import CiCommand, Rank, ReadSpec, WriteSpec
@@ -119,11 +120,21 @@ def load_program_on_rank(rank: Rank, program: DpuProgram,
 
 
 def launch_rank(rank: Rank, dpu_indices: Optional[List[int]] = None) -> float:
-    """Boot the loaded programs and run to completion; returns run time."""
+    """Boot the loaded programs and run to completion; returns run time.
+
+    The DPUs of the launch run as one :func:`run_program` call per
+    program they hold — one call when all hold the same.
+    """
     indices = list(dpu_indices) if dpu_indices is not None else list(range(rank.nr_dpus))
 
-    def runner(dpu):
-        return run_program(dpu.program, dpu)
+    def runner(dpus: List[Dpu]) -> LaunchStats:
+        groups: Dict[int, Tuple[DpuProgram, List[Dpu]]] = {}
+        for dpu in dpus:
+            groups.setdefault(id(dpu.program), (dpu.program, []))[1].append(dpu)
+        runs: Dict[Dpu, DpuRunStats] = {}
+        for program, group in groups.values():
+            runs.update(zip(group, run_program(program, group).per_dpu))
+        return LaunchStats([runs[dpu] for dpu in dpus])
 
     return rank.launch(indices, runner)
 

@@ -9,8 +9,8 @@ A DPU (Section 2) owns:
 
 The hardware layer is purely functional + stateful: *executing* a program
 is the job of the SDK runtime (``repro.sdk.runtime``), which hands the
-rank a runner callable.  The DPU records run statistics so the timing
-model can convert them to simulated durations.
+rank a runner callable that runs a whole launch.  The DPU records run
+statistics so the timing model can convert them to simulated durations.
 """
 
 from __future__ import annotations
@@ -51,6 +51,27 @@ class DpuRunStats:
     @property
     def total_instructions(self) -> int:
         return sum(self.tasklet_instructions)
+
+
+@dataclass
+class LaunchStats:
+    """Statistics of one launch: one :class:`DpuRunStats` per DPU, in the
+    order the launch lists its DPUs, and their launch-wide totals."""
+
+    per_dpu: List[DpuRunStats]
+
+    @property
+    def tasklet_instructions(self) -> List[int]:
+        """Every tasklet's count, the launch's DPUs one after another."""
+        return [n for run in self.per_dpu for n in run.tasklet_instructions]
+
+    @property
+    def dma_ops(self) -> int:
+        return sum(run.dma_ops for run in self.per_dpu)
+
+    @property
+    def dma_bytes(self) -> int:
+        return sum(run.dma_bytes for run in self.per_dpu)
 
 
 class Dpu:

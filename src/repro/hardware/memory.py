@@ -279,7 +279,9 @@ class MemoryRegion:
 
     # -- bounds -----------------------------------------------------------
 
-    def _check(self, offset: int, length: int) -> None:
+    def check(self, offset: int, length: int) -> None:
+        """Raise :class:`MemoryAccessError` unless ``[offset, offset +
+        length)`` lies inside the region."""
         if offset < 0 or length < 0 or offset + length > self.size:
             raise MemoryAccessError(
                 f"{self.name}: access [{offset}, {offset + length}) outside "
@@ -290,7 +292,7 @@ class MemoryRegion:
 
     def read(self, offset: int, length: int) -> np.ndarray:
         """Return ``length`` bytes starting at ``offset`` as a uint8 array."""
-        self._check(offset, length)
+        self.check(offset, length)
         ext_idx, ext_off = divmod(offset, self._extent_bytes)
         seg = ext_off // SEGMENT_SIZE
         if ext_off + length <= (seg + 1) * SEGMENT_SIZE:
@@ -311,7 +313,7 @@ class MemoryRegion:
         buffers, so bulk transfers stop paying one fresh allocation (and
         one zero-fill) per hop.
         """
-        self._check(offset, out.size)
+        self.check(offset, out.size)
         self._fill_from_segments(offset, out)
         return out
 
@@ -354,7 +356,7 @@ class MemoryRegion:
     def write(self, offset: int, data: BytesLike) -> None:
         """Write ``data`` starting at ``offset``."""
         buf = _as_u8(data)
-        self._check(offset, buf.size)
+        self.check(offset, buf.size)
         if buf.size == 0:
             return
         extent_bytes = self._extent_bytes
@@ -425,7 +427,7 @@ class MemoryRegion:
         Views are invalidated by ``fill(0)``: callers must compare the
         :attr:`generation` they captured at pin time before reusing one.
         """
-        self._check(offset, length)
+        self.check(offset, length)
         if length == 0:
             return np.empty(0, dtype=np.uint8)
         ext_idx, ext_off = divmod(offset, self._extent_bytes)
@@ -456,7 +458,7 @@ class MemoryRegion:
 
     def pin_chunks(self, offset: int, length: int) -> list:
         """Pin ``[offset, offset + length)`` as a list of per-extent views."""
-        self._check(offset, length)
+        self.check(offset, length)
         views = []
         pos = 0
         while pos < length:

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
-from repro.hardware.dpu import Dpu, DpuRunStats, DpuState
+from repro.hardware.dpu import Dpu, DpuState, LaunchStats
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
@@ -260,8 +260,11 @@ class Rank:
 
         Returns the simulated duration: fixed op cost + copy bandwidth +
         host-CPU interleaving work (C/AVX-512 unless ``rust_interleave``).
+        Every spec is checked (DPU index, MRAM bounds, size limits) before
+        the first byte moves, so a refused operation writes nothing.
         """
         self._guard("write")
+        moves = []
         total = 0
         for spec in specs:
             buf = spec.data
@@ -272,12 +275,16 @@ class Rank:
                 raise TransferError(
                     f"transfer of {buf.size} bytes exceeds the 4 GB rank limit"
                 )
-            self.dpu(spec.dpu_index).mram.write(spec.offset, buf)
+            mram = self.dpu(spec.dpu_index).mram
+            mram.check(spec.offset, buf.size)
+            moves.append((mram, spec.offset, buf))
             total += buf.size
         if total > MAX_XFER_BYTES:
             raise TransferError(
                 f"rank operation of {total} bytes exceeds the 4 GB limit"
             )
+        for mram, offset, buf in moves:
+            mram.write(offset, buf)
         return self._account("write", total, len(specs), rust_interleave)
 
     def pin_mram_write(self, specs: Sequence[WriteSpec]) -> PinnedMramWrite:
@@ -358,11 +365,17 @@ class Rank:
         :meth:`MemoryRegion.read` fast path.
         """
         self._guard("read")
+        total = 0
         for spec in specs:
             if spec.length > MAX_XFER_BYTES:
                 raise TransferError(
                     f"transfer of {spec.length} bytes exceeds the 4 GB rank limit"
                 )
+            total += spec.length
+        if total > MAX_XFER_BYTES:
+            raise TransferError(
+                f"rank operation of {total} bytes exceeds the 4 GB limit"
+            )
         if into is None and len(specs) != 1:
             into = result_block([spec.length for spec in specs], blocks)
         if into is None:
@@ -383,44 +396,47 @@ class Rank:
                     )
                 self.dpu(spec.dpu_index).mram.read_into(spec.offset, buf)
             out = list(into)
-        total = sum(spec.length for spec in specs)
         return out, self._account("read", total, len(specs), rust_interleave)
 
     # -- execution -----------------------------------------------------------
 
     def launch(self, dpu_indices: Iterable[int],
-               runner: Callable[[Dpu], DpuRunStats]) -> float:
+               runner: Callable[[List[Dpu]], LaunchStats]) -> float:
         """Boot and run the loaded program on ``dpu_indices``.
 
-        ``runner`` executes the program functionally on one DPU and returns
-        its :class:`DpuRunStats`; the rank converts stats to time.  All DPUs
-        run in parallel, so rank duration is the slowest DPU's duration.
-        The launch also performs the mandatory CI boot sequence.
+        ``runner`` executes the whole launch functionally — called once,
+        with the launch's DPUs — and returns its :class:`LaunchStats`; the
+        rank converts each DPU's stats to time.  All DPUs run in parallel,
+        so rank duration is the slowest DPU's duration.  The launch also
+        performs the mandatory CI boot sequence.
+
+        The launch is the unit that fails, too: if a DPU cannot boot or
+        the runner raises, every DPU of the launch ends in the FAULT state
+        the CI reports (none stays RUNNING) and each counts as a DPU fault.
         """
         self._guard("launch")
-        indices = list(dpu_indices)
-        self.ci.record(CiCommand.BOOT, len(indices))
-        slowest = 0.0
-        for idx in indices:
-            dpu = self.dpu(idx)
-            dpu.begin_run()
-            try:
-                stats = runner(dpu)
-            except Exception:
-                # A crashed kernel leaves the DPU in the FAULT state the
-                # CI reports; it must not stay RUNNING forever.
+        dpus = [self.dpu(idx) for idx in dpu_indices]
+        self.ci.record(CiCommand.BOOT, len(dpus))
+        try:
+            for dpu in dpus:
+                dpu.begin_run()
+            stats = runner(dpus)
+        except Exception:
+            for dpu in dpus:
                 dpu.fault()
-                self.obs.dpu_faults.inc()
-                raise
-            dpu.finish_run(stats)
+            self.obs.dpu_faults.inc(len(dpus))
+            raise
+        slowest = 0.0
+        for dpu, run in zip(dpus, stats.per_dpu):
+            dpu.finish_run(run)
             slowest = max(slowest, self.cost.dpu_run_time(
-                stats.tasklet_instructions, stats.dma_ops, stats.dma_bytes))
+                run.tasklet_instructions, run.dma_ops, run.dma_bytes))
         slowest *= self.degradation
         self.obs.launches.inc()
-        self.obs.dpu_boots.inc(len(indices))
+        self.obs.dpu_boots.inc(len(dpus))
         self.obs.launch_seconds.observe(slowest)
         self.spans.event("rank.launch", "rank", slowest,
-                         rank=self.index, dpus=len(indices))
+                         rank=self.index, dpus=len(dpus))
         return slowest
 
     # -- lifecycle ---------------------------------------------------------------

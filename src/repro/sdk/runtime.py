@@ -1,44 +1,32 @@
-"""Running a DPU program: one :meth:`DpuProgram.run` call per DPU.
+"""Running a DPU program: one :meth:`DpuProgram.run_rank` call per launch.
 
-The DPU is the unit the host executes.  :func:`run_program` builds the
-run's :class:`DpuContext`, hands it to the program's one body — the
-tasklet scheduler of ``DpuProgram.run`` by default, an array-form
-override for the PrIM programs — and returns what the timing model
-needs: per-tasklet instruction counts and the DMA engine's counters.
+The launch is the unit the host executes.  :func:`run_program` builds
+the launch's :class:`RankContext` over the DPUs it boots, hands it to the
+program's one body — a rank-form override for the PrIM programs whose
+DPUs vectorise, the default loop over ``DpuProgram.run`` otherwise — and
+returns what the timing model needs: per DPU, per-tasklet instruction
+counts and the DMA engine's counters.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.config import MAX_TASKLETS
 from repro.errors import DpuFaultError
-from repro.hardware.dpu import Dpu, DpuRunStats
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.hardware.dpu import Dpu, LaunchStats
+from repro.sdk.kernel import DpuProgram, RankContext
 
 
-def run_program(program: DpuProgram, dpu: Dpu) -> DpuRunStats:
-    """Execute ``program`` on ``dpu`` functionally; returns run statistics."""
+def run_program(program: DpuProgram, dpus: Sequence[Dpu]) -> LaunchStats:
+    """Execute ``program`` on ``dpus`` functionally, as one launch;
+    returns its statistics, one entry per DPU in the order given."""
     nr_tasklets = program.nr_tasklets
     if not 0 < nr_tasklets <= MAX_TASKLETS:
         raise DpuFaultError(
             f"program {program.name!r} requests {nr_tasklets} tasklets, "
             f"hardware supports 1..{MAX_TASKLETS}"
         )
-    ctx = DpuContext(dpu, nr_tasklets)
-    program.run(ctx)
-    return DpuRunStats(
-        tasklet_instructions=ctx.instructions.tolist(),
-        dma_ops=ctx.dma_ops,
-        dma_bytes=ctx.dma_bytes,
-    )
-
-
-def make_runner(program: DpuProgram):
-    """Return a rank-compatible runner callable for ``program``."""
-    def runner(dpu: Dpu) -> DpuRunStats:
-        if dpu.program is not program:
-            raise DpuFaultError(
-                f"DPU r{dpu.rank_index}.d{dpu.dpu_index} does not have "
-                f"{program.name!r} loaded"
-            )
-        return run_program(program, dpu)
-    return runner
+    rank = RankContext(dpus, nr_tasklets)
+    program.run_rank(rank)
+    return rank.stats()

@@ -1,12 +1,20 @@
-"""The 16 PrIM kernels in tasklet form: the Fig. 2b reference bodies.
+"""The PrIM kernels in their reference forms.
 
-Each PrIM program runs one array-form body per DPU (``DpuProgram.run``
-overridden, tasklets a vector axis).  The classes below are the bodies
-those replaced — one generator per tasklet, ``tasklet_range`` slices,
-barriers, results merged by tasklet 0 — on the default scheduler
-(``run = DpuProgram.run``).  Same symbols and MRAM in, so same MRAM and
-symbols out, the same instruction count for every tasklet, the same DMA
-charges and therefore bit-for-bit the same modeled launch time:
+Each PrIM program has one body under ``src/``: a rank-form body for the
+whole launch (``DpuProgram.run_rank`` overridden, DPUs and tasklets
+vector axes) for BS, BFS, TS, HST-S, HST-L, SpMV, SCAN-SSA and RED, a
+DPU-form body (``DpuProgram.run`` overridden, tasklets a vector axis)
+for the other eight.  The classes below are the bodies those replaced:
+
+- ``PerDpu*``, for the eight rank-form programs: one DPU-form body per
+  DPU, on the default launch (``run_rank = DpuProgram.run_rank``);
+- ``PerTasklet*`` (``PerRowSpmv``), for all 16: one generator per
+  tasklet, ``tasklet_range`` slices, barriers, results merged by tasklet
+  0, on the default scheduler (``run = DpuProgram.run``).
+
+Same symbols and MRAM in, so same MRAM and symbols out, the same
+instruction count for every tasklet of every DPU, the same DMA charges
+and therefore bit-for-bit the same modeled launch time:
 ``test_kernel_equivalence.py`` compares all of it.
 """
 
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram
+from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram, gather_runs
 from repro.apps.prim.bs import INSTR_PER_PROBE, BsProgram
 from repro.apps.prim.gemv import INSTR_PER_MADD, GemvProgram
 from repro.apps.prim.hst_l import (INSTR_PER_MERGE_BIN,
@@ -41,8 +49,237 @@ from repro.apps.prim.uni import UniProgram, unique_consecutive
 from repro.apps.prim.va import INSTR_PER_ELEM as INSTR_PER_VA
 from repro.apps.prim.va import VaProgram
 from repro.config import WRAM_SIZE
-from repro.sdk.kernel import DpuProgram, tasklet_range
+from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext, tasklet_range
 
+
+# -- DPU forms -------------------------------------------------------------------
+
+class PerDpuBs(BsProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        nq = dpu.host_u32("n_queries")
+        q_off = dpu.host_u32("q_offset")
+        r_off = dpu.host_u32("r_offset")
+        base = dpu.host_u32("base_index")
+        _starts, lens = dpu.split(nq)
+        shares = lens[lens > 0] * 8     # query bytes of each tasklet with any
+        if shares.size == 0 or n == 0:
+            return
+        dpu.mem_alloc(2 * 1024, tasklets=shares.size)
+        dpu.dma(np.full(shares.size, n * 8))
+        dpu.dma(np.tile(shares, 2))
+        data = dpu.mram_read(0, n * 8).view(np.int64)
+        queries = dpu.mram_read(q_off, nq * 8).view(np.int64)
+        inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
+        probed = queries[inside]
+        pos = np.searchsorted(data, probed)
+        results = np.full(nq, -1, dtype=np.int64)
+        results[inside] = np.where(data[pos] == probed, pos + base, -1)
+        dpu.mram_write(r_off, results)
+        probes = int(np.ceil(np.log2(max(2, n))))
+        dpu.charge(lens * (INSTR_PER_PROBE * probes))
+
+
+class PerDpuBfs(BfsProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        nv, first, n_owned, col_off, f_off, n_off = (
+            dpu.host_u32("args", i) for i in range(6))
+        _starts, lens = dpu.split(n_owned)
+        working = lens > 0
+        k = np.count_nonzero(working)
+        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
+        nxt = np.zeros(nv, dtype=np.uint8)
+        if k:
+            dpu.mem_alloc(3 * 1024, tasklets=k)
+            front_bytes = (nv + 7) // 8
+            dpu.dma(np.full(k, front_bytes))
+            dpu.dma(np.full(k, (n_owned + 1) * 4))
+            packed = dpu.mram_read(f_off, front_bytes)
+            row_ptr = dpu.mram_read(0, (n_owned + 1) * 4).view(np.int32)
+            idx = first + np.arange(n_owned)
+            active = np.flatnonzero((packed[idx >> 3] >> (7 - (idx & 7))) & 1)
+            starts = row_ptr[active]
+            sizes = row_ptr[active + 1] - starts
+            chunk = -(-n_owned // dpu.nr_tasklets)
+            edges = np.bincount(active // chunk, weights=sizes,
+                                minlength=dpu.nr_tasklets).astype(np.int64)
+            scanning = np.count_nonzero(edges)
+            if scanning:
+                col_bytes = int(row_ptr[n_owned]) * 4
+                dpu.dma(np.full(scanning, col_bytes))
+                cols = dpu.mram_read(col_off, col_bytes).view(np.int32)
+                nxt[gather_runs(cols, starts, sizes)] = 1
+            instructions[working] = (np.maximum(1, edges[working])
+                                     * INSTR_PER_EDGE)
+        dpu.charge(instructions)
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write_blocks(n_off, np.packbits(nxt))
+        tasklet0.charge(nv // 8)
+
+
+class PerDpuTs(TsProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_points")
+        m = dpu.host_u32("m")
+        q_off = dpu.host_u32("q_offset")
+        n_windows = max(0, n - m + 1)
+        _starts, lens = dpu.split(n_windows)
+        shares = lens[lens > 0]
+        best = (np.iinfo(np.int64).max, -1)
+        if shares.size:
+            dpu.mem_alloc(3 * 1024, tasklets=shares.size)
+            dpu.dma(np.full(shares.size, m * 4))
+            dpu.dma((shares + m - 1) * 4)
+            query = dpu.mram_read(q_off, m * 4).view(np.int32)
+            points = dpu.mram_read(0, (n_windows + m - 1) * 4).view(np.int32)
+            dists = _ssd_profile(points, query)
+            index = int(dists.argmin())
+            best = (int(dists[index]), index)
+        dpu.charge(lens * (m * INSTR_PER_POINT))
+        dpu.set_host_i64("best_dist", best[0])
+        dpu.set_host_i64("best_index", best[1])
+        TaskletContext(dpu, 0).charge(dpu.nr_tasklets * 3)
+
+
+class PerDpuHstS(HstSProgram):
+    """Clamps every pixel, whether or not one is past the last bin."""
+
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_pixels")
+        n_bins = dpu.host_u32("n_bins")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 2
+        dpu.mem_alloc(2048, tasklets=pieces.size)
+        dpu.dma(pieces)
+        hist = np.zeros(n_bins, dtype=np.uint32)
+        if n:
+            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
+            hist = np.bincount(np.minimum(pixels, n_bins - 1),
+                               minlength=n_bins).astype(np.uint32)
+        dpu.charge(lens * INSTR_PER_PIXEL)
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), hist)
+        tasklet0.charge(hist.size * 2)
+
+
+class PerDpuHstL(HstLProgram):
+    """Clamps every pixel, whether or not one is past the last bin."""
+
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_pixels")
+        n_bins = dpu.host_u32("n_bins")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 2
+        budget = max(1024, WRAM_SIZE // dpu.nr_tasklets - 2048)
+        bins_per_pass = max(256, budget // 4)
+        passes = -(-n_bins // bins_per_pass)
+        dpu.mem_alloc(1024 + min(n_bins, bins_per_pass) * 4,
+                      tasklets=pieces.size)
+        dpu.dma(pieces)
+        total = np.zeros(n_bins, dtype=np.uint32)
+        if n:
+            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
+            total = np.bincount(np.minimum(pixels, n_bins - 1),
+                                minlength=n_bins).astype(np.uint32)
+        dpu.charge(lens * (passes * INSTR_PER_PIXEL_L))
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.charge(n_bins * max(1, pieces.size) * INSTR_PER_MERGE_BIN)
+        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), total)
+
+
+class PerDpuSpmv(SpmvProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = (
+            dpu.host_u32("args", i) for i in range(7))
+        starts, lens = dpu.split(n_rows)
+        working = lens > 0
+        k = np.count_nonzero(working)
+        if k == 0:
+            return
+        dpu.mem_alloc(4 * 768, tasklets=k)
+        row_ptr = dpu.mram_read(0, (n_rows + 1) * 4).view(np.int32)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        nnz = np.maximum(0, row_ptr[(starts + lens)[working]].astype(np.int64)
+                         - row_ptr[starts[working]])
+        dpu.dma(np.full(k, (n_rows + 1) * 4))
+        dpu.dma(np.full(k, n_cols * 4))
+        dpu.dma(np.repeat(nnz[nnz > 0] * 4, 2))
+        dpu.dma(lens[working] * 8)
+        s, e = int(row_ptr[0]), int(row_ptr[n_rows])
+        if e > s:
+            cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
+            vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
+        else:
+            cols = np.empty(0, dtype=np.int32)
+            vals = np.empty(0, dtype=np.int32)
+        filled = row_ptr[1:] > row_ptr[:-1]
+        y = np.zeros(n_rows, dtype=np.int64)
+        y[filled] = np.add.reduceat(
+            vals.astype(np.int64) * x[cols].astype(np.int64),
+            row_ptr[:-1][filled] - s)
+        dpu.mram_write(y_off, y)
+        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
+        instructions[working] = nnz * INSTR_PER_NNZ
+        dpu.charge(instructions)
+
+
+class PerDpuScanSsa(ScanSsaProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        out_off = dpu.host_u32("out_offset")
+        phase = dpu.host_u32("phase")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0]
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        if phase == 0:
+            data = dpu.mram_read(0, n * 4).view(np.int32)
+            dpu.dma(pieces * 4)
+            scanned = np.cumsum(data, dtype=np.int64)
+            dpu.mram_write(out_off, scanned)
+            dpu.dma(pieces * 8)
+            dpu.charge(lens * (INSTR_PER_SCAN + 1))
+            TaskletContext(dpu, 0).mram_write(
+                dpu.host_u32("sum_offset"),
+                scanned[-1:] if n else np.zeros(1, np.int64))
+        else:
+            scanned = dpu.mram_read(out_off, n * 8).view(np.int64)
+            dpu.mram_write(out_off, scanned + dpu.host_i64("base"))
+            dpu.dma(np.tile(pieces * 8, 2))
+            dpu.charge(lens * INSTR_PER_ADD)
+
+
+class PerDpuRed(RedProgram):
+    run_rank = DpuProgram.run_rank
+
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 4
+        dpu.mem_alloc(2048, tasklets=pieces.size)
+        dpu.dma(pieces)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        dpu.charge(lens * INSTR_PER_RED)
+        tasklet0 = TaskletContext(dpu, 0)
+        tasklet0.mram_write(dpu.host_u32("result_offset"),
+                            np.array([data.sum(dtype=np.int64)]))
+        tasklet0.charge(dpu.nr_tasklets * 2)
+
+
+# -- tasklet forms ----------------------------------------------------------------
 
 class PerTaskletVa(VaProgram):
     run = DpuProgram.run
@@ -90,6 +327,7 @@ class PerTaskletGemv(GemvProgram):
 
 
 class PerTaskletBs(BsProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -118,6 +356,7 @@ class PerTaskletBs(BsProgram):
 
 
 class PerTaskletRed(RedProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -202,6 +441,7 @@ class PerTaskletUni(UniProgram):
 
 
 class PerTaskletHstS(HstSProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -228,6 +468,7 @@ class PerTaskletHstS(HstSProgram):
 
 
 class PerTaskletHstL(HstLProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -265,6 +506,7 @@ class PerTaskletHstL(HstLProgram):
 
 
 class PerTaskletScanSsa(ScanSsaProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -353,8 +595,9 @@ class PerTaskletScanRss(ScanRssProgram):
 
 class PerRowSpmv(SpmvProgram):
     """One Python loop over the tasklet's rows: the segmented sum the
-    array form does with one ``np.add.reduceat`` per DPU."""
+    DPU and rank forms do with one ``np.add.reduceat`` per DPU."""
 
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -393,6 +636,7 @@ class PerRowSpmv(SpmvProgram):
 
 
 class PerTaskletTs(TsProgram):
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -426,6 +670,7 @@ class PerTaskletTs(TsProgram):
 class PerTaskletBfs(BfsProgram):
     """One small frontier expansion per tasklet, merged by tasklet 0."""
 
+    run_rank = DpuProgram.run_rank
     run = DpuProgram.run
 
     def kernel(self, ctx):
@@ -551,6 +796,13 @@ class PerTaskletTrns(TrnsProgram):
             ctx.mram_write(out_off + k * tile_bytes, out)
             ctx.charge_loop(t * t, INSTR_PER_TRNS)
 
+
+#: App short name -> the DPU-form reference of its rank-form program.
+DPU_FORMS = {
+    "BS": PerDpuBs, "BFS": PerDpuBfs, "TS": PerDpuTs, "HST-S": PerDpuHstS,
+    "HST-L": PerDpuHstL, "SpMV": PerDpuSpmv, "SCAN-SSA": PerDpuScanSsa,
+    "RED": PerDpuRed,
+}
 
 #: App short name -> its tasklet-form reference program.
 REFERENCE_PROGRAMS = {

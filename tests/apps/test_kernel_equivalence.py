@@ -1,16 +1,21 @@
-"""Array form == tasklet form, for all 16 PrIM programs.
+"""Rank form == DPU form == tasklet form, for all 16 PrIM programs.
 
-A PrIM program runs one body per DPU in which tasklets are a vector
-axis; ``reference_kernels.py`` keeps the per-tasklet generator body it
-replaced.  Whatever a launch leaves behind or is charged must be the
-same for the two: MRAM bytes, host symbols, every tasklet's instruction
-count, DMA operations and bytes, the modeled run time to the last bit
-(``float.hex()``), and the *union* of the dirty-log extents (the array
-form stores the union of the tasklets' pieces in one write, and the
-transfer cache prunes digests by overlap).  Compared at app level (the
-``test`` profile on 8 DPUs, every launch of every DPU) and on drawn
-shapes that hit ``n == 0``, ``n < nr_tasklets``, a ragged last tasklet
-and a DPU without work.
+Every PrIM program has one body under ``src/``: BS, BFS, TS, HST-S,
+HST-L, SpMV, SCAN-SSA and RED one rank-form body per launch (DPUs and
+tasklets vector axes), the other eight one DPU-form body per DPU
+(tasklets a vector axis).  ``reference_kernels.py`` keeps the bodies
+they replaced: the DPU form of the eight rank-form programs and the
+per-tasklet generator body of all 16.  Whatever a launch leaves behind
+or is charged must be the same for every form, DPU by DPU: MRAM bytes,
+host symbols, every tasklet's instruction count, DMA operations and
+bytes, the modeled run time to the last bit (``float.hex()``), and the
+*union* of the dirty-log extents (a vector form stores the union of the
+tasklets' pieces in one write, and the transfer cache prunes digests by
+overlap).  Compared at app level (the ``test`` profile on 8 DPUs, every
+launch of every DPU), on drawn one-DPU shapes that hit ``n == 0``,
+``n < nr_tasklets``, a ragged last tasklet and a DPU without work, and
+on drawn multi-DPU launches whose DPUs are drawn independently (a
+ragged last DPU, DPUs without work, ``n == 0`` on some).
 """
 
 from __future__ import annotations
@@ -27,11 +32,11 @@ from repro.config import small_machine
 from repro.core import VPim
 from repro.driver import driver
 from repro.errors import DpuFaultError
-from repro.hardware.dpu import Dpu
+from repro.hardware.dpu import Dpu, DpuRunStats
 from repro.hardware.timing import DEFAULT_COST_MODEL
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.runtime import run_program
-from tests.apps.reference_kernels import REFERENCE_PROGRAMS
+from tests.apps.reference_kernels import DPU_FORMS, REFERENCE_PROGRAMS
 from tests.properties.test_kernel_algorithms import bfs_cases, spmv_cases
 
 NR_DPUS = 8
@@ -41,6 +46,13 @@ APPS = [info.short_name for info in PRIM_APPS]
 def array_form(short_name: str) -> type:
     """The program class the app loads (the reference's base class)."""
     return REFERENCE_PROGRAMS[short_name].__mro__[1]
+
+
+def forms(short_name: str) -> list:
+    """The program's body under ``src/``, then its reference forms."""
+    return [array_form(short_name),
+            *([DPU_FORMS[short_name]] if short_name in DPU_FORMS else []),
+            REFERENCE_PROGRAMS[short_name]]
 
 
 def union(extents) -> dict:
@@ -55,47 +67,55 @@ def union(extents) -> dict:
     return merged
 
 
-def observed_run(program: DpuProgram, dpu: Dpu) -> dict:
-    """Run ``program`` on ``dpu`` with the dirty log armed: everything the
-    run leaves behind and is charged."""
-    dpu.dirty_log = []
+def observed(dpu: Dpu, stats: DpuRunStats) -> dict:
+    """Everything a run left on ``dpu`` and charged it."""
+    return {
+        "mram": {seg: data.tobytes()
+                 for seg, data in dpu.mram.snapshot_segments().items()
+                 if data.any()},
+        "symbols": {name: bytes(buf) for name, buf in dpu.symbols.items()},
+        "tasklet_instructions": stats.tasklet_instructions,
+        "dma_ops": stats.dma_ops,
+        "dma_bytes": stats.dma_bytes,
+        "dpu_run_time": DEFAULT_COST_MODEL.dpu_run_time(
+            stats.tasklet_instructions, stats.dma_ops,
+            stats.dma_bytes).hex(),
+        "dirty": union(dpu.dirty_log),
+    }
+
+
+def observed_launch(program: DpuProgram, dpus: list):
+    """Run ``program`` on ``dpus`` as one launch with their dirty logs
+    armed: one observation per DPU, and the launch's stats."""
+    for dpu in dpus:
+        dpu.dirty_log = []
     try:
-        stats = run_program(program, dpu)
-        return {
-            "mram": {seg: data.tobytes()
-                     for seg, data in dpu.mram.snapshot_segments().items()
-                     if data.any()},
-            "symbols": {name: bytes(buf) for name, buf in dpu.symbols.items()},
-            "tasklet_instructions": stats.tasklet_instructions,
-            "dma_ops": stats.dma_ops,
-            "dma_bytes": stats.dma_bytes,
-            "dpu_run_time": DEFAULT_COST_MODEL.dpu_run_time(
-                stats.tasklet_instructions, stats.dma_ops,
-                stats.dma_bytes).hex(),
-            "dirty": union(dpu.dirty_log),
-        }, stats
+        stats = run_program(program, dpus)
+        return [observed(dpu, run)
+                for dpu, run in zip(dpus, stats.per_dpu)], stats
     finally:
-        dpu.dirty_log = None
+        for dpu in dpus:
+            dpu.dirty_log = None
 
 
-def assert_same(array: dict, reference: dict) -> None:
+def assert_same(got: dict, reference: dict) -> None:
     for field in reference:
-        assert array[field] == reference[field], field
+        assert got[field] == reference[field], field
 
 
 # -- app level: every launch of the test profile ------------------------------
 
-def launches_of(short_name: str, monkeypatch, program_cls=None) -> list:
-    """Run the app natively; one observation per DPU run, in order."""
+def launches_of(short_name: str, monkeypatch, program_cls: type) -> list:
+    """Run the app natively with ``program_cls`` loaded; one observation
+    per DPU of every launch, in order."""
     info = next(info for info in PRIM_APPS if info.short_name == short_name)
-    if program_cls is not None:
-        monkeypatch.setattr(sys.modules[info.cls.__module__],
-                            array_form(short_name).__name__, program_cls)
+    monkeypatch.setattr(sys.modules[info.cls.__module__],
+                        array_form(short_name).__name__, program_cls)
     runs = []
 
-    def recording(program, dpu):
-        observed, stats = observed_run(program, dpu)
-        runs.append(observed)
+    def recording(program, dpus):
+        launch_runs, stats = observed_launch(program, dpus)
+        runs.extend(launch_runs)
         return stats
 
     monkeypatch.setattr(driver, "run_program", recording)
@@ -108,15 +128,17 @@ def launches_of(short_name: str, monkeypatch, program_cls=None) -> list:
 @pytest.mark.parametrize("short_name", APPS)
 def test_array_form_matches_tasklet_form_on_the_test_profile(short_name,
                                                              monkeypatch):
-    program = array_form(short_name)
-    assert "run" in vars(program) and "kernel" not in vars(program)
-    array = launches_of(short_name, monkeypatch)
-    reference = launches_of(short_name, monkeypatch,
-                            REFERENCE_PROGRAMS[short_name])
-    assert len(array) == len(reference) >= NR_DPUS
-    for got, want in zip(array, reference):
-        assert_same(got, want)
-        assert all(type(n) is int for n in got["tasklet_instructions"])
+    body = "run_rank" if short_name in DPU_FORMS else "run"
+    assert [name for name in ("run_rank", "run", "kernel")
+            if name in vars(array_form(short_name))] == [body]
+    array, *references = [launches_of(short_name, monkeypatch, form)
+                          for form in forms(short_name)]
+    for reference in references:
+        assert len(array) == len(reference) >= NR_DPUS
+        for got, want in zip(array, reference):
+            assert_same(got, want)
+    assert all(type(n) is int
+               for run in array for n in run["tasklet_instructions"])
 
 
 # -- drawn shapes ---------------------------------------------------------------
@@ -284,37 +306,61 @@ CASES = {
 }
 
 
-def launch(program: DpuProgram, symbols: dict, mram: dict):
-    """What a launch of ``program`` on a fresh DPU holding the case
-    leaves behind and is charged, or ``"fault"``."""
-    dpu = Dpu(0, 0)
-    dpu.load_program(program, program.binary_size, program.symbols)
-    for name, value in symbols.items():
-        dpu.write_symbol(name, 0, value.tobytes())
-    for offset, data in mram.items():
-        dpu.mram.write(offset, data.view(np.uint8))
+def launch(program: DpuProgram, cases: list):
+    """What one launch of ``program`` on fresh DPUs, DPU ``i`` holding
+    ``cases[i]``, leaves behind and is charged, or ``"fault"``."""
+    dpus = []
+    for i, (symbols, mram) in enumerate(cases):
+        dpu = Dpu(0, i)
+        dpu.load_program(program, program.binary_size, program.symbols)
+        for name, value in symbols.items():
+            dpu.write_symbol(name, 0, value.tobytes())
+        for offset, data in mram.items():
+            dpu.mram.write(offset, data.view(np.uint8))
+        dpus.append(dpu)
     try:
-        return observed_run(program, dpu)[0]
+        return observed_launch(program, dpus)[0]
     except DpuFaultError:
         return "fault"
+
+
+def assert_every_form_alike(short_name: str, cases: list) -> None:
+    array, *references = [launch(form(), cases) for form in forms(short_name)]
+    assert array != "fault"
+    for reference in references:
+        assert len(array) == len(reference) == len(cases)
+        for got, want in zip(array, reference):
+            assert_same(got, want)
 
 
 @pytest.mark.parametrize("short_name", APPS)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_array_form_matches_tasklet_form_on_drawn_shapes(short_name, data):
-    symbols, mram = data.draw(CASES[short_name])
-    reference = launch(REFERENCE_PROGRAMS[short_name](), symbols, mram)
-    assert reference != "fault"
-    assert_same(launch(array_form(short_name)(), symbols, mram), reference)
+    assert_every_form_alike(short_name, [data.draw(CASES[short_name])])
+
+
+#: A DPU outside the host's working set: every symbol zero.
+WITHOUT_WORK = ({}, {})
 
 
 @pytest.mark.parametrize("short_name", APPS)
 def test_dpu_without_work_runs_the_same(short_name):
-    """A booted DPU outside the host's working set: every symbol zero."""
-    reference = launch(REFERENCE_PROGRAMS[short_name](), {}, {})
-    assert reference != "fault"
-    assert_same(launch(array_form(short_name)(), {}, {}), reference)
+    assert_every_form_alike(short_name, [WITHOUT_WORK])
+
+
+@pytest.mark.parametrize("short_name", sorted(DPU_FORMS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_form_matches_dpu_and_tasklet_forms_on_drawn_launches(
+        short_name, data):
+    """Each DPU of the launch drawn on its own: different slice lengths
+    (a ragged last DPU), edge and non-zero counts, ``n == 0``, DPUs
+    without work."""
+    cases = data.draw(st.lists(
+        st.one_of(CASES[short_name], st.just(WITHOUT_WORK)),
+        min_size=2, max_size=5))
+    assert_every_form_alike(short_name, cases)
 
 
 # -- the WRAM budget ------------------------------------------------------------
@@ -348,16 +394,21 @@ FITTING = {
 
 @pytest.mark.parametrize("short_name", APPS)
 def test_wram_over_allocation_faults_in_both_forms(short_name):
+    """In every form, on a launch whose other DPU has no work: the
+    launch faults as a whole, or every form runs it alike."""
     nr_tasklets, symbols = {**OVER_ALLOCATING, **FITTING}[short_name]
     # MRAM is zero but for NW's header at offset 0, which marks the block
     # active.
     mram = {0: np.ones(1, np.int32)} if short_name == "NW" else {}
-    outcomes = []
-    for base in (array_form(short_name), REFERENCE_PROGRAMS[short_name]):
-        program = type("Widest", (base,), {"nr_tasklets": nr_tasklets})()
-        outcomes.append(launch(program, symbols, mram))
+    cases = [WITHOUT_WORK, (symbols, mram)]
+    outcomes = [launch(type("Widest", (form,), {"nr_tasklets": nr_tasklets})(),
+                       cases)
+                for form in forms(short_name)]
     if short_name in OVER_ALLOCATING:
-        assert outcomes == ["fault", "fault"]
+        assert outcomes == ["fault"] * len(outcomes)
     else:
+        array, *references = outcomes
         assert "fault" not in outcomes
-        assert_same(*outcomes)
+        for reference in references:
+            for got, want in zip(array, reference):
+                assert_same(got, want)

@@ -1,14 +1,16 @@
-"""Count guard: a launch runs one body per DPU.
+"""Count guard: a launch runs one body, once.
 
-The rule (``docs/performance.md``, "The kernel path: one body per DPU"):
-the host executes the DPU, not the tasklet, so what a launch costs the
-host does not depend on the program's width — the same number of
-``DpuProgram.run`` calls and of MRAM region reads and writes with 1
-tasklet as with 16 — and a body's numpy calls grow with neither the
-width nor its share of the rows.  Counted at test size on the native
-transport, not timed, so a reintroduced per-tasklet repeat fails here
-and in CI's ``perf-smoke`` job, where wall-clock is owned.  The other
-count — ``expected()`` once per app instance — is
+The rule (``docs/performance.md``, "The kernel path: one body per
+launch"): the host executes the launch, not the DPU or the tasklet, so
+what a launch costs the host does not depend on the program's width —
+the same number of body calls and of MRAM region reads and writes with
+1 tasklet as with 16 — the eight rank-form programs cost one
+``run_program`` call per launch however many DPUs it boots, and a
+body's numpy calls grow with neither the width nor a DPU's share of the
+rows.  Counted at test size on the native transport, not timed, so a
+reintroduced per-tasklet or per-DPU repeat fails here and in CI's
+``perf-smoke`` job, where wall-clock is owned.  The other count —
+``expected()`` once per app instance — is
 ``test_apps_correctness.py::test_reference_is_computed_once_per_instance``.
 """
 
@@ -22,19 +24,25 @@ import pytest
 
 from repro.analysis.figures import SIZE_PROFILES
 from repro.apps.prim import bfs
+from repro.apps.registry import app_by_short_name
 from repro.apps.prim.bfs import BfsProgram, BreadthFirstSearch
 from repro.apps.prim.bs import BinarySearch, BsProgram
 from repro.apps.prim.scan_ssa import ScanSsa, ScanSsaProgram
 from repro.apps.prim.spmv import SpMV, SpmvProgram
 from repro.config import small_machine
 from repro.core import VPim
+from repro.driver import driver
 from repro.hardware.memory import MemoryRegion
+from repro.hardware.rank import Rank
 
 NR_DPUS = 8
+#: The programs whose one body is a rank-form ``run_rank``.
+RANK_FORM_APPS = ("BS", "BFS", "TS", "HST-S", "HST-L", "SpMV", "SCAN-SSA",
+                  "RED")
 
 
-def run_native(app):
-    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=NR_DPUS))
+def run_native(app, nr_dpus: int = NR_DPUS):
+    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=nr_dpus))
     return app.run(vpim.native_session().transport)
 
 
@@ -56,14 +64,15 @@ def counted(monkeypatch, owner, name: str, counts: Counter, key=None):
 ])
 def test_launch_cost_does_not_depend_on_the_width(monkeypatch, app_cls,
                                                   program, short_name):
-    """Region reads and writes and ``run`` calls over one app run, host
+    """Region reads and writes and body calls over one app run, host
     transfers included (they do not depend on the width either)."""
     def calls_with(nr_tasklets: int) -> Counter:
         counts: Counter = Counter()
         with monkeypatch.context() as patch:
             patch.setattr(program, "nr_tasklets", nr_tasklets)
-            counted(patch, program, "run", counts)
+            counted(patch, program, "run_rank", counts)
             counted(patch, MemoryRegion, "read", counts)
+            counted(patch, MemoryRegion, "read_into", counts)
             counted(patch, MemoryRegion, "write", counts)
             app = app_cls(NR_DPUS, **SIZE_PROFILES["test"][short_name])
             assert app.verify(run_native(app))
@@ -71,8 +80,28 @@ def test_launch_cost_does_not_depend_on_the_width(monkeypatch, app_cls,
 
     one, sixteen = calls_with(1), calls_with(16)
     assert one == sixteen
-    assert one["run"] % NR_DPUS == 0 and one["run"] >= NR_DPUS
-    assert one["read"] and one["write"]
+    assert one["run_rank"] and one["read"] + one["read_into"] and one["write"]
+
+
+@pytest.mark.parametrize("short_name", RANK_FORM_APPS)
+def test_one_program_call_per_launch_whatever_its_width(monkeypatch,
+                                                        short_name):
+    """``run_program`` calls and rank launches over one app run, on 8
+    and on 16 DPUs of one rank."""
+    info = app_by_short_name(short_name)
+
+    def calls_with(nr_dpus: int) -> Counter:
+        counts: Counter = Counter()
+        with monkeypatch.context() as patch:
+            counted(patch, driver, "run_program", counts)
+            counted(patch, Rank, "launch", counts)
+            app = info.cls(nr_dpus, **SIZE_PROFILES["test"][short_name])
+            assert app.verify(run_native(app, nr_dpus))
+        return counts
+
+    eight = calls_with(8)
+    assert eight == calls_with(16)
+    assert eight["run_program"] == eight["launch"] >= 1
 
 
 def test_bs_copies_the_slice_out_of_mram_once_per_dpu(monkeypatch):
@@ -107,24 +136,26 @@ def test_bs_probes_only_the_queries_its_slice_can_hold(monkeypatch):
     assert sum(queries.size for _, queries in probed) <= app.queries.size
 
 
-def test_bfs_gathers_neighbours_once_per_dpu_per_level(monkeypatch):
+def test_bfs_gathers_neighbours_once_per_level(monkeypatch):
     app = BreadthFirstSearch(NR_DPUS, n_vertices=1 << 10)
     gathers: Counter = Counter()
-    counted(monkeypatch, bfs, "gather_runs", gathers)
+    # Neighbours are int32 column indices (the frontier's bytes are
+    # gathered too, as uint8).
+    counted(monkeypatch, bfs, "gather_runs", gathers,
+            key=lambda values, _starts, _sizes: values.dtype.name)
     levels = run_native(app)
-    # A DPU gathers at a level iff a frontier vertex it owns has edges.
-    owner = np.repeat(np.arange(NR_DPUS),
-                      app.split_even(levels.size, NR_DPUS))
+    # A level's launch gathers iff a vertex of its frontier has edges,
+    # whichever DPUs own them.
     has_edges = np.diff(app.row_ptr) > 0
-    expected = sum(np.unique(owner[(levels == level) & has_edges]).size
+    expected = sum(bool((has_edges & (levels == level)).any())
                    for level in range(levels.max() + 1))
-    assert gathers["gather_runs"] == expected > levels.max()
+    assert gathers["int32"] == expected >= levels.max()
 
 
 def test_spmv_kernel_calls_do_not_grow_with_the_rows(monkeypatch):
-    """Calls made by the program body (numpy and ``dpu`` alike), per
+    """Calls made by the program body (numpy and ``rank`` alike), per
     launch, for 4 and for 16 rows per tasklet."""
-    body = SpmvProgram.run.__code__
+    body = SpmvProgram.run_rank.__code__
 
     def calls_of(n_rows: int) -> int:
         count = 0

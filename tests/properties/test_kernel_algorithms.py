@@ -116,16 +116,17 @@ def test_bs_expected_matches_linear_scan(n, queries):
             assert expected[qi] == -1
 
 
-# -- array-form kernels vs their tasklet-form references -----------------------
+# -- rank-form kernels vs their tasklet-form references ------------------------
 #
-# BFS computes one frontier expansion per DPU and SpMV one segmented sum
-# per DPU.  ``tests/apps/reference_kernels.py`` keeps the bodies they
+# BFS computes one frontier expansion per launch and SpMV one segmented
+# sum per DPU.  ``tests/apps/reference_kernels.py`` keeps the bodies they
 # replaced (one small expansion per tasklet, a Python loop over rows) as
 # reference programs: same MRAM in, so same MRAM out, the same
 # instruction count for every tasklet, the same DMA charges, and
 # therefore bit-for-bit the same modeled launch time.
 # ``tests/apps/test_kernel_equivalence.py`` draws from the same shapes
-# for its wider comparison (symbols, dirty log) of all 16 programs.
+# for its wider comparison (symbols, dirty log, the DPU forms, launches
+# of several DPUs) of all 16 programs.
 def launch(program, args, mram, span):
     """Run ``program`` on a fresh DPU holding ``mram`` (offset -> array);
     returns what a launch leaves behind and what it is charged."""
@@ -134,7 +135,7 @@ def launch(program, args, mram, span):
     dpu.write_symbol("args", 0, np.array(args, np.uint32).tobytes())
     for offset, data in mram.items():
         dpu.mram.write(offset, np.ascontiguousarray(data).view(np.uint8))
-    stats = run_program(program, dpu)
+    stats = run_program(program, [dpu])
     seconds = DEFAULT_COST_MODEL.dpu_run_time(
         stats.tasklet_instructions, stats.dma_ops, stats.dma_bytes)
     return (dpu.mram.read(0, span).tobytes(), stats.tasklet_instructions,

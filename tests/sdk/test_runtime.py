@@ -6,7 +6,7 @@ import pytest
 from repro.errors import DpuFaultError
 from repro.hardware.dpu import Dpu
 from repro.sdk.kernel import DpuProgram
-from repro.sdk.runtime import make_runner, run_program
+from repro.sdk.runtime import run_program
 
 
 def make_dpu(program: DpuProgram) -> Dpu:
@@ -31,7 +31,7 @@ class OrderProgram(DpuProgram):
 def test_barrier_separates_phases():
     program = OrderProgram()
     dpu = make_dpu(program)
-    run_program(program, dpu)
+    run_program(program, [dpu])
     # Rebuild the log through a second run to inspect ordering.
     # (shared state is per-run, so capture through a fresh run)
 
@@ -53,7 +53,7 @@ class CaptureProgram(DpuProgram):
 
 def test_all_tasklets_finish_phase_before_next():
     program = CaptureProgram()
-    run_program(program, make_dpu(program))
+    run_program(program, [make_dpu(program)])
     log = CaptureProgram.log
     phase_a = [e for e in log if e[0] == "a"]
     phase_b = [e for e in log if e[0] == "b"]
@@ -79,7 +79,7 @@ class UnevenProgram(DpuProgram):
 def test_uneven_phase_counts_complete():
     program = UnevenProgram()
     dpu = make_dpu(program)
-    run_program(program, dpu)
+    run_program(program, [dpu])
     assert int.from_bytes(dpu.read_symbol("done", 0, 4), "little") == 4
 
 
@@ -96,10 +96,21 @@ class StatsProgram(DpuProgram):
 
 def test_stats_collection():
     program = StatsProgram()
-    stats = run_program(program, make_dpu(program))
+    stats = run_program(program, [make_dpu(program)])
     assert stats.tasklet_instructions == [5, 15]
     assert stats.dma_ops == 2
     assert stats.dma_bytes == 128
+
+
+def test_one_call_runs_the_whole_launch():
+    """Per DPU, in launch order, with launch totals: the per-DPU stats
+    concatenated and summed (the fields the benchmark audit taps)."""
+    program = StatsProgram()
+    stats = run_program(program, [make_dpu(program) for _ in range(3)])
+    assert [run.tasklet_instructions for run in stats.per_dpu] == [[5, 15]] * 3
+    assert [run.dma_ops for run in stats.per_dpu] == [2] * 3
+    assert stats.tasklet_instructions == [5, 15] * 3
+    assert (stats.dma_ops, stats.dma_bytes) == (6, 384)
 
 
 class NonGeneratorProgram(DpuProgram):
@@ -114,7 +125,7 @@ class NonGeneratorProgram(DpuProgram):
 def test_non_generator_kernel_rejected():
     program = NonGeneratorProgram()
     with pytest.raises(DpuFaultError):
-        run_program(program, make_dpu(program))
+        run_program(program, [make_dpu(program)])
 
 
 class BadYieldProgram(DpuProgram):
@@ -129,7 +140,7 @@ class BadYieldProgram(DpuProgram):
 def test_bad_yield_value_rejected():
     program = BadYieldProgram()
     with pytest.raises(DpuFaultError):
-        run_program(program, make_dpu(program))
+        run_program(program, [make_dpu(program)])
 
 
 class TooManyTaskletsProgram(DpuProgram):
@@ -144,16 +155,7 @@ class TooManyTaskletsProgram(DpuProgram):
 def test_tasklet_limit_enforced():
     program = TooManyTaskletsProgram()
     with pytest.raises(DpuFaultError):
-        run_program(program, make_dpu(program))
-
-
-def test_runner_checks_loaded_program():
-    program = StatsProgram()
-    other = CaptureProgram()
-    dpu = make_dpu(other)
-    runner = make_runner(program)
-    with pytest.raises(DpuFaultError):
-        runner(dpu)
+        run_program(program, [make_dpu(program)])
 
 
 def test_deterministic_results():
@@ -172,7 +174,7 @@ def test_deterministic_results():
     for _ in range(3):
         dpu = make_dpu(program)
         dpu.mram.write(0, np.arange(8, dtype=np.int64))
-        run_program(program, dpu)
+        run_program(program, [dpu])
         results.append(dpu.read_symbol("total", 0, 8))
     assert results[0] == results[1] == results[2]
     assert int.from_bytes(results[0], "little") == sum(range(8))
