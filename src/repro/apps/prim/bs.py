@@ -88,7 +88,11 @@ class BinarySearch(HostApplication):
         self.queries[miss] += 1  # values are spaced by >= 1; +1 may still hit
 
     def expected(self) -> np.ndarray:
-        pos = np.searchsorted(self.data, self.queries)
+        # Probed in sorted order, consecutive searches walk nearby paths
+        # of the array and hit cache; in query order each one misses.
+        order = np.argsort(self.queries)
+        pos = np.empty_like(order)
+        pos[order] = np.searchsorted(self.data, self.queries[order])
         n = self.data.size
         found = (pos < n) & (self.data[np.minimum(pos, n - 1)] == self.queries)
         return np.where(found, pos, -1).astype(np.int64)

@@ -61,7 +61,7 @@ class Reduction(HostApplication):
         self.data = random_array(n_elements, np.int32, seed=seed)
 
     def expected(self) -> int:
-        return int(self.data.astype(np.int64).sum())
+        return int(self.data.sum(dtype=np.int64))
 
     def run(self, transport: Transport) -> int:
         profiler = transport.profiler

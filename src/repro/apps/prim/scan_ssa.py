@@ -80,7 +80,7 @@ class ScanSsa(HostApplication):
         self.data = random_array(n_elements, np.int32, lo=0, hi=64, seed=seed)
 
     def expected(self) -> np.ndarray:
-        return np.cumsum(self.data.astype(np.int64))
+        return np.cumsum(self.data, dtype=np.int64)
 
     def run(self, transport: Transport) -> np.ndarray:
         profiler = transport.profiler

@@ -21,11 +21,25 @@ from repro.workloads.generators import CsrMatrix, random_csr, random_array
 INSTR_PER_NNZ = 5
 
 
+def csr_times(row_ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """``A @ x`` in int64 for the CSR rows ``row_ptr``, whose non-zeros
+    ``cols``/``vals`` start at ``row_ptr[0]``: one gather, one multiply
+    and one segmented sum."""
+    # reduceat reads a segment as "up to the next start", so it is given
+    # the non-empty rows only; the empty ones keep their 0.
+    filled = row_ptr[1:] > row_ptr[:-1]
+    y = np.zeros(row_ptr.size - 1, dtype=np.int64)
+    y[filled] = np.add.reduceat(
+        vals.astype(np.int64) * x[cols].astype(np.int64),
+        row_ptr[:-1][filled] - row_ptr[0])
+    return y
+
+
 def spmv_rows(dpu: DpuContext, row_ptr: np.ndarray, n_cols: int,
               col_off: int, val_off: int, x_off: int, y_off: int) -> None:
     """``y = A_slice @ x`` on one DPU, ``row_ptr`` its slice's row
-    pointers: one segmented sum over the slice's non-zeros, stored at
-    ``y_off``."""
+    pointers, stored at ``y_off``."""
     x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
     s, e = int(row_ptr[0]), int(row_ptr[-1])
     if e > s:
@@ -34,14 +48,7 @@ def spmv_rows(dpu: DpuContext, row_ptr: np.ndarray, n_cols: int,
     else:
         cols = np.empty(0, dtype=np.int32)
         vals = np.empty(0, dtype=np.int32)
-    # reduceat reads a segment as "up to the next start", so it is given
-    # the non-empty rows only; the empty ones keep their 0.
-    filled = row_ptr[1:] > row_ptr[:-1]
-    y = np.zeros(row_ptr.size - 1, dtype=np.int64)
-    y[filled] = np.add.reduceat(
-        vals.astype(np.int64) * x[cols].astype(np.int64),
-        row_ptr[:-1][filled] - s)
-    dpu.mram_write(y_off, y)
+    dpu.mram_write(y_off, csr_times(row_ptr, cols, vals, x))
 
 
 class SpmvProgram(DpuProgram):
@@ -104,12 +111,8 @@ class SpMV(HostApplication):
         self.x = random_array(n_cols, np.int32, lo=0, hi=16, seed=seed + 1)
 
     def expected(self) -> np.ndarray:
-        out = np.zeros(self.csr.nr_rows, dtype=np.int64)
-        for r in range(self.csr.nr_rows):
-            s, e = int(self.csr.row_ptr[r]), int(self.csr.row_ptr[r + 1])
-            out[r] = (self.csr.values[s:e].astype(np.int64)
-                      * self.x[self.csr.col_idx[s:e]].astype(np.int64)).sum()
-        return out
+        return csr_times(self.csr.row_ptr, self.csr.col_idx, self.csr.values,
+                         self.x)
 
     def run(self, transport: Transport) -> np.ndarray:
         profiler = transport.profiler

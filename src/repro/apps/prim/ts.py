@@ -26,9 +26,12 @@ def _ssd_profile(chunk: np.ndarray, query: np.ndarray) -> np.ndarray:
 
     Uses the expansion ``sum((x-q)^2) = sum(x^2) - 2*sum(x*q) + sum(q^2)``
     with rolling window sums, so no ``(n_windows, m)`` matrix is ever
-    materialized.  All arithmetic is exact int64 (values are bounded by
-    the 0..128 generator range), so the profile is bit-identical to the
-    direct windowed computation.
+    materialized.  The profile is bit-identical to the direct windowed
+    computation: the square sums are int64, and the cross term is
+    correlated in float64 (which has a BLAS path; int64 has none) only
+    while ``m * max|x| * max|q| < 2**53``, where every partial sum is an
+    integer float64 holds exactly.  The 0..127 generator range never
+    leaves that bound; inputs past it are correlated in int64.
     """
     m = query.size
     n_windows = chunk.size - m + 1
@@ -44,7 +47,11 @@ def _ssd_profile(chunk: np.ndarray, query: np.ndarray) -> np.ndarray:
     sq_sum = np.cumsum(x * x)
     win_sq = sq_sum[m - 1:].copy()
     win_sq[1:] -= sq_sum[:n_windows - 1]
-    cross = np.correlate(x, q, mode="valid")
+    if m * int(np.abs(x).max()) * int(np.abs(q).max()) < 2**53:
+        cross = np.correlate(x.astype(np.float64), q.astype(np.float64),
+                             mode="valid").astype(np.int64)
+    else:
+        cross = np.correlate(x, q, mode="valid")
     return win_sq - 2 * cross + int(q @ q)
 
 
@@ -110,7 +117,10 @@ class TimeSeries(HostApplication):
         return int(dists.argmin())
 
     def verify(self, output) -> bool:
-        # Several windows can tie on distance; compare distances, not indices.
+        # A window must start where a whole query fits; several windows
+        # can tie on distance, so compare distances, not indices.
+        if not 0 <= output <= self.series.size - self.query.size:
+            return False
         return self._distance(output) == self._distance(self.reference())
 
     def _distance(self, index: int) -> int:

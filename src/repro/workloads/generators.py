@@ -22,10 +22,28 @@ def random_array(n: int, dtype=np.int32, lo: int = 0, hi: int = 1 << 16,
     return _rng(seed).integers(lo, hi, size=n, dtype=dtype)
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys of a 1-D integer array, as ``np.unique``
+    returns them: sort, then keep each key that differs from its left
+    neighbour.
+
+    numpy 2.3+ answers ``np.unique`` on integers from a hash table and
+    sorts the survivors afterwards; on half a million keys that is
+    ~45x slower than one sort.
+    """
+    keys = np.sort(keys)
+    if keys.size:
+        keep = np.empty(keys.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
+
+
 def sorted_array(n: int, dtype=np.int64, seed: int = 0) -> np.ndarray:
     """Sorted array of distinct-ish values (binary-search input)."""
     arr = np.cumsum(_rng(seed).integers(1, 8, size=n, dtype=dtype))
-    return arr.astype(dtype)
+    return arr.astype(dtype, copy=False)
 
 
 def random_matrix(rows: int, cols: int, dtype=np.int32, lo: int = 0,
@@ -73,8 +91,7 @@ def random_csr(rows: int, cols: int, nnz_per_row: int = 8,
     # Deduplicate per row without a Python loop: sort (row, col) pairs and
     # drop repeated pairs.
     row_of = np.repeat(np.arange(rows, dtype=np.int64), counts)
-    keys = row_of * cols + draws
-    keys = np.unique(keys)  # sorted, unique (row, col) pairs
+    keys = sorted_unique(row_of * cols + draws)
     row_final = keys // cols
     col_idx = (keys % cols).astype(np.int32)
     row_counts = np.bincount(row_final, minlength=rows)
@@ -82,8 +99,7 @@ def random_csr(rows: int, cols: int, nnz_per_row: int = 8,
     empty = np.nonzero(row_counts == 0)[0]
     if empty.size:
         extra_cols = rng.integers(0, cols, size=empty.size)
-        keys = np.concatenate([keys, empty * cols + extra_cols])
-        keys = np.unique(keys)
+        keys = sorted_unique(np.concatenate([keys, empty * cols + extra_cols]))
         row_final = keys // cols
         col_idx = (keys % cols).astype(np.int32)
         row_counts = np.bincount(row_final, minlength=rows)
@@ -110,7 +126,7 @@ def random_graph_csr(nr_vertices: int, avg_degree: int = 4,
     keep = src != dst
     all_src = np.concatenate([spine_src, src[keep]])
     all_dst = np.concatenate([spine_dst, dst[keep]])
-    keys = np.unique(all_src * n + all_dst)   # sorted unique edges
+    keys = sorted_unique(all_src * n + all_dst)
     srcs = keys // n
     col_idx = (keys % n).astype(np.int32)
     row_ptr = np.zeros(n + 1, dtype=np.int32)
@@ -123,4 +139,4 @@ def random_image(nr_pixels: int, depth: int = 256, seed: int = 0,
     """Pixel stream with a skewed (roughly Gaussian) intensity histogram."""
     rng = _rng(seed)
     vals = rng.normal(loc=depth / 2, scale=depth / 6, size=nr_pixels)
-    return np.clip(vals, 0, depth - 1).astype(np.uint16)
+    return np.clip(vals, 0, depth - 1, out=vals).astype(np.uint16)

@@ -47,6 +47,50 @@ def test_ts_ssd_profile_reference():
     assert dists.tolist() == [2, 0, 2]
 
 
+def test_ts_verify_rejects_an_index_outside_the_windows():
+    app = TimeSeries(nr_dpus=4, n_points=1024, query_len=32)
+    app.series[-32:] = app.query          # the last whole window matches
+    # 993 is the first start whose window would run past the series.
+    for index in (-1, 993, 1024, 10**6):
+        assert app.verify(index) is False
+    assert app.verify(992)
+
+
+def _windowed_ssd(series, query):
+    x, q = series.astype(np.int64), query.astype(np.int64)
+    return np.array([int(((x[i:i + q.size] - q) ** 2).sum())
+                     for i in range(x.size - q.size + 1)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("x_fill, q_fill", [
+    (127, 127), (127, 0), (0, 127), (None, None)])
+def test_ts_ssd_profile_exact_at_the_generator_maximum(x_fill, q_fill):
+    rng = np.random.default_rng(7)
+
+    def values(fill, n):        # None: a draw over the generator range
+        if fill is None:
+            return rng.integers(0, 128, size=n, dtype=np.int32)
+        return np.full(n, fill, dtype=np.int32)
+
+    series, query = values(x_fill, 4096), values(q_fill, 64)
+    assert np.array_equal(_ssd_profile(series, query),
+                          _windowed_ssd(series, query))
+
+
+def test_ts_ssd_profile_past_the_float_bound_correlates_in_int64():
+    # 3 * (2**26 + 1)**2 is past 2**53, and odd: float64 cannot hold the
+    # window's cross term, so only the int64 branch gets it right.
+    v = 2**26 + 1
+    series = np.array([v, v, v, v - 2, 1], dtype=np.int64)
+    query = np.array([v, v, v], dtype=np.int64)
+    assert query.size * v * v >= 2**53
+    floats = np.correlate(series.astype(np.float64),
+                          query.astype(np.float64), mode="valid")
+    assert int(floats[0]) != 3 * v * v
+    assert np.array_equal(_ssd_profile(series, query),
+                          _windowed_ssd(series, query))
+
+
 # -- BFS -----------------------------------------------------------------------
 
 def test_bfs_line_graph_levels():

@@ -8,6 +8,7 @@ from repro.apps.prim.spmv import SpMV
 from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
+from repro.workloads.generators import CsrMatrix
 
 
 def native(app, dpus_per_rank=8, nr_ranks=1):
@@ -88,6 +89,25 @@ def test_spmv_matches_dense_product():
     dense = app.csr.to_dense()
     expected = dense @ app.x.astype(np.int64)
     assert np.array_equal(app.expected(), expected)
+
+
+def test_spmv_reference_keeps_empty_rows_zero():
+    # Rows 0, 2, 5 and 6 are empty: the first, one between two full rows
+    # and the last two, which a segmented sum must not read past.
+    row_ptr = np.array([0, 0, 3, 3, 4, 7, 7, 7], dtype=np.int32)
+    col_idx = np.array([0, 2, 5, 1, 5, 3, 4], dtype=np.int32)
+    values = np.array([2, -3, 7, 11, -1, 5, 2**30], dtype=np.int32)
+    app = SpMV(nr_dpus=2, n_rows=7, n_cols=6)
+    app.csr = CsrMatrix(7, 6, row_ptr, col_idx, values)
+    app.x = np.array([1, 4, -2, 9, 2**30, 3], dtype=np.int32)
+    # The row loop the vectorised reference replaced, as the oracle.
+    oracle = np.zeros(7, dtype=np.int64)
+    for r in range(7):
+        s, e = int(row_ptr[r]), int(row_ptr[r + 1])
+        oracle[r] = (values[s:e].astype(np.int64)
+                     * app.x[col_idx[s:e]].astype(np.int64)).sum()
+    assert oracle.tolist() == [0, 29, 0, 44, -3 + 45 + 2**60, 0, 0]
+    assert np.array_equal(app.expected(), oracle)
 
 
 # -- MLP -----------------------------------------------------------------------
