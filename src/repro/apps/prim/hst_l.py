@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import HostApplication
-from repro.apps.prim.hst_s import histogram
+from repro.apps.prim.hst_s import histogram, image_histogram
 from repro.config import WRAM_SIZE
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.kernel import DpuProgram, RankContext
@@ -72,8 +72,7 @@ class HistogramLong(HostApplication):
         self.pixels = random_image(n_pixels, depth=n_bins, seed=seed)
 
     def expected(self) -> np.ndarray:
-        return np.bincount(self.pixels,
-                           minlength=self.n_bins).astype(np.uint32)
+        return image_histogram(self.pixels, self.n_bins)
 
     def run(self, transport: Transport) -> np.ndarray:
         profiler = transport.profiler

@@ -37,6 +37,23 @@ def histogram(dpu: DpuContext, n_pixels: int, n_bins: int) -> np.ndarray:
     return np.bincount(pixels, minlength=n_bins).astype(np.uint32)
 
 
+#: Pixels per ``np.bincount`` call of the CPU reference: ``bincount``
+#: casts its input to ``intp`` first, a 128 MB temporary for a 16M-pixel
+#: image in one call.
+REFERENCE_CHUNK = 1 << 20
+
+
+def image_histogram(pixels: np.ndarray, n_bins: int) -> np.ndarray:
+    """``np.bincount(pixels, minlength=n_bins)`` as uint32, counted
+    :data:`REFERENCE_CHUNK` pixels at a time."""
+    size = max(n_bins, int(pixels.max()) + 1) if pixels.size else n_bins
+    hist = np.zeros(size, dtype=np.int64)
+    for start in range(0, pixels.size, REFERENCE_CHUNK):
+        hist += np.bincount(pixels[start:start + REFERENCE_CHUNK],
+                            minlength=size)
+    return hist.astype(np.uint32)
+
+
 class HstSProgram(DpuProgram):
     """DPU side: shared 256-bin histogram with atomic adds."""
 
@@ -78,8 +95,7 @@ class HistogramShort(HostApplication):
         self.pixels = random_image(n_pixels, depth=self.N_BINS, seed=seed)
 
     def expected(self) -> np.ndarray:
-        return np.bincount(self.pixels,
-                           minlength=self.N_BINS).astype(np.uint32)
+        return image_histogram(self.pixels, self.N_BINS)
 
     def run(self, transport: Transport) -> np.ndarray:
         profiler = transport.profiler

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import MemoryAccessError
+from repro.hardware.copies import Piece
 
 BytesLike = Union[bytes, bytearray, memoryview, np.ndarray]
 
@@ -126,10 +127,11 @@ class _ExtentPool:
         masks.clear()
 
 
-#: Shared across all regions of the process (the simulator is
-#: single-threaded); bounded at ``max_bytes`` of pooled extents, counted
-#: whole whatever part of them is resident.  The cap is sized to hold the
-#: working set of a full 64-DPU rank session (~4 GB of concurrently live
+#: Shared across all regions of the process and touched only by the
+#: calling thread (rank copy workers only copy, see ``copies``); bounded
+#: at ``max_bytes`` of pooled extents, counted whole whatever part of
+#: them is resident.  The cap is sized to hold the working set of a full
+#: 64-DPU rank session (~4 GB of concurrently live
 #: MRAM + guest memory) so back-to-back sessions never re-fault their
 #: transfer arenas.
 EXTENT_POOL = _ExtentPool()
@@ -303,7 +305,8 @@ class MemoryRegion:
                 return np.zeros(length, dtype=np.uint8)
             return ext[ext_off:ext_off + length].copy()
         out = np.empty(length, dtype=np.uint8)
-        self._fill_from_segments(offset, out)
+        for dst, src in self.read_pieces(offset, out):
+            dst[...] = 0 if src is None else src
         return out
 
     def read_into(self, offset: int, out: np.ndarray) -> np.ndarray:
@@ -313,20 +316,28 @@ class MemoryRegion:
         buffers, so bulk transfers stop paying one fresh allocation (and
         one zero-fill) per hop.
         """
-        self.check(offset, out.size)
-        self._fill_from_segments(offset, out)
+        for dst, src in self.read_pieces(offset, out):
+            dst[...] = 0 if src is None else src
         return out
 
-    def _fill_from_segments(self, offset: int, out: np.ndarray) -> None:
+    def read_pieces(self, offset: int, out: np.ndarray) -> List[Piece]:
+        """The slice copies that fill ``out`` (1-D uint8) from
+        ``[offset, offset + out.size)``: a source view of the extent for
+        a present span, ``None`` (zero) for an absent one.  Resolving
+        them changes nothing; :meth:`read_into` is running them.
+        """
         length = out.size
+        if offset < 0 or offset + length > self.size:
+            self.check(offset, length)
         extent_bytes = self._extent_bytes
+        pieces: List[Piece] = []
         pos = 0
         while pos < length:
             ext_idx, ext_off = divmod(offset + pos, extent_bytes)
             chunk = min(length - pos, extent_bytes - ext_off)
             ext = self._extents.get(ext_idx)
             if ext is None:
-                out[pos:pos + chunk] = 0
+                pieces.append((out[pos:pos + chunk], None))
                 pos += chunk
                 continue
             mask = self._masks[ext_idx]
@@ -336,34 +347,45 @@ class MemoryRegion:
             if span.all():
                 # Fully materialized span: one slice copy for the whole
                 # extent's share (the bulk-transfer hot path).
-                out[pos:pos + chunk] = ext[ext_off:ext_off + chunk]
+                pieces.append((out[pos:pos + chunk],
+                               ext[ext_off:ext_off + chunk]))
             elif not span.any():
-                out[pos:pos + chunk] = 0
+                pieces.append((out[pos:pos + chunk], None))
             else:
                 end = ext_off + chunk
                 p, o = pos, ext_off
                 while o < end:
                     seg = o // SEGMENT_SIZE
                     piece = min(end - o, (seg + 1) * SEGMENT_SIZE - o)
-                    if mask[seg]:
-                        out[p:p + piece] = ext[o:o + piece]
-                    else:
-                        out[p:p + piece] = 0
+                    pieces.append((out[p:p + piece],
+                                   ext[o:o + piece] if mask[seg] else None))
                     p += piece
                     o += piece
             pos += chunk
+        return pieces
 
     def write(self, offset: int, data: BytesLike) -> None:
         """Write ``data`` starting at ``offset``."""
-        buf = _as_u8(data)
-        self.check(offset, buf.size)
-        if buf.size == 0:
-            return
+        for dst, src in self.write_pieces(offset, _as_u8(data)):
+            dst[...] = 0 if src is None else src
+
+    def write_pieces(self, offset: int, buf: np.ndarray) -> List[Piece]:
+        """The slice copies that write ``buf`` (1-D uint8) at ``offset``.
+
+        Resolving them is the write's whole effect on the region's state
+        — extents acquired, segments marked present — so every piece
+        must run, in order and before the region is read again;
+        :meth:`write` is running them.
+        """
+        length = buf.size
+        if offset < 0 or offset + length > self.size:
+            self.check(offset, length)
         extent_bytes = self._extent_bytes
+        pieces: List[Piece] = []
         pos = 0
-        while pos < buf.size:
+        while pos < length:
             ext_idx, ext_off = divmod(offset + pos, extent_bytes)
-            chunk = min(buf.size - pos, extent_bytes - ext_off)
+            chunk = min(length - pos, extent_bytes - ext_off)
             ext = self._extents.get(ext_idx)
             if ext is None:
                 ext = EXTENT_POOL.acquire(extent_bytes)
@@ -380,16 +402,17 @@ class MemoryRegion:
             # so the untouched remainder still reads back as zero.
             head = ext_off - s0 * SEGMENT_SIZE
             if head and not mask[s0]:
-                ext[s0 * SEGMENT_SIZE:ext_off] = 0
+                pieces.append((ext[s0 * SEGMENT_SIZE:ext_off], None))
             tail_end = (s1 + 1) * SEGMENT_SIZE
             if end != tail_end and not mask[s1]:
-                ext[end:tail_end] = 0
-            ext[ext_off:end] = buf[pos:pos + chunk]
+                pieces.append((ext[end:tail_end], None))
+            pieces.append((ext[ext_off:end], buf[pos:pos + chunk]))
             newly = (s1 - s0 + 1) - int(np.count_nonzero(mask[s0:s1 + 1]))
             if newly:
                 self._nr_present += newly
                 mask[s0:s1 + 1] = True
             pos += chunk
+        return pieces
 
     def fill(self, value: int = 0) -> None:
         """Set the whole region to ``value``.

@@ -4,7 +4,9 @@ A rank bundles 8 PIM chips = 64 DPUs behind one control interface (CI).
 All host interactions happen at rank granularity:
 
 - ``write_mram`` / ``read_mram`` move data between host buffers and the
-  MRAM banks of any subset of the rank's DPUs in one operation;
+  MRAM banks of any subset of the rank's DPUs in one operation (one over
+  several DPUs that moves at least ``copies.FLOOR`` bytes copies on every
+  usable host core, :mod:`repro.hardware.copies`);
 - ``launch`` boots a loaded program on a set of DPUs and runs it to
   completion (the hardware cannot pause/resume, Section 2);
 - the CI carries command/status traffic and is the unit the paper's
@@ -30,8 +32,10 @@ from repro.errors import (
     RankOfflineError,
     TransferError,
 )
+from repro.hardware import copies
 from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
+from repro.hardware.copies import Piece
 from repro.hardware.dpu import Dpu, DpuState, LaunchStats
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
@@ -145,8 +149,9 @@ class PinnedMramWrite:
     """
 
     rank: "Rank"
-    #: Per spec: ``(size, destination views, one per extent-bounded chunk)``.
-    targets: List[Tuple[int, List[np.ndarray]]]
+    #: Per spec: ``(DPU index, size, destination views, one per
+    #: extent-bounded chunk)``.
+    targets: List[Tuple[int, int, List[np.ndarray]]]
     #: ``(region, generation)`` snapshots for every MRAM touched.
     generations: List[Tuple[object, int]]
     total: int
@@ -283,8 +288,15 @@ class Rank:
             raise TransferError(
                 f"rank operation of {total} bytes exceeds the 4 GB limit"
             )
-        for mram, offset, buf in moves:
-            mram.write(offset, buf)
+        if total < copies.FLOOR or len(moves) < 2 or copies.CORES < 2:
+            for mram, offset, buf in moves:
+                mram.write(offset, buf)
+        else:
+            groups: Dict[object, List[Piece]] = {}
+            for mram, offset, buf in moves:
+                groups.setdefault(mram, []).extend(
+                    mram.write_pieces(offset, buf))
+            copies.fan_out(list(groups.values()))
         return self._account("write", total, len(specs), rust_interleave)
 
     def pin_mram_write(self, specs: Sequence[WriteSpec]) -> PinnedMramWrite:
@@ -297,7 +309,7 @@ class Rank:
         unpinnable; callers fall back to the naive path.
         """
         total = 0
-        targets: List[Tuple[int, List[np.ndarray]]] = []
+        targets: List[Tuple[int, int, List[np.ndarray]]] = []
         regions: Dict[int, object] = {}
         for spec in specs:
             size = spec.data.nbytes
@@ -307,7 +319,8 @@ class Rank:
                 )
             mram = self.dpu(spec.dpu_index).mram
             regions.setdefault(id(mram), mram)
-            targets.append((size, mram.pin_chunks(spec.offset, size)))
+            targets.append((spec.dpu_index, size,
+                            mram.pin_chunks(spec.offset, size)))
             total += size
         if total > MAX_XFER_BYTES:
             raise TransferError(
@@ -334,16 +347,27 @@ class Rank:
             raise TransferError(
                 f"{len(sources)} sources for a pinned write of "
                 f"{len(targets)} specs")
-        for i, (src, (size, _)) in enumerate(zip(sources, targets)):
+        for i, (src, (_, size, _)) in enumerate(zip(sources, targets)):
             if src.dtype != np.uint8 or src.ndim != 1 or src.size != size:
                 raise TransferError(
                     f"source {i} is {src.dtype}{list(src.shape)}, pinned "
                     f"for {size} uint8 bytes")
-        for src, (_, chunks) in zip(sources, targets):
-            pos = 0
-            for dst in chunks:
-                dst[...] = src[pos:pos + dst.size]
-                pos += dst.size
+        if (pinned.total < copies.FLOOR or len(targets) < 2
+                or copies.CORES < 2):
+            for src, (_, _, chunks) in zip(sources, targets):
+                pos = 0
+                for dst in chunks:
+                    dst[...] = src[pos:pos + dst.size]
+                    pos += dst.size
+        else:
+            groups: Dict[int, List[Piece]] = {}
+            for src, (dpu_index, _, chunks) in zip(sources, targets):
+                group = groups.setdefault(dpu_index, [])
+                pos = 0
+                for dst in chunks:
+                    group.append((dst, src[pos:pos + dst.size]))
+                    pos += dst.size
+            copies.fan_out(list(groups.values()))
         return self._account("write", pinned.total, len(targets),
                              rust_interleave)
 
@@ -394,7 +418,16 @@ class Rank:
                         f"into[{i}] holds {buf.size} bytes, spec reads "
                         f"{spec.length}"
                     )
-                self.dpu(spec.dpu_index).mram.read_into(spec.offset, buf)
+            if total < copies.FLOOR or len(specs) < 2 or copies.CORES < 2:
+                for spec, buf in zip(specs, into):
+                    self.dpu(spec.dpu_index).mram.read_into(spec.offset, buf)
+            else:
+                groups: Dict[int, List[Piece]] = {}
+                for spec, buf in zip(specs, into):
+                    groups.setdefault(spec.dpu_index, []).extend(
+                        self.dpu(spec.dpu_index).mram.read_pieces(
+                            spec.offset, buf))
+                copies.fan_out(list(groups.values()))
             out = list(into)
         return out, self._account("read", total, len(specs), rust_interleave)
 

@@ -134,9 +134,19 @@ def random_graph_csr(nr_vertices: int, avg_degree: int = 4,
     return row_ptr, col_idx
 
 
+#: Normals per ``random_image`` draw.  One draw for a 16M-pixel image is
+#: a 128 MB float64 array; ``Generator.normal`` continues one stream
+#: across draws, so the pixels do not depend on the chunk.
+IMAGE_CHUNK = 1 << 18
+
+
 def random_image(nr_pixels: int, depth: int = 256, seed: int = 0,
                  ) -> np.ndarray:
     """Pixel stream with a skewed (roughly Gaussian) intensity histogram."""
     rng = _rng(seed)
-    vals = rng.normal(loc=depth / 2, scale=depth / 6, size=nr_pixels)
-    return np.clip(vals, 0, depth - 1, out=vals).astype(np.uint16)
+    out = np.empty(nr_pixels, dtype=np.uint16)
+    for start in range(0, nr_pixels, IMAGE_CHUNK):
+        vals = rng.normal(loc=depth / 2, scale=depth / 6,
+                          size=min(IMAGE_CHUNK, nr_pixels - start))
+        out[start:start + vals.size] = np.clip(vals, 0, depth - 1, out=vals)
+    return out
