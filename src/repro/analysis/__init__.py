@@ -17,17 +17,9 @@ from repro.analysis.figures import (
     fig15_parallel_ranks,
     fig16_request_times,
 )
-from repro.analysis.fleet import (
-    FleetSummary,
-    summarize,
-    sweep_policies,
-)
 from repro.analysis.report import format_table, PAPER_CLAIMS
 
 __all__ = [
-    "FleetSummary",
-    "summarize",
-    "sweep_policies",
     "fig8_prim_applications",
     "fig9_checksum_sensitivity",
     "fig10_index_search",

@@ -68,6 +68,11 @@ def launch_poll_count(run_duration: float, base_period: float = 50e-6,
     return max(polls, 1)
 
 
+# Bound once: an Enum member read off its class costs about ten global
+# reads on CPython 3.11, and the request path tests these per copy.
+_TO_DPU, _MRAM = XferKind.TO_DPU, Target.MRAM
+
+
 def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
                          rust_interleave: bool = False,
                          into: Optional[List[np.ndarray]] = None,
@@ -81,8 +86,8 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
     block of one without ``into`` comes from; both are ignored for
     writes and WRAM symbols.
     """
-    if matrix.target is Target.MRAM:
-        if matrix.kind is XferKind.TO_DPU:
+    if matrix.target is _MRAM:
+        if matrix.kind is _TO_DPU:
             specs = [WriteSpec(e.dpu_index, matrix.offset, e.data)
                      for e in matrix.entries]
             duration = rank.write_mram(specs, rust_interleave=rust_interleave)

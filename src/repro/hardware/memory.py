@@ -239,15 +239,16 @@ def result_block(sizes: Sequence[int],
     allocation's :class:`BlockRecycler` — one whose previous rows have
     all died, which only changes whether its pages are already resident.
     """
-    strides = [-(-size // 64) * 64 for size in sizes]
-    nbytes = sum(strides)
+    nbytes = 0
+    for size in sizes:
+        nbytes += -(-size // 64) * 64
     block = (_aligned_empty(nbytes) if recycler is None
              else recycler.take(nbytes))
     pos = 0
     rows = []
-    for size, stride in zip(sizes, strides):
+    for size in sizes:
         rows.append(block[pos:pos + size])
-        pos += stride
+        pos += -(-size // 64) * 64
     return rows
 
 

@@ -92,11 +92,12 @@ class _Child:
 class CounterChild(_Child):
     """A monotonically increasing count."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_sources")
 
     def __init__(self, label_values: Tuple[str, ...]) -> None:
         super().__init__(label_values)
         self._value = 0.0
+        self._sources: Optional[List[Tuple[Dict, object]]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -104,9 +105,22 @@ class CounterChild(_Child):
                 f"counters cannot decrease (inc by {amount})")
         self._value += amount
 
+    def follow(self, counts: Dict, key: object) -> None:
+        """Count ``counts[key]`` too: a plain integer its owner adds to
+        where a hot path would otherwise call :meth:`inc`.  Every read
+        of :attr:`value` includes it, so a scrape at any moment is
+        exact; several owners may feed one series."""
+        if self._sources is None:
+            self._sources = []
+        self._sources.append((counts, key))
+
     @property
     def value(self) -> float:
-        return self._value
+        value = self._value
+        if self._sources is not None:
+            for counts, key in self._sources:
+                value += counts[key]
+        return value
 
 
 class GaugeChild(_Child):

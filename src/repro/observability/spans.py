@@ -39,7 +39,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.instruments import SPAN, SPAN_RETENTION, bind
 from repro.observability.logs import TraceLogger
@@ -106,6 +106,12 @@ class Span:
         linking the attempt it retries)."""
         self.links += ({"kind": kind, "span_id": span_id},)
 
+    def link_all(self, kind: str, span_ids: Iterable[int]) -> None:
+        """:meth:`link` each of ``span_ids`` in order, building the
+        ``links`` tuple once rather than once per link."""
+        self.links += tuple({"kind": kind, "span_id": span_id}
+                            for span_id in span_ids)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name}, {self.layer}, id={self.span_id}, "
                 f"parent={self.parent_id}, [{self.start}, {self.end}])")
@@ -113,7 +119,10 @@ class Span:
 
 @dataclass
 class Trace:
-    """One finished trace: a root span and everything beneath it."""
+    """One finished trace: a root span and everything beneath it.
+
+    Only a *built* trace has one; a counted trace is a few recorder
+    fields while it is active and nothing once it finishes."""
 
     trace_id: str
     spans: List[Span] = field(default_factory=list)
@@ -125,10 +134,6 @@ class Trace:
     retention: str = ""
     #: Spans not buffered because the per-trace cap was hit.
     dropped_spans: int = 0
-    #: ``None`` for a built trace.  A trace opened with the retained list
-    #: already full is *counted*: ``spans`` stays empty, and when the
-    #: root closes this is how many it would have held.
-    counted_spans: Optional[int] = None
 
     def by_layer(self, layer: str) -> List[Span]:
         return [s for s in self.spans if s.layer == layer]
@@ -147,6 +152,26 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.spans)
+
+
+class _Counts(dict):
+    """Integer counts by label value, feeding one ``repro_span_*`` family.
+
+    The recorder adds to a plain ``int`` (``counts[layer] += 1``) where
+    it would call ``inc``.  A value's first add creates its series — on
+    first touch, as ``inc`` would — and makes the series read the count
+    (:meth:`~repro.observability.metrics.CounterChild.follow`), so a
+    scrape at any moment sees the exact value."""
+
+    def __init__(self, series=None) -> None:
+        super().__init__()
+        self._series = series       # the family's bound children, or None
+
+    def __missing__(self, key: str) -> int:
+        self[key] = 0
+        if self._series is not None:
+            self._series[key].follow(self, key)
+        return 0
 
 
 class SpanRecorder:
@@ -171,11 +196,14 @@ class SpanRecorder:
     steady state of a long run) no tier can retain it, so it is
     *counted*: ``begin`` still returns a live handle — callers read its
     ``start``/``cursor``/``span_id`` and the stack needs it — but
-    nothing is buffered, and ``event`` allocates nothing.  Either way
-    span ids, cursors, ``spans_started``, the per-layer started
-    counter, ``exemplar()``, the classification at finish and the
-    ``trace_cap``/``span_cap`` drop counts are the same (a counted
-    trace's ``span_cap`` share is added when its root closes).
+    nothing is buffered, ``event`` allocates nothing, and there is no
+    :class:`Trace`: the root's handle is the one object a counted trace
+    allocates.  Either way span ids, cursors, ``spans_started``, the
+    per-layer started counter, ``exemplar()``, the classification at
+    finish and the ``trace_cap``/``span_cap`` drop counts are the same
+    (a counted trace's ``span_cap`` share is added when its root
+    closes).  Started, finished and dropped counts are plain integers
+    that the ``repro_span_*`` series read.
     """
 
     def __init__(self, clock, sample_rate: float = 1.0,
@@ -202,8 +230,11 @@ class SpanRecorder:
         self.capture_exemplars = capture_exemplars
         self._registry = registry
         self.obs = bind(registry, SPAN) if registry is not None else None
-        #: ``obs.started`` (children by layer), read once per span.
-        self._started = self.obs.started if self.obs is not None else None
+        #: Spans started per layer and traces finished per ``retained``
+        #: label: what ``repro_span_started_total`` and
+        #: ``repro_span_traces_total`` read.
+        self._started = _Counts(self.obs.started if self.obs else None)
+        self._finished = _Counts(self.obs.traces if self.obs else None)
         #: The ``SPAN_RETENTION`` memo, bound by the first classified trace.
         self._retention = None
         #: Finished traces that survived sampling/caps, oldest first.
@@ -215,16 +246,25 @@ class SpanRecorder:
         self.log = TraceLogger(self)
         #: Spans started so far; also the id of the newest one.
         self.spans_started = 0
+        #: Drops by reason; ``repro_span_dropped_total`` reads it.
         self.spans_dropped: Dict[str, int] = {}
         self.traces_finished = 0
         self.traces_retained = 0
         self._stack: List[Span] = []
+        # The active trace: its root (``None`` outside a trace), whether
+        # it is faulted and head-sampled, and its :class:`Trace` — only
+        # when it is built, so ``None`` means counted.
+        self._root: Optional[Span] = None
+        self._faulted = False
+        self._sampled = True
         self._trace: Optional[Trace] = None
-        #: The active trace is built, not counted (set by its root).
-        self._building = True
-        self._last_finished: Optional[Trace] = None
-        #: No tier claimed ``_last_finished``: a post-hoc fault still
-        #: retains it or counts it as dropped, once.
+        # The most recently finished trace, as far as a post-hoc fault
+        # may reach it: the spans it held (``None`` once :meth:`clear`
+        # forgot it), its :class:`Trace` when it was built, and whether
+        # no tier claimed it — then a post-hoc fault still retains it or
+        # counts it as dropped, once.
+        self._last_held: Optional[int] = None
+        self._last_trace: Optional[Trace] = None
         self._last_pending = False
         self._trace_seq = 0
         self._trace_ids = 0
@@ -291,17 +331,18 @@ class SpanRecorder:
                 root.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
         if self.sample_rate >= 1.0:     # every trace: nothing to work out
             self._trace_seq += 1
-            sampled = True
+            self._sampled = True
         else:
-            sampled = self._sample_next()
-        self._trace = Trace(trace_id=trace_id, root=root, sampled=sampled,
-                            faulted=faulted)
-        self._building = len(self.traces) < self.max_traces
+            self._sampled = self._sample_next()
+        self._root = root
+        self._faulted = faulted
+        if len(self.traces) < self.max_traces:
+            self._trace = Trace(trace_id=trace_id, root=root,
+                                sampled=self._sampled, faulted=faulted)
         return root
 
-    def _buffer(self, span: Span) -> None:
-        """Buffer ``span`` in the active trace, which is being built."""
-        trace = self._trace
+    def _buffer(self, trace: Trace, span: Span) -> None:
+        """Buffer ``span`` in ``trace``, the active one, being built."""
         if len(trace.spans) < self.max_spans_per_trace:
             trace.spans.append(span)
         else:
@@ -309,9 +350,12 @@ class SpanRecorder:
             self._drop("span_cap")
 
     def _drop(self, reason: str, count: int = 1) -> None:
-        self.spans_dropped[reason] = self.spans_dropped.get(reason, 0) + count
-        if self.obs is not None:
-            self.obs.dropped[reason].inc(count)
+        dropped = self.spans_dropped
+        if reason not in dropped:
+            dropped[reason] = 0
+            if self.obs is not None:
+                self.obs.dropped[reason].follow(dropped, reason)
+        dropped[reason] += count
 
     def begin(self, name: str, layer: str, start: Optional[float] = None,
               **attributes: object) -> Span:
@@ -331,11 +375,10 @@ class SpanRecorder:
                         start)
         else:
             span = self._open_trace(span_id, name, layer, start, attributes)
-        started = self._started
-        if started is not None:
-            started[layer].inc()
-        if self._building:
-            self._buffer(span)
+        self._started[layer] += 1
+        trace = self._trace
+        if trace is not None:
+            self._buffer(trace, span)
         stack.append(span)
         return span
 
@@ -363,14 +406,13 @@ class SpanRecorder:
         self.spans_started = span_id = self.spans_started + 1
         if end > parent.cursor:
             parent.cursor = end
-        started = self._started
-        if started is not None:
-            started[layer].inc()
-        if not self._building:
+        self._started[layer] += 1
+        trace = self._trace
+        if trace is None:
             return None
         span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
                     start, end, duration, attributes, parent.depth + 1, end)
-        self._buffer(span)
+        self._buffer(trace, span)
         return span
 
     def end(self, span: Optional[Span], end: Optional[float] = None,
@@ -433,82 +475,87 @@ class SpanRecorder:
         """Flag the active trace as faulted: it is retained regardless of
         the sampling decision (you always want the timeline of the
         request that went wrong)."""
-        trace = self._trace
-        if trace is None:
+        root = self._root
+        if root is None:
             return
-        trace.faulted = True
-        if trace.root is not None:
-            faults = trace.root.attributes.setdefault("faults", [])
-            if isinstance(faults, list):
-                faults.append(kind)
+        self._faulted = True
+        faults = root.attributes.setdefault("faults", [])
+        if isinstance(faults, list):
+            faults.append(kind)
 
-    def _classify(self, trace: Trace) -> str:
-        """Retention tier of a finished trace, decided at *finish* time.
+    def _tail_outlier(self, root: Span) -> bool:
+        """Whether tail retention claims this finished, unfaulted root.
 
-        ``fault`` always wins; ``tail`` claims traces whose root duration
-        stands out against the decayed per-layer baseline (only after the
-        baseline has seen ``TAIL_MIN_SAMPLES`` roots, so a cold start
-        cannot mark everything an outlier); ``head`` is the fallback tier
-        the start-time sampling decision feeds.  The baseline is scored
+        Retention tiers are decided at *finish* time: ``fault`` always
+        wins; ``tail`` claims traces whose root duration stands out
+        against the decayed per-layer baseline (only after the baseline
+        has seen ``TAIL_MIN_SAMPLES`` roots, so a cold start cannot mark
+        everything an outlier); ``head`` is the fallback tier the
+        start-time sampling decision feeds.  The baseline is scored
         *before* it absorbs this root — a trace is compared against its
         history, not against itself — and faulted roots never feed it
         (recovery reruns would drag the mean up and mask real outliers).
         """
-        if trace.faulted:
-            return "fault"
-        root = trace.root
-        if self.tail_sampling and root.duration is not None:
-            duration = root.duration
-            baseline = self._tail_baseline.get(root.layer)
-            if baseline is None:
-                baseline = DecayedMean(TAIL_DECAY)
-                self._tail_baseline[root.layer] = baseline
-            outlier = (baseline.n >= TAIL_MIN_SAMPLES
-                       and duration > self.tail_factor * baseline.mean)
-            baseline.update(duration)
-            if outlier:
-                return "tail"
-        return "head" if trace.sampled else ""
+        if root.duration is None:
+            return False
+        duration = root.duration
+        baseline = self._tail_baseline.get(root.layer)
+        if baseline is None:
+            baseline = DecayedMean(TAIL_DECAY)
+            self._tail_baseline[root.layer] = baseline
+        outlier = (baseline.n >= TAIL_MIN_SAMPLES
+                   and duration > self.tail_factor * baseline.mean)
+        baseline.update(duration)
+        return outlier
 
     def _finish_trace(self) -> None:
-        trace = self._trace
-        self._trace = None
-        if trace is None:  # pragma: no cover - defensive
-            return
+        root, trace = self._root, self._trace
+        self._root = self._trace = None
         self.traces_finished += 1
-        root = self.last_root = trace.root
-        held = len(trace.spans)
-        if not self._building:
-            # Ids are dense and one trace is active at a time, so every
-            # span since the root is this trace's.  The per-trace cap,
-            # which a built trace applies span by span, applies here.
-            nr_spans = self.spans_started - root.span_id + 1
-            held = trace.counted_spans = min(nr_spans,
-                                             self.max_spans_per_trace)
-            trace.dropped_spans = nr_spans - held
-            if trace.dropped_spans:
-                self._drop("span_cap", trace.dropped_spans)
-        tier = self._classify(trace)
-        trace.retention = tier
-        keep = bool(tier)
-        if keep and (not self._building
-                     or len(self.traces) >= self.max_traces):
-            self._drop("trace_cap", held)
-            keep = False
-        if keep:
-            if self.tail_sampling:
-                root.attributes["retention"] = tier
-            self.traces.append(trace)
-            self.traces_retained += 1
-        self._last_finished = trace
+        self.last_root = root
+        if trace is None:
+            # Counted.  Ids are dense and one trace is active at a time,
+            # so every span since the root is this trace's.  The
+            # per-trace cap, which a built trace applies span by span,
+            # applies here.
+            held = self.spans_started - root.span_id + 1
+            if held > self.max_spans_per_trace:
+                self._drop("span_cap", held - self.max_spans_per_trace)
+                held = self.max_spans_per_trace
+        else:
+            held = len(trace.spans)
+        if self._faulted:
+            tier = "fault"
+        elif self.tail_sampling and self._tail_outlier(root):
+            tier = "tail"
+        else:
+            tier = "head" if self._sampled else ""
+        keep = False
+        if trace is not None:
+            trace.faulted = self._faulted
+            trace.retention = tier
+        if tier:
+            if trace is None or len(self.traces) >= self.max_traces:
+                dropped = self.spans_dropped
+                if "trace_cap" in dropped:
+                    dropped["trace_cap"] += held
+                else:                   # the first: creates the series
+                    self._drop("trace_cap", held)
+            else:
+                keep = True
+                if self.tail_sampling:
+                    root.attributes["retention"] = tier
+                self.traces.append(trace)
+                self.traces_retained += 1
+        self._last_held = held
+        self._last_trace = trace
         self._last_pending = not tier
-        if self.obs is not None:
-            self.obs.traces["true" if keep else "false"].inc()
-            if self.tail_sampling:
-                if self._retention is None:
-                    self._retention = bind(self._registry,
-                                           SPAN_RETENTION).retention
-                self._retention[tier or "none"].inc()
+        self._finished["true" if keep else "false"] += 1
+        if self.tail_sampling and self.obs is not None:
+            if self._retention is None:
+                self._retention = bind(self._registry,
+                                       SPAN_RETENTION).retention
+            self._retention[tier or "none"].inc()
 
     def mark_last_faulted(self, kind: str) -> None:
         """Retroactively flag the most recently finished trace as faulted.
@@ -523,24 +570,21 @@ class SpanRecorder:
         only flagged.  The ``repro_span_traces_total`` counter keeps its
         finish-time label — only the internal retention changes.
         """
-        trace = self._last_finished
-        if trace is None:
+        if self._last_held is None:
             return
-        trace.faulted = True
-        trace.retention = "fault"
-        if trace.root is not None:
-            faults = trace.root.attributes.setdefault("faults", [])
-            if isinstance(faults, list):
-                faults.append(kind)
-            if self.tail_sampling:
-                trace.root.attributes["retention"] = "fault"
+        trace, root = self._last_trace, self.last_root
+        if trace is not None:
+            trace.faulted = True
+            trace.retention = "fault"
+        faults = root.attributes.setdefault("faults", [])
+        if isinstance(faults, list):
+            faults.append(kind)
+        if self.tail_sampling:
+            root.attributes["retention"] = "fault"
         if self._last_pending:
             self._last_pending = False
-            counted = trace.counted_spans
-            if counted is not None:
-                self._drop("trace_cap", counted)
-            elif len(self.traces) >= self.max_traces:
-                self._drop("trace_cap", len(trace.spans))
+            if trace is None or len(self.traces) >= self.max_traces:
+                self._drop("trace_cap", self._last_held)
             else:
                 self.traces.append(trace)
                 self.traces_retained += 1
@@ -577,7 +621,7 @@ class SpanRecorder:
         later :meth:`mark_last_faulted` cannot reach back across the
         boundary: it is a no-op until the next trace finishes."""
         self.traces.clear()
-        self._last_finished = None
+        self._last_held = self._last_trace = None
 
     # -- Perfetto export -----------------------------------------------------
 

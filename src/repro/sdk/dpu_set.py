@@ -19,6 +19,11 @@ from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind, as_u8
 from repro.sdk.transport import RankChannel, Transport
 
 
+# Bound once: an Enum member read off its class costs about ten global
+# reads on CPython 3.11, and the request path tests these per copy.
+_TO_DPU, _FROM_DPU = XferKind.TO_DPU, XferKind.FROM_DPU
+
+
 class DpuSet:
     """A set of allocated DPUs, possibly spanning multiple ranks."""
 
@@ -65,14 +70,16 @@ class DpuSet:
     def _split_entries(self, entries: Sequence[DpuEntry]) -> List[List[DpuEntry]]:
         """Regroup set-indexed entries into per-channel, locally-indexed
         lists.  On one rank the set index is the local index, so the
-        entries pass through as they are."""
+        entries pass through as they are (the list itself when they
+        come as one)."""
+        nr_dpus = self.nr_dpus
         for entry in entries:
-            if not 0 <= entry.dpu_index < self.nr_dpus:
+            if not 0 <= entry.dpu_index < nr_dpus:
                 raise TransferError(
-                    f"entry targets DPU {entry.dpu_index}, set has {self.nr_dpus}"
+                    f"entry targets DPU {entry.dpu_index}, set has {nr_dpus}"
                 )
         if len(self.channels) == 1:
-            return [list(entries)]
+            return [entries if isinstance(entries, list) else list(entries)]
         per_channel: List[List[DpuEntry]] = [[] for _ in self.channels]
         for entry in entries:
             ci, local = self._map[entry.dpu_index]
@@ -140,8 +147,14 @@ class DpuSet:
         """``dpu_push_xfer``: one parallel rank operation per involved rank."""
         self._check_alive()
         per_channel = self._split_entries(matrix_entries)
-        span = self._begin_op(
-            "sdk.push", kind="to_dpu" if kind is XferKind.TO_DPU else "from_dpu",
+        # Every copy is a push: its op span opens and closes in place
+        # (what ``_begin_op`` and ``_end_op`` do).
+        transport = self.transport
+        spans = transport.spans
+        span = None if spans is None else spans.begin(
+            "sdk.push", "sdk", start=transport.clock.now,
+            nr_dpus=self.nr_dpus,
+            kind="to_dpu" if kind is _TO_DPU else "from_dpu",
             symbol=symbol)
         durations: List[float] = []
         results_by_channel: List[List[np.ndarray]] = []
@@ -151,24 +164,24 @@ class DpuSet:
                 continue
             involved.append(ci)
             matrix = TransferMatrix(kind, symbol, offset, entries)
-            matrix.validate()
             if durations:   # the first rank starts where the op span does
                 self._sibling(span)
-            if kind is XferKind.TO_DPU:
+            if kind is _TO_DPU:
                 durations.append(self.channels[ci].write(matrix))
                 results_by_channel.append([])
             else:
                 bufs, duration = self.channels[ci].read(matrix)
                 durations.append(duration)
                 results_by_channel.append(bufs)
-        elapsed, completions = self.transport.combine(durations)
-        self.transport.clock.advance(elapsed)
-        self._end_op(span, elapsed)
+        elapsed, completions = transport.combine(durations)
+        transport.clock.advance(elapsed)
+        if span is not None:
+            spans.end(span, duration=elapsed)
         self.last_completions = [
             (self.channels[ci].rank_index, completions[j])
             for j, ci in enumerate(involved)
         ]
-        if kind is XferKind.FROM_DPU:
+        if kind is _FROM_DPU:
             if len(involved) == 1:
                 # One rank's rows are in entry order already.
                 return results_by_channel[0]
@@ -190,23 +203,21 @@ class DpuSet:
             raise TransferError(
                 f"{len(buffers)} buffers for a set of {self.nr_dpus} DPUs"
             )
-        entries = []
-        for i, buf in enumerate(buffers):
-            u8 = as_u8(buf)
-            entries.append(DpuEntry(dpu_index=i, size=u8.size, data=u8))
-        self.push(entries, XferKind.TO_DPU, symbol, offset)
+        entries = [DpuEntry(dpu_index=i, data=buf)
+                   for i, buf in enumerate(buffers)]
+        self.push(entries, _TO_DPU, symbol, offset)
 
     def broadcast_to(self, symbol: str, offset: int, buffer: np.ndarray) -> None:
         """Send the same buffer to every DPU (``dpu_broadcast_to``)."""
         u8 = as_u8(buffer)
         entries = [DpuEntry(dpu_index=i, size=u8.size, data=u8)
                    for i in range(self.nr_dpus)]
-        self.push(entries, XferKind.TO_DPU, symbol, offset)
+        self.push(entries, _TO_DPU, symbol, offset)
 
     def push_from(self, symbol: str, offset: int, size: int) -> List[np.ndarray]:
         """Read ``size`` bytes from each DPU in one parallel xfer."""
         entries = [DpuEntry(dpu_index=i, size=size) for i in range(self.nr_dpus)]
-        result = self.push(entries, XferKind.FROM_DPU, symbol, offset)
+        result = self.push(entries, _FROM_DPU, symbol, offset)
         assert result is not None
         return result
 
@@ -218,15 +229,14 @@ class DpuSet:
         SEL/UNI/SpMV/BFS scale poorly and NW/TRNS storm the device
         (Section 5.2) — and which the frontend's request batching absorbs.
         """
-        u8 = as_u8(buffer)
-        entries = [DpuEntry(dpu_index=dpu_index, size=u8.size, data=u8)]
-        self.push(entries, XferKind.TO_DPU, symbol, offset)
+        self.push([DpuEntry(dpu_index, data=buffer)], _TO_DPU,
+                  symbol, offset)
 
     def copy_from(self, dpu_index: int, symbol: str, offset: int,
                   size: int) -> np.ndarray:
         """``dpu_copy_from``: serial read from a single DPU."""
         entries = [DpuEntry(dpu_index=dpu_index, size=size)]
-        result = self.push(entries, XferKind.FROM_DPU, symbol, offset)
+        result = self.push(entries, _FROM_DPU, symbol, offset)
         assert result is not None and len(result) == 1
         return result[0]
 

@@ -35,6 +35,7 @@ OP_CI = "CI"
 #: "QoS" is likewise opt-in: cross-VM throttle and queueing waits, only
 #: recorded when the VM carries a ``QosConfig`` (``docs/qos.md``).
 WRANK_STEPS = ("Page", "Ser", "Int", "Deser", "T-data", "Cache", "QoS")
+_WRANK_STEP_SET = frozenset(WRANK_STEPS)
 
 
 @dataclass
@@ -43,10 +44,6 @@ class OpStats:
 
     count: int = 0
     time: float = 0.0
-
-    def record(self, duration: float, count: int = 1) -> None:
-        self.count += count
-        self.time += duration
 
 
 @dataclass
@@ -149,7 +146,11 @@ class Profiler:
         misplaced events whose cost lands after other clock advances.
         Span-integrated callers pass the enclosing span's start instead.
         """
-        self.driver.setdefault(kind, OpStats()).record(duration, count)
+        stats = self.driver.get(kind)
+        if stats is None:
+            stats = self.driver[kind] = OpStats()
+        stats.count += count
+        stats.time += duration
         if self.tracer is not None:
             if start is None:
                 start = self.clock.now
@@ -164,7 +165,7 @@ class Profiler:
         """Account the Fig. 13 steps of one write-to-rank request."""
         totals = self.wrank_steps
         for step, duration in steps.items():
-            if step not in WRANK_STEPS:
+            if step not in _WRANK_STEP_SET:
                 raise ValueError(f"unknown write-to-rank step {step!r}")
             totals[step] = totals.get(step, 0.0) + duration
 

@@ -9,7 +9,6 @@ virtqueue (Fig. 7); natively it feeds the driver directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -32,6 +31,12 @@ class Target(enum.Enum):
     WRAM_SYMBOL = "wram" #: a host-visible WRAM variable
 
 
+# Bound once: an Enum member read off its class costs about ten global
+# reads on CPython 3.11, and the request path tests these per copy.
+_TO_DPU = XferKind.TO_DPU
+_MRAM, _WRAM_SYMBOL = Target.MRAM, Target.WRAM_SYMBOL
+
+
 def as_u8(buf) -> np.ndarray:
     """``buf`` as the flat byte array the stack moves: itself when it
     already is a 1-D C-contiguous ``uint8`` array, a flat byte view of
@@ -42,79 +47,75 @@ def as_u8(buf) -> np.ndarray:
     return np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
 
 
-@dataclass
 class DpuEntry:
-    """One DPU's slice of a transfer matrix (one row of Fig. 6)."""
+    """One DPU's slice of a transfer matrix (one row of Fig. 6).
 
-    dpu_index: int                    #: index within the *set* (not the rank)
-    size: int
-    data: Optional[np.ndarray] = None #: payload for writes, None for reads
+    Checked once, here: ``size`` lies in 0..4 GB and a write's ``data``
+    is exactly ``size`` bytes, kept as the flat byte array
+    :func:`as_u8` would make of it.  A write may leave ``size`` out: it
+    is then the payload's.
+    """
 
-    def __post_init__(self) -> None:
-        if self.size < 0 or self.size > MAX_XFER_BYTES:
-            raise TransferError(f"entry size {self.size} outside 0..4 GB")
-        if self.data is not None:
-            buf = self.data
-            if not (isinstance(buf, np.ndarray) and buf.dtype == np.uint8
-                    and buf.ndim == 1 and buf.flags.c_contiguous):
-                buf = np.ascontiguousarray(buf).view(np.uint8).reshape(-1)
-            if buf.size != self.size:
-                raise TransferError(
-                    f"entry data is {buf.size} bytes but size says {self.size}"
-                )
-            self.data = buf
+    __slots__ = ("dpu_index", "size", "data")
+
+    def __init__(self, dpu_index: int, size: Optional[int] = None,
+                 data: Optional[np.ndarray] = None) -> None:
+        if data is not None:
+            if not (isinstance(data, np.ndarray) and data.dtype == np.uint8
+                    and data.ndim == 1 and data.flags.c_contiguous):
+                data = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+            if size is None:
+                size = data.size
+        elif size is None:
+            raise TransferError("a read entry needs a size")
+        if size < 0 or size > MAX_XFER_BYTES:
+            raise TransferError(f"entry size {size} outside 0..4 GB")
+        if data is not None and data.size != size:
+            raise TransferError(
+                f"entry data is {data.size} bytes but size says {size}")
+        #: Index within the *set* (not the rank).
+        self.dpu_index = dpu_index
+        self.size = size
+        #: Payload for writes, ``None`` for reads.
+        self.data = data
 
     @property
     def nr_pages(self) -> int:
         return (self.size + PAGE_SIZE - 1) // PAGE_SIZE
 
 
-@dataclass
 class TransferMatrix:
-    """A rank operation covering up to 64 DPUs (Fig. 6)."""
+    """A rank operation covering up to 64 DPUs (Fig. 6).
 
-    kind: XferKind
-    symbol: str
-    offset: int
-    entries: List[DpuEntry] = field(default_factory=list)
-    #: What ``symbol`` addresses; every layer below asks.
-    target: Target = field(init=False)
+    Built and validated in one pass over the entries, which also leaves
+    ``total_bytes`` and ``max_entry_bytes`` behind.
+    """
 
-    def __post_init__(self) -> None:
-        self.target = (Target.MRAM if self.symbol == MRAM_HEAP_SYMBOL
-                       else Target.WRAM_SYMBOL)
-        if self.offset < 0:
-            raise TransferError(f"negative symbol offset {self.offset}")
+    __slots__ = ("kind", "symbol", "offset", "entries", "target",
+                 "total_bytes", "max_entry_bytes")
+
+    def __init__(self, kind: XferKind, symbol: str, offset: int,
+                 entries: Optional[List[DpuEntry]] = None) -> None:
+        """Refuses a negative offset, a DPU addressed twice, a write
+        entry without its payload, more than the 4 GB per-operation
+        hardware limit (Section 3.1) and an MRAM transfer past the
+        bank."""
+        if entries is None:
+            entries = []
+        if offset < 0:
+            raise TransferError(f"negative symbol offset {offset}")
+        writing = kind is _TO_DPU
         seen = set()
-        for entry in self.entries:
+        total = largest = 0
+        for entry in entries:
             if entry.dpu_index in seen:
                 raise TransferError(
-                    f"duplicate DPU {entry.dpu_index} in transfer matrix"
-                )
+                    f"duplicate DPU {entry.dpu_index} in transfer matrix")
             seen.add(entry.dpu_index)
-        if self.kind is XferKind.TO_DPU:
-            for entry in self.entries:
-                if entry.data is None:
-                    raise TransferError(
-                        f"TO_DPU matrix entry for DPU {entry.dpu_index} "
-                        "is missing its payload"
-                    )
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(entry.size for entry in self.entries)
-
-    @property
-    def total_pages(self) -> int:
-        return sum(entry.nr_pages for entry in self.entries)
-
-    @property
-    def max_entry_bytes(self) -> int:
-        return max((entry.size for entry in self.entries), default=0)
-
-    def validate(self) -> None:
-        total = largest = 0
-        for entry in self.entries:
+            if writing and entry.data is None:
+                raise TransferError(
+                    f"TO_DPU matrix entry for DPU {entry.dpu_index} "
+                    "is missing its payload")
             total += entry.size
             if entry.size > largest:
                 largest = entry.size
@@ -123,29 +124,39 @@ class TransferMatrix:
                 f"matrix moves {total} bytes, over the 4 GB "
                 "per-operation hardware limit (Section 3.1)"
             )
-        if self.target is Target.MRAM:
-            end = self.offset + largest
-            if end > MRAM_SIZE:
-                raise TransferError(
-                    f"MRAM transfer reaches byte {end}, past the "
-                    f"{MRAM_SIZE}-byte bank"
-                )
+        #: What ``symbol`` addresses; every layer below asks.
+        self.target = (_MRAM if symbol == MRAM_HEAP_SYMBOL
+                       else _WRAM_SYMBOL)
+        if self.target is _MRAM and offset + largest > MRAM_SIZE:
+            raise TransferError(
+                f"MRAM transfer reaches byte {offset + largest}, past the "
+                f"{MRAM_SIZE}-byte bank"
+            )
+        self.kind = kind
+        self.symbol = symbol
+        self.offset = offset
+        self.entries: List[DpuEntry] = entries
+        self.total_bytes = total
+        self.max_entry_bytes = largest
+
+    @property
+    def total_pages(self) -> int:
+        return sum(entry.nr_pages for entry in self.entries)
+
+    def validate(self) -> None:
+        """The construction checks again, after ``entries`` changed."""
+        TransferMatrix.__init__(self, self.kind, self.symbol, self.offset,
+                                self.entries)
 
 
 def uniform_write(symbol: str, offset: int, buffers: List[np.ndarray]) -> TransferMatrix:
     """Build a TO_DPU matrix assigning ``buffers[i]`` to set-DPU ``i``."""
-    entries = []
-    for i, buf in enumerate(buffers):
-        u8 = as_u8(buf)
-        entries.append(DpuEntry(dpu_index=i, size=u8.size, data=u8))
-    matrix = TransferMatrix(XferKind.TO_DPU, symbol, offset, entries)
-    matrix.validate()
-    return matrix
+    entries = [DpuEntry(dpu_index=i, data=buf)
+               for i, buf in enumerate(buffers)]
+    return TransferMatrix(XferKind.TO_DPU, symbol, offset, entries)
 
 
 def uniform_read(symbol: str, offset: int, size: int, nr_dpus: int) -> TransferMatrix:
     """Build a FROM_DPU matrix reading ``size`` bytes from each of the DPUs."""
     entries = [DpuEntry(dpu_index=i, size=size) for i in range(nr_dpus)]
-    matrix = TransferMatrix(XferKind.FROM_DPU, symbol, offset, entries)
-    matrix.validate()
-    return matrix
+    return TransferMatrix(XferKind.FROM_DPU, symbol, offset, entries)

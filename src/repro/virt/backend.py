@@ -49,6 +49,15 @@ from repro.virt.transfer_cache import ExtentDigestIndex
 from repro.virt.virtio import Descriptor
 
 
+# Bound once: an Enum member read off its class costs about ten global
+# reads on CPython 3.11, and the request path tests these per copy.
+_GET_CONFIG, _RELEASE, _LOAD, _LAUNCH, _CI_OP, _WRITE_RANK, _READ_RANK = (
+    RequestKind.GET_CONFIG, RequestKind.RELEASE, RequestKind.LOAD,
+    RequestKind.LAUNCH, RequestKind.CI_OP, RequestKind.WRITE_RANK,
+    RequestKind.READ_RANK)
+_MRAM = Target.MRAM
+
+
 def _is_broadcast(matrix: TransferMatrix) -> bool:
     """True iff every entry carries the same payload (all-DPUs pattern)."""
     entries = matrix.entries
@@ -269,29 +278,31 @@ class VUpmemBackend:
         kind = header.kind
         name = KIND_LABEL[kind]
 
-        if kind is RequestKind.GET_CONFIG:
+        if kind is _GET_CONFIG:
             return self._control(name, payload=self.driver.config)
-        if kind is RequestKind.RELEASE:
+        if kind is _RELEASE:
             self.unlink()
             self.resident.invalidate_all()
             return self._control(name)
 
-        mapping = self.require_mapping()
+        mapping = self.mapping
+        if mapping is None:
+            self.require_mapping()          # raises
 
-        if kind is RequestKind.LOAD:
+        if kind is _LOAD:
             if program is None:
                 raise SerializationError("LOAD request without a program image")
             # load_program rebuilds every symbol buffer; nothing resident
             # from the previous program can be trusted afterwards.
             self.resident.invalidate_all()
             return self._control(name, mapping.load(program))
-        if kind is RequestKind.LAUNCH:
+        if kind is _LAUNCH:
             if self.cache_enabled:
                 return self._launch_collecting_dirty(mapping)
             return self._control(name, mapping.launch())
-        if kind is RequestKind.CI_OP:
+        if kind is _CI_OP:
             return self._control(name, mapping.ci_ops(header.count))
-        if kind in (RequestKind.WRITE_RANK, RequestKind.READ_RANK):
+        if kind is _WRITE_RANK or kind is _READ_RANK:
             return self._transfer(header, entries, skips, batch_records,
                                   plan, matrix, mapping)
         raise SerializationError(f"backend cannot handle request kind {kind}")
@@ -320,7 +331,7 @@ class VUpmemBackend:
 
         pool = self.pool
         reuse0 = pool.reuse_count
-        writing = header.kind is RequestKind.WRITE_RANK
+        writing = header.kind is _WRITE_RANK
 
         # Resolve the matrix and the buffers the rank operation touches —
         # the only place a planned and a wire request differ.  A planned
@@ -342,14 +353,24 @@ class VUpmemBackend:
             # validated and written.
             broadcast = (writing and matrix is not None
                          and self.cache_enabled and _is_broadcast(matrix))
-            if plan is not None:
-                entry_pages, pages = plan.entry_pages, plan.sreq.total_pages
-            else:
+            threads = self.translation_threads
+            if plan is None:
                 entry_pages = [e.page_gpas.size for e in entries]
                 pages = sum(entry_pages)
-            steps = self.cost.backend_steps(
-                KIND_LABEL[header.kind], entry_pages, len(skips),
-                self.translation_threads, broadcast)
+                steps = self.cost.backend_steps(
+                    KIND_LABEL[header.kind], entry_pages, len(skips),
+                    threads, broadcast)
+            else:
+                # The shape fixes the steps but T-data: worked out once
+                # per plan (and translation setting), copied per replay.
+                pages = plan.sreq.total_pages
+                fixed = plan.backend_steps.get((threads, broadcast))
+                if fixed is None:
+                    fixed = plan.backend_steps[threads, broadcast] = \
+                        self.cost.backend_steps(
+                            KIND_LABEL[header.kind], plan.entry_pages,
+                            len(skips), threads, broadcast)
+                steps = dict(fixed)
             self._translate(entries, plan, steps, pages, broadcast)
 
             payload = None
@@ -390,7 +411,8 @@ class VUpmemBackend:
             for buf in scratch:
                 pool.release(buf)
 
-        self.obs.bufpool_reuse.inc(pool.reuse_count - reuse0)
+        if pool.reuse_count != reuse0:      # only the wire path borrows
+            self.obs.bufpool_reuse.inc(pool.reuse_count - reuse0)
         self.obs.interleave_seconds.observe(tdata)
         if self.qos is not None:
             # Co-resident demand stretches the bus occupancy; folded into
@@ -457,7 +479,7 @@ class VUpmemBackend:
         restore recycles extents); anything stale is re-resolved in
         place from ``matrix``, the shape every request of the plan has.
         """
-        if (matrix.target is not Target.MRAM
+        if (matrix.target is not _MRAM
                 or type(mapping) is not PerfModeMapping):
             return None
         pinned = plan.pinned_write

@@ -57,7 +57,14 @@ from repro.virt.serialization import (
     serialize_matrix,
 )
 from repro.virt.transfer_cache import ExtentDigestIndex, content_digest
-from repro.virt.virtio import UsedElement, VirtioPimQueues, write_buffer
+from repro.virt.virtio import VirtioPimQueues, write_buffer
+
+# Bound once: an Enum member read off its class costs about ten global
+# reads on CPython 3.11, and the request path tests these per copy.
+_TO_DPU, _FROM_DPU = XferKind.TO_DPU, XferKind.FROM_DPU
+_WRITE_RANK, _READ_RANK = RequestKind.WRITE_RANK, RequestKind.READ_RANK
+_MRAM = Target.MRAM
+_QUEUE_NOTIFY, _INTERRUPT_ACK = Reg.QUEUE_NOTIFY, Reg.INTERRUPT_ACK
 
 #: Writes at or below this per-DPU size are candidates for batching.
 SMALL_WRITE_BYTES = PAGE_SIZE
@@ -252,10 +259,13 @@ class VUpmemFrontend:
         kind it accounts for (``W-rank``/``R-rank``), so span-derived
         breakdowns match :meth:`Profiler.op_stats` exactly.
         """
-        attrs = {"kind": KIND_LABEL[header.kind], "device": self.device_id}
-        if op is not None:
-            attrs["op"] = op
-        span = self.spans.begin("frontend.request", "frontend", **attrs)
+        kind = KIND_LABEL[header.kind]
+        if op is None:
+            span = self.spans.begin("frontend.request", "frontend",
+                                    kind=kind, device=self.device_id)
+        else:
+            span = self.spans.begin("frontend.request", "frontend",
+                                    kind=kind, device=self.device_id, op=op)
         self._last_request_start = span.start
         penalty = 0.0
         attempts = 0
@@ -314,24 +324,29 @@ class VUpmemFrontend:
             # GPAs are the caller's own buffers.
             if plan is not None:
                 bound = plan.payload_gpas
-            elif matrix.kind is XferKind.FROM_DPU:
+            elif matrix.kind is _FROM_DPU:
                 bound = [gpa for _dpu, _size, gpa in sreq.data_descriptors]
         else:
             chain = [write_buffer(self.memory, header.pack())]
         kind = KIND_LABEL[header.kind]
-        steps = self.cost.roundtrip_steps(pages, self.opts.vhost_vsock)
+        if plan is None:
+            steps = self.cost.roundtrip_steps(pages, self.opts.vhost_vsock)
+        else:                       # the plan's, filled in per request
+            steps = dict(plan.roundtrip_steps)
         spans, obs, transferq = self.spans, self.obs, self.queues.transferq
 
         spans.event("frontend.page_mgmt", "frontend", steps["Page"],
                     pages=pages)
         spans.event("frontend.serialize", "frontend", steps["Ser"],
                     pages=pages)
-        request_id = transferq.add_chain(
+        # The transferq is synchronous: the device takes the chain as it
+        # is kicked, and on failure still completes the request (with an
+        # error status), so the queue never wedges.
+        request_id, depth = transferq.submit(
             chain, flow=self.qos.flow_id if self.qos is not None else None)
-        obs.queue_depth["transferq"].set(transferq.pending)
-        transferq.kick()
+        obs.queue_depth["transferq"].set(depth)
         obs.kicks["transferq"].inc()
-        self.mmio.write(Reg.QUEUE_NOTIFY, 0)   # trapped MMIO write
+        self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
         self.kvm.trap()
         spans.event("virtio.kick", "virtio", steps["Int"], queue="transferq")
         if self.qos is not None:
@@ -351,11 +366,6 @@ class VUpmemFrontend:
                 # instead of stalling the backend on a demand fault.
                 pager.prefault(vrank, overlap=steps["Int"] + steps["QoS"])
 
-        # The device takes the chain before processing; on failure it still
-        # completes the request (with an error status) so the queue never
-        # wedges.
-        popped = transferq.pop_avail()
-        assert popped is not None and popped[0] == request_id
         if bound:
             self.memory.bind(bound, [e.data for e in matrix.entries])
         try:
@@ -363,8 +373,7 @@ class VUpmemFrontend:
                                           batch_records=batch_records,
                                           plan=plan, matrix=matrix)
         except Exception:
-            transferq.push_used(UsedElement(request_id=request_id, status=1))
-            transferq.pop_used()
+            transferq.complete(request_id, status=1)
             self.kvm.inject_irq()
             raise
         finally:
@@ -375,12 +384,11 @@ class VUpmemFrontend:
 
         self.kvm.inject_irq()
         self.mmio.raise_interrupt()
-        transferq.push_used(UsedElement(request_id=request_id))
-        transferq.pop_used()
-        self.mmio.write(Reg.INTERRUPT_ACK, 1)
+        transferq.complete(request_id)
+        self.mmio.write(_INTERRUPT_ACK, 1)
         spans.event("virtio.irq", "virtio", steps["Irq"], queue="transferq")
 
-        obs.queue_depth["transferq"].set(transferq.pending)
+        obs.queue_depth["transferq"].set(depth - 1)
         self.profiler.messages.count_request()
         duration = self.cost.total(steps)
         obs.requests[kind].inc()
@@ -388,7 +396,7 @@ class VUpmemFrontend:
             duration,
             exemplar=spans.exemplar() if spans.capture_exemplars else None)
 
-        if header.kind is RequestKind.WRITE_RANK:
+        if header.kind is _WRITE_RANK:
             wrank = {"Page": steps["Page"], "Ser": steps["Ser"],
                      "Int": steps["Int"] + steps["Irq"]}
             if steps["QoS"] > 0.0:
@@ -432,6 +440,10 @@ class VUpmemFrontend:
         except PlanUnsupported:
             return serialize_matrix(header, matrix, self.memory,
                                     digests=digests, skips=skips), None
+        # What the shape fixes of the request's own steps; the QoS wait
+        # and the backend's share are filled in per request.
+        plan.roundtrip_steps = self.cost.roundtrip_steps(
+            plan.sreq.total_pages, self.opts.vhost_vsock)
         evicted = plans.insert(key, plan)
         self.obs.plan_evictions.inc(evicted)
         self.spans.event("plan.compile", "frontend", 0.0,
@@ -514,7 +526,7 @@ class VUpmemFrontend:
         ``ci`` or ``release`` — every non-write request is a batching
         barrier (§4.1).
         """
-        if self.batch.empty:
+        if not self.batch.records:
             return 0.0
         self.obs.batch_flushes[reason].inc()
         # Peek, send, then clear: if the flush fails mid-flight the
@@ -531,13 +543,12 @@ class VUpmemFrontend:
             blob = np.concatenate([r.data for r in recs])
             entries.append(DpuEntry(dpu_index=dpu_index, size=blob.size,
                                     data=blob))
-        matrix = TransferMatrix(XferKind.TO_DPU, MRAM_HEAP_SYMBOL, 0, entries)
-        header = RequestHeader(kind=RequestKind.WRITE_RANK, offset=0,
+        matrix = TransferMatrix(_TO_DPU, MRAM_HEAP_SYMBOL, 0, entries)
+        header = RequestHeader(kind=_WRITE_RANK, offset=0,
                                symbol=MRAM_HEAP_SYMBOL)
         span = self.spans.begin("frontend.batch_flush", "frontend",
                                 reason=reason, records=len(records))
-        for span_id in self._batch_span_ids:
-            span.link("absorbed", span_id)
+        span.link_all("absorbed", self._batch_span_ids)
         try:
             _, duration = self._roundtrip(header, matrix=matrix,
                                           batch_records=records,
@@ -555,11 +566,6 @@ class VUpmemFrontend:
         return duration
 
     # -- content-aware transfer cache (``Optimization(cache=True)``) ---------
-
-    @property
-    def _digesting(self) -> bool:
-        """Whether writes should digest-probe (cache on, not bypassed)."""
-        return self.digests is not None and not self._digest_bypassed
 
     def _maybe_bypass(self) -> None:
         """Engage the adaptive bypass when suppression is not paying.
@@ -644,12 +650,12 @@ class VUpmemFrontend:
         the batch buffer, or sent as one request."""
         self.invalidate("write")
         batched = (self.opts.request_batching
-                   and matrix.target is Target.MRAM
+                   and matrix.target is _MRAM
                    and matrix.max_entry_bytes <= SMALL_WRITE_BYTES)
         flushed = 0.0 if batched else self._flush_batch(reason="large_write")
         cache_time = 0.0
         digests = skips = None
-        if self._digesting:
+        if self.digests is not None and not self._digest_bypassed:
             kept, skips, digests, cache_time = self._probe_digests(matrix)
             if not kept:
                 # Every entry suppressed: no message, nothing batched.
@@ -683,7 +689,7 @@ class VUpmemFrontend:
                                     start=start)
             return flushed + copy_time + cache_time
 
-        header = RequestHeader(kind=RequestKind.WRITE_RANK,
+        header = RequestHeader(kind=_WRITE_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
         _, rt = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
                                 digests=digests, skips=skips)
@@ -698,16 +704,22 @@ class VUpmemFrontend:
         """read-from-rank, possibly served by the prefetch cache."""
         duration = self._flush_batch(reason="read")
 
-        sizes = [e.size for e in matrix.entries]
-        nr_entries = len(sizes)
+        entries = matrix.entries
+        nr_entries = len(entries)
         cacheable = (self.opts.prefetch_cache
-                     and matrix.target is Target.MRAM
-                     and max(sizes, default=0) <= self.cache.capacity)
+                     and matrix.target is _MRAM
+                     and matrix.max_entry_bytes <= self.cache.capacity)
         if cacheable:
-            hits = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
-                    for e in matrix.entries]
-            if all(h is not None for h in hits):
-                serve = self.cost.guest_copy_time(sum(sizes), nr_entries)
+            hits = []
+            for entry in entries:
+                hit = self.cache.lookup(entry.dpu_index, matrix.offset,
+                                        entry.size)
+                if hit is None:
+                    break
+                hits.append(hit)
+            else:
+                serve = self.cost.guest_copy_time(matrix.total_bytes,
+                                                  nr_entries)
                 self.profiler.messages.count_cache_hits(nr_entries)
                 self.obs.prefetch_hits.inc(nr_entries)
                 start = self.spans.cursor
@@ -720,6 +732,8 @@ class VUpmemFrontend:
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
             sizes = [seg_len] * nr_entries
+        else:
+            sizes = [e.size for e in entries]
 
         # The request carries its own destinations: rows of one block,
         # as ``Rank.read_mram`` returns them, bound at its payload GPAs
@@ -728,20 +742,22 @@ class VUpmemFrontend:
         # — or the prefetch cache's — to keep.
         buffers = result_block(sizes, self.blocks)
         wire = TransferMatrix(
-            XferKind.FROM_DPU, matrix.symbol, matrix.offset,
-            [DpuEntry(dpu_index=e.dpu_index, size=row.size, data=row)
-             for e, row in zip(matrix.entries, buffers)])
-        header = RequestHeader(kind=RequestKind.READ_RANK,
+            _FROM_DPU, matrix.symbol, matrix.offset,
+            [DpuEntry(e.dpu_index, row.size, row)
+             for e, row in zip(entries, buffers)])
+        header = RequestHeader(kind=_READ_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
         _, rt = self._roundtrip(header, matrix=wire, op=OP_READ)
         if cacheable:
-            for entry, segment in zip(wire.entries, buffers):
+            # Each row becomes its DPU's line, which starts at this
+            # offset: the caller gets a copy of the line's head, as a
+            # lookup of it would return.
+            for entry, segment in zip(entries, buffers):
                 self.cache.fill(entry.dpu_index, matrix.offset, segment)
             self.profiler.messages.count_cache_refills(nr_entries)
             self.obs.prefetch_refills.inc(nr_entries)
-            buffers = [self.cache.lookup(e.dpu_index, matrix.offset, e.size)
-                       for e in matrix.entries]
-            assert all(buf is not None for buf in buffers)
+            buffers = [segment[:entry.size].copy()
+                       for entry, segment in zip(entries, buffers)]
         self.profiler.record_op(OP_READ, rt, start=self._last_request_start)
         return buffers, duration + rt
 
@@ -813,11 +829,10 @@ class VUpmemFrontend:
     def _notify_manager(self, linked: bool) -> None:
         """Post a manager-sync boolean on the controlq (Appendix A.1)."""
         flag = np.array([1 if linked else 0], dtype=np.uint8)
-        self.queues.controlq.add_chain([write_buffer(self.memory, flag)])
-        self.queues.controlq.kick()
+        _, depth = self.queues.controlq.submit(
+            [write_buffer(self.memory, flag)])
         self.obs.kicks["controlq"].inc()
-        self.queues.controlq.pop_avail()
-        self.obs.queue_depth["controlq"].set(self.queues.controlq.pending)
+        self.obs.queue_depth["controlq"].set(depth - 1)
 
     def release(self) -> float:
         """Tear the device's rank binding down.

@@ -67,6 +67,9 @@ class DeviceStatus(enum.IntFlag):
 #: ``DeviceStatus.DRIVER_OK`` as a plain int: the liveness test of every
 #: queue notify, without an ``IntFlag`` operation.
 _DRIVER_OK = int(DeviceStatus.DRIVER_OK)
+#: The two registers every request writes (its kick and its interrupt
+#: acknowledgement), bound once like ``_DRIVER_OK``.
+_QUEUE_NOTIFY, _INTERRUPT_ACK = Reg.QUEUE_NOTIFY, Reg.INTERRUPT_ACK
 
 
 @dataclass
@@ -113,7 +116,18 @@ class MmioWindow:
         raise VirtError(f"unmapped MMIO read at offset {offset:#x}")
 
     def write(self, offset: int, value: int) -> None:
-        if offset == Reg.STATUS:
+        if offset == _QUEUE_NOTIFY:
+            if not self.status & _DRIVER_OK:    # ``is_live``, every kick
+                raise VirtError(
+                    "queue notify before DRIVER_OK: the driver must wait "
+                    "for device initialization (Appendix A.1)"
+                )
+            self.notifies += 1
+            if self.on_notify is not None:
+                self.on_notify(value)
+        elif offset == _INTERRUPT_ACK:
+            self.interrupt_status &= ~value
+        elif offset == Reg.STATUS:
             self._write_status(value)
         elif offset == Reg.DRIVER_FEATURES:
             if value != 0:
@@ -126,17 +140,6 @@ class MmioWindow:
             self.queue_sel = value
         elif offset == Reg.QUEUE_READY:
             self.queue_ready[self.queue_sel] = bool(value)
-        elif offset == Reg.QUEUE_NOTIFY:
-            if not self.status & _DRIVER_OK:    # ``is_live``, every kick
-                raise VirtError(
-                    "queue notify before DRIVER_OK: the driver must wait "
-                    "for device initialization (Appendix A.1)"
-                )
-            self.notifies += 1
-            if self.on_notify is not None:
-                self.on_notify(value)
-        elif offset == Reg.INTERRUPT_ACK:
-            self.interrupt_status &= ~value
         else:
             raise VirtError(f"unmapped MMIO write at offset {offset:#x}")
 

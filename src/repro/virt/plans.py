@@ -84,6 +84,11 @@ _SKIP_BASE_WORD = 4
 _SKIP_WORDS = 3
 
 
+#: The request kinds a plan serves (bound once: see ``_TO_DPU`` in
+#: :mod:`repro.sdk.transfer`).
+_DATA_KINDS = (RequestKind.WRITE_RANK, RequestKind.READ_RANK)
+
+
 class PlanUnsupported(Exception):
     """The shape cannot be compiled; the caller falls back to the wire
     serializer for this request."""
@@ -99,7 +104,7 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
     kind, addressing, wire format, batching, the (dpu, size) tuple of
     every kept entry, and the (dpu, size) tuple of every SKIP extent.
     """
-    if header.kind not in (RequestKind.WRITE_RANK, RequestKind.READ_RANK):
+    if header.kind not in _DATA_KINDS:
         return None
     if header.offset != matrix.offset or header.symbol != matrix.symbol:
         return None
@@ -107,8 +112,8 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
     return (
         int(header.kind), header.symbol, matrix.offset, batched,
         cache_format,
-        tuple((e.dpu_index, e.size) for e in matrix.entries),
-        tuple((s.dpu_index, s.size) for s in (skips or ())),
+        tuple([(e.dpu_index, e.size) for e in matrix.entries]),
+        tuple([(s.dpu_index, s.size) for s in skips]) if skips else (),
     )
 
 
@@ -138,6 +143,14 @@ class TransferPlan:
     #: Backend-resolved destinations for MRAM writes.
     pinned_write: object = None
     replays: int = field(default=0)
+    #: The request's modeled steps as far as the shape fixes them,
+    #: copied per replay and completed there: the frontend's
+    #: (``CostModel.roundtrip_steps``, set when the plan is cached) and
+    #: the backend's (``CostModel.backend_steps``) by the ``(threads,
+    #: broadcast)`` it was worked out for.
+    roundtrip_steps: Dict[str, float] = field(default_factory=dict)
+    backend_steps: Dict[Tuple[int, bool], Dict[str, float]] = field(
+        default_factory=dict)
     # What every replay reads and the shape alone determines, worked out
     # once here (replays share the lists: read-only):
     #: the payload GPA of each entry, in entry order — where the frontend

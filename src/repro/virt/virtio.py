@@ -19,7 +19,7 @@ buffer)), fitting the 512-pointer queue regardless of data size (Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 from collections import deque
 
 import numpy as np
@@ -82,7 +82,9 @@ class Virtqueue:
                 f"{self.name}: chain of {len(chain)} buffers exceeds the "
                 f"{MAX_SERIALIZED_BUFFERS}-buffer serialization bound"
             )
-        outstanding = sum(len(c[1]) for c in self._avail) + len(chain)
+        outstanding = len(chain)
+        for queued in self._avail:
+            outstanding += len(queued[1])
         if outstanding > self.capacity:
             raise VirtqueueError(
                 f"{self.name}: {outstanding} descriptors exceed the "
@@ -91,8 +93,33 @@ class Virtqueue:
         request_id = self._next_id
         self._next_id += 1
         self._avail.append((request_id, list(chain), flow))
-        self.max_outstanding = max(self.max_outstanding, outstanding)
+        if outstanding > self.max_outstanding:
+            self.max_outstanding = outstanding
         return request_id
+
+    def submit(self, chain: List[Descriptor],
+               flow: Optional[str] = None) -> Tuple[int, int]:
+        """One synchronous request, driver and device side at once: post
+        ``chain``, kick, and let the device take it — the queue and its
+        counters end as :meth:`add_chain`, :meth:`kick` and
+        :meth:`pop_avail` leave them.  Returns ``(request_id, depth)``,
+        ``depth`` being :attr:`pending` once the chain was posted."""
+        request_id = self.add_chain(chain, flow)
+        depth = len(self._avail)
+        self.kicks += 1
+        taken = self._avail.popleft()
+        assert taken[0] == request_id, "a chain was left on the queue"
+        return request_id, depth
+
+    def complete(self, request_id: int, status: int = 0) -> None:
+        """The device posts a synchronous request's completion and the
+        driver reaps it at once: :meth:`push_used` + :meth:`pop_used`,
+        which leave the used ring as they found it — untouched when it
+        is empty, as between requests it always is."""
+        if self._used:      # an earlier completion is reaped first (FIFO)
+            self._used.append(UsedElement(request_id=request_id,
+                                          status=status))
+            self._used.popleft()
 
     def pending_for(self, flow: str) -> int:
         """Queued chains tagged with QoS flow ``flow``."""

@@ -12,12 +12,16 @@ observer costs").
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.config import small_machine
+from repro.core import VPim
 from repro.hardware.clock import SimClock
 from repro.observability import SpanRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import LAYERS, Span
+from repro.sdk.dpu_set import DpuSet
 
 BUILT, COUNTED = 1 << 30, 0
 
@@ -245,3 +249,57 @@ def test_a_trace_opened_with_room_is_built_even_if_the_list_fills():
     assert returned == [None, None]
     assert recorder.spans_dropped == {"trace_cap": 6}
     assert recorder.spans_started == 8 == 2 + 6
+
+
+def _span_series(registry: MetricsRegistry):
+    """``repro_span_*`` as a scrape reads it: ``{family: {label: value}}``."""
+    return {family.name: {next(iter(labels.values())): child.value
+                          for labels, child in family.samples()}
+            for family in registry.collect()
+            if family.name.startswith("repro_span_")}
+
+
+def _scrapes(max_traces: int):
+    """At every clock advance of a run of small copies: whether a trace
+    was open, the ``repro_span_*`` series, the spans retained and the
+    spans started."""
+    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8))
+    vpim.spans.max_traces = max_traces
+    session = vpim.vm_session(nr_vupmem=1)
+    registry, spans = vpim.machine.metrics, vpim.spans
+    seen = []
+    vpim.clock.add_listener(lambda now: seen.append((
+        now, spans.current is not None, _span_series(registry),
+        sum(len(trace) for trace in spans.traces), spans.spans_started)))
+    with DpuSet(session.transport, 8) as dpus:
+        for i in range(12):
+            size = (64, 4096, 8192)[i % 3]
+            payload = np.full(size, i, dtype=np.uint8)
+            dpus.copy_to_mram(i % 8, 0, payload)
+            assert np.array_equal(dpus.copy_from_mram(i % 8, 0, size),
+                                  payload)
+    return seen
+
+
+def test_counts_are_exact_between_span_calls():
+    """A scrape can land inside a trace — ``DpuSet.push`` advances the
+    clock before its root span closes — and must read what building
+    every trace would: the counts are the series, not a later flush.
+    Started spans by layer and finished traces agree; what the counted
+    side reports dropped is what the built side holds."""
+    built, counted = _scrapes(BUILT), _scrapes(COUNTED)
+    assert len(built) == len(counted)
+    mid_trace = 0
+    for (now, open_, a, held, started), (now_, open__, b, held_, started_) \
+            in zip(built, counted):
+        assert (now, open_, started) == (now_, open__, started_)
+        mid_trace += open_
+        assert a["repro_span_started_total"] == b["repro_span_started_total"]
+        assert sum(b["repro_span_started_total"].values()) == started
+        finished = a["repro_span_traces_total"]
+        assert set(finished) <= {"true"} and held_ == 0
+        assert (sum(finished.values())
+                == sum(b["repro_span_traces_total"].values()))
+        assert not a["repro_span_dropped_total"]
+        assert b["repro_span_dropped_total"].get("trace_cap", 0) == held
+    assert mid_trace >= 24              # every copy's push, at least

@@ -3,12 +3,13 @@
 Two rules, both deterministic (``docs/observability.md``, "What the
 observer costs"):
 
-1. **One record per handle.**  In steady state — the retained list
-   is full, so every trace is counted, not built — a transfer allocates
-   one :class:`Span` per ``begin`` (the handle its caller reads),
-   **none per** ``event``, and one :class:`Trace` per finished trace —
-   no other object of any class defined under ``repro.observability``.
-   ``repro_span_started_total`` still advances once per span.
+1. **One** :class:`Span` **per** ``begin``, **nothing else.**  In
+   steady state — the retained list is full, so every trace is counted,
+   not built — a transfer allocates one :class:`Span` per ``begin``
+   (the handle its caller reads), **none per** ``event`` and **no**
+   :class:`Trace` — no other object of any class defined under
+   ``repro.observability``.  ``repro_span_started_total`` still advances
+   once per span.
 2. **No label resolution after first use.**  Once every label value a
    transfer path uses has been seen, it never calls
    :meth:`MetricFamily.labels` again; a *fresh* label value still
@@ -30,7 +31,7 @@ import repro.observability
 from repro.config import small_machine
 from repro.core import VPim
 from repro.observability.metrics import MetricFamily
-from repro.observability.spans import Span, SpanRecorder, Trace
+from repro.observability.spans import Span, SpanRecorder
 from repro.sdk.dpu_set import DpuSet
 
 NR_DPUS = 16
@@ -136,8 +137,7 @@ def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
         assert new_traces == CALLS and new_spans == SPANS_STARTED[mode]
         assert tally.calls["begin"] + tally.calls["event"] == new_spans
         assert tally.labels_calls == 0
-        assert dict(tally.instances) == {Span: tally.calls["begin"],
-                                         Trace: new_traces}
+        assert dict(tally.instances) == {Span: tally.calls["begin"]}
         assert len(spans.traces) == spans.max_traces
         assert _series(registry) == series_before
 
@@ -151,3 +151,43 @@ def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
         fresh = _series(registry) - after_ci
         assert ("repro_rank_xfer_ops_total",
                 (("direction", "write"), ("rank", "2"))) in fresh
+
+
+def test_a_flush_links_the_writes_it_absorbed_in_one_step(monkeypatch):
+    """A batch flush carries one ``absorbed`` link per buffered write, in
+    write order, and builds its ``links`` once: one ``link_all``, no
+    ``link`` per write (which rebuilt the tuple every time, quadratic in
+    the 4096 writes one DPU's buffer holds)."""
+    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8))
+    session = vpim.vm_session(nr_vupmem=1)
+    spans = vpim.spans
+    calls = Counter()
+    linked = []
+    link_all = Span.link_all
+
+    def counting_link(span, kind, span_id):
+        calls["link"] += 1
+
+    def counting_link_all(span, kind, span_ids):
+        calls["link_all"] += 1
+        link_all(span, kind, span_ids)
+        linked.append(span)
+
+    with DpuSet(session.transport, 8) as dpus:
+        payload = np.arange(64, dtype=np.uint8)
+        capacity = session.vm.devices[0].frontend.batch.capacity
+        copies = []
+        for i in range(capacity // payload.size):      # fills DPU 5's buffer
+            dpus.copy_to_mram(5, 64 * i, payload)
+            copies.append(spans.spans_started)         # its batch_copy id
+        assert len(copies) == 4096
+        monkeypatch.setattr(Span, "link", counting_link)
+        monkeypatch.setattr(Span, "link_all", counting_link_all)
+        got = dpus.copy_from_mram(5, 64 * 4095, 64)    # flushes: a barrier
+    assert np.array_equal(got, payload)
+    assert dict(calls) == {"link_all": 1}
+    (flush,) = linked
+    assert flush.name == "frontend.batch_flush"
+    assert flush.attributes["records"] == 4096
+    assert flush.links == tuple({"kind": "absorbed", "span_id": span_id}
+                                for span_id in copies)

@@ -54,6 +54,24 @@ def test_chain_roundtrip():
     assert q.kicks == 1
 
 
+def test_submit_and_complete_end_where_the_single_steps_do():
+    """``submit`` + ``complete`` are add/kick/pop and push/pop of one
+    synchronous request in two calls: same ids, counters and rings."""
+    steps, both = Virtqueue("q", 16), Virtqueue("q", 16)
+    for n in (3, 2, 1):
+        rid = steps.add_chain(desc(n))
+        depth = steps.pending
+        steps.kick()
+        steps.pop_avail()
+        steps.push_used(UsedElement(request_id=rid, status=1))
+        steps.pop_used()
+        assert both.submit(desc(n)) == (rid, depth)
+        both.complete(rid, status=1)
+    state = [(q._next_id, q.kicks, q.max_outstanding, q.pending,
+              len(q._used)) for q in (steps, both)]
+    assert state[0] == state[1] == (3, 3, 3, 0, 0)
+
+
 def test_empty_chain_rejected():
     with pytest.raises(VirtqueueError):
         Virtqueue("q", 16).add_chain([])
