@@ -144,8 +144,8 @@ def run_suite(quick: bool, nr_dpus: int = 64,
         plans = device.frontend.plans
         results[name] = dict(
             first, wall_s=best_wall, nr_reps=nr_reps, rep_totals=rep_totals,
-            plan_cache={"hits": plans.hits, "misses": plans.misses,
-                        "evictions": plans.evictions,
+            plan_cache={**{key: plans.counts.get(key, 0) for key in
+                           ("hits", "misses", "evictions")},
                         "invalidations": plans.invalidations})
     return {name: results[name] for name in SUITE_APPS}
 

@@ -279,11 +279,11 @@ def run_arm(label: str, tenants: int, physical_ranks: int,
 
     pager = vpim.manager.pager
     if pager is not None:
-        arm.swap_in_bytes = pager.stats.swap_in_bytes
-        arm.swap_out_bytes = pager.stats.swap_out_bytes
-        arm.demand_faults = pager.stats.demand_faults
-        arm.predictive_faults = pager.stats.predictive_faults
-        arm.evictions = pager.stats.evictions
+        arm.swap_in_bytes = pager.counts.get("swap_in_bytes", 0)
+        arm.swap_out_bytes = pager.counts.get("swap_out_bytes", 0)
+        arm.demand_faults = pager.faults.get("demand", 0)
+        arm.predictive_faults = pager.faults.get("predictive", 0)
+        arm.evictions = pager.counts.get("evictions", 0)
     return arm
 
 

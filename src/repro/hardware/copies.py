@@ -12,12 +12,16 @@ thread resolves every copy before handing any out (checks, extents,
 presence masks) and does all accounting after the join, so metrics,
 spans and the regions' state are only ever touched by it.  It also holds
 every array a worker copies until the join, and a worker drops its own
-references before it signals: no finalizer or weakref callback runs on a
-worker thread.
+references before it signals, so no reference a worker drops frees
+anything.  Cyclic garbage collection is off from the first hand-out to
+the join: a collection a worker's allocation triggered would run the
+finalizers and weakref callbacks of whatever it frees (a region's extent
+release, a result block's return) on that worker.  So none runs there.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import queue
 import threading
@@ -83,20 +87,27 @@ def fan_out(groups: Sequence[List[Piece]]) -> None:
     that, never while a worker still copies.
     """
     runs = _split(groups, CORES)
-    while len(_workers) < len(runs) - 1:
-        worker = threading.Thread(target=_serve, args=(_tasks,), daemon=True,
-                                  name=f"repro-copies-{len(_workers)}")
-        worker.start()
-        _workers.append(worker)
     errors: List[BaseException] = []
     done: "queue.SimpleQueue" = queue.SimpleQueue()
-    for run in runs[1:]:
-        _tasks.put((run, errors, done))
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        copy(runs[0])
+        while len(_workers) < len(runs) - 1:
+            worker = threading.Thread(
+                target=_serve, args=(_tasks,), daemon=True,
+                name=f"repro-copies-{len(_workers)}")
+            worker.start()
+            _workers.append(worker)
+        for run in runs[1:]:
+            _tasks.put((run, errors, done))
+        try:
+            copy(runs[0])
+        finally:
+            for _ in runs[1:]:
+                done.get()
     finally:
-        for _ in runs[1:]:
-            done.get()
+        if collecting:
+            gc.enable()
     if errors:
         raise errors[0]
 

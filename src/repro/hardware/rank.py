@@ -39,7 +39,7 @@ from repro.hardware.copies import Piece
 from repro.hardware.dpu import Dpu, DpuState, LaunchStats
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
-from repro.observability import MetricsRegistry
+from repro.observability.metrics import Counts, MetricsRegistry
 from repro.observability.instruments import RANK, bind
 from repro.observability.spans import SpanRecorder
 
@@ -196,11 +196,10 @@ class Rank:
         #: the data path untouched, so a run without an injector is
         #: byte-identical to one on a build without ``repro.faults``.
         self.fault_hook = None
-        # transfer statistics
-        self.write_ops = 0
-        self.read_ops = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
+        #: Transfer operations and bytes by ``write``/``read``: what
+        #: ``repro_rank_xfer_ops_total``/``_bytes_total`` read.
+        self.xfer_ops = Counts(self.obs.xfer_ops)
+        self.xfer_bytes = Counts(self.obs.xfer_bytes)
 
     @property
     def nr_dpus(self) -> int:
@@ -241,19 +240,13 @@ class Rank:
 
     def _account(self, op: str, total: int, nr_targets: int,
                  rust_interleave: bool) -> float:
-        """The accounting tail every rank transfer shares: counters,
-        modeled duration, live metric and span of one ``op``
+        """The accounting tail every rank transfer shares: counts,
+        modeled duration, latency histogram and span of one ``op``
         (``write``/``read``) that moved ``total`` bytes."""
-        if op == "write":
-            self.write_ops += 1
-            self.bytes_written += total
-        else:
-            self.read_ops += 1
-            self.bytes_read += total
+        self.xfer_ops[op] += 1
+        self.xfer_bytes[op] += total
         duration = (self.cost.rank_op_time(total, nr_targets, rust_interleave)
                     * self.degradation)
-        self.obs.xfer_ops[op].inc()
-        self.obs.xfer_bytes[op].inc(total)
         self.obs.xfer_seconds[op].observe(duration)
         self.spans.event(f"rank.{op}", "rank", duration,
                          rank=self.index, bytes=total, targets=nr_targets)

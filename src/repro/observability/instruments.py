@@ -3,13 +3,16 @@
 A table maps the attribute a component touches to ``(catalog name,
 varying labels, fixed labels)``; :func:`bind` turns it into a plain
 namespace of metric children, so a call site reads
-``obs.plan_hits.inc()`` or ``obs.requests[kind].inc()`` with nothing in
-between.  Every name goes through the catalog, so a binding cannot emit
-an undocumented metric, and every row's labels are checked against the
-catalog schema when the component is built.
+``obs.batched_writes.inc(n)`` or ``obs.requests[kind].inc()`` with
+nothing in between.  Every name goes through the catalog, so a binding
+cannot emit an undocumented metric, and every row's labels are checked
+against the catalog schema when the component is built.
 
 Adding a metric is a catalog row, a table row here, and one touch at
-the call site.
+the call site.  A counter that mirrors a count its owner keeps anyway
+(plan-cache and XLB hits, kicks, rank transfers, pager swaps, spans)
+has no touch: the owner's :class:`~repro.observability.metrics.Counts`
+gets the row's children, and the series follows the count.
 """
 
 from __future__ import annotations

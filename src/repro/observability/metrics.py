@@ -123,6 +123,34 @@ class CounterChild(_Child):
         return value
 
 
+class Counts(dict):
+    """Counts by key that counter series read instead of keeping their own.
+
+    The owner adds to a plain number (``counts[key] += n``) where it
+    would call :meth:`CounterChild.inc`.  ``series`` maps a key to the
+    child that reports it (a tuple of children: several series report
+    one count) — a family's bound children keyed by label value, or a
+    dict of children.  A key's first add creates its series (on first
+    touch, as ``inc`` would) and makes it :meth:`~CounterChild.follow`
+    the count, so a scrape at any moment reads the exact value.  Read
+    with ``get(key, 0)``: indexing an absent key is a first touch.  The
+    series hold this dict, not its owner, so a count a series follows
+    keeps no closed session's memory alive."""
+
+    def __init__(self, series=None) -> None:
+        super().__init__()
+        self._series = series
+
+    def __missing__(self, key) -> int:
+        self[key] = 0
+        if self._series is not None:
+            children = self._series[key]
+            for child in (children if isinstance(children, tuple)
+                          else (children,)):
+                child.follow(self, key)
+        return 0
+
+
 class GaugeChild(_Child):
     """A value that can go up and down (queue depth, pool occupancy)."""
 
@@ -279,6 +307,9 @@ class MetricFamily:
     # Convenience for label-less families.
     def inc(self, amount: float = 1.0) -> None:
         self._unlabeled().inc(amount)  # type: ignore[attr-defined]
+
+    def follow(self, counts: Dict, key: object) -> None:
+        self._unlabeled().follow(counts, key)  # type: ignore[attr-defined]
 
     def set(self, value: float) -> None:
         self._unlabeled().set(value)  # type: ignore[attr-defined]

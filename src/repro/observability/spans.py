@@ -43,7 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.instruments import SPAN, SPAN_RETENTION, bind
 from repro.observability.logs import TraceLogger
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counts, MetricsRegistry
 from repro.observability.stats import DecayedMean
 
 #: Stack layers, in top-down order.  The Perfetto export gives each its
@@ -154,26 +154,6 @@ class Trace:
         return len(self.spans)
 
 
-class _Counts(dict):
-    """Integer counts by label value, feeding one ``repro_span_*`` family.
-
-    The recorder adds to a plain ``int`` (``counts[layer] += 1``) where
-    it would call ``inc``.  A value's first add creates its series — on
-    first touch, as ``inc`` would — and makes the series read the count
-    (:meth:`~repro.observability.metrics.CounterChild.follow`), so a
-    scrape at any moment sees the exact value."""
-
-    def __init__(self, series=None) -> None:
-        super().__init__()
-        self._series = series       # the family's bound children, or None
-
-    def __missing__(self, key: str) -> int:
-        self[key] = 0
-        if self._series is not None:
-            self._series[key].follow(self, key)
-        return 0
-
-
 class SpanRecorder:
     """Records span trees against a simulated clock.
 
@@ -233,8 +213,8 @@ class SpanRecorder:
         #: Spans started per layer and traces finished per ``retained``
         #: label: what ``repro_span_started_total`` and
         #: ``repro_span_traces_total`` read.
-        self._started = _Counts(self.obs.started if self.obs else None)
-        self._finished = _Counts(self.obs.traces if self.obs else None)
+        self._started = Counts(self.obs.started if self.obs else None)
+        self._finished = Counts(self.obs.traces if self.obs else None)
         #: The ``SPAN_RETENTION`` memo, bound by the first classified trace.
         self._retention = None
         #: Finished traces that survived sampling/caps, oldest first.
@@ -247,7 +227,7 @@ class SpanRecorder:
         #: Spans started so far; also the id of the newest one.
         self.spans_started = 0
         #: Drops by reason; ``repro_span_dropped_total`` reads it.
-        self.spans_dropped: Dict[str, int] = {}
+        self.spans_dropped = Counts(self.obs.dropped if self.obs else None)
         self.traces_finished = 0
         self.traces_retained = 0
         self._stack: List[Span] = []
@@ -347,15 +327,7 @@ class SpanRecorder:
             trace.spans.append(span)
         else:
             trace.dropped_spans += 1
-            self._drop("span_cap")
-
-    def _drop(self, reason: str, count: int = 1) -> None:
-        dropped = self.spans_dropped
-        if reason not in dropped:
-            dropped[reason] = 0
-            if self.obs is not None:
-                self.obs.dropped[reason].follow(dropped, reason)
-        dropped[reason] += count
+            self.spans_dropped["span_cap"] += 1
 
     def begin(self, name: str, layer: str, start: Optional[float] = None,
               **attributes: object) -> Span:
@@ -520,7 +492,8 @@ class SpanRecorder:
             # applies here.
             held = self.spans_started - root.span_id + 1
             if held > self.max_spans_per_trace:
-                self._drop("span_cap", held - self.max_spans_per_trace)
+                self.spans_dropped["span_cap"] += (
+                    held - self.max_spans_per_trace)
                 held = self.max_spans_per_trace
         else:
             held = len(trace.spans)
@@ -536,11 +509,7 @@ class SpanRecorder:
             trace.retention = tier
         if tier:
             if trace is None or len(self.traces) >= self.max_traces:
-                dropped = self.spans_dropped
-                if "trace_cap" in dropped:
-                    dropped["trace_cap"] += held
-                else:                   # the first: creates the series
-                    self._drop("trace_cap", held)
+                self.spans_dropped["trace_cap"] += held
             else:
                 keep = True
                 if self.tail_sampling:
@@ -584,7 +553,7 @@ class SpanRecorder:
         if self._last_pending:
             self._last_pending = False
             if trace is None or len(self.traces) >= self.max_traces:
-                self._drop("trace_cap", self._last_held)
+                self.spans_dropped["trace_cap"] += self._last_held
             else:
                 self.traces.append(trace)
                 self.traces_retained += 1

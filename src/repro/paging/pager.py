@@ -30,7 +30,7 @@ paging's advantage over the 20x emulation fallback comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.driver.driver import PerfModeMapping, UpmemDriver
@@ -39,6 +39,7 @@ from repro.hardware.dpu import DpuState
 from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import Rank
 from repro.observability.instruments import PAGING, bind
+from repro.observability.metrics import Counts
 from repro.paging.config import PagingConfig
 from repro.paging.eviction import make_policy
 from repro.paging.store import SwapStore
@@ -68,19 +69,12 @@ class _VRankEntry:
 
 @dataclass
 class PagerStats:
-    """Cumulative pager counters (mirrors ``repro_paging_*`` metrics)."""
+    """Cumulative pager counters no metric mirrors; the ``repro_paging_*``
+    counters read :attr:`RankPager.faults` and :attr:`RankPager.counts`."""
 
-    faults: int = 0
-    demand_faults: int = 0
-    predictive_faults: int = 0
-    first_touch_faults: int = 0
-    evictions: int = 0
-    swap_out_bytes: int = 0
-    swap_in_bytes: int = 0
     swap_seconds: float = 0.0
     frames_acquired: int = 0
     frames_returned: int = 0
-    prefault_overlap_s: float = 0.0
 
 
 class RankPager:
@@ -92,11 +86,20 @@ class RankPager:
         self.clock = manager.clock
         self.cost = manager.cost
         self.config = config
-        self.store = SwapStore()
         self.policy = make_policy(config.policy,
                                   half_life_s=config.wss_half_life_s)
         self.stats = PagerStats()
-        self.obs = bind(self.machine.metrics, PAGING, policy=config.policy)
+        self.obs = obs = bind(self.machine.metrics, PAGING,
+                              policy=config.policy)
+        #: Faults by kind; evictions (each one a swap-out), bytes swapped
+        #: out and in, and swap time hidden under a queued request.
+        self.faults = Counts(obs.faults)
+        self.counts = Counts({
+            "evictions": (obs.evictions, obs.swaps_out),
+            "swap_out_bytes": obs.swap_bytes_out,
+            "swap_in_bytes": obs.swap_bytes_in,
+            "prefault_overlap_s": obs.prefault_overlap})
+        self.store = SwapStore({"dedup_hits": obs.dedup_hits})
         self._vranks: Dict[int, _VRankEntry] = {}
         self._free_frames: List[int] = []
         self._dirty_frames: set = set()
@@ -233,16 +236,9 @@ class RankPager:
 
     def _fault_in(self, vrank: int, kind: str, credit: float = 0.0) -> None:
         entry = self._vranks[vrank]
-        self.stats.faults += 1
         if not entry.has_state:
             kind = "first_touch"
-        self.obs.faults[kind].inc()
-        if kind == "demand":
-            self.stats.demand_faults += 1
-        elif kind == "predictive":
-            self.stats.predictive_faults += 1
-        else:
-            self.stats.first_touch_faults += 1
+        self.faults[kind] += 1
 
         frame = self._grab_frame(exclude=vrank)
         rank = self.machine.rank(frame)
@@ -252,8 +248,6 @@ class RankPager:
             if entry.has_state:
                 checkpoint = self.store.get(vrank)
                 duration = restore_rank(rank, checkpoint)
-                nr_bytes = checkpoint.nr_bytes
-                self.stats.swap_in_bytes += nr_bytes
             elif frame in self._dirty_frames:
                 # First touch onto an evicted tenant's frame: a targeted
                 # wipe of just the materialized bytes (the pager knows
@@ -262,21 +256,18 @@ class RankPager:
                 dirty = sum(dpu.mram.materialized_bytes for dpu in rank.dpus)
                 rank.reset()
                 duration = self.cost.rank_transfer_time(dirty)
-                nr_bytes = 0
             else:
                 duration = 0.0
-                nr_bytes = 0
             duration += self.config.fault_overhead_s
             charged = max(0.0, duration - credit)
             hidden = duration - charged
             if hidden > 0:
-                self.stats.prefault_overlap_s += hidden
-                self.obs.prefault_overlap.inc(hidden)
+                self.counts["prefault_overlap_s"] += hidden
             self.clock.advance(charged)
             self.stats.swap_seconds += charged
             if entry.has_state:
                 self.obs.swaps_in.inc()
-                self.obs.swap_bytes_in.inc(nr_bytes)
+                self.counts["swap_in_bytes"] += checkpoint.nr_bytes
                 self.obs.swap_seconds_in.observe(
                     duration, exemplar=spans.exemplar())
         self._dirty_frames.discard(frame)
@@ -295,18 +286,13 @@ class RankPager:
         with spans.scope("paging.swap_out", "paging", vrank=vrank,
                          frame=frame):
             checkpoint, duration = checkpoint_rank(rank)
-            raw, deduped, hits = self.store.put(vrank, checkpoint)
             self.clock.advance(duration)
+            self.store.put(vrank, checkpoint)
             self.stats.swap_seconds += duration
-            self.stats.swap_out_bytes += checkpoint.nr_bytes
-            self.stats.evictions += 1
-            self.obs.swaps_out.inc()
-            self.obs.swap_bytes_out.inc(checkpoint.nr_bytes)
+            self.counts["swap_out_bytes"] += checkpoint.nr_bytes
+            self.counts["evictions"] += 1
             self.obs.swap_seconds_out.observe(
                 duration, exemplar=spans.exemplar())
-            self.obs.evictions.inc()
-            if hits:
-                self.obs.dedup_hits.inc(hits)
         entry.frame = None
         entry.has_state = True
         self._free_frames.append(frame)

@@ -28,6 +28,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.hardware.dpu import DpuState
+from repro.observability.metrics import Counts
 from repro.virt.digest import content_digest
 from repro.virt.migration import DpuSnapshot, RankCheckpoint
 
@@ -50,14 +51,17 @@ class _StoredCheckpoint:
 
 
 class SwapStore:
-    """Content-addressed, refcounted store of swapped-out rank state."""
+    """Content-addressed, refcounted store of swapped-out rank state.
 
-    def __init__(self) -> None:
+    ``counts["dedup_hits"]`` counts segment stores that matched an
+    already-held payload; ``series`` maps that key to the child that
+    reads it."""
+
+    def __init__(self, series=None) -> None:
         self._payloads: Dict[int, bytes] = {}
         self._refs: Dict[int, int] = {}
         self._vranks: Dict[int, _StoredCheckpoint] = {}
-        #: Segment stores that matched an already-held payload.
-        self.dedup_hits = 0
+        self.counts = Counts(series)
 
     # -- write side ---------------------------------------------------------
 
@@ -87,7 +91,7 @@ class SwapStore:
                     self._refs[digest] += 1
                     deduped += size
                     hits += 1
-                    self.dedup_hits += 1
+                    self.counts["dedup_hits"] += 1
                 else:
                     self._payloads[digest] = (
                         np.ascontiguousarray(payload)

@@ -50,10 +50,11 @@ class OpStats:
 class MessageStats:
     """Frontend<->backend message accounting (drives Fig. 14's claims).
 
-    Mutate through the ``count_*`` methods; the frontend calls each next
-    to the matching live counter of its
-    :data:`~repro.observability.instruments.FRONTEND` table, so profiler
-    totals and live metrics cannot drift apart.
+    Per run: :meth:`Profiler.reset` replaces it, so no series follows it
+    (a live counter never goes back to zero).  Mutate through the
+    ``count_*`` methods; the frontend calls each next to the matching
+    live counter of its :data:`~repro.observability.instruments.FRONTEND`
+    table.
     """
 
     requests: int = 0          #: virtio requests actually sent

@@ -29,7 +29,7 @@ from repro.hardware.bufpool import BufferPool
 from repro.hardware.rank import WriteSpec
 from repro.hardware.clock import SimClock
 from repro.hardware.timing import CostModel
-from repro.observability import MetricsRegistry
+from repro.observability.metrics import Counts, MetricsRegistry
 from repro.observability.instruments import BACKEND, bind, vm_of
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
@@ -94,18 +94,19 @@ class TranslationCache:
     back request after request (§4.2's translation threads re-resolve
     them every time).  A run is keyed by ``(first GPA, last GPA, page
     count)`` — the identity of an arithmetic page sequence produced by
-    the frontend serializer — and the hit/miss counters model the TLB's
-    behaviour over those runs.  Every page is bounds-checked on hits
+    the frontend serializer — and ``counts["hits"]``/``counts["misses"]``
+    model the TLB's behaviour over those runs (``series`` maps those keys
+    to the children that read them).  Every page is bounds-checked on hits
     too: the key says nothing about the middle of a run the guest built.
     LRU-bounded; the GPA+offset arithmetic is unchanged.
     """
 
-    def __init__(self, memory: GuestMemory, capacity: int = 512) -> None:
+    def __init__(self, memory: GuestMemory, capacity: int = 512,
+                 series=None) -> None:
         self.memory = memory
         self.capacity = capacity
         self._runs: "OrderedDict[Tuple[int, int, int], bool]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self.counts = Counts(series)
         #: Bumped on every :meth:`invalidate` (unlink/relink).  Compiled
         #: transfer plans snapshot this after resolving their page runs;
         #: a matching generation lets a replay skip per-entry translation
@@ -123,9 +124,9 @@ class TranslationCache:
         runs = self._runs
         if key in runs:
             runs.move_to_end(key)
-            self.hits += 1
+            self.counts["hits"] += 1
         else:
-            self.misses += 1
+            self.counts["misses"] += 1
             runs[key] = True
             if len(runs) > self.capacity:
                 runs.popitem(last=False)
@@ -183,7 +184,8 @@ class VUpmemBackend:
         self.obs = bind(metrics or MetricsRegistry(), BACKEND,
                         vm=vm_of(device_id), device=device_id)
         #: TLB-style GPA→HVA run cache (every page bounds-checked, hits too).
-        self.xlb = TranslationCache(guest_memory)
+        self.xlb = TranslationCache(guest_memory, series={
+            "hits": self.obs.xlb_hits, "misses": self.obs.xlb_misses})
         #: Scratch-buffer pool backing gathers and pooled rank reads;
         #: per-backend so chaos drills can assert loan stability.
         self.pool = BufferPool()
@@ -446,15 +448,10 @@ class VUpmemBackend:
             # Replay: the plan's page runs were resolved (and bounds-
             # validated) at this XLB generation, and its GPAs never
             # change — count the hits without walking.
-            nr_entries = len(entries)
-            xlb.hits += nr_entries
-            self.obs.xlb_hits.inc(nr_entries)
+            xlb.counts["hits"] += len(entries)
         else:
-            hits0, misses0 = xlb.hits, xlb.misses
             for entry in entries:
                 xlb.translate(entry.page_gpas)  # bounds-checked
-            self.obs.xlb_hits.inc(xlb.hits - hits0)
-            self.obs.xlb_misses.inc(xlb.misses - misses0)
             if plan is not None:
                 plan.xlb_generation = xlb.generation
         self.obs.translated_pages.inc(pages)

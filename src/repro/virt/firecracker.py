@@ -35,7 +35,6 @@ from repro.virt.kvm import Kvm
 from repro.virt.manager import Manager
 from repro.virt.mmio import MmioWindow
 from repro.virt.opts import OptimizationConfig
-from repro.virt.virtio import VirtioPimQueues
 from repro.virt.vm import Vm, VUpmemDevice
 
 #: Firecracker's own boot time before devices are added (microVM scale).
@@ -161,7 +160,6 @@ class Firecracker:
         boot_time = BASE_BOOT_TIME
         for i in range(config.nr_vupmem):
             device_id = f"{vm_id}.vupmem{i}"
-            queues = VirtioPimQueues()
             backend = VUpmemBackend(
                 device_id=device_id, driver=self.driver, guest_memory=memory,
                 cost=self.cost, rust_data_path=not config.opts.c_enhancement,
@@ -182,7 +180,7 @@ class Firecracker:
                 },
             )
             frontend = VUpmemFrontend(
-                device_id=device_id, queues=queues, memory=memory,
+                device_id=device_id, memory=memory,
                 backend=backend, kvm=kvm, opts=config.opts, cost=self.cost,
                 profiler=profiler, mmio=mmio,
                 metrics=self.machine.metrics, spans=self.machine.spans,
@@ -191,7 +189,7 @@ class Firecracker:
             vm.devices.append(VUpmemDevice(device_id=device_id,
                                            frontend=frontend,
                                            backend=backend,
-                                           queues=queues,
+                                           queues=frontend.queues,
                                            mmio=mmio))
             vm.kernel_cmdline.append(mmio.command_line_entry())
             boot_time += self.cost.vupmem_boot_cost

@@ -167,7 +167,7 @@ class VUpmemFrontend:
     """The guest-side driver of one vUPMEM device (the §4.1 frontend
     kernel module)."""
 
-    def __init__(self, device_id: str, queues: VirtioPimQueues,
+    def __init__(self, device_id: str,
                  memory: GuestMemory, backend: VUpmemBackend, kvm: Kvm,
                  opts: OptimizationConfig, cost: CostModel,
                  profiler: Profiler,
@@ -176,7 +176,6 @@ class VUpmemFrontend:
                  spans: Optional[SpanRecorder] = None,
                  qos=None) -> None:
         self.device_id = device_id
-        self.queues = queues
         self.memory = memory
         self.backend = backend
         self.kvm = kvm
@@ -194,12 +193,6 @@ class VUpmemFrontend:
         #: bit-identical to the committed wall-clock digest.
         self.digests: Optional[ExtentDigestIndex] = (
             ExtentDigestIndex() if opts.cache else None)
-        #: The serializer of data requests (``docs/performance.md``):
-        #: wire layouts compiled once per transfer shape and replayed on
-        #: each repetition.  Wall-clock only — modeled time is
-        #: bit-identical to the wire path's, which serves a request only
-        #: when :func:`compile_plan` refuses it.
-        self.plans = PlanCache(memory)
         #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
         #: observed suppression rate over at least
         #: ``opts.cache_bypass_min_probes`` probes stays below
@@ -222,8 +215,19 @@ class VUpmemFrontend:
         #: :class:`~repro.virt.firecracker.Firecracker`, so frontend
         #: request spans parent the backend spans they trigger.
         self.spans = spans or SpanRecorder(profiler.clock)
-        self.obs = bind(registry, FRONTEND, vm=vm_of(device_id),
-                        device=device_id)
+        self.obs = obs = bind(registry, FRONTEND, vm=vm_of(device_id),
+                              device=device_id)
+        #: The device's virtqueues, set up by this driver; their kick
+        #: counts are what ``repro_virtio_kicks_total`` reads.
+        self.queues = VirtioPimQueues(obs.kicks)
+        #: The serializer of data requests (``docs/performance.md``):
+        #: wire layouts compiled once per transfer shape and replayed on
+        #: each repetition.  Wall-clock only — modeled time is
+        #: bit-identical to the wire path's, which serves a request only
+        #: when :func:`compile_plan` refuses it.
+        self.plans = PlanCache(memory, series={
+            "hits": obs.plan_hits, "misses": obs.plan_misses,
+            "evictions": obs.plan_evictions})
         self.fault_obs = bind(registry, FAULT)
         #: Span ids of batched-write copies awaiting a flush; the flush
         #: span links them so the absorbed writes stay attributable.
@@ -345,7 +349,6 @@ class VUpmemFrontend:
         request_id, depth = transferq.submit(
             chain, flow=self.qos.flow_id if self.qos is not None else None)
         obs.queue_depth["transferq"].set(depth)
-        obs.kicks["transferq"].inc()
         self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
         self.kvm.trap()
         spans.event("virtio.kick", "virtio", steps["Int"], queue="transferq")
@@ -429,11 +432,9 @@ class VUpmemFrontend:
             self.obs.plan_invalidations["stale"].inc()
             plan = None
         if plan is not None:
-            plans.hits += 1
-            self.obs.plan_hits.inc()
+            plans.counts["hits"] += 1
             return plan.replay(matrix, digests, skips), plan
-        plans.misses += 1
-        self.obs.plan_misses.inc()
+        plans.counts["misses"] += 1
         try:
             plan = compile_plan(key, header, matrix, self.memory,
                                 digests, skips)
@@ -444,8 +445,7 @@ class VUpmemFrontend:
         # and the backend's share are filled in per request.
         plan.roundtrip_steps = self.cost.roundtrip_steps(
             plan.sreq.total_pages, self.opts.vhost_vsock)
-        evicted = plans.insert(key, plan)
-        self.obs.plan_evictions.inc(evicted)
+        plans.insert(key, plan)
         self.spans.event("plan.compile", "frontend", 0.0,
                          kind=KIND_LABEL[header.kind],
                          entries=len(matrix.entries),
@@ -831,7 +831,6 @@ class VUpmemFrontend:
         flag = np.array([1 if linked else 0], dtype=np.uint8)
         _, depth = self.queues.controlq.submit(
             [write_buffer(self.memory, flag)])
-        self.obs.kicks["controlq"].inc()
         self.obs.queue_depth["controlq"].set(depth - 1)
 
     def release(self) -> float:

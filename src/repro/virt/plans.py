@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.config import PAGE_SIZE
 from repro.errors import TransferError, TranslationError
+from repro.observability.metrics import Counts
 from repro.sdk.transfer import DpuEntry, TransferMatrix
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
@@ -292,16 +293,17 @@ def compile_plan(key: Optional[Tuple], header: RequestHeader,
 
 
 class PlanCache:
-    """Bounded LRU of compiled :class:`TransferPlan` per frontend."""
+    """Bounded LRU of compiled :class:`TransferPlan` per frontend.
+
+    ``counts`` holds ``hits``, ``misses`` and ``evictions``; ``series``
+    maps those keys to the children that read them."""
 
     def __init__(self, memory: GuestMemory,
-                 capacity: int = PLAN_CAPACITY) -> None:
+                 capacity: int = PLAN_CAPACITY, series=None) -> None:
         self.memory = memory
         self.capacity = max(1, capacity)
         self._plans: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counts = Counts(series)
         self.invalidations = 0
 
     def get(self, key: Optional[Tuple]) -> Optional[TransferPlan]:
@@ -310,17 +312,14 @@ class PlanCache:
             self._plans.move_to_end(key)
         return plan
 
-    def insert(self, key: Tuple, plan: TransferPlan) -> int:
-        """Cache ``plan``; returns how many plans were evicted for room."""
-        evicted = 0
+    def insert(self, key: Tuple, plan: TransferPlan) -> None:
+        """Cache ``plan``, evicting the least recently used for room."""
         self._plans[key] = plan
         self._plans.move_to_end(key)
         while len(self._plans) > self.capacity:
             _, old = self._plans.popitem(last=False)
             old.release(self.memory)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+            self.counts["evictions"] += 1
 
     def drop(self, key: Tuple) -> None:
         plan = self._plans.pop(key, None)

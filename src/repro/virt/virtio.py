@@ -31,6 +31,7 @@ from repro.config import (
 )
 from repro.errors import VirtqueueError
 from repro.driver.driver import DeviceConfig
+from repro.observability.metrics import Counts
 from repro.virt.guest_memory import GuestMemory
 
 
@@ -56,15 +57,18 @@ class UsedElement:
 
 class Virtqueue:
     """A split-ring virtqueue, simplified to what the device model needs
-    (Appendix A.1: the 512-slot transferq and the controlq)."""
+    (Appendix A.1: the 512-slot transferq and the controlq).
 
-    def __init__(self, name: str, capacity: int) -> None:
+    ``kicks[name]`` counts its kicks; ``series`` maps the queue name to
+    the child that reads it."""
+
+    def __init__(self, name: str, capacity: int, series=None) -> None:
         self.name = name
         self.capacity = capacity
         self._avail: Deque[tuple] = deque()
         self._used: Deque[UsedElement] = deque()
         self._next_id = 0
-        self.kicks = 0
+        self.kicks = Counts(series)
         self.max_outstanding = 0
 
     def add_chain(self, chain: List[Descriptor],
@@ -106,7 +110,7 @@ class Virtqueue:
         ``depth`` being :attr:`pending` once the chain was posted."""
         request_id = self.add_chain(chain, flow)
         depth = len(self._avail)
-        self.kicks += 1
+        self.kicks[self.name] += 1
         taken = self._avail.popleft()
         assert taken[0] == request_id, "a chain was left on the queue"
         return request_id, depth
@@ -127,7 +131,7 @@ class Virtqueue:
 
     def kick(self) -> None:
         """Guest notifies the device (MMIO write -> VMEXIT)."""
-        self.kicks += 1
+        self.kicks[self.name] += 1
 
     def pop_avail(self) -> Optional[tuple]:
         """Device side: take the next (request_id, chain) to process."""
@@ -171,11 +175,12 @@ class VirtioPimConfigSpace:
 
 class VirtioPimQueues:
     """The two queues of one vUPMEM device (Appendix A.1: transferq for
-    rank operations, controlq for manager notifications)."""
+    rank operations, controlq for manager notifications); ``series``
+    maps a queue name to the child that reads its kicks."""
 
-    def __init__(self) -> None:
-        self.transferq = Virtqueue("transferq", TRANSFERQ_SLOTS)
-        self.controlq = Virtqueue("controlq", 64)
+    def __init__(self, series=None) -> None:
+        self.transferq = Virtqueue("transferq", TRANSFERQ_SLOTS, series)
+        self.controlq = Virtqueue("controlq", 64, series)
 
 
 def write_buffer(memory: GuestMemory, data: np.ndarray,

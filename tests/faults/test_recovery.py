@@ -434,12 +434,12 @@ class TestBoundRequestAborts:
         rows = dpus.push_from_mram(0, self.SIZE)
         assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
 
-        misses = frontend.plans.misses
+        misses = frontend.plans.counts["misses"]
         frontend.memory.region.fill(0)
         fresh = self._data(6)
         dpus.push_to_mram(0, fresh)
         rows = dpus.push_from_mram(0, self.SIZE)
         assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
-        assert frontend.plans.misses == misses + 2, "both shapes recompiled"
+        assert frontend.plans.counts["misses"] == misses + 2, "both shapes recompiled"
         assert frontend.memory.nr_bound == 0
         dpus.__exit__(None, None, None)

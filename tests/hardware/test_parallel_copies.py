@@ -10,6 +10,7 @@ every check, region update, metric and span stays on the calling thread.
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -119,8 +120,7 @@ def _scenario(rank: Rank) -> list:
         seen.append([mram.read(off, n).tobytes() for off, n in WINDOWS])
         seen.append((mram.materialized_bytes,
                      {i: m.tobytes() for i, m in mram._masks.items()}))
-    seen.append((rank.write_ops, rank.read_ops, rank.bytes_written,
-                 rank.bytes_read))
+    seen.append((dict(rank.xfer_ops), dict(rank.xfer_bytes)))
     return seen
 
 
@@ -188,7 +188,47 @@ def test_a_failing_copy_raises_after_every_group_joined(monkeypatch, bad_row):
     assert copies._tasks.empty()
     for d, row in enumerate(into):          # every other group ran
         assert d == bad_row or (row == d).all()
-    assert rank.read_ops == 0               # nothing was accounted
+    assert rank.xfer_ops.get("read", 0) == 0    # nothing was accounted
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_collection_starts_on_a_worker(monkeypatch, fails):
+    """A collection runs the finalizers of what it frees (a region's
+    extent release, a block's return) on the thread that started it: a
+    worker that allocates must not start one, and collection is back on
+    after the join, whether or not a copy failed."""
+    monkeypatch.setattr(copies, "CORES", 2)
+    copy = copies.copy
+
+    def allocating(pieces):
+        garbage = [[] for _ in range(5 * gc.get_threshold()[0])]
+        del garbage
+        copy(pieces)
+
+    monkeypatch.setattr(copies, "copy", allocating)
+    collectors = []
+
+    def started(phase, _info):
+        if phase == "start":
+            collectors.append(threading.current_thread().name)
+
+    rank = Rank(RankConfig(0, 8))
+    into = [np.zeros(MB, np.uint8) for _ in range(8)]
+    into[7].flags.writeable = not fails
+    gc.callbacks.append(started)
+    try:
+        bounded(rank.write_mram, [WriteSpec(d, 0, np.full(MB, d, np.uint8))
+                                  for d in range(8)])
+        try:
+            bounded(rank.read_mram, [ReadSpec(d, 0, MB) for d in range(8)],
+                    into=into)
+        except ValueError:
+            assert fails
+    finally:
+        gc.callbacks.remove(started)
+    assert gc.isenabled()
+    assert not [name for name in collectors
+                if name.startswith("repro-copies")]
 
 
 def test_one_core_starts_no_thread(monkeypatch, copiers):
@@ -247,6 +287,10 @@ def test_only_copies_leave_the_calling_thread(monkeypatch, copiers, mode):
     # Fresh workers, so that the profile hook below is theirs too.
     monkeypatch.setattr(copies, "_workers", [])
     monkeypatch.setattr(copies, "_tasks", copies.queue.SimpleQueue())
+    # Earlier tests' cyclic garbage (regions whose ``__del__`` releases
+    # extents) is finalized now: a collection that ``bounded`` started on
+    # this thread would otherwise count it as a second caller.
+    gc.collect()
     idents = set()
     for owner, names in CALLING_THREAD_ONLY:
         for name in names:

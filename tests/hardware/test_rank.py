@@ -69,8 +69,7 @@ def test_multi_dpu_write_is_one_operation(rank):
     specs = [WriteSpec(i, 0, np.full(10, i, dtype=np.uint8))
              for i in range(4)]
     rank.write_mram(specs)
-    assert rank.write_ops == 1
-    assert rank.bytes_written == 40
+    assert rank.xfer_ops == {"write": 1} and rank.xfer_bytes == {"write": 40}
     for i in range(4):
         assert (rank.dpu(i).mram.read(0, 10) == i).all()
 
@@ -89,8 +88,7 @@ def test_transfer_size_limit(rank):
 
 def untouched(rank) -> bool:
     """No MRAM byte written and no transfer counted."""
-    return (rank.is_clean() and (rank.write_ops, rank.bytes_written,
-                                 rank.read_ops, rank.bytes_read) == (0,) * 4)
+    return rank.is_clean() and rank.xfer_ops == rank.xfer_bytes == {}
 
 
 @pytest.mark.parametrize("refused", [

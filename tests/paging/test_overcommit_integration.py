@@ -19,7 +19,7 @@ def test_vm_session_runs_verified_on_a_paged_rank():
     report = session.run(VectorAdd(nr_dpus=4, n_elements=1 << 10))
     assert report.verified
     assert vpim.manager.stats.paged_allocations == 1
-    assert vpim.manager.pager.stats.first_touch_faults >= 1
+    assert vpim.manager.pager.faults.get("first_touch", 0) >= 1
 
 
 def test_four_tenants_on_two_ranks_all_verified_with_swapping():

@@ -43,7 +43,7 @@ def test_identical_segments_across_vranks_are_stored_once():
     assert raw_a == raw_b == 2048
     assert (dedup_a, hits_a) == (0, 0)
     assert (dedup_b, hits_b) == (2048, 2)
-    assert store.dedup_hits == 2
+    assert store.counts["dedup_hits"] == 2
     # Logical footprint counts both tenants; host memory holds one copy.
     assert store.raw_bytes == 4096
     assert store.stored_bytes == 2048

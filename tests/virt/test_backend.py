@@ -164,9 +164,35 @@ def test_xlb_hit_still_bounds_checks_the_whole_run(env):
     good = first + np.arange(3, dtype=np.uint64) * np.uint64(PAGE_SIZE)
     backend.xlb.translate(good)
     backend.xlb.translate(good)
-    assert (backend.xlb.hits, backend.xlb.misses) == (1, 1)
+    assert (backend.xlb.counts["hits"], backend.xlb.counts["misses"]) == (1, 1)
 
     forged = good.copy()
     forged[1] = 0xFFFF_FFFF_F000
     with pytest.raises(TranslationError):
         backend.xlb.translate(forged)
+
+
+def test_a_translation_that_fails_midway_leaves_the_xlb_series_exact():
+    """The XLB series read the XLB's own counts, so a request whose
+    second entry's page lies outside guest memory still reports the
+    first entry's miss — a series that copied the request's counts
+    once every entry had translated would read zero."""
+    machine = Machine(small_machine(nr_ranks=1, dpus_per_rank=4))
+    memory = GuestMemory(128 << 20)
+    backend = VUpmemBackend("dev0", UpmemDriver(machine), memory,
+                            DEFAULT_COST_MODEL, metrics=machine.metrics)
+    backend.link_rank(0)
+    matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, 64, 2)
+    header = RequestHeader(kind=RequestKind.READ_RANK,
+                           symbol=MRAM_HEAP_SYMBOL)
+    chain = chain_for(header, matrix, memory)
+    # header, matrix meta, then (entry meta, page list) per entry
+    memory.write(chain[5].gpa,
+                 np.array([0xFFFF_FFFF_F000], np.uint64).view(np.uint8))
+    with pytest.raises(TranslationError):
+        backend.process(chain)
+    xlb, metrics = backend.xlb.counts, machine.metrics
+    assert xlb == {"misses": 1}
+    assert (metrics.value("repro_xlb_hits_total", vm="dev0", device="dev0"),
+            metrics.value("repro_xlb_misses_total", vm="dev0", device="dev0"),
+            ) == (0, 1)

@@ -65,7 +65,7 @@ def test_a_compile_reserves_one_run_and_pins_it_once(monkeypatch):
             calls.clear()
             compiling()
             assert not calls, "a replay places nothing"
-        assert (frontend.plans.misses, frontend.plans.hits) == (4, 4)
+        assert (frontend.plans.counts["misses"], frontend.plans.counts["hits"]) == (4, 4)
 
 
 @pytest.mark.parametrize("writing", [True, False])

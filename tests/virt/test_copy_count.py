@@ -48,7 +48,7 @@ def test_planned_bulk_transfer_copies_once_per_direction(monkeypatch):
                                   for _ in range(NR_DPUS)])
             dpus.push_from_mram(0, SIZE)
         frontend = session.vm.devices[0].frontend
-        hits = frontend.plans.hits
+        hits = frontend.plans.counts["hits"]
         sources = [rng.integers(0, 256, SIZE, dtype=np.uint8)
                    for _ in range(NR_DPUS)]
 
@@ -57,7 +57,7 @@ def test_planned_bulk_transfer_copies_once_per_direction(monkeypatch):
         rows = dpus.push_from_mram(0, SIZE)
         monkeypatch.undo()
 
-        assert frontend.plans.hits == hits + 2, "both requests replayed"
+        assert frontend.plans.counts["hits"] == hits + 2, "both requests replayed"
         assert all(np.array_equal(r, s) for r, s in zip(rows, sources))
         # Guest RAM moved no payload byte (nor any other: a replayed
         # chain's metadata is patched through views pinned at compile).

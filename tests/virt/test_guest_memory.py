@@ -227,7 +227,7 @@ def test_an_evicted_plans_room_serves_the_next_compile():
         cache.insert(plan.key, plan)
         largest = max(largest, plan.reservation[1] * PAGE_SIZE)
         assert _reserved(mem) <= 2 * (cache.capacity + 1) * largest
-    assert cache.evictions == 196
+    assert cache.counts["evictions"] == 196
 
 
 # -- request-scoped bindings ---------------------------------------------------

@@ -118,7 +118,7 @@ def _exercise(vpim, session, sizes, reps=3):
             if frontend is not None:
                 assert frontend.memory.nr_bound == 0
                 states.append((frontend.memory.region.materialized_bytes,
-                               frontend.plans.hits, frontend.plans.misses))
+                               frontend.plans.counts["hits"], frontend.plans.counts["misses"]))
     steps = {step: float(value).hex() for step, value in
              session.transport.profiler.wrank_steps.items()}
     return (durations, steps), states
@@ -228,19 +228,19 @@ def test_one_page_past_the_window_is_refused_whole(writing):
     with DpuSet(session.transport, NR_DPUS) as dpus:
         dpus.copy_to_mram(0, 0, _BASE[:2 * PAGE_SIZE])     # a plan to keep
         state = _allocator_state(memory)
-        misses = plans.misses
+        misses = plans.counts["misses"]
         for attempt in (1, 2):      # refused, asked again, refused again
             with pytest.raises(TranslationError, match=f"{WINDOW}-byte"):
                 dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
             assert memory.nr_bound == 0
             assert _allocator_state(memory) == state
-            assert (plans.nr_plans, plans.misses) == (1, misses + attempt)
+            assert (plans.nr_plans, plans.counts["misses"]) == (1, misses + attempt)
         # One page less is inside the window: compiled, then replayed.
         entries[-1] = DpuEntry(3, WINDOW // 4, entries[0].data)
         dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
-        hits = plans.hits
+        hits = plans.counts["hits"]
         dpus.push(entries, kind, MRAM_HEAP_SYMBOL, 0)
-        assert plans.hits == hits + 1 and plans.nr_plans == 2
+        assert plans.counts["hits"] == hits + 1 and plans.nr_plans == 2
     assert_quiescent(session)
 
 

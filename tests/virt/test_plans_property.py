@@ -268,7 +268,7 @@ class TestPlanCacheEviction:
 
         # 3 shapes through a 2-slot LRU in cyclic order: every visit
         # after the warm-up evicts, and nothing ever replays.
-        assert cache.evictions > 0
+        assert cache.counts["evictions"] > 0
         assert cache.nr_plans <= 2
         cache.invalidate_all()
         assert cache.nr_plans == 0
@@ -392,7 +392,7 @@ class TestStagingWindow:
                     got = dpus.push_from_mram(shape * size, size)
                     assert all(np.array_equal(g, d)
                                for g, d in zip(got, data))
-            assert (plans.misses, plans.hits) == (10, 20)
+            assert (plans.counts["misses"], plans.counts["hits"]) == (10, 20)
 
             state = _allocator_state(memory)
             quarter = memory.window_bytes // 4
@@ -405,13 +405,13 @@ class TestStagingWindow:
                 assert plans.nr_plans == 10
                 assert _allocator_state(memory) == state
                 assert memory.nr_bound == 0
-                assert (plans.misses, plans.hits) == (10 + attempt, 20)
+                assert (plans.counts["misses"], plans.counts["hits"]) == (10 + attempt, 20)
             # The refusal poisoned nothing: the shape one page smaller
             # compiles, and the plans made before it still replay.
             big[3] = big[3][PAGE_SIZE:]
             dpus.push_to_mram(0, big)
             dpus.push_to_mram(0, big)
-            assert (plans.misses, plans.hits) == (10 + 3, 20 + 1)
+            assert (plans.counts["misses"], plans.counts["hits"]) == (10 + 3, 20 + 1)
 
 
 # -- capacity: one rule, the LRU's ----------------------------------------------
@@ -452,12 +452,12 @@ class TestPlanCapacity:
         plans = session.vm.devices[0].frontend.plans
         with DpuSet(session.transport, self.NR_DPUS) as dpus:
             self._push_all(dpus, base)
-            assert (plans.nr_plans, plans.misses, plans.hits) == (
+            assert (plans.nr_plans, plans.counts["misses"], plans.counts["hits"]) == (
                 self.NR_SHAPES, self.NR_SHAPES, 0)
             self._push_all(dpus, base)
-            assert (plans.nr_plans, plans.misses, plans.hits) == (
+            assert (plans.nr_plans, plans.counts["misses"], plans.counts["hits"]) == (
                 self.NR_SHAPES, self.NR_SHAPES, self.NR_SHAPES)
-            assert plans.evictions == 0
+            assert plans.counts["evictions"] == 0
             span = 8 * self.NR_SHAPES + self.SIZE
             virtualized = [
                 dpu.mram.read(0, span).tobytes() for dpu in
@@ -529,7 +529,7 @@ def _drive_requests(shapes, order, seed, fault_at, capacity):
         banks = [dpu.mram.read(0, 4 << 20).tobytes()
                  for device in devices
                  for dpu in device.backend.mapping.rank.dpus]
-        stats = [(d.frontend.plans.hits, d.frontend.plans.evictions)
+        stats = [(d.frontend.plans.counts["hits"], d.frontend.plans.counts["evictions"])
                  for d in devices]
     return (reads, banks, modeled), stats
 
@@ -607,10 +607,10 @@ class TestEndToEndEquivalence:
                 outcomes[planned] = (
                     reads, float(vpim.machine.clock.now - t0).hex())
             if planned:
-                assert frontend.plans.hits > 0, \
+                assert frontend.plans.counts["hits"] > 0, \
                     "repeated shapes must replay a compiled plan"
             else:
-                assert (frontend.plans.hits, frontend.plans.nr_plans) == (0, 0)
+                assert (frontend.plans.counts["hits"], frontend.plans.nr_plans) == (0, 0)
         assert outcomes[True] == outcomes[False]
 
 
@@ -685,7 +685,7 @@ class TestBoundTransfers:
                                    for ext in _guest_extents(memory))
                 assert memory.nr_bound == 0
             plans = session.vm.devices[0].frontend.plans
-            assert plans.hits > 0
+            assert plans.counts["hits"] > 0
 
     @given(size=st.sampled_from([8, PAGE_SIZE, 17 * PAGE_SIZE]), seed=seeds,
            prefetch=st.booleans())
@@ -734,7 +734,7 @@ class TestBoundTransfers:
                 gc.collect()
                 assert [ref() for ref in refs] == [None] * 5
             frontend = session.vm.devices[0].frontend
-            assert frontend.plans.nr_plans == 2 and frontend.plans.hits == 2
+            assert frontend.plans.nr_plans == 2 and frontend.plans.counts["hits"] == 2
 
     def test_the_window_stages_addresses_only(self):
         """Bulk payload never touches guest RAM: the pages a plan's
@@ -770,7 +770,7 @@ class TestPlanInvalidation:
         dpus = self._warm(session)
         device = session.vm.devices[0]
         plans = device.frontend.plans
-        assert plans.nr_plans > 0 and plans.hits > 0
+        assert plans.nr_plans > 0 and plans.counts["hits"] > 0
 
         invalidated_before = plans.invalidations
         migrate_device(device, vpim.manager)
@@ -779,11 +779,11 @@ class TestPlanInvalidation:
 
         # The same shape recompiles against the new rank and the data
         # plane still round-trips correctly.
-        misses_before = plans.misses
+        misses_before = plans.counts["misses"]
         dpus.push_to_mram(0, [np.full(512, 7, np.uint8)] * 4)
         got = dpus.push_from_mram(0, 512)
         assert all((buf == 7).all() for buf in got)
-        assert plans.misses > misses_before
+        assert plans.counts["misses"] > misses_before
         dpus.__exit__(None, None, None)
 
     def test_failover_reason_drops_plans_but_release_does_not(self):

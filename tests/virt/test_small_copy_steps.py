@@ -11,6 +11,7 @@ nor the Python or numpy version moves the number.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -38,7 +39,7 @@ ROUNDS = 60
 #: ``Trace`` and bumped a metric child per span, and a replay rebuilt
 #: the steps its plan fixes.  The budget stays at least 20 % below it.
 PARENT_CALLS_PER_COPY = 131.0
-CALLS_PER_COPY_BUDGET = 100.0
+CALLS_PER_COPY_BUDGET = 95.0
 
 
 def _copies(dpus: DpuSet, rounds: int = ROUNDS) -> None:
@@ -67,7 +68,9 @@ def _count_repro_calls(run) -> Counter:
     """Python calls of named functions under ``src/repro`` while ``run``
     executes, by module path (comprehension and generator frames are
     left out: whether they are frames at all depends on the Python
-    version)."""
+    version).  Earlier garbage is collected first: the finalizers a
+    collection inside ``run`` would call are not ``run``'s steps."""
+    gc.collect()
     calls: Counter = Counter()
 
     def profile(frame, event, _arg):
@@ -89,9 +92,9 @@ def test_a_replayed_small_copy_stays_inside_its_step_budget(one_rank):
     frontend = session.vm.devices[0].frontend
     _copies(dpus)           # fills the retained list, compiles every plan
     assert len(vpim.spans.traces) == vpim.spans.max_traces
-    compiled = frontend.plans.misses
+    compiled = frontend.plans.counts["misses"]
     calls = _count_repro_calls(lambda: _copies(dpus))
-    assert frontend.plans.misses == compiled        # every request replayed
+    assert frontend.plans.counts["misses"] == compiled        # every request replayed
     copies = 2 * ROUNDS
     per_copy = sum(calls.values()) / copies
     print(f"calls under src/repro per copy: {per_copy:.1f}")

@@ -51,7 +51,7 @@ def test_chain_roundtrip():
     q.push_used(UsedElement(request_id=rid))
     used = q.pop_used()
     assert used.request_id == rid and used.status == 0
-    assert q.kicks == 1
+    assert q.kicks == {"q": 1}
 
 
 def test_submit_and_complete_end_where_the_single_steps_do():
@@ -67,7 +67,7 @@ def test_submit_and_complete_end_where_the_single_steps_do():
         steps.pop_used()
         assert both.submit(desc(n)) == (rid, depth)
         both.complete(rid, status=1)
-    state = [(q._next_id, q.kicks, q.max_outstanding, q.pending,
+    state = [(q._next_id, q.kicks["q"], q.max_outstanding, q.pending,
               len(q._used)) for q in (steps, both)]
     assert state[0] == state[1] == (3, 3, 3, 0, 0)
 
