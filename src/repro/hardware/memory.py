@@ -9,25 +9,29 @@ Segments are the *accounting* granularity (checkpoints, memory usage, the
 reset policy all count 64 KB segments), but the *backing store* is coarser:
 segments live inside pooled 16 MB extents, so a bulk transfer crossing many
 segments is one slice copy per extent instead of one Python-level copy per
-64 KB.  A per-extent presence mask records which segments have been
-written; unwritten segments read as zero even though their extent bytes
-may hold recycled garbage.
+64 KB.  A per-extent mask holds one state per segment: *present* (written
+by the region, the only state reads look at), *zero* (absent, and its
+extent bytes read zero too: a fresh mapping, or pages given back to the
+kernel) or *stale* (absent, but an earlier owner's bytes may be there).
 
 What the host keeps resident follows the masks.  An extent is a private
-anonymous mapping, so a *fresh* one costs address space only; a *live*
-one holds the pages of the segments its region wrote; a *pooled* one
-holds the segments its last owner wrote and nothing else — the rest is
-given back to the kernel when the region lets go of it.  Resident memory
-is therefore bounded by the footprints of each extent's current and
-previous owner, not by everything the process ever touched.
+anonymous mapping, so a *fresh* one costs address space only, and a
+write makes resident only the pages it touches: materializing a zero
+segment writes nothing but the data, and only a stale one is zeroed
+around it.  A *pooled* extent holds the segments its last owner wrote
+and nothing else — the rest is given back to the kernel when the region
+lets go of it.  Resident memory is therefore bounded by the footprints
+of each extent's current and previous owner, not by everything the
+process ever touched.
 """
 
 from __future__ import annotations
 
 import mmap
+import os
 import weakref
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,6 +53,9 @@ EXTENT_BYTES = EXTENT_SEGMENTS * SEGMENT_SIZE
 _MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
 _MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 
+#: Segment states, one ``uint8`` per segment in an extent's mask.
+_ZERO, _PRESENT, _STALE = 0, 1, 2
+
 #: Private, so dropped pages come back zero-filled and cost nothing until
 #: touched (POSIX maps shared by default; elsewhere there are no flags
 #: and an anonymous map is private already).
@@ -56,24 +63,32 @@ _MAP_FLAGS = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
               if hasattr(mmap, "MAP_PRIVATE") else {})
 
 
-def _mapping(ext: np.ndarray) -> mmap.mmap:
-    """The map behind an extent (``frombuffer`` keeps it as the array's
-    base, wrapped in a memoryview by newer numpy)."""
-    base = ext.base
-    return base.obj if isinstance(base, memoryview) else base
-
-
-def _drop_absent(ext: np.ndarray, mask: np.ndarray) -> None:
-    """Give the pages of every maximal run of absent segments back to
-    the kernel (a no-op where none was touched)."""
-    if _MADV_DONTNEED is None or mask.all():
+def _hand_on(ext: np.ndarray, mask: np.ndarray) -> None:
+    """Turn ``mask`` into what the extent's next owner finds: present
+    segments stale, and every maximal run of stale absent ones given back
+    to the kernel, which zeroes them.  Without ``MADV_DONTNEED`` every
+    segment counts as stale."""
+    if _MADV_DONTNEED is None:
+        mask[:] = _STALE
         return
-    present = np.concatenate(([True], mask, [True]))
-    edges = np.flatnonzero(present[1:] != present[:-1])
-    mapping = _mapping(ext)
+    stale = np.concatenate(([False], mask == _STALE, [False]))
+    edges = np.flatnonzero(stale[1:] != stale[:-1])
+    # The map is the array's base (in a memoryview on newer numpy).
+    mapping = ext.base.obj if isinstance(ext.base, memoryview) else ext.base
     for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
         mapping.madvise(_MADV_DONTNEED, start * SEGMENT_SIZE,
                         (stop - start) * SEGMENT_SIZE)
+    mask[:] = np.where(mask == _PRESENT, _STALE, _ZERO)
+
+
+def _default_cap() -> int:
+    """6 GiB, or three quarters of physical memory where that is less."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        phys = pages * os.sysconf("SC_PAGE_SIZE") if pages > 0 else 0
+    except (AttributeError, OSError, ValueError):
+        phys = 0
+    return min(6 << 30, phys * 3 // 4) if phys > 0 else 6 << 30
 
 
 class _ExtentPool:
@@ -88,19 +103,21 @@ class _ExtentPool:
     did not write, so a pooled extent holds its last owner's footprint
     rather than the union of every footprint it has seen.
 
-    Recycled extents are handed out *dirty*: the presence mask guarantees
-    stale bytes are never visible (a segment only reads from its extent
-    after it has been written, and partial writes zero the uncovered
-    remainder of a newly present segment).  That holds whether or not the
-    kernel dropped a page; the hints only decide what stays resident.
+    Each extent travels with its mask.  Stale bytes are never visible (a
+    segment only reads from its extent once present, and materializing a
+    stale one zeroes what the write does not cover); a zero segment is
+    trusted to read zero, which holds because only ``MADV_DONTNEED`` —
+    or a fresh mapping — makes one.
     """
 
-    def __init__(self, max_bytes: int = 6 << 30) -> None:
-        self.max_bytes = max_bytes
+    def __init__(self, max_bytes: Optional[int] = None) -> None:
+        self.max_bytes = _default_cap() if max_bytes is None else max_bytes
+        #: Extent size → ``(extent, mask)`` pairs.
         self._free: Dict[int, list] = {}
         self._held = 0
 
-    def acquire(self, nbytes: int) -> np.ndarray:
+    def acquire(self, nbytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """An extent of ``nbytes`` and its mask (all zero when fresh)."""
         lst = self._free.get(nbytes)
         if lst:
             self._held -= nbytes
@@ -110,18 +127,20 @@ class _ExtentPool:
             mapping.madvise(_MADV_NOHUGEPAGE)
         # The array is the only reference: the map lives as long as it
         # does and is never closed.
-        return np.frombuffer(mapping, dtype=np.uint8)
+        return (np.frombuffer(mapping, dtype=np.uint8),
+                np.zeros(nbytes // SEGMENT_SIZE, dtype=np.uint8))
 
     def release_all(self, extents: Dict[int, np.ndarray],
                     masks: Dict[int, np.ndarray]) -> None:
         """Take every extent of ``extents`` into the free list (up to the
-        byte cap), trimmed to the segments ``masks`` marks present, and
-        clear both dicts.  Only called on backing arrays the region owns
-        — nothing else ever holds a reference to them."""
+        byte cap) with its mask from ``masks``, handed on, and clear both
+        dicts.  Only called on backing arrays the region owns — nothing
+        else ever holds a reference to them."""
         for ext_idx, ext in extents.items():
             if self._held + ext.size <= self.max_bytes:
-                _drop_absent(ext, masks[ext_idx])
-                self._free.setdefault(ext.size, []).append(ext)
+                _hand_on(ext, masks[ext_idx])
+                self._free.setdefault(ext.size, []).append(
+                    (ext, masks[ext_idx]))
                 self._held += ext.size
         extents.clear()
         masks.clear()
@@ -130,10 +149,9 @@ class _ExtentPool:
 #: Shared across all regions of the process and touched only by the
 #: calling thread (rank copy workers only copy, see ``copies``); bounded
 #: at ``max_bytes`` of pooled extents, counted whole whatever part of
-#: them is resident.  The cap is sized to hold the working set of a full
-#: 64-DPU rank session (~4 GB of concurrently live
-#: MRAM + guest memory) so back-to-back sessions never re-fault their
-#: transfer arenas.
+#: them is resident.  On an 8 GB host the cap still holds the 4 GiB of a
+#: 256-DPU session's 16 MB MRAM extents, so back-to-back sessions never
+#: re-fault their transfer arenas.
 EXTENT_POOL = _ExtentPool()
 
 
@@ -302,7 +320,7 @@ class MemoryRegion:
             # Fast path: the access stays inside one segment (every DMA
             # block and metadata descriptor lands here).
             ext = self._extents.get(ext_idx)
-            if ext is None or not self._masks[ext_idx][seg]:
+            if ext is None or self._masks[ext_idx][seg] != _PRESENT:
                 return np.zeros(length, dtype=np.uint8)
             return ext[ext_off:ext_off + length].copy()
         out = np.empty(length, dtype=np.uint8)
@@ -344,7 +362,7 @@ class MemoryRegion:
             mask = self._masks[ext_idx]
             s0 = ext_off // SEGMENT_SIZE
             s1 = (ext_off + chunk - 1) // SEGMENT_SIZE
-            span = mask[s0:s1 + 1]
+            span = mask[s0:s1 + 1] == _PRESENT
             if span.all():
                 # Fully materialized span: one slice copy for the whole
                 # extent's share (the bulk-transfer hot path).
@@ -358,12 +376,20 @@ class MemoryRegion:
                 while o < end:
                     seg = o // SEGMENT_SIZE
                     piece = min(end - o, (seg + 1) * SEGMENT_SIZE - o)
-                    pieces.append((out[p:p + piece],
-                                   ext[o:o + piece] if mask[seg] else None))
+                    pieces.append((out[p:p + piece], ext[o:o + piece]
+                                   if mask[seg] == _PRESENT else None))
                     p += piece
                     o += piece
             pos += chunk
         return pieces
+
+    def _extent(self, ext_idx: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Extent ``ext_idx`` and its mask, acquired on first use."""
+        ext = self._extents.get(ext_idx)
+        if ext is None:
+            ext, self._masks[ext_idx] = EXTENT_POOL.acquire(self._extent_bytes)
+            self._extents[ext_idx] = ext
+        return ext, self._masks[ext_idx]
 
     def write(self, offset: int, data: BytesLike) -> None:
         """Write ``data`` starting at ``offset``."""
@@ -387,31 +413,25 @@ class MemoryRegion:
         while pos < length:
             ext_idx, ext_off = divmod(offset + pos, extent_bytes)
             chunk = min(length - pos, extent_bytes - ext_off)
-            ext = self._extents.get(ext_idx)
-            if ext is None:
-                ext = EXTENT_POOL.acquire(extent_bytes)
-                self._extents[ext_idx] = ext
-                mask = np.zeros(self._extent_segs, dtype=bool)
-                self._masks[ext_idx] = mask
-            else:
-                mask = self._masks[ext_idx]
+            ext, mask = self._extent(ext_idx)
             s0 = ext_off // SEGMENT_SIZE
             end = ext_off + chunk
             s1 = (end - 1) // SEGMENT_SIZE
-            # A recycled extent holds stale bytes: when a *partial* write
-            # first materializes an edge segment, zero the uncovered part
-            # so the untouched remainder still reads back as zero.
+            # When a *partial* write first materializes a stale edge
+            # segment, zero the uncovered part so it still reads back as
+            # zero (a zero segment's untouched pages already do).
             head = ext_off - s0 * SEGMENT_SIZE
-            if head and not mask[s0]:
+            if head and mask[s0] == _STALE:
                 pieces.append((ext[s0 * SEGMENT_SIZE:ext_off], None))
             tail_end = (s1 + 1) * SEGMENT_SIZE
-            if end != tail_end and not mask[s1]:
+            if end != tail_end and mask[s1] == _STALE:
                 pieces.append((ext[end:tail_end], None))
             pieces.append((ext[ext_off:end], buf[pos:pos + chunk]))
-            newly = (s1 - s0 + 1) - int(np.count_nonzero(mask[s0:s1 + 1]))
+            span = mask[s0:s1 + 1]
+            newly = span.size - int(np.count_nonzero(span == _PRESENT))
             if newly:
                 self._nr_present += newly
-                mask[s0:s1 + 1] = True
+                span[:] = _PRESENT
             pos += chunk
         return pieces
 
@@ -460,24 +480,15 @@ class MemoryRegion:
                 f"{self.name}: pinned span [{offset}, {offset + length}) "
                 f"crosses a {self._extent_bytes}-byte extent boundary"
             )
-        ext = self._extents.get(ext_idx)
-        if ext is None:
-            ext = EXTENT_POOL.acquire(self._extent_bytes)
-            self._extents[ext_idx] = ext
-            mask = np.zeros(self._extent_segs, dtype=bool)
-            self._masks[ext_idx] = mask
-        else:
-            mask = self._masks[ext_idx]
+        ext, mask = self._extent(ext_idx)
         s0 = ext_off // SEGMENT_SIZE
-        s1 = (ext_off + length - 1) // SEGMENT_SIZE
-        for seg in range(s0, s1 + 1):
-            if not mask[seg]:
-                # Zero the *whole* segment (not just the uncovered edge):
-                # replays rewrite the pinned span itself, but the first
-                # materialization must leave everything readable-as-zero.
-                ext[seg * SEGMENT_SIZE:(seg + 1) * SEGMENT_SIZE] = 0
-                mask[seg] = True
-                self._nr_present += 1
+        span = mask[s0:(ext_off + length - 1) // SEGMENT_SIZE + 1]
+        # Zero every *whole* stale segment (not just the uncovered edge):
+        # replays rewrite the pinned span itself, but the first
+        # materialization must leave everything readable-as-zero.
+        ext.reshape(-1, SEGMENT_SIZE)[s0 + np.flatnonzero(span == _STALE)] = 0
+        self._nr_present += int(np.count_nonzero(span != _PRESENT))
+        span[:] = _PRESENT
         return ext[ext_off:ext_off + length]
 
     def pin_chunks(self, offset: int, length: int) -> list:
@@ -503,7 +514,7 @@ class MemoryRegion:
             base = ext_idx * self._extent_segs
             # The region may end inside its last segment.
             limit = self.size - ext_idx * self._extent_bytes
-            for seg in np.nonzero(mask)[0]:
+            for seg in np.flatnonzero(mask == _PRESENT):
                 start = int(seg) * SEGMENT_SIZE
                 stop = min(start + SEGMENT_SIZE, limit)
                 out[base + int(seg)] = ext[start:stop].copy()
@@ -556,11 +567,6 @@ class MemoryRegion:
 
     def is_zero(self) -> bool:
         """True if every byte reads back as zero (used by isolation tests)."""
-        for ext_idx, ext in self._extents.items():
-            mask = self._masks[ext_idx]
-            if not mask.any():
-                continue
-            rows = ext.reshape(self._extent_segs, SEGMENT_SIZE)
-            if rows[mask].any():
-                return False
-        return True
+        return not any(
+            ext.reshape(-1, SEGMENT_SIZE)[self._masks[i] == _PRESENT].any()
+            for i, ext in self._extents.items())

@@ -145,10 +145,6 @@ class DpuProgram:
                 still_live.append((t, gen))
             live = still_live
 
-    def instruction_estimate(self) -> Optional[int]:  # pragma: no cover - doc hook
-        """Optional static estimate used by documentation tooling."""
-        return None
-
 
 def _log_store(dpu: Dpu, space: str, offset: int, nbytes: int) -> None:
     """Record a kernel store in the DPU's dirty log, when armed.

@@ -125,10 +125,6 @@ class Virtqueue:
                                           status=status))
             self._used.popleft()
 
-    def pending_for(self, flow: str) -> int:
-        """Queued chains tagged with QoS flow ``flow``."""
-        return sum(1 for item in self._avail if item[2] == flow)
-
     def kick(self) -> None:
         """Guest notifies the device (MMIO write -> VMEXIT)."""
         self.kicks[self.name] += 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MemoryAccessError
-from repro.hardware.memory import MemoryRegion, SEGMENT_SIZE
+from repro.hardware import memory
+from repro.hardware.memory import EXTENT_BYTES, MemoryRegion, SEGMENT_SIZE
 
 
 def test_read_untouched_returns_zeros():
@@ -136,3 +137,31 @@ def test_rejected_snapshot_leaves_region_as_it_was():
         assert mem.generation == generation
         assert bytes(mem.read(5, 3)) == b"abc"
         assert mem.materialized_bytes == SEGMENT_SIZE
+
+
+@pytest.mark.parametrize("phys_gib, cap_gib", [
+    (64, 6), (16, 6), (8, 6), (7.7, 7.7 * 0.75), (4, 3)])
+def test_extent_pool_cap_follows_the_box(monkeypatch, phys_gib, cap_gib):
+    page = 4096
+    sizes = {"SC_PHYS_PAGES": int(phys_gib * (1 << 30)) // page,
+             "SC_PAGE_SIZE": page}
+    monkeypatch.setattr(memory.os, "sysconf", sizes.__getitem__, raising=False)
+    cap = memory._ExtentPool().max_bytes
+    assert cap == pytest.approx(cap_gib * (1 << 30), abs=page)
+    if phys_gib >= 7.7:                 # an 8 GB box still pools a
+        assert cap >= 256 * EXTENT_BYTES    # 256-DPU session's 4 GiB
+
+
+def _no_such_name(name):
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("sysconf", [lambda name: -1, _no_such_name, None],
+                         ids=["unknown", "no-such-name", "no-sysconf"])
+def test_extent_pool_cap_is_6_gib_where_the_box_cannot_tell(monkeypatch,
+                                                            sysconf):
+    if sysconf is None:
+        monkeypatch.delattr(memory.os, "sysconf", raising=False)
+    else:
+        monkeypatch.setattr(memory.os, "sysconf", sysconf, raising=False)
+    assert memory._ExtentPool().max_bytes == 6 << 30

@@ -8,10 +8,13 @@ one per example is a million page faults) and, after every rule, must read back 
 previous owner (the manager's reset-to-zero isolation, paper §3.5) —
 and account for exactly the segments written since its last reset.
 
-The machine runs twice: as the platform gives it, and with the
-``madvise`` hints reported unavailable.  Both arms equal the model, so
-they equal each other: correctness does not ride on the hints (and the
-second arm is what a platform without them runs).
+Every example meets fresh segments (new mappings) and recycled ones,
+dropped and stale, and the machine runs twice.  As the platform gives
+it, the pool trusts a segment whose pages went back to the kernel
+(``MADV_DONTNEED``) to read zero, and writes into it without zeroing
+the rest; with the ``madvise`` hints reported unavailable, every
+recycled segment counts as stale and is zeroed around its first write
+(what a platform without them runs).  Both arms equal the model.
 """
 
 import weakref
@@ -126,13 +129,19 @@ class RecyclingMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         # Every example starts from the same pool, so a failure replays
-        # (and shrinks) exactly: one extent of each size class, full of a
-        # previous tenant's bytes.
+        # (and shrinks) exactly: per size class, one extent full of a
+        # previous tenant's bytes and one whose last tenant wrote its
+        # first half over an earlier full one (the rest dropped).
         self.process_pool = memory.EXTENT_POOL
         memory.EXTENT_POOL = memory._ExtentPool()
         for size in sorted({MemoryRegion(size).extent_bytes
                             for size in SIZES}):
-            MemoryRegion(size).fill(0xFF)   # pooled as it is collected
+            full, half = MemoryRegion(size), MemoryRegion(size)
+            full.fill(0xFF)
+            half.fill(0xFF)
+            half.fill(0)                    # pooled, then taken back
+            half.write(0, np.full(size // 2, 0xFF, dtype=np.uint8))
+            del full, half                  # pooled as they are collected
         self.slots = [Modeled(size) for size in SIZES]
 
     @rule(slot=slots, anchor=anchors, nudge=nudges, length=lengths, seed=seeds)

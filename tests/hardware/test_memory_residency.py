@@ -4,7 +4,9 @@ The store's correctness is the model test's job; this guards its cost.
 A pooled extent should hold the pages of the segments its last owner
 wrote — so sparse workloads do not accumulate (the pool used to converge
 on the union of every footprint it had seen) and a repeated dense one is
-recycled warm (which is what dropping the pool would lose).
+recycled warm (which is what dropping the pool would lose).  And a write
+should make resident only the pages it touches: a segment that still
+reads zero is not zero-filled again when it is first written.
 """
 
 import gc
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.hardware import memory
-from repro.hardware.memory import EXTENT_BYTES, MemoryRegion
+from repro.hardware.memory import EXTENT_BYTES, SEGMENT_SIZE, MemoryRegion
 
 resource = pytest.importorskip("resource")
 pytestmark = pytest.mark.skipif(
@@ -36,10 +38,19 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def faults_of(fn) -> int:
+    minor_faults()                      # warm the call itself
+    before = minor_faults()
+    fn()
+    return minor_faults() - before
+
+
 @pytest.fixture
 def pool(monkeypatch):
     """A pool of this test's own: what earlier tests left in the process
-    pool is neither counted nor recycled here."""
+    pool is neither counted nor recycled here (their garbage is collected
+    into the process pool first)."""
+    gc.collect()
     pool = memory._ExtentPool(max_bytes=2 << 30)
     monkeypatch.setattr(memory, "EXTENT_POOL", pool)
     return pool
@@ -62,7 +73,7 @@ def test_sparse_cycles_do_not_accumulate(pool):
 
     # Every pooled extent is counted once, and never past the cap (a
     # cycle lets go of ~2.7 GB of extents, so the cap does refuse some).
-    pooled = [ext for free in pool._free.values() for ext in free]
+    pooled = [ext for free in pool._free.values() for ext, _ in free]
     assert len({id(ext) for ext in pooled}) == len(pooled)
     assert pool._held == sum(ext.size for ext in pooled)
     assert pool.max_bytes - EXTENT_BYTES < pool._held <= pool.max_bytes
@@ -80,3 +91,51 @@ def test_dense_rewrite_is_recycled_warm(pool):
     first = faults_of_one_tenant()      # dropped on return: pooled
     second = faults_of_one_tenant()
     assert first > 0 and second * 4 < first, (first, second)
+
+
+def test_a_small_write_faults_in_only_its_page(pool):
+    region = MemoryRegion(64 * MB)
+    region.write(0, b"\x01")           # acquires a fresh extent
+    middle = 5 * SEGMENT_SIZE + SEGMENT_SIZE // 2
+    data = np.full(64, 0x5A, dtype=np.uint8)
+    faults = faults_of(lambda: region.write(middle, data))
+    assert faults <= 2, faults          # 16: the whole segment zeroed
+    assert np.array_equal(region.read(middle, 64), data)
+    assert not region.read(5 * SEGMENT_SIZE, SEGMENT_SIZE // 2).any()
+    assert region.materialized_bytes == 2 * SEGMENT_SIZE
+
+
+def test_pinning_a_fresh_span_faults_in_only_what_is_written(pool):
+    region = MemoryRegion(64 * MB)
+    data = np.full(4096, 0x5A, dtype=np.uint8)
+
+    def pin_and_write():
+        region.pin_span(3 * SEGMENT_SIZE, data.size)[:] = data
+
+    faults = faults_of(pin_and_write)
+    assert faults <= 2, faults
+    assert np.array_equal(region.read(3 * SEGMENT_SIZE, data.size), data)
+    assert not region.read(3 * SEGMENT_SIZE + data.size,
+                           SEGMENT_SIZE - data.size).any()
+
+
+def test_a_dropped_segment_is_trusted_and_a_stale_one_zeroed(pool):
+    tenant_a = MemoryRegion(64 * MB)
+    tenant_a.write(3 * SEGMENT_SIZE, np.full(SEGMENT_SIZE, 0xA5, np.uint8))
+    extent = tenant_a._extents[0]
+    del tenant_a
+    gc.collect()
+
+    tenant_b = MemoryRegion(64 * MB)
+    data = np.full(64, 0x5A, dtype=np.uint8)
+    middle = SEGMENT_SIZE // 2
+    faults = faults_of(lambda: tenant_b.write(7 * SEGMENT_SIZE + middle, data))
+    assert tenant_b._extents[0] is extent
+    assert faults <= 2, faults          # never written: reads zero as it is
+    assert not tenant_b.read(7 * SEGMENT_SIZE, middle).any()
+
+    tenant_b.write(3 * SEGMENT_SIZE + middle, data)
+    segment = tenant_b.read(3 * SEGMENT_SIZE, SEGMENT_SIZE)
+    assert np.array_equal(segment[middle:middle + 64], data)
+    segment[middle:middle + 64] = 0     # tenant A's bytes are gone
+    assert not segment.any()

@@ -22,7 +22,7 @@ import pytest
 import repro
 from repro.config import RankConfig, small_machine
 from repro.core import VPim
-from repro.hardware import copies
+from repro.hardware import copies, memory
 from repro.hardware.memory import (
     EXTENT_BYTES,
     EXTENT_POOL,
@@ -119,7 +119,8 @@ def _scenario(rank: Rank) -> list:
         mram = dpu.mram
         seen.append([mram.read(off, n).tobytes() for off, n in WINDOWS])
         seen.append((mram.materialized_bytes,
-                     {i: m.tobytes() for i, m in mram._masks.items()}))
+                     {i: (m == memory._PRESENT).tobytes()
+                      for i, m in mram._masks.items()}))
     seen.append((dict(rank.xfer_ops), dict(rank.xfer_bytes)))
     return seen
 
