@@ -15,28 +15,33 @@ from repro.apps.base import HostApplication
 from repro.config import small_machine
 from repro.core import VPim
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, RankContext
 
 
 class CountZerosProgram(DpuProgram):
-    """DPU side: count zeros in this DPU's MRAM partition (Fig. 2b)."""
+    """DPU side: count zeros in each DPU's MRAM partition (Fig. 2b)."""
 
     name = "count_zeros_dpu"
     symbols = {"zero_count": 4, "partition_size": 4}
     nr_tasklets = 16
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n = ctx.host_u32("partition_size")
-        rng = tasklet_range(ctx, n)
-        if len(rng):
-            ctx.mem_alloc(2048)
-            part = ctx.mram_read_blocks(rng.start * 4,
-                                        len(rng) * 4).view(np.int32)
-            ctx.charge_loop(len(rng), 3)   # load, compare, count
-            ctx.add_host_u32("zero_count", int((part == 0).sum()))
+    def run_rank(self, rank: RankContext) -> None:
+        # One body for every DPU of the launch: each DPU's tasklets split
+        # its partition in blocks (Fig. 2b lines 8-11), and each working
+        # tasklet takes a 2 KB WRAM buffer, streams its block through it
+        # and counts.
+        n = rank.host_u32("partition_size")
+        _starts, lens = rank.split(n)
+        working = lens > 0
+        rank.mem_alloc(2048, tasklets=working.sum(axis=1))
+        rank.dma(lens * 4, where=working)
+        rank.charge(lens * 3)                       # load, compare, count
+        for i in np.flatnonzero(n).tolist():
+            dpu = rank.dpu(i)
+            part = dpu.mram_read(0, int(n[i]) * 4).view(np.int32)
+            # The tasklets add their counts to the host variable.
+            zeros = dpu.host_u32("zero_count") + int((part == 0).sum())
+            dpu.set_host_u32("zero_count", zeros)
 
 
 class CountZeros(HostApplication):

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -49,24 +49,20 @@ class ChecksumProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 4 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-            ctx.shared["partials"] = [0] * ctx.nr_tasklets
-        yield ctx.barrier()
-        n = ctx.host_u32("n_bytes")
-        rng = tasklet_range(ctx, n)
-        if len(rng):
-            ctx.mem_alloc(2048)
-            data = ctx.mram_read_blocks(rng.start, len(rng))
-            ctx.shared["partials"][ctx.me()] = int(
-                data.astype(np.uint64).sum())
-            ctx.charge_loop(len(rng), INSTR_PER_BYTE)
-        yield ctx.barrier()
-        if ctx.me() == 0:
-            total = sum(ctx.shared["partials"]) & 0xFFFFFFFF
-            ctx.set_host_u32("checksum", total)
-            ctx.charge(ctx.nr_tasklets * 2)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_bytes")
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have bytes
+        rank.mem_alloc(2048, tasklets=working.sum(axis=1))
+        rank.dma(lens, where=working)
+        # Tasklet 0 adds up the per-tasklet partials.
+        instructions = lens * INSTR_PER_BYTE
+        instructions[:, 0] += rank.nr_tasklets * 2
+        rank.charge(instructions)
+        for i, count in enumerate(n.tolist()):
+            dpu = rank.dpu(i)
+            total = int(dpu.mram_read(0, count).sum(dtype=np.uint64))
+            dpu.set_host_u32("checksum", total & 0xFFFFFFFF)
 
 
 class Checksum(HostApplication):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.wikipedia import SyntheticCorpus
 
@@ -39,35 +39,42 @@ class IndexSearchProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def kernel(self, ctx: TaskletContext):
-        if ctx.me() == 0:
-            ctx.mem_reset()
-        yield ctx.barrier()
-        n_words = ctx.host_u32("n_words")
-        post_off = ctx.host_u32("post_offset")
-        nq = ctx.host_u32("n_queries")
-        q_off = ctx.host_u32("q_offset")
-        r_off = ctx.host_u32("r_offset")
-        qrange = tasklet_range(ctx, nq)
-        if len(qrange) == 0:
-            return
-        ctx.mem_alloc(3 * 1024)
-        offsets = ctx.mram_read_blocks(0, (n_words + 1) * 4).view(np.int32)
-        queries = ctx.mram_read_blocks(q_off + qrange.start * 4,
-                                       len(qrange) * 4).view(np.int32)
-        results = np.zeros(len(qrange), dtype=np.int32)
-        scanned = 0
-        for qi, word in enumerate(queries):
-            w = int(word)
-            if 0 <= w < n_words:
-                s, e = int(offsets[w]), int(offsets[w + 1])
-                # Offsets index (doc_id, position) pairs; scan them all.
-                if e > s:
-                    pairs = ctx.mram_read(post_off + s * 8, (e - s) * 8)
-                    results[qi] = pairs.size // 8
-                scanned += (e - s) * 2
-        ctx.mram_write_blocks(r_off + qrange.start * 4, results)
-        ctx.charge_loop(max(1, scanned), INSTR_PER_POSTING)
+    def run_rank(self, rank: RankContext) -> None:
+        n_words = rank.host_u32("n_words")
+        post_off = rank.host_u32("post_offset")
+        nq = rank.host_u32("n_queries")
+        q_off = rank.host_u32("q_offset")
+        r_off = rank.host_u32("r_offset")
+        _starts, lens = rank.split(nq)
+        working = lens > 0              # tasklets that have queries
+        rank.mem_alloc(3 * 1024, tasklets=working.sum(axis=1))
+        # Each of them streams the whole offset table and its queries,
+        # and writes as many results.
+        rank.dma(((n_words + 1) * 4)[:, None], where=working)
+        rank.dma(np.tile(lens * 4, 2), where=np.tile(working, 2))
+        scanned = np.zeros_like(lens)   # postings each tasklet scans
+        for i in np.flatnonzero(nq).tolist():
+            dpu = rank.dpu(i)
+            words, count = int(n_words[i]), int(nq[i])
+            offsets = dpu.mram_read(0, (words + 1) * 4).view(np.int32)
+            queries = dpu.mram_read(int(q_off[i]), count * 4).view(np.int32)
+            known = np.flatnonzero((0 <= queries) & (queries < words))
+            starts = np.zeros(count, dtype=np.int64)
+            spans = np.zeros(count, dtype=np.int64)
+            starts[known] = offsets[queries[known]]
+            spans[known] = offsets[queries[known] + 1] - starts[known]
+            # Offsets index (doc_id, position) pairs; a query scans all
+            # of its pairs, one plain transfer.
+            for qi in np.flatnonzero(spans > 0).tolist():
+                dpu.mram_read(int(post_off[i]) + int(starts[qi]) * 8,
+                              int(spans[qi]) * 8)
+            dpu.dma(spans[spans > 0] * 8, block_bytes=None)
+            dpu.mram_write(int(r_off[i]),
+                           np.maximum(spans, 0).astype(np.int32))
+            chunk = -(-count // rank.nr_tasklets)
+            np.add.at(scanned[i], np.arange(count) // chunk, spans * 2)
+        rank.charge(np.where(working, np.maximum(1, scanned), 0)
+                    * INSTR_PER_POSTING)
 
 
 class IndexSearch(HostApplication):

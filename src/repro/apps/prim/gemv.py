@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array, random_matrix
 
@@ -26,27 +26,29 @@ class GemvProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n_rows = dpu.host_u32("n_rows")
-        n_cols = dpu.host_u32("n_cols")
-        x_off = dpu.host_u32("x_offset")
-        y_off = dpu.host_u32("y_offset")
-        _starts, lens = dpu.split(n_rows)
-        rows = lens[lens > 0]           # rows of each tasklet that has any
-        if rows.size == 0:
-            return
-        dpu.mem_alloc(2 * 1024, tasklets=rows.size)
+    def run_rank(self, rank: RankContext) -> None:
+        n_rows = rank.host_u32("n_rows")
+        n_cols = rank.host_u32("n_cols")
+        x_off = rank.host_u32("x_offset")
+        y_off = rank.host_u32("y_offset")
+        _starts, lens = rank.split(n_rows)
+        working = lens > 0              # tasklets that have rows
+        rank.mem_alloc(2 * 1024, tasklets=working.sum(axis=1))
         # Each of them streams the whole of x and its rows of M, and
         # writes its share of y.
-        dpu.dma(np.full(rows.size, n_cols * 4))
-        dpu.dma(rows * (n_cols * 4))
-        dpu.dma(rows * 4)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        m = dpu.mram_read(0, n_rows * n_cols * 4).view(np.int32)
-        y = (m.reshape(n_rows, n_cols).astype(np.int64)
-             @ x.astype(np.int64)).astype(np.int32)
-        dpu.mram_write(y_off, y)
-        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
+        row_bytes = (n_cols * 4)[:, None]
+        rank.dma(row_bytes, where=working)
+        rank.dma(lens * row_bytes, where=working)
+        rank.dma(lens * 4, where=working)
+        rank.charge(lens * (n_cols * INSTR_PER_MADD)[:, None])
+        for i in np.flatnonzero(n_rows).tolist():
+            dpu = rank.dpu(i)
+            rows, cols = int(n_rows[i]), int(n_cols[i])
+            x = dpu.mram_read(int(x_off[i]), cols * 4).view(np.int32)
+            m = dpu.mram_read(0, rows * cols * 4).view(np.int32)
+            y = (m.reshape(rows, cols).astype(np.int64)
+                 @ x.astype(np.int64)).astype(np.int32)
+            dpu.mram_write(int(y_off[i]), y)
 
 
 class Gemv(HostApplication):

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array, random_matrix
 
@@ -35,32 +35,34 @@ class MlpProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 9 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n_rows = dpu.host_u32("n_rows")
-        n_cols = dpu.host_u32("n_cols")
-        w_off = dpu.host_u32("w_offset")
-        x_off = dpu.host_u32("x_offset")
-        y_off = dpu.host_u32("y_offset")
-        _starts, lens = dpu.split(n_rows)
-        rows = lens[lens > 0]           # rows of each tasklet that has any
-        if rows.size == 0:
-            return
-        dpu.mem_alloc(3 * 1024, tasklets=rows.size)
+    def run_rank(self, rank: RankContext) -> None:
+        n_rows = rank.host_u32("n_rows")
+        n_cols = rank.host_u32("n_cols")
+        w_off = rank.host_u32("w_offset")
+        x_off = rank.host_u32("x_offset")
+        y_off = rank.host_u32("y_offset")
+        _starts, lens = rank.split(n_rows)
+        working = lens > 0              # tasklets that have rows
+        rank.mem_alloc(3 * 1024, tasklets=working.sum(axis=1))
         # Each of them streams the whole input vector and its rows of W,
         # and writes its share of y.
-        dpu.dma(np.full(rows.size, n_cols * 4))
-        dpu.dma(rows * (n_cols * 4))
-        dpu.dma(rows * 4)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        w = dpu.mram_read(w_off, n_rows * n_cols * 4).view(np.int32)
-        # float64 keeps the arithmetic exact (|w| <= 4, |x| < 2^31, row
-        # sums stay far below 2^53) while the matmul runs on BLAS.
-        y = relu(w.reshape(n_rows, n_cols).astype(np.float64)
-                 @ x.astype(np.float64))
-        # Saturate into int32 range as the fixed-point kernel would.
-        y = np.minimum(y, np.iinfo(np.int32).max).astype(np.int32)
-        dpu.mram_write(y_off, y)
-        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
+        row_bytes = (n_cols * 4)[:, None]
+        rank.dma(row_bytes, where=working)
+        rank.dma(lens * row_bytes, where=working)
+        rank.dma(lens * 4, where=working)
+        rank.charge(lens * (n_cols * INSTR_PER_MADD)[:, None])
+        for i in np.flatnonzero(n_rows).tolist():
+            dpu = rank.dpu(i)
+            rows, cols = int(n_rows[i]), int(n_cols[i])
+            x = dpu.mram_read(int(x_off[i]), cols * 4).view(np.int32)
+            w = dpu.mram_read(int(w_off[i]), rows * cols * 4).view(np.int32)
+            # float64 keeps the arithmetic exact (|w| <= 4, |x| < 2^31, row
+            # sums stay far below 2^53) while the matmul runs on BLAS.
+            y = relu(w.reshape(rows, cols).astype(np.float64)
+                     @ x.astype(np.float64))
+            # Saturate into int32 range as the fixed-point kernel would.
+            y = np.minimum(y, np.iinfo(np.int32).max).astype(np.int32)
+            dpu.mram_write(int(y_off[i]), y)
 
 
 class MultilayerPerceptron(HostApplication):

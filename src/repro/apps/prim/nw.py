@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -76,27 +76,36 @@ class NwProgram(DpuProgram):
     nr_tasklets = 8
     binary_size = 10 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        # One block per launch: tasklet 0 computes it, the others idle.
-        ctx = TaskletContext(dpu, 0)
-        header = ctx.mram_read(ctx.host_u32("hdr_offset"), 12).view(np.int32)
-        active, bi, bj = int(header[0]), int(header[1]), int(header[2])
-        if not active:
-            return
-        bs = ctx.host_u32("block_size")
-        ctx.mem_alloc(6 * bs * 8)
-        a = ctx.mram_read_blocks(ctx.host_u32("a_offset") + bi * bs,
-                                 bs).view(np.int8)
-        b = ctx.mram_read_blocks(ctx.host_u32("b_offset") + bj * bs,
-                                 bs).view(np.int8)
-        top = ctx.mram_read(ctx.host_u32("top_offset"),
-                            (bs + 1) * 8).view(np.int64)
-        left = ctx.mram_read(ctx.host_u32("left_offset"),
-                             bs * 8).view(np.int64)
-        bottom, right = _dp_rows(a, b, top, left)
-        out = np.concatenate([bottom, right])  # (bs+1) + bs values
-        ctx.mram_write(ctx.host_u32("out_offset"), out)
-        ctx.charge_loop(bs * bs, INSTR_PER_CELL)
+    def run_rank(self, rank: RankContext) -> None:
+        # One block per DPU and launch: tasklet 0 computes it, the others
+        # idle.  Each DPU has its own header: one DPU at a time.
+        for i in range(rank.nr_dpus):
+            dpu = rank.dpu(i)
+            dpu.dma(12, block_bytes=None)
+            header = dpu.mram_read(dpu.host_u32("hdr_offset"), 12)
+            active, bi, bj = header.view(np.int32).tolist()
+            if not active:
+                continue
+            bs = dpu.host_u32("block_size")
+            dpu.mem_alloc(6 * bs * 8)
+            # The sequences stream in blocks; the scores, (bs+1) + bs
+            # values each way, are plain transfers.
+            dpu.dma([bs, bs])
+            dpu.dma([(bs + 1) * 8, bs * 8, (2 * bs + 1) * 8], block_bytes=None)
+            a = dpu.mram_read(dpu.host_u32("a_offset") + bi * bs,
+                              bs).view(np.int8)
+            b = dpu.mram_read(dpu.host_u32("b_offset") + bj * bs,
+                              bs).view(np.int8)
+            top = dpu.mram_read(dpu.host_u32("top_offset"),
+                                (bs + 1) * 8).view(np.int64)
+            left = dpu.mram_read(dpu.host_u32("left_offset"),
+                                 bs * 8).view(np.int64)
+            bottom, right = _dp_rows(a, b, top, left)
+            dpu.mram_write(dpu.host_u32("out_offset"),
+                           np.concatenate([bottom, right]))
+            instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
+            instructions[0] = bs * bs * INSTR_PER_CELL
+            dpu.charge(instructions)
 
 
 class NeedlemanWunsch(HostApplication):

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -34,30 +34,33 @@ class ScanRssProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 8 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        out_off = dpu.host_u32("out_offset")
-        phase = dpu.host_u32("phase")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0]         # elements of each tasklet with any
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        dpu.dma(pieces * 4)
-
-        if phase == 0:
-            dpu.charge(lens * INSTR_PER_REDUCE)
-            # Tasklet 0 adds up the per-tasklet partials and stores the sum.
-            TaskletContext(dpu, 0).mram_write(
-                dpu.host_u32("sum_offset"),
-                np.array([data.sum(dtype=np.int64)]))
-        else:
-            # Each tasklet scans its piece; after the barrier it adds the
-            # totals of the tasklets before it and the DPU's base offset.
-            scanned = np.cumsum(data, dtype=np.int64)
-            scanned += dpu.host_i64("base")
-            dpu.mram_write(out_off, scanned)
-            dpu.dma(pieces * 8)
-            dpu.charge(lens * (INSTR_PER_SCAN_ADD + 1))
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        out_off = rank.host_u32("out_offset")
+        sum_off = rank.host_u32("sum_offset")
+        base = rank.host_i64("base")
+        reduce = rank.host_u32("phase") == 0    # else: scan
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have elements
+        rank.mem_alloc(2 * 1024, tasklets=rank.nr_tasklets)
+        # Reduce: each tasklet reads its piece, and tasklet 0 adds up the
+        # partials and stores the sum.  Scan: each tasklet scans its
+        # piece; after the barrier it adds the totals of the tasklets
+        # before it and the DPU's base offset, and writes the piece out.
+        rank.dma(lens * 4, where=working)
+        rank.dma(lens * 8, where=working & ~reduce[:, None])
+        rank.dma(np.full(rank.nr_dpus, 8), where=reduce, block_bytes=None)
+        rank.charge(lens * np.where(reduce, INSTR_PER_REDUCE,
+                                    INSTR_PER_SCAN_ADD + 1)[:, None])
+        for i, (count, out_at, sum_at, add, reducing) in enumerate(zip(
+                n.tolist(), out_off.tolist(), sum_off.tolist(),
+                base.tolist(), reduce.tolist())):
+            dpu = rank.dpu(i)
+            data = dpu.mram_read(0, count * 4).view(np.int32)
+            if reducing:
+                dpu.mram_write(sum_at, np.array([data.sum(dtype=np.int64)]))
+            else:
+                dpu.mram_write(out_at, np.cumsum(data, dtype=np.int64) + add)
 
 
 class ScanRss(HostApplication):

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -35,21 +35,25 @@ class SelProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 7 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        _starts, lens = dpu.split(n)
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        dpu.dma(lens[lens > 0] * 4)
-        dpu.charge(lens * INSTR_PER_ELEM)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        out_off = rank.host_u32("out_offset")
+        _starts, lens = rank.split(n)
+        rank.mem_alloc(2 * 1024, tasklets=rank.nr_tasklets)
+        rank.dma(lens * 4, where=lens > 0)
         # Tasklet 0 concatenates the per-tasklet results (the PrIM kernel
         # does this with a prefix sum of per-tasklet counts).
-        out = data[predicate(data)]
-        tasklet0 = TaskletContext(dpu, 0)
-        dpu.set_host_u32("n_selected", out.size)
-        if out.size:
-            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
-        tasklet0.charge(dpu.nr_tasklets * 4)
+        instructions = lens * INSTR_PER_ELEM
+        instructions[:, 0] += rank.nr_tasklets * 4
+        rank.charge(instructions)
+        for i, count in enumerate(n.tolist()):
+            dpu = rank.dpu(i)
+            data = dpu.mram_read(0, count * 4).view(np.int32)
+            out = data[predicate(data)]
+            dpu.set_host_u32("n_selected", out.size)
+            if out.size:
+                dpu.dma(out.nbytes)
+                dpu.mram_write(int(out_off[i]), out)
 
 
 class Select(HostApplication):

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -27,20 +27,21 @@ class VaProgram(DpuProgram):
     nr_tasklets = 16
     binary_size = 6 * 1024
 
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        b_off = dpu.host_u32("b_offset")
-        c_off = dpu.host_u32("c_offset")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
-        if pieces.size == 0:
-            return
-        dpu.mem_alloc(3 * 1024, tasklets=pieces.size)  # A/B/C block buffers
-        dpu.dma(np.tile(pieces, 3))
-        c = dpu.mram_read(0, n * 4).view(np.int32)
-        c += dpu.mram_read(b_off, n * 4).view(np.int32)
-        dpu.mram_write(c_off, c)
-        dpu.charge(lens * INSTR_PER_ELEM)
+    def run_rank(self, rank: RankContext) -> None:
+        n = rank.host_u32("n_elems")
+        b_off = rank.host_u32("b_offset")
+        c_off = rank.host_u32("c_offset")
+        _starts, lens = rank.split(n)
+        working = lens > 0              # tasklets that have elements
+        rank.mem_alloc(3 * 1024, tasklets=working.sum(axis=1))  # A/B/C blocks
+        # Each of them reads its piece of A and B and writes it to C.
+        rank.dma(np.tile(lens * 4, 3), where=np.tile(working, 3))
+        rank.charge(lens * INSTR_PER_ELEM)
+        for i in np.flatnonzero(n).tolist():
+            dpu = rank.dpu(i)
+            c = dpu.mram_read(0, int(n[i]) * 4).view(np.int32)
+            c += dpu.mram_read(int(b_off[i]), int(n[i]) * 4).view(np.int32)
+            dpu.mram_write(int(c_off[i]), c)
 
 
 class VectorAdd(HostApplication):

@@ -17,9 +17,9 @@ The same application code runs unmodified on the native transport
 requirement R3.
 """
 
-from repro.sdk.kernel import DpuProgram, TaskletContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transport import Transport
 from repro.sdk.profile import Profiler
 
-__all__ = ["DpuProgram", "TaskletContext", "DpuSet", "Transport", "Profiler"]
+__all__ = ["DpuProgram", "RankContext", "DpuSet", "Transport", "Profiler"]

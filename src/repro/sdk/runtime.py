@@ -2,10 +2,9 @@
 
 The launch is the unit the host executes.  :func:`run_program` builds
 the launch's :class:`RankContext` over the DPUs it boots, hands it to the
-program's one body — a rank-form override for the PrIM programs whose
-DPUs vectorise, the default loop over ``DpuProgram.run`` otherwise — and
-returns what the timing model needs: per DPU, per-tasklet instruction
-counts and the DMA engine's counters.
+program's one body, ``run_rank``, and returns what the timing model
+needs: per DPU, per-tasklet instruction counts and the DMA engine's
+counters.
 """
 
 from __future__ import annotations

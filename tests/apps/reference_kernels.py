@@ -1,16 +1,17 @@
-"""The PrIM kernels in their reference forms.
+"""The PrIM and microbenchmark kernels in their reference forms.
 
-Each PrIM program has one body under ``src/``: a rank-form body for the
-whole launch (``DpuProgram.run_rank`` overridden, DPUs and tasklets
-vector axes) for BS, BFS, TS, HST-S, HST-L, SpMV, SCAN-SSA and RED, a
-DPU-form body (``DpuProgram.run`` overridden, tasklets a vector axis)
-for the other eight.  The classes below are the bodies those replaced:
+Each program has one body under ``src/``, ``DpuProgram.run_rank``, for
+the whole launch.  The classes below, each a
+:class:`~tests.tasklet_reference.TaskletProgram` of its program, are
+the bodies those replaced:
 
-- ``PerDpu*``, for the eight rank-form programs: one DPU-form body per
-  DPU, on the default launch (``run_rank = DpuProgram.run_rank``);
-- ``PerTasklet*`` (``PerRowSpmv``), for all 16: one generator per
-  tasklet, ``tasklet_range`` slices, barriers, results merged by tasklet
-  0, on the default scheduler (``run = DpuProgram.run``).
+- ``PerDpu*``, one DPU-form body per DPU (``run`` overridden, tasklets a
+  vector axis), for the 14 PrIM programs whose body vectorises across
+  DPUs; the body of NW and TRNS is a loop over the launch's DPUs, whose
+  body is their DPU form;
+- ``PerTasklet*`` (``PerRowSpmv``), for all 16 PrIM programs, CHK and
+  UPIS: one generator per tasklet, ``tasklet_range`` slices, barriers,
+  results merged by tasklet 0, on the tasklet scheduler.
 
 Same symbols and MRAM in, so same MRAM and symbols out, the same
 instruction count for every tasklet of every DPU, the same DMA charges
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.apps.micro.checksum import INSTR_PER_BYTE, ChecksumProgram
+from repro.apps.micro.index_search import INSTR_PER_POSTING, IndexSearchProgram
 from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram, gather_runs
 from repro.apps.prim.bs import INSTR_PER_PROBE, BsProgram
 from repro.apps.prim.gemv import INSTR_PER_MADD, GemvProgram
@@ -49,14 +52,13 @@ from repro.apps.prim.uni import UniProgram, unique_consecutive
 from repro.apps.prim.va import INSTR_PER_ELEM as INSTR_PER_VA
 from repro.apps.prim.va import VaProgram
 from repro.config import WRAM_SIZE
-from repro.sdk.kernel import DpuContext, DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuContext
+from tests.tasklet_reference import TaskletContext, TaskletProgram, tasklet_range
 
 
 # -- DPU forms -------------------------------------------------------------------
 
-class PerDpuBs(BsProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuBs(TaskletProgram, BsProgram):
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_elems")
         nq = dpu.host_u32("n_queries")
@@ -82,9 +84,7 @@ class PerDpuBs(BsProgram):
         dpu.charge(lens * (INSTR_PER_PROBE * probes))
 
 
-class PerDpuBfs(BfsProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuBfs(TaskletProgram, BfsProgram):
     def run(self, dpu: DpuContext) -> None:
         nv, first, n_owned, col_off, f_off, n_off = (
             dpu.host_u32("args", i) for i in range(6))
@@ -121,9 +121,7 @@ class PerDpuBfs(BfsProgram):
         tasklet0.charge(nv // 8)
 
 
-class PerDpuTs(TsProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuTs(TaskletProgram, TsProgram):
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_points")
         m = dpu.host_u32("m")
@@ -147,10 +145,8 @@ class PerDpuTs(TsProgram):
         TaskletContext(dpu, 0).charge(dpu.nr_tasklets * 3)
 
 
-class PerDpuHstS(HstSProgram):
+class PerDpuHstS(TaskletProgram, HstSProgram):
     """Clamps every pixel, whether or not one is past the last bin."""
-
-    run_rank = DpuProgram.run_rank
 
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_pixels")
@@ -170,10 +166,8 @@ class PerDpuHstS(HstSProgram):
         tasklet0.charge(hist.size * 2)
 
 
-class PerDpuHstL(HstLProgram):
+class PerDpuHstL(TaskletProgram, HstLProgram):
     """Clamps every pixel, whether or not one is past the last bin."""
-
-    run_rank = DpuProgram.run_rank
 
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_pixels")
@@ -197,9 +191,7 @@ class PerDpuHstL(HstLProgram):
         tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), total)
 
 
-class PerDpuSpmv(SpmvProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuSpmv(TaskletProgram, SpmvProgram):
     def run(self, dpu: DpuContext) -> None:
         n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = (
             dpu.host_u32("args", i) for i in range(7))
@@ -235,9 +227,7 @@ class PerDpuSpmv(SpmvProgram):
         dpu.charge(instructions)
 
 
-class PerDpuScanSsa(ScanSsaProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuScanSsa(TaskletProgram, ScanSsaProgram):
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_elems")
         out_off = dpu.host_u32("out_offset")
@@ -262,9 +252,7 @@ class PerDpuScanSsa(ScanSsaProgram):
             dpu.charge(lens * INSTR_PER_ADD)
 
 
-class PerDpuRed(RedProgram):
-    run_rank = DpuProgram.run_rank
-
+class PerDpuRed(TaskletProgram, RedProgram):
     def run(self, dpu: DpuContext) -> None:
         n = dpu.host_u32("n_elems")
         _starts, lens = dpu.split(n)
@@ -279,11 +267,127 @@ class PerDpuRed(RedProgram):
         tasklet0.charge(dpu.nr_tasklets * 2)
 
 
+class PerDpuVa(TaskletProgram, VaProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        b_off = dpu.host_u32("b_offset")
+        c_off = dpu.host_u32("c_offset")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
+        if pieces.size == 0:
+            return
+        dpu.mem_alloc(3 * 1024, tasklets=pieces.size)  # A/B/C block buffers
+        dpu.dma(np.tile(pieces, 3))
+        c = dpu.mram_read(0, n * 4).view(np.int32)
+        c += dpu.mram_read(b_off, n * 4).view(np.int32)
+        dpu.mram_write(c_off, c)
+        dpu.charge(lens * INSTR_PER_VA)
+
+
+class PerDpuGemv(TaskletProgram, GemvProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n_rows = dpu.host_u32("n_rows")
+        n_cols = dpu.host_u32("n_cols")
+        x_off = dpu.host_u32("x_offset")
+        y_off = dpu.host_u32("y_offset")
+        _starts, lens = dpu.split(n_rows)
+        rows = lens[lens > 0]           # rows of each tasklet that has any
+        if rows.size == 0:
+            return
+        dpu.mem_alloc(2 * 1024, tasklets=rows.size)
+        dpu.dma(np.full(rows.size, n_cols * 4))
+        dpu.dma(rows * (n_cols * 4))
+        dpu.dma(rows * 4)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        m = dpu.mram_read(0, n_rows * n_cols * 4).view(np.int32)
+        y = (m.reshape(n_rows, n_cols).astype(np.int64)
+             @ x.astype(np.int64)).astype(np.int32)
+        dpu.mram_write(y_off, y)
+        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
+
+
+class PerDpuSel(TaskletProgram, SelProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        dpu.dma(lens[lens > 0] * 4)
+        dpu.charge(lens * INSTR_PER_SEL)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        out = data[predicate(data)]
+        tasklet0 = TaskletContext(dpu, 0)
+        dpu.set_host_u32("n_selected", out.size)
+        if out.size:
+            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
+        tasklet0.charge(dpu.nr_tasklets * 4)
+
+
+class PerDpuUni(TaskletProgram, UniProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        _starts, lens = dpu.split(n)
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        dpu.dma(lens[lens > 0] * 4)
+        dpu.charge(lens * INSTR_PER_UNI)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        out = unique_consecutive(data)
+        tasklet0 = TaskletContext(dpu, 0)
+        dpu.set_host_u32("n_unique", out.size)
+        if out.size:
+            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
+        tasklet0.charge(dpu.nr_tasklets * 4)
+
+
+class PerDpuMlp(TaskletProgram, MlpProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n_rows = dpu.host_u32("n_rows")
+        n_cols = dpu.host_u32("n_cols")
+        w_off = dpu.host_u32("w_offset")
+        x_off = dpu.host_u32("x_offset")
+        y_off = dpu.host_u32("y_offset")
+        _starts, lens = dpu.split(n_rows)
+        rows = lens[lens > 0]           # rows of each tasklet that has any
+        if rows.size == 0:
+            return
+        dpu.mem_alloc(3 * 1024, tasklets=rows.size)
+        dpu.dma(np.full(rows.size, n_cols * 4))
+        dpu.dma(rows * (n_cols * 4))
+        dpu.dma(rows * 4)
+        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
+        w = dpu.mram_read(w_off, n_rows * n_cols * 4).view(np.int32)
+        y = relu(w.reshape(n_rows, n_cols).astype(np.float64)
+                 @ x.astype(np.float64))
+        y = np.minimum(y, np.iinfo(np.int32).max).astype(np.int32)
+        dpu.mram_write(y_off, y)
+        dpu.charge(lens * (n_cols * INSTR_PER_MLP_MADD))
+
+
+class PerDpuScanRss(TaskletProgram, ScanRssProgram):
+    def run(self, dpu: DpuContext) -> None:
+        n = dpu.host_u32("n_elems")
+        out_off = dpu.host_u32("out_offset")
+        phase = dpu.host_u32("phase")
+        _starts, lens = dpu.split(n)
+        pieces = lens[lens > 0]
+        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
+        data = dpu.mram_read(0, n * 4).view(np.int32)
+        dpu.dma(pieces * 4)
+        if phase == 0:
+            dpu.charge(lens * INSTR_PER_REDUCE)
+            TaskletContext(dpu, 0).mram_write(
+                dpu.host_u32("sum_offset"),
+                np.array([data.sum(dtype=np.int64)]))
+        else:
+            scanned = np.cumsum(data, dtype=np.int64)
+            scanned += dpu.host_i64("base")
+            dpu.mram_write(out_off, scanned)
+            dpu.dma(pieces * 8)
+            dpu.charge(lens * (INSTR_PER_SCAN_ADD + 1))
+
+
 # -- tasklet forms ----------------------------------------------------------------
 
-class PerTaskletVa(VaProgram):
-    run = DpuProgram.run
-
+class PerTaskletVa(TaskletProgram, VaProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -302,9 +406,7 @@ class PerTaskletVa(VaProgram):
         ctx.charge_loop(len(rng), INSTR_PER_VA)
 
 
-class PerTaskletGemv(GemvProgram):
-    run = DpuProgram.run
-
+class PerTaskletGemv(TaskletProgram, GemvProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -326,10 +428,7 @@ class PerTaskletGemv(GemvProgram):
         ctx.charge_loop(len(rows) * n_cols, INSTR_PER_MADD)
 
 
-class PerTaskletBs(BsProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletBs(TaskletProgram, BsProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -355,10 +454,7 @@ class PerTaskletBs(BsProgram):
         ctx.charge_loop(len(qrange), INSTR_PER_PROBE * probes)
 
 
-class PerTaskletRed(RedProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletRed(TaskletProgram, RedProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -380,9 +476,7 @@ class PerTaskletRed(RedProgram):
             ctx.charge(ctx.nr_tasklets * 2)
 
 
-class PerTaskletSel(SelProgram):
-    run = DpuProgram.run
-
+class PerTaskletSel(TaskletProgram, SelProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -409,9 +503,7 @@ class PerTaskletSel(SelProgram):
             ctx.charge(ctx.nr_tasklets * 4)
 
 
-class PerTaskletUni(UniProgram):
-    run = DpuProgram.run
-
+class PerTaskletUni(TaskletProgram, UniProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -440,10 +532,7 @@ class PerTaskletUni(UniProgram):
             ctx.charge(ctx.nr_tasklets * 4)
 
 
-class PerTaskletHstS(HstSProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletHstS(TaskletProgram, HstSProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -467,10 +556,7 @@ class PerTaskletHstS(HstSProgram):
             ctx.charge(hist.size * 2)
 
 
-class PerTaskletHstL(HstLProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletHstL(TaskletProgram, HstLProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -505,10 +591,7 @@ class PerTaskletHstL(HstLProgram):
                                   total.astype(np.uint32))
 
 
-class PerTaskletScanSsa(ScanSsaProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletScanSsa(TaskletProgram, ScanSsaProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -549,9 +632,7 @@ class PerTaskletScanSsa(ScanSsaProgram):
                 ctx.charge_loop(len(rng), INSTR_PER_ADD)
 
 
-class PerTaskletScanRss(ScanRssProgram):
-    run = DpuProgram.run
-
+class PerTaskletScanRss(TaskletProgram, ScanRssProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -593,12 +674,9 @@ class PerTaskletScanRss(ScanRssProgram):
                 ctx.charge_loop(len(rng), 1)
 
 
-class PerRowSpmv(SpmvProgram):
+class PerRowSpmv(TaskletProgram, SpmvProgram):
     """One Python loop over the tasklet's rows: the segmented sum the
     DPU and rank forms do with one ``np.add.reduceat`` per DPU."""
-
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
 
     def kernel(self, ctx):
         if ctx.me() == 0:
@@ -635,10 +713,7 @@ class PerRowSpmv(SpmvProgram):
         ctx.charge_loop(max(0, e - s), INSTR_PER_NNZ)
 
 
-class PerTaskletTs(TsProgram):
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
-
+class PerTaskletTs(TaskletProgram, TsProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -667,11 +742,8 @@ class PerTaskletTs(TsProgram):
             ctx.charge(ctx.nr_tasklets * 3)
 
 
-class PerTaskletBfs(BfsProgram):
+class PerTaskletBfs(TaskletProgram, BfsProgram):
     """One small frontier expansion per tasklet, merged by tasklet 0."""
-
-    run_rank = DpuProgram.run_rank
-    run = DpuProgram.run
 
     def kernel(self, ctx):
         if ctx.me() == 0:
@@ -717,9 +789,7 @@ class PerTaskletBfs(BfsProgram):
             ctx.charge(nv // 8)
 
 
-class PerTaskletMlp(MlpProgram):
-    run = DpuProgram.run
-
+class PerTaskletMlp(TaskletProgram, MlpProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -746,9 +816,7 @@ class PerTaskletMlp(MlpProgram):
         ctx.charge_loop(len(rows) * n_cols, INSTR_PER_MLP_MADD)
 
 
-class PerTaskletNw(NwProgram):
-    run = DpuProgram.run
-
+class PerTaskletNw(TaskletProgram, NwProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -775,9 +843,7 @@ class PerTaskletNw(NwProgram):
         ctx.charge_loop(bs * bs, INSTR_PER_CELL)
 
 
-class PerTaskletTrns(TrnsProgram):
-    run = DpuProgram.run
-
+class PerTaskletTrns(TaskletProgram, TrnsProgram):
     def kernel(self, ctx):
         if ctx.me() == 0:
             ctx.mem_reset()
@@ -797,11 +863,66 @@ class PerTaskletTrns(TrnsProgram):
             ctx.charge_loop(t * t, INSTR_PER_TRNS)
 
 
-#: App short name -> the DPU-form reference of its rank-form program.
+class PerTaskletChecksum(TaskletProgram, ChecksumProgram):
+    def kernel(self, ctx):
+        if ctx.me() == 0:
+            ctx.mem_reset()
+            ctx.shared["partials"] = [0] * ctx.nr_tasklets
+        yield ctx.barrier()
+        n = ctx.host_u32("n_bytes")
+        rng = tasklet_range(ctx, n)
+        if len(rng):
+            ctx.mem_alloc(2048)
+            data = ctx.mram_read_blocks(rng.start, len(rng))
+            ctx.shared["partials"][ctx.me()] = int(
+                data.astype(np.uint64).sum())
+            ctx.charge_loop(len(rng), INSTR_PER_BYTE)
+        yield ctx.barrier()
+        if ctx.me() == 0:
+            total = sum(ctx.shared["partials"]) & 0xFFFFFFFF
+            ctx.set_host_u32("checksum", total)
+            ctx.charge(ctx.nr_tasklets * 2)
+
+
+class PerTaskletIndexSearch(TaskletProgram, IndexSearchProgram):
+    def kernel(self, ctx):
+        if ctx.me() == 0:
+            ctx.mem_reset()
+        yield ctx.barrier()
+        n_words = ctx.host_u32("n_words")
+        post_off = ctx.host_u32("post_offset")
+        nq = ctx.host_u32("n_queries")
+        q_off = ctx.host_u32("q_offset")
+        r_off = ctx.host_u32("r_offset")
+        qrange = tasklet_range(ctx, nq)
+        if len(qrange) == 0:
+            return
+        ctx.mem_alloc(3 * 1024)
+        offsets = ctx.mram_read_blocks(0, (n_words + 1) * 4).view(np.int32)
+        queries = ctx.mram_read_blocks(q_off + qrange.start * 4,
+                                       len(qrange) * 4).view(np.int32)
+        results = np.zeros(len(qrange), dtype=np.int32)
+        scanned = 0
+        for qi, word in enumerate(queries):
+            w = int(word)
+            if 0 <= w < n_words:
+                s, e = int(offsets[w]), int(offsets[w + 1])
+                # Offsets index (doc_id, position) pairs; scan them all.
+                if e > s:
+                    pairs = ctx.mram_read(post_off + s * 8, (e - s) * 8)
+                    results[qi] = pairs.size // 8
+                scanned += (e - s) * 2
+        ctx.mram_write_blocks(r_off + qrange.start * 4, results)
+        ctx.charge_loop(max(1, scanned), INSTR_PER_POSTING)
+
+
+#: App short name -> the DPU-form reference of its program, for the
+#: programs whose body vectorises across DPUs.
 DPU_FORMS = {
     "BS": PerDpuBs, "BFS": PerDpuBfs, "TS": PerDpuTs, "HST-S": PerDpuHstS,
     "HST-L": PerDpuHstL, "SpMV": PerDpuSpmv, "SCAN-SSA": PerDpuScanSsa,
-    "RED": PerDpuRed,
+    "RED": PerDpuRed, "VA": PerDpuVa, "GEMV": PerDpuGemv, "SEL": PerDpuSel,
+    "UNI": PerDpuUni, "MLP": PerDpuMlp, "SCAN-RSS": PerDpuScanRss,
 }
 
 #: App short name -> its tasklet-form reference program.
@@ -812,4 +933,5 @@ REFERENCE_PROGRAMS = {
     "NW": PerTaskletNw, "HST-S": PerTaskletHstS, "HST-L": PerTaskletHstL,
     "RED": PerTaskletRed, "SCAN-SSA": PerTaskletScanSsa,
     "SCAN-RSS": PerTaskletScanRss, "TRNS": PerTaskletTrns,
+    "CHK": PerTaskletChecksum, "UPIS": PerTaskletIndexSearch,
 }

@@ -1,18 +1,20 @@
-"""Rank form == DPU form == tasklet form, for all 16 PrIM programs.
+"""Rank body == DPU form == tasklet form, for all 16 PrIM programs, CHK
+and UPIS.
 
-Every PrIM program has one body under ``src/``: BS, BFS, TS, HST-S,
-HST-L, SpMV, SCAN-SSA and RED one rank-form body per launch (DPUs and
-tasklets vector axes), the other eight one DPU-form body per DPU
-(tasklets a vector axis).  ``reference_kernels.py`` keeps the bodies
-they replaced: the DPU form of the eight rank-form programs and the
-per-tasklet generator body of all 16.  Whatever a launch leaves behind
+Every program has one body under ``src/``, ``run_rank``, for the whole
+launch (DPUs and tasklets vector axes, or a loop over the launch's DPUs
+where each DPU's work is shaped by its own data).  ``reference_kernels.py``
+keeps the bodies they replaced: the DPU form of the programs whose body
+vectorises across DPUs and the per-tasklet generator body of every
+program (``tests/tasklet_reference.py``, the Fig. 2b model).  Whatever
+a launch leaves behind
 or is charged must be the same for every form, DPU by DPU: MRAM bytes,
 host symbols, every tasklet's instruction count, DMA operations and
 bytes, the modeled run time to the last bit (``float.hex()``), and the
 *union* of the dirty-log extents (a vector form stores the union of the
 tasklets' pieces in one write, and the transfer cache prunes digests by
 overlap).  Compared at app level (the ``test`` profile on 8 DPUs, every
-launch of every DPU), on drawn one-DPU shapes that hit ``n == 0``,
+launch of every DPU; a small file for CHK and a small corpus for UPIS), on drawn one-DPU shapes that hit ``n == 0``,
 ``n < nr_tasklets``, a ragged last tasklet and a DPU without work, and
 on drawn multi-DPU launches whose DPUs are drawn independently (a
 ragged last DPU, DPUs without work, ``n == 0`` on some).
@@ -20,32 +22,46 @@ ragged last DPU, DPUs without work, ``n == 0`` on some).
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.analysis.figures import SIZE_PROFILES
-from repro.apps.registry import PRIM_APPS
+from repro.apps.registry import ALL_APPS
 from repro.config import small_machine
 from repro.core import VPim
 from repro.driver import driver
-from repro.errors import DpuFaultError
+from repro.errors import DpuFaultError, MemoryAccessError
 from repro.hardware.dpu import Dpu, DpuRunStats
 from repro.hardware.timing import DEFAULT_COST_MODEL
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.runtime import run_program
+from repro.workloads.wikipedia import SyntheticCorpus
 from tests.apps.reference_kernels import DPU_FORMS, REFERENCE_PROGRAMS
+from tests.integration.test_quickstart import load_quickstart
 from tests.properties.test_kernel_algorithms import bfs_cases, spmv_cases
 
 NR_DPUS = 8
-APPS = [info.short_name for info in PRIM_APPS]
+APPS = [info.short_name for info in ALL_APPS]
+
+#: App parameters: the ``test`` profile, and small CHK and UPIS runs (a
+#: file that does not split evenly, and 445 queries over eight DPUs:
+#: fewer queries per DPU than tasklets).
+PROFILE = {**SIZE_PROFILES["test"], "CHK": dict(file_mb=0.05),
+           "UPIS": dict(corpus=SyntheticCorpus(nr_documents=200,
+                                               vocabulary_size=500, seed=3))}
 
 
 def array_form(short_name: str) -> type:
-    """The program class the app loads (the reference's base class)."""
-    return REFERENCE_PROGRAMS[short_name].__mro__[1]
+    """The program class the app loads (the reference's base under
+    ``src/``)."""
+    return next(cls for cls in REFERENCE_PROGRAMS[short_name].__mro__
+                if cls.__module__.startswith("repro."))
 
 
 def forms(short_name: str) -> list:
@@ -108,7 +124,7 @@ def assert_same(got: dict, reference: dict) -> None:
 def launches_of(short_name: str, monkeypatch, program_cls: type) -> list:
     """Run the app natively with ``program_cls`` loaded; one observation
     per DPU of every launch, in order."""
-    info = next(info for info in PRIM_APPS if info.short_name == short_name)
+    info = next(info for info in ALL_APPS if info.short_name == short_name)
     monkeypatch.setattr(sys.modules[info.cls.__module__],
                         array_form(short_name).__name__, program_cls)
     runs = []
@@ -119,18 +135,34 @@ def launches_of(short_name: str, monkeypatch, program_cls: type) -> list:
         return stats
 
     monkeypatch.setattr(driver, "run_program", recording)
-    app = info.cls(nr_dpus=NR_DPUS, **SIZE_PROFILES["test"][short_name])
+    app = info.cls(nr_dpus=NR_DPUS, **PROFILE[short_name])
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=NR_DPUS))
     assert app.verify(app.run(vpim.native_session().transport))
     return runs
 
 
+def test_every_program_is_one_rank_body():
+    """Every program under ``src/repro/`` and the quickstart's, and their
+    base, define ``run_rank`` and neither ``run`` nor ``kernel``."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+    quickstart = load_quickstart()
+    programs, pending = [], [DpuProgram]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro.") or cls.__module__ == quickstart.__name__:
+            programs.append(cls)
+    assert {array_form(name) for name in APPS} | {quickstart.CountZerosProgram} \
+        <= set(programs)
+    for cls in programs:
+        hooks = [name for name in ("run_rank", "run", "kernel") if name in vars(cls)]
+        assert hooks == ["run_rank"], cls
+
+
 @pytest.mark.parametrize("short_name", APPS)
 def test_array_form_matches_tasklet_form_on_the_test_profile(short_name,
                                                              monkeypatch):
-    body = "run_rank" if short_name in DPU_FORMS else "run"
-    assert [name for name in ("run_rank", "run", "kernel")
-            if name in vars(array_form(short_name))] == [body]
     array, *references = [launches_of(short_name, monkeypatch, form)
                           for form in forms(short_name)]
     for reference in references:
@@ -231,6 +263,36 @@ def scan_cases(draw):
 
 
 @st.composite
+def chk_cases(draw):
+    """A file of any length, some of it several 2 KB DMA blocks per
+    tasklet."""
+    n = draw(st.one_of(counts, st.integers(0, 80_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 1 << 32)))
+    return {"n_bytes": u32(n)}, {0: rng.integers(0, 256, n, dtype=np.uint8)}
+
+
+@st.composite
+def upis_cases(draw):
+    """A small inverted index (empty posting lists too) and queries in
+    the vocabulary and outside it on both sides."""
+    n_words = draw(st.integers(0, 6))
+    sizes = array_of(draw, st.integers(0, 4), n_words, np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int32)
+    nq = draw(counts)
+    post_off = align8(offsets.nbytes)
+    q_off = post_off + int(offsets[-1]) * 8
+    symbols = {"n_words": u32(n_words), "post_offset": u32(post_off),
+               "n_queries": u32(nq), "q_offset": u32(q_off),
+               "r_offset": u32(q_off + align8(nq * 4))}
+    return symbols, {
+        0: offsets,
+        post_off: array_of(draw, st.integers(0, 99), 2 * int(offsets[-1]),
+                           np.int32),
+        q_off: array_of(draw, st.integers(-2, n_words + 2), nq, np.int32),
+    }
+
+
+@st.composite
 def ts_cases(draw):
     # m == 0 with n == 0 is what a booted DPU outside the host's working
     # set sees (all-zero symbols): one trivial window.
@@ -303,6 +365,8 @@ CASES = {
     "SCAN-SSA": scan_cases(),
     "SCAN-RSS": scan_cases(),
     "TRNS": trns_cases(),
+    "CHK": chk_cases(),
+    "UPIS": upis_cases(),
 }
 
 
@@ -349,7 +413,7 @@ def test_dpu_without_work_runs_the_same(short_name):
     assert_every_form_alike(short_name, [WITHOUT_WORK])
 
 
-@pytest.mark.parametrize("short_name", sorted(DPU_FORMS))
+@pytest.mark.parametrize("short_name", APPS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_rank_form_matches_dpu_and_tasklet_forms_on_drawn_launches(
@@ -361,6 +425,18 @@ def test_rank_form_matches_dpu_and_tasklet_forms_on_drawn_launches(
         st.one_of(CASES[short_name], st.just(WITHOUT_WORK)),
         min_size=2, max_size=5))
     assert_every_form_alike(short_name, cases)
+
+
+def test_a_posting_list_past_mram_faults_in_every_form():
+    """UPIS reads the posting pairs it counts, one transfer per query: a
+    list that ends past the bank is a bad access in every form."""
+    end = Dpu(0, 0).mram.size
+    symbols = {"n_words": u32(1), "post_offset": u32(end - 4),
+               "n_queries": u32(1), "q_offset": u32(8), "r_offset": u32(16)}
+    case = (symbols, {0: np.array([0, 1], np.int32), 8: np.zeros(1, np.int32)})
+    for form in forms("UPIS"):
+        with pytest.raises(MemoryAccessError):
+            launch(form(), [case])
 
 
 # -- the WRAM budget ------------------------------------------------------------
@@ -378,6 +454,7 @@ OVER_ALLOCATING = {
     "MLP": (24, {"n_rows": u32(24), "n_cols": u32(1)}),
     "TRNS": (16, {"tile_dim": u32(32), "n_tiles": u32(16)}),
     "NW": (8, {"block_size": u32(2048)}),
+    "UPIS": (24, {"n_queries": u32(24)}),
 }
 FITTING = {
     "GEMV": (24, {"n_rows": u32(24), "n_cols": u32(1)}),
@@ -389,6 +466,7 @@ FITTING = {
     "RED": (24, {"n_elems": u32(24)}),
     "SCAN-SSA": (24, {"n_elems": u32(24)}),
     "SCAN-RSS": (24, {"n_elems": u32(24)}),
+    "CHK": (24, {"n_bytes": u32(24)}),
 }
 
 

@@ -50,20 +50,21 @@ def test_checksum_ci_formula_monotone():
 def test_checksum_disagreement_detected():
     """A corrupted DPU result must raise, not silently pass."""
     app = Checksum(nr_dpus=4, file_mb=0.25)
-    original_kernel = ChecksumProgram.kernel
+    original_run_rank = ChecksumProgram.run_rank
 
-    def corrupted(self, ctx):
-        yield from original_kernel(self, ctx)
-        if ctx.me() == 0 and ctx.dpu_index == 2:
-            ctx.set_host_u32("checksum", 12345)
+    def corrupted(self, rank):
+        original_run_rank(self, rank)
+        for i in range(rank.nr_dpus):
+            if rank.dpu(i).dpu_index == 2:
+                rank.dpu(i).set_host_u32("checksum", 12345)
 
-    ChecksumProgram.kernel = corrupted
+    ChecksumProgram.run_rank = corrupted
     try:
         vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=4))
         with pytest.raises(AssertionError):
             vpim.native_session().run(app)
     finally:
-        ChecksumProgram.kernel = original_kernel
+        ChecksumProgram.run_rank = original_run_rank
 
 
 # -- Index Search ----------------------------------------------------------------

@@ -57,9 +57,9 @@ def test_single_busy_host_is_left_alone(cluster, scheduler):
 
 
 def test_running_dpus_block_the_drain(cluster, scheduler):
-    from repro.sdk.kernel import DpuProgram
+    from tests.tasklet_reference import TaskletProgram
 
-    class Spin(DpuProgram):
+    class Spin(TaskletProgram):
         name = "spin"
         nr_tasklets = 1
 

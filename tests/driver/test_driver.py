@@ -8,11 +8,11 @@ from repro.driver.driver import UpmemDriver, launch_poll_count
 from repro.driver.ioctl import IoctlCode, IoctlRequest
 from repro.errors import IoctlError, MmapError
 from repro.hardware.machine import Machine
-from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import uniform_read, uniform_write
+from tests.tasklet_reference import TaskletProgram
 
 
-class Trivial(DpuProgram):
+class Trivial(TaskletProgram):
     name = "trivial"
     symbols = {"out": 4}
     nr_tasklets = 2

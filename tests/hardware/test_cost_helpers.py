@@ -91,7 +91,6 @@ class TestHelpersAlone:
 
 from repro.core import VPim  # noqa: E402
 from repro.sdk.dpu_set import DpuSet  # noqa: E402
-from repro.sdk.kernel import DpuProgram  # noqa: E402
 from repro.sdk.transfer import (  # noqa: E402
     DpuEntry,
     TransferMatrix,
@@ -100,13 +99,14 @@ from repro.sdk.transfer import (  # noqa: E402
     uniform_write,
 )
 from repro.virt.opts import OptimizationConfig  # noqa: E402
+from tests.tasklet_reference import TaskletProgram  # noqa: E402
 
 from tests.conftest import wire_path  # noqa: E402
 
 NR_DPUS = 4
 
 
-class Spin(DpuProgram):
+class Spin(TaskletProgram):
     """Charges a fixed instruction count per tasklet; one host symbol."""
 
     name = "cost_helpers_spin"

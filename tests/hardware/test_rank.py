@@ -14,7 +14,7 @@ from repro.hardware.rank import (
     ReadSpec,
     WriteSpec,
 )
-from repro.sdk.kernel import DpuProgram
+from tests.tasklet_reference import TaskletProgram
 
 
 @pytest.fixture
@@ -178,7 +178,7 @@ def test_a_failed_launch_faults_every_dpu_of_it(rank):
     assert rank.obs.launches.value == 0
 
 
-class Charging(DpuProgram):
+class Charging(TaskletProgram):
     """Every tasklet charges ``instructions``."""
 
     name = "charging"

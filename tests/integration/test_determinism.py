@@ -64,9 +64,9 @@ def test_partial_push_subset_of_dpus():
 def test_wram_symbol_read_path_in_vm():
     """copy_from of a WRAM symbol bypasses the prefetch cache but must
     return the exact bytes through the virtualized path."""
-    from repro.sdk.kernel import DpuProgram
+    from tests.tasklet_reference import TaskletProgram
 
-    class Writer(DpuProgram):
+    class Writer(TaskletProgram):
         name = "writer"
         symbols = {"value": 8}
         nr_tasklets = 2

@@ -7,10 +7,10 @@ from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import DpuFaultError, TransferError
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram
+from tests.tasklet_reference import TaskletProgram
 
 
-class FaultyProgram(DpuProgram):
+class FaultyProgram(TaskletProgram):
     """A kernel that dies on one specific DPU."""
 
     name = "faulty"
@@ -26,7 +26,7 @@ class FaultyProgram(DpuProgram):
         yield ctx.barrier()
 
 
-class GoodProgram(DpuProgram):
+class GoodProgram(TaskletProgram):
     name = "good"
     symbols = {"ok": 4}
     nr_tasklets = 2

@@ -22,7 +22,7 @@ from repro.analysis.figures import machine_config
 from repro.core import VPim
 from repro.paging.config import PagingConfig
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram
+from tests.tasklet_reference import TaskletProgram
 
 NR_DPUS = 8
 SIZES = (64, 4096, 8192, 20000)
@@ -47,7 +47,7 @@ FOLLOWED = {
 }
 
 
-class Touch(DpuProgram):
+class Touch(TaskletProgram):
     name = "touch"
     symbols = {"out": 4}
     nr_tasklets = 2

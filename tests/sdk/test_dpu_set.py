@@ -8,10 +8,10 @@ from repro.driver.native import NativeTransport
 from repro.errors import AllocationError, TransferError
 from repro.hardware.machine import Machine
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, tasklet_range
+from tests.tasklet_reference import TaskletProgram, tasklet_range
 
 
-class Echo(DpuProgram):
+class Echo(TaskletProgram):
     """Copies its input region to its output region."""
 
     name = "echo"

@@ -1,4 +1,5 @@
-"""Kernel/TaskletContext: ids, WRAM heap, host vars, DMA accounting."""
+"""DpuContext, RankContext and the reference TaskletContext: ids, WRAM
+heap, host vars, DMA accounting."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MAX_TASKLETS, WRAM_SIZE
 from repro.errors import DpuFaultError
 from repro.hardware.dpu import Dpu
-from repro.sdk.kernel import (
+from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
+from tests.tasklet_reference import (
     BARRIER,
-    DpuProgram,
-    DpuContext,
     TaskletContext,
+    TaskletProgram,
     tasklet_range,
 )
 
@@ -85,11 +86,9 @@ def test_mem_alloc_for_several_tasklets(shared):
     assert shared.mem_alloc(100, tasklets=3) == 0
     assert shared.wram_used == 3 * 104
     assert shared.mem_alloc(8, tasklets=0) == 3 * 104
-    shared.mem_reset()
-    shared.mem_alloc(WRAM_SIZE // 4, tasklets=4)
-    shared.mem_reset()
+    DpuContext(shared.dpu, 4).mem_alloc(WRAM_SIZE // 4, tasklets=4)
     with pytest.raises(DpuFaultError):
-        shared.mem_alloc(WRAM_SIZE // 4 + 8, tasklets=4)
+        DpuContext(shared.dpu, 4).mem_alloc(WRAM_SIZE // 4 + 8, tasklets=4)
 
 
 def test_mram_read_write_roundtrip(shared):
@@ -159,6 +158,46 @@ def test_dma_charges_one_blocked_transfer_per_piece(shared):
     assert (shared.dma_ops, shared.dma_bytes) == (12, 26_145)
 
 
+def test_negative_dma_length_faults(shared):
+    """A negative length used to be charged (``dma(-5)`` added one
+    operation and -5 bytes, which shortens the modeled run time)."""
+    with pytest.raises(DpuFaultError, match="negative DMA length -5"):
+        shared.dma(-5)
+    with pytest.raises(DpuFaultError):
+        shared.dma(np.array([10, -1]), block_bytes=None)
+    assert (shared.dma_ops, shared.dma_bytes) == (0, 0)
+
+
+@pytest.fixture
+def rank() -> RankContext:
+    return RankContext([Dpu(0, 0), Dpu(0, 1)], nr_tasklets=2)
+
+
+def test_rank_dma_faults_on_a_negative_length_it_counts(rank):
+    """A DPU used to end with ``dma_bytes == -4096``; an entry the mask
+    leaves out stays free whatever its length."""
+    with pytest.raises(DpuFaultError, match="negative DMA length -4096"):
+        rank.dma([[-4096, 8], [8, 8]])
+    assert rank.dma_ops.tolist() == rank.dma_bytes.tolist() == [0, 0]
+    rank.dma([[-4096, 8], [8, -1]], where=[[False, True], [True, False]])
+    assert rank.dma_ops.tolist() == [1, 1]
+    assert rank.dma_bytes.tolist() == [8, 8]
+    rank.dma([-1, 0], where=[False, True], block_bytes=None)
+    assert rank.dma_ops.tolist() == [1, 2]
+    with pytest.raises(DpuFaultError):
+        rank.dma([-1, 0], where=[True, True], block_bytes=None)
+    assert rank.dma_bytes.tolist() == [8, 8]
+
+
+def test_read_ragged_faults_on_a_negative_row(rank):
+    """A negative row used to be skipped silently, like an empty one."""
+    rank.dpus[1].mram.write(0, np.arange(16, dtype=np.uint8))
+    flat, starts = rank.read_ragged([0, 4], [0, 8])
+    assert flat.tolist() == list(range(4, 12)) and starts.tolist() == [0, 0]
+    with pytest.raises(DpuFaultError, match="negative MRAM read length -8"):
+        rank.read_ragged([0, 0], [16, -8])
+
+
 def test_charge_takes_one_count_per_tasklet(shared):
     shared.charge(np.array([1, 2, 3, 4]))
     TaskletContext(shared, 2).charge(10)
@@ -191,29 +230,36 @@ def test_host_indexed_access(shared):
     assert ctx.host_u32("arr", index=0) == 0
 
 
-@pytest.mark.parametrize("access", [
-    lambda ctx, i: ctx.host_u32("arr", i),
-    lambda ctx, i: ctx.set_host_u32("arr", 1, i),
-    lambda ctx, i: ctx.add_host_u32("arr", 1, i),
-    lambda ctx, i: ctx.host_u64("arr", i // 2),
-    lambda ctx, i: ctx.set_host_u64("arr", 1, i // 2),
-    lambda ctx, i: ctx.add_host_u64("arr", 1, i // 2),
-    lambda ctx, i: ctx.host_i64("arr", i // 2),
-    lambda ctx, i: ctx.set_host_i64("arr", 1, i // 2),
-], ids=["host_u32", "set_host_u32", "add_host_u32", "host_u64",
-        "set_host_u64", "add_host_u64", "host_i64", "set_host_i64"])
+#: Host-variable accessors; the first four only the tasklet model has.
+ACCESSES = {
+    "host_u32": lambda ctx, i: ctx.host_u32("arr", i),
+    "set_host_u32": lambda ctx, i: ctx.set_host_u32("arr", 1, i),
+    "add_host_u32": lambda ctx, i: ctx.add_host_u32("arr", 1, i),
+    "host_u64": lambda ctx, i: ctx.host_u64("arr", i // 2),
+    "set_host_u64": lambda ctx, i: ctx.set_host_u64("arr", 1, i // 2),
+    "add_host_u64": lambda ctx, i: ctx.add_host_u64("arr", 1, i // 2),
+    "host_i64": lambda ctx, i: ctx.host_i64("arr", i // 2),
+    "set_host_i64": lambda ctx, i: ctx.set_host_i64("arr", 1, i // 2),
+}
+TASKLET_ONLY = {"add_host_u32", "host_u64", "set_host_u64", "add_host_u64"}
+
+
+@pytest.mark.parametrize("name", list(ACCESSES))
 @pytest.mark.parametrize("index", [-2, 4], ids=["before", "past_end"])
-def test_host_index_outside_the_symbol_faults(shared, access, index):
+def test_host_index_outside_the_symbol_faults(shared, name, index):
     """``struct`` reads a negative offset from the *end* of the buffer and
     reports one past the end as ``struct.error``; both are a DPU fault
     that names the symbol, the index and the symbol's size, through the
     tasklet facade and on the DPU context alike."""
+    access = ACCESSES[name]
+    tasklet = TaskletContext(shared, 0)
+    contexts = (tasklet,) if name in TASKLET_ONLY else (tasklet, shared)
     before = bytes(shared.dpu.symbols["arr"])
-    for ctx in (TaskletContext(shared, 0), shared):
+    for ctx in contexts:
         with pytest.raises(DpuFaultError, match=r"'arr'.*index -?\d.*16 bytes"):
             access(ctx, index)
     assert bytes(shared.dpu.symbols["arr"]) == before
-    access(shared, 3)       # the last element is inside
+    access(contexts[-1], 3)     # the last element is inside
 
 
 def test_add_host_u32(shared):
@@ -263,5 +309,23 @@ def test_split_is_tasklet_range_for_every_tasklet(shared, total, parts):
 
 def test_program_requires_kernel_override():
     with pytest.raises(NotImplementedError):
-        prog = DpuProgram()
+        prog = TaskletProgram()
         list(prog.kernel(None))
+
+
+def test_program_requires_run_rank_override():
+    """``run_rank`` is a program's one body; the base has no other."""
+    with pytest.raises(NotImplementedError):
+        DpuProgram().run_rank(None)
+    assert not hasattr(DpuProgram, "run") and not hasattr(DpuProgram, "kernel")
+
+
+def test_u64_host_variables_round_trip_the_whole_range(shared):
+    """The tasklet model keeps unsigned 64-bit variables on the signed
+    accessors: every bit pattern survives, and an add wraps."""
+    ctx = TaskletContext(shared, 0)
+    for value in (0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1):
+        ctx.set_host_u64("v64", value)
+        assert ctx.host_u64("v64") == value
+    ctx.add_host_u64("v64", 2)
+    assert ctx.host_u64("v64") == 1

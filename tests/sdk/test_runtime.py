@@ -7,6 +7,7 @@ from repro.errors import DpuFaultError
 from repro.hardware.dpu import Dpu
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.runtime import run_program
+from tests.tasklet_reference import TaskletProgram
 
 
 def make_dpu(program: DpuProgram) -> Dpu:
@@ -15,7 +16,7 @@ def make_dpu(program: DpuProgram) -> Dpu:
     return dpu
 
 
-class OrderProgram(DpuProgram):
+class OrderProgram(TaskletProgram):
     """Records execution order across two barrier phases."""
 
     name = "order"
@@ -36,7 +37,7 @@ def test_barrier_separates_phases():
     # (shared state is per-run, so capture through a fresh run)
 
 
-class CaptureProgram(DpuProgram):
+class CaptureProgram(TaskletProgram):
     name = "capture"
     symbols = {}
     nr_tasklets = 3
@@ -62,7 +63,7 @@ def test_all_tasklets_finish_phase_before_next():
     assert log.index(phase_b[0]) > log.index(phase_a[-1])
 
 
-class UnevenProgram(DpuProgram):
+class UnevenProgram(TaskletProgram):
     """Tasklets finish in different phases; scheduler must not hang."""
 
     name = "uneven"
@@ -83,7 +84,7 @@ def test_uneven_phase_counts_complete():
     assert int.from_bytes(dpu.read_symbol("done", 0, 4), "little") == 4
 
 
-class StatsProgram(DpuProgram):
+class StatsProgram(TaskletProgram):
     name = "stats"
     symbols = {}
     nr_tasklets = 2
@@ -113,7 +114,7 @@ def test_one_call_runs_the_whole_launch():
     assert (stats.dma_ops, stats.dma_bytes) == (6, 384)
 
 
-class NonGeneratorProgram(DpuProgram):
+class NonGeneratorProgram(TaskletProgram):
     name = "nongen"
     symbols = {}
     nr_tasklets = 1
@@ -128,7 +129,7 @@ def test_non_generator_kernel_rejected():
         run_program(program, [make_dpu(program)])
 
 
-class BadYieldProgram(DpuProgram):
+class BadYieldProgram(TaskletProgram):
     name = "badyield"
     symbols = {}
     nr_tasklets = 1
@@ -143,7 +144,7 @@ def test_bad_yield_value_rejected():
         run_program(program, [make_dpu(program)])
 
 
-class TooManyTaskletsProgram(DpuProgram):
+class TooManyTaskletsProgram(TaskletProgram):
     name = "toomany"
     symbols = {}
     nr_tasklets = 25
@@ -159,7 +160,7 @@ def test_tasklet_limit_enforced():
 
 
 def test_deterministic_results():
-    class SumProgram(DpuProgram):
+    class SumProgram(TaskletProgram):
         name = "sum"
         symbols = {"total": 8}
         nr_tasklets = 8

@@ -160,9 +160,9 @@ def test_prefetch_invalidated_by_write():
 
 def test_prefetch_invalidated_by_launch():
     from repro.sdk.dpu_set import DpuSet
-    from repro.sdk.kernel import DpuProgram, tasklet_range
+    from tests.tasklet_reference import TaskletProgram, tasklet_range
 
-    class Echo(DpuProgram):
+    class Echo(TaskletProgram):
         name = "echo"
         symbols = {"n_bytes": 4, "out_offset": 4}
         nr_tasklets = 4

@@ -8,7 +8,6 @@ from repro.core import VPim
 from repro.errors import DpuFaultError, ManagerError
 from repro.hardware.machine import Machine
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram
 from repro.virt.emulation import EMULATED_RANK_BASE
 from repro.virt.migration import (
     checkpoint_rank,
@@ -16,9 +15,10 @@ from repro.virt.migration import (
     migrate_device,
     restore_rank,
 )
+from tests.tasklet_reference import TaskletProgram
 
 
-class Marker(DpuProgram):
+class Marker(TaskletProgram):
     name = "marker"
     symbols = {"mark": 4}
     nr_tasklets = 2

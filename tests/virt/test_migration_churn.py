@@ -15,11 +15,11 @@ from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import DpuFaultError
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram
 from repro.virt.migration import migrate_device
+from tests.tasklet_reference import TaskletProgram
 
 
-class Marker(DpuProgram):
+class Marker(TaskletProgram):
     name = "marker"
     symbols = {"mark": 4}
     nr_tasklets = 2

@@ -19,9 +19,9 @@ from repro.core import VPim
 from repro.errors import SerializationError, TransientFaultError
 from repro.faults import failover_device
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram
 from repro.virt.opts import OptimizationConfig
 from repro.virt.transfer_cache import ExtentDigestIndex, content_digest
+from tests.tasklet_reference import TaskletProgram
 
 #: Label identity of the first vUPMEM device of the first VM.
 IDS = dict(vm="vm-0", device="vm-0.vupmem0")
@@ -219,7 +219,7 @@ class TestSuppressionThroughVm:
 
 # -- VM level: invalidation seams --------------------------------------------
 
-class KernelWriter(DpuProgram):
+class KernelWriter(TaskletProgram):
     """Writes a marker into MRAM so launches dirty guest-pushed data."""
 
     name = "cache_test_writer"
