@@ -93,11 +93,11 @@ class Dpu:
         #: Lifetime run statistics (feed the per-rank launch/boot metrics).
         self.boots = 0
         self.faults = 0
-        #: Kernel-store dirty log, armed by the backend around a launch
-        #: when the transfer cache is on: ``(space, offset, nbytes)`` per
-        #: store, where ``space`` is the MRAM heap symbol or a WRAM
-        #: symbol name — the same keying as the digest index.  ``None``
-        #: (the default) disables logging entirely.
+        #: Kernel-store dirty log, armed around a launch by the transfer
+        #: cache's host half (``HostCache.launch``): ``(space, offset,
+        #: nbytes)`` per store, where ``space`` is the MRAM heap symbol or
+        #: a WRAM symbol name — the same keying as the digest index.
+        #: ``None`` (the default) disables logging entirely.
         self.dirty_log: Optional[List[tuple]] = None
 
     # -- program load -------------------------------------------------------

@@ -68,8 +68,8 @@ def _log_store(dpu: Dpu, space: str, offset: int, nbytes: int) -> None:
 
     The transfer cache's digest records claim "this extent still holds
     what the host last wrote"; any kernel-side store breaks that claim,
-    so the backend arms this log around a launch and prunes overlapping
-    digests afterwards.
+    so the cache's host half arms this log around a launch and prunes
+    overlapping digests afterwards.
     """
     log = dpu.dirty_log
     if log is not None and nbytes:

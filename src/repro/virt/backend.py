@@ -40,12 +40,10 @@ from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
     SerializedEntry,
-    SkipExtent,
     deserialize_request,
     gather_entry_data,
     scatter_entry_data,
 )
-from repro.virt.transfer_cache import ExtentDigestIndex
 from repro.virt.virtio import Descriptor
 
 
@@ -58,16 +56,6 @@ _GET_CONFIG, _RELEASE, _LOAD, _LAUNCH, _CI_OP, _WRITE_RANK, _READ_RANK = (
 _MRAM = Target.MRAM
 
 
-def _is_broadcast(matrix: TransferMatrix) -> bool:
-    """True iff every entry carries the same payload (all-DPUs pattern)."""
-    entries = matrix.entries
-    if len(entries) < 2:
-        return False
-    first = entries[0]
-    return all(e.size == first.size and np.array_equal(e.data, first.data)
-               for e in entries[1:])
-
-
 @dataclass
 class BatchRecord:
     """One buffered small write replayed by the backend at flush time
@@ -76,6 +64,9 @@ class BatchRecord:
     dpu_index: int
     offset: int
     data: np.ndarray
+    #: Content digest the transfer cache recorded for the write as it
+    #: was buffered (0: none), mirrored on the host once the flush lands.
+    digest: int = 0
 
 
 @dataclass
@@ -147,7 +138,7 @@ class VUpmemBackend:
                  translation_threads: int = TRANSLATION_THREADS,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanRecorder] = None,
-                 cache_enabled: bool = False,
+                 transfer_cache=None,
                  qos=None) -> None:
         self.device_id = device_id
         self.driver = driver
@@ -155,16 +146,14 @@ class VUpmemBackend:
         self.cost = cost
         self.rust_data_path = rust_data_path
         self.translation_threads = translation_threads
-        #: Content-aware transfer cache (``Optimization(cache=True)``):
-        #: resident-extent digests validating SKIPs, broadcast dedup,
-        #: launch-time dirty collection.
-        self.cache_enabled = cache_enabled
+        #: The transfer cache's host half when ``Optimization(cache=True)``
+        #: (:class:`~repro.virt.transfer_cache.HostCache`), else ``None``.
+        self.transfer_cache = transfer_cache
         #: The owning VM's :class:`~repro.qos.flow.QosFlow` (``docs/qos.md``):
         #: when set, data transfers pay a modeled bus share for co-resident
         #: demand and report their own usage to the arbiter.  ``None`` keeps
         #: the exact single-tenant timing path.
         self.qos = qos
-        self.resident = ExtentDigestIndex()
         self.mapping: Optional[PerfModeMapping] = None
         #: ``rank=`` label of requests: the bound rank's index, fixed
         #: when the mapping is linked.
@@ -272,7 +261,7 @@ class VUpmemBackend:
 
     def _handle(self, header: RequestHeader,
                 entries: List[SerializedEntry],
-                skips: List[SkipExtent],
+                skips: list,
                 program: Optional[DpuProgram],
                 batch_records: Optional[List[BatchRecord]],
                 plan=None,
@@ -282,9 +271,11 @@ class VUpmemBackend:
 
         if kind is _GET_CONFIG:
             return self._control(name, payload=self.driver.config)
+        cache = self.transfer_cache
         if kind is _RELEASE:
             self.unlink()
-            self.resident.invalidate_all()
+            if cache is not None:
+                cache.invalidate_all()
             return self._control(name)
 
         mapping = self.mapping
@@ -296,11 +287,13 @@ class VUpmemBackend:
                 raise SerializationError("LOAD request without a program image")
             # load_program rebuilds every symbol buffer; nothing resident
             # from the previous program can be trusted afterwards.
-            self.resident.invalidate_all()
+            if cache is not None:
+                cache.invalidate_all()
             return self._control(name, mapping.load(program))
         if kind is _LAUNCH:
-            if self.cache_enabled:
-                return self._launch_collecting_dirty(mapping)
+            if cache is not None:
+                run_time, dirty = cache.launch(mapping)
+                return self._control(name, run_time, payload=dirty)
             return self._control(name, mapping.launch())
         if kind is _CI_OP:
             return self._control(name, mapping.ci_ops(header.count))
@@ -311,25 +304,18 @@ class VUpmemBackend:
 
     def _transfer(self, header: RequestHeader,
                   entries: List[SerializedEntry],
-                  skips: List[SkipExtent],
+                  skips: list,
                   batch_records: Optional[List[BatchRecord]],
                   plan, matrix: Optional[TransferMatrix],
                   mapping: PerfModeMapping) -> BackendResult:
         """WRITE_RANK / READ_RANK: deserialization + translation +
         zero-copy access, one tail per direction."""
-        if skips and not self.cache_enabled:
-            raise SerializationError(
-                "request carries SKIP extents but the transfer cache is off")
-        for skip in skips:
-            # A SKIP the resident index cannot vouch for is a protocol
-            # violation — suppressing it silently would corrupt the DPU.
-            if not self.resident.lookup(skip.dpu_index, header.symbol,
-                                        header.offset, skip.size,
-                                        skip.digest):
-                raise SerializationError(
-                    f"SKIP extent (dpu {skip.dpu_index}, symbol "
-                    f"{header.symbol!r}, offset {header.offset}, size "
-                    f"{skip.size}) is not resident on the backend")
+        cache = self.transfer_cache
+        if skips:
+            if cache is None:
+                raise SerializationError("request carries SKIP extents but "
+                                         "the transfer cache is off")
+            cache.validate(header, skips)
 
         pool = self.pool
         reuse0 = pool.reuse_count
@@ -349,12 +335,8 @@ class VUpmemBackend:
             elif plan is None:
                 scratch.extend(pool.acquire(e.size) for e in entries)
                 matrix = self._wire_matrix(header, entries, writing, scratch)
-            # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
-            # pattern) are deserialized and translated once, then fanned
-            # out — only the modeled time changes, every page is still
-            # validated and written.
-            broadcast = (writing and matrix is not None
-                         and self.cache_enabled and _is_broadcast(matrix))
+            broadcast = (cache is not None and writing
+                         and cache.broadcast(matrix))
             threads = self.translation_threads
             if plan is None:
                 entry_pages = [e.page_gpas.size for e in entries]
@@ -401,12 +383,10 @@ class VUpmemBackend:
                 else:
                     tdata = mapping.write(
                         matrix, rust_interleave=self.rust_data_path)
-                if self.cache_enabled:
-                    for entry in entries:
-                        if entry.digest:
-                            self.resident.insert(
-                                entry.dpu_index, header.symbol,
-                                header.offset, entry.size, entry.digest)
+                if cache is not None:
+                    cache.wrote(header.symbol, [
+                        (e.dpu_index, header.offset, e.size, e.digest)
+                        for e in entries])
         finally:
             # Runs on injected transport faults too: pooled buffers must
             # never leak out of an aborted request.
@@ -509,60 +489,21 @@ class VUpmemBackend:
         matrix.validate()
         return matrix
 
-    def _launch_collecting_dirty(self, mapping: PerfModeMapping,
-                                 ) -> BackendResult:
-        """LAUNCH with kernel dirty-store collection (cache on only).
-
-        Every DPU's dirty log is armed around the run; stores collected
-        there invalidate overlapping resident digests and travel back to
-        the frontend (in the payload) so its index stays honest too.
-        """
-        dpus = mapping.rank.dpus
-        for dpu in dpus:
-            dpu.dirty_log = []
-        dirty: List[Tuple[int, str, int, int]] = []
-        try:
-            run_time = mapping.launch()
-        finally:
-            # Disarm and prune even when the launch faults: the kernel
-            # may have stored before raising.
-            for dpu in dpus:
-                log, dpu.dirty_log = dpu.dirty_log, None
-                for space, offset, nbytes in log or ():
-                    self.resident.prune(dpu.dpu_index, space, offset, nbytes)
-                    dirty.append((dpu.dpu_index, space, offset, nbytes))
-        return self._control("launch", run_time, payload=dirty)
-
     def _replay_batch(self, mapping: PerfModeMapping, header: RequestHeader,
                       records: List[BatchRecord]) -> float:
         """Apply buffered small writes one hardware operation each.
 
         Batching merges *messages*, not hardware operations: "this batching
         mechanism does not reduce the total data writing time" (Section
-        4.1) — each record still pays the rank's per-operation cost.
-
-        With the transfer cache on, adjacent records carrying the *same*
-        payload to the same offset on distinct DPUs (the broadcast
-        argument-push pattern) are deduplicated into one multi-DPU rank
-        operation: the content-aware exception to the rule above.
+        4.1) — each record still pays the rank's per-operation cost.  The
+        transfer cache, when on, may replay several records as one
+        operation, and mirrors the landed records' digests.
         """
+        cache = self.transfer_cache
         total = 0.0
         i = 0
         while i < len(records):
-            run = [records[i]]
-            if self.cache_enabled:
-                j = i + 1
-                while j < len(records):
-                    nxt = records[j]
-                    if (nxt.offset == run[0].offset
-                            and nxt.data.size == run[0].data.size
-                            and all(nxt.dpu_index != r.dpu_index
-                                    for r in run)
-                            and np.array_equal(nxt.data, run[0].data)):
-                        run.append(nxt)
-                        j += 1
-                    else:
-                        break
+            run = [records[i]] if cache is None else cache.run_at(records, i)
             matrix = TransferMatrix(
                 XferKind.TO_DPU, header.symbol, run[0].offset,
                 [DpuEntry(dpu_index=r.dpu_index,
@@ -570,5 +511,9 @@ class VUpmemBackend:
             )
             total += mapping.write(matrix, rust_interleave=self.rust_data_path)
             i += len(run)
+        if cache is not None:
+            cache.wrote(header.symbol, [
+                (r.dpu_index, r.offset, r.data.size, r.digest)
+                for r in records])
         self.obs.batch_replays.inc(len(records))
         return total

@@ -35,6 +35,7 @@ from repro.virt.kvm import Kvm
 from repro.virt.manager import Manager
 from repro.virt.mmio import MmioWindow
 from repro.virt.opts import OptimizationConfig
+from repro.virt.transfer_cache import GuestCache, HostCache
 from repro.virt.vm import Vm, VUpmemDevice
 
 #: Firecracker's own boot time before devices are added (microVM scale).
@@ -160,11 +161,12 @@ class Firecracker:
         boot_time = BASE_BOOT_TIME
         for i in range(config.nr_vupmem):
             device_id = f"{vm_id}.vupmem{i}"
+            host_cache = HostCache() if config.opts.cache else None
             backend = VUpmemBackend(
                 device_id=device_id, driver=self.driver, guest_memory=memory,
                 cost=self.cost, rust_data_path=not config.opts.c_enhancement,
                 metrics=self.machine.metrics, spans=self.machine.spans,
-                cache_enabled=config.opts.cache, qos=vm.qos_flow,
+                transfer_cache=host_cache, qos=vm.qos_flow,
             )
             # One MMIO window + IRQ per device, passed to the guest on
             # the kernel command line (Section 3.2).
@@ -185,6 +187,8 @@ class Firecracker:
                 profiler=profiler, mmio=mmio,
                 metrics=self.machine.metrics, spans=self.machine.spans,
                 qos=vm.qos_flow,
+                transfer_cache=(GuestCache(host_cache)
+                                if host_cache is not None else None),
             )
             vm.devices.append(VUpmemDevice(device_id=device_id,
                                            frontend=frontend,

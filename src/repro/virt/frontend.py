@@ -50,13 +50,12 @@ from repro.virt.plans import (
 )
 from repro.virt.serialization import (
     KIND_LABEL,
+    CacheMeta,
     RequestHeader,
     RequestKind,
     SerializedRequest,
-    SkipExtent,
     serialize_matrix,
 )
-from repro.virt.transfer_cache import ExtentDigestIndex, content_digest
 from repro.virt.virtio import VirtioPimQueues, write_buffer
 
 # Bound once: an Enum member read off its class costs about ten global
@@ -71,11 +70,6 @@ SMALL_WRITE_BYTES = PAGE_SIZE
 
 #: Modeled size of a Linux ``struct page`` (frontend memory accounting).
 PAGE_STRUCT_BYTES = 64
-
-#: Adaptive digest bypass threshold (``docs/transfer_cache.md``): below
-#: this suppression rate over revisit probes, digesting costs more than
-#: it saves (the BFS 0.96x of the committed ablation).
-CACHE_BYPASS_HIT_RATE = 0.02
 
 
 class PrefetchCache:
@@ -128,13 +122,17 @@ class BatchBuffer:
                 return False
         return True
 
-    def add(self, matrix: TransferMatrix) -> int:
-        """Buffer the matrix's entries; returns the bytes copied."""
+    def add(self, matrix: TransferMatrix,
+            cache_meta: Optional[CacheMeta] = None) -> int:
+        """Buffer the matrix's entries (with the digests the transfer
+        cache took of them, if any); returns the bytes copied."""
+        by_dpu = cache_meta.digests if cache_meta is not None else None
         total = 0
         for entry in matrix.entries:
             self.records.append(BatchRecord(
                 dpu_index=entry.dpu_index, offset=matrix.offset,
                 data=entry.data.copy(),
+                digest=0 if by_dpu is None else by_dpu[entry.dpu_index],
             ))
             self._used[entry.dpu_index] = (
                 self._used.get(entry.dpu_index, 0) + entry.size)
@@ -174,7 +172,7 @@ class VUpmemFrontend:
                  mmio: Optional[MmioWindow] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanRecorder] = None,
-                 qos=None) -> None:
+                 qos=None, transfer_cache=None) -> None:
         self.device_id = device_id
         self.memory = memory
         self.backend = backend
@@ -187,20 +185,10 @@ class VUpmemFrontend:
         #: Where reads land — the guest application's destination
         #: buffers, faulted once and reused; emptied by :meth:`release`.
         self.blocks = BlockRecycler()
-        #: Content-aware transfer cache (``Optimization(cache=True)``):
-        #: per-extent digests of what the device already holds, used to
-        #: suppress unchanged writes.  ``None`` keeps the default path
-        #: bit-identical to the committed wall-clock digest.
-        self.digests: Optional[ExtentDigestIndex] = (
-            ExtentDigestIndex() if opts.cache else None)
-        #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
-        #: observed suppression rate over at least
-        #: ``opts.cache_bypass_min_probes`` probes stays below
-        #: :data:`CACHE_BYPASS_HIT_RATE`, digesting stops — workloads
-        #: that never rewrite identical content stop paying digest cost.
-        self._digest_probes = 0
-        self._digest_hits = 0
-        self._digest_bypassed = False
+        #: The guest half of the transfer cache when ``Optimization(cache=
+        #: True)`` (:class:`~repro.virt.transfer_cache.GuestCache`); ``None``
+        #: is the paper's path, bit-identical to the wall-clock digest.
+        self.transfer_cache = transfer_cache
         #: The owning VM's :class:`~repro.qos.flow.QosFlow` (``docs/qos.md``):
         #: kicks pay token-bucket throttle waits and the event loop's
         #: cross-VM queueing delay.  ``None`` = the exact default path.
@@ -310,8 +298,7 @@ class VUpmemFrontend:
                         program: Optional[DpuProgram] = None,
                         batch_records: Optional[List[BatchRecord]] = None,
                         extra_pages: int = 0,
-                        digests: Optional[Dict[int, int]] = None,
-                        skips: Optional[List[SkipExtent]] = None,
+                        cache_meta: Optional[CacheMeta] = None,
                         ) -> Tuple[BackendResult, float]:
         """Send one request through the transferq; returns the backend
         result and the total frontend+VMM duration."""
@@ -320,7 +307,7 @@ class VUpmemFrontend:
         bound: List[int] = []
         if matrix is not None:
             sreq, plan = self._plan_or_serialize(
-                header, matrix, digests, skips, batch_records is not None)
+                header, matrix, cache_meta, batch_records is not None)
             pages += sreq.total_pages
             chain = sreq.chain
             # Everything but a naive write, which the serializer staged
@@ -412,8 +399,7 @@ class VUpmemFrontend:
 
     def _plan_or_serialize(self, header: RequestHeader,
                            matrix: TransferMatrix,
-                           digests: Optional[Dict[int, int]],
-                           skips: Optional[List[SkipExtent]],
+                           cache_meta: Optional[CacheMeta],
                            batched: bool,
                            ) -> Tuple[SerializedRequest, Optional[object]]:
         """Look the shape up, then replay, compile, or fall back to the
@@ -425,7 +411,7 @@ class VUpmemFrontend:
         counts as a miss; a refusal is not remembered.
         """
         plans = self.plans
-        key = plan_key(header, matrix, digests, skips, batched)
+        key = plan_key(header, matrix, cache_meta, batched)
         plan = plans.get(key)
         if plan is not None and not plan.valid(self.memory):
             plans.drop(key)
@@ -433,14 +419,13 @@ class VUpmemFrontend:
             plan = None
         if plan is not None:
             plans.counts["hits"] += 1
-            return plan.replay(matrix, digests, skips), plan
+            return plan.replay(matrix, cache_meta), plan
         plans.counts["misses"] += 1
         try:
-            plan = compile_plan(key, header, matrix, self.memory,
-                                digests, skips)
+            plan = compile_plan(key, header, matrix, self.memory, cache_meta)
         except PlanUnsupported:
             return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
+                                    cache_meta), None
         # What the shape fixes of the request's own steps; the QoS wait
         # and the backend's share are filled in per request.
         plan.roundtrip_steps = self.cost.roundtrip_steps(
@@ -456,8 +441,9 @@ class VUpmemFrontend:
 
     #: ``event -> (prefetch, digests, plans)``: which caches each event
     #: drops.  Prefetched lines go stale on anything that can change
-    #: device memory.  Digests (this index and the backend's resident
-    #: mirror) go when device contents are rebuilt or in doubt.  Plans
+    #: device memory.  Digests (both halves of the transfer cache, in one
+    #: ``GuestCache.invalidate`` call) go when device contents are
+    #: rebuilt or in doubt.  Plans
     #: survive ``load``/``release`` — neither disturbs the reserved guest
     #: memory a plan's wire layout lives in, and what does go stale
     #: revalidates itself on replay (translations through the XLB
@@ -483,11 +469,9 @@ class VUpmemFrontend:
         prefetch, digests, plans = self.INVALIDATION[event]
         if prefetch:
             self.cache.invalidate()
-        if digests:
-            self.backend.resident.invalidate_all()
-            if self.digests is not None:
-                _count_drops(self.obs.cache_invalidations, event,
-                             self.digests.invalidate_all())
+        if digests and self.transfer_cache is not None:
+            _count_drops(self.obs.cache_invalidations, event,
+                         self.transfer_cache.invalidate(event))
         if plans:
             _count_drops(self.obs.plan_invalidations, event,
                          self.plans.invalidate_all())
@@ -565,114 +549,28 @@ class VUpmemFrontend:
         self.profiler.record_op(OP_WRITE, duration, start=span.start)
         return duration
 
-    # -- content-aware transfer cache (``Optimization(cache=True)``) ---------
-
-    def _maybe_bypass(self) -> None:
-        """Engage the adaptive bypass when suppression is not paying.
-
-        A workload that never rewrites identical content pays digest cost
-        on every write and saves nothing (the BFS 0.96x of the committed
-        ablation); once enough probes show a hit rate below the threshold,
-        stop digesting.  Only *revisit* probes count — extents that
-        already held a digest, where a hit was possible — so a large
-        cold first write (e.g. one full-rank push is 64 first-touch
-        entries at once) can never trip the bypass before the workload
-        has had a chance to repeat itself.
-        ``cache_bypass_min_probes=0`` disables the bypass.
-        """
-        min_probes = self.opts.cache_bypass_min_probes
-        if (self._digest_bypassed or min_probes <= 0
-                or self._digest_probes < min_probes):
-            return
-        rate = self._digest_hits / self._digest_probes
-        if rate < CACHE_BYPASS_HIT_RATE:
-            self._digest_bypassed = True
-            self.invalidate("adaptive_bypass")
-
-    def _probe_digests(self, matrix: TransferMatrix,
-                       ) -> Tuple[List[DpuEntry], List[SkipExtent],
-                                  Dict[int, int], float]:
-        """Digest a write matrix and split it into kept vs suppressed.
-
-        Returns ``(kept, skips, digests, cache_time)``: entries whose
-        extent digest matches the index become ``SKIP`` extents; the
-        rest are kept with their fresh digests.
-        """
-        index = self.digests
-        assert index is not None
-        kept: List[DpuEntry] = []
-        skips: List[SkipExtent] = []
-        digests: Dict[int, int] = {}
-        suppressed = 0
-        revisits = 0
-        for entry in matrix.entries:
-            digest = content_digest(entry.data)
-            if index.has_record(entry.dpu_index, matrix.symbol,
-                                matrix.offset):
-                revisits += 1
-            if index.lookup(entry.dpu_index, matrix.symbol, matrix.offset,
-                            entry.size, digest):
-                skips.append(SkipExtent(dpu_index=entry.dpu_index,
-                                        size=entry.size, digest=digest))
-                suppressed += entry.size
-            else:
-                kept.append(entry)
-                digests[entry.dpu_index] = digest
-        cache_time = self.cost.digest_probe_time(
-            [e.size for e in matrix.entries])
-        self._digest_probes += revisits
-        self._digest_hits += len(skips)
-        self._maybe_bypass()
-        self.obs.cache_hits.inc(len(skips))
-        self.obs.cache_misses.inc(len(kept))
-        self.obs.cache_suppressed.inc(suppressed)
-        self.spans.event("cache.lookup", "frontend", cache_time,
-                         op=OP_WRITE, entries=len(matrix.entries),
-                         hits=len(skips))
-        if skips:
-            self.spans.event("cache.suppress", "frontend", 0.0, op=OP_WRITE,
-                             extents=len(skips), bytes=suppressed)
-        self.profiler.record_wrank_step("Cache", cache_time)
-        return kept, skips, digests, cache_time
-
-    def _index_digests(self, matrix: TransferMatrix,
-                       digests: Dict[int, int]) -> None:
-        """Record the probed digests of ``matrix``'s (kept) entries."""
-        for entry in matrix.entries:
-            self.digests.insert(entry.dpu_index, matrix.symbol,
-                                matrix.offset, entry.size,
-                                digests[entry.dpu_index])
-
     # -- SDK-visible operations ----------------------------------------------------
 
     def write(self, matrix: TransferMatrix) -> float:
-        """write-to-rank: suppressed by the transfer cache, absorbed by
-        the batch buffer, or sent as one request."""
+        """write-to-rank: absorbed by the batch buffer or sent as one
+        request, once the transfer cache (if on) has suppressed what the
+        device already holds."""
         self.invalidate("write")
         batched = (self.opts.request_batching
                    and matrix.target is _MRAM
                    and matrix.max_entry_bytes <= SMALL_WRITE_BYTES)
         flushed = 0.0 if batched else self._flush_batch(reason="large_write")
-        cache_time = 0.0
-        digests = skips = None
-        if self.digests is not None and not self._digest_bypassed:
-            kept, skips, digests, cache_time = self._probe_digests(matrix)
-            if not kept:
-                # Every entry suppressed: no message, nothing batched.
-                self.profiler.record_op(OP_WRITE, cache_time)
+        cache_time, cache_meta = 0.0, None
+        if self.transfer_cache is not None:
+            matrix, cache_meta, cache_time = self.transfer_cache.suppress(
+                self, matrix, batched)
+            if matrix is None:      # every entry suppressed: no message
                 return flushed + cache_time
-            if skips:
-                matrix = TransferMatrix(matrix.kind, matrix.symbol,
-                                        matrix.offset, kept)
 
         if batched:
-            # Indexed at add time, before the flush lands: safe because
-            # a failed flush (and retry exhaustion) drops the whole index.
-            if digests:
-                self._index_digests(matrix, digests)
             if not self.batch.fits(matrix):
                 flushed = self._flush_batch(reason="capacity")
-            copied = self.batch.add(matrix)
+            copied = self.batch.add(matrix, cache_meta)
             nr_entries = len(matrix.entries)
             copy_time = self.cost.guest_copy_time(copied, nr_entries)
             self.profiler.messages.count_batched_writes(nr_entries)
@@ -692,10 +590,9 @@ class VUpmemFrontend:
         header = RequestHeader(kind=_WRITE_RANK,
                                offset=matrix.offset, symbol=matrix.symbol)
         _, rt = self._roundtrip(header, matrix=matrix, op=OP_WRITE,
-                                digests=digests, skips=skips)
-        # Indexed only after the exchange succeeded.
-        if digests:
-            self._index_digests(matrix, digests)
+                                cache_meta=cache_meta)
+        if self.transfer_cache is not None:
+            self.transfer_cache.landed(matrix, cache_meta)
         self.profiler.record_op(OP_WRITE, rt + cache_time,
                                 start=self._last_request_start)
         return flushed + (rt + cache_time)
@@ -766,11 +663,6 @@ class VUpmemFrontend:
         # Loading rebuilds every symbol buffer on the device; digests of
         # the previous program's extents are meaningless afterwards.
         self.invalidate("load")
-        # A new program is a new workload: forget the old suppression
-        # statistics and probe again from scratch.
-        self._digest_probes = 0
-        self._digest_hits = 0
-        self._digest_bypassed = False
         binary_pages = (program.binary_size + PAGE_SIZE - 1) // PAGE_SIZE
         header = RequestHeader(kind=RequestKind.LOAD,
                                program_name=program.name)
@@ -783,12 +675,12 @@ class VUpmemFrontend:
         self.invalidate("launch")
         header = RequestHeader(kind=RequestKind.LAUNCH)
         result, rt = self._roundtrip(header)
-        if self.digests is not None and result.payload:
+        if self.transfer_cache is not None:
             # The backend collected the kernel's dirty stores; drop the
             # digests they overlap instead of the whole index, so digests
             # of extents the run never touched keep suppressing.
-            _count_drops(self.obs.cache_invalidations, "launch_dirty", sum(
-                self.digests.prune(*store) for store in result.payload))
+            _count_drops(self.obs.cache_invalidations, "launch_dirty",
+                         self.transfer_cache.prune(result.payload))
         return duration + rt
 
     def ci_ops(self, count: int) -> float:

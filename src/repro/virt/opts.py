@@ -48,15 +48,6 @@ class OptimizationConfig:
     prefetch_pages_per_dpu: int = PREFETCH_PAGES_PER_DPU
     batch_pages_per_dpu: int = BATCH_PAGES_PER_DPU
 
-    #: Transfer-cache adaptive bypass (``docs/transfer_cache.md``): once
-    #: the frontend has probed at least ``cache_bypass_min_probes``
-    #: *revisited* extents (ones that already held a digest — first
-    #: touches can never hit and carry no signal) with a hit rate below
-    #: 2%, it stops digesting entirely (a workload that never rewrites
-    #: identical content only pays for digests, the BFS 0.96x
-    #: regression of the committed ablation).  0 disables the bypass.
-    cache_bypass_min_probes: int = 64
-
     @property
     def label(self) -> str:
         """The paper's name for this configuration, if it is a preset."""

@@ -54,6 +54,7 @@ from repro.observability.metrics import Counts
 from repro.sdk.transfer import DpuEntry, TransferMatrix
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
+    CacheMeta,
     RequestHeader,
     RequestKind,
     SerializedEntry,
@@ -96,8 +97,7 @@ class PlanUnsupported(Exception):
 
 
 def plan_key(header: RequestHeader, matrix: TransferMatrix,
-             digests: Optional[Dict[int, int]],
-             skips: Optional[List[SkipExtent]],
+             cache_meta: Optional[CacheMeta],
              batched: bool) -> Optional[Tuple]:
     """The cache key of a data request, or ``None`` if it has none.
 
@@ -109,12 +109,12 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
         return None
     if header.offset != matrix.offset or header.symbol != matrix.symbol:
         return None
-    cache_format = digests is not None or skips is not None
     return (
         int(header.kind), header.symbol, matrix.offset, batched,
-        cache_format,
+        cache_meta is not None,
         tuple([(e.dpu_index, e.size) for e in matrix.entries]),
-        tuple([(s.dpu_index, s.size) for s in skips]) if skips else (),
+        (tuple([(s.dpu_index, s.size) for s in cache_meta.skips])
+         if cache_meta is not None else ()),
     )
 
 
@@ -171,8 +171,7 @@ class TransferPlan:
         return self.guest_generation == memory.region.generation
 
     def replay(self, matrix: TransferMatrix,
-               digests: Optional[Dict[int, int]],
-               skips: Optional[List[SkipExtent]]) -> SerializedRequest:
+               cache_meta: Optional[CacheMeta]) -> SerializedRequest:
         """Refresh content-dependent metadata; returns the stable chain.
 
         No payload byte moves here — the frontend binds ``matrix``'s
@@ -182,12 +181,13 @@ class TransferPlan:
         """
         self.replays += 1
         if self.cache_format:
+            digests = cache_meta.digests
             for view, entry, live in zip(self.entry_meta_views,
                                          self.entries, matrix.entries):
-                digest = (digests or {}).get(live.dpu_index, 0)
+                digest = digests.get(live.dpu_index, 0)
                 entry.digest = digest
                 view[_ENTRY_DIGEST_WORD] = digest
-            self.skips = list(skips or ())
+            self.skips = list(cache_meta.skips)
             meta = self.matrix_meta_view
             assert meta is not None
             for s, skip in enumerate(self.skips):
@@ -208,8 +208,7 @@ def _aligned(nbytes: int) -> int:
 
 def compile_plan(key: Optional[Tuple], header: RequestHeader,
                  matrix: TransferMatrix, memory: GuestMemory,
-                 digests: Optional[Dict[int, int]],
-                 skips: Optional[List[SkipExtent]]) -> TransferPlan:
+                 cache_meta: Optional[CacheMeta]) -> TransferPlan:
     """Compile ``matrix`` into a :class:`TransferPlan`.
 
     Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
@@ -222,7 +221,8 @@ def compile_plan(key: Optional[Tuple], header: RequestHeader,
     reason to refuse is checked by arithmetic, so :class:`PlanUnsupported`
     is raised with ``memory`` not yet touched.
     """
-    cache_format = digests is not None or skips is not None
+    cache_format = cache_meta is not None
+    digests = cache_meta.digests if cache_format else {}
     if key is None:
         raise PlanUnsupported(
             "no plan key: not a data request, or header and matrix "
@@ -240,7 +240,7 @@ def compile_plan(key: Optional[Tuple], header: RequestHeader,
     # [header][matrix meta]([entry meta][page list])*
     entry_meta = entry_meta_words(0, 0, 0, 0, cache_format).nbytes
     meta_bytes = (_aligned(header.pack().size)
-                  + matrix_meta_words(matrix, skips, cache_format).nbytes
+                  + matrix_meta_words(matrix, cache_meta).nbytes
                   + sum(entry_meta + 8 * n for n in entry_pages))
     meta_pages = _pages(meta_bytes)
     try:
@@ -270,18 +270,18 @@ def compile_plan(key: Optional[Tuple], header: RequestHeader,
         gpa, staged = staged, staged + nr_pages * PAGE_SIZE
         return gpa
 
-    sreq = build_chain(header, matrix, digests, skips, put, place)
+    sreq = build_chain(header, matrix, cache_meta, put, place)
     assert (used, staged) == (meta_bytes, memory.window_base + payload), \
         "plan sizing disagrees with build_chain"
 
     # Chain layout: [header][matrix meta]([entry meta][entry pages])*.
     entries = [SerializedEntry(dpu_index=e.dpu_index, size=e.size,
                                page_gpas=pages.view(np.uint64).copy(),
-                               digest=(digests or {}).get(e.dpu_index, 0))
+                               digest=digests.get(e.dpu_index, 0))
                for e, pages in zip(matrix.entries, wire_views[3::2])]
     return TransferPlan(
         key=key, header=header, sreq=sreq, entries=entries,
-        skips=list(skips or ()),
+        skips=list(cache_meta.skips) if cache_format else [],
         entry_meta_views=([v.view(np.uint64) for v in wire_views[2::2]]
                           if cache_format else []),
         matrix_meta_view=(wire_views[1].view(np.uint64)

@@ -134,6 +134,16 @@ class SkipExtent:
 
 
 @dataclass
+class CacheMeta:
+    """What the cache wire format adds to a write, as the transfer cache
+    produces it: each kept entry's content digest, by DPU index, and the
+    SKIP extents.  ``None`` in its place selects the default format."""
+
+    digests: Dict[int, int]
+    skips: List[SkipExtent]
+
+
+@dataclass
 class SerializedRequest:
     """A fully assembled descriptor chain plus accounting (one transferq
     message of the Appendix A.1 protocol)."""
@@ -151,15 +161,14 @@ def _pages(nbytes: int) -> int:
 
 
 def matrix_meta_words(matrix: TransferMatrix,
-                      skips: Optional[List[SkipExtent]],
-                      cache_format: bool) -> np.ndarray:
+                      cache_meta: Optional[CacheMeta]) -> np.ndarray:
     """The matrix-meta buffer contents (u64), shared by the serializer
     and the plan compiler so both emit the identical wire layout."""
     head = [len(matrix.entries), matrix.offset,
             int(matrix.kind is XferKind.TO_DPU)]
-    if cache_format:
-        head.append(len(skips or ()))
-        for skip in skips or ():
+    if cache_meta is not None:
+        head.append(len(cache_meta.skips))
+        for skip in cache_meta.skips:
             head.extend((skip.dpu_index, skip.size, skip.digest))
     return np.array(head, dtype=np.uint64)
 
@@ -174,8 +183,7 @@ def entry_meta_words(dpu_index: int, size: int, nr_pages: int, digest: int,
 
 
 def build_chain(header: RequestHeader, matrix: TransferMatrix,
-                digests: Optional[Dict[int, int]],
-                skips: Optional[List[SkipExtent]],
+                cache_meta: Optional[CacheMeta],
                 put: Callable[..., Descriptor],
                 place: Callable[[DpuEntry, int], int]) -> SerializedRequest:
     """Assemble the Fig. 7 descriptor chain of one data request.
@@ -186,9 +194,9 @@ def build_chain(header: RequestHeader, matrix: TransferMatrix,
     serializer and the plan compiler differ only in those two — rolling
     arena buffers vs reserved, pinned ones — so both emit this layout.
     """
-    cache_format = digests is not None or skips is not None
-    chain = [put(header.pack()),
-             put(matrix_meta_words(matrix, skips, cache_format))]
+    cache_format = cache_meta is not None
+    digests = cache_meta.digests if cache_format else {}
+    chain = [put(header.pack()), put(matrix_meta_words(matrix, cache_meta))]
     total_pages = 0
     data_descriptors: List[Tuple[int, int, int]] = []
     writable = matrix.kind is XferKind.FROM_DPU
@@ -197,7 +205,7 @@ def build_chain(header: RequestHeader, matrix: TransferMatrix,
         total_pages += nr_pages
         chain.append(put(entry_meta_words(
             entry.dpu_index, entry.size, nr_pages,
-            (digests or {}).get(entry.dpu_index, 0), cache_format)))
+            digests.get(entry.dpu_index, 0), cache_format)))
         gpa = place(entry, nr_pages)
         page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
                      + np.uint64(gpa))
@@ -210,8 +218,7 @@ def build_chain(header: RequestHeader, matrix: TransferMatrix,
 
 def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
                      memory: GuestMemory,
-                     digests: Optional[Dict[int, int]] = None,
-                     skips: Optional[List[SkipExtent]] = None,
+                     cache_meta: Optional[CacheMeta] = None,
                      ) -> SerializedRequest:
     """Serialize ``matrix`` into guest memory and build the chain.
 
@@ -225,14 +232,12 @@ def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
     the arena cannot hold whole raises :class:`TranslationError` with
     nothing placed.
 
-    ``digests`` (per-DPU content digests of the kept entries) and
-    ``skips`` (suppressed extents) switch the chain to the cache wire
-    format; leaving both ``None`` — the cache-off default — emits the
-    original format byte-for-byte.
+    ``cache_meta`` switches the chain to the cache wire format; leaving
+    it ``None`` — the cache-off default — emits the original format
+    byte-for-byte.
     """
-    cache_format = digests is not None or skips is not None
     # [header][matrix meta]([entry meta][payload pages][page list])*
-    matrix_meta = matrix_meta_words(matrix, skips, cache_format)
+    matrix_meta = matrix_meta_words(matrix, cache_meta)
     chain_pages = (_pages(header.pack().size) + _pages(matrix_meta.nbytes)
                    + sum(1 + n + _pages(8 * n)
                          for n in (_pages(e.size) for e in matrix.entries)))
@@ -250,7 +255,7 @@ def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
             memory.write(gpa, entry.data)
         return gpa
 
-    sreq = build_chain(header, matrix, digests, skips,
+    sreq = build_chain(header, matrix, cache_meta,
                        partial(write_buffer, memory, alloc=take), place)
     assert cursor == end, "chain sizing disagrees with build_chain"
     return sreq

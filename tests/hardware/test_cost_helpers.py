@@ -99,6 +99,7 @@ from repro.sdk.transfer import (  # noqa: E402
     uniform_write,
 )
 from repro.virt.opts import OptimizationConfig  # noqa: E402
+from repro.virt import transfer_cache  # noqa: E402
 from tests.tasklet_reference import TaskletProgram  # noqa: E402
 
 from tests.conftest import wire_path  # noqa: E402
@@ -209,8 +210,12 @@ class TestTransfersMatchTheStack:
     @on_either_path
     def test_cached_write_with_skips_and_broadcast(self, sizes, flags, seed,
                                                    changed, same):
-        vm = Vm(cache=True, request_batching=False, cache_bypass_min_probes=0,
-                **flags)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 0)
+            self._check_cached_write(sizes, flags, seed, changed, same)
+
+    def _check_cached_write(self, sizes, flags, seed, changed, same):
+        vm = Vm(cache=True, request_batching=False, **flags)
         rust, vhost = not flags["c_enhancement"], flags["vhost_vsock"]
         if same:
             sizes = [sizes[0]] * len(sizes)

@@ -221,7 +221,8 @@ class TestArchitectureCostModelTable:
     """docs/architecture.md's "Cost model" table is the set of
     ``CostModel`` helpers the byte movers call, file by file."""
 
-    BYTE_MOVERS = ("virt/frontend.py", "virt/backend.py", "hardware/rank.py",
+    BYTE_MOVERS = ("virt/frontend.py", "virt/backend.py",
+                   "virt/transfer_cache.py", "hardware/rank.py",
                    "driver/driver.py", "virt/transport.py")
 
     @pytest.fixture(scope="class")

@@ -104,8 +104,8 @@ def _read_plan(mem, nr_pages, offset=0, nr_dpus=None):
                             [DpuEntry(i, n) for i, n in enumerate(sizes)])
     header = RequestHeader(RequestKind.READ_RANK, offset=offset,
                            symbol=MRAM_HEAP_SYMBOL)
-    key = plan_key(header, matrix, None, None, batched=False)
-    return compile_plan(key, header, matrix, mem, None, None)
+    key = plan_key(header, matrix, None, batched=False)
+    return compile_plan(key, header, matrix, mem, None)
 
 
 @pytest.mark.parametrize("arena_bytes", [8 << 20, 512 << 20])

@@ -51,6 +51,7 @@ from repro.virt.plans import (
     plan_key,
 )
 from repro.virt.serialization import (
+    CacheMeta,
     RequestHeader,
     RequestKind,
     SkipExtent,
@@ -125,10 +126,18 @@ def _wire(memory, sreq, kind):
     return metas, page_bufs, payloads, sreq.total_pages
 
 
+def _meta(digests, skips=None):
+    """The cache wire content of ``digests`` and ``skips`` (``None``
+    when both are: the default format)."""
+    if digests is None and skips is None:
+        return None
+    return CacheMeta(digests or {}, skips or [])
+
+
 def _compile(memory, header, matrix, digests, skips=None):
-    key = plan_key(header, matrix, digests, skips, batched=False)
+    key = plan_key(header, matrix, _meta(digests, skips), batched=False)
     assert key is not None, "data request must be plannable"
-    return compile_plan(key, header, matrix, memory, digests, skips)
+    return compile_plan(key, header, matrix, memory, _meta(digests, skips))
 
 
 # -- wire-level equivalence --------------------------------------------------
@@ -147,7 +156,7 @@ class TestWireEquivalence:
                                symbol=MRAM_HEAP_SYMBOL)
         digests = _digests_for(sizes, seed, cache_format)
 
-        naive = serialize_matrix(header, matrix, memory, digests, None)
+        naive = serialize_matrix(header, matrix, memory, _meta(digests))
         plan = _compile(memory, header, matrix, digests)
         assert (_planned_wire(memory, plan.sreq, matrix)
                 == _wire(memory, naive, XferKind.TO_DPU))
@@ -173,8 +182,8 @@ class TestWireEquivalence:
             fresh = uniform_write(MRAM_HEAP_SYMBOL, offset,
                                   _payloads(sizes, seed + rep))
             digests = _digests_for(sizes, seed + rep, cache_format)
-            naive = serialize_matrix(header, fresh, memory, digests, None)
-            replayed = plan.replay(fresh, digests, None)
+            naive = serialize_matrix(header, fresh, memory, _meta(digests))
+            replayed = plan.replay(fresh, _meta(digests))
             assert (_planned_wire(memory, replayed, fresh)
                     == _wire(memory, naive, XferKind.TO_DPU))
         assert plan.replays == 3
@@ -190,7 +199,7 @@ class TestWireEquivalence:
         header = RequestHeader(RequestKind.READ_RANK, offset=offset,
                                symbol=MRAM_HEAP_SYMBOL)
 
-        naive = serialize_matrix(header, matrix, memory, None, None)
+        naive = serialize_matrix(header, matrix, memory)
         plan = _compile(memory, header, matrix, None)
         assert (_wire(memory, plan.sreq, XferKind.FROM_DPU)
                 == _wire(memory, naive, XferKind.FROM_DPU))
@@ -225,9 +234,9 @@ class TestWireEquivalence:
             fresh = uniform_write(MRAM_HEAP_SYMBOL, offset,
                                   _payloads(sizes, seed + rep))
             digests = _digests_for(sizes, seed + rep, True)
-            naive = serialize_matrix(header, fresh, memory, digests,
-                                     skips_at(rep))
-            replayed = plan.replay(fresh, digests, skips_at(rep))
+            naive = serialize_matrix(header, fresh, memory,
+                                     _meta(digests, skips_at(rep)))
+            replayed = plan.replay(fresh, _meta(digests, skips_at(rep)))
             assert (_planned_wire(memory, replayed, fresh)
                     == _wire(memory, naive, XferKind.TO_DPU))
         plan.release(memory)
@@ -253,16 +262,15 @@ class TestPlanCacheEviction:
                     _payloads(sizes, seed + 31 * rep + shape_id))
                 header = RequestHeader(RequestKind.WRITE_RANK, offset=offset,
                                        symbol=MRAM_HEAP_SYMBOL)
-                key = plan_key(header, matrix, None, None, batched=False)
+                key = plan_key(header, matrix, None, batched=False)
                 plan = cache.get(key)
                 if plan is None:
-                    plan = compile_plan(key, header, matrix, memory,
-                                        None, None)
+                    plan = compile_plan(key, header, matrix, memory, None)
                     cache.insert(key, plan)
                     sreq = plan.sreq
                 else:
-                    sreq = plan.replay(matrix, None, None)
-                naive = serialize_matrix(header, matrix, memory, None, None)
+                    sreq = plan.replay(matrix, None)
+                naive = serialize_matrix(header, matrix, memory)
                 assert (_planned_wire(memory, sreq, matrix)
                         == _wire(memory, naive, XferKind.TO_DPU))
 

@@ -150,7 +150,7 @@ def test_page_gpas_are_page_aligned(mem):
 # -- cache wire format (Optimization(cache=True) writes) ----------------------
 
 def test_cache_format_roundtrips_digests_and_skips(mem):
-    from repro.virt.serialization import SkipExtent
+    from repro.virt.serialization import CacheMeta, SkipExtent
     bufs = [np.arange(200, dtype=np.uint8),
             (np.arange(5000) % 256).astype(np.uint8)]
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 64, bufs)
@@ -159,7 +159,7 @@ def test_cache_format_roundtrips_digests_and_skips(mem):
     digests = {0: 0x1111, 1: 0xFFFFFFFFFFFFFFFF}
     skips = [SkipExtent(dpu_index=2, size=4096, digest=0xABCDEF),
              SkipExtent(dpu_index=3, size=17, digest=0)]
-    sreq = serialize_matrix(header, matrix, mem, digests=digests, skips=skips)
+    sreq = serialize_matrix(header, matrix, mem, CacheMeta(digests, skips))
     _, entries, got_skips = deserialize_request(sreq.chain, mem)
     assert got_skips == skips
     assert [e.digest for e in entries] == [0x1111, 0xFFFFFFFFFFFFFFFF]
@@ -173,7 +173,8 @@ def test_cache_format_without_skips(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, [np.zeros(100, np.uint8)])
     header = RequestHeader(kind=RequestKind.WRITE_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem, digests={0: 42})
+    from repro.virt.serialization import CacheMeta
+    sreq = serialize_matrix(header, matrix, mem, CacheMeta({0: 42}, []))
     meta = mem.read(sreq.chain[1].gpa, sreq.chain[1].length).view(np.uint64)
     assert meta.size == 4 and int(meta[3]) == 0
     _, entries, skips = deserialize_request(sreq.chain, mem)

@@ -9,9 +9,9 @@ and for every PrIM application.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.transfer_cache import output_digest
+from repro.analysis.transfer_cache import output_digest, run_app_once
 from repro.apps.registry import PRIM_APPS, app_by_short_name
 from repro.analysis.figures import SIZE_PROFILES
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
@@ -19,7 +19,9 @@ from repro.core import VPim
 from repro.errors import SerializationError, TransientFaultError
 from repro.faults import failover_device
 from repro.sdk.dpu_set import DpuSet
+from repro.virt.frontend import SMALL_WRITE_BYTES
 from repro.virt.opts import OptimizationConfig
+from repro.virt import transfer_cache
 from repro.virt.transfer_cache import ExtentDigestIndex, content_digest
 from tests.tasklet_reference import TaskletProgram
 
@@ -201,6 +203,23 @@ class TestSuppressionThroughVm:
             dpus.copy_to_mram(0, 0, base)
             assert np.array_equal(dpus.copy_from_mram(0, 0, base.size), base)
 
+    def test_batched_write_then_ragged_push_roundtrips(self):
+        """A batched write's extent is resident on the host once its flush
+        lands, so a later push may SKIP it."""
+        small = (np.arange(64) % 61).astype(np.uint8)
+        big = (np.arange(4 * PAGE_SIZE) % 241).astype(np.uint8)
+        reads = {}
+        for cache in (False, True):
+            _, session = make_session(cache=cache)
+            with DpuSet(session.transport, 4) as dpus:
+                dpus.copy_to_mram(0, 0, small)
+                dpus.push_to_mram(0, [small, big, big, big])
+                reads[cache] = [dpus.copy_from_mram(i, 0, size) for i, size
+                                in enumerate((small.size,) + (big.size,) * 3)]
+        assert np.array_equal(reads[True][0], small)
+        for off, on in zip(reads[False], reads[True]):
+            assert np.array_equal(off, on)
+
     def test_skip_extent_must_be_resident_on_the_backend(self):
         """A SKIP the backend cannot validate is a protocol violation."""
         _, session = make_session(cache=True)
@@ -211,8 +230,8 @@ class TestSuppressionThroughVm:
             # Poison the frontend index: claim DPU 0's extent is resident.
             # (A fully-suppressed matrix sends no message at all, so a
             # second, unpoisoned entry keeps the request on the wire.)
-            frontend.digests.insert(0, MRAM_HEAP_SYMBOL, 0, buf.size,
-                                    content_digest(buf))
+            frontend.transfer_cache.index.insert(
+                0, MRAM_HEAP_SYMBOL, 0, buf.size, content_digest(buf))
             with pytest.raises(SerializationError, match="not resident"):
                 dpus.push_to_mram(0, [buf, other, other, other])
 
@@ -276,7 +295,7 @@ class TestInvalidation:
         with DpuSet(session.transport, 4) as dpus:
             frontend = session.vm.devices[0].frontend
             dpus.copy_to_mram(0, 0, buf)
-            assert frontend.digests.nr_records > 0
+            assert frontend.transfer_cache.index.nr_records > 0
 
             def always_fault(_frontend):
                 raise TransientFaultError("injected", penalty_s=1e-6)
@@ -285,7 +304,7 @@ class TestInvalidation:
             with pytest.raises(TransientFaultError):
                 dpus.copy_to_mram(0, PAGE_SIZE * 4, buf)
             frontend.fault_hook = None
-            assert frontend.digests.nr_records == 0
+            assert frontend.transfer_cache.index.nr_records == 0
             assert cache_metric(vpim, "repro_xfer_cache_invalidations_total",
                                 reason="retry_exhausted") >= 1
             # Recovery: the repair write transfers in full and lands.
@@ -301,8 +320,8 @@ class TestInvalidation:
             dpus.copy_to_mram(0, 0, buf)
             assert cache_metric(vpim, "repro_xfer_cache_hits_total") == 1
             failover_device(device, vpim.manager)
-            assert device.frontend.digests.nr_records == 0
-            assert device.backend.resident.nr_records == 0
+            assert device.frontend.transfer_cache.index.nr_records == 0
+            assert device.backend.transfer_cache.nr_records == 0
             assert cache_metric(vpim, "repro_xfer_cache_invalidations_total",
                                 reason="failover") >= 1
             # The replacement rank is blank: the same payload must be a
@@ -315,8 +334,9 @@ class TestInvalidation:
 # -- VM level: adaptive digest bypass ----------------------------------------
 
 class TestAdaptiveBypass:
-    def test_churn_write_stream_stops_digesting(self):
-        vpim, session = make_session(cache=True, cache_bypass_min_probes=8)
+    def test_churn_write_stream_stops_digesting(self, monkeypatch):
+        monkeypatch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 8)
+        vpim, session = make_session(cache=True)
         with DpuSet(session.transport, 4) as dpus:
             for i in range(10):
                 buf = np.full(256, i + 1, dtype=np.uint8)
@@ -341,11 +361,12 @@ class TestAdaptiveBypass:
             got = dpus.copy_from_mram(0, 0, 256)
             assert np.array_equal(got, buf)
 
-    def test_first_touch_writes_never_trip_the_bypass(self):
+    def test_first_touch_writes_never_trip_the_bypass(self, monkeypatch):
         # A cold sweep over many distinct extents (a big first push of
         # input data) carries no signal: those probes could never have
         # hit, so they must not count toward the bypass window.
-        vpim, session = make_session(cache=True, cache_bypass_min_probes=8)
+        monkeypatch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 8)
+        vpim, session = make_session(cache=True)
         buf = (np.arange(256) % 97).astype(np.uint8)
         with DpuSet(session.transport, 4) as dpus:
             for i in range(32):
@@ -358,8 +379,9 @@ class TestAdaptiveBypass:
             dpus.copy_to_mram(0, 32 * 256, buf)
             assert cache_metric(vpim, "repro_xfer_cache_hits_total") == 1
 
-    def test_hit_stream_keeps_the_cache_engaged(self):
-        vpim, session = make_session(cache=True, cache_bypass_min_probes=8)
+    def test_hit_stream_keeps_the_cache_engaged(self, monkeypatch):
+        monkeypatch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 8)
+        vpim, session = make_session(cache=True)
         buf = (np.arange(256) % 97).astype(np.uint8)
         with DpuSet(session.transport, 4) as dpus:
             for _ in range(12):
@@ -368,8 +390,9 @@ class TestAdaptiveBypass:
                                 reason="adaptive_bypass") == 0
             assert cache_metric(vpim, "repro_xfer_cache_hits_total") == 11
 
-    def test_load_resets_the_bypass(self):
-        vpim, session = make_session(cache=True, cache_bypass_min_probes=8)
+    def test_load_resets_the_bypass(self, monkeypatch):
+        monkeypatch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 8)
+        vpim, session = make_session(cache=True)
         buf = (np.arange(256) % 89).astype(np.uint8)
         with DpuSet(session.transport, 4) as dpus:
             for i in range(10):
@@ -384,8 +407,28 @@ class TestAdaptiveBypass:
             dpus.copy_to_mram(0, 0, buf)
             assert cache_metric(vpim, "repro_xfer_cache_hits_total") == 1
 
-    def test_min_probes_zero_disables_the_bypass(self):
-        vpim, session = make_session(cache=True, cache_bypass_min_probes=0)
+    def test_the_probe_that_trips_the_bypass_suppresses_nothing(self):
+        # The bypass drops both halves of the index, so the write whose
+        # probe trips it may not SKIP what that probe found resident.
+        vpim, session = make_session(cache=True)
+        size = 2 * PAGE_SIZE
+        with DpuSet(session.transport, 4) as dpus:
+            for i in range(transfer_cache.CACHE_BYPASS_MIN_PROBES):
+                last = np.full(size, i + 1, dtype=np.uint8)
+                dpus.copy_to_mram(0, 0, last)
+            # One revisit probe short of the window, no hit so far; DPU
+            # 0's entry is a revisit hit, the others first touches.
+            other = np.full(size, 0xC3, dtype=np.uint8)
+            dpus.push_to_mram(0, [last, other, other, other])
+            assert cache_metric(vpim, "repro_xfer_cache_invalidations_total",
+                                reason="adaptive_bypass") >= 1
+            assert cache_metric(vpim, "repro_xfer_cache_hits_total") == 0
+            for dpu, buf in enumerate((last, other, other, other)):
+                assert np.array_equal(dpus.copy_from_mram(dpu, 0, size), buf)
+
+    def test_min_probes_zero_disables_the_bypass(self, monkeypatch):
+        monkeypatch.setattr(transfer_cache, "CACHE_BYPASS_MIN_PROBES", 0)
+        vpim, session = make_session(cache=True)
         with DpuSet(session.transport, 4) as dpus:
             for i in range(80):
                 dpus.copy_to_mram(0, (i % 20) * 256,
@@ -401,13 +444,17 @@ class TestAdaptiveBypass:
 
 # -- property level: cache-on is byte-identical to cache-off -----------------
 
-#: One operation: (dpu, slot, size index, payload seed, is_read).
+#: One operation: (kind, dpu, slot, size index, payload seed).  A
+#: ``push`` writes a ragged matrix at the slot, DPU ``d`` getting size
+#: ``_SIZES[(size index + d) % 4]``: every push mixes entries on both
+#: sides of ``SMALL_WRITE_BYTES``.
 _ops = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 3),
-              st.integers(0, 2), st.booleans()),
+    st.tuples(st.sampled_from(("write", "read", "push")), st.integers(0, 3),
+              st.integers(0, 5), st.integers(0, 3), st.integers(0, 2)),
     min_size=1, max_size=24)
 
 _SIZES = (0, 37, 512, PAGE_SIZE + 101)
+assert min(_SIZES) < SMALL_WRITE_BYTES < max(_SIZES)
 _SLOT = 1024  # slots overlap for the larger sizes, on purpose
 
 
@@ -420,13 +467,17 @@ def _replay(ops, cache):
     _, session = make_session(cache=cache)
     reads = []
     with DpuSet(session.transport, 4) as dpus:
-        for dpu, slot, size_idx, seed, is_read in ops:
+        for kind, dpu, slot, size_idx, seed in ops:
             size = _SIZES[size_idx]
-            if is_read:
+            if kind == "read":
                 reads.append(dpus.copy_from_mram(dpu, slot * _SLOT,
                                                  max(size, 1)))
-            else:
+            elif kind == "write":
                 dpus.copy_to_mram(dpu, slot * _SLOT, _payload(size, seed))
+            else:
+                dpus.push_to_mram(slot * _SLOT, [
+                    _payload(_SIZES[(size_idx + d) % len(_SIZES)], seed)
+                    for d in range(4)])
         # Final sweep: the full written region of every DPU.
         for dpu in range(4):
             reads.append(dpus.copy_from_mram(dpu, 0, 6 * _SLOT + _SIZES[-1]))
@@ -434,6 +485,10 @@ def _replay(ops, cache):
 
 
 @given(ops=_ops)
+# A batched write, then a push that carries the same extent beside a
+# request-size entry: the push may SKIP it only if the flush made it
+# resident on the host too.
+@example(ops=[("write", 0, 0, 1, 0), ("push", 0, 0, 1, 0)])
 @settings(max_examples=20, deadline=None)
 def test_random_sequences_cache_on_equals_cache_off(ops):
     off = _replay(ops, cache=False)
@@ -441,6 +496,34 @@ def test_random_sequences_cache_on_equals_cache_off(ops):
     assert len(off) == len(on)
     for a, b in zip(off, on):
         assert np.array_equal(a, b)
+
+
+#: ``float.hex()`` of the cache-on modeled total and of every W-rank step
+#: of the quick ablation runs; any move is a behaviour change of the
+#: enabled path.
+CACHE_ON_PINS = {
+    "NW": ("0x1.00d2bfe7a7d8cp-5", {
+        "Cache": "0x1.787b10ed63239p-12", "Deser": "0x1.d28c5461ac177p-11",
+        "Int": "0x1.0385c67dfe32ap-10", "Page": "0x1.e8378c5e47b3ep-15",
+        "Ser": "0x1.24ee21055e38cp-15", "T-data": "0x1.3b71c7b8d5f69p-9"}),
+    "BFS": ("0x1.22666f43c76f8p-5", {
+        "Cache": "0x1.c8571c4687a3dp-15", "Deser": "0x1.67bda96e4de65p-8",
+        "Int": "0x1.91148fd9fd363p-8", "Page": "0x1.26dc0cdbb0958p-14",
+        "Ser": "0x1.61d4dc3ad3e68p-15", "T-data": "0x1.1719f378ebf5cp-11"}),
+    "MLP": ("0x1.3babf2bfa36c0p-6", {
+        "Cache": "0x1.df284416db38fp-12", "Deser": "0x1.b459637397d24p-11",
+        "Int": "0x1.d7dbf487fcb93p-11", "Page": "0x1.0c6f7a0b5ed8bp-13",
+        "Ser": "0x1.421f5f40d8376p-14", "T-data": "0x1.13f47caedea33p-9"}),
+}
+
+
+@pytest.mark.parametrize("app_name", sorted(CACHE_ON_PINS))
+def test_cache_on_modeled_time_is_pinned(app_name):
+    row = run_app_once(app_name, cache=True, quick=True)
+    total, steps = CACHE_ON_PINS[app_name]
+    assert row["verified"]
+    assert row["modeled_total_s"].hex() == total
+    assert {k: v.hex() for k, v in row["wrank_steps"].items()} == steps
 
 
 @pytest.mark.parametrize("app_name",
