@@ -36,12 +36,13 @@ class CountZerosProgram(DpuProgram):
         rank.mem_alloc(2048, tasklets=working.sum(axis=1))
         rank.dma(lens * 4, where=working)
         rank.charge(lens * 3)                       # load, compare, count
-        for i in np.flatnonzero(n).tolist():
-            dpu = rank.dpu(i)
-            part = dpu.mram_read(0, int(n[i]) * 4).view(np.int32)
-            # The tasklets add their counts to the host variable.
-            zeros = dpu.host_u32("zero_count") + int((part == 0).sum())
-            dpu.set_host_u32("zero_count", zeros)
+        # One step per DPU counts its partition's zeros; a large launch
+        # runs the steps on every usable host core.
+        found = rank.map(lambda d, part: int((part.view(np.int32) == 0).sum()),
+                         (0, n * 4))
+        # The tasklets add their counts to the host variable.
+        rank.set_host_u32("zero_count", rank.host_u32("zero_count") + found,
+                          where=n > 0)
 
 
 class CountZeros(HostApplication):

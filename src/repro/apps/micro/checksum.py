@@ -59,10 +59,9 @@ class ChecksumProgram(DpuProgram):
         instructions = lens * INSTR_PER_BYTE
         instructions[:, 0] += rank.nr_tasklets * 2
         rank.charge(instructions)
-        for i, count in enumerate(n.tolist()):
-            dpu = rank.dpu(i)
-            total = int(dpu.mram_read(0, count).sum(dtype=np.uint64))
-            dpu.set_host_u32("checksum", total & 0xFFFFFFFF)
+        rank.set_host_u32("checksum", rank.map(
+            lambda d, data: int(data.sum(dtype=np.uint64)) & 0xFFFFFFFF,
+            (0, n)))
 
 
 class Checksum(HostApplication):

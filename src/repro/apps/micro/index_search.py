@@ -52,27 +52,42 @@ class IndexSearchProgram(DpuProgram):
         # and writes as many results.
         rank.dma(((n_words + 1) * 4)[:, None], where=working)
         rank.dma(np.tile(lens * 4, 2), where=np.tile(working, 2))
-        scanned = np.zeros_like(lens)   # postings each tasklet scans
-        for i in np.flatnonzero(nq).tolist():
-            dpu = rank.dpu(i)
-            words, count = int(n_words[i]), int(nq[i])
-            offsets = dpu.mram_read(0, (words + 1) * 4).view(np.int32)
-            queries = dpu.mram_read(int(q_off[i]), count * 4).view(np.int32)
-            known = np.flatnonzero((0 <= queries) & (queries < words))
-            starts = np.zeros(count, dtype=np.int64)
-            spans = np.zeros(count, dtype=np.int64)
+        words = n_words.tolist()
+
+        def lookup(d, offsets, queries):
+            """Each query's first (doc_id, position) pair and count."""
+            offsets, queries = offsets.view(np.int32), queries.view(np.int32)
+            known = np.flatnonzero((0 <= queries) & (queries < words[d]))
+            starts = np.zeros(queries.size, dtype=np.int64)
+            spans = np.zeros(queries.size, dtype=np.int64)
             starts[known] = offsets[queries[known]]
             spans[known] = offsets[queries[known] + 1] - starts[known]
-            # Offsets index (doc_id, position) pairs; a query scans all
-            # of its pairs, one plain transfer.
-            for qi in np.flatnonzero(spans > 0).tolist():
-                dpu.mram_read(int(post_off[i]) + int(starts[qi]) * 8,
-                              int(spans[qi]) * 8)
-            dpu.dma(spans[spans > 0] * 8, block_bytes=None)
-            dpu.mram_write(int(r_off[i]),
-                           np.maximum(spans, 0).astype(np.int32))
-            chunk = -(-count // rank.nr_tasklets)
-            np.add.at(scanned[i], np.arange(count) // chunk, spans * 2)
+            return starts, spans
+
+        found = rank.map(lookup, (0, np.where(nq > 0, (n_words + 1) * 4, 0)),
+                         (q_off, nq * 4))
+        # Offsets index (doc_id, position) pairs; a query scans all of its
+        # pairs, one plain transfer.  Padded: one row per DPU.
+        starts = np.zeros((rank.nr_dpus, int(nq.max(initial=0))), np.int64)
+        spans = np.zeros_like(starts)
+        for i, (first, count) in enumerate(found):
+            starts[i, :first.size], spans[i, :count.size] = first, count
+        read = spans > 0
+        rank.dma(spans * 8, where=read, block_bytes=None)
+        chunk = np.maximum(1, -(-nq // rank.nr_tasklets))[:, None]
+        scanned = np.zeros_like(lens)   # postings each tasklet scans
+        np.add.at(scanned, (np.arange(rank.nr_dpus)[:, None], np.minimum(
+            np.arange(spans.shape[1]) // chunk, rank.nr_tasklets - 1)),
+            spans * 2)
+        # A DPU reads its postings from its first pair to its last.
+        postings = np.zeros((rank.nr_dpus, 2), dtype=np.int64)
+        for i in np.flatnonzero(read.any(axis=1)).tolist():
+            first = starts[i, read[i]].min()
+            postings[i] = first, (starts + spans)[i, read[i]].max() - first
+        results = np.maximum(spans, 0).astype(np.int32)
+        rank.map(lambda d, _postings: results[d, :len(found[d][1])],
+                 (post_off + postings[:, 0] * 8, postings[:, 1] * 8),
+                 into=(r_off, nq * 4))
         rank.charge(np.where(working, np.maximum(1, scanned), 0)
                     * INSTR_PER_POSTING)
 

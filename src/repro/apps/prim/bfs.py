@@ -153,8 +153,8 @@ class BfsProgram(DpuProgram):
         instructions[:, 0] += nv // 8
         rank.charge(instructions)
         rank.dma(front_bytes)
-        rank.write_rows(n_off, [row[:nbytes] for row, nbytes
-                                in zip(nxt, front_bytes.tolist())])
+        sizes = front_bytes.tolist()
+        rank.map(lambda d: nxt[d, :sizes[d]], into=(n_off, front_bytes))
 
 
 class BreadthFirstSearch(HostApplication):

@@ -49,12 +49,12 @@ class BsProgram(DpuProgram):
         probes = np.ceil(np.log2(np.maximum(2, n))).astype(np.int64)
         rank.charge(np.where(working, lens * (INSTR_PER_PROBE * probes)[:, None],
                              0))
-        # A slice is half a megabyte at bench size: one DPU at a time.
-        for i in np.flatnonzero(searching).tolist():
-            dpu = rank.dpu(i)
-            count, n_queries = int(n[i]), int(nq[i])
-            data = dpu.mram_read(0, count * 8).view(np.int64)
-            queries = dpu.mram_read(int(q_off[i]), n_queries * 8).view(np.int64)
+        bases = base.tolist()
+
+        def search(d, data, queries):
+            data, queries = data.view(np.int64), queries.view(np.int64)
+            if not queries.size:
+                return queries
             # Vectorized equivalent of the per-query binary-search loop.
             # A query outside [data[0], data[-1]] cannot hit, and the
             # query set is the whole array's: most of it is outside any
@@ -62,10 +62,13 @@ class BsProgram(DpuProgram):
             inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
             probed = queries[inside]
             pos = np.searchsorted(data, probed)     # < n: probed <= data[-1]
-            results = np.full(n_queries, -1, dtype=np.int64)
-            results[inside] = np.where(data[pos] == probed,
-                                       pos + int(base[i]), -1)
-            dpu.mram_write(int(r_off[i]), results)
+            results = np.full(queries.size, -1, dtype=np.int64)
+            results[inside] = np.where(data[pos] == probed, pos + bases[d], -1)
+            return results
+
+        q_bytes = np.where(searching, nq * 8, 0)
+        rank.map(search, (0, np.where(searching, n * 8, 0)), (q_off, q_bytes),
+                 into=(r_off, q_bytes))
 
 
 class BinarySearch(HostApplication):

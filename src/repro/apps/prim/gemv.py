@@ -41,14 +41,17 @@ class GemvProgram(DpuProgram):
         rank.dma(lens * row_bytes, where=working)
         rank.dma(lens * 4, where=working)
         rank.charge(lens * (n_cols * INSTR_PER_MADD)[:, None])
-        for i in np.flatnonzero(n_rows).tolist():
-            dpu = rank.dpu(i)
-            rows, cols = int(n_rows[i]), int(n_cols[i])
-            x = dpu.mram_read(int(x_off[i]), cols * 4).view(np.int32)
-            m = dpu.mram_read(0, rows * cols * 4).view(np.int32)
-            y = (m.reshape(rows, cols).astype(np.int64)
-                 @ x.astype(np.int64)).astype(np.int32)
-            dpu.mram_write(int(y_off[i]), y)
+        rows, cols = n_rows.tolist(), n_cols.tolist()
+
+        def multiply(d, x, m):
+            if not rows[d]:
+                return x
+            m = m.view(np.int32).reshape(rows[d], cols[d])
+            return (m.astype(np.int64)
+                    @ x.view(np.int32).astype(np.int64)).astype(np.int32)
+
+        rank.map(multiply, (x_off, np.where(n_rows > 0, n_cols * 4, 0)),
+                 (0, n_rows * n_cols * 4), into=(y_off, n_rows * 4))
 
 
 class Gemv(HostApplication):

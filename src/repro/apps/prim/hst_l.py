@@ -52,10 +52,9 @@ class HstLProgram(DpuProgram):
         instructions[:, 0] += n_bins * np.maximum(1, k) * INSTR_PER_MERGE_BIN
         rank.charge(instructions)
         rank.dma(n_bins * 4)
-        hists = [histogram(rank.dpu(i), count, bins)
-                 for i, (count, bins) in enumerate(zip(n.tolist(),
-                                                       n_bins.tolist()))]
-        rank.write_rows(rank.host_u32("hist_offset"), hists)
+        bins = n_bins.tolist()
+        rank.map(lambda d, pixels: histogram(pixels.view(np.uint16), bins[d]),
+                 (0, n * 2), into=(rank.host_u32("hist_offset"), n_bins * 4))
 
 
 class HistogramLong(HostApplication):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_image
 
@@ -21,17 +21,16 @@ from repro.workloads.generators import random_image
 INSTR_PER_PIXEL = 6
 
 
-def histogram(dpu: DpuContext, n_pixels: int, n_bins: int) -> np.ndarray:
-    """The ``n_bins``-bin histogram of the DPU's first ``n_pixels`` uint16
-    pixels, a pixel past the last bin counted in it.
+def histogram(pixels: np.ndarray, n_bins: int) -> np.ndarray:
+    """The ``n_bins``-bin histogram of the uint16 ``pixels``, a pixel
+    past the last bin counted in it.
 
     The clamp is paid only when some pixel needs it: on a 256K-pixel
     slice the check costs a twentieth of the clamp, and an image of the
     host's depth never needs one.
     """
-    if not n_pixels:
+    if not pixels.size:
         return np.zeros(n_bins, dtype=np.uint32)
-    pixels = dpu.mram_read(0, n_pixels * 2).view(np.uint16)
     if pixels.max() >= n_bins:
         pixels = np.minimum(pixels, n_bins - 1)
     return np.bincount(pixels, minlength=n_bins).astype(np.uint32)
@@ -74,10 +73,9 @@ class HstSProgram(DpuProgram):
         instructions[:, 0] += n_bins * 2
         rank.charge(instructions)
         rank.dma(n_bins * 4)
-        hists = [histogram(rank.dpu(i), count, bins)
-                 for i, (count, bins) in enumerate(zip(n.tolist(),
-                                                       n_bins.tolist()))]
-        rank.write_rows(rank.host_u32("hist_offset"), hists)
+        bins = n_bins.tolist()
+        rank.map(lambda d, pixels: histogram(pixels.view(np.uint16), bins[d]),
+                 (0, n * 2), into=(rank.host_u32("hist_offset"), n_bins * 4))
 
 
 class HistogramShort(HostApplication):

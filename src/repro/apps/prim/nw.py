@@ -77,35 +77,38 @@ class NwProgram(DpuProgram):
     binary_size = 10 * 1024
 
     def run_rank(self, rank: RankContext) -> None:
-        # One block per DPU and launch: tasklet 0 computes it, the others
-        # idle.  Each DPU has its own header: one DPU at a time.
-        for i in range(rank.nr_dpus):
-            dpu = rank.dpu(i)
-            dpu.dma(12, block_bytes=None)
-            header = dpu.mram_read(dpu.host_u32("hdr_offset"), 12)
-            active, bi, bj = header.view(np.int32).tolist()
-            if not active:
-                continue
-            bs = dpu.host_u32("block_size")
-            dpu.mem_alloc(6 * bs * 8)
-            # The sequences stream in blocks; the scores, (bs+1) + bs
-            # values each way, are plain transfers.
-            dpu.dma([bs, bs])
-            dpu.dma([(bs + 1) * 8, bs * 8, (2 * bs + 1) * 8], block_bytes=None)
-            a = dpu.mram_read(dpu.host_u32("a_offset") + bi * bs,
-                              bs).view(np.int8)
-            b = dpu.mram_read(dpu.host_u32("b_offset") + bj * bs,
-                              bs).view(np.int8)
-            top = dpu.mram_read(dpu.host_u32("top_offset"),
-                                (bs + 1) * 8).view(np.int64)
-            left = dpu.mram_read(dpu.host_u32("left_offset"),
-                                 bs * 8).view(np.int64)
-            bottom, right = _dp_rows(a, b, top, left)
-            dpu.mram_write(dpu.host_u32("out_offset"),
-                           np.concatenate([bottom, right]))
-            instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
-            instructions[0] = bs * bs * INSTR_PER_CELL
-            dpu.charge(instructions)
+        # One block per DPU and launch, described by the DPU's header:
+        # tasklet 0 computes it, the others idle.
+        rank.dma(np.full(rank.nr_dpus, 12), block_bytes=None)
+        headers = rank.map(lambda d, header: header.view(np.int32).tolist(),
+                           (rank.host_u32("hdr_offset"), 12))
+        active, bi, bj = np.array(headers, dtype=np.int64).reshape(-1, 3).T
+        on = active != 0
+        bs = np.where(on, rank.host_u32("block_size"), 0)
+        rank.mem_alloc(6 * bs * 8, tasklets=on)
+        # The sequences stream in blocks; the scores, (bs+1) + bs values
+        # each way, are plain transfers.
+        rank.dma(np.stack([bs, bs], axis=1), where=on[:, None])
+        rank.dma(np.stack([bs + 1, bs, 2 * bs + 1], axis=1) * 8,
+                 where=on[:, None], block_bytes=None)
+        instructions = np.zeros_like(rank.instructions)
+        instructions[:, 0] = bs * bs * INSTR_PER_CELL
+        rank.charge(instructions)
+        blocks = on.tolist()
+
+        def block(d, a, b, top, left):
+            if not blocks[d]:
+                return top
+            return np.concatenate(_dp_rows(a.view(np.int8), b.view(np.int8),
+                                           top.view(np.int64),
+                                           left.view(np.int64)))
+
+        rank.map(block,
+                 (rank.host_u32("a_offset") + bi * bs, bs),
+                 (rank.host_u32("b_offset") + bj * bs, bs),
+                 (rank.host_u32("top_offset"), on * (bs + 1) * 8),
+                 (rank.host_u32("left_offset"), bs * 8),
+                 into=(rank.host_u32("out_offset"), on * (2 * bs + 1) * 8))
 
 
 class NeedlemanWunsch(HostApplication):

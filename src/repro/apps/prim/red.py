@@ -41,11 +41,8 @@ class RedProgram(DpuProgram):
         instructions[:, 0] += rank.nr_tasklets * 2
         rank.charge(instructions)
         rank.dma(np.full(rank.nr_dpus, 8), block_bytes=None)
-        # A slice is a megabyte at bench size: summed one DPU at a time.
-        sums = np.array([[rank.dpu(i).mram_read(0, count * 4).view(np.int32)
-                          .sum(dtype=np.int64)]
-                         for i, count in enumerate(n.tolist())])
-        rank.write_rows(rank.host_u32("result_offset"), sums)
+        rank.map(lambda d, data: data.view(np.int32).sum(dtype=np.int64),
+                 (0, n * 4), into=(rank.host_u32("result_offset"), 8))
 
 
 class Reduction(HostApplication):

@@ -52,15 +52,16 @@ class ScanRssProgram(DpuProgram):
         rank.dma(np.full(rank.nr_dpus, 8), where=reduce, block_bytes=None)
         rank.charge(lens * np.where(reduce, INSTR_PER_REDUCE,
                                     INSTR_PER_SCAN_ADD + 1)[:, None])
-        for i, (count, out_at, sum_at, add, reducing) in enumerate(zip(
-                n.tolist(), out_off.tolist(), sum_off.tolist(),
-                base.tolist(), reduce.tolist())):
-            dpu = rank.dpu(i)
-            data = dpu.mram_read(0, count * 4).view(np.int32)
-            if reducing:
-                dpu.mram_write(sum_at, np.array([data.sum(dtype=np.int64)]))
-            else:
-                dpu.mram_write(out_at, np.cumsum(data, dtype=np.int64) + add)
+        adds, reducing = base.tolist(), reduce.tolist()
+
+        def phase(d, data):
+            data = data.view(np.int32)
+            if reducing[d]:
+                return data.sum(dtype=np.int64)
+            return np.cumsum(data, dtype=np.int64) + adds[d]
+
+        rank.map(phase, (0, n * 4), into=(np.where(reduce, sum_off, out_off),
+                                          np.where(reduce, 8, n * 8)))
 
 
 class ScanRss(HostApplication):

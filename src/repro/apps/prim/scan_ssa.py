@@ -51,20 +51,21 @@ class ScanSsaProgram(DpuProgram):
         rank.dma(np.full(rank.nr_dpus, 8), where=scan, block_bytes=None)
         rank.charge(lens * np.where(scan, INSTR_PER_SCAN + 1,
                                     INSTR_PER_ADD)[:, None])
-        # A slice is a quarter megabyte at bench size: one DPU at a time.
-        for i, (count, out_at, sum_at, add, scanning) in enumerate(zip(
-                n.tolist(), out_off.tolist(), sum_off.tolist(),
-                base.tolist(), scan.tolist())):
-            dpu = rank.dpu(i)
-            if scanning:
-                scanned = np.cumsum(dpu.mram_read(0, count * 4).view(np.int32),
-                                    dtype=np.int64)
-                dpu.mram_write(out_at, scanned)
-                dpu.mram_write(sum_at, scanned[-1:] if count
-                               else np.zeros(1, np.int64))
-            else:
-                scanned = dpu.mram_read(out_at, count * 8).view(np.int64)
-                dpu.mram_write(out_at, scanned + add)
+        adds, scanning = base.tolist(), scan.tolist()
+        # A scanning DPU's slice total, stored after its scan.
+        totals = [np.empty(0, np.int64)] * rank.nr_dpus
+
+        def phase(d, data):
+            if scanning[d]:
+                scanned = np.cumsum(data.view(np.int32), dtype=np.int64)
+                totals[d] = (scanned[-1:].copy() if scanned.size
+                             else np.zeros(1, np.int64))
+                return scanned
+            return data.view(np.int64) + adds[d]
+
+        rank.map(phase, (np.where(scan, 0, out_off), np.where(scan, 4, 8) * n),
+                 into=(out_off, n * 8))
+        rank.map(lambda d: totals[d], into=(sum_off, np.where(scan, 8, 0)))
 
 
 class ScanSsa(HostApplication):

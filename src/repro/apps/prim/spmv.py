@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from repro.sdk.transport import Transport
 from repro.workloads.generators import CsrMatrix, random_csr, random_array
 
@@ -34,21 +34,6 @@ def csr_times(row_ptr: np.ndarray, cols: np.ndarray, vals: np.ndarray,
         vals.astype(np.int64) * x[cols].astype(np.int64),
         row_ptr[:-1][filled] - row_ptr[0])
     return y
-
-
-def spmv_rows(dpu: DpuContext, row_ptr: np.ndarray, n_cols: int,
-              col_off: int, val_off: int, x_off: int, y_off: int) -> None:
-    """``y = A_slice @ x`` on one DPU, ``row_ptr`` its slice's row
-    pointers, stored at ``y_off``."""
-    x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-    s, e = int(row_ptr[0]), int(row_ptr[-1])
-    if e > s:
-        cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
-        vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
-    else:
-        cols = np.empty(0, dtype=np.int32)
-        vals = np.empty(0, dtype=np.int32)
-    dpu.mram_write(y_off, csr_times(row_ptr, cols, vals, x))
 
 
 class SpmvProgram(DpuProgram):
@@ -89,11 +74,22 @@ class SpmvProgram(DpuProgram):
         rank.dma(lens * 8, where=working)
         rank.charge(nnz * INSTR_PER_NNZ)
         # One segmented sum over each DPU's non-zeros.
-        for i in active.tolist():
-            at = int(ptr_at[i])
-            spmv_rows(rank.dpu(i), row_ptr[at:at + int(n_rows[i]) + 1],
-                      int(n_cols[i]), int(col_off[i]), int(val_off[i]),
-                      int(x_off[i]), int(y_off[i]))
+        ptr0 = np.where(k > 0, ptr_at, 0)   # (n_rows is 0 where k is)
+        nz0 = row_ptr[ptr0].astype(np.int64)
+        nnz_bytes = np.maximum(row_ptr[ptr0 + n_rows] - nz0, 0) * 4
+        ptrs, rows = ptr0.tolist(), n_rows.tolist()
+
+        def multiply(d, x, cols, vals):
+            if not rows[d]:
+                return x
+            return csr_times(row_ptr[ptrs[d]:ptrs[d] + rows[d] + 1],
+                             cols.view(np.int32), vals.view(np.int32),
+                             x.view(np.int32))
+
+        rank.map(multiply, (x_off, np.where(k > 0, n_cols * 4, 0)),
+                 (col_off + nz0 * 4, nnz_bytes),
+                 (val_off + nz0 * 4, nnz_bytes),
+                 into=(y_off, n_rows * 8))
 
 
 class SpMV(HostApplication):

@@ -30,24 +30,20 @@ class TrnsProgram(DpuProgram):
     binary_size = 6 * 1024
 
     def run_rank(self, rank: RankContext) -> None:
-        # Tile counts and sizes differ per DPU: one DPU at a time.
-        for i in range(rank.nr_dpus):
-            dpu = rank.dpu(i)
-            t = dpu.host_u32("tile_dim")
-            n_tiles = dpu.host_u32("n_tiles")
-            out_off = dpu.host_u32("out_offset")
-            tile_bytes = t * t * 4
-            _starts, lens = dpu.split(n_tiles)
-            k = np.count_nonzero(lens)
-            if k == 0:
-                continue
-            dpu.mem_alloc(2 * tile_bytes, tasklets=k)
-            # A tile is one plain transfer in and one out.
-            dpu.dma(np.full(2 * n_tiles, tile_bytes), block_bytes=None)
-            tiles = dpu.mram_read(0, n_tiles * tile_bytes).view(np.int32)
-            dpu.mram_write(out_off,
-                           tiles.reshape(n_tiles, t, t).transpose(0, 2, 1))
-            dpu.charge(lens * (t * t * INSTR_PER_ELEM))
+        t = rank.host_u32("tile_dim")
+        n_tiles = rank.host_u32("n_tiles")
+        tile_bytes = t * t * 4
+        _starts, lens = rank.split(n_tiles)
+        rank.mem_alloc(2 * tile_bytes, tasklets=np.count_nonzero(lens, axis=1))
+        # A tile is one plain transfer in and one out.
+        transfers = np.arange(2 * n_tiles.max(initial=0)) < 2 * n_tiles[:, None]
+        rank.dma(tile_bytes[:, None], where=transfers, block_bytes=None)
+        rank.charge(lens * (t * t * INSTR_PER_ELEM)[:, None])
+        dims, counts = t.tolist(), n_tiles.tolist()
+        rank.map(lambda d, tiles: tiles.view(np.int32).reshape(
+                     counts[d], dims[d], dims[d]).transpose(0, 2, 1),
+                 (0, n_tiles * tile_bytes),
+                 into=(rank.host_u32("out_offset"), n_tiles * tile_bytes))
 
 
 class Transpose(HostApplication):

@@ -81,19 +81,21 @@ class TsProgram(DpuProgram):
         instructions = lens * (m * INSTR_PER_POINT)[:, None]
         instructions[:, 0] += rank.nr_tasklets * 3
         rank.charge(instructions)
-        for i, (windows, width, at) in enumerate(zip(
-                n_windows.tolist(), m.tolist(), q_off.tolist())):
-            dpu = rank.dpu(i)
-            best = (np.iinfo(np.int64).max, -1)
-            if windows:
-                query = dpu.mram_read(at, width * 4).view(np.int32)
-                points = dpu.mram_read(0, (windows + width - 1) * 4
-                                       ).view(np.int32)
-                dists = _ssd_profile(points, query)
-                index = int(dists.argmin())
-                best = (int(dists[index]), index)
-            dpu.set_host_i64("best_dist", best[0])
-            dpu.set_host_i64("best_index", best[1])
+        windows = n_windows.tolist()
+
+        def best(d, query, points):
+            if not windows[d]:
+                return np.iinfo(np.int64).max, -1
+            dists = _ssd_profile(points.view(np.int32), query.view(np.int32))
+            index = int(dists.argmin())
+            return int(dists[index]), index
+
+        scanned = n_windows > 0
+        found = rank.map(best, (q_off, np.where(scanned, m * 4, 0)),
+                         (0, np.where(scanned, (n_windows + m - 1) * 4, 0)))
+        dist, index = np.array(found, dtype=np.int64).reshape(-1, 2).T
+        rank.set_host_i64("best_dist", dist)
+        rank.set_host_i64("best_index", index)
 
 
 class TimeSeries(HostApplication):

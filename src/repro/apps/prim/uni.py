@@ -50,13 +50,12 @@ class UniProgram(DpuProgram):
         instructions = lens * INSTR_PER_ELEM
         instructions[:, 0] += rank.nr_tasklets * 4
         rank.charge(instructions)
-        for i, count in enumerate(n.tolist()):
-            dpu = rank.dpu(i)
-            out = unique_consecutive(dpu.mram_read(0, count * 4).view(np.int32))
-            dpu.set_host_u32("n_unique", out.size)
-            if out.size:
-                dpu.dma(out.nbytes)
-                dpu.mram_write(int(out_off[i]), out)
+        outs = rank.map(lambda d, data: unique_consecutive(
+            data.view(np.int32)), (0, n * 4))
+        sizes = np.array([out.nbytes for out in outs], dtype=np.int64)
+        rank.set_host_u32("n_unique", sizes // 4)
+        rank.dma(sizes, where=sizes > 0)
+        rank.map(lambda d: outs[d], into=(out_off, sizes))
 
 
 class Unique(HostApplication):

@@ -37,11 +37,8 @@ class VaProgram(DpuProgram):
         # Each of them reads its piece of A and B and writes it to C.
         rank.dma(np.tile(lens * 4, 3), where=np.tile(working, 3))
         rank.charge(lens * INSTR_PER_ELEM)
-        for i in np.flatnonzero(n).tolist():
-            dpu = rank.dpu(i)
-            c = dpu.mram_read(0, int(n[i]) * 4).view(np.int32)
-            c += dpu.mram_read(int(b_off[i]), int(n[i]) * 4).view(np.int32)
-            dpu.mram_write(int(c_off[i]), c)
+        rank.map(lambda d, a, b: a.view(np.int32) + b.view(np.int32),
+                 (0, n * 4), (b_off, n * 4), into=(c_off, n * 4))
 
 
 class VectorAdd(HostApplication):

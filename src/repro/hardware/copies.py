@@ -1,22 +1,25 @@
-"""Rank transfers on every usable host core.
+"""Rank transfers and launch steps on every usable host core.
 
 One rank operation moves the bytes of many DPUs, and the paper's host
 feeds ranks in parallel ("parallel operation handling", §4).  A
-multi-DPU rank operation that moves at least :data:`FLOOR` bytes hands
-its copies out in contiguous runs of DPUs: the calling thread copies the
-first run, worker threads the others, and the operation returns once
-every run is done.
+multi-DPU rank operation that moves at least :data:`FLOOR` bytes, and a
+launch that has charged as many DMA bytes (``RankContext.map``), hand
+their work out in contiguous runs of DPUs (:func:`hand_out`): the
+calling thread takes the first run, worker threads the others, and the
+call returns once every run is done.
 
-Workers run plain numpy slice copies and nothing else.  The calling
-thread resolves every copy before handing any out (checks, extents,
+Workers run numpy slice copies and the programs' per-DPU steps, which
+compute on arrays handed to them, and nothing else.  The calling thread
+resolves every copy and step before handing any out (checks, extents,
 presence masks) and does all accounting after the join, so metrics,
 spans and the regions' state are only ever touched by it.  It also holds
-every array a worker copies until the join, and a worker drops its own
-references before it signals, so no reference a worker drops frees
-anything.  Cyclic garbage collection is off from the first hand-out to
-the join: a collection a worker's allocation triggered would run the
-finalizers and weakref callbacks of whatever it frees (a region's extent
-release, a result block's return) on that worker.  So none runs there.
+every array a worker is handed until the join, and a worker drops its
+references before it signals, so what a worker frees is only the plain
+arrays it made itself.  Cyclic garbage collection is off from the first
+hand-out to the join: a collection a worker's allocation triggered would
+run the finalizers and weakref callbacks of whatever it frees (a
+region's extent release, a result block's return) on that worker.  So
+none runs there.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import gc
 import os
 import queue
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,21 +58,21 @@ def copy(pieces: Sequence[Piece]) -> None:
 
 def _serve(tasks: "queue.SimpleQueue") -> None:
     while True:
-        pieces, errors, done = tasks.get()
+        work, run, index, errors, done = tasks.get()
         try:
-            copy(pieces)
+            work(run)
         except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-        del pieces, errors
+            errors[index] = exc
+        del work, run, errors
         done.put(None)
 
 
-def _split(groups: Sequence[List[Piece]], parts: int) -> List[List[Piece]]:
-    """``groups`` cut into at most ``parts`` contiguous runs of about
-    equal bytes; a group is never split."""
-    sizes = [sum(dst.size for dst, _ in group) for group in groups]
+def _split(groups: Sequence[list], sizes: Sequence[int], parts: int,
+           ) -> List[list]:
+    """``groups`` joined into at most ``parts`` contiguous runs of about
+    equal ``sizes``; a group is never split."""
     total = sum(sizes)
-    runs: List[List[Piece]] = [[]]
+    runs: List[list] = [[]]
     moved = 0
     for group, size in zip(groups, sizes):
         if len(runs) < parts and runs[-1] and moved * parts >= total * len(runs):
@@ -79,15 +82,17 @@ def _split(groups: Sequence[List[Piece]], parts: int) -> List[List[Piece]]:
     return runs
 
 
-def fan_out(groups: Sequence[List[Piece]]) -> None:
-    """Run every group's pieces, each group in order, on up to
-    :data:`CORES` threads (the calling thread takes the first run).
+def hand_out(work: Callable[[list], None], groups: Sequence[list],
+             sizes: Sequence[int]) -> None:
+    """``work(run)`` for every run of ``groups`` cut by :func:`_split`
+    into at most :data:`CORES` runs, on as many threads (the calling
+    thread takes the first run).
 
-    Returns once every run is done; the first failure is raised after
-    that, never while a worker still copies.
+    Returns once every run is done; then the failure of the lowest-index
+    failing run is raised, whichever thread ran it.
     """
-    runs = _split(groups, CORES)
-    errors: List[BaseException] = []
+    runs = _split(groups, sizes, CORES)
+    errors: List[Optional[BaseException]] = [None] * len(runs)
     done: "queue.SimpleQueue" = queue.SimpleQueue()
     collecting = gc.isenabled()
     gc.disable()
@@ -98,18 +103,27 @@ def fan_out(groups: Sequence[List[Piece]]) -> None:
                 name=f"repro-copies-{len(_workers)}")
             worker.start()
             _workers.append(worker)
-        for run in runs[1:]:
-            _tasks.put((run, errors, done))
+        for index in range(1, len(runs)):
+            _tasks.put((work, runs[index], index, errors, done))
         try:
-            copy(runs[0])
-        finally:
-            for _ in runs[1:]:
-                done.get()
+            work(runs[0])
+        except BaseException as exc:
+            errors[0] = exc
+        for _ in runs[1:]:
+            done.get()
     finally:
         if collecting:
             gc.enable()
-    if errors:
-        raise errors[0]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def fan_out(groups: Sequence[List[Piece]]) -> None:
+    """Run every group's pieces, each group in order, through
+    :func:`hand_out`."""
+    hand_out(copy, groups, [sum(dst.size for dst, _ in group)
+                            for group in groups])
 
 
 def _forget_workers() -> None:

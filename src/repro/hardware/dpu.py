@@ -3,8 +3,10 @@
 A DPU (Section 2) owns:
 
 - a 64 MB MRAM bank, reachable from the host and via DMA from the DPU;
-- 64 KB of WRAM, the only memory the pipeline can compute on;
-- 24 KB of IRAM holding the loaded program;
+- 64 KB of WRAM, the only memory the pipeline can compute on (its
+  contents are the host symbols; a launch's heap is the budget
+  ``RankContext.mem_alloc`` checks);
+- 24 KB of IRAM holding the loaded program (a size bound at load);
 - up to 24 hardware tasklets sharing the in-order pipeline.
 
 The hardware layer is purely functional + stateful: *executing* a program
@@ -19,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.config import IRAM_SIZE, MRAM_SIZE, WRAM_SIZE
+from repro.config import IRAM_SIZE, MRAM_SIZE
 from repro.errors import DpuFaultError, ProgramLoadError
 from repro.hardware.memory import MemoryRegion
 
@@ -82,8 +84,6 @@ class Dpu:
         self.rank_index = rank_index
         self.dpu_index = dpu_index
         self.mram = MemoryRegion(MRAM_SIZE, name=f"mram[r{rank_index}.d{dpu_index}]")
-        self.wram = MemoryRegion(WRAM_SIZE, name=f"wram[r{rank_index}.d{dpu_index}]")
-        self.iram = MemoryRegion(IRAM_SIZE, name=f"iram[r{rank_index}.d{dpu_index}]")
         self.state = DpuState.IDLE
         #: Program object currently loaded (an ``repro.sdk.kernel.DpuProgram``).
         self.program: Optional[object] = None
@@ -114,9 +114,6 @@ class Dpu:
             )
         if self.state is DpuState.RUNNING:
             raise ProgramLoadError("cannot load a program on a running DPU")
-        # The token written to IRAM stands in for the binary image.
-        self.iram.fill(0)
-        self.iram.write(0, bytes(min(binary_size, 64)))
         self.program = program
         self.symbols = {name: bytearray(size) for name, size in symbols.items()}
         self.state = DpuState.IDLE
@@ -168,10 +165,8 @@ class Dpu:
         self.state = DpuState.FAULT
 
     def reset(self) -> None:
-        """Hardware reset: clear memories, program and state."""
+        """Hardware reset: clear MRAM, program, symbols and state."""
         self.mram.fill(0)
-        self.wram.fill(0)
-        self.iram.fill(0)
         self.program = None
         self.symbols = {}
         self.last_run = None

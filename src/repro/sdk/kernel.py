@@ -6,16 +6,15 @@ is the **launch**: one call of :meth:`DpuProgram.run_rank` with a
 :class:`RankContext` holding every DPU the launch boots.  That call is
 the program's one body.  DPUs and tasklets are its two vector axes: the
 :class:`RankContext` holds per DPU and tasklet what the hardware counts
-(``host_u32`` returns one value per DPU, ``split`` and ``charge`` take
-``(D, T)`` arrays, ``dma`` and ``mem_alloc`` one row per DPU), reads
-MRAM rows of every DPU into one buffer (``read_ragged``) and stores one
-row per DPU (``write_rows``).  ``rank.dpu(i)`` is DPU ``i``'s
-:class:`DpuContext`, whose counters are row ``i`` of the rank's, for
-per-DPU loops over rows too large to stack: ``dpu.split(total)`` is the
-tasklets' block partition of Fig. 2b (lines 8-11), ``dpu.charge(vector)``
-accounts one instruction count per tasklet, ``dpu.dma(lengths)``
-charges one blocked transfer per tasklet piece, and ``dpu.mram_read`` /
-``dpu.mram_write`` move the union of the pieces in one operation.
+(``host_u32`` returns and ``set_host_u32`` stores one value per DPU,
+``split`` and ``charge`` take ``(D, T)`` arrays, ``dma`` and
+``mem_alloc`` one row per DPU) and reads MRAM rows of every DPU into one
+buffer (``read_ragged``).  Work on each DPU's own data is one step per
+DPU: ``rank.map(step, *spans, into=...)`` hands DPU ``d``'s MRAM rows to
+``step(d, *rows)`` and stores or returns what it computes.  DPUs never
+talk to each other, so the steps are independent, and a large launch
+runs them on every usable host core while the calling thread keeps
+every check, region update and count.
 
 What the timing model sees — per-DPU, per-tasklet instructions, DMA
 operations and bytes — is what the per-tasklet SPMD program of Fig. 2b
@@ -30,13 +29,14 @@ Host-visible variables (``__host`` in real DPU C) are declared in
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import MRAM_HEAP_SYMBOL, WRAM_SIZE
 from repro.errors import DpuFaultError
+from repro.hardware import copies
 from repro.hardware.dpu import Dpu, DpuRunStats, LaunchStats
 
 
@@ -64,13 +64,8 @@ class DpuProgram:
 
 
 def _log_store(dpu: Dpu, space: str, offset: int, nbytes: int) -> None:
-    """Record a kernel store in the DPU's dirty log, when armed.
-
-    The transfer cache's digest records claim "this extent still holds
-    what the host last wrote"; any kernel-side store breaks that claim,
-    so the cache's host half arms this log around a launch and prunes
-    overlapping digests afterwards.
-    """
+    """Record a kernel store in the DPU's dirty log, when the transfer
+    cache's host half has armed it around the launch (``Dpu.dirty_log``)."""
     log = dpu.dirty_log
     if log is not None and nbytes:
         log.append((space, offset, nbytes))
@@ -89,12 +84,88 @@ def _dma_ops(lengths: np.ndarray, block_bytes: Optional[int]) -> np.ndarray:
     return np.maximum(1, -(-lengths // block_bytes))
 
 
+#: ``(offsets, lengths)``: one MRAM span per DPU (either may be one value
+#: for all).
+Span = Tuple[object, object]
+
+#: A step's row for a span of length 0, and what :meth:`RankContext.map`
+#: resolves pieces against before rows and results exist (its slices
+#: are never read or written).
+_EMPTY = np.empty(0, dtype=np.uint8)
+_EMPTY.flags.writeable = False
+_NOWHERE = np.broadcast_to(np.zeros((), dtype=np.uint8),
+                           (np.iinfo(np.intp).max,))
+
+
+def _span(span: Span, nr_dpus: int) -> Tuple[List[int], List[int]]:
+    offsets, lengths = (np.broadcast_to(np.asarray(v, dtype=np.int64),
+                                        (nr_dpus,)) for v in span)
+    if (lengths < 0).any():
+        raise DpuFaultError(f"negative MRAM span length {lengths.min()}")
+    return offsets.tolist(), lengths.tolist()
+
+
+def _row(mram, offset: int, size: int, at: int, length: int):
+    """A step's row of ``size`` bytes at ``offset``: a read-only view of
+    the bank when present in one extent and clear of the store at
+    ``[at, at + length)``, else ``(size, pieces)`` to assemble."""
+    if not size:
+        return _EMPTY
+    pieces = mram.read_pieces(offset, _NOWHERE[:size])
+    view = pieces[0][1]
+    if (len(pieces) > 1 or view is None
+            or offset < at + length and at < offset + size):
+        return size, pieces
+    view.flags.writeable = False
+    return view
+
+
+def _run_steps(step: Callable[..., object], results: list,
+               jobs: list) -> None:
+    """:meth:`RankContext.map`'s runner, on the thread
+    :func:`copies.hand_out` gives it: assembles rows, runs the steps and
+    stores their results, in order — numpy and slice copies only.  Raises
+    the first failure once every step has run."""
+    failure = None
+    for d, rows, dests, length in jobs:
+        try:
+            args = []
+            for row in rows:
+                if type(row) is tuple:
+                    size, pieces = row
+                    row = np.empty(size, dtype=np.uint8)
+                    pos = 0
+                    for dst, src in pieces:
+                        row[pos:pos + dst.size] = 0 if src is None else src
+                        pos += dst.size
+                    row.flags.writeable = False
+                args.append(row)
+            result = step(d, *args)
+            if dests is None:
+                results[d] = result
+                continue
+            data = np.ascontiguousarray(result).view(np.uint8).reshape(-1)
+            if data.size != length:
+                raise DpuFaultError(f"step of DPU {d} of the launch returned "
+                                    f"{data.size} bytes for {length}")
+            pos = 0
+            for dst, src in dests:      # stale edges first, then the data
+                dst[...] = 0 if src is None else data[pos:pos + dst.size]
+                pos += 0 if src is None else dst.size
+        except Exception as exc:
+            for dst, _ in dests or ():
+                dst[...] = 0
+            failure = failure or exc
+    if failure is not None:
+        raise failure
+
+
 class RankContext:
     """The DPUs of one launch running one program: what a program's body
     executes on.
 
-    Holds per DPU what a :class:`DpuContext` holds per tasklet, as
-    vectors with one row per DPU (``D`` DPUs, ``T`` tasklets each): the
+    Holds what the hardware counts as vectors with one row per DPU
+    (``D`` DPUs, ``T`` tasklets each): the
     instruction counts ``(D, T)``, the DMA engines' counters and the WRAM
     heap pointers ``(D,)``.  Every check a DPU makes is made per row:
     symbol bounds, the 64 KB WRAM budget, MRAM bounds (the banks check
@@ -110,21 +181,12 @@ class RankContext:
         self.dma_ops = np.zeros(nr_dpus, dtype=np.int64)
         self.dma_bytes = np.zeros(nr_dpus, dtype=np.int64)
         self.wram_used = np.zeros(nr_dpus, dtype=np.int64)
-        self._contexts: List[Optional[DpuContext]] = [None] * nr_dpus
         #: Each symbol of every DPU as one ``(D, size)`` byte array.
         self._symbols: Dict[str, np.ndarray] = {}
 
     @property
     def nr_dpus(self) -> int:
         return len(self.dpus)
-
-    def dpu(self, i: int) -> "DpuContext":
-        """DPU ``i`` of the launch; its counters are row ``i`` of these."""
-        ctx = self._contexts[i]
-        if ctx is None:
-            ctx = self._contexts[i] = DpuContext(self.dpus[i],
-                                                 self.nr_tasklets, self, i)
-        return ctx
 
     def stats(self) -> LaunchStats:
         """What the timing model needs, one :class:`DpuRunStats` per DPU."""
@@ -139,8 +201,10 @@ class RankContext:
 
     def split(self, totals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Split ``totals[d]`` items across DPU ``d``'s tasklets:
-        ``(starts, lens)``, each ``(D, T)`` — :meth:`DpuContext.split` for
-        every DPU at once."""
+        ``(starts, lens)``, each ``(D, T)``.  Tasklet ``t`` gets the block
+        ``[starts[d, t], starts[d, t] + lens[d, t])`` of at most
+        ``ceil(totals[d] / T)`` items, the partition of Fig. 2b (lines
+        8-11)."""
         totals = np.asarray(totals, dtype=np.int64)[:, None]
         chunk = -(-totals // self.nr_tasklets)
         starts = np.minimum(np.arange(self.nr_tasklets) * chunk, totals)
@@ -164,8 +228,11 @@ class RankContext:
         """Charge each DPU's DMA engine one transfer per entry of its row
         of ``lengths`` (``(D,)`` is one transfer per DPU), counting only
         the entries where ``where`` — broadcast against ``lengths`` — is
-        true; :meth:`DpuContext.dma` per row.  A masked-out entry is
-        free whatever its length."""
+        true; a masked-out entry is free whatever its length.  Real kernels
+        stream MRAM through small WRAM buffers: a transfer costs one setup
+        per ``block_bytes`` chunk and at least one, or one whatever its
+        length with ``block_bytes=None``, although the bytes move as one
+        row."""
         if where is None:
             where = True
         lengths = np.where(where, lengths, 0).astype(np.int64, copy=False)
@@ -215,13 +282,44 @@ class RankContext:
                 dpu.mram.read_into(offset, flat[start:end])
         return flat, starts
 
-    def write_rows(self, offsets: np.ndarray, rows: Sequence[np.ndarray]) -> None:
-        """Store ``rows[d]`` in DPU ``d``'s MRAM at ``offsets[d]`` and log
-        each store in its DPU's dirty log."""
-        for dpu, offset, row in zip(self.dpus, np.asarray(offsets).tolist(), rows):
-            buf = np.ascontiguousarray(row).view(np.uint8).reshape(-1)
-            dpu.mram.write(offset, buf)
-            _log_store(dpu, MRAM_HEAP_SYMBOL, offset, buf.size)
+    def map(self, step: Callable[..., object], *spans: Span,
+            into: Optional[Span] = None) -> Optional[list]:
+        """``step(d, *rows)`` for every DPU ``d``, ``rows`` its MRAM bytes
+        at each of ``spans``; returns the results in DPU order or, with
+        ``into`` (a span too), stores each there and logs it.
+
+        The calling thread resolves every check, extent and mask first:
+        each DPU's rows (a view of the bank, or pieces the step's thread
+        assembles, zero where absent), then the ``into`` destinations by
+        :meth:`MemoryRegion.write_pieces`' rule.  Rows are read-only and a
+        step computes on what it is handed only: a launch that has charged
+        ``copies.FLOOR`` DMA bytes runs its steps on every usable core.
+        Every step runs; one that raises, or returns other than its
+        ``into`` length, leaves that store zero, and the lowest failing
+        DPU's error is raised.  Spans of length 0 are not checked.
+        """
+        columns = [_span(span, self.nr_dpus) for span in spans]
+        out_at, out_len = _span(into or (0, 0), self.nr_dpus)
+        jobs = []
+        for d, (dpu, at, length) in enumerate(zip(self.dpus, out_at, out_len)):
+            if length:
+                dpu.mram.check(at, length)
+            jobs.append([d, [_row(dpu.mram, offsets[d], lengths[d], at, length)
+                             for offsets, lengths in columns],
+                         None if into is None else [], length])
+        for job, dpu, at, length in zip(jobs, self.dpus, out_at, out_len):
+            if length:
+                job[2] = dpu.mram.write_pieces(at, _NOWHERE[:length])
+                _log_store(dpu, MRAM_HEAP_SYMBOL, at, length)
+        results: list = [None] * self.nr_dpus
+        run = partial(_run_steps, step, results)
+        if (copies.CORES < 2 or self.nr_dpus < 2
+                or self.dma_bytes.sum() < copies.FLOOR):
+            run(jobs)
+        else:
+            copies.hand_out(run, [[job] for job in jobs],
+                            self.dma_bytes.tolist())
+        return results if into is None else None
 
     # -- host-visible symbols --------------------------------------------------
 
@@ -248,159 +346,37 @@ class RankContext:
                 .astype(np.int64))
 
     def host_u32(self, name: str, index: int = 0) -> np.ndarray:
-        """``(D,)``: each DPU's :meth:`DpuContext.host_u32`."""
+        """``(D,)``: element ``index`` of each DPU's ``uint32`` symbol."""
         return self._column(name, index, "<u4")
 
     def host_i64(self, name: str, index: int = 0) -> np.ndarray:
-        """``(D,)``: each DPU's :meth:`DpuContext.host_i64`."""
+        """``(D,)``: element ``index`` of each DPU's ``int64`` symbol."""
         return self._column(name, index, "<i8")
 
+    def _store(self, name: str, index: int, dtype: str, values,
+               where) -> None:
+        self._column(name, index, dtype)        # the symbol's checks
+        width = np.dtype(dtype).itemsize
+        rows = np.broadcast_to(np.asarray(values).astype(dtype),
+                               (self.nr_dpus,))
+        for dpu, row, store in zip(self.dpus, rows, np.broadcast_to(
+                where, (self.nr_dpus,)).tolist()):
+            if store:
+                dpu.symbols[name][index * width:(index + 1) * width] = (
+                    row.tobytes())
+                _log_store(dpu, name, index * width, width)
+        self._symbols.pop(name, None)
 
-class DpuContext:
-    """One DPU of a launch: what a per-DPU step of a program's body runs on.
+    def set_host_u32(self, name: str, values, where=True,
+                     index: int = 0) -> None:
+        """Store ``values[d]`` (or one value for all) in element ``index``
+        of symbol ``name`` of each DPU ``d`` where ``where`` holds, and
+        log each store."""
+        self._store(name, index, "<u4",
+                    np.asarray(values, dtype=np.int64) & 0xFFFFFFFF, where)
 
-    Holds what all tasklets of the run share — the MRAM bank, the WRAM
-    heap pointer, the host symbols, the DMA engine's counters — and the
-    per-tasklet instruction counts as one vector.  The counters are row
-    ``row`` of a :class:`RankContext`'s, the launch's (a one-DPU rank of
-    its own when none is given).  Moving bytes (:meth:`mram_read`,
-    :meth:`mram_write`) and charging the DMA engine (:meth:`dma`) are
-    separate, because one move stands for the transfers of many
-    tasklets.
-    """
-
-    def __init__(self, dpu: Dpu, nr_tasklets: int,
-                 rank: Optional[RankContext] = None, row: int = 0) -> None:
-        self.dpu = dpu
-        self.nr_tasklets = nr_tasklets
-        self._rank = rank if rank is not None else RankContext([dpu], nr_tasklets)
-        self._row = row
-        #: Pipeline instructions issued so far, one count per tasklet.
-        self.instructions = self._rank.instructions[row]
-
-    @property
-    def dpu_index(self) -> int:
-        return self.dpu.dpu_index
-
-    @property
-    def dma_ops(self) -> int:
-        return int(self._rank.dma_ops[self._row])
-
-    @property
-    def dma_bytes(self) -> int:
-        return int(self._rank.dma_bytes[self._row])
-
-    @property
-    def wram_used(self) -> int:
-        return int(self._rank.wram_used[self._row])
-
-    # -- the tasklet axis ----------------------------------------------------
-
-    def split(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Split ``total`` items across the tasklets: ``(starts, lens)``.
-
-        Tasklet ``t`` gets the contiguous block ``[starts[t], starts[t] +
-        lens[t])`` with ``lens[t] <= chunk = ceil(total / nr_tasklets)``,
-        the block partition of Fig. 2b (lines 8-11).
-        """
-        chunk = -(-total // self.nr_tasklets)
-        starts = np.minimum(np.arange(self.nr_tasklets) * chunk, total)
-        return starts, np.minimum(starts + chunk, total) - starts
-
-    def charge(self, instructions: np.ndarray) -> None:
-        """Account ``instructions[t]`` pipeline slots to each tasklet ``t``."""
-        counts = np.asarray(instructions, dtype=np.int64)
-        if counts.shape != self.instructions.shape:
-            raise DpuFaultError(
-                f"instruction charge of shape {counts.shape} for "
-                f"{self.nr_tasklets} tasklets"
-            )
-        if (counts < 0).any():
-            raise DpuFaultError(f"negative instruction charge {counts.min()}")
-        self.instructions += counts
-
-    def dma(self, lengths, block_bytes: Optional[int] = 2048) -> None:
-        """Charge the DMA engine for one transfer per entry of ``lengths``.
-
-        ``lengths`` is a byte count or an integer array of them, one per
-        tasklet piece.  Real kernels stream MRAM through small WRAM
-        buffers (Fig. 2b uses one block per tasklet): a piece costs one
-        setup per ``block_bytes`` chunk and at least one, which preserves
-        the timing of the block loop although the bytes move in one
-        simulator operation.  ``block_bytes=None`` is a plain transfer,
-        one setup whatever its length.  A negative length is a fault.
-        """
-        lengths = np.asarray(lengths)
-        self._rank.dma_ops[self._row] += int(_dma_ops(lengths, block_bytes).sum())
-        self._rank.dma_bytes[self._row] += int(lengths.sum())
-
-    # -- WRAM heap -------------------------------------------------------------
-
-    def mem_alloc(self, size: int, tasklets: int = 1) -> int:
-        """Bump-allocate ``size`` bytes of WRAM heap for each of ``tasklets``
-        tasklets; returns the offset of the first."""
-        if size < 0 or tasklets < 0:
-            raise DpuFaultError(
-                f"WRAM allocation of {size} bytes for {tasklets} tasklets")
-        total = ((size + 7) & ~7) * tasklets
-        offset = self.wram_used
-        if offset + total > WRAM_SIZE:
-            raise DpuFaultError(
-                f"WRAM heap overflow: {offset} + {total} > {WRAM_SIZE} bytes"
-            )
-        self._rank.wram_used[self._row] = offset + total
-        return offset
-
-    # -- MRAM ------------------------------------------------------------------
-
-    def mram_read(self, offset: int, length: int) -> np.ndarray:
-        """``length`` bytes of MRAM at ``offset`` (bounds-checked by the
-        bank), as a private uint8 buffer."""
-        return self.dpu.mram.read(offset, length)
-
-    def mram_write(self, offset: int, data: np.ndarray) -> None:
-        """Store ``data`` in MRAM at ``offset`` (bounds-checked by the
-        bank) and log the store."""
-        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-        self.dpu.mram.write(offset, buf)
-        _log_store(self.dpu, MRAM_HEAP_SYMBOL, offset, buf.size)
-
-    # -- host-visible symbols ----------------------------------------------------
-
-    def _slot(self, name: str, index: int, width: int) -> Tuple[bytearray, int]:
-        """The symbol's storage and the byte offset of its ``index``-th
-        ``width``-byte element."""
-        try:
-            buf = self.dpu.symbols[name]
-        except KeyError:
-            raise DpuFaultError(f"kernel referenced unknown symbol {name!r}") from None
-        if not 0 <= index * width <= len(buf) - width:
-            raise DpuFaultError(
-                f"symbol {name!r}: index {index} of a {width}-byte element "
-                f"outside its {len(buf)} bytes"
-            )
-        return buf, index * width
-
-    def _load(self, fmt: str, name: str, index: int) -> int:
-        buf, at = self._slot(name, index, struct.calcsize(fmt))
-        return struct.unpack_from(fmt, buf, at)[0]
-
-    def _store(self, fmt: str, name: str, index: int, value: int) -> None:
-        width = struct.calcsize(fmt)
-        buf, at = self._slot(name, index, width)
-        struct.pack_into(fmt, buf, at, value)
-        # The rank's copy of the symbol is stale now.
-        self._rank._symbols.pop(name, None)
-        _log_store(self.dpu, name, at, width)
-
-    def host_u32(self, name: str, index: int = 0) -> int:
-        return self._load("<I", name, index)
-
-    def set_host_u32(self, name: str, value: int, index: int = 0) -> None:
-        self._store("<I", name, index, value & 0xFFFFFFFF)
-
-    def host_i64(self, name: str, index: int = 0) -> int:
-        return self._load("<q", name, index)
-
-    def set_host_i64(self, name: str, value: int, index: int = 0) -> None:
-        self._store("<q", name, index, value)
+    def set_host_i64(self, name: str, values, where=True,
+                     index: int = 0) -> None:
+        """:meth:`set_host_u32` for an ``int64`` symbol."""
+        self._store(name, index, "<i8", np.asarray(values, dtype=np.int64),
+                    where)

@@ -52,8 +52,8 @@ from repro.apps.prim.uni import UniProgram, unique_consecutive
 from repro.apps.prim.va import INSTR_PER_ELEM as INSTR_PER_VA
 from repro.apps.prim.va import VaProgram
 from repro.config import WRAM_SIZE
-from repro.sdk.kernel import DpuContext
-from tests.tasklet_reference import TaskletContext, TaskletProgram, tasklet_range
+from tests.tasklet_reference import (DpuContext, TaskletContext,
+                                     TaskletProgram, tasklet_range)
 
 
 # -- DPU forms -------------------------------------------------------------------

@@ -54,9 +54,8 @@ def test_checksum_disagreement_detected():
 
     def corrupted(self, rank):
         original_run_rank(self, rank)
-        for i in range(rank.nr_dpus):
-            if rank.dpu(i).dpu_index == 2:
-                rank.dpu(i).set_host_u32("checksum", 12345)
+        rank.set_host_u32("checksum", 12345,
+                          where=[dpu.dpu_index == 2 for dpu in rank.dpus])
 
     ChecksumProgram.run_rank = corrupted
     try:

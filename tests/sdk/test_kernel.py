@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MAX_TASKLETS, WRAM_SIZE
 from repro.errors import DpuFaultError
 from repro.hardware.dpu import Dpu
-from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
+from repro.sdk.kernel import DpuProgram, RankContext
 from tests.tasklet_reference import (
     BARRIER,
+    DpuContext,
     TaskletContext,
     TaskletProgram,
     tasklet_range,
@@ -196,6 +197,25 @@ def test_read_ragged_faults_on_a_negative_row(rank):
     assert flat.tolist() == list(range(4, 12)) and starts.tolist() == [0, 0]
     with pytest.raises(DpuFaultError, match="negative MRAM read length -8"):
         rank.read_ragged([0, 0], [16, -8])
+
+
+def test_rank_symbol_stores_are_per_dpu_masked_and_logged():
+    dpus = [Dpu(0, 0), Dpu(0, 1), Dpu(0, 2)]
+    for dpu in dpus:
+        dpu.symbols = {"v": bytearray(8), "w": bytearray(16)}
+        dpu.dirty_log = []
+    rank = RankContext(dpus, nr_tasklets=2)
+    assert rank.host_u32("v").tolist() == [0, 0, 0]
+    rank.set_host_u32("v", [1, -1, 3], where=[True, True, False], index=1)
+    assert rank.host_u32("v", 1).tolist() == [1, 0xFFFFFFFF, 0]
+    rank.set_host_i64("w", -5, index=1)
+    assert rank.host_i64("w", 1).tolist() == [-5, -5, -5]
+    assert [dpu.dirty_log for dpu in dpus] == [
+        [("v", 4, 4), ("w", 8, 8)], [("v", 4, 4), ("w", 8, 8)], [("w", 8, 8)]]
+    with pytest.raises(DpuFaultError, match="unknown symbol"):
+        rank.set_host_u32("x", 0)
+    with pytest.raises(DpuFaultError, match="index 2"):
+        rank.set_host_u32("v", 0, index=2)
 
 
 def test_charge_takes_one_count_per_tasklet(shared):

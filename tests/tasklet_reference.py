@@ -18,20 +18,25 @@ phase scheduler:
 
 A test program writes ``kernel`` on a :class:`TaskletProgram`; the
 per-tasklet references of the shipped programs are in
-``tests/apps/reference_kernels.py``.
+``tests/apps/reference_kernels.py``.  A reference that is one body per
+DPU overrides :meth:`TaskletProgram.run` and runs on the DPU's
+:class:`DpuContext`, whose counters are row ``i`` of the launch's
+:class:`RankContext`'s.
 """
 
 from __future__ import annotations
 
 import inspect
+import struct
 import weakref
 from typing import Dict, Generator, Optional
 
 import numpy as np
 
-from repro.config import MAX_TASKLETS
+from repro.config import MAX_TASKLETS, MRAM_HEAP_SYMBOL, WRAM_SIZE
 from repro.errors import DpuFaultError
-from repro.sdk.kernel import DpuContext, DpuProgram, RankContext
+from repro.hardware.dpu import Dpu
+from repro.sdk.kernel import DpuProgram, RankContext, _dma_ops, _log_store
 
 #: Sentinel yielded by kernels at barrier points.
 BARRIER = object()
@@ -58,8 +63,8 @@ class TaskletProgram(DpuProgram):
         raise NotImplementedError
 
     def run_rank(self, rank: RankContext) -> None:
-        for i in range(rank.nr_dpus):
-            self.run(rank.dpu(i))
+        for i, dpu in enumerate(rank.dpus):
+            self.run(DpuContext(dpu, rank.nr_tasklets, rank, i))
 
     def run(self, dpu: DpuContext) -> None:
         """Execute the program on one DPU.
@@ -105,6 +110,157 @@ class TaskletProgram(DpuProgram):
                     )
                 still_live.append((t, gen))
             live = still_live
+
+
+class DpuContext:
+    """One DPU of a launch: what a per-DPU body of a reference runs on,
+    and what each of its tasklets' :class:`TaskletContext` resolves to.
+
+    Holds what all tasklets of the run share — the MRAM bank, the WRAM
+    heap pointer, the host symbols, the DMA engine's counters — and the
+    per-tasklet instruction counts as one vector.  The counters are row
+    ``row`` of a :class:`RankContext`'s, the launch's (a one-DPU rank of
+    its own when none is given).  Moving bytes (:meth:`mram_read`,
+    :meth:`mram_write`) and charging the DMA engine (:meth:`dma`) are
+    separate, because one move stands for the transfers of many
+    tasklets.
+    """
+
+    def __init__(self, dpu: Dpu, nr_tasklets: int,
+                 rank: Optional[RankContext] = None, row: int = 0) -> None:
+        self.dpu = dpu
+        self.nr_tasklets = nr_tasklets
+        self._rank = rank if rank is not None else RankContext([dpu], nr_tasklets)
+        self._row = row
+        #: Pipeline instructions issued so far, one count per tasklet.
+        self.instructions = self._rank.instructions[row]
+
+    @property
+    def dpu_index(self) -> int:
+        return self.dpu.dpu_index
+
+    @property
+    def dma_ops(self) -> int:
+        return int(self._rank.dma_ops[self._row])
+
+    @property
+    def dma_bytes(self) -> int:
+        return int(self._rank.dma_bytes[self._row])
+
+    @property
+    def wram_used(self) -> int:
+        return int(self._rank.wram_used[self._row])
+
+    # -- the tasklet axis ----------------------------------------------------
+
+    def split(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Split ``total`` items across the tasklets: ``(starts, lens)``.
+
+        Tasklet ``t`` gets the contiguous block ``[starts[t], starts[t] +
+        lens[t])`` with ``lens[t] <= chunk = ceil(total / nr_tasklets)``,
+        the block partition of Fig. 2b (lines 8-11).
+        """
+        chunk = -(-total // self.nr_tasklets)
+        starts = np.minimum(np.arange(self.nr_tasklets) * chunk, total)
+        return starts, np.minimum(starts + chunk, total) - starts
+
+    def charge(self, instructions: np.ndarray) -> None:
+        """Account ``instructions[t]`` pipeline slots to each tasklet ``t``."""
+        counts = np.asarray(instructions, dtype=np.int64)
+        if counts.shape != self.instructions.shape:
+            raise DpuFaultError(
+                f"instruction charge of shape {counts.shape} for "
+                f"{self.nr_tasklets} tasklets"
+            )
+        if (counts < 0).any():
+            raise DpuFaultError(f"negative instruction charge {counts.min()}")
+        self.instructions += counts
+
+    def dma(self, lengths, block_bytes: Optional[int] = 2048) -> None:
+        """Charge the DMA engine for one transfer per entry of ``lengths``.
+
+        ``lengths`` is a byte count or an integer array of them, one per
+        tasklet piece.  Real kernels stream MRAM through small WRAM
+        buffers (Fig. 2b uses one block per tasklet): a piece costs one
+        setup per ``block_bytes`` chunk and at least one, which preserves
+        the timing of the block loop although the bytes move in one
+        simulator operation.  ``block_bytes=None`` is a plain transfer,
+        one setup whatever its length.  A negative length is a fault.
+        """
+        lengths = np.asarray(lengths)
+        self._rank.dma_ops[self._row] += int(_dma_ops(lengths, block_bytes).sum())
+        self._rank.dma_bytes[self._row] += int(lengths.sum())
+
+    # -- WRAM heap -------------------------------------------------------------
+
+    def mem_alloc(self, size: int, tasklets: int = 1) -> int:
+        """Bump-allocate ``size`` bytes of WRAM heap for each of ``tasklets``
+        tasklets; returns the offset of the first."""
+        if size < 0 or tasklets < 0:
+            raise DpuFaultError(
+                f"WRAM allocation of {size} bytes for {tasklets} tasklets")
+        total = ((size + 7) & ~7) * tasklets
+        offset = self.wram_used
+        if offset + total > WRAM_SIZE:
+            raise DpuFaultError(
+                f"WRAM heap overflow: {offset} + {total} > {WRAM_SIZE} bytes"
+            )
+        self._rank.wram_used[self._row] = offset + total
+        return offset
+
+    # -- MRAM ------------------------------------------------------------------
+
+    def mram_read(self, offset: int, length: int) -> np.ndarray:
+        """``length`` bytes of MRAM at ``offset`` (bounds-checked by the
+        bank), as a private uint8 buffer."""
+        return self.dpu.mram.read(offset, length)
+
+    def mram_write(self, offset: int, data: np.ndarray) -> None:
+        """Store ``data`` in MRAM at ``offset`` (bounds-checked by the
+        bank) and log the store."""
+        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        self.dpu.mram.write(offset, buf)
+        _log_store(self.dpu, MRAM_HEAP_SYMBOL, offset, buf.size)
+
+    # -- host-visible symbols ----------------------------------------------------
+
+    def _slot(self, name: str, index: int, width: int) -> Tuple[bytearray, int]:
+        """The symbol's storage and the byte offset of its ``index``-th
+        ``width``-byte element."""
+        try:
+            buf = self.dpu.symbols[name]
+        except KeyError:
+            raise DpuFaultError(f"kernel referenced unknown symbol {name!r}") from None
+        if not 0 <= index * width <= len(buf) - width:
+            raise DpuFaultError(
+                f"symbol {name!r}: index {index} of a {width}-byte element "
+                f"outside its {len(buf)} bytes"
+            )
+        return buf, index * width
+
+    def _load(self, fmt: str, name: str, index: int) -> int:
+        buf, at = self._slot(name, index, struct.calcsize(fmt))
+        return struct.unpack_from(fmt, buf, at)[0]
+
+    def _store(self, fmt: str, name: str, index: int, value: int) -> None:
+        width = struct.calcsize(fmt)
+        buf, at = self._slot(name, index, width)
+        struct.pack_into(fmt, buf, at, value)
+        # The rank's copy of the symbol is stale now.
+        self._rank._symbols.pop(name, None)
+        _log_store(self.dpu, name, at, width)
+
+    def host_u32(self, name: str, index: int = 0) -> int:
+        return self._load("<I", name, index)
+
+    def set_host_u32(self, name: str, value: int, index: int = 0) -> None:
+        self._store("<I", name, index, value & 0xFFFFFFFF)
+
+    def host_i64(self, name: str, index: int = 0) -> int:
+        return self._load("<q", name, index)
+
+    def set_host_i64(self, name: str, value: int, index: int = 0) -> None:
+        self._store("<q", name, index, value)
 
 
 class TaskletContext:
