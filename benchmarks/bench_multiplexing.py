@@ -9,18 +9,17 @@ testbed: eight tenants each need one rank's worth of work.
   whole server; seven ranks idle while one works.
 - **vPIM multiplexing**: each tenant gets one vUPMEM device; jobs run
   side by side.  Per-tenant virtualization overhead applies, and shared
-  host-bus contention is modeled by the
-  :class:`~repro.hardware.timing.BandwidthArbiter`'s contended-makespan
-  estimate: only each job's bus-occupying transfer time contends (at the
-  cost model's native contention factor), its on-DPU compute overlaps
-  freely.
+  host-bus contention is modeled by
+  :meth:`~repro.hardware.timing.CostModel.contended_makespan`: only each
+  job's bus-occupying transfer time contends (at the cost model's native
+  contention factor), its on-DPU compute overlaps freely.
 """
 
 from repro.analysis.figures import machine_config
 from repro.analysis.report import format_table
 from repro.apps.prim.va import VectorAdd
 from repro.core import VPim
-from repro.hardware.timing import BandwidthArbiter, DEFAULT_COST_MODEL
+from repro.hardware.timing import DEFAULT_COST_MODEL
 
 NR_TENANTS = 8
 JOB = dict(n_elements=1 << 22)
@@ -57,8 +56,7 @@ def bench_multiplexing_utilization(once):
     exclusive_makespan = sum(native_times)
     vpim_times = [total for _, total in vpim_jobs]
     peak = max(vpim_times)
-    contended = BandwidthArbiter(DEFAULT_COST_MODEL).contended_makespan(
-        vpim_jobs)
+    contended = DEFAULT_COST_MODEL.contended_makespan(vpim_jobs)
 
     rows = [
         ("exclusive server reservation", f"{exclusive_makespan * 1e3:.1f}",

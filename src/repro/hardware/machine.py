@@ -18,11 +18,7 @@ from repro.errors import HardwareError
 from repro.hardware.clock import SimClock
 from repro.hardware.dimm import Dimm
 from repro.hardware.rank import Rank
-from repro.hardware.timing import (
-    BandwidthArbiter,
-    CostModel,
-    DEFAULT_COST_MODEL,
-)
+from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
 from repro.observability.spans import SpanRecorder
 
@@ -51,10 +47,6 @@ class Machine:
         #: shared fleet-wide so cross-host migrations stay in one trace.
         self.spans = spans or SpanRecorder(self.clock,
                                            registry=self.metrics)
-        #: The shared host bus as a weighted-fair resource (``repro.qos``):
-        #: flows register here when a VM opts into QoS; with no flows
-        #: registered the arbiter is inert and costs nothing.
-        self.bus_arbiter = BandwidthArbiter(cost)
         self.ranks: List[Rank] = [Rank(rc, cost, metrics=self.metrics,
                                        spans=self.spans)
                                   for rc in self.config.ranks]

@@ -22,13 +22,16 @@ Calibration anchors come straight from the paper:
 Absolute values will not match the authors' Xeon 4215 testbed — the
 assertions in ``tests/analysis/test_paper_shapes.py`` check *shapes*
 (who wins, rough factors, crossovers), as the reproduction contract says.
+
+This is the paper's model only.  Cross-VM bus sharing (the opt-in QoS
+extension) lives in ``repro.qos.arbiter`` and reads
+``parallel_contention`` from here; no constant below belongs to it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.config import (
     DPU_FREQUENCY_HZ,
@@ -138,19 +141,6 @@ class CostModel:
     #: per-rank threads share the memory bus too, but without the VMM's
     #: thread handoffs): aggregate bandwidth over 8 ranks scales ~3x.
     native_parallel_contention: float = 0.25
-
-    # -- QoS bus arbitration (repro.qos; opt-in) ------------------------------
-    #: Decay window for a flow's *measured* bus demand: activity older
-    #: than a few windows no longer counts as contention.  Sized to a few
-    #: noisy-neighbor bulk operations.
-    qos_activity_window: float = 0.25
-    #: Weighted-fair-queueing service quantum in the Firecracker event
-    #: loop: with QoS enforced, a small request waits at most one quantum
-    #: of each busy neighbor instead of that neighbor's whole in-flight
-    #: operation (the FIFO head-of-line pathology).
-    qos_wfq_quantum: float = 0.5e-3
-    #: Flows whose demand estimate falls below this are treated as idle.
-    qos_min_active_demand: float = 0.01
 
     # -- Backend execution ----------------------------------------------------
     #: Worker-thread handoff for one DPU-operation batch.
@@ -384,240 +374,16 @@ class CostModel:
         fault number ``attempt`` (1-based): exponential backoff."""
         return self.transport_retry_backoff * 2 ** (attempt - 1)
 
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """Return a copy with selected constants replaced (for ablations)."""
-        return replace(self, **kwargs)
-
-
-#: The default, calibrated model used throughout the library.
-DEFAULT_COST_MODEL = CostModel()
-
-
-# -- shared-bus arbitration (repro.qos) --------------------------------------
-#
-# Co-resident VMs never overlap in *simulated* time — the fleet replays
-# sessions serially on one clock — so cross-VM contention cannot emerge
-# from interleaved events.  It is modeled declaratively instead: each VM
-# registers a flow with a demand profile (declared up front, or measured
-# as a decaying window of its actual bus seconds), and every operation
-# asks the arbiter what the *other* flows' demand costs it.  Two modes:
-#
-# - FIFO (QoS registered but not enforced): the Firecracker event loop
-#   picks requests in arrival order, so a small request behind a bulk
-#   neighbor waits out the neighbor's in-flight operation (head-of-line
-#   blocking), and the bus is a free-for-all while it transfers.
-# - WFQ (QoS enforced): virtual-finish-time scheduling with a service
-#   quantum caps the head-of-line wait at one quantum per busy neighbor,
-#   and bus bandwidth divides by flow weight.
-
-
-@dataclass
-class BusFlow:
-    """One VM's registered demand on the shared host bus."""
-
-    flow_id: str
-    weight: float = 1.0
-    #: Declared offered load in [0, 1]; ``None`` = derive from the
-    #: measured, exponentially-decayed bus-seconds window.
-    declared_demand: Optional[float] = None
-    #: Declared bus seconds of one typical operation (the head-of-line
-    #: blocking scale); ``None`` = measured running mean.
-    declared_mean_op_s: Optional[float] = None
-    busy_s: float = 0.0
-    last_update: float = 0.0
-    measured_mean_op_s: float = 0.0
-    ops: int = 0
-    #: Virtual finish time (WFQ bookkeeping, maintained by the event loop).
-    virtual_finish: float = 0.0
-
-
-@dataclass(frozen=True)
-class Arbitration:
-    """What sharing the bus cost one operation."""
-
-    queue_s: float        #: dispatch wait (head-of-line or WFQ quantum)
-    share_s: float        #: service stretch from bandwidth sharing
-    contenders: int       #: active neighbor flows considered
-    mode: str             #: ``fifo`` or ``wfq``
-
-    @property
-    def total_s(self) -> float:
-        return self.queue_s + self.share_s
-
-
-class BandwidthArbiter:
-    """The shared host bus as a weighted-fair resource across VMs.
-
-    Purely computational (no metrics, no clock writes): callers pass the
-    current simulated time in and fold the returned durations into their
-    own modeled op times, preserving the single-writer clock rule.
-    """
-
-    #: EMA factor for the measured per-op bus-seconds mean.
-    MEAN_ALPHA = 0.2
-
-    def __init__(self, cost: CostModel) -> None:
-        self.cost = cost
-        self._flows: Dict[str, BusFlow] = {}
-
-    # -- registration --------------------------------------------------------
-
-    def register(self, flow_id: str, weight: float = 1.0,
-                 demand: Optional[float] = None,
-                 mean_op_s: Optional[float] = None) -> BusFlow:
-        if flow_id in self._flows:
-            raise ValueError(f"bus flow {flow_id!r} is already registered")
-        if weight <= 0:
-            raise ValueError(f"flow weight must be positive, got {weight}")
-        flow = BusFlow(flow_id=flow_id, weight=weight,
-                       declared_demand=demand, declared_mean_op_s=mean_op_s)
-        self._flows[flow_id] = flow
-        return flow
-
-    def unregister(self, flow_id: str) -> None:
-        self._flows.pop(flow_id, None)
-
-    def flow(self, flow_id: str) -> BusFlow:
-        return self._flows[flow_id]
-
-    @property
-    def flows(self) -> List[BusFlow]:
-        return list(self._flows.values())
-
-    def set_weight(self, flow_id: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"flow weight must be positive, got {weight}")
-        self._flows[flow_id].weight = weight
-
-    # -- demand accounting ---------------------------------------------------
-
-    def _decay(self, flow: BusFlow, now: float) -> None:
-        dt = now - flow.last_update
-        if dt > 0:
-            flow.busy_s *= math.exp(-dt / self.cost.qos_activity_window)
-            flow.last_update = now
-
-    def record(self, flow_id: str, bus_seconds: float, now: float) -> None:
-        """Account one operation's bus usage against its flow's window."""
-        flow = self._flows[flow_id]
-        self._decay(flow, now)
-        flow.busy_s += max(0.0, bus_seconds)
-        flow.ops += 1
-        if bus_seconds > 0:
-            if flow.measured_mean_op_s <= 0:
-                flow.measured_mean_op_s = bus_seconds
-            else:
-                flow.measured_mean_op_s += self.MEAN_ALPHA * (
-                    bus_seconds - flow.measured_mean_op_s)
-
-    def demand(self, flow: BusFlow, now: float) -> float:
-        """The flow's offered load in [0, 1] (declared beats measured)."""
-        if flow.declared_demand is not None:
-            return min(1.0, max(0.0, flow.declared_demand))
-        self._decay(flow, now)
-        return min(1.0, flow.busy_s / self.cost.qos_activity_window)
-
-    def mean_op_s(self, flow: BusFlow) -> float:
-        if flow.declared_mean_op_s is not None:
-            return max(0.0, flow.declared_mean_op_s)
-        return flow.measured_mean_op_s
-
-    def _active_neighbors(self, flow_id: str, now: float,
-                          ) -> List[Tuple[BusFlow, float]]:
-        out = []
-        for other in self._flows.values():
-            if other.flow_id == flow_id:
-                continue
-            load = self.demand(other, now)
-            if load >= self.cost.qos_min_active_demand:
-                out.append((other, load))
-        return out
-
-    # -- the two cost components ---------------------------------------------
-
-    def _residual(self, flow: BusFlow, now: float) -> float:
-        """Remaining bus time of the neighbor's in-flight operation.
-
-        Phase-deterministic: the fraction already served is derived from
-        where ``now`` falls inside the op period, so repeated requests
-        sample the whole [0, mean_op) range — a latency *distribution*,
-        not a constant — while staying exactly reproducible.
-        """
-        period = self.mean_op_s(flow)
-        if period <= 0:
-            return 0.0
-        phase = (now / period) % 1.0
-        return period * (1.0 - phase)
-
-    def queue_delay(self, flow_id: str, now: float, fair: bool) -> float:
-        """Expected wait before the event loop serves this flow's request."""
-        me = self._flows[flow_id]
-        delay = 0.0
-        for other, load in self._active_neighbors(me.flow_id, now):
-            residual = self._residual(other, now)
-            if fair:
-                residual = min(residual, self.cost.qos_wfq_quantum)
-            delay += load * residual
-        return delay
-
-    def bus_share(self, flow_id: str, bus_seconds: float, now: float,
-                  fair: bool) -> float:
-        """Service stretch of ``bus_seconds`` from sharing the bus."""
-        if bus_seconds <= 0:
-            return 0.0
-        me = self._flows[flow_id]
-        neighbors = self._active_neighbors(me.flow_id, now)
-        if not neighbors:
-            return 0.0
-        if fair:
-            pressure = sum(load * other.weight for other, load in neighbors)
-            steal = pressure / (me.weight + pressure)
-        else:
-            steal = min(1.0, sum(load for _, load in neighbors))
-        return bus_seconds * self.cost.parallel_contention * steal
-
-    def contention_factor(self, flow_id: str, base: float, now: float,
-                          fair: bool) -> float:
-        """Intra-VM parallel-rank contention, raised by neighbor demand.
-
-        Replaces the fixed ``parallel_contention`` constant on
-        virtualized transfer paths: a VM combining its own parallel rank
-        operations contends harder when co-resident flows occupy the bus.
-        """
-        me = self._flows[flow_id]
-        neighbors = self._active_neighbors(me.flow_id, now)
-        if not neighbors:
-            return base
-        if fair:
-            pressure = sum(load * other.weight for other, load in neighbors)
-            steal = pressure / (me.weight + pressure)
-        else:
-            steal = min(1.0, sum(load for _, load in neighbors))
-        return min(1.0, base + (1.0 - base) * steal)
-
-    def arbitrate(self, flow_id: str, bus_seconds: float, now: float,
-                  fair: bool) -> Arbitration:
-        """Full arbitration of one operation: dispatch wait + bus share."""
-        neighbors = self._active_neighbors(flow_id, now)
-        return Arbitration(
-            queue_s=self.queue_delay(flow_id, now, fair),
-            share_s=self.bus_share(flow_id, bus_seconds, now, fair),
-            contenders=len(neighbors),
-            mode="wfq" if fair else "fifo",
-        )
-
-    # -- whole-workload helper (benchmarks/bench_multiplexing.py) ------------
-
     def contended_makespan(self, jobs: Sequence[Tuple[float, float]],
                            contention: Optional[float] = None) -> float:
-        """Modeled makespan of jobs sharing the bus concurrently.
+        """Modeled makespan of jobs sharing the bus concurrently (R2).
 
         ``jobs`` is ``(bus_seconds, total_seconds)`` per tenant.  Only the
         transfer-bound fraction of each job contends: compute overlaps
         freely, while every bus second beyond the longest job's own adds
-        ``contention`` of serialization.  This replaces the old
-        lower/upper *bound pair* (perfect parallelism vs full fixed-factor
-        contention) with one number strictly between them.
+        ``contention`` (default ``native_parallel_contention``) of
+        serialization — one number between perfect parallelism and full
+        fixed-factor contention.
         """
         jobs = list(jobs)
         if not jobs:
@@ -627,7 +393,16 @@ class BandwidthArbiter:
                 raise ValueError(
                     f"job ({bus_s}, {total_s}) needs 0 <= bus <= total")
         if contention is None:
-            contention = self.cost.native_parallel_contention
+            contention = self.native_parallel_contention
         peak_bus, peak_total = max(jobs, key=lambda job: job[1])
         extra_bus = sum(bus for bus, _ in jobs) - peak_bus
         return peak_total + contention * extra_bus
+
+    def with_overrides(self, **kwargs) -> "CostModel":
+        """Return a copy with selected constants replaced (for ablations)."""
+        return replace(self, **kwargs)
+
+
+#: The default, calibrated model used throughout the library.
+DEFAULT_COST_MODEL = CostModel()
+

@@ -1,7 +1,8 @@
 """One VM's QoS flow handle: arbitration, throttles, telemetry.
 
-A :class:`QosFlow` is created by the Firecracker launcher for every VM
-whose :class:`~repro.virt.opts.OptimizationConfig` carries a
+A :class:`QosFlow` is created by :func:`attach`, which the Firecracker
+launcher calls for every VM whose
+:class:`~repro.virt.opts.OptimizationConfig` carries a
 :class:`~repro.qos.config.QosConfig`.  The VM's frontends call
 :meth:`on_kick` on every transferq roundtrip (dispatch wait + token
 throttles) and its backend calls :meth:`on_bus` on every data transfer
@@ -12,11 +13,12 @@ folds into its op time; neither touches the clock.
 from __future__ import annotations
 
 from typing import Optional
+from weakref import WeakKeyDictionary
 
-from repro.hardware.timing import BandwidthArbiter
 from repro.observability import MetricsRegistry
 from repro.observability.instruments import QOS, bind
 from repro.observability.spans import SpanRecorder
+from repro.qos.arbiter import BandwidthArbiter, VirtioEventLoop
 from repro.qos.config import QosConfig
 from repro.qos.tokens import TokenBucket
 
@@ -25,15 +27,15 @@ class QosFlow:
     """The live QoS state of one VM (see ``docs/qos.md``)."""
 
     def __init__(self, flow_id: str, config: QosConfig,
-                 arbiter: BandwidthArbiter, loop,
+                 loop: VirtioEventLoop,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanRecorder] = None) -> None:
         self.flow_id = flow_id
         self.config = config
-        self.arbiter = arbiter
+        self.arbiter = loop.arbiter
         self.loop = loop
         self.tenant = config.tenant or flow_id
-        self._flow = arbiter.register(
+        self._flow = self.arbiter.register(
             flow_id, weight=config.weight, demand=config.demand,
             mean_op_s=config.mean_op_s)
         self._kick_bucket = (
@@ -140,3 +142,20 @@ class QosFlow:
         if not self.closed:
             self.arbiter.unregister(self.flow_id)
             self.closed = True
+
+
+#: Each host's event loop (and, through it, its arbiter), keyed by its
+#: :class:`~repro.hardware.machine.Machine`: a machine that never boots a
+#: QoS VM has no entry, and dropping the machine drops its entry.
+_LOOPS: "WeakKeyDictionary[object, VirtioEventLoop]" = WeakKeyDictionary()
+
+
+def attach(machine, flow_id: str, config: QosConfig) -> QosFlow:
+    """Register VM ``flow_id`` on ``machine``'s bus, building the host's
+    one arbiter and event loop when it is the first to attach."""
+    loop = _LOOPS.get(machine)
+    if loop is None:
+        loop = _LOOPS[machine] = VirtioEventLoop(
+            BandwidthArbiter(machine.cost))
+    return QosFlow(flow_id, config, loop, metrics=machine.metrics,
+                   spans=machine.spans)

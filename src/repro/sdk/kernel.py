@@ -97,11 +97,12 @@ _NOWHERE = np.broadcast_to(np.zeros((), dtype=np.uint8),
                            (np.iinfo(np.intp).max,))
 
 
-def _span(span: Span, nr_dpus: int) -> Tuple[List[int], List[int]]:
+def _span(span: Span, nr_dpus: int,
+          what: str = "span") -> Tuple[List[int], List[int]]:
     offsets, lengths = (np.broadcast_to(np.asarray(v, dtype=np.int64),
                                         (nr_dpus,)) for v in span)
     if (lengths < 0).any():
-        raise DpuFaultError(f"negative MRAM span length {lengths.min()}")
+        raise DpuFaultError(f"negative MRAM {what} length {lengths.min()}")
     return offsets.tolist(), lengths.tolist()
 
 
@@ -264,19 +265,17 @@ class RankContext:
 
     # -- MRAM ------------------------------------------------------------------
 
-    def read_ragged(self, offsets: np.ndarray, lengths: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+    def read_ragged(self, offsets, lengths) -> Tuple[np.ndarray, np.ndarray]:
         """``lengths[d]`` MRAM bytes of each DPU ``d`` at ``offsets[d]``,
         one row after another in one buffer: ``(flat, starts)``, row ``d``
-        being ``flat[starts[d]:starts[d] + lengths[d]]``.  A row of length
-        0 is not read, and a negative length is a fault."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if (lengths < 0).any():
-            raise DpuFaultError(f"negative MRAM read length {lengths.min()}")
-        ends = np.cumsum(lengths)
+        being ``flat[starts[d]:starts[d] + lengths[d]]``.  Like
+        :meth:`map`'s spans, either may be one value for every DPU.  A row
+        of length 0 is not read, and a negative length is a fault."""
+        offsets, lengths = _span((offsets, lengths), self.nr_dpus, "read")
+        ends = np.cumsum(lengths, dtype=np.int64)
         starts = ends - lengths
-        flat = np.empty(int(lengths.sum()), dtype=np.uint8)
-        for dpu, offset, start, end in zip(self.dpus, np.asarray(offsets).tolist(),
+        flat = np.empty(sum(lengths), dtype=np.uint8)
+        for dpu, offset, start, end in zip(self.dpus, offsets,
                                            starts.tolist(), ends.tolist()):
             if end > start:
                 dpu.mram.read_into(offset, flat[start:end])

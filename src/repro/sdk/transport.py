@@ -129,10 +129,6 @@ class Transport(abc.ABC):
             return 0.0, []
         if len(durations) == 1:
             # One rank overlaps nothing: ``d + (d - d) * c`` is ``d``.
-            # The factor is still asked for where it would be: a QoS
-            # flow ages its neighbours' demand when asked.
-            if contended and self.parallel_ranks:
-                self.contention()
             return durations[0], [durations[0]]
         if self.parallel_ranks:
             peak = max(durations)

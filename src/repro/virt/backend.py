@@ -150,9 +150,8 @@ class VUpmemBackend:
         #: (:class:`~repro.virt.transfer_cache.HostCache`), else ``None``.
         self.transfer_cache = transfer_cache
         #: The owning VM's :class:`~repro.qos.flow.QosFlow` (``docs/qos.md``):
-        #: when set, data transfers pay a modeled bus share for co-resident
-        #: demand and report their own usage to the arbiter.  ``None`` keeps
-        #: the exact single-tenant timing path.
+        #: each data transfer adds the stretch its ``on_bus`` returns.
+        #: ``None`` keeps the exact single-tenant timing path.
         self.qos = qos
         self.mapping: Optional[PerfModeMapping] = None
         #: ``rank=`` label of requests: the bound rank's index, fixed

@@ -24,9 +24,8 @@ from typing import Optional
 from repro.errors import VmConfigError
 from repro.driver.driver import UpmemDriver
 from repro.hardware.machine import Machine
-from repro.hardware.timing import BandwidthArbiter, CostModel
+from repro.hardware.timing import CostModel
 from repro.observability.instruments import VM, bind
-from repro.qos.flow import QosFlow
 from repro.sdk.profile import Profiler
 from repro.virt.backend import VUpmemBackend
 from repro.virt.frontend import VUpmemFrontend
@@ -81,40 +80,6 @@ rank_capacity` passes the pager's virtual capacity here when demand
             raise VmConfigError("a kernel image path is required")
 
 
-class VirtioEventLoop:
-    """Cross-VM request scheduling in the (shared) Firecracker event loop.
-
-    Originally the event loop serves virtio kicks in FIFO arrival order,
-    so one tenant's bulk transfer head-of-line-blocks every co-resident
-    small request.  With QoS enforced, the next request is picked by
-    **virtual finish time**: each flow's virtual clock advances by
-    ``service / weight`` per dispatch, and the wait a request pays is
-    capped at one service quantum per busy neighbor (the arbiter's WFQ
-    mode).  The loop keeps the per-flow virtual-time bookkeeping and
-    dispatch counters; the delay arithmetic lives in the arbiter so both
-    views (event loop and bus) share one demand model.
-    """
-
-    def __init__(self, arbiter: BandwidthArbiter) -> None:
-        self.arbiter = arbiter
-        self.virtual_now = 0.0
-        self.dispatches = {"fifo": 0, "wfq": 0}
-
-    def dispatch(self, flow_id: str, now: float,
-                 fair: bool) -> "tuple[float, str]":
-        """Pick-order cost of serving ``flow_id``'s next request at
-        ``now``; returns ``(queue_delay_s, mode)``."""
-        delay = self.arbiter.queue_delay(flow_id, now, fair)
-        flow = self.arbiter.flow(flow_id)
-        service = self.arbiter.mean_op_s(flow)
-        start = max(flow.virtual_finish, self.virtual_now)
-        flow.virtual_finish = start + service / flow.weight
-        self.virtual_now = max(self.virtual_now, start)
-        mode = "wfq" if fair else "fifo"
-        self.dispatches[mode] += 1
-        return delay, mode
-
-
 class Firecracker:
     """One Firecracker process per VM; this class is the factory side.
 
@@ -136,9 +101,6 @@ class Firecracker:
         self._vm_ids = itertools.count()
         #: Live telemetry (shares the machine registry): boots + devices.
         self.obs = bind(machine.metrics, VM)
-        #: The host-wide request scheduler across co-resident VMs' queues
-        #: (``repro.qos``); inert until a VM registers a flow.
-        self.event_loop = VirtioEventLoop(machine.bus_arbiter)
 
     def launch_vm(self, config: VmConfig) -> Vm:
         """Boot a microVM with the requested vUPMEM devices attached."""
@@ -152,11 +114,10 @@ class Firecracker:
                 manager=self.manager)
         if config.opts.qos is not None:
             # One flow per VM: all of the VM's devices share its weight,
-            # throttles and demand window (per-tenant isolation).
-            vm.qos_flow = QosFlow(
-                flow_id=vm_id, config=config.opts.qos,
-                arbiter=self.machine.bus_arbiter, loop=self.event_loop,
-                metrics=self.machine.metrics, spans=self.machine.spans)
+            # throttles and demand window (per-tenant isolation).  Imported
+            # here so that a run without a QoS VM never loads repro.qos.
+            from repro.qos.flow import attach
+            vm.qos_flow = attach(self.machine, vm_id, config.opts.qos)
 
         boot_time = BASE_BOOT_TIME
         for i in range(config.nr_vupmem):

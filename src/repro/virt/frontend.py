@@ -190,8 +190,8 @@ class VUpmemFrontend:
         #: is the paper's path, bit-identical to the wall-clock digest.
         self.transfer_cache = transfer_cache
         #: The owning VM's :class:`~repro.qos.flow.QosFlow` (``docs/qos.md``):
-        #: kicks pay token-bucket throttle waits and the event loop's
-        #: cross-VM queueing delay.  ``None`` = the exact default path.
+        #: each kick adds the wait its ``on_kick`` returns.  ``None`` = the
+        #: exact default path.
         self.qos = qos
         self.device_config: Optional[dict] = None
         self.mmio = mmio or MmioWindow(base_address=0xD000_0000, irq=5)
@@ -333,8 +333,7 @@ class VUpmemFrontend:
         # The transferq is synchronous: the device takes the chain as it
         # is kicked, and on failure still completes the request (with an
         # error status), so the queue never wedges.
-        request_id, depth = transferq.submit(
-            chain, flow=self.qos.flow_id if self.qos is not None else None)
+        request_id, depth = transferq.submit(chain)
         obs.queue_depth["transferq"].set(depth)
         self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
         self.kvm.trap()

@@ -8,10 +8,12 @@ Section 5.4 evaluates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.config import BATCH_PAGES_PER_DPU, PREFETCH_PAGES_PER_DPU
-from repro.qos.config import QosConfig
+
+if TYPE_CHECKING:  # pragma: no cover - repro.qos loads only for a QoS VM
+    from repro.qos.config import QosConfig
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,12 @@ class OptimizationConfig:
 
     #: Multi-tenant performance isolation (``docs/qos.md``): a
     #: :class:`~repro.qos.config.QosConfig` registers the VM as a flow on
-    #: the host's :class:`~repro.hardware.timing.BandwidthArbiter` and
-    #: (when ``enforce``) schedules its virtio requests weighted-fair
-    #: with token-bucket throttles.  ``None`` (the default) models no
-    #: cross-VM contention at all — bit-identical to the committed
-    #: wall-clock digest.
+    #: the host's bus arbiter in :mod:`repro.qos.arbiter` (built when the
+    #: host's first such VM boots) and (when ``enforce``) schedules its
+    #: virtio requests weighted-fair with token-bucket throttles.
+    #: ``None`` (the default) models no cross-VM contention at all and
+    #: loads no QoS code — bit-identical to the committed wall-clock
+    #: digest.
     qos: Optional[QosConfig] = None
 
     prefetch_pages_per_dpu: int = PREFETCH_PAGES_PER_DPU

@@ -71,14 +71,8 @@ class Virtqueue:
         self.kicks = Counts(series)
         self.max_outstanding = 0
 
-    def add_chain(self, chain: List[Descriptor],
-                  flow: Optional[str] = None) -> int:
-        """Post a descriptor chain; returns its request id.
-
-        ``flow`` optionally tags the chain with the posting VM's QoS flow
-        id (``docs/qos.md``), so the shared event loop and debug tooling
-        can attribute queued work per tenant; ``None`` for untagged VMs.
-        """
+    def add_chain(self, chain: List[Descriptor]) -> int:
+        """Post a descriptor chain; returns its request id."""
         if not chain:
             raise VirtqueueError(f"{self.name}: empty descriptor chain")
         if len(chain) > MAX_SERIALIZED_BUFFERS:
@@ -96,19 +90,18 @@ class Virtqueue:
             )
         request_id = self._next_id
         self._next_id += 1
-        self._avail.append((request_id, list(chain), flow))
+        self._avail.append((request_id, list(chain)))
         if outstanding > self.max_outstanding:
             self.max_outstanding = outstanding
         return request_id
 
-    def submit(self, chain: List[Descriptor],
-               flow: Optional[str] = None) -> Tuple[int, int]:
+    def submit(self, chain: List[Descriptor]) -> Tuple[int, int]:
         """One synchronous request, driver and device side at once: post
         ``chain``, kick, and let the device take it — the queue and its
         counters end as :meth:`add_chain`, :meth:`kick` and
         :meth:`pop_avail` leave them.  Returns ``(request_id, depth)``,
         ``depth`` being :attr:`pending` once the chain was posted."""
-        request_id = self.add_chain(chain, flow)
+        request_id = self.add_chain(chain)
         depth = len(self._avail)
         self.kicks[self.name] += 1
         taken = self._avail.popleft()

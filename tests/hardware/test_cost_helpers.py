@@ -84,6 +84,34 @@ class TestHelpersAlone:
         assert one > 4 * two
 
 
+class TestContendedMakespan:
+    def test_empty_and_single_job(self):
+        assert COST.contended_makespan([]) == 0.0
+        # A single job never contends: makespan is its own total.
+        assert COST.contended_makespan([(1e-3, 5e-3)]) == 5e-3
+
+    def test_invalid_jobs_rejected(self):
+        with pytest.raises(ValueError):
+            COST.contended_makespan([(2e-3, 1e-3)])   # bus > total
+        with pytest.raises(ValueError):
+            COST.contended_makespan([(-1e-3, 1e-3)])
+
+    def test_two_job_formula_and_bounds(self):
+        jobs = [(2e-3, 10e-3), (3e-3, 8e-3)]
+        contended = COST.contended_makespan(jobs)
+        # Longest job runs in full; the other job's bus seconds add at
+        # the native contention factor.
+        expected = 10e-3 + COST.native_parallel_contention * 3e-3
+        assert contended == pytest.approx(expected)
+        assert max(t for _, t in jobs) <= contended < sum(
+            t for _, t in jobs)
+
+    def test_explicit_contention_override(self):
+        jobs = [(2e-3, 4e-3), (2e-3, 4e-3)]
+        assert COST.contended_makespan(jobs, contention=0.0) == 4e-3
+        assert COST.contended_makespan(jobs, contention=1.0) == 6e-3
+
+
 # -- the live stack --------------------------------------------------------------
 #
 # Imported here, below the shape half, on purpose: nothing above this

@@ -1,11 +1,11 @@
-"""BandwidthArbiter: demand accounting, FIFO vs WFQ costs, makespan."""
+"""BandwidthArbiter: demand accounting, FIFO vs WFQ costs; the event loop."""
 
 import math
 
 import pytest
 
-from repro.hardware.timing import BandwidthArbiter, DEFAULT_COST_MODEL
-from repro.virt.firecracker import VirtioEventLoop
+from repro.hardware.timing import DEFAULT_COST_MODEL
+from repro.qos.arbiter import BandwidthArbiter, VirtioEventLoop
 
 COST = DEFAULT_COST_MODEL
 
@@ -48,7 +48,7 @@ class TestDemand:
     def test_measured_demand_decays(self):
         arbiter = make()
         flow = arbiter.register("a")
-        window = COST.qos_activity_window
+        window = BandwidthArbiter.ACTIVITY_WINDOW
         arbiter.record("a", 0.5 * window, now=0.0)
         assert arbiter.demand(flow, now=0.0) == pytest.approx(0.5)
         # Five windows later the load has decayed by e^-5.
@@ -88,14 +88,14 @@ class TestQueueDelay:
         arbiter.register("me")
         arbiter.register("noisy", demand=1.0, mean_op_s=4e-3)
         assert arbiter.queue_delay("me", now=0.0, fair=True) == \
-            pytest.approx(COST.qos_wfq_quantum)
-        assert COST.qos_wfq_quantum < 4e-3
+            pytest.approx(BandwidthArbiter.WFQ_QUANTUM)
+        assert BandwidthArbiter.WFQ_QUANTUM < 4e-3
 
     def test_idle_neighbor_is_ignored(self):
         arbiter = make()
         arbiter.register("me")
         arbiter.register("idle",
-                         demand=COST.qos_min_active_demand / 2,
+                         demand=BandwidthArbiter.MIN_ACTIVE_DEMAND / 2,
                          mean_op_s=4e-3)
         assert arbiter.queue_delay("me", now=0.0, fair=False) == 0.0
         assert arbiter.bus_share("me", 1e-3, now=0.0, fair=False) == 0.0
@@ -140,49 +140,6 @@ class TestBusShare:
                                          fair=False) == 1.0
         fair = arbiter.contention_factor("me", base, now=0.0, fair=True)
         assert base < fair < 1.0
-
-    def test_arbitrate_bundles_both_components(self):
-        arbiter = make()
-        arbiter.register("me")
-        arbiter.register("noisy", demand=1.0, mean_op_s=1e-3)
-        fifo = arbiter.arbitrate("me", 1e-3, now=0.0, fair=False)
-        wfq = arbiter.arbitrate("me", 1e-3, now=0.0, fair=True)
-        assert (fifo.mode, wfq.mode) == ("fifo", "wfq")
-        assert fifo.contenders == wfq.contenders == 1
-        assert fifo.queue_s > wfq.queue_s
-        assert fifo.share_s > wfq.share_s > 0
-
-
-class TestContendedMakespan:
-    def test_empty_and_single_job(self):
-        arbiter = make()
-        assert arbiter.contended_makespan([]) == 0.0
-        # A single job never contends: makespan is its own total.
-        assert arbiter.contended_makespan([(1e-3, 5e-3)]) == 5e-3
-
-    def test_invalid_jobs_rejected(self):
-        arbiter = make()
-        with pytest.raises(ValueError):
-            arbiter.contended_makespan([(2e-3, 1e-3)])   # bus > total
-        with pytest.raises(ValueError):
-            arbiter.contended_makespan([(-1e-3, 1e-3)])
-
-    def test_two_job_formula_and_bounds(self):
-        arbiter = make()
-        jobs = [(2e-3, 10e-3), (3e-3, 8e-3)]
-        contended = arbiter.contended_makespan(jobs)
-        # Longest job runs in full; the other job's bus seconds add at
-        # the native contention factor.
-        expected = 10e-3 + COST.native_parallel_contention * 3e-3
-        assert contended == pytest.approx(expected)
-        assert max(t for _, t in jobs) <= contended < sum(
-            t for _, t in jobs)
-
-    def test_explicit_contention_override(self):
-        arbiter = make()
-        jobs = [(2e-3, 4e-3), (2e-3, 4e-3)]
-        assert arbiter.contended_makespan(jobs, contention=0.0) == 4e-3
-        assert arbiter.contended_makespan(jobs, contention=1.0) == 6e-3
 
 
 class TestVirtioEventLoop:

@@ -1,11 +1,10 @@
 """QoS through the data plane: flows, telemetry, default-path identity."""
 
-import pytest
-
 from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
 from repro.qos.config import QosConfig
+from repro.qos.flow import _LOOPS
 from repro.virt.opts import Optimization
 
 APP = dict(nr_dpus=8, n_elements=1 << 10, seed=0)
@@ -35,8 +34,9 @@ def test_enforced_flows_record_qos_telemetry():
         assert report.verified
     metrics = vpim.machine.metrics
     assert counter_total(metrics, "repro_qos_arbitrations_total") > 0
-    assert vpim.firecracker.event_loop.dispatches["wfq"] > 0
-    assert vpim.firecracker.event_loop.dispatches["fifo"] == 0
+    assert a.vm.qos_flow.loop is b.vm.qos_flow.loop
+    assert a.vm.qos_flow.loop.dispatches["wfq"] > 0
+    assert a.vm.qos_flow.loop.dispatches["fifo"] == 0
     assert metrics.value("repro_qos_flow_weight",
                          vm=a.vm.qos_flow.flow_id) == 2.0
 
@@ -48,8 +48,8 @@ def test_unenforced_flows_dispatch_fifo_and_never_throttle():
     session = qos_session(vpim, enforce=False, tenant="a",
                           kick_rate_per_s=1e-3, kick_burst=1.0)
     assert session.run(VectorAdd(**APP)).verified
-    assert vpim.firecracker.event_loop.dispatches["fifo"] > 0
-    assert vpim.firecracker.event_loop.dispatches["wfq"] == 0
+    assert session.vm.qos_flow.loop.dispatches["fifo"] > 0
+    assert session.vm.qos_flow.loop.dispatches["wfq"] == 0
     assert counter_total(vpim.machine.metrics,
                          "repro_qos_throttled_total") == 0
 
@@ -71,10 +71,33 @@ def test_vm_without_qos_touches_nothing():
     session = vpim.vm_session(nr_vupmem=1)
     assert session.run(VectorAdd(**APP)).verified
     assert session.vm.qos_flow is None
-    assert vpim.machine.bus_arbiter.flows == []
-    assert vpim.firecracker.event_loop.dispatches == {"fifo": 0, "wfq": 0}
+    # No arbiter or event loop is ever built for the host.
+    assert vpim.machine not in _LOOPS
     # The qos families are registered lazily, on the first flow.
     assert "repro_qos_arbitrations_total" not in vpim.machine.metrics
+
+
+def test_the_first_qos_vm_builds_the_host_arbiter_and_loop():
+    """A VM without QoS leaves nothing QoS on the machine or the
+    launcher; the first QoS VM attaches the host's one arbiter and
+    event loop, and its flow leaves them on shutdown."""
+    vpim = make_vpim()
+    assert vpim.vm_session(nr_vupmem=1).run(VectorAdd(**APP)).verified
+    for owner in (vpim.machine, vpim.firecracker):
+        assert not [name for name in vars(owner)
+                    if "arbiter" in name or "loop" in name
+                    or "flow" in name], owner
+    assert vpim.machine not in _LOOPS
+    session = qos_session(vpim, enforce=True, tenant="a")
+    loop = _LOOPS[vpim.machine]
+    assert session.vm.qos_flow.loop is loop
+    assert [f.flow_id for f in loop.arbiter.flows] == \
+        [session.vm.qos_flow.flow_id]
+    assert session.run(VectorAdd(**APP)).verified
+    assert loop.dispatches["wfq"] > 0
+    session.vm.shutdown()
+    assert loop.arbiter.flows == []
+    assert _LOOPS[vpim.machine] is loop
 
 
 def test_qos_none_is_the_exact_default_path():
@@ -91,11 +114,11 @@ def test_flow_close_unregisters_from_the_arbiter():
     vpim = make_vpim()
     session = qos_session(vpim, enforce=True, tenant="a")
     flow = session.vm.qos_flow
-    assert [f.flow_id for f in vpim.machine.bus_arbiter.flows] == \
-        [flow.flow_id]
+    arbiter = flow.arbiter
+    assert [f.flow_id for f in arbiter.flows] == [flow.flow_id]
     flow.close()
     flow.close()                                 # idempotent
-    assert vpim.machine.bus_arbiter.flows == []
+    assert arbiter.flows == []
 
 
 def test_enforcement_shrinks_the_queue_wait():

@@ -199,6 +199,20 @@ def test_read_ragged_faults_on_a_negative_row(rank):
         rank.read_ragged([0, 0], [16, -8])
 
 
+def test_read_ragged_takes_one_value_for_every_dpu_like_map():
+    """A scalar length used to read DPU 0 only, a scalar offset raised."""
+    rank = RankContext([Dpu(0, d) for d in range(4)], nr_tasklets=2)
+    for d, dpu in enumerate(rank.dpus):
+        dpu.mram.write(0, np.arange(16, dtype=np.uint8) + 16 * d)
+    per_dpu = rank.read_ragged(np.full(4, 2), np.full(4, 4))
+    for offsets, lengths in ((2, 4), (np.full(4, 2), 4), (2, np.full(4, 4))):
+        flat, starts = rank.read_ragged(offsets, lengths)
+        assert flat.tolist() == per_dpu[0].tolist()
+        assert starts.tolist() == per_dpu[1].tolist() == [0, 4, 8, 12]
+    assert per_dpu[0].tolist() == [b + 16 * d for d in range(4)
+                                   for b in range(2, 6)]
+
+
 def test_rank_symbol_stores_are_per_dpu_masked_and_logged():
     dpus = [Dpu(0, 0), Dpu(0, 1), Dpu(0, 2)]
     for dpu in dpus:

@@ -47,7 +47,7 @@ def test_chain_roundtrip():
     rid = q.add_chain(desc(3))
     q.kick()
     popped = q.pop_avail()
-    assert popped == (rid, desc(3), None)
+    assert popped == (rid, desc(3))
     q.push_used(UsedElement(request_id=rid))
     used = q.pop_used()
     assert used.request_id == rid and used.status == 0
