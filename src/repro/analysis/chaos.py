@@ -4,7 +4,7 @@ Two drivers, mirroring the two blast radii:
 
 - :func:`run_chaos` — one host, one VM, a stream of sessions under an
   armed :class:`~repro.faults.FaultInjector`: rank/transport/backend
-  faults fire mid-workload and the recovery paths (frontend retries,
+  faults fire mid-workload and the recovery paths (transport retries,
   session reruns on replacement ranks) either absorb them or lose the
   session.
 - :func:`run_cluster_chaos` — a fleet scenario with host crashes: the
@@ -153,8 +153,8 @@ def run_chaos(config: ChaosConfig = ChaosConfig(),
 
     Each session goes through
     :func:`~repro.faults.recovery.run_with_recovery`: transient faults
-    are retried inside the frontend, hardware faults cause a rerun on a
-    replacement rank, and only exhausted budgets count as lost.
+    are retried by the armed transport, hardware faults cause a rerun
+    on a replacement rank, and only exhausted budgets count as lost.
 
     ``on_vpim``, when given, is called with the freshly built
     :class:`VPim` before any session runs — the telemetry pipeline's

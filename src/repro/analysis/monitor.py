@@ -465,12 +465,12 @@ def _drill(seed: int, observe, result: MonitorResult) -> None:
         pipeline = attach(vpim.machine)
         vpim.vm_session(nr_vupmem=1).run(
             VectorAdd(nr_dpus=8, seed=seed, n_elements=1 << 12))
-        fault_obs = bind(vpim.machine.metrics, FAULT)
+        faults = bind(vpim.machine.metrics, FAULT)
         _idle(pipeline, DRILL_WARMUP_S)
         # The hold-down is what turns the first breach into pending
         # rather than firing.
         for _ in range(DRILL_BURST):
-            fault_obs.injected["drill"].inc()
+            faults.injected["drill"].inc()
             _idle(pipeline, DRILL_GAP_S)
 
     _, telemetry = observe("drill", drive)

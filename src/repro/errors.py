@@ -114,7 +114,7 @@ class TransientFaultError(VirtError):
 
     Carries ``penalty_s``: the modeled detection latency (CRC check,
     watchdog timeout) the requester pays before it can retry.  The
-    frontend's bounded-retry path catches exactly this class.
+    armed transport (``repro.faults.retry``) retries exactly this class.
     """
 
     kind = "transient"

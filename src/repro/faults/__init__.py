@@ -1,12 +1,13 @@
 """Deterministic fault injection and recovery (``repro.faults``).
 
-The subsystem has three parts:
+The subsystem has four parts:
 
 - :mod:`repro.faults.plan` — *what* fails and *when*: typed, seeded
   :class:`FaultPlan` schedules on the shared simulated clock;
 - :mod:`repro.faults.injector` — *how* it fails: the
   :class:`FaultInjector` arms hook closures at the stack's layer seams
   (rank, virtio transport, backend, fleet host) and fires due events;
+- :mod:`repro.faults.retry` — the transport's bounded retry and costs;
 - :mod:`repro.faults.recovery` — *what happens next*: session reruns,
   checkpoint-based device failover, and the bookkeeping that proves
   recovery happened (``repro_fault_*`` metrics).

@@ -1,12 +1,12 @@
 """The fault injector: executes a :class:`FaultPlan` against a live stack.
 
-Arming installs *hook closures* on the instances at each layer seam
-(``Rank.fault_hook``, ``VUpmemFrontend.fault_hook``,
-``VUpmemBackend.fault_hook``); hosts are polled via
-:meth:`FaultInjector.fire_host_faults` because no per-operation hook
-exists at fleet scope.  Unarmed stacks never see the injector — the
-seams check ``fault_hook is not None`` and skip, so a run without a
-plan is byte-identical to a build without this package.
+Arming installs *hook closures* at each layer seam (``Rank.fault_hook``,
+``VUpmemBackend.fault_hook``, and the frontend's through the
+:class:`~repro.faults.retry.TransportRetry` it installs); hosts are
+polled via :meth:`FaultInjector.fire_host_faults`.  Unarmed stacks never
+see the injector — each seam checks ``fault_hook is not None``, so a
+run without a plan is byte-identical to a build without this package.
+A hook that raises marks the active trace itself.
 
 Firing is *pull-based*: a hook pops every pending event whose ``at`` is
 <= ``clock.now`` and whose target matches the calling instance.  Hooks
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from repro.errors import (
     TransportCorruptionError,
 )
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.hardware.timing import DEFAULT_COST_MODEL, CostModel
+from repro.faults.retry import (BACKEND_WATCHDOG_TIMEOUT,
+                                TRANSPORT_CORRUPTION_DETECT, TransportRetry)
+from repro.hardware.rank import RankHealth
 from repro.observability.instruments import FAULT, bind
 
 
@@ -64,11 +66,9 @@ class FaultInjector:
     targets require.
     """
 
-    def __init__(self, plan: FaultPlan, clock,
-                 registry=None, cost: Optional[CostModel] = None) -> None:
+    def __init__(self, plan: FaultPlan, clock, registry=None) -> None:
         self.plan = plan
         self.clock = clock
-        self.cost = cost or DEFAULT_COST_MODEL
         self.obs = bind(registry, FAULT) if registry is not None else None
         #: Events not yet fired, in schedule order.
         self.pending: List[FaultEvent] = list(plan.events)
@@ -102,8 +102,9 @@ class FaultInjector:
     def arm_vm(self, vm) -> None:
         """Install transport/backend hooks on every vUPMEM device."""
         for device in vm.devices:
-            device.frontend.fault_hook = self._make_transport_hook(
-                device.device_id)
+            device.frontend.fault_hook = TransportRetry(
+                vm.machine.metrics,
+                self._make_transport_hook(device.device_id))
             device.backend.fault_hook = self._make_backend_hook(
                 device.device_id)
             self._armed.append(device.frontend)
@@ -124,13 +125,17 @@ class FaultInjector:
 
     # -- event selection ---------------------------------------------------
 
-    def _pop_due(self, scope: str, instance: str,
-                 want=None) -> List[FaultEvent]:
+    def _pop_due(self, scope: str, instance: str, want=None,
+                 one: bool = False) -> List[FaultEvent]:
+        """Remove and return the events due at ``instance``; ``one``: at
+        most the first — for seams whose firing raises, so later events
+        stay pending for the caller's next attempt, not dropped."""
         now = self.clock.now
         due: List[FaultEvent] = []
         keep: List[FaultEvent] = []
         for event in self.pending:
-            if (event.at <= now and event.matches(scope, instance)
+            if ((not one or not due) and event.at <= now
+                    and event.matches(scope, instance)
                     and (want is None or want(event))):
                 due.append(event)
             else:
@@ -138,19 +143,6 @@ class FaultInjector:
         if due:
             self.pending = keep
         return due
-
-    def _pop_one(self, scope: str, instance: str,
-                 want=None) -> List[FaultEvent]:
-        """Like :meth:`_pop_due` but removes at most the first match —
-        for seams whose firing raises, so later events stay pending for
-        the caller's next attempt instead of being dropped mid-raise."""
-        now = self.clock.now
-        for i, event in enumerate(self.pending):
-            if (event.at <= now and event.matches(scope, instance)
-                    and (want is None or want(event))):
-                del self.pending[i]
-                return [event]
-        return []
 
     def _record(self, event: FaultEvent, target: str, **resolved) -> None:
         params = dict(event.params)
@@ -180,9 +172,10 @@ class FaultInjector:
             # firing one raises — so consume exactly one per launch;
             # queued repeats crash the *next* launches (or reruns).
             if op == "launch":
-                for event in self._pop_one(
+                for event in self._pop_due(
                         "rank", instance,
-                        lambda e: e.kind is FaultKind.DPU_KERNEL_FAULT):
+                        lambda e: e.kind is FaultKind.DPU_KERNEL_FAULT,
+                        one=True):
                     self._fire_rank_event(event, rank,
                                           manager or self.manager)
 
@@ -209,11 +202,13 @@ class FaultInjector:
             rank.obs.dpu_faults.inc()
             self._record(event, target, dpu=dpu_idx)
             self._detected(event.kind, "hardware")
+            # Flag the active trace in-flight (faulted traces bypass
+            # sampling); kernel faults fire only at a launch.
+            rank.spans.mark_fault("rank_launch_fault")
             raise DpuFaultError(
                 f"injected kernel fault on rank {rank.index} DPU {dpu_idx} "
                 f"at t={self.clock.now:.6f}s")
         elif event.kind is FaultKind.RANK_OFFLINE:
-            from repro.hardware.rank import RankHealth
             rank.health = RankHealth.OFFLINE
             self._record(event, target)
             self._detected(event.kind, "hardware")
@@ -221,7 +216,6 @@ class FaultInjector:
                 manager.mark_failed(rank.index)
             # Rank._guard raises RankOfflineError right after this hook.
         elif event.kind is FaultKind.RANK_DEGRADED:
-            from repro.hardware.rank import RankHealth
             factor = float(event.param("factor", 4.0))
             rank.health = RankHealth.DEGRADED
             rank.degradation = factor
@@ -245,16 +239,17 @@ class FaultInjector:
             # Consume at most ONE corruption per attempt: a plan with N
             # due corruption events corrupts N successive (re)tries, so
             # persistent corruption defeats a bounded retry budget.
-            for event in self._pop_one(
+            for event in self._pop_due(
                     "transport", device_id,
-                    lambda e: e.kind is FaultKind.TRANSPORT_CORRUPTION):
+                    lambda e: e.kind is FaultKind.TRANSPORT_CORRUPTION,
+                    one=True):
                 self._record(event, target)
                 # Any concurrent stall rides the corruption penalty so the
                 # retry path accounts for both in one place.
                 raise TransportCorruptionError(
                     f"virtio-pim message to {device_id} failed its "
                     f"integrity check at t={self.clock.now:.6f}s",
-                    penalty_s=self.cost.transport_corruption_detect + stall)
+                    penalty_s=TRANSPORT_CORRUPTION_DETECT + stall)
             return stall
 
         return hook
@@ -266,13 +261,14 @@ class FaultInjector:
             # One hang per attempt, for the same reason as corruption:
             # popping everything at once would silently drop the events
             # the raise below skips.
-            for event in self._pop_one("backend", device_id):
+            for event in self._pop_due("backend", device_id, one=True):
                 self._record(event, f"backend:{device_id}")
+                backend.spans.mark_fault("backend_fault")
                 raise BackendHungError(
                     f"backend worker for {device_id} hung at "
                     f"t={self.clock.now:.6f}s; watchdog fired after "
-                    f"{self.cost.backend_watchdog_timeout * 1e3:.1f}ms",
-                    penalty_s=self.cost.backend_watchdog_timeout)
+                    f"{BACKEND_WATCHDOG_TIMEOUT * 1e3:.1f}ms",
+                    penalty_s=BACKEND_WATCHDOG_TIMEOUT)
 
         return hook
 

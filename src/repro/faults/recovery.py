@@ -1,8 +1,8 @@
 """Recovery actions: what the stack does *after* a fault fires.
 
 Three mechanisms, stacked from cheap to expensive (transient transport
-retries live in the frontend itself — see
-:meth:`repro.virt.frontend.VUpmemFrontend._roundtrip`):
+retries come first, at the armed transport seam — see
+:class:`repro.faults.retry.TransportRetry`):
 
 - :func:`run_with_recovery` — re-run a whole session.  Applications in
   this repo are deterministic functions of their parameters, so a rerun
@@ -97,43 +97,34 @@ def run_with_recovery(session, app, max_attempts: int = 3,
     faults: List[str] = []
     first_failure_at: Optional[float] = None
     for attempt in range(1, max_attempts + 1):
+        error = None        # a failed attempt's frames die before a rerun
         try:
             report = session.run(app)
         except RECOVERABLE as exc:
-            kind = fault_kind_of(exc)
-            faults.append(kind)
-            obs.detected[kind, "session"].inc()
-            if spans is not None:
-                spans.mark_last_faulted(kind)
-            if first_failure_at is None:
-                first_failure_at = clock.now
-            if attempt >= max_attempts:
-                obs.sessions_lost.inc()
-                raise
-            obs.retries["session"].inc()
-            _pin_retry_trace(spans)
-            continue
-        if not report.verified and retry_on_corruption:
-            kind = "dpu_mram_bitflip"
-            faults.append(kind)
-            obs.detected[kind, "session"].inc()
-            if spans is not None:
-                spans.mark_last_faulted(kind)
-            if first_failure_at is None:
-                first_failure_at = clock.now
-            if attempt >= max_attempts:
-                obs.sessions_lost.inc()
+            error, kind = exc, fault_kind_of(exc)
+        else:
+            if report.verified or not retry_on_corruption:
+                if faults:
+                    obs.recovered[faults[-1], "rerun"].inc()
+                    obs.recovery_seconds[faults[-1]].observe(
+                        clock.now - first_failure_at)
                 return RecoveryReport(report=report, attempts=attempt,
-                                      faults=faults, recovered=False)
-            obs.retries["session"].inc()
-            _pin_retry_trace(spans)
-            continue
-        if faults:
-            obs.recovered[faults[-1], "rerun"].inc()
-            obs.recovery_seconds[faults[-1]].observe(
-                clock.now - first_failure_at)
-        return RecoveryReport(report=report, attempts=attempt,
-                              faults=faults, recovered=bool(faults))
+                                      faults=faults, recovered=bool(faults))
+            kind = "dpu_mram_bitflip"
+        faults.append(kind)
+        obs.detected[kind, "session"].inc()
+        if spans is not None:
+            spans.mark_last_faulted(kind)
+        if first_failure_at is None:
+            first_failure_at = clock.now
+        if attempt >= max_attempts:
+            obs.sessions_lost.inc()
+            if error is not None:
+                raise error
+            return RecoveryReport(report=report, attempts=attempt,
+                                  faults=faults, recovered=False)
+        obs.retries["session"].inc()
+        _pin_retry_trace(spans)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -191,10 +191,9 @@ class Rank:
         #: scales every guarded operation's duration (1.0 = nominal).
         self.health = RankHealth.OK
         self.degradation = 1.0
-        #: Fault-injection seam: when armed, called as ``hook(rank, op)``
-        #: before every guarded operation.  ``None`` (the default) keeps
-        #: the data path untouched, so a run without an injector is
-        #: byte-identical to one on a build without ``repro.faults``.
+        #: Fault seam: ``hook(rank, op)`` before every guarded operation
+        #: once :mod:`repro.faults` arms it; ``None`` keeps the paper's
+        #: path byte-identical to a build without that package.
         self.fault_hook = None
         #: Transfer operations and bytes by ``write``/``read``: what
         #: ``repro_rank_xfer_ops_total``/``_bytes_total`` read.
@@ -217,19 +216,12 @@ class Rank:
         """Fault seam + health gate for host-visible rank operations.
 
         ``op`` is one of ``write``/``read``/``launch``/``ci``.  The hook
-        may mutate state (bit flips, health changes) or raise; an
-        OFFLINE rank then refuses the operation.  ``reset`` is
-        deliberately unguarded so repair paths can always run.
+        may mutate state (bit flips, health changes) or mark the trace
+        and raise; an OFFLINE rank then refuses the operation.  ``reset``
+        is deliberately unguarded so repair paths can always run.
         """
         if self.fault_hook is not None:
-            try:
-                self.fault_hook(self, op)
-            except Exception:
-                # Flag the active trace in-flight: faulted traces bypass
-                # sampling, so the timeline of the failing request is
-                # always retained.
-                self.spans.mark_fault(f"rank_{op}_fault")
-                raise
+            self.fault_hook(self, op)
         if self.health is RankHealth.OFFLINE:
             self.spans.mark_fault("rank_offline")
             raise RankOfflineError(

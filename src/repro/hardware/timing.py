@@ -26,6 +26,8 @@ assertions in ``tests/analysis/test_paper_shapes.py`` check *shapes*
 This is the paper's model only.  Cross-VM bus sharing (the opt-in QoS
 extension) lives in ``repro.qos.arbiter`` and reads
 ``parallel_contention`` from here; no constant below belongs to it.
+The costs of detecting and retrying an injected fault live with the
+retry policy in ``repro.faults.retry``.
 """
 
 from __future__ import annotations
@@ -161,16 +163,6 @@ class CostModel:
     manager_retry_timeout: float = 100e-3
     #: Upper bound on one manager retry backoff interval.
     manager_retry_max: float = 1.6
-
-    # -- Fault detection / recovery -------------------------------------------
-    #: Frontend retry backoff base after a transient transport fault:
-    #: attempt N adds ``transport_retry_backoff * 2**(N-1)`` of wait.
-    transport_retry_backoff: float = 200e-6
-    #: Modeled integrity-check latency paid to detect a corrupted
-    #: virtio-pim message before it is re-sent.
-    transport_corruption_detect: float = 50e-6
-    #: Watchdog timeout that detects a hung backend worker.
-    backend_watchdog_timeout: float = 5e-3
 
     # -- VM lifecycle -------------------------------------------------------------
     #: Extra boot time contributed by one vUPMEM device (Section 3.2: <=2 ms).
@@ -368,11 +360,6 @@ class CostModel:
         pages = sum(self.pages_of(size) for size in entry_sizes)
         return (pages * self.digest_per_page
                 + len(entry_sizes) * self.cache_lookup_cost)
-
-    def retry_backoff_time(self, attempt: int) -> float:
-        """Frontend wait before re-sending after transient transport
-        fault number ``attempt`` (1-based): exponential backoff."""
-        return self.transport_retry_backoff * 2 ** (attempt - 1)
 
     def contended_makespan(self, jobs: Sequence[Tuple[float, float]],
                            contention: Optional[float] = None) -> float:

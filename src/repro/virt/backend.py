@@ -160,7 +160,7 @@ class VUpmemBackend:
         #: Fault-injection seam (armed by :mod:`repro.faults`): when set,
         #: called as ``hook(backend)`` before any request work — a hung
         #: worker raises :class:`~repro.errors.BackendHungError` here,
-        #: before side effects, so the frontend's retry is idempotent.
+        #: after the kick, before side effects: a retry is idempotent.
         self.fault_hook = None
         #: Trace context; shares the machine recorder when built by
         #: :class:`~repro.virt.firecracker.Firecracker`, making each
@@ -230,11 +230,7 @@ class VUpmemBackend:
         modeled deserialize time is still charged in full.
         """
         if self.fault_hook is not None:
-            try:
-                self.fault_hook(self)
-            except Exception:
-                self.spans.mark_fault("backend_fault")
-                raise
+            self.fault_hook(self)
         if plan is not None:
             header, entries, skips = plan.header, plan.entries, plan.skips
         else:

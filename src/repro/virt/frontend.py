@@ -216,41 +216,27 @@ class VUpmemFrontend:
         self.plans = PlanCache(memory, series={
             "hits": obs.plan_hits, "misses": obs.plan_misses,
             "evictions": obs.plan_evictions})
-        self.fault_obs = bind(registry, FAULT)
+        bind(registry, FAULT)   # every VM run exports the fault families
         #: Span ids of batched-write copies awaiting a flush; the flush
         #: span links them so the absorbed writes stay attributable.
         self._batch_span_ids: List[int] = []
         #: Simulated start of the most recent request span (feeds the
         #: profiler's tracer with true event starts).
         self._last_request_start: Optional[float] = None
-        #: Fault-injection seam (armed by :mod:`repro.faults`): when set,
-        #: called as ``hook(frontend)`` before each transferq roundtrip —
-        #: returns a stall duration to add and may raise a
-        #: :class:`TransientFaultError`.  ``None`` keeps the path exact.
+        #: Transport fault seam, ``None`` on the paper's path.  Armed by
+        #: :mod:`repro.faults` (a ``TransportRetry``), it sends each
+        #: request as ``hook(frontend, span, send)``: retries ``send()``,
+        #: closes the span, returns the result and duration.
         self.fault_hook = None
-        #: Bounded retry budget for transient transport faults.
-        self.max_transport_retries = 3
 
     # -- core message path --------------------------------------------------
 
     def _roundtrip(self, header: RequestHeader, op: Optional[str] = None,
                    **request) -> Tuple[BackendResult, float]:
         """Send one request (``request``: :meth:`_roundtrip_once`'s
-        keywords), retrying on transient transport faults.
-
-        Bounded retry with exponential backoff: each retry re-sends the
-        identical request, which is safe because a transient fault fires
-        before the backend performs any work.  Detection latency, stall
-        time and backoff all ride the returned duration — hooks never
-        advance the clock, so time stays single-writer.  With the retry
-        budget exhausted the prefetch cache is dropped (its lines may
-        reflect state the failed exchange was about to change) and the
-        fault propagates.
-
-        ``op`` tags the request span with the driver-centric operation
-        kind it accounts for (``W-rank``/``R-rank``), so span-derived
-        breakdowns match :meth:`Profiler.op_stats` exactly.
-        """
+        keywords) in a ``frontend.request`` span; ``op`` (``W-rank``/
+        ``R-rank``) tags it so that span-derived breakdowns match
+        :meth:`Profiler.op_stats` exactly."""
         kind = KIND_LABEL[header.kind]
         if op is None:
             span = self.spans.begin("frontend.request", "frontend",
@@ -259,39 +245,18 @@ class VUpmemFrontend:
             span = self.spans.begin("frontend.request", "frontend",
                                     kind=kind, device=self.device_id, op=op)
         self._last_request_start = span.start
-        penalty = 0.0
-        attempts = 0
+        if self.fault_hook is not None:
+            return self.fault_hook(
+                self, span, lambda: self._roundtrip_once(header, **request))
         try:
-            while True:
-                try:
-                    if self.fault_hook is not None:
-                        penalty += self.fault_hook(self)
-                    result, duration = self._roundtrip_once(
-                        header, **request)
-                except TransientFaultError as exc:
-                    attempts += 1
-                    penalty += exc.penalty_s
-                    self.fault_obs.detected[exc.kind, "frontend"].inc()
-                    self.spans.mark_fault(exc.kind)
-                    self.spans.log.emit(
-                        "transient_fault", "frontend", kind=exc.kind,
-                        attempt=attempts, device=self.device_id)
-                    if attempts > self.max_transport_retries:
-                        self.invalidate("retry_exhausted")
-                        raise
-                    self.fault_obs.retries["frontend"].inc()
-                    penalty += self.cost.retry_backoff_time(attempts)
-                    continue
-                if attempts:
-                    self.fault_obs.recovered["transient", "retry"].inc()
-                total = duration + penalty
-                self.spans.end(span, duration=total, retries=attempts)
-                return result, total
+            result, duration = self._roundtrip_once(header, **request)
         except BaseException:
             # Close the request span on the error path too, so one failed
             # exchange cannot leave a dangling parent for later requests.
-            self.spans.end(span, duration=penalty, error=True)
+            self.spans.end(span, duration=0.0, error=True)
             raise
+        self.spans.end(span, duration=duration, retries=0)
+        return result, duration
 
     def _roundtrip_once(self, header: RequestHeader,
                         matrix: Optional[TransferMatrix] = None,
@@ -335,29 +300,29 @@ class VUpmemFrontend:
         # error status), so the queue never wedges.
         request_id, depth = transferq.submit(chain)
         obs.queue_depth["transferq"].set(depth)
-        self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
-        self.kvm.trap()
-        spans.event("virtio.kick", "virtio", steps["Int"], queue="transferq")
-        if self.qos is not None:
-            # Cross-VM scheduling: token-bucket throttles plus the event
-            # loop's modeled queueing delay before this kick is served.
-            payload = matrix.total_bytes if matrix is not None else 0
-            steps["QoS"] = self.qos.on_kick(kind, payload,
-                                            self.profiler.clock.now)
-
-        pager = getattr(self.backend.driver, "pager", None)
-        if pager is not None and self.backend.mapping is not None:
-            vrank = self.backend.mapping.rank_index
-            if pager.is_virtual(vrank):
-                # Predictive swap-in (docs/paging.md): the request is
-                # already queued, so the pager can overlap the swap with
-                # the dispatch window (interrupt + QoS queueing delay)
-                # instead of stalling the backend on a demand fault.
-                pager.prefault(vrank, overlap=steps["Int"] + steps["QoS"])
-
-        if bound:
-            self.memory.bind(bound, [e.data for e in matrix.entries])
         try:
+            self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
+            self.kvm.trap()
+            spans.event("virtio.kick", "virtio", steps["Int"],
+                        queue="transferq")
+            if self.qos is not None:
+                # Cross-VM scheduling: token-bucket throttles plus the
+                # event loop's modeled queueing delay before the kick.
+                payload = matrix.total_bytes if matrix is not None else 0
+                steps["QoS"] = self.qos.on_kick(kind, payload,
+                                                self.profiler.clock.now)
+            pager = getattr(self.backend.driver, "pager", None)
+            if pager is not None and self.backend.mapping is not None:
+                vrank = self.backend.mapping.rank_index
+                if pager.is_virtual(vrank):
+                    # Predictive swap-in (docs/paging.md): the request is
+                    # already queued, so the pager overlaps the swap with
+                    # the dispatch window (interrupt + QoS queueing
+                    # delay) instead of a demand fault in the backend.
+                    pager.prefault(vrank,
+                                   overlap=steps["Int"] + steps["QoS"])
+            if bound:
+                self.memory.bind(bound, [e.data for e in matrix.entries])
             result = self.backend.process(chain, program=program,
                                           batch_records=batch_records,
                                           plan=plan, matrix=matrix)
@@ -369,6 +334,7 @@ class VUpmemFrontend:
             # Completion and every abort alike: a binding left behind
             # would keep the caller's buffers alive and shadow the window.
             self.memory.unbind(bound)
+            obs.queue_depth["transferq"].set(depth - 1)
         steps["Backend"] = result.duration
 
         self.kvm.inject_irq()
@@ -377,7 +343,6 @@ class VUpmemFrontend:
         self.mmio.write(_INTERRUPT_ACK, 1)
         spans.event("virtio.irq", "virtio", steps["Irq"], queue="transferq")
 
-        obs.queue_depth["transferq"].set(depth - 1)
         self.profiler.messages.count_request()
         duration = self.cost.total(steps)
         obs.requests[kind].inc()

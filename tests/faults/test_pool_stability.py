@@ -22,6 +22,7 @@ import pytest
 from repro.apps.prim.va import VectorAdd
 from repro.errors import DpuFaultError, TransportCorruptionError
 from repro.faults import FaultKind, run_with_recovery
+from repro.faults.retry import MAX_TRANSPORT_RETRIES
 
 from tests.faults.conftest import schedule
 
@@ -51,8 +52,7 @@ class TestPoolQuiescence:
     def test_transport_corruption_aborts_release_loans(self, armed):
         """Exhausted retries abort mid-transfer — the hot abort path."""
         vpim, injector, session = armed
-        frontend = session.vm.devices[0].frontend
-        for _ in range(frontend.max_transport_retries + 1):
+        for _ in range(MAX_TRANSPORT_RETRIES + 1):
             schedule(injector, 0.0, FaultKind.TRANSPORT_CORRUPTION,
                      "transport:*")
         with pytest.raises(TransportCorruptionError):

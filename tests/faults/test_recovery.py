@@ -25,6 +25,12 @@ from repro.faults import (
     fault_kind_of,
     run_with_recovery,
 )
+from repro.faults.retry import (
+    MAX_TRANSPORT_RETRIES,
+    TRANSPORT_RETRY_BACKOFF,
+    TransportRetry,
+    retry_backoff_time,
+)
 from repro.hardware.rank import RankHealth
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
@@ -121,8 +127,8 @@ class TestFrontendRetryExhaustion:
         prefetched lines behind — the next read re-fetches."""
         vpim, injector, session = armed
         frontend = session.vm.devices[0].frontend
-        # One more corruption than the frontend's retry budget.
-        for _ in range(frontend.max_transport_retries + 1):
+        # One more corruption than the transport's retry budget.
+        for _ in range(MAX_TRANSPORT_RETRIES + 1):
             schedule(injector, 0.0, FaultKind.TRANSPORT_CORRUPTION,
                      "transport:*")
         with pytest.raises(TransportCorruptionError):
@@ -141,6 +147,10 @@ class TestFrontendRetryExhaustion:
         assert report.verified
         assert vpim.machine.metrics.value(
             "repro_fault_retries_total", layer="frontend") == 2
+
+    def test_retry_backoff_doubles_per_attempt(self):
+        assert retry_backoff_time(1) == TRANSPORT_RETRY_BACKOFF
+        assert retry_backoff_time(3) == 4 * TRANSPORT_RETRY_BACKOFF
 
 
 class TestManagerQuarantine:
@@ -269,6 +279,18 @@ class TestBoundRequestAborts:
             return 0.0
         return hook
 
+    @staticmethod
+    def _arm(vpim, device, seam, hook):
+        """Put ``hook`` at ``seam`` (``frontend``: before each send), with
+        the transport's retry policy in front of the backend."""
+        if seam == "frontend":
+            device.frontend.fault_hook = TransportRetry(vpim.machine.metrics,
+                                                        hook)
+        else:
+            device.frontend.fault_hook = TransportRetry(
+                vpim.machine.metrics, lambda _frontend: 0.0)
+            device.backend.fault_hook = hook
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("seam", ["frontend", "backend"])
     def test_retried_requests_move_the_callers_bytes(self, chaos_vpim,
@@ -278,15 +300,14 @@ class TestBoundRequestAborts:
         error = TransientFaultError if seam == "frontend" else BackendHungError
         fresh = self._data(k)
 
-        setattr(getattr(device, seam), "fault_hook", self._failing(k, error))
+        self._arm(chaos_vpim, device, seam, self._failing(k, error))
         dpus.push_to_mram(0, fresh)
         assert memory.nr_bound == 0
         for dpu, want in zip(device.backend.mapping.rank.dpus, fresh):
             assert np.array_equal(dpu.mram.read(0, self.SIZE), want)
 
         seen = []
-        setattr(getattr(device, seam), "fault_hook",
-                self._failing(k, error, seen))
+        self._arm(chaos_vpim, device, seam, self._failing(k, error, seen))
         rows = dpus.push_from_mram(0, self.SIZE)
         assert memory.nr_bound == 0
         assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
@@ -317,8 +338,9 @@ class TestBoundRequestAborts:
     def test_exhausted_retries_leave_nothing_bound(self, chaos_vpim):
         dpus, device = self._warm(chaos_vpim)
         frontend = device.frontend
-        k = frontend.max_transport_retries + 1
-        device.backend.fault_hook = self._failing(k, BackendHungError)
+        k = MAX_TRANSPORT_RETRIES + 1
+        self._arm(chaos_vpim, device, "backend",
+                  self._failing(k, BackendHungError))
         with pytest.raises(BackendHungError):
             dpus.push_to_mram(0, self._data(1))
         assert frontend.memory.nr_bound == 0

@@ -344,8 +344,7 @@ class TestControlAndLocalPaths:
         _, got = vm.frontend.read(uniform_read(MRAM_HEAP_SYMBOL, 0, 100, 1))
         assert got.hex() == COST.guest_copy_time(100, 1).hex()
 
-    def test_launch_poll_and_retry_backoff(self):
+    def test_launch_poll(self):
         vm = Vm()
         penalty = vm.session.transport.launch_poll_penalty(1e-3, 100e-6)
         assert penalty.hex() == COST.launch_poll_time(10).hex()
-        assert COST.retry_backoff_time(3) == 4 * COST.transport_retry_backoff

@@ -164,7 +164,7 @@ def test_transport_corruption_error_carries_penalty():
     frontend = session.vm.devices[0].frontend
     with pytest.raises(errors.TransportCorruptionError,
                        match="integrity") as info:
-        frontend.fault_hook(frontend)
+        frontend.fault_hook.before_send(frontend)
     assert info.value.penalty_s > 0
     assert info.value.kind == "transport_corruption"
 

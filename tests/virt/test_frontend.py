@@ -218,3 +218,31 @@ def test_device_config_populated_after_init():
         pass
     assert frontend.device_config is not None
     assert frontend.device_config["frequency_hz"] == 350_000_000
+
+
+def test_failed_request_drops_the_transferq_depth_gauge():
+    """A request the backend refuses still leaves the transferq: its
+    depth gauge must read what the queue holds, not the kick's depth."""
+    from repro.errors import RankOfflineError
+    from repro.hardware.rank import RankHealth
+    from repro.sdk.dpu_set import DpuSet
+    vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
+    session = vpim.vm_session(nr_vupmem=1)
+    device = session.vm.devices[0]
+    transferq = device.frontend.queues.transferq
+
+    def depth():
+        return vpim.machine.metrics.value(
+            "repro_virtio_queue_depth", device=device.device_id,
+            queue="transferq", vm=session.vm.vm_id)
+
+    buf = np.zeros(2 * PAGE_SIZE, dtype=np.uint8)
+    with DpuSet(session.transport, 4) as dpus:
+        dpus.copy_to_mram(0, 0, buf)
+        assert depth() == 0
+        device.backend.mapping.rank.health = RankHealth.OFFLINE
+        with pytest.raises(RankOfflineError):
+            dpus.copy_to_mram(0, 0, buf)
+        assert not transferq._avail
+        assert depth() == 0
+        device.backend.mapping.rank.health = RankHealth.OK

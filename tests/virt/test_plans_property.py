@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.core import VPim
 from repro.errors import BackendHungError, TranslationError
+from repro.faults.retry import TransportRetry
 from repro.hardware.memory import EXTENT_BYTES
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import (
@@ -518,6 +519,8 @@ def _drive_requests(shapes, order, seed, fault_at, capacity):
     reads = []
     with DpuSet(session.transport, 8) as dpus:
         for device in devices:
+            device.frontend.fault_hook = TransportRetry(
+                vpim.machine.metrics, lambda _frontend: 0.0)
             device.backend.fault_hook = hang_once
             device.frontend.plans.capacity = capacity
         t0 = vpim.machine.clock.now

@@ -18,6 +18,7 @@ from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.core import VPim
 from repro.errors import SerializationError, TransientFaultError
 from repro.faults import failover_device
+from repro.faults.retry import TransportRetry
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.frontend import SMALL_WRITE_BYTES
 from repro.virt.opts import OptimizationConfig
@@ -300,7 +301,8 @@ class TestInvalidation:
             def always_fault(_frontend):
                 raise TransientFaultError("injected", penalty_s=1e-6)
 
-            frontend.fault_hook = always_fault
+            frontend.fault_hook = TransportRetry(vpim.machine.metrics,
+                                                 always_fault)
             with pytest.raises(TransientFaultError):
                 dpus.copy_to_mram(0, PAGE_SIZE * 4, buf)
             frontend.fault_hook = None
