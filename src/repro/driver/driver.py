@@ -163,8 +163,8 @@ class PerfModeMapping:
     def rank_index(self) -> int:
         """The index this mapping was created for.
 
-        For a paged mapping this is the *virtual* index and never
-        faults; use it (not ``.rank.index``) for labels and scans.
+        For a tier's mapping this is the tier's index, read without
+        doing work; use it (not ``.rank.index``) for labels and scans.
         """
         return self.rank.index
 
@@ -232,27 +232,28 @@ class UpmemDriver:
         self.machine = machine
         self.sysfs = sysfs or SysFs()
         self._owners: Dict[int, str] = {}
-        #: Optional pool of software ranks (oversubscription, Section 7).
-        self.emulated_pool = None
-        #: Optional rank pager (demand paging, docs/paging.md): set by
-        #: the Manager when a PagingConfig is configured.  Virtual rank
-        #: indices (>= PAGED_RANK_BASE) resolve through it.
-        self.pager = None
+        #: Oversubscription tiers (Section 7), registered by the manager:
+        #: each owns the indices beyond the physical ranks it hands out.
+        self.tiers: List = []
         for rank in machine.ranks:
             self.sysfs.set_rank_status(rank.index, busy=False)
 
-    def resolve_rank(self, rank_index: int) -> Rank:
-        """Find a rank by index: physical, emulated, or paged.
+    def tier_of(self, rank_index: int):
+        """The tier that owns ``rank_index``; None for a physical rank."""
+        for tier in self.tiers:
+            if tier.owns(rank_index):
+                return tier
+        return None
 
-        Resolving a swapped-out virtual rank faults it in (the pager
-        advances the clock by the modeled swap-in cost).
+    def resolve_rank(self, rank_index: int) -> Rank:
+        """Find a rank by index: physical, or through its owning tier.
+
+        A tier may do modeled work to resolve an index: a swapped-out
+        virtual rank is faulted in, advancing the clock by the swap-in.
         """
-        if self.pager is not None and self.pager.is_virtual(rank_index):
-            return self.pager.resolve(rank_index)
-        if self.emulated_pool is not None:
-            rank = self.emulated_pool.get(rank_index)
-            if rank is not None:
-                return rank
+        tier = self.tier_of(rank_index)
+        if tier is not None:
+            return tier.resolve(rank_index)
         return self.machine.rank(rank_index)
 
     @property
@@ -291,13 +292,9 @@ class UpmemDriver:
     # -- performance mode ---------------------------------------------------------
 
     def mmap_rank(self, rank_index: int, owner: str) -> PerfModeMapping:
-        if self.pager is not None and self.pager.is_virtual(rank_index):
-            # Claim marks sysfs busy (and faults the vrank in — the
-            # first bind happens at map time); the mapping itself stays
-            # frame-agnostic and re-resolves on every operation.
-            from repro.paging.pager import PagedRankMapping
-            self.claim_rank(rank_index, owner)
-            return PagedRankMapping(self, self.pager, rank_index, owner)
+        tier = self.tier_of(rank_index)
+        if tier is not None:
+            return tier.mmap(self, rank_index, owner)
         rank = self.claim_rank(rank_index, owner)
         return PerfModeMapping(self, rank, owner)
 

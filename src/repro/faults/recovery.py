@@ -162,7 +162,8 @@ def failover_device(device, manager,
                     ) -> Tuple[int, str]:
     """Re-home a device whose backing rank failed.
 
-    FAIL-lists the dead rank, unlinks (sysfs-only — safe on dead
+    FAIL-lists the dead rank (for a tier's index, the rank bound to it,
+    found without faulting anything in), unlinks (sysfs-only — safe on dead
     hardware), allocates a replacement, and replays the device's last
     checkpoint onto it when ``store`` has one.  Returns the replacement
     rank index and the action taken (``"restore"`` or ``"relink"``).
@@ -173,7 +174,7 @@ def failover_device(device, manager,
     mapping = device.backend.mapping
     if mapping is None:
         raise ManagerError(f"device {device.device_id} is not linked")
-    manager.mark_failed(mapping.rank.index)
+    manager.mark_failed(mapping.rank_index)
     device.backend.unlink()
     replacement = manager.allocate(device.device_id)
     device.backend.link_rank(replacement)

@@ -17,8 +17,12 @@ bandwidth plus a fixed per-fault overhead, so swap time is never folded
 into — or double-counted against — the rank operation that triggered
 the fault.
 
-Frames come from the Manager's ordinary NAAV pool (claimed under the
-``"pager"`` owner, so sysfs/observer bookkeeping sees them as busy) and
+The pager is the manager's oversubscription tier ahead of the physical
+ladder (:mod:`repro.virt.manager`); it owns every index from
+:data:`PAGED_RANK_BASE` up.
+
+Frames come from the Manager's ordinary NAAV pool (claimed under
+:data:`PAGER_OWNER`, so sysfs/observer bookkeeping sees them as busy) and
 go back through a normal release — i.e. through the full isolation
 reset — once the pager holds more frames than it has virtual ranks.
 *Between* pager tenants a frame skips that 597 ms reset: restoring a
@@ -43,6 +47,7 @@ from repro.observability.metrics import Counts
 from repro.paging.config import PagingConfig
 from repro.paging.eviction import make_policy
 from repro.paging.store import SwapStore
+from repro.virt.manager import RankState
 from repro.virt.migration import checkpoint_rank, restore_rank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,25 +65,17 @@ PAGER_OWNER = "pager"
 class _VRankEntry:
     """Pager-side state of one virtual rank."""
 
-    owner: str
     frame: Optional[int] = None      #: bound physical rank, or swapped out
     has_state: bool = False          #: a checkpoint exists in the store
     pinned: bool = False
     weight: float = 1.0
 
 
-@dataclass
-class PagerStats:
-    """Cumulative pager counters no metric mirrors; the ``repro_paging_*``
-    counters read :attr:`RankPager.faults` and :attr:`RankPager.counts`."""
-
-    swap_seconds: float = 0.0
-    frames_acquired: int = 0
-    frames_returned: int = 0
-
-
 class RankPager:
     """Demand-pages virtual ranks onto the host's physical frames."""
+
+    #: Tier interface: allocation outcome label; tried before the ladder.
+    OUTCOME, LAST_RESORT = "paged", False
 
     def __init__(self, manager: "Manager", config: PagingConfig) -> None:
         self.manager = manager
@@ -88,7 +85,9 @@ class RankPager:
         self.config = config
         self.policy = make_policy(config.policy,
                                   half_life_s=config.wss_half_life_s)
-        self.stats = PagerStats()
+        #: Fresh NAAV frames claimed from the manager (no metric mirrors
+        #: it; the ``repro_paging_*`` counters read faults and counts).
+        self.frames_acquired = 0
         self.obs = obs = bind(self.machine.metrics, PAGING,
                               policy=config.policy)
         #: Faults by kind; evictions (each one a swap-out), bytes swapped
@@ -116,7 +115,7 @@ class RankPager:
         return len(self._vranks) < self.virtual_capacity
 
     @staticmethod
-    def is_virtual(rank_index: int) -> bool:
+    def owns(rank_index: int) -> bool:
         return rank_index >= PAGED_RANK_BASE
 
     @property
@@ -129,15 +128,16 @@ class RankPager:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def create(self, owner: str) -> int:
-        """Allot a new virtual rank (no frame bound until first touch)."""
+    def create(self, owner: str, weight: float = 1.0) -> int:
+        """Allot a new virtual rank (no frame bound until first touch);
+        ``weight`` is the owner's QoS weight (heavier = evicted later)."""
         if not self.has_capacity():
             raise ManagerError(
                 f"pager at virtual capacity ({self.virtual_capacity} vranks "
                 f"over {self.machine.nr_ranks} frames)")
         vrank = self._next_index
         self._next_index += 1
-        self._vranks[vrank] = _VRankEntry(owner=owner)
+        self._vranks[vrank] = _VRankEntry(weight=max(float(weight), 0.0))
         self.policy.touch(vrank, self.clock.now)
         self._refresh_gauges()
         return vrank
@@ -153,14 +153,15 @@ class RankPager:
         the paper's NANA fast path, and the reason paged re-allocation
         beats the ladder's reset-wait step.  :meth:`drain` hands sticky
         frames back to the Manager (through the full isolation reset)
-        when the host needs them for non-pager consumers.
+        when the host needs them for non-pager consumers.  A frame the
+        manager FAIL-listed is not kept.
         """
         entry = self._vranks.pop(vrank, None)
         if entry is None:
             return
         self.policy.forget(vrank)
         self.store.drop(vrank)
-        if entry.frame is not None:
+        if entry.frame is not None and not self._drop_failed(entry.frame):
             self._free_frames.append(entry.frame)
             self._dirty_frames.add(entry.frame)
         self._refresh_gauges()
@@ -176,8 +177,7 @@ class RankPager:
         while self._free_frames:
             frame = self._free_frames.pop()
             self._dirty_frames.discard(frame)
-            self.manager.return_frame(frame)
-            self.stats.frames_returned += 1
+            self.manager.driver.release_rank(frame, PAGER_OWNER)
             returned += 1
         self._refresh_gauges()
         return returned
@@ -196,6 +196,13 @@ class RankPager:
         if entry.frame is None:
             self._fault_in(vrank, kind="demand")
         return self.machine.rank(entry.frame)
+
+    def mmap(self, driver: UpmemDriver, vrank: int,
+             owner: str) -> "PagedRankMapping":
+        """Claim (the first bind happens here) and map ``vrank``; the
+        mapping re-resolves its frame on every operation."""
+        driver.claim_rank(vrank, owner)
+        return PagedRankMapping(driver, self, vrank, owner)
 
     def resident_rank(self, vrank: int) -> Optional[Rank]:
         """Non-faulting peek: the bound rank, or None if swapped out."""
@@ -224,13 +231,6 @@ class RankPager:
         if entry.frame is None:
             self._fault_in(vrank, kind="demand")
         entry.pinned = True
-
-    def unpin(self, vrank: int) -> None:
-        self._require(vrank).pinned = False
-
-    def set_weight(self, vrank: int, weight: float) -> None:
-        """QoS weight for victim selection (heavier = evicted later)."""
-        self._require(vrank).weight = max(float(weight), 0.0)
 
     # -- the fault path -----------------------------------------------------
 
@@ -264,7 +264,6 @@ class RankPager:
             if hidden > 0:
                 self.counts["prefault_overlap_s"] += hidden
             self.clock.advance(charged)
-            self.stats.swap_seconds += charged
             if entry.has_state:
                 self.obs.swaps_in.inc()
                 self.counts["swap_in_bytes"] += checkpoint.nr_bytes
@@ -288,7 +287,6 @@ class RankPager:
             checkpoint, duration = checkpoint_rank(rank)
             self.clock.advance(duration)
             self.store.put(vrank, checkpoint)
-            self.stats.swap_seconds += duration
             self.counts["swap_out_bytes"] += checkpoint.nr_bytes
             self.counts["evictions"] += 1
             self.obs.swap_seconds_out.observe(
@@ -301,19 +299,21 @@ class RankPager:
 
     def _grab_frame(self, exclude: int) -> int:
         """A physical frame to bind: free > fresh NAAV > evict > wait."""
-        if self._free_frames:
-            return self._free_frames.pop()
-        frame = self.manager.acquire_frame(wait=False)
+        while self._free_frames:
+            frame = self._free_frames.pop()
+            if not self._drop_failed(frame):
+                return frame
+        frame = self.manager.acquire_frame(PAGER_OWNER, wait=False)
         if frame is not None:
-            self.stats.frames_acquired += 1
+            self.frames_acquired += 1
             return frame
         victim = self._pick_victim(exclude)
         if victim is not None:
             self._swap_out(victim)
-            return self._free_frames.pop()
-        frame = self.manager.acquire_frame(wait=True)
+            return self._grab_frame(exclude)
+        frame = self.manager.acquire_frame(PAGER_OWNER, wait=True)
         if frame is not None:
-            self.stats.frames_acquired += 1
+            self.frames_acquired += 1
             return frame
         raise ManagerError(
             f"pager cannot bind vrank {exclude}: no free frame and every "
@@ -332,6 +332,16 @@ class RankPager:
                                   lambda v: self._vranks[v].weight)
 
     # -- helpers ------------------------------------------------------------
+
+    def _drop_failed(self, frame: int) -> bool:
+        """Release ``frame`` if the manager FAIL-listed it; True if so.
+        The observer ignores that release, so only ``Manager.repair``
+        returns the frame to the pool (through NANA)."""
+        if self.manager.rank_table[frame].state is not RankState.FAIL:
+            return False
+        self._dirty_frames.discard(frame)
+        self.manager.driver.release_rank(frame, PAGER_OWNER)
+        return True
 
     def _require(self, vrank: int) -> _VRankEntry:
         entry = self._vranks.get(vrank)
@@ -354,7 +364,8 @@ class PagedRankMapping(PerfModeMapping):
     back in exactly at the operation boundary — transparently to the
     backend, which still sees the plain :class:`PerfModeMapping` API.
     ``rank_index``/``peek_rank`` never fault, so metric labels and
-    consolidator scans cannot cause paging traffic.
+    consolidator scans cannot cause paging traffic.  :meth:`prefault`
+    is the frontend's hint that a request for the rank is queued.
     """
 
     def __init__(self, driver: UpmemDriver, pager: RankPager, vrank: int,
@@ -379,3 +390,6 @@ class PagedRankMapping(PerfModeMapping):
 
     def peek_rank(self) -> Optional[Rank]:
         return self._pager.resident_rank(self.vrank)
+
+    def prefault(self, overlap: float) -> None:
+        self._pager.prefault(self.vrank, overlap=overlap)

@@ -26,7 +26,6 @@ from repro.virt.manager import Manager, RankState
 from repro.virt.firecracker import Firecracker, VmConfig
 from repro.virt.transport import VirtTransport
 from repro.virt.api_server import ApiServer
-from repro.virt.emulation import EmulatedRankPool
 from repro.virt.migration import (
     checkpoint_rank,
     consolidate,
@@ -43,7 +42,6 @@ __all__ = [
     "VmConfig",
     "VirtTransport",
     "ApiServer",
-    "EmulatedRankPool",
     "checkpoint_rank",
     "restore_rank",
     "migrate_device",

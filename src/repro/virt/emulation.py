@@ -15,21 +15,20 @@ bit-exact, only the simulated timing degrades.  Emulated ranks get
 indices starting at :data:`EMULATED_RANK_BASE` so reports can tell them
 apart, and they are destroyed when released (nothing to reset).
 
-Since demand paging landed (``repro.paging``, ``docs/paging.md``),
-emulation is the *last resort* in the oversubscription ladder, not the
-first: a Manager configured with both tiers satisfies overflow
-allocations from the pager's virtual capacity first (full-speed paged
-ranks, swap cost only at launch/transfer boundaries) and only falls
-back to a 20x-derated emulated rank once the pager's virtual capacity
-is itself exhausted.  ``Manager(oversubscription=True)`` alone keeps
-the historical behaviour.
+The pool is one of the manager's two oversubscription *tiers* (see
+:mod:`repro.virt.manager`): it owns the indices it created, and the
+manager tries it last, after the physical ladder and before backoff.
+With demand paging also on (``repro.paging``, ``docs/paging.md``), the
+pager's full-speed virtual ranks go first and a 20x-derated emulated
+rank is handed out only once the pager's virtual capacity is exhausted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.config import RankConfig
+from repro.driver.driver import PerfModeMapping, UpmemDriver
 from repro.errors import HardwareError
 from repro.hardware.machine import Machine
 from repro.hardware.rank import Rank
@@ -65,6 +64,9 @@ class EmulatedRankPool:
     """Creates and tracks software ranks on one machine (§7's rank
     oversubscription extension, implemented)."""
 
+    #: Tier interface: allocation outcome label; tried after the ladder.
+    OUTCOME, LAST_RESORT = "emulated", True
+
     def __init__(self, machine: Machine,
                  slowdown: float = DEFAULT_SLOWDOWN,
                  max_ranks: int = 8) -> None:
@@ -78,35 +80,42 @@ class EmulatedRankPool:
     def active(self) -> int:
         return len(self._ranks)
 
-    def create(self, dpus_per_rank: Optional[int] = None) -> Rank:
+    def has_capacity(self) -> bool:
+        return len(self._ranks) < self.max_ranks
+
+    def owns(self, rank_index: int) -> bool:
+        return rank_index in self._ranks
+
+    def create(self, requester: str = "", weight: float = 1.0) -> int:
         """Spin up a new emulated rank; raises when the pool is full.
 
-        By default it mirrors the machine's physical rank geometry, so a
-        spilled tenant sees the same DPU population it would have gotten
-        on hardware.
+        It mirrors the machine's physical rank geometry, so a spilled
+        tenant sees the same DPU population it would have gotten on
+        hardware.  Nothing is shared, so ``weight`` steers nothing.
         """
-        if len(self._ranks) >= self.max_ranks:
+        if not self.has_capacity():
             raise HardwareError(
                 f"emulated-rank pool exhausted ({self.max_ranks} active); "
                 "raise max_ranks or wait for releases"
             )
-        if dpus_per_rank is None:
-            dpus_per_rank = max(r.nr_dpus for r in self.machine.ranks)
         index = self._next_index
         self._next_index += 1
-        rank = Rank(RankConfig(index, dpus_per_rank),
-                    emulated_cost_model(self.machine.cost, self.slowdown),
-                    metrics=self.machine.metrics, spans=self.machine.spans)
-        self._ranks[index] = rank
-        return rank
+        self._ranks[index] = Rank(
+            RankConfig(index, max(r.nr_dpus for r in self.machine.ranks)),
+            emulated_cost_model(self.machine.cost, self.slowdown),
+            metrics=self.machine.metrics, spans=self.machine.spans)
+        return index
 
-    def get(self, index: int) -> Optional[Rank]:
-        return self._ranks.get(index)
+    def resolve(self, rank_index: int) -> Rank:
+        return self._ranks[rank_index]
 
-    def destroy(self, index: int) -> None:
+    resident_rank = resolve     #: an emulated rank is always resident
+
+    def mmap(self, driver: UpmemDriver, rank_index: int,
+             owner: str) -> PerfModeMapping:
+        return PerfModeMapping(driver, driver.claim_rank(rank_index, owner),
+                               owner)
+
+    def release(self, rank_index: int) -> None:
         """Tear down a released emulated rank (its memory just vanishes)."""
-        self._ranks.pop(index, None)
-
-    @staticmethod
-    def is_emulated(rank_index: int) -> bool:
-        return rank_index >= EMULATED_RANK_BASE
+        self._ranks.pop(rank_index, None)

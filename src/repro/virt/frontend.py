@@ -311,16 +311,13 @@ class VUpmemFrontend:
                 payload = matrix.total_bytes if matrix is not None else 0
                 steps["QoS"] = self.qos.on_kick(kind, payload,
                                                 self.profiler.clock.now)
-            pager = getattr(self.backend.driver, "pager", None)
-            if pager is not None and self.backend.mapping is not None:
-                vrank = self.backend.mapping.rank_index
-                if pager.is_virtual(vrank):
-                    # Predictive swap-in (docs/paging.md): the request is
-                    # already queued, so the pager overlaps the swap with
-                    # the dispatch window (interrupt + QoS queueing
-                    # delay) instead of a demand fault in the backend.
-                    pager.prefault(vrank,
-                                   overlap=steps["Int"] + steps["QoS"])
+            prefault = getattr(self.backend.mapping, "prefault", None)
+            if prefault is not None:
+                # Predictive swap-in (docs/paging.md): the request is
+                # already queued, so a paged mapping overlaps the swap
+                # with the dispatch window (interrupt + QoS queueing
+                # delay) instead of a demand fault in the backend.
+                prefault(steps["Int"] + steps["QoS"])
             if bound:
                 self.memory.bind(bound, [e.data for e in matrix.entries])
             result = self.backend.process(chain, program=program,

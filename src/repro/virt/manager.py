@@ -20,14 +20,15 @@ Allocation policy (paper order):
 4. otherwise retry after an exponential backoff with jitter, a
    configurable number of times, then abandon the request.
 
-Oversubscription tiering (§7 extensions, both off by default): with a
-:class:`~repro.paging.config.PagingConfig`, the manager skips the
-ladder entirely and hands out *virtual* ranks the
-:class:`~repro.paging.pager.RankPager` demand-pages onto physical
-frames at full speed (``docs/paging.md``); only once the pager's
-virtual capacity is exhausted does the ladder above run, with
-``oversubscription=True``'s 20x-derated emulated ranks as the last
-resort before backoff.
+Oversubscription (§7 extensions, both off by default) attaches at one
+seam: a *tier* hands out ranks under indices it owns, and the manager
+registers its tiers with the driver in ladder order.  A
+:class:`~repro.paging.config.PagingConfig`'s pager goes first (every
+allocation is a virtual rank demand-paged onto physical frames at full
+speed while it has virtual capacity, ``docs/paging.md``);
+``oversubscription=True``'s 20x-derated emulated ranks are the last
+resort, before backoff.  The paper path knows a tier only by its small
+interface (``docs/architecture.md``, "Oversubscription seam").
 
 Releases are *not* signalled by VMs: a dedicated observer watches the
 driver's sysfs status files, so native host applications and VMs coexist
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.config import MANAGER_POOL_THREADS
-from repro.errors import DriverError, ManagerError
+from repro.errors import ManagerError
 from repro.driver.driver import UpmemDriver
 from repro.hardware.clock import SimClock
 from repro.hardware.machine import Machine
@@ -90,6 +91,7 @@ class ManagerStats:
     resets: int = 0
     waits: int = 0
     abandoned: int = 0
+    #: Allocations each tier served, as ``{OUTCOME}_allocations``.
     emulated_allocations: int = 0
     paged_allocations: int = 0
     failures: int = 0
@@ -143,24 +145,20 @@ class Manager:
         self.obs = bind(machine.metrics, MANAGER, policy=policy)
         self._rr_cursor = 0
         self._freed_at: Dict[int, float] = {}
-        #: Section 7 extension: hand out software-emulated ranks when the
-        #: physical ones are exhausted, at reduced performance.
-        self.oversubscription = oversubscription
-        self.emulated_pool = None
+        #: The Section 7 oversubscription tiers, in ladder order (the
+        #: driver resolves and maps their indices through them);
+        #: ``pager`` and ``emulated_pool`` are handles to their counters.
+        self.emulated_pool = self.pager = None
         if oversubscription:
             from repro.virt.emulation import EmulatedRankPool
             self.emulated_pool = EmulatedRankPool(machine,
                                                   slowdown=emulation_slowdown)
-            driver.emulated_pool = self.emulated_pool
-        #: §7 demand paging (``docs/paging.md``): when configured, VM
-        #: allocations become virtual ranks the pager time-multiplexes
-        #: over the physical frames at full speed — the tier *above*
-        #: emulated ranks.  ``None`` (the default) models no paging.
-        self.pager = None
         if paging is not None:
             from repro.paging.pager import RankPager
             self.pager = RankPager(self, paging)
-            driver.pager = self.pager
+        self.tiers = [tier for tier in (self.pager, self.emulated_pool)
+                      if tier is not None]
+        driver.tiers = self.tiers
         self.rank_table: Dict[int, RankRecord] = {
             rank.index: RankRecord(
                 rank_index=rank.index,
@@ -206,22 +204,13 @@ class Manager:
 
     def _begin_release(self, record: RankRecord) -> None:
         """Rank released: enter NANA and schedule the isolation reset."""
-        if (self.pager is not None
-                and self.pager.is_virtual(record.rank_index)):
-            # Virtual ranks are destroyed like emulated ones: the pager
-            # discards the swap-store state and frees the frame; any
-            # frame leaving the pager's pool re-enters NAAV only through
-            # the normal isolation reset (see RankPager.release).
-            self.pager.release(record.rank_index)
-            self.obs.transitions[record.state.value.lower(), "destroyed"].inc()
-            del self.rank_table[record.rank_index]
-            self._refresh_rank_gauge()
-            return
-        if (self.emulated_pool is not None
-                and self.emulated_pool.is_emulated(record.rank_index)):
-            # Emulated ranks are destroyed, not reset: the host memory is
-            # simply freed, and nothing remains to leak.
-            self.emulated_pool.destroy(record.rank_index)
+        tier = self.driver.tier_of(record.rank_index)
+        if tier is not None:
+            # A tier's rank is destroyed, not reset: an emulated rank's
+            # host memory is freed, a virtual rank's swap state dropped,
+            # and a physical frame re-enters NAAV only through the
+            # isolation reset (see RankPager.release).
+            tier.release(record.rank_index)
             self.obs.transitions[record.state.value.lower(), "destroyed"].inc()
             del self.rank_table[record.rank_index]
             self._refresh_rank_gauge()
@@ -251,36 +240,48 @@ class Manager:
         self.obs.allocations[outcome].inc()
         self.obs.alloc_wait.observe(self.clock.now - arrived_at)
 
-    def allocate(self, requester: str) -> int:
-        """Allocate a rank to ``requester`` (a vUPMEM device id).
-
-        Advances the simulated clock by the allocation cost (and any wait
-        for pending resets).  Returns the physical rank index; raises
-        :class:`ManagerError` after ``max_attempts`` fruitless retries.
-        """
-        arrived_at = self.clock.now
-
-        # 0. Demand paging (§7 extension, docs/paging.md): every VM
-        # allocation becomes a virtual rank while the pager has virtual
-        # capacity.  The pager binds free physical frames first, so an
-        # under-committed host still runs at full speed with zero swaps
-        # — and because *all* tenants hold evictable vranks, any of
-        # them can be a victim once frames run short.
-        if self.pager is not None and self.pager.has_capacity():
-            vrank = self.pager.create(requester)
-            self.rank_table[vrank] = RankRecord(
-                rank_index=vrank,
-                status_file=self.driver.sysfs.rank_status_path(vrank),
+    def _allocate_from_tier(self, requester: str, weight: float,
+                            arrived_at: float,
+                            last_resort: bool) -> Optional[int]:
+        """A rank from the first tier at this ladder position with room
+        (no sysfs write: the backend's claim marks it busy)."""
+        for tier in self.tiers:
+            if tier.LAST_RESORT is not last_resort or not tier.has_capacity():
+                continue
+            index = tier.create(requester, weight)
+            self.rank_table[index] = RankRecord(
+                rank_index=index,
+                status_file=self.driver.sysfs.rank_status_path(index),
                 state=RankState.ALLO,
                 assigned_device=requester,
                 last_owner=requester,
             )
-            self._count_allocation("paged", arrived_at)
+            self._count_allocation(tier.OUTCOME, arrived_at)
             self._refresh_rank_gauge()
             self.clock.advance(self.cost.manager_alloc)
             self.stats.allocations += 1
-            self.stats.paged_allocations += 1
-            return vrank
+            served = f"{tier.OUTCOME}_allocations"
+            setattr(self.stats, served, getattr(self.stats, served) + 1)
+            return index
+        return None
+
+    def allocate(self, requester: str, weight: float = 1.0) -> int:
+        """Allocate a rank to ``requester`` (a vUPMEM device id).
+
+        Advances the simulated clock by the allocation cost (and any wait
+        for pending resets).  Returns the rank index; raises
+        :class:`ManagerError` after ``max_attempts`` fruitless retries.
+        ``weight`` is the requester's QoS weight, which a tier may use
+        (the pager keeps heavier tenants resident longer).
+        """
+        arrived_at = self.clock.now
+
+        # 0. A tier ahead of the ladder (demand paging, docs/paging.md):
+        # every allocation becomes a virtual rank while it has room.
+        index = self._allocate_from_tier(requester, weight, arrived_at,
+                                         last_resort=False)
+        if index is not None:
+            return index
 
         for _attempt in range(self.max_attempts):
             for record in self.rank_table.values():
@@ -320,24 +321,12 @@ class Manager:
                 continue
 
             # 4. Oversubscription (Section 7 extension): no physical rank
-            # will free up; hand out an emulated one at reduced speed.
-            if self.emulated_pool is not None:
-                rank = self.emulated_pool.create()
-                self.rank_table[rank.index] = RankRecord(
-                    rank_index=rank.index,
-                    status_file=self.driver.sysfs.rank_status_path(rank.index),
-                    state=RankState.ALLO,
-                    assigned_device=requester,
-                    last_owner=requester,
-                )
-                # No sysfs write yet: the backend's claim will mark it
-                # busy; a "free" write would look like an instant release.
-                self._count_allocation("emulated", arrived_at)
-                self._refresh_rank_gauge()
-                self.clock.advance(self.cost.manager_alloc)
-                self.stats.allocations += 1
-                self.stats.emulated_allocations += 1
-                return rank.index
+            # will free up; a last-resort tier with room (emulated ranks)
+            # hands one out at reduced speed.  A full tier is passed over.
+            index = self._allocate_from_tier(requester, weight, arrived_at,
+                                             last_resort=True)
+            if index is not None:
+                return index
 
             # 5. Nothing at all: exponential backoff with jitter — a
             # herd of waiting requesters spreads out instead of
@@ -383,23 +372,26 @@ class Manager:
     def rank_capacity(self) -> int:
         """Allocatable ranks this host advertises.
 
-        Physical count normally; the pager's virtual capacity (physical
-        x overcommit ratio) when paging is configured.  VM sizing
+        Physical count, or what a tier ahead of the ladder advertises
+        (the pager's physical x overcommit ratio); a last resort is not
+        advertised.  VM sizing
         (:meth:`~repro.virt.firecracker.VmConfig.validate`) and cluster
         placement both size against this.
         """
-        if self.pager is not None:
-            return self.pager.virtual_capacity
-        return self.machine.nr_ranks
+        return max([self.machine.nr_ranks]
+                   + [tier.virtual_capacity for tier in self.tiers
+                      if not tier.LAST_RESORT])
 
-    def acquire_frame(self, wait: bool = False) -> Optional[int]:
-        """Claim one NAAV rank as a pager frame; None if none is free.
+    def acquire_frame(self, owner: str, wait: bool = False) -> Optional[int]:
+        """Claim one NAAV rank as a tier's frame; None if none is free.
 
         The claim goes through the driver, so sysfs shows the frame busy
-        under the ``"pager"`` owner and the observer moves the record to
-        ALLO — frames stay first-class rows of the rank table.  With
-        ``wait`` the call sits out the earliest pending NANA reset
-        (advancing the clock) before giving up.
+        under ``owner`` and the observer moves the record to ALLO —
+        frames stay first-class rows of the rank table.  With ``wait``
+        the call sits out the earliest pending NANA reset (advancing the
+        clock) before giving up.  The tier gives a frame back with a plain
+        driver release, so the observer walks it through the full
+        isolation reset before anyone else can claim it.
         """
         for record in self.rank_table.values():
             self._settle(record)
@@ -415,18 +407,9 @@ class Manager:
                 idx = self._pick_naav()
         if idx is None:
             return None
-        self.driver.claim_rank(idx, "pager")
-        self.rank_table[idx].last_owner = "pager"
+        self.driver.claim_rank(idx, owner)
+        self.rank_table[idx].last_owner = owner
         return idx
-
-    def return_frame(self, rank_index: int) -> None:
-        """Give a pager frame back to the general pool.
-
-        A plain driver release: the observer walks the rank through NANA
-        and the full isolation reset, so nothing a pager tenant wrote
-        can leak to the next (non-pager) owner.
-        """
-        self.driver.release_rank(rank_index, "pager")
 
     # -- failure handling (health tracking + quarantine) ---------------------------
 
@@ -434,8 +417,16 @@ class Manager:
         """Quarantine a rank after a detected hardware failure.
 
         Idempotent; unknown indices (e.g. already-destroyed emulated
-        ranks) are ignored so unwind paths can call this untidily.
+        ranks) are ignored so unwind paths can call this untidily.  A
+        tier's index fails the rank bound to it, if any (a swapped-out
+        virtual rank has none); the tier never binds a FAIL rank again.
         """
+        tier = self.driver.tier_of(rank_index)
+        if tier is not None:
+            rank = tier.resident_rank(rank_index)
+            if rank is None:
+                return
+            rank_index = rank.index
         record = self.rank_table.get(rank_index)
         if record is None or record.state is RankState.FAIL:
             return
@@ -471,13 +462,9 @@ class Manager:
             raise ManagerError(
                 f"rank {rank_index} failed {record.fault_count} times "
                 f"(threshold {self.blacklist_threshold}); blacklisted")
-        try:
-            rank = self.driver.resolve_rank(rank_index)
-        except DriverError:
-            rank = None
-        if rank is not None:
-            rank.health = RankHealth.OK
-            rank.degradation = 1.0
+        rank = self.driver.resolve_rank(rank_index)
+        rank.health = RankHealth.OK
+        rank.degradation = 1.0
         self._transition(record, RankState.NANA)
         record.reset_done_at = self.clock.now + self.cost.manager_reset
         self.stats.repairs += 1

@@ -161,26 +161,25 @@ def migrate_device(device: VUpmemDevice, manager: Manager,
 
 
 def consolidate(manager: Manager, devices: List[VUpmemDevice]) -> int:
-    """Upgrade devices running on emulated ranks to free physical ranks.
+    """Upgrade devices on last-resort (emulated) ranks to free ranks.
 
     Returns the number of devices migrated.  This is the paper's
     "dynamic workload consolidation" use case: oversubscribed tenants
-    move back to hardware as capacity frees up.
+    move back to hardware as capacity frees up.  The scan reads only
+    ``rank_index``, so it does no work on the devices it leaves alone
+    (a paged tenant is never faulted in).
     """
-    if manager.emulated_pool is None:
-        return 0
+    def on_last_resort(rank_index: int) -> bool:
+        tier = manager.driver.tier_of(rank_index)
+        return tier is not None and tier.LAST_RESORT
+
     migrated = 0
     for device in devices:
         mapping = device.backend.mapping
-        if mapping is None:
+        if mapping is None or not on_last_resort(mapping.rank_index):
             continue
-        if not manager.emulated_pool.is_emulated(mapping.rank.index):
-            continue
-        free = manager.available_ranks()
-        if not free:
+        if not manager.available_ranks():
             break
-        migrate_device(device, manager, target_rank=None)
-        new_rank = device.backend.mapping.rank.index
-        if not manager.emulated_pool.is_emulated(new_rank):
+        if not on_last_resort(migrate_device(device, manager)):
             migrated += 1
     return migrated

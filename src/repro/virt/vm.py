@@ -71,13 +71,10 @@ class Vm:
             raise DeviceNotLinkedError(
                 f"device {device.device_id} is already linked"
             )
-        rank_index = self.manager.allocate(device.device_id)
-        pager = getattr(self.manager, "pager", None)
-        if (pager is not None and pager.is_virtual(rank_index)
-                and self.qos_flow is not None):
-            # Victim selection is QoS-weight-aware (docs/paging.md): a
-            # heavier flow's ranks stay resident longer under pressure.
-            pager.set_weight(rank_index, self.qos_flow.weight)
+        # A paged rank's victim selection is QoS-weight-aware
+        # (docs/paging.md): a heavier flow stays resident longer.
+        weight = self.qos_flow.weight if self.qos_flow is not None else 1.0
+        rank_index = self.manager.allocate(device.device_id, weight=weight)
         device.backend.link_rank(rank_index)
         if not device.initialized:
             try:

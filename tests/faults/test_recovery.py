@@ -31,7 +31,10 @@ from repro.faults.retry import (
     TransportRetry,
     retry_backoff_time,
 )
+from repro.analysis.figures import machine_config
+from repro.core import VPim
 from repro.hardware.rank import RankHealth
+from repro.paging.config import PagingConfig
 from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.manager import RankState
@@ -215,6 +218,26 @@ class TestCheckpointFailover:
         new_rank = device.backend.mapping.rank
         assert new_rank.index == replacement
         assert bytes(new_rank.dpus[0].mram.read(0, 2)) == b"\xab\xcd"
+
+    def test_paged_failover_skips_the_failed_frame(self):
+        vpim = VPim(machine_config(2, dpus_per_rank=4),
+                    paging=PagingConfig(overcommit_ratio=2.0))
+        session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 28)
+        dpus = DpuSet(session.transport, 4)
+        dpus.push_to_mram(0, [np.full(64, 1, np.uint8)] * 4)
+        device = session.vm.devices[0]
+        frame = device.backend.mapping.peek_rank()
+        assert frame.index == 0
+        frame.health = RankHealth.OFFLINE
+        failover_device(device, vpim.manager)
+        # The failed frame left the pager's pool: the replacement's
+        # first operation lands on the healthy rank.
+        dpus.push_to_mram(0, [np.full(64, 2, np.uint8)] * 4)
+        assert device.backend.mapping.peek_rank().index == 1
+        assert vpim.manager.failed_ranks() == [0]
+        assert vpim.manager.rank_table[0].state is RankState.FAIL
+        assert vpim.manager.pager.frames_held == 1
+        dpus.free()
 
     def test_failover_requires_a_linked_device(self, chaos_vpim):
         session = chaos_vpim.vm_session(nr_vupmem=1)

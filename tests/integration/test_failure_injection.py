@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import small_machine
 from repro.core import VPim
-from repro.errors import DpuFaultError, TransferError
+from repro.errors import DpuFaultError, ManagerError, TransferError
 from repro.sdk.dpu_set import DpuSet
 from tests.tasklet_reference import TaskletProgram
 
@@ -91,8 +91,8 @@ def test_oversubscription_pool_exhaustion():
     hold_emu = DpuSet(vpim.vm_session(nr_vupmem=1,
                                       mem_bytes=1 << 30).transport, 4)
     third = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)
-    with pytest.raises(Exception):
-        DpuSet(third.transport, 4)       # pool cap reached -> hard failure
+    with pytest.raises(ManagerError):
+        DpuSet(third.transport, 4)       # pool cap reached -> abandoned
     hold_phys.free()
     hold_emu.free()
 

@@ -117,10 +117,10 @@ class TestStickyFrames:
         release(driver, vrank, "dev-a")
         assert pager.frames_held == 1          # sticky
         # A new tenant reuses the frame with no manager allocation.
-        acquired_before = pager.stats.frames_acquired
+        acquired_before = pager.frames_acquired
         vrank2 = manager.allocate("dev-b")
         driver.resolve_rank(vrank2)
-        assert pager.stats.frames_acquired == acquired_before
+        assert pager.frames_acquired == acquired_before
 
     def test_first_touch_on_dirty_frame_wipes_predecessor(self):
         _, driver, manager = build()
@@ -163,11 +163,11 @@ class TestVictimSelection:
 
     def test_weight_protects_heavier_tenant(self):
         _, driver, manager = build(ratio=1.5)
-        vranks = [manager.allocate(f"dev-{i}") for i in range(3)]
+        # vranks[0] is older (more idle) but 100x heavier.
+        vranks = [manager.allocate(f"dev-{i}", weight=100.0 if i == 0
+                                   else 1.0) for i in range(3)]
         scribble(driver.resolve_rank(vranks[0]), 1)
         scribble(driver.resolve_rank(vranks[1]), 2)
-        # vranks[0] is older (more idle) but 100x heavier.
-        manager.pager.set_weight(vranks[0], 100.0)
         driver.resolve_rank(vranks[2])
         assert manager.pager.resident_rank(vranks[0]) is not None
         assert manager.pager.resident_rank(vranks[1]) is None
@@ -265,7 +265,7 @@ class TestOffPath:
         driver = UpmemDriver(machine)
         manager = Manager(machine, driver)
         assert manager.pager is None
-        assert driver.pager is None
+        assert driver.tiers == []
         assert manager.rank_capacity() == 2
         assert manager.allocate("dev-a") < 1000   # physical index
 

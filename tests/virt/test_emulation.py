@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.figures import machine_config
 from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
@@ -34,11 +35,11 @@ def test_emulated_cost_model_derates():
 def test_pool_creates_machine_shaped_ranks():
     machine = Machine(small_machine(nr_ranks=1, dpus_per_rank=8))
     pool = EmulatedRankPool(machine)
-    rank = pool.create()
+    rank = pool.resolve(pool.create())
     assert rank.index == EMULATED_RANK_BASE
     assert rank.nr_dpus == 8
-    assert pool.is_emulated(rank.index)
-    assert not pool.is_emulated(0)
+    assert pool.owns(rank.index)
+    assert not pool.owns(0)
 
 
 def test_pool_capacity():
@@ -48,7 +49,7 @@ def test_pool_capacity():
     pool.create()
     with pytest.raises(HardwareError):
         pool.create()
-    pool.destroy(EMULATED_RANK_BASE)
+    pool.release(EMULATED_RANK_BASE)
     pool.create()  # slot freed
 
 
@@ -107,3 +108,19 @@ def test_physical_preferred_over_emulated():
         indices = [c.rank_index for c in dpus.channels]
         assert all(i < EMULATED_RANK_BASE for i in indices)
     assert vpim.manager.stats.emulated_allocations == 0
+
+
+def test_exhausted_pool_backs_off_and_is_abandoned():
+    vpim = VPim(machine_config(1, dpus_per_rank=4), oversubscription=True)
+    manager = vpim.manager
+    granted = [manager.allocate(f"dev-{i}") for i in range(9)]
+    assert granted == [0] + list(range(EMULATED_RANK_BASE,
+                                       EMULATED_RANK_BASE + 8))
+    before = vpim.machine.clock.now
+    with pytest.raises(ManagerError):
+        manager.allocate("dev-9")
+    assert vpim.machine.clock.now > before          # step 5's backoff ran
+    assert manager.stats.abandoned == 1
+    assert vpim.machine.metrics.value(
+        "repro_manager_allocations_total", policy="round_robin",
+        outcome="abandoned") == 1

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.analysis.figures import machine_config
 from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import DpuFaultError, ManagerError
 from repro.hardware.machine import Machine
+from repro.paging.config import PagingConfig
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.emulation import EMULATED_RANK_BASE
 from repro.virt.migration import (
@@ -138,3 +140,25 @@ def test_consolidate_noop_without_pool():
     vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
     session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)
     assert consolidate(vpim.manager, session.vm.devices) == 0
+
+
+def test_consolidate_scan_causes_no_paging_traffic():
+    vpim = VPim(machine_config(1, dpus_per_rank=4), oversubscription=True,
+                paging=PagingConfig())
+    sessions = [vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 28)
+                for _ in range(2)]
+    sets = [DpuSet(session.transport, 4) for session in sessions]
+    for dpus in sets:
+        dpus.push_to_mram(0, [np.full(64, 7, np.uint8)] * 4)
+    pager = vpim.manager.pager
+    assert [pager.resident_rank(dpus.channels[0].rank_index) is None
+            for dpus in sets] == [True, False]
+    faults, evictions = dict(pager.faults), pager.counts.get("evictions", 0)
+    now = vpim.machine.clock.now
+    devices = [device for session in sessions for device in session.vm.devices]
+    assert consolidate(vpim.manager, devices) == 0
+    assert dict(pager.faults) == faults
+    assert pager.counts.get("evictions", 0) == evictions
+    assert vpim.machine.clock.now == now
+    for dpus in sets:
+        dpus.free()
