@@ -11,20 +11,13 @@ Three properties back the ``repro.faults`` design:
   no-faults baseline, so every published figure is unaffected by the
   subsystem existing.
 - **Recovery**: sessions survive rank failures by re-running on
-  replacement ranks, and a fleet survives host crashes by re-placing
-  every tenant (``sessions_lost == 0``).
+  replacement ranks (``sessions_lost == 0``).
 """
 
-from repro.analysis.chaos import (
-    ChaosConfig,
-    build_plan,
-    run_chaos,
-    run_cluster_chaos,
-)
+from repro.analysis.chaos import ChaosConfig, run_chaos
 from repro.analysis.figures import machine_for_dpus
 from repro.analysis.report import format_table
 from repro.apps.prim.va import VectorAdd
-from repro.cluster import ClusterConfig, ScenarioConfig
 from repro.core import VPim
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 
@@ -97,32 +90,6 @@ def bench_rank_offline_recovers(once):
     print(f"\nrank offline at t=1e-4: {result.sessions_run} sessions, "
           f"{result.sessions_recovered} recovered on replacement ranks, "
           f"{result.sessions_lost} lost")
-
-
-def bench_host_crash_replaces_all_tenants(once):
-    def experiment():
-        scenario = ScenarioConfig(
-            cluster=ClusterConfig(nr_hosts=3, ranks_per_host=4),
-            nr_requests=16, seed=1)
-        plan = FaultPlan.generate(
-            seed=1, horizon_s=6.0, rate_per_s=0.5,
-            kinds=(FaultKind.HOST_CRASH,),
-            limits={FaultKind.HOST_CRASH: 2})
-        return run_cluster_chaos(scenario, plan), \
-            run_cluster_chaos(scenario, plan)
-
-    fleet, replay = once(experiment)
-    assert fleet.crashed_hosts, "scenario crashed no hosts"
-    assert fleet.evicted > 0, "crashes evicted no placements"
-    assert fleet.sessions_lost == 0, (
-        f"{fleet.sessions_lost} admitted sessions never re-placed")
-    assert fleet.completed == fleet.submitted
-    assert fleet.timeline_digest == replay.timeline_digest
-    assert fleet.metric_snapshot == replay.metric_snapshot
-    print()
-    print(f"\nhost crash drill: crashed={','.join(fleet.crashed_hosts)} "
-          f"evicted={fleet.evicted} completed={fleet.completed}/"
-          f"{fleet.submitted} lost={fleet.sessions_lost}")
 
 
 def bench_generated_plan_is_stable(once):

@@ -123,6 +123,9 @@ def print_report(report: dict) -> None:
 
 
 def check(report: dict, artifact: Path) -> int:
+    if not artifact.exists():
+        print(f"no committed artifact at {artifact}; cannot check")
+        return 1
     failures = []
     if not report["deterministic"]:
         failures.append(
@@ -151,13 +154,12 @@ def check(report: dict, artifact: Path) -> int:
         if not drill[f"visited_{phase}"]:
             failures.append(
                 f"the fault drill never reached the {phase!r} state")
-    if artifact.exists():
-        committed = json.loads(artifact.read_text())
-        if committed.get("digest") != report["digest"]:
-            failures.append(
-                f"digest drifted from the committed artifact: "
-                f"{committed.get('digest')} -> {report['digest']} "
-                "(intentional changes need --update)")
+    committed = json.loads(artifact.read_text())
+    if committed.get("digest") != report["digest"]:
+        failures.append(
+            f"digest drifted from the committed artifact: "
+            f"{committed.get('digest')} -> {report['digest']} "
+            "(intentional changes need --update)")
     if failures:
         print("\nMONITOR CHECK FAILED:")
         for failure in failures:

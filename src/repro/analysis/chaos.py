@@ -1,16 +1,12 @@
 """Chaos-run scorecards: did the stack survive its fault plan?
 
-Two drivers, mirroring the two blast radii:
+:func:`run_chaos` drives one host, one VM and a stream of sessions under
+an armed :class:`~repro.faults.FaultInjector`: rank/transport/backend
+faults fire mid-workload and the recovery paths (transport retries,
+session reruns on replacement ranks) either absorb them or lose the
+session.
 
-- :func:`run_chaos` — one host, one VM, a stream of sessions under an
-  armed :class:`~repro.faults.FaultInjector`: rank/transport/backend
-  faults fire mid-workload and the recovery paths (transport retries,
-  session reruns on replacement ranks) either absorb them or lose the
-  session.
-- :func:`run_cluster_chaos` — a fleet scenario with host crashes: the
-  scheduler evicts and re-places every tenant of a dead host.
-
-Both return the injector's canonical fired-fault timeline (and its
+It returns the injector's canonical fired-fault timeline (and its
 sha256 digest) plus a ``repro_fault_*`` metric snapshot, which is the
 replay contract ``benchmarks/bench_chaos_recovery.py`` asserts: same
 seed, same workload -> byte-identical timeline and identical snapshot.
@@ -49,36 +45,38 @@ DEFAULT_CHAOS_KINDS: Tuple[str, ...] = (
     "backend_hang",
 )
 
+#: Small, verification-cheap datasets for the apps a chaos run can draw:
+#: a run replays many sessions, and the quantity under study is recovery,
+#: not app scale.
+APP_PARAMS: Dict[str, dict] = {
+    "VA": dict(n_elements=1 << 13),
+    "RED": dict(n_elements=1 << 13),
+    "SEL": dict(n_elements=1 << 12),
+    "BS": dict(n_elements=1 << 12, n_queries=1 << 8),
+}
 
-def fault_metric_snapshot(registries) -> Dict[str, float]:
-    """Flatten the fault/recovery series of one or more registries.
 
-    Keys are ``name{label=value,...}``; values are summed across
-    registries (a fleet keeps per-host registries plus the control-plane
-    one).  Histograms contribute their observation count under the plain
-    key and their sum under ``<key>:sum`` so MTTR changes are caught.
+def fault_metric_snapshot(registry: MetricsRegistry) -> Dict[str, float]:
+    """Flatten the fault/recovery series of ``registry``.
+
+    Keys are ``name{label=value,...}``.  Histograms contribute their
+    observation count under the plain key and their sum under
+    ``<key>:sum`` so MTTR changes are caught.
     """
-    if isinstance(registries, MetricsRegistry):
-        registries = [registries]
     out: Dict[str, float] = {}
-    for registry in registries:
-        for name in FAULT_METRICS:
-            if name not in registry:
-                continue
-            for labels, child in registry.get(name).samples():
-                key = name + "{" + ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-                if isinstance(child, HistogramChild):
-                    out[key] = out.get(key, 0.0) + child.count
-                    out[key + ":sum"] = out.get(key + ":sum", 0.0) + child.sum
-                else:
-                    out[key] = out.get(key, 0.0) + child.value
+    for name in FAULT_METRICS:
+        if name not in registry:
+            continue
+        for labels, child in registry.get(name).samples():
+            key = name + "{" + ",".join(
+                f"{k}={v}" for k, v in sorted(labels.items())) + "}"
+            if isinstance(child, HistogramChild):
+                out[key] = float(child.count)
+                out[key + ":sum"] = float(child.sum)
+            else:
+                out[key] = float(child.value)
     return out
 
-
-# --------------------------------------------------------------------------
-# Single host: sessions under fire
-# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -97,7 +95,6 @@ class ChaosConfig:
     max_attempts: int = 4
 
     def validate(self) -> None:
-        from repro.cluster.loadgen import APP_PARAMS
         if self.nr_ranks <= 0 or self.nr_sessions <= 0:
             raise ReproError("nr_ranks and nr_sessions must be positive")
         if self.app not in APP_PARAMS:
@@ -161,7 +158,6 @@ def run_chaos(config: ChaosConfig = ChaosConfig(),
     attachment seam (``repro monitor --scenario chaos``).
     """
     from repro.apps.registry import app_by_short_name
-    from repro.cluster.loadgen import APP_PARAMS
 
     config.validate()
     if plan is None:
@@ -206,92 +202,6 @@ def run_chaos(config: ChaosConfig = ChaosConfig(),
     return result
 
 
-# --------------------------------------------------------------------------
-# Fleet: host crashes under load
-# --------------------------------------------------------------------------
-
-@dataclass
-class ClusterChaosResult:
-    """Scorecard of one :func:`run_cluster_chaos` run."""
-
-    crashed_hosts: List[str] = field(default_factory=list)
-    evicted: int = 0
-    completed: int = 0
-    submitted: int = 0
-    #: Admitted requests that never completed (the crash's real damage).
-    sessions_lost: int = 0
-    faults_fired: int = 0
-    makespan_s: float = 0.0
-    timeline: str = ""
-    timeline_digest: str = ""
-    metric_snapshot: Dict[str, float] = field(default_factory=dict)
-
-
-def run_cluster_chaos(scenario, plan: FaultPlan,
-                      drain_limit: int = 64) -> ClusterChaosResult:
-    """Replay a fleet scenario while ``plan``'s host crashes fire.
-
-    The injector arms every host's ranks and polls host-scope events at
-    each load-generator event; a crash FAIL-lists the host's ranks and
-    the scheduler requeues its tenants ahead of the queue.  After the
-    scenario, any still-queued requests are drained onto surviving
-    capacity (bounded by ``drain_limit`` placements) so a late crash
-    cannot strand re-placements behind an empty event list.
-    """
-    from repro.cluster.loadgen import LoadGenerator
-
-    generator = LoadGenerator(scenario)
-    injector = FaultInjector(plan, generator.cluster.clock,
-                             registry=generator.cluster.metrics)
-    injector.arm_cluster(generator.cluster, generator.scheduler)
-    crashed: List[str] = []
-    evicted_total = [0]
-
-    def deliver(gen) -> None:
-        before = len(gen.scheduler.queue)
-        crashed.extend(injector.fire_host_faults())
-        evicted_total[0] += max(0, len(gen.scheduler.queue) - before)
-
-    generator.on_event = deliver
-    scenario_result = generator.run()
-
-    # Post-scenario drain: re-place stragglers, complete them instantly.
-    scheduler = generator.scheduler
-    for _ in range(drain_limit):
-        if not scheduler.queue:
-            break
-        placement = scheduler.try_place_next()
-        if placement is None:
-            break
-        placement.acquire()
-        record = generator._records[placement.request.request_id]
-        record.outcome = "completed"
-        record.host = placement.host.host_id
-        scenario_result.completions += 1
-        scheduler.release(placement)
-
-    lost = sum(1 for record in scenario_result.records
-               if record.outcome == "queued")
-    registries = [generator.cluster.metrics] + [
-        host.metrics for host in generator.cluster.hosts]
-    return ClusterChaosResult(
-        crashed_hosts=crashed,
-        evicted=evicted_total[0],
-        completed=scenario_result.completions,
-        submitted=scenario_result.submitted,
-        sessions_lost=lost,
-        faults_fired=len(injector.fired),
-        makespan_s=scenario_result.makespan_s,
-        timeline=injector.timeline(),
-        timeline_digest=injector.timeline_digest(),
-        metric_snapshot=fault_metric_snapshot(registries),
-    )
-
-
-# --------------------------------------------------------------------------
-# Report rows
-# --------------------------------------------------------------------------
-
 CHAOS_HEADERS = ["sessions", "recovered", "lost", "survival", "faults",
                  "attempts", "makespan s"]
 
@@ -303,12 +213,3 @@ def chaos_rows(result: ChaosResult) -> List[Tuple]:
              result.faults_fired, result.total_attempts,
              f"{result.makespan_s:.3f}")]
 
-
-CLUSTER_CHAOS_HEADERS = ["subm", "done", "lost", "crashed", "evicted",
-                         "faults", "makespan s"]
-
-
-def cluster_chaos_rows(result: ClusterChaosResult) -> List[Tuple]:
-    return [(result.submitted, result.completed, result.sessions_lost,
-             ",".join(result.crashed_hosts) or "-", result.evicted,
-             result.faults_fired, f"{result.makespan_s:.3f}")]

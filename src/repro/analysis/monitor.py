@@ -21,15 +21,13 @@ Scenarios (``MonitorConfig.scenario``), one row each in :data:`ROWS`:
   (swap-latency exemplars);
 - ``drill``: a deterministic fault drill that drives the fault-burst
   alert rule through pending → firing → resolved;
-- ``cluster``: a fleet load-generator scenario scraped on the shared
-  cluster clock;
 - ``chaos``: the single-host chaos driver with the pipeline attached;
 - ``quick``: the composite CI/bench suite — prim + noisy + paging +
   drill — sized to finish fast while still producing at least one
   exemplar on every instrumented latency histogram.
 
 Every scenario takes one path (:func:`_observe`): its driver builds and
-runs a machine or cluster and calls ``attach`` once; then the clock
+runs a machine and calls ``attach`` once; then the clock
 idles for the row's cool-down, the pipeline detaches and the run is
 summarized.  Schedules (cool-downs, the drill's warm-up and burst) are
 simulated seconds, advanced in whole scrape intervals, so a finer
@@ -142,10 +140,8 @@ class TelemetryPipeline:
 
     def __init__(self, registry, clock, spans=None,
                  interval: float = 1e-3,
-                 rules: Optional[List[AlertRule]] = None,
-                 extra_registries=()) -> None:
-        self.store = TimeSeriesStore(registry, interval=interval,
-                                     extra_registries=extra_registries)
+                 rules: Optional[List[AlertRule]] = None) -> None:
+        self.store = TimeSeriesStore(registry, interval=interval)
         self.engine = AlertRuleEngine(
             self.store, rules if rules is not None else default_rules(),
             registry=registry)
@@ -307,21 +303,20 @@ def _observe(result: MonitorResult, row: "Scenario", interval: float,
              name: str, drive: Callable) -> Tuple[object, ScenarioTelemetry]:
     """The one path every scenario takes.
 
-    ``drive(attach)`` builds and runs one machine or cluster and calls
-    ``attach(target, extra_registries=())`` once, before its first
-    session; ``target`` is a :class:`Machine` or a :class:`Cluster`
-    (anything with ``metrics``, ``clock`` and ``spans``).  Then the
+    ``drive(attach)`` builds and runs one machine and calls
+    ``attach(machine)`` once, before its first session (anything with
+    ``metrics``, ``clock`` and ``spans`` will do).  Then the
     clock idles the row's cool-down, the pipeline detaches, and the run
     is summarized into ``result``.  Returns ``drive``'s value and the
     summary.
     """
     pipeline: Optional[TelemetryPipeline] = None
 
-    def attach(target, extra_registries=()) -> TelemetryPipeline:
+    def attach(target) -> TelemetryPipeline:
         nonlocal pipeline
         pipeline = TelemetryPipeline(
             target.metrics, target.clock, spans=target.spans,
-            interval=interval, extra_registries=extra_registries)
+            interval=interval)
         return pipeline
 
     value = drive(attach)
@@ -487,19 +482,6 @@ def _drill(seed: int, observe, result: MonitorResult) -> None:
     }
 
 
-def _cluster(seed: int, observe, result: MonitorResult) -> None:
-    from repro.cluster.loadgen import LoadGenerator, ScenarioConfig
-
-    def drive(attach) -> None:
-        generator = LoadGenerator(ScenarioConfig(nr_requests=12, seed=seed))
-        cluster = generator.cluster
-        attach(cluster,
-               extra_registries=[host.metrics for host in cluster.hosts])
-        generator.run()
-
-    observe("cluster", drive)
-
-
 def _chaos(seed: int, observe, result: MonitorResult) -> None:
     from repro.analysis.chaos import ChaosConfig, run_chaos
 
@@ -540,9 +522,6 @@ ROWS: Dict[str, Scenario] = {
         ("repro_paging_faults_total", "value"))),
     "drill": Scenario(_drill, 1e-3, 0.12, (
         ("repro_fault_injected_total", "value"),)),
-    "cluster": Scenario(_cluster, 2e-2, 4e-2, (
-        ("repro_cluster_queue_depth", "value"),
-        ("repro_cluster_sessions_completed_total", "value"))),
     "chaos": Scenario(_chaos, 5e-3, 0.6, (
         ("repro_fault_injected_total", "value"),
         ("repro_fault_recovered_total", "value"))),

@@ -34,11 +34,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.analysis.figures import machine_config
-from repro.analysis.fleet import percentile
 from repro.analysis.report import format_table
 from repro.apps.prim.va import VaProgram
 from repro.core import VPim
 from repro.errors import ManagerError
+from repro.observability.stats import percentile_nearest_rank
 from repro.paging.config import PagingConfig
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.digest import content_digest
@@ -150,11 +150,11 @@ class ArmResult:
 
     @property
     def p99_s(self) -> float:
-        return percentile(self.round_latencies, 99)
+        return percentile_nearest_rank(self.round_latencies, 99)
 
     @property
     def p50_s(self) -> float:
-        return percentile(self.round_latencies, 50)
+        return percentile_nearest_rank(self.round_latencies, 50)
 
     @property
     def mean_s(self) -> float:

@@ -26,14 +26,14 @@ burn, and the enforcer actuates a weight boost mid-run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.analysis.figures import machine_config
-from repro.analysis.fleet import percentile
 from repro.analysis.report import format_table
 from repro.apps.prim.bs import BinarySearch
 from repro.apps.prim.va import VectorAdd
 from repro.core import VPim
+from repro.observability.stats import percentile_nearest_rank
 from repro.qos.config import QosConfig
 from repro.qos.slo import SloEnforcer, SloObjective, SloTracker
 from repro.virt.opts import Optimization
@@ -59,11 +59,11 @@ class ArmResult:
 
     @property
     def victim_p99(self) -> float:
-        return percentile(self.victim_latencies, 99)
+        return percentile_nearest_rank(self.victim_latencies, 99)
 
     @property
     def victim_p50(self) -> float:
-        return percentile(self.victim_latencies, 50)
+        return percentile_nearest_rank(self.victim_latencies, 50)
 
     @property
     def victim_mean(self) -> float:

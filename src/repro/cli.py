@@ -9,7 +9,6 @@ Usage::
     python -m repro metrics VA --dpus 60          # Prometheus snapshot
     python -m repro metrics --diff old.json new.json  # snapshot delta
     python -m repro trace NW --dpus 16            # span tree + critical path
-    python -m repro cluster --policy best_fit     # fleet scenario replay
     python -m repro monitor --quick --out dash.html   # telemetry pipeline
     python -m repro spec                          # the virtio-pim spec
 """
@@ -289,108 +288,36 @@ def cmd_trace(args) -> int:
     return 0 if report.verified else 1
 
 
-def cmd_cluster(args) -> int:
-    """Replay a fleet scenario: admission, placement, consolidation."""
-    from repro.analysis.fleet import SUMMARY_HEADERS, summarize, summary_rows
-    from repro.cluster import PLACEMENT_POLICIES, ClusterConfig, ScenarioConfig
-    from repro.cluster.loadgen import run_scenario
-    from repro.observability import render_json, render_prometheus
-
-    if args.list_policies:
-        for name in sorted(PLACEMENT_POLICIES):
-            doc = (PLACEMENT_POLICIES[name].__doc__ or "").split("\n")[0]
-            print(f"{name:<14} {doc}")
-        return 0
-
-    config = ScenarioConfig(
-        cluster=ClusterConfig(nr_hosts=args.hosts,
-                              ranks_per_host=args.ranks_per_host,
-                              dpus_per_rank=args.dpus_per_rank),
-        policy=args.policy,
-        nr_tenants=args.tenants,
-        nr_requests=args.requests,
-        arrival_rate=args.arrival_rate,
-        mean_hold_s=args.hold,
-        queue_limit=args.queue_limit,
-        tenant_quota_ranks=args.quota,
-        run_apps=not args.no_apps,
-        consolidate_every_s=args.consolidate_every,
-        seed=args.seed,
-    )
-    result, cluster = run_scenario(config)
-    summary = summarize(result, cluster)
-    print(format_table(SUMMARY_HEADERS, summary_rows({args.policy: summary}),
-                       title=f"Fleet scenario ({args.hosts} hosts, "
-                             f"{args.tenants} tenants, seed={args.seed})"))
-    if result.rejections:
-        print("rejections: " + ", ".join(
-            f"{k}={v}" for k, v in sorted(result.rejections.items())))
-    verified = [r.verified for r in result.records if r.verified is not None]
-    if verified:
-        print(f"app runs verified: {sum(verified)}/{len(verified)}")
-    if args.metrics_output:
-        text = (render_json(cluster.metrics) if args.format == "json"
-                else render_prometheus(cluster.metrics))
-        with open(args.metrics_output, "w") as handle:
-            handle.write(text)
-        print(f"cluster metrics snapshot written to {args.metrics_output}")
-    return 0 if all(verified) else 1
-
-
 def cmd_chaos(args) -> int:
-    """Run sessions (or a fleet) under a seeded fault plan."""
+    """Run sessions under a seeded fault plan."""
     from repro.analysis.chaos import (
         CHAOS_HEADERS,
-        CLUSTER_CHAOS_HEADERS,
         ChaosConfig,
         chaos_rows,
-        cluster_chaos_rows,
         run_chaos,
-        run_cluster_chaos,
     )
-    from repro.faults import FaultKind, FaultPlan
 
-    if args.fleet:
-        from repro.cluster import ClusterConfig, ScenarioConfig
-        scenario = ScenarioConfig(
-            cluster=ClusterConfig(nr_hosts=args.hosts,
-                                  ranks_per_host=args.ranks,
-                                  dpus_per_rank=args.dpus_per_rank),
-            nr_requests=args.sessions * 4, seed=args.seed)
-        plan = FaultPlan.generate(
-            seed=args.seed, horizon_s=args.horizon,
-            rate_per_s=args.rate, kinds=(FaultKind.HOST_CRASH,),
-            limits={FaultKind.HOST_CRASH: max(args.hosts - 1, 0)})
-        fleet = run_cluster_chaos(scenario, plan)
-        print(format_table(
-            CLUSTER_CHAOS_HEADERS, cluster_chaos_rows(fleet),
-            title=f"Fleet chaos ({args.hosts} hosts, seed={args.seed})"))
-        print(f"timeline digest: {fleet.timeline_digest}")
-        if fleet.timeline:
-            print(fleet.timeline)
-        snapshot, lost = fleet.metric_snapshot, fleet.sessions_lost
-    else:
-        config = ChaosConfig(
-            nr_ranks=args.ranks, dpus_per_rank=args.dpus_per_rank,
-            app=args.app, nr_sessions=args.sessions, seed=args.seed,
-            fault_rate_per_s=args.rate, horizon_s=args.horizon,
-            max_attempts=args.max_attempts)
-        result = run_chaos(config)
-        print(format_table(
-            CHAOS_HEADERS, chaos_rows(result),
-            title=f"Chaos run ({args.app} x{args.sessions}, "
-                  f"seed={args.seed})"))
-        print(f"timeline digest: {result.timeline_digest}")
-        if result.timeline:
-            print(result.timeline)
-        snapshot, lost = result.metric_snapshot, result.sessions_lost
+    config = ChaosConfig(
+        nr_ranks=args.ranks, dpus_per_rank=args.dpus_per_rank,
+        app=args.app, nr_sessions=args.sessions, seed=args.seed,
+        fault_rate_per_s=args.rate, horizon_s=args.horizon,
+        max_attempts=args.max_attempts)
+    result = run_chaos(config)
+    print(format_table(
+        CHAOS_HEADERS, chaos_rows(result),
+        title=f"Chaos run ({args.app} x{args.sessions}, "
+              f"seed={args.seed})"))
+    print(f"timeline digest: {result.timeline_digest}")
+    if result.timeline:
+        print(result.timeline)
     if args.metrics_output:
         import json
         with open(args.metrics_output, "w") as handle:
-            json.dump(snapshot, handle, indent=1, sort_keys=True)
+            json.dump(result.metric_snapshot, handle, indent=1,
+                      sort_keys=True)
             handle.write("\n")
         print(f"fault metrics snapshot written to {args.metrics_output}")
-    return 0 if lost == 0 else 1
+    return 0 if result.sessions_lost == 0 else 1
 
 
 def cmd_bench(args) -> int:
@@ -575,49 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write a Prometheus metrics snapshot")
     tra.set_defaults(fn=cmd_trace)
 
-    clu = sub.add_parser(
-        "cluster",
-        help="replay a multi-host fleet scenario (placement + admission)")
-    clu.add_argument("--list-policies", action="store_true",
-                     help="list the placement policies and exit")
-    clu.add_argument("--policy", default="round_robin",
-                     choices=["round_robin", "best_fit", "least_loaded"])
-    clu.add_argument("--hosts", type=int, default=4)
-    clu.add_argument("--ranks-per-host", type=int, default=4)
-    clu.add_argument("--dpus-per-rank", type=int, default=8)
-    clu.add_argument("--tenants", type=int, default=8)
-    clu.add_argument("--requests", type=int, default=24)
-    clu.add_argument("--arrival-rate", type=float, default=2.0,
-                     help="Poisson arrival rate (requests per simulated s)")
-    clu.add_argument("--hold", type=float, default=2.0,
-                     help="mean tenant residency after the app run (s)")
-    clu.add_argument("--queue-limit", type=int, default=16)
-    clu.add_argument("--quota", type=int, default=None, metavar="RANKS",
-                     help="per-tenant committed-rank quota")
-    clu.add_argument("--consolidate-every", type=float, default=1.0,
-                     metavar="S", help="consolidation period (0 disables)")
-    clu.add_argument("--no-apps", action="store_true",
-                     help="skip PrIM app runs (pure control-plane replay)")
-    clu.add_argument("--seed", type=int, default=0,
-                     help="workload seed; same seed replays the same "
-                          "scenario and metrics snapshot")
-    clu.add_argument("--format", choices=["prom", "json"], default="prom")
-    clu.add_argument("--metrics-output", default=None, metavar="FILE",
-                     help="write the cluster metrics snapshot here")
-    clu.set_defaults(fn=cmd_cluster)
-
     cha = sub.add_parser(
         "chaos",
         help="run sessions under a seeded fault plan (repro.faults)")
-    cha.add_argument("--fleet", action="store_true",
-                     help="fleet mode: host crashes + tenant re-placement")
     cha.add_argument("--app", choices=["VA", "RED", "SEL", "BS"],
                      default="VA")
     cha.add_argument("--sessions", type=int, default=4)
     cha.add_argument("--ranks", type=int, default=3,
-                     help="ranks per machine (or per host with --fleet)")
-    cha.add_argument("--hosts", type=int, default=3,
-                     help="fleet size (only with --fleet)")
+                     help="ranks per machine")
     cha.add_argument("--dpus-per-rank", type=int, default=8)
     cha.add_argument("--rate", type=float, default=1.0,
                      help="expected fault events per simulated second")

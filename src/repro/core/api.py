@@ -32,8 +32,7 @@ class VPim:
                  oversubscription: bool = False,
                  emulation_slowdown: float = 20.0,
                  paging=None,
-                 clock=None, manager_policy: str = "round_robin",
-                 spans=None) -> None:
+                 manager_policy: str = "round_robin") -> None:
         """``oversubscription`` enables the Section 7 extension: when all
         physical ranks are allocated, the manager hands out software-
         emulated ranks running ``emulation_slowdown``x slower.
@@ -45,16 +44,10 @@ class VPim:
         last resort past the pager's virtual capacity.  ``None`` (the
         default) models no paging at all.
 
-        ``clock`` may be a shared :class:`~repro.hardware.clock.SimClock`
-        so several hosts simulate one fleet-wide timeline
-        (``repro.cluster``); likewise ``spans`` may be a shared
-        :class:`~repro.observability.spans.SpanRecorder` so cross-host
-        placements and migrations propagate one trace context.
         ``manager_policy`` selects the host manager's NAAV-allocation
         policy.
         """
-        self.machine = Machine(machine_config, cost, clock=clock,
-                               spans=spans)
+        self.machine = Machine(machine_config, cost)
         self.driver = UpmemDriver(self.machine)
         self.manager = Manager(self.machine, self.driver,
                                oversubscription=oversubscription,

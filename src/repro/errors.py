@@ -137,22 +137,6 @@ class BackendHungError(TransientFaultError):
 
 
 # --------------------------------------------------------------------------
-# Cluster control plane
-# --------------------------------------------------------------------------
-
-class ClusterError(ReproError):
-    """Fleet control-plane failure (bad scenario, unknown policy...)."""
-
-
-class AdmissionError(ClusterError):
-    """A tenant request was rejected by admission control."""
-
-
-class HostCrashedError(ClusterError):
-    """An operation targeted a fleet host that has crashed."""
-
-
-# --------------------------------------------------------------------------
 # Fault injection
 # --------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ The subsystem has four parts:
   :class:`FaultPlan` schedules on the shared simulated clock;
 - :mod:`repro.faults.injector` — *how* it fails: the
   :class:`FaultInjector` arms hook closures at the stack's layer seams
-  (rank, virtio transport, backend, fleet host) and fires due events;
+  (rank, virtio transport, backend) and fires due events;
 - :mod:`repro.faults.retry` — the transport's bounded retry and costs;
 - :mod:`repro.faults.recovery` — *what happens next*: session reruns,
   checkpoint-based device failover, and the bookkeeping that proves

@@ -2,10 +2,10 @@
 
 Arming installs *hook closures* at each layer seam (``Rank.fault_hook``,
 ``VUpmemBackend.fault_hook``, and the frontend's through the
-:class:`~repro.faults.retry.TransportRetry` it installs); hosts are
-polled via :meth:`FaultInjector.fire_host_faults`.  Unarmed stacks never
-see the injector — each seam checks ``fault_hook is not None``, so a
-run without a plan is byte-identical to a build without this package.
+:class:`~repro.faults.retry.TransportRetry` it installs).  Unarmed
+stacks never see the injector — each seam checks ``fault_hook is not
+None``, so a run without a plan is byte-identical to a build without
+this package.
 A hook that raises marks the active trace itself.
 
 Firing is *pull-based*: a hook pops every pending event whose ``at`` is
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -60,10 +60,9 @@ class FiredFault:
 class FaultInjector:
     """Arms a plan onto a stack and fires events as simulated time passes.
 
-    One injector serves one clock domain; arm it on a machine
-    (:meth:`arm_machine`), on each VM's devices (:meth:`arm_vm`), or on
-    a fleet (:meth:`arm_cluster`) — any combination, as the plan's
-    targets require.
+    One injector serves one machine's clock; arm it on the machine
+    (:meth:`arm_machine`), on each VM's devices (:meth:`arm_vm`), or
+    both, as the plan's targets require.
     """
 
     def __init__(self, plan: FaultPlan, clock, registry=None) -> None:
@@ -78,9 +77,6 @@ class FaultInjector:
         # seeded stream separate from the plan's so adding a knob to one
         # never perturbs the other.
         self._rng = np.random.default_rng((plan.seed << 1) ^ 0x5EED)
-        self.manager = None
-        self.scheduler = None
-        self.hosts: Dict[str, object] = {}
         self._armed: List[object] = []
 
     # -- arming ------------------------------------------------------------
@@ -89,12 +85,8 @@ class FaultInjector:
         """Install rank-seam hooks on every rank of ``machine``.
 
         ``manager`` (when given) learns about injected rank failures via
-        :meth:`~repro.virt.manager.Manager.mark_failed`; each machine's
-        hooks capture *its own* manager, so fleet arming marks the right
-        host's rank table even though rank indices repeat across hosts.
+        :meth:`~repro.virt.manager.Manager.mark_failed`.
         """
-        if manager is not None and self.manager is None:
-            self.manager = manager
         for rank in machine.ranks:
             rank.fault_hook = self._make_rank_hook(manager)
             self._armed.append(rank)
@@ -109,13 +101,6 @@ class FaultInjector:
                 device.device_id)
             self._armed.append(device.frontend)
             self._armed.append(device.backend)
-
-    def arm_cluster(self, cluster, scheduler=None) -> None:
-        """Register fleet hosts (and their machines) for fault delivery."""
-        self.scheduler = scheduler
-        for host in sorted(cluster.hosts, key=lambda h: h.host_id):
-            self.hosts[host.host_id] = host
-            self.arm_machine(host.machine, host.manager)
 
     def disarm(self) -> None:
         """Remove every installed hook; pending events stay scheduled."""
@@ -167,7 +152,7 @@ class FaultInjector:
             for event in self._pop_due(
                     "rank", instance,
                     lambda e: e.kind is not FaultKind.DPU_KERNEL_FAULT):
-                self._fire_rank_event(event, rank, manager or self.manager)
+                self._fire_rank_event(event, rank, manager)
             # A kernel fault only makes sense while booting a kernel, and
             # firing one raises — so consume exactly one per launch;
             # queued repeats crash the *next* launches (or reruns).
@@ -176,8 +161,7 @@ class FaultInjector:
                         "rank", instance,
                         lambda e: e.kind is FaultKind.DPU_KERNEL_FAULT,
                         one=True):
-                    self._fire_rank_event(event, rank,
-                                          manager or self.manager)
+                    self._fire_rank_event(event, rank, manager)
 
         return hook
 
@@ -271,40 +255,6 @@ class FaultInjector:
                     penalty_s=BACKEND_WATCHDOG_TIMEOUT)
 
         return hook
-
-    # -- host scope (polled) ----------------------------------------------
-
-    def fire_host_faults(self) -> List[str]:
-        """Fire due host-scope events; returns the crashed host names.
-
-        Fleet drivers call this between scenario steps — host crashes
-        have no per-operation seam to hook.
-        """
-        crashed: List[str] = []
-        for event in self._pop_due("host", "*") + [
-                e for name in sorted(self.hosts)
-                for e in self._pop_due("host", name)]:
-            host = self._resolve_host(event)
-            if host is None:
-                continue
-            host.crash()
-            self._record(event, f"host:{host.host_id}")
-            self._detected(event.kind, "cluster")
-            crashed.append(host.host_id)
-            if self.scheduler is not None:
-                requeued = self.scheduler.evict_host(host)
-                if self.obs is not None and requeued:
-                    self.obs.recovered[event.kind.value, "requeue"].inc()
-        return crashed
-
-    def _resolve_host(self, event: FaultEvent):
-        if event.instance != "*":
-            host = self.hosts.get(event.instance)
-            return host if host is not None and host.alive else None
-        for name in sorted(self.hosts):
-            if self.hosts[name].alive:
-                return self.hosts[name]
-        return None
 
     # -- replay contract ---------------------------------------------------
 

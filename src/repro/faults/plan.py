@@ -4,7 +4,7 @@ A :class:`FaultPlan` is pure data — *what* goes wrong, *where* and
 *when* on the shared :class:`~repro.hardware.clock.SimClock` timeline.
 Executing the plan is the :class:`~repro.faults.injector.FaultInjector`'s
 job, so the same plan can be replayed against different stacks (native,
-VM, fleet) and the same seed always reproduces the identical schedule —
+VM) and the same seed always reproduces the identical schedule —
 the determinism contract ``benchmarks/bench_chaos_recovery.py`` asserts.
 
 Fault model (one event kind per observed UPMEM failure class; see
@@ -18,14 +18,13 @@ Gómez-Luna et al.'s characterization in PAPERS.md for the hardware ones):
 ``transport_corruption``  a virtio-pim message fails its checksum
 ``transport_stall``       a message is delayed in the queue
 ``backend_hang``          a VMM worker stops until the watchdog fires
-``host_crash``            a fleet host dies with all its ranks
 ========================  =======================================
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,12 +42,10 @@ class FaultKind(enum.Enum):
     TRANSPORT_CORRUPTION = "transport_corruption"
     TRANSPORT_STALL = "transport_stall"
     BACKEND_HANG = "backend_hang"
-    HOST_CRASH = "host_crash"
 
 
 #: Which layer seam each fault kind fires at (also the valid target
-#: prefix: ``rank:3``, ``transport:vm-0.vupmem0``, ``backend:*``,
-#: ``host:host1``).
+#: prefix: ``rank:3``, ``transport:vm-0.vupmem0``, ``backend:*``).
 FAULT_SCOPES: Dict[FaultKind, str] = {
     FaultKind.DPU_MRAM_BITFLIP: "rank",
     FaultKind.DPU_KERNEL_FAULT: "rank",
@@ -57,7 +54,6 @@ FAULT_SCOPES: Dict[FaultKind, str] = {
     FaultKind.TRANSPORT_CORRUPTION: "transport",
     FaultKind.TRANSPORT_STALL: "transport",
     FaultKind.BACKEND_HANG: "backend",
-    FaultKind.HOST_CRASH: "host",
 }
 
 

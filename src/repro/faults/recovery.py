@@ -1,6 +1,6 @@
 """Recovery actions: what the stack does *after* a fault fires.
 
-Three mechanisms, stacked from cheap to expensive (transient transport
+Two mechanisms, stacked from cheap to expensive (transient transport
 retries come first, at the armed transport seam — see
 :class:`repro.faults.retry.TransportRetry`):
 
@@ -13,8 +13,6 @@ retries come first, at the armed transport seam — see
   residency, snapshot a device's rank at launch boundaries (§7
   checkpoint/restore) and replay the last snapshot onto a replacement
   rank instead of recomputing.
-- Fleet re-placement after a host crash lives in
-  :meth:`repro.cluster.scheduler.Scheduler.evict_host`.
 """
 
 from __future__ import annotations
@@ -137,13 +135,23 @@ class CheckpointStore:
         self._by_device: Dict[str, RankCheckpoint] = {}
 
     def save(self, device) -> float:
-        """Checkpoint ``device``'s rank; returns the copy duration."""
+        """Checkpoint ``device``'s rank; returns the copy duration.
+
+        A swapped-out rank is not faulted in: its owning tier already
+        holds its state, which is taken as the checkpoint at no cost.
+        """
         mapping = device.backend.mapping
         if mapping is None:
             raise ManagerError(
                 f"cannot checkpoint {device.device_id}: not linked")
-        checkpoint, duration = checkpoint_rank(mapping.rank)
-        self.clock.advance(duration)
+        rank = mapping.peek_rank()
+        if rank is None:
+            tier = device.backend.driver.tier_of(mapping.rank_index)
+            checkpoint = tier.stored_checkpoint(mapping.rank_index)
+            duration = 0.0
+        else:
+            checkpoint, duration = checkpoint_rank(rank)
+            self.clock.advance(duration)
         self._by_device[device.device_id] = checkpoint
         return duration
 

@@ -32,21 +32,15 @@ class Machine:
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 cost: CostModel = DEFAULT_COST_MODEL,
-                 clock: Optional[SimClock] = None,
-                 spans: Optional[SpanRecorder] = None) -> None:
+                 cost: CostModel = DEFAULT_COST_MODEL) -> None:
         self.config = config or paper_testbed()
         self.cost = cost
-        #: ``clock`` may be shared: a fleet of machines simulated together
-        #: (``repro.cluster``) advances one cluster-wide timeline.
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         #: Machine-wide metric store; ranks, the manager, vUPMEM devices
         #: and sessions all register their instruments here.
         self.metrics = MetricsRegistry()
-        #: Machine-wide trace context; like the clock, ``spans`` may be
-        #: shared fleet-wide so cross-host migrations stay in one trace.
-        self.spans = spans or SpanRecorder(self.clock,
-                                           registry=self.metrics)
+        #: Machine-wide trace context.
+        self.spans = SpanRecorder(self.clock, registry=self.metrics)
         self.ranks: List[Rank] = [Rank(rc, cost, metrics=self.metrics,
                                        spans=self.spans)
                                   for rc in self.config.ranks]

@@ -18,7 +18,7 @@ whole point of this subsystem is making the paper's breakdowns (Figs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import MetricFamily, MetricsRegistry
@@ -238,52 +238,6 @@ _SPECS: Tuple[MetricSpec, ...] = (
         "repro_session_run_seconds", "histogram",
         "Simulated end-to-end application time per run",
         ("app", "mode"), paper="Fig. 8 (total time)"),
-
-    # -- cluster control plane (repro.cluster; §7 consolidation) ------------
-    MetricSpec(
-        "repro_cluster_requests_total", "counter",
-        "Tenant VM requests received by the fleet scheduler, by outcome",
-        ("policy", "outcome"), paper="§7 (dynamic workload consolidation)"),
-    MetricSpec(
-        "repro_cluster_queue_depth", "gauge",
-        "Requests waiting in the bounded admission queue",
-        (), paper="§6 (R2: underutilized reservations)"),
-    MetricSpec(
-        "repro_cluster_queue_wait_seconds", "histogram",
-        "Simulated wait between request arrival and VM placement",
-        ("policy",), paper="§7"),
-    MetricSpec(
-        "repro_cluster_placements_total", "counter",
-        "Tenant VMs placed on a host, by placement policy",
-        ("policy", "host"), paper="§7"),
-    MetricSpec(
-        "repro_cluster_sessions_completed_total", "counter",
-        "Tenant sessions that ran to completion and departed",
-        ("host",), paper="§5 (evaluation sessions)"),
-    MetricSpec(
-        "repro_cluster_ranks_allocated", "gauge",
-        "Ranks currently allocated to tenants on each host",
-        ("host",), paper="§1 (R2: underutilization motivation)"),
-    MetricSpec(
-        "repro_cluster_active_vms", "gauge",
-        "Tenant VMs currently placed on each host",
-        ("host",), paper="§3.2"),
-    MetricSpec(
-        "repro_cluster_migrations_total", "counter",
-        "Cross-host vUPMEM device migrations driven by the consolidator",
-        ("from_host", "to_host"), paper="§7 (checkpoint/restore)"),
-    MetricSpec(
-        "repro_cluster_migrated_bytes_total", "counter",
-        "Checkpointed MRAM bytes moved between hosts by migrations",
-        (), paper="§7"),
-    MetricSpec(
-        "repro_cluster_consolidation_runs_total", "counter",
-        "Defragmentation passes executed by the consolidator loop",
-        (), paper="§7 (dynamic workload consolidation)"),
-    MetricSpec(
-        "repro_cluster_hosts_drained_total", "counter",
-        "Hosts whose last allocated rank was migrated away",
-        (), paper="§7 (consolidation frees whole hosts)"),
 
     # -- QoS: weighted-fair bus arbitration + SLO layer (repro.qos) ----------
     MetricSpec(

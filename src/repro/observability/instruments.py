@@ -153,8 +153,7 @@ BACKEND = {
     "bufpool_reuse": _row("repro_bufpool_reuse_total"),
 }
 
-#: The host-wide rank manager; ``policy=`` is the active NAAV policy, so
-#: single-host decisions read comparably to the fleet scheduler's series.
+#: The host-wide rank manager; ``policy=`` is the active NAAV policy.
 MANAGER = {
     "transitions": _row("repro_manager_state_transitions_total",
                         "from_state", "to_state"),
@@ -176,22 +175,6 @@ VM = {
 SESSION = {
     "runs": _row("repro_session_runs_total", "app", "mode", "verified"),
     "run_seconds": _row("repro_session_run_seconds", "app", "mode"),
-}
-
-#: The fleet control plane; ``policy=``.  Lives in the *cluster*
-#: registry, so its series carry host/tenant identity, not VM/device ids.
-CLUSTER = {
-    "requests": _row("repro_cluster_requests_total", "outcome"),
-    "queue_depth": _row("repro_cluster_queue_depth"),
-    "queue_wait": _row("repro_cluster_queue_wait_seconds"),
-    "placements": _row("repro_cluster_placements_total", "host"),
-    "completed": _row("repro_cluster_sessions_completed_total", "host"),
-    "ranks_allocated": _row("repro_cluster_ranks_allocated", "host"),
-    "active_vms": _row("repro_cluster_active_vms", "host"),
-    "migrations": _row("repro_cluster_migrations_total", "from_host", "to_host"),
-    "migrated_bytes": _row("repro_cluster_migrated_bytes_total"),
-    "consolidations": _row("repro_cluster_consolidation_runs_total"),
-    "drained": _row("repro_cluster_hosts_drained_total"),
 }
 
 #: One QoS flow (one per VM); ``vm=``.
@@ -227,9 +210,9 @@ PAGING = {
     "prefault_overlap": _row("repro_paging_prefault_overlap_seconds_total"),
 }
 
-#: Fault injection and recovery.  Bound in a machine registry
-#: (single-host chaos) or the cluster registry (host crashes); injectors,
-#: the frontend retry path and the recovery helpers share these families.
+#: Fault injection and recovery, bound in the machine registry;
+#: injectors, the frontend retry path and the recovery helpers share
+#: these families.
 FAULT = {
     "injected": _row("repro_fault_injected_total", "kind"),
     "detected": _row("repro_fault_detected_total", "kind", "layer"),

@@ -7,8 +7,7 @@ shows per-rank completion timing — but aggregate metrics cannot answer
 span model that can: a :class:`Span` carries its identity (trace_id,
 span_id, parent_id) plus a stack layer, and a :class:`SpanRecorder`
 threads that identity through every seam of the stack (session → SDK →
-frontend → virtio → backend → rank, plus the cluster control plane and
-fault recovery).
+frontend → virtio → backend → rank, plus paging and fault recovery).
 
 Two properties are non-negotiable and shape the design:
 
@@ -17,8 +16,8 @@ Two properties are non-negotiable and shape the design:
   Spans therefore never read ``clock.now`` mid-operation — each open
   span keeps a *cursor* that children advance by their modeled
   durations, so nested spans are exact even though the clock has not
-  moved yet.  Only root/scope spans (session runs, cluster actions)
-  anchor on the clock, because the clock genuinely advances there.
+  moved yet.  Only root/scope spans (session runs, swaps) anchor on
+  the clock, because the clock genuinely advances there.
 - **Bounded memory.**  Spans buffer per active trace (capped), finished
   traces are retained per a deterministic head-sampling decision
   (``sample_rate``; faulted traces are always kept), and the retained
@@ -50,7 +49,7 @@ from repro.observability.stats import DecayedMean
 #: own named track; :func:`~repro.observability.critical_path.
 #: layer_self_times` reports per-layer self-time against this list.
 LAYERS = ("session", "sdk", "frontend", "virtio", "backend", "rank",
-          "paging", "cluster", "faults")
+          "paging", "faults")
 
 #: Tail retention warms up over this many roots per layer before it may
 #: call one an outlier, and weighs each new root this much in the mean.
@@ -158,9 +157,7 @@ class SpanRecorder:
     """Records span trees against a simulated clock.
 
     One recorder is shared machine-wide (``machine.spans``, like the
-    clock and the metrics registry) or fleet-wide (``cluster.spans``),
-    so context propagates across hosts the same way the shared
-    :class:`~repro.hardware.clock.SimClock` does.
+    clock and the metrics registry).
 
     API sketch::
 
@@ -435,8 +432,8 @@ class SpanRecorder:
     @contextmanager
     def scope(self, name: str, layer: str,
               **attributes: object) -> Iterator[Span]:
-        """Span over a clock-advancing region (session runs, cluster
-        placement/migration): starts and ends at ``clock.now``."""
+        """Span over a clock-advancing region (session runs, rank
+        swaps): starts and ends at ``clock.now``."""
         span = self.begin(name, layer, start=self.clock.now, **attributes)
         try:
             yield span

@@ -1,11 +1,11 @@
 """Shared statistics primitives for telemetry consumers.
 
-Percentile math used to live twice — a linear-interpolation variant in
-``repro.qos.slo`` (numpy's default, feeding burn rates) and a
-nearest-rank variant in ``repro.analysis.fleet`` (feeding the fleet
-scorecards).  Both conventions are legitimate and *different* on small
-samples, so they are kept as two named functions here instead of being
-silently unified; the unit tests pin each convention's exact outputs.
+Percentile math comes in two conventions — a linear-interpolation
+variant (numpy's default, feeding the SLO layer's burn rates) and a
+nearest-rank variant (feeding the QoS and overcommit scorecards).  Both
+conventions are legitimate and *different* on small samples, so they are
+kept as two named functions here instead of being silently unified; the
+unit tests pin each convention's exact outputs.
 
 :class:`DecayedMean` is the exponentially-decayed baseline the QoS
 arbiter's activity tracking and the tail sampler's per-layer duration
@@ -38,11 +38,11 @@ def percentile_linear(samples: Sequence[float], q: float) -> float:
 
 
 def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile, ``q`` in [0, 100] (fleet convention).
+    """Nearest-rank percentile, ``q`` in [0, 100] (scorecard convention).
 
     Picks the order statistic whose rank is closest to ``q`` percent of
     the way through the sorted sample — an actually-observed value, which
-    is what the fleet scorecards report.  Returns 0.0 for empty input.
+    is what the analysis scorecards report.  Returns 0.0 for empty input.
     """
     if not values:
         return 0.0

@@ -3,7 +3,7 @@
 The registry answers "what is the cumulative count *now*?"; the paper's
 evaluation needs trajectories (Fig. 8/13/16 are all time-resolved), and
 the alert engine needs windows.  This store bridges the two: it scrapes
-one or more registries on a fixed simulated-time cadence and keeps a
+the registry on a fixed simulated-time cadence and keeps a
 bounded ring buffer of points per series, exactly the way a Prometheus
 server would — except the clock is the simulation's, so two runs at the
 same seed produce byte-identical trajectories.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.observability.instruments import TSDB, bind
 from repro.observability.metrics import HistogramChild, MetricsRegistry
@@ -86,7 +86,7 @@ class Series:
 
 
 class TimeSeriesStore:
-    """Scrapes registries on a simulated cadence and answers windowed queries.
+    """Scrapes a registry on a simulated cadence and answers windowed queries.
 
     Usage (``TelemetryPipeline`` does the scraping as the clock moves)::
 
@@ -98,14 +98,12 @@ class TimeSeriesStore:
 
     def __init__(self, registry: MetricsRegistry,
                  interval: float = 0.001,
-                 max_points: int = 4096,
-                 extra_registries: Sequence[MetricsRegistry] = ()) -> None:
+                 max_points: int = 4096) -> None:
         if interval <= 0:
             raise ValueError(f"scrape interval must be positive, got {interval}")
         self.interval = interval
         self.max_points = max_points
         self.registry = registry
-        self.registries = [registry, *extra_registries]
         self.obs = bind(registry, TSDB)
         self.series: Dict[SeriesKey, Series] = {}
         self.scrapes = 0
@@ -131,28 +129,27 @@ class TimeSeriesStore:
         number of points appended."""
         appended = 0
         drops: Dict[str, int] = {}
-        for registry in self.registries:
-            for family in registry.collect():
-                for labels, child in family.samples():
-                    key = (family.name, tuple(sorted(labels.items())))
-                    series = self.series.get(key)
-                    if isinstance(child, HistogramChild):
-                        if series is None:
-                            series = Series(family.name, key[1], family.kind,
-                                            self.max_points,
-                                            bounds=tuple(child.buckets))
-                            self.series[key] = series
-                        point = (ts, child.count, child.sum,
-                                 tuple(child.bucket_counts))
-                    else:
-                        if series is None:
-                            series = Series(family.name, key[1], family.kind,
-                                            self.max_points)
-                            self.series[key] = series
-                        point = (ts, child.value)
-                    if series.append(point):
-                        drops[family.name] = drops.get(family.name, 0) + 1
-                    appended += 1
+        for family in self.registry.collect():
+            for labels, child in family.samples():
+                key = (family.name, tuple(sorted(labels.items())))
+                series = self.series.get(key)
+                if isinstance(child, HistogramChild):
+                    if series is None:
+                        series = Series(family.name, key[1], family.kind,
+                                        self.max_points,
+                                        bounds=tuple(child.buckets))
+                        self.series[key] = series
+                    point = (ts, child.count, child.sum,
+                             tuple(child.bucket_counts))
+                else:
+                    if series is None:
+                        series = Series(family.name, key[1], family.kind,
+                                        self.max_points)
+                        self.series[key] = series
+                    point = (ts, child.value)
+                if series.append(point):
+                    drops[family.name] = drops.get(family.name, 0) + 1
+                appended += 1
         self.scrapes += 1
         self.samples_total += appended
         self.last_ts = ts

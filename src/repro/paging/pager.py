@@ -211,6 +211,11 @@ class RankPager:
             return None
         return self.machine.rank(entry.frame)
 
+    def stored_checkpoint(self, vrank: int):
+        """A swapped-out ``vrank``'s state as the swap store holds it:
+        no fault, no paging traffic and no modeled time."""
+        return self.store.get(vrank)
+
     def prefault(self, vrank: int, overlap: float = 0.0) -> None:
         """Predictive swap-in for a queued request targeting ``vrank``.
 

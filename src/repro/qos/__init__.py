@@ -3,8 +3,8 @@
 The paper's R2 motivation (many tenants multiplex one PIM server) stops
 at allocation-time arbitration: the Manager hands out ranks, but once
 placed, co-resident VMs contend freely on the host bus and the
-Firecracker event loop.  ``repro.qos`` turns the fleet's deadline
-classes into *enforced* per-tenant isolation (``docs/qos.md``).  It is
+Firecracker event loop.  ``repro.qos`` turns per-VM QoS policies into
+*enforced* per-tenant isolation (``docs/qos.md``).  It is
 the only code that knows about flows, arbitration and dispatch order:
 the paper's request path meets it at the three hooks of a VM's
 ``qos_flow`` (``on_kick``, ``on_bus``, ``intra_contention``), each behind
@@ -24,13 +24,12 @@ one ``None`` check.  Its parts:
   tracking, and weight/throttle/migration actuation.
 """
 
-from repro.qos.config import FleetQosPolicy, QosConfig
+from repro.qos.config import QosConfig
 from repro.qos.flow import QosFlow
 from repro.qos.slo import SloEnforcer, SloObjective, SloTracker
 from repro.qos.tokens import TokenBucket
 
 __all__ = [
-    "FleetQosPolicy",
     "QosConfig",
     "QosFlow",
     "SloEnforcer",

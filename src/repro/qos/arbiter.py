@@ -1,7 +1,7 @@
 """The shared host bus and the Firecracker event loop across QoS flows.
 
-Co-resident VMs never overlap in *simulated* time — the fleet replays
-sessions serially on one clock — so cross-VM contention cannot emerge
+Co-resident VMs never overlap in *simulated* time — sessions replay
+serially on one clock — so cross-VM contention cannot emerge
 from interleaved events.  It is modeled declaratively instead: each VM
 registers a flow with a demand profile (declared up front, or measured
 as a decaying window of its actual bus seconds), and every operation

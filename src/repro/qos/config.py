@@ -19,9 +19,7 @@ wall-clock digest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-from repro.qos.slo import SloObjective
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -60,23 +58,3 @@ class QosConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-
-
-@dataclass(frozen=True)
-class FleetQosPolicy:
-    """Cluster-level QoS: per-deadline-class configs + SLO objectives.
-
-    The fleet scheduler stamps the matching :class:`QosConfig` (with the
-    tenant filled in) onto every VM it books; the load generator feeds
-    session outcomes to an :class:`~repro.qos.slo.SloTracker` and runs
-    the enforcer between events.
-    """
-
-    interactive: QosConfig = QosConfig(weight=4.0)
-    batch: QosConfig = QosConfig(weight=1.0)
-    objectives: Tuple[SloObjective, ...] = ()
-
-    def for_class(self, deadline_class: str) -> QosConfig:
-        if deadline_class == "interactive":
-            return self.interactive
-        return self.batch

@@ -9,8 +9,9 @@ and actuates, in escalating order:
 
 1. boost the victim flow's weight (more bus share under WFQ);
 2. tighten co-resident offenders' byte-rate throttles;
-3. emit a migration hint the Consolidator serves by re-homing the
-   victim's placement onto the least-loaded host.
+3. emit a migration hint (:meth:`SloEnforcer.take_migration_hints`)
+   for whoever can re-home the victim, e.g. through
+   :func:`~repro.virt.migration.migrate_device`.
 
 Everything runs on simulated time and the shared metrics registry
 (``repro_qos_slo_*`` families); nothing here advances the clock.
@@ -240,6 +241,7 @@ class SloEnforcer:
         return [SloAction(tenant, "migrate_hint")]
 
     def take_migration_hints(self) -> List[str]:
-        """Drain pending hints (the Consolidator's ``relieve`` input)."""
+        """Drain pending hints: tenants whose objective still burns after
+        the weight and throttle rungs."""
         hints, self._hints = self._hints, []
         return hints

@@ -375,8 +375,8 @@ class Manager:
         Physical count, or what a tier ahead of the ladder advertises
         (the pager's physical x overcommit ratio); a last resort is not
         advertised.  VM sizing
-        (:meth:`~repro.virt.firecracker.VmConfig.validate`) and cluster
-        placement both size against this.
+        (:meth:`~repro.virt.firecracker.VmConfig.validate`) sizes
+        against this.
         """
         return max([self.machine.nr_ranks]
                    + [tier.virtual_capacity for tier in self.tiers

@@ -109,8 +109,7 @@ def restore_rank(rank: Rank, checkpoint: RankCheckpoint) -> float:
 
 
 def migrate_device(device: VUpmemDevice, manager: Manager,
-                   target_rank: Optional[int] = None,
-                   target_manager: Optional[Manager] = None) -> int:
+                   target_rank: Optional[int] = None) -> int:
     """Move a linked device's rank state to another rank.
 
     Allocates a target through the manager (unless ``target_rank`` is
@@ -118,41 +117,29 @@ def migrate_device(device: VUpmemDevice, manager: Manager,
     the backend, and releases the source (which the manager then resets
     as usual).  Advances the simulated clock by the copy costs.  Returns
     the new physical rank index.
-
-    ``target_manager`` moves the device to a *different host*: the
-    target rank is allocated from that manager's rank table and the
-    backend is re-pointed at that host's driver — the cross-host
-    consolidation path of ``repro.cluster`` (§7: checkpoint/restore
-    enables dynamic workload consolidation).
     """
     mapping = device.backend.mapping
     if mapping is None:
         raise ManagerError(f"device {device.device_id} is not linked")
     source = mapping.rank
     clock = manager.clock
-    dest = target_manager or manager
 
     checkpoint, save_time = checkpoint_rank(source)
     clock.advance(save_time)
 
     if target_rank is None:
-        target_rank = dest.allocate(device.device_id)
-        if dest is manager and target_rank == source.index:
+        target_rank = manager.allocate(device.device_id)
+        if target_rank == source.index:
             # The manager handed back the same rank (NANA fast path):
-            # nothing to move.  Rank indices are per-host, so this
-            # shortcut only applies when source and target managers are
-            # the same.
+            # nothing to move.
             return target_rank
-    target = dest.driver.resolve_rank(target_rank)
+    target = manager.driver.resolve_rank(target_rank)
 
     restore_time = restore_rank(target, checkpoint)
     clock.advance(restore_time)
 
-    # Swap the backend's mapping: release the source, claim the target
-    # (re-pointing the backend at the destination host's driver first
-    # when the move crosses hosts).
+    # Swap the backend's mapping: release the source, claim the target.
     device.backend.unlink()
-    device.backend.driver = dest.driver
     device.backend.link_rank(target_rank)
     # Compiled transfer plans hold rank-specific pinned state; the
     # relinked backend must not replay them against the new rank.

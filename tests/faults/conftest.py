@@ -4,22 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, Scheduler
 from repro.config import small_machine
 from repro.core import VPim
 from repro.faults import FaultInjector, FaultPlan
-
-
-@pytest.fixture
-def cluster() -> Cluster:
-    """A 3-host fleet, 2 ranks x 4 DPUs per host."""
-    return Cluster(ClusterConfig(nr_hosts=3, ranks_per_host=2,
-                                 dpus_per_rank=4))
-
-
-@pytest.fixture
-def scheduler(cluster) -> Scheduler:
-    return Scheduler(cluster, policy="round_robin", queue_limit=4)
 
 
 @pytest.fixture

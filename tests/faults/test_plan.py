@@ -12,7 +12,7 @@ class TestFaultEvent:
             FaultEvent(at=1.0, kind=FaultKind.RANK_OFFLINE,
                        target="host:host0")
         with pytest.raises(FaultInjectionError):
-            FaultEvent(at=1.0, kind=FaultKind.HOST_CRASH, target="host:")
+            FaultEvent(at=1.0, kind=FaultKind.BACKEND_HANG, target="backend:")
 
     def test_negative_time_rejected(self):
         with pytest.raises(FaultInjectionError, match="negative"):

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.analysis.chaos import ChaosConfig, run_chaos
 from repro.apps.prim.va import VectorAdd
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE
 from repro.errors import (
@@ -488,3 +489,11 @@ class TestBoundRequestAborts:
         assert frontend.plans.counts["misses"] == misses + 2, "both shapes recompiled"
         assert frontend.memory.nr_bound == 0
         dpus.__exit__(None, None, None)
+
+
+class TestChaosDriver:
+    def test_run_chaos_validates_config(self):
+        with pytest.raises(Exception, match="positive"):
+            run_chaos(ChaosConfig(nr_ranks=0))
+        with pytest.raises(Exception, match="fault kinds"):
+            run_chaos(ChaosConfig(kinds=("nope",)))

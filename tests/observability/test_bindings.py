@@ -24,7 +24,6 @@ IDS = {
     "MANAGER": dict(policy="round_robin"),
     "VM": {},
     "SESSION": {},
-    "CLUSTER": dict(policy="least_loaded"),
     "QOS": dict(vm="vm-0"),
     "SLO": {},
     "PAGING": dict(policy="lru"),

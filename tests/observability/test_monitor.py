@@ -64,7 +64,7 @@ class TestCli:
 class TestDefaultRules:
     @pytest.mark.parametrize(
         "scenario",
-        ["quick", "prim", "noisy", "paging", "drill", "cluster", "chaos"])
+        ["quick", "prim", "noisy", "paging", "drill", "chaos"])
     def test_rules_are_catalog_valid_for_every_scenario(self, scenario):
         """One rule set serves every scenario."""
         MonitorConfig(scenario=scenario).validate()
@@ -207,8 +207,6 @@ class TestScenarioPins:
     DIGESTS = {
         "quick": "94874d60ace47cc3c58af86c7fd44306"
                  "f1b007840beb175d99250f6d0737acec",
-        "cluster": "139744995f193602d336ab4a63d85bdd"
-                   "9ab90359013744cab054848326581bc6",
         "chaos": "671724db717bea0325a1fc87ee4fe985"
                  "ba35071c7313212863ee431354e4d5da",
     }

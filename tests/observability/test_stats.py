@@ -5,8 +5,9 @@ file pins both so the dedup cannot silently change either:
 
 - ``percentile_linear`` (q in [0, 1], linear interpolation) — the SLO
   tracker's convention (`repro.qos.slo._percentile`);
-- ``percentile_nearest_rank`` (q in [0, 100], nearest-rank) — the fleet
-  analysis convention (`repro.analysis.fleet.percentile`).
+- ``percentile_nearest_rank`` (q in [0, 100], nearest-rank) — the
+  scorecard convention of `repro.analysis.qos` and
+  `repro.analysis.overcommit`.
 """
 
 from __future__ import annotations
@@ -57,13 +58,11 @@ class TestPercentileNearestRank:
     def test_p99_small_sample_is_max(self):
         assert percentile_nearest_rank([1.0, 2.0, 3.0], 99) == 3.0
 
-    def test_matches_fleet_convention(self):
-        """`repro.analysis.fleet.percentile` delegates to this function."""
-        from repro.analysis.fleet import percentile
-
+    def test_picks_observed_values(self):
         values = [0.3, 0.1, 0.9, 0.5, 0.7]
-        for q in (0, 25, 50, 90, 99, 100):
-            assert percentile(values, q) == percentile_nearest_rank(values, q)
+        assert [percentile_nearest_rank(values, q)
+                for q in (0, 25, 50, 90, 99, 100)] \
+            == [0.1, 0.3, 0.5, 0.9, 0.9, 0.9]
 
     def test_the_two_conventions_differ(self):
         """The reason both survive: they disagree on interior ranks."""

@@ -53,6 +53,17 @@ class TestScraping:
         with pytest.raises(ValueError):
             TimeSeriesStore(MetricsRegistry(), interval=0.0)
 
+    def test_self_metrics_do_not_mutate_during_sweep(self):
+        """The store's own families are written after collect, so a
+        scrape terminates and the accounting lands one scrape late."""
+        registry = MetricsRegistry()
+        _counter(registry).inc()
+        store = TimeSeriesStore(registry, interval=0.001)
+        store.scrape(ts=0.0)
+        store.scrape(ts=0.001)
+        # The second scrape captured the first one's self-accounting.
+        assert store.latest("repro_tsdb_scrapes_total") == 1.0
+
 
 class TestRetention:
     def test_exact_drop_accounting(self):
@@ -169,27 +180,3 @@ class TestQueries:
         assert total == pytest.approx(sum(
             0.002 * (i + 1) for i in range(10)))
         assert sum(buckets) == count
-
-
-class TestMultiRegistry:
-    def test_extra_registries_are_scraped(self):
-        main = MetricsRegistry()
-        other = MetricsRegistry()
-        _counter(main).inc()
-        instrument(other, "repro_frontend_requests_total").labels(
-            vm="vm-9", device="dev0", kind="launch").inc(3.0)
-        store = TimeSeriesStore(main, interval=0.001,
-                                extra_registries=[other])
-        store.scrape(ts=0.0)
-        assert store.latest("repro_frontend_requests_total") == 4.0
-
-    def test_self_metrics_do_not_mutate_during_sweep(self):
-        """The store's own families are written after collect, so a
-        scrape terminates and the accounting lands one scrape late."""
-        registry = MetricsRegistry()
-        _counter(registry).inc()
-        store = TimeSeriesStore(registry, interval=0.001)
-        store.scrape(ts=0.0)
-        store.scrape(ts=0.001)
-        # The second scrape captured the first one's self-accounting.
-        assert store.latest("repro_tsdb_scrapes_total") == 1.0

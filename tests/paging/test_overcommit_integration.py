@@ -1,11 +1,10 @@
-"""Overcommit through the full stack: VMs, virtio, pager, cluster."""
+"""Overcommit through the full stack: VMs, virtio, pager, manager."""
 
 import pytest
 
 from repro.analysis.figures import machine_config
 from repro.analysis.overcommit import run_overcommit
 from repro.apps.prim.va import VectorAdd
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core import VPim
 from repro.errors import VmConfigError
 from repro.paging.config import PagingConfig
@@ -58,20 +57,13 @@ def test_release_destroys_the_vrank_record():
     assert vpim.manager.pager.frames_held == 1
 
 
-def test_cluster_hosts_advertise_virtual_capacity():
-    cluster = Cluster(ClusterConfig(
-        nr_hosts=2, ranks_per_host=2, dpus_per_rank=4,
-        paging=PagingConfig(overcommit_ratio=2.0)))
-    host = cluster.hosts[0]
-    assert host.total_ranks == 2
-    assert host.capacity_ranks == 4
-    assert host.free_ranks() == 4
-    assert host.fits(3)
-    assert cluster.largest_host_ranks() == 4
+def test_paging_host_advertises_virtual_capacity():
+    vpim = VPim(machine_config(2, dpus_per_rank=4),
+                paging=PagingConfig(overcommit_ratio=2.0))
+    assert vpim.machine.nr_ranks == 2
+    assert vpim.manager.rank_capacity() == 4
 
 
-def test_cluster_without_paging_is_physically_sized():
-    cluster = Cluster(ClusterConfig(nr_hosts=1, ranks_per_host=2,
-                                    dpus_per_rank=4))
-    assert cluster.hosts[0].capacity_ranks == 2
-    assert not cluster.hosts[0].fits(3)
+def test_host_without_paging_is_physically_sized():
+    vpim = VPim(machine_config(2, dpus_per_rank=4))
+    assert vpim.manager.rank_capacity() == 2

@@ -88,44 +88,6 @@ def test_figure_fig16(capsys):
     assert "sequential" in out
 
 
-def test_cluster_list_policies(capsys):
-    code, out = run_cli(capsys, "cluster", "--list-policies")
-    assert code == 0
-    for name in ("round_robin", "best_fit", "least_loaded"):
-        assert name in out
-
-
-def test_cluster_scenario_runs_and_verifies(capsys):
-    code, out = run_cli(capsys, "cluster", "--hosts", "3",
-                        "--ranks-per-host", "2", "--dpus-per-rank", "4",
-                        "--tenants", "4", "--requests", "6",
-                        "--policy", "best_fit", "--seed", "1")
-    assert code == 0
-    assert "Fleet scenario" in out
-    assert "app runs verified: " in out
-
-
-def test_cluster_seed_is_reproducible(capsys):
-    args = ("cluster", "--hosts", "3", "--ranks-per-host", "2",
-            "--dpus-per-rank", "4", "--requests", "8", "--no-apps",
-            "--seed", "6")
-    _, out1 = run_cli(capsys, *args)
-    _, out2 = run_cli(capsys, *args)
-    assert out1 == out2
-
-
-def test_cluster_metrics_output(capsys, tmp_path):
-    target = tmp_path / "cluster.prom"
-    code, out = run_cli(capsys, "cluster", "--hosts", "2",
-                        "--ranks-per-host", "2", "--dpus-per-rank", "4",
-                        "--requests", "4", "--no-apps", "--seed", "0",
-                        "--metrics-output", str(target))
-    assert code == 0
-    text = target.read_text()
-    assert "repro_cluster_requests_total" in text
-    assert "repro_cluster_queue_wait_seconds" in text
-
-
 def test_qos_isolation_demo(capsys):
     code, out = run_cli(capsys, "qos", "--sessions", "2",
                         "--dpus-per-rank", "8", "--no-slo")
@@ -143,7 +105,3 @@ def test_qos_demo_with_slo_walkthrough(capsys):
     assert "burn rate before actuation" in out
     assert "burn rate after actuation" in out
 
-
-def test_cluster_unknown_policy_rejected():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["cluster", "--policy", "first_fit"])

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.cluster import Cluster, ClusterConfig, Scheduler, TenantRequest
-from repro.cluster.loadgen import ScenarioConfig
 from repro.config import small_machine
 from repro.core import VPim
 from repro.driver.driver import UpmemDriver
@@ -181,33 +179,6 @@ def test_backend_hung_error_carries_watchdog_penalty():
         backend.fault_hook(backend)
     assert info.value.penalty_s > 0
     assert info.value.kind == "backend_hang"
-
-
-# -- cluster control plane --------------------------------------------------
-
-def test_cluster_error_on_bad_scenario():
-    with pytest.raises(errors.ClusterError, match="nr_tenants"):
-        ScenarioConfig(nr_tenants=0).validate()
-
-
-def test_admission_error_on_strict_submit():
-    cluster = Cluster(ClusterConfig(nr_hosts=2, ranks_per_host=2,
-                                    dpus_per_rank=4))
-    scheduler = Scheduler(cluster, queue_limit=4)
-    with pytest.raises(errors.AdmissionError, match="rejected_oversize"):
-        scheduler.submit_or_raise(TenantRequest(tenant="t0", nr_ranks=64))
-
-
-def test_host_crashed_error_on_migration_to_dead_host():
-    cluster = Cluster(ClusterConfig(nr_hosts=2, ranks_per_host=2,
-                                    dpus_per_rank=4))
-    scheduler = Scheduler(cluster, queue_limit=4)
-    scheduler.submit(TenantRequest(tenant="t0", nr_ranks=1))
-    placement = scheduler.try_place_next()
-    target = next(h for h in cluster.hosts if h is not placement.host)
-    target.crash()
-    with pytest.raises(errors.HostCrashedError, match="live target"):
-        placement.move_to(target)
 
 
 # -- fault injection --------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.analysis.figures import machine_config
 from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import DpuFaultError, ManagerError
+from repro.faults.recovery import CheckpointStore
 from repro.hardware.machine import Machine
 from repro.paging.config import PagingConfig
 from repro.sdk.dpu_set import DpuSet
@@ -160,5 +161,33 @@ def test_consolidate_scan_causes_no_paging_traffic():
     assert dict(pager.faults) == faults
     assert pager.counts.get("evictions", 0) == evictions
     assert vpim.machine.clock.now == now
+    for dpus in sets:
+        dpus.free()
+
+
+def test_checkpointing_a_swapped_out_tenant_causes_no_paging_traffic():
+    vpim = VPim(machine_config(1, dpus_per_rank=4), paging=PagingConfig())
+    sessions = [vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 28)
+                for _ in range(2)]
+    sets = [DpuSet(session.transport, 4) for session in sessions]
+    # Past one page, so the writes reach the ranks instead of waiting in
+    # the frontend's batch buffer.
+    pushed = [[np.full(8192, 16 * t + d, np.uint8) for d in range(4)]
+              for t in range(2)]
+    for dpus, buffers in zip(sets, pushed):
+        dpus.push_to_mram(0, buffers)
+    pager = vpim.manager.pager
+    assert pager.resident_rank(sets[0].channels[0].rank_index) is None
+    faults, evictions = dict(pager.faults), pager.counts.get("evictions", 0)
+    now = vpim.machine.clock.now
+    store = CheckpointStore(vpim.machine.clock)
+    (device,) = sessions[0].vm.devices
+    assert store.save(device) == 0.0
+    assert dict(pager.faults) == faults
+    assert pager.counts.get("evictions", 0) == evictions
+    assert vpim.machine.clock.now == now
+    checkpoint = store.get(device.device_id)
+    assert [bytes(snap.mram_segments[0][:8192]) for snap in checkpoint.dpus] \
+        == [buffer.tobytes() for buffer in pushed[0]]
     for dpus in sets:
         dpus.free()

@@ -1,6 +1,6 @@
 """Migration under churn: checkpoint/restore/migrate amid live tenants.
 
-Stresses the §7 mechanisms the consolidator leans on: devices are
+Stresses the §7 mechanisms consolidation leans on: devices are
 migrated while *other* VMs keep running applications, repeatedly, and
 tenant state (MRAM bytes, WRAM symbols, loaded program) must survive
 every hop.  A device whose rank is mid-launch must refuse to move.
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.apps.prim.va import VectorAdd
-from repro.cluster import Cluster, ClusterConfig, Scheduler, TenantRequest
 from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import DpuFaultError
@@ -105,45 +104,6 @@ def test_migration_refused_while_running(vpim):
     from repro.hardware.dpu import DpuRunStats
     rank.dpus[0].finish_run(DpuRunStats())
     _assert_victim_intact(device)
-
-
-def test_cross_host_migration_under_load():
-    """Fleet-level churn: move a tenant between hosts while both hosts
-    serve other VMs, through the scheduler's placement objects."""
-    cluster = Cluster(ClusterConfig(nr_hosts=2, ranks_per_host=2,
-                                    dpus_per_rank=4))
-    scheduler = Scheduler(cluster, policy="round_robin")
-
-    def place(tenant):
-        scheduler.submit(TenantRequest(tenant=tenant, nr_ranks=1))
-        placement = scheduler.try_place_next()
-        placement.acquire()
-        return placement
-
-    moving = place("mover")          # lands on host0
-    staying = place("stayer")        # lands on host1
-    source_host, dest_host = moving.host, staying.host
-    assert source_host is not dest_host
-
-    device = moving.linked_devices()[0]
-    for dpu in device.backend.mapping.rank.dpus:
-        dpu.mram.write(0, np.full(64, 0x77, np.uint8))
-
-    migrate_device(device, source_host.manager,
-                   target_manager=dest_host.manager)
-    moving.move_to(dest_host)
-
-    # The device now answers through the destination host's driver.
-    assert device.backend.driver is dest_host.driver
-    assert source_host.allocated_ranks() == 0
-    assert dest_host.allocated_ranks() == 2
-    rank = device.backend.mapping.rank
-    assert all((dpu.mram.read(0, 64) == 0x77).all() for dpu in rank.dpus)
-
-    # Both tenants depart cleanly on their (new) hosts.
-    scheduler.release(moving)
-    scheduler.release(staying)
-    assert cluster.allocated_ranks() == 0
 
 
 def test_worker_dpuset_survives_neighbor_migration(vpim):
