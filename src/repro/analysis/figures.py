@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.trace import Tracer
 from repro.apps.micro.checksum import Checksum
 from repro.apps.micro.index_search import IndexSearch
 from repro.apps.prim.nw import NeedlemanWunsch
@@ -152,26 +151,6 @@ def run_app(short_name: str, nr_dpus: int, mode: str = "native",
     return session.run(app)
 
 
-def run_app_instrumented(
-        short_name: str, nr_dpus: int, mode: str = "vm",
-        profile: str = "test", preset: Optional[str] = None,
-        config: Optional[MachineConfig] = None,
-        **extra_params) -> Tuple[ExecutionReport, MetricsRegistry, Tracer]:
-    """Like :func:`run_app`, but returns the full observability bundle.
-
-    One run yields three artifacts: the :class:`ExecutionReport`, the
-    machine's :class:`MetricsRegistry` (export with
-    :func:`repro.observability.render_prometheus`), and a :class:`Tracer`
-    whose events were mirrored into the ``repro_trace_*`` metrics — the
-    ``repro metrics`` CLI subcommand is a thin wrapper over this.
-    """
-    vpim, app, session = _build(short_name, nr_dpus, mode, profile, preset,
-                                config, extra_params)
-    tracer = Tracer(registry=vpim.machine.metrics)
-    session.transport.profiler.tracer = tracer
-    return session.run(app), vpim.machine.metrics, tracer
-
-
 def run_app_traced(
         short_name: str, nr_dpus: int, mode: str = "vm",
         profile: str = "test", preset: Optional[str] = None,
@@ -185,10 +164,10 @@ def run_app_traced(
     Returns the report, the machine registry (now including the
     ``repro_span_*`` series) and the machine's
     :class:`~repro.observability.spans.SpanRecorder`, whose retained
-    traces feed :func:`repro.observability.critical_path` and the
-    Perfetto export — the ``repro trace`` CLI subcommand is a thin
-    wrapper over this.  ``on_vpim(vpim)`` is the telemetry attachment
-    seam (``repro monitor``).
+    traces feed :mod:`~repro.observability.critical_path` and the
+    Perfetto export — the ``repro metrics`` and ``repro trace`` CLI
+    subcommands are thin wrappers over this.  ``on_vpim(vpim)`` is the
+    telemetry attachment seam (``repro monitor``).
     """
     def prepare(vpim) -> None:
         # The machine builds its recorder always-on; the head-sampling

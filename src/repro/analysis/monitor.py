@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ObservabilityError
 from repro.observability.alerts import AlertRule, AlertRuleEngine
 from repro.observability.critical_path import layer_self_times
-from repro.observability.instruments import FAULT, bind
+from repro.observability.catalog import FAULT, bind
 from repro.observability.timeseries import TimeSeriesStore
 
 #: The latency histograms the tentpole instruments with exemplars; the

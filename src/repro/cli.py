@@ -136,7 +136,7 @@ def cmd_figure(args) -> int:
 
 def cmd_metrics(args) -> int:
     """Run one application and print/save the metrics snapshot."""
-    from repro.observability import render_json, render_prometheus
+    from repro.observability.export import render_json, render_prometheus
 
     if args.diff:
         return _metrics_diff(args.diff[0], args.diff[1])
@@ -145,7 +145,7 @@ def cmd_metrics(args) -> int:
               file=sys.stderr)
         return 2
     mode = "native" if args.mode == "native" else "vm"
-    report, registry, tracer = figures.run_app_instrumented(
+    report, registry, _ = figures.run_app_traced(
         args.app, args.dpus, mode=mode, profile=args.profile,
         preset=args.preset)
     text = (render_json(registry) if args.format == "json"
@@ -156,10 +156,6 @@ def cmd_metrics(args) -> int:
         print(f"metrics snapshot written to {args.output}")
     else:
         print(text, end="")
-    if args.trace:
-        tracer.save(args.trace)
-        print(f"chrome trace ({len(tracer.events)} events) "
-              f"written to {args.trace}", file=sys.stderr)
     return 0 if report.verified else 1
 
 
@@ -240,8 +236,9 @@ def cmd_monitor(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one application under tracing; print its latency anatomy."""
-    from repro.observability import (critical_path, layer_self_times,
-                                     render_prometheus, slowest_spans)
+    from repro.observability.critical_path import (
+        critical_path, layer_self_times, slowest_spans)
+    from repro.observability.export import render_prometheus
 
     mode = "native" if args.mode == "native" else "vm"
     report, registry, recorder = figures.run_app_traced(
@@ -477,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--format", choices=["prom", "json"], default="prom")
     met.add_argument("--output", default=None, metavar="FILE",
                      help="write the snapshot here instead of stdout")
-    met.add_argument("--trace", default=None, metavar="FILE",
-                     help="also save the Chrome trace of the run")
     met.set_defaults(fn=cmd_metrics)
 
     tra = sub.add_parser(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.results import ExecutionReport
-from repro.observability.instruments import SESSION, bind
+from repro.observability.catalog import SESSION, bind
 from repro.sdk.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

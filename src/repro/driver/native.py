@@ -49,28 +49,26 @@ class NativeRankChannel(RankChannel):
 
     def write(self, matrix: TransferMatrix) -> float:
         duration = self._mapping.write(matrix)
-        self._profiler.record_op(OP_WRITE, duration, rank=self.rank_index)
+        self._profiler.record_op(OP_WRITE, duration)
         self._profiler.record_wrank_step("T-data", duration)
         return duration
 
     def read(self, matrix: TransferMatrix) -> Tuple[List[np.ndarray], float]:
         buffers, duration = self._mapping.read(matrix)
-        self._profiler.record_op(OP_READ, duration, rank=self.rank_index)
+        self._profiler.record_op(OP_READ, duration)
         return buffers, duration
 
     def launch(self) -> float:
         run_time = self._mapping.launch()
         polls = launch_poll_count(run_time)
         poll_cpu_time = polls * self._cost.ci_op_native
-        self._profiler.record_op(OP_CI, poll_cpu_time, count=polls,
-                                 rank=self.rank_index)
+        self._profiler.record_op(OP_CI, poll_cpu_time, count=polls)
         # Polling overlaps the run; only the final poll extends the wall.
         return run_time + self._cost.ci_op_native
 
     def ci_ops(self, count: int) -> float:
         duration = self._mapping.ci_ops(count)
-        self._profiler.record_op(OP_CI, duration, count=count,
-                                 rank=self.rank_index)
+        self._profiler.record_op(OP_CI, duration, count=count)
         return duration
 
     def release(self) -> float:

@@ -38,7 +38,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.faults.retry import (BACKEND_WATCHDOG_TIMEOUT,
                                 TRANSPORT_CORRUPTION_DETECT, TransportRetry)
 from repro.hardware.rank import RankHealth
-from repro.observability.instruments import FAULT, bind
+from repro.observability.catalog import FAULT, bind
 
 
 @dataclass(frozen=True)

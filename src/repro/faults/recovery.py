@@ -29,7 +29,7 @@ from repro.errors import (
     RankOfflineError,
     TransientFaultError,
 )
-from repro.observability.instruments import FAULT, bind
+from repro.observability.catalog import FAULT, bind
 from repro.virt.migration import RankCheckpoint, checkpoint_rank, restore_rank
 
 #: Exceptions a session rerun can plausibly clear: hardware failures

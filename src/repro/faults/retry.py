@@ -5,7 +5,7 @@ waiting out a transient fault (the paper's ``CostModel`` has none).
 from __future__ import annotations
 
 from repro.errors import TransientFaultError
-from repro.observability.instruments import FAULT, bind
+from repro.observability.catalog import FAULT, bind
 
 #: Re-sends of one request before its transient fault propagates.
 MAX_TRANSPORT_RETRIES = 3

@@ -40,7 +40,7 @@ from repro.hardware.dpu import Dpu, DpuState, LaunchStats
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability.metrics import Counts, MetricsRegistry
-from repro.observability.instruments import RANK, bind
+from repro.observability.catalog import RANK, bind
 from repro.observability.spans import SpanRecorder
 
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.observability.catalog import CATALOG
-from repro.observability.instruments import ALERT, bind
+from repro.observability.catalog import ALERT, CATALOG, bind
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TimeSeriesStore
 

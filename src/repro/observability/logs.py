@@ -18,7 +18,7 @@ class TraceLogger:
 
     Records are plain dicts; :meth:`to_jsonl` renders one JSON object
     per line.  Memory is bounded by ``max_records`` — overflow drops the
-    *newest* record and counts it, mirroring the tracer backstop.
+    *newest* record and counts it, as the span recorder's caps do.
     """
 
     def __init__(self, recorder, max_records: int = 10_000) -> None:

@@ -367,7 +367,7 @@ class MetricsRegistry:
 
     One registry exists per simulated host (``machine.metrics``); every
     layer — ranks, manager, vUPMEM frontends/backends, sessions, the
-    tracer bridge — registers its families here, and the exporters render
+    span recorder — registers its families here, and the exporters render
     a consistent snapshot of all of them.
     """
 

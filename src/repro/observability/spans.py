@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.observability.instruments import SPAN, SPAN_RETENTION, bind
+from repro.observability.catalog import SPAN, SPAN_RETENTION, bind
 from repro.observability.logs import TraceLogger
 from repro.observability.metrics import Counts, MetricsRegistry
 from repro.observability.stats import DecayedMean

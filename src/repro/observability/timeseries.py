@@ -34,7 +34,7 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.observability.instruments import TSDB, bind
+from repro.observability.catalog import TSDB, bind
 from repro.observability.metrics import HistogramChild, MetricsRegistry
 from repro.observability.stats import histogram_quantile
 

@@ -42,7 +42,7 @@ from repro.errors import ManagerError
 from repro.hardware.dpu import DpuState
 from repro.hardware.memory import BlockRecycler
 from repro.hardware.rank import Rank
-from repro.observability.instruments import PAGING, bind
+from repro.observability.catalog import PAGING, bind
 from repro.observability.metrics import Counts
 from repro.paging.config import PagingConfig
 from repro.paging.eviction import make_policy

@@ -16,7 +16,7 @@ from typing import Optional
 from weakref import WeakKeyDictionary
 
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import QOS, bind
+from repro.observability.catalog import QOS, bind
 from repro.observability.spans import SpanRecorder
 from repro.qos.arbiter import BandwidthArbiter, VirtioEventLoop
 from repro.qos.config import QosConfig

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import SLO, bind
+from repro.observability.catalog import SLO, bind
 from repro.observability.stats import percentile_linear
 
 

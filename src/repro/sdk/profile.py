@@ -53,7 +53,7 @@ class MessageStats:
     Per run: :meth:`Profiler.reset` replaces it, so no series follows it
     (a live counter never goes back to zero).  Mutate through the
     ``count_*`` methods; the frontend calls each next to the matching
-    live counter of its :data:`~repro.observability.instruments.FRONTEND`
+    live counter of its :data:`~repro.observability.catalog.FRONTEND`
     table.
     """
 
@@ -86,9 +86,6 @@ class Profiler:
         self.driver: Dict[str, OpStats] = {}
         self.wrank_steps: Dict[str, float] = {}
         self.messages = MessageStats()
-        #: Optional :class:`repro.analysis.trace.Tracer` receiving a
-        #: timed event for every segment and driver operation.
-        self.tracer = None
 
     def reset(self) -> None:
         """Clear all recorded data (fresh run on the same transport)."""
@@ -115,15 +112,11 @@ class Profiler:
         """Attribute simulated time spent in the body to segment ``name``."""
         self._settle()
         self._stack.append(name)
-        start = self.clock.now
         try:
             yield
         finally:
             self._settle()
             self._stack.pop()
-            if self.tracer is not None:
-                self.tracer.record(name, "segment", start,
-                                   self.clock.now - start)
 
     def segment_time(self, name: str) -> float:
         self._settle()
@@ -136,28 +129,13 @@ class Profiler:
 
     # -- driver-centric --------------------------------------------------------
 
-    def record_op(self, kind: str, duration: float, count: int = 1,
-                  start: Optional[float] = None,
-                  rank: Optional[int] = None) -> None:
-        """Account ``duration`` of driver/VMM time against ``kind``.
-
-        ``start`` is the operation's true simulated start.  Callers on
-        the duration-returning path record *before* the clock advances,
-        so it defaults to ``clock.now`` — not ``now - duration``, which
-        misplaced events whose cost lands after other clock advances.
-        Span-integrated callers pass the enclosing span's start instead.
-        """
+    def record_op(self, kind: str, duration: float, count: int = 1) -> None:
+        """Account ``duration`` of driver/VMM time against ``kind``."""
         stats = self.driver.get(kind)
         if stats is None:
             stats = self.driver[kind] = OpStats()
         stats.count += count
         stats.time += duration
-        if self.tracer is not None:
-            if start is None:
-                start = self.clock.now
-            extra = {} if rank is None else {"rank": rank}
-            self.tracer.record(kind, "op", start, duration,
-                               count=count, **extra)
 
     def record_wrank_step(self, step: str, duration: float) -> None:
         self.record_wrank_steps({step: duration})

@@ -19,19 +19,16 @@ Components, mirroring Fig. 4:
 - :mod:`repro.virt.manager` — the host-wide rank manager (Fig. 5 FSM);
 - :mod:`repro.virt.transport` — the SDK transport that routes through all
   of the above, making guest applications run unmodified.
+
+Imported from their modules where used: :mod:`repro.virt.api_server`
+(Firecracker's REST surface) and :mod:`repro.virt.migration` (Section 7
+checkpoint/restore, migration and consolidation).
 """
 
 from repro.virt.opts import Optimization, OptimizationConfig
 from repro.virt.manager import Manager, RankState
 from repro.virt.firecracker import Firecracker, VmConfig
 from repro.virt.transport import VirtTransport
-from repro.virt.api_server import ApiServer
-from repro.virt.migration import (
-    checkpoint_rank,
-    consolidate,
-    migrate_device,
-    restore_rank,
-)
 
 __all__ = [
     "Optimization",
@@ -41,9 +38,4 @@ __all__ = [
     "Firecracker",
     "VmConfig",
     "VirtTransport",
-    "ApiServer",
-    "checkpoint_rank",
-    "restore_rank",
-    "migrate_device",
-    "consolidate",
 ]

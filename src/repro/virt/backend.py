@@ -30,7 +30,7 @@ from repro.hardware.rank import WriteSpec
 from repro.hardware.clock import SimClock
 from repro.hardware.timing import CostModel
 from repro.observability.metrics import Counts, MetricsRegistry
-from repro.observability.instruments import BACKEND, bind, vm_of
+from repro.observability.catalog import BACKEND, bind, vm_of
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
@@ -247,7 +247,7 @@ class VUpmemBackend:
             self.spans.end(span, error=True)
             raise
         self.spans.end(span, duration=result.duration)
-        self.obs.requests[kind, rank].inc()
+        self.obs.requests[rank, kind].inc()
         self.obs.request_seconds[kind].observe(
             result.duration, exemplar=(self.spans.exemplar()
                                        if self.spans.capture_exemplars

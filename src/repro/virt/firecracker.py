@@ -25,7 +25,7 @@ from repro.errors import VmConfigError
 from repro.driver.driver import UpmemDriver
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
-from repro.observability.instruments import VM, bind
+from repro.observability.catalog import VM, bind
 from repro.sdk.profile import Profiler
 from repro.virt.backend import VUpmemBackend
 from repro.virt.frontend import VUpmemFrontend

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
-from repro.observability.instruments import FAULT, FRONTEND, bind, vm_of
+from repro.observability.catalog import FRONTEND, bind, vm_of
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.profile import OP_CI, OP_READ, OP_WRITE, Profiler
@@ -216,13 +216,9 @@ class VUpmemFrontend:
         self.plans = PlanCache(memory, series={
             "hits": obs.plan_hits, "misses": obs.plan_misses,
             "evictions": obs.plan_evictions})
-        bind(registry, FAULT)   # every VM run exports the fault families
         #: Span ids of batched-write copies awaiting a flush; the flush
         #: span links them so the absorbed writes stay attributable.
         self._batch_span_ids: List[int] = []
-        #: Simulated start of the most recent request span (feeds the
-        #: profiler's tracer with true event starts).
-        self._last_request_start: Optional[float] = None
         #: Transport fault seam, ``None`` on the paper's path.  Armed by
         #: :mod:`repro.faults` (a ``TransportRetry``), it sends each
         #: request as ``hook(frontend, span, send)``: retries ``send()``,
@@ -244,7 +240,6 @@ class VUpmemFrontend:
         else:
             span = self.spans.begin("frontend.request", "frontend",
                                     kind=kind, device=self.device_id, op=op)
-        self._last_request_start = span.start
         if self.fault_hook is not None:
             return self.fault_hook(
                 self, span, lambda: self._roundtrip_once(header, **request))
@@ -507,7 +502,7 @@ class VUpmemFrontend:
         self.batch.drain()
         self._batch_span_ids = []
         self.spans.end(span, duration=duration)
-        self.profiler.record_op(OP_WRITE, duration, start=span.start)
+        self.profiler.record_op(OP_WRITE, duration)
         return duration
 
     # -- SDK-visible operations ----------------------------------------------------
@@ -544,8 +539,7 @@ class VUpmemFrontend:
                              entries=nr_entries, bytes=copied)
             if start is not None:
                 self._batch_span_ids.append(self.spans.spans_started)
-            self.profiler.record_op(OP_WRITE, copy_time + cache_time,
-                                    start=start)
+            self.profiler.record_op(OP_WRITE, copy_time + cache_time)
             return flushed + copy_time + cache_time
 
         header = RequestHeader(kind=_WRITE_RANK,
@@ -554,8 +548,7 @@ class VUpmemFrontend:
                                 cache_meta=cache_meta)
         if self.transfer_cache is not None:
             self.transfer_cache.landed(matrix, cache_meta)
-        self.profiler.record_op(OP_WRITE, rt + cache_time,
-                                start=self._last_request_start)
+        self.profiler.record_op(OP_WRITE, rt + cache_time)
         return flushed + (rt + cache_time)
 
     def read(self, matrix: TransferMatrix) -> Tuple[List[np.ndarray], float]:
@@ -580,10 +573,9 @@ class VUpmemFrontend:
                                                   nr_entries)
                 self.profiler.messages.count_cache_hits(nr_entries)
                 self.obs.prefetch_hits.inc(nr_entries)
-                start = self.spans.cursor
                 self.spans.event("frontend.cache_serve", "frontend", serve,
                                  op=OP_READ, entries=nr_entries)
-                self.profiler.record_op(OP_READ, serve, start=start)
+                self.profiler.record_op(OP_READ, serve)
                 return hits, duration + serve
             self.obs.prefetch_misses.inc(nr_entries)
 
@@ -616,7 +608,7 @@ class VUpmemFrontend:
             self.obs.prefetch_refills.inc(nr_entries)
             buffers = [segment[:entry.size].copy()
                        for entry, segment in zip(entries, buffers)]
-        self.profiler.record_op(OP_READ, rt, start=self._last_request_start)
+        self.profiler.record_op(OP_READ, rt)
         return buffers, duration + rt
 
     def load(self, program: DpuProgram) -> float:
@@ -675,8 +667,7 @@ class VUpmemFrontend:
             self.spans.end(span, error=True)
             raise
         self.spans.end(span, duration=ci_time)
-        self.profiler.record_op(OP_CI, ci_time, count=count,
-                                start=span.start)
+        self.profiler.record_op(OP_CI, ci_time, count=count)
         return duration + ci_time
 
     def _notify_manager(self, linked: bool) -> None:

@@ -50,7 +50,7 @@ from repro.hardware.clock import SimClock
 from repro.hardware.machine import Machine
 from repro.hardware.rank import RankHealth
 from repro.hardware.timing import CostModel
-from repro.observability.instruments import MANAGER, bind
+from repro.observability.catalog import MANAGER, bind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.paging.config import PagingConfig

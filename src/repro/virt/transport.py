@@ -98,12 +98,10 @@ class VirtTransport(Transport):
         if polls:
             self.vm.kvm.stats.vmexits += polls
             self.vm.kvm.stats.irq_injections += polls
-            start = None
             if self.spans is not None:
-                start = self.spans.cursor
                 self.spans.event("sdk.launch_poll", "sdk", penalty,
                                  op="CI", polls=polls)
-            self.profiler.record_op("CI", penalty, count=polls, start=start)
+            self.profiler.record_op("CI", penalty, count=polls)
         return penalty
 
     def contention(self) -> float:

@@ -1,7 +1,5 @@
 """Transfer-pattern fidelity: the op-count behaviours Section 5 hinges on."""
 
-import numpy as np
-
 from repro.apps.micro.checksum import Checksum, ci_ops_for_size
 from repro.apps.prim.nw import NeedlemanWunsch
 from repro.apps.prim.sel import Select

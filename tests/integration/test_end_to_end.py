@@ -1,6 +1,5 @@
 """End-to-end flows through the public API."""
 
-import numpy as np
 import pytest
 
 from repro.apps.prim.va import VectorAdd

@@ -21,7 +21,7 @@ from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
 from repro.faults import FaultInjector, FaultKind, FaultPlan, run_with_recovery
-from repro.observability import render_json, render_prometheus
+from repro.observability.export import render_json, render_prometheus
 from repro.sdk.dpu_set import DpuSet
 
 from tests.faults.conftest import schedule

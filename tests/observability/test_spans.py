@@ -13,8 +13,8 @@ from repro.config import small_machine
 from repro.core import VPim
 from repro.faults import FaultInjector, FaultKind, FaultPlan, run_with_recovery
 from repro.hardware.clock import SimClock
-from repro.observability import (
-    SpanRecorder,
+from repro.observability import SpanRecorder
+from repro.observability.critical_path import (
     critical_path,
     layer_self_times,
     slowest_spans,

@@ -16,7 +16,6 @@ idempotent.
 
 from typing import Dict, List, Tuple
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

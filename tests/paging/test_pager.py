@@ -9,7 +9,7 @@ from repro.errors import ManagerError
 from repro.hardware.dpu import DpuState
 from repro.hardware.machine import Machine
 from repro.paging.config import PagingConfig
-from repro.paging.pager import PAGED_RANK_BASE, RankPager
+from repro.paging.pager import PAGED_RANK_BASE
 from repro.virt.manager import Manager, RankState
 
 

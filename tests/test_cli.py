@@ -72,6 +72,28 @@ def test_trace_zero_sample_rate_retains_nothing(capsys):
     assert "no trace retained" in out
 
 
+def test_metrics_writes_a_snapshot_without_trace_families(capsys, tmp_path):
+    snapshot = tmp_path / "metrics.prom"
+    code, out = run_cli(capsys, "metrics", "CHK", "--dpus", "16",
+                        "--output", str(snapshot))
+    assert code == 0
+    assert f"metrics snapshot written to {snapshot}" in out
+    text = snapshot.read_text()
+    assert "# TYPE repro_frontend_requests_total counter" in text
+    assert "repro_trace_" not in text
+
+
+def test_metrics_diffs_two_json_snapshots(capsys, tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    for app, path in (("CHK", old), ("VA", new)):
+        assert run_cli(capsys, "metrics", app, "--dpus", "8", "--format",
+                       "json", "--output", str(path))[0] == 0
+    code, out = run_cli(capsys, "metrics", "--diff", str(old), str(new))
+    assert code == 0
+    assert "repro_backend_requests_total (counter)" in out
+    assert "repro_vm_vupmem_devices (gauge)" in out
+
+
 def test_unknown_app_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "NOPE"])

@@ -1,6 +1,5 @@
 """Oversubscription via emulated ranks (Section 7 extension)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.figures import machine_config
@@ -11,7 +10,6 @@ from repro.errors import HardwareError, ManagerError
 from repro.hardware.machine import Machine
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.emulation import (
-    DEFAULT_SLOWDOWN,
     EMULATED_RANK_BASE,
     EmulatedRankPool,
     emulated_cost_model,

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis.trace import Tracer
 from repro.config import small_machine
 from repro.core import VPim
 from repro.errors import TransferError
@@ -193,44 +192,24 @@ def test_rows_come_back_in_set_order_and_bad_indices_are_refused():
         assert str(refused.value) == "entry targets DPU -1, set has 8"
 
 
-#: ``(kind, start, duration)`` of the tracer's events over the first
-#: eight rounds after a warm-up pass plus one prefetch-cache hit, captured
-#: from PR 23: event starts come from span cursors, which counting a
-#: trace must not move.
-PARENT_EVENTS = [
-    ("W-rank", "0x1.8090a4726d005p-3", "0x1.4ab66534eba2bp-22"),
-    ("W-rank", "0x1.8090cdc939a6fp-3", "0x1.9b8b8380c8b48p-14"),
-    ("R-rank", "0x1.80c43f39a9c00p-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.815f6341abe8bp-3", "0x1.86d78ee17391bp-22"),
-    ("W-rank", "0x1.815f941c9dc4ep-3", "0x1.a11f5a090aa5cp-14"),
-    ("R-rank", "0x1.8193b807dee63p-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.822edc0fe10eep-3", "0x1.b3f06e22d9850p-21"),
-    ("W-rank", "0x1.822f490bfc979p-3", "0x1.cdbe0e4b1a2f8p-14"),
-    ("R-rank", "0x1.826900cdc5fadp-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.830424d5c8238p-3", "0x1.00d9c48a05fdap-13"),
-    ("R-rank", "0x1.83445b46eaa50p-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.83df7f4eeccdap-3", "0x1.34cf3f52f7c96p-13"),
-    ("R-rank", "0x1.842cb31ec18b9p-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.84c7d726c3b43p-3", "0x1.4ab66534eba2bp-22"),
-    ("W-rank", "0x1.84c8007d905adp-3", "0x1.9b8b8380c8b48p-14"),
-    ("R-rank", "0x1.84fb71ee0073ep-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.859695f6029c9p-3", "0x1.86d78ee17391bp-22"),
-    ("W-rank", "0x1.8596c6d0f478cp-3", "0x1.a11f5a090aa5cp-14"),
-    ("R-rank", "0x1.85caeabc359a1p-3", "0x1.364810045147fp-12"),
-    ("W-rank", "0x1.86660ec437c2cp-3", "0x1.b3f06e22d9850p-21"),
-    ("W-rank", "0x1.86667bc0534b7p-3", "0x1.cdbe0e4b1a2f8p-14"),
-    ("R-rank", "0x1.86a033821caebp-3", "0x1.364810045147fp-12"),
-    ("R-rank", "0x1.873b578a1ed76p-3", "0x1.4ab66534eba2bp-22"),
-]
+#: ``kind -> (count, time.hex())`` of the profiler's driver ops over
+#: the first eight rounds after a warm-up pass plus one prefetch-cache
+#: hit, captured before the Chrome-trace exporter was removed (its event
+#: durations summed to these; its starts came from span cursors, which
+#: counting a trace must not move, and are pinned by the span exports).
+PARENT_DRIVER_OPS = {
+    "R-rank": (9, "0x1.365265b77aef5p-9"),
+    "W-rank": (14, "0x1.d192d7a091d8bp-11"),
+}
 
 
-def test_tracer_events_are_the_parents(one_rank):
+def test_driver_ops_are_the_parents(one_rank):
     _vpim, session, dpus = one_rank
     _copies(dpus)           # the retained list is full: traces are counted
-    tracer = session.transport.profiler.tracer = Tracer()
+    profiler = session.transport.profiler
+    profiler.reset()
     _copies(dpus, rounds=8)
     # Round 7 wrote DPU 3 at slot 1: this read is a prefetch-cache hit.
     dpus.copy_from_mram(3, SLOT, 64)
-    events = [(e.name, e.start.hex(), e.duration.hex())
-              for e in tracer.events]
-    assert events == PARENT_EVENTS
+    assert {kind: (stats.count, stats.time.hex())
+            for kind, stats in profiler.driver.items()} == PARENT_DRIVER_OPS
