@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -544,9 +544,3 @@ def run_monitor(config: MonitorConfig = MonitorConfig()) -> MonitorResult:
         row.driver(config.seed, partial(_observe, result, row, interval),
                    result)
     return result
-
-
-def run_fault_drill(config: MonitorConfig) -> Tuple[dict, ScenarioTelemetry]:
-    """The ``drill`` scenario alone: its lifecycle record and telemetry."""
-    result = run_monitor(replace(config, scenario="drill"))
-    return result.drill, result.scenarios[0]

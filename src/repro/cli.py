@@ -20,7 +20,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import figures
-from repro.analysis.monitor import SCENARIOS
 from repro.analysis.report import format_table
 from repro.apps.registry import ALL_APPS
 from repro.virt.opts import PRESETS
@@ -181,11 +180,18 @@ def cmd_monitor(args) -> int:
     """Run a scenario under the telemetry pipeline; render the dashboard."""
     import json
 
-    from repro.analysis.monitor import MonitorConfig, run_monitor
+    from repro.analysis.monitor import SCENARIOS, MonitorConfig, run_monitor
     from repro.analysis.report import format_table
     from repro.observability.dashboard import render_dashboard
 
     scenario = "quick" if args.quick else args.scenario
+    if scenario not in SCENARIOS:
+        # Checked here, not as argparse choices, so that importing the
+        # CLI does not load the monitor.
+        print(f"repro monitor: error: argument --scenario: invalid choice: "
+              f"{scenario!r} (choose from {', '.join(SCENARIOS)})",
+              file=sys.stderr)
+        return 2
     result = run_monitor(MonitorConfig(scenario=scenario, seed=args.seed,
                                        interval=args.interval))
     data = result.to_dict()
@@ -561,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
         "monitor",
         help="run a scenario under the telemetry pipeline "
              "(docs/monitoring.md)")
-    mon.add_argument("--scenario", default="quick", choices=SCENARIOS)
+    mon.add_argument("--scenario", default="quick",
+                     help="quick (default) or one scenario row")
     mon.add_argument("--quick", action="store_true",
                      help="force the quick composite suite (the CI smoke)")
     mon.add_argument("--seed", type=int, default=0,

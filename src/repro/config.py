@@ -95,10 +95,6 @@ class MachineConfig:
     def nr_ranks(self) -> int:
         return len(self.ranks)
 
-    @property
-    def total_functional_dpus(self) -> int:
-        return sum(r.functional_dpus for r in self.ranks)
-
 
 #: Rank population of the paper's testbed: defective DPUs reduce the
 #: nominal 512 to 480 functional DPUs across 8 ranks (Section 5.1); the

@@ -47,10 +47,6 @@ class SysFs:
         value = f"{STATUS_BUSY}:{owner}" if busy else STATUS_FREE
         self.write(self.rank_status_path(rank_index), value)
 
-    def rank_is_busy(self, rank_index: int) -> bool:
-        value = self.read(self.rank_status_path(rank_index))
-        return bool(value) and value.startswith(STATUS_BUSY)
-
     def rank_owner(self, rank_index: int) -> str:
         value = self.read(self.rank_status_path(rank_index)) or ""
         if ":" in value:

@@ -102,12 +102,6 @@ class FaultInjector:
             self._armed.append(device.frontend)
             self._armed.append(device.backend)
 
-    def disarm(self) -> None:
-        """Remove every installed hook; pending events stay scheduled."""
-        for target in self._armed:
-            target.fault_hook = None
-        self._armed.clear()
-
     # -- event selection ---------------------------------------------------
 
     def _pop_due(self, scope: str, instance: str, want=None,

@@ -50,10 +50,6 @@ class DpuRunStats:
     dma_ops: int = 0
     dma_bytes: int = 0
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(self.tasklet_instructions)
-
 
 @dataclass
 class LaunchStats:

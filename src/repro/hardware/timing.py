@@ -122,6 +122,8 @@ class CostModel:
     #: Plain in-guest memcpy bandwidth (prefetch-cache hits, batch-buffer
     #: accumulation) — ordinary DRAM copies, no interleaving.
     guest_copy_bandwidth: float = 8.0e9
+    #: Per-buffer bookkeeping of one such in-guest copy.
+    guest_copy_per_buffer: float = 0.3e-6
 
     #: Content-aware transfer cache (``Optimization(cache=True)`` only —
     #: the cache-off model never charges these).  Digesting one 4 KiB page
@@ -202,10 +204,6 @@ class CostModel:
         """CPU time spent byte-interleaving ``total_bytes``."""
         bw = self.interleave_bw_c / (self.rust_slowdown if rust else 1.0)
         return total_bytes / bw
-
-    def transition_roundtrip(self) -> float:
-        """One full guest->VMM->guest transition (kick, dispatch, IRQ)."""
-        return self.vmexit_cost + self.event_dispatch_cost + self.irq_inject_cost
 
     def pages_of(self, nr_bytes: int) -> int:
         return (nr_bytes + PAGE_SIZE - 1) // PAGE_SIZE
@@ -350,9 +348,10 @@ class CostModel:
 
     def guest_copy_time(self, nr_bytes: int, entries: int) -> float:
         """In-guest memcpy of ``entries`` buffers (batch-buffer
-        accumulation, prefetch-cache serve): DRAM bandwidth plus 0.3 us
-        of per-buffer bookkeeping."""
-        return nr_bytes / self.guest_copy_bandwidth + 0.3e-6 * entries
+        accumulation, prefetch-cache serve): DRAM bandwidth plus
+        per-buffer bookkeeping."""
+        return (nr_bytes / self.guest_copy_bandwidth
+                + self.guest_copy_per_buffer * entries)
 
     def digest_probe_time(self, entry_sizes: Sequence[int]) -> float:
         """Transfer-cache probe of one write matrix: digest every page,

@@ -36,7 +36,7 @@ from their modules where they are used:
   dashboard renderer (see ``docs/monitoring.md``).
 """
 
-from repro.observability.catalog import CATALOG, instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     MetricFamily,
@@ -53,5 +53,4 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Trace",
-    "instrument",
 ]

@@ -563,19 +563,3 @@ TABLES: Tuple[Table, ...] = (
 #: Name -> spec of every family the tables declare.
 CATALOG: Dict[str, MetricSpec] = {
     spec.name: spec for table in TABLES for spec, _ in table.values()}
-
-
-def instrument(registry: MetricsRegistry, name: str) -> MetricFamily:
-    """Create/fetch the family for a *cataloged* metric name.
-
-    Raises :class:`~repro.errors.ObservabilityError` for names missing
-    from the catalog, so instrumentation cannot drift from the documented
-    metric set.
-    """
-    spec = CATALOG.get(name)
-    if spec is None:
-        raise ObservabilityError(
-            f"metric {name!r} is not in the catalog "
-            "(add a row to repro/observability/catalog.py and "
-            "docs/observability.md)")
-    return spec.create(registry)

@@ -47,9 +47,6 @@ class TraceLogger:
         self.records.append(record)
         return record
 
-    def for_trace(self, trace_id: str) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("trace_id") == trace_id]
-
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 

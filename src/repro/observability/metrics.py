@@ -166,9 +166,6 @@ class GaugeChild(_Child):
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value

@@ -134,9 +134,6 @@ class Trace:
     #: Spans not buffered because the per-trace cap was hit.
     dropped_spans: int = 0
 
-    def by_layer(self, layer: str) -> List[Span]:
-        return [s for s in self.spans if s.layer == layer]
-
     def by_name(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
@@ -575,10 +572,6 @@ class SpanRecorder:
     def latest(self) -> Optional[Trace]:
         """The most recently retained trace."""
         return self.traces[-1] if self.traces else None
-
-    def traces_for(self, trace_id: str) -> List[Trace]:
-        """All retained traces sharing ``trace_id`` (recovery attempts)."""
-        return [t for t in self.traces if t.trace_id == trace_id]
 
     def clear(self) -> None:
         """Drop retained traces (between independent experiment runs).

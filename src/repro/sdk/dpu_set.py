@@ -310,11 +310,5 @@ class DpuSet:
 
     # -- introspection --------------------------------------------------------------
 
-    def dpus_per_channel(self) -> List[int]:
-        counts = [0] * len(self.channels)
-        for ci, _ in self._map:
-            counts[ci] += 1
-        return counts
-
     def __len__(self) -> int:
         return self.nr_dpus

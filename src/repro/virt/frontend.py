@@ -149,10 +149,6 @@ class BatchBuffer:
     def empty(self) -> bool:
         return not self.records
 
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(self._used.values())
-
 
 def _count_drops(invalidations, reason: str, count: int) -> None:
     """Count ``count`` dropped records under ``reason``; nothing dropped

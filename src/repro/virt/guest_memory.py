@@ -257,20 +257,6 @@ class GuestMemory:
 
     # -- translation ---------------------------------------------------------------
 
-    def gpa_to_hva(self, gpa: int) -> int:
-        """Translate one GPA; raises on out-of-range addresses."""
-        if not 0 <= gpa < self.size:
-            raise TranslationError(
-                f"GPA {gpa:#x} outside guest memory of {self.size} bytes"
-            )
-        return HVA_BASE + gpa
-
-    def hva_to_gpa(self, hva: int) -> int:
-        gpa = hva - HVA_BASE
-        if not 0 <= gpa < self.size:
-            raise TranslationError(f"HVA {hva:#x} does not map into the guest")
-        return gpa
-
     def translate_pages(self, gpas: np.ndarray) -> np.ndarray:
         """Vectorized GPA->HVA for a page buffer (u64 array)."""
         arr = np.asarray(gpas, dtype=np.uint64)

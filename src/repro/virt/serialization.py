@@ -58,11 +58,6 @@ class RequestKind(enum.IntEnum):
 KIND_LABEL: Dict[RequestKind, str] = {
     member: member.name.lower() for member in RequestKind}
 
-_KIND_TO_XFER = {
-    RequestKind.WRITE_RANK: XferKind.TO_DPU,
-    RequestKind.READ_RANK: XferKind.FROM_DPU,
-}
-
 
 @dataclass
 class RequestHeader:
@@ -344,10 +339,3 @@ def scatter_entry_data(entry: SerializedEntry, data: np.ndarray,
             f"result of {buf.size} bytes does not match entry size {entry.size}"
         )
     memory.scatter_pages(entry.page_gpas, buf)
-
-
-def xfer_kind_of(kind: RequestKind) -> XferKind:
-    try:
-        return _KIND_TO_XFER[kind]
-    except KeyError:
-        raise SerializationError(f"{kind} is not a data transfer") from None

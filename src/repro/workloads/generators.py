@@ -66,13 +66,6 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.nr_rows, self.nr_cols), dtype=np.int64)
-        for r in range(self.nr_rows):
-            s, e = self.row_ptr[r], self.row_ptr[r + 1]
-            dense[r, self.col_idx[s:e]] = self.values[s:e]
-        return dense
-
 
 def random_csr(rows: int, cols: int, nnz_per_row: int = 8,
                seed: int = 0) -> CsrMatrix:

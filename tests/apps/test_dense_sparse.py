@@ -86,7 +86,11 @@ def test_spmv_very_sparse():
 
 def test_spmv_matches_dense_product():
     app = SpMV(nr_dpus=4, n_rows=64, n_cols=32, nnz_per_row=4)
-    dense = app.csr.to_dense()
+    csr = app.csr
+    dense = np.zeros((csr.nr_rows, csr.nr_cols), dtype=np.int64)
+    for r in range(csr.nr_rows):
+        s, e = csr.row_ptr[r], csr.row_ptr[r + 1]
+        dense[r, csr.col_idx[s:e]] = csr.values[s:e]
     expected = dense @ app.x.astype(np.int64)
     assert np.array_equal(app.expected(), expected)
 

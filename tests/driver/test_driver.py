@@ -31,13 +31,13 @@ def driver():
 
 def test_initial_sysfs_all_free(driver):
     assert driver.free_ranks() == [0, 1]
-    assert not driver.sysfs.rank_is_busy(0)
+    assert driver.sysfs.rank_owner(0) == ""
 
 
 def test_claim_and_release(driver):
     driver.claim_rank(0, "app-a")
     assert driver.rank_owner(0) == "app-a"
-    assert driver.sysfs.rank_is_busy(0)
+    assert driver.sysfs.rank_owner(0) == "app-a"
     assert driver.free_ranks() == [1]
     driver.release_rank(0, "app-a")
     assert driver.free_ranks() == [0, 1]

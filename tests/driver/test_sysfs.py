@@ -14,16 +14,15 @@ def test_write_read():
 def test_rank_status_roundtrip():
     fs = SysFs()
     fs.set_rank_status(3, busy=True, owner="vm-0.vupmem1")
-    assert fs.rank_is_busy(3)
     assert fs.rank_owner(3) == "vm-0.vupmem1"
     fs.set_rank_status(3, busy=False)
-    assert not fs.rank_is_busy(3)
+    assert fs.rank_owner(3) == ""
     assert fs.read(fs.rank_status_path(3)) == STATUS_FREE
 
 
 def test_unknown_rank_not_busy():
     fs = SysFs()
-    assert not fs.rank_is_busy(42)
+    assert fs.read(fs.rank_status_path(42)) is None
     assert fs.rank_owner(42) == ""
 
 

@@ -117,15 +117,6 @@ class TestArmingContract:
 
         assert run(False) == run(True)
 
-    def test_disarm_removes_every_hook(self, armed):
-        vpim, injector, session = armed
-        injector.disarm()
-        for rank in vpim.machine.ranks:
-            assert rank.fault_hook is None
-        for device in session.vm.devices:
-            assert device.frontend.fault_hook is None
-            assert device.backend.fault_hook is None
-
     def test_future_events_do_not_fire_early(self, armed):
         vpim, injector, session = armed
         schedule(injector, 1e9, FaultKind.RANK_OFFLINE, "rank:*")

@@ -9,6 +9,7 @@ sends the same requests through an unloaded VM and compares with
 ``BENCH_WALLCLOCK.json`` digest.
 """
 
+import dataclasses
 import functools
 from contextlib import nullcontext
 
@@ -117,6 +118,8 @@ class TestContendedMakespan:
 # Imported here, below the shape half, on purpose: nothing above this
 # line knows a GuestMemory, a Rank or a Machine exists.
 
+from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
+from repro.apps.registry import app_by_short_name  # noqa: E402
 from repro.core import VPim  # noqa: E402
 from repro.sdk.dpu_set import DpuSet  # noqa: E402
 from repro.sdk.transfer import (  # noqa: E402
@@ -348,3 +351,48 @@ class TestControlAndLocalPaths:
         vm = Vm()
         penalty = vm.session.transport.launch_poll_penalty(1e-3, 100e-6)
         assert penalty.hex() == COST.launch_poll_time(10).hex()
+
+
+# -- homogeneity: every modeled second is charged through a CostModel field ----
+
+#: Fields that are not seconds: cycle counts, integer counts and ratios
+#: stay put, rates halve.  Any other field is a time, so a new one is
+#: scaled by default.
+UNSCALED = frozenset({
+    "pipeline_depth", "dma_setup_cycles", "dma_cycles_per_byte",
+    "ci_ops_per_launch", "rust_slowdown", "parallel_contention",
+    "native_parallel_contention",
+})
+RATES = frozenset({
+    "dpu_frequency_hz", "rank_xfer_bandwidth", "interleave_bw_c",
+    "guest_copy_bandwidth",
+})
+
+
+def slowed(k):
+    """The default model with every time ×k and every rate ×1/k."""
+    changes = {}
+    for f in dataclasses.fields(COST):
+        if f.name in UNSCALED:
+            continue
+        value = getattr(COST, f.name)
+        changes[f.name] = value / k if f.name in RATES else value * k
+    return dataclasses.replace(COST, **changes)
+
+
+@pytest.mark.parametrize("mode", ["native", "vm"])
+@pytest.mark.parametrize("app", ["NW", "VA"])
+def test_modeled_time_is_homogeneous_in_the_cost_constants(app, mode):
+    """A seconds literal outside ``CostModel`` stays put when the model
+    is scaled, so the run's modeled total no longer doubles."""
+    def modeled_total(cost):
+        vpim = VPim(machine_for_dpus(64), cost=cost)
+        params = SIZE_PROFILES["test"].get(app, {})
+        instance = app_by_short_name(app).cls(nr_dpus=64, **params)
+        session = (vpim.native_session() if mode == "native" else
+                   vpim.vm_session(nr_vupmem=vpim.machine.config.nr_ranks))
+        return session.run(instance).total_time
+
+    assert RATES | UNSCALED <= {f.name for f in dataclasses.fields(COST)}
+    ratio = modeled_total(slowed(2.0)) / modeled_total(COST)
+    assert ratio == pytest.approx(2.0, abs=1e-9)

@@ -75,7 +75,7 @@ def test_run_state_transitions(dpu):
     stats = DpuRunStats(tasklet_instructions=[10, 20])
     dpu.finish_run(stats)
     assert dpu.state is DpuState.DONE
-    assert dpu.last_run.total_instructions == 30
+    assert dpu.last_run.tasklet_instructions == [10, 20]
 
 
 def test_launch_without_program_faults(dpu):

@@ -52,4 +52,4 @@ def test_machine_clock_shared_with_ranks():
 def test_config_totals():
     cfg = MachineConfig(ranks=[RankConfig(0, 60), RankConfig(1, 64)])
     assert cfg.nr_ranks == 2
-    assert cfg.total_functional_dpus == 124
+    assert sum(r.functional_dpus for r in cfg.ranks) == 124

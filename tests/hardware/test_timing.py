@@ -59,11 +59,6 @@ def test_interleave_rust_slower_than_c(cm):
     assert rust / c >= 3.43
 
 
-def test_transition_roundtrip_is_sum_of_parts(cm):
-    assert cm.transition_roundtrip() == pytest.approx(
-        cm.vmexit_cost + cm.event_dispatch_cost + cm.irq_inject_cost)
-
-
 def test_pages_of(cm):
     assert cm.pages_of(0) == 0
     assert cm.pages_of(1) == 1

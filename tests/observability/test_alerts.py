@@ -6,14 +6,14 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.observability.alerts import AlertRule, AlertRuleEngine
-from repro.observability.catalog import instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TimeSeriesStore
 
 
 def _store():
     registry = MetricsRegistry()
-    counter = instrument(registry, "repro_fault_injected_total").labels(
+    counter = CATALOG["repro_fault_injected_total"].create(registry).labels(
         kind="drill")
     store = TimeSeriesStore(registry, interval=0.001)
     return registry, counter, store
@@ -143,7 +143,7 @@ class TestStateMachine:
 class TestRuleKinds:
     def test_burn_rate_uses_percentile_over_target(self):
         registry = MetricsRegistry()
-        hist = instrument(registry, "repro_frontend_request_seconds").labels(
+        hist = CATALOG["repro_frontend_request_seconds"].create(registry).labels(
             vm="vm-0", device="dev0", kind="launch")
         store = TimeSeriesStore(registry, interval=0.001)
         rule = AlertRule(

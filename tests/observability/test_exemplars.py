@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from repro.observability.catalog import instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.export import (
     _escape_label_value,
     format_exemplar,
@@ -97,7 +97,7 @@ class TestFormatExemplar:
 class TestRenderedExposition:
     def _registry(self):
         registry = MetricsRegistry()
-        hist = instrument(registry, "repro_frontend_request_seconds").labels(
+        hist = CATALOG["repro_frontend_request_seconds"].create(registry).labels(
             vm="vm-0", device="dev0", kind="launch")
         hist.observe(0.004, exemplar=("trace-000003", 0.1))
         return registry
@@ -113,7 +113,7 @@ class TestRenderedExposition:
 
     def test_unexemplared_buckets_are_clean(self):
         registry = MetricsRegistry()
-        hist = instrument(registry, "repro_frontend_request_seconds").labels(
+        hist = CATALOG["repro_frontend_request_seconds"].create(registry).labels(
             vm="vm-0", device="dev0", kind="launch")
         hist.observe(0.004)  # no exemplar kwarg: default path
         text = render_prometheus(registry)
@@ -136,7 +136,7 @@ class TestRenderedExposition:
     def test_label_values_parse_back_from_exposition(self):
         """Property: every tricky label value survives render + parse."""
         registry = MetricsRegistry()
-        family = instrument(registry, "repro_fault_injected_total")
+        family = CATALOG["repro_fault_injected_total"].create(registry)
         for raw in TRICKY:
             family.labels(kind=raw).inc()
         text = render_prometheus(registry)

@@ -8,9 +8,8 @@ from repro.analysis.figures import run_app_traced
 from repro.apps.micro.checksum import Checksum
 from repro.config import small_machine
 from repro.core import VPim
-from repro.observability.catalog import CATALOG, instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.export import render_prometheus
-from repro.observability.metrics import MetricsRegistry
 
 
 def _vpim() -> VPim:
@@ -26,11 +25,6 @@ def _run_checksum(preset: str):
 
 
 class TestCatalog:
-    def test_instrument_rejects_uncataloged_names(self):
-        reg = MetricsRegistry()
-        with pytest.raises(Exception):
-            instrument(reg, "repro_not_in_catalog_total")
-
     def test_every_spec_has_paper_pointer(self):
         for spec in CATALOG.values():
             assert spec.paper, f"{spec.name} lacks a paper pointer"

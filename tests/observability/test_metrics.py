@@ -120,7 +120,7 @@ class TestGauge:
         fam.set(10)
         child = fam.labels()
         child.inc(5)
-        child.dec(3)
+        child.inc(-3)
         assert fam.value() == 12.0
 
 

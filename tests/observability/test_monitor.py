@@ -3,7 +3,6 @@ diffs, the dashboard renderer, and a digest pin per scenario shape."""
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 from dataclasses import fields
@@ -13,7 +12,7 @@ import pytest
 from repro import cli
 from repro.errors import ObservabilityError
 from repro.hardware.clock import SimClock
-from repro.observability.catalog import instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.dashboard import render_dashboard
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.snapshots import (
@@ -28,7 +27,6 @@ from repro.analysis.monitor import (
     MonitorConfig,
     TelemetryPipeline,
     default_rules,
-    run_fault_drill,
     run_monitor,
 )
 
@@ -47,12 +45,10 @@ class TestMonitorConfig:
 
 
 class TestCli:
-    def test_scenario_choices_are_the_monitor_list(self):
-        (commands,) = [a for a in cli.build_parser()._actions
-                       if isinstance(a, argparse._SubParsersAction)]
-        (scenario,) = [a for a in commands.choices["monitor"]._actions
-                       if a.dest == "scenario"]
-        assert tuple(scenario.choices) == SCENARIOS
+    def test_scenario_choices_are_the_monitor_list(self, capsys):
+        assert cli.main(["monitor", "--scenario", "prod"]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"(choose from {', '.join(SCENARIOS)})")
 
     @pytest.mark.parametrize("interval", ["0", "-0.001", "nan", "inf"])
     def test_interval_must_be_positive(self, interval):
@@ -77,7 +73,7 @@ class TestDefaultRules:
 class TestTelemetryPipeline:
     def test_clock_ticks_drive_scrape_and_evaluate(self):
         registry = MetricsRegistry()
-        instrument(registry, "repro_fault_injected_total").labels(
+        CATALOG["repro_fault_injected_total"].create(registry).labels(
             kind="x").inc()
         clock = SimClock()
         pipeline = TelemetryPipeline(registry, clock, interval=0.001,
@@ -105,9 +101,15 @@ class TestTelemetryPipeline:
         assert clock.now == pytest.approx(7 * 0.001)
 
 
+def _drill(config):
+    """The ``drill`` scenario's lifecycle record and telemetry."""
+    result = run_monitor(config)
+    return result.drill, result.scenarios[0]
+
+
 class TestFaultDrill:
     def test_drill_walks_the_full_lifecycle(self):
-        drill, telemetry = run_fault_drill(MonitorConfig(scenario="drill"))
+        drill, telemetry = _drill(MonitorConfig(scenario="drill"))
         assert drill["visited_pending"]
         assert drill["visited_firing"]
         assert drill["visited_resolved"]
@@ -121,7 +123,7 @@ class TestFaultDrill:
         """Warm-up, burst and cool-down are simulated seconds, so a finer
         or coarser cadence still outlasts the rule's 20 ms hold-down and
         50 ms window."""
-        drill, telemetry = run_fault_drill(
+        drill, telemetry = _drill(
             MonitorConfig(scenario="drill", interval=interval))
         assert [t["to"] for t in drill["transitions"]][:3] == [
             "pending", "firing", "resolved"]
@@ -136,7 +138,7 @@ class TestFaultDrill:
 class TestSnapshotDiff:
     def _snapshots(self):
         registry = MetricsRegistry()
-        counter = instrument(registry, "repro_fault_injected_total").labels(
+        counter = CATALOG["repro_fault_injected_total"].create(registry).labels(
             kind="drill")
         counter.inc(2.0)
         old = parse_snapshot(snapshot_dict(registry, now=1.0))
@@ -155,7 +157,7 @@ class TestSnapshotDiff:
 
     def test_no_rate_without_sim_time(self):
         registry = MetricsRegistry()
-        counter = instrument(registry, "repro_fault_injected_total").labels(
+        counter = CATALOG["repro_fault_injected_total"].create(registry).labels(
             kind="drill")
         counter.inc()
         old = parse_snapshot(snapshot_dict(registry))
@@ -166,7 +168,7 @@ class TestSnapshotDiff:
 
     def test_load_snapshot_round_trip(self, tmp_path):
         registry = MetricsRegistry()
-        instrument(registry, "repro_fault_injected_total").labels(
+        CATALOG["repro_fault_injected_total"].create(registry).labels(
             kind="drill").inc(4.0)
         path = tmp_path / "snap.json"
         path.write_text(json.dumps(snapshot_dict(registry, now=2.0)))

@@ -74,7 +74,7 @@ class TestCrossLayerPropagation:
     def test_rank_spans_carry_rank_attribute(self, nw_traced):
         _, _, recorder = nw_traced
         trace = recorder.latest()
-        rank_spans = trace.by_layer("rank")
+        rank_spans = [s for s in trace.spans if s.layer == "rank"]
         assert rank_spans
         assert all(isinstance(s.attributes.get("rank"), int)
                    for s in rank_spans)
@@ -200,7 +200,8 @@ class TestFaultedTraces:
         recovery = run_with_recovery(session, VectorAdd(**APP))
         assert recovery.recovered
         recorder = vpim.spans
-        attempts = recorder.traces_for(recorder.last_root.trace_id)
+        attempts = [t for t in recorder.traces
+                    if t.trace_id == recorder.last_root.trace_id]
         assert len(attempts) == 2
         failed, rerun = attempts
         assert failed.faulted
@@ -276,7 +277,8 @@ class TestTraceLogs:
                  "transport:*")
         session.run(VectorAdd(**APP))
         trace = vpim.spans.latest()
-        records = vpim.spans.log.for_trace(trace.trace_id)
+        records = [r for r in vpim.spans.log.records
+                   if r.get("trace_id") == trace.trace_id]
         assert records
         fault = next(r for r in records if r["event"] == "transient_fault")
         assert trace.span(fault["span_id"]) is not None

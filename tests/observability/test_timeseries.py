@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.observability.catalog import instrument
+from repro.observability.catalog import CATALOG
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.timeseries import TimeSeriesStore
 
 
 def _counter(registry):
-    return instrument(registry, "repro_frontend_requests_total").labels(
+    return CATALOG["repro_frontend_requests_total"].create(registry).labels(
         vm="vm-0", device="dev0", kind="launch")
 
 
 def _histogram(registry):
-    return instrument(registry, "repro_frontend_request_seconds").labels(
+    return CATALOG["repro_frontend_request_seconds"].create(registry).labels(
         vm="vm-0", device="dev0", kind="launch")
 
 
@@ -149,7 +149,7 @@ class TestQueries:
 
     def test_label_filtered_select(self):
         registry = MetricsRegistry()
-        family = instrument(registry, "repro_frontend_requests_total")
+        family = CATALOG["repro_frontend_requests_total"].create(registry)
         family.labels(vm="vm-0", device="dev0", kind="launch").inc()
         family.labels(vm="vm-1", device="dev0", kind="launch").inc(5.0)
         store = TimeSeriesStore(registry, interval=0.001)
@@ -160,7 +160,7 @@ class TestQueries:
 
     def test_trajectory_sums_across_series(self):
         registry = MetricsRegistry()
-        family = instrument(registry, "repro_frontend_requests_total")
+        family = CATALOG["repro_frontend_requests_total"].create(registry)
         family.labels(vm="vm-0", device="dev0", kind="launch").inc()
         family.labels(vm="vm-1", device="dev0", kind="launch").inc(2.0)
         store = TimeSeriesStore(registry, interval=0.001)

@@ -55,7 +55,7 @@ def test_single_rank_set(transport):
 def test_multi_rank_set_splits(transport):
     with DpuSet(transport, 12) as dpus:
         assert len(dpus.channels) == 2
-        assert dpus.dpus_per_channel() == [8, 4]
+        assert [ci for ci, _ in dpus._map] == [0] * 8 + [1] * 4
 
 
 def test_push_to_and_from_roundtrip(transport):

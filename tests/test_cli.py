@@ -104,6 +104,12 @@ def test_unknown_figure_rejected():
         build_parser().parse_args(["figure", "fig99"])
 
 
+def test_unknown_monitor_scenario_exits_2_with_the_valid_names(capsys):
+    assert main(["monitor", "--scenario", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "quick" in err and "drill" in err
+
+
 def test_figure_fig16(capsys):
     code, out = run_cli(capsys, "figure", "fig16")
     assert code == 0

@@ -56,7 +56,6 @@ def test_batch_buffer_accumulates_and_drains():
     assert batch.fits(matrix)
     copied = batch.add(matrix)
     assert copied == 16
-    assert batch.buffered_bytes == 16
     records = batch.drain()
     assert len(records) == 2
     assert records[0].offset == 128

@@ -48,21 +48,6 @@ def test_data_roundtrip(mem):
     assert np.array_equal(mem.read(gpa, 100), np.arange(100, dtype=np.uint8))
 
 
-def test_gpa_hva_translation(mem):
-    assert mem.gpa_to_hva(0) == HVA_BASE
-    assert mem.gpa_to_hva(4096) == HVA_BASE + 4096
-    assert mem.hva_to_gpa(HVA_BASE + 4096) == 4096
-
-
-def test_translation_bounds(mem):
-    with pytest.raises(TranslationError):
-        mem.gpa_to_hva(mem.size)
-    with pytest.raises(TranslationError):
-        mem.gpa_to_hva(-1)
-    with pytest.raises(TranslationError):
-        mem.hva_to_gpa(HVA_BASE - 1)
-
-
 def test_vectorized_translation(mem):
     gpas = np.array([0, 4096, 8192], dtype=np.uint64)
     hvas = mem.translate_pages(gpas)

@@ -14,9 +14,7 @@ from repro.virt.serialization import (
     gather_entry_data,
     scatter_entry_data,
     serialize_matrix,
-    xfer_kind_of,
 )
-from repro.sdk.transfer import XferKind
 
 
 @pytest.fixture
@@ -127,13 +125,6 @@ def test_header_only_request(mem):
     assert got.kind is RequestKind.LAUNCH
     assert entries == []
     assert skips == []
-
-
-def test_xfer_kind_mapping():
-    assert xfer_kind_of(RequestKind.WRITE_RANK) is XferKind.TO_DPU
-    assert xfer_kind_of(RequestKind.READ_RANK) is XferKind.FROM_DPU
-    with pytest.raises(SerializationError):
-        xfer_kind_of(RequestKind.LAUNCH)
 
 
 def test_page_gpas_are_page_aligned(mem):
