@@ -77,15 +77,15 @@ def bench_prefetch_capacity_sweep(once):
 
     results = once(experiment)
     rows = [(pages, f"{rep.segments_total * 1e3:.1f}",
-             rep.profile.messages.cache_hits,
-             rep.profile.messages.cache_refills)
+             rep.messages.cache_hits,
+             rep.messages.cache_refills)
             for pages, rep in results]
     print()
     print(format_table(["pages/DPU", "NW total ms", "hits", "refills"], rows,
                        title="Prefetch cache capacity sweep (paper: 16)"))
     assert all(rep.verified for _, rep in results)
     # A larger cache never increases the refill count.
-    refills = [rep.profile.messages.cache_refills for _, rep in results]
+    refills = [rep.messages.cache_refills for _, rep in results]
     assert refills == sorted(refills, reverse=True)
 
 
@@ -107,15 +107,15 @@ def bench_batch_capacity_sweep(once):
 
     results = once(experiment)
     rows = [(pages, f"{rep.segments_total * 1e3:.1f}",
-             rep.profile.messages.requests,
-             rep.profile.messages.batched_writes)
+             rep.messages.requests,
+             rep.messages.batched_writes)
             for pages, rep in results]
     print()
     print(format_table(["pages/DPU", "TRNS total ms", "messages", "batched"],
                        rows,
                        title="Batch buffer capacity sweep (paper: 64)"))
     assert all(rep.verified for _, rep in results)
-    msgs = [rep.profile.messages.requests for _, rep in results]
+    msgs = [rep.messages.requests for _, rep in results]
     assert msgs[0] > msgs[1] >= msgs[2], "bigger buffers must merge more"
 
 

@@ -44,7 +44,7 @@ def main() -> None:
             "Y" if opts.parallel_handling else "-",
             f"{rep.segments_total * 1e3:.1f}",
             f"{rep.overhead_vs(native):.2f}x",
-            rep.profile.messages.requests,
+            rep.messages.requests,
         ))
     print(format_table(
         ["config", "C", "P", "B", "par", "total ms", "overhead", "messages"],

@@ -370,7 +370,7 @@ def fig14_nw_ablation(profile: str = "test",
     for preset in ("vPIM-C", "vPIM+P", "vPIM+B", "vPIM+PB"):
         rep = VPim(cfg).vm_session(nr_vupmem=cfg.nr_ranks,
                                    preset_name=preset).run(build())
-        m = rep.profile.messages
+        m = rep.messages
         rows.append(NwAblationRow(preset, rep.segments_total, rep.segments,
                                   m.requests, m.batched_writes,
                                   m.cache_hits, m.cache_refills))

@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.sdk.profile import SEGMENTS, ProfileSnapshot
+
+
+@dataclass
+class MessageStats:
+    """One run's frontend->backend messages (Fig. 14's columns): the
+    session's delta of its frontends' counts, zero on the native path."""
+
+    requests: int = 0          #: virtio requests actually sent
+    batched_writes: int = 0    #: small writes absorbed by the batch buffer
+    cache_hits: int = 0        #: reads served from the prefetch cache
+    cache_refills: int = 0     #: prefetch segment fetches
 
 
 @dataclass
@@ -19,8 +30,7 @@ class ExecutionReport:
     profile: ProfileSnapshot
     verified: bool
     vmexits: int = 0
-    rank_completions: List[Tuple[int, float]] = field(default_factory=list)
-    params: Dict[str, object] = field(default_factory=dict)
+    messages: MessageStats = field(default_factory=MessageStats)
 
     @property
     def segments(self) -> Dict[str, float]:
@@ -37,20 +47,13 @@ class ExecutionReport:
         """
         return sum(self.segments.values())
 
-    def overhead_vs(self, baseline: "ExecutionReport",
-                    metric: str = "segments") -> float:
-        """Overhead factor relative to ``baseline``.
-
-        ``metric`` is "segments" (the paper's execution-time comparison)
-        or "wall" (includes allocation and teardown).
-        """
-        if metric == "wall":
-            mine, base = self.total_time, baseline.total_time
-        else:
-            mine, base = self.segments_total, baseline.segments_total
+    def overhead_vs(self, baseline: "ExecutionReport") -> float:
+        """Overhead factor of the segments relative to ``baseline``
+        (the paper's execution-time comparison)."""
+        base = baseline.segments_total
         if base <= 0:
             raise ValueError("baseline has zero execution time")
-        return mine / base
+        return self.segments_total / base
 
     def segment_overhead_vs(self, baseline: "ExecutionReport",
                             segment: str) -> Optional[float]:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.results import ExecutionReport
+from repro.core.results import ExecutionReport, MessageStats
 from repro.observability.catalog import SESSION, bind
 from repro.sdk.transport import Transport
 
@@ -34,6 +34,7 @@ class ExecutionSession:
         profiler = self.transport.profiler
         profiler.reset()
         vmexits_before = self.vm.kvm.stats.vmexits if self.vm else 0
+        messages_before = self._messages()
         start = self.transport.clock.now
 
         spans = self.transport.spans
@@ -53,6 +54,8 @@ class ExecutionSession:
         total = self.transport.clock.now - start
         verified = app.verify(output) if verify else True
         vmexits = (self.vm.kvm.stats.vmexits - vmexits_before) if self.vm else 0
+        messages = MessageStats(*(now - then for now, then
+                                  in zip(self._messages(), messages_before)))
         self.obs.runs[app.short_name, self.mode,
                       str(bool(verified)).lower()].inc()
         self.obs.run_seconds[app.short_name, self.mode].observe(total)
@@ -64,5 +67,14 @@ class ExecutionSession:
             profile=profiler.snapshot(),
             verified=verified,
             vmexits=vmexits,
-            params=dict(app.params),
+            messages=messages,
         )
+
+    def _messages(self) -> Tuple[int, ...]:
+        """The VM's frontend counts so far, in :class:`MessageStats`
+        field order (zeros on the native path)."""
+        frontends = [d.frontend for d in self.vm.devices] if self.vm else []
+        return (sum(sum(f.requests.values()) for f in frontends),
+                *(sum(f.counts.get(key, 0) for f in frontends)
+                  for key in ("batched_writes", "prefetch_hits",
+                              "prefetch_refills")))

@@ -50,7 +50,7 @@ class NativeRankChannel(RankChannel):
     def write(self, matrix: TransferMatrix) -> float:
         duration = self._mapping.write(matrix)
         self._profiler.record_op(OP_WRITE, duration)
-        self._profiler.record_wrank_step("T-data", duration)
+        self._profiler.record_wrank_steps({"T-data": duration})
         return duration
 
     def read(self, matrix: TransferMatrix) -> Tuple[List[np.ndarray], float]:

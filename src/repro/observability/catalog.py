@@ -4,8 +4,8 @@ A component's table maps the attribute it touches to the family's only
 declaration — name, kind, help, schema labels, paper reference — and
 the row's fixed labels.  :func:`bind` turns a table into a plain
 namespace of metric children, so a call site reads
-``obs.batched_writes.inc(n)`` or ``obs.requests[kind].inc()`` with
-nothing in between.  :data:`CATALOG` is derived from the tables and is
+``obs.batch_flushes[reason].inc()`` or ``obs.requests[rank, kind].inc()``
+with nothing in between.  :data:`CATALOG` is derived from the tables and is
 what ``docs/observability.md`` (``tests/test_docs.py``) and the alert
 rules are checked against.
 

@@ -162,12 +162,6 @@ class SloEnforcer:
     def bind(self, tenant: str, flow, host_id: Optional[str] = None) -> None:
         self._bound.setdefault(tenant, []).append((flow, host_id))
 
-    def unbind(self, tenant: str, flow) -> None:
-        flows = self._bound.get(tenant, [])
-        self._bound[tenant] = [(f, h) for f, h in flows if f is not flow]
-        if not self._bound[tenant]:
-            self._bound.pop(tenant)
-
     def _offenders(self, tenant: str) -> List[Tuple[str, object]]:
         """Bound flows of *other* tenants sharing a host with ``tenant``."""
         hosts = {host for _, host in self._bound.get(tenant, ())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.hardware.clock import SimClock
 
@@ -46,35 +46,6 @@ class OpStats:
     time: float = 0.0
 
 
-@dataclass
-class MessageStats:
-    """Frontend<->backend message accounting (drives Fig. 14's claims).
-
-    Per run: :meth:`Profiler.reset` replaces it, so no series follows it
-    (a live counter never goes back to zero).  Mutate through the
-    ``count_*`` methods; the frontend calls each next to the matching
-    live counter of its :data:`~repro.observability.catalog.FRONTEND`
-    table.
-    """
-
-    requests: int = 0          #: virtio requests actually sent
-    batched_writes: int = 0    #: small writes absorbed by the batch buffer
-    cache_hits: int = 0        #: reads served from the prefetch cache
-    cache_refills: int = 0     #: prefetch segment fetches
-
-    def count_request(self, count: int = 1) -> None:
-        self.requests += count
-
-    def count_batched_writes(self, count: int = 1) -> None:
-        self.batched_writes += count
-
-    def count_cache_hits(self, count: int = 1) -> None:
-        self.cache_hits += count
-
-    def count_cache_refills(self, count: int = 1) -> None:
-        self.cache_refills += count
-
-
 class Profiler:
     """Collects both breakdowns against a simulated clock."""
 
@@ -85,7 +56,6 @@ class Profiler:
         self._last_mark = clock.now
         self.driver: Dict[str, OpStats] = {}
         self.wrank_steps: Dict[str, float] = {}
-        self.messages = MessageStats()
 
     def reset(self) -> None:
         """Clear all recorded data (fresh run on the same transport)."""
@@ -94,7 +64,6 @@ class Profiler:
         self._last_mark = self.clock.now
         self.driver.clear()
         self.wrank_steps.clear()
-        self.messages = MessageStats()
 
     # -- application-centric ----------------------------------------------
 
@@ -137,9 +106,6 @@ class Profiler:
         stats.count += count
         stats.time += duration
 
-    def record_wrank_step(self, step: str, duration: float) -> None:
-        self.record_wrank_steps({step: duration})
-
     def record_wrank_steps(self, steps: Dict[str, float]) -> None:
         """Account the Fig. 13 steps of one write-to-rank request."""
         totals = self.wrank_steps
@@ -164,12 +130,6 @@ class Profiler:
             segments=dict(self.segments),
             driver={k: OpStats(v.count, v.time) for k, v in self.driver.items()},
             wrank_steps=dict(self.wrank_steps),
-            messages=MessageStats(
-                self.messages.requests,
-                self.messages.batched_writes,
-                self.messages.cache_hits,
-                self.messages.cache_refills,
-            ),
         )
 
 
@@ -180,7 +140,6 @@ class ProfileSnapshot:
     segments: Dict[str, float] = field(default_factory=dict)
     driver: Dict[str, OpStats] = field(default_factory=dict)
     wrank_steps: Dict[str, float] = field(default_factory=dict)
-    messages: Optional[MessageStats] = None
 
     @property
     def total_time(self) -> float:

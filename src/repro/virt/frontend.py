@@ -33,6 +33,7 @@ from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel
 from repro.observability import MetricsRegistry
 from repro.observability.catalog import FRONTEND, bind, vm_of
+from repro.observability.metrics import Counts
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.profile import OP_CI, OP_READ, OP_WRITE, Profiler
@@ -212,6 +213,15 @@ class VUpmemFrontend:
         self.plans = PlanCache(memory, series={
             "hits": obs.plan_hits, "misses": obs.plan_misses,
             "evictions": obs.plan_evictions})
+        #: Requests sent, by kind label, and the §4.1 optimizations'
+        #: events: the ``repro_frontend_*`` series follow them, and
+        #: ``ExecutionReport.messages`` is a run's delta of their sums.
+        self.requests = Counts(obs.requests)
+        self.counts = Counts({
+            "batched_writes": obs.batched_writes,
+            "prefetch_hits": obs.prefetch_hits,
+            "prefetch_misses": obs.prefetch_misses,
+            "prefetch_refills": obs.prefetch_refills})
         #: Span ids of batched-write copies awaiting a flush; the flush
         #: span links them so the absorbed writes stay attributable.
         self._batch_span_ids: List[int] = []
@@ -331,9 +341,8 @@ class VUpmemFrontend:
         self.mmio.write(_INTERRUPT_ACK, 1)
         spans.event("virtio.irq", "virtio", steps["Irq"], queue="transferq")
 
-        self.profiler.messages.count_request()
         duration = self.cost.total(steps)
-        obs.requests[kind].inc()
+        self.requests[kind] += 1
         obs.request_seconds[kind].observe(
             duration,
             exemplar=spans.exemplar() if spans.capture_exemplars else None)
@@ -525,8 +534,7 @@ class VUpmemFrontend:
             copied = self.batch.add(matrix, cache_meta)
             nr_entries = len(matrix.entries)
             copy_time = self.cost.guest_copy_time(copied, nr_entries)
-            self.profiler.messages.count_batched_writes(nr_entries)
-            self.obs.batched_writes.inc(nr_entries)
+            self.counts["batched_writes"] += nr_entries
             # The event starts at the open span's cursor and takes the
             # next span id, whether or not the recorder builds it.
             start = self.spans.cursor
@@ -567,13 +575,12 @@ class VUpmemFrontend:
             else:
                 serve = self.cost.guest_copy_time(matrix.total_bytes,
                                                   nr_entries)
-                self.profiler.messages.count_cache_hits(nr_entries)
-                self.obs.prefetch_hits.inc(nr_entries)
+                self.counts["prefetch_hits"] += nr_entries
                 self.spans.event("frontend.cache_serve", "frontend", serve,
                                  op=OP_READ, entries=nr_entries)
                 self.profiler.record_op(OP_READ, serve)
                 return hits, duration + serve
-            self.obs.prefetch_misses.inc(nr_entries)
+            self.counts["prefetch_misses"] += nr_entries
 
             # Miss: fetch a cache-sized segment per DPU in one request.
             seg_len = min(self.cache.capacity, MRAM_SIZE - matrix.offset)
@@ -600,8 +607,7 @@ class VUpmemFrontend:
             # lookup of it would return.
             for entry, segment in zip(entries, buffers):
                 self.cache.fill(entry.dpu_index, matrix.offset, segment)
-            self.profiler.messages.count_cache_refills(nr_entries)
-            self.obs.prefetch_refills.inc(nr_entries)
+            self.counts["prefetch_refills"] += nr_entries
             buffers = [segment[:entry.size].copy()
                        for entry, segment in zip(entries, buffers)]
         self.profiler.record_op(OP_READ, rt)
@@ -657,8 +663,7 @@ class VUpmemFrontend:
                 self.backend.require_mapping().ci_ops(count - real)
                 self.kvm.stats.vmexits += count - real
                 self.kvm.stats.irq_injections += count - real
-                self.profiler.messages.count_request(count - real)
-                self.obs.requests["ci_op"].inc(count - real)
+                self.requests["ci_op"] += count - real
         except BaseException:
             self.spans.end(span, error=True)
             raise

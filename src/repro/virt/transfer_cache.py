@@ -188,7 +188,7 @@ class GuestCache:
         if skips:
             spans.event("cache.suppress", "frontend", 0.0, op=OP_WRITE,
                         extents=len(skips), bytes=suppressed)
-        frontend.profiler.record_wrank_step("Cache", cache_time)
+        frontend.profiler.record_wrank_steps({"Cache": cache_time})
         if not kept:
             frontend.profiler.record_op(OP_WRITE, cache_time)
             return None, None, cache_time

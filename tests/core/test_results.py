@@ -28,11 +28,10 @@ def test_overhead_segments_metric():
     assert mine.overhead_vs(base) == pytest.approx(1.5)
 
 
-def test_overhead_wall_metric():
+def test_overhead_leaves_out_allocation_and_teardown():
     base = report({"DPU": 1.0}, total=2.0)
     mine = report({"DPU": 1.0}, total=4.0, mode="vPIM")
-    assert mine.overhead_vs(base, metric="wall") == pytest.approx(2.0)
-    assert mine.overhead_vs(base, metric="segments") == pytest.approx(1.0)
+    assert mine.overhead_vs(base) == pytest.approx(1.0)
 
 
 def test_overhead_zero_baseline_rejected():

@@ -25,7 +25,7 @@ def test_simulated_times_are_deterministic():
     assert a.segments == b.segments
     assert a.total_time == b.total_time
     assert a.vmexits == b.vmexits
-    assert a.profile.messages.requests == b.profile.messages.requests
+    assert a.messages == b.messages
 
 
 def test_nw_deterministic_across_presets():
@@ -84,7 +84,8 @@ def test_wram_symbol_read_path_in_vm():
         dpus.launch()
         raw = dpus.copy_from(2, "value", 0, 8)
         assert int(raw.view(np.uint64)[0]) == 0xDEADBEEFCAFE
-        assert session.transport.profiler.messages.cache_refills == 0
+        counts = session.vm.devices[0].frontend.counts
+        assert counts.get("prefetch_refills", 0) == 0
 
 
 def test_vhost_and_oversubscription_compose():

@@ -6,7 +6,8 @@ one physical one, so switching sessions faults and evicts).  A clock
 listener scrapes the registry at every advance, inside SDK ops too
 (``DpuSet.push`` advances the clock before its root span closes).  At
 every scrape each followed series equals the count its owner keeps —
-plan cache, XLB, virtqueues, ranks, pager, swap store, span recorder —
+frontend, plan cache, XLB, virtqueues, ranks, pager, swap store, span
+recorder —
 and a labeled series exists only once its count was touched
 (``docs/observability.md``, "Counts are integers the series read").
 """
@@ -34,8 +35,20 @@ PLAN_FAMILIES = {"hits": "repro_plan_cache_hits_total",
                  "evictions": "repro_plan_cache_evictions_total"}
 XLB_FAMILIES = {"hits": "repro_xlb_hits_total",
                 "misses": "repro_xlb_misses_total"}
+#: ``key -> (family, fixed labels)`` of a frontend's ``counts``; eager
+#: series too.
+FRONTEND_FAMILIES = {
+    "batched_writes": ("repro_frontend_batched_writes_total", {}),
+    "prefetch_hits": ("repro_frontend_prefetch_lookups_total",
+                      {"result": "hit"}),
+    "prefetch_misses": ("repro_frontend_prefetch_lookups_total",
+                        {"result": "miss"}),
+    "prefetch_refills": ("repro_frontend_prefetch_refills_total", {}),
+}
 FOLLOWED = {
     *PLAN_FAMILIES.values(), *XLB_FAMILIES.values(),
+    *(family for family, _ in FRONTEND_FAMILIES.values()),
+    "repro_frontend_requests_total",
     "repro_virtio_kicks_total",
     "repro_rank_xfer_ops_total", "repro_rank_xfer_bytes_total",
     "repro_paging_faults_total", "repro_paging_evictions_total",
@@ -66,6 +79,7 @@ def _labels(**labels: object) -> tuple:
 #: Followed families whose series appear on a count's first touch and
 #: that no session touches before its first allocation.
 FIRST_TOUCH = {
+    "repro_frontend_requests_total",
     "repro_virtio_kicks_total", "repro_rank_xfer_ops_total",
     "repro_rank_xfer_bytes_total", "repro_paging_faults_total",
     "repro_paging_prefault_overlap_seconds_total",
@@ -98,6 +112,12 @@ def _expected(vpim, sessions) -> dict:
                     (device.backend.xlb.counts, XLB_FAMILIES)):
                 for key, family in families.items():
                     want[family, _labels(**ids)] += source.get(key, 0)
+            counts = device.frontend.counts
+            for key, (family, fixed) in FRONTEND_FAMILIES.items():
+                want[family, _labels(**fixed, **ids)] += counts.get(key, 0)
+            for kind, n in device.frontend.requests.items():
+                want["repro_frontend_requests_total",
+                     _labels(kind=kind, **ids)] += n
             for queue in (device.queues.transferq, device.queues.controlq):
                 for name, n in queue.kicks.items():
                     want["repro_virtio_kicks_total",

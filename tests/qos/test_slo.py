@@ -125,8 +125,3 @@ class TestEnforcerLadder:
         enforcer.evaluate(now=8.0)               # boost
         assert enforcer.evaluate(now=9.0) == []  # nobody to throttle
         assert remote.byte_rate == 100.0
-
-    def test_unbind_removes_the_flow(self):
-        self.enforcer.unbind("victim", self.victim)
-        assert self.enforcer.evaluate(now=8.0) == []
-        assert self.victim.weight == 1.0

@@ -77,11 +77,11 @@ def test_driver_op_stats(setup):
 
 def test_wrank_steps_validation(setup):
     _, prof = setup
-    prof.record_wrank_step("T-data", 1.0)
-    prof.record_wrank_step("T-data", 0.5)
+    prof.record_wrank_steps({"T-data": 1.0})
+    prof.record_wrank_steps({"T-data": 0.5})
     assert prof.wrank_steps["T-data"] == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        prof.record_wrank_step("bogus", 1.0)
+        prof.record_wrank_steps({"bogus": 1.0})
 
 
 def test_snapshot_is_immutable_copy(setup):
@@ -103,11 +103,9 @@ def test_reset_clears_everything(setup):
     with prof.segment("DPU"):
         clock.advance(1.0)
     prof.record_op(OP_WRITE, 0.1)
-    prof.messages.requests = 5
     prof.reset()
     assert prof.total_time == 0.0
     assert prof.op_stats(OP_WRITE).count == 0
-    assert prof.messages.requests == 0
 
 
 def test_reset_rebases_clock_mark(setup):

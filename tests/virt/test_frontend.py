@@ -83,6 +83,15 @@ def make_session(**opt_kwargs):
     return vpim.vm_session(nr_vupmem=1, opts=opts)
 
 
+def frontend_of(session):
+    return session.vm.devices[0].frontend
+
+
+def sent(session):
+    """Requests the session's one frontend has sent so far."""
+    return sum(frontend_of(session).requests.values())
+
+
 def write_small(dpus, dpu, offset, value, size=64):
     dpus.copy_to_mram(dpu, offset, np.full(size, value, dtype=np.uint8))
 
@@ -91,13 +100,12 @@ def test_batching_reduces_messages():
     from repro.sdk.dpu_set import DpuSet
     session = make_session(request_batching=True, prefetch_cache=False)
     with DpuSet(session.transport, 4) as dpus:
-        base = session.transport.profiler.messages.requests
+        base = sent(session)
         for i in range(20):
             write_small(dpus, i % 4, i * 64, i)
-        buffered = session.transport.profiler.messages.requests - base
         # All 20 small writes were absorbed, no messages sent yet.
-        assert buffered == 0
-        assert session.transport.profiler.messages.batched_writes == 20
+        assert sent(session) == base
+        assert frontend_of(session).counts["batched_writes"] == 20
         # A read flushes the batch in one message and sees the data.
         got = dpus.copy_from_mram(0, 0, 64)
         assert (got == 0).all()
@@ -110,20 +118,20 @@ def test_batch_flush_on_buffer_full():
     session = make_session(request_batching=True, prefetch_cache=False,
                            batch_pages_per_dpu=1)  # 4 KB per DPU
     with DpuSet(session.transport, 4) as dpus:
-        base = session.transport.profiler.messages.requests
+        base = sent(session)
         # 3 x 2 KB to DPU 0: the third cannot fit -> flush of first two.
         for i in range(3):
             write_small(dpus, 0, i * 2048, i, size=2048)
-        assert session.transport.profiler.messages.requests == base + 1
+        assert sent(session) == base + 1
 
 
 def test_large_writes_bypass_batching():
     from repro.sdk.dpu_set import DpuSet
     session = make_session(request_batching=True, prefetch_cache=False)
     with DpuSet(session.transport, 4) as dpus:
-        base = session.transport.profiler.messages.requests
+        base = sent(session)
         dpus.copy_to_mram(0, 0, np.zeros(PAGE_SIZE + 1, dtype=np.uint8))
-        assert session.transport.profiler.messages.requests == base + 1
+        assert sent(session) == base + 1
 
 
 def test_prefetch_serves_repeated_small_reads():
@@ -132,17 +140,16 @@ def test_prefetch_serves_repeated_small_reads():
     with DpuSet(session.transport, 4) as dpus:
         data = (np.arange(4096) % 256).astype(np.uint8)
         dpus.copy_to_mram(0, 0, data)
-        msgs = session.transport.profiler.messages
-        base = msgs.requests
+        counts = frontend_of(session).counts
         first = dpus.copy_from_mram(0, 0, 64)
-        assert msgs.cache_refills >= 1
-        after_first = msgs.requests
+        assert counts["prefetch_refills"] >= 1
+        after_first = sent(session)
         # Subsequent reads in the prefetched segment: zero messages.
         for off in range(64, 1024, 64):
             chunk = dpus.copy_from_mram(0, off, 64)
             assert np.array_equal(chunk, data[off:off + 64])
-        assert msgs.requests == after_first
-        assert msgs.cache_hits >= 15
+        assert sent(session) == after_first
+        assert counts["prefetch_hits"] >= 15
         assert np.array_equal(first, data[:64])
 
 
@@ -195,9 +202,8 @@ def test_large_reads_bypass_cache():
     session = make_session(prefetch_cache=True, request_batching=False,
                            prefetch_pages_per_dpu=1)
     with DpuSet(session.transport, 4) as dpus:
-        msgs = session.transport.profiler.messages
         dpus.copy_from_mram(0, 0, 2 * PAGE_SIZE)     # larger than the cache
-        assert msgs.cache_refills == 0
+        assert frontend_of(session).counts.get("prefetch_refills", 0) == 0
 
 
 def test_frontend_memory_overhead_bound():

@@ -37,8 +37,7 @@ def test_vhost_reduces_message_cost():
     assert vhost.verified
     assert vhost.segments_total < base.segments_total
     # Same message count — only the per-message cost shrinks.
-    assert (vhost.profile.messages.requests
-            == base.profile.messages.requests)
+    assert vhost.messages.requests == base.messages.requests
 
 
 def test_vhost_cheaper_per_request():
