@@ -54,7 +54,7 @@ class CountZeros(HostApplication):
 
     def __init__(self, nr_dpus: int, n_elements: int = 1 << 20,
                  seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_elements=n_elements, seed=seed)
+        super().__init__(nr_dpus)
         rng = np.random.default_rng(seed)
         self.array = rng.integers(0, 4, n_elements, dtype=np.int32)
 

@@ -18,7 +18,7 @@ execution.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict
+from typing import Any
 
 import numpy as np
 
@@ -40,11 +40,10 @@ class HostApplication(abc.ABC):
     #: What :meth:`reference` keeps; an instance attribute once computed.
     _reference: Any = _NOT_COMPUTED
 
-    def __init__(self, nr_dpus: int, **params: Any) -> None:
+    def __init__(self, nr_dpus: int) -> None:
         if nr_dpus <= 0:
             raise ValueError(f"nr_dpus must be positive, got {nr_dpus}")
         self.nr_dpus = nr_dpus
-        self.params: Dict[str, Any] = dict(params, nr_dpus=nr_dpus)
 
     def __setattr__(self, name: str, value: Any) -> None:
         # The inputs are the instance's own attributes: rebinding one

@@ -86,7 +86,7 @@ class Checksum(HostApplication):
         """
         if scale < 1:
             raise ValueError(f"scale must be >= 1, got {scale}")
-        super().__init__(nr_dpus, file_mb=file_mb, scale=scale, seed=seed)
+        super().__init__(nr_dpus)
         file_bytes = max(1024, int(file_mb * (1 << 20) / scale))
         self.scale = scale
         self.file_mb = file_mb

@@ -26,9 +26,6 @@ INSTR_PER_POSTING = 4
 
 BATCH_SIZE = 128
 
-#: Userspace status-poll cadence of the demo's wait loop.
-STATUS_POLL_CADENCE = 50e-6
-
 
 class IndexSearchProgram(DpuProgram):
     """DPU side: answer this DPU's query share over the full index."""
@@ -101,7 +98,7 @@ class IndexSearch(HostApplication):
 
     def __init__(self, nr_dpus: int, corpus: SyntheticCorpus = None,
                  nr_queries: int = 445, seed: int = 0) -> None:
-        super().__init__(nr_dpus, nr_queries=nr_queries, seed=seed)
+        super().__init__(nr_dpus)
         self.corpus = corpus or SyntheticCorpus(seed=seed + 7)
         self.query_words = self.corpus.queries(nr_queries, seed=seed + 11)
 
@@ -147,7 +144,7 @@ class IndexSearch(HostApplication):
                         for i in range(self.nr_dpus)
                     ])
                 with profiler.segment("DPU"):
-                    dpus.launch(status_poll_cadence=STATUS_POLL_CADENCE)
+                    dpus.launch(poll_status=True)
                 with profiler.segment("DPU-CPU"):
                     bufs = dpus.push_from_mram(r_off, BATCH_SIZE * 4)
                     for i in range(self.nr_dpus):

@@ -166,8 +166,7 @@ class BreadthFirstSearch(HostApplication):
 
     def __init__(self, nr_dpus: int, n_vertices: int = 1 << 14,
                  avg_degree: int = 4, source: int = 0, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_vertices=n_vertices,
-                         avg_degree=avg_degree, source=source, seed=seed)
+        super().__init__(nr_dpus)
         self.row_ptr, self.col_idx = random_graph_csr(n_vertices, avg_degree,
                                                       seed)
         self.source = source

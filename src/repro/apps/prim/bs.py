@@ -80,8 +80,7 @@ class BinarySearch(HostApplication):
 
     def __init__(self, nr_dpus: int, n_elements: int = 1 << 20,
                  n_queries: int = 1 << 14, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_elements=n_elements,
-                         n_queries=n_queries, seed=seed)
+        super().__init__(nr_dpus)
         self.data = sorted_array(n_elements, seed=seed)
         rng = np.random.default_rng(seed + 1)
         picks = rng.integers(0, n_elements, size=n_queries)

@@ -63,7 +63,7 @@ class Gemv(HostApplication):
 
     def __init__(self, nr_dpus: int, n_rows: int = 2048, n_cols: int = 512,
                  seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_rows=n_rows, n_cols=n_cols, seed=seed)
+        super().__init__(nr_dpus)
         self.matrix = random_matrix(n_rows, n_cols, seed=seed)
         self.x = random_array(n_cols, np.int32, lo=0, hi=32, seed=seed + 1)
 

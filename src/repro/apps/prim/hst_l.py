@@ -66,7 +66,7 @@ class HistogramLong(HostApplication):
 
     def __init__(self, nr_dpus: int, n_pixels: int = 1 << 20,
                  n_bins: int = 1024, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_pixels=n_pixels, n_bins=n_bins, seed=seed)
+        super().__init__(nr_dpus)
         self.n_bins = n_bins
         self.pixels = random_image(n_pixels, depth=n_bins, seed=seed)
 

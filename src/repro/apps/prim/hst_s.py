@@ -89,7 +89,7 @@ class HistogramShort(HostApplication):
 
     def __init__(self, nr_dpus: int, n_pixels: int = 1 << 20,
                  seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_pixels=n_pixels, seed=seed)
+        super().__init__(nr_dpus)
         self.pixels = random_image(n_pixels, depth=self.N_BINS, seed=seed)
 
     def expected(self) -> np.ndarray:

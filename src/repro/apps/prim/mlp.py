@@ -76,8 +76,7 @@ class MultilayerPerceptron(HostApplication):
 
     def __init__(self, nr_dpus: int, layer_sizes: tuple = (512, 512, 512, 256),
                  seed: int = 0, nr_reps: int = 1) -> None:
-        super().__init__(nr_dpus, layer_sizes=layer_sizes, seed=seed,
-                         nr_reps=nr_reps)
+        super().__init__(nr_dpus)
         self.layer_sizes = layer_sizes
         #: PrIM-style repetition count: the original benchmarks re-run
         #: each kernel several times and re-copy *all* inputs — weights

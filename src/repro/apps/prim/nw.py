@@ -125,8 +125,7 @@ class NeedlemanWunsch(HostApplication):
             raise ValueError("seq_len must be a multiple of block_size")
         if chunk_bytes % 8:
             raise ValueError("chunk_bytes must be a multiple of 8")
-        super().__init__(nr_dpus, seq_len=seq_len, block_size=block_size,
-                         chunk_bytes=chunk_bytes, seed=seed)
+        super().__init__(nr_dpus)
         self.a = random_array(seq_len, np.int8, lo=0, hi=4, seed=seed)
         self.b = random_array(seq_len, np.int8, lo=0, hi=4, seed=seed + 1)
         self.block_size = block_size

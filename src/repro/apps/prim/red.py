@@ -54,7 +54,7 @@ class Reduction(HostApplication):
 
     def __init__(self, nr_dpus: int, n_elements: int = 1 << 20,
                  seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_elements=n_elements, seed=seed)
+        super().__init__(nr_dpus)
         self.data = random_array(n_elements, np.int32, seed=seed)
 
     def expected(self) -> int:

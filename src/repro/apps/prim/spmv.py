@@ -101,8 +101,7 @@ class SpMV(HostApplication):
 
     def __init__(self, nr_dpus: int, n_rows: int = 4096, n_cols: int = 2048,
                  nnz_per_row: int = 8, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_rows=n_rows, n_cols=n_cols,
-                         nnz_per_row=nnz_per_row, seed=seed)
+        super().__init__(nr_dpus)
         self.csr: CsrMatrix = random_csr(n_rows, n_cols, nnz_per_row, seed)
         self.x = random_array(n_cols, np.int32, lo=0, hi=16, seed=seed + 1)
 

@@ -57,8 +57,7 @@ class Transpose(HostApplication):
                  tile_dim: int = 16, seed: int = 0) -> None:
         if n_rows % tile_dim or n_cols % tile_dim:
             raise ValueError("matrix dimensions must be multiples of tile_dim")
-        super().__init__(nr_dpus, n_rows=n_rows, n_cols=n_cols,
-                         tile_dim=tile_dim, seed=seed)
+        super().__init__(nr_dpus)
         self.matrix = random_matrix(n_rows, n_cols, seed=seed)
         self.tile_dim = tile_dim
 

@@ -107,8 +107,7 @@ class TimeSeries(HostApplication):
 
     def __init__(self, nr_dpus: int, n_points: int = 1 << 17,
                  query_len: int = 64, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_points=n_points, query_len=query_len,
-                         seed=seed)
+        super().__init__(nr_dpus)
         self.series = random_array(n_points, np.int32, lo=0, hi=128,
                                    seed=seed)
         self.query = random_array(query_len, np.int32, lo=0, hi=128,

@@ -67,8 +67,7 @@ class Unique(HostApplication):
 
     def __init__(self, nr_dpus: int, n_elements: int = 1 << 20,
                  value_range: int = 8, seed: int = 0) -> None:
-        super().__init__(nr_dpus, n_elements=n_elements,
-                         value_range=value_range, seed=seed)
+        super().__init__(nr_dpus)
         # A small value range produces plenty of consecutive duplicates.
         self.data = random_array(n_elements, np.int32, lo=0,
                                  hi=value_range, seed=seed)

@@ -48,26 +48,6 @@ class DeviceConfig:
     power_management: bool = True
 
 
-def launch_poll_count(run_duration: float, base_period: float = 50e-6,
-                      max_period: float = 10e-3) -> int:
-    """Status polls issued by a synchronous launch of ``run_duration``.
-
-    The SDK's sync loop uses exponential backoff: it polls at ``base``,
-    doubling up to ``max_period``.  Long runs therefore see only
-    ``O(log) + duration/max_period`` polls, which keeps the DPU segment's
-    virtualization overhead near 1x, as Fig. 8 shows.
-    """
-    polls = 0
-    waited = 0.0
-    period = base_period
-    while waited < run_duration:
-        polls += 1
-        waited += period
-        if period < max_period:
-            period = min(period * 2, max_period)
-    return max(polls, 1)
-
-
 # Bound once: an Enum member read off its class costs about ten global
 # reads on CPython 3.11, and the request path tests these per copy.
 _TO_DPU, _MRAM = XferKind.TO_DPU, Target.MRAM
@@ -225,9 +205,6 @@ class PerfModeMapping:
 class UpmemDriver:
     """Kernel driver: exposes ranks, tracks ownership, updates sysfs."""
 
-    #: Extra kernel-entry cost of one safe-mode ioctl.
-    IOCTL_OVERHEAD = 1.2e-6
-
     def __init__(self, machine: Machine, sysfs: Optional[SysFs] = None) -> None:
         self.machine = machine
         self.sysfs = sysfs or SysFs()
@@ -307,15 +284,16 @@ class UpmemDriver:
         mode provides between host applications (Fig. 3).
         """
         code = request.code
+        overhead = self.machine.cost.ioctl_overhead
         if code is IoctlCode.GET_CONFIG:
-            return self.config, self.IOCTL_OVERHEAD
+            return self.config, overhead
 
         if code is IoctlCode.ALLOC_RANK:
             free = self.free_ranks()
             if not free:
                 raise IoctlError("no free rank available")
             rank = self.claim_rank(free[0], owner)
-            return rank.index, self.IOCTL_OVERHEAD
+            return rank.index, overhead
 
         rank = self.resolve_rank(request.rank_index)
         if self._owners.get(request.rank_index) != owner:
@@ -325,20 +303,20 @@ class UpmemDriver:
 
         if code is IoctlCode.FREE_RANK:
             self.release_rank(request.rank_index, owner)
-            return None, self.IOCTL_OVERHEAD
+            return None, overhead
         if code is IoctlCode.LOAD_PROGRAM:
             duration = load_program_on_rank(rank, request.program)
-            return None, duration + self.IOCTL_OVERHEAD
+            return None, duration + overhead
         if code is IoctlCode.WRITE_RANK:
             _, duration = apply_matrix_to_rank(rank, request.matrix)
-            return None, duration + self.IOCTL_OVERHEAD
+            return None, duration + overhead
         if code is IoctlCode.READ_RANK:
             buffers, duration = apply_matrix_to_rank(rank, request.matrix)
-            return buffers, duration + self.IOCTL_OVERHEAD
+            return buffers, duration + overhead
         if code is IoctlCode.LAUNCH:
             duration = launch_rank(rank)
-            return None, duration + self.IOCTL_OVERHEAD
+            return None, duration + overhead
         if code is IoctlCode.CI_OP:
             duration = rank.ci.execute(CiCommand.STATUS, request.count)
-            return None, duration + self.IOCTL_OVERHEAD
+            return None, duration + overhead
         raise IoctlError(f"unknown ioctl code {code}")

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import AllocationError
-from repro.driver.driver import PerfModeMapping, UpmemDriver, launch_poll_count
+from repro.driver.driver import PerfModeMapping, UpmemDriver
 from repro.hardware.clock import SimClock
 from repro.hardware.machine import Machine
 from repro.hardware.timing import CostModel
@@ -60,11 +60,10 @@ class NativeRankChannel(RankChannel):
 
     def launch(self) -> float:
         run_time = self._mapping.launch()
-        polls = launch_poll_count(run_time)
-        poll_cpu_time = polls * self._cost.ci_op_native
-        self._profiler.record_op(OP_CI, poll_cpu_time, count=polls)
+        polls = self._cost.sync_launch_polls(run_time)
+        self._profiler.record_op(OP_CI, self._cost.ci_time(polls), count=polls)
         # Polling overlaps the run; only the final poll extends the wall.
-        return run_time + self._cost.ci_op_native
+        return run_time + self._cost.ci_time(1)
 
     def ci_ops(self, count: int) -> float:
         duration = self._mapping.ci_ops(count)
@@ -73,7 +72,8 @@ class NativeRankChannel(RankChannel):
 
     def release(self) -> float:
         self._mapping.unmap()
-        return self._cost.rank_op_fixed
+        # An unmap is one rank operation that moves no bytes.
+        return self._cost.rank_transfer_time(0)
 
 
 class NativeTransport(Transport):

@@ -1,6 +1,7 @@
 """The calibrated cost model.
 
-Every simulated duration in the stack is derived from the constants below.
+Every simulated duration on the paper's path (hardware, driver, SDK,
+virtualization stack, applications) is derived from the constants below.
 Calibration anchors come straight from the paper:
 
 - DPU frequency 350 MHz; two consecutive instructions of one tasklet must
@@ -23,11 +24,14 @@ Absolute values will not match the authors' Xeon 4215 testbed — the
 assertions in ``tests/analysis/test_paper_shapes.py`` check *shapes*
 (who wins, rough factors, crossovers), as the reproduction contract says.
 
-This is the paper's model only.  Cross-VM bus sharing (the opt-in QoS
-extension) lives in ``repro.qos.arbiter`` and reads
-``parallel_contention`` from here; no constant below belongs to it.
-The costs of detecting and retrying an injected fault live with the
-retry policy in ``repro.faults.retry``.
+This is the paper's model only; the opt-in extensions keep their costs
+with their policy.  Cross-VM bus sharing lives in ``repro.qos.arbiter``
+(``WFQ_QUANTUM``) and reads ``parallel_contention`` from here; the costs
+of detecting and retrying an injected fault live in
+``repro.faults.retry``; a demand-paging fault's fixed cost is
+``repro.paging.config``'s ``fault_overhead_s``; the emulated ranks of
+Section 7 derate this model with :meth:`CostModel.with_overrides`
+(``repro.virt.emulation``).
 """
 
 from __future__ import annotations
@@ -81,13 +85,14 @@ class CostModel:
     # -- Control interface --------------------------------------------------
     #: One native CI operation (status poll, command byte) through mmap.
     ci_op_native: float = 2e-6
-    #: Guest-side polling period during dpu_launch(SYNCHRONOUS): the SDK
-    #: re-reads DPU run status at this cadence.  Chosen so a 2.8 s checksum
-    #: run observes ~28000 CI ops, matching Section 5.3.1's "8000 to 28000".
-    launch_poll_period: float = 100e-6
-    #: Mandatory CI operations per launch (boot fault clear, thread resume,
-    #: per-chip status reads) regardless of run length.
-    ci_ops_per_launch: int = 640
+    #: Status-poll period of a launch: the synchronous wait loop's first
+    #: period, and the fixed cadence of an application polling an
+    #: asynchronous launch from userspace (the UPMEM Index Search demo).
+    status_poll_period: float = 50e-6
+    #: The synchronous wait loop doubles its period up to this cap.
+    status_poll_max_period: float = 10e-3
+    #: Extra kernel-entry cost of one safe-mode ioctl.
+    ioctl_overhead: float = 1.2e-6
 
     # -- Virtualization: guest <-> VMM transitions ---------------------------
     #: Guest write to the virtio kick register -> KVM trap -> Firecracker
@@ -167,6 +172,8 @@ class CostModel:
     manager_retry_max: float = 1.6
 
     # -- VM lifecycle -------------------------------------------------------------
+    #: Firecracker's own boot time before devices are added (microVM scale).
+    vm_boot_base: float = 125e-3
     #: Extra boot time contributed by one vUPMEM device (Section 3.2: <=2 ms).
     vupmem_boot_cost: float = 2e-3
     #: Device configuration request during driver init.
@@ -330,6 +337,25 @@ class CostModel:
         """One DPU's launch: pipeline time plus its MRAM<->WRAM DMA."""
         return (self.pipeline_time(tasklet_instructions)
                 + self.dma_time(dma_ops, dma_bytes))
+
+    def sync_launch_polls(self, run_time: float) -> int:
+        """Status polls of a synchronous launch running ``run_time``.
+
+        The SDK's wait loop backs off exponentially: it polls after
+        ``status_poll_period``, doubling up to ``status_poll_max_period``.
+        Long runs therefore see only ``O(log) + run_time/max_period``
+        polls, which keeps the DPU segment's virtualization overhead near
+        1x, as Fig. 8 shows.
+        """
+        polls = 0
+        waited = 0.0
+        period = self.status_poll_period
+        while waited < run_time:
+            polls += 1
+            waited += period
+            if period < self.status_poll_max_period:
+                period = min(period * 2, self.status_poll_max_period)
+        return max(polls, 1)
 
     def guest_ci_time(self, count: int, vhost_vsock: bool = False,
                           ) -> float:

@@ -257,16 +257,16 @@ class DpuSet:
     def push_from_mram(self, offset: int, size: int) -> List[np.ndarray]:
         return self.push_from(MRAM_HEAP_SYMBOL, offset, size)
 
-    def launch(self, status_poll_cadence: Optional[float] = None) -> None:
+    def launch(self, poll_status: bool = False) -> None:
         """``dpu_launch``: run and wait for completion.
 
-        With ``status_poll_cadence`` unset this is the synchronous launch
-        (the kernel-side wait of ``DPU_SYNCHRONOUS``).  When set, it
-        models the asynchronous launch + userspace status-polling loop
-        some applications use (e.g. the UPMEM Index Search demo): the
-        application re-reads DPU status every ``status_poll_cadence``
-        seconds, and each of those reads is a CI operation that a
-        virtualized transport turns into a full round trip.
+        By default this is the synchronous launch (the kernel-side wait
+        of ``DPU_SYNCHRONOUS``).  ``poll_status`` models the asynchronous
+        launch + userspace status-polling loop some applications use
+        (e.g. the UPMEM Index Search demo): the application re-reads DPU
+        status every ``CostModel.status_poll_period``, and each of those
+        reads is a CI operation that a virtualized transport turns into a
+        full round trip.
         """
         self._check_alive()
         if not self._loaded:
@@ -278,9 +278,8 @@ class DpuSet:
         for ci in self._active_channels():
             self._sibling(span)
             durations.append(self.channels[ci].launch())
-        if status_poll_cadence is not None and durations:
-            penalty = self.transport.launch_poll_penalty(
-                max(durations), status_poll_cadence)
+        if poll_status and durations:
+            penalty = self.transport.launch_poll_penalty(max(durations))
             durations = [d + penalty for d in durations]
         # DPU execution is device-side: ranks overlap perfectly.
         self._end_op(span, self._run(durations, contended=False))

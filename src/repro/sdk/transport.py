@@ -96,8 +96,7 @@ class Transport(abc.ABC):
     def alloc_channels(self, nr_dpus: int) -> List[RankChannel]:
         """Allocate enough ranks to cover ``nr_dpus`` DPUs."""
 
-    def launch_poll_penalty(self, run_duration: float,
-                            cadence: float) -> float:
+    def launch_poll_penalty(self, run_duration: float) -> float:
         """Wall-time penalty of *userspace* status polling during a launch.
 
         Applications using the asynchronous launch API poll DPU status

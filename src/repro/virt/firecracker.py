@@ -37,9 +37,6 @@ from repro.virt.opts import OptimizationConfig
 from repro.virt.transfer_cache import GuestCache, HostCache
 from repro.virt.vm import Vm, VUpmemDevice
 
-#: Firecracker's own boot time before devices are added (microVM scale).
-BASE_BOOT_TIME = 125e-3
-
 
 @dataclass
 class VmConfig:
@@ -107,7 +104,7 @@ class Firecracker:
         config.validate(self.machine, capacity=self.manager.rank_capacity())
         vm_id = f"vm-{next(self._vm_ids)}"
         memory = GuestMemory(config.mem_bytes)
-        kvm = Kvm(self.cost)
+        kvm = Kvm()
         profiler = Profiler(self.machine.clock)
         vm = Vm(vm_id=vm_id, config=config, machine=self.machine,
                 memory=memory, kvm=kvm, profiler=profiler,
@@ -119,7 +116,7 @@ class Firecracker:
             from repro.qos.flow import attach
             vm.qos_flow = attach(self.machine, vm_id, config.opts.qos)
 
-        boot_time = BASE_BOOT_TIME
+        boot_time = self.cost.vm_boot_base
         for i in range(config.nr_vupmem):
             device_id = f"{vm_id}.vupmem{i}"
             host_cache = HostCache() if config.opts.cache else None

@@ -7,16 +7,15 @@ every completion injects an IRQ back.  The paper's central measurement is
 that these guest-hypervisor-VMM transitions — not data volume — dominate
 virtualization overhead.
 
-:class:`Kvm` therefore does exactly two things: charge the calibrated
-transition costs and count them (the counts back Fig. 14's claims:
-NW messages drop from ~10000 to ~402 with batching).
+:class:`Kvm` therefore counts the transitions (the counts back Fig. 14's
+claims: NW messages drop from ~10000 to ~402 with batching); their cost
+is priced once, by ``CostModel.roundtrip_steps``, where the frontend
+charges each request's kick and IRQ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.hardware.timing import CostModel
 
 
 @dataclass
@@ -33,19 +32,12 @@ class Kvm:
     """Trap/IRQ accounting for one VM (§3.4: guest↔VMM world switches are
     the irreducible virtualization cost)."""
 
-    cost: CostModel
     stats: KvmStats = field(default_factory=KvmStats)
 
-    def trap(self) -> float:
+    def trap(self) -> None:
         """Guest MMIO write (queue kick) -> VMEXIT -> event fd."""
         self.stats.vmexits += 1
-        return self.cost.vmexit_cost
 
-    def inject_irq(self) -> float:
+    def inject_irq(self) -> None:
         """Completion IRQ -> guest driver wakeup."""
         self.stats.irq_injections += 1
-        return self.cost.irq_inject_cost
-
-    def roundtrip(self) -> float:
-        """One full kick..IRQ transition pair."""
-        return self.trap() + self.inject_irq()

@@ -82,18 +82,15 @@ class VirtTransport(Transport):
     def parallel_ranks(self) -> bool:
         return self.vm.config.opts.parallel_handling
 
-    def launch_poll_penalty(self, run_duration: float,
-                            cadence: float) -> float:
+    def launch_poll_penalty(self, run_duration: float) -> float:
         """Each userspace status poll is a synchronous CI round trip.
 
-        The poll loop issues one CI read every ``cadence`` seconds of run
-        time; in a VM each read costs an extra guest->VMM->guest
+        The poll loop issues one CI read every ``status_poll_period`` of
+        run time; in a VM each read costs an extra guest->VMM->guest
         transition, which extends the perceived wait (Fig. 10's 2.1x
         overhead for the compute-dominated 1-DPU index search).
         """
-        if cadence <= 0:
-            raise ValueError(f"poll cadence must be positive, got {cadence}")
-        polls = int(run_duration / cadence)
+        polls = int(run_duration / self.cost.status_poll_period)
         penalty = self.cost.launch_poll_time(polls)
         if polls:
             self.vm.kvm.stats.vmexits += polls

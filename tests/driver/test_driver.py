@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import MRAM_HEAP_SYMBOL, small_machine
-from repro.driver.driver import UpmemDriver, launch_poll_count
+from repro.driver.driver import UpmemDriver
 from repro.driver.ioctl import IoctlCode, IoctlRequest
 from repro.errors import IoctlError, MmapError
 from repro.hardware.machine import Machine
@@ -106,12 +106,3 @@ def test_safe_mode_alloc_exhaustion(driver):
     driver.ioctl("p1", IoctlRequest(IoctlCode.ALLOC_RANK, 0))
     with pytest.raises(IoctlError):
         driver.ioctl("p1", IoctlRequest(IoctlCode.ALLOC_RANK, 0))
-
-
-def test_launch_poll_count_backoff():
-    # Short run: a handful of polls.  Long run: ~duration / max_period.
-    assert launch_poll_count(0.0) == 1
-    short = launch_poll_count(1e-3)
-    long = launch_poll_count(1.0)
-    assert short < 20
-    assert 90 <= long <= 120

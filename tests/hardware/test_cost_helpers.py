@@ -84,6 +84,12 @@ class TestHelpersAlone:
         two = COST.rank_op_time(1 << 20, 2)
         assert one > 4 * two
 
+    def test_sync_launch_polls_back_off(self):
+        # Short run: a handful of polls.  Long run: ~run / max period.
+        assert COST.sync_launch_polls(0.0) == 1
+        assert COST.sync_launch_polls(1e-3) < 20
+        assert 90 <= COST.sync_launch_polls(1.0) <= 120
+
 
 class TestContendedMakespan:
     def test_empty_and_single_job(self):
@@ -119,8 +125,10 @@ class TestContendedMakespan:
 # line knows a GuestMemory, a Rank or a Machine exists.
 
 from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
-from repro.apps.registry import app_by_short_name  # noqa: E402
+from repro.apps.registry import ALL_APPS, app_by_short_name  # noqa: E402
 from repro.core import VPim  # noqa: E402
+from repro.driver.ioctl import IoctlCode, IoctlRequest  # noqa: E402
+from repro.hardware.machine import Machine  # noqa: E402
 from repro.sdk.dpu_set import DpuSet  # noqa: E402
 from repro.sdk.transfer import (  # noqa: E402
     DpuEntry,
@@ -129,6 +137,7 @@ from repro.sdk.transfer import (  # noqa: E402
     uniform_read,
     uniform_write,
 )
+from repro.virt.firecracker import Firecracker, VmConfig  # noqa: E402
 from repro.virt.opts import OptimizationConfig  # noqa: E402
 from repro.virt import transfer_cache  # noqa: E402
 from tests.tasklet_reference import TaskletProgram  # noqa: E402
@@ -349,7 +358,8 @@ class TestControlAndLocalPaths:
 
     def test_launch_poll(self):
         vm = Vm()
-        penalty = vm.session.transport.launch_poll_penalty(1e-3, 100e-6)
+        penalty = vm.session.transport.launch_poll_penalty(
+            10.5 * COST.status_poll_period)
         assert penalty.hex() == COST.launch_poll_time(10).hex()
 
 
@@ -360,8 +370,7 @@ class TestControlAndLocalPaths:
 #: scaled by default.
 UNSCALED = frozenset({
     "pipeline_depth", "dma_setup_cycles", "dma_cycles_per_byte",
-    "ci_ops_per_launch", "rust_slowdown", "parallel_contention",
-    "native_parallel_contention",
+    "rust_slowdown", "parallel_contention", "native_parallel_contention",
 })
 RATES = frozenset({
     "dpu_frequency_hz", "rank_xfer_bandwidth", "interleave_bw_c",
@@ -380,19 +389,57 @@ def slowed(k):
     return dataclasses.replace(COST, **changes)
 
 
+def doubled(base, slow):
+    """``slow / base`` per series (a zero series must stay zero), to
+    compare against 2.0 within 1e-9."""
+    return {name: slow[name] / value if value else slow[name]
+            for name, value in base.items()}
+
+
+def twice(series):
+    return {name: 2.0 if value else 0.0 for name, value in series.items()}
+
+
 @pytest.mark.parametrize("mode", ["native", "vm"])
-@pytest.mark.parametrize("app", ["NW", "VA"])
+@pytest.mark.parametrize("app", [info.short_name for info in ALL_APPS])
 def test_modeled_time_is_homogeneous_in_the_cost_constants(app, mode):
     """A seconds literal outside ``CostModel`` stays put when the model
-    is scaled, so the run's modeled total no longer doubles."""
-    def modeled_total(cost):
+    is scaled: some series of the run's profile no longer doubles, or
+    a poll count moves."""
+    def profile(cost):
         vpim = VPim(machine_for_dpus(64), cost=cost)
         params = SIZE_PROFILES["test"].get(app, {})
         instance = app_by_short_name(app).cls(nr_dpus=64, **params)
         session = (vpim.native_session() if mode == "native" else
                    vpim.vm_session(nr_vupmem=vpim.machine.config.nr_ranks))
-        return session.run(instance).total_time
+        report = session.run(instance)
+        snapshot = report.profile
+        times = {"total": report.total_time}
+        times.update((f"segment {name}", seconds)
+                     for name, seconds in snapshot.segments.items())
+        times.update((f"driver {name}", op.time)
+                     for name, op in snapshot.driver.items())
+        times.update((f"wrank {name}", seconds)
+                     for name, seconds in snapshot.wrank_steps.items())
+        counts = {name: op.count for name, op in snapshot.driver.items()}
+        return times, counts
 
     assert RATES | UNSCALED <= {f.name for f in dataclasses.fields(COST)}
-    ratio = modeled_total(slowed(2.0)) / modeled_total(COST)
-    assert ratio == pytest.approx(2.0, abs=1e-9)
+    (times, counts), (slow, slow_counts) = map(profile, (COST, slowed(2.0)))
+    assert slow_counts == counts
+    assert slow.keys() == times.keys()
+    assert doubled(times, slow) == pytest.approx(twice(times), abs=1e-9)
+
+
+def test_boot_and_ioctl_are_homogeneous():
+    def boot_and_ioctl(cost):
+        firecracker = Firecracker(Machine(small_machine(nr_ranks=1), cost))
+        vm = firecracker.launch_vm(VmConfig(nr_vupmem=1, mem_bytes=1 << 30))
+        driver = firecracker.driver
+        rank, _ = driver.ioctl("p", IoctlRequest(IoctlCode.ALLOC_RANK, 0))
+        _, ioctl = driver.ioctl("p", IoctlRequest(IoctlCode.CI_OP, rank,
+                                                   count=3))
+        return {"boot": vm.boot_time, "ioctl": ioctl}
+
+    base, slow = map(boot_and_ioctl, (COST, slowed(2.0)))
+    assert doubled(base, slow) == pytest.approx(twice(base), abs=1e-9)

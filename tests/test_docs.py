@@ -223,7 +223,8 @@ class TestArchitectureCostModelTable:
 
     BYTE_MOVERS = ("virt/frontend.py", "virt/backend.py",
                    "virt/transfer_cache.py", "hardware/rank.py",
-                   "driver/driver.py", "virt/transport.py")
+                   "driver/driver.py", "driver/native.py",
+                   "virt/transport.py")
 
     @pytest.fixture(scope="class")
     def documented(self) -> set:

@@ -5,7 +5,8 @@ import pytest
 from repro.config import small_machine
 from repro.errors import VmConfigError
 from repro.hardware.machine import Machine
-from repro.virt.firecracker import BASE_BOOT_TIME, Firecracker, VmConfig
+from repro.hardware.timing import DEFAULT_COST_MODEL
+from repro.virt.firecracker import Firecracker, VmConfig
 from repro.virt.guest_memory import MIN_GUEST_SIZE
 
 
@@ -46,7 +47,7 @@ def test_boot_time_includes_device_cost(fc):
     boot = fc.machine.clock.now - t0
     assert boot == pytest.approx(vm.boot_time)
     # Section 3.2: each vUPMEM device adds at most 2 ms.
-    per_device = (boot - BASE_BOOT_TIME) / 2
+    per_device = (boot - DEFAULT_COST_MODEL.vm_boot_base) / 2
     assert per_device <= 2e-3 + 1e-9
 
 

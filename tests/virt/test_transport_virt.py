@@ -63,7 +63,7 @@ def test_kvm_counts_requests(session):
 
 def test_poll_penalty_charged_in_vm(session):
     t = session.transport
-    penalty = t.launch_poll_penalty(run_duration=0.01, cadence=50e-6)
+    penalty = t.launch_poll_penalty(run_duration=0.01)
     assert penalty == pytest.approx(200 * t.cost.ci_virt_roundtrip)
 
 
@@ -71,12 +71,7 @@ def test_poll_penalty_zero_native():
     from repro.driver.native import NativeTransport
     from repro.hardware.machine import Machine
     native = NativeTransport(Machine(small_machine()))
-    assert native.launch_poll_penalty(0.01, 50e-6) == 0.0
-
-
-def test_poll_penalty_invalid_cadence(session):
-    with pytest.raises(ValueError):
-        session.transport.launch_poll_penalty(0.01, 0.0)
+    assert native.launch_poll_penalty(0.01) == 0.0
 
 
 def test_alloc_failure_when_not_enough_devices():
