@@ -661,8 +661,8 @@ class VUpmemFrontend:
                 self._roundtrip(header)
             if count > real:
                 self.backend.require_mapping().ci_ops(count - real)
-                self.kvm.stats.vmexits += count - real
-                self.kvm.stats.irq_injections += count - real
+                self.kvm.trap(count - real)
+                self.kvm.inject_irq(count - real)
                 self.requests["ci_op"] += count - real
         except BaseException:
             self.spans.end(span, error=True)

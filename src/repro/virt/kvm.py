@@ -34,10 +34,10 @@ class Kvm:
 
     stats: KvmStats = field(default_factory=KvmStats)
 
-    def trap(self) -> None:
-        """Guest MMIO write (queue kick) -> VMEXIT -> event fd."""
-        self.stats.vmexits += 1
+    def trap(self, count: int = 1) -> None:
+        """``count`` queue kicks: guest MMIO write -> VMEXIT -> event fd."""
+        self.stats.vmexits += count
 
-    def inject_irq(self) -> None:
-        """Completion IRQ -> guest driver wakeup."""
-        self.stats.irq_injections += 1
+    def inject_irq(self, count: int = 1) -> None:
+        """``count`` completion IRQs -> guest driver wakeup."""
+        self.stats.irq_injections += count

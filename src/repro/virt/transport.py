@@ -93,8 +93,8 @@ class VirtTransport(Transport):
         polls = int(run_duration / self.cost.status_poll_period)
         penalty = self.cost.launch_poll_time(polls)
         if polls:
-            self.vm.kvm.stats.vmexits += polls
-            self.vm.kvm.stats.irq_injections += polls
+            self.vm.kvm.trap(polls)
+            self.vm.kvm.inject_irq(polls)
             if self.spans is not None:
                 self.spans.event("sdk.launch_poll", "sdk", penalty,
                                  op="CI", polls=polls)

@@ -1,17 +1,11 @@
-"""The PrIM and microbenchmark kernels in their reference forms.
+"""The PrIM and microbenchmark kernels as Fig. 2b tasklet programs.
 
 Each program has one body under ``src/``, ``DpuProgram.run_rank``, for
-the whole launch.  The classes below, each a
-:class:`~tests.tasklet_reference.TaskletProgram` of its program, are
-the bodies those replaced:
-
-- ``PerDpu*``, one DPU-form body per DPU (``run`` overridden, tasklets a
-  vector axis), for the 14 PrIM programs whose body vectorises across
-  DPUs; the body of NW and TRNS is a loop over the launch's DPUs, whose
-  body is their DPU form;
-- ``PerTasklet*`` (``PerRowSpmv``), for all 16 PrIM programs, CHK and
-  UPIS: one generator per tasklet, ``tasklet_range`` slices, barriers,
-  results merged by tasklet 0, on the tasklet scheduler.
+the whole launch.  Its reference below is a
+:class:`~tests.tasklet_reference.TaskletProgram` of the program,
+``PerTasklet*`` (``PerRowSpmv`` for SpMV), for all 16 PrIM programs, CHK
+and UPIS: one generator per tasklet, ``tasklet_range`` slices, barriers,
+results merged by tasklet 0, on the tasklet scheduler.
 
 Same symbols and MRAM in, so same MRAM and symbols out, the same
 instruction count for every tasklet of every DPU, the same DMA charges
@@ -25,7 +19,7 @@ import numpy as np
 
 from repro.apps.micro.checksum import INSTR_PER_BYTE, ChecksumProgram
 from repro.apps.micro.index_search import INSTR_PER_POSTING, IndexSearchProgram
-from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram, gather_runs
+from repro.apps.prim.bfs import INSTR_PER_EDGE, BfsProgram
 from repro.apps.prim.bs import INSTR_PER_PROBE, BsProgram
 from repro.apps.prim.gemv import INSTR_PER_MADD, GemvProgram
 from repro.apps.prim.hst_l import (INSTR_PER_MERGE_BIN,
@@ -52,340 +46,8 @@ from repro.apps.prim.uni import UniProgram, unique_consecutive
 from repro.apps.prim.va import INSTR_PER_ELEM as INSTR_PER_VA
 from repro.apps.prim.va import VaProgram
 from repro.config import WRAM_SIZE
-from tests.tasklet_reference import (DpuContext, TaskletContext,
-                                     TaskletProgram, tasklet_range)
+from tests.tasklet_reference import TaskletProgram, tasklet_range
 
-
-# -- DPU forms -------------------------------------------------------------------
-
-class PerDpuBs(TaskletProgram, BsProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        nq = dpu.host_u32("n_queries")
-        q_off = dpu.host_u32("q_offset")
-        r_off = dpu.host_u32("r_offset")
-        base = dpu.host_u32("base_index")
-        _starts, lens = dpu.split(nq)
-        shares = lens[lens > 0] * 8     # query bytes of each tasklet with any
-        if shares.size == 0 or n == 0:
-            return
-        dpu.mem_alloc(2 * 1024, tasklets=shares.size)
-        dpu.dma(np.full(shares.size, n * 8))
-        dpu.dma(np.tile(shares, 2))
-        data = dpu.mram_read(0, n * 8).view(np.int64)
-        queries = dpu.mram_read(q_off, nq * 8).view(np.int64)
-        inside = np.flatnonzero((data[0] <= queries) & (queries <= data[-1]))
-        probed = queries[inside]
-        pos = np.searchsorted(data, probed)
-        results = np.full(nq, -1, dtype=np.int64)
-        results[inside] = np.where(data[pos] == probed, pos + base, -1)
-        dpu.mram_write(r_off, results)
-        probes = int(np.ceil(np.log2(max(2, n))))
-        dpu.charge(lens * (INSTR_PER_PROBE * probes))
-
-
-class PerDpuBfs(TaskletProgram, BfsProgram):
-    def run(self, dpu: DpuContext) -> None:
-        nv, first, n_owned, col_off, f_off, n_off = (
-            dpu.host_u32("args", i) for i in range(6))
-        _starts, lens = dpu.split(n_owned)
-        working = lens > 0
-        k = np.count_nonzero(working)
-        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
-        nxt = np.zeros(nv, dtype=np.uint8)
-        if k:
-            dpu.mem_alloc(3 * 1024, tasklets=k)
-            front_bytes = (nv + 7) // 8
-            dpu.dma(np.full(k, front_bytes))
-            dpu.dma(np.full(k, (n_owned + 1) * 4))
-            packed = dpu.mram_read(f_off, front_bytes)
-            row_ptr = dpu.mram_read(0, (n_owned + 1) * 4).view(np.int32)
-            idx = first + np.arange(n_owned)
-            active = np.flatnonzero((packed[idx >> 3] >> (7 - (idx & 7))) & 1)
-            starts = row_ptr[active]
-            sizes = row_ptr[active + 1] - starts
-            chunk = -(-n_owned // dpu.nr_tasklets)
-            edges = np.bincount(active // chunk, weights=sizes,
-                                minlength=dpu.nr_tasklets).astype(np.int64)
-            scanning = np.count_nonzero(edges)
-            if scanning:
-                col_bytes = int(row_ptr[n_owned]) * 4
-                dpu.dma(np.full(scanning, col_bytes))
-                cols = dpu.mram_read(col_off, col_bytes).view(np.int32)
-                nxt[gather_runs(cols, starts, sizes)] = 1
-            instructions[working] = (np.maximum(1, edges[working])
-                                     * INSTR_PER_EDGE)
-        dpu.charge(instructions)
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.mram_write_blocks(n_off, np.packbits(nxt))
-        tasklet0.charge(nv // 8)
-
-
-class PerDpuTs(TaskletProgram, TsProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_points")
-        m = dpu.host_u32("m")
-        q_off = dpu.host_u32("q_offset")
-        n_windows = max(0, n - m + 1)
-        _starts, lens = dpu.split(n_windows)
-        shares = lens[lens > 0]
-        best = (np.iinfo(np.int64).max, -1)
-        if shares.size:
-            dpu.mem_alloc(3 * 1024, tasklets=shares.size)
-            dpu.dma(np.full(shares.size, m * 4))
-            dpu.dma((shares + m - 1) * 4)
-            query = dpu.mram_read(q_off, m * 4).view(np.int32)
-            points = dpu.mram_read(0, (n_windows + m - 1) * 4).view(np.int32)
-            dists = _ssd_profile(points, query)
-            index = int(dists.argmin())
-            best = (int(dists[index]), index)
-        dpu.charge(lens * (m * INSTR_PER_POINT))
-        dpu.set_host_i64("best_dist", best[0])
-        dpu.set_host_i64("best_index", best[1])
-        TaskletContext(dpu, 0).charge(dpu.nr_tasklets * 3)
-
-
-class PerDpuHstS(TaskletProgram, HstSProgram):
-    """Clamps every pixel, whether or not one is past the last bin."""
-
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_pixels")
-        n_bins = dpu.host_u32("n_bins")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 2
-        dpu.mem_alloc(2048, tasklets=pieces.size)
-        dpu.dma(pieces)
-        hist = np.zeros(n_bins, dtype=np.uint32)
-        if n:
-            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
-            hist = np.bincount(np.minimum(pixels, n_bins - 1),
-                               minlength=n_bins).astype(np.uint32)
-        dpu.charge(lens * INSTR_PER_PIXEL)
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), hist)
-        tasklet0.charge(hist.size * 2)
-
-
-class PerDpuHstL(TaskletProgram, HstLProgram):
-    """Clamps every pixel, whether or not one is past the last bin."""
-
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_pixels")
-        n_bins = dpu.host_u32("n_bins")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 2
-        budget = max(1024, WRAM_SIZE // dpu.nr_tasklets - 2048)
-        bins_per_pass = max(256, budget // 4)
-        passes = -(-n_bins // bins_per_pass)
-        dpu.mem_alloc(1024 + min(n_bins, bins_per_pass) * 4,
-                      tasklets=pieces.size)
-        dpu.dma(pieces)
-        total = np.zeros(n_bins, dtype=np.uint32)
-        if n:
-            pixels = dpu.mram_read(0, n * 2).view(np.uint16)
-            total = np.bincount(np.minimum(pixels, n_bins - 1),
-                                minlength=n_bins).astype(np.uint32)
-        dpu.charge(lens * (passes * INSTR_PER_PIXEL_L))
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.charge(n_bins * max(1, pieces.size) * INSTR_PER_MERGE_BIN)
-        tasklet0.mram_write_blocks(dpu.host_u32("hist_offset"), total)
-
-
-class PerDpuSpmv(TaskletProgram, SpmvProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n_rows, _nnz, n_cols, col_off, val_off, x_off, y_off = (
-            dpu.host_u32("args", i) for i in range(7))
-        starts, lens = dpu.split(n_rows)
-        working = lens > 0
-        k = np.count_nonzero(working)
-        if k == 0:
-            return
-        dpu.mem_alloc(4 * 768, tasklets=k)
-        row_ptr = dpu.mram_read(0, (n_rows + 1) * 4).view(np.int32)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        nnz = np.maximum(0, row_ptr[(starts + lens)[working]].astype(np.int64)
-                         - row_ptr[starts[working]])
-        dpu.dma(np.full(k, (n_rows + 1) * 4))
-        dpu.dma(np.full(k, n_cols * 4))
-        dpu.dma(np.repeat(nnz[nnz > 0] * 4, 2))
-        dpu.dma(lens[working] * 8)
-        s, e = int(row_ptr[0]), int(row_ptr[n_rows])
-        if e > s:
-            cols = dpu.mram_read(col_off + s * 4, (e - s) * 4).view(np.int32)
-            vals = dpu.mram_read(val_off + s * 4, (e - s) * 4).view(np.int32)
-        else:
-            cols = np.empty(0, dtype=np.int32)
-            vals = np.empty(0, dtype=np.int32)
-        filled = row_ptr[1:] > row_ptr[:-1]
-        y = np.zeros(n_rows, dtype=np.int64)
-        y[filled] = np.add.reduceat(
-            vals.astype(np.int64) * x[cols].astype(np.int64),
-            row_ptr[:-1][filled] - s)
-        dpu.mram_write(y_off, y)
-        instructions = np.zeros(dpu.nr_tasklets, dtype=np.int64)
-        instructions[working] = nnz * INSTR_PER_NNZ
-        dpu.charge(instructions)
-
-
-class PerDpuScanSsa(TaskletProgram, ScanSsaProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        out_off = dpu.host_u32("out_offset")
-        phase = dpu.host_u32("phase")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0]
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        if phase == 0:
-            data = dpu.mram_read(0, n * 4).view(np.int32)
-            dpu.dma(pieces * 4)
-            scanned = np.cumsum(data, dtype=np.int64)
-            dpu.mram_write(out_off, scanned)
-            dpu.dma(pieces * 8)
-            dpu.charge(lens * (INSTR_PER_SCAN + 1))
-            TaskletContext(dpu, 0).mram_write(
-                dpu.host_u32("sum_offset"),
-                scanned[-1:] if n else np.zeros(1, np.int64))
-        else:
-            scanned = dpu.mram_read(out_off, n * 8).view(np.int64)
-            dpu.mram_write(out_off, scanned + dpu.host_i64("base"))
-            dpu.dma(np.tile(pieces * 8, 2))
-            dpu.charge(lens * INSTR_PER_ADD)
-
-
-class PerDpuRed(TaskletProgram, RedProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 4
-        dpu.mem_alloc(2048, tasklets=pieces.size)
-        dpu.dma(pieces)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        dpu.charge(lens * INSTR_PER_RED)
-        tasklet0 = TaskletContext(dpu, 0)
-        tasklet0.mram_write(dpu.host_u32("result_offset"),
-                            np.array([data.sum(dtype=np.int64)]))
-        tasklet0.charge(dpu.nr_tasklets * 2)
-
-
-class PerDpuVa(TaskletProgram, VaProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        b_off = dpu.host_u32("b_offset")
-        c_off = dpu.host_u32("c_offset")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0] * 4     # bytes of each tasklet that has any
-        if pieces.size == 0:
-            return
-        dpu.mem_alloc(3 * 1024, tasklets=pieces.size)  # A/B/C block buffers
-        dpu.dma(np.tile(pieces, 3))
-        c = dpu.mram_read(0, n * 4).view(np.int32)
-        c += dpu.mram_read(b_off, n * 4).view(np.int32)
-        dpu.mram_write(c_off, c)
-        dpu.charge(lens * INSTR_PER_VA)
-
-
-class PerDpuGemv(TaskletProgram, GemvProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n_rows = dpu.host_u32("n_rows")
-        n_cols = dpu.host_u32("n_cols")
-        x_off = dpu.host_u32("x_offset")
-        y_off = dpu.host_u32("y_offset")
-        _starts, lens = dpu.split(n_rows)
-        rows = lens[lens > 0]           # rows of each tasklet that has any
-        if rows.size == 0:
-            return
-        dpu.mem_alloc(2 * 1024, tasklets=rows.size)
-        dpu.dma(np.full(rows.size, n_cols * 4))
-        dpu.dma(rows * (n_cols * 4))
-        dpu.dma(rows * 4)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        m = dpu.mram_read(0, n_rows * n_cols * 4).view(np.int32)
-        y = (m.reshape(n_rows, n_cols).astype(np.int64)
-             @ x.astype(np.int64)).astype(np.int32)
-        dpu.mram_write(y_off, y)
-        dpu.charge(lens * (n_cols * INSTR_PER_MADD))
-
-
-class PerDpuSel(TaskletProgram, SelProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        _starts, lens = dpu.split(n)
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        dpu.dma(lens[lens > 0] * 4)
-        dpu.charge(lens * INSTR_PER_SEL)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        out = data[predicate(data)]
-        tasklet0 = TaskletContext(dpu, 0)
-        dpu.set_host_u32("n_selected", out.size)
-        if out.size:
-            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
-        tasklet0.charge(dpu.nr_tasklets * 4)
-
-
-class PerDpuUni(TaskletProgram, UniProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        _starts, lens = dpu.split(n)
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        dpu.dma(lens[lens > 0] * 4)
-        dpu.charge(lens * INSTR_PER_UNI)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        out = unique_consecutive(data)
-        tasklet0 = TaskletContext(dpu, 0)
-        dpu.set_host_u32("n_unique", out.size)
-        if out.size:
-            tasklet0.mram_write_blocks(dpu.host_u32("out_offset"), out)
-        tasklet0.charge(dpu.nr_tasklets * 4)
-
-
-class PerDpuMlp(TaskletProgram, MlpProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n_rows = dpu.host_u32("n_rows")
-        n_cols = dpu.host_u32("n_cols")
-        w_off = dpu.host_u32("w_offset")
-        x_off = dpu.host_u32("x_offset")
-        y_off = dpu.host_u32("y_offset")
-        _starts, lens = dpu.split(n_rows)
-        rows = lens[lens > 0]           # rows of each tasklet that has any
-        if rows.size == 0:
-            return
-        dpu.mem_alloc(3 * 1024, tasklets=rows.size)
-        dpu.dma(np.full(rows.size, n_cols * 4))
-        dpu.dma(rows * (n_cols * 4))
-        dpu.dma(rows * 4)
-        x = dpu.mram_read(x_off, n_cols * 4).view(np.int32)
-        w = dpu.mram_read(w_off, n_rows * n_cols * 4).view(np.int32)
-        y = relu(w.reshape(n_rows, n_cols).astype(np.float64)
-                 @ x.astype(np.float64))
-        y = np.minimum(y, np.iinfo(np.int32).max).astype(np.int32)
-        dpu.mram_write(y_off, y)
-        dpu.charge(lens * (n_cols * INSTR_PER_MLP_MADD))
-
-
-class PerDpuScanRss(TaskletProgram, ScanRssProgram):
-    def run(self, dpu: DpuContext) -> None:
-        n = dpu.host_u32("n_elems")
-        out_off = dpu.host_u32("out_offset")
-        phase = dpu.host_u32("phase")
-        _starts, lens = dpu.split(n)
-        pieces = lens[lens > 0]
-        dpu.mem_alloc(2 * 1024, tasklets=dpu.nr_tasklets)
-        data = dpu.mram_read(0, n * 4).view(np.int32)
-        dpu.dma(pieces * 4)
-        if phase == 0:
-            dpu.charge(lens * INSTR_PER_REDUCE)
-            TaskletContext(dpu, 0).mram_write(
-                dpu.host_u32("sum_offset"),
-                np.array([data.sum(dtype=np.int64)]))
-        else:
-            scanned = np.cumsum(data, dtype=np.int64)
-            scanned += dpu.host_i64("base")
-            dpu.mram_write(out_off, scanned)
-            dpu.dma(pieces * 8)
-            dpu.charge(lens * (INSTR_PER_SCAN_ADD + 1))
-
-
-# -- tasklet forms ----------------------------------------------------------------
 
 class PerTaskletVa(TaskletProgram, VaProgram):
     def kernel(self, ctx):
@@ -915,15 +577,6 @@ class PerTaskletIndexSearch(TaskletProgram, IndexSearchProgram):
         ctx.mram_write_blocks(r_off + qrange.start * 4, results)
         ctx.charge_loop(max(1, scanned), INSTR_PER_POSTING)
 
-
-#: App short name -> the DPU-form reference of its program, for the
-#: programs whose body vectorises across DPUs.
-DPU_FORMS = {
-    "BS": PerDpuBs, "BFS": PerDpuBfs, "TS": PerDpuTs, "HST-S": PerDpuHstS,
-    "HST-L": PerDpuHstL, "SpMV": PerDpuSpmv, "SCAN-SSA": PerDpuScanSsa,
-    "RED": PerDpuRed, "VA": PerDpuVa, "GEMV": PerDpuGemv, "SEL": PerDpuSel,
-    "UNI": PerDpuUni, "MLP": PerDpuMlp, "SCAN-RSS": PerDpuScanRss,
-}
 
 #: App short name -> its tasklet-form reference program.
 REFERENCE_PROGRAMS = {

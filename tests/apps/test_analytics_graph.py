@@ -6,13 +6,7 @@ import pytest
 from repro.apps.prim.bfs import BreadthFirstSearch, cpu_bfs
 from repro.apps.prim.nw import GAP, MATCH, NeedlemanWunsch, nw_score
 from repro.apps.prim.ts import TimeSeries, _ssd_profile
-from repro.config import small_machine
-from repro.core import VPim
-
-
-def native(app, dpus_per_rank=8):
-    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=dpus_per_rank))
-    return vpim.native_session().run(app)
+from tests.conftest import run_native
 
 
 # -- TS -----------------------------------------------------------------------
@@ -21,7 +15,7 @@ def test_ts_exact_match_found():
     app = TimeSeries(nr_dpus=4, n_points=2048, query_len=32)
     # Plant the query inside the series: distance 0 at that index.
     app.series[500:532] = app.query
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     dists = _ssd_profile(app.series, app.query)
     assert int(dists.min()) == 0
@@ -30,12 +24,12 @@ def test_ts_exact_match_found():
 def test_ts_window_at_boundary():
     app = TimeSeries(nr_dpus=4, n_points=512, query_len=64)
     app.series[-64:] = app.query          # best window is the last one
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
 
 
 def test_ts_query_as_long_as_chunk():
-    rep = native(TimeSeries(nr_dpus=4, n_points=256, query_len=64),
+    rep = run_native(TimeSeries(nr_dpus=4, n_points=256, query_len=64),
                  dpus_per_rank=4)
     assert rep.verified
 
@@ -96,7 +90,7 @@ def test_ts_ssd_profile_past_the_float_bound_correlates_in_int64():
 def test_bfs_line_graph_levels():
     app = BreadthFirstSearch(nr_dpus=4, n_vertices=64, avg_degree=1)
     # avg_degree=1 keeps only the spine: level == vertex id.
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     assert app.expected().tolist() == list(range(64))
 
@@ -104,7 +98,7 @@ def test_bfs_line_graph_levels():
 def test_bfs_unreachable_vertices():
     app = BreadthFirstSearch(nr_dpus=4, n_vertices=64, avg_degree=1,
                              source=32)
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     levels = app.expected()
     assert (levels[:32] == -1).all()       # the spine only goes forward
@@ -113,7 +107,7 @@ def test_bfs_unreachable_vertices():
 def test_bfs_source_level_zero():
     app = BreadthFirstSearch(nr_dpus=8, n_vertices=512)
     assert app.expected()[0] == 0
-    rep = native(app)
+    rep = run_native(app)
     assert rep.verified
 
 
@@ -128,7 +122,7 @@ def test_bfs_cpu_reference_small():
 def test_nw_identical_sequences():
     app = NeedlemanWunsch(nr_dpus=4, seq_len=64, block_size=32)
     app.b = app.a.copy()
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     assert app.expected() == MATCH * 64    # all matches
 
@@ -137,7 +131,7 @@ def test_nw_completely_different():
     app = NeedlemanWunsch(nr_dpus=4, seq_len=64, block_size=32)
     app.a = np.zeros(64, dtype=np.int8)
     app.b = np.ones(64, dtype=np.int8)
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     # Mismatching everything (-1 each) beats gapping everything (-2 each).
     assert app.expected() == -64
@@ -151,13 +145,13 @@ def test_nw_score_matches_classic_dp():
 
 
 def test_nw_single_block():
-    rep = native(NeedlemanWunsch(nr_dpus=4, seq_len=32, block_size=32),
+    rep = run_native(NeedlemanWunsch(nr_dpus=4, seq_len=32, block_size=32),
                  dpus_per_rank=4)
     assert rep.verified
 
 
 def test_nw_more_blocks_than_dpus():
-    rep = native(NeedlemanWunsch(nr_dpus=2, seq_len=256, block_size=32),
+    rep = run_native(NeedlemanWunsch(nr_dpus=2, seq_len=256, block_size=32),
                  dpus_per_rank=2)
     assert rep.verified
 

@@ -9,28 +9,24 @@ from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
 from repro.workloads.generators import CsrMatrix
-
-
-def native(app, dpus_per_rank=8, nr_ranks=1):
-    vpim = VPim(small_machine(nr_ranks=nr_ranks, dpus_per_rank=dpus_per_rank))
-    return vpim.native_session().run(app)
+from tests.conftest import run_native
 
 
 # -- VA ------------------------------------------------------------------------
 
 def test_va_uneven_split():
     # 1000 elements over 7 DPUs: remainders must not be lost.
-    rep = native(VectorAdd(nr_dpus=7, n_elements=1000), dpus_per_rank=7)
+    rep = run_native(VectorAdd(nr_dpus=7, n_elements=1000), dpus_per_rank=7)
     assert rep.verified
 
 
 def test_va_single_dpu():
-    rep = native(VectorAdd(nr_dpus=1, n_elements=4096), dpus_per_rank=1)
+    rep = run_native(VectorAdd(nr_dpus=1, n_elements=4096), dpus_per_rank=1)
     assert rep.verified
 
 
 def test_va_more_dpus_than_elements_per_tasklet():
-    rep = native(VectorAdd(nr_dpus=8, n_elements=40))
+    rep = run_native(VectorAdd(nr_dpus=8, n_elements=40))
     assert rep.verified
 
 
@@ -47,40 +43,40 @@ def test_va_negative_values():
 # -- GEMV ----------------------------------------------------------------------
 
 def test_gemv_uneven_rows():
-    rep = native(Gemv(nr_dpus=8, n_rows=130, n_cols=64))
+    rep = run_native(Gemv(nr_dpus=8, n_rows=130, n_cols=64))
     assert rep.verified
 
 
 def test_gemv_single_row_per_dpu():
-    rep = native(Gemv(nr_dpus=8, n_rows=8, n_cols=32))
+    rep = run_native(Gemv(nr_dpus=8, n_rows=8, n_cols=32))
     assert rep.verified
 
 
 def test_gemv_fewer_rows_than_dpus():
-    rep = native(Gemv(nr_dpus=8, n_rows=3, n_cols=16))
+    rep = run_native(Gemv(nr_dpus=8, n_rows=3, n_cols=16))
     assert rep.verified
 
 
 def test_gemv_wide_matrix():
-    rep = native(Gemv(nr_dpus=4, n_rows=16, n_cols=2048), dpus_per_rank=4)
+    rep = run_native(Gemv(nr_dpus=4, n_rows=16, n_cols=2048), dpus_per_rank=4)
     assert rep.verified
 
 
 # -- SpMV ----------------------------------------------------------------------
 
 def test_spmv_uneven_rows():
-    rep = native(SpMV(nr_dpus=8, n_rows=100, n_cols=64))
+    rep = run_native(SpMV(nr_dpus=8, n_rows=100, n_cols=64))
     assert rep.verified
 
 
 def test_spmv_dense_rows():
-    rep = native(SpMV(nr_dpus=4, n_rows=64, n_cols=64, nnz_per_row=32),
+    rep = run_native(SpMV(nr_dpus=4, n_rows=64, n_cols=64, nnz_per_row=32),
                  dpus_per_rank=4)
     assert rep.verified
 
 
 def test_spmv_very_sparse():
-    rep = native(SpMV(nr_dpus=8, n_rows=256, n_cols=1024, nnz_per_row=1))
+    rep = run_native(SpMV(nr_dpus=8, n_rows=256, n_cols=1024, nnz_per_row=1))
     assert rep.verified
 
 
@@ -117,13 +113,13 @@ def test_spmv_reference_keeps_empty_rows_zero():
 # -- MLP -----------------------------------------------------------------------
 
 def test_mlp_small_layers():
-    rep = native(MultilayerPerceptron(nr_dpus=8,
+    rep = run_native(MultilayerPerceptron(nr_dpus=8,
                                       layer_sizes=(64, 32, 32, 16)))
     assert rep.verified
 
 
 def test_mlp_two_layers():
-    rep = native(MultilayerPerceptron(nr_dpus=4, layer_sizes=(32, 32, 8)),
+    rep = run_native(MultilayerPerceptron(nr_dpus=4, layer_sizes=(32, 32, 8)),
                  dpus_per_rank=4)
     assert rep.verified
 
@@ -139,7 +135,7 @@ def test_mlp_relu_clamps_negatives():
 
 
 def test_mlp_layer_count_flexible():
-    rep = native(MultilayerPerceptron(nr_dpus=4,
+    rep = run_native(MultilayerPerceptron(nr_dpus=4,
                                       layer_sizes=(32, 32, 32, 32, 8)),
                  dpus_per_rank=4)
     assert rep.verified

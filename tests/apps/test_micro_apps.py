@@ -8,17 +8,13 @@ from repro.apps.micro.index_search import IndexSearch
 from repro.config import small_machine
 from repro.core import VPim
 from repro.workloads.wikipedia import SyntheticCorpus
-
-
-def native(app, dpus_per_rank=8):
-    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=dpus_per_rank))
-    return vpim.native_session().run(app)
+from tests.conftest import run_native
 
 
 # -- Checksum -------------------------------------------------------------------
 
 def test_checksum_all_dpus_agree():
-    rep = native(Checksum(nr_dpus=8, file_mb=0.25))
+    rep = run_native(Checksum(nr_dpus=8, file_mb=0.25))
     assert rep.verified
 
 
@@ -76,18 +72,18 @@ def corpus():
 def test_upis_445_queries_4_batches(corpus):
     app = IndexSearch(nr_dpus=8, corpus=corpus)
     assert app.query_words.size == 445
-    rep = native(app)
+    rep = run_native(app)
     assert rep.verified
 
 
 def test_upis_single_dpu(corpus):
-    rep = native(IndexSearch(nr_dpus=1, corpus=corpus), dpus_per_rank=1)
+    rep = run_native(IndexSearch(nr_dpus=1, corpus=corpus), dpus_per_rank=1)
     assert rep.verified
 
 
 def test_upis_more_dpus_than_batch(corpus):
     # 8 queries over 8 DPUs: one query each; padding must not corrupt.
-    rep = native(IndexSearch(nr_dpus=8, corpus=corpus, nr_queries=8))
+    rep = run_native(IndexSearch(nr_dpus=8, corpus=corpus, nr_queries=8))
     assert rep.verified
 
 
@@ -97,7 +93,7 @@ def test_upis_rare_word_zero_hits(corpus):
     while corpus.search(missing):
         missing -= 1
     app.query_words = np.full(4, missing, dtype=np.int32)
-    rep = native(app, dpus_per_rank=4)
+    rep = run_native(app, dpus_per_rank=4)
     assert rep.verified
     assert (app.expected() == 0).all()
 

@@ -31,6 +31,13 @@ def vpim() -> VPim:
     return VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
 
 
+def run_native(app, dpus_per_rank: int = 8):
+    """``app``'s report from a native session on one rank of
+    ``dpus_per_rank`` DPUs."""
+    vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=dpus_per_rank))
+    return vpim.native_session().run(app)
+
+
 @pytest.fixture
 def vm_session(vpim):
     return vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30)

@@ -216,9 +216,14 @@ class RowsMachine(RuleBasedStateMachine):
 
 
 def run(image, recycler_class, phases=tuple(Phase)) -> None:
+    # 15 examples of 6 steps reject both mutants.  What Hypothesis draws
+    # depends on the constants of every loaded module, so sizes were
+    # tried against up to 88 pools with random constants added: 10 to 20
+    # examples of 6 steps rejected both in every pool; 6 or 8 examples
+    # of 6 steps, or 5 to 10 of 15 steps, let one through in about half.
     run_state_machine_as_test(
         lambda: RowsMachine(image, recycler_class),
-        settings=settings(max_examples=40, stateful_step_count=30,
+        settings=settings(max_examples=15, stateful_step_count=6,
                           deadline=None, database=None, derandomize=True,
                           phases=phases))
 

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import small_machine
-from repro.core import VPim
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.manager import RankState
-
-
-@pytest.fixture
-def vpim():
-    return VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
 
 
 def test_two_vms_share_the_machine(vpim):

@@ -1,5 +1,5 @@
-"""DpuContext, RankContext and the reference TaskletContext: ids, WRAM
-heap, host vars, DMA accounting."""
+"""RankContext and the reference DpuContext and TaskletContext: ids,
+WRAM heap, host vars, DMA accounting, the tasklet partition."""
 
 import numpy as np
 import pytest
@@ -74,22 +74,25 @@ def test_mem_alloc_negative_size_rejected(shared):
     ctx.mem_alloc(1024)
     with pytest.raises(DpuFaultError):
         ctx.mem_alloc(-4096)
+    rank = RankContext([shared.dpu], nr_tasklets=4)
     with pytest.raises(DpuFaultError):
-        shared.mem_alloc(-8, tasklets=4)
+        rank.mem_alloc(-8, tasklets=4)
     with pytest.raises(DpuFaultError):
-        shared.mem_alloc(8, tasklets=-4)
-    assert shared.wram_used == 1024
+        rank.mem_alloc(8, tasklets=-4)
+    assert shared.wram_used == 1024 and rank.wram_used.tolist() == [0]
 
 
-def test_mem_alloc_for_several_tasklets(shared):
-    """``tasklets=k`` is ``k`` allocations of the aligned size: same
-    heap pointer afterwards, same overflow point."""
-    assert shared.mem_alloc(100, tasklets=3) == 0
-    assert shared.wram_used == 3 * 104
-    assert shared.mem_alloc(8, tasklets=0) == 3 * 104
-    DpuContext(shared.dpu, 4).mem_alloc(WRAM_SIZE // 4, tasklets=4)
-    with pytest.raises(DpuFaultError):
-        DpuContext(shared.dpu, 4).mem_alloc(WRAM_SIZE // 4 + 8, tasklets=4)
+def test_mem_alloc_for_several_tasklets(rank):
+    """``tasklets[d]=k`` is ``k`` allocations of the aligned size on DPU
+    ``d``: same heap pointer afterwards, same overflow point."""
+    rank.mem_alloc(100, tasklets=[3, 0])
+    assert rank.wram_used.tolist() == [3 * 104, 0]
+    rank.mem_alloc(8, tasklets=0)
+    assert rank.wram_used.tolist() == [3 * 104, 0]
+    RankContext(rank.dpus, 4).mem_alloc(WRAM_SIZE // 4, tasklets=4)
+    with pytest.raises(DpuFaultError, match="on DPU 1"):
+        RankContext(rank.dpus, 4).mem_alloc(WRAM_SIZE // 4 + 8,
+                                            tasklets=[0, 4])
 
 
 def test_mram_read_write_roundtrip(shared):
@@ -232,15 +235,15 @@ def test_rank_symbol_stores_are_per_dpu_masked_and_logged():
         rank.set_host_u32("v", 0, index=2)
 
 
-def test_charge_takes_one_count_per_tasklet(shared):
-    shared.charge(np.array([1, 2, 3, 4]))
-    TaskletContext(shared, 2).charge(10)
-    assert shared.instructions.tolist() == [1, 2, 13, 4]
+def test_charge_takes_one_count_per_tasklet(rank):
+    rank.charge(np.array([[1, 2], [3, 4]]))
+    TaskletContext(DpuContext(rank.dpus[1], 2, rank, 1), 0).charge(10)
+    assert rank.instructions.tolist() == [[1, 2], [13, 4]]
     with pytest.raises(DpuFaultError):
-        shared.charge(np.array([1, 2, 3]))      # not one per tasklet
+        rank.charge(np.array([1, 2]))           # not one per tasklet
     with pytest.raises(DpuFaultError):
-        shared.charge(np.array([1, -2, 3, 4]))
-    assert shared.instructions.tolist() == [1, 2, 13, 4]
+        rank.charge(np.array([[1, -2], [3, 4]]))
+    assert rank.instructions.tolist() == [[1, 2], [13, 4]]
 
 
 def test_host_u32_roundtrip(shared):
@@ -333,12 +336,16 @@ def test_tasklet_range_partition(shared, total, parts):
 @pytest.mark.parametrize("total", [0, 1, 3, 7, 16, 17, 100, 1 << 20])
 @pytest.mark.parametrize("parts", [1, 4, 16, 24])
 def test_split_is_tasklet_range_for_every_tasklet(shared, total, parts):
-    dpu = DpuContext(shared.dpu, parts)
-    starts, lens = dpu.split(total)
-    ranges = [tasklet_range(TaskletContext(dpu, t), total)
-              for t in range(parts)]
-    assert starts.tolist() == [r.start for r in ranges]
-    assert lens.tolist() == [len(r) for r in ranges]
+    """The partition every rank body takes is Fig. 2b's, DPU by DPU."""
+    rank = RankContext([shared.dpu, Dpu(0, 1)], parts)
+    totals = (total, total // 3)
+    starts, lens = rank.split(totals)
+    for d, n in enumerate(totals):
+        dpu = DpuContext(rank.dpus[d], parts, rank, d)
+        ranges = [tasklet_range(TaskletContext(dpu, t), n)
+                  for t in range(parts)]
+        assert starts[d].tolist() == [r.start for r in ranges]
+        assert lens[d].tolist() == [len(r) for r in ranges]
 
 
 def test_program_requires_kernel_override():

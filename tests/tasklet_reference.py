@@ -18,8 +18,7 @@ phase scheduler:
 
 A test program writes ``kernel`` on a :class:`TaskletProgram`; the
 per-tasklet references of the shipped programs are in
-``tests/apps/reference_kernels.py``.  A reference that is one body per
-DPU overrides :meth:`TaskletProgram.run` and runs on the DPU's
+``tests/apps/reference_kernels.py``.  The tasklets of DPU ``i`` share its
 :class:`DpuContext`, whose counters are row ``i`` of the launch's
 :class:`RankContext`'s.
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 import inspect
 import struct
 import weakref
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ class TaskletProgram(DpuProgram):
     """A program written as per-tasklet generators.
 
     :meth:`run_rank` runs :meth:`run` on each DPU of the launch in launch
-    order; :meth:`run` is the tasklet scheduler over :meth:`kernel`.  A
-    reference that is one body per DPU overrides :meth:`run` instead.
+    order; :meth:`run` is the tasklet scheduler over :meth:`kernel`.
     """
 
     def kernel(self, ctx: "TaskletContext") -> Generator:
@@ -113,8 +111,8 @@ class TaskletProgram(DpuProgram):
 
 
 class DpuContext:
-    """One DPU of a launch: what a per-DPU body of a reference runs on,
-    and what each of its tasklets' :class:`TaskletContext` resolves to.
+    """One DPU of a launch: what each of its tasklets'
+    :class:`TaskletContext` resolves to.
 
     Holds what all tasklets of the run share — the MRAM bank, the WRAM
     heap pointer, the host symbols, the DMA engine's counters — and the
@@ -122,8 +120,8 @@ class DpuContext:
     ``row`` of a :class:`RankContext`'s, the launch's (a one-DPU rank of
     its own when none is given).  Moving bytes (:meth:`mram_read`,
     :meth:`mram_write`) and charging the DMA engine (:meth:`dma`) are
-    separate, because one move stands for the transfers of many
-    tasklets.
+    separate, because one move of a tasklet's blocked transfer is
+    charged one setup per block.
     """
 
     def __init__(self, dpu: Dpu, nr_tasklets: int,
@@ -151,31 +149,6 @@ class DpuContext:
     def wram_used(self) -> int:
         return int(self._rank.wram_used[self._row])
 
-    # -- the tasklet axis ----------------------------------------------------
-
-    def split(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Split ``total`` items across the tasklets: ``(starts, lens)``.
-
-        Tasklet ``t`` gets the contiguous block ``[starts[t], starts[t] +
-        lens[t])`` with ``lens[t] <= chunk = ceil(total / nr_tasklets)``,
-        the block partition of Fig. 2b (lines 8-11).
-        """
-        chunk = -(-total // self.nr_tasklets)
-        starts = np.minimum(np.arange(self.nr_tasklets) * chunk, total)
-        return starts, np.minimum(starts + chunk, total) - starts
-
-    def charge(self, instructions: np.ndarray) -> None:
-        """Account ``instructions[t]`` pipeline slots to each tasklet ``t``."""
-        counts = np.asarray(instructions, dtype=np.int64)
-        if counts.shape != self.instructions.shape:
-            raise DpuFaultError(
-                f"instruction charge of shape {counts.shape} for "
-                f"{self.nr_tasklets} tasklets"
-            )
-        if (counts < 0).any():
-            raise DpuFaultError(f"negative instruction charge {counts.min()}")
-        self.instructions += counts
-
     def dma(self, lengths, block_bytes: Optional[int] = 2048) -> None:
         """Charge the DMA engine for one transfer per entry of ``lengths``.
 
@@ -193,13 +166,11 @@ class DpuContext:
 
     # -- WRAM heap -------------------------------------------------------------
 
-    def mem_alloc(self, size: int, tasklets: int = 1) -> int:
-        """Bump-allocate ``size`` bytes of WRAM heap for each of ``tasklets``
-        tasklets; returns the offset of the first."""
-        if size < 0 or tasklets < 0:
-            raise DpuFaultError(
-                f"WRAM allocation of {size} bytes for {tasklets} tasklets")
-        total = ((size + 7) & ~7) * tasklets
+    def mem_alloc(self, size: int) -> int:
+        """Bump-allocate ``size`` bytes of WRAM heap; returns their offset."""
+        if size < 0:
+            raise DpuFaultError(f"WRAM allocation of {size} bytes")
+        total = (size + 7) & ~7
         offset = self.wram_used
         if offset + total > WRAM_SIZE:
             raise DpuFaultError(

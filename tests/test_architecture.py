@@ -208,7 +208,7 @@ RULES = (
          "        label = kind.name.lower()",
          "a request-kind label is spelled out per request again"),
     # Every program under src/ and in examples/ has one body, run_rank;
-    # the DPU forms and the Fig. 2b tasklet scheduler are test
+    # the Fig. 2b tasklet programs and their scheduler are test
     # references only (tests/apps/reference_kernels.py,
     # tests/tasklet_reference.py).
     Grep("one-execution-model",
@@ -266,6 +266,11 @@ RULES = (
          ("src", "tests", "benchmarks", "examples"),
          "    polls = launch_poll_count(run_time)",
          "a retired cost constant or poll option is back", include="*.py"),
+    # Kvm counts every guest<->VMM transition (trap, inject_irq).
+    Grep("kvm-counts-transitions", r"stats\.(vmexits|irq_injections)\s*\+=",
+         ("src/",), "                self.kvm.stats.vmexits += count - real",
+         "a VM exit or IRQ injection is counted outside Kvm",
+         include="*.py", exclude=("src/repro/virt/kvm.py",)),
 )
 
 GREPS = [rule for rule in RULES if isinstance(rule, Grep)]

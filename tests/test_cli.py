@@ -110,6 +110,14 @@ def test_unknown_monitor_scenario_exits_2_with_the_valid_names(capsys):
     assert "'nope'" in err and "quick" in err and "drill" in err
 
 
+def test_monitor_drill_resolves_at_a_10x_finer_cadence(capsys):
+    """The drill's schedule is simulated seconds, not scrapes."""
+    code, out = run_cli(capsys, "monitor", "--scenario", "drill",
+                        "--interval", "1e-4")
+    assert code == 0
+    assert "resolved=True" in out
+
+
 def test_figure_fig16(capsys):
     code, out = run_cli(capsys, "figure", "fig16")
     assert code == 0

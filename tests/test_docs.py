@@ -6,7 +6,8 @@ Two invariants:
   or directory that exists in the repository;
 - the metric table in ``docs/observability.md`` and the catalog
   (:mod:`repro.observability.catalog`) list exactly the same metric names,
-  so neither can drift without failing CI.
+  so neither can drift without failing CI; the other docs' tables list
+  exactly their own families, and every table row its family's labels.
 """
 
 from __future__ import annotations
@@ -48,7 +49,39 @@ def test_docs_directory_complete():
     assert (docs / "observability.md").exists()
 
 
-class TestMetricTableMatchesCatalog:
+class DocMetricTable:
+    """A doc's metric table, one row per family it lists: the rows are
+    exactly the catalog families that start with one of ``families``,
+    and each row lists its family's label names, in the catalog's order.
+    ``observability.md``'s table lists every family; ``qos.md``,
+    ``paging.md``, ``monitoring.md`` and ``performance.md`` repeat the
+    rows of their own."""
+
+    doc = "observability.md"
+    families = ("repro_",)
+
+    @pytest.fixture(scope="class")
+    def table_rows(self) -> list:
+        text = (REPO_ROOT / "docs" / self.doc).read_text()
+        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
+                          text, re.MULTILINE)
+        assert rows, f"metric table not found in docs/{self.doc}"
+        return rows
+
+    def assert_rows_are_the_families(self, table_rows) -> None:
+        assert {name for name, _ in table_rows} == {
+            name for name in CATALOG if name.startswith(self.families)}
+
+    def test_documented_labels_match_catalog(self, table_rows):
+        for name, label_cell in table_rows:
+            declared = CATALOG[name].labels
+            documented = tuple(re.findall(r"`([^`]+)`", label_cell))
+            assert documented == declared, (
+                f"{name}: docs/{self.doc} lists labels {documented}, "
+                f"catalog declares {declared}")
+
+
+class TestMetricTableMatchesCatalog(DocMetricTable):
     """docs/observability.md's table is the catalog, rendered."""
 
     @pytest.fixture(scope="class")
@@ -79,14 +112,6 @@ class TestMetricTableMatchesCatalog:
             f"catalog metrics missing from docs/observability.md: "
             f"{sorted(missing)}")
 
-    @pytest.fixture(scope="class")
-    def table_rows(self) -> list:
-        text = (REPO_ROOT / "docs" / "observability.md").read_text()
-        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
-                          text, re.MULTILINE)
-        assert rows, "metric table not found in docs/observability.md"
-        return rows
-
     def test_every_cataloged_metric_has_a_table_row(self, table_rows):
         """Stronger than prose mentions: each family needs its own row."""
         missing = set(CATALOG) - {name for name, _ in table_rows}
@@ -100,121 +125,35 @@ class TestMetricTableMatchesCatalog:
             f"docs/observability.md table rows for uncataloged metrics: "
             f"{sorted(unknown)}")
 
-    def test_documented_labels_match_catalog(self, table_rows):
-        """Each table row lists exactly the spec's label names."""
-        rows = table_rows
-        for name, label_cell in rows:
-            spec = CATALOG[name]
-            documented_labels = tuple(re.findall(r"`([^`]+)`", label_cell))
-            assert documented_labels == spec.labels, (
-                f"{name}: docs list labels {documented_labels}, "
-                f"catalog declares {spec.labels}")
 
-
-class TestQosDocMetricTable:
-    """docs/qos.md carries its own copy of the qos families' rows;
-    they must match the catalog exactly, like observability.md's."""
-
-    @pytest.fixture(scope="class")
-    def table_rows(self) -> list:
-        text = (REPO_ROOT / "docs" / "qos.md").read_text()
-        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
-                          text, re.MULTILINE)
-        assert rows, "metric table not found in docs/qos.md"
-        return rows
+class TestQosDocMetricTable(DocMetricTable):
+    doc, families = "qos.md", ("repro_qos_",)
 
     def test_every_qos_family_has_a_row(self, table_rows):
-        qos_families = {name for name in CATALOG
-                        if name.startswith("repro_qos_")}
-        assert qos_families == {name for name, _ in table_rows}
-
-    def test_documented_labels_match_catalog(self, table_rows):
-        for name, label_cell in table_rows:
-            spec = CATALOG[name]
-            documented = tuple(re.findall(r"`([^`]+)`", label_cell))
-            assert documented == spec.labels, (
-                f"{name}: docs/qos.md lists labels {documented}, "
-                f"catalog declares {spec.labels}")
+        self.assert_rows_are_the_families(table_rows)
 
 
-class TestPagingDocMetricTable:
-    """docs/paging.md carries its own copy of the paging families' rows;
-    they must match the catalog exactly, like observability.md's."""
-
-    @pytest.fixture(scope="class")
-    def table_rows(self) -> list:
-        text = (REPO_ROOT / "docs" / "paging.md").read_text()
-        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
-                          text, re.MULTILINE)
-        assert rows, "metric table not found in docs/paging.md"
-        return rows
+class TestPagingDocMetricTable(DocMetricTable):
+    doc, families = "paging.md", ("repro_paging_",)
 
     def test_every_paging_family_has_a_row(self, table_rows):
-        paging_families = {name for name in CATALOG
-                           if name.startswith("repro_paging_")}
-        assert paging_families == {name for name, _ in table_rows}
-
-    def test_documented_labels_match_catalog(self, table_rows):
-        for name, label_cell in table_rows:
-            spec = CATALOG[name]
-            documented = tuple(re.findall(r"`([^`]+)`", label_cell))
-            assert documented == spec.labels, (
-                f"{name}: docs/paging.md lists labels {documented}, "
-                f"catalog declares {spec.labels}")
+        self.assert_rows_are_the_families(table_rows)
 
 
-class TestMonitoringDocMetricTable:
-    """docs/monitoring.md carries the telemetry-pipeline families' rows;
-    they must match the catalog exactly, like observability.md's."""
-
-    @pytest.fixture(scope="class")
-    def table_rows(self) -> list:
-        text = (REPO_ROOT / "docs" / "monitoring.md").read_text()
-        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
-                          text, re.MULTILINE)
-        assert rows, "metric table not found in docs/monitoring.md"
-        return rows
+class TestMonitoringDocMetricTable(DocMetricTable):
+    """The telemetry pipeline's own families."""
+    doc, families = "monitoring.md", ("repro_tsdb_", "repro_alert_",
+                                      "repro_span_retention_total")
 
     def test_every_pipeline_family_has_a_row(self, table_rows):
-        pipeline_families = {
-            name for name in CATALOG
-            if name.startswith(("repro_tsdb_", "repro_alert_"))
-        } | {"repro_span_retention_total"}
-        assert pipeline_families == {name for name, _ in table_rows}
-
-    def test_documented_labels_match_catalog(self, table_rows):
-        for name, label_cell in table_rows:
-            spec = CATALOG[name]
-            documented = tuple(re.findall(r"`([^`]+)`", label_cell))
-            assert documented == spec.labels, (
-                f"{name}: docs/monitoring.md lists labels {documented}, "
-                f"catalog declares {spec.labels}")
+        self.assert_rows_are_the_families(table_rows)
 
 
-class TestPerformanceDocMetricTable:
-    """docs/performance.md carries the plan-cache families' rows;
-    they must match the catalog exactly, like observability.md's."""
-
-    @pytest.fixture(scope="class")
-    def table_rows(self) -> list:
-        text = (REPO_ROOT / "docs" / "performance.md").read_text()
-        rows = re.findall(r"^\| `(repro_[a-z0-9_]+)` \|[^|]+\| ([^|]*) \|",
-                          text, re.MULTILINE)
-        assert rows, "metric table not found in docs/performance.md"
-        return rows
+class TestPerformanceDocMetricTable(DocMetricTable):
+    doc, families = "performance.md", ("repro_plan_cache_",)
 
     def test_every_plan_cache_family_has_a_row(self, table_rows):
-        plan_families = {name for name in CATALOG
-                         if name.startswith("repro_plan_cache_")}
-        assert plan_families == {name for name, _ in table_rows}
-
-    def test_documented_labels_match_catalog(self, table_rows):
-        for name, label_cell in table_rows:
-            spec = CATALOG[name]
-            documented = tuple(re.findall(r"`([^`]+)`", label_cell))
-            assert documented == spec.labels, (
-                f"{name}: docs/performance.md lists labels {documented}, "
-                f"catalog declares {spec.labels}")
+        self.assert_rows_are_the_families(table_rows)
 
 
 class TestArchitectureCostModelTable:

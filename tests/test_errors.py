@@ -15,18 +15,12 @@ from repro.core import VPim
 from repro.driver.driver import UpmemDriver
 from repro.driver.ioctl import IoctlCode, IoctlRequest
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.hardware.machine import Machine
 from repro.hardware.rank import CiCommand, RankHealth
 from repro.observability.metrics import MetricsRegistry
 from repro.virt.firecracker import VmConfig
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import deserialize_request
 from repro.virt.virtio import Virtqueue
-
-
-@pytest.fixture
-def machine() -> Machine:
-    return Machine(small_machine(nr_ranks=2, dpus_per_rank=8))
 
 
 def test_every_error_derives_from_repro_error():

@@ -832,7 +832,3 @@ class TestPlanInvalidation:
         assert all((buf == 3).all() for buf in got)
         assert frontend.plans.nr_plans > 0
         dpus.__exit__(None, None, None)
-
-
-if __name__ == "__main__":
-    pytest.main([__file__, "-v"])

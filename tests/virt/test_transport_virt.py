@@ -53,18 +53,30 @@ def test_parallel_combine_is_uniform_with_contention(seq_session, session):
 
 
 def test_kvm_counts_requests(session):
-    vm = session.vm
-    before = vm.kvm.stats.vmexits
+    """A request is one VM exit and one IRQ injection: ``ci_ops(20)`` is
+    20 of each whether a CI op makes a round trip (the first eight) or
+    is counted in bulk."""
+    stats = session.vm.kvm.stats
     with DpuSet(session.transport, 4) as dpus:
-        dpus.push_to_mram(0, [np.zeros(64, np.uint8)] * 4)
-    assert vm.kvm.stats.vmexits > before
-    assert vm.kvm.stats.irq_injections == vm.kvm.stats.vmexits
+        requests = dpus.channels[0].device.frontend.requests
+
+        def counts():
+            return (stats.vmexits, stats.irq_injections,
+                    requests.get("ci_op", 0))
+
+        before = counts()
+        dpus.ci_ops(20)
+        assert counts() == tuple(n + 20 for n in before)
 
 
 def test_poll_penalty_charged_in_vm(session):
+    """200 status polls: 200 CI round trips, each a VM exit and an IRQ."""
     t = session.transport
+    stats = session.vm.kvm.stats
+    exits, irqs = stats.vmexits, stats.irq_injections
     penalty = t.launch_poll_penalty(run_duration=0.01)
     assert penalty == pytest.approx(200 * t.cost.ci_virt_roundtrip)
+    assert (stats.vmexits, stats.irq_injections) == (exits + 200, irqs + 200)
 
 
 def test_poll_penalty_zero_native():
