@@ -254,7 +254,7 @@ def cmd_trace(args) -> int:
         recorder.save(args.output)
         print(f"perfetto trace written to {args.output}", file=sys.stderr)
     if args.logs:
-        recorder.log.save(args.logs)
+        recorder.save_log(args.logs)
         print(f"trace-correlated logs written to {args.logs}",
               file=sys.stderr)
     if args.metrics_output:

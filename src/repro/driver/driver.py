@@ -87,7 +87,7 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
             raw = dpu.read_symbol(matrix.symbol, matrix.offset, entry.size)
             buffers.append(np.frombuffer(raw, dtype=np.uint8).copy())
     duration = rank.cost.symbol_copy_time(e.size for e in matrix.entries)
-    rank.ci.counters.record(CiCommand.CONFIG, len(matrix.entries))
+    rank.ci_counters.record(CiCommand.CONFIG, len(matrix.entries))
     if matrix.kind is XferKind.TO_DPU:
         return None, duration
     return buffers, duration
@@ -99,7 +99,7 @@ def load_program_on_rank(rank: Rank, program: DpuProgram,
     indices = list(dpu_indices) if dpu_indices is not None else list(range(rank.nr_dpus))
     for idx in indices:
         rank.dpu(idx).load_program(program, program.binary_size, program.symbols)
-    ci_time = rank.ci.execute(CiCommand.LOAD, len(indices))
+    ci_time = rank.execute_ci(CiCommand.LOAD, len(indices))
     copy_time = rank.cost.program_load_time(program.binary_size, len(indices))
     return ci_time + copy_time
 
@@ -193,7 +193,7 @@ class PerfModeMapping:
 
     def ci_ops(self, count: int) -> float:
         self._check()
-        return self.rank.ci.execute(CiCommand.STATUS, count)
+        return self.rank.execute_ci(CiCommand.STATUS, count)
 
     def unmap(self) -> None:
         if self.mapped:
@@ -317,6 +317,6 @@ class UpmemDriver:
             duration = launch_rank(rank)
             return None, duration + overhead
         if code is IoctlCode.CI_OP:
-            duration = rank.ci.execute(CiCommand.STATUS, request.count)
+            duration = rank.execute_ci(CiCommand.STATUS, request.count)
             return None, duration + overhead
         raise IoctlError(f"unknown ioctl code {code}")

@@ -7,6 +7,7 @@ any cooperation from applications (Section 3.5).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional
 
 RANK_STATUS_FMT = "/sys/class/upmem/rank{index}/status"
@@ -20,12 +21,14 @@ class SysFs:
 
     def __init__(self) -> None:
         self._files: Dict[str, str] = {}
-        self._listeners: List[Callable[[str, str], None]] = []
+        self._listeners: List[weakref.WeakMethod] = []
 
     def write(self, path: str, content: str) -> None:
         self._files[path] = content
-        for listener in list(self._listeners):
-            listener(path, content)
+        for ref in list(self._listeners):
+            listener = ref()
+            if listener is not None:
+                listener(path, content)
 
     def read(self, path: str) -> Optional[str]:
         return self._files.get(path)
@@ -34,8 +37,10 @@ class SysFs:
         return path in self._files
 
     def subscribe(self, listener: Callable[[str, str], None]) -> None:
-        """Register a callback fired on every write (observer threads)."""
-        self._listeners.append(listener)
+        """Register a bound method fired on every write (observer
+        threads).  It is held weakly: the observer sits above the driver
+        and lives as long as its owner does, not as long as the files."""
+        self._listeners.append(weakref.WeakMethod(listener))
 
     # -- rank-status conveniences -------------------------------------------
 

@@ -23,6 +23,7 @@ the determinism benchmark compares across runs.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -77,7 +78,6 @@ class FaultInjector:
         # seeded stream separate from the plan's so adding a knob to one
         # never perturbs the other.
         self._rng = np.random.default_rng((plan.seed << 1) ^ 0x5EED)
-        self._armed: List[object] = []
 
     # -- arming ------------------------------------------------------------
 
@@ -89,7 +89,6 @@ class FaultInjector:
         """
         for rank in machine.ranks:
             rank.fault_hook = self._make_rank_hook(manager)
-            self._armed.append(rank)
 
     def arm_vm(self, vm) -> None:
         """Install transport/backend hooks on every vUPMEM device."""
@@ -99,8 +98,6 @@ class FaultInjector:
                 self._make_transport_hook(device.device_id))
             device.backend.fault_hook = self._make_backend_hook(
                 device.device_id)
-            self._armed.append(device.frontend)
-            self._armed.append(device.backend)
 
     # -- event selection ---------------------------------------------------
 
@@ -140,13 +137,17 @@ class FaultInjector:
     # -- rank seam ---------------------------------------------------------
 
     def _make_rank_hook(self, manager):
+        # The manager sits above the ranks that hold the hook: weakly.
+        mark_failed = (weakref.WeakMethod(manager.mark_failed)
+                       if manager is not None else lambda: None)
+
         def hook(rank, op: str) -> None:
             """Called by ``Rank._guard`` before every guarded rank op."""
             instance = str(rank.index)
             for event in self._pop_due(
                     "rank", instance,
                     lambda e: e.kind is not FaultKind.DPU_KERNEL_FAULT):
-                self._fire_rank_event(event, rank, manager)
+                self._fire_rank_event(event, rank, mark_failed)
             # A kernel fault only makes sense while booting a kernel, and
             # firing one raises — so consume exactly one per launch;
             # queued repeats crash the *next* launches (or reruns).
@@ -155,11 +156,11 @@ class FaultInjector:
                         "rank", instance,
                         lambda e: e.kind is FaultKind.DPU_KERNEL_FAULT,
                         one=True):
-                    self._fire_rank_event(event, rank, manager)
+                    self._fire_rank_event(event, rank, mark_failed)
 
         return hook
 
-    def _fire_rank_event(self, event: FaultEvent, rank, manager) -> None:
+    def _fire_rank_event(self, event: FaultEvent, rank, mark_failed) -> None:
         target = f"rank:{rank.index}"
         if event.kind is FaultKind.DPU_MRAM_BITFLIP:
             dpu_idx = int(event.param(
@@ -190,8 +191,9 @@ class FaultInjector:
             rank.health = RankHealth.OFFLINE
             self._record(event, target)
             self._detected(event.kind, "hardware")
-            if manager is not None:
-                manager.mark_failed(rank.index)
+            mark = mark_failed()
+            if mark is not None:
+                mark(rank.index)
             # Rank._guard raises RankOfflineError right after this hook.
         elif event.kind is FaultKind.RANK_DEGRADED:
             factor = float(event.param("factor", 4.0))

@@ -52,9 +52,8 @@ class TransportRetry:
                     penalty += exc.penalty_s
                     obs.detected[exc.kind, "frontend"].inc()
                     spans.mark_fault(exc.kind)
-                    spans.log.emit(
-                        "transient_fault", "frontend", kind=exc.kind,
-                        attempt=attempts, device=frontend.device_id)
+                    spans.log("transient_fault", "frontend", kind=exc.kind,
+                              attempt=attempts, device=frontend.device_id)
                     if attempts > MAX_TRANSPORT_RETRIES:
                         # Caches may hold state the failed exchange was
                         # about to change.

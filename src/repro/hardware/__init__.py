@@ -15,7 +15,7 @@ from repro.hardware.memory import MemoryRegion
 from repro.hardware.timing import CostModel
 from repro.hardware.dpu import Dpu, DpuState
 from repro.hardware.chip import PimChip
-from repro.hardware.rank import Rank, ControlInterface
+from repro.hardware.rank import Rank
 from repro.hardware.dimm import Dimm
 from repro.hardware.machine import Machine
 
@@ -27,7 +27,6 @@ __all__ = [
     "DpuState",
     "PimChip",
     "Rank",
-    "ControlInterface",
     "Dimm",
     "Machine",
 ]

@@ -545,9 +545,10 @@ class MemoryRegion:
             self.write(idx * SEGMENT_SIZE, src)
 
     def __del__(self) -> None:
-        # Recycle backing arrays when the region is collected (a fresh
-        # VPim per run would otherwise re-fault every page).  Guarded:
-        # module globals may be gone at interpreter shutdown.
+        # The one release point: ownership is a tree, so this runs as
+        # the last reference dies and recycles the backing arrays (a
+        # fresh VPim per run would otherwise re-fault every page).
+        # Guarded: module globals may be gone at interpreter shutdown.
         try:
             EXTENT_POOL.release_all(self._extents, self._masks)
         except Exception:  # pragma: no cover - shutdown races

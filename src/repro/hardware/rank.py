@@ -36,7 +36,7 @@ from repro.hardware import copies
 from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
 from repro.hardware.copies import Piece
-from repro.hardware.dpu import Dpu, DpuState, LaunchStats
+from repro.hardware.dpu import Dpu, LaunchStats
 from repro.hardware.memory import BlockRecycler, result_block
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability.metrics import Counts, MetricsRegistry
@@ -82,36 +82,6 @@ class CiCounters:
     @property
     def total(self) -> int:
         return sum(self.ops.values())
-
-
-class ControlInterface:
-    """The command/status port of a rank (§2: one CI per rank)."""
-
-    def __init__(self, rank: "Rank") -> None:
-        self._rank = rank
-        self.counters = CiCounters()
-
-    def record(self, command: CiCommand, count: int = 1) -> None:
-        """Account ``count`` CI operations in stats and live metrics."""
-        self.counters.record(command, count)
-        self._rank.obs.ci_ops[command.value].inc(count)
-
-    def execute(self, command: CiCommand, count: int = 1) -> float:
-        """Perform ``count`` CI operations; returns their native duration."""
-        if count < 0:
-            raise ControlInterfaceError(f"negative CI op count {count}")
-        self._rank._guard("ci")
-        self.record(command, count)
-        duration = self._rank.cost.ci_time(count) * self._rank.degradation
-        self._rank.spans.event("rank.ci", "rank", duration,
-                               rank=self._rank.index,
-                               command=command.value, count=count)
-        return duration
-
-    def status(self) -> List[DpuState]:
-        """One STATUS op reading the run state of every DPU."""
-        self.record(CiCommand.STATUS)
-        return [dpu.state for dpu in self._rank.dpus]
 
 
 @dataclass(frozen=True)
@@ -186,7 +156,9 @@ class Rank:
             PimChip(config.index, c, self.dpus[c * DPUS_PER_CHIP:(c + 1) * DPUS_PER_CHIP])
             for c in range((len(self.dpus) + DPUS_PER_CHIP - 1) // DPUS_PER_CHIP)
         ]
-        self.ci = ControlInterface(self)
+        #: The rank's control interface (§2: one CI per rank) is its
+        #: command/status port; these are its statistics.
+        self.ci_counters = CiCounters()
         #: Fault-model state (see :class:`RankHealth`); ``degradation``
         #: scales every guarded operation's duration (1.0 = nominal).
         self.health = RankHealth.OK
@@ -211,6 +183,22 @@ class Rank:
             raise MemoryAccessError(
                 f"rank {self.index} has {self.nr_dpus} DPUs, asked for {index}"
             ) from None
+
+    def record_ci(self, command: CiCommand, count: int = 1) -> None:
+        """Account ``count`` CI operations in stats and live metrics."""
+        self.ci_counters.record(command, count)
+        self.obs.ci_ops[command.value].inc(count)
+
+    def execute_ci(self, command: CiCommand, count: int = 1) -> float:
+        """Perform ``count`` CI operations; returns their native duration."""
+        if count < 0:
+            raise ControlInterfaceError(f"negative CI op count {count}")
+        self._guard("ci")
+        self.record_ci(command, count)
+        duration = self.cost.ci_time(count) * self.degradation
+        self.spans.event("rank.ci", "rank", duration, rank=self.index,
+                         command=command.value, count=count)
+        return duration
 
     def _guard(self, op: str) -> None:
         """Fault seam + health gate for host-visible rank operations.
@@ -434,7 +422,7 @@ class Rank:
         """
         self._guard("launch")
         dpus = [self.dpu(idx) for idx in dpu_indices]
-        self.ci.record(CiCommand.BOOT, len(dpus))
+        self.record_ci(CiCommand.BOOT, len(dpus))
         try:
             for dpu in dpus:
                 dpu.begin_run()
@@ -467,7 +455,7 @@ class Rank:
         """
         for dpu in self.dpus:
             dpu.reset()
-        self.ci.record(CiCommand.RESET)
+        self.record_ci(CiCommand.RESET)
         self.obs.resets.inc()
         return self.cost.manager_reset
 

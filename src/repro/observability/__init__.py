@@ -17,9 +17,8 @@ from their modules where they are used:
   touches;
 - :mod:`~repro.observability.spans` — request-scoped distributed
   tracing (``Span``/``SpanRecorder``/``Trace``) over simulated
-  time, with Perfetto export and head-based sampling;
-- :mod:`~repro.observability.logs` — trace-correlated structured JSONL
-  logging;
+  time, with Perfetto export, head-based sampling and a
+  trace-correlated structured JSONL log;
 - :mod:`~repro.observability.stats` — the shared percentile /
   decayed-mean math every consumer of "p99" goes through;
 - :mod:`~repro.observability.export` — Prometheus-text and JSON

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.catalog import SPAN, SPAN_RETENTION, bind
-from repro.observability.logs import TraceLogger
 from repro.observability.metrics import Counts, MetricsRegistry
 from repro.observability.stats import DecayedMean
 
@@ -216,8 +215,12 @@ class SpanRecorder:
         #: Root span of the most recently finished trace (retained or
         #: not) — what recovery links ``retry_of`` against.
         self.last_root: Optional[Span] = None
-        #: Trace-correlated structured logging (JSONL).
-        self.log = TraceLogger(self)
+        #: Trace-correlated structured log (:meth:`log`), at most
+        #: ``max_log_records``; overflow drops the newest record and
+        #: counts it, as the span caps do.
+        self.log_records: List[Dict[str, object]] = []
+        self.max_log_records = 10_000
+        self.log_dropped = 0
         #: Spans started so far; also the id of the newest one.
         self.spans_started = 0
         #: Drops by reason; ``repro_span_dropped_total`` reads it.
@@ -581,6 +584,32 @@ class SpanRecorder:
         boundary: it is a no-op until the next trace finishes."""
         self.traces.clear()
         self._last_held = self._last_trace = None
+
+    # -- structured log ------------------------------------------------------
+
+    def log(self, event: str, layer: str,
+            **fields: object) -> Optional[Dict[str, object]]:
+        """Emit one structured record, stamped with the simulated time
+        and the identity of the innermost open span (if any), so a log
+        line joins the request timeline that produced it (the
+        correlation OpenTelemetry mandates between logs and traces)."""
+        if len(self.log_records) >= self.max_log_records:
+            self.log_dropped += 1
+            return None
+        record: Dict[str, object] = {"ts": self.clock.now, "event": event,
+                                     "layer": layer}
+        if self._stack:
+            record["trace_id"] = self._stack[-1].trace_id
+            record["span_id"] = self._stack[-1].span_id
+        record.update(fields)
+        self.log_records.append(record)
+        return record
+
+    def save_log(self, path: str) -> None:
+        """Write the log as JSONL: one JSON object per line."""
+        with open(path, "w") as handle:
+            handle.write("\n".join(json.dumps(r, sort_keys=True)
+                                   for r in self.log_records) + "\n")
 
     # -- Perfetto export -----------------------------------------------------
 

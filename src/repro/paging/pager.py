@@ -34,6 +34,7 @@ paging's advantage over the 20x emulation fallback comes from.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -78,7 +79,9 @@ class RankPager:
     OUTCOME, LAST_RESORT = "paged", False
 
     def __init__(self, manager: "Manager", config: PagingConfig) -> None:
-        self.manager = manager
+        #: The manager owns the pager: held weakly, as every
+        #: reference up the ownership tree is.
+        self.manager = weakref.proxy(manager)
         self.machine = manager.machine
         self.clock = manager.clock
         self.cost = manager.cost

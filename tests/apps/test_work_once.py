@@ -16,6 +16,7 @@ reintroduced per-tasklet or per-DPU repeat fails here and in CI's
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -212,7 +213,9 @@ def test_bfs_gathers_neighbours_once_per_level(monkeypatch):
 
 def test_spmv_kernel_calls_do_not_grow_with_the_rows(monkeypatch):
     """Calls made by the program body (numpy and ``rank`` alike), per
-    launch, for 4 and for 16 rows per tasklet."""
+    launch, for 4 and for 16 rows per tasklet.  Earlier garbage is
+    collected first: the finalizers a collection inside the body would
+    call are not the body's calls."""
     body = SpmvProgram.run_rank.__code__
 
     def calls_of(n_rows: int) -> int:
@@ -226,6 +229,7 @@ def test_spmv_kernel_calls_do_not_grow_with_the_rows(monkeypatch):
                 count += frame.f_back.f_code is body
 
         app = SpMV(NR_DPUS, n_rows=n_rows, n_cols=256)
+        gc.collect()
         sys.setprofile(profile)
         try:
             run_native(app)

@@ -77,9 +77,9 @@ def wire_reference():
 
 
 def pytest_terminal_summary(terminalreporter) -> None:
-    """One line with the session's own envelope (ROADMAP item 2 watches
-    tier-1 sys seconds and peak RSS).  Reported, never asserted: the
-    numbers depend on the box."""
+    """One line with the session's own envelope (ROADMAP item 6 watches
+    tier-1 peak RSS, and CI's tier-1 step fails when it exceeds a
+    bound).  Reported, not asserted here: the numbers depend on the box."""
     try:
         import resource
     except ImportError:     # not a POSIX host

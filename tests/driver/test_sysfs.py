@@ -26,10 +26,15 @@ def test_unknown_rank_not_busy():
     assert fs.rank_owner(42) == ""
 
 
+class Events(list):
+    def on_write(self, path, content):
+        self.append((path, content))
+
+
 def test_listeners_fire_on_write():
     fs = SysFs()
-    events = []
-    fs.subscribe(lambda path, content: events.append((path, content)))
+    events = Events()
+    fs.subscribe(events.on_write)
     fs.set_rank_status(0, busy=True, owner="x")
     fs.set_rank_status(0, busy=False)
     assert len(events) == 2

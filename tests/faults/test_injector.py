@@ -23,7 +23,7 @@ class TestRankSeam:
         schedule(injector, 0.0, FaultKind.DPU_MRAM_BITFLIP, "rank:0",
                  dpu=0, offset=0, bit=3)
         # Any guarded rank operation fires the due event — no exception.
-        rank.ci.execute(CiCommand.STATUS)
+        rank.execute_ci(CiCommand.STATUS)
         assert rank.dpus[0].mram.read(0, 1)[0] == 0x08
         assert injector.fired[0].kind is FaultKind.DPU_MRAM_BITFLIP
         assert ("bit", 3) in injector.fired[0].params
@@ -32,7 +32,7 @@ class TestRankSeam:
         vpim, injector, session = armed
         schedule(injector, 0.0, FaultKind.DPU_KERNEL_FAULT, "rank:*")
         # Non-launch operations leave the event pending.
-        vpim.machine.ranks[0].ci.execute(CiCommand.STATUS)
+        vpim.machine.ranks[0].execute_ci(CiCommand.STATUS)
         assert injector.pending
         with pytest.raises(DpuFaultError, match="injected kernel fault"):
             session.run(VectorAdd(**APP))
@@ -56,10 +56,10 @@ class TestRankSeam:
     def test_rank_degraded_slows_guarded_operations(self, armed):
         vpim, injector, _ = armed
         rank = vpim.machine.ranks[0]
-        baseline = rank.ci.execute(CiCommand.STATUS)
+        baseline = rank.execute_ci(CiCommand.STATUS)
         schedule(injector, 0.0, FaultKind.RANK_DEGRADED, "rank:0",
                  factor=8.0)
-        degraded = rank.ci.execute(CiCommand.STATUS)
+        degraded = rank.execute_ci(CiCommand.STATUS)
         assert rank.health is RankHealth.DEGRADED
         assert rank.degradation == 8.0
         assert degraded == pytest.approx(8.0 * baseline)

@@ -1,6 +1,5 @@
 """Recovery paths: session reruns, quarantine/repair, failover, retries."""
 
-import gc
 import weakref
 
 import numpy as np
@@ -285,7 +284,6 @@ class TestBoundRequestAborts:
 
     @staticmethod
     def _assert_no_loan(frontend):
-        gc.collect()            # an exception's frames hold the rows
         assert frontend.blocks.on_loan == 0
 
     @staticmethod
@@ -438,7 +436,6 @@ class TestBoundRequestAborts:
         assert blocks.on_loan == 0 and not blocks._idle
         assert all(np.array_equal(r, w) for r, w in zip(rows, fresh))
         del rows
-        gc.collect()
         assert not blocks._idle and gone() is None
 
     def test_pinned_write_refuses_a_source_that_changed_shape(self,

@@ -48,8 +48,9 @@ def faults_of(fn) -> int:
 @pytest.fixture
 def pool(monkeypatch):
     """A pool of this test's own: what earlier tests left in the process
-    pool is neither counted nor recycled here (their garbage is collected
-    into the process pool first)."""
+    pool is neither counted nor recycled here (their own cycles — a kept
+    exception's frames, a class defined in a test — can hold regions,
+    so their garbage is collected into the process pool first)."""
     gc.collect()
     pool = memory._ExtentPool(max_bytes=2 << 30)
     monkeypatch.setattr(memory, "EXTENT_POOL", pool)
@@ -66,7 +67,6 @@ def test_sparse_cycles_do_not_accumulate(pool):
             for offset in rng.integers(0, 64 * MB - data.size, 3):
                 region.write(int(offset), data[:rng.integers(1, data.size + 1)])
         del regions, region
-        gc.collect()
         after.append(vm_rss())
     series = " ".join(f"{rss / MB:.0f}" for rss in after)
     assert after[7] - after[1] <= 16 * MB, f"VmRSS per cycle (MB): {series}"
@@ -124,7 +124,6 @@ def test_a_dropped_segment_is_trusted_and_a_stale_one_zeroed(pool):
     tenant_a.write(3 * SEGMENT_SIZE, np.full(SEGMENT_SIZE, 0xA5, np.uint8))
     extent = tenant_a._extents[0]
     del tenant_a
-    gc.collect()
 
     tenant_b = MemoryRegion(64 * MB)
     data = np.full(64, 0x5A, dtype=np.uint8)

@@ -288,9 +288,10 @@ def test_only_copies_leave_the_calling_thread(monkeypatch, copiers, mode):
     # Fresh workers, so that the profile hook below is theirs too.
     monkeypatch.setattr(copies, "_workers", [])
     monkeypatch.setattr(copies, "_tasks", copies.queue.SimpleQueue())
-    # Earlier tests' cyclic garbage (regions whose ``__del__`` releases
-    # extents) is finalized now: a collection that ``bounded`` started on
-    # this thread would otherwise count it as a second caller.
+    # Earlier tests' own cycles (a kept exception's frames, a class
+    # defined in a test) can hold regions whose ``__del__`` releases
+    # extents; they are finalized now: a collection that ``bounded``
+    # started on this thread would otherwise count it as a second caller.
     gc.collect()
     idents = set()
     for owner, names in CALLING_THREAD_ONLY:

@@ -214,16 +214,11 @@ def test_a_launch_of_two_programs_runs_each_group_once(rank, monkeypatch):
 
 
 def test_ci_counters(rank):
-    rank.ci.execute(CiCommand.STATUS, 5)
-    rank.ci.execute(CiCommand.BOOT, 2)
-    assert rank.ci.counters.ops["status"] == 5
-    assert rank.ci.counters.ops["boot"] == 2
-    assert rank.ci.counters.total == 7
-
-
-def test_ci_status_reports_states(rank):
-    states = rank.ci.status()
-    assert len(states) == 8
+    rank.execute_ci(CiCommand.STATUS, 5)
+    rank.execute_ci(CiCommand.BOOT, 2)
+    assert rank.ci_counters.ops["status"] == 5
+    assert rank.ci_counters.ops["boot"] == 2
+    assert rank.ci_counters.total == 7
 
 
 def test_reset_erases_and_costs(rank):

@@ -24,7 +24,6 @@ The two ways the prototype of the recycler was wrong are kept as
 mutants that the same machine must reject.
 """
 
-import gc
 import weakref
 from functools import partial
 
@@ -178,7 +177,6 @@ class RowsMachine(RuleBasedStateMachine):
     def drop_and_collect(self, pick):
         self.kept = [k for i, k in enumerate(self.kept) if pick >> i & 1]
         self.fresh = []
-        gc.collect()
 
     @rule()
     def release_allocation(self):

@@ -8,7 +8,6 @@ allocation that was freed keeps no block alive — a process-wide pool
 would win the same time and idle one app's 64 MB under the next seven.
 """
 
-import gc
 import sys
 import weakref
 
@@ -75,6 +74,5 @@ def test_a_repeated_bulk_read_lands_in_resident_pages(transport):
     assert ({id(store()) for store in stores}
             == {id(idle) for idle in blocks._idle})
     dpus.free()
-    gc.collect()
     assert not blocks._idle
     assert all(store() is None for store in stores)

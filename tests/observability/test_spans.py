@@ -271,27 +271,28 @@ class TestFaultedTraces:
 
 
 class TestTraceLogs:
-    def test_transient_fault_log_is_trace_correlated(self):
+    def test_transient_fault_log_is_trace_correlated(self, tmp_path):
         vpim, injector, session = _armed_stack()
         schedule(injector, 0.0, FaultKind.TRANSPORT_CORRUPTION,
                  "transport:*")
         session.run(VectorAdd(**APP))
         trace = vpim.spans.latest()
-        records = [r for r in vpim.spans.log.records
+        records = [r for r in vpim.spans.log_records
                    if r.get("trace_id") == trace.trace_id]
         assert records
         fault = next(r for r in records if r["event"] == "transient_fault")
         assert trace.span(fault["span_id"]) is not None
-        lines = vpim.spans.log.to_jsonl().splitlines()
-        assert all(json.loads(line) for line in lines)
+        vpim.spans.save_log(tmp_path / "log.jsonl")
+        lines = (tmp_path / "log.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == vpim.spans.log_records
 
     def test_log_overflow_drops_newest_and_counts(self):
         recorder = SpanRecorder(SimClock())
-        recorder.log.max_records = 1
-        assert recorder.log.emit("first", "session") is not None
-        assert recorder.log.emit("second", "session") is None
-        assert recorder.log.dropped == 1
-        assert [r["event"] for r in recorder.log.records] == ["first"]
+        recorder.max_log_records = 1
+        assert recorder.log("first", "session") is not None
+        assert recorder.log("second", "session") is None
+        assert recorder.log_dropped == 1
+        assert [r["event"] for r in recorder.log_records] == ["first"]
 
 
 class TestPerfettoExport:

@@ -307,7 +307,7 @@ def test_only_steps_and_copies_leave_the_calling_thread(monkeypatch):
     _with(monkeypatch, 2, 0)
     monkeypatch.setattr(copies, "_workers", [])
     monkeypatch.setattr(copies, "_tasks", copies.queue.SimpleQueue())
-    gc.collect()
+    gc.collect()    # as in test_parallel_copies: earlier tests' cycles
     idents = set()
     for owner, names in CALLING_THREAD_ONLY + [
             (RankContext, ("map", "dma", "charge", "mem_alloc", "split",

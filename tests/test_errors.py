@@ -48,12 +48,12 @@ def test_rank_offline_error_on_dead_rank_operation(machine):
     rank = machine.ranks[0]
     rank.health = RankHealth.OFFLINE
     with pytest.raises(errors.RankOfflineError, match="offline"):
-        rank.ci.execute(CiCommand.STATUS)
+        rank.execute_ci(CiCommand.STATUS)
 
 
 def test_control_interface_error_on_negative_count(machine):
     with pytest.raises(errors.ControlInterfaceError, match="negative"):
-        machine.ranks[0].ci.execute(CiCommand.STATUS, -1)
+        machine.ranks[0].execute_ci(CiCommand.STATUS, -1)
 
 
 # -- SDK layer --------------------------------------------------------------

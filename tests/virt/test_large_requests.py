@@ -17,7 +17,6 @@ because ``VmConfig`` deliberately has no option for it.
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
 
 import numpy as np
@@ -155,18 +154,15 @@ def _unplanned(sizes):
 
 def _check(sizes):
     """``sizes`` through the native, the planned and the wire transport,
-    one at a time: a dead VM keeps its guest RAM and scratch buffers
-    until the cycle collector runs, and three per example would pile up
-    on tier-1's peak RSS."""
+    one at a time: each stack, guest RAM and scratch buffers with it, is
+    freed as its last reference dies, so three per example never pile
+    up on tier-1's peak RSS."""
     assert sum(_pages(n) for n in sizes) * PAGE_SIZE <= WINDOW
     native = VPim(small_machine(nr_ranks=1, dpus_per_rank=NR_DPUS))
     _exercise(native, native.native_session(), sizes)
     del native
-    gc.collect()
     planned = _planned(sizes)
-    gc.collect()
     unplanned = _unplanned(sizes)
-    gc.collect()
     assert planned == unplanned, "modeled durations or W-rank steps differ"
 
 

@@ -20,7 +20,6 @@ copy per direction must still deliver — the bytes at call time, in
 rows nobody else owns, with nothing of the caller's kept afterwards.
 """
 
-import gc
 import weakref
 from contextlib import contextmanager, nullcontext
 
@@ -742,7 +741,6 @@ class TestBoundTransfers:
                 refs = [weakref.ref(buf) for buf in sources]
                 refs.append(weakref.ref(rows[0].base))
                 del sources, rows
-                gc.collect()
                 assert [ref() for ref in refs] == [None] * 5
             frontend = session.vm.devices[0].frontend
             assert frontend.plans.nr_plans == 2 and frontend.plans.counts["hits"] == 2
