@@ -202,8 +202,8 @@ def run_slo_demo(sessions: int = 8,
                            metrics=vpim.machine.metrics)
     victim_flow = victim.vm.qos_flow
     noisy_flow = noisy.vm.qos_flow
-    enforcer.bind("victim", victim_flow, host_id="host-0")
-    enforcer.bind("noisy", noisy_flow, host_id="host-0")
+    enforcer.bind("victim", victim_flow)
+    enforcer.bind("noisy", noisy_flow)
 
     demo = SloDemoResult(objective_p99_s=objective_p99_s,
                          burn_before=0.0, burn_after=0.0,

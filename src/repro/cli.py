@@ -407,19 +407,22 @@ def cmd_overcommit(args) -> int:
 
 
 def cmd_spec(args) -> int:
-    from repro.virt.virtio import VirtioPimConfigSpace
-    from repro.config import MAX_SERIALIZED_BUFFERS, TRANSFERQ_SLOTS
-    space = VirtioPimConfigSpace()
+    from repro.config import (
+        MAX_SERIALIZED_BUFFERS,
+        TRANSFERQ_SLOTS,
+        VIRTIO_PIM_DEVICE_ID,
+    )
+    from repro.driver.driver import CONFIG_LAYOUT, DeviceConfig
+    config = DeviceConfig()
     print("virtio-pim device specification (paper Appendix A.1)")
-    print(f"  device ID        : {space.device_id}")
+    print(f"  device ID        : {VIRTIO_PIM_DEVICE_ID}")
     print(f"  queues           : transferq ({TRANSFERQ_SLOTS} slots), controlq")
     print(f"  max chain        : {MAX_SERIALIZED_BUFFERS} buffers "
           "(request info + matrix meta + 64 x (DPU meta + pages))")
     print("  feature bits     : none")
     print("  config layout    :")
-    for key, value in space.as_fields().items():
-        if key != "device_id":
-            print(f"    {key:<22} {value}")
+    for key in CONFIG_LAYOUT:
+        print(f"    {key:<22} {getattr(config, key)}")
     print("  operations       : GET_CONFIG, LOAD, WRITE_RANK, READ_RANK, "
           "LAUNCH, CI_OP, RELEASE")
     return 0

@@ -48,6 +48,13 @@ class DeviceConfig:
     power_management: bool = True
 
 
+#: The Appendix A.1 configuration layout: one 32-bit register per field,
+#: in this order.  The MMIO config window serves it, ``repro spec``
+#: prints it.
+CONFIG_LAYOUT = ("frequency_hz", "clock_division", "mram_bytes", "nr_dpus",
+                 "nr_control_interfaces", "power_management")
+
+
 # Bound once: an Enum member read off its class costs about ten global
 # reads on CPython 3.11, and the request path tests these per copy.
 _TO_DPU, _MRAM = XferKind.TO_DPU, Target.MRAM

@@ -8,9 +8,9 @@ objective is burning hot".  The :class:`SloEnforcer` watches burn rates
 and actuates, in escalating order:
 
 1. boost the victim flow's weight (more bus share under WFQ);
-2. tighten co-resident offenders' byte-rate throttles;
-3. emit a migration hint (:meth:`SloEnforcer.take_migration_hints`)
-   for whoever can re-home the victim, e.g. through
+2. tighten the other tenants' byte-rate throttles;
+3. record a ``migrate_hint`` action, once per tenant: the victim is a
+   candidate for re-homing, e.g. through
    :func:`~repro.virt.migration.migrate_device`.
 
 Everything runs on simulated time and the shared metrics registry
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.observability import MetricsRegistry
 from repro.observability.catalog import SLO, bind
@@ -131,8 +131,8 @@ class SloEnforcer:
     """Turns hot burn rates into weight, throttle and placement changes.
 
     Escalation ladder per consecutive hot evaluation: first boost the
-    victim's WFQ weight (cheap, reversible), then tighten co-resident
-    offenders' byte throttles, and once both are exhausted emit a
+    victim's WFQ weight (cheap, reversible), then tighten the other
+    tenants' byte throttles, and once both are exhausted record a
     migration hint.  A burn back under ``cool`` resets the ladder.
     """
 
@@ -151,29 +151,22 @@ class SloEnforcer:
         self.throttle_step = throttle_step
         self.min_rate_scale = min_rate_scale
         self.obs = bind(metrics, SLO) if metrics is not None else None
-        #: tenant -> [(flow, host_id)] currently serving that tenant.
-        self._bound: Dict[str, List[Tuple[object, Optional[str]]]] = {}
+        #: tenant -> the flows currently serving that tenant.
+        self._bound: Dict[str, List[object]] = {}
         self._streak: Dict[str, int] = {}
-        self._hints: List[str] = []
+        #: Tenants already hinted: each gets one ``migrate_hint``.
+        self._hints: Set[str] = set()
         self.actions: List[SloAction] = []
 
     # -- flow registry -------------------------------------------------------
 
-    def bind(self, tenant: str, flow, host_id: Optional[str] = None) -> None:
-        self._bound.setdefault(tenant, []).append((flow, host_id))
+    def bind(self, tenant: str, flow) -> None:
+        self._bound.setdefault(tenant, []).append(flow)
 
     def _offenders(self, tenant: str) -> List[Tuple[str, object]]:
-        """Bound flows of *other* tenants sharing a host with ``tenant``."""
-        hosts = {host for _, host in self._bound.get(tenant, ())
-                 if host is not None}
-        out = []
-        for other, flows in self._bound.items():
-            if other == tenant:
-                continue
-            for flow, host in flows:
-                if host is None or not hosts or host in hosts:
-                    out.append((other, flow))
-        return out
+        """Bound flows of the tenants other than ``tenant``."""
+        return [(other, flow) for other, flows in self._bound.items()
+                if other != tenant for flow in flows]
 
     # -- the control loop body ----------------------------------------------
 
@@ -204,7 +197,7 @@ class SloEnforcer:
 
     def _boost_weight(self, tenant: str) -> List[SloAction]:
         out = []
-        for flow, _ in self._bound.get(tenant, ()):
+        for flow in self._bound.get(tenant, ()):
             new = min(self.max_weight, flow.weight * 2.0)
             if new > flow.weight:
                 flow.set_weight(new)
@@ -229,13 +222,7 @@ class SloEnforcer:
     def _hint_migration(self, tenant: str) -> List[SloAction]:
         if tenant in self._hints:
             return []
-        self._hints.append(tenant)
+        self._hints.add(tenant)
         if self.obs is not None:
             self.obs.actuations[tenant, "migrate_hint"].inc()
         return [SloAction(tenant, "migrate_hint")]
-
-    def take_migration_hints(self) -> List[str]:
-        """Drain pending hints: tenants whose objective still burns after
-        the weight and throttle rungs."""
-        hints, self._hints = self._hints, []
-        return hints

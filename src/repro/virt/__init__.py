@@ -14,15 +14,15 @@ Components, mirroring Fig. 4:
 - :mod:`repro.virt.backend` — the Firecracker-side device model with
   zero-copy request handling, threaded GPA->HVA translation and the
   C-vs-Rust data path;
-- :mod:`repro.virt.firecracker` — the VMM: API server, boot, event loop
-  (sequential or parallel operation handling);
+- :mod:`repro.virt.firecracker` — the VMM: the §3.3 booking record
+  (:class:`VmConfig`), boot, event loop (sequential or parallel
+  operation handling);
 - :mod:`repro.virt.manager` — the host-wide rank manager (Fig. 5 FSM);
 - :mod:`repro.virt.transport` — the SDK transport that routes through all
   of the above, making guest applications run unmodified.
 
-Imported from their modules where used: :mod:`repro.virt.api_server`
-(Firecracker's REST surface) and :mod:`repro.virt.migration` (Section 7
-checkpoint/restore, migration and consolidation).
+Imported from its module where used: :mod:`repro.virt.migration`
+(Section 7 checkpoint/restore, migration and consolidation).
 """
 
 from repro.virt.opts import Optimization, OptimizationConfig

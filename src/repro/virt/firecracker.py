@@ -2,8 +2,8 @@
 
 Responsibilities reproduced here:
 
-- the **API server**: VM configuration requests specify vCPUs, memory and
-  the number of vUPMEM devices (Section 3.3 "vUPMEM Booking");
+- the **booking**: a :class:`VmConfig` specifies vCPUs, memory and the
+  number of vUPMEM devices (Section 3.3 "vUPMEM Booking");
 - **boot**: device descriptions (MMIO region, IRQ) are passed to the
   guest on the kernel command line; each vUPMEM device adds up to 2 ms of
   boot time (Section 3.2);
@@ -46,8 +46,6 @@ class VmConfig:
     vcpus: int = 16
     mem_bytes: int = 128 << 30
     nr_vupmem: int = 1
-    kernel_path: str = "vmlinux.bin"
-    rootfs_path: str = "rootfs.ext4"
     opts: OptimizationConfig = field(default_factory=OptimizationConfig)
 
     def validate(self, machine: Machine,
@@ -73,8 +71,6 @@ rank_capacity` passes the pager's virtual capacity here when demand
                 f"VM requests {self.nr_vupmem} vUPMEM devices but the host "
                 f"offers only {limit} allocatable ranks (Section 3.3)"
             )
-        if not self.kernel_path:
-            raise VmConfigError("a kernel image path is required")
 
 
 class Firecracker:
@@ -128,17 +124,8 @@ class Firecracker:
             )
             # One MMIO window + IRQ per device, passed to the guest on
             # the kernel command line (Section 3.2).
-            mmio = MmioWindow(
-                base_address=0xD000_0000 + i * 0x1000, irq=5 + i,
-                config_fields={
-                    "frequency_hz": self.driver.config.frequency_hz,
-                    "clock_division": self.driver.config.clock_division,
-                    "mram_bytes": self.driver.config.mram_bytes,
-                    "nr_dpus": self.driver.config.nr_dpus,
-                    "nr_control_interfaces":
-                        self.driver.config.nr_control_interfaces,
-                },
-            )
+            mmio = MmioWindow(base_address=0xD000_0000 + i * 0x1000,
+                              irq=5 + i, config=self.driver.config)
             frontend = VUpmemFrontend(
                 device_id=device_id, memory=memory,
                 backend=backend, kvm=kvm, opts=config.opts, cost=self.cost,
@@ -150,9 +137,7 @@ class Firecracker:
             )
             vm.devices.append(VUpmemDevice(device_id=device_id,
                                            frontend=frontend,
-                                           backend=backend,
-                                           queues=frontend.queues,
-                                           mmio=mmio))
+                                           backend=backend))
             vm.kernel_cmdline.append(mmio.command_line_entry())
             boot_time += self.cost.vupmem_boot_cost
 

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import MRAM_HEAP_SYMBOL, MRAM_SIZE, PAGE_SIZE
+from repro.driver.driver import DeviceConfig
 from repro.errors import (
     DeviceNotLinkedError,
     HardwareError,
@@ -64,7 +65,7 @@ from repro.virt.virtio import VirtioPimQueues, write_buffer
 _TO_DPU, _FROM_DPU = XferKind.TO_DPU, XferKind.FROM_DPU
 _WRITE_RANK, _READ_RANK = RequestKind.WRITE_RANK, RequestKind.READ_RANK
 _MRAM = Target.MRAM
-_QUEUE_NOTIFY, _INTERRUPT_ACK = Reg.QUEUE_NOTIFY, Reg.INTERRUPT_ACK
+_QUEUE_NOTIFY = Reg.QUEUE_NOTIFY
 
 #: Writes at or below this per-DPU size are candidates for batching.
 SMALL_WRITE_BYTES = PAGE_SIZE
@@ -165,8 +166,7 @@ class VUpmemFrontend:
     def __init__(self, device_id: str,
                  memory: GuestMemory, backend: VUpmemBackend, kvm: Kvm,
                  opts: OptimizationConfig, cost: CostModel,
-                 profiler: Profiler,
-                 mmio: Optional[MmioWindow] = None,
+                 profiler: Profiler, mmio: MmioWindow,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanRecorder] = None,
                  qos=None, transfer_cache=None) -> None:
@@ -190,8 +190,10 @@ class VUpmemFrontend:
         #: each kick adds the wait its ``on_kick`` returns.  ``None`` = the
         #: exact default path.
         self.qos = qos
-        self.device_config: Optional[dict] = None
-        self.mmio = mmio or MmioWindow(base_address=0xD000_0000, irq=5)
+        #: What GET_CONFIG returned (the Appendix A.1 attributes).
+        self.device_config: Optional[DeviceConfig] = None
+        #: The device's MMIO register window (§3.2), built by the VMM.
+        self.mmio = mmio
         #: Live telemetry (cache hits/misses, flush reasons, request
         #: latencies); shares the machine registry when built by
         #: :class:`~repro.virt.firecracker.Firecracker`.
@@ -297,10 +299,10 @@ class VUpmemFrontend:
         spans.event("frontend.serialize", "frontend", steps["Ser"],
                     pages=pages)
         # The transferq is synchronous: the device takes the chain as it
-        # is kicked, and on failure still completes the request (with an
-        # error status), so the queue never wedges.
-        request_id, depth = transferq.submit(chain)
-        obs.queue_depth["transferq"].set(depth)
+        # is kicked and completes it, failed or not, before the kick
+        # returns; one request is in flight meanwhile.
+        transferq.submit(chain)
+        obs.queue_depth["transferq"].set(1)
         try:
             self.mmio.write(_QUEUE_NOTIFY, 0)   # trapped MMIO write
             self.kvm.trap()
@@ -325,20 +327,16 @@ class VUpmemFrontend:
                                           batch_records=batch_records,
                                           plan=plan, matrix=matrix)
         except Exception:
-            transferq.complete(request_id, status=1)
-            self.kvm.inject_irq()
+            self.kvm.inject_irq()          # the error completion's IRQ
             raise
         finally:
             # Completion and every abort alike: a binding left behind
             # would keep the caller's buffers alive and shadow the window.
             self.memory.unbind(bound)
-            obs.queue_depth["transferq"].set(depth - 1)
+            obs.queue_depth["transferq"].set(0)
         steps["Backend"] = result.duration
 
         self.kvm.inject_irq()
-        self.mmio.raise_interrupt()
-        transferq.complete(request_id)
-        self.mmio.write(_INTERRUPT_ACK, 1)
         spans.event("virtio.irq", "virtio", steps["Irq"], queue="transferq")
 
         duration = self.cost.total(steps)
@@ -449,16 +447,8 @@ class VUpmemFrontend:
         driver_init_sequence(self.mmio)
         result, duration = self._roundtrip(
             RequestHeader(kind=RequestKind.GET_CONFIG))
-        config = result.payload
         self._notify_manager(linked=True)
-        self.device_config = {
-            "frequency_hz": config.frequency_hz,
-            "clock_division": config.clock_division,
-            "mram_bytes": config.mram_bytes,
-            "nr_dpus": config.nr_dpus,
-            "nr_control_interfaces": config.nr_control_interfaces,
-            "power_management": config.power_management,
-        }
+        self.device_config = result.payload
         return duration
 
     # -- batching ---------------------------------------------------------------
@@ -674,9 +664,8 @@ class VUpmemFrontend:
     def _notify_manager(self, linked: bool) -> None:
         """Post a manager-sync boolean on the controlq (Appendix A.1)."""
         flag = np.array([1 if linked else 0], dtype=np.uint8)
-        _, depth = self.queues.controlq.submit(
-            [write_buffer(self.memory, flag)])
-        self.obs.queue_depth["controlq"].set(depth - 1)
+        self.queues.controlq.submit([write_buffer(self.memory, flag)])
+        self.obs.queue_depth["controlq"].set(0)
 
     def release(self) -> float:
         """Tear the device's rank binding down.

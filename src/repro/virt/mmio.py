@@ -14,16 +14,20 @@ requires:
    completion of device initialization before sending any requests."
 
 Every MMIO write from the guest is a trapped access (a VMEXIT), which is
-how the queue-notify "kick" register gets its cost.
+how the queue-notify "kick" register gets its cost.  The completion
+interrupt is :meth:`~repro.virt.kvm.Kvm.inject_irq`'s: the window keeps
+no interrupt-status register, because a synchronous request leaves none
+pending.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.config import VIRTIO_PIM_DEVICE_ID
+from repro.driver.driver import CONFIG_LAYOUT, DeviceConfig
 from repro.errors import VirtError
 
 #: "virt" in little-endian, the virtio-mmio magic value.
@@ -46,8 +50,6 @@ class Reg(enum.IntEnum):
     QUEUE_NUM = 0x038
     QUEUE_READY = 0x044
     QUEUE_NOTIFY = 0x050
-    INTERRUPT_STATUS = 0x060
-    INTERRUPT_ACK = 0x064
     STATUS = 0x070
     CONFIG = 0x100
 
@@ -67,26 +69,24 @@ class DeviceStatus(enum.IntFlag):
 #: ``DeviceStatus.DRIVER_OK`` as a plain int: the liveness test of every
 #: queue notify, without an ``IntFlag`` operation.
 _DRIVER_OK = int(DeviceStatus.DRIVER_OK)
-#: The two registers every request writes (its kick and its interrupt
-#: acknowledgement), bound once like ``_DRIVER_OK``.
-_QUEUE_NOTIFY, _INTERRUPT_ACK = Reg.QUEUE_NOTIFY, Reg.INTERRUPT_ACK
+#: The register every request writes (its kick), bound once like
+#: ``_DRIVER_OK``.
+_QUEUE_NOTIFY = Reg.QUEUE_NOTIFY
 
 
 @dataclass
 class MmioWindow:
     """One device's MMIO register window plus its assigned IRQ line (§3.2:
-    passed to the guest on the kernel command line)."""
+    passed to the guest on the kernel command line); ``config`` is what
+    its config registers read, in :data:`CONFIG_LAYOUT` order.  The
+    register state is the guest's to write."""
 
     base_address: int
     irq: int
-    config_fields: Dict[str, int] = field(default_factory=dict)
-    on_notify: Optional[Callable[[int], None]] = None
-    status: int = 0
-    driver_features: int = 0
-    queue_sel: int = 0
-    queue_ready: Dict[int, bool] = field(default_factory=dict)
-    interrupt_status: int = 0
-    notifies: int = 0
+    config: DeviceConfig
+    status: int = field(default=0, init=False)
+    queue_sel: int = field(default=0, init=False)
+    queue_ready: Dict[int, bool] = field(default_factory=dict, init=False)
 
     # -- guest accessors -----------------------------------------------------
 
@@ -103,30 +103,23 @@ class MmioWindow:
             return 0  # Appendix A.1: no feature bits
         if offset == Reg.STATUS:
             return self.status
-        if offset == Reg.INTERRUPT_STATUS:
-            return self.interrupt_status
         if offset == Reg.QUEUE_READY:
             return int(self.queue_ready.get(self.queue_sel, False))
         if offset >= Reg.CONFIG:
             index = (offset - Reg.CONFIG) // 4
-            values = list(self.config_fields.values())
-            if 0 <= index < len(values):
-                return int(values[index]) & 0xFFFFFFFF
+            if index < len(CONFIG_LAYOUT):
+                value = getattr(self.config, CONFIG_LAYOUT[index])
+                return int(value) & 0xFFFFFFFF
             raise VirtError(f"config read past the layout (offset {offset:#x})")
         raise VirtError(f"unmapped MMIO read at offset {offset:#x}")
 
     def write(self, offset: int, value: int) -> None:
         if offset == _QUEUE_NOTIFY:
-            if not self.status & _DRIVER_OK:    # ``is_live``, every kick
+            if not self.status & _DRIVER_OK:
                 raise VirtError(
                     "queue notify before DRIVER_OK: the driver must wait "
                     "for device initialization (Appendix A.1)"
                 )
-            self.notifies += 1
-            if self.on_notify is not None:
-                self.on_notify(value)
-        elif offset == _INTERRUPT_ACK:
-            self.interrupt_status &= ~value
         elif offset == Reg.STATUS:
             self._write_status(value)
         elif offset == Reg.DRIVER_FEATURES:
@@ -135,7 +128,6 @@ class MmioWindow:
                     "virtio-pim offers no feature bits; the driver must "
                     "negotiate 0"
                 )
-            self.driver_features = value
         elif offset == Reg.QUEUE_SEL:
             self.queue_sel = value
         elif offset == Reg.QUEUE_READY:
@@ -147,7 +139,6 @@ class MmioWindow:
         if value == 0:
             self.status = 0
             self.queue_ready.clear()
-            self.interrupt_status = 0
             return
         added = value & ~self.status
         # Enforce the initialization ordering.
@@ -158,15 +149,6 @@ class MmioWindow:
         if added & DeviceStatus.DRIVER_OK and not (value & DeviceStatus.FEATURES_OK):
             raise VirtError("DRIVER_OK before FEATURES_OK")
         self.status = value
-
-    # -- device side ------------------------------------------------------------
-
-    def raise_interrupt(self) -> None:
-        self.interrupt_status |= 1
-
-    @property
-    def is_live(self) -> bool:
-        return self.status & _DRIVER_OK != 0
 
     def command_line_entry(self) -> str:
         """The kernel command-line fragment describing this device

@@ -12,7 +12,6 @@ from repro.virt.backend import VUpmemBackend
 from repro.virt.frontend import VUpmemFrontend
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.kvm import Kvm
-from repro.virt.virtio import VirtioPimQueues
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.qos.flow import QosFlow
@@ -22,14 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class VUpmemDevice:
-    """One vUPMEM device: frontend + backend + queues + MMIO window (§3.2:
-    one such bundle per requested device, Fig. 3)."""
+    """One vUPMEM device: frontend + backend (§3.2: one such pair per
+    requested device, Fig. 3); the frontend drives the device's queues
+    and MMIO window."""
 
     device_id: str
     frontend: VUpmemFrontend
     backend: VUpmemBackend
-    queues: VirtioPimQueues
-    mmio: object = None
     initialized: bool = False
 
     @property

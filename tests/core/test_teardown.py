@@ -83,23 +83,32 @@ def owned(roots, kinds) -> list:
     return found
 
 
+def assert_freed(roots: list) -> None:
+    """Empty ``roots``, the caller's last references to a stack, with the
+    cycle collector off: every region and guest RAM they owned dies."""
+    gc.disable()
+    try:
+        alive = [weakref.ref(region)
+                 for region in owned(roots, (MemoryRegion, GuestMemory))]
+        assert alive, "the roots own no region"
+        roots.clear()
+        assert [ref for ref in alive if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_the_last_reference_frees_the_stack(scenario, monkeypatch):
     pool = memory._ExtentPool()
     monkeypatch.setattr(memory, "EXTENT_POOL", pool)
-    gc.disable()
-    try:
-        roots = stack(scenario)
-        regions = owned(roots, (MemoryRegion, GuestMemory))
-        assert any(isinstance(r, GuestMemory) for r in regions) == (
-            scenario != "native")
-        extents = [ext for region in regions
-                   if isinstance(region, MemoryRegion)
-                   for ext in region._extents.values()]
-        alive = [weakref.ref(region) for region in regions]
-        del roots, regions
-        assert extents and [ref for ref in alive if ref() is not None] == []
-        pooled = {id(ext) for free in pool._free.values() for ext, _ in free}
-        assert {id(ext) for ext in extents} <= pooled
-    finally:
-        gc.enable()
+    roots = stack(scenario)
+    regions = owned(roots, (MemoryRegion, GuestMemory))
+    assert any(isinstance(r, GuestMemory) for r in regions) == (
+        scenario != "native")
+    extents = [ext for region in regions
+               if isinstance(region, MemoryRegion)
+               for ext in region._extents.values()]
+    del regions
+    assert_freed(roots)
+    pooled = {id(ext) for free in pool._free.values() for ext, _ in free}
+    assert extents and {id(ext) for ext in extents} <= pooled

@@ -15,20 +15,25 @@ def chaos_vpim() -> VPim:
     return VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
 
 
-@pytest.fixture
-def armed(chaos_vpim):
-    """An empty-plan injector armed on machine + manager + one fresh VM.
+def arm(vpim: VPim):
+    """An empty-plan injector armed on machine + manager + one fresh VM
+    of ``vpim``; returns ``(vpim, injector, session)``.
 
     Tests schedule events through ``injector.plan.add`` *before* running
     operations; an empty plan never fires.
     """
     plan = FaultPlan(seed=0)
-    injector = FaultInjector(plan, chaos_vpim.clock,
-                             registry=chaos_vpim.machine.metrics)
-    injector.arm_machine(chaos_vpim.machine, chaos_vpim.manager)
-    session = chaos_vpim.vm_session(nr_vupmem=1)
+    injector = FaultInjector(plan, vpim.clock, registry=vpim.machine.metrics)
+    injector.arm_machine(vpim.machine, vpim.manager)
+    session = vpim.vm_session(nr_vupmem=1)
     injector.arm_vm(session.vm)
-    return chaos_vpim, injector, session
+    return vpim, injector, session
+
+
+@pytest.fixture
+def armed(chaos_vpim):
+    """:func:`arm` on the 2-rank stack."""
+    return arm(chaos_vpim)
 
 
 def schedule(injector, at, kind, target, **params):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.chaos import ChaosConfig, run_chaos
 from repro.apps.prim.va import VectorAdd
-from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE
+from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.errors import (
     BackendHungError,
     DpuFaultError,
@@ -40,9 +40,31 @@ from repro.sdk.transfer import DpuEntry, TransferMatrix, XferKind
 from repro.virt.manager import RankState
 from repro.virt.migration import migrate_device
 
-from tests.faults.conftest import schedule
+from tests.core.test_teardown import assert_freed
+from tests.faults.conftest import arm, schedule
 
 APP = dict(nr_dpus=8, n_elements=1 << 12)
+
+
+class Flaky:
+    """A session whose first run returns garbage; the second runs the
+    real app."""
+
+    def __init__(self, session):
+        self.session = session
+        self.runs = 0
+        self.app = VectorAdd(**APP)
+
+    def run(self, app):
+        self.runs += 1
+        report = self.session.run(app)
+        if self.runs == 1:
+            report.verified = False
+        return report
+
+    @property
+    def transport(self):
+        return self.session.transport
 
 
 class TestRunWithRecovery:
@@ -77,30 +99,12 @@ class TestRunWithRecovery:
         assert vpim.machine.metrics.value(
             "repro_fault_sessions_lost_total") == 1
 
-    def test_unverified_report_is_retried_as_corruption(self, armed):
+    def test_unverified_report_is_retried_as_corruption(self):
         """Silent bit flips surface only through verify; the rerun path
         must treat a failed verify like a fault."""
-        vpim, injector, session = armed
-
-        class Flaky:
-            """First run returns garbage, second runs the real app."""
-
-            def __init__(self):
-                self.runs = 0
-                self.app = VectorAdd(**APP)
-
-            def run(self, app):
-                self.runs += 1
-                report = session.run(app)
-                if self.runs == 1:
-                    report.verified = False
-                return report
-
-            @property
-            def transport(self):
-                return session.transport
-
-        flaky = Flaky()
+        vpim, injector, session = arm(
+            VPim(small_machine(nr_ranks=2, dpus_per_rank=8)))
+        flaky = Flaky(session)
         recovery = run_with_recovery(flaky, flaky.app)
         assert flaky.runs == 2
         assert recovery.verified
@@ -108,6 +112,9 @@ class TestRunWithRecovery:
         assert vpim.machine.metrics.value(
             "repro_fault_detected_total",
             kind="dpu_mram_bitflip", layer="session") == 1
+        roots = [vpim, injector, session, flaky, recovery]
+        del vpim, injector, session, flaky, recovery
+        assert_freed(roots)
 
     def test_fault_kind_mapping(self):
         assert fault_kind_of(RankOfflineError("x")) == "rank_offline"

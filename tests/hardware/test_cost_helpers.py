@@ -137,12 +137,14 @@ from repro.sdk.transfer import (  # noqa: E402
     uniform_read,
     uniform_write,
 )
+from repro.virt.backend import VUpmemBackend  # noqa: E402
 from repro.virt.firecracker import Firecracker, VmConfig  # noqa: E402
 from repro.virt.opts import OptimizationConfig  # noqa: E402
 from repro.virt import transfer_cache  # noqa: E402
 from tests.tasklet_reference import TaskletProgram  # noqa: E402
 
 from tests.conftest import wire_path  # noqa: E402
+from tests.core.test_teardown import assert_freed  # noqa: E402
 
 NR_DPUS = 4
 
@@ -160,6 +162,17 @@ class Spin(TaskletProgram):
         yield ctx.barrier()
 
 
+class TappedBackend(VUpmemBackend):
+    """A backend that keeps each request's result.  A subclass, not a
+    closure over the bound ``process`` stored on the backend, which
+    would be a cycle holding the whole stack for the collector."""
+
+    def process(self, *args, **kwargs):
+        result = super().process(*args, **kwargs)
+        self.results.append(result)
+        return result
+
+
 class Vm:
     """One unloaded VM with a linked device and a tap on the backend."""
 
@@ -171,18 +184,20 @@ class Vm:
         device = self.session.vm.devices[0]
         self.frontend, backend = device.frontend, device.backend
         backend.translation_threads = threads
-        self.results = []
-        process = backend.process
-
-        def tap(*args, **kwargs):
-            result = process(*args, **kwargs)
-            self.results.append(result)
-            return result
-
-        backend.process = tap
+        backend.__class__ = TappedBackend
+        backend.results = self.results = []
 
     def last(self):
         return self.results[-1].duration
+
+
+def test_a_tapped_vm_is_freed_by_its_last_reference():
+    vm = Vm()
+    vm.frontend.release()
+    assert vm.results
+    roots = [vm]
+    del vm
+    assert_freed(roots)
 
 
 def hexes(backend_steps, front_steps):

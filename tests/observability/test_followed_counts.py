@@ -118,7 +118,8 @@ def _expected(vpim, sessions) -> dict:
             for kind, n in device.frontend.requests.items():
                 want["repro_frontend_requests_total",
                      _labels(kind=kind, **ids)] += n
-            for queue in (device.queues.transferq, device.queues.controlq):
+            queues = device.frontend.queues
+            for queue in (queues.transferq, queues.controlq):
                 for name, n in queue.kicks.items():
                     want["repro_virtio_kicks_total",
                          _labels(queue=name, **ids)] += n

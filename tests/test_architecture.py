@@ -158,15 +158,14 @@ RULES = (
          include="*.py"),
     # Every workload imports the figures module (through the CLI); the
     # opt-in paging, QoS, fault and emulated-rank extensions, the
-    # telemetry tools and the section 7 / REST modules are not its
-    # business: the paper's path loads the recorder and the registry.
+    # telemetry tools and the section 7 module are not its business:
+    # the paper's path loads the recorder and the registry.
     Imports("figures-import", "repro.analysis.figures",
             ("repro.paging", "repro.qos", "repro.faults", "repro.virt.emulation",
              "repro.observability.alerts", "repro.observability.dashboard",
              "repro.observability.timeseries", "repro.observability.snapshots",
              "repro.observability.critical_path", "repro.observability.export",
-             "repro.analysis.trace", "repro.virt.migration",
-             "repro.virt.api_server"),
+             "repro.analysis.trace", "repro.virt.migration"),
             "import repro.analysis.figures loaded an extension"),
     # The CLI is what every workload imports; `repro monitor` loads the
     # monitor and its store and rules when it runs, not at import.  The
@@ -271,6 +270,19 @@ RULES = (
          ("src/",), "                self.kvm.stats.vmexits += count - real",
          "a VM exit or IRQ injection is counted outside Kvm",
          include="*.py", exclude=("src/repro/virt/kvm.py",)),
+    # The virtio-pim device is what Appendix A.1 specifies: a request is
+    # one synchronous exchange, so the transferq keeps no ring and the
+    # MMIO window no interrupt status (the completion IRQ is
+    # Kvm.inject_irq's), and a VM is booked one way, by its VmConfig.
+    Absent("no-rest-server", "src/repro/virt/api_server.py",
+           "the Firecracker REST server, a second way to book a VM, is back"),
+    Grep("virtio-no-rings",
+         r"pop_avail|push_used|pop_used|UsedElement|raise_interrupt"
+         r"|INTERRUPT_ACK|\.notifies\b",
+         ("src/repro/virt/",),
+         "        self.mmio.raise_interrupt()",
+         "a virtqueue ring or interrupt-status register is back",
+         include="*.py"),
 )
 
 GREPS = [rule for rule in RULES if isinstance(rule, Grep)]
@@ -424,7 +436,6 @@ REACH_ALLOWLIST: Dict[str, Tuple[str, str]] = {
         _observer("tests/paging/test_pager.py"),
     "paging/store.py::SwapStore.nr_checkpoints":
         _observer("tests/paging/test_store.py"),
-    "qos/slo.py::SloEnforcer.take_migration_hints": _documented("docs/qos.md"),
     "sdk/profile.py::Profiler.segment_time":
         _paper("Fig. 8: the application-centric segments"),
     "sdk/profile.py::Profiler.op_stats": _documented("docs/observability.md"),
@@ -432,7 +443,6 @@ REACH_ALLOWLIST: Dict[str, Tuple[str, str]] = {
         _paper("Fig. 8: the application-centric breakdown"),
     "sdk/transfer.py::uniform_read":
         _paper("Fig. 6: a from-DPU transfer matrix, one row per DPU"),
-    "virt/api_server.py::ApiServer": _paper("§3.2: the Firecracker API server"),
     "virt/frontend.py::PrefetchCache.nr_lines":
         _observer("tests/virt/test_frontend.py"),
     "virt/frontend.py::VUpmemFrontend.max_memory_overhead_per_dpu":
@@ -442,15 +452,8 @@ REACH_ALLOWLIST: Dict[str, Tuple[str, str]] = {
     "virt/manager.py::Manager.repair": _documented("docs/paging.md"),
     "virt/manager.py::Manager.failed_ranks":
         _observer("tests/faults/test_recovery.py"),
-    "virt/mmio.py::MmioWindow.is_live": _observer("tests/virt/test_mmio.py"),
     "virt/plans.py::PlanCache.nr_plans":
         _observer("tests/virt/test_compile_count.py"),
-    "virt/virtio.py::Virtqueue.pop_avail":
-        _paper("Appendix A.1: the device side of a virtqueue"),
-    "virt/virtio.py::Virtqueue.push_used":
-        _paper("Appendix A.1: the device side of a virtqueue"),
-    "virt/virtio.py::Virtqueue.pop_used":
-        _paper("Appendix A.1: the driver side of a virtqueue"),
     "virt/vm.py::Vm.shutdown":
         _paper("§3.3: a VM's teardown returns its ranks"),
 }

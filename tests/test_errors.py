@@ -111,7 +111,7 @@ def test_mmap_error_on_claimed_rank(machine):
 def test_virtqueue_error_on_empty_chain():
     queue = Virtqueue("transferq", capacity=4)
     with pytest.raises(errors.VirtqueueError, match="empty"):
-        queue.add_chain([])
+        queue.submit([])
 
 
 def test_serialization_error_on_empty_request():

@@ -9,12 +9,12 @@ def test_controlq_carries_link_and_release_notifications():
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8))
     session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)
     device = session.vm.devices[0]
-    assert device.queues.controlq.kicks.get("controlq", 0) == 0
+    assert device.frontend.queues.controlq.kicks.get("controlq", 0) == 0
     with DpuSet(session.transport, 8):
         # Device initialization posted the "linked" boolean.
-        assert device.queues.controlq.kicks.get("controlq", 0) == 1
+        assert device.frontend.queues.controlq.kicks.get("controlq", 0) == 1
     # Release posted the "unlinked" boolean.
-    assert device.queues.controlq.kicks.get("controlq", 0) == 2
+    assert device.frontend.queues.controlq.kicks.get("controlq", 0) == 2
 
 
 def test_controlq_reuse_on_relink():
@@ -26,4 +26,4 @@ def test_controlq_reuse_on_relink():
     with DpuSet(session.transport, 8):
         pass
     # init happens once; each release notifies: 1 (init) + 2 (releases).
-    assert device.queues.controlq.kicks.get("controlq", 0) == 3
+    assert device.frontend.queues.controlq.kicks.get("controlq", 0) == 3

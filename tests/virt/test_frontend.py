@@ -221,20 +221,24 @@ def test_device_config_populated_after_init():
     from repro.sdk.dpu_set import DpuSet
     with DpuSet(session.transport, 1):
         pass
-    assert frontend.device_config is not None
-    assert frontend.device_config["frequency_hz"] == 350_000_000
+    assert frontend.device_config.frequency_hz == 350_000_000
+    # GET_CONFIG and the MMIO config window agree on every A.1 field.
+    from repro.driver.driver import CONFIG_LAYOUT
+    from repro.virt.mmio import Reg
+    assert [frontend.mmio.read(Reg.CONFIG + 4 * i)
+            for i in range(len(CONFIG_LAYOUT))] == [
+        int(getattr(frontend.device_config, key)) for key in CONFIG_LAYOUT]
 
 
 def test_failed_request_drops_the_transferq_depth_gauge():
     """A request the backend refuses still leaves the transferq: its
-    depth gauge must read what the queue holds, not the kick's depth."""
+    depth gauge reads 0 afterwards, not the 1 of the request in flight."""
     from repro.errors import RankOfflineError
     from repro.hardware.rank import RankHealth
     from repro.sdk.dpu_set import DpuSet
     vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=4))
     session = vpim.vm_session(nr_vupmem=1)
     device = session.vm.devices[0]
-    transferq = device.frontend.queues.transferq
 
     def depth():
         return vpim.machine.metrics.value(
@@ -248,6 +252,5 @@ def test_failed_request_drops_the_transferq_depth_gauge():
         device.backend.mapping.rank.health = RankHealth.OFFLINE
         with pytest.raises(RankOfflineError):
             dpus.copy_to_mram(0, 0, buf)
-        assert not transferq._avail
         assert depth() == 0
         device.backend.mapping.rank.health = RankHealth.OK

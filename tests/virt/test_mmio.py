@@ -1,9 +1,11 @@
 """The virtio-mmio register window and device-status handshake."""
 
+import numpy as np
 import pytest
 
 from repro.config import small_machine
 from repro.core import VPim
+from repro.driver.driver import DeviceConfig
 from repro.errors import VirtError
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.mmio import (
@@ -17,9 +19,11 @@ from repro.virt.mmio import (
 
 @pytest.fixture
 def window():
-    return MmioWindow(base_address=0xD0000000, irq=5,
-                      config_fields={"frequency_hz": 350_000_000,
-                                     "nr_dpus": 64})
+    return MmioWindow(base_address=0xD0000000, irq=5, config=DeviceConfig())
+
+
+def is_live(window) -> bool:
+    return bool(window.read(Reg.STATUS) & DeviceStatus.DRIVER_OK)
 
 
 def test_identity_registers(window):
@@ -36,10 +40,11 @@ def test_no_feature_bits_offered(window):
 
 
 def test_config_space_readable(window):
-    assert window.read(Reg.CONFIG) == 350_000_000
-    assert window.read(Reg.CONFIG + 4) == 64
+    assert window.read(Reg.CONFIG) == 350_000_000       # frequency_hz
+    assert window.read(Reg.CONFIG + 4 * 3) == 64        # nr_dpus
+    assert window.read(Reg.CONFIG + 4 * 5) == 1         # power_management
     with pytest.raises(VirtError):
-        window.read(Reg.CONFIG + 8)
+        window.read(Reg.CONFIG + 4 * 6)
 
 
 def test_status_ordering_enforced(window):
@@ -61,24 +66,15 @@ def test_notify_before_driver_ok_rejected(window):
 
 def test_full_init_sequence(window):
     driver_init_sequence(window)
-    assert window.is_live
+    assert is_live(window)
     assert window.queue_ready == {0: True, 1: True}
     window.write(Reg.QUEUE_NOTIFY, 0)
-    assert window.notifies == 1
-
-
-def test_interrupt_raise_and_ack(window):
-    driver_init_sequence(window)
-    window.raise_interrupt()
-    assert window.read(Reg.INTERRUPT_STATUS) == 1
-    window.write(Reg.INTERRUPT_ACK, 1)
-    assert window.read(Reg.INTERRUPT_STATUS) == 0
 
 
 def test_reset_clears_state(window):
     driver_init_sequence(window)
     window.write(Reg.STATUS, 0)
-    assert not window.is_live
+    assert not is_live(window)
     assert window.queue_ready == {}
 
 
@@ -100,7 +96,7 @@ def test_command_line_entry(window):
 def test_vm_devices_get_distinct_windows():
     vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
     session = vpim.vm_session(nr_vupmem=2, mem_bytes=1 << 30)
-    windows = [d.mmio for d in session.vm.devices]
+    windows = [d.frontend.mmio for d in session.vm.devices]
     assert windows[0].base_address != windows[1].base_address
     assert windows[0].irq != windows[1].irq
     assert len(session.vm.kernel_cmdline) == 2
@@ -109,12 +105,13 @@ def test_vm_devices_get_distinct_windows():
 def test_requests_flow_only_after_handshake():
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8))
     session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)
-    device = session.vm.devices[0]
-    assert not device.mmio.is_live
+    frontend = session.vm.devices[0].frontend
+    assert not is_live(frontend.mmio)
     with DpuSet(session.transport, 8) as dpus:
-        assert device.mmio.is_live                 # initialize() ran the dance
-        import numpy as np
-        dpus.push_to_mram(0, [np.zeros(64, np.uint8)] * 8)
-        assert device.mmio.notifies > 0
-        # Interrupts were raised and acknowledged for every completion.
-        assert device.mmio.read(Reg.INTERRUPT_STATUS) == 0
+        assert is_live(frontend.mmio)              # initialize() ran the dance
+        kicks = frontend.queues.transferq.kicks["transferq"]
+        dpus.push_to_mram(0, [np.zeros(8192, np.uint8)] * 8)    # unbatched
+        assert frontend.queues.transferq.kicks["transferq"] == kicks + 1
+        # One trap per kick, one completion IRQ per request.
+        stats = session.vm.kvm.stats
+        assert stats.vmexits == stats.irq_injections == kicks + 1

@@ -38,7 +38,7 @@ ROUNDS = 60
 #: ``Trace`` and bumped a metric child per span, and a replay rebuilt
 #: the steps its plan fixes.  The budget stays at least 20 % below it.
 PARENT_CALLS_PER_COPY = 131.0
-CALLS_PER_COPY_BUDGET = 91.0
+CALLS_PER_COPY_BUDGET = 87.0
 
 
 def _copies(dpus: DpuSet, rounds: int = ROUNDS) -> None:

@@ -1,4 +1,4 @@
-"""Virtqueues: capacity, chains, completion flow, config space."""
+"""Virtqueues: capacity, chains, kicks, the config layout."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,13 @@ from repro.config import (
     TRANSFERQ_SLOTS,
     VIRTIO_PIM_DEVICE_ID,
 )
+from repro.driver.driver import CONFIG_LAYOUT, DeviceConfig
 from repro.errors import VirtqueueError
 from repro.virt.guest_memory import GuestMemory
+from repro.virt.mmio import MmioWindow, Reg
 from repro.virt.virtio import (
     Descriptor,
-    UsedElement,
     Virtqueue,
-    VirtioPimConfigSpace,
     VirtioPimQueues,
     write_buffer,
 )
@@ -25,15 +25,21 @@ def desc(n: int = 1):
 
 
 def test_device_id_is_42():
-    assert VirtioPimConfigSpace().device_id == VIRTIO_PIM_DEVICE_ID == 42
+    window = MmioWindow(base_address=0xD0000000, irq=5, config=DeviceConfig())
+    assert window.read(Reg.DEVICE_ID) == VIRTIO_PIM_DEVICE_ID == 42
 
 
 def test_config_space_fields():
-    fields = VirtioPimConfigSpace().as_fields()
-    # Appendix A.1: clock division, memory size, #CIs, frequency, power.
+    # Appendix A.1: clock division, memory size, #CIs, frequency, power;
+    # the MMIO config window serves them in layout order.
     for key in ("clock_division", "mram_bytes", "nr_control_interfaces",
                 "frequency_hz", "power_management"):
-        assert key in fields
+        assert key in CONFIG_LAYOUT
+    config = DeviceConfig()
+    window = MmioWindow(base_address=0xD0000000, irq=5, config=config)
+    assert [window.read(Reg.CONFIG + 4 * i)
+            for i in range(len(CONFIG_LAYOUT))] == [
+        int(getattr(config, key)) for key in CONFIG_LAYOUT]
 
 
 def test_queues_shape():
@@ -43,66 +49,42 @@ def test_queues_shape():
 
 
 def test_chain_roundtrip():
+    """A request is one synchronous exchange: submitting a chain is one
+    kick, and the queue holds nothing afterwards."""
     q = Virtqueue("q", 16)
-    rid = q.add_chain(desc(3))
-    q.kick()
-    popped = q.pop_avail()
-    assert popped == (rid, desc(3))
-    q.push_used(UsedElement(request_id=rid))
-    used = q.pop_used()
-    assert used.request_id == rid and used.status == 0
-    assert q.kicks == {"q": 1}
-
-
-def test_submit_and_complete_end_where_the_single_steps_do():
-    """``submit`` + ``complete`` are add/kick/pop and push/pop of one
-    synchronous request in two calls: same ids, counters and rings."""
-    steps, both = Virtqueue("q", 16), Virtqueue("q", 16)
-    for n in (3, 2, 1):
-        rid = steps.add_chain(desc(n))
-        depth = steps.pending
-        steps.kick()
-        steps.pop_avail()
-        steps.push_used(UsedElement(request_id=rid, status=1))
-        steps.pop_used()
-        assert both.submit(desc(n)) == (rid, depth)
-        both.complete(rid, status=1)
-    state = [(q._next_id, q.kicks["q"], q.max_outstanding, q.pending,
-              len(q._used)) for q in (steps, both)]
-    assert state[0] == state[1] == (3, 3, 3, 0, 0)
+    q.submit(desc(3))
+    q.submit(desc(1))
+    assert q.kicks == {"q": 2}
 
 
 def test_empty_chain_rejected():
     with pytest.raises(VirtqueueError):
-        Virtqueue("q", 16).add_chain([])
+        Virtqueue("q", 16).submit([])
 
 
 def test_chain_over_serialization_bound_rejected():
     q = Virtqueue("q", TRANSFERQ_SLOTS)
     with pytest.raises(VirtqueueError):
-        q.add_chain(desc(MAX_SERIALIZED_BUFFERS + 1))
+        q.submit(desc(MAX_SERIALIZED_BUFFERS + 1))
+    assert q.kicks == {}                    # a refused chain is no kick
 
 
 def test_capacity_enforced_across_outstanding_chains():
+    """No chain is outstanding between requests: each one may use every
+    slot, and none may use more."""
     q = Virtqueue("q", 8)
-    q.add_chain(desc(5))
+    q.submit(desc(5))
+    q.submit(desc(5))
     with pytest.raises(VirtqueueError):
-        q.add_chain(desc(5))
-    q.pop_avail()
-    q.add_chain(desc(5))  # slots freed
+        q.submit(desc(9))
+    assert q.kicks == {"q": 2}
 
 
 def test_full_64_dpu_matrix_fits():
     # 2 + 2*64 = 130 buffers must fit the 512-slot transferq (Fig. 7).
     q = Virtqueue("transferq", TRANSFERQ_SLOTS)
-    q.add_chain(desc(130))
-    assert q.pending == 1
-
-
-def test_pop_empty_returns_none():
-    q = Virtqueue("q", 4)
-    assert q.pop_avail() is None
-    assert q.pop_used() is None
+    q.submit(desc(130))
+    assert q.kicks == {"transferq": 1}
 
 
 def test_write_buffer_places_data_in_guest_memory():
