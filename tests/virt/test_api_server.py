@@ -1,111 +1,53 @@
-"""The Firecracker API server control plane (Section 3.2/3.3)."""
+"""The vUPMEM booking flow (Sections 3.2/3.3): a VmConfig names vCPUs,
+memory, the number of vUPMEM devices and their preset, and
+Firecracker.launch_vm boots it or refuses it before building a guest."""
 
 import pytest
 
 from repro.config import small_machine
+from repro.errors import VmConfigError
 from repro.hardware.machine import Machine
-from repro.virt.api_server import ApiServer
-from repro.virt.firecracker import Firecracker
+from repro.virt.firecracker import Firecracker, VmConfig
+from repro.virt.opts import preset
 
 
 @pytest.fixture
-def server():
-    machine = Machine(small_machine(nr_ranks=2, dpus_per_rank=8))
-    return ApiServer(Firecracker(machine))
+def fc():
+    return Firecracker(Machine(small_machine(nr_ranks=2, dpus_per_rank=8)))
 
 
-def boot(server, nr_vupmem=1, **extra):
-    assert server.handle("PUT", "/machine-config",
-                         {"vcpu_count": 4, "mem_size_mib": 1024}).ok
-    assert server.handle("PUT", "/boot-source",
-                         {"kernel_image_path": "vmlinux.bin"}).ok
-    assert server.handle("PUT", "/drives/rootfs",
-                         {"path_on_host": "rootfs.ext4"}).ok
-    body = {"count": nr_vupmem}
-    body.update(extra)
-    assert server.handle("PUT", "/vupmem", body).ok
-    return server.handle("PUT", "/actions", {"action_type": "InstanceStart"})
+def boot(fc, nr_vupmem=1, **extra):
+    return fc.launch_vm(VmConfig(vcpus=4, mem_bytes=1024 << 20,
+                                 nr_vupmem=nr_vupmem, **extra))
 
 
-def test_full_boot_flow(server):
-    response = boot(server, nr_vupmem=2)
-    assert response.ok
-    assert response.body["boot_time_ms"] > 0
-    assert len(response.body["kernel_cmdline"]) == 2
-    assert server.vm is not None
-    assert len(server.vm.devices) == 2
+def test_full_boot_flow(fc):
+    vm = boot(fc, nr_vupmem=2)
+    assert vm.boot_time > 0
+    assert len(vm.kernel_cmdline) == 2
+    assert len(vm.devices) == 2
 
 
-def test_vupmem_preset_selection(server):
-    response = boot(server, nr_vupmem=1, preset="vPIM-rust")
-    assert response.ok
-    assert server.vm.devices[0].backend.rust_data_path
+def test_vupmem_preset_selection(fc):
+    vm = boot(fc, nr_vupmem=1, opts=preset("vPIM-rust"))
+    assert vm.devices[0].backend.rust_data_path
 
 
-def test_unknown_preset_rejected(server):
-    assert server.handle("PUT", "/vupmem",
-                         {"count": 1, "preset": "bogus"}).status == 400
+def test_unknown_preset_rejected():
+    with pytest.raises(KeyError):
+        preset("bogus")
 
 
-def test_too_many_devices_rejected(server):
-    response = boot(server, nr_vupmem=10)
-    assert response.status == 400
-    assert "ranks" in str(response.body["fault_message"])
+def test_too_many_devices_rejected(fc):
+    with pytest.raises(VmConfigError, match="ranks"):
+        boot(fc, nr_vupmem=10)
 
 
-def test_double_start_rejected(server):
-    assert boot(server).ok
-    again = server.handle("PUT", "/actions", {"action_type": "InstanceStart"})
-    assert again.status == 409
-
-
-def test_config_after_start_rejected(server):
-    assert boot(server).ok
-    late = server.handle("PUT", "/machine-config", {"vcpu_count": 8})
-    assert late.status == 409
-
-
-def test_unknown_route(server):
-    assert server.handle("GET", "/nope").status == 404
-
-
-def test_describe(server):
-    state = server.handle("GET", "/")
-    assert state.body["state"] == "Not started"
-    boot(server)
-    state = server.handle("GET", "/")
-    assert state.body["state"] == "Running"
-    assert state.body["vupmem_devices"] == 1
-
-
-def test_boot_source_requires_kernel(server):
-    assert server.handle("PUT", "/boot-source", {}).status == 400
-
-
-def test_request_log(server):
-    boot(server)
-    methods = [entry[0] for entry in server.request_log]
-    assert methods.count("PUT") == 5
-
-
-@pytest.mark.parametrize("path, body", [
-    ("/machine-config", {"mem_size_mib": "abc"}),
-    ("/machine-config", {"vcpu_count": None}),
-    ("/vupmem", {"count": "two"}),
-])
-def test_non_integer_field_answers_400(server, path, body):
-    response = server.handle("PUT", path, body)
-    assert response.status == 400
-    assert "must be an integer" in str(response.body["fault_message"])
-
-
-def test_guest_too_small_for_its_dma_arena_is_refused_at_start(server):
+def test_guest_too_small_for_its_dma_arena_is_refused_at_start(fc):
     from repro.virt.guest_memory import MIN_GUEST_SIZE
-    assert server.handle("PUT", "/machine-config", {"mem_size_mib": 1}).ok
-    assert server.handle("PUT", "/vupmem", {"count": 1}).ok
-    response = server.handle("PUT", "/actions",
-                             {"action_type": "InstanceStart"})
-    assert response.status == 400
-    assert str(MIN_GUEST_SIZE) in str(response.body["fault_message"])
-    assert server.vm is None
-
+    t0 = fc.machine.clock.now
+    with pytest.raises(VmConfigError, match=str(MIN_GUEST_SIZE)):
+        fc.launch_vm(VmConfig(mem_bytes=1 << 20, nr_vupmem=1))
+    # Refused before boot: no boot time passed and no VM id was spent.
+    assert fc.machine.clock.now == t0
+    assert boot(fc).vm_id == "vm-0"
