@@ -44,7 +44,8 @@ def main() -> None:
     print(f"  re-acquired rank {rank_again} (was {rank_first}); "
           f"own data preserved without a reset: {preserved}")
     assert preserved and rank_again == rank_first
-    print(f"  NANA reuses so far: {vpim.manager.stats.nana_reuses}")
+    print(f"  NANA reuses so far: "
+          f"{vpim.manager.allocations.get('nana_reuse', 0)}")
 
     print("\n--- Isolation: another tenant must never see residual data ---")
     secret = np.full(4096, 0xAB, dtype=np.uint8)
@@ -63,10 +64,13 @@ def main() -> None:
     assert not leaked
 
     show_states(vpim, "at the end")
-    stats = vpim.manager.stats
-    print(f"\nManager statistics: allocations={stats.allocations}, "
-          f"NANA reuses={stats.nana_reuses}, resets={stats.resets}, "
-          f"waits={stats.waits}")
+    allocations, counts = vpim.manager.allocations, vpim.manager.counts
+    granted = sum(n for outcome, n in allocations.items()
+                  if outcome != "abandoned")
+    print(f"\nManager statistics: allocations={granted}, "
+          f"NANA reuses={allocations.get('nana_reuse', 0)}, "
+          f"resets={counts.get('resets', 0)}, "
+          f"waits={counts.get('waits', 0)}")
     print(f"Modeled manager CPU: idle {vpim.manager.idle_cpu_utilization():.0%}, "
           f"while resetting {vpim.manager.reset_cpu_utilization(1):.0%} "
           f"(paper: 40% / 92%)")

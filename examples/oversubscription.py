@@ -19,7 +19,7 @@ from repro.virt.migration import consolidate
 
 def main() -> None:
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8),
-                oversubscription=True, emulation_slowdown=20)
+                oversubscription=True)
 
     print("One physical rank; two tenants want one each.\n")
     holder = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)

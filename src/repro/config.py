@@ -57,7 +57,6 @@ BATCH_PAGES_PER_DPU = 64           #: request-batching buffer, pages per DPU
 # ---------------------------------------------------------------------------
 
 TRANSLATION_THREADS = 8            #: GPA->HVA translation threads
-MANAGER_POOL_THREADS = 8           #: manager request thread pool
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,11 @@ class VPim:
     def __init__(self, machine_config: Optional[MachineConfig] = None,
                  cost: CostModel = DEFAULT_COST_MODEL,
                  oversubscription: bool = False,
-                 emulation_slowdown: float = 20.0,
-                 paging=None,
-                 manager_policy: str = "round_robin") -> None:
+                 paging=None) -> None:
         """``oversubscription`` enables the Section 7 extension: when all
         physical ranks are allocated, the manager hands out software-
-        emulated ranks running ``emulation_slowdown``x slower.
+        emulated ranks running 20x slower
+        (:data:`~repro.virt.emulation.DEFAULT_SLOWDOWN`).
 
         ``paging`` takes a :class:`~repro.paging.config.PagingConfig` to
         enable the stronger §7 extension (``docs/paging.md``): the
@@ -44,16 +43,13 @@ class VPim:
         last resort past the pager's virtual capacity.  ``None`` (the
         default) models no paging at all.
 
-        ``manager_policy`` selects the host manager's NAAV-allocation
-        policy.
+        The host manager allocates physical ranks round-robin (§3.5).
         """
         self.machine = Machine(machine_config, cost)
         self.driver = UpmemDriver(self.machine)
         self.manager = Manager(self.machine, self.driver,
                                oversubscription=oversubscription,
-                               emulation_slowdown=emulation_slowdown,
-                               paging=paging,
-                               policy=manager_policy)
+                               paging=paging)
         self.firecracker = Firecracker(self.machine, self.driver, self.manager)
 
     @property

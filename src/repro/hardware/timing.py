@@ -29,7 +29,7 @@ with their policy.  Cross-VM bus sharing lives in ``repro.qos.arbiter``
 (``WFQ_QUANTUM``) and reads ``parallel_contention`` from here; the costs
 of detecting and retrying an injected fault live in
 ``repro.faults.retry``; a demand-paging fault's fixed cost is
-``repro.paging.config``'s ``fault_overhead_s``; the emulated ranks of
+``repro.paging.pager``'s ``FAULT_OVERHEAD_S``; the emulated ranks of
 Section 7 derate this model with :meth:`CostModel.with_overrides`
 (``repro.virt.emulation``).
 """
@@ -165,7 +165,7 @@ class CostModel:
     #: Observer-thread sysfs polling period.
     manager_observe_period: float = 50e-3
     #: Manager retry backoff *base* when no rank is available: attempt N
-    #: waits ``manager_retry_timeout * backoff_factor**N`` (plus jitter),
+    #: waits ``manager_retry_timeout * BACKOFF_FACTOR**N`` (plus jitter),
     #: capped at ``manager_retry_max``.
     manager_retry_timeout: float = 100e-3
     #: Upper bound on one manager retry backoff interval.

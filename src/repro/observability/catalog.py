@@ -310,7 +310,8 @@ BACKEND = Table(
         ("vm", "device"), "§5.4.1 (host-side copy plumbing cost)"),
 )
 
-#: The host-wide rank manager; ``policy`` is the active NAAV policy.
+#: The host-wide rank manager; ``policy`` labels its one NAAV order,
+#: ``round_robin`` (§3.5).
 MANAGER = Table(
     ("policy",),
     transitions=_counter(

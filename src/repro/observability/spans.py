@@ -48,7 +48,7 @@ from repro.observability.stats import DecayedMean
 #: own named track; :func:`~repro.observability.critical_path.
 #: layer_self_times` reports per-layer self-time against this list.
 LAYERS = ("session", "sdk", "frontend", "virtio", "backend", "rank",
-          "paging", "faults")
+          "paging", "qos")
 
 #: Tail retention warms up over this many roots per layer before it may
 #: call one an outlier, and weighs each new root this much in the mean.

@@ -14,23 +14,15 @@ created unless a :class:`~repro.paging.config.PagingConfig` is passed).
 """
 
 from repro.paging.config import PagingConfig
-from repro.paging.eviction import (
-    DecayedWorkingSetPolicy,
-    EvictionPolicy,
-    LruPolicy,
-    make_policy,
-)
+from repro.paging.eviction import LruPolicy
 from repro.paging.pager import PAGED_RANK_BASE, PagedRankMapping, RankPager
 from repro.paging.store import SwapStore
 
 __all__ = [
     "PAGED_RANK_BASE",
-    "DecayedWorkingSetPolicy",
-    "EvictionPolicy",
     "LruPolicy",
     "PagedRankMapping",
     "PagingConfig",
     "RankPager",
     "SwapStore",
-    "make_policy",
 ]

@@ -20,33 +20,7 @@ class PagingConfig:
     #: the physical frames underneath.
     overcommit_ratio: float = 2.0
 
-    #: Victim selection: ``lru`` (evict the rank idle longest, scaled by
-    #: QoS weight) or ``wss`` (decayed working-set score — evict the
-    #: rank with the coldest recent activity).
-    policy: str = "lru"
-
-    #: Half-life of the ``wss`` policy's activity decay, in simulated
-    #: seconds: a rank's score halves after this much idle time.
-    wss_half_life_s: float = 1.0
-
-    #: Fixed modeled bookkeeping cost of one fault (frame lookup, page
-    #: table update) on top of the bandwidth-charged state copy.
-    fault_overhead_s: float = 150e-6
-
-    #: Start swap-ins for queued virtio requests that target a
-    #: swapped-out rank while the request is still waiting its turn, so
-    #: the copy overlaps the queue wait instead of serializing after it.
-    predictive: bool = True
-
     def __post_init__(self) -> None:
         if self.overcommit_ratio < 1.0:
             raise ValueError(
                 f"overcommit_ratio must be >= 1, got {self.overcommit_ratio}")
-        if self.policy not in ("lru", "wss"):
-            raise ValueError(
-                f"unknown eviction policy {self.policy!r}; "
-                "choose 'lru' or 'wss'")
-        if self.wss_half_life_s <= 0:
-            raise ValueError("wss_half_life_s must be positive")
-        if self.fault_overhead_s < 0:
-            raise ValueError("fault_overhead_s must be non-negative")

@@ -1,13 +1,13 @@
 """Victim selection for the rank pager (``docs/paging.md``).
 
-A policy only *ranks* candidates; residency, pinning and QoS weights
+The policy only *ranks* candidates; residency, pinning and QoS weights
 live in the :class:`~repro.paging.pager.RankPager`, which passes the
-eligible candidates in.  Both policies are QoS-weight-aware: a tenant
-with twice the weight looks half as evictable, so the pager's victim
-choice composes with the weighted-fair scheduling of ``repro.qos``
-instead of fighting it.
+eligible candidates in.  It is QoS-weight-aware: a tenant with twice
+the weight looks half as evictable, so the pager's victim choice
+composes with the weighted-fair scheduling of ``repro.qos`` instead of
+fighting it.
 
-All ties break toward the lowest virtual-rank index, keeping victim
+Ties break toward the lowest virtual-rank index, keeping victim
 selection fully deterministic (run-to-run reproducibility is a
 simulation invariant).
 """
@@ -21,110 +21,32 @@ from typing import Callable, Dict, Iterable, Optional
 MIN_WEIGHT = 1e-6
 
 
-class EvictionPolicy:
-    """Interface: observe accesses, forget departed ranks, pick victims."""
-
-    name = "base"
-
-    def touch(self, vrank: int, now: float) -> None:
-        """Record one access to ``vrank`` at simulated time ``now``."""
-        raise NotImplementedError
-
-    def forget(self, vrank: int) -> None:
-        """Drop all state for a released rank."""
-        raise NotImplementedError
-
-    def victim(self, candidates: Iterable[int], now: float,
-               weight_of: Callable[[int], float]) -> Optional[int]:
-        """The candidate to evict, or ``None`` if there are none."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _weight(weight_of: Callable[[int], float], vrank: int) -> float:
-        return max(weight_of(vrank), MIN_WEIGHT)
-
-
-class LruPolicy(EvictionPolicy):
+class LruPolicy:
     """Evict the rank idle the longest, scaled by QoS weight.
 
     Score is ``idle_time / weight``: a weight-2 tenant must sit idle
     twice as long as a weight-1 tenant before it becomes the victim.
     """
 
-    name = "lru"
-
     def __init__(self) -> None:
         self._last_used: Dict[int, float] = {}
 
     def touch(self, vrank: int, now: float) -> None:
+        """Record one access to ``vrank`` at simulated time ``now``."""
         self._last_used[vrank] = now
 
     def forget(self, vrank: int) -> None:
+        """Drop all state for a released rank."""
         self._last_used.pop(vrank, None)
 
     def victim(self, candidates: Iterable[int], now: float,
                weight_of: Callable[[int], float]) -> Optional[int]:
+        """The candidate to evict, or ``None`` if there are none."""
         best: Optional[int] = None
         best_score = float("-inf")
         for vrank in sorted(candidates):
             idle = now - self._last_used.get(vrank, float("-inf"))
-            score = idle / self._weight(weight_of, vrank)
+            score = idle / max(weight_of(vrank), MIN_WEIGHT)
             if score > best_score:
                 best, best_score = vrank, score
         return best
-
-
-class DecayedWorkingSetPolicy(EvictionPolicy):
-    """Evict the rank with the coldest exponentially-decayed activity.
-
-    Each access adds one to the rank's score; the score halves every
-    ``half_life_s`` of simulated idle time, so a rank that was hot a
-    while ago decays below one that is merely warm *now* — unlike pure
-    LRU, a single stale touch does not protect a rank.  The final
-    eviction score is ``activity * weight`` (lowest goes), so heavier
-    tenants keep their working set resident longer.
-    """
-
-    name = "wss"
-
-    def __init__(self, half_life_s: float = 1.0) -> None:
-        if half_life_s <= 0:
-            raise ValueError("half_life_s must be positive")
-        self.half_life_s = half_life_s
-        self._score: Dict[int, float] = {}
-        self._stamp: Dict[int, float] = {}
-
-    def _decayed(self, vrank: int, now: float) -> float:
-        score = self._score.get(vrank, 0.0)
-        if score == 0.0:
-            return 0.0
-        age = now - self._stamp[vrank]
-        return score * 0.5 ** (age / self.half_life_s)
-
-    def touch(self, vrank: int, now: float) -> None:
-        self._score[vrank] = self._decayed(vrank, now) + 1.0
-        self._stamp[vrank] = now
-
-    def forget(self, vrank: int) -> None:
-        self._score.pop(vrank, None)
-        self._stamp.pop(vrank, None)
-
-    def victim(self, candidates: Iterable[int], now: float,
-               weight_of: Callable[[int], float]) -> Optional[int]:
-        best: Optional[int] = None
-        best_score = float("inf")
-        for vrank in sorted(candidates):
-            score = self._decayed(vrank, now) * self._weight(weight_of, vrank)
-            if score < best_score:
-                best, best_score = vrank, score
-        return best
-
-
-def make_policy(name: str, half_life_s: float = 1.0) -> EvictionPolicy:
-    """Instantiate an eviction policy by its config name."""
-    if name == "lru":
-        return LruPolicy()
-    if name == "wss":
-        return DecayedWorkingSetPolicy(half_life_s=half_life_s)
-    raise ValueError(f"unknown eviction policy {name!r}; "
-                     "choose 'lru' or 'wss'")

@@ -13,7 +13,8 @@ additionally refuses a RUNNING rank as a backstop.
 Time discipline: the pager advances the machine clock itself by the
 modeled swap costs (the precedent is
 :func:`~repro.virt.migration.migrate_device`), charged at rank transfer
-bandwidth plus a fixed per-fault overhead, so swap time is never folded
+bandwidth plus a fixed per-fault overhead (:data:`FAULT_OVERHEAD_S`),
+so swap time is never folded
 into — or double-counted against — the rank operation that triggered
 the fault.
 
@@ -46,7 +47,7 @@ from repro.hardware.rank import Rank
 from repro.observability.catalog import PAGING, bind
 from repro.observability.metrics import Counts
 from repro.paging.config import PagingConfig
-from repro.paging.eviction import make_policy
+from repro.paging.eviction import LruPolicy
 from repro.paging.store import SwapStore
 from repro.virt.manager import RankState
 from repro.virt.migration import checkpoint_rank, restore_rank
@@ -60,6 +61,10 @@ PAGED_RANK_BASE = 2000
 
 #: Driver-ownership identity under which the pager claims frames.
 PAGER_OWNER = "pager"
+
+#: Fixed modeled bookkeeping cost of one fault (frame lookup, page
+#: table update) on top of the bandwidth-charged state copy.
+FAULT_OVERHEAD_S = 150e-6
 
 
 @dataclass
@@ -86,13 +91,11 @@ class RankPager:
         self.clock = manager.clock
         self.cost = manager.cost
         self.config = config
-        self.policy = make_policy(config.policy,
-                                  half_life_s=config.wss_half_life_s)
+        self.policy = LruPolicy()
         #: Fresh NAAV frames claimed from the manager (no metric mirrors
         #: it; the ``repro_paging_*`` counters read faults and counts).
         self.frames_acquired = 0
-        self.obs = obs = bind(self.machine.metrics, PAGING,
-                              policy=config.policy)
+        self.obs = obs = bind(self.machine.metrics, PAGING, policy="lru")
         #: Faults by kind; evictions (each one a swap-out), bytes swapped
         #: out and in, and swap time hidden under a queued request.
         self.faults = Counts(obs.faults)
@@ -226,8 +229,6 @@ class RankPager:
         anyway (virtio queue + QoS arbitration); the swap-in runs under
         that wait, so only the excess is charged to the clock.
         """
-        if not self.config.predictive:
-            return
         entry = self._vranks.get(vrank)
         if entry is None or entry.frame is not None:
             return
@@ -266,7 +267,7 @@ class RankPager:
                 duration = self.cost.rank_transfer_time(dirty)
             else:
                 duration = 0.0
-            duration += self.config.fault_overhead_s
+            duration += FAULT_OVERHEAD_S
             charged = max(0.0, duration - credit)
             hidden = duration - charged
             if hidden > 0:

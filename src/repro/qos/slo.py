@@ -49,18 +49,13 @@ class SloObjective:
                 "latency nor a throughput target")
 
 
-# Linear-interpolation percentile (numpy's default); the implementation
-# moved to the shared stats module, this alias keeps call sites and the
-# existing tests' import path stable.
-_percentile = percentile_linear
-
-
 class SloTracker:
     """Windows of per-tenant session outcomes, feeding burn rates."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 max_window: int = 256) -> None:
-        self.max_window = max_window
+    #: Samples kept per tenant, newest last.
+    MAX_WINDOW = 256
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         #: tenant -> (completion_time, latency_s) samples, newest last.
         self._sessions: Dict[str, Deque[Tuple[float, float]]] = {}
         self.obs = bind(metrics, SLO) if metrics is not None else None
@@ -68,7 +63,7 @@ class SloTracker:
     def observe_session(self, tenant: str, latency_s: float,
                         now: float) -> None:
         window = self._sessions.setdefault(
-            tenant, deque(maxlen=self.max_window))
+            tenant, deque(maxlen=self.MAX_WINDOW))
         window.append((now, latency_s))
 
     def sessions(self, tenant: str) -> int:
@@ -79,7 +74,7 @@ class SloTracker:
         if not samples:
             return 0.0
         recent = [latency for _, latency in list(samples)[-window:]]
-        return _percentile(recent, 0.99)
+        return percentile_linear(recent, 0.99)
 
     def session_rate(self, tenant: str, window: int, now: float) -> float:
         """Completed sessions per second over the recent window."""
@@ -133,23 +128,22 @@ class SloEnforcer:
     Escalation ladder per consecutive hot evaluation: first boost the
     victim's WFQ weight (cheap, reversible), then tighten the other
     tenants' byte throttles, and once both are exhausted record a
-    migration hint.  A burn back under ``cool`` resets the ladder.
+    migration hint.  A burn back under ``COOL`` resets the ladder.
     """
+
+    #: A burn above ``HOT`` escalates; one below ``COOL`` resets the ladder.
+    HOT, COOL = 1.0, 0.8
+    #: A boost doubles the victim's weight up to ``MAX_WEIGHT``.
+    MAX_WEIGHT = 16.0
+    #: A throttle scales an offender's byte rate by ``THROTTLE_STEP``,
+    #: down to ``MIN_RATE_SCALE`` of its configured rate.
+    THROTTLE_STEP, MIN_RATE_SCALE = 0.75, 0.25
 
     def __init__(self, tracker: SloTracker,
                  objectives: Tuple[SloObjective, ...] = (),
-                 metrics: Optional[MetricsRegistry] = None,
-                 hot: float = 1.0, cool: float = 0.8,
-                 max_weight: float = 16.0,
-                 throttle_step: float = 0.75,
-                 min_rate_scale: float = 0.25) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.tracker = tracker
         self.objectives = tuple(objectives)
-        self.hot = hot
-        self.cool = cool
-        self.max_weight = max_weight
-        self.throttle_step = throttle_step
-        self.min_rate_scale = min_rate_scale
         self.obs = bind(metrics, SLO) if metrics is not None else None
         #: tenant -> the flows currently serving that tenant.
         self._bound: Dict[str, List[object]] = {}
@@ -176,8 +170,8 @@ class SloEnforcer:
         for objective in self.objectives:
             tenant = objective.tenant
             burn = self.tracker.burn_rate(objective, now)
-            if burn <= self.hot:
-                if burn < self.cool:
+            if burn <= self.HOT:
+                if burn < self.COOL:
                     self._streak[tenant] = 0
                 continue
             if self.obs is not None:
@@ -198,7 +192,7 @@ class SloEnforcer:
     def _boost_weight(self, tenant: str) -> List[SloAction]:
         out = []
         for flow in self._bound.get(tenant, ()):
-            new = min(self.max_weight, flow.weight * 2.0)
+            new = min(self.MAX_WEIGHT, flow.weight * 2.0)
             if new > flow.weight:
                 flow.set_weight(new)
                 out.append(SloAction(tenant, "boost_weight",
@@ -210,8 +204,8 @@ class SloEnforcer:
     def _throttle_offenders(self, tenant: str) -> List[SloAction]:
         out = []
         for offender, flow in self._offenders(tenant):
-            new_rate = flow.scale_byte_rate(self.throttle_step,
-                                            min_scale=self.min_rate_scale)
+            new_rate = flow.scale_byte_rate(self.THROTTLE_STEP,
+                                            min_scale=self.MIN_RATE_SCALE)
             if new_rate is not None:
                 out.append(SloAction(offender, "throttle",
                                      f"bytes_per_s={new_rate:g}"))

@@ -16,19 +16,20 @@ class TokenBucket:
 
     ``rate`` tokens accrue per simulated second up to ``burst``; consume
     returns the modeled wait (0.0 when tokens cover the request).  Debt
-    is bounded by ``max_debt_s`` seconds of refill so one huge request
+    is bounded by ``MAX_DEBT_S`` seconds of refill so one huge request
     cannot poison every follow-up with an unbounded backlog.
     """
 
-    def __init__(self, rate: float, burst: float,
-                 max_debt_s: float = 0.1) -> None:
+    #: Seconds of refill the carried debt is capped at.
+    MAX_DEBT_S = 0.1
+
+    def __init__(self, rate: float, burst: float) -> None:
         if rate <= 0:
             raise ValueError(f"bucket rate must be positive, got {rate}")
         if burst <= 0:
             raise ValueError(f"bucket burst must be positive, got {burst}")
         self.rate = float(rate)
         self.burst = float(burst)
-        self.max_debt_s = float(max_debt_s)
         self.tokens = float(burst)
         self._last = 0.0
 
@@ -48,8 +49,8 @@ class TokenBucket:
             return 0.0
         wait = -self.tokens / self.rate
         # Bound the carried debt (not the returned wait): the *next*
-        # consume starts from at most max_debt_s seconds in the red.
-        self.tokens = max(self.tokens, -self.rate * self.max_debt_s)
+        # consume starts from at most MAX_DEBT_S seconds in the red.
+        self.tokens = max(self.tokens, -self.rate * self.MAX_DEBT_S)
         return wait
 
     def scale_rate(self, factor: float, floor: float = 0.0) -> float:

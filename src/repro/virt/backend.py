@@ -92,10 +92,11 @@ class TranslationCache:
     LRU-bounded; the GPA+offset arithmetic is unchanged.
     """
 
-    def __init__(self, memory: GuestMemory, capacity: int = 512,
-                 series=None) -> None:
+    #: Page runs kept before the least recently used one goes.
+    CAPACITY = 512
+
+    def __init__(self, memory: GuestMemory, series=None) -> None:
         self.memory = memory
-        self.capacity = capacity
         self._runs: "OrderedDict[Tuple[int, int, int], bool]" = OrderedDict()
         self.counts = Counts(series)
         #: Bumped on every :meth:`invalidate` (unlink/relink).  Compiled
@@ -119,7 +120,7 @@ class TranslationCache:
         else:
             self.counts["misses"] += 1
             runs[key] = True
-            if len(runs) > self.capacity:
+            if len(runs) > self.CAPACITY:
                 runs.popitem(last=False)
         return hvas
 

@@ -5,8 +5,8 @@ could support oversubscription by running applications at reduced
 performance."  This module implements that: when every physical rank is
 allocated and a tenant still asks for one, the Manager can hand out an
 *emulated* rank — a functionally identical rank whose DPUs execute on
-host CPU time (the UPMEM functional simulator), at a configurable
-slowdown.
+host CPU time (the UPMEM functional simulator), :data:`DEFAULT_SLOWDOWN`
+times slower.
 
 An emulated rank is a real :class:`~repro.hardware.rank.Rank` driven by
 a derated cost model, so the whole stack above (driver mappings, the
@@ -37,23 +37,21 @@ from repro.hardware.timing import CostModel
 #: Emulated rank indices start here, far above any physical rank.
 EMULATED_RANK_BASE = 1000
 
-#: Default performance derating of the software DPU simulator: kernels
-#: interpret the DPU ISA on the host CPU.
+#: Performance derating of the software DPU simulator: kernels interpret
+#: the DPU ISA on the host CPU.
 DEFAULT_SLOWDOWN = 20.0
 
 
-def emulated_cost_model(base: CostModel,
-                        slowdown: float = DEFAULT_SLOWDOWN) -> CostModel:
+def emulated_cost_model(base: CostModel) -> CostModel:
     """Derate a cost model to software-simulation speed.
 
-    DPU cycles are interpreted on the host CPU (``slowdown`` x); MRAM
-    "transfers" are host memcpys, so they run at guest-copy bandwidth
-    with no interleaving work (there are no chips to interleave over).
+    DPU cycles are interpreted on the host CPU (``DEFAULT_SLOWDOWN`` x);
+    MRAM "transfers" are host memcpys, so they run at guest-copy
+    bandwidth with no interleaving work (there are no chips to
+    interleave over).
     """
-    if slowdown < 1.0:
-        raise ValueError(f"slowdown must be >= 1, got {slowdown}")
     return base.with_overrides(
-        dpu_frequency_hz=base.dpu_frequency_hz / slowdown,
+        dpu_frequency_hz=base.dpu_frequency_hz / DEFAULT_SLOWDOWN,
         rank_xfer_bandwidth=base.guest_copy_bandwidth,
         interleave_bw_c=base.guest_copy_bandwidth * 16,
         manager_reset=1e-3,   # freeing host memory, not wiping a DIMM
@@ -67,11 +65,8 @@ class EmulatedRankPool:
     #: Tier interface: allocation outcome label; tried after the ladder.
     OUTCOME, LAST_RESORT = "emulated", True
 
-    def __init__(self, machine: Machine,
-                 slowdown: float = DEFAULT_SLOWDOWN,
-                 max_ranks: int = 8) -> None:
+    def __init__(self, machine: Machine, max_ranks: int = 8) -> None:
         self.machine = machine
-        self.slowdown = slowdown
         self.max_ranks = max_ranks
         self._ranks: Dict[int, Rank] = {}
         self._next_index = EMULATED_RANK_BASE
@@ -102,7 +97,7 @@ class EmulatedRankPool:
         self._next_index += 1
         self._ranks[index] = Rank(
             RankConfig(index, max(r.nr_dpus for r in self.machine.ranks)),
-            emulated_cost_model(self.machine.cost, self.slowdown),
+            emulated_cost_model(self.machine.cost),
             metrics=self.machine.metrics, spans=self.machine.spans)
         return index
 

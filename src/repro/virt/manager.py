@@ -9,7 +9,7 @@ rank's index, status-file location, assigned vUPMEM device and state:
   memory reset that guarantees isolation between tenants;
 - ``FAIL`` — quarantined after a detected hardware failure; never
   allocated until explicitly repaired, and blacklisted for good after
-  repeated failures (``blacklist_threshold``).
+  repeated failures (``BLACKLIST_THRESHOLD``).
 
 Allocation policy (paper order):
 
@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.config import MANAGER_POOL_THREADS
 from repro.errors import ManagerError
 from repro.driver.driver import UpmemDriver
 from repro.hardware.clock import SimClock
@@ -51,9 +50,18 @@ from repro.hardware.machine import Machine
 from repro.hardware.rank import RankHealth
 from repro.hardware.timing import CostModel
 from repro.observability.catalog import MANAGER, bind
+from repro.observability.metrics import Counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.paging.config import PagingConfig
+
+#: Step 4's exponential backoff: attempt N waits the base timeout times
+#: ``BACKOFF_FACTOR**N``, stretched by up to ``BACKOFF_JITTER`` from a
+#: stream seeded with ``BACKOFF_SEED``, so retries desynchronize without
+#: breaking the simulation's run-to-run determinism.
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
+BACKOFF_SEED = 0
 
 
 class RankState(enum.Enum):
@@ -76,83 +84,63 @@ class RankRecord:
     assigned_device: Optional[str] = None
     last_owner: Optional[str] = None
     reset_done_at: float = 0.0
-    #: Lifetime failure count; at ``blacklist_threshold`` the rank is
+    #: Lifetime failure count; at ``BLACKLIST_THRESHOLD`` the rank is
     #: refused repair and stays FAIL for good.
     fault_count: int = 0
     failed_at: float = 0.0
 
 
-@dataclass
-class ManagerStats:
-    """Cumulative manager counters backing the §4.2 overhead discussion."""
+class _OutcomeSeries(dict):
+    """The ``repro_manager_allocations_total`` child of each outcome, bound
+    on first touch; an abandoned request is also one whose retries ran
+    out, so its count feeds that family too."""
 
-    allocations: int = 0
-    nana_reuses: int = 0
-    resets: int = 0
-    waits: int = 0
-    abandoned: int = 0
-    #: Allocations each tier served, as ``{OUTCOME}_allocations``.
-    emulated_allocations: int = 0
-    paged_allocations: int = 0
-    failures: int = 0
-    repairs: int = 0
-    retries_exhausted: int = 0
+    def __init__(self, obs) -> None:
+        super().__init__()
+        self._obs = obs
+
+    def __missing__(self, outcome: str):
+        child = self._obs.allocations[outcome]
+        if outcome == "abandoned":
+            return child, self._obs.exhausted
+        return child
 
 
 class Manager:
     """The userspace manager daemon (§3.5: one per host, arbitrating ranks
     between VMs and native applications)."""
 
-    #: Selectable NAAV-allocation policies.  The paper's prototype uses
-    #: round-robin over the rank table; ``first_fit`` always picks the
-    #: lowest free index (densest packing, lets high ranks idle), and
-    #: ``coldest`` picks the rank that has been free the longest
-    #: (wear/thermal levelling across DIMMs).
-    POLICIES = ("round_robin", "first_fit", "coldest")
+    #: Lifetime failures after which a rank is refused repair.
+    BLACKLIST_THRESHOLD = 3
 
     def __init__(self, machine: Machine, driver: UpmemDriver,
-                 pool_threads: int = MANAGER_POOL_THREADS,
                  max_attempts: int = 5,
                  oversubscription: bool = False,
-                 emulation_slowdown: float = 20.0,
-                 paging: Optional["PagingConfig"] = None,
-                 policy: str = "round_robin",
-                 blacklist_threshold: int = 3,
-                 backoff_factor: float = 2.0,
-                 backoff_jitter: float = 0.1,
-                 backoff_seed: int = 0) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown allocation policy {policy!r}; "
-                f"choose from {self.POLICIES}"
-            )
+                 paging: Optional["PagingConfig"] = None) -> None:
         self.machine = machine
         self.driver = driver
         self.clock: SimClock = machine.clock
         self.cost: CostModel = machine.cost
-        self.pool_threads = pool_threads
         self.max_attempts = max_attempts
-        self.policy = policy
-        self.blacklist_threshold = blacklist_threshold
-        self.backoff_factor = backoff_factor
-        self.backoff_jitter = backoff_jitter
-        #: Seeded jitter stream: retries desynchronize without breaking
-        #: the simulation's run-to-run determinism.
-        self._backoff_rng = np.random.default_rng(backoff_seed)
-        self.stats = ManagerStats()
+        self._backoff_rng = np.random.default_rng(BACKOFF_SEED)
         #: Live telemetry (shares the machine registry): state transitions,
-        #: allocation outcomes/waits per policy and the rank-table gauge.
-        self.obs = bind(machine.metrics, MANAGER, policy=policy)
+        #: allocation waits and the rank-table gauge.
+        self.obs = obs = bind(machine.metrics, MANAGER, policy="round_robin")
+        #: Allocations by outcome (``naav``, ``nana_reuse``, a tier's
+        #: ``OUTCOME``, ``abandoned``), and the resets, waits, failures
+        #: and repairs (§4.2's manager overhead); the counter series
+        #: follow these counts.
+        self.allocations = Counts(_OutcomeSeries(obs))
+        self.counts = Counts({"resets": obs.resets, "waits": (),
+                              "failures": (), "repairs": ()})
         self._rr_cursor = 0
-        self._freed_at: Dict[int, float] = {}
         #: The Section 7 oversubscription tiers, in ladder order (the
         #: driver resolves and maps their indices through them);
         #: ``pager`` and ``emulated_pool`` are handles to their counters.
         self.emulated_pool = self.pager = None
         if oversubscription:
             from repro.virt.emulation import EmulatedRankPool
-            self.emulated_pool = EmulatedRankPool(machine,
-                                                  slowdown=emulation_slowdown)
+            self.emulated_pool = EmulatedRankPool(machine)
         if paging is not None:
             from repro.paging.pager import RankPager
             self.pager = RankPager(self, paging)
@@ -222,8 +210,7 @@ class Manager:
         record.reset_done_at = (self.clock.now
                                 + self.cost.manager_observe_period
                                 + self.cost.manager_reset)
-        self.stats.resets += 1
-        self.obs.resets.inc()
+        self.counts["resets"] += 1
 
     def _settle(self, record: RankRecord) -> None:
         """Complete a finished reset: NANA -> NAAV with zeroed memory."""
@@ -231,13 +218,12 @@ class Manager:
                 and self.clock.now >= record.reset_done_at):
             self.machine.rank(record.rank_index).reset()
             self._transition(record, RankState.NAAV)
-            self._freed_at[record.rank_index] = record.reset_done_at
 
     # -- allocation ---------------------------------------------------------------
 
     def _count_allocation(self, outcome: str, arrived_at: float) -> None:
         """One allocation decided as ``outcome``, and how long it waited."""
-        self.obs.allocations[outcome].inc()
+        self.allocations[outcome] += 1
         self.obs.alloc_wait.observe(self.clock.now - arrived_at)
 
     def _allocate_from_tier(self, requester: str, weight: float,
@@ -259,9 +245,6 @@ class Manager:
             self._count_allocation(tier.OUTCOME, arrived_at)
             self._refresh_rank_gauge()
             self.clock.advance(self.cost.manager_alloc)
-            self.stats.allocations += 1
-            served = f"{tier.OUTCOME}_allocations"
-            setattr(self.stats, served, getattr(self.stats, served) + 1)
             return index
         return None
 
@@ -295,11 +278,9 @@ class Manager:
                     record.assigned_device = requester
                     self._count_allocation("nana_reuse", arrived_at)
                     self.clock.advance(self.cost.manager_alloc)
-                    self.stats.allocations += 1
-                    self.stats.nana_reuses += 1
                     return record.rank_index
 
-            # 2. A NAAV rank, by the configured policy.
+            # 2. A NAAV rank, round-robin.
             idx = self._pick_naav()
             if idx is not None:
                 record = self.rank_table[idx]
@@ -308,7 +289,6 @@ class Manager:
                 record.last_owner = requester
                 self._count_allocation("naav", arrived_at)
                 self.clock.advance(self.cost.manager_alloc)
-                self.stats.allocations += 1
                 return record.rank_index
 
             # 3. Wait for the earliest NANA reset to complete.
@@ -317,7 +297,7 @@ class Manager:
             if nana:
                 earliest = min(r.reset_done_at for r in nana)
                 self.clock.advance_to(earliest)
-                self.stats.waits += 1
+                self.counts["waits"] += 1
                 continue
 
             # 4. Oversubscription (Section 7 extension): no physical rank
@@ -332,33 +312,24 @@ class Manager:
             # herd of waiting requesters spreads out instead of
             # re-polling the rank table in lockstep.
             delay = min(self.cost.manager_retry_timeout
-                        * self.backoff_factor ** _attempt,
+                        * BACKOFF_FACTOR ** _attempt,
                         self.cost.manager_retry_max)
-            delay *= 1.0 + self.backoff_jitter * float(
-                self._backoff_rng.random())
+            delay *= 1.0 + BACKOFF_JITTER * float(self._backoff_rng.random())
             self.clock.advance(delay)
-            self.stats.waits += 1
+            self.counts["waits"] += 1
 
-        self.stats.abandoned += 1
-        self.stats.retries_exhausted += 1
         self._count_allocation("abandoned", arrived_at)
-        self.obs.exhausted.inc()
         raise ManagerError(
             f"no rank available for {requester!r} after "
             f"{self.max_attempts} attempts"
         )
 
     def _pick_naav(self) -> Optional[int]:
-        """Choose an available rank per the allocation policy."""
+        """The first NAAV rank at or after the round-robin cursor."""
         free = [idx for idx, rec in sorted(self.rank_table.items())
                 if rec.state is RankState.NAAV]
         if not free:
             return None
-        if self.policy == "first_fit":
-            return free[0]
-        if self.policy == "coldest":
-            return min(free, key=lambda idx: self._freed_at.get(idx, 0.0))
-        # round_robin (the paper's prototype behaviour)
         indices = sorted(self.rank_table)
         for step in range(len(indices)):
             idx = indices[(self._rr_cursor + step) % len(indices)]
@@ -401,7 +372,7 @@ class Manager:
                     if r.state is RankState.NANA]
             if nana:
                 self.clock.advance_to(min(r.reset_done_at for r in nana))
-                self.stats.waits += 1
+                self.counts["waits"] += 1
                 for record in self.rank_table.values():
                     self._settle(record)
                 idx = self._pick_naav()
@@ -437,13 +408,13 @@ class Manager:
         # owner so the NANA fast path can never hand it back unreset.
         record.last_owner = None
         self._transition(record, RankState.FAIL)
-        self.stats.failures += 1
+        self.counts["failures"] += 1
 
     def is_blacklisted(self, rank_index: int) -> bool:
-        """True once a rank has failed ``blacklist_threshold`` times."""
+        """True once a rank has failed ``BLACKLIST_THRESHOLD`` times."""
         record = self.rank_table.get(rank_index)
         return (record is not None
-                and record.fault_count >= self.blacklist_threshold)
+                and record.fault_count >= self.BLACKLIST_THRESHOLD)
 
     def repair(self, rank_index: int) -> float:
         """Return a FAIL rank to service through the isolation reset.
@@ -461,15 +432,14 @@ class Manager:
         if self.is_blacklisted(rank_index):
             raise ManagerError(
                 f"rank {rank_index} failed {record.fault_count} times "
-                f"(threshold {self.blacklist_threshold}); blacklisted")
+                f"(threshold {self.BLACKLIST_THRESHOLD}); blacklisted")
         rank = self.driver.resolve_rank(rank_index)
         rank.health = RankHealth.OK
         rank.degradation = 1.0
         self._transition(record, RankState.NANA)
         record.reset_done_at = self.clock.now + self.cost.manager_reset
-        self.stats.repairs += 1
-        self.stats.resets += 1
-        self.obs.resets.inc()
+        self.counts["repairs"] += 1
+        self.counts["resets"] += 1
         return self.cost.manager_reset
 
     def failed_ranks(self) -> List[int]:

@@ -168,13 +168,13 @@ class TestManagerQuarantine:
         manager = chaos_vpim.manager
         manager.mark_failed(0)
         assert manager.failed_ranks() == [0]
-        assert manager.stats.failures == 1
+        assert manager.counts.get("failures", 0) == 1
         chaos_vpim.machine.ranks[0].health = RankHealth.OFFLINE
         duration = manager.repair(0)
         assert duration > 0
         assert manager.failed_ranks() == []
         assert chaos_vpim.machine.ranks[0].health is RankHealth.OK
-        assert manager.stats.repairs == 1
+        assert manager.counts.get("repairs", 0) == 1
 
     def test_repair_refuses_healthy_ranks(self, chaos_vpim):
         with pytest.raises(ManagerError, match="NANA|NAAV|ALLO"):
@@ -182,7 +182,7 @@ class TestManagerQuarantine:
 
     def test_blacklist_after_repeated_failures(self, chaos_vpim):
         manager = chaos_vpim.manager
-        for _ in range(manager.blacklist_threshold):
+        for _ in range(manager.BLACKLIST_THRESHOLD):
             manager.mark_failed(0)
             if not manager.is_blacklisted(0):
                 manager.repair(0)

@@ -98,7 +98,7 @@ def test_vhost_and_oversubscription_compose():
                              opts=OptimizationConfig(vhost_vsock=True))
     rep = tenant.run(Reduction(nr_dpus=8, n_elements=1 << 14))
     assert rep.verified
-    assert vpim.manager.stats.emulated_allocations == 1
+    assert vpim.manager.allocations.get("emulated", 0) == 1
     hold.free()
 
 

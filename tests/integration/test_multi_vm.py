@@ -53,7 +53,7 @@ def test_same_vm_nana_reuse_preserves_own_data(vpim):
         assert dpus.channels[0].rank_index == first_rank
         # Data is the tenant's own, so the reset was skipped.
         assert (dpus.push_from_mram(0, 16)[0] == 7).all()
-    assert session.vm.manager.stats.nana_reuses >= 1
+    assert session.vm.manager.allocations.get("nana_reuse", 0) >= 1
 
 
 def test_native_and_vm_coexist(vpim):

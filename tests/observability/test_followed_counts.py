@@ -6,8 +6,8 @@ one physical one, so switching sessions faults and evicts).  A clock
 listener scrapes the registry at every advance, inside SDK ops too
 (``DpuSet.push`` advances the clock before its root span closes).  At
 every scrape each followed series equals the count its owner keeps —
-frontend, plan cache, XLB, virtqueues, ranks, pager, swap store, span
-recorder —
+frontend, plan cache, XLB, virtqueues, ranks, manager, pager, swap
+store, span recorder —
 and a labeled series exists only once its count was touched
 (``docs/observability.md``, "Counts are integers the series read").
 """
@@ -51,6 +51,8 @@ FOLLOWED = {
     "repro_frontend_requests_total",
     "repro_virtio_kicks_total",
     "repro_rank_xfer_ops_total", "repro_rank_xfer_bytes_total",
+    "repro_manager_allocations_total", "repro_manager_resets_total",
+    "repro_manager_allocation_retries_exhausted_total",
     "repro_paging_faults_total", "repro_paging_evictions_total",
     "repro_paging_swaps_total", "repro_paging_swap_bytes_total",
     "repro_paging_prefault_overlap_seconds_total",
@@ -81,7 +83,8 @@ def _labels(**labels: object) -> tuple:
 FIRST_TOUCH = {
     "repro_frontend_requests_total",
     "repro_virtio_kicks_total", "repro_rank_xfer_ops_total",
-    "repro_rank_xfer_bytes_total", "repro_paging_faults_total",
+    "repro_rank_xfer_bytes_total", "repro_manager_allocations_total",
+    "repro_manager_resets_total", "repro_paging_faults_total",
     "repro_paging_prefault_overlap_seconds_total",
     "repro_paging_dedup_hits_total",
 }
@@ -130,12 +133,21 @@ def _expected(vpim, sessions) -> dict:
             for direction, n in counts.items():
                 want[family, _labels(rank=rank.index,
                                      direction=direction)] += n
-    pager = vpim.manager.pager
-    counts, policy = pager.counts, pager.config.policy
+    manager = vpim.manager
+    for outcome, n in manager.allocations.items():
+        want["repro_manager_allocations_total",
+             _labels(policy="round_robin", outcome=outcome)] = n
+    want["repro_manager_allocation_retries_exhausted_total",
+         _labels(policy="round_robin")] = manager.allocations.get(
+             "abandoned", 0)
+    if "resets" in manager.counts:  # label-less: exports on first touch
+        want["repro_manager_resets_total", ()] = manager.counts["resets"]
+    pager = manager.pager
+    counts = pager.counts
     for kind, n in pager.faults.items():
         want["repro_paging_faults_total", _labels(kind=kind)] += n
     want["repro_paging_evictions_total",
-         _labels(policy=policy)] = counts.get("evictions", 0)
+         _labels(policy="lru")] = counts.get("evictions", 0)
     want["repro_paging_swaps_total",
          _labels(direction="out")] = counts.get("evictions", 0)
     want["repro_paging_swap_bytes_total",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.analysis.figures import run_app_traced
 from repro.apps.micro.checksum import Checksum
@@ -72,21 +71,18 @@ class TestFullVpimRun:
                          from_state="allo", to_state="nana") == 1
         assert reg.value("repro_manager_resets_total") == 1
 
-    @pytest.mark.parametrize("policy", ["round_robin", "first_fit",
-                                        "coldest"])
-    def test_manager_metrics_labeled_by_policy(self, policy):
+    def test_manager_metrics_labeled_by_policy(self):
         from repro.sdk.dpu_set import DpuSet
 
-        vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=8),
-                    manager_policy=policy)
+        vpim = VPim(small_machine(nr_ranks=2, dpus_per_rank=8))
         session = vpim.vm_session(nr_vupmem=1)
         with DpuSet(session.transport, 8):
             pass
         reg = vpim.machine.metrics
         assert reg.value("repro_manager_allocations_total",
-                         policy=policy, outcome="naav") == 1
+                         policy="round_robin", outcome="naav") == 1
         assert reg.value("repro_manager_alloc_wait_seconds",
-                         policy=policy) == 1
+                         policy="round_robin") == 1
 
     def test_session_and_vm_metrics(self):
         vpim, session = _run_checksum("vPIM")

@@ -4,7 +4,7 @@ Two percentile conventions coexist in the codebase on purpose, and this
 file pins both so the dedup cannot silently change either:
 
 - ``percentile_linear`` (q in [0, 1], linear interpolation) — the SLO
-  tracker's convention (`repro.qos.slo._percentile`);
+  tracker's convention (`SloTracker.latency_p99`);
 - ``percentile_nearest_rank`` (q in [0, 100], nearest-rank) — the
   scorecard convention of `repro.analysis.qos` and
   `repro.analysis.overcommit`.
@@ -39,12 +39,16 @@ class TestPercentileLinear:
         assert percentile_linear(samples, 1.0) == 5.0
 
     def test_matches_slo_convention(self):
-        """`repro.qos.slo._percentile` is an alias of this function."""
-        from repro.qos.slo import _percentile
+        """The SLO tracker's p99 is this function over its window."""
+        from repro.qos.slo import SloTracker
 
         samples = [0.3, 0.1, 0.9, 0.5, 0.7]
-        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert _percentile(samples, q) == percentile_linear(samples, q)
+        tracker = SloTracker()
+        for i, latency in enumerate(samples):
+            tracker.observe_session("t", latency, now=float(i))
+        for window in (1, 3, len(samples)):
+            assert tracker.latency_p99("t", window) == percentile_linear(
+                samples[-window:], 0.99)
 
 
 class TestPercentileNearestRank:

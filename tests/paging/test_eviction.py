@@ -1,12 +1,6 @@
-"""Eviction policies: LRU, decayed working set, weight awareness."""
+"""The pager's eviction rule: LRU over QoS weight, lowest index on ties."""
 
-import pytest
-
-from repro.paging.eviction import (
-    DecayedWorkingSetPolicy,
-    LruPolicy,
-    make_policy,
-)
+from repro.paging.eviction import LruPolicy
 
 
 def unit_weight(_vrank):
@@ -50,52 +44,6 @@ class TestLru:
 
     def test_no_candidates_returns_none(self):
         assert LruPolicy().victim([], 0.0, unit_weight) is None
-
-
-class TestDecayedWorkingSet:
-    def test_hot_in_the_past_decays_below_warm_now(self):
-        policy = DecayedWorkingSetPolicy(half_life_s=1.0)
-        for t in range(5):                 # hot burst long ago
-            policy.touch(2000, float(t))
-        policy.touch(2001, 19.0)           # one recent touch
-        # 15 half-lives decay the burst to ~2e-4 << 0.5.
-        assert policy.victim([2000, 2001], 20.0, unit_weight) == 2000
-
-    def test_single_stale_touch_does_not_protect_under_lru_it_would(self):
-        lru = LruPolicy()
-        wss = DecayedWorkingSetPolicy(half_life_s=1.0)
-        for policy in (lru, wss):
-            for t in range(10):
-                policy.touch(2000, float(t))  # sustained activity
-            policy.touch(2001, 9.5)           # single later touch
-        # LRU protects the one stale touch; WSS keeps the busy rank.
-        assert lru.victim([2000, 2001], 10.0, unit_weight) == 2000
-        assert wss.victim([2000, 2001], 10.0, unit_weight) == 2001
-
-    def test_weight_scales_eviction_score(self):
-        policy = DecayedWorkingSetPolicy(half_life_s=100.0)
-        policy.touch(2000, 0.0)
-        policy.touch(2001, 0.0)
-        weights = {2000: 0.5, 2001: 2.0}
-        # Equal activity: the lighter tenant goes first.
-        assert policy.victim([2000, 2001], 0.0,
-                             weights.__getitem__) == 2000
-
-    def test_rejects_nonpositive_half_life(self):
-        with pytest.raises(ValueError):
-            DecayedWorkingSetPolicy(half_life_s=0.0)
-
-
-class TestMakePolicy:
-    def test_builds_both_policies(self):
-        assert isinstance(make_policy("lru"), LruPolicy)
-        wss = make_policy("wss", half_life_s=2.5)
-        assert isinstance(wss, DecayedWorkingSetPolicy)
-        assert wss.half_life_s == 2.5
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown eviction policy"):
-            make_policy("clock")
 
     def test_zero_weight_clamps_instead_of_dividing_by_zero(self):
         policy = LruPolicy()

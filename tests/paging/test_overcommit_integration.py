@@ -17,7 +17,7 @@ def test_vm_session_runs_verified_on_a_paged_rank():
     session = vpim.vm_session(nr_vupmem=1)
     report = session.run(VectorAdd(nr_dpus=4, n_elements=1 << 10))
     assert report.verified
-    assert vpim.manager.stats.paged_allocations == 1
+    assert vpim.manager.allocations.get("paged", 0) == 1
     assert vpim.manager.pager.faults.get("first_touch", 0) >= 1
 
 

@@ -13,12 +13,11 @@ from repro.paging.pager import PAGED_RANK_BASE
 from repro.virt.manager import Manager, RankState
 
 
-def build(ratio=2.0, **config_kw):
+def build(ratio=2.0):
     machine = Machine(small_machine(nr_ranks=2, dpus_per_rank=2))
     driver = UpmemDriver(machine)
     manager = Manager(machine, driver,
-                      paging=PagingConfig(overcommit_ratio=ratio,
-                                          **config_kw))
+                      paging=PagingConfig(overcommit_ratio=ratio))
     return machine, driver, manager
 
 
@@ -37,7 +36,7 @@ class TestAllocation:
         _, _, manager = build()
         vrank = manager.allocate("dev-a")
         assert vrank >= PAGED_RANK_BASE
-        assert manager.stats.paged_allocations == 1
+        assert manager.allocations.get("paged", 0) == 1
         assert manager.rank_table[vrank].state is RankState.ALLO
 
     def test_virtual_capacity_scales_with_ratio(self):
@@ -220,16 +219,6 @@ class TestPredictivePrefault:
         driver.resolve_rank(vrank)
         faults = dict(manager.pager.faults)
         manager.pager.prefault(vrank, overlap=1.0)
-        assert manager.pager.faults == faults
-
-    def test_predictive_disabled_by_config(self):
-        _, driver, manager = build(ratio=1.5, predictive=False)
-        vranks = [manager.allocate(f"dev-{i}") for i in range(3)]
-        scribble(driver.resolve_rank(vranks[0]), 1)
-        scribble(driver.resolve_rank(vranks[1]), 2)
-        driver.resolve_rank(vranks[2])
-        faults = dict(manager.pager.faults)
-        manager.pager.prefault(vranks[0], overlap=1.0)
         assert manager.pager.faults == faults
 
 

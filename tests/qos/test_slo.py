@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.qos.slo import (SloEnforcer, SloObjective, SloTracker,
-                           _percentile)
+from repro.observability.stats import percentile_linear
+from repro.qos.slo import SloEnforcer, SloObjective, SloTracker
 
 
 class StubFlow:
@@ -36,10 +36,10 @@ def test_objective_requires_a_target():
 
 
 def test_percentile_interpolates():
-    assert _percentile([], 0.5) == 0.0
-    assert _percentile([7.0], 0.99) == 7.0
-    assert _percentile([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
-    assert _percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
+    assert percentile_linear([], 0.5) == 0.0
+    assert percentile_linear([7.0], 0.99) == 7.0
+    assert percentile_linear([1.0, 2.0, 3.0, 4.0], 0.5) == pytest.approx(2.5)
+    assert percentile_linear([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
 
 
 class TestBurnRate:

@@ -26,11 +26,12 @@ def test_refill_caps_at_burst():
 
 
 def test_debt_is_bounded():
-    bucket = TokenBucket(rate=10.0, burst=5.0, max_debt_s=0.1)
+    bucket = TokenBucket(rate=10.0, burst=5.0)
+    assert TokenBucket.MAX_DEBT_S == 0.1
     # One huge request pays its own full wait...
     assert bucket.consume(1000.0, now=0.0) == pytest.approx(99.5)
     # ...but the *carried* debt is capped: the next small consume waits
-    # at most max_debt_s plus its own share, not 99 seconds.
+    # at most MAX_DEBT_S plus its own share, not 99 seconds.
     assert bucket.consume(1.0, now=0.0) == pytest.approx(0.2)
 
 
@@ -38,7 +39,7 @@ def test_sustained_producer_is_paced_to_rate():
     bucket = TokenBucket(rate=100.0, burst=1.0)
     total_wait = sum(bucket.consume(1.0, now=0.0) for _ in range(10))
     # 10 tokens minus the 1-token burst at 100/s, with debt snapping
-    # each consume back to at most max_debt_s in the red.
+    # each consume back to at most MAX_DEBT_S in the red.
     assert total_wait > 0.0
 
 

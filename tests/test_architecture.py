@@ -11,7 +11,10 @@ attaches at one seam.  These rows keep it that way:
 - an :class:`Imports` row imports a module in a fresh interpreter and
   fails when that loads a module it must not, or too many;
 - the reach row fails when a definition under ``src/`` is named only by
-  the tests, unless :data:`REACH_ALLOWLIST` says why it stays.
+  the tests, unless :data:`REACH_ALLOWLIST` says why it stays;
+- the option row fails when a defaulted ``__init__`` parameter of the
+  host's arbitration layers is set by no caller, unless
+  :data:`OPTION_ALLOWLIST` names the test that must set it.
 
 A grep row's ``example`` is a line its pattern must match, so a typo
 that matches nothing fails here too.  This file is skipped by its own
@@ -283,6 +286,24 @@ RULES = (
          "        self.mmio.raise_interrupt()",
          "a virtqueue ring or interrupt-status register is back",
          include="*.py"),
+    # Rank arbitration has one allocation order (§3.5's round-robin),
+    # one eviction rule (LRU over QoS weight) and constants for the
+    # tunings nothing varied; the retired forks and knobs stay retired.
+    Grep("rank-arbitration-forks-retired",
+         r"first_fit|coldest|DecayedWorkingSetPolicy|make_policy"
+         r"|wss_half_life_s|manager_policy|emulation_slowdown|backoff_seed"
+         r"|ManagerStats|MANAGER_POOL_THREADS|pool_threads",
+         ("src", "tests", "benchmarks", "examples"),
+         "    vpim = VPim(config, manager_policy=\"first_fit\")",
+         "a retired allocation policy, eviction policy or manager knob "
+         "is back", include="*.py"),
+    # The manager's allocation, reset and exhausted-retry series follow
+    # its `allocations` and `counts`; an inc beside them counts twice.
+    Grep("manager-counters-followed",
+         r"obs\.(allocations|resets|exhausted)\b(\[[^]]*\])?\.inc\(",
+         ("src/repro/virt/manager.py",),
+         "        self.obs.allocations[outcome].inc()",
+         "the manager increments a counter beside its count again"),
 )
 
 GREPS = [rule for rule in RULES if isinstance(rule, Grep)]
@@ -461,6 +482,14 @@ REACH_ALLOWLIST: Dict[str, Tuple[str, str]] = {
 _SCANNED = ("src", "benchmarks", "examples")
 
 
+@lru_cache(maxsize=1)
+def _scanned_trees() -> Tuple[Tuple[str, Path, ast.AST], ...]:
+    """``(top, path, tree)`` of every module under :data:`_SCANNED`."""
+    return tuple((top, path, ast.parse(path.read_text(encoding="utf-8")))
+                 for top in _SCANNED
+                 for path in sorted((ROOT / top).rglob("*.py")))
+
+
 def _definitions(tree: ast.AST, prefix: str = "") -> Iterator[Tuple[str, str]]:
     """``(qualified name, name)`` of every def and class, nested too."""
     for node in ast.iter_child_nodes(tree):
@@ -490,14 +519,12 @@ def _unreached() -> Tuple[str, ...]:
     named = set()
     defined = []
     src = ROOT / "src" / "repro"
-    for top in _SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            named.update(_names(tree))
-            if top == "src":
-                module = path.relative_to(src).as_posix()
-                defined.extend((f"{module}::{qualname}", name)
-                               for qualname, name in _definitions(tree))
+    for top, path, tree in _scanned_trees():
+        named.update(_names(tree))
+        if top == "src":
+            module = path.relative_to(src).as_posix()
+            defined.extend((f"{module}::{qualname}", name)
+                           for qualname, name in _definitions(tree))
     return tuple(key for key, name in defined
                  if name not in named
                  and not (name.startswith("__") and name.endswith("__")))
@@ -532,3 +559,105 @@ def test_allowlist_reason_holds(key):
         text = (ROOT / where).read_text(encoding="utf-8")
         assert re.search(rf"\b{re.escape(name)}\b", text), (
             f"{where} does not name {name}")
+
+
+# -- options -----------------------------------------------------------------------
+#
+# Every defaulted ``__init__`` parameter of a class under virt/, paging/
+# or qos/, and every one of ``VPim``'s, is set by some caller: a call of
+# the class under src/, benchmarks/ or examples/, outside the class's
+# own body, passes it by keyword or by position.  An option that no
+# caller sets has one value in use and is a constant; one that only a
+# test must set (to reach an edge cheaply) stays, listed below with the
+# test that sets it.
+
+_OPTION_SCOPE = ("virt/", "paging/", "qos/", "core/api.py")
+
+#: ``module path under src/repro :: Class.parameter`` -> the test that
+#: sets it.
+OPTION_ALLOWLIST: Dict[str, str] = {
+    "core/api.py::VPim.cost": "tests/hardware/test_cost_helpers.py",
+    "virt/emulation.py::EmulatedRankPool.max_ranks":
+        "tests/virt/test_emulation.py",
+    "virt/guest_memory.py::GuestMemory.arena_bytes":
+        "tests/virt/test_guest_memory.py",
+    "virt/manager.py::Manager.max_attempts":
+        "tests/properties/test_stateful.py",
+    "virt/plans.py::PlanCache.capacity": "tests/virt/test_plans_property.py",
+    "virt/transfer_cache.py::ExtentDigestIndex.max_records_per_region":
+        "tests/virt/test_transfer_cache.py",
+}
+
+
+def _calls(tree: ast.AST, owner: Optional[str] = None
+           ) -> Iterator[Tuple[Optional[str], ast.Call]]:
+    """``(enclosing top-level class, call)`` of every call in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            yield owner, node
+        yield from _calls(node, node.name if (
+            owner is None and isinstance(node, ast.ClassDef)) else owner)
+
+
+@lru_cache(maxsize=1)
+def _unset_options() -> Tuple[str, ...]:
+    src = ROOT / "src" / "repro"
+    options = []
+    for top, path, tree in _scanned_trees():
+        module = path.relative_to(src).as_posix() if top == "src" else ""
+        if not module.startswith(_OPTION_SCOPE):
+            continue
+        for cls in tree.body:
+            init = next((node for node in getattr(cls, "body", ())
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "__init__"), None)
+            if not isinstance(cls, ast.ClassDef) or init is None:
+                continue
+            params = init.args.posonlyargs + init.args.args
+            defaulted = params[len(params) - len(init.args.defaults):]
+            options.extend((module, cls.name, arg.arg, params.index(arg) - 1)
+                           for arg in defaulted)
+            options.extend((module, cls.name, arg.arg, None)
+                           for arg, default in zip(init.args.kwonlyargs,
+                                                   init.args.kw_defaults)
+                           if default is not None)
+    set_by_call = set()
+    for top, path, tree in _scanned_trees():
+        where = path.relative_to(src if top == "src" else ROOT).as_posix()
+        for owner, call in _calls(tree):
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}
+            set_by_call.add((where, owner, callee, len(call.args),
+                             frozenset(keywords)))
+    unset = []
+    for module, cls, name, position in options:
+        if not any(callee == cls and (where, owner) != (module, cls)
+                   and (name in keywords or None in keywords
+                        or (position is not None and nr_args > position))
+                   for where, owner, callee, nr_args, keywords in set_by_call):
+            unset.append(f"{module}::{cls}.{name}")
+    return tuple(unset)
+
+
+def test_every_option_is_set_by_a_caller():
+    stray = [key for key in _unset_options() if key not in OPTION_ALLOWLIST]
+    assert not stray, (
+        "set by no caller (make it a constant, or allowlist it with the "
+        "test that must set it):\n" + "\n".join(stray))
+
+
+def test_every_allowlisted_option_is_still_unset():
+    unset = set(_unset_options())
+    stale = [key for key in OPTION_ALLOWLIST if key not in unset]
+    assert not stale, (
+        "allowlisted but set by a caller or gone; drop the entry:\n"
+        + "\n".join(stale))
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_ALLOWLIST))
+def test_option_allowlist_reason_holds(key):
+    name = key.rsplit(".", 1)[-1]
+    test = OPTION_ALLOWLIST[key]
+    assert re.search(rf"\b{re.escape(name)}=",
+                     (ROOT / test).read_text(encoding="utf-8")), (
+        f"{test} does not set {name}")

@@ -10,6 +10,7 @@ from repro.errors import HardwareError, ManagerError
 from repro.hardware.machine import Machine
 from repro.sdk.dpu_set import DpuSet
 from repro.virt.emulation import (
+    DEFAULT_SLOWDOWN,
     EMULATED_RANK_BASE,
     EmulatedRankPool,
     emulated_cost_model,
@@ -23,11 +24,10 @@ def make_vpim(oversub=True, nr_ranks=1):
 
 def test_emulated_cost_model_derates():
     from repro.hardware.timing import DEFAULT_COST_MODEL
-    derated = emulated_cost_model(DEFAULT_COST_MODEL, slowdown=10)
+    derated = emulated_cost_model(DEFAULT_COST_MODEL)
+    assert DEFAULT_SLOWDOWN == 20.0
     assert derated.dpu_frequency_hz == pytest.approx(
-        DEFAULT_COST_MODEL.dpu_frequency_hz / 10)
-    with pytest.raises(ValueError):
-        emulated_cost_model(DEFAULT_COST_MODEL, slowdown=0.5)
+        DEFAULT_COST_MODEL.dpu_frequency_hz / DEFAULT_SLOWDOWN)
 
 
 def test_pool_creates_machine_shaped_ranks():
@@ -58,7 +58,7 @@ def test_spill_to_emulated_rank_when_exhausted():
     hold = DpuSet(a.transport, 8)          # the only physical rank
     rep = b.run(VectorAdd(nr_dpus=8, n_elements=1 << 14))
     assert rep.verified
-    assert vpim.manager.stats.emulated_allocations == 1
+    assert vpim.manager.allocations.get("emulated", 0) == 1
     hold.free()
 
 
@@ -105,7 +105,7 @@ def test_physical_preferred_over_emulated():
     with DpuSet(session.transport, 16) as dpus:
         indices = [c.rank_index for c in dpus.channels]
         assert all(i < EMULATED_RANK_BASE for i in indices)
-    assert vpim.manager.stats.emulated_allocations == 0
+    assert vpim.manager.allocations.get("emulated", 0) == 0
 
 
 def test_exhausted_pool_backs_off_and_is_abandoned():
@@ -118,7 +118,7 @@ def test_exhausted_pool_backs_off_and_is_abandoned():
     with pytest.raises(ManagerError):
         manager.allocate("dev-9")
     assert vpim.machine.clock.now > before          # step 5's backoff ran
-    assert manager.stats.abandoned == 1
+    assert manager.allocations.get("abandoned", 0) == 1
     assert vpim.machine.metrics.value(
         "repro_manager_allocations_total", policy="round_robin",
         outcome="abandoned") == 1

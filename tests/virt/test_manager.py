@@ -1,4 +1,4 @@
-"""Manager: the Fig. 5 FSM, allocation policy, isolation by reset."""
+"""Manager: the Fig. 5 FSM, round-robin allocation, isolation by reset."""
 
 import numpy as np
 import pytest
@@ -67,7 +67,7 @@ def test_nana_reuse_by_previous_owner_skips_reset(env):
     # Re-request immediately: same rank, data preserved (own data, no leak).
     again = manager.allocate("dev-a")
     assert again == idx
-    assert manager.stats.nana_reuses == 1
+    assert manager.allocations.get("nana_reuse", 0) == 1
     assert (machine.rank(idx).dpus[0].mram.read(0, 8) == 5).all()
 
 
@@ -92,8 +92,12 @@ def test_exhaustion_after_retries(env):
         driver.claim_rank(idx, dev)
     with pytest.raises(ManagerError):
         manager.allocate("d")
-    assert manager.stats.abandoned == 1
-    assert manager.stats.waits >= manager.max_attempts
+    assert manager.allocations.get("abandoned", 0) == 1
+    assert manager.counts.get("waits", 0) >= manager.max_attempts
+    # One count: the exhausted series and the abandoned outcome follow it.
+    assert machine.metrics.value(
+        "repro_manager_allocation_retries_exhausted_total",
+        policy="round_robin") == manager.allocations["abandoned"] == 1
 
 
 def test_native_apps_visible_to_manager(env):
@@ -112,11 +116,6 @@ def test_modeled_cpu_utilization(env):
     assert manager.idle_cpu_utilization() == pytest.approx(0.40)
     assert manager.reset_cpu_utilization(0) == pytest.approx(0.40)
     assert manager.reset_cpu_utilization(1) == pytest.approx(0.92)
-
-
-def test_pool_threads_default(env):
-    _, _, manager = env
-    assert manager.pool_threads == 8   # Section 3.5
 
 
 def test_available_ranks_listing(env):

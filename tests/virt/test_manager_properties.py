@@ -1,4 +1,4 @@
-"""State-machine property tests for Manager's first_fit/coldest policies.
+"""State-machine property tests for Manager's round-robin allocation.
 
 Hypothesis drives interleaved allocate / release / clock-advance
 sequences against a real :class:`~repro.virt.manager.Manager` and a
@@ -7,13 +7,12 @@ shadow model, asserting after every step:
 - the NAAV/ALLO/NANA partition invariants (an ALLO rank has an owner,
   a non-ALLO rank does not, the ALLO set matches the model exactly);
 - NANA ranks settle to NAAV exactly when the clock passes their
-  ``reset_done_at``, recording that instant as the rank's freed time;
-- the policy-specific pick order: NANA reuse by the same owner always
-  wins (lowest index, no reset), otherwise ``first_fit`` takes the
-  lowest NAAV index and ``coldest`` the NAAV rank reset longest ago.
+  ``reset_done_at``;
+- the pick order: NANA reuse by the same owner always wins (lowest
+  index, no reset), otherwise the first NAAV rank at or after the
+  round-robin cursor, which then moves past it.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,14 +38,14 @@ ops = st.lists(
 )
 
 
-def build(policy):
+def build():
     machine = Machine(small_machine(nr_ranks=NR_RANKS, dpus_per_rank=4))
     driver = UpmemDriver(machine)
-    return machine, driver, Manager(machine, driver, policy=policy)
+    return machine, driver, Manager(machine, driver)
 
 
 def check_invariants(manager, allocated):
-    """The cross-policy state invariants, against the shadow model."""
+    """The rank-table state invariants, against the shadow model."""
     states = manager.states()          # settles due NANA->NAAV edges
     for idx, record in manager.rank_table.items():
         if record.state is RankState.ALLO:
@@ -63,29 +62,27 @@ def check_invariants(manager, allocated):
         assert manager.rank_table[idx].assigned_device == dev
 
 
-def expected_pick(manager, requester):
-    """Reproduce the documented pick order, or None when the manager
-    would have to wait for a reset first (then we only check
-    invariants, not the exact index)."""
+def expected_pick(manager, requester, cursor):
+    """Reproduce the documented pick order from the shadow ``cursor``,
+    or None when the manager would have to wait for a reset first (then
+    we only check invariants, not the exact index)."""
     for idx, record in sorted(manager.rank_table.items()):
         if (record.state is RankState.NANA
                 and record.last_owner == requester):
             return idx, True
-    free = [idx for idx, rec in sorted(manager.rank_table.items())
-            if rec.state is RankState.NAAV]
-    if not free:
-        return None, False
-    if manager.policy == "first_fit":
-        return free[0], False
-    return min(free, key=lambda idx: manager._freed_at.get(idx, 0.0)), False
+    for step in range(NR_RANKS):
+        idx = (cursor + step) % NR_RANKS
+        if manager.rank_table[idx].state is RankState.NAAV:
+            return idx, False
+    return None, False
 
 
-@pytest.mark.parametrize("policy", ["first_fit", "coldest"])
 @settings(max_examples=40, deadline=None)
 @given(ops=ops)
-def test_policy_state_machine(policy, ops):
-    machine, driver, manager = build(policy)
+def test_round_robin_state_machine(ops):
+    machine, driver, manager = build()
     allocated = {}                     # rank index -> owning device
+    cursor = 0                         # the shadow round-robin cursor
 
     for op, arg in ops:
         if op == "alloc":
@@ -93,17 +90,20 @@ def test_policy_state_machine(policy, ops):
                 continue               # would backoff until ManagerError
             requester = DEVICES[arg]
             manager.states()           # settle, then predict the pick
-            want, is_reuse = expected_pick(manager, requester)
-            reuses_before = manager.stats.nana_reuses
-            resets_before = manager.stats.resets
+            want, is_reuse = expected_pick(manager, requester, cursor)
+            reuses_before = manager.allocations.get("nana_reuse", 0)
+            resets_before = manager.counts.get("resets", 0)
             idx = manager.allocate(requester)
             assert idx not in allocated
             if want is not None:
                 assert idx == want
             if is_reuse:
-                # Same-owner NANA reuse skips the isolation reset.
-                assert manager.stats.nana_reuses == reuses_before + 1
-                assert manager.stats.resets == resets_before
+                # Same-owner NANA reuse skips the isolation reset and
+                # leaves the cursor where it was.
+                assert manager.allocations["nana_reuse"] == reuses_before + 1
+                assert manager.counts.get("resets", 0) == resets_before
+            else:
+                cursor = (idx + 1) % NR_RANKS
             driver.claim_rank(idx, requester)
             allocated[idx] = requester
         elif op == "release":
@@ -125,44 +125,19 @@ def test_policy_state_machine(policy, ops):
             for idx, done_at in before.items():
                 if machine.clock.now >= done_at:
                     assert states[idx] is RankState.NAAV
-                    # The freed timestamp is the reset completion, not
-                    # the (later) moment the observer settled it.
-                    assert manager._freed_at[idx] == done_at
                 else:
                     assert states[idx] is RankState.NANA
         check_invariants(manager, allocated)
 
 
-def test_coldest_prefers_longest_reset_rank():
-    """Deterministic divergence: first_fit takes the lowest free index,
-    coldest the rank whose reset completed earliest."""
-    picks = {}
-    for policy in ("first_fit", "coldest"):
-        machine, driver, manager = build(policy)
-        devs = ["dev-a", "dev-b", "dev-c"]
-        for i, dev in enumerate(devs):
-            idx = manager.allocate(dev)
-            assert idx == i
-            driver.claim_rank(idx, dev)
-        # Release in reverse index order with time between releases:
-        # freed_at[2] < freed_at[1] < freed_at[0].
-        for idx in (2, 1, 0):
-            driver.release_rank(idx, devs[idx])
-            machine.clock.advance(1.0)
-        assert manager.available_ranks() == [0, 1, 2]
-        picks[policy] = manager.allocate("dev-new")
-    assert picks == {"first_fit": 0, "coldest": 2}
-
-
 def test_nana_reuse_beats_policy_pick():
-    """A same-owner NANA rank is reused without reset even when a NAAV
-    rank is available — for both policies."""
-    for policy in ("first_fit", "coldest"):
-        machine, driver, manager = build(policy)
-        idx = manager.allocate("dev-a")
-        driver.claim_rank(idx, "dev-a")
-        driver.release_rank(idx, "dev-a")     # NANA, reset pending
-        reuses = manager.stats.nana_reuses
-        again = manager.allocate("dev-a")
-        assert again == idx
-        assert manager.stats.nana_reuses == reuses + 1
+    """A same-owner NANA rank is reused without reset even when the
+    cursor points at an available NAAV rank."""
+    machine, driver, manager = build()
+    idx = manager.allocate("dev-a")
+    driver.claim_rank(idx, "dev-a")
+    driver.release_rank(idx, "dev-a")     # NANA, reset pending
+    assert manager.available_ranks() == [1, 2]
+    again = manager.allocate("dev-a")
+    assert again == idx
+    assert manager.allocations["nana_reuse"] == 1

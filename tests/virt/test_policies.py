@@ -1,6 +1,5 @@
-"""Manager allocation policies (round_robin / first_fit / coldest)."""
-
-import pytest
+"""The manager's one allocation order: round-robin over the rank table,
+after the NANA fast path (§3.5)."""
 
 from repro.config import small_machine
 from repro.driver.driver import UpmemDriver
@@ -8,21 +7,14 @@ from repro.hardware.machine import Machine
 from repro.virt.manager import Manager
 
 
-def make_manager(policy):
+def make_manager():
     machine = Machine(small_machine(nr_ranks=4, dpus_per_rank=2))
     driver = UpmemDriver(machine)
-    return machine, driver, Manager(machine, driver, policy=policy)
-
-
-def test_unknown_policy_rejected():
-    machine = Machine(small_machine())
-    driver = UpmemDriver(machine)
-    with pytest.raises(ValueError):
-        Manager(machine, driver, policy="random")
+    return machine, driver, Manager(machine, driver)
 
 
 def test_round_robin_spreads():
-    _, driver, manager = make_manager("round_robin")
+    _, driver, manager = make_manager()
     picks = []
     for i in range(4):
         idx = manager.allocate(f"t{i}")
@@ -32,7 +24,7 @@ def test_round_robin_spreads():
 
 
 def test_round_robin_cursor_advances_after_release():
-    machine, driver, manager = make_manager("round_robin")
+    machine, driver, manager = make_manager()
     a = manager.allocate("a")
     driver.claim_rank(a, "a")
     driver.release_rank(a, "a")
@@ -41,43 +33,12 @@ def test_round_robin_cursor_advances_after_release():
     assert b == 1                    # cursor moved past rank 0
 
 
-def test_first_fit_packs_low_indices():
-    machine, driver, manager = make_manager("first_fit")
-    a = manager.allocate("a")
-    driver.claim_rank(a, "a")
-    driver.release_rank(a, "a")
-    machine.clock.advance(1.0)
-    b = manager.allocate("b")
-    assert a == 0 and b == 0         # densest packing reuses rank 0
-
-
-def test_coldest_picks_longest_free():
-    machine, driver, manager = make_manager("coldest")
-    # Allocate and release ranks 0 then 1 at different times.
-    for tenant, _ in (("a", 0), ("b", 1)):
-        idx = manager.allocate(tenant)
-        driver.claim_rank(idx, tenant)
-    driver.release_rank(0, "a")
-    machine.clock.advance(2.0)
-    driver.release_rank(1, "b")
-    machine.clock.advance(2.0)       # both reset; rank 0 has been free longer
-    # Ranks 2 and 3 were never used: freed_at defaults to 0 (coldest).
-    first = manager.allocate("c")
-    assert first in (2, 3)
-    driver.claim_rank(first, "c")
-    second = manager.allocate("d")
-    driver.claim_rank(second, "d")
-    third = manager.allocate("e")
-    assert third == 0                # older release beats the newer one
-
-
-@pytest.mark.parametrize("policy", ["round_robin", "first_fit", "coldest"])
-def test_all_policies_respect_nana_reuse(policy):
-    machine, driver, manager = make_manager(policy)
+def test_round_robin_respects_nana_reuse():
+    machine, driver, manager = make_manager()
     idx = manager.allocate("tenant")
     driver.claim_rank(idx, "tenant")
     driver.release_rank(idx, "tenant")
-    # Immediate re-request: the NANA fast path wins under every policy.
+    # Immediate re-request: the NANA fast path beats the cursor's pick.
     again = manager.allocate("tenant")
     assert again == idx
-    assert manager.stats.nana_reuses == 1
+    assert manager.allocations.get("nana_reuse", 0) == 1
