@@ -439,7 +439,7 @@ PAGING = Table(
     evictions=_counter(
         "repro_paging_evictions_total",
         "Victim ranks swapped out to free a frame, by eviction policy",
-        ("policy",), "docs/paging.md (eviction policies)"),
+        ("policy",), "docs/paging.md (eviction)"),
     ranks=_gauge(
         "repro_paging_ranks",
         "Virtual ranks currently in each residency state",
