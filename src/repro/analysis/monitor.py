@@ -113,13 +113,12 @@ def default_rules() -> List[AlertRule]:
             name="frontend_p99_slow",
             metric="repro_frontend_request_seconds",
             kind="burn_rate", q=0.99, target=0.5, window=0.5, for_s=0.01,
-            bound=1.0, op=">",
+            bound=1.0,
             description="frontend p99 request latency burning past 500ms"),
         AlertRule(
             name="fault_burst",
             metric="repro_fault_injected_total",
-            kind="threshold", query="delta", op=">", bound=0.0,
-            window=0.05, for_s=0.02,
+            kind="threshold", bound=0.0, window=0.05, for_s=0.02,
             description="any injected fault within the last 50ms"),
         AlertRule(
             name="scrape_liveness",
@@ -139,12 +138,10 @@ class TelemetryPipeline:
     """
 
     def __init__(self, registry, clock, spans=None,
-                 interval: float = 1e-3,
-                 rules: Optional[List[AlertRule]] = None) -> None:
+                 interval: float = 1e-3) -> None:
         self.store = TimeSeriesStore(registry, interval=interval)
-        self.engine = AlertRuleEngine(
-            self.store, rules if rules is not None else default_rules(),
-            registry=registry)
+        self.engine = AlertRuleEngine(self.store, default_rules(),
+                                      registry=registry)
         self.spans = spans
         if spans is not None:
             spans.tail_sampling = True

@@ -218,19 +218,18 @@ def run_slo_demo(sessions: int = 8,
                                       **VICTIM_PARAMS))
         assert rep.verified
         sink.append(rep.segments_total)
-        tracker.observe_session("victim", rep.segments_total,
-                                vpim.clock.now)
+        tracker.observe_session("victim", rep.segments_total)
 
     for seed in range(sessions):
         one_round(demo.latencies_before, seed)
-    demo.burn_before = tracker.burn_rate(objective, vpim.clock.now)
-    actions = enforcer.evaluate(vpim.clock.now)
+    demo.burn_before = tracker.burn_rate(objective)
+    actions = enforcer.evaluate()
     demo.actions = [f"{a.action}: {a.detail}" for a in actions]
     demo.weight_after = victim_flow.weight
 
     for seed in range(sessions):
         one_round(demo.latencies_after, sessions + seed)
-    demo.burn_after = tracker.burn_rate(objective, vpim.clock.now)
+    demo.burn_after = tracker.burn_rate(objective)
     return demo
 
 

@@ -235,7 +235,7 @@ def cmd_monitor(args) -> int:
         print(f"digest: {result.digest()}")
     if result.dropped_points > 0:
         print(f"error: the store dropped {result.dropped_points} points — "
-              "raise the scrape interval or max_points", file=sys.stderr)
+              "raise the scrape interval (--interval)", file=sys.stderr)
         return 1
     return 0
 

@@ -26,7 +26,6 @@ IRAM_SIZE = 24 * 1024              #: bytes of IRAM per DPU
 DPUS_PER_CHIP = 8                  #: DPUs per PIM chip
 CHIPS_PER_RANK = 8                 #: PIM chips per rank
 DPUS_PER_RANK = DPUS_PER_CHIP * CHIPS_PER_RANK   # 64
-RANKS_PER_DIMM = 2                 #: ranks on one UPMEM DIMM
 MAX_TASKLETS = 24                  #: hardware tasklet limit per DPU
 PIPELINE_DEPTH = 11                #: cycles separating two instructions of a thread
 DPU_FREQUENCY_HZ = 350_000_000     #: evaluation machine clock (Section 5.1)

@@ -212,9 +212,9 @@ class PerfModeMapping:
 class UpmemDriver:
     """Kernel driver: exposes ranks, tracks ownership, updates sysfs."""
 
-    def __init__(self, machine: Machine, sysfs: Optional[SysFs] = None) -> None:
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.sysfs = sysfs or SysFs()
+        self.sysfs = SysFs()
         self._owners: Dict[int, str] = {}
         #: Oversubscription tiers (Section 7), registered by the manager:
         #: each owns the indices beyond the physical ranks it hands out.

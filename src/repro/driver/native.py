@@ -15,11 +15,9 @@ import numpy as np
 
 from repro.errors import AllocationError
 from repro.driver.driver import PerfModeMapping, UpmemDriver
-from repro.hardware.clock import SimClock
 from repro.hardware.machine import Machine
-from repro.hardware.timing import CostModel
 from repro.sdk.kernel import DpuProgram
-from repro.sdk.profile import OP_CI, OP_READ, OP_WRITE, Profiler
+from repro.sdk.profile import OP_CI, OP_READ, OP_WRITE
 from repro.sdk.transfer import TransferMatrix
 from repro.sdk.transport import RankChannel, Transport
 
@@ -31,7 +29,6 @@ class NativeRankChannel(RankChannel):
 
     def __init__(self, transport: "NativeTransport",
                  mapping: PerfModeMapping) -> None:
-        self._transport = transport
         self._mapping = mapping
         self._cost = transport.cost
         self._profiler = transport.profiler
@@ -79,13 +76,9 @@ class NativeRankChannel(RankChannel):
 class NativeTransport(Transport):
     """Allocates physical ranks through the driver in performance mode."""
 
-    def __init__(self, machine: Machine, driver: Optional[UpmemDriver] = None,
-                 clock: Optional[SimClock] = None,
-                 cost: Optional[CostModel] = None,
-                 profiler: Optional[Profiler] = None) -> None:
-        clock = clock or machine.clock
-        cost = cost or machine.cost
-        super().__init__(clock, cost, profiler, metrics=machine.metrics,
+    def __init__(self, machine: Machine,
+                 driver: Optional[UpmemDriver] = None) -> None:
+        super().__init__(machine.clock, machine.cost, metrics=machine.metrics,
                          spans=machine.spans)
         self.machine = machine
         self.driver = driver or UpmemDriver(machine)

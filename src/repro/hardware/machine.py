@@ -9,14 +9,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.config import (
-    MachineConfig,
-    RANKS_PER_DIMM,
-    paper_testbed,
-)
+from repro.config import MachineConfig, paper_testbed
 from repro.errors import HardwareError
 from repro.hardware.clock import SimClock
-from repro.hardware.dimm import Dimm
 from repro.hardware.rank import Rank
 from repro.hardware.timing import CostModel, DEFAULT_COST_MODEL
 from repro.observability import MetricsRegistry
@@ -44,10 +39,6 @@ class Machine:
         self.ranks: List[Rank] = [Rank(rc, cost, metrics=self.metrics,
                                        spans=self.spans)
                                   for rc in self.config.ranks]
-        self.dimms: List[Dimm] = [
-            Dimm(i, self.ranks[i * RANKS_PER_DIMM:(i + 1) * RANKS_PER_DIMM])
-            for i in range((len(self.ranks) + RANKS_PER_DIMM - 1) // RANKS_PER_DIMM)
-        ]
 
     @property
     def nr_ranks(self) -> int:

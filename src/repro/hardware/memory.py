@@ -110,8 +110,8 @@ class _ExtentPool:
     or a fresh mapping — makes one.
     """
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        self.max_bytes = _default_cap() if max_bytes is None else max_bytes
+    def __init__(self) -> None:
+        self.max_bytes = _default_cap()
         #: Extent size → ``(extent, mask)`` pairs.
         self._free: Dict[int, list] = {}
         self._held = 0

@@ -1,6 +1,6 @@
 """The rank: UPMEM's allocation and transfer granularity.
 
-A rank bundles 8 PIM chips = 64 DPUs behind one control interface (CI).
+A rank bundles 64 DPUs (on 8 PIM chips) behind one control interface (CI).
 All host interactions happen at rank granularity:
 
 - ``write_mram`` / ``read_mram`` move data between host buffers and the
@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import DPUS_PER_CHIP, MAX_XFER_BYTES, RankConfig
+from repro.config import MAX_XFER_BYTES, RankConfig
 from repro.errors import (
     ControlInterfaceError,
     MemoryAccessError,
@@ -33,7 +33,6 @@ from repro.errors import (
     TransferError,
 )
 from repro.hardware import copies
-from repro.hardware.chip import PimChip
 from repro.hardware.clock import SimClock
 from repro.hardware.copies import Piece
 from repro.hardware.dpu import Dpu, LaunchStats
@@ -151,10 +150,6 @@ class Rank:
         self.spans = spans or SpanRecorder(SimClock())
         self.dpus: List[Dpu] = [
             Dpu(config.index, i) for i in range(config.functional_dpus)
-        ]
-        self.chips: List[PimChip] = [
-            PimChip(config.index, c, self.dpus[c * DPUS_PER_CHIP:(c + 1) * DPUS_PER_CHIP])
-            for c in range((len(self.dpus) + DPUS_PER_CHIP - 1) // DPUS_PER_CHIP)
         ]
         #: The rank's control interface (§2: one CI per rank) is its
         #: command/status port; these are its statistics.

@@ -14,8 +14,8 @@ recovery edge before the rule returns to ``inactive``.
 
 Three rule kinds cover the scenarios the monitor runs:
 
-- ``threshold``: a windowed query (rate / delta / latest / percentile)
-  compared against a bound;
+- ``threshold``: a counter's increase over the window (the store's
+  ``delta``) above a bound;
 - ``burn_rate``: observed/target ratio of a latency percentile — the
   SLO-layer convention from ``repro.qos.slo``, reusing the same shared
   percentile math;
@@ -30,7 +30,7 @@ smoke job turns it into a build failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.observability.catalog import ALERT, CATALOG, bind
@@ -40,34 +40,25 @@ from repro.observability.timeseries import TimeSeriesStore
 #: Rule states, in lifecycle order.
 STATES = ("inactive", "pending", "firing", "resolved")
 
-#: Supported windowed queries for threshold rules.
-_QUERIES = ("rate", "delta", "latest", "percentile")
-
-#: Supported comparison operators.
-_OPS = (">", ">=", "<", "<=")
-
 
 @dataclass(frozen=True)
 class AlertRule:
     """One declarative rule.
 
-    ``kind`` selects the evaluation: ``threshold`` compares
-    ``query(metric)`` against ``bound`` with ``op``; ``burn_rate``
-    compares ``percentile(metric, q) / target`` against ``bound``;
-    ``absence`` is true when the metric has no point in ``window``.
+    ``kind`` selects the evaluation: ``threshold`` is true when
+    ``delta(metric)`` exceeds ``bound``; ``burn_rate`` when
+    ``percentile(metric, q) / target`` does; ``absence`` when the metric
+    has no point in ``window``.
     """
 
     name: str
     metric: str
     kind: str = "threshold"
-    query: str = "rate"            #: threshold rules: rate|delta|latest|percentile
-    op: str = ">"
     bound: float = 0.0
     q: float = 0.99                #: percentile / burn-rate quantile
     target: float = 0.0            #: burn-rate denominator (SLO target)
     window: Optional[float] = None
     for_s: float = 0.0             #: hold-down before pending -> firing
-    labels: Optional[Tuple[Tuple[str, str], ...]] = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -78,19 +69,9 @@ class AlertRule:
         if self.kind not in ("threshold", "burn_rate", "absence"):
             raise ObservabilityError(
                 f"alert rule {self.name!r} has unknown kind {self.kind!r}")
-        if self.kind == "threshold" and self.query not in _QUERIES:
-            raise ObservabilityError(
-                f"alert rule {self.name!r} has unknown query "
-                f"{self.query!r} (expected one of {_QUERIES})")
-        if self.op not in _OPS:
-            raise ObservabilityError(
-                f"alert rule {self.name!r} has unknown operator {self.op!r}")
         if self.kind == "burn_rate" and self.target <= 0:
             raise ObservabilityError(
                 f"burn-rate rule {self.name!r} needs a positive target")
-
-    def label_dict(self) -> Optional[Dict[str, str]]:
-        return dict(self.labels) if self.labels else None
 
 
 @dataclass
@@ -149,36 +130,20 @@ class AlertRuleEngine:
     # -- condition evaluation ------------------------------------------------
 
     def _value(self, rule: AlertRule) -> float:
-        labels = rule.label_dict()
         if rule.kind == "absence":
-            matched = self.store.select(rule.metric, labels)
+            matched = self.store.select(rule.metric)
             present = any(s.window(rule.window) for s in matched)
             return 0.0 if present else 1.0
         if rule.kind == "burn_rate":
             observed = self.store.window_percentile(
-                rule.metric, rule.q, labels, rule.window)
+                rule.metric, rule.q, rule.window)
             return observed / rule.target
-        if rule.query == "rate":
-            return self.store.rate(rule.metric, labels, rule.window)
-        if rule.query == "delta":
-            return self.store.delta(rule.metric, labels, rule.window)
-        if rule.query == "latest":
-            latest = self.store.latest(rule.metric, labels)
-            return latest if latest is not None else 0.0
-        return self.store.window_percentile(rule.metric, rule.q, labels,
-                                            rule.window)
+        return self.store.delta(rule.metric, rule.window)
 
     def _breached(self, rule: AlertRule, value: float) -> bool:
         if rule.kind == "absence":
             return value >= 1.0
-        bound = rule.bound
-        if rule.op == ">":
-            return value > bound
-        if rule.op == ">=":
-            return value >= bound
-        if rule.op == "<":
-            return value < bound
-        return value <= bound
+        return value > rule.bound
 
     # -- state machine -------------------------------------------------------
 

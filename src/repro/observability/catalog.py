@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import MetricFamily, MetricsRegistry
@@ -40,15 +40,13 @@ class MetricSpec:
     help: str
     labels: Tuple[str, ...] = ()
     paper: str = ""                #: figure/section this metric supports
-    buckets: Optional[Tuple[float, ...]] = None
 
     def create(self, registry: MetricsRegistry) -> MetricFamily:
         if self.kind == "counter":
             return registry.counter(self.name, self.help, self.labels)
         if self.kind == "gauge":
             return registry.gauge(self.name, self.help, self.labels)
-        return registry.histogram(self.name, self.help, self.labels,
-                                  buckets=self.buckets)
+        return registry.histogram(self.name, self.help, self.labels)
 
 
 def _row(kind: str, name: str, help: str, labels: Tuple[str, ...],

@@ -247,8 +247,7 @@ class MetricFamily:
 
     def __init__(self, name: str, kind: str, help: str,
                  label_names: Sequence[str] = (),
-                 buckets: Optional[Sequence[float]] = None,
-                 max_series: int = MAX_SERIES_PER_FAMILY) -> None:
+                 buckets: Optional[Sequence[float]] = None) -> None:
         _validate_metric_name(name)
         _validate_label_names(label_names)
         if kind not in _CHILD_TYPES:
@@ -260,7 +259,6 @@ class MetricFamily:
         self.kind = kind
         self.help = help
         self.label_names = tuple(label_names)
-        self.max_series = max_series
         if kind == "histogram":
             bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
             if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
@@ -283,10 +281,10 @@ class MetricFamily:
         key = tuple(str(label_values[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
-            if len(self._children) >= self.max_series:
+            if len(self._children) >= MAX_SERIES_PER_FAMILY:
                 raise ObservabilityError(
                     f"{self.name}: label cardinality exceeds "
-                    f"{self.max_series} series (runaway label values?)"
+                    f"{MAX_SERIES_PER_FAMILY} series (runaway label values?)"
                 )
             if self.kind == "histogram":
                 child = HistogramChild(key, self.buckets or DEFAULT_BUCKETS)

@@ -51,13 +51,11 @@ class Series:
     instant), so windowed queries difference two points.
     """
 
-    __slots__ = ("name", "labels", "kind", "bounds", "points", "dropped")
+    __slots__ = ("name", "kind", "bounds", "points", "dropped")
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, str], ...],
-                 kind: str, max_points: int,
+    def __init__(self, name: str, kind: str, max_points: int,
                  bounds: Optional[Tuple[float, ...]] = None) -> None:
         self.name = name
-        self.labels = labels
         self.kind = kind
         self.bounds = bounds
         self.points: Deque[tuple] = deque(maxlen=max_points)
@@ -92,7 +90,7 @@ class TimeSeriesStore:
 
         store = TelemetryPipeline(machine.metrics, machine.clock).store
         ... run any scenario ...
-        store.rate("repro_frontend_requests_total", window=0.01)
+        store.delta("repro_frontend_requests_total", window=0.01)
         store.window_percentile("repro_frontend_request_seconds", 0.99)
     """
 
@@ -135,7 +133,7 @@ class TimeSeriesStore:
                 series = self.series.get(key)
                 if isinstance(child, HistogramChild):
                     if series is None:
-                        series = Series(family.name, key[1], family.kind,
+                        series = Series(family.name, family.kind,
                                         self.max_points,
                                         bounds=tuple(child.buckets))
                         self.series[key] = series
@@ -143,7 +141,7 @@ class TimeSeriesStore:
                              tuple(child.bucket_counts))
                 else:
                     if series is None:
-                        series = Series(family.name, key[1], family.kind,
+                        series = Series(family.name, family.kind,
                                         self.max_points)
                         self.series[key] = series
                     point = (ts, child.value)
@@ -166,69 +164,35 @@ class TimeSeriesStore:
 
     # -- lookup --------------------------------------------------------------
 
-    def select(self, name: str,
-               labels: Optional[Dict[str, str]] = None) -> List[Series]:
-        """Series for ``name`` whose labels are a superset of ``labels``."""
-        want = labels or {}
-        out = []
-        for series in self.series.values():
-            if series.name != name:
-                continue
-            have = dict(series.labels)
-            if all(have.get(k) == v for k, v in want.items()):
-                out.append(series)
-        return out
-
-    def latest(self, name: str,
-               labels: Optional[Dict[str, str]] = None) -> Optional[float]:
-        """Most recent value (summed across matching series); None if no
-        matching series holds a point.  Histograms report their count."""
-        matched = [s for s in self.select(name, labels) if s.points]
-        if not matched:
-            return None
-        total = 0.0
-        for series in matched:
-            total += series.points[-1][1]
-        return total
+    def select(self, name: str) -> List[Series]:
+        """Every series of the metric ``name``, whatever its labels."""
+        return [series for series in self.series.values()
+                if series.name == name]
 
     # -- windowed queries ----------------------------------------------------
 
-    def delta(self, name: str, labels: Optional[Dict[str, str]] = None,
-              window: Optional[float] = None) -> float:
+    def delta(self, name: str, window: Optional[float] = None) -> float:
         """Increase over ``window`` (newest minus oldest in-window point),
-        summed across matching series.  The right verb for counters."""
+        summed across the metric's series.  The right verb for counters."""
         total = 0.0
-        for series in self.select(name, labels):
+        for series in self.select(name):
             points = series.window(window)
             if len(points) >= 2:
                 total += points[-1][1] - points[0][1]
         return total
 
-    def rate(self, name: str, labels: Optional[Dict[str, str]] = None,
-             window: Optional[float] = None) -> float:
-        """Per-second increase over ``window``, summed across series."""
-        total = 0.0
-        for series in self.select(name, labels):
-            points = series.window(window)
-            if len(points) >= 2:
-                elapsed = points[-1][0] - points[0][0]
-                if elapsed > 0:
-                    total += (points[-1][1] - points[0][1]) / elapsed
-        return total
-
     def window_percentile(self, name: str, q: float,
-                          labels: Optional[Dict[str, str]] = None,
                           window: Optional[float] = None) -> float:
         """Latency quantile of a histogram over ``window``.
 
-        Differences the first and last in-window points of each matching
-        series, sums the per-bucket increments across series, and runs
+        Differences the first and last in-window points of each of the
+        metric's series, sums the per-bucket increments across series, and runs
         the shared :func:`histogram_quantile` estimate — the store-side
         twin of PromQL's ``histogram_quantile(q, rate(..._bucket))``.
         """
         bounds: Optional[Tuple[float, ...]] = None
         deltas: Optional[List[float]] = None
-        for series in self.select(name, labels):
+        for series in self.select(name):
             if series.kind != "histogram" or series.bounds is None:
                 continue
             points = series.window(window)
@@ -253,13 +217,11 @@ class TimeSeriesStore:
             return 0.0
         return histogram_quantile(q, bounds, deltas)
 
-    def trajectory(self, name: str,
-                   labels: Optional[Dict[str, str]] = None
-                   ) -> List[Tuple[float, float]]:
-        """The (ts, value) polyline of a series for plotting, summed
-        across matching series at identical timestamps."""
+    def trajectory(self, name: str) -> List[Tuple[float, float]]:
+        """The (ts, value) polyline of a metric for plotting, summed
+        across its series at identical timestamps."""
         merged: Dict[float, float] = {}
-        for series in self.select(name, labels):
+        for series in self.select(name):
             for point in series.points:
                 merged[point[0]] = merged.get(point[0], 0.0) + point[1]
         return sorted(merged.items())

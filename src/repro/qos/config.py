@@ -37,16 +37,9 @@ class QosConfig:
     demand: Optional[float] = None
     #: Declared bus seconds of one typical operation; ``None`` = measure.
     mean_op_s: Optional[float] = None
-    #: Kick-rate throttle (virtio kicks per simulated second); ``None``
-    #: disables the kick bucket.
-    kick_rate_per_s: Optional[float] = None
-    #: Burst allowance of the kick bucket, in kicks.
-    kick_burst: float = 64.0
     #: Byte-rate throttle on transferred payload bytes; ``None`` disables
     #: the byte bucket.
     bytes_per_s: Optional[float] = None
-    #: Burst allowance of the byte bucket, in bytes.
-    byte_burst: float = 8 << 20
 
     def __post_init__(self) -> None:
         if self.weight <= 0:
@@ -54,7 +47,6 @@ class QosConfig:
         if self.demand is not None and not 0.0 <= self.demand <= 1.0:
             raise ValueError(f"declared demand must be in [0, 1], "
                              f"got {self.demand}")
-        for name in ("kick_rate_per_s", "bytes_per_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.bytes_per_s is not None and self.bytes_per_s <= 0:
+            raise ValueError(
+                f"bytes_per_s must be positive, got {self.bytes_per_s}")

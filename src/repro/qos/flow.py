@@ -22,6 +22,9 @@ from repro.qos.arbiter import BandwidthArbiter, VirtioEventLoop
 from repro.qos.config import QosConfig
 from repro.qos.tokens import TokenBucket
 
+#: Burst allowance of the byte bucket, in bytes.
+BYTE_BURST = 8 << 20
+
 
 class QosFlow:
     """The live QoS state of one VM (see ``docs/qos.md``)."""
@@ -38,11 +41,8 @@ class QosFlow:
         self._flow = self.arbiter.register(
             flow_id, weight=config.weight, demand=config.demand,
             mean_op_s=config.mean_op_s)
-        self._kick_bucket = (
-            TokenBucket(config.kick_rate_per_s, config.kick_burst)
-            if config.kick_rate_per_s is not None else None)
         self._byte_bucket = (
-            TokenBucket(config.bytes_per_s, config.byte_burst)
+            TokenBucket(config.bytes_per_s, BYTE_BURST)
             if config.bytes_per_s is not None else None)
         self._byte_rate_floor = (
             config.bytes_per_s if config.bytes_per_s is not None else 0.0)
@@ -74,18 +74,18 @@ class QosFlow:
 
     # -- the two data-plane hooks -------------------------------------------
 
-    def _throttle(self, bucket: Optional[TokenBucket], amount: float,
-                  resource: str, now: float) -> float:
-        if bucket is None or amount <= 0:
+    def _throttle(self, payload_bytes: int, now: float) -> float:
+        """The byte bucket's wait before ``payload_bytes`` may go."""
+        if self._byte_bucket is None or payload_bytes <= 0:
             return 0.0
-        wait = bucket.consume(amount, now)
+        wait = self._byte_bucket.consume(float(payload_bytes), now)
         if wait > 0:
             if self.obs is not None:
-                self.obs.throttled[resource].inc()
-                self.obs.throttle_wait[resource].observe(wait)
+                self.obs.throttled["bytes"].inc()
+                self.obs.throttle_wait["bytes"].observe(wait)
             if self.spans is not None:
                 self.spans.event("qos.throttle", "qos", wait,
-                                 vm=self.flow_id, resource=resource)
+                                 vm=self.flow_id, resource="bytes")
         return wait
 
     def _count_arbitration(self, mode: str, wait: float, cause: str) -> None:
@@ -97,14 +97,10 @@ class QosFlow:
     def on_kick(self, kind: str, payload_bytes: int, now: float) -> float:
         """Frontend hook, once per transferq roundtrip.
 
-        Returns the modeled wait: token-bucket throttles (enforced flows
-        only) plus the event loop's dispatch delay for this flow.
+        Returns the modeled wait: the byte throttle (enforced flows only)
+        plus the event loop's dispatch delay for this flow.
         """
-        wait = 0.0
-        if self.config.enforce:
-            wait += self._throttle(self._kick_bucket, 1.0, "kicks", now)
-            wait += self._throttle(self._byte_bucket, float(payload_bytes),
-                                   "bytes", now + wait)
+        wait = self._throttle(payload_bytes, now) if self.config.enforce else 0.0
         queue_s, mode = self.loop.dispatch(self.flow_id, now + wait,
                                            fair=self.config.enforce)
         self._count_arbitration(mode, queue_s, "queue")

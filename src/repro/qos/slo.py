@@ -1,10 +1,9 @@
 """Service-level objectives: declaration, burn tracking, actuation.
 
-An :class:`SloObjective` declares what one tenant was promised (latency
-p99 and/or session throughput).  The :class:`SloTracker` ingests session
-outcomes and computes each objective's **burn rate** — observed/target
-for latency, target/observed for throughput, so >1.0 always means "the
-objective is burning hot".  The :class:`SloEnforcer` watches burn rates
+An :class:`SloObjective` declares what one tenant was promised: a p99
+session latency.  The :class:`SloTracker` ingests session outcomes and
+computes each objective's **burn rate**, observed/target, so >1.0 means
+"the objective is burning hot".  The :class:`SloEnforcer` watches burn rates
 and actuates, in escalating order:
 
 1. boost the victim flow's weight (more bus share under WFQ);
@@ -33,20 +32,10 @@ class SloObjective:
     """One tenant's declared objective."""
 
     tenant: str
-    #: Target p99 session latency in simulated seconds; ``None`` = no
-    #: latency objective.
-    latency_p99_s: Optional[float] = None
-    #: Target completed-session rate (sessions per simulated second);
-    #: ``None`` = no throughput objective.
-    min_sessions_per_s: Optional[float] = None
+    #: Target p99 session latency in simulated seconds.
+    latency_p99_s: float
     #: Sliding sample window the burn rate is computed over.
     window: int = 16
-
-    def __post_init__(self) -> None:
-        if self.latency_p99_s is None and self.min_sessions_per_s is None:
-            raise ValueError(
-                f"objective for tenant {self.tenant!r} declares neither a "
-                "latency nor a throughput target")
 
 
 class SloTracker:
@@ -56,15 +45,14 @@ class SloTracker:
     MAX_WINDOW = 256
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        #: tenant -> (completion_time, latency_s) samples, newest last.
-        self._sessions: Dict[str, Deque[Tuple[float, float]]] = {}
+        #: tenant -> session latencies in seconds, newest last.
+        self._sessions: Dict[str, Deque[float]] = {}
         self.obs = bind(metrics, SLO) if metrics is not None else None
 
-    def observe_session(self, tenant: str, latency_s: float,
-                        now: float) -> None:
+    def observe_session(self, tenant: str, latency_s: float) -> None:
         window = self._sessions.setdefault(
             tenant, deque(maxlen=self.MAX_WINDOW))
-        window.append((now, latency_s))
+        window.append(latency_s)
 
     def sessions(self, tenant: str) -> int:
         return len(self._sessions.get(tenant, ()))
@@ -73,43 +61,20 @@ class SloTracker:
         samples = self._sessions.get(tenant)
         if not samples:
             return 0.0
-        recent = [latency for _, latency in list(samples)[-window:]]
-        return percentile_linear(recent, 0.99)
+        return percentile_linear(list(samples)[-window:], 0.99)
 
-    def session_rate(self, tenant: str, window: int, now: float) -> float:
-        """Completed sessions per second over the recent window."""
-        samples = self._sessions.get(tenant)
-        if not samples:
-            return 0.0
-        recent = list(samples)[-window:]
-        span = now - recent[0][0]
-        if span <= 0:
-            return 0.0
-        return len(recent) / span
-
-    def burn_rate(self, objective: SloObjective, now: float) -> float:
-        """The objective's burn: max over its declared targets; >1 = hot.
+    def burn_rate(self, objective: SloObjective) -> float:
+        """The objective's burn, observed p99 / target; >1 = hot.
 
         Returns 0.0 until the tenant has any samples — an idle tenant is
         not burning, it is absent.
         """
         if self.sessions(objective.tenant) == 0:
             return 0.0
-        burn = 0.0
-        if objective.latency_p99_s is not None:
-            observed = self.latency_p99(objective.tenant, objective.window)
-            burn = max(burn, observed / objective.latency_p99_s)
-            if self.obs is not None:
-                self.obs.burn[objective.tenant, "latency"].set(
-                    observed / objective.latency_p99_s)
-        if objective.min_sessions_per_s is not None:
-            rate = self.session_rate(objective.tenant, objective.window, now)
-            ratio = (objective.min_sessions_per_s / rate
-                     if rate > 0 else float("inf"))
-            burn = max(burn, ratio)
-            if self.obs is not None:
-                self.obs.burn[objective.tenant, "throughput"].set(
-                    min(ratio, 1e6))
+        observed = self.latency_p99(objective.tenant, objective.window)
+        burn = observed / objective.latency_p99_s
+        if self.obs is not None:
+            self.obs.burn[objective.tenant, "latency"].set(burn)
         return burn
 
 
@@ -164,20 +129,18 @@ class SloEnforcer:
 
     # -- the control loop body ----------------------------------------------
 
-    def evaluate(self, now: float) -> List[SloAction]:
+    def evaluate(self) -> List[SloAction]:
         """One enforcement pass; returns the actions taken this pass."""
         taken: List[SloAction] = []
         for objective in self.objectives:
             tenant = objective.tenant
-            burn = self.tracker.burn_rate(objective, now)
+            burn = self.tracker.burn_rate(objective)
             if burn <= self.HOT:
                 if burn < self.COOL:
                     self._streak[tenant] = 0
                 continue
             if self.obs is not None:
-                kind = ("latency" if objective.latency_p99_s is not None
-                        else "throughput")
-                self.obs.violations[tenant, kind].inc()
+                self.obs.violations[tenant, "latency"].inc()
             streak = self._streak.get(tenant, 0) + 1
             self._streak[tenant] = streak
             if streak == 1:

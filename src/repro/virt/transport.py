@@ -25,7 +25,6 @@ class VirtRankChannel(RankChannel):
     the application-facing API is identical to native)."""
 
     def __init__(self, vm: Vm, device: VUpmemDevice) -> None:
-        self._vm = vm
         self.device = device
         mapping = device.backend.mapping
         if mapping is None:

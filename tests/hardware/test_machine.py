@@ -18,9 +18,6 @@ def test_paper_testbed_geometry():
     assert machine.nr_ranks == 8
     assert machine.total_dpus == 480
     assert machine.rank(0).nr_dpus == 60
-    # 4 UPMEM DIMMs, 2 ranks each.
-    assert len(machine.dimms) == 4
-    assert all(len(d.ranks) == 2 for d in machine.dimms)
 
 
 def test_small_machine():

@@ -52,7 +52,8 @@ def pool(monkeypatch):
     exception's frames, a class defined in a test — can hold regions,
     so their garbage is collected into the process pool first)."""
     gc.collect()
-    pool = memory._ExtentPool(max_bytes=2 << 30)
+    pool = memory._ExtentPool()
+    pool.max_bytes = 2 << 30
     monkeypatch.setattr(memory, "EXTENT_POOL", pool)
     return pool
 

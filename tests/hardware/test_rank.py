@@ -24,17 +24,11 @@ def rank() -> Rank:
 
 def test_geometry(rank):
     assert rank.nr_dpus == 8
-    assert len(rank.chips) == 1
-    full = Rank(RankConfig(1, 64))
-    assert len(full.chips) == 8
-    assert all(len(chip) == 8 for chip in full.chips)
 
 
 def test_defective_rank_population():
     rank = Rank(RankConfig(0, 60))
     assert rank.nr_dpus == 60
-    assert len(rank.chips) == 8  # last chip is partially populated
-    assert len(rank.chips[-1]) == 4
 
 
 def test_write_then_read_mram(rank):

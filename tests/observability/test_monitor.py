@@ -76,8 +76,7 @@ class TestTelemetryPipeline:
         CATALOG["repro_fault_injected_total"].create(registry).labels(
             kind="x").inc()
         clock = SimClock()
-        pipeline = TelemetryPipeline(registry, clock, interval=0.001,
-                                     rules=default_rules())
+        pipeline = TelemetryPipeline(registry, clock, interval=0.001)
         for _ in range(10):
             clock.advance(0.001)
         assert pipeline.store.scrapes >= 10

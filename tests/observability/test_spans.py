@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import ast
 import copy
 import json
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,6 @@ from repro.core import VPim
 from repro.faults import FaultInjector, FaultKind, FaultPlan, run_with_recovery
 from repro.hardware.clock import SimClock
 from repro.observability import SpanRecorder
-from repro.observability.spans import LAYERS
 from repro.observability.critical_path import (
     critical_path,
     layer_self_times,
@@ -387,34 +384,3 @@ class TestRecorderMechanics:
         recorder.end(root)
         assert recorder.current is None
         assert recorder.latest().root is root
-
-
-def _opened_layers():
-    """``(where, layer)`` of every literal layer a ``spans.begin``,
-    ``.event`` or ``.scope`` call under ``src/`` passes."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    for path in sorted(src.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("begin", "event", "scope")):
-                continue
-            receiver = node.func.value
-            if getattr(receiver, "id", getattr(receiver, "attr", None)) \
-                    != "spans":
-                continue
-            layer = (node.args[1] if len(node.args) > 1 else
-                     next((k.value for k in node.keywords
-                           if k.arg == "layer"), None))
-            if isinstance(layer, ast.Constant):
-                yield f"{path.relative_to(src)}:{node.lineno}", layer.value
-
-
-def test_every_opened_layer_has_its_own_track():
-    """A layer missing from ``LAYERS`` falls to the shared fallback
-    track of the Perfetto export."""
-    opened = list(_opened_layers())
-    assert {layer for _, layer in opened} >= {"session", "rank", "qos"}
-    stray = [f"{where}: {layer}" for where, layer in opened
-             if layer not in LAYERS]
-    assert not stray, "layers not in spans.LAYERS:\n" + "\n".join(stray)

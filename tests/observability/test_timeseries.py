@@ -62,7 +62,7 @@ class TestScraping:
         store.scrape(ts=0.0)
         store.scrape(ts=0.001)
         # The second scrape captured the first one's self-accounting.
-        assert store.latest("repro_tsdb_scrapes_total") == 1.0
+        assert store.trajectory("repro_tsdb_scrapes_total")[-1] == (0.001, 1.0)
 
 
 class TestRetention:
@@ -112,10 +112,6 @@ class TestQueries:
             store.scrape(ts=i * 0.001)
         return store
 
-    def test_latest(self):
-        store = self._store_with_traffic()
-        assert store.latest("repro_frontend_requests_total") == 20.0
-
     def test_delta_full_window(self):
         store = self._store_with_traffic()
         # First point holds 2.0, last holds 20.0.
@@ -128,11 +124,6 @@ class TestQueries:
         value = store.delta("repro_frontend_requests_total", window=0.003)
         assert value == pytest.approx(4.0)
 
-    def test_rate(self):
-        store = self._store_with_traffic()
-        value = store.rate("repro_frontend_requests_total")
-        assert value == pytest.approx(18.0 / 0.009)
-
     def test_window_percentile_monotone(self):
         store = self._store_with_traffic()
         p50 = store.window_percentile("repro_frontend_request_seconds", 0.5)
@@ -141,22 +132,9 @@ class TestQueries:
 
     def test_missing_metric_queries_are_zero_or_none(self):
         store = self._store_with_traffic()
-        assert store.latest("repro_paging_swaps_total") is None
         assert store.delta("repro_paging_swaps_total") == 0.0
-        assert store.rate("repro_paging_swaps_total") == 0.0
         assert store.window_percentile("repro_paging_swap_seconds",
                                        0.99) == 0.0
-
-    def test_label_filtered_select(self):
-        registry = MetricsRegistry()
-        family = CATALOG["repro_frontend_requests_total"].create(registry)
-        family.labels(vm="vm-0", device="dev0", kind="launch").inc()
-        family.labels(vm="vm-1", device="dev0", kind="launch").inc(5.0)
-        store = TimeSeriesStore(registry, interval=0.001)
-        store.scrape(ts=0.0)
-        assert store.latest("repro_frontend_requests_total",
-                            {"vm": "vm-1"}) == 5.0
-        assert store.latest("repro_frontend_requests_total") == 6.0
 
     def test_trajectory_sums_across_series(self):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 from repro.apps.prim.va import VectorAdd
 from repro.config import small_machine
 from repro.core import VPim
+from repro.qos import flow
 from repro.qos.config import QosConfig
 from repro.qos.flow import _LOOPS
 from repro.virt.opts import Optimization
@@ -41,12 +42,12 @@ def test_enforced_flows_record_qos_telemetry():
                          vm=a.vm.qos_flow.flow_id) == 2.0
 
 
-def test_unenforced_flows_dispatch_fifo_and_never_throttle():
+def test_unenforced_flows_dispatch_fifo_and_never_throttle(monkeypatch):
     vpim = make_vpim()
-    # Absurdly tight buckets that would always wait — but enforce=False
+    # An absurdly tight bucket that would always wait — but enforce=False
     # means contention is modeled while throttles stay dormant.
-    session = qos_session(vpim, enforce=False, tenant="a",
-                          kick_rate_per_s=1e-3, kick_burst=1.0)
+    monkeypatch.setattr(flow, "BYTE_BURST", 1.0)
+    session = qos_session(vpim, enforce=False, tenant="a", bytes_per_s=1e-3)
     assert session.run(VectorAdd(**APP)).verified
     assert session.vm.qos_flow.loop.dispatches["fifo"] > 0
     assert session.vm.qos_flow.loop.dispatches["wfq"] == 0
@@ -54,16 +55,16 @@ def test_unenforced_flows_dispatch_fifo_and_never_throttle():
                          "repro_qos_throttled_total") == 0
 
 
-def test_throttles_fire_when_enforced():
+def test_throttles_fire_when_enforced(monkeypatch):
     vpim = make_vpim()
-    session = qos_session(vpim, enforce=True, tenant="a",
-                          kick_rate_per_s=1e-3, kick_burst=1.0)
+    monkeypatch.setattr(flow, "BYTE_BURST", 1.0)
+    session = qos_session(vpim, enforce=True, tenant="a", bytes_per_s=1e-3)
     assert session.run(VectorAdd(**APP)).verified
     metrics = vpim.machine.metrics
     assert counter_total(metrics, "repro_qos_throttled_total") > 0
     assert metrics.value("repro_qos_throttled_total",
                          vm=session.vm.qos_flow.flow_id,
-                         resource="kicks") > 0
+                         resource="bytes") > 0
 
 
 def test_vm_without_qos_touches_nothing():

@@ -23,16 +23,15 @@ class StubFlow:
 
 def hot_tracker(tenant="victim", latency=2e-3, sessions=8):
     tracker = SloTracker()
-    for i in range(sessions):
-        tracker.observe_session(tenant, latency, now=float(i))
+    for _ in range(sessions):
+        tracker.observe_session(tenant, latency)
     return tracker
 
 
 def test_objective_requires_a_target():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SloObjective(tenant="t")
     SloObjective(tenant="t", latency_p99_s=1e-3)
-    SloObjective(tenant="t", min_sessions_per_s=1.0)
 
 
 def test_percentile_interpolates():
@@ -46,29 +45,13 @@ class TestBurnRate:
     def test_absent_tenant_does_not_burn(self):
         tracker = SloTracker()
         objective = SloObjective(tenant="ghost", latency_p99_s=1e-3)
-        assert tracker.burn_rate(objective, now=0.0) == 0.0
+        assert tracker.burn_rate(objective) == 0.0
 
     def test_latency_burn_is_observed_over_target(self):
         tracker = hot_tracker(latency=2e-3)
         objective = SloObjective(tenant="victim", latency_p99_s=1e-3,
                                  window=8)
-        assert tracker.burn_rate(objective, now=8.0) == pytest.approx(2.0)
-
-    def test_throughput_burn_is_target_over_observed(self):
-        tracker = SloTracker()
-        for i in range(8):
-            tracker.observe_session("t", 1e-3, now=float(i))
-        objective = SloObjective(tenant="t", min_sessions_per_s=2.0,
-                                 window=8)
-        # 8 sessions over 8 seconds = 1/s against a 2/s floor.
-        assert tracker.burn_rate(objective, now=8.0) == pytest.approx(2.0)
-
-    def test_burn_takes_the_hotter_target(self):
-        tracker = hot_tracker(latency=0.5e-3)   # latency fine
-        objective = SloObjective(tenant="victim", latency_p99_s=1e-3,
-                                 min_sessions_per_s=10.0, window=8)
-        burn = tracker.burn_rate(objective, now=8.0)
-        assert burn > 1.0                        # throughput is burning
+        assert tracker.burn_rate(objective) == pytest.approx(2.0)
 
 
 class TestEnforcerLadder:
@@ -83,33 +66,33 @@ class TestEnforcerLadder:
         self.enforcer.bind("noisy", self.noisy)
 
     def test_escalation_boost_throttle_migrate(self):
-        first = self.enforcer.evaluate(now=8.0)
+        first = self.enforcer.evaluate()
         assert [a.action for a in first] == ["boost_weight"]
         assert self.victim.weight == 2.0
 
-        second = self.enforcer.evaluate(now=9.0)
+        second = self.enforcer.evaluate()
         assert [a.action for a in second] == ["throttle"]
         assert second[0].tenant == "noisy"
         assert self.noisy.byte_rate == pytest.approx(75.0)
         assert self.victim.weight == 2.0         # not boosted again
 
-        third = self.enforcer.evaluate(now=10.0)
+        third = self.enforcer.evaluate()
         assert [a.action for a in third] == ["migrate_hint"]
         # Still hot next pass: the tenant was hinted once, and stays so.
-        assert self.enforcer.evaluate(now=11.0) == []
+        assert self.enforcer.evaluate() == []
 
     def test_cool_burn_resets_the_streak(self):
-        self.enforcer.evaluate(now=8.0)          # streak 1: boost
-        for i in range(8):                       # objective now met
-            self.tracker.observe_session("victim", 1e-5, now=9.0 + i)
-        assert self.enforcer.evaluate(now=17.0) == []
-        for i in range(8):                       # hot again
-            self.tracker.observe_session("victim", 2e-3, now=18.0 + i)
-        again = self.enforcer.evaluate(now=26.0)
+        self.enforcer.evaluate()          # streak 1: boost
+        for _ in range(8):                       # objective now met
+            self.tracker.observe_session("victim", 1e-5)
+        assert self.enforcer.evaluate() == []
+        for _ in range(8):                       # hot again
+            self.tracker.observe_session("victim", 2e-3)
+        again = self.enforcer.evaluate()
         # The ladder restarted: boost (2 -> 4), not throttle.
         assert [a.action for a in again] == ["boost_weight"]
         assert self.victim.weight == 4.0
 
     def test_weight_cap_stops_boosting(self):
         self.victim.weight = 16.0
-        assert self.enforcer.evaluate(now=8.0) == []
+        assert self.enforcer.evaluate() == []

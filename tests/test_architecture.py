@@ -12,9 +12,13 @@ attaches at one seam.  These rows keep it that way:
   fails when that loads a module it must not, or too many;
 - the reach row fails when a definition under ``src/`` is named only by
   the tests, unless :data:`REACH_ALLOWLIST` says why it stays;
-- the option row fails when a defaulted ``__init__`` parameter of the
-  host's arbitration layers is set by no caller, unless
-  :data:`OPTION_ALLOWLIST` names the test that must set it.
+- the option row fails when a defaulted ``__init__`` parameter of a
+  class under ``src/repro``, or a defaulted field of a frozen or
+  ``*Config`` dataclass there, is set by no caller, unless
+  :data:`OPTION_ALLOWLIST` names the test that must set it;
+- the read row fails when an attribute a class assigns as
+  ``self.<name>`` is read only by the tests, unless
+  :data:`READ_ALLOWLIST` says why it stays.
 
 A grep row's ``example`` is a line its pattern must match, so a typo
 that matches nothing fails here too.  This file is skipped by its own
@@ -297,6 +301,20 @@ RULES = (
          "    vpim = VPim(config, manager_policy=\"first_fit\")",
          "a retired allocation policy, eviction policy or manager knob "
          "is back", include="*.py"),
+    # Every option has a caller and every field a reader: the knobs no
+    # caller set and the hardware containers nothing read stay deleted.
+    Absent("no-dimm-container", "src/repro/hardware/dimm.py",
+           "the DIMM container, which nothing outside the tests read, is back"),
+    Absent("no-chip-container", "src/repro/hardware/chip.py",
+           "the PIM-chip container, which nothing outside the tests read, "
+           "is back"),
+    Grep("unset-knobs-retired",
+         r"kick_rate_per_s|kick_burst|byte_burst|min_sessions_per_s"
+         r"|session_rate|label_dict|PimChip|\bDimm\b|\.dimms\b|\.chips\b",
+         ("src", "tests", "benchmarks", "examples"),
+         "    QosConfig(kick_rate_per_s=100.0, kick_burst=8.0)",
+         "a knob no caller set or a container nothing read is back",
+         include="*.py"),
     # The manager's allocation, reset and exhausted-retry series follow
     # its `allocations` and `counts`; an inc beside them counts twice.
     Grep("manager-counters-followed",
@@ -479,6 +497,19 @@ REACH_ALLOWLIST: Dict[str, Tuple[str, str]] = {
         _paper("§3.3: a VM's teardown returns its ranks"),
 }
 
+#: ``module path under src/repro :: Class.attribute`` -> why it stays.
+READ_ALLOWLIST: Dict[str, Tuple[str, str]] = {
+    "hardware/dpu.py::Dpu.last_run": _observer("tests/hardware/test_dpu.py"),
+    "observability/spans.py::SpanRecorder.log_dropped":
+        _observer("tests/observability/test_spans.py"),
+    "paging/pager.py::RankPager.frames_acquired":
+        _observer("tests/paging/test_pager.py"),
+    "virt/frontend.py::VUpmemFrontend.device_config":
+        _paper("Appendix A.1: the config record GET_CONFIG returned"),
+    "virt/plans.py::TransferPlan.replays":
+        _observer("tests/virt/test_plans_property.py"),
+}
+
 _SCANNED = ("src", "benchmarks", "examples")
 
 
@@ -544,9 +575,9 @@ def test_every_allowlisted_definition_is_still_unreached():
         "allowlisted but reached or gone; drop the entry:\n" + "\n".join(stale))
 
 
-@pytest.mark.parametrize("key", sorted(REACH_ALLOWLIST))
+@pytest.mark.parametrize("key", sorted({**REACH_ALLOWLIST, **READ_ALLOWLIST}))
 def test_allowlist_reason_holds(key):
-    kind, where = REACH_ALLOWLIST[key]
+    kind, where = {**REACH_ALLOWLIST, **READ_ALLOWLIST}[key]
     name = key.split("::")[1].rsplit(".", 1)[-1]
     if kind == "paper":
         assert re.search(r"§\d|Fig\. \d|Appendix [A-Z]", where), where
@@ -563,20 +594,33 @@ def test_allowlist_reason_holds(key):
 
 # -- options -----------------------------------------------------------------------
 #
-# Every defaulted ``__init__`` parameter of a class under virt/, paging/
-# or qos/, and every one of ``VPim``'s, is set by some caller: a call of
-# the class under src/, benchmarks/ or examples/, outside the class's
-# own body, passes it by keyword or by position.  An option that no
-# caller sets has one value in use and is a constant; one that only a
-# test must set (to reach an edge cheaply) stays, listed below with the
-# test that sets it.
+# Every defaulted ``__init__`` parameter of a class under src/repro, and
+# every defaulted field of a frozen or ``*Config`` dataclass there, has a
+# caller under src/, benchmarks/ or examples/ that passes it by keyword or
+# position (a call of the class, or of a subclass without ``__init__``,
+# outside the class's own body; ``super().__init__``; ``cls(...)``) or
+# assigns ``obj.<name> = ...`` outside the class's module (by name, like
+# the reach row).  An option no caller sets is a constant; one that only a
+# test must set is listed with that test.  apps/ and workloads/ (the PrIM
+# inputs), ``CostModel`` (the price list) and ``DeviceConfig`` (Appendix
+# A.1, printed by ``repro spec``) are out of scope.
 
-_OPTION_SCOPE = ("virt/", "paging/", "qos/", "core/api.py")
+_OPTION_EXEMPT = ("apps/", "workloads/", "hardware/timing.py::CostModel",
+                  "driver/driver.py::DeviceConfig")
 
 #: ``module path under src/repro :: Class.parameter`` -> the test that
 #: sets it.
 OPTION_ALLOWLIST: Dict[str, str] = {
+    "analysis/chaos.py::ChaosConfig.kinds": "tests/faults/test_fault_pins.py",
     "core/api.py::VPim.cost": "tests/hardware/test_cost_helpers.py",
+    "hardware/bufpool.py::BufferPool.max_pooled_bytes":
+        "tests/hardware/test_bufpool.py",
+    "observability/spans.py::SpanRecorder.max_spans_per_trace":
+        "tests/observability/test_spans.py",
+    "observability/spans.py::SpanRecorder.max_traces":
+        "tests/observability/test_counted_traces.py",
+    "observability/timeseries.py::TimeSeriesStore.max_points":
+        "tests/observability/test_timeseries.py",
     "virt/emulation.py::EmulatedRankPool.max_ranks":
         "tests/virt/test_emulation.py",
     "virt/guest_memory.py::GuestMemory.arena_bytes":
@@ -589,54 +633,95 @@ OPTION_ALLOWLIST: Dict[str, str] = {
 }
 
 
-def _calls(tree: ast.AST, owner: Optional[str] = None
-           ) -> Iterator[Tuple[Optional[str], ast.Call]]:
-    """``(enclosing top-level class, call)`` of every call in ``tree``."""
+def _dataclass(cls: ast.ClassDef) -> Optional[bool]:
+    """Whether the class's ``@dataclass`` is frozen; None without one."""
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return any(k.arg == "frozen" and getattr(k.value, "value", None)
+                       for k in getattr(deco, "keywords", ()))
+    return None
+
+
+def _options(cls: ast.ClassDef) -> Iterator[Tuple[str, Optional[int]]]:
+    """``(name, position, None if keyword-only)`` of each option."""
+    init = next((node for node in cls.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "__init__"), None)
+    if init is not None:
+        params = init.args.posonlyargs + init.args.args
+        for arg in params[len(params) - len(init.args.defaults):]:
+            yield arg.arg, params.index(arg) - 1
+        yield from ((arg.arg, None) for arg, default in zip(
+            init.args.kwonlyargs, init.args.kw_defaults) if default is not None)
+    elif _dataclass(cls) or (_dataclass(cls) is not None
+                             and cls.name.endswith("Config")):
+        fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)]
+        yield from ((node.target.id, position) for position, node
+                    in enumerate(fields) if node.value is not None)
+
+
+def _calls(tree: ast.AST, owner: Optional[str] = None,
+           inner: Optional[str] = None) -> Iterator[tuple]:
+    """``(top-level class, innermost class, call)`` of every call."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Call):
-            yield owner, node
-        yield from _calls(node, node.name if (
-            owner is None and isinstance(node, ast.ClassDef)) else owner)
+            yield owner, inner, node
+        if isinstance(node, ast.ClassDef):
+            yield from _calls(node, owner or node.name, node.name)
+        else:
+            yield from _calls(node, owner, inner)
 
 
 @lru_cache(maxsize=1)
 def _unset_options() -> Tuple[str, ...]:
     src = ROOT / "src" / "repro"
-    options = []
+    options, classes = [], {}   # class -> (first base, has its own __init__)
     for top, path, tree in _scanned_trees():
         module = path.relative_to(src).as_posix() if top == "src" else ""
-        if not module.startswith(_OPTION_SCOPE):
-            continue
-        for cls in tree.body:
-            init = next((node for node in getattr(cls, "body", ())
-                         if isinstance(node, ast.FunctionDef)
-                         and node.name == "__init__"), None)
-            if not isinstance(cls, ast.ClassDef) or init is None:
-                continue
-            params = init.args.posonlyargs + init.args.args
-            defaulted = params[len(params) - len(init.args.defaults):]
-            options.extend((module, cls.name, arg.arg, params.index(arg) - 1)
-                           for arg in defaulted)
-            options.extend((module, cls.name, arg.arg, None)
-                           for arg, default in zip(init.args.kwonlyargs,
-                                                   init.args.kw_defaults)
-                           if default is not None)
-    set_by_call = set()
+        for cls in [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)]:
+            classes[cls.name] = (
+                next((getattr(b, "id", getattr(b, "attr", None))
+                      for b in cls.bases), None),
+                _dataclass(cls) is not None or any(
+                    getattr(node, "name", None) == "__init__" for node in cls.body))
+            if (module and cls in tree.body
+                    and not f"{module}::{cls.name}".startswith(_OPTION_EXEMPT)):
+                options.extend((module, cls.name, *opt) for opt in _options(cls))
+
+    def runs(name: Optional[str]) -> Optional[str]:
+        """The class whose ``__init__`` a call of ``name`` runs."""
+        for _ in classes:
+            base, has_init = classes.get(name, (None, True))
+            if has_init or base is None:
+                break
+            name = base
+        return name
+
+    calls, stored = set(), set()
     for top, path, tree in _scanned_trees():
         where = path.relative_to(src if top == "src" else ROOT).as_posix()
-        for owner, call in _calls(tree):
+        for owner, inner, call in _calls(tree):
             callee = getattr(call.func, "id", getattr(call.func, "attr", None))
-            keywords = {k.arg for k in call.keywords}
-            set_by_call.add((where, owner, callee, len(call.args),
-                             frozenset(keywords)))
-    unset = []
-    for module, cls, name, position in options:
+            if inner and callee == "cls":
+                callee, owner = inner, None
+            elif inner and callee == "__init__" and getattr(
+                    getattr(call.func.value, "func", None), "id", None) == "super":
+                callee, owner = classes[inner][0], None
+            calls.add((where, owner, runs(callee), len(call.args),
+                       frozenset(k.arg for k in call.keywords)))
+        stored.update((where, node.attr) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and getattr(node.value, "id", None) != "self")
+    return tuple(
+        f"{module}::{cls}.{name}" for module, cls, name, position in options
         if not any(callee == cls and (where, owner) != (module, cls)
                    and (name in keywords or None in keywords
                         or (position is not None and nr_args > position))
-                   for where, owner, callee, nr_args, keywords in set_by_call):
-            unset.append(f"{module}::{cls}.{name}")
-    return tuple(unset)
+                   for where, owner, callee, nr_args, keywords in calls)
+        and not any(attribute == name and where != module
+                    for where, attribute in stored))
 
 
 def test_every_option_is_set_by_a_caller():
@@ -661,3 +746,73 @@ def test_option_allowlist_reason_holds(key):
     assert re.search(rf"\b{re.escape(name)}=",
                      (ROOT / test).read_text(encoding="utf-8")), (
         f"{test} does not set {name}")
+
+
+# -- reads -------------------------------------------------------------------------
+#
+# Every attribute a class under src/repro assigns as ``self.<name>`` is
+# read under src/, benchmarks/ or examples/ (by name, like the reach row):
+# as ``.<name>`` outside an assignment target, as a string or as a
+# keyword.  What only a test reads is deleted, or in READ_ALLOWLIST.
+
+
+@lru_cache(maxsize=1)
+def _unread() -> Tuple[str, ...]:
+    src = ROOT / "src" / "repro"
+    read, assigned = set(), {}
+    for top, path, tree in _scanned_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx,
+                                                                  ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+            elif top == "src" and isinstance(node, ast.ClassDef):
+                module = path.relative_to(src).as_posix()
+                assigned.update(
+                    (f"{module}::{node.name}.{target.attr}", target.attr)
+                    for method in node.body if isinstance(method, ast.FunctionDef)
+                    for target in ast.walk(method)
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and getattr(target.value, "id", None) == "self")
+    return tuple(key for key, name in assigned.items() if name not in read)
+
+
+def test_every_field_is_read_outside_the_tests():
+    unread = _unread()
+    stray = [key for key in unread if key not in READ_ALLOWLIST]
+    stale = [key for key in READ_ALLOWLIST if key not in unread]
+    assert not stray, ("assigned but read only by tests (delete it, or "
+                       "allowlist it with its reason):\n" + "\n".join(stray))
+    assert not stale, ("allowlisted but read or gone; drop the entry:\n"
+                       + "\n".join(stale))
+
+
+# -- span layers -------------------------------------------------------------------
+
+
+def test_every_opened_layer_has_its_own_track():
+    """A layer missing from ``LAYERS`` falls to the shared fallback
+    track of the Perfetto export: every literal layer a ``spans.begin``,
+    ``.event`` or ``.scope`` call under ``src/`` passes is in it."""
+    from repro.observability.spans import LAYERS
+
+    opened = []
+    for top, path, tree in _scanned_trees():
+        for node in ast.walk(tree) if top == "src" else ():
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("begin", "event", "scope")
+                    and getattr(node.func.value, "id", getattr(
+                        node.func.value, "attr", None)) == "spans"):
+                layer = (node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "layer"), None))
+                if isinstance(layer, ast.Constant):
+                    opened.append((f"{path.relative_to(ROOT).as_posix()}:"
+                                   f"{node.lineno}", layer.value))
+    assert {layer for _, layer in opened} >= {"session", "rank", "qos"}
+    stray = [f"{where}: {layer}" for where, layer in opened
+             if layer not in LAYERS]
+    assert not stray, "layers not in spans.LAYERS:\n" + "\n".join(stray)

@@ -118,6 +118,18 @@ def test_monitor_drill_resolves_at_a_10x_finer_cadence(capsys):
     assert "resolved=True" in out
 
 
+def test_monitor_drop_names_the_flag_that_helps(capsys, monkeypatch):
+    """A lossy store exits 1 and names --interval, the one way to widen it."""
+    from types import SimpleNamespace
+
+    from repro.analysis import monitor
+    monkeypatch.setattr(monitor, "run_monitor", lambda config: SimpleNamespace(
+        dropped_points=3, to_dict=dict))
+    assert main(["monitor", "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "dropped 3 points" in err and "(--interval)" in err
+
+
 def test_figure_fig16(capsys):
     code, out = run_cli(capsys, "figure", "fig16")
     assert code == 0
