@@ -75,8 +75,8 @@ def critical_path(trace: Trace) -> List[Span]:
     path = [root]
     current: Optional[Span] = root
     while current is not None:
-        children = [s for s in trace.children_of(current)
-                    if s.duration is not None]
+        children = [s for s in trace.spans if s.parent_id == current.span_id
+                    and s.duration is not None]
         if not children:
             break
         current = max(children, key=lambda s: (s.duration, -s.span_id))

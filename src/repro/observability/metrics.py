@@ -50,7 +50,7 @@ class Exemplar:
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Default histogram buckets (seconds).  Simulated latencies in this
+#: Histogram buckets (seconds), every family's.  Simulated latencies in this
 #: reproduction span sub-microsecond page-management steps to multi-second
 #: application phases, so the ladder is log-spaced across 1 us .. 10 s.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -180,11 +180,10 @@ class HistogramChild(_Child):
 
     __slots__ = ("buckets", "bucket_counts", "count", "sum", "exemplars")
 
-    def __init__(self, label_values: Tuple[str, ...],
-                 buckets: Tuple[float, ...]) -> None:
+    def __init__(self, label_values: Tuple[str, ...]) -> None:
         super().__init__(label_values)
-        self.buckets = buckets
-        self.bucket_counts = [0] * (len(buckets) + 1)  # last = +Inf
+        self.buckets = DEFAULT_BUCKETS
+        self.bucket_counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # last = +Inf
         self.count = 0
         self.sum = 0.0
         #: bucket index -> most recent :class:`Exemplar` that landed there
@@ -246,27 +245,15 @@ class MetricFamily:
     """One named metric: a type, a help string, a label schema, children."""
 
     def __init__(self, name: str, kind: str, help: str,
-                 label_names: Sequence[str] = (),
-                 buckets: Optional[Sequence[float]] = None) -> None:
+                 label_names: Sequence[str] = ()) -> None:
         _validate_metric_name(name)
         _validate_label_names(label_names)
         if kind not in _CHILD_TYPES:
             raise ObservabilityError(f"unknown metric type {kind!r}")
-        if buckets is not None and kind != "histogram":
-            raise ObservabilityError(
-                f"{name}: buckets only apply to histograms")
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names = tuple(label_names)
-        if kind == "histogram":
-            bounds = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-            if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-                raise ObservabilityError(
-                    f"{name}: histogram buckets must be strictly increasing")
-            self.buckets: Optional[Tuple[float, ...]] = bounds
-        else:
-            self.buckets = None
         self._children: Dict[Tuple[str, ...], _Child] = {}
 
     # -- child access ------------------------------------------------------
@@ -286,10 +273,7 @@ class MetricFamily:
                     f"{self.name}: label cardinality exceeds "
                     f"{MAX_SERIES_PER_FAMILY} series (runaway label values?)"
                 )
-            if self.kind == "histogram":
-                child = HistogramChild(key, self.buckets or DEFAULT_BUCKETS)
-            else:
-                child = _CHILD_TYPES[self.kind](key)
+            child = _CHILD_TYPES[self.kind](key)
             self._children[key] = child
         return child
 
@@ -372,8 +356,7 @@ class MetricsRegistry:
     # -- registration -------------------------------------------------------
 
     def _register(self, name: str, kind: str, help: str,
-                  labels: Sequence[str] = (),
-                  buckets: Optional[Sequence[float]] = None) -> MetricFamily:
+                  labels: Sequence[str] = ()) -> MetricFamily:
         existing = self._families.get(name)
         if existing is not None:
             if (existing.kind != kind
@@ -384,7 +367,7 @@ class MetricsRegistry:
                     f"cannot re-register as {kind}{list(labels)}"
                 )
             return existing
-        family = MetricFamily(name, kind, help, labels, buckets)
+        family = MetricFamily(name, kind, help, labels)
         self._families[name] = family
         return family
 
@@ -397,9 +380,8 @@ class MetricsRegistry:
         return self._register(name, "gauge", help, labels)
 
     def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Optional[Sequence[float]] = None) -> MetricFamily:
-        return self._register(name, "histogram", help, labels, buckets)
+                  labels: Sequence[str] = ()) -> MetricFamily:
+        return self._register(name, "histogram", help, labels)
 
     # -- lookup ------------------------------------------------------------
 

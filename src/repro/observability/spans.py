@@ -23,13 +23,12 @@ Two properties are non-negotiable and shape the design:
   (``sample_rate``; faulted traces are always kept), and the retained
   list itself is capped.  Every drop increments a ``repro_span_*``
   counter, so counters stay exact even at ``sample_rate=0``.
-- **A trace nothing can keep is counted, not built.**  Whether the
+- **A trace nothing can keep is a tally, not built.**  Whether the
   retained list has room is known when the *root* opens; once it is
   full every tier ends in the ``trace_cap`` drop, so such a trace keeps
-  a count where a built one keeps a list.  Ids, cursors, counters, the
-  retention classification and the drop counts are those of building
-  the trace and dropping it (``docs/observability.md``, "What the
-  observer costs").
+  counts on reused handles, and cursors only if something reads them.
+  Ids, counters, the retention classification and the drop counts are
+  those of building and dropping it (``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ RANK_TID_BASE = 100
 class Span:
     """One timed unit of work on the simulated timeline.
 
-    A plain record, one allocation per span: the recorder builds one for
-    every ``begin`` (its handle) and for every ``event`` of a trace it
-    can still retain.  ``trace_id`` /
+    A plain record, one allocation per span of a built trace (a tally's
+    spans are :class:`_Handle` s, and its root becomes a ``Span`` only
+    when :attr:`SpanRecorder.last_root` is read).  ``trace_id`` /
     ``span_id`` / ``parent_id`` are what *propagates* across layer
     seams: a backend span's ``parent_id`` is the frontend request span
     that caused it, and a recovery rerun reuses the failed attempt's
@@ -115,12 +114,29 @@ class Span:
                 f"parent={self.parent_id}, [{self.start}, {self.end}])")
 
 
+class _Handle:
+    """A span of a tally: reused, never buffered, linked to nothing.  A
+    root keeps its trace's number, name, layer, times and attributes; an
+    inner one its span id, and its times only in a timeline."""
+
+    start = cursor = 0.0
+
+    @property
+    def trace_id(self) -> str:
+        return f"trace-{self.seq:06d}"
+
+    def link(self, *_link) -> None:
+        pass
+
+    link_all = link
+
+
 @dataclass
 class Trace:
     """One finished trace: a root span and everything beneath it.
 
-    Only a *built* trace has one; a counted trace is a few recorder
-    fields while it is active and nothing once it finishes."""
+    Only a *built* trace has one; a tally is a few recorder fields and
+    handles while it is active and nothing once it finishes."""
 
     trace_id: str
     spans: List[Span] = field(default_factory=list)
@@ -132,18 +148,6 @@ class Trace:
     retention: str = ""
     #: Spans not buffered because the per-trace cap was hit.
     dropped_spans: int = 0
-
-    def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def span(self, span_id: int) -> Optional[Span]:
-        for s in self.spans:
-            if s.span_id == span_id:
-                return s
-        return None
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -164,19 +168,18 @@ class SpanRecorder:
         spans.end(root, end=clock.now)
 
     Retention is decided when the root opens.  With room in
-    :attr:`traces` the trace is *built*: every span is a :class:`Span`
-    buffered in its :class:`Trace`.  With :attr:`traces` full (the
-    steady state of a long run) no tier can retain it, so it is
-    *counted*: ``begin`` still returns a live handle — callers read its
-    ``start``/``cursor``/``span_id`` and the stack needs it — but
-    nothing is buffered, ``event`` allocates nothing, and there is no
-    :class:`Trace`: the root's handle is the one object a counted trace
-    allocates.  Either way span ids, cursors, ``spans_started``, the
-    per-layer started counter, ``exemplar()``, the classification at
-    finish and the ``trace_cap``/``span_cap`` drop counts are the same
-    (a counted trace's ``span_cap`` share is added when its root
-    closes).  Started, finished and dropped counts are plain integers
-    that the ``repro_span_*`` series read.
+    :attr:`traces`, or an identity pinned by :meth:`next_trace`, the
+    trace is *built*: every span is a :class:`Span` buffered in its
+    :class:`Trace`.  Otherwise (the steady state of a long run) it is a
+    *tally*: no ``Span``, no ``Trace``; its root is one of two
+    :class:`_Handle` s used in turn, each inner span the handle of its
+    depth, and ``begin``/``event`` add a span id and a per-layer count.
+    Cursors are kept only when something reads them:
+    ``capture_exemplars`` or ``tail_sampling`` (the root's duration).
+    Either way span ids, the per-layer started counter, ``exemplar()``,
+    ``last_root``'s identity and attributes, the classification at
+    finish and the ``trace_cap``/``span_cap`` drops are the same.  The
+    ``repro_span_*`` series read the recorder's integer counts.
     """
 
     def __init__(self, clock, sample_rate: float = 1.0,
@@ -212,9 +215,7 @@ class SpanRecorder:
         self._retention = None
         #: Finished traces that survived sampling/caps, oldest first.
         self.traces: List[Trace] = []
-        #: Root span of the most recently finished trace (retained or
-        #: not) — what recovery links ``retry_of`` against.
-        self.last_root: Optional[Span] = None
+        self._last_root = None
         #: Trace-correlated structured log (:meth:`log`), at most
         #: ``max_log_records``; overflow drops the newest record and
         #: counts it, as the span caps do.
@@ -227,14 +228,19 @@ class SpanRecorder:
         self.spans_dropped = Counts(self.obs.dropped if self.obs else None)
         self.traces_finished = 0
         self.traces_retained = 0
-        self._stack: List[Span] = []
+        self._stack: List = []
         # The active trace: its root (``None`` outside a trace), whether
-        # it is faulted and head-sampled, and its :class:`Trace` — only
-        # when it is built, so ``None`` means counted.
-        self._root: Optional[Span] = None
+        # it is faulted and head-sampled, its :class:`Trace` — only when
+        # it is built, so ``None`` means a tally — and whether it keeps a
+        # timeline (built, or a tally something reads the cursors of).
+        self._root = None
         self._faulted = False
         self._sampled = True
         self._trace: Optional[Trace] = None
+        self._timed = True
+        # A tally's handles: two roots, used in turn, and one per depth.
+        self._roots = (_Handle(), _Handle())
+        self._handles: List[Optional[_Handle]] = [None]
         # The most recently finished trace, as far as a post-hoc fault
         # may reach it: the spans it held (``None`` once :meth:`clear`
         # forgot it), its :class:`Trace` when it was built, and whether
@@ -255,11 +261,16 @@ class SpanRecorder:
         return self._stack[-1] if self._stack else None
 
     @property
-    def cursor(self) -> Optional[float]:
-        """Where the next child starts — the innermost open span's
-        cursor — or ``None`` outside any trace.  Read before ``event``
-        it is that event's start, built or counted."""
-        return self._stack[-1].cursor if self._stack else None
+    def last_root(self) -> Optional[Span]:
+        """Root of the most recently finished trace, retained or not (what
+        recovery links ``retry_of`` to); a tally's becomes a Span here."""
+        root = self._last_root
+        if isinstance(root, _Handle):
+            root = self._last_root = Span(
+                root.trace_id, root.span_id, None, root.name, root.layer,
+                root.start, root.end, root.duration, root.attributes, 0,
+                root.cursor)
+        return root
 
     # -- sampling ------------------------------------------------------------
 
@@ -290,32 +301,39 @@ class SpanRecorder:
                     attributes: Dict[str, object]) -> Span:
         """The root span of a new trace, which becomes the active one.
 
-        This is where retention is decided: a trace opened with the
-        retained list full is counted, not built."""
+        This is where retention is decided: an unpinned trace opened
+        with the retained list full is a tally, not built."""
         pin, self._pin = self._pin, None
-        trace_id = pin["trace_id"] if pin is not None else None
-        if not trace_id:
-            self._trace_ids += 1
-            trace_id = f"trace-{self._trace_ids:06d}"
         if start is None:
             start = self.clock.now
-        root = Span(trace_id, span_id, None, name, layer,
-                    start, None, None, attributes, 0, start)
-        faulted = False
-        if pin is not None:
-            faulted = bool(pin["faulted"])
-            if pin["retry_of"] is not None:
-                root.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
         if self.sample_rate >= 1.0:     # every trace: nothing to work out
             self._trace_seq += 1
             self._sampled = True
         else:
             self._sampled = self._sample_next()
-        self._root = root
-        self._faulted = faulted
-        if len(self.traces) < self.max_traces:
-            self._trace = Trace(trace_id=trace_id, root=root,
-                                sampled=self._sampled, faulted=faulted)
+        self._faulted = faulted = pin is not None and bool(pin["faulted"])
+        trace_id = pin["trace_id"] if pin is not None else None
+        if not trace_id:
+            self._trace_ids = seq = self._trace_ids + 1
+            if pin is None and len(self.traces) >= self.max_traces:
+                # Ids are dense: a tally just before this one took the
+                # other handle, which ``last_root`` may still hold.
+                self._root = root = self._roots[seq & 1]
+                root.seq, root.span_id, root.name, root.layer = (
+                    seq, span_id, name, layer)
+                root.start, root.cursor, root.attributes = (
+                    start, start, attributes)
+                self._timed = self.capture_exemplars or self.tail_sampling
+                return root
+            trace_id = f"trace-{seq:06d}"
+        self._root = root = Span(trace_id, span_id, None, name, layer,
+                                 start, None, None, attributes, 0, start)
+        if pin is not None and pin["retry_of"] is not None:
+            root.link("retry_of", pin["retry_of"])  # type: ignore[arg-type]
+        self._trace = Trace(trace_id=trace_id, root=root,
+                            sampled=self._sampled, faulted=faulted)
+        self._buffer(self._trace, root)
+        self._timed = True
         return root
 
     def _buffer(self, trace: Trace, span: Span) -> None:
@@ -328,26 +346,35 @@ class SpanRecorder:
 
     def begin(self, name: str, layer: str, start: Optional[float] = None,
               **attributes: object) -> Span:
-        """Open a span and return its handle (always a live
-        :class:`Span`, buffered only in a built trace).  With an open
-        parent, ``start`` defaults to the parent's cursor
+        """Open a span and return its handle: a :class:`Span` buffered in
+        a built trace, a reused :class:`_Handle` in a tally.  With an
+        open parent, ``start`` defaults to the parent's cursor
         (duration-returning layers); with an empty stack a new trace
         begins and ``start`` defaults to ``clock.now``."""
         stack = self._stack
         self.spans_started = span_id = self.spans_started + 1
-        if stack:
+        self._started[layer] += 1
+        if not stack:
+            span = self._open_trace(span_id, name, layer, start, attributes)
+        elif self._trace is None:
+            handles, depth = self._handles, len(stack)
+            if depth == len(handles):
+                handles.append(_Handle())
+            span = handles[depth]
+            span.span_id = span_id
+            if self._timed:
+                if start is None:
+                    start = stack[-1].cursor
+                span.start, span.cursor, span.end, span.attributes = (
+                    start, start, None, attributes)
+        else:
             parent = stack[-1]
             if start is None:
                 start = parent.cursor
             span = Span(parent.trace_id, span_id, parent.span_id, name, layer,
                         start, None, None, attributes, parent.depth + 1,
                         start)
-        else:
-            span = self._open_trace(span_id, name, layer, start, attributes)
-        self._started[layer] += 1
-        trace = self._trace
-        if trace is not None:
-            self._buffer(trace, span)
+            self._buffer(self._trace, span)
         stack.append(span)
         return span
 
@@ -355,27 +382,25 @@ class SpanRecorder:
               start: Optional[float] = None,
               **attributes: object) -> Optional[Span]:
         """Record a completed child span of exactly ``duration`` under
-        the innermost open span, advancing its cursor.
-
-        Returns the :class:`Span` in a built trace and ``None`` when
-        there is none: outside a trace, or in a counted one.  A caller
-        that needs the event's start or id reads :attr:`cursor` before
-        the call and :attr:`spans_started` after it, which hold either
-        way.
+        the innermost open span, advancing its cursor.  Returns the
+        :class:`Span` in a built trace, else ``None``; inside a trace the
+        event's id is :attr:`spans_started` after the call either way.
 
         No-op outside a trace (e.g. bare hardware unit tests), so layers
         can call this unconditionally on their hot path."""
         stack = self._stack
         if not stack:
             return None
+        self.spans_started = span_id = self.spans_started + 1
+        self._started[layer] += 1
+        if not self._timed:
+            return None
         parent = stack[-1]
         if start is None:
             start = parent.cursor
         end = start + duration
-        self.spans_started = span_id = self.spans_started + 1
         if end > parent.cursor:
             parent.cursor = end
-        self._started[layer] += 1
         trace = self._trace
         if trace is None:
             return None
@@ -393,26 +418,25 @@ class SpanRecorder:
         closed at their cursors and flagged ``abandoned`` so one failed
         request cannot corrupt the stack for the rest of the run."""
         stack = self._stack
-        # By identity, innermost first: only a span this recorder opened
-        # and has not yet closed may unwind the stack.
-        if not stack or (stack[-1] is not span and not any(
-                open_span is span for open_span in stack)):
+        # By identity (neither class defines ``==``): only a span this
+        # recorder opened and has not yet closed may unwind the stack.
+        if not stack or (stack[-1] is not span and span not in stack):
             return
+        timed = self._timed
         while stack[-1] is not span:
             inner = stack.pop()
-            if inner.end is None:
+            if timed and inner.end is None:
                 inner.end = inner.cursor
                 inner.duration = inner.end - inner.start
                 inner.attributes["abandoned"] = True
         stack.pop()
+        if stack and not timed:         # a tally's inner span keeps nothing
+            return
         if duration is not None:
             span.duration = duration
             span.end = span.start + duration
-        elif end is not None:
-            span.end = end
-            span.duration = end - span.start
         else:
-            span.end = span.cursor
+            span.end = end if end is not None else span.cursor
             span.duration = span.end - span.start
         if attributes:
             span.attributes.update(attributes)
@@ -448,9 +472,7 @@ class SpanRecorder:
         if root is None:
             return
         self._faulted = True
-        faults = root.attributes.setdefault("faults", [])
-        if isinstance(faults, list):
-            faults.append(kind)
+        root.attributes.setdefault("faults", []).append(kind)
 
     def _tail_outlier(self, root: Span) -> bool:
         """Whether tail retention claims this finished, unfaulted root.
@@ -465,8 +487,6 @@ class SpanRecorder:
         history, not against itself — and faulted roots never feed it
         (recovery reruns would drag the mean up and mask real outliers).
         """
-        if root.duration is None:
-            return False
         duration = root.duration
         baseline = self._tail_baseline.get(root.layer)
         if baseline is None:
@@ -481,12 +501,11 @@ class SpanRecorder:
         root, trace = self._root, self._trace
         self._root = self._trace = None
         self.traces_finished += 1
-        self.last_root = root
+        self._last_root = root
         if trace is None:
-            # Counted.  Ids are dense and one trace is active at a time,
-            # so every span since the root is this trace's.  The
-            # per-trace cap, which a built trace applies span by span,
-            # applies here.
+            # A tally: ids are dense and one trace is active at a time,
+            # so every span since the root is its own, and the per-trace
+            # cap a built trace applies span by span applies here.
             held = self.spans_started - root.span_id + 1
             if held > self.max_spans_per_trace:
                 self.spans_dropped["span_cap"] += (
@@ -542,9 +561,7 @@ class SpanRecorder:
         if trace is not None:
             trace.faulted = True
             trace.retention = "fault"
-        faults = root.attributes.setdefault("faults", [])
-        if isinstance(faults, list):
-            faults.append(kind)
+        root.attributes.setdefault("faults", []).append(kind)
         if self.tail_sampling:
             root.attributes["retention"] = "fault"
         if self._last_pending:
@@ -567,10 +584,10 @@ class SpanRecorder:
         instant the observed operation completed at.  Returns ``None``
         unless ``capture_exemplars`` is on (the monitor pipeline enables
         it; default runs keep exemplar-free snapshots)."""
-        if not self.capture_exemplars or not self._stack:
+        stack = self._stack
+        if not self.capture_exemplars or not stack:
             return None
-        span = self._stack[-1]
-        return (span.trace_id, span.cursor)
+        return (stack[0].trace_id, stack[-1].cursor)
 
     def latest(self) -> Optional[Trace]:
         """The most recently retained trace."""
@@ -599,7 +616,7 @@ class SpanRecorder:
         record: Dict[str, object] = {"ts": self.clock.now, "event": event,
                                      "layer": layer}
         if self._stack:
-            record["trace_id"] = self._stack[-1].trace_id
+            record["trace_id"] = self._stack[0].trace_id
             record["span_id"] = self._stack[-1].span_id
         record.update(fields)
         self.log_records.append(record)

@@ -525,13 +525,12 @@ class VUpmemFrontend:
             nr_entries = len(matrix.entries)
             copy_time = self.cost.guest_copy_time(copied, nr_entries)
             self.counts["batched_writes"] += nr_entries
-            # The event starts at the open span's cursor and takes the
-            # next span id, whether or not the recorder builds it.
-            start = self.spans.cursor
+            # Inside a trace the event takes the next span id, whether
+            # the recorder builds it or keeps a tally.
             self.spans.event("frontend.batch_copy", "frontend",
                              copy_time, op=OP_WRITE,
                              entries=nr_entries, bytes=copied)
-            if start is not None:
+            if self.spans.current is not None:
                 self._batch_span_ids.append(self.spans.spans_started)
             self.profiler.record_op(OP_WRITE, copy_time + cache_time)
             return flushed + copy_time + cache_time

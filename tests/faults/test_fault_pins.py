@@ -35,7 +35,7 @@ def _faulted_requests(vpim):
             continue
         lines.append("trace " + ",".join(trace.root.attributes.get("faults",
                                                                    [])))
-        for span in trace.by_name("frontend.request"):
+        for span in (s for s in trace.spans if s.name == "frontend.request"):
             lines.append(f"{span.duration.hex()} "
                          f"{span.attributes.get('retries')} "
                          f"{span.attributes.get('error')}")

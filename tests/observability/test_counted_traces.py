@@ -1,13 +1,16 @@
-"""Counted == built: a trace the recorder cannot keep is counted, and
-everything but the records is what building it would have given.
+"""Tally == built: a trace the recorder cannot keep is a tally, and
+everything a reader can see is what building it would have given.
 
 One op sequence drives two recorders on identical clock schedules:
 ``max_traces`` large, so every trace is *built*, and ``max_traces=0``,
-so every trace is *counted*.  They must agree on every handle, every
-``exemplar()``, the counters, ``last_root``, the per-layer started
-series and the tail baseline; and what the counted side reports dropped
-is what the built side holds (``docs/observability.md``, "What the
-observer costs").
+so every unpinned trace is a *tally*.  They must agree on every span id,
+every ``exemplar()``, every ``log()`` record, the counters, ``last_root``'s
+identity and attributes, the per-layer started series and the tail
+baseline; and what the tally side reports dropped is what the built side
+holds.  A tally keeps a timeline only when exemplars or tail sampling read
+one, so the times of the spans it closes, and of a root closed at its
+cursor, are compared in that setting only (``docs/observability.md``,
+"What the observer costs").
 """
 
 from __future__ import annotations
@@ -46,17 +49,21 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("scope"), layer, st.lists(seconds, max_size=3),
               seconds),
     st.tuples(st.just("advance"), seconds),
+    st.tuples(st.just("log"), small),
 ), max_size=60)
 
 
-def handle_fields(span: Span):
+def attributes_of(span):
     # ``retention`` is stamped on a root when its trace *is retained*
     # (tail sampling on): the one attribute only the built side can have.
-    attributes = {key: value for key, value in span.attributes.items()
-                  if key != "retention"}
-    return (span.span_id, span.trace_id, span.parent_id, span.name,
-            span.layer, span.start, span.end, span.duration, span.cursor,
-            span.depth, span.links, attributes)
+    return {key: value for key, value in span.attributes.items()
+            if key != "retention"}
+
+
+def timeline(span):
+    """What a span that keeps a timeline holds when it closes."""
+    return (span.span_id, span.start, span.end, span.duration, span.cursor,
+            attributes_of(span))
 
 
 class Driver:
@@ -69,9 +76,15 @@ class Driver:
         self.recorder = SpanRecorder(self.clock, max_traces=max_traces,
                                      registry=self.registry,
                                      **recorder_args)
-        self.handles = []       # every span ``begin`` returned
-        self.open = []          # ... and the ones not ended yet
+        self.span_ids = []      # of every span ``begin`` returned
+        self.open = []          # the spans not ended yet
+        #: timeline() of each span as it closes, where a tally keeps one
+        #: (no reader under src/ sees an inner span's times otherwise).
+        self.closed = [] if (self.recorder.tail_sampling
+                             or self.recorder.capture_exemplars) else None
         self.seen = []          # exemplar() and current, after each op
+        #: How the newest root closed: at its cursor, or at a given time.
+        self.root_closed_at_cursor = False
 
     def run(self, sequence) -> "Driver":
         rec = self.recorder
@@ -86,8 +99,8 @@ class Driver:
 
     def _begin(self, rec, layer, start):
         span = rec.begin(f"{layer}.op", layer, start=start, tag=len(
-            self.handles))
-        self.handles.append(span)
+            self.span_ids))
+        self.span_ids.append(span.span_id)
         self.open.append(span)
 
     def _event(self, rec, layer, duration, start):
@@ -100,7 +113,7 @@ class Driver:
         if not self.open:
             return
         index = which % len(self.open)
-        span = self.open[index]
+        span, closing = self.open[index], self.open[index:]
         del self.open[index:]
         if how == "duration":
             rec.end(span, duration=value)
@@ -108,6 +121,9 @@ class Driver:
             rec.end(span, end=span.start + value, closed="by end")
         else:
             rec.end(span)
+        self._closed(closing)
+        if index == 0:
+            self.root_closed_at_cursor = how == "cursor"
 
     def _rewind(self, rec, which):
         if self.open:
@@ -128,14 +144,25 @@ class Driver:
         rec.mark_last_faulted(f"late-{kind}")
 
     def _scope(self, rec, layer, durations, advance):
+        root = not self.open
         with rec.scope(f"{layer}.scope", layer) as span:
-            self.handles.append(span)
+            self.span_ids.append(span.span_id)
             for duration in durations:
                 rec.event(f"{layer}.step", layer, duration)
             self.clock.advance(advance)
+        self._closed([span])
+        if root:                # a scope closes at max(now, its cursor)
+            self.root_closed_at_cursor = True
+
+    def _closed(self, spans):
+        if self.closed is not None:
+            self.closed.extend(timeline(span) for span in spans)
 
     def _advance(self, rec, dt):
         self.clock.advance(dt)
+
+    def _log(self, rec, n):
+        rec.log(f"log-{n}", "session", n=n)
 
     # -- what the two sides are compared on ---------------------------------
 
@@ -175,15 +202,23 @@ def test_a_counted_trace_is_a_built_one_without_the_records(
     built = Driver(BUILT, **args).run(sequence)
     counted = Driver(COUNTED, **args).run(sequence)
     a, b = built.recorder, counted.recorder
+    keeps_timeline = built.closed is not None
 
-    assert ([handle_fields(h) for h in built.handles]
-            == [handle_fields(h) for h in counted.handles])
+    assert built.span_ids == counted.span_ids
+    assert built.closed == counted.closed
     assert built.seen == counted.seen
+    assert a.log_records == b.log_records
     assert a.spans_started == b.spans_started
     assert a.traces_finished == b.traces_finished
     assert (a.last_root is None) == (b.last_root is None)
     if a.last_root is not None:
-        assert handle_fields(a.last_root) == handle_fields(b.last_root)
+        root, other = a.last_root, b.last_root
+        assert (root.trace_id, root.span_id, attributes_of(root)) == (
+            other.trace_id, other.span_id, attributes_of(other))
+        if keeps_timeline or not built.root_closed_at_cursor:
+            assert (root.start, root.end, root.duration) == (
+                other.start, other.end, other.duration)
+        assert b.last_root is other     # one Span, however often read
     assert built.started_by_layer() == counted.started_by_layer()
     assert built.tail_baseline() == counted.tail_baseline()
     assert built.retention_series() == counted.retention_series()

@@ -29,7 +29,7 @@ def registry() -> MetricsRegistry:
     c.labels(rank="1", direction="read").inc()
     g = reg.gauge("repro_depth", "Queue depth", ("queue",))
     g.labels(queue="transferq").set(5)
-    h = reg.histogram("repro_lat_seconds", "Latency", buckets=(0.1, 1.0))
+    h = reg.histogram("repro_lat_seconds", "Latency")
     h.observe(0.05)
     h.observe(0.5)
     h.observe(5.0)

@@ -3,13 +3,12 @@
 Two rules, both deterministic (``docs/observability.md``, "What the
 observer costs"):
 
-1. **One** :class:`Span` **per** ``begin``, **nothing else.**  In
-   steady state — the retained list is full, so every trace is counted,
-   not built — a transfer allocates one :class:`Span` per ``begin``
-   (the handle its caller reads), **none per** ``event`` and **no**
-   :class:`Trace` — no other object of any class defined under
-   ``repro.observability``.  ``repro_span_started_total`` still advances
-   once per span.
+1. **No record per span.**  In steady state — the retained list is
+   full, so every trace is a tally, not built — a transfer allocates
+   **no** :class:`Span` (its ``begin`` handles are the tally's, made
+   once per depth by the warm-up pass), **no** :class:`Trace` and no
+   other object of any class defined under ``repro.observability``.
+   ``repro_span_started_total`` still advances once per span.
 2. **No label resolution after first use.**  Once every label value a
    transfer path uses has been seen, it never calls
    :meth:`MetricFamily.labels` again; a *fresh* label value still
@@ -112,7 +111,7 @@ def _series(registry):
 
 
 @pytest.mark.parametrize("mode", ["vm", "native"])
-def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
+def test_steady_state_transfer_allocates_no_record(mode, monkeypatch):
     # Three ranks: the DPU set fills two, the third is the fresh label.
     vpim = VPim(small_machine(nr_ranks=3, dpus_per_rank=8))
     # Low enough that the warm-up pass reaches the cap: in the steady
@@ -137,7 +136,7 @@ def test_steady_state_transfer_costs_one_record_per_span(mode, monkeypatch):
         assert new_traces == CALLS and new_spans == SPANS_STARTED[mode]
         assert tally.calls["begin"] + tally.calls["event"] == new_spans
         assert tally.labels_calls == 0
-        assert dict(tally.instances) == {Span: tally.calls["begin"]}
+        assert tally.calls["begin"] > 0 and dict(tally.instances) == {}
         assert len(spans.traces) == spans.max_traces
         assert _series(registry) == series_before
 
@@ -161,6 +160,9 @@ def test_a_flush_links_the_writes_it_absorbed_in_one_step(monkeypatch):
     vpim = VPim(small_machine(nr_ranks=1, dpus_per_rank=8))
     session = vpim.vm_session(nr_vupmem=1)
     spans = vpim.spans
+    # Room for every trace: only a built span keeps links (a tally's
+    # handles take none), so the flush's trace must be built.
+    spans.max_traces = 1 << 13
     calls = Counter()
     linked = []
     link_all = Span.link_all
